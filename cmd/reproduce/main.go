@@ -16,8 +16,6 @@
 //	reproduce -sched concurrent      # concurrent fault-delivery scheduler
 //	reproduce -plane                 # also run the delivery-plane scaling table
 //	reproduce -plane -managers 1,2,4 # plane table over chosen manager counts
-//	reproduce -batch=false           # disable batched kernel operations
-//	reproduce -vector=false          # disable vectored fault delivery
 //	reproduce -profile out/          # write mutex/block pprof profiles to a directory
 //	reproduce -scale                 # wall-clock scale sweep -> BENCH_scale.json
 //	reproduce -scalediff             # diff the last two scale sweeps and exit
@@ -82,11 +80,9 @@ func main() {
 	jsonPath := flag.String("json", "", "write a benchmark-trajectory record to this path")
 	sched := flag.String("sched", "serial", "fault-delivery scheduler: serial (deterministic) or concurrent")
 	planeTbl := flag.Bool("plane", false, "also run the delivery-plane throughput scaling table (wall-clock columns; not part of the golden output)")
-	batch := flag.Bool("batch", true, "use batched kernel operations (MigratePagesBatch/ModifyPageFlagsBatch)")
-	vector := flag.Bool("vector", true, "use vectored fault delivery under the concurrent scheduler (one upcall per drained fault run)")
 	profileDir := flag.String("profile", "", "write mutex and block pprof profiles to this directory at exit (plateau-hunt data)")
 	managersFlag := flag.String("managers", "1,4", "comma-separated manager counts for the -plane table")
-	scale := flag.Bool("scale", false, "run the wall-clock scale sweep (managers x scheduler x batch) and append it to BENCH_scale.json")
+	scale := flag.Bool("scale", false, "run the wall-clock scale sweep (managers x scheduler, plus multi-driver vectored cells) and append it to BENCH_scale.json")
 	scaleManagers := flag.String("scalemanagers", "", "comma-separated manager counts for the -scale sweep (default: 1,2,4,8,16,32)")
 	scaleFaults := flag.Int("scalefaults", 0, "per-manager base fault count for the -scale sweep (default 32768)")
 	scaleFile := flag.String("scalefile", "BENCH_scale.json", "append-only trajectory file for the -scale sweep")
@@ -153,8 +149,6 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	kernel.SetBatchOps(*batch)
-	kernel.SetVectoredDelivery(*vector)
 	kernel.SetSuperpages(*super)
 	if err := kernel.SetBootScheduler(*sched); err != nil {
 		fmt.Fprintln(os.Stderr, "reproduce:", err)
@@ -243,7 +237,7 @@ func main() {
 	}
 
 	if len(planeRuns) > 0 {
-		sweep := experiments.NewPlaneSweep(512, fmt.Sprintf("cmd/reproduce -plane, sched %s, batch %v", *sched, *batch))
+		sweep := experiments.NewPlaneSweep(512, fmt.Sprintf("cmd/reproduce -plane, sched %s", *sched))
 		sweep.Runs = planeRuns
 		if err := experiments.AppendBenchSweep("BENCH_plane.json", "delivery-plane", sweep); err != nil {
 			fmt.Fprintln(os.Stderr, "reproduce: writing BENCH_plane.json:", err)
@@ -251,7 +245,7 @@ func main() {
 		}
 	}
 	if *scale {
-		// The sweep toggles the process-global batch switch per cell, so it
+		// The sweep pins the process-global superpage switch per cell, so it
 		// runs by itself after the harness tasks have drained.
 		mgrs, err := parseScaleManagers(*scaleManagers)
 		if err != nil {
@@ -275,9 +269,8 @@ func main() {
 		}
 	}
 	if *superSweep {
-		// Each cell toggles the process-global superpage and batch
-		// switches, so the sweep runs by itself after the harness tasks
-		// have drained.
+		// Each cell toggles the process-global superpage switch, so the
+		// sweep runs by itself after the harness tasks have drained.
 		mgrs, err := parseManagers(*superManagers)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "reproduce:", err)

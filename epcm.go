@@ -93,15 +93,9 @@ var (
 // (MigratePagesBatch / ModifyPageFlagsBatch).
 type PageRange = kernel.PageRange
 
-// Batched-operation helpers re-exported from the kernel: CoalesceRanges
-// groups parallel source/destination page lists into the fewest ranges;
-// SetBatchOps/BatchOps toggle the batched fast paths (the ablation arm of
-// the scale sweep).
-var (
-	CoalesceRanges = kernel.CoalesceRanges
-	SetBatchOps    = kernel.SetBatchOps
-	BatchOps       = kernel.BatchOps
-)
+// CoalesceRanges, re-exported from the kernel, groups parallel
+// source/destination page lists into the fewest ranges for a batched call.
+var CoalesceRanges = kernel.CoalesceRanges
 
 // Superpage-plane helpers re-exported from the kernel. SetSuperpages is the
 // process-wide half of the extent gate (Config.Superpages flips it at boot);

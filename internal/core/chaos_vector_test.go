@@ -38,9 +38,9 @@ func (b slowSwapBacking) Fill(seg *kernel.Segment, page int64, frame *phys.Frame
 
 // TestChaosVectoredCrashStorm: 8 seeds of a 4-driver storm over a footprint
 // (600 pages) exceeding physical memory (256 frames), with storage errors
-// flying and the victim crashed after ~100 deliveries. Vectored delivery is
-// forced on; the stalled fill makes the drivers pile onto the victim's lane
-// so the crash interacts with real batches. Afterwards adoption must be
+// flying and the victim crashed after ~100 deliveries. The stalled fill
+// makes the drivers pile onto the victim's lane so the crash interacts with
+// real batches. Afterwards adoption must be
 // complete, conservation exact, and every page reachable.
 func TestChaosVectoredCrashStorm(t *testing.T) {
 	const (
@@ -48,10 +48,6 @@ func TestChaosVectoredCrashStorm(t *testing.T) {
 		pagesPerDriver = 150
 		footprint      = int64(drivers) * pagesPerDriver
 	)
-	prev := kernel.VectoredDelivery()
-	kernel.SetVectoredDelivery(true)
-	defer kernel.SetVectoredDelivery(prev)
-
 	var sawBatches int64
 	for _, seed := range chaosSeeds[:8] {
 		t.Run(fmt.Sprintf("seed=%#x", seed), func(t *testing.T) {

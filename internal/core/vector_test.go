@@ -1,14 +1,15 @@
 package core
 
 // Differential tests for vectored fault delivery: the same workload, run
-// with vectoring on, vectoring off, and under the serial scheduler, must
-// resolve the same faults — same fault count, same fill count, same final
-// residency — for every registered replacement policy. Vectoring changes
+// by colliding drivers under the concurrent scheduler (where fault runs
+// form) and by one driver under the serial scheduler (which never delivers
+// a run longer than one), must resolve the same faults — same fault count,
+// same fill count, same final residency — for every registered replacement
+// policy. Vectoring changes
 // how faults are *delivered* (batched upcalls) and *charged* (per-batch
 // trap/delivery legs), never which faults exist or how they resolve.
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -52,15 +53,11 @@ type vecDiffCounts struct {
 
 // runVecDiff drives drivers x pagesPerDriver disjoint first-touch writes
 // against one managed segment, then a full read pass, and returns the
-// counts. vector only matters under the concurrent scheduler; the serial
-// scheduler runs one driver (its delivery plane is a synchronous call
-// chain, and the single chain is the golden-reference shape).
-func runVecDiff(t *testing.T, sched, policy string, vector bool, drivers int, pagesPerDriver int64) (vecDiffCounts, int64) {
+// counts. The serial scheduler runs one driver (its delivery plane is a
+// synchronous call chain, and the single chain is the golden-reference
+// shape).
+func runVecDiff(t *testing.T, sched, policy string, drivers int, pagesPerDriver int64) (vecDiffCounts, int64) {
 	t.Helper()
-	prev := kernel.VectoredDelivery()
-	kernel.SetVectoredDelivery(vector)
-	defer kernel.SetVectoredDelivery(prev)
-
 	sys, err := Boot(Config{MemoryBytes: 16 << 20, Scheduler: sched, ReclaimPolicy: policy})
 	if err != nil {
 		t.Fatal(err)
@@ -117,9 +114,8 @@ func runVecDiff(t *testing.T, sched, policy string, vector bool, drivers int, pa
 }
 
 // TestVectoredDifferentialCountsPerPolicy: for every policy, the vectored
-// concurrent run, the vector-ablated concurrent run, and the serial run
-// all resolve exactly one fault and one fill per first-touch page, and end
-// fully resident. Any lost fault shows up as a short count or an
+// concurrent run and the serial run both resolve exactly one fault and one
+// fill per first-touch page, and end fully resident. Any lost fault shows up as a short count or an
 // unreadable page; any double-resolution shows up as an extra fault or
 // fill (the kernel would reject the second migration with ErrPageBusy).
 func TestVectoredDifferentialCountsPerPolicy(t *testing.T) {
@@ -132,14 +128,13 @@ func TestVectoredDifferentialCountsPerPolicy(t *testing.T) {
 	var sawBatches int64
 	for _, policy := range vecDiffPolicies {
 		t.Run(policy, func(t *testing.T) {
-			vectored, batches := runVecDiff(t, "concurrent", policy, true, drivers, pagesPerDriver)
+			vectored, batches := runVecDiff(t, "concurrent", policy, drivers, pagesPerDriver)
 			sawBatches += batches
-			ablated, _ := runVecDiff(t, "concurrent", policy, false, drivers, pagesPerDriver)
-			serial, _ := runVecDiff(t, "serial", policy, true, 1, footprint)
+			serial, _ := runVecDiff(t, "serial", policy, 1, footprint)
 			for _, c := range []struct {
 				mode string
 				got  vecDiffCounts
-			}{{"vectored", vectored}, {"vector=false", ablated}, {"serial", serial}} {
+			}{{"vectored", vectored}, {"serial", serial}} {
 				if c.got != want {
 					t.Errorf("%s/%s counts = %+v, want %+v", policy, c.mode, c.got, want)
 				}
@@ -157,21 +152,19 @@ func TestVectoredDifferentialCountsPerPolicy(t *testing.T) {
 	}
 }
 
-// TestVectoredCostParitySingleChain: one driver, concurrent scheduler —
-// the shape every golden table runs — must produce the same virtual-time
-// total with vectoring on and off, because a single chain of deliveries
-// never queues two faults and so never forms a batch.
+// TestVectoredCostParitySingleChain: one driver under the concurrent
+// scheduler — the shape every golden table runs — must produce the same
+// virtual-time total as the serial scheduler, because a single chain of
+// deliveries never queues two faults and so never forms a run longer than
+// one.
 func TestVectoredCostParitySingleChain(t *testing.T) {
-	elapsed := func(vector bool) time.Duration {
-		prev := kernel.VectoredDelivery()
-		kernel.SetVectoredDelivery(vector)
-		defer kernel.SetVectoredDelivery(prev)
-		sys, err := Boot(Config{MemoryBytes: 16 << 20, Scheduler: "concurrent"})
+	elapsed := func(sched string) time.Duration {
+		sys, err := Boot(Config{MemoryBytes: 16 << 20, Scheduler: sched})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer sys.Shutdown()
-		g, _, err := sys.NewAppManager(manager.Config{Name: fmt.Sprintf("parity-%v", vector), Backing: manager.ZeroFill{}}, 1e6)
+		g, _, err := sys.NewAppManager(manager.Config{Name: "parity-" + sched, Backing: manager.ZeroFill{}}, 1e6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,13 +178,11 @@ func TestVectoredCostParitySingleChain(t *testing.T) {
 			}
 		}
 		if b := sys.Kernel.Stats().VectoredBatches; b != 0 {
-			t.Fatalf("single-chain run formed %d batches; the inline fast path should never batch", b)
+			t.Fatalf("single-chain %s run formed %d batches; the inline fast path should never batch", sched, b)
 		}
 		return sys.Clock.Now()
 	}
-	on := elapsed(true)
-	off := elapsed(false)
-	if on != off {
-		t.Fatalf("single-chain virtual time differs: %v vectored vs %v ablated", on, off)
+	if conc, serial := elapsed("concurrent"), elapsed("serial"); conc != serial {
+		t.Fatalf("single-chain virtual time differs: %v concurrent vs %v serial", conc, serial)
 	}
 }

@@ -51,20 +51,13 @@ type PlaneOptions struct {
 	// MemoryBytes overrides physical memory; default is twice the working
 	// set plus slack, so the run measures delivery, not disk.
 	MemoryBytes int64
-	// NoBatch disables the batched kernel operations for this run (the
-	// ablation arm of the scale sweep). The zero value measures the real
-	// system: batching on.
-	NoBatch bool
 	// ExtentOrder, when non-zero, runs the superpage arm: the process-wide
-	// superpage switch is turned on for the duration of the run
-	// (saved/restored like the batch toggle) and every manager is
+	// superpage switch is turned on for the duration of the run (saved and
+	// restored) and every manager is
 	// configured with this manager.Config.ExtentOrder, so a sequential
 	// working set is filled extent-at-a-time through contiguous grants.
 	// Zero measures the base-page path with superpages off.
 	ExtentOrder int
-	// NoVector disables vectored fault delivery for this run (the ablation
-	// arm). The zero value measures the real system: vectoring on.
-	NoVector bool
 	// Drivers is how many faulting goroutines drive each manager under the
 	// concurrent scheduler, each covering a contiguous sub-range of the
 	// manager's pages. One driver (the default) can never queue two faults
@@ -74,7 +67,10 @@ type PlaneOptions struct {
 	Drivers int
 }
 
-// PlaneResult is the outcome of one throughput run.
+// PlaneResult is the outcome of one throughput run. Batch and Vector
+// record the two retired ablation switches: every run since their
+// retirement writes true, and trajectory entries recorded with either off
+// keep loading (and keep their own cell keys in the sweep diffs).
 type PlaneResult struct {
 	Scheduler         string        `json:"scheduler"`
 	Managers          int           `json:"managers"`
@@ -140,22 +136,14 @@ func PlaneThroughput(opt PlaneOptions) (*PlaneResult, error) {
 		return nil, fmt.Errorf("experiments: unknown scheduler %q", opt.Scheduler)
 	}
 
-	// The batch toggle is process-global; save and restore it so a sweep
-	// cell with batching off does not leak into the next cell. Sweeps run
-	// cells sequentially, never from parallel harness tasks.
-	prevBatch := kernel.BatchOps()
-	kernel.SetBatchOps(!opt.NoBatch)
-	defer kernel.SetBatchOps(prevBatch)
-	// Likewise the superpage switch: the superpage arm turns it on for the
-	// duration of the run, the base arm pins it off so the cell measures
+	// The superpage switch is process-global; save and restore it so one
+	// sweep cell does not leak into the next (sweeps run cells sequentially,
+	// never from parallel harness tasks). The superpage arm turns it on for
+	// the duration of the run, the base arm pins it off so the cell measures
 	// the per-page path even in a -super process.
 	prevSuper := kernel.SuperpagesEnabled()
 	kernel.SetSuperpages(opt.ExtentOrder > 0)
 	defer kernel.SetSuperpages(prevSuper)
-	// And the vectored-delivery toggle, the third process-global switch.
-	prevVector := kernel.VectoredDelivery()
-	kernel.SetVectoredDelivery(!opt.NoVector)
-	defer kernel.SetVectoredDelivery(prevVector)
 
 	drivers := opt.Drivers
 	if drivers <= 0 || !concurrent {
@@ -311,8 +299,8 @@ func PlaneThroughput(opt PlaneOptions) (*PlaneResult, error) {
 	res := &PlaneResult{
 		Scheduler:        opt.Scheduler,
 		Managers:         opt.Managers,
-		Batch:            !opt.NoBatch,
-		Vector:           !opt.NoVector,
+		Batch:            true,
+		Vector:           true,
 		Drivers:          drivers,
 		VectoredBatches:  k.Stats().VectoredBatches - vecBatches0,
 		FaultsPerManager: opt.FaultsPerManager,

@@ -10,11 +10,10 @@ import (
 )
 
 // The scale sweep is the wall-clock acceptance experiment for the delivery
-// plane: manager counts × scheduler × batching, each cell a full
-// PlaneThroughput run. Model throughput already scaled with managers in
-// the PR 3 harness; this sweep exists to show the *wall* throughput does
-// too once delivery stops rendezvousing through locks and kernel calls are
-// batched — and, via the batch-off arm, how much of that is the batching.
+// plane: manager counts × scheduler, each cell a full PlaneThroughput run.
+// Model throughput already scaled with managers in the PR 3 harness; this
+// sweep exists to show the *wall* throughput does too once delivery stops
+// rendezvousing through locks and kernel calls are batched.
 
 // PlaneSweep is one recorded sweep: a timestamped group of runs appended to
 // a BENCH_*.json trajectory file.
@@ -42,8 +41,9 @@ type PlaneSweep struct {
 	// number.
 	SuperSpeedup8Mgr float64 `json:"super_wall_speedup_8mgr_vs_base,omitempty"`
 	// VectorSpeedup16Mgr is the vectored-delivery arm's wall faults/sec
-	// over its vector-off ablation at 16 managers (both multi-driver) —
-	// the vectored sweep's headline ratio.
+	// over its vector-off ablation at 16 managers (both multi-driver).
+	// The ablation arm is retired; the field is kept so sweeps that
+	// recorded the ratio survive a load-append-store round trip.
 	VectorSpeedup16Mgr float64 `json:"vector_wall_speedup_16mgr,omitempty"`
 }
 
@@ -122,9 +122,9 @@ const scaleReps = 5
 const vecDrivers = 4
 
 // ScaleSweep runs the full wall-clock scaling matrix: every manager count ×
-// serial/concurrent × batch on/off, sequentially (each cell toggles the
-// process-global batch switch, so cells must not overlap). It returns the
-// rendered report and the sweep for BENCH_scale.json.
+// serial/concurrent, then the multi-driver vectored-delivery cells,
+// sequentially. It returns the rendered report and the sweep for
+// BENCH_scale.json.
 func ScaleSweep(faultsPerManager int, managers []int) (*Report, *PlaneSweep, error) {
 	if len(managers) == 0 {
 		managers = []int{1, 2, 4, 8, 16, 32}
@@ -150,7 +150,7 @@ func ScaleSweep(faultsPerManager int, managers []int) (*Report, *PlaneSweep, err
 		defer runtime.GOMAXPROCS(prev)
 	}
 	sweep := NewPlaneSweep(faultsPerManager,
-		fmt.Sprintf("scale sweep: managers x scheduler x batch, equal-work cells, best of %d runs per cell", scaleReps))
+		fmt.Sprintf("scale sweep: managers x scheduler, equal-work cells, best of %d runs per cell", scaleReps))
 	rep := &Report{Table: "scale"}
 	b := &bytes.Buffer{}
 	header(b, "Delivery-Plane Wall-Clock Scaling (not in paper; batching + sharding)")
@@ -159,121 +159,82 @@ func ScaleSweep(faultsPerManager int, managers []int) (*Report, *PlaneSweep, err
 		fmt.Fprintf(b, "warning: host has %d CPUs for up to %d managers; wide cells time-slice rather than run in parallel\n",
 			sweep.NumCPU, maxMgrs)
 	}
-	fmt.Fprintf(b, "%-12s %9s %6s %10s %16s %16s %13s %9s %9s\n",
-		"Scheduler", "Managers", "Batch", "Faults", "Model faults/s", "Wall faults/s", "Allocs/fault", "p50(us)", "p99(us)")
-	wall := map[string]float64{} // "sched/n/batch" -> wall faults/s
+	// bestCell runs one cell scaleReps times and keeps the best run, the
+	// usual minimum-cost estimator for wall clock on a shared host. Every
+	// cell drives the same total fault count (4x the per-manager base), so
+	// cells differ only in how the work is divided among managers, not in
+	// the size of the combined working set. Without this, narrow cells
+	// measure the cache locality of a small footprint rather than the
+	// delivery plane, and the scaling curve is dominated by LLC fit.
+	bestCell := func(sched string, n, drivers int) (*PlaneResult, error) {
+		fpm := max(4*faultsPerManager/n, 1024)
+		var r *PlaneResult
+		for try := 0; try < scaleReps; try++ {
+			one, err := PlaneThroughput(PlaneOptions{Scheduler: sched, Managers: n, FaultsPerManager: fpm, Drivers: drivers})
+			if err != nil {
+				return nil, err
+			}
+			rep.Events += one.Faults
+			if r == nil || one.WallFaultsPerSec > r.WallFaultsPerSec {
+				r = one
+			}
+		}
+		sweep.Runs = append(sweep.Runs, *r)
+		return r, nil
+	}
+	fmt.Fprintf(b, "%-12s %9s %10s %16s %16s %13s %9s %9s\n",
+		"Scheduler", "Managers", "Faults", "Model faults/s", "Wall faults/s", "Allocs/fault", "p50(us)", "p99(us)")
+	wall := map[string]float64{} // "sched/n" -> wall faults/s
 	model := map[string]float64{}
 	p99 := map[string]float64{}
-	for _, batch := range []bool{true, false} {
-		for _, sched := range []string{"serial", "concurrent"} {
-			for _, n := range managers {
-				// Every cell drives the same total fault count (4x the
-				// per-manager base), so cells differ only in how the work is
-				// divided among managers, not in the size of the combined
-				// working set. Without this, narrow cells measure the cache
-				// locality of a small footprint rather than the delivery
-				// plane, and the scaling curve is dominated by LLC fit.
-				fpm := 4 * faultsPerManager / n
-				if fpm < 1024 {
-					fpm = 1024
-				}
-				// Wall clock on a shared host is noisy; each cell keeps the
-				// best of scaleReps runs, the usual minimum-cost estimator.
-				var r *PlaneResult
-				for try := 0; try < scaleReps; try++ {
-					one, err := PlaneThroughput(PlaneOptions{
-						Scheduler:        sched,
-						Managers:         n,
-						FaultsPerManager: fpm,
-						NoBatch:          !batch,
-					})
-					if err != nil {
-						return nil, nil, err
-					}
-					rep.Events += one.Faults
-					if r == nil || one.WallFaultsPerSec > r.WallFaultsPerSec {
-						r = one
-					}
-				}
-				fmt.Fprintf(b, "%-12s %9d %6v %10d %16.0f %16.0f %13.3f %9.2f %9.2f\n",
-					r.Scheduler, r.Managers, r.Batch, r.Faults,
-					r.ModelFaultsPerSec, r.WallFaultsPerSec, r.AllocsPerFault,
-					r.P50FaultUS, r.P99FaultUS)
-				key := fmt.Sprintf("%s/%d/%v", sched, n, batch)
-				wall[key] = r.WallFaultsPerSec
-				model[key] = r.ModelFaultsPerSec
-				p99[key] = r.P99FaultUS
-				sweep.Runs = append(sweep.Runs, *r)
+	for _, sched := range []string{"serial", "concurrent"} {
+		for _, n := range managers {
+			r, err := bestCell(sched, n, 1)
+			if err != nil {
+				return nil, nil, err
 			}
+			fmt.Fprintf(b, "%-12s %9d %10d %16.0f %16.0f %13.3f %9.2f %9.2f\n",
+				r.Scheduler, r.Managers, r.Faults,
+				r.ModelFaultsPerSec, r.WallFaultsPerSec, r.AllocsPerFault,
+				r.P50FaultUS, r.P99FaultUS)
+			key := fmt.Sprintf("%s/%d", sched, n)
+			wall[key] = r.WallFaultsPerSec
+			model[key] = r.ModelFaultsPerSec
+			p99[key] = r.P99FaultUS
 		}
 	}
 	// Vectored-delivery cells: vecDrivers faulting goroutines per manager,
-	// so faults genuinely queue behind each lane and multi-fault batches
-	// form; the vector-off arm is the ablation pair. Concurrent + batched
-	// only — vectoring is a concurrent-scheduler feature, and the kernel-op
-	// batch plane is what the batched resolve settles through.
-	fmt.Fprintf(b, "\nVectored delivery (%d drivers per manager, concurrent, batched)\n", vecDrivers)
-	fmt.Fprintf(b, "%-8s %9s %10s %12s %16s %16s %13s %9s %9s\n",
-		"Vector", "Managers", "Faults", "VecBatches", "Model faults/s", "Wall faults/s", "Allocs/fault", "p50(us)", "p99(us)")
-	for _, vector := range []bool{true, false} {
-		for _, n := range managers {
-			fpm := 4 * faultsPerManager / n
-			if fpm < 1024 {
-				fpm = 1024
-			}
-			var r *PlaneResult
-			for try := 0; try < scaleReps; try++ {
-				one, err := PlaneThroughput(PlaneOptions{
-					Scheduler:        "concurrent",
-					Managers:         n,
-					FaultsPerManager: fpm,
-					Drivers:          vecDrivers,
-					NoVector:         !vector,
-				})
-				if err != nil {
-					return nil, nil, err
-				}
-				rep.Events += one.Faults
-				if r == nil || one.WallFaultsPerSec > r.WallFaultsPerSec {
-					r = one
-				}
-			}
-			fmt.Fprintf(b, "%-8v %9d %10d %12d %16.0f %16.0f %13.3f %9.2f %9.2f\n",
-				r.Vector, r.Managers, r.Faults, r.VectoredBatches,
-				r.ModelFaultsPerSec, r.WallFaultsPerSec, r.AllocsPerFault,
-				r.P50FaultUS, r.P99FaultUS)
-			wall[fmt.Sprintf("vec/%d/%v", n, vector)] = r.WallFaultsPerSec
-			p99[fmt.Sprintf("vec/%d/%v", n, vector)] = r.P99FaultUS
-			sweep.Runs = append(sweep.Runs, *r)
-		}
-	}
-	if off, on := wall["vec/16/false"], wall["vec/16/true"]; off > 0 && on > 0 {
-		sweep.VectorSpeedup16Mgr = on / off
-		fmt.Fprintf(b, "vectored vs unvectored wall faults/s, 16 managers, %d drivers: %.2fx\n",
-			vecDrivers, sweep.VectorSpeedup16Mgr)
-	}
-	vecMono := true
-	prevV := 0.0
+	// so faults genuinely queue behind each lane and multi-fault runs form.
+	// Concurrent only — the serial scheduler never delivers a run longer
+	// than one.
+	fmt.Fprintf(b, "\nVectored delivery (%d drivers per manager, concurrent)\n", vecDrivers)
+	fmt.Fprintf(b, "%9s %10s %12s %16s %16s %13s %9s %9s\n",
+		"Managers", "Faults", "VecBatches", "Model faults/s", "Wall faults/s", "Allocs/fault", "p50(us)", "p99(us)")
+	vecMono, prevV := true, 0.0
 	for _, n := range managers {
-		w, ok := wall[fmt.Sprintf("vec/%d/true", n)]
-		if !ok {
-			continue
+		r, err := bestCell("concurrent", n, vecDrivers)
+		if err != nil {
+			return nil, nil, err
 		}
-		if w < prevV {
+		fmt.Fprintf(b, "%9d %10d %12d %16.0f %16.0f %13.3f %9.2f %9.2f\n",
+			r.Managers, r.Faults, r.VectoredBatches,
+			r.ModelFaultsPerSec, r.WallFaultsPerSec, r.AllocsPerFault,
+			r.P50FaultUS, r.P99FaultUS)
+		if r.WallFaultsPerSec < prevV {
 			vecMono = false
 		}
-		prevV = w
+		prevV = r.WallFaultsPerSec
 	}
 	fmt.Fprintf(b, "vectored wall faults/s non-decreasing across manager counts: %v\n", vecMono)
 
-	// Monotonicity over the concurrent+batched row, 1 through 16 managers:
+	// Monotonicity over the concurrent row, 1 through 16 managers:
 	// the lock-free plane should never get slower as lanes are added.
 	prevW, mono := 0.0, true
 	for _, n := range managers {
 		if n > 16 {
 			break
 		}
-		w, ok := wall[fmt.Sprintf("concurrent/%d/true", n)]
+		w, ok := wall[fmt.Sprintf("concurrent/%d", n)]
 		if !ok {
 			continue
 		}
@@ -282,22 +243,22 @@ func ScaleSweep(faultsPerManager int, managers []int) (*Report, *PlaneSweep, err
 		}
 		prevW = w
 	}
-	fmt.Fprintf(b, "\nconcurrent+batched wall faults/s non-decreasing 1..16 managers: %v\n", mono)
+	fmt.Fprintf(b, "\nconcurrent wall faults/s non-decreasing 1..16 managers: %v\n", mono)
 	// The 8->16 step is where lane sharding usually starts to pay for its
 	// coordination; report how throughput and tail latency move across it.
-	if w8, w16 := wall["concurrent/8/true"], wall["concurrent/16/true"]; w8 > 0 && w16 > 0 {
-		fmt.Fprintf(b, "concurrent+batched 8->16 managers: wall faults/s %+.1f%%, p99 latency %.2fus -> %.2fus\n",
-			100*(w16-w8)/w8, p99["concurrent/8/true"], p99["concurrent/16/true"])
+	if w8, w16 := wall["concurrent/8"], wall["concurrent/16"]; w8 > 0 && w16 > 0 {
+		fmt.Fprintf(b, "concurrent 8->16 managers: wall faults/s %+.1f%%, p99 latency %.2fus -> %.2fus\n",
+			100*(w16-w8)/w8, p99["concurrent/8"], p99["concurrent/16"])
 	}
-	if s, c := model["concurrent/1/true"], model["concurrent/4/true"]; s > 0 && c > 0 {
+	if s, c := model["concurrent/1"], model["concurrent/4"]; s > 0 && c > 0 {
 		sweep.Scaling1To4 = c / s
 	}
 	speedup := 0.0
-	if s, c := wall["serial/4/true"], wall["concurrent/4/true"]; s > 0 {
+	if s, c := wall["serial/4"], wall["concurrent/4"]; s > 0 {
 		speedup = c / s
 		sweep.WallSpeedup4Mgr = speedup
 	}
-	fmt.Fprintf(b, "\nwall speedup, 4 managers, concurrent vs serial (batched): %.2fx (target >= 1.5x)\n", speedup)
+	fmt.Fprintf(b, "\nwall speedup, 4 managers, concurrent vs serial: %.2fx (target >= 1.5x)\n", speedup)
 	rep.OK = speedup >= 1.5
 	rep.Output = b.Bytes()
 	rep.Measures = append(rep.Measures, Measure{

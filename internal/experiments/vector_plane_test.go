@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// TestPlaneVectoredMultiDriver runs the vectored and ablated multi-driver
-// cells; PlaneThroughput's own post-run CheckInvariants (frame conservation
-// included) is the assertion. Both arms must resolve every fault.
+// TestPlaneVectoredMultiDriver runs the multi-driver cells, where fault
+// runs form; PlaneThroughput's own post-run CheckInvariants (frame
+// conservation included) is the assertion. Every fault must resolve.
 //
 // FaultsPerManager is sized so each driver's quarter starts beyond the page
 // store's direct-dense region: the high-range drivers then park early pages
@@ -20,22 +20,19 @@ import (
 func TestPlaneVectoredMultiDriver(t *testing.T) {
 	const fpm = 32768
 	for _, managers := range []int{1, 2} {
-		for _, noVector := range []bool{false, true} {
-			res, err := PlaneThroughput(PlaneOptions{
-				Scheduler:        "concurrent",
-				Managers:         managers,
-				FaultsPerManager: fpm,
-				Drivers:          4,
-				NoVector:         noVector,
-			})
-			if err != nil {
-				t.Fatalf("managers=%d noVector=%v: %v", managers, noVector, err)
-			}
-			want := int64(managers) * fpm
-			if res.Faults != want {
-				t.Fatalf("managers=%d noVector=%v: %d faults, want %d", managers, noVector, res.Faults, want)
-			}
-			t.Logf("managers=%d vector=%v: %d faults, %d vectored batches", managers, !noVector, res.Faults, res.VectoredBatches)
+		res, err := PlaneThroughput(PlaneOptions{
+			Scheduler:        "concurrent",
+			Managers:         managers,
+			FaultsPerManager: fpm,
+			Drivers:          4,
+		})
+		if err != nil {
+			t.Fatalf("managers=%d: %v", managers, err)
 		}
+		want := int64(managers) * fpm
+		if res.Faults != want {
+			t.Fatalf("managers=%d: %d faults, want %d", managers, res.Faults, want)
+		}
+		t.Logf("managers=%d: %d faults, %d vectored batches", managers, res.Faults, res.VectoredBatches)
 	}
 }

@@ -4,66 +4,44 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"epcm/internal/phys"
 )
 
-// Batched page operations. The paper's default manager "batches protection
-// changes to amortize fault cost" (§2.3); this file generalizes that to the
-// two hottest kernel entry points. A batched call takes a slice of page
-// ranges, acquires the segment (and mapping-cache) locks once, validates
-// everything, applies all-or-nothing, and charges the cost model one kernel
-// call plus the per-page increments — so a single-range, single-page batch
-// charges exactly what the unbatched operation does, and the Table 1/3
-// numbers are unchanged.
+// Page operations. The paper's kernel interface is MigratePages,
+// ModifyPageFlags and GetPageAttributes (§2.1); its default manager "batches
+// protection changes to amortize fault cost" (§2.3), and this file
+// generalizes that: every operation has exactly one body, and the body takes
+// a slice of page ranges. The paper-shaped spellings in kernel.go pass one
+// range; the Batch spellings pass many. Either way the body takes the
+// segment locks once, validates everything, applies all-or-nothing and
+// charges one kernel call plus the per-page increments — so n calls of one
+// page cost n kernel calls, one call of n pages costs one, and the Table 1/3
+// numbers do not depend on which spelling a manager used.
 //
-// The unbatched MigratePages / ModifyPageFlags are untouched: they are the
-// golden-output paths and the paper's own per-call shape.
+// Two rules hold for every body in this file.
+//
+// Cost of a rejected call: the call counter ticks and the trap into the
+// kernel (KernelCall, plus ModifyFlags for a flag operation) is charged on
+// entry, whether or not the arguments validate; the per-page charges apply
+// only when the operation is applied. A batch of no ranges is not a call.
+//
+// Error precedence: deleted segment, then credentials, then range sanity,
+// then shape (page sizes), then — page by page — presence of the source,
+// physical contiguity where the operation demands it (it can only be judged
+// on pages found present) and a free destination; collisions between the
+// ranges of one batch come last.
 
-// PageRange is one contiguous run of pages in a batched operation. For
+// PageRange is one contiguous run of pages in a page operation. For
 // migrations, Pages pages starting at Page in the source land at To in the
-// destination; for flag operations only Page and Pages are meaningful.
+// destination (for coalesce and split, Pages counts large pages and the
+// base-page side spans Pages × frames-per-page); for flag operations only
+// Page and Pages are meaningful.
 type PageRange struct {
 	Page  int64 // first source page
 	To    int64 // first destination page (migrations only)
 	Pages int64 // run length
-}
-
-// batchOps gates the batched fast paths. On (the default), a batch is one
-// kernel call; off, the batched entry points degrade to per-page legacy
-// calls — the ablation arm of the ScaleSweep experiment, reproducing the
-// pre-batching cost structure exactly.
-var batchOps atomic.Bool
-
-func init() { batchOps.Store(true) }
-
-// SetBatchOps enables or disables batched kernel operations process-wide.
-// Set it from the main goroutine before driving traffic.
-func SetBatchOps(on bool) { batchOps.Store(on) }
-
-// BatchOps reports whether batched kernel operations are enabled.
-func BatchOps() bool { return batchOps.Load() }
-
-// batchScratch is the reusable dedup state for multi-range batches; pooling
-// it keeps the batched grant path (hundreds of single-page ranges when the
-// granted frames are scattered) off the allocator.
-type batchScratch struct {
-	srcSeen map[int64]struct{}
-	dstSeen map[int64]struct{}
-}
-
-var batchScratchPool = sync.Pool{New: func() any {
-	return &batchScratch{
-		srcSeen: make(map[int64]struct{}, 64),
-		dstSeen: make(map[int64]struct{}, 64),
-	}
-}}
-
-func (sc *batchScratch) reset() {
-	clear(sc.srcSeen)
-	clear(sc.dstSeen)
 }
 
 // CoalesceRanges groups parallel source/destination page lists into the
@@ -95,38 +73,138 @@ func CoalesceRangesInto(ranges []PageRange, src, dst []int64) []PageRange {
 	return append(ranges, cur)
 }
 
-// MigratePagesBatch moves every range of page frames from src to dst,
-// setting and clearing flags on each migrated page, as one kernel call: the
-// segment locks are taken once, every range is validated, and the whole
-// batch applies all-or-nothing. The cost charged is one KernelCall plus the
-// same per-page MigratePage+MappingUpdate the unbatched operation charges,
-// so batching amortizes the call overhead without changing per-page costs.
-func (k *Kernel) MigratePagesBatch(cred Cred, src, dst *Segment, ranges []PageRange, set, clear PageFlags) error {
-	if len(ranges) == 0 {
+// checkRange validates that [page, page+n) is a sane range.
+func checkRange(s *Segment, page, n int64) error {
+	if n <= 0 || page < 0 {
+		return fmt.Errorf("%w: [%d,+%d) in %s", ErrBadRange, page, n, s)
+	}
+	return nil
+}
+
+// validateMigrate runs the checks every migration kind shares, in the
+// file's precedence order. Caller holds both segment locks.
+func validateMigrate(cred Cred, src, dst *Segment, ranges []PageRange) error {
+	if src.deleted || dst.deleted {
+		return ErrNoSuchSegment
+	}
+	if (src.restricted || dst.restricted) && !cred.Privileged {
+		return fmt.Errorf("%w: migrate %s -> %s by %q", ErrNotPrivileged, src, dst, cred.Name)
+	}
+	for _, r := range ranges {
+		if err := checkRange(src, r.Page, r.Pages); err != nil {
+			return err
+		}
+		if err := checkRange(dst, r.To, r.Pages); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// chargeMigrated is the exit leg of an applied migration: pages entries
+// moved, perPage of them at the base-page rate, plus one SuperpageOp for
+// each range applied whole.
+func (k *Kernel) chargeMigrated(dst *Segment, pages, perPage, whole int64) {
+	k.stats.MigratedPages.Add(uint64(dst.id), pages)
+	k.clock.Advance(time.Duration(perPage)*(k.cost.MigratePage+k.cost.MappingUpdate) +
+		time.Duration(whole)*k.cost.SuperpageOp)
+}
+
+// batchScratch is the reusable dedup state for large unsorted batches;
+// pooling it keeps the batched grant path (hundreds of single-page ranges
+// when the granted frames are scattered) off the allocator.
+type batchScratch struct {
+	srcSeen map[int64]struct{}
+	dstSeen map[int64]struct{}
+}
+
+var batchScratchPool = sync.Pool{New: func() any {
+	return &batchScratch{
+		srcSeen: make(map[int64]struct{}, 64),
+		dstSeen: make(map[int64]struct{}, 64),
+	}
+}}
+
+// checkDisjoint rejects a batch in which two ranges name one source page or
+// land on one destination slot — the collisions the per-page presence
+// checks cannot see. A range spans Pages×srcMul pages of src and
+// Pages×dstMul of dst. Batches whose ranges ascend without overlap on both
+// sides — the shape every coalesced caller produces — prove themselves
+// collision-free in one pass. Small unsorted batches (the magazine grant's
+// run-per-range shape) use pairwise interval intersection, which detects
+// exactly the page-level duplicates the per-page maps would without touching
+// the allocator; only large unsorted batches fall back to the maps.
+func checkDisjoint(src, dst *Segment, ranges []PageRange, srcMul, dstMul int64) error {
+	sorted := true
+	for i := 1; i < len(ranges) && sorted; i++ {
+		a, b := ranges[i-1], ranges[i]
+		sorted = b.Page >= a.Page+a.Pages*srcMul && b.To >= a.To+a.Pages*dstMul
+	}
+	if sorted {
 		return nil
 	}
-	if !batchOps.Load() {
-		// Ablation mode: the legacy per-page cost structure.
-		for _, r := range ranges {
-			for i := int64(0); i < r.Pages; i++ {
-				if err := k.MigratePages(cred, src, dst, r.Page+i, r.To+i, 1, set, clear); err != nil {
-					return err
+	if len(ranges) <= 32 {
+		for i := 1; i < len(ranges); i++ {
+			for j := 0; j < i; j++ {
+				a, b := ranges[i], ranges[j]
+				if a.Page < b.Page+b.Pages*srcMul && b.Page < a.Page+a.Pages*srcMul {
+					return pageError(ErrBadRange, src, max(a.Page, b.Page))
+				}
+				if a.To < b.To+b.Pages*dstMul && b.To < a.To+a.Pages*dstMul {
+					return pageError(ErrBadRange, dst, max(a.To, b.To))
 				}
 			}
 		}
 		return nil
 	}
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer batchScratchPool.Put(sc)
+	clear(sc.srcSeen)
+	clear(sc.dstSeen)
+	for _, r := range ranges {
+		for p := r.Page; p < r.Page+r.Pages*srcMul; p++ {
+			if _, dup := sc.srcSeen[p]; dup {
+				return pageError(ErrBadRange, src, p)
+			}
+			sc.srcSeen[p] = struct{}{}
+		}
+		for p := r.To; p < r.To+r.Pages*dstMul; p++ {
+			if _, dup := sc.dstSeen[p]; dup {
+				return pageError(ErrBadRange, dst, p)
+			}
+			sc.dstSeen[p] = struct{}{}
+		}
+	}
+	return nil
+}
+
+// MigratePagesBatch moves every range of page frames from src to dst,
+// setting and clearing flags on each migrated page, as one kernel call.
+// With superpages on, a range that is a whole aligned extent backed by a
+// contiguous, naturally aligned frame run is applied as one extent.
+func (k *Kernel) MigratePagesBatch(cred Cred, src, dst *Segment, ranges []PageRange, set, clear PageFlags) error {
+	if len(ranges) == 0 {
+		return nil
+	}
+	return k.migrate(cred, src, dst, ranges, set, clear, superpages.Load())
+}
+
+// migrate is the body of MigratePages and MigratePagesBatch. extents says
+// whether qualifying ranges may be applied as superpage extents; off, the
+// charge is exactly KernelCall + pages×(MigratePage+MappingUpdate).
+func (k *Kernel) migrate(cred Cred, src, dst *Segment, ranges []PageRange, set, clear PageFlags, extents bool) error {
 	k.stats.MigrateCalls.Add(uint64(dst.id), 1)
+	k.clock.Advance(k.cost.KernelCall)
 	lockPair(src, dst)
 	defer unlockPair(src, dst)
+	if err := validateMigrate(cred, src, dst, ranges); err != nil {
+		return err
+	}
 	if src.fpp != dst.fpp {
 		return fmt.Errorf("%w: %s -> %s", ErrPageSizeMismatch, src, dst)
 	}
 	total := int64(0)
 	for _, r := range ranges {
-		if err := k.validateMigrate(cred, src, dst, r.Page, r.To, r.Pages); err != nil {
-			return err
-		}
 		// A range that is exactly a live source extent needs no per-page
 		// source presence probes: the extent invariant guarantees every
 		// covered page is present. Destination slots are still checked.
@@ -142,71 +220,27 @@ func (k *Kernel) MigratePagesBatch(cred Cred, src, dst *Segment, ranges []PageRa
 		}
 		total += r.Pages
 	}
-	if len(ranges) > 1 && !rangesSortedDisjoint(ranges) {
-		// The per-page presence checks above cannot see collisions between
-		// ranges of the same batch (two ranges naming one source page, or
-		// landing on one destination slot). Batches whose ranges ascend
-		// without overlap on both sides — the shape every coalesced caller
-		// produces — proved themselves collision-free above and skip this
-		// pass. Small unsorted batches (the magazine grant's run-per-range
-		// shape) use pairwise interval intersection, which for contiguous
-		// ranges detects exactly the same page-level duplicates as the
-		// per-page dedup maps without touching the allocator; only large
-		// unsorted batches fall back to the maps.
-		if len(ranges) <= 32 {
-			for i := 1; i < len(ranges); i++ {
-				for j := 0; j < i; j++ {
-					a, b := ranges[i], ranges[j]
-					if a.Page < b.Page+b.Pages && b.Page < a.Page+a.Pages {
-						return pageError(ErrBadRange, src, max(a.Page, b.Page))
-					}
-					if a.To < b.To+b.Pages && b.To < a.To+a.Pages {
-						return pageError(ErrBadRange, dst, max(a.To, b.To))
-					}
-				}
-			}
-		} else {
-			sc := batchScratchPool.Get().(*batchScratch)
-			sc.reset()
-			for _, r := range ranges {
-				for i := int64(0); i < r.Pages; i++ {
-					if _, dup := sc.srcSeen[r.Page+i]; dup {
-						batchScratchPool.Put(sc)
-						return pageError(ErrBadRange, src, r.Page+i)
-					}
-					sc.srcSeen[r.Page+i] = struct{}{}
-					if _, dup := sc.dstSeen[r.To+i]; dup {
-						batchScratchPool.Put(sc)
-						return pageError(ErrBadRange, dst, r.To+i)
-					}
-					sc.dstSeen[r.To+i] = struct{}{}
-				}
-			}
-			batchScratchPool.Put(sc)
-		}
+	if err := checkDisjoint(src, dst, ranges, 1, 1); err != nil {
+		return err
 	}
-	// With superpages on, a range that happens to be a whole aligned extent
-	// backed by a contiguous, naturally-aligned frame run is applied as one
-	// extent move: the per-page bookkeeping still runs (the page store stays
-	// base-page authoritative), but one span entry replaces 2^order
+	// An extent move still runs the per-page bookkeeping (the page store
+	// stays base-page authoritative), but one span entry replaces 2^order
 	// destination cache fills and one SuperpageOp replaces 2^order per-page
-	// charges. Off (the default), extentOrderFor is a constant false and the
-	// charge below telescopes to exactly the pre-extent total.
-	super := superpages.Load() && src.fpp == 1 && dst.fpp == 1
-	charge := k.cost.KernelCall
+	// charges.
+	extents = extents && src.fpp == 1
+	perPage, whole := int64(0), int64(0)
 	for _, r := range ranges {
-		if o := extentOrderFor(src, r, super); o > 0 {
+		if o := extentOrderFor(src, r, extents); o > 0 {
 			k.moveExtent(src, dst, r, uint8(o), set, clear)
-			charge += k.cost.SuperpageOp
+			whole++
 			continue
 		}
 		for i := int64(0); i < r.Pages; i++ {
-			k.movePageQuiet(src, dst, r.Page+i, r.To+i, set, clear)
+			k.movePage(src, dst, r.Page+i, r.To+i, set, clear, true, true)
 		}
-		charge += time.Duration(r.Pages) * (k.cost.MigratePage + k.cost.MappingUpdate)
+		perPage += r.Pages
 	}
-	k.stats.MigratedPages.Add(uint64(dst.id), total)
-	k.clock.Advance(charge)
+	k.chargeMigrated(dst, total, perPage, whole)
 	return nil
 }
 
@@ -220,7 +254,7 @@ func extentOrderFor(src *Segment, r PageRange, super bool) int {
 	if !super || r.Pages < 2 || r.Pages > 1<<MaxExtentOrder || r.Pages&(r.Pages-1) != 0 {
 		return 0
 	}
-	if r.To < 0 || r.To&(r.Pages-1) != 0 {
+	if r.To&(r.Pages-1) != 0 {
 		return 0
 	}
 	if ord, ok := src.extents[r.Page]; ok && int64(1)<<uint(ord) == r.Pages {
@@ -257,69 +291,16 @@ func extentOrderFor(src *Segment, r PageRange, super bool) int {
 	return bits.TrailingZeros64(uint64(r.Pages))
 }
 
-// rangesSortedDisjoint reports whether the batch's ranges ascend without
-// overlap on both the source and the destination side, which rules out
-// intra-batch page collisions without any per-page bookkeeping.
-func rangesSortedDisjoint(ranges []PageRange) bool {
-	for i := 1; i < len(ranges); i++ {
-		if ranges[i].Page < ranges[i-1].Page+ranges[i-1].Pages ||
-			ranges[i].To < ranges[i-1].To+ranges[i-1].Pages {
-			return false
-		}
+// movePage transfers one page entry: it leaves src — demoting any extent
+// that covered it when probe is set — and lands in dst with the flags
+// applied and the frame-ownership records rewritten. install fills the
+// destination translation per page; an extent move installs one span entry
+// for the whole range instead. Both segments' locks are held by the caller,
+// which also charges for the move.
+func (k *Kernel) movePage(src, dst *Segment, srcPage, dstPage int64, set, clear PageFlags, probe, install bool) *pageEntry {
+	if probe {
+		k.demoteCoveringLocked(src, srcPage)
 	}
-	return true
-}
-
-// moveExtent applies one qualifying range as an extent: per-page authority
-// moves exactly as movePageQuiet's would, but the destination side installs
-// a single span mapping entry and superpage TLB way instead of 2^order
-// per-page fills. The destination cannot hold an overlapping extent — every
-// destination slot was just verified absent, and a live extent implies all
-// its pages present. Both segment locks are held by the caller; the caller
-// charges one SuperpageOp.
-func (k *Kernel) moveExtent(src, dst *Segment, r PageRange, order uint8, set, clear PageFlags) {
-	// When the range is exactly a live source extent — staged frames
-	// migrating onward whole — demote it once up front: the per-page
-	// covering probe below would fire on the first page and then find
-	// nothing for the rest, since extents never overlap.
-	probe := true
-	if ord, ok := src.extents[r.Page]; ok && ord == order {
-		k.dropExtentLocked(src, r.Page, ord)
-		probe = false
-	}
-	var baseEntry *pageEntry
-	for i := int64(0); i < r.Pages; i++ {
-		srcPage, dstPage := r.Page+i, r.To+i
-		if probe {
-			k.demoteCoveringLocked(src, srcPage)
-		}
-		e, _ := src.pages.get(srcPage)
-		src.pages.del(srcPage)
-		e.flags = e.flags.Apply(set, clear)
-		dst.pages.put(dstPage, e)
-		for _, f := range e.frames {
-			k.frameOwner[f.PFN()] = dst.id
-			k.framePage[f.PFN()] = dstPage
-		}
-		if !k.stagingSkip(src) {
-			srcKey := mapKey{src.id, srcPage}
-			k.table.remove(srcKey)
-			k.tlb.invalidate(srcKey)
-		}
-		if i == 0 {
-			baseEntry = e
-		}
-	}
-	k.recordExtentLocked(dst, r.To, order, baseEntry)
-	k.stats.ExtentPromotions.Add(1)
-	k.stats.SuperpageOps.Add(1)
-}
-
-// movePageQuiet is movePage's bookkeeping without its cost charge or stats
-// update; MigratePagesBatch charges the whole batch in one Advance instead.
-// Both segments' locks are held by the caller.
-func (k *Kernel) movePageQuiet(src, dst *Segment, srcPage, dstPage int64, set, clear PageFlags) {
-	k.demoteCoveringLocked(src, srcPage)
 	e, _ := src.pages.get(srcPage)
 	src.pages.del(srcPage)
 	e.flags = e.flags.Apply(set, clear)
@@ -333,205 +314,95 @@ func (k *Kernel) movePageQuiet(src, dst *Segment, srcPage, dstPage int64, set, c
 		k.table.remove(srcKey)
 		k.tlb.invalidate(srcKey)
 	}
-	if !k.stagingSkip(dst) {
+	if install && !k.stagingSkip(dst) {
 		dstKey := mapKey{dst.id, dstPage}
 		k.table.insert(dstKey, e)
+		// Prime the TLB for the destination: on a fault-driven migrate the
+		// kernel loads the translation for the faulting address before the
+		// application resumes, so the retried access does not miss again.
 		k.tlb.install(dstKey)
 	}
+	return e
 }
 
-// ModifyPageFlagsBatch modifies page flags over every range as one kernel
-// call: the segment lock is taken once, every range validated, and the
-// batch applied all-or-nothing. The charge is one KernelCall + ModifyFlags
-// plus the per-page MappingUpdate of the unbatched operation.
-func (k *Kernel) ModifyPageFlagsBatch(cred Cred, s *Segment, ranges []PageRange, set, clear PageFlags) error {
-	if len(ranges) == 0 {
-		return nil
+// moveExtent applies one qualifying range as an extent: per-page authority
+// moves through movePage, but the destination side installs a
+// single span mapping entry and superpage TLB way instead of 2^order
+// per-page fills. The destination cannot hold an overlapping extent — every
+// destination slot was just verified absent, and a live extent implies all
+// its pages present. Both segment locks are held by the caller; the caller
+// charges one SuperpageOp.
+func (k *Kernel) moveExtent(src, dst *Segment, r PageRange, order uint8, set, clear PageFlags) {
+	// When the range is exactly a live source extent — staged frames
+	// migrating onward whole — demote it once up front: the per-page
+	// covering probe would fire on the first page and then find nothing for
+	// the rest, since extents never overlap.
+	probe := true
+	if ord, ok := src.extents[r.Page]; ok && ord == order {
+		k.dropExtentLocked(src, r.Page, ord)
+		probe = false
 	}
-	if !batchOps.Load() {
-		for _, r := range ranges {
-			for i := int64(0); i < r.Pages; i++ {
-				if err := k.ModifyPageFlags(cred, s, r.Page+i, 1, set, clear); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	k.stats.ModifyCalls.Add(uint64(s.id), 1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.deleted {
-		return ErrNoSuchSegment
-	}
-	if s.restricted && !cred.Privileged {
-		return fmt.Errorf("%w: modify flags on %s by %q", ErrNotPrivileged, s, cred.Name)
-	}
-	total := int64(0)
-	for _, r := range ranges {
-		if err := checkRange(s, r.Page, r.Pages); err != nil {
-			return err
-		}
-		for i := int64(0); i < r.Pages; i++ {
-			if !s.pages.has(r.Page + i) {
-				return pageError(ErrPageNotPresent, s, r.Page+i)
-			}
-		}
-		total += r.Pages
-	}
-	// A range that exactly matches a promoted extent is applied as one
-	// superpage shootdown: the flags still change per base page (the page
-	// store stays authoritative, and span entries never carry flags), but a
-	// single span invalidate and one SuperpageOp replace 2^order per-page
-	// TLB invalidates and MappingUpdates. The extent itself survives — its
-	// pages are all still present. With superpages off the loop below
-	// charges exactly total*MappingUpdate, as before.
-	super := superpages.Load() && s.fpp == 1
-	charge := k.cost.KernelCall + k.cost.ModifyFlags
-	for _, r := range ranges {
-		if ord, ok := s.extents[r.Page]; super && ok && int64(1)<<uint(ord) == r.Pages {
-			for i := int64(0); i < r.Pages; i++ {
-				e, _ := s.pages.get(r.Page + i)
-				e.flags = e.flags.Apply(set, clear)
-			}
-			k.tlb.invalidateSpan(mapKey{s.id, r.Page}, ord)
-			k.stats.SuperpageOps.Add(1)
-			charge += k.cost.SuperpageOp
-			continue
-		}
-		for i := int64(0); i < r.Pages; i++ {
-			e, _ := s.pages.get(r.Page + i)
-			e.flags = e.flags.Apply(set, clear)
-			k.tlb.invalidate(mapKey{s.id, r.Page + i})
-		}
-		charge += time.Duration(r.Pages) * k.cost.MappingUpdate
-	}
-	k.clock.Advance(charge)
-	return nil
-}
-
-// GetPageAttributesBatch reads the attributes of an arbitrary set of pages
-// of one segment — scattered, unlike GetPageAttributes' contiguous range —
-// as a single kernel call: the segment lock is taken once and the charge
-// is one KernelCall plus the per-page MappingUpdate/2 of the unbatched
-// read. It is the batched reference-bit sampling hook replacement policies
-// scan with. Results are appended to dst (pass dst[:0] to reuse storage);
-// absent pages report Present=false. With batching disabled it degrades to
-// per-page GetPageAttribute calls.
-func (k *Kernel) GetPageAttributesBatch(s *Segment, pages []int64, dst []PageAttribute) ([]PageAttribute, error) {
-	if len(pages) == 0 {
-		return dst, nil
-	}
-	if !batchOps.Load() {
-		for _, p := range pages {
-			a, err := k.GetPageAttribute(s, p)
-			if err != nil {
-				return dst, err
-			}
-			dst = append(dst, a)
-		}
-		return dst, nil
-	}
-	k.stats.GetAttrCalls.Add(uint64(s.id), 1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.deleted {
-		return dst, ErrNoSuchSegment
-	}
-	for _, p := range pages {
-		if err := checkRange(s, p, 1); err != nil {
-			return dst, err
+	var baseEntry *pageEntry
+	for i := int64(0); i < r.Pages; i++ {
+		e := k.movePage(src, dst, r.Page+i, r.To+i, set, clear, probe, false)
+		if i == 0 {
+			baseEntry = e
 		}
 	}
-	for _, p := range pages {
-		a := PageAttribute{Page: p, PFN: phys.NoFrame}
-		if e, ok := s.pages.get(p); ok {
-			f := e.frames[0]
-			a.Present = true
-			a.Flags = e.flags
-			a.PFN = f.PFN()
-			a.PhysAddr = f.PhysAddr()
-			a.Color = f.Color()
-			a.Node = f.Node()
-		}
-		dst = append(dst, a)
-	}
-	k.clock.Advance(k.cost.KernelCall + time.Duration(len(pages))*(k.cost.MappingUpdate/2))
-	return dst, nil
+	k.recordExtentLocked(dst, r.To, order, baseEntry)
+	k.stats.ExtentPromotions.Add(1)
+	k.stats.SuperpageOps.Add(1)
 }
 
 // MigrateCoalescedBatch is MigrateCoalesced over several ranges as one
 // kernel call: r.Pages large pages form in dst at r.To from r.Pages×factor
-// consecutive base pages of src at r.Page, per range. Locks are taken once,
-// every range is validated (including the physical contiguity of each large
-// page's frame run), and the batch applies all-or-nothing. The charge is
-// one KernelCall plus the same per-base-page MigratePage+MappingUpdate the
-// unbatched call charges, so a single-range batch costs exactly one
-// MigrateCoalesced. With batching disabled it degrades to per-range calls.
+// consecutive base pages of src at r.Page, per range.
 func (k *Kernel) MigrateCoalescedBatch(cred Cred, src, dst *Segment, ranges []PageRange, set, clear PageFlags) error {
 	if len(ranges) == 0 {
 		return nil
 	}
-	if !batchOps.Load() {
-		for _, r := range ranges {
-			if err := k.MigrateCoalesced(cred, src, dst, r.Page, r.To, r.Pages, set, clear); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	return k.coalesce(cred, src, dst, ranges, set, clear)
+}
+
+// coalesce is the body of MigrateCoalesced and MigrateCoalescedBatch. The
+// source frames of each large page must be physically contiguous; the
+// charge is per base page, as for a plain migration.
+func (k *Kernel) coalesce(cred Cred, src, dst *Segment, ranges []PageRange, set, clear PageFlags) error {
 	k.stats.MigrateCalls.Add(uint64(dst.id), 1)
+	k.clock.Advance(k.cost.KernelCall)
 	lockPair(src, dst)
 	defer unlockPair(src, dst)
+	if err := validateMigrate(cred, src, dst, ranges); err != nil {
+		return err
+	}
 	if src.fpp != 1 {
 		return fmt.Errorf("%w: coalesce source must use base pages", ErrPageSizeMismatch)
 	}
 	factor := int64(dst.fpp)
 	total := int64(0)
 	for _, r := range ranges {
-		if err := k.validateMigrate(cred, src, dst, r.Page, r.To, r.Pages); err != nil {
-			return err
-		}
 		for i := int64(0); i < r.Pages; i++ {
-			if dst.pages.has(r.To + i) {
-				return pageError(ErrPageBusy, dst, r.To+i)
-			}
 			var prev phys.PFN
 			for j := int64(0); j < factor; j++ {
-				e, ok := src.pages.get(r.Page + i*factor + j)
+				sp := r.Page + i*factor + j
+				e, ok := src.pages.get(sp)
 				if !ok {
-					return pageError(ErrPageNotPresent, src, r.Page+i*factor+j)
+					return pageError(ErrPageNotPresent, src, sp)
 				}
 				pfn := e.frames[0].PFN()
 				if j > 0 && pfn != prev+1 {
-					return pageError(ErrNotContiguous, src, r.Page+i*factor+j)
+					return pageError(ErrNotContiguous, src, sp)
 				}
 				prev = pfn
+			}
+			if dst.pages.has(r.To + i) {
+				return pageError(ErrPageBusy, dst, r.To+i)
 			}
 		}
 		total += r.Pages * factor
 	}
-	if len(ranges) > 1 {
-		sc := batchScratchPool.Get().(*batchScratch)
-		sc.reset()
-		for _, r := range ranges {
-			for i := int64(0); i < r.Pages; i++ {
-				if _, dup := sc.dstSeen[r.To+i]; dup {
-					batchScratchPool.Put(sc)
-					return pageError(ErrBadRange, dst, r.To+i)
-				}
-				sc.dstSeen[r.To+i] = struct{}{}
-				for j := int64(0); j < factor; j++ {
-					sp := r.Page + i*factor + j
-					if _, dup := sc.srcSeen[sp]; dup {
-						batchScratchPool.Put(sc)
-						return pageError(ErrBadRange, src, sp)
-					}
-					sc.srcSeen[sp] = struct{}{}
-				}
-			}
-		}
-		batchScratchPool.Put(sc)
+	if err := checkDisjoint(src, dst, ranges, factor, 1); err != nil {
+		return err
 	}
 	for _, r := range ranges {
 		for i := int64(0); i < r.Pages; i++ {
@@ -561,40 +432,36 @@ func (k *Kernel) MigrateCoalescedBatch(cred Cred, src, dst *Segment, ranges []Pa
 			}
 		}
 	}
-	k.stats.MigratedPages.Add(uint64(dst.id), total)
-	k.clock.Advance(k.cost.KernelCall + time.Duration(total)*(k.cost.MigratePage+k.cost.MappingUpdate))
+	k.chargeMigrated(dst, total, total, 0)
 	return nil
 }
 
 // MigrateSplitBatch is MigrateSplit over several ranges as one kernel call:
 // r.Pages large pages of src at r.Page become r.Pages×factor base pages of
-// dst at r.To, per range. Validation, application, and charging follow
-// MigrateCoalescedBatch exactly (one KernelCall plus per-base-page costs);
-// with batching disabled it degrades to per-range calls.
+// dst at r.To, per range.
 func (k *Kernel) MigrateSplitBatch(cred Cred, src, dst *Segment, ranges []PageRange, set, clear PageFlags) error {
 	if len(ranges) == 0 {
 		return nil
 	}
-	if !batchOps.Load() {
-		for _, r := range ranges {
-			if err := k.MigrateSplit(cred, src, dst, r.Page, r.To, r.Pages, set, clear); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	return k.split(cred, src, dst, ranges, set, clear)
+}
+
+// split is the body of MigrateSplit and MigrateSplitBatch: coalesce's
+// inverse, charged per base page like it.
+func (k *Kernel) split(cred Cred, src, dst *Segment, ranges []PageRange, set, clear PageFlags) error {
 	k.stats.MigrateCalls.Add(uint64(dst.id), 1)
+	k.clock.Advance(k.cost.KernelCall)
 	lockPair(src, dst)
 	defer unlockPair(src, dst)
+	if err := validateMigrate(cred, src, dst, ranges); err != nil {
+		return err
+	}
 	if dst.fpp != 1 {
 		return fmt.Errorf("%w: split destination must use base pages", ErrPageSizeMismatch)
 	}
 	factor := int64(src.fpp)
 	total := int64(0)
 	for _, r := range ranges {
-		if err := k.validateMigrate(cred, src, dst, r.Page, r.To, r.Pages); err != nil {
-			return err
-		}
 		for i := int64(0); i < r.Pages; i++ {
 			if !src.pages.has(r.Page + i) {
 				return pageError(ErrPageNotPresent, src, r.Page+i)
@@ -607,27 +474,8 @@ func (k *Kernel) MigrateSplitBatch(cred Cred, src, dst *Segment, ranges []PageRa
 		}
 		total += r.Pages * factor
 	}
-	if len(ranges) > 1 {
-		sc := batchScratchPool.Get().(*batchScratch)
-		sc.reset()
-		for _, r := range ranges {
-			for i := int64(0); i < r.Pages; i++ {
-				if _, dup := sc.srcSeen[r.Page+i]; dup {
-					batchScratchPool.Put(sc)
-					return pageError(ErrBadRange, src, r.Page+i)
-				}
-				sc.srcSeen[r.Page+i] = struct{}{}
-				for j := int64(0); j < factor; j++ {
-					dp := r.To + i*factor + j
-					if _, dup := sc.dstSeen[dp]; dup {
-						batchScratchPool.Put(sc)
-						return pageError(ErrBadRange, dst, dp)
-					}
-					sc.dstSeen[dp] = struct{}{}
-				}
-			}
-		}
-		batchScratchPool.Put(sc)
+	if err := checkDisjoint(src, dst, ranges, 1, factor); err != nil {
+		return err
 	}
 	for _, r := range ranges {
 		for i := int64(0); i < r.Pages; i++ {
@@ -650,7 +498,130 @@ func (k *Kernel) MigrateSplitBatch(cred Cred, src, dst *Segment, ranges []PageRa
 			}
 		}
 	}
-	k.stats.MigratedPages.Add(uint64(dst.id), total)
-	k.clock.Advance(k.cost.KernelCall + time.Duration(total)*(k.cost.MigratePage+k.cost.MappingUpdate))
+	k.chargeMigrated(dst, total, total, 0)
 	return nil
+}
+
+// ModifyPageFlagsBatch modifies page flags over every range as one kernel
+// call. With superpages on, a range that exactly matches a promoted extent
+// is applied as one superpage shootdown.
+func (k *Kernel) ModifyPageFlagsBatch(cred Cred, s *Segment, ranges []PageRange, set, clear PageFlags) error {
+	if len(ranges) == 0 {
+		return nil
+	}
+	return k.modifyFlags(cred, s, ranges, set, clear, superpages.Load())
+}
+
+// modifyFlags is the body of ModifyPageFlags and ModifyPageFlagsBatch: one
+// KernelCall + ModifyFlags per call plus one MappingUpdate per page. extents
+// says whether a range matching a promoted extent may be applied whole.
+func (k *Kernel) modifyFlags(cred Cred, s *Segment, ranges []PageRange, set, clear PageFlags, extents bool) error {
+	k.stats.ModifyCalls.Add(uint64(s.id), 1)
+	k.clock.Advance(k.cost.KernelCall + k.cost.ModifyFlags)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.deleted {
+		return ErrNoSuchSegment
+	}
+	if s.restricted && !cred.Privileged {
+		return fmt.Errorf("%w: modify flags on %s by %q", ErrNotPrivileged, s, cred.Name)
+	}
+	for _, r := range ranges {
+		if err := checkRange(s, r.Page, r.Pages); err != nil {
+			return err
+		}
+	}
+	for _, r := range ranges {
+		for i := int64(0); i < r.Pages; i++ {
+			if !s.pages.has(r.Page + i) {
+				return pageError(ErrPageNotPresent, s, r.Page+i)
+			}
+		}
+	}
+	// An extent shootdown still changes the flags per base page (the page
+	// store stays authoritative, and span entries never carry flags), but a
+	// single span invalidate and one SuperpageOp replace 2^order per-page
+	// TLB invalidates and MappingUpdates. The extent itself survives — its
+	// pages are all still present.
+	extents = extents && s.fpp == 1
+	var charge time.Duration
+	for _, r := range ranges {
+		ord, whole := s.extents[r.Page]
+		whole = whole && extents && int64(1)<<uint(ord) == r.Pages
+		for i := int64(0); i < r.Pages; i++ {
+			e, _ := s.pages.get(r.Page + i)
+			e.flags = e.flags.Apply(set, clear)
+			if !whole {
+				// Cached translations may now be stale (e.g. protection
+				// tightened).
+				k.tlb.invalidate(mapKey{s.id, r.Page + i})
+			}
+		}
+		if whole {
+			k.tlb.invalidateSpan(mapKey{s.id, r.Page}, ord)
+			k.stats.SuperpageOps.Add(1)
+			charge += k.cost.SuperpageOp
+		} else {
+			charge += time.Duration(r.Pages) * k.cost.MappingUpdate
+		}
+	}
+	k.clock.Advance(charge)
+	return nil
+}
+
+// GetPageAttributesBatch reads the attributes of an arbitrary set of pages
+// of one segment — scattered, unlike GetPageAttributes' contiguous range —
+// as a single kernel call. It is the batched reference-bit sampling hook
+// replacement policies scan with. Results are appended to dst (pass dst[:0]
+// to reuse storage); absent pages report Present=false.
+func (k *Kernel) GetPageAttributesBatch(s *Segment, pages []int64, dst []PageAttribute) ([]PageAttribute, error) {
+	if len(pages) == 0 {
+		return dst, nil
+	}
+	return k.getAttributes(s, pages, 0, int64(len(pages)), dst)
+}
+
+// getAttributes is the body of the three GetPageAttribute spellings: it
+// reads n pages of s — pages[i], or first+i when pages is nil — appending
+// to dst (allocated here when nil), for one KernelCall plus MappingUpdate/2
+// per page. Missing pages are reported with Present false rather than as
+// errors, so managers can scan sparse segments.
+func (k *Kernel) getAttributes(s *Segment, pages []int64, first, n int64, dst []PageAttribute) ([]PageAttribute, error) {
+	k.stats.GetAttrCalls.Add(uint64(s.id), 1)
+	k.clock.Advance(k.cost.KernelCall)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.deleted {
+		return dst, ErrNoSuchSegment
+	}
+	if err := checkRange(s, first, n); err != nil {
+		return dst, err
+	}
+	for _, p := range pages {
+		if err := checkRange(s, p, 1); err != nil {
+			return dst, err
+		}
+	}
+	if dst == nil {
+		dst = make([]PageAttribute, 0, n)
+	}
+	for i := int64(0); i < n; i++ {
+		p := first + i
+		if pages != nil {
+			p = pages[i]
+		}
+		a := PageAttribute{Page: p, PFN: phys.NoFrame}
+		if e, ok := s.pages.get(p); ok {
+			f := e.frames[0]
+			a.Present = true
+			a.Flags = e.flags
+			a.PFN = f.PFN()
+			a.PhysAddr = f.PhysAddr()
+			a.Color = f.Color()
+			a.Node = f.Node()
+		}
+		dst = append(dst, a)
+	}
+	k.clock.Advance(time.Duration(n) * (k.cost.MappingUpdate / 2))
+	return dst, nil
 }

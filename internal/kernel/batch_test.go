@@ -158,33 +158,6 @@ func TestBatchMigrateCrossRangeDup(t *testing.T) {
 	}
 }
 
-// TestBatchOffFallback: with batching disabled the batch entry points take
-// the legacy per-page path — same final state, per-call legacy costs.
-func TestBatchOffFallback(t *testing.T) {
-	defer SetBatchOps(BatchOps())
-	SetBatchOps(false)
-	const n = 4
-	k := newTestKernel(t)
-	seg, err := k.CreateSegment("data", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := sim.DECstation5000()
-	before := k.Clock().Now()
-	if err := k.MigratePagesBatch(SystemCred, k.BootSegment(), seg,
-		[]PageRange{{Page: 0, To: 0, Pages: n}}, FlagRW, 0); err != nil {
-		t.Fatal(err)
-	}
-	got := k.Clock().Now() - before
-	want := n * (c.KernelCall + c.MigratePage + c.MappingUpdate)
-	if got != want {
-		t.Fatalf("batch-off cost = %v, want per-page %v", got, want)
-	}
-	if seg.PageCount() != n {
-		t.Fatalf("migrated %d pages, want %d", seg.PageCount(), n)
-	}
-}
-
 // TestModifyFlagsBatchCost pins ModifyPageFlagsBatch's charges: one kernel
 // call and one flag-modify cost per batch, one mapping update per page —
 // and exact n=1 single-range equality with the unbatched call.
@@ -251,11 +224,9 @@ func benchKernel(b *testing.B) (*Kernel, *Segment) {
 	return k, seg
 }
 
-// BenchmarkBatchMigrate moves 64 pages per op through one batched call;
-// BenchmarkBatchMigratePerPage moves the same pages through 64 legacy
-// calls. The pair is the wall-clock half of the batching story (the
-// virtual-cost half is pinned by the cost tests above); scripts/check.sh
-// smoke-runs both.
+// BenchmarkBatchMigrate moves 64 pages per op through one batched call —
+// the wall-clock half of the batching story (the virtual-cost half is
+// pinned by the cost tests above); scripts/check.sh smoke-runs it.
 func BenchmarkBatchMigrate(b *testing.B) {
 	k, seg := benchKernel(b)
 	fwd := []PageRange{{Page: 0, To: 0, Pages: 64}}
@@ -266,23 +237,6 @@ func BenchmarkBatchMigrate(b *testing.B) {
 		}
 		if err := k.MigratePagesBatch(SystemCred, seg, k.BootSegment(), fwd, 0, FlagRW); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBatchMigratePerPage(b *testing.B) {
-	k, seg := benchKernel(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for p := int64(0); p < 64; p++ {
-			if err := k.MigratePages(SystemCred, k.BootSegment(), seg, p, p, 1, FlagRW, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for p := int64(0); p < 64; p++ {
-			if err := k.MigratePages(SystemCred, seg, k.BootSegment(), p, p, 1, 0, FlagRW); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }

@@ -8,9 +8,8 @@ import (
 // casTable is the lock-free mapping table the concurrent scheduler installs
 // (SetScheduler): open addressing over atomic slot pointers, with CAS
 // publication, tombstoned removal, and epoch-based reclamation (epoch.go)
-// of unlinked boxes. It replaces the 16-shard mutex table (sharded.go),
-// which remains as the reference implementation; the serial scheduler keeps
-// the paper's unlocked mappingTable so the golden output is untouched.
+// of unlinked boxes. The serial scheduler keeps the paper's unlocked
+// mappingTable, so the golden output is untouched.
 //
 // Layout. Each slot holds an atomic pointer to an immutable casBox (key +
 // entry). A key's home slot is the top bits of its Fibonacci hash; a lookup

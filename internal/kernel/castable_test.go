@@ -79,9 +79,8 @@ func TestCASTableStaleDuplicatePurge(t *testing.T) {
 	}
 }
 
-// TestCASTableRemoveSegment mirrors the sharded table's segment-removal
-// contract: every key of the removed segment misses afterwards, other
-// segments are untouched.
+// TestCASTableRemoveSegment pins the segment-removal contract: every key
+// of the removed segment misses afterwards, other segments are untouched.
 func TestCASTableRemoveSegment(t *testing.T) {
 	tbl := newCASTableSized(64)
 	e := &pageEntry{}

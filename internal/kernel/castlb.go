@@ -5,10 +5,9 @@ import (
 )
 
 // casTLB is the lock-free software TLB the concurrent scheduler installs:
-// a set-associative array of packed atomic words. It replaces the 8-stripe
-// mutex TLB (sharded.go), which remains as the reference implementation;
-// the serial scheduler keeps the paper's fully-associative R3000 model
-// (tlb.go) so the golden output is untouched.
+// a set-associative array of packed atomic words. The serial scheduler keeps
+// the paper's fully-associative R3000 model (tlb.go) so the golden output is
+// untouched.
 //
 // Each entry is one uint64: a presence bit, 23 bits of segment ID, and 40
 // bits of page number. Install publishes the whole word with a store (or a

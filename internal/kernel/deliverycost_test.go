@@ -13,7 +13,7 @@ import (
 // separate process reached by IPC — must be carried entirely by the plane's
 // delivery and return charges: the trap, kernel call, migration and mapping
 // update in between are identical in both modes. This pins the 272µs split
-// so a refactor of processFault cannot silently move cost between the
+// so a refactor of processFaultRun cannot silently move cost between the
 // shared path and the mode-dependent edges.
 func TestDeliveryCostSplit(t *testing.T) {
 	cost := sim.DECstation5000()

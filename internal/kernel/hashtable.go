@@ -27,6 +27,22 @@ type hashEntry struct {
 	valid bool
 }
 
+// mapper is the mapping-hash-table surface the kernel uses; implemented by
+// the paper's single mappingTable (serial) and the lock-free casTable
+// (concurrent). The span methods cache one entry covering a whole superpage
+// extent (superpage.go); the tables are caches, so a missing span only
+// costs the walk.
+type mapper interface {
+	lookup(k mapKey) (*pageEntry, bool)
+	insert(k mapKey, e *pageEntry)
+	remove(k mapKey)
+	removeSegment(seg SegID)
+	insertSpan(k mapKey, e *pageEntry, order uint8)
+	removeSpan(k mapKey, order uint8)
+	stats() (hits, misses, spills, drops int64)
+	resetStats()
+}
+
 type mappingTable struct {
 	slots []hashEntry
 	// overflow stays an embedded fixed array (not a slice): its scans are

@@ -399,60 +399,17 @@ func (k *Kernel) DeleteSegment(cred Cred, s *Segment) error {
 	return nil
 }
 
-// checkRange validates that [page, page+n) is a sane range.
-func checkRange(s *Segment, page, n int64) error {
-	if n <= 0 || page < 0 {
-		return fmt.Errorf("%w: [%d,+%d) in %s", ErrBadRange, page, n, s)
-	}
-	return nil
-}
-
 // MigratePages moves n page frames from src starting at srcPage to dst
 // starting at dstPage, setting flags in set and clearing flags in clear on
 // each migrated page (§2.1). The operation is validated first and applied
 // all-or-nothing: every source page must be present and every destination
-// slot empty.
+// slot empty. This and the other single-range spellings below are thin
+// wrappers over the range bodies in batch.go, which state the charging and
+// error-precedence rules; a MigratePages range is never applied as a
+// superpage extent.
 func (k *Kernel) MigratePages(cred Cred, src, dst *Segment, srcPage, dstPage, n int64, set, clear PageFlags) error {
-	k.stats.MigrateCalls.Add(uint64(dst.id), 1)
-	k.clock.Advance(k.cost.KernelCall)
-	lockPair(src, dst)
-	defer unlockPair(src, dst)
-	if err := k.validateMigrate(cred, src, dst, srcPage, dstPage, n); err != nil {
-		return err
-	}
-	if src.fpp != dst.fpp {
-		return fmt.Errorf("%w: %s -> %s", ErrPageSizeMismatch, src, dst)
-	}
-	for i := int64(0); i < n; i++ {
-		if !src.pages.has(srcPage + i) {
-			return pageError(ErrPageNotPresent, src, srcPage+i)
-		}
-		if dst.pages.has(dstPage + i) {
-			return pageError(ErrPageBusy, dst, dstPage+i)
-		}
-	}
-	for i := int64(0); i < n; i++ {
-		k.movePage(src, dst, srcPage+i, dstPage+i, set, clear)
-	}
-	// Charge the per-page costs once for the whole call: the totals are
-	// identical to charging inside movePage, and nothing reads the clock
-	// between the pages of one migration.
-	k.stats.MigratedPages.Add(uint64(dst.id), n)
-	k.clock.Advance(time.Duration(n) * (k.cost.MigratePage + k.cost.MappingUpdate))
-	return nil
-}
-
-func (k *Kernel) validateMigrate(cred Cred, src, dst *Segment, srcPage, dstPage, n int64) error {
-	if src.deleted || dst.deleted {
-		return ErrNoSuchSegment
-	}
-	if (src.restricted || dst.restricted) && !cred.Privileged {
-		return fmt.Errorf("%w: migrate %s -> %s by %q", ErrNotPrivileged, src, dst, cred.Name)
-	}
-	if err := checkRange(src, srcPage, n); err != nil {
-		return err
-	}
-	return checkRange(dst, dstPage, n)
+	r := [1]PageRange{{Page: srcPage, To: dstPage, Pages: n}}
+	return k.migrate(cred, src, dst, r[:], set, clear, false)
 }
 
 // stagingSkip reports whether mapping-cache and TLB maintenance can be
@@ -467,179 +424,28 @@ func (k *Kernel) stagingSkip(s *Segment) bool {
 	return s.staging && k.sched.Concurrent()
 }
 
-// movePage transfers one page entry and charges the per-page cost. Both
-// segments' locks are held by the caller.
-func (k *Kernel) movePage(src, dst *Segment, srcPage, dstPage int64, set, clear PageFlags) {
-	k.demoteCoveringLocked(src, srcPage)
-	e, _ := src.pages.get(srcPage)
-	src.pages.del(srcPage)
-	e.flags = e.flags.Apply(set, clear)
-	dst.pages.put(dstPage, e)
-	for _, f := range e.frames {
-		k.frameOwner[f.PFN()] = dst.id
-		k.framePage[f.PFN()] = dstPage
-	}
-	if !k.stagingSkip(src) {
-		srcKey := mapKey{src.id, srcPage}
-		k.table.remove(srcKey)
-		k.tlb.invalidate(srcKey)
-	}
-	if !k.stagingSkip(dst) {
-		dstKey := mapKey{dst.id, dstPage}
-		k.table.insert(dstKey, e)
-		// Prime the TLB for the destination: on a fault-driven migrate the
-		// kernel loads the translation for the faulting address before the
-		// application resumes, so the retried access does not miss again.
-		k.tlb.install(dstKey)
-	}
-	// Cost and stats are charged by the caller, once per migration call.
-}
-
 // MigrateCoalesced forms n large pages in dst (frames-per-page F) from
 // n×F consecutive base pages of src (frames-per-page 1) starting at
 // srcPage. The source frames of each large page must be physically
 // contiguous — this is how the SPCM satisfies large-page allocations on
 // machines with multiple page sizes.
 func (k *Kernel) MigrateCoalesced(cred Cred, src, dst *Segment, srcPage, dstPage, n int64, set, clear PageFlags) error {
-	k.stats.MigrateCalls.Add(uint64(dst.id), 1)
-	k.clock.Advance(k.cost.KernelCall)
-	lockPair(src, dst)
-	defer unlockPair(src, dst)
-	if err := k.validateMigrate(cred, src, dst, srcPage, dstPage, n); err != nil {
-		return err
-	}
-	if src.fpp != 1 {
-		return fmt.Errorf("%w: coalesce source must use base pages", ErrPageSizeMismatch)
-	}
-	factor := int64(dst.fpp)
-	// Validate.
-	for i := int64(0); i < n; i++ {
-		if dst.pages.has(dstPage + i) {
-			return pageError(ErrPageBusy, dst, dstPage+i)
-		}
-		var prev phys.PFN
-		for j := int64(0); j < factor; j++ {
-			e, ok := src.pages.get(srcPage + i*factor + j)
-			if !ok {
-				return pageError(ErrPageNotPresent, src, srcPage+i*factor+j)
-			}
-			pfn := e.frames[0].PFN()
-			if j > 0 && pfn != prev+1 {
-				return pageError(ErrNotContiguous, src, srcPage+i*factor+j)
-			}
-			prev = pfn
-		}
-	}
-	// Apply.
-	for i := int64(0); i < n; i++ {
-		frames := make([]*phys.Frame, 0, factor)
-		var flags PageFlags
-		for j := int64(0); j < factor; j++ {
-			sp := srcPage + i*factor + j
-			e, _ := src.pages.get(sp)
-			flags |= e.flags
-			frames = append(frames, e.frames...)
-			k.demoteCoveringLocked(src, sp)
-			src.pages.del(sp)
-			if !k.stagingSkip(src) {
-				key := mapKey{src.id, sp}
-				k.table.remove(key)
-				k.tlb.invalidate(key)
-			}
-			k.clock.Advance(k.cost.MigratePage + k.cost.MappingUpdate)
-			k.stats.MigratedPages.Add(uint64(dst.id), 1)
-		}
-		ne := &pageEntry{frames: frames, flags: flags.Apply(set, clear)}
-		dst.pages.put(dstPage+i, ne)
-		for _, f := range frames {
-			k.frameOwner[f.PFN()] = dst.id
-			k.framePage[f.PFN()] = dstPage + i
-		}
-		if !k.stagingSkip(dst) {
-			k.table.insert(mapKey{dst.id, dstPage + i}, ne)
-		}
-	}
-	return nil
+	r := [1]PageRange{{Page: srcPage, To: dstPage, Pages: n}}
+	return k.coalesce(cred, src, dst, r[:], set, clear)
 }
 
 // MigrateSplit is the inverse of MigrateCoalesced: n large pages of src
 // (frames-per-page F) become n×F base pages of dst (frames-per-page 1).
 func (k *Kernel) MigrateSplit(cred Cred, src, dst *Segment, srcPage, dstPage, n int64, set, clear PageFlags) error {
-	k.stats.MigrateCalls.Add(uint64(dst.id), 1)
-	k.clock.Advance(k.cost.KernelCall)
-	lockPair(src, dst)
-	defer unlockPair(src, dst)
-	if err := k.validateMigrate(cred, src, dst, srcPage, dstPage, n); err != nil {
-		return err
-	}
-	if dst.fpp != 1 {
-		return fmt.Errorf("%w: split destination must use base pages", ErrPageSizeMismatch)
-	}
-	factor := int64(src.fpp)
-	for i := int64(0); i < n; i++ {
-		if !src.pages.has(srcPage + i) {
-			return pageError(ErrPageNotPresent, src, srcPage+i)
-		}
-		for j := int64(0); j < factor; j++ {
-			if dst.pages.has(dstPage + i*factor + j) {
-				return pageError(ErrPageBusy, dst, dstPage+i*factor+j)
-			}
-		}
-	}
-	for i := int64(0); i < n; i++ {
-		e, _ := src.pages.get(srcPage + i)
-		src.pages.del(srcPage + i)
-		if !k.stagingSkip(src) {
-			key := mapKey{src.id, srcPage + i}
-			k.table.remove(key)
-			k.tlb.invalidate(key)
-		}
-		for j, f := range e.frames {
-			dp := dstPage + i*factor + int64(j)
-			ne := &pageEntry{frames: []*phys.Frame{f}, flags: e.flags.Apply(set, clear)}
-			dst.pages.put(dp, ne)
-			k.frameOwner[f.PFN()] = dst.id
-			k.framePage[f.PFN()] = dp
-			if !k.stagingSkip(dst) {
-				k.table.insert(mapKey{dst.id, dp}, ne)
-			}
-			k.clock.Advance(k.cost.MigratePage + k.cost.MappingUpdate)
-			k.stats.MigratedPages.Add(uint64(dst.id), 1)
-		}
-	}
-	return nil
+	r := [1]PageRange{{Page: srcPage, To: dstPage, Pages: n}}
+	return k.split(cred, src, dst, r[:], set, clear)
 }
 
 // ModifyPageFlags modifies the page flags of [page, page+n) without moving
 // the frames (§2.1). Pages without frames in the range are an error.
 func (k *Kernel) ModifyPageFlags(cred Cred, s *Segment, page, n int64, set, clear PageFlags) error {
-	k.stats.ModifyCalls.Add(uint64(s.id), 1)
-	k.clock.Advance(k.cost.KernelCall + k.cost.ModifyFlags)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.deleted {
-		return ErrNoSuchSegment
-	}
-	if s.restricted && !cred.Privileged {
-		return fmt.Errorf("%w: modify flags on %s by %q", ErrNotPrivileged, s, cred.Name)
-	}
-	if err := checkRange(s, page, n); err != nil {
-		return err
-	}
-	for i := int64(0); i < n; i++ {
-		if !s.pages.has(page + i) {
-			return pageError(ErrPageNotPresent, s, page+i)
-		}
-	}
-	for i := int64(0); i < n; i++ {
-		e, _ := s.pages.get(page + i)
-		e.flags = e.flags.Apply(set, clear)
-		// Cached translations may now be stale (e.g. protection tightened).
-		key := mapKey{s.id, page + i}
-		k.tlb.invalidate(key)
-		k.clock.Advance(k.cost.MappingUpdate)
-	}
-	return nil
+	r := [1]PageRange{{Page: page, Pages: n}}
+	return k.modifyFlags(cred, s, r[:], set, clear, false)
 }
 
 // PageAttribute is one element of a GetPageAttributes result: the page
@@ -658,60 +464,18 @@ type PageAttribute struct {
 // [page, page+n) (§2.1). Missing pages are reported with Present false
 // rather than as errors, so managers can scan sparse segments.
 func (k *Kernel) GetPageAttributes(s *Segment, page, n int64) ([]PageAttribute, error) {
-	k.stats.GetAttrCalls.Add(uint64(s.id), 1)
-	k.clock.Advance(k.cost.KernelCall)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.deleted {
-		return nil, ErrNoSuchSegment
-	}
-	if err := checkRange(s, page, n); err != nil {
-		return nil, err
-	}
-	out := make([]PageAttribute, n)
-	for i := int64(0); i < n; i++ {
-		a := PageAttribute{Page: page + i, PFN: phys.NoFrame}
-		if e, ok := s.pages.get(page + i); ok {
-			f := e.frames[0]
-			a.Present = true
-			a.Flags = e.flags
-			a.PFN = f.PFN()
-			a.PhysAddr = f.PhysAddr()
-			a.Color = f.Color()
-			a.Node = f.Node()
-		}
-		out[i] = a
-		k.clock.Advance(k.cost.MappingUpdate / 2)
-	}
-	return out, nil
+	return k.getAttributes(s, nil, page, n, nil)
 }
 
 // GetPageAttribute is the single-page form of GetPageAttributes. It charges
 // identically but returns the attribute by value, so reclaim loops that poll
 // one page per step pay no slice allocation.
 func (k *Kernel) GetPageAttribute(s *Segment, page int64) (PageAttribute, error) {
-	k.stats.GetAttrCalls.Add(uint64(s.id), 1)
-	k.clock.Advance(k.cost.KernelCall)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.deleted {
-		return PageAttribute{}, ErrNoSuchSegment
-	}
-	if err := checkRange(s, page, 1); err != nil {
+	var a [1]PageAttribute
+	if _, err := k.getAttributes(s, nil, page, 1, a[:0]); err != nil {
 		return PageAttribute{}, err
 	}
-	a := PageAttribute{Page: page, PFN: phys.NoFrame}
-	if e, ok := s.pages.get(page); ok {
-		f := e.frames[0]
-		a.Present = true
-		a.Flags = e.flags
-		a.PFN = f.PFN()
-		a.PhysAddr = f.PhysAddr()
-		a.Color = f.Color()
-		a.Node = f.Node()
-	}
-	k.clock.Advance(k.cost.MappingUpdate / 2)
-	return a, nil
+	return a[0], nil
 }
 
 // chargeDelivery charges the cost of transferring control to a manager and

@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -23,18 +22,20 @@ import (
 //     which lets N applications fault against N managers in parallel.
 //
 // Injection (DeliveryInterceptor), cost accounting (chargeDelivery and
-// chargeReturn) and crash recovery (Revoke) all live in processFault /
-// processDelete below, so both schedulers get identical semantics per
-// message; the scheduler only decides where and when messages run.
+// chargeReturn) and crash recovery (Revoke) all live in processFaultRun
+// (vector.go) and processDelete below, so both schedulers get identical
+// semantics per message; the scheduler only decides where and when messages
+// run, and how many queued faults one delivery carries.
 
 // Scheduler routes delivery-plane messages to managers. Implementations
-// must call Kernel.processFault / Kernel.processDelete for each message so
-// costing, injection and revocation behave identically in every mode.
+// must call Kernel.process (or processFaultRun for a run of faults) for
+// each message so costing, injection and revocation behave identically in
+// every mode.
 type Scheduler interface {
 	// Name identifies the scheduler ("serial" or "concurrent").
 	Name() string
 	// Concurrent reports whether managers run on their own goroutines.
-	// When true the kernel swaps its mapping caches for sharded, locked
+	// When true the kernel swaps its mapping caches for the lock-free CAS
 	// variants at install time.
 	Concurrent() bool
 	// DeliverFault routes a fault to manager m and blocks until it has been
@@ -82,17 +83,28 @@ type delivery struct {
 	reply chan error
 }
 
+// deliveryResult is where a serial-scheduler poster waits for its message.
+// It doubles as the message's run-of-one scratch: a fault is delivered
+// through slices the handler may receive over the VectorHandler interface,
+// so they must live on the heap, and this is the one allocation a serial
+// post already makes.
 type deliveryResult struct {
-	done bool
-	err  error
+	done  bool
+	fault [1]Fault
+	err   [1]error
 }
 
-// process runs one plane message to completion. Both schedulers funnel
-// every message through here.
-func (k *Kernel) process(d delivery) error {
+// process runs one plane message to completion. A fault message is a fault
+// run of one, delivered in the caller's one-element scratch (unused for the
+// other kinds); runs the concurrent scheduler drains off a lane go to
+// processFaultRun directly.
+func (k *Kernel) process(d delivery, fs []Fault, errs []error) error {
 	switch d.kind {
 	case msgFault:
-		return k.processFault(d.mgr, d.fault)
+		var idx [1]int
+		fs[0] = d.fault
+		k.processFaultRun(d.mgr, fs[:1], errs[:1], idx[:])
+		return errs[0]
 	case msgDelete:
 		k.processDelete(d.mgr, d.seg)
 		return nil
@@ -100,61 +112,6 @@ func (k *Kernel) process(d delivery) error {
 		d.fn()
 		return nil
 	}
-}
-
-// processFault is the delivery path a fault message takes once the
-// scheduler hands it to its manager: statistics, the trap cost, the
-// injection interceptor, the delivery cost for the manager's mode, the
-// handler itself, crash containment, and the return cost. The sequence is
-// exactly the pre-plane synchronous path, which is what keeps the serial
-// scheduler's output byte-identical.
-func (k *Kernel) processFault(m Manager, f Fault) error {
-	k.stats.Faults.Add(uint64(f.Seg.id), 1)
-	k.stats.ManagerCalls.Add(uint64(f.Seg.id), 1)
-	switch f.Kind {
-	case FaultMissing:
-		k.stats.MissingFaults.Add(uint64(f.Seg.id), 1)
-	case FaultProtection:
-		k.stats.ProtFaults.Add(uint64(f.Seg.id), 1)
-	case FaultCopyOnWrite:
-		k.stats.COWFaults.Add(uint64(f.Seg.id), 1)
-	}
-	sh := k.timeShardOf(m)
-	k.clock.Advance(k.cost.Trap)
-	tickShard(sh, k.cost.Trap)
-	if k.interceptor != nil {
-		switch r := k.interceptor(f, m); {
-		case r.Crash:
-			// The manager process died before fielding the fault. Revoke it;
-			// the Access retry loop re-delivers the in-flight fault to the
-			// default manager.
-			if _, err := k.Revoke(m); err != nil {
-				return pageError(fmt.Errorf("%w: %q: %w", ErrManagerCrashed, m.ManagerName(), err), f.Seg, f.Page)
-			}
-			return nil
-		case r.Drop:
-			// The delivery was lost; the faulting process just re-faults.
-			k.stats.DroppedDeliveries.Add(1)
-			return nil
-		case r.Delay > 0:
-			k.stats.DelayedDeliveries.Add(1)
-			k.clock.Advance(r.Delay)
-			tickShard(sh, r.Delay)
-		}
-	}
-	tickShard(sh, k.chargeDelivery(m.Delivery()))
-	if err := m.HandleFault(f); err != nil {
-		if errors.Is(err, ErrManagerCrashed) {
-			// The manager died mid-handling. Revoke and let the retry loop
-			// re-deliver; only if no fallback exists does the crash surface.
-			if _, rerr := k.Revoke(m); rerr == nil {
-				return nil
-			}
-		}
-		return fmt.Errorf("%w: %q on %v: %w", ErrManagerFailed, m.ManagerName(), f, err)
-	}
-	tickShard(sh, k.chargeReturn(m.Delivery()))
-	return nil
 }
 
 // processDelete is the deletion-notice path: one manager call, the delivery
@@ -214,13 +171,11 @@ func (s *serialScheduler) post(m Manager, d delivery) error {
 			// delivery; the faulting process retries.
 			break
 		}
-		err := s.k.process(env.Msg)
-		if env.Msg.res != nil {
-			env.Msg.res.done = true
-			env.Msg.res.err = err
-		}
+		r := env.Msg.res
+		r.err[0] = s.k.process(env.Msg, r.fault[:], r.err[:])
+		r.done = true
 	}
-	return res.err
+	return res.err[0]
 }
 
 func (s *serialScheduler) DeliverFault(m Manager, f Fault) error {
@@ -280,9 +235,9 @@ type lane struct {
 	// pointer read instead of a map lookup.
 	shardClock *sim.Clock
 	// buf is the executor's drain batch; vecFaults/vecErrs/vecIdx are the
-	// vectored-delivery scratch processFaultRun fills from it (vector.go).
+	// scratch a fault run is delivered in (processFaultRun, vector.go).
 	// Only the token holder touches any of them, so none need
-	// synchronization, and a batch allocates nothing.
+	// synchronization, and a delivery allocates nothing.
 	buf       [laneDrainBatch]plane.Envelope[delivery]
 	vecFaults [laneDrainBatch]Fault
 	vecErrs   [laneDrainBatch]error
@@ -290,8 +245,8 @@ type lane struct {
 }
 
 // laneDrainBatch is how many queued messages the executor pulls from the
-// ring per PopMany — one head publication amortized over the batch, and the
-// ceiling on how many faults one vectored upcall can carry.
+// ring per PopMany — one head publication amortized over the batch, and so
+// the ceiling on how many faults one vectored upcall can carry.
 const laneDrainBatch = 64
 
 // LaneMaintainer is an optional Manager extension. When a manager
@@ -326,9 +281,9 @@ type concurrentScheduler struct {
 	stopped bool
 }
 
-// NewConcurrentScheduler returns the sharded concurrent scheduler. Install
-// it with Kernel.SetScheduler (which also swaps the mapping caches for
-// their sharded, locked variants), and Stop it when the run ends.
+// NewConcurrentScheduler returns the per-manager-lane concurrent scheduler.
+// Install it with Kernel.SetScheduler (which also swaps the mapping caches
+// for their lock-free CAS variants), and Stop it when the run ends.
 func NewConcurrentScheduler(k *Kernel) Scheduler {
 	return &concurrentScheduler{k: k}
 }
@@ -360,45 +315,33 @@ func (s *concurrentScheduler) laneOf(m Manager) *lane {
 // drainCells processes every queued message of a lane. The caller must hold
 // the lane's combining token. Messages of a revoked lane are answered nil —
 // lost deliveries, so the faulting processes retry against the adopting
-// manager. With vectored delivery on, a run of consecutive fault messages
-// popped in one batch becomes a single vectored upcall (vector.go); runs of
-// one — the only shape a lightly loaded lane ever pops — take the legacy
-// per-fault path, so low occupancy passes through untouched.
+// manager. Consecutive fault messages popped in one batch are one run, and
+// a run is one delivery (vector.go) — of one fault on a lightly loaded lane,
+// which never pops more, and of up to laneDrainBatch when producers queue.
 func (s *concurrentScheduler) drainCells(ln *lane) {
 	for {
 		n := ln.ring.PopMany(ln.buf[:])
 		if n == 0 {
 			return
 		}
-		vec := vectorOps.Load()
 		for i := 0; i < n; {
 			if ln.revoked.Load() {
-				for ; i < n; i++ {
-					env := ln.buf[i]
-					ln.buf[i] = plane.Envelope[delivery]{} // drop references early
-					if env.Msg.reply != nil {
-						env.Msg.reply <- nil
-					}
-				}
+				replyRun(ln.buf[i:n], nil)
 				break
 			}
-			if vec {
-				if run := faultRunLen(ln.buf[i:n]); run > 1 {
-					s.k.processFaultRun(ln, ln.buf[i:i+run])
-					for j := i; j < i+run; j++ {
-						ln.buf[j] = plane.Envelope[delivery]{}
-					}
-					i += run
-					continue
-				}
+			run := faultRunLen(ln.buf[i:n])
+			if run == 0 {
+				ln.vecErrs[0] = s.k.process(ln.buf[i].Msg, nil, nil)
+				replyRun(ln.buf[i:i+1], ln.vecErrs[:1])
+				i++
+				continue
 			}
-			env := ln.buf[i]
-			ln.buf[i] = plane.Envelope[delivery]{}
-			i++
-			err := s.k.process(env.Msg)
-			if env.Msg.reply != nil {
-				env.Msg.reply <- err
+			for j := 0; j < run; j++ {
+				ln.vecFaults[j] = ln.buf[i+j].Msg.fault
 			}
+			s.k.processFaultRun(ln.buf[i].Msg.mgr, ln.vecFaults[:run], ln.vecErrs[:run], ln.vecIdx[:run])
+			replyRun(ln.buf[i:i+run], ln.vecErrs[:run])
+			i += run
 		}
 	}
 }
@@ -442,7 +385,7 @@ func (s *concurrentScheduler) post(m Manager, d delivery) error {
 			return nil
 		}
 		s.drainCells(ln) // anything that slipped in first, in order
-		err := s.k.process(d)
+		err := s.k.process(d, ln.vecFaults[:1], ln.vecErrs[:1])
 		s.combine(ln) // drains again, then releases with recheck
 		return err
 	}
@@ -530,9 +473,7 @@ func (k *Kernel) Scheduler() Scheduler { return k.sched }
 // a concurrent scheduler also swaps the mapping hash table and TLB for
 // lock-free CAS variants (castable.go, castlb.go); both are pure caches
 // over the authoritative segment page maps, so starting them cold is
-// correct (it only costs some extra virtual refill time). The sharded,
-// per-shard-locked variants remain in sharded.go as the reference
-// implementations the CAS tables are tested against.
+// correct (it only costs some extra virtual refill time).
 func (k *Kernel) SetScheduler(s Scheduler) {
 	if k.sched != nil {
 		k.sched.Stop()

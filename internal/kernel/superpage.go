@@ -32,10 +32,10 @@ import (
 // free list can allocate, so every promotable extent is also allocatable.
 const MaxExtentOrder = phys.MaxRunOrder
 
-// superpages gates the whole extent plane, like batchOps gates batching.
-// Off (the default) every path — promotion, span lookups, the batch extent
-// fast paths — is bypassed with at most a relaxed atomic load, so the
-// golden reproduction output is byte-identical in every mode.
+// superpages gates the whole extent plane. Off (the default) every path —
+// promotion, span lookups, the batch extent fast paths — is bypassed with
+// at most a relaxed atomic load, so the golden reproduction output is
+// byte-identical in every mode.
 var superpages atomic.Bool
 
 // SetSuperpages enables or disables superpage extents process-wide. Set it

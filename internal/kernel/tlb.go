@@ -1,5 +1,19 @@
 package kernel
 
+// translator is the TLB surface the kernel uses; implemented by the R3000
+// tlb (serial) and the lock-free casTLB (concurrent). Span methods as on
+// mapper.
+type translator interface {
+	lookup(k mapKey) bool
+	install(k mapKey)
+	invalidate(k mapKey)
+	invalidateSegment(seg SegID)
+	installSpan(k mapKey, order uint8)
+	invalidateSpan(k mapKey, order uint8)
+	stats() (hits, misses int64)
+	resetStats()
+}
+
 // tlb models the R3000's 64-entry fully-associative TLB. The paper notes
 // that "simple TLB misses are handled by the kernel" — a miss that finds the
 // translation in the mapping hash table costs only a kernel refill; only a

@@ -3,129 +3,95 @@ package kernel
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"epcm/internal/plane"
 )
 
-// Vectored fault delivery. Under the concurrent scheduler, a lane executor
-// that drains its ring and finds several faults queued for the same manager
-// hands them to the manager as ONE vectored upcall instead of N separate
-// calls. That is the paper's trap+upcall cost argument applied end-to-end:
-// the per-delivery overheads (one Trap, one delivery charge, one return
-// charge, one ManagerCalls tick) are paid once per batch, while the
-// per-fault work (fault-kind stats, injection, the resolution itself) is
-// still paid per fault.
+// Fault delivery. Every fault reaches its manager as part of a run: the
+// faults one delivery carries. The serial scheduler, and a concurrent lane
+// that finds nothing queued behind the fault it is handling, deliver runs
+// of one. A lane executor that drains its ring and finds several faults
+// queued for the manager hands them over as ONE vectored upcall — the
+// paper's trap+upcall cost argument applied end-to-end: the per-delivery
+// legs (one Trap, one delivery charge, one return charge, one ManagerCalls
+// tick) are paid once per run, while the per-fault legs (fault-kind stats,
+// injection, the resolution itself) are still paid per fault. A run of one
+// therefore charges exactly the paper's single-fault sequence, which is
+// what keeps the golden output independent of the scheduler.
 //
-// A run of length 1 — and every fault delivered inline on the fast path or
-// by the serial scheduler — takes the legacy processFault path untouched,
-// so single-fault latency, the charge sequence, and the golden output are
-// byte-identical whether vectoring is on or off. Batches only ever form
-// when multiple producers genuinely queue behind one manager.
-//
-// Crash semantics mid-batch: faults the interceptor drops or crashes are
-// answered before the manager ever sees the batch, exactly as in the serial
-// path. If the manager crashes while handling the vector, the whole batch
-// is answered nil after revocation — none of its faults were resolved
-// past the kernel's own bookkeeping (a fault the manager did resolve before
-// dying left its page present, so the retry is absorbed by the page-present
-// check; an unresolved fault re-faults against the adopting manager). No
-// fault is lost and none can double-resolve: resolution is MigratePages
-// into the faulted page, which the kernel rejects with ErrPageBusy if run
-// twice.
-
-// vectorOps gates vectored delivery process-wide, mirroring the batchOps
-// toggle in batch.go: on by default, cleared by the -vector=false ablation.
-var vectorOps atomic.Bool
-
-// vectorCap bounds how many faults one vectored upcall may carry. It is the
-// adaptive drain knob's upper half; the lower half — low-occupancy
-// passthrough — is structural: a drain that pops one message never enters
-// the vector path at all.
-var vectorCap atomic.Int64
-
-func init() {
-	vectorOps.Store(true)
-	vectorCap.Store(laneDrainBatch)
-}
-
-// SetVectoredDelivery toggles vectored fault delivery process-wide. Like
-// SetBatchOps, call it between runs, not mid-delivery.
-func SetVectoredDelivery(on bool) { vectorOps.Store(on) }
-
-// VectoredDelivery reports whether vectored delivery is enabled.
-func VectoredDelivery() bool { return vectorOps.Load() }
-
-// SetVectorBatchCap bounds the faults per vectored upcall, clamped to
-// [1, laneDrainBatch]. Cap 1 is equivalent to -vector=false on the
-// delivery path.
-func SetVectorBatchCap(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > laneDrainBatch {
-		n = laneDrainBatch
-	}
-	vectorCap.Store(int64(n))
-}
+// Crash semantics mid-run: faults the interceptor drops are answered nil
+// before the manager ever sees the run. If the manager crashes — in the
+// interceptor or while handling — the whole run is answered nil after
+// revocation: none of its faults were resolved past the kernel's own
+// bookkeeping (a fault the manager did resolve before dying left its page
+// present, so the retry is absorbed by the page-present check; an
+// unresolved fault re-faults against the adopting manager). No fault is
+// lost and none can double-resolve: resolution is MigratePages into the
+// faulted page, which the kernel rejects with ErrPageBusy if run twice.
 
 // VectorHandler is the optional Manager extension for vectored delivery.
-// The kernel calls HandleFaultVector with a batch of at least two faults
+// The kernel calls HandleFaultVector with a run of at least two faults
 // for this manager and a parallel result slice, all entries nil. The
 // handler stores each fault's outcome in errs[i] — the same values
-// HandleFault would return, including ErrManagerCrashed for a mid-batch
+// HandleFault would return, including ErrManagerCrashed for a mid-run
 // death. Both slices are kernel-owned scratch; implementations must not
-// retain them. Managers that do not implement VectorHandler get the batch
-// as HandleFault calls in order, still under the batched delivery charges.
+// retain them. Runs of one, and every run for a manager that does not
+// implement VectorHandler, arrive as HandleFault calls in order, still
+// under the run's single set of delivery charges.
 type VectorHandler interface {
 	HandleFaultVector(fs []Fault, errs []error)
 }
 
 // faultRunLen reports how many envelopes from the front of envs form one
-// vectored batch: consecutive msgFault messages, capped by the batch cap.
-// A non-fault head yields 1 so the caller routes it through process().
-// Pure — batch assembly is a function of ring contents alone, which is what
-// keeps it deterministic.
+// run: the consecutive msgFault messages, or 0 when the head is not a fault
+// and goes through process(). Pure — run assembly is a function of ring
+// contents alone, which is what keeps it deterministic. A run is bounded by
+// what one PopMany hands the executor, i.e. by laneDrainBatch.
 func faultRunLen(envs []plane.Envelope[delivery]) int {
-	lim := int(vectorCap.Load())
-	if lim > len(envs) {
-		lim = len(envs)
-	}
 	n := 0
-	for n < lim && envs[n].Msg.kind == msgFault {
+	for n < len(envs) && envs[n].Msg.kind == msgFault {
 		n++
-	}
-	if n == 0 {
-		return 1
 	}
 	return n
 }
 
-// replyRun answers every not-yet-answered envelope of a run with err.
-func replyRun(envs []plane.Envelope[delivery], err error) {
-	for _, env := range envs {
-		if env.Msg.reply != nil {
-			env.Msg.reply <- err
+// replyRun answers envs[i]'s poster with errs[i] — or, given no errs, every
+// poster with nil, a lost delivery — and drops the envelopes' references.
+func replyRun(envs []plane.Envelope[delivery], errs []error) {
+	for i := range envs {
+		if reply := envs[i].Msg.reply; reply != nil {
+			if errs != nil {
+				reply <- errs[i]
+			} else {
+				reply <- nil
+			}
 		}
+		envs[i] = plane.Envelope[delivery]{}
 	}
 }
 
-// processFaultRun delivers a run of ≥2 fault messages for one manager as a
-// single vectored upcall, answering every envelope's reply channel itself.
-// The caller is the lane executor and must have popped the run off ln's
-// ring. The charge sequence parallels processFault with the per-delivery
-// legs hoisted out of the loop: stats and injection per fault; Trap,
-// delivery, ManagerCalls and return once per batch.
-func (k *Kernel) processFaultRun(ln *lane, envs []plane.Envelope[delivery]) {
-	m := envs[0].Msg.mgr
+// processFaultRun is the delivery path of a run of faults fs for manager m:
+// statistics, the trap cost, the injection interceptor, the delivery cost
+// for the manager's mode, the handler, crash containment, and the return
+// cost — per-fault legs inside the loops, per-delivery legs outside them.
+// It leaves fs[i]'s outcome in errs[i]: nil for a resolved fault and for a
+// lost delivery (dropped, or the manager crashed and was revoked), where
+// the faulting process simply re-faults. fs is consumed — survivors of the
+// interceptor are compacted to its front for the handler, with idx, scratch
+// of the same length, recording where each came from. fs and errs reach
+// the handler through an interface, so callers keep them off the stack.
+func (k *Kernel) processFaultRun(m Manager, fs []Fault, errs []error, idx []int) {
 	sh := k.timeShardOf(m)
-	k.stats.ManagerCalls.Add(uint64(envs[0].Msg.fault.Seg.id), 1)
-	k.stats.VectoredBatches.Add(1)
+	k.stats.ManagerCalls.Add(uint64(fs[0].Seg.id), 1)
+	vectored := len(fs) > 1
+	if vectored {
+		k.stats.VectoredBatches.Add(1)
+	}
 	k.clock.Advance(k.cost.Trap)
 	tickShard(sh, k.cost.Trap)
-	nf := 0 // survivors collected into ln.vecFaults
-	for i := range envs {
-		f := envs[i].Msg.fault
+	nf := 0 // survivors, compacted into fs[:nf]
+	for i, f := range fs {
+		errs[i] = nil
 		k.stats.Faults.Add(uint64(f.Seg.id), 1)
 		switch f.Kind {
 		case FaultMissing:
@@ -138,27 +104,25 @@ func (k *Kernel) processFaultRun(ln *lane, envs []plane.Envelope[delivery]) {
 		if k.interceptor != nil {
 			switch r := k.interceptor(f, m); {
 			case r.Crash:
-				// The manager died before fielding the batch. Nothing in it
-				// was handled: answer the current and remaining envelopes,
-				// and the survivors already collected, all as lost
-				// deliveries so their posters retry against the adopter.
-				var err error
+				// The manager process died before fielding the run. Revoke
+				// it; nothing was handled, so every fault is a lost delivery
+				// and the retry loops re-deliver to the default manager.
+				// Only if no fallback exists does the crash surface — on
+				// this fault, the ones behind it and the survivors before it
+				// (faults already dropped stay dropped).
 				if _, rerr := k.Revoke(m); rerr != nil {
-					err = pageError(fmt.Errorf("%w: %q: %w", ErrManagerCrashed, m.ManagerName(), rerr), f.Seg, f.Page)
-				}
-				replyRun(envs[i:], err)
-				for j := 0; j < nf; j++ {
-					env := envs[ln.vecIdx[j]]
-					if env.Msg.reply != nil {
-						env.Msg.reply <- err
+					err := pageError(fmt.Errorf("%w: %q: %w", ErrManagerCrashed, m.ManagerName(), rerr), f.Seg, f.Page)
+					for j := i; j < len(errs); j++ {
+						errs[j] = err
+					}
+					for _, j := range idx[:nf] {
+						errs[j] = err
 					}
 				}
 				return
 			case r.Drop:
+				// The delivery was lost; the faulting process just re-faults.
 				k.stats.DroppedDeliveries.Add(1)
-				if envs[i].Msg.reply != nil {
-					envs[i].Msg.reply <- nil
-				}
 				continue
 			case r.Delay > 0:
 				k.stats.DelayedDeliveries.Add(1)
@@ -166,56 +130,57 @@ func (k *Kernel) processFaultRun(ln *lane, envs []plane.Envelope[delivery]) {
 				tickShard(sh, r.Delay)
 			}
 		}
-		ln.vecFaults[nf] = f
-		ln.vecIdx[nf] = i
+		fs[nf], idx[nf] = f, i
 		nf++
 	}
 	if nf == 0 {
 		return // everything dropped; the Trap was still paid
 	}
-	k.stats.VectoredFaults.Add(int64(nf))
-	tickShard(sh, k.chargeDelivery(m.Delivery()))
-	fs := ln.vecFaults[:nf]
-	errs := ln.vecErrs[:nf]
-	for i := range errs {
-		errs[i] = nil
+	if vectored {
+		k.stats.VectoredFaults.Add(int64(nf))
 	}
-	if vh, ok := m.(VectorHandler); ok {
-		vh.HandleFaultVector(fs, errs)
+	tickShard(sh, k.chargeDelivery(m.Delivery()))
+	var vh VectorHandler
+	if nf > 1 {
+		vh, _ = m.(VectorHandler)
+	}
+	if vh != nil {
+		vh.HandleFaultVector(fs[:nf], errs[:nf])
 	} else {
-		for i, f := range fs {
-			errs[i] = m.HandleFault(f)
+		for j, f := range fs[:nf] {
+			errs[j] = m.HandleFault(f)
 		}
 	}
-	for _, err := range errs {
-		if err != nil && errors.Is(err, ErrManagerCrashed) {
-			// Mid-batch death. Revoke; every fault in the batch is answered
-			// as a lost delivery (resolved ones re-fault into the
-			// page-present check, unresolved ones re-fault to the adopter).
-			// Only if no fallback exists does the crash surface, per fault.
+	resumed := false
+	for j, err := range errs[:nf] {
+		switch {
+		case err == nil:
+			resumed = true
+		case errors.Is(err, ErrManagerCrashed):
+			// The manager died mid-handling. Revoke it and answer the whole
+			// run as lost deliveries (resolved faults re-fault into the
+			// page-present check, unresolved ones re-fault to the adopter);
+			// only if no fallback exists does the crash surface, per fault.
 			if _, rerr := k.Revoke(m); rerr == nil {
-				for i := range fs {
-					env := envs[ln.vecIdx[i]]
-					if env.Msg.reply != nil {
-						env.Msg.reply <- nil
-					}
-				}
+				clear(errs)
 				return
 			}
-			break
+			fallthrough
+		default:
+			errs[j] = fmt.Errorf("%w: %q on %v: %w", ErrManagerFailed, m.ManagerName(), fs[j], err)
 		}
 	}
-	// One return charge for the batch: the vectored upcall returns to the
-	// kernel once however many faults it carried.
-	tickShard(sh, k.chargeReturn(m.Delivery()))
-	for i, f := range fs {
-		err := errs[i]
-		if err != nil {
-			err = fmt.Errorf("%w: %q on %v: %w", ErrManagerFailed, m.ManagerName(), f, err)
-		}
-		env := envs[ln.vecIdx[i]]
-		if env.Msg.reply != nil {
-			env.Msg.reply <- err
+	// One return leg for the run: the upcall returns to the kernel once
+	// however many faults it carried, and resumes whoever was resolved — a
+	// run in which every fault failed resumes nobody.
+	if resumed {
+		tickShard(sh, k.chargeReturn(m.Delivery()))
+	}
+	// Scatter the survivors' outcomes back to their positions. idx ascends
+	// with idx[j] >= j, so walking down never overwrites an unread outcome.
+	for j := nf - 1; j >= 0; j-- {
+		if i := idx[j]; i != j {
+			errs[i], errs[j] = errs[j], nil
 		}
 	}
 }

@@ -12,15 +12,18 @@ import (
 	"time"
 
 	"epcm/internal/plane"
+	"epcm/internal/sim"
 )
 
 // vecRecorder is a manager that records how faults arrive: one entry per
 // upcall, each entry the pages that upcall carried (length 1 for the
-// serial HandleFault path). It resolves nothing — the tests below own the
-// reply channels directly, so no retry loop is waiting on resolution.
+// HandleFault path; vectorCalls counts the HandleFaultVector ones). It
+// resolves nothing — the tests below own the reply channels directly, so no
+// retry loop is waiting on resolution.
 type vecRecorder struct {
-	batches [][]int64
-	crashAt int // if >0, report ErrManagerCrashed for batch member crashAt-1 onwards
+	batches     [][]int64
+	vectorCalls int
+	crashAt     int // if >0, report ErrManagerCrashed for batch member crashAt-1 onwards
 }
 
 func (m *vecRecorder) ManagerName() string       { return "vec-recorder" }
@@ -31,6 +34,7 @@ func (m *vecRecorder) HandleFault(f Fault) error {
 	return nil
 }
 func (m *vecRecorder) HandleFaultVector(fs []Fault, errs []error) {
+	m.vectorCalls++
 	pages := make([]int64, len(fs))
 	for i, f := range fs {
 		pages[i] = f.Page
@@ -136,37 +140,17 @@ func TestVectoredBatchAssemblyDeterministic(t *testing.T) {
 	}
 }
 
-// TestVectorBatchCap: the adaptive-drain cap bounds each upcall; a cap of
-// one degenerates to the serial per-fault path (batches of length 1 go
-// through HandleFault, not HandleFaultVector).
+// TestVectorBatchCap: one upcall carries at most what one PopMany hands
+// the executor — laneDrainBatch faults — so a longer queue splits there.
 func TestVectorBatchCap(t *testing.T) {
-	defer SetVectorBatchCap(laneDrainBatch)
-	pages := []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	SetVectorBatchCap(4)
-	got := fmt.Sprint(drainBatches(t, pages, nil))
-	want := fmt.Sprint([][]int64{{0, 1, 2, 3}, {4, 5, 6, 7}, {8, 9}})
-	if got != want {
-		t.Fatalf("cap 4: batches %s, want %s", got, want)
+	pages := make([]int64, laneDrainBatch+3)
+	for i := range pages {
+		pages[i] = int64(i)
 	}
-	SetVectorBatchCap(1)
-	got = fmt.Sprint(drainBatches(t, pages, nil))
-	want = fmt.Sprint([][]int64{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {7}, {8}, {9}})
-	if got != want {
-		t.Fatalf("cap 1: batches %s, want %s", got, want)
-	}
-}
-
-// TestVectoredDisabledTakesSerialPath: with the -vector=false ablation the
-// same ring contents are delivered as per-fault HandleFault calls in the
-// same order, and no vectored-batch stats tick.
-func TestVectoredDisabledTakesSerialPath(t *testing.T) {
-	SetVectoredDelivery(false)
-	defer SetVectoredDelivery(true)
-	pages := []int64{4, 2, 6, 1}
 	got := fmt.Sprint(drainBatches(t, pages, nil))
-	want := fmt.Sprint([][]int64{{4}, {2}, {6}, {1}})
+	want := fmt.Sprint([][]int64{pages[:laneDrainBatch], pages[laneDrainBatch:]})
 	if got != want {
-		t.Fatalf("ablation: batches %s, want %s", got, want)
+		t.Fatalf("batches %s, want a split at laneDrainBatch: %s", got, want)
 	}
 }
 
@@ -300,10 +284,9 @@ func TestVectoredInterceptorPerFault(t *testing.T) {
 	}
 }
 
-// TestFaultRunLenPure: run assembly never looks past the cap or the first
-// non-fault message, and a non-fault head always yields a run of one.
+// TestFaultRunLenPure: run assembly never looks past the first non-fault
+// message, and a non-fault head is no run at all.
 func TestFaultRunLenPure(t *testing.T) {
-	defer SetVectorBatchCap(laneDrainBatch)
 	mkEnvs := func(kinds ...deliveryKind) []plane.Envelope[delivery] {
 		envs := make([]plane.Envelope[delivery], len(kinds))
 		for i, kd := range kinds {
@@ -313,21 +296,93 @@ func TestFaultRunLenPure(t *testing.T) {
 	}
 	cases := []struct {
 		kinds []deliveryKind
-		cap   int
 		want  int
 	}{
-		{[]deliveryKind{msgFault, msgFault, msgFault}, laneDrainBatch, 3},
-		{[]deliveryKind{msgFault, msgFault, msgDelete, msgFault}, laneDrainBatch, 2},
-		{[]deliveryKind{msgDelete, msgFault, msgFault}, laneDrainBatch, 1},
-		{[]deliveryKind{msgExec}, laneDrainBatch, 1},
-		{[]deliveryKind{msgFault, msgFault, msgFault, msgFault}, 2, 2},
-		{[]deliveryKind{msgFault}, 1, 1},
+		{[]deliveryKind{msgFault, msgFault, msgFault}, 3},
+		{[]deliveryKind{msgFault, msgFault, msgDelete, msgFault}, 2},
+		{[]deliveryKind{msgDelete, msgFault, msgFault}, 0},
+		{[]deliveryKind{msgExec}, 0},
+		{[]deliveryKind{msgFault}, 1},
 	}
 	for i, c := range cases {
-		SetVectorBatchCap(c.cap)
 		for trial := 0; trial < 3; trial++ {
 			if got := faultRunLen(mkEnvs(c.kinds...)); got != c.want {
 				t.Fatalf("case %d trial %d: run %d, want %d", i, trial, got, c.want)
+			}
+		}
+	}
+}
+
+// TestRunOfOneMatchesSerial: a run of one charges, counts and replies
+// exactly as the serial scheduler's delivery of the same fault does —
+// Trap, delivery, return, ManagerCalls, and each interceptor verdict —
+// whether the lane drains it off its ring or handles it inline, and the
+// vectored counters stay zero for it.
+func TestRunOfOneMatchesSerial(t *testing.T) {
+	cost := sim.DECstation5000()
+	const delay = 5 * time.Millisecond
+	cases := []struct {
+		name      string
+		verdict   InterceptResult
+		wantClock time.Duration
+		handled   bool
+	}{
+		{"plain", InterceptResult{}, cost.Trap + cost.Upcall + cost.ResumeDirect, true},
+		{"drop", InterceptResult{Drop: true}, cost.Trap, false},
+		{"delay", InterceptResult{Delay: delay}, cost.Trap + delay + cost.Upcall + cost.ResumeDirect, true},
+		{"crash", InterceptResult{Crash: true}, cost.Trap, false},
+	}
+	type outcome struct {
+		clock   time.Duration
+		stats   Stats
+		handled bool
+		err     error
+	}
+	for _, tc := range cases {
+		deliver := func(how string) outcome {
+			k := newTestKernel(t)
+			m := &vecRecorder{}
+			k.SetDefaultManager(&vecRecorder{})
+			seg, err := k.CreateSegment("one", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k.SetSegmentManager(seg, m)
+			k.SetInterceptor(func(Fault, Manager) InterceptResult { return tc.verdict })
+			f := Fault{Seg: seg, Page: 4, Kind: FaultMissing, Access: Read}
+			var o outcome
+			before := k.Clock().Now()
+			switch how {
+			case "serial":
+				o.err = k.Scheduler().DeliverFault(m, f)
+			case "inline":
+				k.SetScheduler(NewConcurrentScheduler(k))
+				t.Cleanup(k.Scheduler().Stop)
+				o.err = k.Scheduler().DeliverFault(m, f)
+			case "drained":
+				s, ln := vecLane(t, k, m)
+				reply := enqueueFault(t, ln, m, seg, f.Page)
+				s.drainCells(ln)
+				ln.token.Store(false)
+				o.err = <-reply
+			}
+			o.clock = k.Clock().Now() - before
+			o.stats = k.Stats()
+			o.handled = len(m.batches) == 1 && m.vectorCalls == 0
+			return o
+		}
+		want := deliver("serial")
+		if want.clock != tc.wantClock || want.handled != tc.handled || want.err != nil ||
+			want.stats.ManagerCalls != 1 || want.stats.Faults != 1 || want.stats.MissingFaults != 1 {
+			t.Fatalf("%s: serial delivery = %+v, want clock %v handled %v", tc.name, want, tc.wantClock, tc.handled)
+		}
+		for _, how := range []string{"inline", "drained"} {
+			got := deliver(how)
+			if got != want {
+				t.Errorf("%s/%s: %+v, want the serial delivery's %+v", tc.name, how, got, want)
+			}
+			if got.stats.VectoredBatches != 0 || got.stats.VectoredFaults != 0 {
+				t.Errorf("%s/%s: vectored counters ticked for a run of one", tc.name, how)
 			}
 		}
 	}

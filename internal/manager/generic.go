@@ -206,9 +206,9 @@ type Generic struct {
 	runSlotNext     int     // consumption cursor into runSlotQueue
 	runStartScratch []int64 // refill's slot-plan scratch (run starts)
 
-	// Vectored-resolve scratch (vector.go). Only the delivery lane's
-	// executor calls HandleFaultVector, so none of it needs locking, and a
-	// steady-state batch allocates nothing.
+	// Fault-pipeline scratch (vector.go). Only the manager's delivery
+	// context resolves faults, so none of it needs locking, and a
+	// steady-state fault allocates nothing.
 	vecClass    []uint8
 	vecSeen     map[resKey]struct{}
 	vecMembers  []int
@@ -434,187 +434,79 @@ func (g *Generic) Adopt() {
 // again immediately) never runs.
 func (g *Generic) RunsGranted(n int) { g.stats.Grants += int64(n) }
 
-// HandleFault implements kernel.Manager.
-func (g *Generic) HandleFault(f kernel.Fault) error {
-	g.stats.Faults++
-	return g.handleFault1(f)
-}
+// HandleFault and HandleFaultVector — the fault pipeline — are in vector.go.
 
-// handleFault1 resolves one fault — HandleFault minus the fault count, so
-// the vectored path (vector.go) can route individual faults of a batch
-// through the exact serial resolution without double-counting.
-func (g *Generic) handleFault1(f kernel.Fault) error {
-	var err error
-	switch f.Kind {
-	case kernel.FaultProtection:
-		if g.cfg.Protection != nil {
-			err = g.cfg.Protection(f)
-		} else {
-			need := kernel.FlagRead
-			if f.Access == kernel.Write {
-				need = kernel.FlagWrite
-			}
-			err = g.k.ModifyPageFlags(kernel.AppCred, f.Seg, f.Page, 1, need, 0)
-		}
-		if err == nil {
-			// A protection fault is the one access signal a manager ever
-			// observes for an already-resident page (true cache hits are
-			// invisible; the kernel just sets the Referenced bit).
-			g.policyTouch(resKey{seg: f.Seg, page: f.Page})
-		}
-	case kernel.FaultMissing, kernel.FaultCopyOnWrite:
-		err = g.PageIn(f)
-	default:
-		err = fmt.Errorf("manager %s: unknown fault kind %v", g.cfg.Name, f.Kind)
-	}
-	if err == nil && g.cfg.OnFault != nil {
-		g.cfg.OnFault(f)
-	}
-	return err
-}
-
-// PageIn serves a missing-page or copy-on-write fault: allocate a frame
-// from the free-page segment (requesting or reclaiming as needed), fill it,
-// and migrate it to the faulting page. It is exported so managers built on
-// Generic (e.g. the default manager's multi-page append allocation) can
-// drive it directly.
+// PageIn serves one missing-page or copy-on-write fault through the fault
+// pipeline as a group of one. It is exported so managers built on Generic
+// (e.g. the default manager's multi-page append allocation) can drive it
+// directly; unlike HandleFault it counts no fault and fires no OnFault.
 func (g *Generic) PageIn(f kernel.Fault) error {
-	key := resKey{seg: f.Seg, page: f.Page}
-	// Fast re-fault: the page was reclaimed but its frame not yet reused —
-	// migrate it straight back (§2.2). The len check spares the 16-byte
-	// struct-key map hash on the common path where nothing was reclaimed.
-	if len(g.recallIdx) > 0 {
-		if i, ok := g.recallIdx[key]; ok && f.Kind == kernel.FaultMissing {
-			fs := g.freeSlots[i]
-			g.stats.MigrateCalls++
-			if err := g.k.MigratePages(kernel.AppCred, g.free, f.Seg, fs.slot, f.Page, 1, g.cfg.MapFlags, kernel.FlagReferenced|kernel.FlagDirty); err != nil {
-				return err
-			}
-			g.removeFreeSlotAt(i)
-			g.emptySlots = append(g.emptySlots, fs.slot)
-			g.addResident(key)
-			g.stats.FastRefaults++
-			return nil
-		}
-	}
-
-	// Superpage fast path: a fault on a fully-absent extent pages the whole
-	// extent in over one contiguous frame run (one batched migration, one
-	// SuperpageOp charge). Off by default — the gate is an integer compare.
-	if f.Kind == kernel.FaultMissing && g.superOn() {
-		if handled, err := g.pageInExtent(f); handled || err != nil {
-			return err
-		}
-	}
-
-	var constraint phys.Range
-	if g.cfg.Constraint != nil {
-		constraint = g.cfg.Constraint(f)
-	} else {
-		constraint = phys.AnyFrame()
-	}
-	slotIdx, err := g.allocSlot(constraint)
-	if err != nil {
-		return err
-	}
-	fs := g.freeSlots[slotIdx]
-
-	// Fill the frame while it is still in the free segment (the manager
-	// has the free segment mapped into its own address space, §2.2).
-	if f.Kind == kernel.FaultMissing {
-		frame := fs.frame
-		if frame == nil {
-			frame = g.free.FrameAt(fs.slot)
-		}
-		var fillErr error
-		if g.cfg.Fill != nil {
-			fillErr = g.cfg.Fill(f, frame)
-		} else {
-			fillErr = g.cfg.Backing.Fill(f.Seg, f.Page, frame)
-		}
-		if fillErr != nil {
-			fillErr = g.retryBacking(fillErr, func() error {
-				if g.cfg.Fill != nil {
-					return g.cfg.Fill(f, frame)
-				}
-				return g.cfg.Backing.Fill(f.Seg, f.Page, frame)
-			})
-		}
-		switch {
-		case fillErr == nil:
-			g.stats.Fills++
-		case errors.Is(fillErr, ErrSkipFill):
-			// Contents intentionally left as they are.
-		default:
-			return fillErr
-		}
-	}
-	// For a COW fault the kernel copies the source contents after this
-	// migrate (§2.1), so no fill happens here.
-
-	g.stats.MigrateCalls++
-	if err := g.k.MigratePages(kernel.AppCred, g.free, f.Seg, fs.slot, f.Page, 1, g.cfg.MapFlags, kernel.FlagReferenced|kernel.FlagDirty); err != nil {
-		return err
-	}
-	g.removeFreeSlotAt(slotIdx)
-	g.emptySlots = append(g.emptySlots, fs.slot)
-	g.addResident(key)
-	return nil
+	fs, errs, one := [1]kernel.Fault{f}, [1]error{}, [1]int{}
+	g.pageIn(fs[:], errs[:], one[:], false)
+	return errs[0]
 }
 
-// allocSlot picks a free slot whose frame satisfies the constraint,
-// requesting more frames or reclaiming if necessary.
-func (g *Generic) allocSlot(constraint phys.Range) (int, error) {
+// acquireSlots picks n free slots whose frames satisfy the constraint and
+// returns their free-list indices, asking the frame source and then local
+// reclamation for more — three rounds — while the list is short. When it
+// returns fewer than n, the error says why: the source's or the reclaim's
+// own, else ErrNoMemory. Unassociated frames come first; fast-refault
+// associations are broken only if needed, and only for slots returned.
+func (g *Generic) acquireSlots(n int, constraint phys.Range) ([]int, error) {
+	// The unconstrained case — every fault without a Constraint hook — skips
+	// the per-slot frame resolution entirely: any frame admits.
 	unconstrained := !constraint.Constrained()
-	for attempt := 0; attempt < 3; attempt++ {
-		// Prefer unassociated frames; break associations only if needed.
-		// The unconstrained case — every fault without a Constraint hook —
-		// skips the per-slot frame resolution entirely: any frame admits.
-		best := -1
-		for i, fs := range g.freeSlots {
-			if !unconstrained {
-				frame := fs.frame
-				if frame == nil {
-					frame = g.free.FrameAt(fs.slot)
-				}
-				if !constraint.Admits(frame) {
+	var err error
+	chosen := g.vecChosen[:0]
+	for round := 0; ; round++ {
+		chosen = chosen[:0]
+		for _, recall := range [2]bool{false, true} {
+			for i := 0; i < len(g.freeSlots) && len(chosen) < n; i++ {
+				fs := &g.freeSlots[i]
+				if fs.recall != recall {
 					continue
 				}
-			}
-			if !fs.recall {
-				best = i
-				break
-			}
-			if best == -1 {
-				best = i
+				if !unconstrained {
+					frame := fs.frame
+					if frame == nil {
+						frame = g.free.FrameAt(fs.slot)
+					}
+					if !constraint.Admits(frame) {
+						continue
+					}
+				}
+				chosen = append(chosen, i)
 			}
 		}
-		if best >= 0 {
-			if fs := g.freeSlots[best]; fs.recall {
-				delete(g.recallIdx, fs.from)
-				g.freeSlots[best].recall = false
-			}
-			return best, nil
+		if len(chosen) == n || round == 3 {
+			break
 		}
-		// Try the frame source, then local reclamation.
+		want := max(n-len(chosen), g.cfg.RequestBatch)
 		if g.cfg.Source != nil {
-			granted, err := g.cfg.Source.RequestFrames(g, g.cfg.RequestBatch, constraint)
-			if err != nil {
-				return -1, err
+			var granted int
+			if granted, err = g.cfg.Source.RequestFrames(g, want, constraint); err != nil {
+				break
 			}
 			if granted > 0 {
 				continue
 			}
 		}
-		n, err := g.Reclaim(g.cfg.RequestBatch, constraint)
-		if err != nil {
-			return -1, err
-		}
-		if n == 0 {
+		var got int
+		if got, err = g.Reclaim(want, constraint); err != nil || got == 0 {
 			break
 		}
 	}
-	return -1, fmt.Errorf("%w (manager %s, constraint %v)", ErrNoMemory, g.cfg.Name, constraint)
+	g.vecChosen = chosen
+	for _, i := range chosen {
+		if fs := &g.freeSlots[i]; fs.recall {
+			delete(g.recallIdx, fs.from)
+			fs.recall = false
+		}
+	}
+	if len(chosen) < n && err == nil {
+		err = fmt.Errorf("%w (manager %s, constraint %v)", ErrNoMemory, g.cfg.Name, constraint)
+	}
+	return chosen, err
 }
 
 func (g *Generic) removeFreeSlotAt(i int) {
@@ -942,29 +834,20 @@ func (g *Generic) SegmentDeleted(s *kernel.Segment) {
 		slots := g.ReceiveSlots(len(pages))
 		g.stats.MigrateCalls++
 		ranges := kernel.CoalesceRanges(pages, slots)
-		if err := g.k.MigratePagesBatch(kernel.AppCred, s, g.free, ranges, 0, clear); err == nil {
-			for i, p := range pages {
-				g.removeResident(resKey{seg: s, page: p})
-				g.freeSlots = append(g.freeSlots, freeSlot{slot: slots[i]})
-				g.nFree.Add(1)
-			}
-		} else {
-			for i, p := range pages {
-				if s.HasPage(p) {
-					g.stats.MigrateCalls++
-					if err := g.k.MigratePages(kernel.AppCred, s, g.free, p, slots[i], 1, 0, clear); err != nil {
-						// The kernel will sweep anything we leave; the
-						// unused slot stays receivable.
-						g.emptySlots = append(g.emptySlots, slots[i])
-						continue
-					}
+		batched := g.k.MigratePagesBatch(kernel.AppCred, s, g.free, ranges, 0, clear) == nil
+		for i, p := range pages {
+			if !batched && s.HasPage(p) {
+				g.stats.MigrateCalls++
+				if err := g.k.MigratePages(kernel.AppCred, s, g.free, p, slots[i], 1, 0, clear); err != nil {
+					// The kernel will sweep anything we leave; the unused
+					// slot stays receivable.
+					g.emptySlots = append(g.emptySlots, slots[i])
+					continue
 				}
-				// Else: already migrated into slots[i] before the batch
-				// (or its unbatched fallback) stopped.
-				g.removeResident(resKey{seg: s, page: p})
-				g.freeSlots = append(g.freeSlots, freeSlot{slot: slots[i]})
-				g.nFree.Add(1)
 			}
+			g.removeResident(resKey{seg: s, page: p})
+			g.freeSlots = append(g.freeSlots, freeSlot{slot: slots[i]})
+			g.nFree.Add(1)
 		}
 	}
 	g.resIdx.dropSeg(s)

@@ -35,9 +35,10 @@ type residentIndex struct {
 // posSlots holds one segment's page -> position mapping. Positions are
 // stored +1 so the zero value of a dense cell means "absent".
 type posSlots struct {
-	dense  atomic.Pointer[[]atomic.Int32] // pages [0, len(dense))
-	mu     sync.Mutex
-	sparse map[int64]int32 // pages beyond the dense prefix
+	dense   atomic.Pointer[[]atomic.Int32] // pages [0, len(dense))
+	growing atomic.Bool                    // a grower is copying dense under mu
+	mu      sync.Mutex
+	sparse  map[int64]int32 // pages beyond the dense prefix
 }
 
 const (
@@ -134,6 +135,7 @@ func (x *residentIndex) set(k resKey, v int32) {
 			want = posDenseMax
 		}
 		grown := make([]atomic.Int32, want)
+		ps.growing.Store(true)
 		if cells != nil {
 			for i := range *cells {
 				grown[i].Store((*cells)[i].Load())
@@ -141,6 +143,7 @@ func (x *residentIndex) set(k resKey, v int32) {
 		}
 		grown[k.page].Store(v)
 		ps.dense.Store(&grown)
+		ps.growing.Store(false)
 		return
 	}
 	if v == 0 {
@@ -156,8 +159,11 @@ func (x *residentIndex) set(k resKey, v int32) {
 // storeDense writes v into the dense cell for page if the prefix covers it,
 // reporting success. The re-check closes the race with a concurrent grow: a
 // grower copies cell values under the mutex, so a store into the old array
-// may be missed — if the array pointer moved, redo the store into the new
-// one.
+// may be missed. A store that lands while no grower is copying and the
+// array pointer has not moved was either copied or needs no copy; otherwise
+// wait for the grower to publish and redo the store into the new array.
+// (Checking the pointer alone is not enough: the copy of this cell can
+// precede the store and the publish follow the check.)
 func (ps *posSlots) storeDense(page int64, v int32) bool {
 	for {
 		cells := ps.dense.Load()
@@ -165,9 +171,11 @@ func (ps *posSlots) storeDense(page int64, v int32) bool {
 			return false
 		}
 		(*cells)[page].Store(v)
-		if ps.dense.Load() == cells {
+		if !ps.growing.Load() && ps.dense.Load() == cells {
 			return true
 		}
+		ps.mu.Lock() // wait out the grower
+		ps.mu.Unlock()
 	}
 }
 

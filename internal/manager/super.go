@@ -252,14 +252,7 @@ func (g *Generic) pageInExtent(f kernel.Fault) (bool, error) {
 	for i := int64(0); i < n; i++ {
 		pf := f
 		pf.Page = base + i
-		frame := g.frameScratch[i]
-		var fillErr error
-		if g.cfg.Fill != nil {
-			fillErr = g.cfg.Fill(pf, frame)
-		} else {
-			fillErr = g.cfg.Backing.Fill(f.Seg, pf.Page, frame)
-		}
-		if fillErr != nil && !errors.Is(fillErr, ErrSkipFill) {
+		if fillErr := g.fillFrame(pf, g.frameScratch[i]); fillErr != nil && !errors.Is(fillErr, ErrSkipFill) {
 			g.requeueExtentRun(startSlot, n)
 			return false, nil
 		}

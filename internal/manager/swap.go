@@ -78,26 +78,22 @@ func (g *Generic) SwapIn(seg *kernel.Segment, pages []int64) (SwapStats, error) 
 		if seg.HasPage(p) {
 			continue
 		}
-		slotIdx, err := g.allocSlot(phys.AnyFrame())
+		chosen, err := g.acquireSlots(1, phys.AnyFrame())
 		if err != nil {
 			return st, fmt.Errorf("swap in %v page %d: %w", seg, p, err)
 		}
-		fs := g.freeSlots[slotIdx]
-		frame := g.free.FrameAt(fs.slot)
+		slotIdx := [1]int{chosen[0]}
+		frame := g.free.FrameAt(g.freeSlots[slotIdx[0]].slot)
 		if err := g.cfg.Backing.Fill(seg, p, frame); err != nil {
 			if err = g.retryBacking(err, func() error { return g.cfg.Backing.Fill(seg, p, frame) }); err != nil {
 				return st, fmt.Errorf("swap in %v page %d: %w", seg, p, err)
 			}
 		}
 		g.stats.Fills++
-		g.stats.MigrateCalls++
-		if err := g.k.MigratePages(kernel.AppCred, g.free, seg, fs.slot, p, 1,
-			g.cfg.MapFlags, kernel.FlagReferenced|kernel.FlagDirty); err != nil {
-			return st, err
+		f, errs, one := [1]kernel.Fault{{Seg: seg, Page: p}}, [1]error{}, [1]int{}
+		if g.settle(f[:], errs[:], one[:], slotIdx[:]); errs[0] != nil {
+			return st, errs[0]
 		}
-		g.removeFreeSlotAt(slotIdx)
-		g.emptySlots = append(g.emptySlots, fs.slot)
-		g.addResident(resKey{seg: seg, page: p})
 		st.PagesIn++
 	}
 	return st, nil

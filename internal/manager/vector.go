@@ -2,74 +2,102 @@ package manager
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 
 	"epcm/internal/kernel"
 	"epcm/internal/phys"
 )
 
-// Batched fault resolution — the manager half of vectored delivery. When
-// the kernel hands Generic a vector of faults (kernel.VectorHandler), the
-// manager resolves them in bulk instead of one round trip each:
+// The fault pipeline. Every fault Generic resolves — one delivered alone
+// (HandleFault), a vector of them (kernel.VectorHandler), a page-in a
+// derived manager drives directly (PageIn) — runs the same sequence:
+// classify the faults into groups, and for each group acquire frames, fill
+// them, and settle. A fault alone is a group of one; grouping only changes
+// how many kernel calls the sequence spends:
 //
 //   - default-handled protection faults are grouped by (segment, flag) and
 //     settled with one ModifyPageFlagsBatch per group;
 //   - plain missing-page faults are grouped by segment: free frames are
-//     acquired for the whole group up front (one frame-source request or
-//     one Reclaim pass — victim selection runs once per group, through the
-//     same Policy hooks the serial path uses), missing frame pointers are
+//     acquired for the whole group up front (victim selection runs once per
+//     group, through the same Policy hooks), missing frame pointers are
 //     resolved with one AppendFirstFrames call, each frame is filled, and
 //     the group lands with one MigratePagesBatch;
 //   - everything else — COW faults, recall hits, constraint or Protection
-//     or superpage specializations, duplicate pages within the batch —
-//     takes handleFault1, the exact serial path, per fault.
+//     or superpage specializations, duplicate pages within the vector — is a
+//     group of its own.
 //
-// Any batched step that fails falls back to the serial path for the faults
-// it covered, so the observable per-fault outcomes (which pages become
-// resident, which faults error and how) match serial resolution; only the
-// number of kernel calls spent getting there shrinks.
+// A group step that fails is re-driven one member at a time through the
+// same code, so the observable per-fault outcomes (which pages become
+// resident, which faults error and how) do not depend on the grouping.
 
 var _ kernel.VectorHandler = (*Generic)(nil)
 
 // IOAccountant is an optional FrameSource extension: a source that meters
 // I/O (the SPCM's memory market) is charged once per resolved group for
-// the pages the group filled from backing store, instead of per page-in.
-// Only the vectored path charges through this interface — the serial path
-// predates it and stays cost-identical to the paper's accounting.
+// the pages the group filled from backing store. Only missing-page groups
+// of a vector of two or more faults charge through it — a fault delivered
+// alone predates the interface and stays cost-identical to the paper's
+// accounting (a known divergence by delivery shape; see DESIGN.md).
 type IOAccountant interface {
 	ChargeIO(g *Generic, pages int64)
 }
 
-// Fault classes assigned during the classification pass. classDone marks a
-// fault a batched group already resolved.
+// Fault classes assigned during the classification pass. vecDone marks a
+// fault a group already took.
 const (
-	vecSerial = uint8(iota)
+	vecSingle = uint8(iota)
 	vecProt
 	vecMiss
 	vecDone
 )
 
+// HandleFault implements kernel.Manager: a fault alone is a group of one.
+func (g *Generic) HandleFault(f kernel.Fault) error {
+	g.stats.Faults++
+	fs, errs, one := [1]kernel.Fault{f}, [1]error{}, [1]int{}
+	g.resolve(fs[:], errs[:], one[:], false)
+	return errs[0]
+}
+
 // HandleFaultVector implements kernel.VectorHandler.
 func (g *Generic) HandleFaultVector(fs []kernel.Fault, errs []error) {
 	g.stats.Faults += int64(len(fs))
-	if len(fs) == 1 {
-		errs[0] = g.handleFault1(fs[0])
-		return
+	cls := g.classify(fs)
+	for i := range fs {
+		if cls[i] == vecProt {
+			g.resolve(fs, errs, g.group(fs, cls, i), false)
+		}
 	}
+	bill := len(fs) > 1
+	for i := range fs {
+		if cls[i] == vecMiss {
+			g.resolve(fs, errs, g.group(fs, cls, i), bill)
+		}
+	}
+	for i := range fs {
+		if cls[i] == vecSingle {
+			one := [1]int{i}
+			g.resolve(fs, errs, one[:], false)
+		}
+	}
+}
+
+// classify sorts the faults of a vector into groupable protection faults,
+// groupable missing-page faults, and singles.
+func (g *Generic) classify(fs []kernel.Fault) []uint8 {
 	if cap(g.vecClass) < len(fs) {
 		g.vecClass = make([]uint8, len(fs))
 	}
 	cls := g.vecClass[:len(fs)]
 	if g.vecSeen == nil {
 		g.vecSeen = make(map[resKey]struct{}, len(fs))
-	} else {
-		for k := range g.vecSeen {
-			delete(g.vecSeen, k)
-		}
 	}
+	clear(g.vecSeen)
 	superOn := g.superOn()
 	for i, f := range fs {
 		key := resKey{seg: f.Seg, page: f.Page}
-		cls[i] = vecSerial
+		cls[i] = vecSingle
 		switch {
 		case f.Kind == kernel.FaultProtection && g.cfg.Protection == nil:
 			if _, dup := g.vecSeen[key]; dup {
@@ -79,35 +107,19 @@ func (g *Generic) HandleFaultVector(fs []kernel.Fault, errs []error) {
 			cls[i] = vecProt
 		case f.Kind == kernel.FaultMissing && !superOn && g.cfg.Constraint == nil:
 			if _, dup := g.vecSeen[key]; dup {
-				break // second fault on one page reproduces serial ErrPageBusy
+				break // second fault on one page must see ErrPageBusy alone
 			}
-			if len(g.recallIdx) > 0 {
-				if _, ok := g.recallIdx[key]; ok {
-					break // fast re-fault keeps its exact serial charges
-				}
+			if _, ok := g.recallIdx[key]; ok {
+				break // fast re-fault keeps its exact single-fault charges
 			}
 			if f.Seg.HasPage(f.Page) {
-				break // stale fault; serial path reports ErrPageBusy
+				break // stale fault; must see ErrPageBusy alone
 			}
 			g.vecSeen[key] = struct{}{}
 			cls[i] = vecMiss
 		}
 	}
-	for i := range fs {
-		if cls[i] == vecProt {
-			g.resolveProtGroup(fs, errs, cls, i)
-		}
-	}
-	for i := range fs {
-		if cls[i] == vecMiss {
-			g.resolveMissGroup(fs, errs, cls, i)
-		}
-	}
-	for i, f := range fs {
-		if cls[i] == vecSerial {
-			errs[i] = g.handleFault1(f)
-		}
-	}
+	return cls
 }
 
 // needFlag is the access mode a default-handled protection fault enables.
@@ -118,101 +130,125 @@ func needFlag(f kernel.Fault) kernel.PageFlags {
 	return kernel.FlagRead
 }
 
-// resolveProtGroup settles every vecProt fault sharing fs[first]'s segment
-// and needed flag with one ModifyPageFlagsBatch, then feeds the per-fault
-// signals (policy touch, OnFault) exactly as the serial path would.
-func (g *Generic) resolveProtGroup(fs []kernel.Fault, errs []error, cls []uint8, first int) {
-	seg, need := fs[first].Seg, needFlag(fs[first])
-	g.vecMembers = g.vecMembers[:0]
-	g.vecRanges = g.vecRanges[:0]
-	for i := first; i < len(fs); i++ {
-		if cls[i] != vecProt || fs[i].Seg != seg || needFlag(fs[i]) != need {
-			continue
-		}
-		cls[i] = vecDone
-		g.vecMembers = append(g.vecMembers, i)
-		p := fs[i].Page
-		if n := len(g.vecRanges); n > 0 && g.vecRanges[n-1].Page+g.vecRanges[n-1].Pages == p {
-			g.vecRanges[n-1].Pages++
-		} else {
-			g.vecRanges = append(g.vecRanges, kernel.PageRange{Page: p, Pages: 1})
-		}
-	}
-	if err := g.k.ModifyPageFlagsBatch(kernel.AppCred, seg, g.vecRanges, need, 0); err != nil {
-		for _, i := range g.vecMembers {
-			errs[i] = g.handleFault1(fs[i])
-		}
-		return
-	}
-	for _, i := range g.vecMembers {
-		g.policyTouch(resKey{seg: seg, page: fs[i].Page})
-		if g.cfg.OnFault != nil {
-			g.cfg.OnFault(fs[i])
-		}
-	}
-}
-
-// resolveMissGroup pages in every vecMiss fault sharing fs[first]'s
-// segment as one group: frames for the whole group are acquired up front,
-// filled in place, and migrated with a single batched kernel call. Faults
-// the group cannot serve (no frame left, fill error, batch failure) fall
-// back per fault.
-func (g *Generic) resolveMissGroup(fs []kernel.Fault, errs []error, cls []uint8, first int) {
-	seg := fs[first].Seg
+// group collects, from fs[first] on, the faults of fs[first]'s class that
+// one group step can take together: its segment and, for protection
+// faults, its needed flag.
+func (g *Generic) group(fs []kernel.Fault, cls []uint8, first int) []int {
+	class, seg, need := cls[first], fs[first].Seg, needFlag(fs[first])
 	members := g.vecMembers[:0]
 	for i := first; i < len(fs); i++ {
-		if cls[i] == vecMiss && fs[i].Seg == seg {
+		if cls[i] == class && fs[i].Seg == seg && (class != vecProt || needFlag(fs[i]) == need) {
 			cls[i] = vecDone
 			members = append(members, i)
 		}
 	}
 	g.vecMembers = members
+	return members
+}
 
-	// Acquire frames for the whole group: the one frame-source request /
-	// Reclaim pass that replaces a per-fault allocSlot loop. Victim
-	// selection runs once here, through the same Policy hooks.
-	need := len(members)
-	for attempt := 0; attempt < 3 && len(g.freeSlots) < need; attempt++ {
-		if g.cfg.Source != nil {
-			want := need - len(g.freeSlots)
-			if want < g.cfg.RequestBatch {
-				want = g.cfg.RequestBatch
+// resolve runs one group — fs[members], all of one kind — and feeds the
+// per-fault signal of the faults it resolved (OnFault). bill marks a group
+// whose fills are charged through the source's IOAccountant.
+func (g *Generic) resolve(fs []kernel.Fault, errs []error, members []int, bill bool) {
+	switch f := fs[members[0]]; f.Kind {
+	case kernel.FaultProtection:
+		g.resolveProt(fs, errs, members)
+	case kernel.FaultMissing, kernel.FaultCopyOnWrite:
+		g.pageIn(fs, errs, members, bill)
+	default:
+		errs[members[0]] = fmt.Errorf("manager %s: unknown fault kind %v", g.cfg.Name, f.Kind)
+	}
+	if g.cfg.OnFault != nil {
+		for _, i := range members {
+			if errs[i] == nil {
+				g.cfg.OnFault(fs[i])
 			}
-			granted, err := g.cfg.Source.RequestFrames(g, want, phys.AnyFrame())
-			if err != nil {
-				break // serial fallback below surfaces the source's behaviour
-			}
-			if granted > 0 {
-				continue
-			}
-		}
-		if _, err := g.Reclaim(need-len(g.freeSlots), phys.AnyFrame()); err != nil {
-			break
 		}
 	}
+}
 
-	// Choose slots: unassociated frames first, then break recall
-	// associations, exactly allocSlot's preference order.
-	chosen := g.vecChosen[:0]
-	for i := range g.freeSlots {
-		if len(chosen) == need {
-			break
+// resolveProt settles a group of protection faults: the Protection hook
+// when one is set (always a group of one), otherwise one ModifyPageFlagsBatch
+// enabling the faulted access mode over the group's pages. A protection
+// fault is the one access signal a manager ever observes for an
+// already-resident page (true cache hits are invisible; the kernel just
+// sets the Referenced bit), so each resolved fault touches the policy.
+func (g *Generic) resolveProt(fs []kernel.Fault, errs []error, members []int) {
+	first := fs[members[0]]
+	var err error
+	if g.cfg.Protection != nil {
+		err = g.cfg.Protection(first)
+	} else {
+		ranges := g.vecRanges[:0]
+		for _, i := range members {
+			p := fs[i].Page
+			if n := len(ranges); n > 0 && ranges[n-1].Page+ranges[n-1].Pages == p {
+				ranges[n-1].Pages++
+			} else {
+				ranges = append(ranges, kernel.PageRange{Page: p, Pages: 1})
+			}
 		}
-		if !g.freeSlots[i].recall {
-			chosen = append(chosen, i)
+		g.vecRanges = ranges
+		err = g.k.ModifyPageFlagsBatch(kernel.AppCred, first.Seg, ranges, needFlag(first), 0)
+	}
+	switch {
+	case err == nil:
+		for _, i := range members {
+			g.policyTouch(resKey{seg: first.Seg, page: fs[i].Page})
+		}
+	case len(members) == 1:
+		errs[members[0]] = err
+	default:
+		for j := range members {
+			g.resolveProt(fs, errs, members[j:j+1])
 		}
 	}
-	for i := range g.freeSlots {
-		if len(chosen) == need {
-			break
+}
+
+// pageIn serves a group of missing-page faults on one segment — or any one
+// missing-page or copy-on-write fault — acquire frames from the free-page
+// segment (requesting or reclaiming as needed), fill them while they are
+// still there (the manager has the free segment mapped into its own address
+// space, §2.2), and settle. For a COW fault the kernel copies the source
+// contents after the migrate (§2.1), so no fill happens here. Faults the
+// group has no frame for are re-driven alone, with their own acquisition
+// attempts; a fill error is that fault's outcome, its frame stays free.
+func (g *Generic) pageIn(fs []kernel.Fault, errs []error, members []int, bill bool) {
+	first := fs[members[0]]
+	if len(members) == 1 && first.Kind == kernel.FaultMissing {
+		// Fast re-fault: the page was reclaimed but its frame not yet reused
+		// — migrate it straight back, no fill, no I/O (§2.2). The len check
+		// spares the 16-byte struct-key map hash on the common path where
+		// nothing was reclaimed.
+		if len(g.recallIdx) > 0 {
+			if ci, ok := g.recallIdx[resKey{seg: first.Seg, page: first.Page}]; ok {
+				slotIdx := [1]int{ci}
+				g.settle(fs, errs, members, slotIdx[:])
+				if errs[members[0]] == nil {
+					g.stats.FastRefaults++
+				}
+				return
+			}
 		}
-		if sl := g.freeSlots[i]; sl.recall {
-			delete(g.recallIdx, sl.from)
-			g.freeSlots[i].recall = false
-			chosen = append(chosen, i)
+		// Superpage fast path: a fault on a fully-absent extent pages the
+		// whole extent in over one contiguous frame run. Off by default —
+		// the gate is an integer compare.
+		if g.superOn() {
+			if handled, err := g.pageInExtent(first); handled || err != nil {
+				errs[members[0]] = err
+				return
+			}
 		}
 	}
-	g.vecChosen = chosen
+	constraint := phys.AnyFrame()
+	if g.cfg.Constraint != nil {
+		constraint = g.cfg.Constraint(first)
+	}
+	chosen, err := g.acquireSlots(len(members), constraint)
+	if len(members) == 1 && len(chosen) == 0 {
+		errs[members[0]] = err
+		return
+	}
 
 	// Resolve missing frame pointers for the chosen slots in one batched
 	// segment-lock pass instead of a FrameAt per slot.
@@ -233,137 +269,42 @@ func (g *Generic) resolveMissGroup(fs []kernel.Fault, errs []error, cls []uint8,
 		}
 	}
 
-	// Fill each frame while it is still in the free segment. A fault the
-	// group has no frame for goes back to the serial path (which runs its
-	// own acquisition attempts and produces serial ErrNoMemory semantics);
-	// a fill error is that fault's outcome, its frame stays free.
 	if cap(g.vecSlotIdx) < len(members) {
 		g.vecSlotIdx = make([]int, len(members))
 	}
-	slotIdx := g.vecSlotIdx[:len(members)]
+	slotIdx := g.vecSlotIdx[:len(chosen)]
 	fills := int64(0)
-	for j, i := range members {
-		if j >= len(chosen) {
-			slotIdx[j] = -1
-			cls[i] = vecSerial
+	for j, ci := range chosen {
+		slotIdx[j] = ci
+		f := fs[members[j]]
+		if f.Kind != kernel.FaultMissing {
 			continue
 		}
-		slotIdx[j] = chosen[j]
-		f := fs[i]
-		frame := g.freeSlots[chosen[j]].frame
-		fillErr := g.fillFrame(f, frame)
-		switch {
+		switch fillErr := g.fillFrame(f, g.freeSlots[ci].frame); {
 		case fillErr == nil:
 			g.stats.Fills++
 			fills++
 		case errors.Is(fillErr, ErrSkipFill):
 			// Contents intentionally left as they are.
 		default:
-			errs[i] = fillErr
+			errs[members[j]] = fillErr
 			slotIdx[j] = -1
 		}
 	}
-	if fills > 0 {
+	if bill && fills > 0 {
 		if acct, ok := g.cfg.Source.(IOAccountant); ok {
 			acct.ChargeIO(g, fills)
 		}
 	}
-
-	// Settle the group with one batched migration.
-	g.vecSlots = g.vecSlots[:0]
-	g.vecPages = g.vecPages[:0]
-	for j, i := range members {
-		if slotIdx[j] >= 0 {
-			g.vecSlots = append(g.vecSlots, g.freeSlots[slotIdx[j]].slot)
-			g.vecPages = append(g.vecPages, fs[i].Page)
-		}
-	}
-	if len(g.vecSlots) == 0 {
-		return
-	}
-	g.vecRanges = kernel.CoalesceRangesInto(g.vecRanges[:0], g.vecSlots, g.vecPages)
-	g.stats.MigrateCalls++
-	if err := g.k.MigratePagesBatch(kernel.AppCred, g.free, seg, g.vecRanges,
-		g.cfg.MapFlags, kernel.FlagReferenced|kernel.FlagDirty); err != nil {
-		g.missGroupFallback(fs, errs, members, slotIdx, seg)
-		return
-	}
-	// Bookkeeping: free-slot removals run highest index first so the
-	// swap-remove never relocates a chosen entry that is still pending.
-	used := chosen[:0]
-	for j := range members {
-		if slotIdx[j] >= 0 {
-			used = append(used, slotIdx[j])
-		}
-	}
-	sortDescending(used)
-	for _, ci := range used {
-		slot := g.freeSlots[ci].slot
-		g.removeFreeSlotAt(ci)
-		g.emptySlots = append(g.emptySlots, slot)
-	}
-	for j, i := range members {
-		if slotIdx[j] < 0 {
-			continue
-		}
-		g.addResident(resKey{seg: seg, page: fs[i].Page})
-		if g.cfg.OnFault != nil {
-			g.cfg.OnFault(fs[i])
-		}
-	}
-}
-
-// missGroupFallback re-runs a failed group migration page at a time — the
-// same degradation SegmentDeleted uses — so one bad range cannot take down
-// the faults that could still be served. g.vecSlots still holds the slot
-// numbers of the filled members in order; free-list indices are relocated
-// by slot number because every removal reshuffles them.
-func (g *Generic) missGroupFallback(fs []kernel.Fault, errs []error, members []int, slotIdx []int, seg *kernel.Segment) {
-	cursor := 0
-	for j, i := range members {
-		if slotIdx[j] < 0 {
-			continue
-		}
-		slot := g.vecSlots[cursor]
-		cursor++
-		ci := -1
-		for x := range g.freeSlots {
-			if g.freeSlots[x].slot == slot {
-				ci = x
-				break
-			}
-		}
-		if ci < 0 {
-			errs[i] = ErrNoMemory
-			continue
-		}
-		g.stats.MigrateCalls++
-		if err := g.k.MigratePages(kernel.AppCred, g.free, seg, slot, fs[i].Page, 1,
-			g.cfg.MapFlags, kernel.FlagReferenced|kernel.FlagDirty); err != nil {
-			errs[i] = err
-			continue
-		}
-		g.removeFreeSlotAt(ci)
-		g.emptySlots = append(g.emptySlots, slot)
-		g.addResident(resKey{seg: seg, page: fs[i].Page})
-		if g.cfg.OnFault != nil {
-			g.cfg.OnFault(fs[i])
-		}
-	}
-}
-
-// sortDescending is an allocation-free insertion sort for the small
-// (≤ batch size) used-slot index lists.
-func sortDescending(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] > a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
+	unserved := members[len(chosen):]
+	g.settle(fs, errs, members[:len(chosen)], slotIdx)
+	for j := range unserved {
+		g.pageIn(fs, errs, unserved[j:j+1], bill)
 	}
 }
 
 // fillFrame runs the fill hook or backing fill with the retry budget — the
-// fill leg of PageIn, shared with the vectored path.
+// one fill leg of every page-in, per page or per extent.
 func (g *Generic) fillFrame(f kernel.Fault, frame *phys.Frame) error {
 	var err error
 	if g.cfg.Fill != nil {
@@ -380,4 +321,68 @@ func (g *Generic) fillFrame(f kernel.Fault, frame *phys.Frame) error {
 		})
 	}
 	return err
+}
+
+// migrateIn moves the frames at free-list entries slotIdx[j] >= 0 to the
+// pages faulted by fs[members[j]] with one batched kernel call.
+func (g *Generic) migrateIn(fs []kernel.Fault, members, slotIdx []int) error {
+	g.vecSlots = g.vecSlots[:0]
+	g.vecPages = g.vecPages[:0]
+	for j, i := range members {
+		if slotIdx[j] >= 0 {
+			g.vecSlots = append(g.vecSlots, g.freeSlots[slotIdx[j]].slot)
+			g.vecPages = append(g.vecPages, fs[i].Page)
+		}
+	}
+	if len(g.vecSlots) == 0 {
+		return nil
+	}
+	g.vecRanges = kernel.CoalesceRangesInto(g.vecRanges[:0], g.vecSlots, g.vecPages)
+	g.stats.MigrateCalls++
+	return g.k.MigratePagesBatch(kernel.AppCred, g.free, fs[members[0]].Seg, g.vecRanges,
+		g.cfg.MapFlags, kernel.FlagReferenced|kernel.FlagDirty)
+}
+
+// settle is the one tail of every page-in: the filled frames at free-list
+// entries slotIdx[j] (skipping entries < 0) migrate to the pages faulted by
+// fs[members[j]], their slots go back to the empty list and the pages
+// become resident. If the group's migration fails, it is re-driven one
+// member at a time, so one bad page cannot take down the faults that could
+// still be served.
+func (g *Generic) settle(fs []kernel.Fault, errs []error, members, slotIdx []int) {
+	if err := g.migrateIn(fs, members, slotIdx); err != nil {
+		for j, i := range members {
+			if slotIdx[j] < 0 {
+				continue
+			}
+			if len(members) > 1 {
+				err = g.migrateIn(fs, members[j:j+1], slotIdx[j:j+1])
+			}
+			if err != nil {
+				errs[i] = err
+				slotIdx[j] = -1
+			}
+		}
+	}
+	// Free-slot removals run highest index first so the swap-remove never
+	// relocates an entry that is still pending.
+	used := g.vecChosen[:0]
+	for _, ci := range slotIdx {
+		if ci >= 0 {
+			used = append(used, ci)
+		}
+	}
+	g.vecChosen = used
+	slices.Sort(used)
+	for k := len(used) - 1; k >= 0; k-- {
+		ci := used[k]
+		slot := g.freeSlots[ci].slot
+		g.removeFreeSlotAt(ci)
+		g.emptySlots = append(g.emptySlots, slot)
+	}
+	for j, i := range members {
+		if slotIdx[j] >= 0 {
+			g.addResident(resKey{seg: fs[i].Seg, page: fs[i].Page})
+		}
+	}
 }

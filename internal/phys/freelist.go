@@ -3,7 +3,6 @@ package phys
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -48,47 +47,51 @@ type freeStripe struct {
 	mu   sync.Mutex
 	pfns []int64
 	live int // popcount across blocks: the number of free frames
-	// blocks is the buddy view of the frames: block-base PFN -> bitmap of
-	// which of its freeListBlockSize frames are free. Frames freed as
+	// blocks is the buddy view of the frames: blocks[i] is the bitmap of
+	// which frames of the stripe's i-th PFN block are free. Frames freed as
 	// singles coalesce here for free — a full aligned submask IS a run —
-	// so AllocRun never needs an explicit buddy-merge pass.
-	blocks map[int64]uint64
+	// so AllocRun never needs an explicit buddy-merge pass. It is a slice
+	// and not a map so that every walk over it — above all the run search —
+	// visits blocks in ascending PFN order: which frames a grant receives
+	// must be a function of the pool's contents, never of map iteration.
+	blocks []uint64
+}
+
+// blockOf locates pfn's bitmap word within its home stripe and its bit
+// within the word.
+func blockOf(pfn int64) (idx int, bit uint64) {
+	return int(uint64(pfn) >> freeListBlockShift / freeListStripes), 1 << uint(pfn&(freeListBlockSize-1))
+}
+
+// blockBase is the first PFN of a stripe's idx-th block.
+func blockBase(stripe, idx int) int64 {
+	return int64(idx*freeListStripes+stripe) << freeListBlockShift
 }
 
 // bit reports whether pfn is free (caller holds mu).
 func (s *freeStripe) bit(pfn int64) bool {
-	base := pfn &^ (freeListBlockSize - 1)
-	return s.blocks[base]&(1<<uint(pfn-base)) != 0
+	idx, bit := blockOf(pfn)
+	return idx < len(s.blocks) && s.blocks[idx]&bit != 0
 }
 
 // setBit marks pfn free in the stripe's block bitmaps (caller holds mu).
 func (s *freeStripe) setBit(pfn int64) {
-	if s.blocks == nil {
-		s.blocks = make(map[int64]uint64)
+	idx, bit := blockOf(pfn)
+	for len(s.blocks) <= idx {
+		s.blocks = append(s.blocks, 0)
 	}
-	base := pfn &^ (freeListBlockSize - 1)
-	bit := uint64(1) << uint(pfn-base)
-	if s.blocks[base]&bit == 0 {
-		s.blocks[base] |= bit
+	if s.blocks[idx]&bit == 0 {
+		s.blocks[idx] |= bit
 		s.live++
 	}
 }
 
 // clearBit marks pfn allocated (caller holds mu).
 func (s *freeStripe) clearBit(pfn int64) {
-	base := pfn &^ (freeListBlockSize - 1)
-	if m, ok := s.blocks[base]; ok {
-		bit := uint64(1) << uint(pfn-base)
-		if m&bit == 0 {
-			return
-		}
-		m &^= bit
+	if s.bit(pfn) {
+		idx, bit := blockOf(pfn)
+		s.blocks[idx] &^= bit
 		s.live--
-		if m == 0 {
-			delete(s.blocks, base)
-		} else {
-			s.blocks[base] = m
-		}
 	}
 }
 
@@ -210,11 +213,11 @@ func (f *FreeList) Snapshot() []int64 {
 	for i := range f.stripes {
 		s := &f.stripes[i]
 		s.mu.Lock()
-		for base, bs := range s.blocks {
+		for idx, bs := range s.blocks {
 			for bs != 0 {
 				b := bits.TrailingZeros64(bs)
 				bs &^= 1 << uint(b)
-				out = append(out, base+int64(b))
+				out = append(out, blockBase(i, idx)+int64(b))
 			}
 		}
 		s.mu.Unlock()
@@ -294,9 +297,10 @@ func (f *FreeList) AllocRunAppend(dst []int64, order int, admit func(pfn int64) 
 	mask := uint64(1)<<runLen - 1 // runLen==64 wraps to all-ones, as wanted
 	start := int(f.rotor.Add(1)) % freeListStripes
 	for i := 0; i < freeListStripes; i++ {
-		s := &f.stripes[(start+i)%freeListStripes]
+		stripe := (start + i) % freeListStripes
+		s := &f.stripes[stripe]
 		s.mu.Lock()
-		if out, ok := s.takeRun(dst, runLen, mask, admit); ok {
+		if out, ok := s.takeRun(stripe, dst, runLen, mask, admit); ok {
 			s.mu.Unlock()
 			return out, true
 		}
@@ -305,14 +309,16 @@ func (f *FreeList) AllocRunAppend(dst []int64, order int, admit func(pfn int64) 
 	return dst, false
 }
 
-// takeRun finds and removes one aligned run of runLen frames from the
-// stripe, appending them to dst (caller holds mu). Runs are probed at
-// aligned offsets only, so a returned run is always naturally aligned to
-// its own length. Removal is bitmap-only — the run's LIFO entries go stale
-// and are skipped (and eventually compacted) by later pops.
-func (s *freeStripe) takeRun(dst []int64, runLen int, mask uint64, admit func(pfn int64) bool) ([]int64, bool) {
+// takeRun finds and removes the lowest aligned run of runLen frames in the
+// stripe (whose index the caller passes), appending them to dst (caller
+// holds mu). Runs are probed at aligned offsets only, so a returned run is
+// always naturally aligned to its own length. Removal is bitmap-only — the
+// run's LIFO entries go stale and are skipped (and eventually compacted) by
+// later pops.
+func (s *freeStripe) takeRun(stripe int, dst []int64, runLen int, mask uint64, admit func(pfn int64) bool) ([]int64, bool) {
 scan:
-	for base, bs := range s.blocks {
+	for idx, bs := range s.blocks {
+		base := blockBase(stripe, idx)
 		for off := 0; off+runLen <= freeListBlockSize; off += runLen {
 			m := mask << uint(off)
 			if bs&m != m {
@@ -331,11 +337,7 @@ scan:
 			}
 			// Clear the whole run in one bitmap write (every bit in m was
 			// verified set above, so live drops by exactly runLen).
-			if nb := bs &^ m; nb == 0 {
-				delete(s.blocks, base)
-			} else {
-				s.blocks[base] = nb
-			}
+			s.blocks[idx] = bs &^ m
 			s.live -= runLen
 			return dst, true
 		}
@@ -345,8 +347,7 @@ scan:
 
 // CheckInvariants verifies, per stripe, that the bitmaps and the LIFO slice
 // agree: the live counter matches the bitmap popcount, every free frame has
-// at least one slice entry, no frame is filed under the wrong stripe, and
-// no bitmap is empty. Stale slice entries (bit cleared) and duplicates are
+// at least one slice entry, and no frame is filed under the wrong stripe. Stale slice entries (bit cleared) and duplicates are
 // legal — they are the cost of O(1) run removal — but may never outnumber
 // the compaction bound. It locks one stripe at a time, so it is safe to
 // call while other goroutines allocate (each stripe's check is atomic on
@@ -364,16 +365,12 @@ func (f *FreeList) CheckInvariants() error {
 			inSlice[p] = true
 		}
 		bitCount := 0
-		for base, bs := range s.blocks {
-			if bs == 0 {
-				s.mu.Unlock()
-				return fmt.Errorf("phys: stripe %d holds empty bitmap for block %d", i, base)
-			}
+		for idx, bs := range s.blocks {
 			bitCount += bits.OnesCount64(bs)
 			for b := 0; b < freeListBlockSize; b++ {
-				if bs&(1<<uint(b)) != 0 && !inSlice[base+int64(b)] {
+				if pfn := blockBase(i, idx) + int64(b); bs&(1<<uint(b)) != 0 && !inSlice[pfn] {
 					s.mu.Unlock()
-					return fmt.Errorf("phys: pfn %d set in stripe %d bitmap but not in free slice", base+int64(b), i)
+					return fmt.Errorf("phys: pfn %d set in stripe %d bitmap but not in free slice", pfn, i)
 				}
 			}
 		}
@@ -398,13 +395,7 @@ func (f *FreeList) LongestRun() int {
 	for i := range f.stripes {
 		s := &f.stripes[i]
 		s.mu.Lock()
-		bases := make([]int64, 0, len(s.blocks))
-		for base := range s.blocks {
-			bases = append(bases, base)
-		}
-		sort.Slice(bases, func(a, b int) bool { return bases[a] < bases[b] })
-		for _, base := range bases {
-			bs := s.blocks[base]
+		for _, bs := range s.blocks {
 			run := 0
 			for b := 0; b < freeListBlockSize; b++ {
 				if bs&(1<<uint(b)) != 0 {

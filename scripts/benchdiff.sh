@@ -13,7 +13,7 @@
 #
 # The benchmark set is the delivery plane's hot paths: the fault-path and
 # table harness benchmarks, the delivery-plane scaling benchmark, and the
-# batched-vs-per-page migrate pair. Comparison is per benchmark name on
+# batched migrate benchmark. Comparison is per benchmark name on
 # ns/op; a change beyond +/-5% is flagged. The script never fails the
 # build — wall-clock numbers on shared machines are advisory (CI runs it
 # non-gating; the gating regression tracker is the virtual-cost model).

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# check.sh — the full local gate: formatting, vet, build, race-enabled
-# tests, and a one-iteration benchmark smoke so the harness benchmarks
-# never rot. Run from anywhere inside the repo.
+# check.sh — the one gate: formatting, vet, build, race-enabled tests, the
+# chaos and fuzz smokes, the bench/ module (its own go.mod, so the root
+# build never compiles it), one-iteration benchmark and sweep smokes, and
+# the four golden arms. CI runs this script rather than a copy of it. Run
+# from anywhere inside the repo.
 set -euo pipefail
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 
@@ -21,6 +23,10 @@ go build ./...
 
 echo "== examples build smoke =="
 go build ./examples/...
+
+echo "== bench module (vet + self-test against this tree's internal/) =="
+go vet -C bench ./...
+go test -C bench ./...
 
 echo "== go test -race =="
 go test -race ./...
@@ -46,7 +52,9 @@ echo "== policy shootout smoke (2 policies x 1 workload) =="
 policy_tmp=$(mktemp)
 time_tmp=$(mktemp)
 super_tmp=$(mktemp)
-trap 'rm -f "$policy_tmp" "$time_tmp" "$super_tmp"' EXIT
+scale_tmp=$(mktemp)
+golden_tmp=$(mktemp)
+trap 'rm -f "$policy_tmp" "$time_tmp" "$super_tmp" "$scale_tmp" "$golden_tmp"' EXIT
 go run ./cmd/reproduce -table 1 -policy -policies clock,s3fifo -policyworkloads zipf \
     -policyrefs 4000 -policyout "$policy_tmp" > /dev/null
 
@@ -61,23 +69,23 @@ echo "== superpage sweep smoke (base vs super, 2 managers) =="
     -superfaults 512 -superfile "$super_tmp" || true; } |
     grep -q "Superpage Extent Fast Path"
 
-echo "== vectored scale sweep smoke (2 managers, vector on/off cells) =="
-# Runs the full cell matrix at 2 managers, including the vectored-delivery
-# sub-table (multi-driver, vector on vs off). Wall numbers are advisory;
-# the smoke only checks that the vectored cells run and render.
-scale_tmp=$(mktemp)
-trap 'rm -f "$policy_tmp" "$time_tmp" "$super_tmp" "$scale_tmp"' EXIT
+echo "== scale sweep smoke (2 managers, single-driver and vectored cells) =="
+# Runs the full cell matrix at 2 managers, including the multi-driver
+# vectored-delivery cells. Wall numbers are advisory; the smoke only checks
+# that the sweep runs and renders.
 { go run ./cmd/reproduce -table 1 -scale -scalemanagers 2 \
     -scalefaults 512 -scalefile "$scale_tmp" || true; } |
-    grep -q "Vectored delivery"
+    grep -q "Delivery-Plane Wall-Clock Scaling"
 
-echo "== golden output, vectoring ablation =="
-# The golden tables are produced by single-driver runs, where faults never
-# queue behind each other and batches never form — so the output must be
-# byte-identical with vectored delivery on (default) and off.
-golden_tmp=$(mktemp)
-trap 'rm -f "$policy_tmp" "$time_tmp" "$super_tmp" "$scale_tmp" "$golden_tmp"' EXIT
-go run ./cmd/reproduce -vector=false > "$golden_tmp"
-diff internal/experiments/testdata/reproduce.golden "$golden_tmp"
+echo "== golden output, four arms =="
+# Every arm must reproduce the checked-in tables byte for byte: the
+# scheduler, the time engine and the superpage switch change how the
+# simulation runs, never what it computes.
+for arm in "" "-sched concurrent" "-timeengine sharded" "-super"; do
+    echo "   reproduce $arm"
+    # shellcheck disable=SC2086 # $arm is a flag and its value, split on purpose
+    go run ./cmd/reproduce $arm > "$golden_tmp"
+    diff internal/experiments/testdata/reproduce.golden "$golden_tmp"
+done
 
 echo "All checks passed."
