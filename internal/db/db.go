@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"epcm/internal/sim"
@@ -143,6 +144,9 @@ type System struct {
 	index  indexState
 	result Result
 	txSeq  int
+	// pageLocks interns the account-page lock names, filled on first use:
+	// a page's second transaction formats and allocates nothing.
+	pageLocks []string
 }
 
 // New builds a system for one configuration.
@@ -150,15 +154,16 @@ func New(cfg MemoryConfig, p Params) *System {
 	clock := &sim.Clock{}
 	env := sim.NewEnv(clock)
 	s := &System{
-		p:     p,
-		cfg:   cfg,
-		clock: clock,
-		env:   env,
-		cpus:  sim.NewResource(env, p.Processors),
-		disk:  sim.NewResource(env, 1),
-		locks: newBargingLockManager(env),
-		rng:   sim.NewRNG(p.Seed),
-		index: indexState{valid: true},
+		p:         p,
+		cfg:       cfg,
+		clock:     clock,
+		env:       env,
+		cpus:      sim.NewResource(env, p.Processors),
+		disk:      sim.NewResource(env, 1),
+		locks:     newBargingLockManager(env),
+		rng:       sim.NewRNG(p.Seed),
+		index:     indexState{valid: true},
+		pageLocks: make([]string, p.AccountPages),
 	}
 	s.result.Config = cfg
 	return s
@@ -239,12 +244,22 @@ func (s *System) transaction(p *sim.Proc, seq int, isJoin bool, accountPage int,
 func (s *System) debitCredit(p *sim.Proc, owner interface{}, accountPage int, touchesIndex bool) {
 	s.locks.Acquire(p, owner, "db", IX)
 	s.locks.Acquire(p, owner, "rel:accounts", IX)
-	s.locks.Acquire(p, owner, fmt.Sprintf("page:accounts/%d", accountPage), X)
+	s.locks.Acquire(p, owner, s.pageLock(accountPage), X)
 	if s.cfg != NoIndex && touchesIndex {
 		s.locks.Acquire(p, owner, "idx:accounts", IX)
 	}
 	s.compute(p, s.p.DebitCreditCPU)
 	s.locks.ReleaseAll(owner)
+}
+
+// pageLock names the lock of one accounts page.
+func (s *System) pageLock(page int) string {
+	name := s.pageLocks[page]
+	if name == "" {
+		name = "page:accounts/" + strconv.Itoa(page)
+		s.pageLocks[page] = name
+	}
+	return name
 }
 
 // join is the 5% case: join two relations to update a third. With an index

@@ -10,6 +10,7 @@ package db
 
 import (
 	"fmt"
+	"slices"
 
 	"epcm/internal/sim"
 )
@@ -88,6 +89,9 @@ func (l *lock) grantable(owner interface{}, mode Mode) bool {
 	return true
 }
 
+// holdList is the locks one owner holds, in acquisition order.
+type holdList struct{ locks []*lock }
+
 // LockStats counts lock-manager activity.
 type LockStats struct {
 	Acquires int64
@@ -105,6 +109,16 @@ type LockStats struct {
 type LockManager struct {
 	env   *sim.Env
 	locks map[string]*lock
+	// held indexes the locks by owner: every grant (immediate or to a
+	// woken waiter) appends the lock to its owner's list, in acquisition
+	// order, so ReleaseAll visits only what the owner holds instead of
+	// every lock ever created. A lock acquired twice is listed twice; the
+	// second visit finds nothing left to drop. The map holds pointers so
+	// a grant to a known owner is one lookup and no store.
+	held map[interface{}]*holdList
+	// heldFree recycles emptied hold lists so a steady stream of short
+	// transactions allocates none.
+	heldFree []*holdList
 	// Barging enables reader-preference granting.
 	Barging bool
 	// waited records per-acquisition wait times for diagnosis.
@@ -114,7 +128,11 @@ type LockManager struct {
 
 // NewLockManager builds a lock manager over the simulation environment.
 func NewLockManager(env *sim.Env) *LockManager {
-	return &LockManager{env: env, locks: make(map[string]*lock)}
+	return &LockManager{
+		env:   env,
+		locks: make(map[string]*lock),
+		held:  make(map[interface{}]*holdList),
+	}
 }
 
 // Stats returns a snapshot of activity counters.
@@ -132,6 +150,43 @@ func (m *LockManager) lockFor(name string) *lock {
 	return l
 }
 
+// grant records a hold and indexes it under its owner.
+func (m *LockManager) grant(l *lock, owner interface{}, mode Mode) {
+	l.granted = append(l.granted, lockHold{owner: owner, mode: mode})
+	hl := m.held[owner]
+	if hl == nil {
+		if n := len(m.heldFree); n > 0 {
+			hl, m.heldFree = m.heldFree[n-1], m.heldFree[:n-1]
+		} else {
+			hl = new(holdList)
+		}
+		m.held[owner] = hl
+	}
+	hl.locks = append(hl.locks, l)
+}
+
+// forget unlinks owner's (emptied or about to be emptied) hold list.
+func (m *LockManager) forget(owner interface{}, hl *holdList) {
+	delete(m.held, owner)
+	hl.locks = hl.locks[:0]
+	m.heldFree = append(m.heldFree, hl)
+}
+
+// drop removes every hold owner has on l, reporting whether any existed.
+func (m *LockManager) drop(l *lock, owner interface{}) bool {
+	kept := l.granted[:0]
+	for _, h := range l.granted {
+		if h.owner == owner {
+			m.stats.Released++
+			continue
+		}
+		kept = append(kept, h)
+	}
+	changed := len(kept) != len(l.granted)
+	l.granted = kept
+	return changed
+}
+
 // Acquire obtains `name` in `mode` on behalf of owner, blocking the calling
 // process in FIFO order until compatible. Owners must acquire locks in a
 // consistent hierarchy order (database, relation, page, index) — the model
@@ -140,7 +195,7 @@ func (m *LockManager) Acquire(p *sim.Proc, owner interface{}, name string, mode 
 	m.stats.Acquires++
 	l := m.lockFor(name)
 	if (m.Barging || len(l.queue) == 0) && l.grantable(owner, mode) {
-		l.granted = append(l.granted, lockHold{owner: owner, mode: mode})
+		m.grant(l, owner, mode)
 		m.waited.Add(0)
 		return
 	}
@@ -155,36 +210,31 @@ func (m *LockManager) Acquire(p *sim.Proc, owner interface{}, name string, mode 
 // Release drops every hold owner has on `name` and grants waiters.
 func (m *LockManager) Release(owner interface{}, name string) {
 	l := m.lockFor(name)
-	kept := l.granted[:0]
-	for _, h := range l.granted {
-		if h.owner == owner {
-			m.stats.Released++
-			continue
+	m.drop(l, owner)
+	if hl := m.held[owner]; hl != nil {
+		hl.locks = slices.DeleteFunc(hl.locks, func(h *lock) bool { return h == l })
+		if len(hl.locks) == 0 {
+			m.forget(owner, hl)
 		}
-		kept = append(kept, h)
 	}
-	l.granted = kept
 	m.grantWaiters(l)
 }
 
-// ReleaseAll drops every hold owner has anywhere (two-phase commit point).
+// ReleaseAll drops every hold owner has anywhere (two-phase commit point),
+// lock by lock in the order the owner acquired them, so the order in which
+// waiters of different locks wake is a function of the run, not of map
+// iteration.
 func (m *LockManager) ReleaseAll(owner interface{}) {
-	for _, l := range m.locks {
-		kept := l.granted[:0]
-		changed := false
-		for _, h := range l.granted {
-			if h.owner == owner {
-				m.stats.Released++
-				changed = true
-				continue
-			}
-			kept = append(kept, h)
-		}
-		l.granted = kept
-		if changed {
+	hl := m.held[owner]
+	if hl == nil {
+		return
+	}
+	for _, l := range hl.locks {
+		if m.drop(l, owner) {
 			m.grantWaiters(l)
 		}
 	}
+	m.forget(owner, hl)
 }
 
 // grantWaiters grants queued requests: in FIFO order until the head is
@@ -198,7 +248,7 @@ func (m *LockManager) grantWaiters(l *lock) {
 				return
 			}
 			l.queue = l.queue[1:]
-			l.granted = append(l.granted, lockHold{owner: w.owner, mode: w.mode})
+			m.grant(l, w.owner, w.mode)
 			m.env.Wake(w.proc)
 		}
 		return
@@ -206,7 +256,7 @@ func (m *LockManager) grantWaiters(l *lock) {
 	kept := l.queue[:0]
 	for _, w := range l.queue {
 		if l.grantable(w.owner, w.mode) {
-			l.granted = append(l.granted, lockHold{owner: w.owner, mode: w.mode})
+			m.grant(l, w.owner, w.mode)
 			m.env.Wake(w.proc)
 		} else {
 			kept = append(kept, w)

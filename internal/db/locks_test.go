@@ -1,6 +1,7 @@
 package db
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -223,5 +224,172 @@ func TestNoIncompatibleGrantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// ReleaseAll releases in acquisition order, so when one owner holds two
+// locks that each have a parked waiter, the order the waiters wake in is a
+// function of the run — before the per-owner hold list it followed Go's map
+// iteration order and differed from run to run.
+func TestReleaseAllWakeOrderDeterministic(t *testing.T) {
+	run := func() []string {
+		env, m := newLockEnv()
+		var woke []string
+		env.Go("holder", func(p *sim.Proc) {
+			m.Acquire(p, "holder", "b", X) // acquired first, released first
+			m.Acquire(p, "holder", "a", X)
+			p.Sleep(10 * time.Millisecond)
+			m.ReleaseAll("holder")
+		})
+		for _, name := range []string{"a", "b"} {
+			name := name
+			env.Go("w"+name, func(p *sim.Proc) {
+				p.Sleep(time.Millisecond)
+				m.Acquire(p, "w"+name, name, S)
+				woke = append(woke, name)
+				m.ReleaseAll("w" + name)
+			})
+		}
+		if blocked := env.Run(); blocked != 0 {
+			t.Fatalf("blocked = %d", blocked)
+		}
+		if m.Holders("a")+m.Holders("b") != 0 || len(m.held) != 0 {
+			t.Fatalf("holds left behind: a=%d b=%d, %d owners indexed",
+				m.Holders("a"), m.Holders("b"), len(m.held))
+		}
+		return woke
+	}
+	for i := 0; i < 200; i++ {
+		if woke := run(); len(woke) != 2 || woke[0] != "b" || woke[1] != "a" {
+			t.Fatalf("run %d: wake order %v, want [b a] (acquisition order)", i, woke)
+		}
+	}
+}
+
+// Property: the per-owner hold index agrees with the locks themselves after
+// every operation, so ReleaseAll(o) leaves no lock anywhere listing o — also
+// after an interleaved Release(o, name) and a re-acquire of the same name in
+// a stronger mode — and LockStats.Released counts what a sweep over every
+// lock would have counted. One process plays every owner, so a request that
+// another owner's hold would block is not issued.
+func TestReleaseAllLeavesNoHoldProperty(t *testing.T) {
+	names := []string{"db", "rel", "page:1", "page:2", "idx"}
+	const owners = 4
+	f := func(seed uint16) bool {
+		env, m := newLockEnv()
+		rng := sim.NewRNG(uint64(seed) + 1)
+		model := make(map[string]*[owners][]Mode) // holds per name per owner
+		for _, n := range names {
+			model[n] = new([owners][]Mode)
+		}
+		var released int64
+		ok := true
+		fail := func(format string, args ...interface{}) {
+			t.Logf(format, args...)
+			ok = false
+		}
+		check := func(step int) {
+			for _, n := range names {
+				var got [owners]int
+				if l := m.locks[n]; l != nil {
+					for _, h := range l.granted {
+						got[h.owner.(int)]++
+					}
+				}
+				for o := range got {
+					if got[o] != len(model[n][o]) {
+						fail("step %d: %s has %d holds by owner %d, model %d",
+							step, n, got[o], o, len(model[n][o]))
+					}
+				}
+			}
+			for o := 0; o < owners; o++ {
+				indexed := make(map[string]bool)
+				if hl := m.held[o]; hl != nil {
+					for _, l := range hl.locks {
+						indexed[l.name] = true
+					}
+				}
+				for _, n := range names {
+					if indexed[n] != (len(model[n][o]) > 0) {
+						fail("step %d: owner %d index lists %s = %v with %d holds",
+							step, o, n, indexed[n], len(model[n][o]))
+					}
+				}
+			}
+			if m.Stats().Released != released {
+				fail("step %d: Released = %d, model %d", step, m.Stats().Released, released)
+			}
+		}
+		grantable := func(o int, n string, mode Mode) bool {
+			for q, held := range model[n] {
+				for _, h := range held {
+					if q != o && !Compatible(h, mode) {
+						return false
+					}
+				}
+			}
+			return true
+		}
+		env.Go("script", func(p *sim.Proc) {
+			for step := 0; step < 200 && ok; step++ {
+				o, n := rng.Intn(owners), names[rng.Intn(len(names))]
+				switch mode := Mode(rng.Intn(4)); {
+				case rng.Bool(0.5) && grantable(o, n, mode):
+					m.Acquire(p, o, n, mode)
+					model[n][o] = append(model[n][o], mode)
+				case rng.Bool(0.5):
+					m.Release(o, n)
+					released += int64(len(model[n][o]))
+					model[n][o] = nil
+				default:
+					m.ReleaseAll(o)
+					for _, held := range model {
+						released += int64(len(held[o]))
+						held[o] = nil
+					}
+				}
+				check(step)
+			}
+		})
+		if blocked := env.Run(); blocked != 0 {
+			fail("script blocked")
+		}
+		if m.Stats().Waits != 0 {
+			fail("script waited %d times", m.Stats().Waits)
+		}
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkLockReleaseAll times one DebitCredit-shaped lock cycle — four
+// acquisitions and the commit-point ReleaseAll — with 8, 1 024 and 16 384
+// distinct lock names alive in the manager. ns/op must not grow with the
+// number of live locks, and the steady state allocates nothing.
+func BenchmarkLockReleaseAll(b *testing.B) {
+	for _, live := range []int{8, 1024, 16384} {
+		b.Run(strconv.Itoa(live), func(b *testing.B) {
+			_, m := newLockEnv()
+			m.Barging = true
+			pages := make([]string, live)
+			for i := range pages {
+				pages[i] = "page:accounts/" + strconv.Itoa(i)
+				m.Acquire(nil, "setup", pages[i], X) // never blocks: nil proc is unused
+			}
+			m.ReleaseAll("setup")
+			owner := interface{}("txn")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Acquire(nil, owner, "db", IX)
+				m.Acquire(nil, owner, "rel:accounts", IX)
+				m.Acquire(nil, owner, pages[i%live], X)
+				m.Acquire(nil, owner, "idx:accounts", IX)
+				m.ReleaseAll(owner)
+			}
+		})
 	}
 }

@@ -31,13 +31,13 @@ func FuzzCASTable(f *testing.F) {
 				e := &pageEntry{}
 				table.insert(k, e)
 				model[k] = e
-				if got, ok := table.lookup(k); !ok || got != e {
+				if got, ok := table.lookupEntry(k); !ok || got != e {
 					t.Fatalf("lookup(%v) after insert: got %p ok=%v, want %p", k, got, ok, e)
 				}
 			case 2:
 				table.remove(k)
 				delete(model, k)
-				if _, ok := table.lookup(k); ok {
+				if _, ok := table.lookupEntry(k); ok {
 					t.Fatalf("lookup(%v) hit after remove", k)
 				}
 			case 3:
@@ -47,12 +47,12 @@ func FuzzCASTable(f *testing.F) {
 						delete(model, mk)
 					}
 				}
-				if _, ok := table.lookup(k); ok {
+				if _, ok := table.lookupEntry(k); ok {
 					t.Fatalf("lookup(%v) hit after removeSegment", k)
 				}
 			}
 			for mk, me := range model {
-				if got, ok := table.lookup(mk); ok && got != me {
+				if got, ok := table.lookupEntry(mk); ok && got != me {
 					t.Fatalf("lookup(%v): stale entry %p, want %p", mk, got, me)
 				}
 			}

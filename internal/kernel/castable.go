@@ -117,7 +117,13 @@ func (t *casTable) probe(k mapKey) (*pageEntry, bool) {
 	return nil, false
 }
 
-func (t *casTable) lookup(k mapKey) (*pageEntry, bool) {
+func (t *casTable) lookup(k mapKey) bool {
+	_, ok := t.lookupEntry(k)
+	return ok
+}
+
+// lookupEntry is lookup that also returns the published entry.
+func (t *casTable) lookupEntry(k mapKey) (*pageEntry, bool) {
 	h := casHash(k)
 	g := t.ebr.pin(h)
 	if e, ok := t.probe(k); ok {

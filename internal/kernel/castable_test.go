@@ -53,7 +53,7 @@ func TestCASTableStaleDuplicatePurge(t *testing.T) {
 
 	// Replace-in-place: one live copy, new entry wins.
 	tbl.insert(b, e2)
-	if got, ok := tbl.lookup(b); !ok || got != e2 {
+	if got, ok := tbl.lookupEntry(b); !ok || got != e2 {
 		t.Fatalf("lookup(%v) after replace: got %p ok=%v, want %p", b, got, ok, e2)
 	}
 	if n := casLiveCount(tbl, b); n != 1 {
@@ -67,7 +67,7 @@ func TestCASTableStaleDuplicatePurge(t *testing.T) {
 	if n := casLiveCount(tbl, c); n != 1 {
 		t.Fatalf("key %v live %d times after tombstone re-insert, want 1", c, n)
 	}
-	if got, ok := tbl.lookup(c); !ok || got != e2 {
+	if got, ok := tbl.lookupEntry(c); !ok || got != e2 {
 		t.Fatalf("lookup(%v): got %p ok=%v, want %p", c, got, ok, e2)
 	}
 
@@ -90,10 +90,10 @@ func TestCASTableRemoveSegment(t *testing.T) {
 	}
 	tbl.removeSegment(1)
 	for page := int64(0); page < 16; page++ {
-		if _, ok := tbl.lookup(mapKey{seg: 1, page: page}); ok {
+		if _, ok := tbl.lookupEntry(mapKey{seg: 1, page: page}); ok {
 			t.Fatalf("seg 1 page %d still visible after removeSegment", page)
 		}
-		if _, ok := tbl.lookup(mapKey{seg: 2, page: page}); !ok {
+		if _, ok := tbl.lookupEntry(mapKey{seg: 2, page: page}); !ok {
 			t.Fatalf("seg 2 page %d lost by removeSegment(1)", page)
 		}
 	}
@@ -115,7 +115,7 @@ func TestCASTableDisplacement(t *testing.T) {
 	if _, _, _, drops := tbl.stats(); drops == 0 {
 		t.Fatal("no drop recorded after window-overflowing inserts")
 	}
-	if got, ok := tbl.lookup(keys[len(keys)-1]); !ok || got != e {
+	if got, ok := tbl.lookupEntry(keys[len(keys)-1]); !ok || got != e {
 		t.Fatal("overflowing key not visible after displacement insert")
 	}
 	total := 0
@@ -155,20 +155,20 @@ func TestChaosCASTableHammer(t *testing.T) {
 						e := &pageEntry{}
 						tbl.insert(k, e)
 						last[k] = e
-						if got, ok := tbl.lookup(k); ok && got != e {
+						if got, ok := tbl.lookupEntry(k); ok && got != e {
 							panic(fmt.Sprintf("stale hit for %v", k))
 						}
 					case 2:
 						tbl.remove(k)
 						delete(last, k)
-						if _, ok := tbl.lookup(k); ok {
+						if _, ok := tbl.lookupEntry(k); ok {
 							panic(fmt.Sprintf("hit after remove for %v", k))
 						}
 					}
 				}
 			}
 			for k, e := range last {
-				if got, ok := tbl.lookup(k); ok && got != e {
+				if got, ok := tbl.lookupEntry(k); ok && got != e {
 					panic(fmt.Sprintf("final stale hit for %v", k))
 				}
 			}
@@ -193,7 +193,7 @@ func TestChaosCASTableHammer(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds*4; r++ {
 				for p := int64(0); p < writers*keysPerW; p += 7 {
-					tbl.lookup(mapKey{seg: SegID(p % 4), page: p})
+					tbl.lookupEntry(mapKey{seg: SegID(p % 4), page: p})
 				}
 			}
 		}()

@@ -21,19 +21,29 @@ type mapKey struct {
 	page int64
 }
 
-type hashEntry struct {
-	key   mapKey
-	entry *pageEntry
+// hashSlot is one cached mapping: the key alone. Nothing on the fault path
+// reads a page entry out of this table — a hit only spares the segment walk;
+// flags and frames always come from the segment's page store — so the slot
+// carries no pointer: 16 bytes, and the 1 MB table is memory the garbage
+// collector never scans.
+type hashSlot struct {
+	page  int64
+	seg   SegID
 	valid bool
+}
+
+func (s *hashSlot) holds(k mapKey) bool {
+	return s.valid && s.page == k.page && s.seg == k.seg
 }
 
 // mapper is the mapping-hash-table surface the kernel uses; implemented by
 // the paper's single mappingTable (serial) and the lock-free casTable
 // (concurrent). The span methods cache one entry covering a whole superpage
 // extent (superpage.go); the tables are caches, so a missing span only
-// costs the walk.
+// costs the walk. lookup reports presence only; insert is handed the entry
+// for the table that publishes one (casTable) — the paper table keeps keys.
 type mapper interface {
-	lookup(k mapKey) (*pageEntry, bool)
+	lookup(k mapKey) bool
 	insert(k mapKey, e *pageEntry)
 	remove(k mapKey)
 	removeSegment(seg SegID)
@@ -44,14 +54,17 @@ type mapper interface {
 }
 
 type mappingTable struct {
-	slots []hashEntry
-	// overflow stays an embedded fixed array (not a slice): its scans are
-	// on the migrate hot path and the array keeps them bounds-check-free
-	// and local to the struct. ovLen is the logical area size — the paper's
-	// 32 in production, smaller in fuzz tables.
-	overflow [hashOverflow]hashEntry
+	slots []hashSlot
+	// overflow stays an embedded fixed array (not a slice), which keeps its
+	// scans bounds-check-free and local to the struct. ovLen is the logical
+	// area size — the paper's 32 in production, smaller in fuzz tables.
+	overflow [hashOverflow]hashSlot
 	ovLen    int
-	shift    uint // 64 - log2(len(slots)); index takes the top bits
+	// ovLive counts the valid overflow entries. While it is zero — until
+	// two live keys collide — find and remove do not scan the area, so the
+	// migrate path's remove+insert pair touches two slots and nothing else.
+	ovLive int
+	shift  uint // 64 - log2(len(slots)); index takes the top bits
 	// spanSeen records (as a bitmask over orders, monotonically) that a
 	// superpage span entry was ever inserted. Zero — always, with
 	// superpages off — keeps lookup exactly the paper's two-probe shape,
@@ -81,7 +94,7 @@ func newMappingTableSized(slots, overflow int) *mappingTable {
 		shift--
 	}
 	return &mappingTable{
-		slots: make([]hashEntry, slots),
+		slots: make([]hashSlot, slots),
 		ovLen: overflow,
 		shift: shift,
 	}
@@ -99,51 +112,47 @@ func (t *mappingTable) index(k mapKey) int {
 // find probes slot and overflow for exactly key k without touching the
 // hit/miss counters; lookup composes it so a span probe does not
 // double-count.
-func (t *mappingTable) find(k mapKey) (*pageEntry, bool) {
-	s := &t.slots[t.index(k)]
-	if s.valid && s.key == k {
-		return s.entry, true
+func (t *mappingTable) find(k mapKey) bool {
+	if t.slots[t.index(k)].holds(k) {
+		return true
+	}
+	if t.ovLive == 0 {
+		return false
 	}
 	ov := t.overflow[:t.ovLen]
 	for i := range ov {
-		o := &ov[i]
-		if o.valid && o.key == k {
-			return o.entry, true
+		if ov[i].holds(k) {
+			return true
 		}
 	}
-	return nil, false
+	return false
 }
 
-// lookup finds the page entry for key, reporting whether it was present.
-// After an exact miss it probes the span keys of any live extent orders,
-// so one cached span entry answers for every page of its extent.
-func (t *mappingTable) lookup(k mapKey) (*pageEntry, bool) {
-	if e, ok := t.find(k); ok {
+// lookup reports whether a mapping for key is cached. After an exact miss
+// it probes the span keys of any live extent orders, so one cached span
+// entry answers for every page of its extent.
+func (t *mappingTable) lookup(k mapKey) bool {
+	if t.find(k) {
 		t.hits++
-		return e, true
+		return true
 	}
 	if t.spanSeen != 0 {
 		for o := 1; o <= MaxExtentOrder; o++ {
 			if t.spanSeen&(1<<uint(o)) == 0 {
 				continue
 			}
-			sk := spanMapKey(mapKey{k.seg, extentBase(k.page, o)}, o)
-			if e, ok := t.find(sk); ok {
+			if t.find(spanMapKey(mapKey{k.seg, extentBase(k.page, o)}, o)) {
 				t.hits++
-				return e, true
+				return true
 			}
 		}
 	}
 	t.misses++
-	return nil, false
+	return false
 }
 
-// insertSpan caches one entry covering a whole extent under its tagged
-// span key; lookup's masked-base probes find it for every covered page.
-// The cached entry is the extent's base-page entry — span hits only need
-// to report presence (the fault path reads flags and frames from the
-// authoritative page store), so serving the base entry for any covered
-// page is sound.
+// insertSpan caches one key covering a whole extent under its tagged span
+// key; lookup's masked-base probes find it for every covered page.
 func (t *mappingTable) insertSpan(k mapKey, e *pageEntry, order uint8) {
 	t.spanSeen |= 1 << order
 	t.insert(spanMapKey(k, int(order)), e)
@@ -159,23 +168,24 @@ func (t *mappingTable) removeSpan(k mapKey, order uint8) {
 //
 // The overflow area is scanned only on displacement — the common case
 // (empty or same-key slot) stays O(1), which matters because every
-// MigratePages runs through here. The displacement pass invalidates stale
-// copies of both keys in one sweep: the inserted key (which may have been
-// displaced there earlier, with an out-of-date entry pointer) and the
-// displaced occupant (which must not end up in the area twice). A same-key
-// overwrite can therefore leave a stale copy of k in the overflow area,
-// but it is unreachable — lookup checks the slot first, remove sweeps both
-// areas, and the copy is purged the next time k's slot is displaced —
-// so at most one overflow copy per key ever exists.
-func (t *mappingTable) insert(k mapKey, e *pageEntry) {
+// MigratePages runs through here. The displacement pass invalidates copies
+// of both keys in one sweep: the inserted key (which may have been
+// displaced there earlier) and the displaced occupant (which must not end
+// up in the area twice). A same-key overwrite can therefore leave a copy of
+// k in the overflow area shadowed by its slot; remove sweeps both areas
+// and the copy is purged the next time k's slot is displaced, so at most
+// one overflow copy per key ever exists.
+func (t *mappingTable) insert(k mapKey, _ *pageEntry) {
 	s := &t.slots[t.index(k)]
-	if s.valid && s.key != k {
+	if s.valid && !s.holds(k) {
+		displaced := mapKey{s.seg, s.page}
 		ov := t.overflow[:t.ovLen]
 		free := -1
 		for i := range ov {
 			o := &ov[i]
-			if o.valid && (o.key == k || o.key == s.key) {
+			if o.holds(k) || o.holds(displaced) {
 				o.valid = false
+				t.ovLive--
 			}
 			if !o.valid && free < 0 {
 				free = i
@@ -183,25 +193,29 @@ func (t *mappingTable) insert(k mapKey, e *pageEntry) {
 		}
 		if free >= 0 {
 			ov[free] = *s
+			t.ovLive++
 			t.spills++
 		} else {
 			t.drops++ // overflow full: the displaced mapping is forgotten
 		}
 	}
-	*s = hashEntry{key: k, entry: e, valid: true}
+	*s = hashSlot{page: k.page, seg: k.seg, valid: true}
 }
 
 // remove forgets a mapping (page unmapped, migrated away, or flags changed
 // such that cached translations must not be used).
 func (t *mappingTable) remove(k mapKey) {
-	s := &t.slots[t.index(k)]
-	if s.valid && s.key == k {
+	if s := &t.slots[t.index(k)]; s.holds(k) {
 		s.valid = false
+	}
+	if t.ovLive == 0 {
+		return
 	}
 	ov := t.overflow[:t.ovLen]
 	for i := range ov {
-		if ov[i].valid && ov[i].key == k {
+		if ov[i].holds(k) {
 			ov[i].valid = false
+			t.ovLive--
 		}
 	}
 }
@@ -209,14 +223,15 @@ func (t *mappingTable) remove(k mapKey) {
 // removeSegment drops every cached mapping of one segment (segment delete).
 func (t *mappingTable) removeSegment(seg SegID) {
 	for i := range t.slots {
-		if t.slots[i].valid && t.slots[i].key.seg == seg {
+		if t.slots[i].valid && t.slots[i].seg == seg {
 			t.slots[i].valid = false
 		}
 	}
 	ov := t.overflow[:t.ovLen]
 	for i := range ov {
-		if ov[i].valid && ov[i].key.seg == seg {
+		if ov[i].valid && ov[i].seg == seg {
 			ov[i].valid = false
+			t.ovLive--
 		}
 	}
 }

@@ -10,22 +10,21 @@ import (
 
 func TestMappingTableInsertLookupRemove(t *testing.T) {
 	mt := newMappingTable()
-	e1, e2 := &pageEntry{}, &pageEntry{}
 	k1 := mapKey{seg: 3, page: 7}
 	k2 := mapKey{seg: 4, page: 7}
-	mt.insert(k1, e1)
-	mt.insert(k2, e2)
-	if got, ok := mt.lookup(k1); !ok || got != e1 {
+	mt.insert(k1, nil)
+	mt.insert(k2, nil)
+	if !mt.lookup(k1) {
 		t.Fatal("lookup k1 failed")
 	}
-	if got, ok := mt.lookup(k2); !ok || got != e2 {
+	if !mt.lookup(k2) {
 		t.Fatal("lookup k2 failed")
 	}
 	mt.remove(k1)
-	if _, ok := mt.lookup(k1); ok {
+	if mt.lookup(k1) {
 		t.Fatal("k1 still present after remove")
 	}
-	if _, ok := mt.lookup(k2); !ok {
+	if !mt.lookup(k2) {
 		t.Fatal("k2 lost by removing k1")
 	}
 }
@@ -33,14 +32,17 @@ func TestMappingTableInsertLookupRemove(t *testing.T) {
 func TestMappingTableReinsertSameKey(t *testing.T) {
 	mt := newMappingTable()
 	k := mapKey{seg: 1, page: 1}
-	e1, e2 := &pageEntry{}, &pageEntry{}
-	mt.insert(k, e1)
-	mt.insert(k, e2)
-	if got, _ := mt.lookup(k); got != e2 {
-		t.Fatal("reinsert did not replace entry")
+	mt.insert(k, nil)
+	mt.insert(k, nil)
+	if !mt.lookup(k) {
+		t.Fatal("reinsert lost the key")
 	}
 	if mt.spills != 0 {
 		t.Fatal("reinsert of same key should not spill")
+	}
+	mt.remove(k)
+	if mt.lookup(k) {
+		t.Fatal("one remove did not undo two inserts of the same key")
 	}
 }
 
@@ -61,13 +63,12 @@ func collidingKeys(mt *mappingTable, n int) []mapKey {
 func TestMappingTableOverflowSpill(t *testing.T) {
 	mt := newMappingTable()
 	keys := collidingKeys(mt, 3)
-	entries := []*pageEntry{{}, {}, {}}
-	for i, k := range keys {
-		mt.insert(k, entries[i])
+	for _, k := range keys {
+		mt.insert(k, nil)
 	}
 	// All three must still be found: one in the slot, two in overflow.
 	for i, k := range keys {
-		if got, ok := mt.lookup(k); !ok || got != entries[i] {
+		if !mt.lookup(k) {
 			t.Fatalf("colliding key %d lost after spill", i)
 		}
 	}
@@ -80,13 +81,13 @@ func TestMappingTableOverflowFullDrops(t *testing.T) {
 	mt := newMappingTable()
 	keys := collidingKeys(mt, hashOverflow+2)
 	for _, k := range keys {
-		mt.insert(k, &pageEntry{})
+		mt.insert(k, nil)
 	}
 	if mt.drops == 0 {
 		t.Fatal("expected drops after overflowing the 32-entry area")
 	}
 	// The most recent insert always lands in the direct slot.
-	if _, ok := mt.lookup(keys[len(keys)-1]); !ok {
+	if !mt.lookup(keys[len(keys)-1]) {
 		t.Fatal("most recent insert missing")
 	}
 	// A drop is not an error: the authoritative segment map still has the
@@ -94,7 +95,7 @@ func TestMappingTableOverflowFullDrops(t *testing.T) {
 	// lookups of dropped keys report a miss rather than wrong data.
 	found := 0
 	for _, k := range keys {
-		if _, ok := mt.lookup(k); ok {
+		if mt.lookup(k) {
 			found++
 		}
 	}
@@ -106,18 +107,18 @@ func TestMappingTableOverflowFullDrops(t *testing.T) {
 func TestMappingTableRemoveSegment(t *testing.T) {
 	mt := newMappingTable()
 	for p := int64(0); p < 100; p++ {
-		mt.insert(mapKey{seg: 5, page: p}, &pageEntry{})
-		mt.insert(mapKey{seg: 6, page: p}, &pageEntry{})
+		mt.insert(mapKey{seg: 5, page: p}, nil)
+		mt.insert(mapKey{seg: 6, page: p}, nil)
 	}
 	mt.removeSegment(5)
 	for p := int64(0); p < 100; p++ {
-		if _, ok := mt.lookup(mapKey{seg: 5, page: p}); ok {
+		if mt.lookup(mapKey{seg: 5, page: p}) {
 			t.Fatalf("segment 5 page %d survived removeSegment", p)
 		}
 	}
 	kept := 0
 	for p := int64(0); p < 100; p++ {
-		if _, ok := mt.lookup(mapKey{seg: 6, page: p}); ok {
+		if mt.lookup(mapKey{seg: 6, page: p}) {
 			kept++
 		}
 	}
@@ -126,25 +127,31 @@ func TestMappingTableRemoveSegment(t *testing.T) {
 	}
 }
 
-// Property: against a reference map, a lookup never returns a wrong entry —
-// it either reports the true entry or (after displacement) a miss.
+// Property: against a reference set, a lookup never hits a key that is not
+// mapped — it either reports a live key or (after displacement) a miss.
 func TestMappingTableNeverWrong(t *testing.T) {
 	mt := newMappingTable()
-	ref := make(map[mapKey]*pageEntry)
+	ref := make(map[mapKey]bool)
 	f := func(segs []uint8, pages []uint8) bool {
 		n := len(segs)
 		if len(pages) < n {
 			n = len(pages)
 		}
 		for i := 0; i < n; i++ {
-			k := mapKey{seg: SegID(segs[i]%8) + 1, page: int64(pages[i])}
-			e := &pageEntry{}
-			ref[k] = e
-			mt.insert(k, e)
+			k := mapKey{seg: SegID(segs[i]%8) + 1, page: int64(pages[i] >> 1)}
+			if pages[i]&1 == 0 {
+				ref[k] = true
+				mt.insert(k, nil)
+			} else {
+				delete(ref, k)
+				mt.remove(k)
+			}
 		}
-		for k, e := range ref {
-			if got, ok := mt.lookup(k); ok && got != e {
-				return false
+		for seg := SegID(1); seg <= 8; seg++ {
+			for page := int64(0); page < 128; page++ {
+				if k := (mapKey{seg, page}); mt.lookup(k) && !ref[k] {
+					return false
+				}
 			}
 		}
 		return true
@@ -269,7 +276,7 @@ func (m *popManager) HandleFault(f Fault) error {
 func overflowCopies(tbl *mappingTable, k mapKey) int {
 	n := 0
 	for i := range tbl.overflow[:tbl.ovLen] {
-		if tbl.overflow[i].valid && tbl.overflow[i].key == k {
+		if tbl.overflow[i].holds(k) {
 			n++
 		}
 	}
@@ -278,37 +285,36 @@ func overflowCopies(tbl *mappingTable, k mapKey) int {
 
 // TestMappingTableStaleDuplicatePurge is the deterministic regression test
 // for the displacement sweep: when a key re-enters its direct-mapped slot
-// while an out-of-date copy of it sits in the overflow area, the sweep
-// must invalidate that stale copy — otherwise a later displacement of the
-// slot would leave lookup finding the old entry pointer. The scenario is
-// built on a minimal table where collisions are guaranteed.
+// while an earlier copy of it sits in the overflow area, the sweep must
+// invalidate that copy — otherwise a later displacement of the slot would
+// put the key in the area twice, and one remove-then-spill sequence could
+// leave a removed key answering. The scenario is built on a minimal table
+// where collisions are guaranteed.
 func TestMappingTableStaleDuplicatePurge(t *testing.T) {
 	tbl := newMappingTableSized(2, 2)
 	keys := collidingKeys(tbl, 2)
 	a, b := keys[0], keys[1]
-	e1, e2, eb := &pageEntry{}, &pageEntry{}, &pageEntry{}
 
-	tbl.insert(a, e1) // a in slot
-	tbl.insert(b, eb) // a displaced to overflow with entry e1
+	tbl.insert(a, nil) // a in slot
+	tbl.insert(b, nil) // a displaced to overflow
 	if got := overflowCopies(tbl, a); got != 1 {
 		t.Fatalf("overflow copies of a = %d, want 1", got)
 	}
 
-	// Re-insert a with a NEW entry: b is displaced, and the sweep must
-	// purge the stale (a, e1) overflow copy in the same pass.
-	tbl.insert(a, e2)
+	// Re-insert a: b is displaced, and the sweep must purge the overflow
+	// copy of a in the same pass.
+	tbl.insert(a, nil)
 	if got := overflowCopies(tbl, a); got != 0 {
-		t.Fatalf("stale overflow copy of a survived re-insert (%d copies)", got)
+		t.Fatalf("overflow copy of a survived re-insert (%d copies)", got)
 	}
-	if e, ok := tbl.lookup(a); !ok || e != e2 {
-		t.Fatalf("lookup(a) = %v,%v, want fresh entry", e, ok)
+	if !tbl.lookup(a) {
+		t.Fatal("lookup(a) missed after re-insert")
 	}
 
-	// Displace a again: lookup must keep returning e2 (from overflow), not
-	// the long-gone e1.
-	tbl.insert(b, eb)
-	if e, ok := tbl.lookup(a); !ok || e != e2 {
-		t.Fatalf("after displacement lookup(a) = %v,%v, want e2 from overflow", e, ok)
+	// Displace a again: it must sit in the area exactly once.
+	tbl.insert(b, nil)
+	if !tbl.lookup(a) {
+		t.Fatal("after displacement lookup(a) missed, want a hit from overflow")
 	}
 	if got := overflowCopies(tbl, a); got != 1 {
 		t.Fatalf("overflow copies of a = %d, want exactly 1", got)
@@ -317,5 +323,11 @@ func TestMappingTableStaleDuplicatePurge(t *testing.T) {
 	// And the displaced occupant must never appear twice either.
 	if got := overflowCopies(tbl, b); got > 1 {
 		t.Fatalf("overflow copies of b = %d", got)
+	}
+
+	// One remove forgets a from both areas.
+	tbl.remove(a)
+	if tbl.lookup(a) || overflowCopies(tbl, a) != 0 {
+		t.Fatal("remove(a) left a copy behind")
 	}
 }

@@ -585,7 +585,7 @@ func (k *Kernel) Access(s *Segment, page int64, access AccessType) error {
 		key := mapKey{rs.id, r.page}
 		if !k.tlb.lookup(key) {
 			k.clock.Advance(k.cost.TLBFill)
-			if _, ok := k.table.lookup(key); !ok {
+			if !k.table.lookup(key) {
 				// Walk the segment and bound-region structures, then prime
 				// the hash table. Staging segments are never primed (see
 				// stagingSkip); the charge is identical either way.

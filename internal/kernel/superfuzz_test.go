@@ -43,7 +43,7 @@ func FuzzExtentTable(f *testing.F) {
 			return ok
 		}
 		check := func(k mapKey) {
-			e, hit := table.lookup(k)
+			e, hit := table.lookupEntry(k)
 			if !hit {
 				return // lossy cache: a miss is always legal
 			}

@@ -149,7 +149,7 @@ func TestBatchMigrateExtentFastPath(t *testing.T) {
 		if !seg.HasPage(p) {
 			t.Fatalf("page %d absent after extent move", p)
 		}
-		if _, ok := k.table.lookup(mapKey{seg.ID(), p}); !ok {
+		if !k.table.lookup(mapKey{seg.ID(), p}) {
 			t.Fatalf("page %d: span entry did not answer the table lookup", p)
 		}
 	}
@@ -162,7 +162,7 @@ func TestBatchMigrateExtentFastPath(t *testing.T) {
 	if err := k.DemoteExtent(AppCred, seg, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := k.table.lookup(mapKey{seg.ID(), 5}); ok {
+	if k.table.lookup(mapKey{seg.ID(), 5}) {
 		t.Fatal("span entry survived demotion")
 	}
 	if err := k.CheckFrameConservation(); err != nil {

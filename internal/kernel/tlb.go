@@ -26,6 +26,15 @@ type translator interface {
 type tlb struct {
 	entries []tlbEntry
 	next    int
+	// heads indexes the valid entries by key: heads[bucket(k)] starts a
+	// chain through tlbEntry.link of the slots whose keys hash there, -1
+	// ending it. A slot is on exactly one chain while valid and on none
+	// otherwise, so lookup, install and invalidate walk one short chain
+	// instead of every entry. The index decides nothing the model can
+	// see: which slot a key occupies, next and the counters are what a
+	// linear scan of entries would produce (FuzzTLB holds it to that).
+	heads []int32
+	shift uint // 64 - log2(len(heads))
 	// spans are the superpage ways: each valid span covers 2^order pages
 	// from its base. nil (always, with superpages off) so the default
 	// lookup shape — and thus the golden hit/miss counts — is untouched.
@@ -37,6 +46,7 @@ type tlb struct {
 
 type tlbEntry struct {
 	key   mapKey
+	link  int32 // next slot on this key's bucket chain, -1 at the end
 	valid bool
 }
 
@@ -52,17 +62,48 @@ type tlbSpan struct {
 const tlbSpanWays = 8
 
 func newTLB(size int) *tlb {
-	return &tlb{entries: make([]tlbEntry, size)}
+	// Two buckets per entry keeps the expected chain under one link.
+	buckets, shift := 2, uint(63)
+	for buckets < 2*size {
+		buckets, shift = buckets*2, shift-1
+	}
+	t := &tlb{entries: make([]tlbEntry, size), heads: make([]int32, buckets), shift: shift}
+	for i := range t.heads {
+		t.heads[i] = -1
+	}
+	return t
+}
+
+// bucket hashes a key to its chain head (the mapping tables' Fibonacci
+// hash, so consecutive pages of one segment spread across the buckets).
+func (t *tlb) bucket(k mapKey) uint64 { return casHash(k) >> t.shift }
+
+// find returns the slot caching k, or -1.
+func (t *tlb) find(k mapKey) int32 {
+	for i := t.heads[t.bucket(k)]; i >= 0; i = t.entries[i].link {
+		if t.entries[i].key == k {
+			return i
+		}
+	}
+	return -1
+}
+
+// unlink takes a valid slot off its chain and marks it invalid.
+func (t *tlb) unlink(slot int32) {
+	e := &t.entries[slot]
+	p := &t.heads[t.bucket(e.key)]
+	for *p != slot {
+		p = &t.entries[*p].link
+	}
+	*p, e.valid = e.link, false
 }
 
 // lookup reports whether the translation for k is cached, either exactly
 // or through a superpage way covering it.
 func (t *tlb) lookup(k mapKey) bool {
-	for i := range t.entries {
-		if t.entries[i].valid && t.entries[i].key == k {
-			t.hits++
-			return true
-		}
+	if t.find(k) >= 0 {
+		t.hits++
+		return true
 	}
 	for i := range t.spans {
 		sp := &t.spans[i]
@@ -107,24 +148,28 @@ func (t *tlb) invalidateSpan(k mapKey, order uint8) {
 	}
 }
 
-// install caches a translation, evicting round-robin.
+// install caches a translation, evicting round-robin: the victim is the
+// slot next points at, valid or not (an invalidated slot elsewhere is not
+// preferred — the R3000's index register does not look either).
 func (t *tlb) install(k mapKey) {
-	for i := range t.entries {
-		if t.entries[i].valid && t.entries[i].key == k {
-			return
-		}
+	if t.find(k) >= 0 {
+		return
 	}
-	t.entries[t.next] = tlbEntry{key: k, valid: true}
+	slot := int32(t.next)
+	if t.entries[slot].valid {
+		t.unlink(slot)
+	}
+	head := &t.heads[t.bucket(k)]
+	t.entries[slot] = tlbEntry{key: k, link: *head, valid: true}
+	*head = slot
 	t.next = (t.next + 1) % len(t.entries)
 }
 
 // invalidate removes a cached translation (page migrated, unmapped, or
 // protection changed).
 func (t *tlb) invalidate(k mapKey) {
-	for i := range t.entries {
-		if t.entries[i].valid && t.entries[i].key == k {
-			t.entries[i].valid = false
-		}
+	if slot := t.find(k); slot >= 0 {
+		t.unlink(slot)
 	}
 }
 
@@ -139,7 +184,7 @@ func (t *tlb) resetStats() { t.hits, t.misses = 0, 0 }
 func (t *tlb) invalidateSegment(seg SegID) {
 	for i := range t.entries {
 		if t.entries[i].valid && t.entries[i].key.seg == seg {
-			t.entries[i].valid = false
+			t.unlink(int32(i))
 		}
 	}
 	for i := range t.spans {

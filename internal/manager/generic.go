@@ -1,8 +1,10 @@
 package manager
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -202,9 +204,10 @@ type Generic struct {
 	// segment's page store stays bounded by the working set instead of
 	// growing with every refill.
 	freeRunStarts   []int64
-	runSlotQueue    []int64 // preselected slots for an in-flight refill
-	runSlotNext     int     // consumption cursor into runSlotQueue
-	runStartScratch []int64 // refill's slot-plan scratch (run starts)
+	runSlotQueue    []int64  // preselected slots for an in-flight refill
+	runSlotNext     int      // consumption cursor into runSlotQueue
+	runStartScratch []int64  // refill's slot-plan scratch (run starts)
+	runCands        []slotAt // PageInContiguous's sorted free-slot scratch
 
 	// Fault-pipeline scratch (vector.go). Only the manager's delivery
 	// context resolves faults, so none of it needs locking, and a
@@ -218,6 +221,12 @@ type Generic struct {
 	vecSlots    []int64
 	vecNilSlots []int64
 	vecRanges   []kernel.PageRange
+}
+
+// slotAt is one unassociated free slot and its position in freeSlots.
+type slotAt struct {
+	slot int64
+	at   int
 }
 
 var _ kernel.Manager = (*Generic)(nil)
@@ -947,30 +956,31 @@ func (g *Generic) PageInContiguous(seg *kernel.Segment, startPage, n int64) (boo
 	if n <= 1 {
 		return false, nil
 	}
-	// Index unassociated free slots by slot number.
-	bySlot := make(map[int64]int, len(g.freeSlots))
+	// Sort the unassociated free slots by slot number and take the
+	// lowest-numbered run of n consecutive ones, so the choice depends on
+	// which slots are free and never on the order they were freed in.
+	cands := g.runCands[:0]
 	for i, fs := range g.freeSlots {
 		if !fs.recall {
-			bySlot[fs.slot] = i
+			cands = append(cands, slotAt{slot: fs.slot, at: i})
 		}
 	}
-	start := int64(-1)
-	for slot := range bySlot {
-		run := int64(1)
-		for run < n {
-			if _, ok := bySlot[slot+run]; !ok {
-				break
-			}
-			run++
-		}
-		if run == n {
-			start = slot
+	g.runCands = cands
+	slices.SortFunc(cands, func(a, b slotAt) int { return cmp.Compare(a.slot, b.slot) })
+	var run []slotAt
+	for lo, hi := 0, 1; hi <= len(cands); hi++ {
+		if hi-lo == int(n) {
+			run = cands[lo:hi]
 			break
 		}
+		if hi < len(cands) && cands[hi].slot != cands[hi-1].slot+1 {
+			lo = hi
+		}
 	}
-	if start < 0 {
+	if run == nil {
 		return false, nil
 	}
+	start := run[0].slot
 	for i := int64(0); i < n; i++ {
 		if seg.HasPage(startPage + i) {
 			return false, nil
@@ -981,18 +991,20 @@ func (g *Generic) PageInContiguous(seg *kernel.Segment, startPage, n int64) (boo
 		g.cfg.MapFlags, kernel.FlagReferenced|kernel.FlagDirty); err != nil {
 		return false, err
 	}
-	// Update bookkeeping: remove the consumed slots, record residency.
-	for i := int64(0); i < n; i++ {
-		g.removeFreeSlotAt(bySlot[start+i])
-		// Re-index: removeFreeSlotAt swaps elements around.
-		bySlot = make(map[int64]int, len(g.freeSlots))
-		for j, fs := range g.freeSlots {
-			if !fs.recall {
-				bySlot[fs.slot] = j
+	// Update bookkeeping: remove the consumed slots in slot order, record
+	// residency. removeFreeSlotAt moves the last free slot into the hole;
+	// when that one is still to be consumed, its recorded position follows.
+	for i := range run {
+		last := len(g.freeSlots) - 1
+		g.removeFreeSlotAt(run[i].at)
+		for j := i + 1; j < len(run); j++ {
+			if run[j].at == last {
+				run[j].at = run[i].at
+				break
 			}
 		}
-		g.emptySlots = append(g.emptySlots, start+i)
-		g.addResident(resKey{seg: seg, page: startPage + i})
+		g.emptySlots = append(g.emptySlots, run[i].slot)
+		g.addResident(resKey{seg: seg, page: startPage + int64(i)})
 	}
 	return true, nil
 }

@@ -733,3 +733,68 @@ func TestPrefetchAsyncWritebackDoesNotBlock(t *testing.T) {
 		t.Fatalf("device saw %d requests, want >= 4", dev.Requests())
 	}
 }
+
+// PageInContiguous takes the lowest-numbered run of free slots that fits,
+// whatever order the free list holds them in (it used to take whichever run
+// a map iteration reached first), and its bookkeeping consumes exactly that
+// run.
+func TestPageInContiguousChoosesLowestRun(t *testing.T) {
+	// Free slots 0..15 minus the holes: runs of three start at 4, 5, 9,
+	// 10, 11, 12 and 13; the lowest is 4.
+	holes := map[int64]bool{2: true, 3: true, 7: true, 8: true}
+	const wantStart, n = 4, 3
+	for round := 0; round < 64; round++ {
+		fx := newFixture(t, 32)
+		g := fx.newManager(t, Config{Name: "m"})
+		seg, err := g.CreateManagedSegment("seg")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := g.RequestFreshRun(16); err != nil || got != 16 {
+			t.Fatalf("RequestFreshRun = %d, %v", got, err)
+		}
+		for i := 0; i < len(g.freeSlots); {
+			if holes[g.freeSlots[i].slot] {
+				g.removeFreeSlotAt(i)
+				continue
+			}
+			i++
+		}
+		// Same set, another insertion order every round.
+		rng := sim.NewRNG(uint64(round) + 1)
+		for i := len(g.freeSlots) - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			g.freeSlots[i], g.freeSlots[j] = g.freeSlots[j], g.freeSlots[i]
+		}
+		before := len(g.freeSlots)
+		ok, err := g.PageInContiguous(seg, 100, n)
+		if err != nil || !ok {
+			t.Fatalf("round %d: PageInContiguous = %v, %v", round, ok, err)
+		}
+		consumed := g.emptySlots[len(g.emptySlots)-n:]
+		for i, s := range consumed {
+			if s != wantStart+int64(i) {
+				t.Fatalf("round %d: consumed slots %v, want the run at %d", round, consumed, wantStart)
+			}
+		}
+		if len(g.freeSlots) != before-n || g.FreeFrames() != before-n {
+			t.Fatalf("round %d: %d free slots (%d counted) after consuming %d of %d",
+				round, len(g.freeSlots), g.FreeFrames(), n, before)
+		}
+		left := make(map[int64]bool)
+		for _, fs := range g.freeSlots {
+			if left[fs.slot] || holes[fs.slot] || (fs.slot >= wantStart && fs.slot < wantStart+n) {
+				t.Fatalf("round %d: slot %d wrongly on the free list", round, fs.slot)
+			}
+			left[fs.slot] = true
+		}
+		for p := int64(100); p < 100+n; p++ {
+			if !seg.HasPage(p) {
+				t.Fatalf("round %d: page %d not resident", round, p)
+			}
+		}
+		if g.ResidentPages() != n {
+			t.Fatalf("round %d: resident = %d", round, g.ResidentPages())
+		}
+	}
+}

@@ -36,6 +36,7 @@ go test -race -run Chaos -count=1 ./internal/core ./internal/spcm ./internal/ker
 
 echo "== fuzz smoke (10s per target) =="
 go test -run='^$' -fuzz='^FuzzMappingTable$' -fuzztime=10s ./internal/kernel
+go test -run='^$' -fuzz='^FuzzTLB$' -fuzztime=10s ./internal/kernel
 go test -run='^$' -fuzz='^FuzzCASTable$' -fuzztime=10s ./internal/kernel
 go test -run='^$' -fuzz='^FuzzExtentTable$' -fuzztime=10s ./internal/kernel
 go test -run='^$' -fuzz='^FuzzUIO$' -fuzztime=10s ./internal/uio
@@ -46,7 +47,8 @@ go test -run='^$' -fuzz='^FuzzEventHeap$' -fuzztime=10s ./internal/sim
 echo "== bench smoke (1 iteration) =="
 go test -bench=Harness -benchtime=1x -run='^$' .
 go test -bench=DeliveryPlane -benchtime=1x -run='^$' ./internal/experiments
-go test -bench=BatchMigrate -benchtime=1x -run='^$' ./internal/kernel
+go test -bench='BatchMigrate|TLB|MappingTable' -benchtime=1x -run='^$' ./internal/kernel
+go test -bench=LockReleaseAll -benchtime=1x -run='^$' ./internal/db
 
 echo "== policy shootout smoke (2 policies x 1 workload) =="
 policy_tmp=$(mktemp)
