@@ -1,8 +1,11 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -110,30 +113,35 @@ func (k *Kernel) chargeMigrated(dst *Segment, pages, perPage, whole int64) {
 		time.Duration(whole)*k.cost.SuperpageOp)
 }
 
-// batchScratch is the reusable dedup state for large unsorted batches;
-// pooling it keeps the batched grant path (hundreds of single-page ranges
-// when the granted frames are scattered) off the allocator.
+// batchScratch is checkDisjoint's reusable state for large unsorted batches
+// (hundreds of single-page ranges when granted frames are scattered). The
+// bitsets are all-zero between uses, whatever their capacity: a use clears
+// exactly the words it touched, so a check costs what its own batch spans,
+// never what an earlier, larger batch left behind.
 type batchScratch struct {
-	srcSeen map[int64]struct{}
-	dstSeen map[int64]struct{}
+	src, dst []uint64    // one bit per page, offset from the side's lowest page
+	rs       []PageRange // a copy of the batch, for sorting
 }
 
-var batchScratchPool = sync.Pool{New: func() any {
-	return &batchScratch{
-		srcSeen: make(map[int64]struct{}, 64),
-		dstSeen: make(map[int64]struct{}, 64),
-	}
-}}
+var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// batchDensePagesPerRange bounds the bitset arm: a side whose pages span at
+// most this many pages per range is marked in a bitset (clearing 64 words a
+// range costs less than sorting the ranges); a sparser side is sorted.
+const batchDensePagesPerRange = 4096
 
 // checkDisjoint rejects a batch in which two ranges name one source page or
 // land on one destination slot — the collisions the per-page presence
-// checks cannot see. A range spans Pages×srcMul pages of src and
-// Pages×dstMul of dst. Batches whose ranges ascend without overlap on both
-// sides — the shape every coalesced caller produces — prove themselves
-// collision-free in one pass. Small unsorted batches (the magazine grant's
-// run-per-range shape) use pairwise interval intersection, which detects
-// exactly the page-level duplicates the per-page maps would without touching
-// the allocator; only large unsorted batches fall back to the maps.
+// checks cannot see — naming the page a page-by-page walk of the batch
+// (each range's source pages, then its destination pages) would find
+// already taken. A range spans Pages×srcMul pages of src and Pages×dstMul
+// of dst. Batches whose ranges ascend without overlap on both sides — the
+// shape every coalesced caller produces — prove themselves collision-free
+// in one pass, and small unsorted batches (the magazine grant's
+// run-per-range shape) are compared pairwise. A large unsorted batch marks
+// each side's pages in a bitset spanning that side's lowest to highest page
+// when both spans are dense enough, and otherwise sorts each side's
+// intervals to prove them disjoint.
 func checkDisjoint(src, dst *Segment, ranges []PageRange, srcMul, dstMul int64) error {
 	sorted := true
 	for i := 1; i < len(ranges) && sorted; i++ {
@@ -143,39 +151,100 @@ func checkDisjoint(src, dst *Segment, ranges []PageRange, srcMul, dstMul int64) 
 	if sorted {
 		return nil
 	}
-	if len(ranges) <= 32 {
-		for i := 1; i < len(ranges); i++ {
-			for j := 0; j < i; j++ {
-				a, b := ranges[i], ranges[j]
-				if a.Page < b.Page+b.Pages*srcMul && b.Page < a.Page+a.Pages*srcMul {
-					return pageError(ErrBadRange, src, max(a.Page, b.Page))
-				}
-				if a.To < b.To+b.Pages*dstMul && b.To < a.To+a.Pages*dstMul {
-					return pageError(ErrBadRange, dst, max(a.To, b.To))
-				}
-			}
-		}
-		return nil
+	if len(ranges) <= 16 { // past ~16 ranges the quadratic walk costs more than the bitsets
+		return firstCollision(src, dst, ranges, srcMul, dstMul)
+	}
+	srcLo, srcHi := ranges[0].Page, ranges[0].Page
+	dstLo, dstHi := ranges[0].To, ranges[0].To
+	for _, r := range ranges {
+		srcLo, srcHi = min(srcLo, r.Page), max(srcHi, r.Page+r.Pages*srcMul)
+		dstLo, dstHi = min(dstLo, r.To), max(dstHi, r.To+r.Pages*dstMul)
 	}
 	sc := batchScratchPool.Get().(*batchScratch)
 	defer batchScratchPool.Put(sc)
-	clear(sc.srcSeen)
-	clear(sc.dstSeen)
-	for _, r := range ranges {
-		for p := r.Page; p < r.Page+r.Pages*srcMul; p++ {
-			if _, dup := sc.srcSeen[p]; dup {
-				return pageError(ErrBadRange, src, p)
-			}
-			sc.srcSeen[p] = struct{}{}
+	if dense := int64(len(ranges)) * batchDensePagesPerRange; srcHi-srcLo > dense || dstHi-dstLo > dense {
+		sc.rs = append(sc.rs[:0], ranges...)
+		if disjointSorted(sc.rs, srcMul, func(r PageRange) int64 { return r.Page }) &&
+			disjointSorted(sc.rs, dstMul, func(r PageRange) int64 { return r.To }) {
+			return nil
 		}
-		for p := r.To; p < r.To+r.Pages*dstMul; p++ {
-			if _, dup := sc.dstSeen[p]; dup {
-				return pageError(ErrBadRange, dst, p)
-			}
-			sc.dstSeen[p] = struct{}{}
+		return firstCollision(src, dst, ranges, srcMul, dstMul)
+	}
+	srcSet, dstSet := pageBitset(&sc.src, srcHi-srcLo), pageBitset(&sc.dst, dstHi-dstLo)
+	defer clear(srcSet)
+	defer clear(dstSet)
+	for _, r := range ranges {
+		if p := markPages(srcSet, r.Page-srcLo, r.Pages*srcMul); p >= 0 {
+			return pageError(ErrBadRange, src, srcLo+p)
+		}
+		if p := markPages(dstSet, r.To-dstLo, r.Pages*dstMul); p >= 0 {
+			return pageError(ErrBadRange, dst, dstLo+p)
 		}
 	}
 	return nil
+}
+
+// firstCollision is the exact pairwise check, quadratic in the batch: for
+// each range in turn, the lowest source page an earlier range also names,
+// else the lowest destination page an earlier range also lands on.
+func firstCollision(src, dst *Segment, ranges []PageRange, srcMul, dstMul int64) error {
+	for i, a := range ranges {
+		aSrcEnd, aDstEnd := a.Page+a.Pages*srcMul, a.To+a.Pages*dstMul
+		sp, dp := int64(math.MaxInt64), int64(math.MaxInt64)
+		for _, b := range ranges[:i] {
+			if a.Page < b.Page+b.Pages*srcMul && b.Page < aSrcEnd {
+				sp = min(sp, max(a.Page, b.Page))
+			}
+			if a.To < b.To+b.Pages*dstMul && b.To < aDstEnd {
+				dp = min(dp, max(a.To, b.To))
+			}
+		}
+		if sp != math.MaxInt64 {
+			return pageError(ErrBadRange, src, sp)
+		}
+		if dp != math.MaxInt64 {
+			return pageError(ErrBadRange, dst, dp)
+		}
+	}
+	return nil
+}
+
+// pageBitset returns a zeroed bitset of n bits backed by *buf, growing it
+// when short.
+func pageBitset(buf *[]uint64, n int64) []uint64 {
+	words := int((n + 63) / 64)
+	if cap(*buf) < words {
+		*buf = make([]uint64, words)
+	}
+	return (*buf)[:words]
+}
+
+// markPages sets bits [lo, lo+n) and returns the lowest of them that was
+// already set, or -1.
+func markPages(set []uint64, lo, n int64) int64 {
+	for hi := lo + n; lo < hi; {
+		w, b := lo>>6, uint(lo&63)
+		run := min(hi-lo, 64-int64(b))
+		mask := ^uint64(0) >> (64 - uint(run)) << b
+		if dup := set[w] & mask; dup != 0 {
+			return w<<6 + int64(bits.TrailingZeros64(dup))
+		}
+		set[w] |= mask
+		lo += run
+	}
+	return -1
+}
+
+// disjointSorted sorts rs by start and reports whether no range, spanning
+// Pages×mul pages from its start, reaches into the next.
+func disjointSorted(rs []PageRange, mul int64, start func(PageRange) int64) bool {
+	slices.SortFunc(rs, func(a, b PageRange) int { return cmp.Compare(start(a), start(b)) })
+	for i := 1; i < len(rs); i++ {
+		if start(rs[i]) < start(rs[i-1])+rs[i-1].Pages*mul {
+			return false
+		}
+	}
+	return true
 }
 
 // MigratePagesBatch moves every range of page frames from src to dst,
@@ -297,7 +366,7 @@ func extentOrderFor(src *Segment, r PageRange, super bool) int {
 // destination translation per page; an extent move installs one span entry
 // for the whole range instead. Both segments' locks are held by the caller,
 // which also charges for the move.
-func (k *Kernel) movePage(src, dst *Segment, srcPage, dstPage int64, set, clear PageFlags, probe, install bool) *pageEntry {
+func (k *Kernel) movePage(src, dst *Segment, srcPage, dstPage int64, set, clear PageFlags, probe, install bool) {
 	if probe {
 		k.demoteCoveringLocked(src, srcPage)
 	}
@@ -316,13 +385,12 @@ func (k *Kernel) movePage(src, dst *Segment, srcPage, dstPage int64, set, clear 
 	}
 	if install && !k.stagingSkip(dst) {
 		dstKey := mapKey{dst.id, dstPage}
-		k.table.insert(dstKey, e)
+		k.table.insert(dstKey)
 		// Prime the TLB for the destination: on a fault-driven migrate the
 		// kernel loads the translation for the faulting address before the
 		// application resumes, so the retried access does not miss again.
 		k.tlb.install(dstKey)
 	}
-	return e
 }
 
 // moveExtent applies one qualifying range as an extent: per-page authority
@@ -342,14 +410,10 @@ func (k *Kernel) moveExtent(src, dst *Segment, r PageRange, order uint8, set, cl
 		k.dropExtentLocked(src, r.Page, ord)
 		probe = false
 	}
-	var baseEntry *pageEntry
 	for i := int64(0); i < r.Pages; i++ {
-		e := k.movePage(src, dst, r.Page+i, r.To+i, set, clear, probe, false)
-		if i == 0 {
-			baseEntry = e
-		}
+		k.movePage(src, dst, r.Page+i, r.To+i, set, clear, probe, false)
 	}
-	k.recordExtentLocked(dst, r.To, order, baseEntry)
+	k.recordExtentLocked(dst, r.To, order)
 	k.stats.ExtentPromotions.Add(1)
 	k.stats.SuperpageOps.Add(1)
 }
@@ -428,7 +492,7 @@ func (k *Kernel) coalesce(cred Cred, src, dst *Segment, ranges []PageRange, set,
 				k.framePage[f.PFN()] = r.To + i
 			}
 			if !k.stagingSkip(dst) {
-				k.table.insert(mapKey{dst.id, r.To + i}, ne)
+				k.table.insert(mapKey{dst.id, r.To + i})
 			}
 		}
 	}
@@ -493,7 +557,7 @@ func (k *Kernel) split(cred Cred, src, dst *Segment, ranges []PageRange, set, cl
 				k.frameOwner[f.PFN()] = dst.id
 				k.framePage[f.PFN()] = dp
 				if !k.stagingSkip(dst) {
-					k.table.insert(mapKey{dst.id, dp}, ne)
+					k.table.insert(mapKey{dst.id, dp})
 				}
 			}
 		}

@@ -2,34 +2,41 @@ package kernel
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 )
 
 // casTable is the lock-free mapping table the concurrent scheduler installs
-// (SetScheduler): open addressing over atomic slot pointers, with CAS
-// publication, tombstoned removal, and epoch-based reclamation (epoch.go)
-// of unlinked boxes. The serial scheduler keeps the paper's unlocked
-// mappingTable, so the golden output is untouched.
+// (SetScheduler): open addressing over packed atomic words, with CAS
+// publication and tombstoned removal. The serial scheduler keeps the
+// paper's unlocked mappingTable, so the golden output is untouched.
 //
-// Layout. Each slot holds an atomic pointer to an immutable casBox (key +
-// entry). A key's home slot is the top bits of its Fibonacci hash; a lookup
-// probes a short window from home, stopping at the first nil. Removal
-// CASes the box to a shared tombstone sentinel — never back to nil — so
-// the stop-at-nil invariant survives concurrent removals: a key, once
-// placed, is never beyond the first nil of its window, because inserts
-// choose the first nil-or-tombstone slot and nils never reappear.
+// Layout. Each slot is one uint64 in the layout casPackOrder gives the CAS
+// TLB's superpage ways: present bit, 3 bits of span order (0 for a
+// base-page entry), 20 bits of segment, 40 bits of page. Zero is an empty
+// slot and casTombstone a removed one; neither has the present bit, so
+// neither can equal a key. A key's home slot is the top bits of the
+// Fibonacci hash of its (span-tagged) mapKey; a lookup probes a short
+// window from home, stopping at the first empty slot. Removal CASes the
+// word to the tombstone — never back to zero — so the stop-at-zero
+// invariant survives concurrent removals: a key, once placed, is never
+// beyond the first zero of its window, because inserts choose the first
+// zero-or-tombstone slot and zeros never reappear. Keys outside the packable
+// range are uncacheable, as in the CAS TLB: lookups miss, insert and remove
+// are no-ops, and the segment's page index serves them.
 //
-// Concurrency contract. The structure is memory-safe under arbitrary
-// concurrent use (readers pin an epoch before dereferencing; writers
-// publish whole boxes by CAS and retire what they unlink). Linearizable
-// per-key behaviour additionally relies on the kernel's existing locking:
-// every table operation for a given key happens under that key's segment
-// lock, so each key has one writer at a time, while operations on
-// different keys race freely. Like the paper's table this is a cache, not
-// the truth: a full probe window displaces the home occupant (drops), and
-// misses fall back to the segment's page index.
+// Concurrency contract. A slot is a value, not a reference: nothing is
+// dereferenced, so readers pin nothing and writers reclaim nothing, and a
+// slot that changed and changed back between a load and a CAS (ABA) still
+// means exactly what the CAS assumed. Linearizable per-key behaviour
+// additionally relies on the kernel's existing locking: every table
+// operation for a given key happens under that key's segment lock, so each
+// key has one writer at a time, while operations on different keys race
+// freely. Like the paper's table this is a cache, not the truth: a full
+// probe window displaces the home occupant (drops), and misses fall back to
+// the segment's page index.
 type casTable struct {
-	slots  []atomic.Pointer[casBox]
+	slots  []atomic.Uint64
 	mask   uint64
 	shift  uint
 	window int
@@ -38,23 +45,11 @@ type casTable struct {
 	// makes lookup's span probing one relaxed load, so the concurrent
 	// golden modes see the exact pre-extent probe sequence.
 	spanSeen atomic.Uint32
-	ebr      ebr
 	stat     [casStatStripes]casStatCell
 }
 
-// casBox is one published table entry. key and entry are immutable after
-// publication; next is pool/limbo linkage owned by epoch.go and never read
-// by table readers.
-type casBox struct {
-	key   mapKey
-	entry *pageEntry
-	next  *casBox
-}
-
-// casTombstone marks a slot whose box was removed. It is compared by
-// identity (its zero key could collide with a real segment-0 key) and is
-// never retired or dereferenced.
-var casTombstone = new(casBox)
+// casTombstone marks a slot whose key was removed.
+const casTombstone = uint64(1)
 
 // casProbeWindow bounds the probe distance from a key's home slot, like
 // hashOverflow bounds the paper table's overflow scan.
@@ -75,61 +70,57 @@ func newCASTableSized(slots int) *casTable {
 	if slots <= 0 || slots&(slots-1) != 0 {
 		panic(fmt.Sprintf("kernel: CAS table size %d not a power of two", slots))
 	}
-	shift := uint(64)
-	for s := slots; s > 1; s >>= 1 {
-		shift--
-	}
-	w := casProbeWindow
-	if w > slots {
-		w = slots
-	}
 	return &casTable{
-		slots:  make([]atomic.Pointer[casBox], slots),
+		slots:  make([]atomic.Uint64, slots),
 		mask:   uint64(slots - 1),
-		shift:  shift,
-		window: w,
+		shift:  hashShift(slots),
+		window: min(casProbeWindow, slots),
 	}
 }
+
+// hashShift is the right shift that leaves the top log2(n) bits of a 64-bit
+// Fibonacci hash: an index into a table of n (a power of two) slots or sets.
+func hashShift(n int) uint { return uint(64 - bits.TrailingZeros(uint(n))) }
 
 func casHash(k mapKey) uint64 {
 	h := uint64(k.seg)<<40 ^ uint64(k.page)
 	return h * 0x9e3779b97f4a7c15
 }
 
-// probe scans k's window for its box; the caller must hold an epoch pin
-// (the returned entry is only safe to use before the matching unpin).
+// casKey packs the entry of the given span order based at k (order 0: the
+// base-page entry of k itself) and hashes the mapKey the serial table files
+// it under, so both tables give every entry the same home.
+func casKey(k mapKey, order uint8) (w, h uint64, ok bool) {
+	w, ok = casPackOrder(k, order)
+	return w, casHash(spanMapKey(k, int(order))), ok
+}
+
+// find scans the window of hash h for the slot holding word w, or nil.
 // Stats are the caller's job, so span probes do not double-count.
-func (t *casTable) probe(k mapKey) (*pageEntry, bool) {
-	h := casHash(k)
+func (t *casTable) find(w, h uint64) *atomic.Uint64 {
 	home := h >> t.shift
 	for i := 0; i < t.window; i++ {
-		b := t.slots[(home+uint64(i))&t.mask].Load()
-		if b == nil {
-			break
-		}
-		if b == casTombstone {
-			continue
-		}
-		if b.key == k {
-			return b.entry, true
+		s := &t.slots[(home+uint64(i))&t.mask]
+		switch s.Load() {
+		case w:
+			return s
+		case 0:
+			return nil
 		}
 	}
-	return nil, false
+	return nil
 }
 
 func (t *casTable) lookup(k mapKey) bool {
-	_, ok := t.lookupEntry(k)
-	return ok
-}
-
-// lookupEntry is lookup that also returns the published entry.
-func (t *casTable) lookupEntry(k mapKey) (*pageEntry, bool) {
-	h := casHash(k)
-	g := t.ebr.pin(h)
-	if e, ok := t.probe(k); ok {
-		t.ebr.unpin(g)
-		t.stat[g&(casStatStripes-1)].hits.Add(1)
-		return e, true
+	w, h, ok := casKey(k, 0)
+	if !ok {
+		t.stat[0].misses.Add(1)
+		return false
+	}
+	st := &t.stat[h&(casStatStripes-1)]
+	if t.find(w, h) != nil {
+		st.hits.Add(1)
+		return true
 	}
 	// Exact miss: probe the span key of every live extent order, so one
 	// cached span entry answers for all 2^order pages it covers.
@@ -138,161 +129,112 @@ func (t *casTable) lookupEntry(k mapKey) (*pageEntry, bool) {
 			if m&(1<<uint(o)) == 0 {
 				continue
 			}
-			sk := spanMapKey(mapKey{k.seg, extentBase(k.page, o)}, o)
-			if e, ok := t.probe(sk); ok {
-				t.ebr.unpin(g)
-				t.stat[g&(casStatStripes-1)].hits.Add(1)
-				return e, true
+			sw, sh, _ := casKey(mapKey{k.seg, extentBase(k.page, o)}, uint8(o))
+			if t.find(sw, sh) != nil {
+				st.hits.Add(1)
+				return true
 			}
 		}
 	}
-	t.ebr.unpin(g)
-	t.stat[g&(casStatStripes-1)].misses.Add(1)
-	return nil, false
+	st.misses.Add(1)
+	return false
 }
 
-// insertSpan caches one entry covering a whole extent under its tagged
-// span key (see superpage.go: span hits only report presence; flags and
-// frames always come from the page store). Publication order matters for
-// readers of other segments: the order bit must be visible before the
-// span entry can be found, so it is set first.
-func (t *casTable) insertSpan(k mapKey, e *pageEntry, order uint8) {
+// insertSpan caches one entry covering a whole extent (see superpage.go:
+// span hits only report presence; flags and frames always come from the
+// page store). Publication order matters for readers of other segments:
+// the order bit must be visible before the span entry can be found, so it
+// is set first.
+func (t *casTable) insertSpan(k mapKey, order uint8) {
+	if _, ok := casPackOrder(k, order); !ok {
+		return
+	}
 	for {
 		m := t.spanSeen.Load()
 		if m&(1<<uint(order)) != 0 || t.spanSeen.CompareAndSwap(m, m|1<<uint(order)) {
 			break
 		}
 	}
-	t.insert(spanMapKey(k, int(order)), e)
+	t.put(k, order)
 }
 
 // removeSpan withdraws a span entry (extent demoted).
-func (t *casTable) removeSpan(k mapKey, order uint8) {
-	t.remove(spanMapKey(k, int(order)))
-}
+func (t *casTable) removeSpan(k mapKey, order uint8) { t.drop(k, order) }
 
-func (t *casTable) insert(k mapKey, e *pageEntry) {
-	h := casHash(k)
-	g := t.ebr.pin(h)
+func (t *casTable) insert(k mapKey) { t.put(k, 0) }
+
+func (t *casTable) remove(k mapKey) { t.drop(k, 0) }
+
+// put caches the order-tagged entry of k, a no-op for an uncacheable key.
+func (t *casTable) put(k mapKey, order uint8) {
+	w, h, ok := casKey(k, order)
+	if !ok {
+		return
+	}
+	st := &t.stat[h&(casStatStripes-1)]
 	home := h >> t.shift
-	var nb *casBox
 	for {
-		// One scan finds either the key's existing box (replace in place)
-		// or the first free slot (nil or tombstone) in the window.
-		freeIdx, freeOff := uint64(0), -1
-		var freeSaw *casBox
-		replaced := false
+		// One scan finds either the key already cached (nothing to do) or
+		// the first free slot (zero or tombstone) in the window.
+		var free *atomic.Uint64
+		freeOff, freeSaw := -1, uint64(0)
 		for i := 0; i < t.window; i++ {
-			idx := (home + uint64(i)) & t.mask
-			b := t.slots[idx].Load()
-			if b == nil {
-				if freeOff < 0 {
-					freeIdx, freeOff, freeSaw = idx, i, nil
-				}
-				break
-			}
-			if b == casTombstone {
-				if freeOff < 0 {
-					freeIdx, freeOff, freeSaw = idx, i, b
-				}
-				continue
-			}
-			if b.key == k {
-				nb = t.box(nb, h, k, e)
-				if !t.slots[idx].CompareAndSwap(b, nb) {
-					replaced = true // raced with a displacement; rescan
-					break
-				}
-				t.ebr.retire(b, h)
-				t.ebr.unpin(g)
+			s := &t.slots[(home+uint64(i))&t.mask]
+			v := s.Load()
+			if v == w {
 				return
 			}
-		}
-		if replaced {
-			continue
+			if (v == 0 || v == casTombstone) && freeOff < 0 {
+				free, freeOff, freeSaw = s, i, v
+			}
+			if v == 0 {
+				break
+			}
 		}
 		if freeOff >= 0 {
-			nb = t.box(nb, h, k, e)
-			if !t.slots[freeIdx].CompareAndSwap(freeSaw, nb) {
+			if !free.CompareAndSwap(freeSaw, w) {
 				continue // another key claimed the slot; rescan
 			}
 			if freeOff > 0 {
-				t.stat[g&(casStatStripes-1)].spills.Add(1)
+				st.spills.Add(1)
 			}
-			t.ebr.unpin(g)
 			return
 		}
 		// Window full of live entries for other keys: displace the home
 		// occupant, as the paper table drops on overflow exhaustion. The
 		// table is a cache — the victim's mapping survives in its segment.
 		victim := t.slots[home].Load()
-		if victim == nil || victim == casTombstone {
+		if victim == 0 || victim == casTombstone {
 			continue // freed underneath us; the rescan will use it
 		}
-		nb = t.box(nb, h, k, e)
-		if t.slots[home].CompareAndSwap(victim, nb) {
-			t.ebr.retire(victim, h)
-			t.stat[g&(casStatStripes-1)].drops.Add(1)
-			t.ebr.unpin(g)
+		if t.slots[home].CompareAndSwap(victim, w) {
+			st.drops.Add(1)
 			return
 		}
 	}
 }
 
-// box lazily allocates (or reuses across retry loops) the box to publish.
-func (t *casTable) box(nb *casBox, h uint64, k mapKey, e *pageEntry) *casBox {
-	if nb == nil {
-		nb = t.ebr.alloc(h)
-		nb.key = k
-	}
-	nb.entry = e
-	return nb
-}
-
-func (t *casTable) remove(k mapKey) {
-	h := casHash(k)
-	g := t.ebr.pin(h)
-	home := h >> t.shift
-	for {
-		raced := false
-		for i := 0; i < t.window; i++ {
-			idx := (home + uint64(i)) & t.mask
-			b := t.slots[idx].Load()
-			if b == nil {
-				break
-			}
-			if b == casTombstone || b.key != k {
-				continue
-			}
-			if !t.slots[idx].CompareAndSwap(b, casTombstone) {
-				raced = true // displaced by another key's insert; rescan
-				break
-			}
-			t.ebr.retire(b, h)
-			break
-		}
-		if !raced {
-			break
+// drop tombstones the slot of k's order-tagged entry. A failed CAS means
+// another key's insert displaced it first; either way the key — which only
+// its single writer, the caller, could have put back — is gone.
+func (t *casTable) drop(k mapKey, order uint8) {
+	if w, h, ok := casKey(k, order); ok {
+		if s := t.find(w, h); s != nil {
+			s.CompareAndSwap(w, casTombstone)
 		}
 	}
-	t.ebr.unpin(g)
 }
 
 func (t *casTable) removeSegment(seg SegID) {
-	g := t.ebr.pin(uint64(seg))
 	for i := range t.slots {
+		s := &t.slots[i]
 		for {
-			b := t.slots[i].Load()
-			if b == nil || b == casTombstone || b.key.seg != seg {
-				break
-			}
-			if t.slots[i].CompareAndSwap(b, casTombstone) {
-				t.ebr.retire(b, uint64(seg))
+			v := s.Load()
+			if v&casTLBPresent == 0 || casOrderSeg(v) != seg || s.CompareAndSwap(v, casTombstone) {
 				break
 			}
 		}
 	}
-	t.ebr.unpin(g)
 }
 
 func (t *casTable) stats() (hits, misses, spills, drops int64) {

@@ -64,15 +64,20 @@ const (
 	casTLBSuperSegBits = casTLBOrderShift - casTLBPageBits
 )
 
-// casTLBPackSuper packs a superpage way covering 2^order pages from base
-// k.page, reporting false for keys outside the representable range.
-func casTLBPackSuper(k mapKey, order uint8) (uint64, bool) {
+// casPackOrder packs a word covering 2^order pages from base k.page — a
+// superpage way here, any entry of the CAS mapping table (castable.go, order
+// 0 for a base page) — reporting false for keys outside the representable
+// range.
+func casPackOrder(k mapKey, order uint8) (uint64, bool) {
 	if uint64(k.seg) >= 1<<casTLBSuperSegBits || k.page < 0 || k.page >= 1<<casTLBPageBits {
 		return 0, false
 	}
 	return casTLBPresent | uint64(order)<<casTLBOrderShift |
 		uint64(k.seg)<<casTLBPageBits | uint64(k.page), true
 }
+
+// casOrderSeg is the segment of a word casPackOrder built.
+func casOrderSeg(w uint64) SegID { return SegID(w >> casTLBPageBits & (1<<casTLBSuperSegBits - 1)) }
 
 func newCASTLB(entries int) *casTLB {
 	if entries < casTLBWays {
@@ -82,11 +87,7 @@ func newCASTLB(entries int) *casTLB {
 	for nsets*casTLBWays < entries {
 		nsets <<= 1
 	}
-	shift := uint(64)
-	for s := nsets; s > 1; s >>= 1 {
-		shift--
-	}
-	return &casTLB{sets: make([]casTLBSet, nsets), shift: shift}
+	return &casTLB{sets: make([]casTLBSet, nsets), shift: hashShift(nsets)}
 }
 
 // casTLBPack packs a key into one word, reporting false for keys outside
@@ -124,7 +125,7 @@ func (t *casTLB) lookup(k mapKey) bool {
 				continue
 			}
 			o := uint8(sw >> casTLBOrderShift & 7)
-			want, ok := casTLBPackSuper(mapKey{k.seg, extentBase(k.page, int(o))}, o)
+			want, ok := casPackOrder(mapKey{k.seg, extentBase(k.page, int(o))}, o)
 			if ok && want == sw {
 				t.stat[idx&(casStatStripes-1)].hits.Add(1)
 				return true
@@ -139,7 +140,7 @@ func (t *casTLB) lookup(k mapKey) bool {
 // check, then empty-way CAS, then round-robin eviction — the same
 // discipline as the base install.
 func (t *casTLB) installSpan(k mapKey, order uint8) {
-	w, ok := casTLBPackSuper(k, order)
+	w, ok := casPackOrder(k, order)
 	if !ok {
 		return
 	}
@@ -157,7 +158,7 @@ func (t *casTLB) installSpan(k mapKey, order uint8) {
 
 // invalidateSpan withdraws a superpage way (extent demoted).
 func (t *casTLB) invalidateSpan(k mapKey, order uint8) {
-	w, ok := casTLBPackSuper(k, order)
+	w, ok := casPackOrder(k, order)
 	if !ok {
 		return
 	}
@@ -217,7 +218,7 @@ func (t *casTLB) invalidateSegment(seg SegID) {
 	if t.superSeen.Load() != 0 {
 		for i := range t.super {
 			w := t.super[i].Load()
-			if w != 0 && SegID(w>>casTLBPageBits&(1<<casTLBSuperSegBits-1)) == seg {
+			if w != 0 && casOrderSeg(w) == seg {
 				t.super[i].CompareAndSwap(w, 0)
 			}
 		}

@@ -39,7 +39,7 @@ func FuzzMappingTable(f *testing.F) {
 			switch op {
 			case 0, 1: // insert weighted 2x: build occupancy
 				e := &pageEntry{}
-				table.insert(k, e)
+				table.insert(k)
 				ref.insert(k, e)
 				model[k] = true
 				if !table.lookup(k) {
@@ -60,7 +60,7 @@ func FuzzMappingTable(f *testing.F) {
 				}
 			case 4:
 				e := &pageEntry{}
-				table.insertSpan(span, e, order)
+				table.insertSpan(span, order)
 				ref.insertSpan(span, e, order)
 				model[spanMapKey(span, int(order))] = true
 			case 5:

@@ -40,14 +40,13 @@ func (s *hashSlot) holds(k mapKey) bool {
 // the paper's single mappingTable (serial) and the lock-free casTable
 // (concurrent). The span methods cache one entry covering a whole superpage
 // extent (superpage.go); the tables are caches, so a missing span only
-// costs the walk. lookup reports presence only; insert is handed the entry
-// for the table that publishes one (casTable) — the paper table keeps keys.
+// costs the walk. Both tables keep keys only: lookup reports presence.
 type mapper interface {
 	lookup(k mapKey) bool
-	insert(k mapKey, e *pageEntry)
+	insert(k mapKey)
 	remove(k mapKey)
 	removeSegment(seg SegID)
-	insertSpan(k mapKey, e *pageEntry, order uint8)
+	insertSpan(k mapKey, order uint8)
 	removeSpan(k mapKey, order uint8)
 	stats() (hits, misses, spills, drops int64)
 	resetStats()
@@ -153,9 +152,9 @@ func (t *mappingTable) lookup(k mapKey) bool {
 
 // insertSpan caches one key covering a whole extent under its tagged span
 // key; lookup's masked-base probes find it for every covered page.
-func (t *mappingTable) insertSpan(k mapKey, e *pageEntry, order uint8) {
+func (t *mappingTable) insertSpan(k mapKey, order uint8) {
 	t.spanSeen |= 1 << order
-	t.insert(spanMapKey(k, int(order)), e)
+	t.insert(spanMapKey(k, int(order)))
 }
 
 // removeSpan withdraws a span entry (extent demoted).
@@ -175,7 +174,7 @@ func (t *mappingTable) removeSpan(k mapKey, order uint8) {
 // k in the overflow area shadowed by its slot; remove sweeps both areas
 // and the copy is purged the next time k's slot is displaced, so at most
 // one overflow copy per key ever exists.
-func (t *mappingTable) insert(k mapKey, _ *pageEntry) {
+func (t *mappingTable) insert(k mapKey) {
 	s := &t.slots[t.index(k)]
 	if s.valid && !s.holds(k) {
 		displaced := mapKey{s.seg, s.page}

@@ -12,8 +12,8 @@ func TestMappingTableInsertLookupRemove(t *testing.T) {
 	mt := newMappingTable()
 	k1 := mapKey{seg: 3, page: 7}
 	k2 := mapKey{seg: 4, page: 7}
-	mt.insert(k1, nil)
-	mt.insert(k2, nil)
+	mt.insert(k1)
+	mt.insert(k2)
 	if !mt.lookup(k1) {
 		t.Fatal("lookup k1 failed")
 	}
@@ -32,8 +32,8 @@ func TestMappingTableInsertLookupRemove(t *testing.T) {
 func TestMappingTableReinsertSameKey(t *testing.T) {
 	mt := newMappingTable()
 	k := mapKey{seg: 1, page: 1}
-	mt.insert(k, nil)
-	mt.insert(k, nil)
+	mt.insert(k)
+	mt.insert(k)
 	if !mt.lookup(k) {
 		t.Fatal("reinsert lost the key")
 	}
@@ -64,7 +64,7 @@ func TestMappingTableOverflowSpill(t *testing.T) {
 	mt := newMappingTable()
 	keys := collidingKeys(mt, 3)
 	for _, k := range keys {
-		mt.insert(k, nil)
+		mt.insert(k)
 	}
 	// All three must still be found: one in the slot, two in overflow.
 	for i, k := range keys {
@@ -81,7 +81,7 @@ func TestMappingTableOverflowFullDrops(t *testing.T) {
 	mt := newMappingTable()
 	keys := collidingKeys(mt, hashOverflow+2)
 	for _, k := range keys {
-		mt.insert(k, nil)
+		mt.insert(k)
 	}
 	if mt.drops == 0 {
 		t.Fatal("expected drops after overflowing the 32-entry area")
@@ -107,8 +107,8 @@ func TestMappingTableOverflowFullDrops(t *testing.T) {
 func TestMappingTableRemoveSegment(t *testing.T) {
 	mt := newMappingTable()
 	for p := int64(0); p < 100; p++ {
-		mt.insert(mapKey{seg: 5, page: p}, nil)
-		mt.insert(mapKey{seg: 6, page: p}, nil)
+		mt.insert(mapKey{seg: 5, page: p})
+		mt.insert(mapKey{seg: 6, page: p})
 	}
 	mt.removeSegment(5)
 	for p := int64(0); p < 100; p++ {
@@ -141,7 +141,7 @@ func TestMappingTableNeverWrong(t *testing.T) {
 			k := mapKey{seg: SegID(segs[i]%8) + 1, page: int64(pages[i] >> 1)}
 			if pages[i]&1 == 0 {
 				ref[k] = true
-				mt.insert(k, nil)
+				mt.insert(k)
 			} else {
 				delete(ref, k)
 				mt.remove(k)
@@ -295,15 +295,15 @@ func TestMappingTableStaleDuplicatePurge(t *testing.T) {
 	keys := collidingKeys(tbl, 2)
 	a, b := keys[0], keys[1]
 
-	tbl.insert(a, nil) // a in slot
-	tbl.insert(b, nil) // a displaced to overflow
+	tbl.insert(a) // a in slot
+	tbl.insert(b) // a displaced to overflow
 	if got := overflowCopies(tbl, a); got != 1 {
 		t.Fatalf("overflow copies of a = %d, want 1", got)
 	}
 
 	// Re-insert a: b is displaced, and the sweep must purge the overflow
 	// copy of a in the same pass.
-	tbl.insert(a, nil)
+	tbl.insert(a)
 	if got := overflowCopies(tbl, a); got != 0 {
 		t.Fatalf("overflow copy of a survived re-insert (%d copies)", got)
 	}
@@ -312,7 +312,7 @@ func TestMappingTableStaleDuplicatePurge(t *testing.T) {
 	}
 
 	// Displace a again: it must sit in the area exactly once.
-	tbl.insert(b, nil)
+	tbl.insert(b)
 	if !tbl.lookup(a) {
 		t.Fatal("after displacement lookup(a) missed, want a hit from overflow")
 	}

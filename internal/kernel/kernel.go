@@ -591,7 +591,7 @@ func (k *Kernel) Access(s *Segment, page int64, access AccessType) error {
 				// stagingSkip); the charge is identical either way.
 				k.clock.Advance(2 * k.cost.MappingUpdate)
 				if !k.stagingSkip(rs) {
-					k.table.insert(key, e)
+					k.table.insert(key)
 				}
 			}
 			if !k.stagingSkip(rs) {

@@ -2,11 +2,12 @@ package kernel
 
 import "testing"
 
-// Layer benchmarks for the serial scheduler's TLB and mapping table (ROADMAP
-// item 1: "TLB lookup", "mapping-table lookup+insert"). Every benchmark
-// runs the production structure and the reference model it replaced
+// Layer benchmarks for the TLBs, the mapping tables and the batch collision
+// check (ROADMAP item 1: "TLB lookup", "mapping-table lookup+insert"). The
+// serial structures run beside the reference model each replaced
 // (reference_test.go) through the same loop, so one run prints before and
-// after; all of them must report 0 allocs/op. scripts/check.sh smoke-runs
+// after; the concurrent scheduler's CAS TLB and CAS table run the same loops
+// alone. All of them must report 0 allocs/op. scripts/check.sh smoke-runs
 // them at one iteration.
 
 // tlbOps and tableOps are the slices of translator and mapper the loops
@@ -20,23 +21,40 @@ type tlbOps interface {
 
 type tableOps interface {
 	lookup(k mapKey) bool
-	insert(k mapKey, e *pageEntry)
+	insert(k mapKey)
 	remove(k mapKey)
 }
 
-// refTablePresence narrows the reference table's lookup to presence.
-type refTablePresence struct{ *refMappingTable }
+// refTablePresence narrows the reference table to the key-only surface:
+// lookup reports presence, insert stores one shared entry.
+type refTablePresence struct {
+	*refMappingTable
+	e *pageEntry
+}
 
 func (r refTablePresence) lookup(k mapKey) bool {
 	_, ok := r.refMappingTable.lookup(k)
 	return ok
 }
 
+func (r refTablePresence) insert(k mapKey) { r.refMappingTable.insert(k, r.e) }
+
 const benchTLBSize = 64
+
+// tlbBench hands each TLB under test to run: benchTLBs the serial TLB and
+// its reference, benchCASTLB the concurrent scheduler's.
+type tlbBench func(b *testing.B, run func(b *testing.B, t tlbOps))
 
 func benchTLBs(b *testing.B, run func(b *testing.B, t tlbOps)) {
 	b.Run("indexed", func(b *testing.B) { b.ReportAllocs(); run(b, newTLB(benchTLBSize)) })
 	b.Run("linear", func(b *testing.B) { b.ReportAllocs(); run(b, newRefTLB(benchTLBSize)) })
+}
+
+// benchCASTLB: 16 sets of 4 ways, so of 64 consecutive pages a few lose
+// their way to a set conflict and "hit" is mostly, not wholly, hits.
+func benchCASTLB(b *testing.B, run func(b *testing.B, t tlbOps)) {
+	b.ReportAllocs()
+	run(b, newCASTLB(benchTLBSize))
 }
 
 // tlbKeys are consecutive pages of one segment, the shape a fill produces.
@@ -50,14 +68,21 @@ func tlbKeys(from, n int) []mapKey {
 
 var benchSink bool
 
-func BenchmarkTLBLookup(b *testing.B) {
+func BenchmarkTLBLookup(b *testing.B)        { tlbLookup(b, benchTLBs) }
+func BenchmarkTLBInstall(b *testing.B)       { tlbInstall(b, benchTLBs) }
+func BenchmarkTLBInvalidate(b *testing.B)    { tlbInvalidate(b, benchTLBs) }
+func BenchmarkCASTLBLookup(b *testing.B)     { tlbLookup(b, benchCASTLB) }
+func BenchmarkCASTLBInstall(b *testing.B)    { tlbInstall(b, benchCASTLB) }
+func BenchmarkCASTLBInvalidate(b *testing.B) { tlbInvalidate(b, benchCASTLB) }
+
+func tlbLookup(b *testing.B, each tlbBench) {
 	resident, absent := tlbKeys(0, benchTLBSize), tlbKeys(1000, benchTLBSize)
 	for _, c := range []struct {
 		name string
 		keys []mapKey
 	}{{"hit", resident}, {"miss", absent}} {
 		b.Run(c.name, func(b *testing.B) {
-			benchTLBs(b, func(b *testing.B, t tlbOps) {
+			each(b, func(b *testing.B, t tlbOps) {
 				for _, k := range resident {
 					t.install(k)
 				}
@@ -70,11 +95,11 @@ func BenchmarkTLBLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkTLBInstall: hit re-installs a cached key (no slot consumed),
-// miss installs a fresh key over the round-robin victim every time.
-func BenchmarkTLBInstall(b *testing.B) {
+// tlbInstall: hit re-installs a cached key (no slot consumed), miss installs
+// a fresh key over the round-robin victim every time.
+func tlbInstall(b *testing.B, each tlbBench) {
 	b.Run("hit", func(b *testing.B) {
-		benchTLBs(b, func(b *testing.B, t tlbOps) {
+		each(b, func(b *testing.B, t tlbOps) {
 			keys := tlbKeys(0, benchTLBSize)
 			for _, k := range keys {
 				t.install(k)
@@ -86,7 +111,7 @@ func BenchmarkTLBInstall(b *testing.B) {
 		})
 	})
 	b.Run("miss", func(b *testing.B) {
-		benchTLBs(b, func(b *testing.B, t tlbOps) {
+		each(b, func(b *testing.B, t tlbOps) {
 			for i := 0; i < b.N; i++ {
 				t.install(mapKey{seg: 7, page: int64(i)})
 			}
@@ -94,11 +119,11 @@ func BenchmarkTLBInstall(b *testing.B) {
 	})
 }
 
-// BenchmarkTLBInvalidate: hit drops a cached key (the TLB is refilled off
-// the clock every 64 operations), miss names a key that is not cached.
-func BenchmarkTLBInvalidate(b *testing.B) {
+// tlbInvalidate: hit drops a cached key (the TLB is refilled off the clock
+// every 64 operations), miss names a key that is not cached.
+func tlbInvalidate(b *testing.B, each tlbBench) {
 	b.Run("hit", func(b *testing.B) {
-		benchTLBs(b, func(b *testing.B, t tlbOps) {
+		each(b, func(b *testing.B, t tlbOps) {
 			keys := tlbKeys(0, benchTLBSize)
 			for i := 0; i < b.N; i++ {
 				if i%benchTLBSize == 0 {
@@ -113,7 +138,7 @@ func BenchmarkTLBInvalidate(b *testing.B) {
 		})
 	})
 	b.Run("miss", func(b *testing.B) {
-		benchTLBs(b, func(b *testing.B, t tlbOps) {
+		each(b, func(b *testing.B, t tlbOps) {
 			for _, k := range tlbKeys(0, benchTLBSize) {
 				t.install(k)
 			}
@@ -139,34 +164,77 @@ func tableKeys() []mapKey {
 	return keys
 }
 
+// tableBench hands each mapping table under test to run: benchTables the
+// serial table and its reference, benchCASTable the concurrent scheduler's.
+type tableBench func(b *testing.B, run func(b *testing.B, t tableOps))
+
 func benchTables(b *testing.B, run func(b *testing.B, t tableOps)) {
 	b.Run("keys", func(b *testing.B) { b.ReportAllocs(); run(b, newMappingTable()) })
 	b.Run("entries", func(b *testing.B) {
 		b.ReportAllocs()
-		run(b, refTablePresence{newRefMappingTable(hashTableSlots, hashOverflow)})
+		run(b, refTablePresence{newRefMappingTable(hashTableSlots, hashOverflow), &pageEntry{}})
 	})
 }
 
-func BenchmarkMappingTableInsert(b *testing.B) {
-	benchTables(b, func(b *testing.B, t tableOps) {
-		keys, e := tableKeys(), &pageEntry{}
+func benchCASTable(b *testing.B, run func(b *testing.B, t tableOps)) {
+	b.ReportAllocs()
+	run(b, newCASTable())
+}
+
+func BenchmarkMappingTableInsert(b *testing.B) { tableInsert(b, benchTables) }
+func BenchmarkMappingTableRemove(b *testing.B) { tableRemove(b, benchTables) }
+func BenchmarkMappingTableLookup(b *testing.B) { tableLookup(b, benchTables) }
+func BenchmarkCASTableRemove(b *testing.B)     { tableRemove(b, benchCASTable) }
+func BenchmarkCASTableLookup(b *testing.B)     { tableLookup(b, benchCASTable) }
+
+// BenchmarkCASTableInsert: fresh is the fault path's insert — the key is
+// not cached and lands in a slot an earlier remove tombstoned (the table is
+// emptied off the clock once per pass over the key set); cached re-inserts
+// a key the table already holds.
+func BenchmarkCASTableInsert(b *testing.B) {
+	b.Run("fresh", func(b *testing.B) {
+		benchCASTable(b, func(b *testing.B, t tableOps) {
+			keys := tableKeys()
+			for _, k := range keys {
+				t.insert(k)
+			}
+			for i := 0; i < b.N; i++ {
+				if i%benchTableKeys == 0 {
+					b.StopTimer()
+					for _, k := range keys {
+						t.remove(k)
+					}
+					b.StartTimer()
+				}
+				t.insert(keys[i%benchTableKeys])
+			}
+		})
+	})
+	b.Run("cached", func(b *testing.B) { tableInsert(b, benchCASTable) })
+}
+
+// tableInsert cycles over the key set, so after the first pass every insert
+// finds its key cached.
+func tableInsert(b *testing.B, each tableBench) {
+	each(b, func(b *testing.B, t tableOps) {
+		keys := tableKeys()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			t.insert(keys[i%benchTableKeys], e)
+			t.insert(keys[i%benchTableKeys])
 		}
 	})
 }
 
-// BenchmarkMappingTableRemove removes cached keys; the table is refilled
-// off the clock once per pass over the key set.
-func BenchmarkMappingTableRemove(b *testing.B) {
-	benchTables(b, func(b *testing.B, t tableOps) {
-		keys, e := tableKeys(), &pageEntry{}
+// tableRemove removes cached keys; the table is refilled off the clock once
+// per pass over the key set.
+func tableRemove(b *testing.B, each tableBench) {
+	each(b, func(b *testing.B, t tableOps) {
+		keys := tableKeys()
 		for i := 0; i < b.N; i++ {
 			if i%benchTableKeys == 0 {
 				b.StopTimer()
 				for _, k := range keys {
-					t.insert(k, e)
+					t.insert(k)
 				}
 				b.StartTimer()
 			}
@@ -175,18 +243,18 @@ func BenchmarkMappingTableRemove(b *testing.B) {
 	})
 }
 
-func BenchmarkMappingTableLookup(b *testing.B) {
+func tableLookup(b *testing.B, each tableBench) {
 	for _, hit := range []bool{true, false} {
 		name := "miss"
 		if hit {
 			name = "hit"
 		}
 		b.Run(name, func(b *testing.B) {
-			benchTables(b, func(b *testing.B, t tableOps) {
+			each(b, func(b *testing.B, t tableOps) {
 				keys := tableKeys()
 				if hit {
 					for _, k := range keys {
-						t.insert(k, &pageEntry{})
+						t.insert(k)
 					}
 				}
 				b.ResetTimer()
@@ -196,4 +264,54 @@ func BenchmarkMappingTableLookup(b *testing.B) {
 			})
 		})
 	}
+}
+
+// scatteredSingles is n single-page ranges whose source and destination
+// pages are scattered over [0, span): the grant batch a fragmented pool
+// produces. span is a power of two, so the odd multipliers permute it.
+func scatteredSingles(n int, span int64) []PageRange {
+	ranges := make([]PageRange, n)
+	for i := range ranges {
+		ranges[i] = PageRange{Page: int64(i) * 4093 % span, To: int64(i) * 7919 % span, Pages: 1}
+	}
+	return ranges
+}
+
+var benchErr error
+
+// BenchmarkCheckDisjoint runs the batch collision check over its three
+// collision-free shapes: ranges ascending on both sides (proved in one
+// pass), a few unsorted runs (the extent magazine's grant, compared
+// pairwise) and a scattered single-page grant — measured after a
+// 16 384-range batch, the size of a whole-pool ReturnFrames, has been through
+// the pooled scratch, because that is the order a run meets them in and the
+// small check must not pay for the large one.
+func BenchmarkCheckDisjoint(b *testing.B) {
+	src, dst := &Segment{}, &Segment{}
+	run := func(name string, ranges []PageRange, warm []PageRange) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			if err := checkDisjoint(src, dst, warm, 1, 1); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchErr = checkDisjoint(src, dst, ranges, 1, 1)
+			}
+			if benchErr != nil {
+				b.Fatal(benchErr)
+			}
+		})
+	}
+	sorted := make([]PageRange, 64)
+	for i := range sorted {
+		sorted[i] = PageRange{Page: int64(i) * 3, To: int64(i) * 5, Pages: 2}
+	}
+	run("sorted64", sorted, nil)
+	runs := scatteredSingles(8, 512)
+	for i := range runs {
+		runs[i] = PageRange{Page: runs[i].Page * 16, To: runs[i].To * 16, Pages: 16}
+	}
+	run("unsorted8x16", runs, nil)
+	run("scattered190-after-16k", scatteredSingles(190, 8192), scatteredSingles(16384, 16384))
 }

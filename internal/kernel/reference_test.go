@@ -7,6 +7,31 @@ package kernel
 // FuzzTLB drive them in lock step with the production structures and
 // require identical contents and counters after every operation.
 
+// refCheckDisjoint is the batch collision check as it was before PR 14: it
+// walks the batch page by page — each range's source pages, then its
+// destination pages — keeping one map entry per page, and reports the first
+// page already seen on its side. FuzzBatchDisjoint requires checkDisjoint's
+// every arm to give its verdict, segment and page.
+func refCheckDisjoint(src, dst *Segment, ranges []PageRange, srcMul, dstMul int64) error {
+	srcPages := make(map[int64]struct{})
+	dstPages := make(map[int64]struct{})
+	for _, r := range ranges {
+		for p := r.Page; p < r.Page+r.Pages*srcMul; p++ {
+			if _, dup := srcPages[p]; dup {
+				return pageError(ErrBadRange, src, p)
+			}
+			srcPages[p] = struct{}{}
+		}
+		for p := r.To; p < r.To+r.Pages*dstMul; p++ {
+			if _, dup := dstPages[p]; dup {
+				return pageError(ErrBadRange, dst, p)
+			}
+			dstPages[p] = struct{}{}
+		}
+	}
+	return nil
+}
+
 type refHashEntry struct {
 	key   mapKey
 	entry *pageEntry

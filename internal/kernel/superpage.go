@@ -109,7 +109,6 @@ func (k *Kernel) PromoteExtent(cred Cred, s *Segment, base int64, order int) err
 			return fmt.Errorf("%w: extent [%d,+%d) overlaps extent at %d", ErrOverlap, base, n, b)
 		}
 	}
-	var baseEntry *pageEntry
 	var prev phys.PFN
 	for i := int64(0); i < n; i++ {
 		e, ok := s.pages.get(base + i)
@@ -121,13 +120,12 @@ func (k *Kernel) PromoteExtent(cred Cred, s *Segment, base int64, order int) err
 			if int64(pfn)&(n-1) != 0 {
 				return pageError(ErrNotContiguous, s, base)
 			}
-			baseEntry = e
 		} else if pfn != prev+1 {
 			return pageError(ErrNotContiguous, s, base+i)
 		}
 		prev = pfn
 	}
-	k.recordExtentLocked(s, base, uint8(order), baseEntry)
+	k.recordExtentLocked(s, base, uint8(order))
 	k.stats.ExtentPromotions.Add(1)
 	k.stats.SuperpageOps.Add(1)
 	return nil
@@ -135,7 +133,7 @@ func (k *Kernel) PromoteExtent(cred Cred, s *Segment, base int64, order int) err
 
 // recordExtentLocked registers the extent and installs its span entries.
 // Caller holds s.mu and has validated presence/contiguity.
-func (k *Kernel) recordExtentLocked(s *Segment, base int64, order uint8, baseEntry *pageEntry) {
+func (k *Kernel) recordExtentLocked(s *Segment, base int64, order uint8) {
 	if s.extents == nil {
 		s.extents = make(map[int64]uint8)
 	}
@@ -143,7 +141,7 @@ func (k *Kernel) recordExtentLocked(s *Segment, base int64, order uint8, baseEnt
 	s.extOrderCount[order]++
 	if !k.stagingSkip(s) {
 		key := mapKey{s.id, base}
-		k.table.insertSpan(key, baseEntry, order)
+		k.table.insertSpan(key, order)
 		k.tlb.installSpan(key, order)
 	}
 }

@@ -381,6 +381,13 @@ func (g *Generic) ReceiveSlotsAppend(dst []int64, n int) []int64 {
 	return dst
 }
 
+// ReleaseSlots hands back slots reserved with ReceiveSlots that no frame
+// reached: the frame source calls it when the grant's migration failed, so
+// the slot numbers are receivable again instead of lost.
+func (g *Generic) ReleaseSlots(slots []int64) {
+	g.emptySlots = append(g.emptySlots, slots...)
+}
+
 // receiveSlot is the single-slot form of ReceiveSlots, sparing the slice
 // allocation on the eviction hot path.
 func (g *Generic) receiveSlot() int64 {
@@ -805,29 +812,40 @@ func (g *Generic) ReturnFreeFrames(n int) (int, error) {
 		return 0, nil
 	}
 	g.flushExtentRuns() // magazine frames are returnable like any free slot
-	var slots []int64
-	for i := 0; i < len(g.freeSlots) && len(slots) < n; {
+	// Unassociated frames first; if they are not enough, break associations.
+	taken := make([]freeSlot, 0, max(0, min(n, len(g.freeSlots))))
+	for i := 0; i < len(g.freeSlots) && len(taken) < n; {
 		if !g.freeSlots[i].recall {
-			slots = append(slots, g.freeSlots[i].slot)
+			taken = append(taken, g.freeSlots[i])
 			g.removeFreeSlotAt(i)
 			continue // removeFreeSlotAt swapped a new element into i
 		}
 		i++
 	}
-	// If unassociated frames were not enough, break associations.
-	for i := 0; i < len(g.freeSlots) && len(slots) < n; {
-		slots = append(slots, g.freeSlots[i].slot)
-		g.removeFreeSlotAt(i)
+	for len(g.freeSlots) > 0 && len(taken) < n {
+		taken = append(taken, g.freeSlots[0])
+		g.removeFreeSlotAt(0)
 	}
-	if len(slots) == 0 {
+	if len(taken) == 0 {
 		return 0, nil
 	}
+	slots := make([]int64, len(taken))
+	for i, fs := range taken {
+		slots[i] = fs.slot
+	}
 	if err := g.cfg.Source.ReturnFrames(g, slots); err != nil {
+		// The frames never left the free segment: list them again, recall
+		// associations included.
+		for _, fs := range taken {
+			if fs.recall {
+				g.recallIdx[fs.from] = len(g.freeSlots)
+			}
+			g.freeSlots = append(g.freeSlots, fs)
+			g.nFree.Add(1)
+		}
 		return 0, err
 	}
-	for _, s := range slots {
-		g.emptySlots = append(g.emptySlots, s)
-	}
+	g.emptySlots = append(g.emptySlots, slots...)
 	g.stats.Returns += int64(len(slots))
 	return len(slots), nil
 }

@@ -798,3 +798,77 @@ func TestPageInContiguousChoosesLowestRun(t *testing.T) {
 		}
 	}
 }
+
+// refusingSource is a FrameSource whose ReturnFrames always fails.
+type refusingSource struct{ FrameSource }
+
+var errReturnRefused = errors.New("return refused")
+
+func (refusingSource) ReturnFrames(*Generic, []int64) error { return errReturnRefused }
+
+// TestReturnFreeFramesRestoresOnError: when the source refuses the return,
+// the frames are still in the free segment, so the manager must go on
+// listing them — unassociated and fast-refault ones alike — instead of
+// leaving them untracked until an Adopt.
+func TestReturnFreeFramesRestoresOnError(t *testing.T) {
+	fx := newFixture(t, 8)
+	fb := NewFileBacking(fx.store)
+	fx.store.Preload("f", 4, func(b int64, buf []byte) { buf[0] = byte(b + 1) })
+	g := fx.newManager(t, Config{Name: "m", Backing: fb, Source: refusingSource{fx.pool}})
+	seg, _ := g.CreateManagedSegment("s")
+	fb.BindFile(seg, "f")
+	// Three unassociated free frames and one that remembers page 2.
+	if _, err := fx.pool.RequestFrames(g, 4, phys.AnyFrame()); err != nil {
+		t.Fatal(err)
+	}
+	if err := fx.k.Access(seg, 2, kernel.Read); err != nil {
+		t.Fatal(err)
+	}
+	if err := fx.k.ModifyPageFlags(kernel.AppCred, seg, 2, 1, 0, kernel.FlagReferenced); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Reclaim(1, phys.AnyFrame()); err != nil {
+		t.Fatal(err)
+	}
+	free := g.FreeFrames()
+	if free != 4 {
+		t.Fatalf("free frames before the return = %d, want 4", free)
+	}
+
+	n, err := g.ReturnFreeFrames(free) // every frame: breaks the association too
+	if !errors.Is(err, errReturnRefused) || n != 0 {
+		t.Fatalf("ReturnFreeFrames = %d, %v; want 0 and the source's refusal", n, err)
+	}
+	if g.FreeFrames() != free || len(g.freeSlots) != free {
+		t.Fatalf("free frames after a refused return = %d (list %d), want %d", g.FreeFrames(), len(g.freeSlots), free)
+	}
+	if got := g.free.PageCount(); got != free {
+		t.Fatalf("free segment holds %d frames, want %d", got, free)
+	}
+	if err := fx.k.CheckFrameConservation(); err != nil {
+		t.Fatal(err)
+	}
+	for i, fs := range g.freeSlots {
+		if fs.recall && g.recallIdx[fs.from] != i {
+			t.Fatalf("recall index of %v = %d, entry sits at %d", fs.from, g.recallIdx[fs.from], i)
+		}
+	}
+	// The association survived: page 2 comes back without I/O.
+	reads := fx.store.Reads()
+	if err := fx.k.Access(seg, 2, kernel.Read); err != nil {
+		t.Fatal(err)
+	}
+	if fx.store.Reads() != reads || g.Stats().FastRefaults != 1 {
+		t.Fatalf("re-fault after a refused return: %d reads, %d fast refaults; want 0 and 1",
+			fx.store.Reads()-reads, g.Stats().FastRefaults)
+	}
+	// And the three unassociated frames still serve faults.
+	for p := int64(0); p < 4; p++ {
+		if err := fx.k.Access(seg, p, kernel.Read); err != nil {
+			t.Fatalf("fault on page %d after a refused return: %v", p, err)
+		}
+	}
+	if err := fx.k.CheckFrameConservation(); err != nil {
+		t.Fatal(err)
+	}
+}

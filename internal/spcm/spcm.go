@@ -402,8 +402,8 @@ var (
 // satisfying the constraint are granted (fewer than n is the paper's
 // "allocates and provides as many page frames as it can or is willing to").
 // The picked frames migrate into the manager's free segment as one batched
-// kernel call; on a migration error the whole grant is rolled back into
-// the free pool.
+// kernel call; on a migration error the whole grant is rolled back: the
+// frames into the free pool, the reserved slots to the manager.
 func (s *SPCM) RequestFrames(g *manager.Generic, n int, constraint phys.Range) (int, error) {
 	a, gate, err := s.lookup(g)
 	if err != nil {
@@ -466,6 +466,7 @@ func (s *SPCM) RequestFrames(g *manager.Generic, n int, constraint phys.Range) (
 	if err := s.k.MigratePagesBatch(kernel.SystemCred, s.k.BootSegment(), g.FreeSegment(),
 		ranges, 0, 0); err != nil {
 		s.free.Push(picked)
+		g.ReleaseSlots(slots)
 		return 0, err
 	}
 	g.FramesGranted(slots)

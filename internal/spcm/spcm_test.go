@@ -1,6 +1,7 @@
 package spcm
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -595,6 +596,57 @@ func TestLaneCacheGrantPath(t *testing.T) {
 	}
 	if fx.s.FreeFrames() != 1024 {
 		t.Fatalf("FreeFrames = %d after revoke, want 1024", fx.s.FreeFrames())
+	}
+	if err := fx.k.CheckFrameConservation(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRequestFramesFailureReleasesSlots forces a grant's migration to fail
+// on an occupied destination slot and checks the whole rollback: frames back
+// in the pool, reserved slots back with the manager (the next grant lands on
+// them instead of on fresh slot numbers), nothing listed that is not there.
+func TestRequestFramesFailureReleasesSlots(t *testing.T) {
+	fx := newFixture(t, DefaultPolicy())
+	g, _ := fx.newClient(t, "app", 0)
+	other, _ := fx.newClient(t, "other", 0)
+	// Park one of other's frames on slot 1 of app's free segment, behind
+	// app's back: its next grant reserves slots 0, 1, 2.
+	if n, err := fx.s.RequestFrames(other, 1, phys.AnyFrame()); err != nil || n != 1 {
+		t.Fatalf("setup grant = %d, %v", n, err)
+	}
+	held := other.FreeSegment().Pages()[0]
+	if err := fx.k.MigratePages(kernel.SystemCred, other.FreeSegment(), g.FreeSegment(), held, 1, 1, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	pool := fx.s.FreeFrames()
+
+	n, err := fx.s.RequestFrames(g, 3, phys.AnyFrame())
+	if n != 0 || !errors.Is(err, kernel.ErrPageBusy) {
+		t.Fatalf("grant onto an occupied slot = %d, %v; want 0 and ErrPageBusy", n, err)
+	}
+	if g.FreeFrames() != 0 || fx.s.FreeFrames() != pool {
+		t.Fatalf("after the failed grant: manager free %d, pool %d; want 0 and %d", g.FreeFrames(), fx.s.FreeFrames(), pool)
+	}
+	if err := fx.s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Clear the slot; the retried grant must reuse slots 0..2.
+	if err := fx.k.MigratePages(kernel.SystemCred, g.FreeSegment(), other.FreeSegment(), 1, held, 1, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := fx.s.RequestFrames(g, 3, phys.AnyFrame()); err != nil || n != 3 {
+		t.Fatalf("retried grant = %d, %v; want 3", n, err)
+	}
+	if got := g.FreeSegment().Pages(); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
+		t.Fatalf("retried grant landed on slots %v, want [0 1 2]: the failed grant's slots leaked", got)
+	}
+	if g.FreeFrames() != 3 || fx.s.FreeFrames() != pool-3 {
+		t.Fatalf("after the retried grant: manager free %d, pool %d; want 3 and %d", g.FreeFrames(), fx.s.FreeFrames(), pool-3)
+	}
+	if err := fx.s.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 	if err := fx.k.CheckFrameConservation(); err != nil {
 		t.Fatal(err)

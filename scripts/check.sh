@@ -15,6 +15,15 @@ if [[ -n "$unformatted" ]]; then
     exit 1
 fi
 
+echo "== deleted mechanisms stay deleted =="
+# PR 14 removed epoch-based reclamation, the boxed CAS-table slots and the
+# pooled per-page maps of the batch collision check; a merge must not bring
+# any of them back.
+if grep -rnE '\bebr\b|casBox|lookupEntry|srcSeen' internal/; then
+    echo "a mechanism deleted in PR 14 is back (see the matches above)" >&2
+    exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 
@@ -39,6 +48,9 @@ go test -run='^$' -fuzz='^FuzzMappingTable$' -fuzztime=10s ./internal/kernel
 go test -run='^$' -fuzz='^FuzzTLB$' -fuzztime=10s ./internal/kernel
 go test -run='^$' -fuzz='^FuzzCASTable$' -fuzztime=10s ./internal/kernel
 go test -run='^$' -fuzz='^FuzzExtentTable$' -fuzztime=10s ./internal/kernel
+# The corpus holds a 16 384-range batch; minimizing an input that size would
+# eat the whole smoke, so it is capped.
+go test -run='^$' -fuzz='^FuzzBatchDisjoint$' -fuzztime=10s -fuzzminimizetime=1s ./internal/kernel
 go test -run='^$' -fuzz='^FuzzUIO$' -fuzztime=10s ./internal/uio
 go test -run='^$' -fuzz='^FuzzMailbox$' -fuzztime=10s ./internal/plane
 go test -run='^$' -fuzz='^FuzzPolicy$' -fuzztime=10s ./internal/manager
@@ -47,7 +59,7 @@ go test -run='^$' -fuzz='^FuzzEventHeap$' -fuzztime=10s ./internal/sim
 echo "== bench smoke (1 iteration) =="
 go test -bench=Harness -benchtime=1x -run='^$' .
 go test -bench=DeliveryPlane -benchtime=1x -run='^$' ./internal/experiments
-go test -bench='BatchMigrate|TLB|MappingTable' -benchtime=1x -run='^$' ./internal/kernel
+go test -bench='BatchMigrate|TLB|MappingTable|CASTable|CheckDisjoint' -benchtime=1x -run='^$' ./internal/kernel
 go test -bench=LockReleaseAll -benchtime=1x -run='^$' ./internal/db
 
 echo "== policy shootout smoke (2 policies x 1 workload) =="
