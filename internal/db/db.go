@@ -187,7 +187,7 @@ func (s *System) Run() *Result {
 		accountPage := s.rng.Intn(s.p.AccountPages)
 		touchesIndex := s.rng.Bool(s.p.DCIndexProb)
 		seq := i
-		s.env.GoAt(at, fmt.Sprintf("txn-%d", seq), func(p *sim.Proc) {
+		s.env.GoAt(at, "txn", func(p *sim.Proc) {
 			s.transaction(p, seq, isJoin, accountPage, touchesIndex)
 		})
 	}

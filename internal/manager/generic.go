@@ -383,9 +383,12 @@ func (g *Generic) ReceiveSlotsAppend(dst []int64, n int) []int64 {
 
 // ReleaseSlots hands back slots reserved with ReceiveSlots that no frame
 // reached: the frame source calls it when the grant's migration failed, so
-// the slot numbers are receivable again instead of lost.
+// the slot numbers are receivable again instead of lost. Slots a run refill
+// staged in runSlotQueue — the first runSlotNext of the grant — are skipped:
+// takeExtentRun puts every unconsumed recycled run back on freeRunStarts
+// itself, and a slot must not be listed twice.
 func (g *Generic) ReleaseSlots(slots []int64) {
-	g.emptySlots = append(g.emptySlots, slots...)
+	g.emptySlots = append(g.emptySlots, slots[g.runSlotNext:]...)
 }
 
 // receiveSlot is the single-slot form of ReceiveSlots, sparing the slice

@@ -872,3 +872,42 @@ func TestReturnFreeFramesRestoresOnError(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// failingRunSource reserves a refill's slots and then fails the grant the
+// way the SPCM does when the kernel rejects its migration: slots released,
+// error returned.
+type failingRunSource struct{ FrameSource }
+
+var errGrantFailed = errors.New("grant failed")
+
+func (failingRunSource) RequestContiguous(*Generic, int) (int, error) { return 0, nil }
+
+func (failingRunSource) RequestContiguousRuns(g *Generic, n, count int) (int, error) {
+	g.ReleaseSlots(g.ReceiveSlots(n * count))
+	return 0, errGrantFailed
+}
+
+// TestFailedRunRefillListsEachSlotOnce: a refill that staged a recycled run
+// and then failed must leave that run on freeRunStarts only — released into
+// emptySlots as well, a later per-page grant could land inside a run the
+// next refill plans over — while the fresh tail becomes ordinary empty slots.
+func TestFailedRunRefillListsEachSlotOnce(t *testing.T) {
+	fx := newFixture(t, 8)
+	g := fx.newManager(t, Config{Name: "m"})
+	g.freeRunStarts = []int64{16}
+	g.nextSlot = 32
+	if _, ok, err := g.takeExtentRun(failingRunSource{fx.pool}, 4); ok || !errors.Is(err, errGrantFailed) {
+		t.Fatalf("takeExtentRun = %v, %v; want a failed refill", ok, err)
+	}
+	if len(g.freeRunStarts) != 1 || g.freeRunStarts[0] != 16 {
+		t.Fatalf("freeRunStarts = %v, want [16]", g.freeRunStarts)
+	}
+	if want := (extentMagazineRuns - 1) * 4; len(g.emptySlots) != want {
+		t.Fatalf("%d empty slots, want the %d fresh ones", len(g.emptySlots), want)
+	}
+	for _, s := range g.emptySlots {
+		if s < 32 {
+			t.Fatalf("slot %d of the recycled run is listed in emptySlots too: %v", s, g.emptySlots)
+		}
+	}
+}

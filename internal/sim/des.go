@@ -10,11 +10,11 @@ import (
 // simulated by looping for some number of instructions and a page fault is
 // simulated by a delay").
 //
-// Simulated processes are goroutines, but within one shard exactly one runs
-// at a time and all ordering is decided by the virtual-time event queue, so
-// runs are deterministic. A process advances virtual time with Proc.Sleep,
-// contends for Resources (e.g. the six processors of the SGI 4D/380), and
-// blocks on lock queues via Proc.Park / Env.Wake.
+// Simulated processes are coroutines (coro.go): within one shard exactly one
+// runs at a time and all ordering is decided by the virtual-time event
+// queue, so runs are deterministic. A process advances virtual time with
+// Proc.Sleep, contends for Resources (e.g. the six processors of the SGI
+// 4D/380), and blocks on lock queues via Proc.Park / Env.Wake.
 //
 // The environment runs on one of two virtual-time engines (shard.go):
 //
@@ -82,7 +82,7 @@ func newEnv(clock *Clock, shards int, lookahead time.Duration, windowed bool) *E
 		if i > 0 {
 			c = &Clock{}
 		}
-		e.shards[i] = &Shard{env: e, id: i, clock: c, parked: make(chan struct{})}
+		e.shards[i] = &Shard{env: e, id: i, clock: c}
 	}
 	return e
 }
@@ -217,9 +217,10 @@ func (e *Env) After(d time.Duration, fn func()) { e.shards[0].After(d, fn) }
 // Proc is a simulated process. Its methods must only be called from within
 // the process's own body function.
 type Proc struct {
-	shard  *Shard
-	resume chan struct{}
-	name   string
+	shard *Shard
+	name  string
+	body  func(p *Proc)
+	w     *worker // from first dispatch until the body returns
 }
 
 // Name returns the name the process was started with.
@@ -244,12 +245,6 @@ func (e *Env) Go(name string, body func(p *Proc)) *Proc {
 // GoAt is like Go but the process starts at absolute virtual time t.
 func (e *Env) GoAt(t time.Duration, name string, body func(p *Proc)) *Proc {
 	return e.shards[0].GoAt(t, name, body)
-}
-
-// park suspends the calling process until the scheduler resumes it.
-func (p *Proc) park() {
-	p.shard.parked <- struct{}{}
-	<-p.resume
 }
 
 // Sleep advances the process by d of virtual time, letting other processes
@@ -278,12 +273,17 @@ func (e *Env) Wake(q *Proc) { q.shard.Wake(q) }
 
 // Run drives the simulation until no events remain. It reports the number
 // of processes left permanently blocked (normally zero; nonzero indicates a
-// deadlock in the simulated system, which tests assert against).
+// deadlock in the simulated system, which tests assert against). Such a
+// process stays parked on its coroutine for the life of the program; every
+// other coroutine is gone when Run returns. A panic in a process body
+// panics out of Run on the caller's goroutine, except from a window that
+// drains several shards, whose drains run on goroutines of their own.
 func (e *Env) Run() int { return e.RunUntil(1<<62 - 1) }
 
 // RunUntil drives the simulation until no events remain or the next event
 // is after deadline. It reports the number of processes left blocked.
 func (e *Env) RunUntil(deadline time.Duration) int {
+	defer e.stopWorkers()
 	if e.windowed {
 		return e.runWindows(deadline)
 	}

@@ -62,10 +62,10 @@ func BootTimeEngine() string {
 // Shard
 
 // Shard is one partition of a sharded environment: an event heap, a local
-// clock, and the parked-process rendezvous for the simulated processes
-// pinned to it. During a lookahead window each shard is drained by exactly
-// one goroutine, so none of its fields need locks except the inbox, which
-// other shards append cross-shard sends to.
+// clock, and the free coroutines of the simulated processes pinned to it.
+// During a lookahead window each shard is drained by exactly one goroutine,
+// so none of its fields need locks except the inbox, which other shards
+// append cross-shard sends to.
 type Shard struct {
 	env   *Env
 	id    int
@@ -74,9 +74,8 @@ type Shard struct {
 	events eventHeap
 	seq    int64
 
-	parked  chan struct{} // signalled when the running proc parks or finishes
-	active  int           // procs started and not yet finished
-	blocked int           // procs parked with no pending wake event
+	free    []*worker // coroutines whose process finished, reused by the next to start
+	blocked int       // procs parked with no pending wake event
 
 	processed int64 // events dispatched, for model-throughput metrics
 
@@ -144,14 +143,7 @@ func (s *Shard) GoAt(t time.Duration, name string, body func(p *Proc)) *Proc {
 	if t < s.clock.Now() {
 		panic("sim: process scheduled to start in the past")
 	}
-	p := &Proc{shard: s, resume: make(chan struct{}), name: name}
-	s.active++
-	go func() {
-		<-p.resume // wait for first dispatch
-		body(p)
-		s.active--
-		s.parked <- struct{}{} // signal completion to the scheduler
-	}()
+	p := &Proc{shard: s, name: name, body: body}
 	s.push(event{at: t, proc: p})
 	return p
 }
@@ -190,13 +182,12 @@ func (s *Shard) Send(dst *Shard, at time.Duration, fn func()) {
 	dst.inboxMu.Unlock()
 }
 
-// dispatch runs one popped event: resume its process and wait for the park,
-// or invoke the timer callback.
+// dispatch runs one popped event: run its process until it parks or
+// finishes, or invoke the timer callback.
 func (s *Shard) dispatch(ev event) {
 	s.processed++
 	if ev.proc != nil {
-		ev.proc.resume <- struct{}{}
-		<-s.parked // run until it parks or finishes
+		s.resume(ev.proc)
 	} else {
 		ev.fn()
 	}

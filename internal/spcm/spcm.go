@@ -476,7 +476,8 @@ func (s *SPCM) RequestFrames(g *manager.Generic, n int, constraint phys.Range) (
 
 // RequestContiguous grants a run of n physically contiguous frames (for
 // large pages via MigrateCoalesced). It returns the granted boot pages in
-// the target manager's free segment, or 0 if no run exists.
+// the target manager's free segment, or 0 if no run exists. A migration
+// error rolls the grant back as in RequestFrames.
 func (s *SPCM) RequestContiguous(g *manager.Generic, n int) (int, error) {
 	a, gate, err := s.lookup(g)
 	if err != nil {
@@ -558,6 +559,7 @@ func (s *SPCM) RequestContiguous(g *manager.Generic, n int) (int, error) {
 	if err := s.k.MigratePagesBatch(kernel.SystemCred, s.k.BootSegment(), g.FreeSegment(),
 		ranges, 0, 0); err != nil {
 		s.free.Push(picked)
+		g.ReleaseSlots(slots)
 		return 0, err
 	}
 	g.FramesGranted(slots)
@@ -574,7 +576,8 @@ func (s *SPCM) RequestContiguous(g *manager.Generic, n int) (int, error) {
 // shapes fall back to RequestContiguous); the reply is the number of whole
 // runs granted, which may be less than count — zero when the pool has no
 // aligned run at all, leaving the caller to the single-run path and its
-// split/legacy fallbacks.
+// split/legacy fallbacks. A migration error rolls the grant back as in
+// RequestFrames.
 func (s *SPCM) RequestContiguousRuns(g *manager.Generic, n, count int) (int, error) {
 	order := runOrder(n)
 	if order < 0 || count <= 0 {
@@ -648,6 +651,7 @@ func (s *SPCM) RequestContiguousRuns(g *manager.Generic, n, count int) (int, err
 	if err := s.k.MigratePagesBatch(kernel.SystemCred, s.k.BootSegment(), g.FreeSegment(),
 		ranges, 0, 0); err != nil {
 		s.free.Push(pfns)
+		g.ReleaseSlots(slots)
 		return 0, err
 	}
 	g.RunsGranted(total)

@@ -607,11 +607,37 @@ func TestLaneCacheGrantPath(t *testing.T) {
 // in the pool, reserved slots back with the manager (the next grant lands on
 // them instead of on fresh slot numbers), nothing listed that is not there.
 func TestRequestFramesFailureReleasesSlots(t *testing.T) {
+	checkFailedGrantReleasesSlots(t, 3, func(s *SPCM, g *manager.Generic) (int, error) {
+		return s.RequestFrames(g, 3, phys.AnyFrame())
+	})
+}
+
+// The contiguous grants roll back the same way.
+func TestRequestContiguousFailureReleasesSlots(t *testing.T) {
+	checkFailedGrantReleasesSlots(t, 4, func(s *SPCM, g *manager.Generic) (int, error) {
+		return s.RequestContiguous(g, 4)
+	})
+}
+
+func TestRequestContiguousRunsFailureReleasesSlots(t *testing.T) {
+	checkFailedGrantReleasesSlots(t, 8, func(s *SPCM, g *manager.Generic) (int, error) {
+		runs, err := s.RequestContiguousRuns(g, 4, 2)
+		return runs * 4, err
+	})
+}
+
+// checkFailedGrantReleasesSlots runs grant, which asks for frames frames,
+// against a free segment whose slot 1 is occupied, then asks for as many
+// plain frames with the slot cleared. (The retry is a RequestFrames because
+// RequestContiguousRuns wants consecutive slots, which only the manager's
+// refill plan — not a recycled slot list — provides.)
+func checkFailedGrantReleasesSlots(t *testing.T, frames int, grant func(*SPCM, *manager.Generic) (int, error)) {
+	t.Helper()
 	fx := newFixture(t, DefaultPolicy())
 	g, _ := fx.newClient(t, "app", 0)
 	other, _ := fx.newClient(t, "other", 0)
 	// Park one of other's frames on slot 1 of app's free segment, behind
-	// app's back: its next grant reserves slots 0, 1, 2.
+	// app's back: its next grant reserves slots 0, 1, 2, ...
 	if n, err := fx.s.RequestFrames(other, 1, phys.AnyFrame()); err != nil || n != 1 {
 		t.Fatalf("setup grant = %d, %v", n, err)
 	}
@@ -621,7 +647,7 @@ func TestRequestFramesFailureReleasesSlots(t *testing.T) {
 	}
 	pool := fx.s.FreeFrames()
 
-	n, err := fx.s.RequestFrames(g, 3, phys.AnyFrame())
+	n, err := grant(fx.s, g)
 	if n != 0 || !errors.Is(err, kernel.ErrPageBusy) {
 		t.Fatalf("grant onto an occupied slot = %d, %v; want 0 and ErrPageBusy", n, err)
 	}
@@ -632,18 +658,24 @@ func TestRequestFramesFailureReleasesSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Clear the slot; the retried grant must reuse slots 0..2.
+	// Clear the slot; the retried grant must reuse slots 0..frames-1.
 	if err := fx.k.MigratePages(kernel.SystemCred, g.FreeSegment(), other.FreeSegment(), 1, held, 1, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := fx.s.RequestFrames(g, 3, phys.AnyFrame()); err != nil || n != 3 {
-		t.Fatalf("retried grant = %d, %v; want 3", n, err)
+	if n, err := fx.s.RequestFrames(g, frames, phys.AnyFrame()); err != nil || n != frames {
+		t.Fatalf("retried grant = %d, %v; want %d", n, err, frames)
 	}
-	if got := g.FreeSegment().Pages(); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("retried grant landed on slots %v, want [0 1 2]: the failed grant's slots leaked", got)
+	got := g.FreeSegment().Pages()
+	if len(got) != frames {
+		t.Fatalf("retried grant landed on slots %v, want 0..%d", got, frames-1)
 	}
-	if g.FreeFrames() != 3 || fx.s.FreeFrames() != pool-3 {
-		t.Fatalf("after the retried grant: manager free %d, pool %d; want 3 and %d", g.FreeFrames(), fx.s.FreeFrames(), pool-3)
+	for i, slot := range got {
+		if slot != int64(i) {
+			t.Fatalf("retried grant landed on slots %v, want 0..%d: the failed grant's slots leaked", got, frames-1)
+		}
+	}
+	if g.FreeFrames() != frames || fx.s.FreeFrames() != pool-frames {
+		t.Fatalf("after the retried grant: manager free %d, pool %d; want %d and %d", g.FreeFrames(), fx.s.FreeFrames(), frames, pool-frames)
 	}
 	if err := fx.s.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -23,6 +23,12 @@ if grep -rnE '\bebr\b|casBox|lookupEntry|srcSeen' internal/; then
     echo "a mechanism deleted in PR 14 is back (see the matches above)" >&2
     exit 1
 fi
+# PR 15 replaced the time engine's channel rendezvous with coroutines; the
+# channel engine lives on only as the reference in internal/sim's tests.
+if grep -rnE 'resume +chan|parked +chan' --include='*.go' --exclude='*_test.go' internal/sim; then
+    echo "the channel process switch deleted in PR 15 is back (see the matches above)" >&2
+    exit 1
+fi
 
 echo "== go vet =="
 go vet ./...
@@ -55,12 +61,14 @@ go test -run='^$' -fuzz='^FuzzUIO$' -fuzztime=10s ./internal/uio
 go test -run='^$' -fuzz='^FuzzMailbox$' -fuzztime=10s ./internal/plane
 go test -run='^$' -fuzz='^FuzzPolicy$' -fuzztime=10s ./internal/manager
 go test -run='^$' -fuzz='^FuzzEventHeap$' -fuzztime=10s ./internal/sim
+go test -run='^$' -fuzz='^FuzzProcSchedule$' -fuzztime=10s ./internal/sim
 
 echo "== bench smoke (1 iteration) =="
 go test -bench=Harness -benchtime=1x -run='^$' .
 go test -bench=DeliveryPlane -benchtime=1x -run='^$' ./internal/experiments
 go test -bench='BatchMigrate|TLB|MappingTable|CASTable|CheckDisjoint' -benchtime=1x -run='^$' ./internal/kernel
 go test -bench=LockReleaseAll -benchtime=1x -run='^$' ./internal/db
+go test -bench='ProcSwitch|ProcSpawn|ParkWake|EventHeap|WindowBarrier' -benchtime=1x -run='^$' ./internal/sim
 
 echo "== policy shootout smoke (2 policies x 1 workload) =="
 policy_tmp=$(mktemp)
