@@ -144,9 +144,10 @@ type System struct {
 	index  indexState
 	result Result
 	txSeq  int
-	// pageLocks interns the account-page lock names, filled on first use:
-	// a page's second transaction formats and allocates nothing.
-	pageLocks []string
+	// The locks transactions take, as handles: the fixed four resolved in
+	// New, an account page's on its first use.
+	dbLock, relAccounts, relSummary, idxAccounts *lock
+	pageLocks                                    []*lock
 }
 
 // New builds a system for one configuration.
@@ -163,8 +164,10 @@ func New(cfg MemoryConfig, p Params) *System {
 		locks:     newBargingLockManager(env),
 		rng:       sim.NewRNG(p.Seed),
 		index:     indexState{valid: true},
-		pageLocks: make([]string, p.AccountPages),
+		pageLocks: make([]*lock, p.AccountPages),
 	}
+	lk := s.locks.lockFor
+	s.dbLock, s.relAccounts, s.relSummary, s.idxAccounts = lk("db"), lk("rel:accounts"), lk("rel:summary"), lk("idx:accounts")
 	s.result.Config = cfg
 	return s
 }
@@ -242,32 +245,32 @@ func (s *System) transaction(p *sim.Proc, seq int, isJoin bool, accountPage int,
 // compatible with other updaters but not with a reader holding the index
 // S lock).
 func (s *System) debitCredit(p *sim.Proc, owner interface{}, accountPage int, touchesIndex bool) {
-	s.locks.Acquire(p, owner, "db", IX)
-	s.locks.Acquire(p, owner, "rel:accounts", IX)
-	s.locks.Acquire(p, owner, s.pageLock(accountPage), X)
+	s.locks.acquire(p, owner, s.dbLock, IX)
+	s.locks.acquire(p, owner, s.relAccounts, IX)
+	s.locks.acquire(p, owner, s.pageLock(accountPage), X)
 	if s.cfg != NoIndex && touchesIndex {
-		s.locks.Acquire(p, owner, "idx:accounts", IX)
+		s.locks.acquire(p, owner, s.idxAccounts, IX)
 	}
 	s.compute(p, s.p.DebitCreditCPU)
 	s.locks.ReleaseAll(owner)
 }
 
-// pageLock names the lock of one accounts page.
-func (s *System) pageLock(page int) string {
-	name := s.pageLocks[page]
-	if name == "" {
-		name = "page:accounts/" + strconv.Itoa(page)
-		s.pageLocks[page] = name
+// pageLock returns the lock of one accounts page.
+func (s *System) pageLock(page int) *lock {
+	l := s.pageLocks[page]
+	if l == nil {
+		l = s.locks.lockFor("page:accounts/" + strconv.Itoa(page))
+		s.pageLocks[page] = l
 	}
-	return name
+	return l
 }
 
 // join is the 5% case: join two relations to update a third. With an index
 // it traverses the account index under an S lock; without, it scans.
 func (s *System) join(p *sim.Proc, owner interface{}) {
-	s.locks.Acquire(p, owner, "db", IX)
-	s.locks.Acquire(p, owner, "rel:accounts", IS)
-	s.locks.Acquire(p, owner, "rel:summary", IX)
+	s.locks.acquire(p, owner, s.dbLock, IX)
+	s.locks.acquire(p, owner, s.relAccounts, IS)
+	s.locks.acquire(p, owner, s.relSummary, IX)
 
 	switch s.cfg {
 	case NoIndex:
@@ -276,15 +279,15 @@ func (s *System) join(p *sim.Proc, owner interface{}) {
 		// relation-level S lock — blocking every DebitCredit writer (IX)
 		// for the duration of the scan. This coupling, not just the longer
 		// computation, is what makes the no-index configuration slow.
-		s.locks.Acquire(p, owner, "rel:accounts", S)
+		s.locks.acquire(p, owner, s.relAccounts, S)
 		s.compute(p, s.p.JoinScanCPU)
 
 	case IndexInMemory:
-		s.locks.Acquire(p, owner, "idx:accounts", S)
+		s.locks.acquire(p, owner, s.idxAccounts, S)
 		s.compute(p, s.p.JoinIndexCPU)
 
 	case IndexWithPaging:
-		s.locks.Acquire(p, owner, "idx:accounts", S)
+		s.locks.acquire(p, owner, s.idxAccounts, S)
 		// Transparent paging: traversal faults on every evicted page, with
 		// the index lock held — exactly the lock-holding fault the paper
 		// warns about. Faults serialize at the disk.
@@ -301,14 +304,14 @@ func (s *System) join(p *sim.Proc, owner interface{}) {
 		if !s.index.valid {
 			// The application knows the index is gone; rebuild it in
 			// memory under an exclusive lock. No I/O at all.
-			s.locks.Acquire(p, owner, "idx:accounts", X)
+			s.locks.acquire(p, owner, s.idxAccounts, X)
 			if !s.index.valid {
 				s.compute(p, s.p.RegenerateCPU)
 				s.index.valid = true
 				s.result.Regenerations++
 			}
 		} else {
-			s.locks.Acquire(p, owner, "idx:accounts", S)
+			s.locks.acquire(p, owner, s.idxAccounts, S)
 		}
 		s.compute(p, s.p.JoinIndexCPU)
 	}

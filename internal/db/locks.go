@@ -53,12 +53,6 @@ var compatible = [4][4]bool{
 // Compatible reports whether two modes can be held simultaneously.
 func Compatible(a, b Mode) bool { return compatible[a][b] }
 
-// lockHold is one granted hold.
-type lockHold struct {
-	owner interface{}
-	mode  Mode
-}
-
 // lockWait is one queued request.
 type lockWait struct {
 	owner interface{}
@@ -66,31 +60,29 @@ type lockWait struct {
 	proc  *sim.Proc
 }
 
-// lock is one lockable resource.
+// lock is one lockable resource. It counts its granted holds per mode; whose
+// they are is recorded once, in the owners' hold lists, so a grant decision
+// is four compares however many open transactions hold IX on "db".
 type lock struct {
-	name    string
-	granted []lockHold
-	queue   []lockWait
+	name  string
+	held  [4]int32 // granted holds per Mode
+	queue []lockWait
 }
 
-// grantable reports whether a request is compatible with every current
-// holder (excluding holds by the same owner: re-entrant same-owner holds
-// are always allowed in this model, since transactions acquire in a fixed
-// hierarchy order).
-func (l *lock) grantable(owner interface{}, mode Mode) bool {
-	for _, h := range l.granted {
-		if h.owner == owner {
-			continue
-		}
-		if !Compatible(h.mode, mode) {
-			return false
-		}
-	}
-	return true
+// blocked reports whether holds numbering held per mode rule out mode.
+func blocked(held *[4]int32, mode Mode) bool {
+	ok := &compatible[mode]
+	return held[IS] > 0 && !ok[IS] || held[IX] > 0 && !ok[IX] || held[S] > 0 && !ok[S] || held[X] > 0 && !ok[X]
 }
 
-// holdList is the locks one owner holds, in acquisition order.
-type holdList struct{ locks []*lock }
+// holdList is the holds of one owner, in acquisition order; a hold is one
+// grant of l in mode.
+type holdList struct{ holds []hold }
+
+type hold struct {
+	l    *lock
+	mode Mode
+}
 
 // LockStats counts lock-manager activity.
 type LockStats struct {
@@ -109,12 +101,12 @@ type LockStats struct {
 type LockManager struct {
 	env   *sim.Env
 	locks map[string]*lock
-	// held indexes the locks by owner: every grant (immediate or to a
-	// woken waiter) appends the lock to its owner's list, in acquisition
-	// order, so ReleaseAll visits only what the owner holds instead of
-	// every lock ever created. A lock acquired twice is listed twice; the
-	// second visit finds nothing left to drop. The map holds pointers so
-	// a grant to a known owner is one lookup and no store.
+	// held is the only record of who holds what: every grant (immediate
+	// or to a woken waiter) appends the lock and mode to its owner's list,
+	// in acquisition order, so ReleaseAll visits only what the owner holds
+	// instead of every lock ever created. A lock acquired twice is listed
+	// twice. The map holds pointers so a grant to a known owner is one
+	// lookup and no store.
 	held map[interface{}]*holdList
 	// heldFree recycles emptied hold lists so a steady stream of short
 	// transactions allocates none.
@@ -150,9 +142,28 @@ func (m *LockManager) lockFor(name string) *lock {
 	return l
 }
 
-// grant records a hold and indexes it under its owner.
+// grantable reports whether no hold on l by anyone but owner conflicts with
+// mode (re-entrant same-owner holds are always allowed in this model, since
+// transactions acquire in a fixed hierarchy order): when the counts show a
+// conflict, the owner's own holds on l are discounted from them first.
+func (m *LockManager) grantable(l *lock, owner interface{}, mode Mode) bool {
+	if !blocked(&l.held, mode) {
+		return true
+	}
+	others := l.held
+	if hl := m.held[owner]; hl != nil {
+		for _, h := range hl.holds {
+			if h.l == l {
+				others[h.mode]--
+			}
+		}
+	}
+	return !blocked(&others, mode)
+}
+
+// grant records a hold: counted on the lock, listed under its owner.
 func (m *LockManager) grant(l *lock, owner interface{}, mode Mode) {
-	l.granted = append(l.granted, lockHold{owner: owner, mode: mode})
+	l.held[mode]++
 	hl := m.held[owner]
 	if hl == nil {
 		if n := len(m.heldFree); n > 0 {
@@ -162,29 +173,25 @@ func (m *LockManager) grant(l *lock, owner interface{}, mode Mode) {
 		}
 		m.held[owner] = hl
 	}
-	hl.locks = append(hl.locks, l)
+	hl.holds = append(hl.holds, hold{l, mode})
 }
 
 // forget unlinks owner's (emptied or about to be emptied) hold list.
 func (m *LockManager) forget(owner interface{}, hl *holdList) {
 	delete(m.held, owner)
-	hl.locks = hl.locks[:0]
+	hl.holds = hl.holds[:0]
 	m.heldFree = append(m.heldFree, hl)
 }
 
-// drop removes every hold owner has on l, reporting whether any existed.
-func (m *LockManager) drop(l *lock, owner interface{}) bool {
-	kept := l.granted[:0]
-	for _, h := range l.granted {
-		if h.owner == owner {
+// drop releases every hold on l listed in holds, clearing the entries.
+func (m *LockManager) drop(l *lock, holds []hold) {
+	for i, h := range holds {
+		if h.l == l {
+			l.held[h.mode]--
 			m.stats.Released++
-			continue
+			holds[i].l = nil
 		}
-		kept = append(kept, h)
 	}
-	changed := len(kept) != len(l.granted)
-	l.granted = kept
-	return changed
 }
 
 // Acquire obtains `name` in `mode` on behalf of owner, blocking the calling
@@ -192,9 +199,13 @@ func (m *LockManager) drop(l *lock, owner interface{}) bool {
 // consistent hierarchy order (database, relation, page, index) — the model
 // relies on ordering, not detection, for deadlock freedom.
 func (m *LockManager) Acquire(p *sim.Proc, owner interface{}, name string, mode Mode) {
+	m.acquire(p, owner, m.lockFor(name), mode)
+}
+
+// acquire is Acquire on a resolved lock, where db.System enters.
+func (m *LockManager) acquire(p *sim.Proc, owner interface{}, l *lock, mode Mode) {
 	m.stats.Acquires++
-	l := m.lockFor(name)
-	if (m.Barging || len(l.queue) == 0) && l.grantable(owner, mode) {
+	if (m.Barging || len(l.queue) == 0) && m.grantable(l, owner, mode) {
 		m.grant(l, owner, mode)
 		m.waited.Add(0)
 		return
@@ -209,11 +220,14 @@ func (m *LockManager) Acquire(p *sim.Proc, owner interface{}, name string, mode 
 
 // Release drops every hold owner has on `name` and grants waiters.
 func (m *LockManager) Release(owner interface{}, name string) {
-	l := m.lockFor(name)
-	m.drop(l, owner)
+	l := m.locks[name]
+	if l == nil {
+		return
+	}
 	if hl := m.held[owner]; hl != nil {
-		hl.locks = slices.DeleteFunc(hl.locks, func(h *lock) bool { return h == l })
-		if len(hl.locks) == 0 {
+		m.drop(l, hl.holds)
+		hl.holds = slices.DeleteFunc(hl.holds, func(h hold) bool { return h.l == nil })
+		if len(hl.holds) == 0 {
 			m.forget(owner, hl)
 		}
 	}
@@ -221,16 +235,17 @@ func (m *LockManager) Release(owner interface{}, name string) {
 }
 
 // ReleaseAll drops every hold owner has anywhere (two-phase commit point),
-// lock by lock in the order the owner acquired them, so the order in which
-// waiters of different locks wake is a function of the run, not of map
-// iteration.
+// lock by lock in the order the owner first acquired them — a lock's holds
+// all go, then its waiters are granted — so the order in which waiters of
+// different locks wake is a function of the run, not of map iteration.
 func (m *LockManager) ReleaseAll(owner interface{}) {
 	hl := m.held[owner]
 	if hl == nil {
 		return
 	}
-	for _, l := range hl.locks {
-		if m.drop(l, owner) {
+	for i, h := range hl.holds {
+		if l := h.l; l != nil { // nil: released with the lock's first listing
+			m.drop(l, hl.holds[i:])
 			m.grantWaiters(l)
 		}
 	}
@@ -244,7 +259,7 @@ func (m *LockManager) grantWaiters(l *lock) {
 	if !m.Barging {
 		for len(l.queue) > 0 {
 			w := l.queue[0]
-			if !l.grantable(w.owner, w.mode) {
+			if !m.grantable(l, w.owner, w.mode) {
 				return
 			}
 			l.queue = l.queue[1:]
@@ -255,7 +270,7 @@ func (m *LockManager) grantWaiters(l *lock) {
 	}
 	kept := l.queue[:0]
 	for _, w := range l.queue {
-		if l.grantable(w.owner, w.mode) {
+		if m.grantable(l, w.owner, w.mode) {
 			m.grant(l, w.owner, w.mode)
 			m.env.Wake(w.proc)
 		} else {
@@ -268,7 +283,7 @@ func (m *LockManager) grantWaiters(l *lock) {
 // Holders reports the number of current holders of a lock (tests).
 func (m *LockManager) Holders(name string) int {
 	if l, ok := m.locks[name]; ok {
-		return len(l.granted)
+		return int(l.held[IS] + l.held[IX] + l.held[S] + l.held[X])
 	}
 	return 0
 }

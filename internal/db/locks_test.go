@@ -1,6 +1,7 @@
 package db
 
 import (
+	"fmt"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -193,15 +194,28 @@ func TestNoIncompatibleGrantsProperty(t *testing.T) {
 		rng := sim.NewRNG(uint64(seed) + 1)
 		violation := false
 		check := func() {
-			for _, l := range m.locks {
-				for i := 0; i < len(l.granted); i++ {
-					for j := i + 1; j < len(l.granted); j++ {
-						a, b := l.granted[i], l.granted[j]
+			type ownedHold struct {
+				owner interface{}
+				mode  Mode
+			}
+			granted := make(map[*lock][]ownedHold)
+			for owner, hl := range m.held {
+				for _, h := range hl.holds {
+					granted[h.l] = append(granted[h.l], ownedHold{owner, h.mode})
+				}
+			}
+			for _, holds := range granted {
+				for i, a := range holds {
+					for _, b := range holds[i+1:] {
 						if a.owner != b.owner && !Compatible(a.mode, b.mode) {
 							violation = true
 						}
 					}
 				}
+			}
+			if d := heldCountsDiff(m); d != "" {
+				t.Log(d)
+				violation = true
 			}
 		}
 		for i := 0; i < 30; i++ {
@@ -224,6 +238,45 @@ func TestNoIncompatibleGrantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// heldCountsDiff checks every lock's per-mode counts against the owners'
+// hold lists — held[m] must be the number of listed (lock, m) pairs — and
+// describes the first lock that disagrees.
+func heldCountsDiff(m *LockManager) string {
+	listed := make(map[*lock][4]int32)
+	for _, hl := range m.held {
+		for _, h := range hl.holds {
+			c := listed[h.l]
+			c[h.mode]++
+			listed[h.l] = c
+		}
+	}
+	for _, l := range m.locks {
+		if l.held != listed[l] {
+			return fmt.Sprintf("%s counts %v holds per mode, the owners list %v", l.name, l.held, listed[l])
+		}
+		delete(listed, l)
+	}
+	if len(listed) != 0 {
+		return fmt.Sprintf("%d listed locks are not in the manager", len(listed))
+	}
+	return ""
+}
+
+// Releasing a name nobody ever acquired is a no-op: it must not leave an
+// empty lock behind in the manager for good.
+func TestReleaseUnknownNameCreatesNothing(t *testing.T) {
+	_, m := newLockEnv()
+	m.Acquire(nil, "a", "held", S) // never blocks: nil proc is unused
+	m.Release("a", "never-acquired")
+	m.Release("b", "never-acquired")
+	if len(m.locks) != 1 {
+		t.Fatalf("%d locks in the manager after releasing an unknown name, want 1", len(m.locks))
+	}
+	if m.Holders("held") != 1 || m.Stats().Released != 0 {
+		t.Fatalf("the unrelated hold moved: %d holders, %d released", m.Holders("held"), m.Stats().Released)
 	}
 }
 
@@ -289,33 +342,22 @@ func TestReleaseAllLeavesNoHoldProperty(t *testing.T) {
 			ok = false
 		}
 		check := func(step int) {
-			for _, n := range names {
-				var got [owners]int
-				if l := m.locks[n]; l != nil {
-					for _, h := range l.granted {
-						got[h.owner.(int)]++
-					}
-				}
-				for o := range got {
-					if got[o] != len(model[n][o]) {
-						fail("step %d: %s has %d holds by owner %d, model %d",
-							step, n, got[o], o, len(model[n][o]))
-					}
-				}
-			}
 			for o := 0; o < owners; o++ {
-				indexed := make(map[string]bool)
+				listed := make(map[string]int)
 				if hl := m.held[o]; hl != nil {
-					for _, l := range hl.locks {
-						indexed[l.name] = true
+					for _, h := range hl.holds {
+						listed[h.l.name]++
 					}
 				}
 				for _, n := range names {
-					if indexed[n] != (len(model[n][o]) > 0) {
-						fail("step %d: owner %d index lists %s = %v with %d holds",
-							step, o, n, indexed[n], len(model[n][o]))
+					if listed[n] != len(model[n][o]) {
+						fail("step %d: owner %d lists %d holds on %s, model %d",
+							step, o, listed[n], n, len(model[n][o]))
 					}
 				}
+			}
+			if d := heldCountsDiff(m); d != "" {
+				fail("step %d: %s", step, d)
 			}
 			if m.Stats().Released != released {
 				fail("step %d: Released = %d, model %d", step, m.Stats().Released, released)

@@ -304,7 +304,13 @@ func (k *Kernel) migrate(cred Cred, src, dst *Segment, ranges []PageRange, set, 
 			whole++
 			continue
 		}
+		dst.pages.reserve(r.To, r.To+r.Pages)
+		// No slot of a destination nothing has named is warm: preload them.
+		cold := !dst.named && k.cacheFill(dst)
 		for i := int64(0); i < r.Pages; i++ {
+			if cold && i%preloadRun == 0 {
+				k.table.preload(mapKey{dst.id, r.To + i}, min(preloadRun, r.Pages-i))
+			}
 			k.movePage(src, dst, r.Page+i, r.To+i, set, clear, true, true)
 		}
 		perPage += r.Pages
@@ -378,12 +384,12 @@ func (k *Kernel) movePage(src, dst *Segment, srcPage, dstPage int64, set, clear 
 		k.frameOwner[f.PFN()] = dst.id
 		k.framePage[f.PFN()] = dstPage
 	}
-	if !k.stagingSkip(src) {
+	if src.named {
 		srcKey := mapKey{src.id, srcPage}
 		k.table.remove(srcKey)
 		k.tlb.invalidate(srcKey)
 	}
-	if install && !k.stagingSkip(dst) {
+	if install && k.cacheFill(dst) {
 		dstKey := mapKey{dst.id, dstPage}
 		k.table.insert(dstKey)
 		// Prime the TLB for the destination: on a fault-driven migrate the
@@ -479,7 +485,7 @@ func (k *Kernel) coalesce(cred Cred, src, dst *Segment, ranges []PageRange, set,
 				frames = append(frames, e.frames...)
 				k.demoteCoveringLocked(src, sp)
 				src.pages.del(sp)
-				if !k.stagingSkip(src) {
+				if src.named {
 					key := mapKey{src.id, sp}
 					k.table.remove(key)
 					k.tlb.invalidate(key)
@@ -491,7 +497,7 @@ func (k *Kernel) coalesce(cred Cred, src, dst *Segment, ranges []PageRange, set,
 				k.frameOwner[f.PFN()] = dst.id
 				k.framePage[f.PFN()] = r.To + i
 			}
-			if !k.stagingSkip(dst) {
+			if k.cacheFill(dst) {
 				k.table.insert(mapKey{dst.id, r.To + i})
 			}
 		}
@@ -545,7 +551,7 @@ func (k *Kernel) split(cred Cred, src, dst *Segment, ranges []PageRange, set, cl
 		for i := int64(0); i < r.Pages; i++ {
 			e, _ := src.pages.get(r.Page + i)
 			src.pages.del(r.Page + i)
-			if !k.stagingSkip(src) {
+			if src.named {
 				key := mapKey{src.id, r.Page + i}
 				k.table.remove(key)
 				k.tlb.invalidate(key)
@@ -556,7 +562,7 @@ func (k *Kernel) split(cred Cred, src, dst *Segment, ranges []PageRange, set, cl
 				dst.pages.put(dp, ne)
 				k.frameOwner[f.PFN()] = dst.id
 				k.framePage[f.PFN()] = dp
-				if !k.stagingSkip(dst) {
+				if k.cacheFill(dst) {
 					k.table.insert(mapKey{dst.id, dp})
 				}
 			}

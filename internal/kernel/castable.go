@@ -165,6 +165,9 @@ func (t *casTable) insert(k mapKey) { t.put(k, 0) }
 
 func (t *casTable) remove(k mapKey) { t.drop(k, 0) }
 
+// preload is the serial table's; nothing measured asks for it here.
+func (t *casTable) preload(mapKey, int64) {}
+
 // put caches the order-tagged entry of k, a no-op for an uncacheable key.
 func (t *casTable) put(k mapKey, order uint8) {
 	w, h, ok := casKey(k, order)

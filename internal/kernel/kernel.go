@@ -174,6 +174,7 @@ func New(mem *phys.Memory, clock *sim.Clock, cost *sim.CostModel, cfg Config) *K
 	n := mem.NumFrames()
 	entries := make([]pageEntry, n)
 	frames := make([]*phys.Frame, n)
+	boot.pages.reserve(0, int64(n))
 	for pfn := 0; pfn < n; pfn++ {
 		frames[pfn] = mem.Frame(phys.PFN(pfn))
 		entries[pfn].frames = frames[pfn : pfn+1 : pfn+1]
@@ -412,16 +413,23 @@ func (k *Kernel) MigratePages(cred Cred, src, dst *Segment, srcPage, dstPage, n 
 	return k.migrate(cred, src, dst, r[:], set, clear, false)
 }
 
-// stagingSkip reports whether mapping-cache and TLB maintenance can be
-// skipped for pages of s. Under the concurrent scheduler, staging segments
-// (boot, manager free pens) hold an invariant: no CAS table or TLB entry
-// ever names them — every fill INTO them is skipped (all insert sites gate
-// on this predicate), the concurrent tables start cold, and applications
-// never Access them. Removals FROM them are therefore guaranteed misses
-// and can be skipped symmetrically. The serial scheduler always returns
-// false so the paper's cache occupancy is untouched.
-func (k *Kernel) stagingSkip(s *Segment) bool {
-	return s.staging && k.sched.Concurrent()
+// cacheFill is the one rule for mapping-table and TLB maintenance. Filling:
+// it reports whether pages of s get entries at all, and every insert and
+// install site asks it first. Under the concurrent scheduler staging
+// segments (boot, manager free pens) do not — applications never Access
+// them, so the entries could only be evicted, never hit; the serial
+// scheduler fills everything, keeping the paper's cache occupancy. A yes is
+// recorded in s.named (callers hold s.mu). Removing: while s.named is false
+// no entry of either structure has ever named s, so removing one of its
+// keys is a guaranteed miss and the page-move bodies skip it — for the
+// concurrent staging segments, and for the serial boot segment until frames
+// first return to it: stocking a pool at boot probes no source-side slot.
+func (k *Kernel) cacheFill(s *Segment) bool {
+	if s.staging && k.sched.Concurrent() {
+		return false
+	}
+	s.named = true
+	return true
 }
 
 // MigrateCoalesced forms n large pages in dst (frames-per-page F) from
@@ -588,13 +596,13 @@ func (k *Kernel) Access(s *Segment, page int64, access AccessType) error {
 			if !k.table.lookup(key) {
 				// Walk the segment and bound-region structures, then prime
 				// the hash table. Staging segments are never primed (see
-				// stagingSkip); the charge is identical either way.
+				// cacheFill); the charge is identical either way.
 				k.clock.Advance(2 * k.cost.MappingUpdate)
-				if !k.stagingSkip(rs) {
+				if k.cacheFill(rs) {
 					k.table.insert(key)
 				}
 			}
-			if !k.stagingSkip(rs) {
+			if k.cacheFill(rs) {
 				k.tlb.install(key)
 			}
 		}

@@ -71,6 +71,17 @@ func (ps *pageStore) admitDense(page int64) bool {
 	return page < pageStoreDenseDirect || page < int64(2*len(ps.dense))
 }
 
+// reserve sizes the dense prefix once for puts about to cover [lo, end) in
+// ascending order, deciding as they would one append at a time: the first
+// page beyond the prefix decides for all — admitted, each successor is under
+// twice the new length; refused, each successor is further out still.
+func (ps *pageStore) reserve(lo, end int64) {
+	n := int64(len(ps.dense))
+	if end = min(end, pageStoreDenseMax); end > n && ps.admitDense(max(lo, n)) {
+		ps.dense = append(ps.dense, make([]*pageEntry, end-n)...)
+	}
+}
+
 // put stores e (non-nil) at page, replacing any existing entry.
 func (ps *pageStore) put(page int64, e *pageEntry) {
 	if page < 0 {

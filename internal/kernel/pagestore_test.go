@@ -13,8 +13,9 @@ type pageStoreOps struct {
 }
 
 type pageStoreOp struct {
-	kind int // 0 put, 1 del, 2 get
+	kind int // 0 put, 1 del, 2 get, 3 reserve [page, page+n)
 	page int64
+	n    int64
 }
 
 // Generate implements quick.Generator, biasing pages toward the dense
@@ -34,7 +35,7 @@ func (pageStoreOps) Generate(r *rand.Rand, size int) reflect.Value {
 		default:
 			page = pageStoreDenseMax + r.Int63n(1<<30) // strictly sparse
 		}
-		ops[i] = pageStoreOp{kind: r.Intn(3), page: page}
+		ops[i] = pageStoreOp{kind: r.Intn(4), page: page, n: 1 + r.Int63n(3*pageStoreDenseDirect)}
 	}
 	return reflect.ValueOf(pageStoreOps{ops: ops})
 }
@@ -63,6 +64,8 @@ func TestPageStoreMatchesMapModel(t *testing.T) {
 					t.Logf("get(%d) = (%p,%v), model (%p,%v)", op.page, got, ok, want, wok)
 					return false
 				}
+			case 3:
+				ps.reserve(op.page, op.page+op.n) // holds nothing: the model does not move
 			}
 			if ps.len() != len(model) {
 				t.Logf("len = %d, model %d", ps.len(), len(model))
@@ -173,6 +176,57 @@ func TestPageStoreDenseGrowthAdoptsSparse(t *testing.T) {
 	ps.del(10_000)
 	if ps.has(10_000) || ps.len() != 4 {
 		t.Fatalf("after del: has=%v len=%d", ps.has(10_000), ps.len())
+	}
+}
+
+// TestPageStoreReserveTakesThePutsDecision holds reserve to its contract:
+// reserve(lo, end) followed by a put of every page of [lo, end) leaves the
+// store as those puts alone would — the same dense prefix, the same pages
+// in sparse — wherever the range starts relative to the prefix.
+func TestPageStoreReserveTakesThePutsDecision(t *testing.T) {
+	nearMax := []int64{4_000, 7_999, 15_000, 29_000, 57_000, 113_000, 225_000, 449_000, 897_000, 1_793_000, pageStoreDenseMax - 20}
+	cases := []struct {
+		name    string
+		before  []int64 // single puts that shape the store first
+		lo, end int64
+	}{
+		{"empty store, from zero", nil, 0, 5_000},
+		{"empty store, low gap admitted", nil, 100, 300},
+		{"empty store, far start refused", nil, 10_000, 10_050},
+		{"inside the prefix", []int64{999}, 10, 500},
+		{"across the end of the prefix", []int64{999}, 990, 1_500},
+		{"past the prefix, under twice its length", []int64{2_999}, 5_000, 5_100},
+		{"past the prefix, at twice its length", []int64{2_999}, 6_000, 6_100},
+		{"over a page parked in sparse", []int64{10_000, 2_999}, 3_000, 12_000},
+		{"across the dense cap", nearMax, pageStoreDenseMax - 30, pageStoreDenseMax + 10},
+		{"beyond the dense cap", nil, pageStoreDenseMax + 5, pageStoreDenseMax + 9},
+	}
+	for _, c := range cases {
+		var reserved, plain pageStore
+		for _, p := range c.before {
+			reserved.put(p, &pageEntry{})
+			plain.put(p, &pageEntry{})
+		}
+		reserved.reserve(c.lo, c.end)
+		for _, p := range c.before { // a reserved prefix hides nothing already held
+			if !reserved.has(p) {
+				t.Fatalf("%s: page %d lost to reserve", c.name, p)
+			}
+		}
+		for p := c.lo; p < c.end; p++ {
+			reserved.put(p, &pageEntry{})
+			plain.put(p, &pageEntry{})
+		}
+		if len(reserved.dense) != len(plain.dense) || len(reserved.sparse) != len(plain.sparse) || reserved.len() != plain.len() {
+			t.Fatalf("%s: dense/sparse/len = %d/%d/%d, puts alone give %d/%d/%d", c.name,
+				len(reserved.dense), len(reserved.sparse), reserved.len(),
+				len(plain.dense), len(plain.sparse), plain.len())
+		}
+		for p := range plain.sparse {
+			if _, ok := reserved.sparse[p]; !ok {
+				t.Fatalf("%s: page %d is in sparse after puts alone, not after reserve", c.name, p)
+			}
+		}
 	}
 }
 

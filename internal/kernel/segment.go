@@ -65,13 +65,8 @@ type Segment struct {
 	// only from privileged credentials (the boot frame segment).
 	restricted bool
 	// staging marks kernel-held holding segments (the boot frame segment,
-	// a manager's free-page segment) whose pages applications never Access.
-	// The concurrent fault path skips mapping-cache and TLB fills for pages
-	// migrating INTO a staging segment: the entries could only ever be
-	// evicted, never hit, so skipping them halves the cache traffic of a
-	// grant+fault round trip without changing any charged cost. The serial
-	// scheduler ignores the flag — its cache occupancy (and thus eviction
-	// pattern) stays exactly the paper's.
+	// a manager's free-page segment) whose pages applications never Access;
+	// cacheFill states what the concurrent scheduler makes of that.
 	staging bool
 	// identity marks the boot frame segment, where every resident page's
 	// number equals its frame's PFN. New parks all frames that way and
@@ -80,7 +75,10 @@ type Segment struct {
 	// invariant holds for the segment's whole life. extentOrderFor uses it
 	// to prove frame-run contiguity from page numbers alone.
 	identity bool
-	deleted  bool
+	// named: some mapping-table or TLB entry has named this segment since
+	// it was created. Set by cacheFill, never cleared. Guarded by mu.
+	named   bool
+	deleted bool
 	// extents registers the segment's promoted superpage extents: base page
 	// -> order (the extent spans 2^order base pages). nil until the first
 	// promotion, so the per-page demote hooks cost one length check in the

@@ -139,7 +139,7 @@ func (k *Kernel) recordExtentLocked(s *Segment, base int64, order uint8) {
 	}
 	s.extents[base] = order
 	s.extOrderCount[order]++
-	if !k.stagingSkip(s) {
+	if k.cacheFill(s) {
 		key := mapKey{s.id, base}
 		k.table.insertSpan(key, order)
 		k.tlb.installSpan(key, order)

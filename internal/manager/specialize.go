@@ -60,6 +60,9 @@ func NewFixedPool(k *kernel.Kernel, nFrames, startPFN int64) (*FixedPool, error)
 		return nil, err
 	}
 	if err := k.MigratePages(kernel.SystemCred, k.BootSegment(), donor, startPFN, 0, nFrames, 0, 0); err != nil {
+		// A refused migration moved nothing: unregister the empty donor
+		// (ours alone and undeleted, so the delete cannot be refused).
+		_ = k.DeleteSegment(kernel.SystemCred, donor)
 		return nil, err
 	}
 	return &FixedPool{K: k, Cred: kernel.AppCred, Donor: donor, next: nFrames}, nil

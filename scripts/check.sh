@@ -30,6 +30,13 @@ if grep -rnE 'resume +chan|parked +chan' --include='*.go' --exclude='*_test.go' 
     exit 1
 fi
 
+# PR 16 put the lock manager on per-mode counts; the holder lists live on only
+# in the reference in internal/db's tests.
+if grep -rnE 'granted +\[\]lockHold' --include='*.go' --exclude='*_test.go' internal/db; then
+    echo "the per-lock holder list deleted in PR 16 is back (see the matches above)" >&2
+    exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 
@@ -62,12 +69,14 @@ go test -run='^$' -fuzz='^FuzzMailbox$' -fuzztime=10s ./internal/plane
 go test -run='^$' -fuzz='^FuzzPolicy$' -fuzztime=10s ./internal/manager
 go test -run='^$' -fuzz='^FuzzEventHeap$' -fuzztime=10s ./internal/sim
 go test -run='^$' -fuzz='^FuzzProcSchedule$' -fuzztime=10s ./internal/sim
+go test -run='^$' -fuzz='^FuzzLockManager$' -fuzztime=10s ./internal/db
 
 echo "== bench smoke (1 iteration) =="
 go test -bench=Harness -benchtime=1x -run='^$' .
 go test -bench=DeliveryPlane -benchtime=1x -run='^$' ./internal/experiments
 go test -bench='BatchMigrate|TLB|MappingTable|CASTable|CheckDisjoint' -benchtime=1x -run='^$' ./internal/kernel
-go test -bench=LockReleaseAll -benchtime=1x -run='^$' ./internal/db
+go test -bench='LockReleaseAll|LockCycle' -benchtime=1x -run='^$' ./internal/db
+go test -bench=MachineBoot -benchtime=1x -run='^$' ./internal/manager
 go test -bench='ProcSwitch|ProcSpawn|ParkWake|EventHeap|WindowBarrier' -benchtime=1x -run='^$' ./internal/sim
 
 echo "== policy shootout smoke (2 policies x 1 workload) =="
