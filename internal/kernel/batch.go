@@ -109,7 +109,7 @@ func validateMigrate(cred Cred, src, dst *Segment, ranges []PageRange) error {
 // each range applied whole.
 func (k *Kernel) chargeMigrated(dst *Segment, pages, perPage, whole int64) {
 	k.stats.MigratedPages.Add(uint64(dst.id), pages)
-	k.clock.Advance(time.Duration(perPage)*(k.cost.MigratePage+k.cost.MappingUpdate) +
+	k.clock.AdvanceOn(uint64(dst.id), time.Duration(perPage)*(k.cost.MigratePage+k.cost.MappingUpdate)+
 		time.Duration(whole)*k.cost.SuperpageOp)
 }
 
@@ -263,7 +263,7 @@ func (k *Kernel) MigratePagesBatch(cred Cred, src, dst *Segment, ranges []PageRa
 // charge is exactly KernelCall + pages×(MigratePage+MappingUpdate).
 func (k *Kernel) migrate(cred Cred, src, dst *Segment, ranges []PageRange, set, clear PageFlags, extents bool) error {
 	k.stats.MigrateCalls.Add(uint64(dst.id), 1)
-	k.clock.Advance(k.cost.KernelCall)
+	k.clock.AdvanceOn(uint64(dst.id), k.cost.KernelCall)
 	lockPair(src, dst)
 	defer unlockPair(src, dst)
 	if err := validateMigrate(cred, src, dst, ranges); err != nil {
@@ -439,7 +439,7 @@ func (k *Kernel) MigrateCoalescedBatch(cred Cred, src, dst *Segment, ranges []Pa
 // charge is per base page, as for a plain migration.
 func (k *Kernel) coalesce(cred Cred, src, dst *Segment, ranges []PageRange, set, clear PageFlags) error {
 	k.stats.MigrateCalls.Add(uint64(dst.id), 1)
-	k.clock.Advance(k.cost.KernelCall)
+	k.clock.AdvanceOn(uint64(dst.id), k.cost.KernelCall)
 	lockPair(src, dst)
 	defer unlockPair(src, dst)
 	if err := validateMigrate(cred, src, dst, ranges); err != nil {
@@ -520,7 +520,7 @@ func (k *Kernel) MigrateSplitBatch(cred Cred, src, dst *Segment, ranges []PageRa
 // inverse, charged per base page like it.
 func (k *Kernel) split(cred Cred, src, dst *Segment, ranges []PageRange, set, clear PageFlags) error {
 	k.stats.MigrateCalls.Add(uint64(dst.id), 1)
-	k.clock.Advance(k.cost.KernelCall)
+	k.clock.AdvanceOn(uint64(dst.id), k.cost.KernelCall)
 	lockPair(src, dst)
 	defer unlockPair(src, dst)
 	if err := validateMigrate(cred, src, dst, ranges); err != nil {
@@ -587,7 +587,7 @@ func (k *Kernel) ModifyPageFlagsBatch(cred Cred, s *Segment, ranges []PageRange,
 // says whether a range matching a promoted extent may be applied whole.
 func (k *Kernel) modifyFlags(cred Cred, s *Segment, ranges []PageRange, set, clear PageFlags, extents bool) error {
 	k.stats.ModifyCalls.Add(uint64(s.id), 1)
-	k.clock.Advance(k.cost.KernelCall + k.cost.ModifyFlags)
+	k.clock.AdvanceOn(uint64(s.id), k.cost.KernelCall+k.cost.ModifyFlags)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.deleted {
@@ -635,7 +635,7 @@ func (k *Kernel) modifyFlags(cred Cred, s *Segment, ranges []PageRange, set, cle
 			charge += time.Duration(r.Pages) * k.cost.MappingUpdate
 		}
 	}
-	k.clock.Advance(charge)
+	k.clock.AdvanceOn(uint64(s.id), charge)
 	return nil
 }
 
@@ -658,7 +658,7 @@ func (k *Kernel) GetPageAttributesBatch(s *Segment, pages []int64, dst []PageAtt
 // errors, so managers can scan sparse segments.
 func (k *Kernel) getAttributes(s *Segment, pages []int64, first, n int64, dst []PageAttribute) ([]PageAttribute, error) {
 	k.stats.GetAttrCalls.Add(uint64(s.id), 1)
-	k.clock.Advance(k.cost.KernelCall)
+	k.clock.AdvanceOn(uint64(s.id), k.cost.KernelCall)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.deleted {
@@ -692,6 +692,6 @@ func (k *Kernel) getAttributes(s *Segment, pages []int64, first, n int64, dst []
 		}
 		dst = append(dst, a)
 	}
-	k.clock.Advance(time.Duration(n) * (k.cost.MappingUpdate / 2))
+	k.clock.AdvanceOn(uint64(s.id), time.Duration(n)*(k.cost.MappingUpdate/2))
 	return dst, nil
 }

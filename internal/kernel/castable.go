@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/bits"
 	"sync/atomic"
+
+	"epcm/internal/sim"
 )
 
 // casTable is the lock-free mapping table the concurrent scheduler installs
@@ -45,7 +47,8 @@ type casTable struct {
 	// makes lookup's span probing one relaxed load, so the concurrent
 	// golden modes see the exact pre-extent probe sequence.
 	spanSeen atomic.Uint32
-	stat     [casStatStripes]casStatCell
+	// Striped by the key's segment, like every fault-path counter.
+	hits, misses, spills, drops sim.Striped
 }
 
 // casTombstone marks a slot whose key was removed.
@@ -54,15 +57,6 @@ const casTombstone = uint64(1)
 // casProbeWindow bounds the probe distance from a key's home slot, like
 // hashOverflow bounds the paper table's overflow scan.
 const casProbeWindow = 8
-
-const casStatStripes = 8
-
-// casStatCell stripes the hit/miss counters so concurrent lanes do not
-// serialize on one cache line of atomics.
-type casStatCell struct {
-	hits, misses, spills, drops atomic.Int64
-	_                           [32]byte
-}
 
 func newCASTable() *casTable { return newCASTableSized(hashTableSlots) }
 
@@ -114,12 +108,11 @@ func (t *casTable) find(w, h uint64) *atomic.Uint64 {
 func (t *casTable) lookup(k mapKey) bool {
 	w, h, ok := casKey(k, 0)
 	if !ok {
-		t.stat[0].misses.Add(1)
+		t.misses.Add(uint64(k.seg), 1)
 		return false
 	}
-	st := &t.stat[h&(casStatStripes-1)]
 	if t.find(w, h) != nil {
-		st.hits.Add(1)
+		t.hits.Add(uint64(k.seg), 1)
 		return true
 	}
 	// Exact miss: probe the span key of every live extent order, so one
@@ -131,12 +124,12 @@ func (t *casTable) lookup(k mapKey) bool {
 			}
 			sw, sh, _ := casKey(mapKey{k.seg, extentBase(k.page, o)}, uint8(o))
 			if t.find(sw, sh) != nil {
-				st.hits.Add(1)
+				t.hits.Add(uint64(k.seg), 1)
 				return true
 			}
 		}
 	}
-	st.misses.Add(1)
+	t.misses.Add(uint64(k.seg), 1)
 	return false
 }
 
@@ -174,7 +167,6 @@ func (t *casTable) put(k mapKey, order uint8) {
 	if !ok {
 		return
 	}
-	st := &t.stat[h&(casStatStripes-1)]
 	home := h >> t.shift
 	for {
 		// One scan finds either the key already cached (nothing to do) or
@@ -199,7 +191,7 @@ func (t *casTable) put(k mapKey, order uint8) {
 				continue // another key claimed the slot; rescan
 			}
 			if freeOff > 0 {
-				st.spills.Add(1)
+				t.spills.Add(uint64(k.seg), 1)
 			}
 			return
 		}
@@ -211,7 +203,7 @@ func (t *casTable) put(k mapKey, order uint8) {
 			continue // freed underneath us; the rescan will use it
 		}
 		if t.slots[home].CompareAndSwap(victim, w) {
-			st.drops.Add(1)
+			t.drops.Add(uint64(k.seg), 1)
 			return
 		}
 	}
@@ -241,20 +233,12 @@ func (t *casTable) removeSegment(seg SegID) {
 }
 
 func (t *casTable) stats() (hits, misses, spills, drops int64) {
-	for i := range t.stat {
-		hits += t.stat[i].hits.Load()
-		misses += t.stat[i].misses.Load()
-		spills += t.stat[i].spills.Load()
-		drops += t.stat[i].drops.Load()
-	}
-	return
+	return t.hits.Load(), t.misses.Load(), t.spills.Load(), t.drops.Load()
 }
 
 func (t *casTable) resetStats() {
-	for i := range t.stat {
-		t.stat[i].hits.Store(0)
-		t.stat[i].misses.Store(0)
-		t.stat[i].spills.Store(0)
-		t.stat[i].drops.Store(0)
-	}
+	t.hits.Store(0)
+	t.misses.Store(0)
+	t.spills.Store(0)
+	t.drops.Store(0)
 }

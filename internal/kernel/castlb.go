@@ -2,6 +2,8 @@ package kernel
 
 import (
 	"sync/atomic"
+
+	"epcm/internal/sim"
 )
 
 // casTLB is the lock-free software TLB the concurrent scheduler installs:
@@ -33,7 +35,8 @@ type casTLB struct {
 	super     [casTLBSuperWays]atomic.Uint64
 	superRot  atomic.Uint32
 	superSeen atomic.Uint32
-	stat      [casStatStripes]casTLBStatCell
+	// Striped by the key's segment, as in casTable.
+	hits, misses sim.Striped
 }
 
 const casTLBWays = 4
@@ -42,11 +45,6 @@ type casTLBSet struct {
 	ways [casTLBWays]atomic.Uint64
 	rot  atomic.Uint32 // round-robin victim rotor
 	_    [28]byte
-}
-
-type casTLBStatCell struct {
-	hits, misses atomic.Int64
-	_            [48]byte
 }
 
 const (
@@ -99,22 +97,20 @@ func casTLBPack(k mapKey) (uint64, bool) {
 	return casTLBPresent | uint64(k.seg)<<casTLBPageBits | uint64(k.page), true
 }
 
-func (t *casTLB) set(w uint64) (*casTLBSet, uint64) {
-	h := w * 0x9e3779b97f4a7c15
-	idx := h >> t.shift
-	return &t.sets[idx], idx
+func (t *casTLB) set(w uint64) *casTLBSet {
+	return &t.sets[w*0x9e3779b97f4a7c15>>t.shift]
 }
 
 func (t *casTLB) lookup(k mapKey) bool {
 	w, ok := casTLBPack(k)
 	if !ok {
-		t.stat[0].misses.Add(1)
+		t.misses.Add(uint64(k.seg), 1)
 		return false
 	}
-	s, idx := t.set(w)
+	s := t.set(w)
 	for i := range s.ways {
 		if s.ways[i].Load() == w {
-			t.stat[idx&(casStatStripes-1)].hits.Add(1)
+			t.hits.Add(uint64(k.seg), 1)
 			return true
 		}
 	}
@@ -127,12 +123,12 @@ func (t *casTLB) lookup(k mapKey) bool {
 			o := uint8(sw >> casTLBOrderShift & 7)
 			want, ok := casPackOrder(mapKey{k.seg, extentBase(k.page, int(o))}, o)
 			if ok && want == sw {
-				t.stat[idx&(casStatStripes-1)].hits.Add(1)
+				t.hits.Add(uint64(k.seg), 1)
 				return true
 			}
 		}
 	}
-	t.stat[idx&(casStatStripes-1)].misses.Add(1)
+	t.misses.Add(uint64(k.seg), 1)
 	return false
 }
 
@@ -175,7 +171,7 @@ func (t *casTLB) install(k mapKey) {
 	if !ok {
 		return
 	}
-	s, _ := t.set(w)
+	s := t.set(w)
 	// One pass: resident check and empty-way claim together. The CAS is
 	// attempted only on a way observed empty, so a full set (the steady
 	// state under any working set larger than the TLB) costs four plain
@@ -196,7 +192,7 @@ func (t *casTLB) invalidate(k mapKey) {
 	if !ok {
 		return
 	}
-	s, _ := t.set(w)
+	s := t.set(w)
 	for i := range s.ways {
 		if s.ways[i].Load() == w {
 			s.ways[i].CompareAndSwap(w, 0)
@@ -225,17 +221,9 @@ func (t *casTLB) invalidateSegment(seg SegID) {
 	}
 }
 
-func (t *casTLB) stats() (hits, misses int64) {
-	for i := range t.stat {
-		hits += t.stat[i].hits.Load()
-		misses += t.stat[i].misses.Load()
-	}
-	return
-}
+func (t *casTLB) stats() (hits, misses int64) { return t.hits.Load(), t.misses.Load() }
 
 func (t *casTLB) resetStats() {
-	for i := range t.stat {
-		t.stat[i].hits.Store(0)
-		t.stat[i].misses.Store(0)
-	}
+	t.hits.Store(0)
+	t.misses.Store(0)
 }

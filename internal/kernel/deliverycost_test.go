@@ -23,8 +23,8 @@ func TestDeliveryCostSplit(t *testing.T) {
 
 	measure := func(d DeliveryMode) time.Duration {
 		start := clock.Now()
-		k.chargeDelivery(d)
-		k.chargeReturn(d)
+		k.chargeDelivery(k.boot.id, d)
+		k.chargeReturn(k.boot.id, d)
 		return clock.Now() - start
 	}
 	same := measure(DeliverSameProcess)

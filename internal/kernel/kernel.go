@@ -78,28 +78,28 @@ type Stats struct {
 // kernelStats is the live counter set. Counters are atomic so concurrent
 // managers and applications can charge them without a lock; Stats() takes
 // a field-by-field snapshot into the plain Stats struct. The fault-path
-// counters are striped by segment ID and the rest padded to a cache line
-// each (stats.go), so concurrent lanes do not ping-pong one line.
+// counters are striped by segment ID (sim/striped.go) and the rest padded to
+// a cache line each, so concurrent lanes do not ping-pong one line.
 type kernelStats struct {
-	Accesses          striped
-	Faults            striped
-	MissingFaults     striped
-	ProtFaults        striped
-	COWFaults         striped
-	ManagerCalls      striped
-	MigrateCalls      striped
-	MigratedPages     striped
-	ModifyCalls       striped
-	GetAttrCalls      striped
-	DroppedDeliveries padded
-	DelayedDeliveries padded
-	Revocations       padded
-	RevokedSegments   padded
-	SuperpageOps      padded
-	ExtentPromotions  padded
-	ExtentDemotions   padded
-	VectoredBatches   padded
-	VectoredFaults    padded
+	Accesses          sim.Striped
+	Faults            sim.Striped
+	MissingFaults     sim.Striped
+	ProtFaults        sim.Striped
+	COWFaults         sim.Striped
+	ManagerCalls      sim.Striped
+	MigrateCalls      sim.Striped
+	MigratedPages     sim.Striped
+	ModifyCalls       sim.Striped
+	GetAttrCalls      sim.Striped
+	DroppedDeliveries sim.Padded
+	DelayedDeliveries sim.Padded
+	Revocations       sim.Padded
+	RevokedSegments   sim.Padded
+	SuperpageOps      sim.Padded
+	ExtentPromotions  sim.Padded
+	ExtentDemotions   sim.Padded
+	VectoredBatches   sim.Padded
+	VectoredFaults    sim.Padded
 }
 
 // Kernel is the simulated V++ kernel.
@@ -130,10 +130,27 @@ type Kernel struct {
 	interceptor DeliveryInterceptor
 	defaultMgr  Manager
 	onRevoke    func(dead Manager, adopted []*Segment)
-	// timeShards maps Manager -> *sim.Shard for managers bound to the
-	// sharded virtual-time engine (timeshard.go). Populated at boot; fault
-	// path reads are lock-free Loads.
-	timeShards sync.Map
+	// managers interns the managerCell (segment.go) of every registered
+	// manager: the registration-time table behind cellOf, never read from
+	// Access down — a fault finds its cell through its segment.
+	mgrMu    sync.Mutex
+	managers map[Manager]*managerCell
+}
+
+// cellOf returns the kernel's record of m, creating it at m's first
+// registration; nil for a nil manager.
+func (k *Kernel) cellOf(m Manager) *managerCell {
+	if m == nil {
+		return nil
+	}
+	k.mgrMu.Lock()
+	defer k.mgrMu.Unlock()
+	c, ok := k.managers[m]
+	if !ok {
+		c = &managerCell{m: m}
+		k.managers[m] = c
+	}
+	return c
 }
 
 // New boots a kernel over the given memory, clock and cost model. Following
@@ -154,6 +171,7 @@ func New(mem *phys.Memory, clock *sim.Clock, cost *sim.CostModel, cfg Config) *K
 		cost:       cost,
 		cfg:        cfg,
 		segs:       make(map[SegID]*Segment),
+		managers:   make(map[Manager]*managerCell),
 		nextID:     WellKnownPhysSegment,
 		table:      newMappingTable(),
 		tlb:        newTLB(cfg.TLBEntries),
@@ -298,8 +316,9 @@ func (k *Kernel) CreateSegment(name string, framesPerPage int) (*Segment, error)
 	if framesPerPage < 1 || framesPerPage&(framesPerPage-1) != 0 {
 		return nil, fmt.Errorf("kernel: frames per page %d is not a positive power of two", framesPerPage)
 	}
-	k.clock.Advance(k.cost.KernelCall)
-	return k.newSegment(name, framesPerPage), nil
+	s := k.newSegment(name, framesPerPage)
+	k.clock.AdvanceOn(uint64(s.id), k.cost.KernelCall)
+	return s, nil
 }
 
 // Lookup returns the live segment with the given id.
@@ -323,12 +342,13 @@ func (k *Kernel) Lookup(id SegID) (*Segment, error) {
 // promotion state starts cold, and a stale extent would otherwise outlive
 // the density tracking that justified it.
 func (k *Kernel) SetSegmentManager(s *Segment, m Manager) {
-	k.clock.Advance(k.cost.KernelCall)
+	k.clock.AdvanceOn(uint64(s.id), k.cost.KernelCall)
+	c := k.cellOf(m)
 	s.mu.Lock()
-	if s.managerLoad() != m {
+	if s.manager.Load() != c {
 		k.dropAllExtentsLocked(s)
 	}
-	s.managerStore(m)
+	s.manager.Store(c)
 	s.mu.Unlock()
 }
 
@@ -336,7 +356,7 @@ func (k *Kernel) SetSegmentManager(s *Segment, m Manager) {
 // [targetStart, ...) of target (§2.1). With cow set, the binding is
 // copy-on-write: pages are effectively bound to the target until modified.
 func (k *Kernel) BindRegion(seg *Segment, start, pages int64, target *Segment, targetStart int64, cow bool) error {
-	k.clock.Advance(k.cost.KernelCall)
+	k.clock.AdvanceOn(uint64(seg.id), k.cost.KernelCall)
 	if pages <= 0 || start < 0 || targetStart < 0 {
 		return fmt.Errorf("%w: bind [%d,+%d)", ErrBadRange, start, pages)
 	}
@@ -367,11 +387,11 @@ func (k *Kernel) DeleteSegment(cred Cred, s *Segment) error {
 		s.mu.Unlock()
 		return ErrNoSuchSegment
 	}
-	m := s.managerLoad()
+	c := s.manager.Load()
 	s.mu.Unlock()
-	k.clock.Advance(k.cost.KernelCall)
-	if m != nil {
-		k.sched.NotifyDeleted(m, s)
+	k.clock.AdvanceOn(uint64(s.id), k.cost.KernelCall)
+	if c != nil {
+		k.sched.notifyDeleted(c, s)
 	}
 	// Reclaim whatever the manager left.
 	lockPair(s, k.boot)
@@ -486,21 +506,21 @@ func (k *Kernel) GetPageAttribute(s *Segment, page int64) (PageAttribute, error)
 	return a[0], nil
 }
 
-// chargeDelivery charges the cost of transferring control to a manager and
-// reports the amount, so the caller can mirror it onto the manager's time
-// shard.
-func (k *Kernel) chargeDelivery(d DeliveryMode) time.Duration {
+// chargeDelivery charges the cost of transferring control to a manager, on
+// the clock stripe of the segment the delivery concerns, and reports the
+// amount, so the caller can mirror it onto the manager's time shard.
+func (k *Kernel) chargeDelivery(seg SegID, d DeliveryMode) time.Duration {
 	c := k.cost.ContextSwitch
 	if d == DeliverSameProcess {
 		c = k.cost.Upcall
 	}
-	k.clock.Advance(c)
+	k.clock.AdvanceOn(uint64(seg), c)
 	return c
 }
 
 // chargeReturn charges the cost of resuming the application after the
 // manager finishes and reports the amount.
-func (k *Kernel) chargeReturn(d DeliveryMode) time.Duration {
+func (k *Kernel) chargeReturn(seg SegID, d DeliveryMode) time.Duration {
 	var c time.Duration
 	if d == DeliverSameProcess {
 		// On the R3000 the manager resumes the application directly.
@@ -511,7 +531,7 @@ func (k *Kernel) chargeReturn(d DeliveryMode) time.Duration {
 		c = k.cost.ContextSwitch + k.cost.KernelCall +
 			k.cost.ResumeViaKernel + 2*k.cost.MappingUpdate
 	}
-	k.clock.Advance(c)
+	k.clock.AdvanceOn(uint64(seg), c)
 	return c
 }
 
@@ -570,7 +590,7 @@ func (k *Kernel) Access(s *Segment, page int64, access AccessType) error {
 			// the source segment's lock is safe.
 			for i, f := range ne.frames {
 				if i < len(e.frames) {
-					k.clock.Advance(k.cost.CopyPage)
+					k.clock.AdvanceOn(uint64(cs.id), k.cost.CopyPage)
 					f.CopyFrom(e.frames[i])
 				}
 			}
@@ -592,12 +612,12 @@ func (k *Kernel) Access(s *Segment, page int64, access AccessType) error {
 		// Translation lookup: TLB, then hash table, then structure walk.
 		key := mapKey{rs.id, r.page}
 		if !k.tlb.lookup(key) {
-			k.clock.Advance(k.cost.TLBFill)
+			k.clock.AdvanceOn(uint64(rs.id), k.cost.TLBFill)
 			if !k.table.lookup(key) {
 				// Walk the segment and bound-region structures, then prime
 				// the hash table. Staging segments are never primed (see
 				// cacheFill); the charge is identical either way.
-				k.clock.Advance(2 * k.cost.MappingUpdate)
+				k.clock.AdvanceOn(uint64(rs.id), 2*k.cost.MappingUpdate)
 				if k.cacheFill(rs) {
 					k.table.insert(key)
 				}

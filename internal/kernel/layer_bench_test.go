@@ -1,6 +1,12 @@
 package kernel
 
-import "testing"
+import (
+	"sync/atomic"
+	"testing"
+
+	"epcm/internal/phys"
+	"epcm/internal/sim"
+)
 
 // Layer benchmarks for the TLBs, the mapping tables and the batch collision
 // check (ROADMAP item 1: "TLB lookup", "mapping-table lookup+insert"). The
@@ -68,10 +74,49 @@ func tlbKeys(from, n int) []mapKey {
 
 var benchSink bool
 
-func BenchmarkTLBLookup(b *testing.B)        { tlbLookup(b, benchTLBs) }
-func BenchmarkTLBInstall(b *testing.B)       { tlbInstall(b, benchTLBs) }
-func BenchmarkTLBInvalidate(b *testing.B)    { tlbInvalidate(b, benchTLBs) }
-func BenchmarkCASTLBLookup(b *testing.B)     { tlbLookup(b, benchCASTLB) }
+// parallelHits is the two-manager shape of a lookup loop: two goroutines
+// (at -cpu 2), each looking up n cached keys of a segment of its own, stride
+// pages apart. One op is one hit. The structures' slots are read-shared, so
+// what the goroutines can contend on is the hit counter — which is why it
+// is striped by the key's segment.
+func parallelHits(b *testing.B, fill func(mapKey), lookup func(mapKey) bool, n int, stride int64) {
+	var keys [2][]mapKey
+	for g := range keys {
+		for i := 0; i < n; i++ {
+			k := mapKey{seg: SegID(7 + g), page: int64(i) * stride}
+			fill(k)
+			keys[g] = append(keys[g], k)
+		}
+	}
+	var next, missed atomic.Int64
+	b.SetParallelism(1)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		mine, misses := keys[next.Add(1)&1], int64(0)
+		for i := 0; pb.Next(); i++ {
+			if !lookup(mine[i%n]) {
+				misses++
+			}
+		}
+		missed.Add(misses)
+	})
+	// The CAS TLB loses a few of its 64 keys to set conflicts; a table hit
+	// never misses.
+	if m := missed.Load(); m > int64(b.N)/4 {
+		b.Fatalf("%d of %d lookups missed", m, b.N)
+	}
+}
+
+func BenchmarkTLBLookup(b *testing.B)     { tlbLookup(b, benchTLBs) }
+func BenchmarkTLBInstall(b *testing.B)    { tlbInstall(b, benchTLBs) }
+func BenchmarkTLBInvalidate(b *testing.B) { tlbInvalidate(b, benchTLBs) }
+func BenchmarkCASTLBLookup(b *testing.B) {
+	tlbLookup(b, benchCASTLB)
+	b.Run("parallel-hit", func(b *testing.B) {
+		t := newCASTLB(benchTLBSize)
+		parallelHits(b, t.install, t.lookup, benchTLBSize/2, 1)
+	})
+}
 func BenchmarkCASTLBInstall(b *testing.B)    { tlbInstall(b, benchCASTLB) }
 func BenchmarkCASTLBInvalidate(b *testing.B) { tlbInvalidate(b, benchCASTLB) }
 
@@ -185,7 +230,13 @@ func BenchmarkMappingTableInsert(b *testing.B) { tableInsert(b, benchTables) }
 func BenchmarkMappingTableRemove(b *testing.B) { tableRemove(b, benchTables) }
 func BenchmarkMappingTableLookup(b *testing.B) { tableLookup(b, benchTables) }
 func BenchmarkCASTableRemove(b *testing.B)     { tableRemove(b, benchCASTable) }
-func BenchmarkCASTableLookup(b *testing.B)     { tableLookup(b, benchCASTable) }
+func BenchmarkCASTableLookup(b *testing.B) {
+	tableLookup(b, benchCASTable)
+	b.Run("parallel-hit", func(b *testing.B) {
+		t := newCASTable()
+		parallelHits(b, t.insert, t.lookup, benchTableKeys/2, 4)
+	})
+}
 
 // BenchmarkCASTableInsert: fresh is the fault path's insert — the key is
 // not cached and lands in a slot an earlier remove tombstoned (the table is
@@ -314,4 +365,57 @@ func BenchmarkCheckDisjoint(b *testing.B) {
 	}
 	run("unsorted8x16", runs, nil)
 	run("scattered190-after-16k", scatteredSingles(190, 8192), scatteredSingles(16384, 16384))
+}
+
+// nopManager resolves nothing: BenchmarkDeliverFault prices the delivery
+// plane around the handler, not the handler.
+type nopManager struct{}
+
+func (nopManager) ManagerName() string    { return "nop" }
+func (nopManager) Delivery() DeliveryMode { return DeliverSameProcess }
+func (nopManager) HandleFault(Fault) error {
+	return nil
+}
+func (nopManager) SegmentDeleted(*Segment) {}
+
+// BenchmarkDeliverFault: one op is one fault from deliverFault through the
+// scheduler's post and processFaultRun (stats, trap, delivery and return
+// charges) to a handler that does nothing, and back — the serial mailbox
+// path, and the concurrent scheduler's inline path (lane idle, token taken,
+// no enqueue). The serial post allocates its deliveryResult, as it always
+// has; the concurrent one allocates nothing.
+func BenchmarkDeliverFault(b *testing.B) {
+	for _, mode := range []string{"serial", "concurrent"} {
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: 1 << 20})
+			k := New(mem, new(sim.Clock), sim.DECstation5000(), Config{})
+			want := 1.0
+			if mode == "concurrent" {
+				k.SetScheduler(NewConcurrentScheduler(k))
+				want = 0
+			}
+			defer k.Scheduler().Stop()
+			seg, err := k.CreateSegment("space", 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			k.SetSegmentManager(seg, nopManager{})
+			f := Fault{Seg: seg, Page: 3, Access: Write, Kind: FaultMissing}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchErr = k.deliverFault(f)
+			}
+			b.StopTimer()
+			if benchErr != nil {
+				b.Fatal(benchErr)
+			}
+			if got := testing.AllocsPerRun(20, func() { benchErr = k.deliverFault(f) }); got != want {
+				b.Fatalf("%v allocs per delivery, want %v", got, want)
+			}
+			if got := k.Stats().Faults; got != int64(b.N)+21 {
+				b.Fatalf("%d faults counted for %d deliveries", got, b.N+21)
+			}
+		})
+	}
 }

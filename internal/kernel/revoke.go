@@ -58,26 +58,33 @@ func (k *Kernel) OnRevoke(fn func(dead Manager, adopted []*Segment)) { k.onRevok
 // exists — the kernel cannot contain a crash of the fallback itself.
 //
 // After reassigning, the dead manager's queued plane messages are
-// discarded (Scheduler.Revoke): each pending delivery is answered as lost,
+// discarded (Scheduler.revoke): each pending delivery is answered as lost,
 // so the faulting processes retry and re-resolve to the adopting manager.
-// The onRevoke callback runs with no kernel lock held — it reaches into
-// the SPCM and the default manager.
+// The manager's record goes with it — its time-shard binding included, so
+// the kernel keeps no reference to the dead manager. The onRevoke callback
+// runs with no kernel lock held — it reaches into the SPCM and the default
+// manager.
 func (k *Kernel) Revoke(dead Manager) ([]*Segment, error) {
 	if k.defaultMgr == nil || dead == Manager(k.defaultMgr) {
 		return nil, fmt.Errorf("%w (revoking %q)", ErrNoFallback, dead.ManagerName())
 	}
 	k.stats.Revocations.Add(1)
+	k.mgrMu.Lock()
+	dc := k.managers[dead]
+	delete(k.managers, dead)
+	k.mgrMu.Unlock()
+	def := k.cellOf(k.defaultMgr)
 	var adopted []*Segment
 	k.mu.RLock()
 	for _, s := range k.segs {
 		s.mu.Lock()
-		if s.managerLoad() == dead && !s.deleted {
+		if dc != nil && s.manager.Load() == dc && !s.deleted {
 			// The fallback path of SetSegmentManager, without charging the
 			// dead manager's process for a call it cannot make. Adoption
 			// demotes every promoted extent — the adopter's promotion state
 			// starts cold, and the dead manager may have died mid-promotion.
 			k.dropAllExtentsLocked(s)
-			s.managerStore(k.defaultMgr)
+			s.manager.Store(def)
 			adopted = append(adopted, s)
 		}
 		s.mu.Unlock()
@@ -85,7 +92,9 @@ func (k *Kernel) Revoke(dead Manager) ([]*Segment, error) {
 	k.mu.RUnlock()
 	sort.Slice(adopted, func(i, j int) bool { return adopted[i].id < adopted[j].id })
 	k.stats.RevokedSegments.Add(int64(len(adopted)))
-	k.sched.Revoke(dead)
+	if dc != nil {
+		k.sched.revoke(dc)
+	}
 	if k.onRevoke != nil {
 		k.onRevoke(dead, adopted)
 	}

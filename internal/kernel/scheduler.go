@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"epcm/internal/plane"
-	"epcm/internal/sim"
 )
 
 // This file is the fault-delivery plane. Faults, deletion notices and
@@ -27,10 +26,12 @@ import (
 // semantics per message; the scheduler only decides where and when messages
 // run, and how many queued faults one delivery carries.
 
-// Scheduler routes delivery-plane messages to managers. Implementations
-// must call Kernel.process (or processFaultRun for a run of faults) for
-// each message so costing, injection and revocation behave identically in
-// every mode.
+// Scheduler routes delivery-plane messages to managers. Both implementations
+// live in this file (the unexported methods seal the interface): each calls
+// Kernel.process (or processFaultRun for a run of faults) for every message,
+// so costing, injection and revocation behave identically in every mode. The
+// kernel's own entry points take the manager's record, which carries its
+// mailbox or lane.
 type Scheduler interface {
 	// Name identifies the scheduler ("serial" or "concurrent").
 	Name() string
@@ -38,27 +39,27 @@ type Scheduler interface {
 	// When true the kernel swaps its mapping caches for the lock-free CAS
 	// variants at install time.
 	Concurrent() bool
-	// DeliverFault routes a fault to manager m and blocks until it has been
-	// handled (or dropped / crashed by injection), returning the result the
-	// faulting process observes.
-	DeliverFault(m Manager, f Fault) error
-	// NotifyDeleted routes a segment-deletion notice to m and blocks until
-	// the manager has salvaged its frames.
-	NotifyDeleted(m Manager, s *Segment)
 	// Exec runs fn in m's delivery context — on m's worker goroutine under
 	// the concurrent scheduler — and blocks until it returns. Recovery uses
 	// it to run segment adoption where the adopting manager's other work
 	// runs, so the manager needs no internal locking.
 	Exec(m Manager, fn func())
-	// Revoke discards m's queued messages, answering each pending delivery
-	// with nil so the faulting processes retry (and re-resolve to the
-	// manager that adopted their segments). Under the concurrent scheduler
-	// it also retires m's worker goroutine.
-	Revoke(m Manager)
 	// Stop shuts the scheduler down, releasing any worker goroutines.
 	// Further deliveries report ErrNoManager-free nil results; Stop is for
 	// end-of-run teardown, not a pause.
 	Stop()
+	// deliverFault routes a fault to c's manager and blocks until it has
+	// been handled (or dropped / crashed by injection), returning the
+	// result the faulting process observes.
+	deliverFault(c *managerCell, f Fault) error
+	// notifyDeleted routes a segment-deletion notice to c's manager and
+	// blocks until the manager has salvaged its frames.
+	notifyDeleted(c *managerCell, s *Segment)
+	// revoke discards the queued messages of c's manager, answering each
+	// pending delivery with nil so the faulting processes retry (and
+	// re-resolve to the manager that adopted their segments). Under the
+	// concurrent scheduler it also retires the manager's lane.
+	revoke(c *managerCell)
 }
 
 // deliveryKind discriminates plane messages.
@@ -75,10 +76,10 @@ const (
 // res; the concurrent scheduler through reply.
 type delivery struct {
 	kind  deliveryKind
-	mgr   Manager
-	fault Fault    // msgFault
-	seg   *Segment // msgDelete
-	fn    func()   // msgExec
+	cell  *managerCell // the receiving manager's record
+	fault Fault        // msgFault
+	seg   *Segment     // msgDelete
+	fn    func()       // msgExec
 	res   *deliveryResult
 	reply chan error
 }
@@ -103,10 +104,10 @@ func (k *Kernel) process(d delivery, fs []Fault, errs []error) error {
 	case msgFault:
 		var idx [1]int
 		fs[0] = d.fault
-		k.processFaultRun(d.mgr, fs[:1], errs[:1], idx[:])
+		k.processFaultRun(d.cell, fs[:1], errs[:1], idx[:])
 		return errs[0]
 	case msgDelete:
-		k.processDelete(d.mgr, d.seg)
+		k.processDelete(d.cell, d.seg)
 		return nil
 	default:
 		d.fn()
@@ -116,10 +117,10 @@ func (k *Kernel) process(d delivery, fs []Fault, errs []error) error {
 
 // processDelete is the deletion-notice path: one manager call, the delivery
 // cost, and the manager's salvage pass.
-func (k *Kernel) processDelete(m Manager, s *Segment) {
+func (k *Kernel) processDelete(c *managerCell, s *Segment) {
 	k.stats.ManagerCalls.Add(uint64(s.id), 1)
-	tickShard(k.timeShardOf(m), k.chargeDelivery(m.Delivery()))
-	m.SegmentDeleted(s)
+	tickShard(c.shard.Load(), k.chargeDelivery(s.id, c.m.Delivery()))
+	c.m.SegmentDeleted(s)
 }
 
 // ---------------------------------------------------------------------------
@@ -130,39 +131,32 @@ func (k *Kernel) processDelete(m Manager, s *Segment) {
 // the deterministic experiment configuration — every enqueue is immediately
 // the oldest queued message, so deliveries run in exactly the pre-plane
 // synchronous order. It is not safe for concurrent callers; that is the
-// concurrent scheduler's job.
+// concurrent scheduler's job. A manager's mailbox hangs off its record.
 type serialScheduler struct {
 	k     *Kernel
 	group plane.Group[delivery]
-	boxes map[Manager]*plane.Mailbox[delivery]
 }
 
 // NewSerialScheduler returns the deterministic, single-goroutine scheduler.
 // It is the default installed by New.
 func NewSerialScheduler(k *Kernel) Scheduler {
-	return &serialScheduler{k: k, boxes: make(map[Manager]*plane.Mailbox[delivery])}
+	return &serialScheduler{k: k}
 }
 
 func (s *serialScheduler) Name() string     { return "serial" }
 func (s *serialScheduler) Concurrent() bool { return false }
 
-func (s *serialScheduler) box(m Manager) *plane.Mailbox[delivery] {
-	b, ok := s.boxes[m]
-	if !ok {
-		b = s.group.NewMailbox()
-		s.boxes[m] = b
-	}
-	return b
-}
-
 // post enqueues a message and drains the group until that message has been
 // processed. Messages a nested delivery enqueues (a deletion notice fired
 // while a fault is being handled, say) drain as part of the same loop.
-func (s *serialScheduler) post(m Manager, d delivery) error {
+func (s *serialScheduler) post(c *managerCell, d delivery) error {
 	res := &deliveryResult{}
-	d.mgr = m
+	d.cell = c
 	d.res = res
-	s.group.Enqueue(s.box(m), s.k.stampFor(m), d)
+	if c.box == nil {
+		c.box = s.group.NewMailbox()
+	}
+	s.group.Enqueue(c.box, s.k.stampFor(c), d)
 	for !res.done {
 		env, ok := s.group.PopOldest()
 		if !ok {
@@ -178,24 +172,24 @@ func (s *serialScheduler) post(m Manager, d delivery) error {
 	return res.err[0]
 }
 
-func (s *serialScheduler) DeliverFault(m Manager, f Fault) error {
-	return s.post(m, delivery{kind: msgFault, fault: f})
+func (s *serialScheduler) deliverFault(c *managerCell, f Fault) error {
+	return s.post(c, delivery{kind: msgFault, fault: f})
 }
 
-func (s *serialScheduler) NotifyDeleted(m Manager, seg *Segment) {
-	s.post(m, delivery{kind: msgDelete, seg: seg})
+func (s *serialScheduler) notifyDeleted(c *managerCell, seg *Segment) {
+	s.post(c, delivery{kind: msgDelete, seg: seg})
 }
 
 func (s *serialScheduler) Exec(m Manager, fn func()) {
-	s.post(m, delivery{kind: msgExec, fn: fn})
+	s.post(s.k.cellOf(m), delivery{kind: msgExec, fn: fn})
 }
 
-func (s *serialScheduler) Revoke(m Manager) {
-	b, ok := s.boxes[m]
-	if !ok {
+func (s *serialScheduler) revoke(c *managerCell) {
+	b := c.box
+	if b == nil {
 		return
 	}
-	delete(s.boxes, m)
+	c.box = nil
 	s.group.Remove(b)
 	for _, env := range b.Drain() {
 		if env.Msg.res != nil {
@@ -228,12 +222,6 @@ type lane struct {
 	// maint is the manager's optional idle hook (LaneMaintainer), resolved
 	// once at lane creation so the hot path pays no type assertion.
 	maint LaneMaintainer
-	// shardClock stamps this lane's envelopes: the manager's time-shard
-	// clock when one is bound, else the kernel's global clock. Resolved once
-	// at lane creation — the shard-affinity side of the sharded virtual-time
-	// engine (lane = manager = time shard) — so the enqueue path pays one
-	// pointer read instead of a map lookup.
-	shardClock *sim.Clock
 	// buf is the executor's drain batch; vecFaults/vecErrs/vecIdx are the
 	// scratch a fault run is delivered in (processFaultRun, vector.go).
 	// Only the token holder touches any of them, so none need
@@ -271,12 +259,8 @@ type LaneMaintainer interface {
 // stranded) to answer its reply channel.
 type concurrentScheduler struct {
 	k *Kernel
-	// lanes maps Manager -> *lane. Lane lookup is on the per-fault path, so
-	// it uses sync.Map: a steady-state Load is a lock-free read with no
-	// shared-cache-line write, where an RWMutex RLock/RUnlock pair costs two
-	// contended atomic RMWs per fault. mu serializes the mutators (create,
-	// Revoke, Stop).
-	lanes   sync.Map
+	// mu serializes lane creation against Stop. A manager's lane hangs off
+	// its record, so the per-fault path reaches it with one atomic load.
 	mu      sync.Mutex
 	stopped bool
 }
@@ -291,24 +275,23 @@ func NewConcurrentScheduler(k *Kernel) Scheduler {
 func (s *concurrentScheduler) Name() string     { return "concurrent" }
 func (s *concurrentScheduler) Concurrent() bool { return true }
 
-// laneOf returns m's lane, creating it on first use. Returns nil after Stop.
-func (s *concurrentScheduler) laneOf(m Manager) *lane {
-	if v, ok := s.lanes.Load(m); ok {
-		return v.(*lane)
+// laneOf returns the lane of c's manager, creating it on first use. Returns
+// nil after Stop.
+func (s *concurrentScheduler) laneOf(c *managerCell) *lane {
+	if ln := c.lane.Load(); ln != nil {
+		return ln
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.stopped {
 		return nil
 	}
-	if v, ok := s.lanes.Load(m); ok {
-		return v.(*lane)
+	ln := c.lane.Load()
+	if ln == nil {
+		ln = &lane{ring: plane.NewRing[delivery](laneRingCap)}
+		ln.maint, _ = c.m.(LaneMaintainer)
+		c.lane.Store(ln)
 	}
-	ln := &lane{ring: plane.NewRing[delivery](laneRingCap), shardClock: s.k.TimeShardClock(m)}
-	if lm, ok := m.(LaneMaintainer); ok {
-		ln.maint = lm
-	}
-	s.lanes.Store(m, ln)
 	return ln
 }
 
@@ -339,7 +322,7 @@ func (s *concurrentScheduler) drainCells(ln *lane) {
 			for j := 0; j < run; j++ {
 				ln.vecFaults[j] = ln.buf[i+j].Msg.fault
 			}
-			s.k.processFaultRun(ln.buf[i].Msg.mgr, ln.vecFaults[:run], ln.vecErrs[:run], ln.vecIdx[:run])
+			s.k.processFaultRun(ln.buf[i].Msg.cell, ln.vecFaults[:run], ln.vecErrs[:run], ln.vecIdx[:run])
 			replyRun(ln.buf[i:i+run], ln.vecErrs[:run])
 			i += run
 		}
@@ -367,18 +350,18 @@ func (s *concurrentScheduler) combine(ln *lane) {
 	}
 }
 
-// post delivers one message to m. Fast path: the lane is idle, so the
-// calling goroutine takes the token and runs the manager inline. Slow path:
-// enqueue with a reply channel, help combine if the token frees up, and
-// wait for the answer. A nil return with no processing (stopped scheduler,
+// post delivers one message to c's manager. Fast path: the lane is idle, so
+// the calling goroutine takes the token and runs the manager inline. Slow
+// path: enqueue with a reply channel, help combine if the token frees up,
+// and wait for the answer. A nil return with no processing (stopped scheduler,
 // revoked manager) is a lost delivery; the caller's retry loop re-resolves
 // and re-routes.
-func (s *concurrentScheduler) post(m Manager, d delivery) error {
-	ln := s.laneOf(m)
+func (s *concurrentScheduler) post(c *managerCell, d delivery) error {
+	ln := s.laneOf(c)
 	if ln == nil {
 		return nil
 	}
-	d.mgr = m
+	d.cell = c
 	if ln.ring.Len() == 0 && ln.token.CompareAndSwap(false, true) {
 		if ln.revoked.Load() {
 			ln.token.Store(false)
@@ -390,7 +373,7 @@ func (s *concurrentScheduler) post(m Manager, d delivery) error {
 		return err
 	}
 	d.reply = make(chan error, 1)
-	if !ln.ring.Put(ln.shardClock.Now(), d) {
+	if !ln.ring.Put(s.k.stampFor(c), d) {
 		return nil // revoked while posting: lost delivery
 	}
 	if ln.token.CompareAndSwap(false, true) {
@@ -402,32 +385,30 @@ func (s *concurrentScheduler) post(m Manager, d delivery) error {
 	return <-d.reply
 }
 
-func (s *concurrentScheduler) DeliverFault(m Manager, f Fault) error {
-	return s.post(m, delivery{kind: msgFault, fault: f})
+func (s *concurrentScheduler) deliverFault(c *managerCell, f Fault) error {
+	return s.post(c, delivery{kind: msgFault, fault: f})
 }
 
-func (s *concurrentScheduler) NotifyDeleted(m Manager, seg *Segment) {
-	s.post(m, delivery{kind: msgDelete, seg: seg})
+func (s *concurrentScheduler) notifyDeleted(c *managerCell, seg *Segment) {
+	s.post(c, delivery{kind: msgDelete, seg: seg})
 }
 
 func (s *concurrentScheduler) Exec(m Manager, fn func()) {
-	s.post(m, delivery{kind: msgExec, fn: fn})
+	s.post(s.k.cellOf(m), delivery{kind: msgExec, fn: fn})
 }
 
-// Revoke marks m's lane dead and answers everything still queued with nil.
-// If the token is held — including by this goroutine itself, when a manager
-// crash is detected mid-processing and recovery revokes the manager from
-// inside its own lane — the holder's drain loop sees the revoked flag and
-// answers nil itself.
-func (s *concurrentScheduler) Revoke(m Manager) {
-	s.mu.Lock()
-	v, ok := s.lanes.Load(m)
-	s.lanes.Delete(m)
-	s.mu.Unlock()
-	if !ok {
+// revoke marks the lane of c's manager dead and answers everything still
+// queued with nil; the dead lane stays on the record, so a delivery that
+// resolved c before its segments were adopted is lost, not handled. If the
+// token is held — including by this goroutine itself, when a manager crash
+// is detected mid-processing and recovery revokes the manager from inside
+// its own lane — the holder's drain loop sees the revoked flag and answers
+// nil itself.
+func (s *concurrentScheduler) revoke(c *managerCell) {
+	ln := c.lane.Load()
+	if ln == nil {
 		return
 	}
-	ln := v.(*lane)
 	ln.revoked.Store(true)
 	ln.ring.Close()
 	if ln.token.CompareAndSwap(false, true) {
@@ -446,20 +427,16 @@ func (s *concurrentScheduler) Stop() {
 		s.mu.Unlock()
 		return
 	}
-	s.stopped = true
-	var lanes []*lane
-	s.lanes.Range(func(key, v any) bool {
-		lanes = append(lanes, v.(*lane))
-		s.lanes.Delete(key)
-		return true
-	})
+	s.stopped = true // no lane is made from here on
 	s.mu.Unlock()
-	for _, ln := range lanes {
-		ln.revoked.Store(true)
-		ln.ring.Close()
-		if ln.token.CompareAndSwap(false, true) {
-			s.combine(ln)
-		}
+	s.k.mgrMu.Lock()
+	cells := make([]*managerCell, 0, len(s.k.managers))
+	for _, c := range s.k.managers {
+		cells = append(cells, c)
+	}
+	s.k.mgrMu.Unlock()
+	for _, c := range cells {
+		s.revoke(c) // outside mgrMu: draining a lane runs manager code
 	}
 }
 
@@ -477,6 +454,13 @@ func (k *Kernel) Scheduler() Scheduler { return k.sched }
 func (k *Kernel) SetScheduler(s Scheduler) {
 	if k.sched != nil {
 		k.sched.Stop()
+		// The old scheduler's mailboxes and lanes are not the new one's.
+		k.mgrMu.Lock()
+		for _, c := range k.managers {
+			c.box = nil
+			c.lane.Store(nil)
+		}
+		k.mgrMu.Unlock()
 	}
 	k.sched = s
 	if s.Concurrent() {
@@ -516,9 +500,9 @@ func SetBootScheduler(mode string) error {
 // deliverFault resolves the faulted segment's manager and hands the fault
 // to the scheduler.
 func (k *Kernel) deliverFault(f Fault) error {
-	m := f.Seg.managerLoad()
-	if m == nil {
+	c := f.Seg.manager.Load()
+	if c == nil {
 		return pageError(ErrNoManager, f.Seg, f.Page)
 	}
-	return k.sched.DeliverFault(m, f)
+	return k.sched.deliverFault(c, f)
 }

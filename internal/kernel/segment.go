@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 
 	"epcm/internal/phys"
+	"epcm/internal/plane"
+	"epcm/internal/sim"
 )
 
 // SegID identifies a segment. IDs are never reused within one kernel.
@@ -55,9 +57,10 @@ type Segment struct {
 	pageSize int // bytes; framesPerPage × machine frame size
 	fpp      int // frames per page
 	mu       sync.Mutex
-	// manager is read on every fault delivery; it is an atomic cell so the
-	// hot path reads it without the segment lock. Writers (registration,
-	// revocation adoption) still hold mu to coordinate with each other.
+	// manager is read on every fault delivery; it is an atomic pointer to
+	// the kernel's record of the manager so the hot path reads it without
+	// the segment lock (nil: no manager). Writers (registration, revocation
+	// adoption) still hold mu to coordinate with each other.
 	manager  atomic.Pointer[managerCell]
 	pages    pageStore
 	bindings []*binding // sorted by start
@@ -97,25 +100,22 @@ type Segment struct {
 // field). Call it right after creation, before any pages migrate in.
 func (s *Segment) MarkStaging() { s.staging = true }
 
-// managerCell boxes the manager interface so it can live in an atomic
-// pointer (a nil cell pointer means "no manager").
-type managerCell struct{ m Manager }
-
-// managerLoad returns the segment's manager without taking the lock.
-func (s *Segment) managerLoad() Manager {
-	if c := s.manager.Load(); c != nil {
-		return c.m
-	}
-	return nil
-}
-
-// managerStore publishes a new manager. Callers hold s.mu.
-func (s *Segment) managerStore(m Manager) {
-	if m == nil {
-		s.manager.Store(nil)
-		return
-	}
-	s.manager.Store(&managerCell{m: m})
+// managerCell is the kernel's one record of a manager, interned per kernel
+// (Kernel.cellOf) at the manager's first registration and pointed to by
+// every segment it manages: a fault reaches its mailbox or lane, and its
+// time shard, by reading fields of the cell its segment already holds — no
+// lookup keyed by the Manager interface happens from Access down.
+// Revocation retires the cell; a manager registered again gets a fresh one.
+type managerCell struct {
+	m Manager
+	// shard is the manager's time shard (timeshard.go); nil rides the
+	// global clock.
+	shard atomic.Pointer[sim.Shard]
+	// box is the manager's mailbox under the serial scheduler, lane its
+	// delivery context under the concurrent one; the installed scheduler
+	// makes its own on the first post, and SetScheduler clears both.
+	box  *plane.Mailbox[delivery]
+	lane atomic.Pointer[lane]
 }
 
 // ID returns the segment identifier.
@@ -132,7 +132,10 @@ func (s *Segment) FramesPerPage() int { return s.fpp }
 
 // Manager returns the segment's manager, or nil.
 func (s *Segment) Manager() Manager {
-	return s.managerLoad()
+	if c := s.manager.Load(); c != nil {
+		return c.m
+	}
+	return nil
 }
 
 // Restricted reports whether the segment requires privileged credentials.

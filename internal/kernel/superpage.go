@@ -82,7 +82,7 @@ func (k *Kernel) PromoteExtent(cred Cred, s *Segment, base int64, order int) err
 	if order < 1 || order > MaxExtentOrder {
 		return fmt.Errorf("%w: extent order %d", ErrBadRange, order)
 	}
-	k.clock.Advance(k.cost.KernelCall + k.cost.SuperpageOp)
+	k.clock.AdvanceOn(uint64(s.id), k.cost.KernelCall+k.cost.SuperpageOp)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.deleted {
@@ -151,7 +151,7 @@ func (k *Kernel) recordExtentLocked(s *Segment, base int64, order uint8) {
 // that charges only the kernel call. The pages themselves are untouched —
 // demotion only withdraws the wide translation entries.
 func (k *Kernel) DemoteExtent(cred Cred, s *Segment, base int64) error {
-	k.clock.Advance(k.cost.KernelCall)
+	k.clock.AdvanceOn(uint64(s.id), k.cost.KernelCall)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.deleted {
@@ -161,7 +161,7 @@ func (k *Kernel) DemoteExtent(cred Cred, s *Segment, base int64) error {
 		return fmt.Errorf("%w: demote on %s by %q", ErrNotPrivileged, s, cred.Name)
 	}
 	if ord, ok := s.extents[base]; ok {
-		k.clock.Advance(k.cost.SuperpageOp)
+		k.clock.AdvanceOn(uint64(s.id), k.cost.SuperpageOp)
 		k.stats.SuperpageOps.Add(1)
 		k.dropExtentLocked(s, base, ord)
 	}

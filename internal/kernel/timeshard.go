@@ -22,47 +22,43 @@ import (
 // deliveries, and the maximum across shards is the makespan the sharded
 // engine's model throughput is measured against (experiments.TimeSweep).
 //
-// Binding is a boot-time operation — bind every manager before delivery
-// traffic starts, the same discipline as SetScheduler and the interceptor.
-// Lookups on the fault path are lock-free sync.Map loads, and the
-// concurrent scheduler caches the bound clock in the manager's lane so the
-// stamp costs one pointer read.
+// The binding is one field of the manager's record (managerCell,
+// segment.go), which the delivery path already holds: a delivery's stamp
+// and its ticks read the same pointer, so they agree whenever the binding is
+// made. Bind at boot — the discipline of SetScheduler and the interceptor —
+// if every delivery is to land on the shard. Revoking a manager drops its
+// record and the binding with it.
 
 // BindTimeShard gives manager m its own time shard. Subsequent deliveries
 // to m are stamped with the shard's local clock and charge their delivery
 // costs (trap, upcall or IPC, resume) to it as well as to the global clock.
-// Bind at boot, before delivery traffic starts; a nil shard unbinds.
+// A nil shard unbinds.
 func (k *Kernel) BindTimeShard(m Manager, sh *sim.Shard) {
-	if sh == nil {
-		k.timeShards.Delete(m)
-		return
-	}
-	k.timeShards.Store(m, sh)
-}
-
-// timeShardOf returns m's bound time shard, or nil when m rides the global
-// clock only.
-func (k *Kernel) timeShardOf(m Manager) *sim.Shard {
-	if v, ok := k.timeShards.Load(m); ok {
-		return v.(*sim.Shard)
-	}
-	return nil
+	k.cellOf(m).shard.Store(sh)
 }
 
 // TimeShardClock returns the clock deliveries to m are stamped with: m's
 // shard clock when bound, the kernel's global clock otherwise.
 func (k *Kernel) TimeShardClock(m Manager) *sim.Clock {
-	if sh := k.timeShardOf(m); sh != nil {
-		return sh.Clock()
+	k.mgrMu.Lock()
+	c := k.managers[m]
+	k.mgrMu.Unlock()
+	return k.clockOf(c)
+}
+
+// clockOf is TimeShardClock for a manager's record; nil is no record.
+func (k *Kernel) clockOf(c *managerCell) *sim.Clock {
+	if c != nil {
+		if sh := c.shard.Load(); sh != nil {
+			return sh.Clock()
+		}
 	}
 	return k.clock
 }
 
-// stampFor returns the envelope timestamp for a delivery to m: the
-// manager's local virtual time when a shard is bound, else global time.
-func (k *Kernel) stampFor(m Manager) time.Duration {
-	return k.TimeShardClock(m).Now()
-}
+// stampFor returns the envelope timestamp for a delivery to c's manager:
+// its local virtual time when a shard is bound, else global time.
+func (k *Kernel) stampFor(c *managerCell) time.Duration { return k.clockOf(c).Now() }
 
 // tickShard charges d of virtual delivery time to a manager's shard clock.
 // A nil shard (unbound manager) is a no-op. Shards tick only while their

@@ -2,10 +2,12 @@ package kernel
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"epcm/internal/plane"
 	"epcm/internal/sim"
 )
 
@@ -129,7 +131,7 @@ func TestTimeShardStamp(t *testing.T) {
 		t.Fatal("TimeShardClock did not resolve the bound shard clock")
 	}
 	env.Shard(1).Clock().Advance(5 * time.Millisecond)
-	if got := k.stampFor(m); got != 5*time.Millisecond {
+	if got := k.stampFor(k.cellOf(m)); got != 5*time.Millisecond {
 		t.Fatalf("stamp = %v, want the shard clock's 5ms", got)
 	}
 	other := newOffsetTestManager(t, k, 8, 8, DeliverSameProcess)
@@ -139,5 +141,110 @@ func TestTimeShardStamp(t *testing.T) {
 	k.BindTimeShard(m, nil)
 	if got := k.TimeShardClock(m); got != k.Clock() {
 		t.Fatal("unbinding should fall back to the global clock")
+	}
+}
+
+// bootShardTest builds a kernel under the named scheduler with one manager
+// serving one address space, and a two-shard environment to bind it to.
+func bootShardTest(t *testing.T, mode string) (*Kernel, *testManager, *Segment, *sim.Shard) {
+	t.Helper()
+	k := newTestKernel(t)
+	if mode == "concurrent" {
+		k.SetScheduler(NewConcurrentScheduler(k))
+	}
+	t.Cleanup(k.Scheduler().Stop)
+	m := newOffsetTestManager(t, k, 0, 8, DeliverSameProcess)
+	space, err := k.CreateSegment("space", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.SetSegmentManager(space, m)
+	return k, m, space, sim.NewShardedEnv(&sim.Clock{}, 2, 0).Shard(1)
+}
+
+// TestBindTimeShardAfterFirstDelivery binds a manager's shard after the
+// manager has fielded a fault — after its mailbox or lane exists. Stamp and
+// ticks must both follow the binding: the concurrent lane used to keep the
+// clock it resolved when it was created, stamping envelopes with global time
+// while the ticks went to the new shard.
+func TestBindTimeShardAfterFirstDelivery(t *testing.T) {
+	cost := sim.DECstation5000()
+	perFault := cost.Trap + cost.Upcall + cost.ResumeDirect
+	for _, mode := range []string{"serial", "concurrent"} {
+		t.Run(mode, func(t *testing.T) {
+			k, m, space, sh := bootShardTest(t, mode)
+			if err := k.Access(space, 0, Write); err != nil {
+				t.Fatal(err)
+			}
+			sh.Clock().Advance(5 * time.Millisecond) // nowhere near global time
+			k.BindTimeShard(m, sh)
+			c := k.cellOf(m)
+			if got := k.stampFor(c); got != 5*time.Millisecond {
+				t.Fatalf("stamp after a late bind = %v, want the shard's 5ms", got)
+			}
+			if mode == "concurrent" {
+				// Hold the lane so the next fault queues, and read the stamp
+				// its envelope really got.
+				ln := c.lane.Load()
+				ln.token.Store(true)
+				done := make(chan error, 1)
+				go func() { done <- k.Access(space, 1, Write) }()
+				var buf [1]plane.Envelope[delivery]
+				for ln.ring.PopMany(buf[:]) == 0 {
+					runtime.Gosched()
+				}
+				if buf[0].Time != 5*time.Millisecond {
+					t.Errorf("queued envelope stamped %v, want the shard's 5ms", buf[0].Time)
+				}
+				ln.token.Store(false)
+				buf[0].Msg.reply <- nil // a lost delivery: the access re-faults, inline
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+			} else if err := k.Access(space, 1, Write); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := sh.Now(), 5*time.Millisecond+perFault; got != want {
+				t.Errorf("shard clock %v after one delivery past the bind, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestRevokeDropsTimeShard: revoking a manager drops its shard binding with
+// the rest of its record — the kernel used to keep the dead manager and its
+// shard in a table nothing ever pruned.
+func TestRevokeDropsTimeShard(t *testing.T) {
+	for _, mode := range []string{"serial", "concurrent"} {
+		t.Run(mode, func(t *testing.T) {
+			k, m, space, sh := bootShardTest(t, mode)
+			k.SetDefaultManager(newOffsetTestManager(t, k, 8, 8, DeliverSameProcess))
+			k.BindTimeShard(m, sh)
+			if err := k.Access(space, 0, Write); err != nil {
+				t.Fatal(err)
+			}
+			ticked := sh.Now()
+			if ticked == 0 {
+				t.Fatal("bound shard did not tick")
+			}
+			if _, err := k.Revoke(m); err != nil {
+				t.Fatal(err)
+			}
+			if k.TimeShardClock(m) != k.Clock() {
+				t.Error("a revoked manager is still bound to its time shard")
+			}
+			k.mgrMu.Lock()
+			_, kept := k.managers[m]
+			k.mgrMu.Unlock()
+			if kept {
+				t.Error("the kernel still holds the revoked manager's record")
+			}
+			if err := k.Access(space, 1, Write); err != nil {
+				t.Fatal(err)
+			}
+			if got := sh.Now(); got != ticked {
+				t.Errorf("dead manager's shard ticked %v -> %v after revocation", ticked, got)
+			}
+		})
 	}
 }

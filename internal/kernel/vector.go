@@ -70,24 +70,27 @@ func replyRun(envs []plane.Envelope[delivery], errs []error) {
 	}
 }
 
-// processFaultRun is the delivery path of a run of faults fs for manager m:
-// statistics, the trap cost, the injection interceptor, the delivery cost
-// for the manager's mode, the handler, crash containment, and the return
-// cost — per-fault legs inside the loops, per-delivery legs outside them.
+// processFaultRun is the delivery path of a run of faults fs for the manager
+// of record c: statistics, the trap cost, the injection interceptor, the
+// delivery cost for the manager's mode, the handler, crash containment, and
+// the return cost — per-fault legs inside the loops, per-delivery legs
+// outside them.
 // It leaves fs[i]'s outcome in errs[i]: nil for a resolved fault and for a
 // lost delivery (dropped, or the manager crashed and was revoked), where
 // the faulting process simply re-faults. fs is consumed — survivors of the
 // interceptor are compacted to its front for the handler, with idx, scratch
 // of the same length, recording where each came from. fs and errs reach
 // the handler through an interface, so callers keep them off the stack.
-func (k *Kernel) processFaultRun(m Manager, fs []Fault, errs []error, idx []int) {
-	sh := k.timeShardOf(m)
-	k.stats.ManagerCalls.Add(uint64(fs[0].Seg.id), 1)
+// The per-delivery legs are charged on the stripe of the run's first
+// segment: a lane's faults all come from its own manager's segments.
+func (k *Kernel) processFaultRun(c *managerCell, fs []Fault, errs []error, idx []int) {
+	m, sh, seg := c.m, c.shard.Load(), fs[0].Seg.id
+	k.stats.ManagerCalls.Add(uint64(seg), 1)
 	vectored := len(fs) > 1
 	if vectored {
 		k.stats.VectoredBatches.Add(1)
 	}
-	k.clock.Advance(k.cost.Trap)
+	k.clock.AdvanceOn(uint64(seg), k.cost.Trap)
 	tickShard(sh, k.cost.Trap)
 	nf := 0 // survivors, compacted into fs[:nf]
 	for i, f := range fs {
@@ -126,7 +129,7 @@ func (k *Kernel) processFaultRun(m Manager, fs []Fault, errs []error, idx []int)
 				continue
 			case r.Delay > 0:
 				k.stats.DelayedDeliveries.Add(1)
-				k.clock.Advance(r.Delay)
+				k.clock.AdvanceOn(uint64(f.Seg.id), r.Delay)
 				tickShard(sh, r.Delay)
 			}
 		}
@@ -139,7 +142,7 @@ func (k *Kernel) processFaultRun(m Manager, fs []Fault, errs []error, idx []int)
 	if vectored {
 		k.stats.VectoredFaults.Add(int64(nf))
 	}
-	tickShard(sh, k.chargeDelivery(m.Delivery()))
+	tickShard(sh, k.chargeDelivery(seg, m.Delivery()))
 	var vh VectorHandler
 	if nf > 1 {
 		vh, _ = m.(VectorHandler)
@@ -174,7 +177,7 @@ func (k *Kernel) processFaultRun(m Manager, fs []Fault, errs []error, idx []int)
 	// however many faults it carried, and resumes whoever was resolved — a
 	// run in which every fault failed resumes nobody.
 	if resumed {
-		tickShard(sh, k.chargeReturn(m.Delivery()))
+		tickShard(sh, k.chargeReturn(seg, m.Delivery()))
 	}
 	// Scatter the survivors' outcomes back to their positions. idx ascends
 	// with idx[j] >= j, so walking down never overwrites an unread outcome.

@@ -55,7 +55,7 @@ func vecLane(t *testing.T, k *Kernel, m Manager) (*concurrentScheduler, *lane) {
 	k.SetScheduler(NewConcurrentScheduler(k))
 	t.Cleanup(k.Scheduler().Stop)
 	s := k.Scheduler().(*concurrentScheduler)
-	ln := s.laneOf(m)
+	ln := s.laneOf(k.cellOf(m))
 	ln.token.Store(true)
 	return s, ln
 }
@@ -65,17 +65,19 @@ func vecLane(t *testing.T, k *Kernel, m Manager) (*concurrentScheduler, *lane) {
 func enqueueFault(t *testing.T, ln *lane, m Manager, seg *Segment, page int64) chan error {
 	t.Helper()
 	reply := make(chan error, 1)
-	d := delivery{kind: msgFault, mgr: m, fault: Fault{Seg: seg, Page: page, Kind: FaultMissing, Access: Read}, reply: reply}
-	if !ln.ring.Put(ln.shardClock.Now(), d) {
+	c := seg.kernel.cellOf(m)
+	d := delivery{kind: msgFault, cell: c, fault: Fault{Seg: seg, Page: page, Kind: FaultMissing, Access: Read}, reply: reply}
+	if !ln.ring.Put(seg.kernel.stampFor(c), d) {
 		t.Fatal("ring rejected enqueue")
 	}
 	return reply
 }
 
-func enqueueExec(t *testing.T, ln *lane, m Manager, fn func()) chan error {
+func enqueueExec(t *testing.T, ln *lane, k *Kernel, m Manager, fn func()) chan error {
 	t.Helper()
 	reply := make(chan error, 1)
-	if !ln.ring.Put(ln.shardClock.Now(), delivery{kind: msgExec, mgr: m, fn: fn, reply: reply}) {
+	c := k.cellOf(m)
+	if !ln.ring.Put(k.stampFor(c), delivery{kind: msgExec, cell: c, fn: fn, reply: reply}) {
 		t.Fatal("ring rejected enqueue")
 	}
 	return reply
@@ -97,7 +99,7 @@ func drainBatches(t *testing.T, pages []int64, execAfter map[int]bool) [][]int64
 	for i, p := range pages {
 		replies = append(replies, enqueueFault(t, ln, m, seg, p))
 		if execAfter[i] {
-			replies = append(replies, enqueueExec(t, ln, m, func() {}))
+			replies = append(replies, enqueueExec(t, ln, k, m, func() {}))
 		}
 	}
 	s.drainCells(ln)
@@ -354,11 +356,11 @@ func TestRunOfOneMatchesSerial(t *testing.T) {
 			before := k.Clock().Now()
 			switch how {
 			case "serial":
-				o.err = k.Scheduler().DeliverFault(m, f)
+				o.err = k.Scheduler().deliverFault(k.cellOf(m), f)
 			case "inline":
 				k.SetScheduler(NewConcurrentScheduler(k))
 				t.Cleanup(k.Scheduler().Stop)
-				o.err = k.Scheduler().DeliverFault(m, f)
+				o.err = k.Scheduler().deliverFault(k.cellOf(m), f)
 			case "drained":
 				s, ln := vecLane(t, k, m)
 				reply := enqueueFault(t, ln, m, seg, f.Page)

@@ -913,8 +913,7 @@ func (g *Generic) DropSegmentPages(seg *kernel.Segment) error {
 // by asking the frame source and then reclaiming. It is best-effort: the
 // caller must still handle allocation failure.
 func (g *Generic) EnsureFree(n int) error {
-	have := func() int {
-		c := 0
+	count := func() (c int) {
 		for _, fs := range g.freeSlots {
 			if !fs.recall {
 				c++
@@ -922,35 +921,30 @@ func (g *Generic) EnsureFree(n int) error {
 		}
 		return c
 	}
-	if have() >= n {
+	have := count()
+	if have >= n {
 		return nil
 	}
 	if g.cfg.Source != nil {
-		want := n - have()
-		if want < g.cfg.RequestBatch {
-			want = g.cfg.RequestBatch
-		}
+		want := max(n-have, g.cfg.RequestBatch)
 		if _, err := g.cfg.Source.RequestFrames(g, want, phys.AnyFrame()); err != nil {
 			return err
 		}
+		have = count() // the grant re-listed the free slots
 	}
-	if have() >= n {
-		return nil
-	}
-	// Break fast-refault associations before reclaiming more.
-	for i := range g.freeSlots {
-		if have() >= n {
-			return nil
-		}
-		if fs := g.freeSlots[i]; fs.recall {
+	// Break fast-refault associations before reclaiming more; each one
+	// broken is one more unassociated slot, so the count is kept, not retaken.
+	for i := 0; i < len(g.freeSlots) && have < n; i++ {
+		if fs := &g.freeSlots[i]; fs.recall {
 			delete(g.recallIdx, fs.from)
-			g.freeSlots[i].recall = false
+			fs.recall = false
+			have++
 		}
 	}
-	if have() >= n {
+	if have >= n {
 		return nil
 	}
-	_, err := g.Reclaim(n-have(), phys.AnyFrame())
+	_, err := g.Reclaim(n-have, phys.AnyFrame())
 	return err
 }
 

@@ -911,3 +911,65 @@ func TestFailedRunRefillListsEachSlotOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestEnsureFreeBreaksAssociationsInOrder drives EnsureFree over a free list
+// of 4 096 reclaimed pages, every one still associated with the page it came
+// from and with the frame source dry, so the only way to an unassociated
+// frame is breaking associations: exactly as many as asked for are broken,
+// oldest first, and the recall index keeps exactly the rest.
+func TestEnsureFreeBreaksAssociationsInOrder(t *testing.T) {
+	const pages = 4096
+	mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: (pages + 64) * 4096})
+	var clock sim.Clock
+	k := kernel.New(mem, &clock, sim.DECstation5000(), kernel.Config{})
+	pool, err := NewFixedPool(k, pages, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb := NewFileBacking(storage.NewStore(&clock, storage.LocalDisk(), 4096))
+	g, err := NewGeneric(k, Config{Name: "m", Backing: fb, Source: pool, RequestBatch: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := g.CreateManagedSegment("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb.BindFile(seg, "f")
+	for p := int64(0); p < pages; p++ {
+		if err := k.Access(seg, p, kernel.Read); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := g.Reclaim(pages, phys.AnyFrame()); err != nil || n != pages {
+		t.Fatalf("Reclaim = %d, %v; want all %d pages", n, err, pages)
+	}
+	check := func(broken int) {
+		t.Helper()
+		if len(g.freeSlots) != pages {
+			t.Fatalf("%d free slots, want %d", len(g.freeSlots), pages)
+		}
+		for i, fs := range g.freeSlots {
+			at, indexed := g.recallIdx[fs.from]
+			switch {
+			case i < broken && (fs.recall || indexed):
+				t.Fatalf("free slot %d still associated (recall %v, indexed %v) with %d broken", i, fs.recall, indexed, broken)
+			case i >= broken && (!fs.recall || !indexed || at != i):
+				t.Fatalf("free slot %d lost its association (recall %v, indexed %v at %d) with %d broken", i, fs.recall, indexed, at, broken)
+			}
+		}
+		if len(g.recallIdx) != pages-broken {
+			t.Fatalf("recall index holds %d pages, want %d", len(g.recallIdx), pages-broken)
+		}
+	}
+	check(0)
+	for _, n := range []int{1, 1000, 1000, pages} {
+		if err := g.EnsureFree(n); err != nil {
+			t.Fatalf("EnsureFree(%d): %v", n, err)
+		}
+		check(n)
+	}
+	if err := k.CheckFrameConservation(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -163,5 +164,58 @@ func BenchmarkWindowBarrier(b *testing.B) {
 				b.Fatalf("%d windows for %d sends", w, b.N)
 			}
 		})
+	}
+}
+
+// BenchmarkClockAdvance: one op is one charge. "serial" is the keyless call
+// a single owner makes; the parallel variants charge from two goroutines —
+// on one key (one cache line: what every charger paid while the clock was a
+// single word) and on a key each (the striped clock's point: the cost of
+// "serial", not of a line bouncing between cores).
+func BenchmarkClockAdvance(b *testing.B) {
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		var c Clock
+		for i := 0; i < b.N; i++ {
+			c.Advance(time.Nanosecond)
+		}
+		mustNotAlloc(b, func() { c.Advance(time.Nanosecond) })
+		if got := c.Now(); got != time.Duration(b.N+21) { // the loop, then AllocsPerRun's 20 runs and warm-up
+			b.Fatalf("clock reads %v after %d charges", got, b.N+21)
+		}
+	})
+	parallel := func(b *testing.B, distinct bool) {
+		b.SetParallelism(1)
+		var c Clock
+		var next atomic.Uint64
+		b.RunParallel(func(pb *testing.PB) {
+			key := uint64(0)
+			if distinct {
+				key = next.Add(1)
+			}
+			for pb.Next() {
+				c.AdvanceOn(key, time.Nanosecond)
+			}
+		})
+		if got := c.Now(); got != time.Duration(b.N) {
+			b.Fatalf("clock reads %v after %d charges", got, b.N)
+		}
+	}
+	b.Run("parallel-same-key", func(b *testing.B) { parallel(b, false) })
+	b.Run("parallel-distinct-keys", func(b *testing.B) { parallel(b, true) })
+}
+
+// BenchmarkClockNow: one op is one read of the time — the sum of the stripes.
+func BenchmarkClockNow(b *testing.B) {
+	var c Clock
+	for key := uint64(0); key < Stripes; key++ {
+		c.AdvanceOn(key, time.Microsecond)
+	}
+	var sink time.Duration
+	for i := 0; i < b.N; i++ {
+		sink += c.Now()
+	}
+	if sink != time.Duration(b.N)*Stripes*time.Microsecond {
+		b.Fatalf("reads summed to %v", sink)
 	}
 }

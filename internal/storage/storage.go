@@ -11,6 +11,7 @@ package storage
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"epcm/internal/sim"
@@ -105,6 +106,7 @@ type FaultHook func(op Op, name string, block int64) *InjectedFault
 // experiment) get a store each.
 type Store struct {
 	clock     *sim.Clock
+	stripe    uint64 // clock stripe key: a store each, a cache line each
 	model     LatencyModel
 	blockSize int
 	mu        sync.Mutex
@@ -119,6 +121,9 @@ type Store struct {
 	hook   FaultHook
 }
 
+// storeSeq numbers the stores built so far; it only picks clock stripes.
+var storeSeq atomic.Uint64
+
 // NewStore builds a block store over the given clock and latency model.
 func NewStore(clock *sim.Clock, model LatencyModel, blockSize int) *Store {
 	if blockSize <= 0 {
@@ -126,6 +131,7 @@ func NewStore(clock *sim.Clock, model LatencyModel, blockSize int) *Store {
 	}
 	return &Store{
 		clock:     clock,
+		stripe:    storeSeq.Add(1),
 		model:     model,
 		blockSize: blockSize,
 		files:     make(map[string]map[int64][]byte),
@@ -169,7 +175,7 @@ func (s *Store) chargeAccess(bytes int) {
 	if !s.charge {
 		return
 	}
-	s.clock.Advance(s.model.PerAccess + time.Duration(bytes)*s.model.PerByte)
+	s.clock.AdvanceOn(s.stripe, s.model.PerAccess+time.Duration(bytes)*s.model.PerByte)
 }
 
 // Fetch implements BlockStore.

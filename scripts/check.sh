@@ -37,6 +37,20 @@ if grep -rnE 'granted +\[\]lockHold' --include='*.go' --exclude='*_test.go' inte
     exit 1
 fi
 
+# PR 17 made the manager's record (managerCell) the fault path's only way to
+# a mailbox, lane or time shard, and sim.Striped the one striped counter. A
+# map[Manager] may exist only as the registration-time interning table behind
+# cellOf (SetSegmentManager, BindTimeShard, Exec, Revoke), never from Access
+# down; and every kernel charge names its stripe.
+if grep -rnE 'sync\.Map|casStatCell|casTLBStatCell|shardClock' --include='*.go' --exclude='*_test.go' internal/kernel; then
+    echo "a per-fault lookup or stat cell deleted in PR 17 is back (see the matches above)" >&2
+    exit 1
+fi
+if grep -rnE 'clock\.Advance\(' --include='*.go' --exclude='*_test.go' internal/kernel; then
+    echo "internal/kernel charges the clock without a stripe key: use AdvanceOn(segment ID, d)" >&2
+    exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 
@@ -69,15 +83,16 @@ go test -run='^$' -fuzz='^FuzzMailbox$' -fuzztime=10s ./internal/plane
 go test -run='^$' -fuzz='^FuzzPolicy$' -fuzztime=10s ./internal/manager
 go test -run='^$' -fuzz='^FuzzEventHeap$' -fuzztime=10s ./internal/sim
 go test -run='^$' -fuzz='^FuzzProcSchedule$' -fuzztime=10s ./internal/sim
+go test -run='^$' -fuzz='^FuzzClock$' -fuzztime=10s ./internal/sim
 go test -run='^$' -fuzz='^FuzzLockManager$' -fuzztime=10s ./internal/db
 
 echo "== bench smoke (1 iteration) =="
 go test -bench=Harness -benchtime=1x -run='^$' .
 go test -bench=DeliveryPlane -benchtime=1x -run='^$' ./internal/experiments
-go test -bench='BatchMigrate|TLB|MappingTable|CASTable|CheckDisjoint' -benchtime=1x -run='^$' ./internal/kernel
+go test -bench='BatchMigrate|TLB|MappingTable|CASTable|CheckDisjoint|DeliverFault' -benchtime=1x -run='^$' ./internal/kernel
 go test -bench='LockReleaseAll|LockCycle' -benchtime=1x -run='^$' ./internal/db
 go test -bench=MachineBoot -benchtime=1x -run='^$' ./internal/manager
-go test -bench='ProcSwitch|ProcSpawn|ParkWake|EventHeap|WindowBarrier' -benchtime=1x -run='^$' ./internal/sim
+go test -bench='ProcSwitch|ProcSpawn|ParkWake|EventHeap|WindowBarrier|Clock' -benchtime=1x -run='^$' ./internal/sim
 
 echo "== policy shootout smoke (2 policies x 1 workload) =="
 policy_tmp=$(mktemp)
