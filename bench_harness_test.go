@@ -1,5 +1,5 @@
-// Harness and hot-path micro-benchmarks: the simulator-speed numbers behind
-// the BENCH_reproduce.json trajectory. Unlike the table benchmarks (which
+// Harness and hot-path micro-benchmarks: layer numbers beside the repo
+// benchmark (`go run -C bench .`). Unlike the table benchmarks (which
 // report virtual machine time), these measure the simulator's own real speed
 // — simulated events per wall-clock second and allocations per fault.
 //

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"testing"
 
+	"epcm/internal/harness"
 	"epcm/internal/manager"
 )
 
@@ -37,14 +39,7 @@ func TestReproduceGolden(t *testing.T) {
 		}
 		got.Write(rep.Output)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		i := 0
-		for i < len(want) && i < got.Len() && want[i] == got.Bytes()[i] {
-			i++
-		}
-		t.Fatalf("reproduce output diverged from golden at byte %d (got %d bytes, want %d)\n--- got around divergence ---\n%s",
-			i, got.Len(), len(want), context(got.Bytes(), i))
-	}
+	requireGolden(t, "reproduce output", got.Bytes(), want)
 }
 
 // TestGoldenWithExplicitClockPolicy re-runs the golden comparison with the
@@ -79,14 +74,7 @@ func TestGoldenWithExplicitClockPolicy(t *testing.T) {
 		}
 		got.Write(rep.Output)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		i := 0
-		for i < len(want) && i < got.Len() && want[i] == got.Bytes()[i] {
-			i++
-		}
-		t.Fatalf("explicit clock policy diverged from golden at byte %d\n--- got around divergence ---\n%s",
-			i, context(got.Bytes(), i))
-	}
+	requireGolden(t, "explicit clock policy", got.Bytes(), want)
 }
 
 // TestTable1PolicyInvariance checks that Table 1 — whose fault measurements
@@ -112,6 +100,49 @@ func TestTable1PolicyInvariance(t *testing.T) {
 			t.Fatalf("Table 1 output differs under policy %s:\n%s", name, rep.Output)
 		}
 	}
+}
+
+// TestSweepsGolden locks the four extension tables byte-for-byte against
+// testdata/sweeps.golden, rendered as cmd/reproduce -sweep all renders them
+// — as parallel harness tasks — sequentially and at parallelism 4. Every
+// column they print is a cost-model number, so the file holds on any host.
+//
+// Regenerate (only after an intentional model change):
+//
+//	go run ./cmd/reproduce -table 1 -sweep all | tail -n +10 > internal/experiments/testdata/sweeps.golden
+func TestSweepsGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/sweeps.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tasks []harness.Task[*Report]
+	for _, s := range Sweeps {
+		tasks = append(tasks, harness.Task[*Report]{Name: s.Name, Run: s.Run})
+	}
+	for _, par := range []int{1, 4} {
+		results := harness.Run(tasks, par)
+		for _, r := range results {
+			if r.Err == nil && !r.Value.OK {
+				t.Errorf("par=%d: %s sweep missed its gate:\n%s", par, r.Name, r.Value.Output)
+			}
+		}
+		requireGolden(t, fmt.Sprintf("sweeps at par=%d", par), render(t, results), want)
+	}
+}
+
+// requireGolden fails the test, naming the first divergent byte and the
+// line around it, unless got equals want.
+func requireGolden(t *testing.T, what string, got, want []byte) {
+	t.Helper()
+	if bytes.Equal(got, want) {
+		return
+	}
+	i := 0
+	for i < len(want) && i < len(got) && want[i] == got[i] {
+		i++
+	}
+	t.Fatalf("%s diverged from golden at byte %d (got %d bytes, want %d)\n--- got around divergence ---\n%s",
+		what, i, len(got), len(want), context(got, i))
 }
 
 // context returns the line region around byte offset i for the failure

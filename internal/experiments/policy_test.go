@@ -1,27 +1,18 @@
 package experiments
 
-import (
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestPolicyShootoutSmoke runs a tiny 2-policy × 1-workload grid and checks
-// the append-only trajectory file plus the diff renderer round-trip.
+// every cell is plausible and that pressure bites.
 func TestPolicyShootoutSmoke(t *testing.T) {
-	opt := ShootoutOptions{Policies: []string{"clock", "s3fifo"}, Workloads: []string{"zipf"}, Refs: 2000}
-	rep, sweep, err := PolicyShootout(opt)
+	cells, err := policyGrid([]string{"clock", "s3fifo"}, []string{"zipf"}, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.OK {
-		t.Fatalf("shootout not OK:\n%s", rep.Output)
+	if want := 2 * 1 * len(policyPressures); len(cells) != want {
+		t.Fatalf("cells = %d, want %d", len(cells), want)
 	}
-	if want := 2 * 1 * len(policyPressures); len(sweep.Cells) != want {
-		t.Fatalf("cells = %d, want %d", len(sweep.Cells), want)
-	}
-	for _, c := range sweep.Cells {
+	for _, c := range cells {
 		if c.Faults <= 0 || c.HitRate < 0 || c.HitRate >= 1 {
 			t.Errorf("%s/%s/%s: implausible cell %+v", c.Policy, c.Workload, c.Pressure, c)
 		}
@@ -31,34 +22,9 @@ func TestPolicyShootoutSmoke(t *testing.T) {
 			t.Errorf("%s/%s/%s: no reclaims — pressure never bit", c.Policy, c.Workload, c.Pressure)
 		}
 	}
-
-	path := filepath.Join(t.TempDir(), "BENCH_policy.json")
-	if err := AppendPolicySweep(path, sweep); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendPolicySweep(path, sweep); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(string(raw), `"cells"`); n != 2 {
-		t.Fatalf("trajectory holds %d sweeps after two appends, want 2", n)
-	}
-	out, err := DiffPolicySweeps(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "clock") || !strings.Contains(out, "s3fifo") {
-		t.Fatalf("diff output missing cells:\n%s", out)
-	}
-	if strings.Contains(out, "regressed") {
-		t.Fatalf("identical sweeps must not flag a regression:\n%s", out)
-	}
 }
 
-// TestPolicyRefsShapes pins the structural properties the shootout relies
+// TestPolicyRefsShapes pins the structural properties the policy sweep relies
 // on: determinism, footprints, and the scan/loop shapes.
 func TestPolicyRefsShapes(t *testing.T) {
 	for _, wl := range []string{"zipf", "scan", "loop", "mixed"} {
@@ -89,7 +55,7 @@ func TestFIFOShootoutCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell, err := policyCell("fifo", "zipf", "heavy", refs, 128)
+	cell, err := runPolicyCell("fifo", "zipf", "heavy", refs, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +65,7 @@ func TestFIFOShootoutCell(t *testing.T) {
 	if cell.HitRate <= 0.2 || cell.HitRate >= 1 {
 		t.Fatalf("fifo hit rate %.3f implausible on zipf/heavy", cell.HitRate)
 	}
-	clock, err := policyCell("clock", "zipf", "heavy", refs, 128)
+	clock, err := runPolicyCell("clock", "zipf", "heavy", refs, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +83,7 @@ func TestRandomShootoutCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := policyCell("random", "zipf", "heavy", refs, 128)
+	first, err := runPolicyCell("random", "zipf", "heavy", refs, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +93,7 @@ func TestRandomShootoutCell(t *testing.T) {
 	if first.HitRate <= 0.2 || first.HitRate >= 1 {
 		t.Fatalf("random hit rate %.3f implausible on zipf/heavy", first.HitRate)
 	}
-	second, err := policyCell("random", "zipf", "heavy", refs, 128)
+	second, err := runPolicyCell("random", "zipf", "heavy", refs, 128)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,26 +52,20 @@ func TestPlaneThroughputSuperpageArm(t *testing.T) {
 	}
 }
 
-// A tiny SuperpageSweep end to end: the rendered table must carry both
-// arms and the sweep must record a run per cell with the extent order
-// distinguishing them. The ≥2x/monotonic gates are exercised at full size
-// by cmd/reproduce -supersweep, not at smoke sizes.
+// The super sweep end to end: both arms under both schedulers at both
+// manager counts, every gate met on model numbers.
 func TestSuperpageSweepSmoke(t *testing.T) {
-	rep, sweep, err := SuperpageSweep(256, []int{2})
+	rep, err := superSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sweep.Runs) != 2 {
-		t.Fatalf("got %d runs, want 2 (base and super arms)", len(sweep.Runs))
-	}
-	if sweep.Runs[0].ExtentOrder != 0 || sweep.Runs[1].ExtentOrder != superExtentOrder {
-		t.Errorf("arm order: got extent orders %d,%d, want 0,%d",
-			sweep.Runs[0].ExtentOrder, sweep.Runs[1].ExtentOrder, superExtentOrder)
+	if !rep.OK {
+		t.Fatalf("super sweep gate failed:\n%s", rep.Output)
 	}
 	out := string(rep.Output)
-	for _, want := range []string{"base", "super", "Wall pages/s"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report output missing %q:\n%s", want, out)
+	for _, arm := range []string{"\nbase ", "\nsuper "} {
+		if n := strings.Count(out, arm); n != 4 {
+			t.Errorf("%d %q rows, want 4 (2 schedulers x 2 manager counts):\n%s", n, strings.TrimSpace(arm), out)
 		}
 	}
 }

@@ -1,8 +1,9 @@
 package experiments
 
-// Regression harness for the vectored multi-driver plane cells: the exact
-// configuration the scale sweep's vectored section runs, at reduced size,
-// with the market invariants checked inside PlaneThroughput itself.
+// Regression harness for the vectored multi-driver plane cells — several
+// application threads per manager, so fault runs form — with the market
+// invariants checked inside PlaneThroughput itself. These cells stay a test,
+// not a sweep row: how many batches form depends on goroutine timing.
 
 import (
 	"testing"

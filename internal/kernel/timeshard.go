@@ -20,7 +20,7 @@ import (
 // The per-shard clocks form the per-manager delivery ledger: after a run,
 // shard i's clock reads the total virtual time manager i spent fielding
 // deliveries, and the maximum across shards is the makespan the sharded
-// engine's model throughput is measured against (experiments.TimeSweep).
+// engine's model throughput is measured against (reproduce -sweep time).
 //
 // The binding is one field of the manager's record (managerCell,
 // segment.go), which the delivery path already holds: a delivery's stamp

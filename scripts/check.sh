@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # check.sh — the one gate: formatting, vet, build, race-enabled tests, the
 # chaos and fuzz smokes, the bench/ module (its own go.mod, so the root
-# build never compiles it), one-iteration benchmark and sweep smokes, and
-# the four golden arms. CI runs this script rather than a copy of it. Run
-# from anywhere inside the repo.
+# build never compiles it), one-iteration benchmark smokes, and the golden
+# output (the paper tables on four arms, the sweeps on the default one). CI
+# runs this script rather than a copy of it. Run from anywhere inside the
+# repo.
 set -euo pipefail
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 
@@ -51,6 +52,23 @@ if grep -rnE 'clock\.Advance\(' --include='*.go' --exclude='*_test.go' internal/
     exit 1
 fi
 
+# PR 19 retired the wall-clock sweep harnesses: `go run -C bench .` is the
+# one instrument and `bench -compare` the one comparison tool. No trajectory
+# file, no append/diff code, and nothing in internal/experiments that reads
+# a wall clock, the heap or the collector, or writes a file.
+if grep -rnE 'AppendBenchSweep|AppendTimeSweep|AppendPolicySweep|Diff(Scale|Super|Time|Policy)Sweeps|ScaleRegressionVerdict' internal/ cmd/; then
+    echo "a sweep trajectory function deleted in PR 19 is back (see the matches above)" >&2
+    exit 1
+fi
+if grep -rnE 'time\.Now|time\.Since|ReadMemStats|SetGCPercent|os\.WriteFile' --include='*.go' --exclude='*_test.go' internal/experiments; then
+    echo "internal/experiments prints model numbers only; wall-clock questions go to bench/ (see the matches above)" >&2
+    exit 1
+fi
+if compgen -G 'BENCH_*.json' > /dev/null; then
+    echo "a BENCH_*.json trajectory file is back at the root; bench/ writes its results under bench/" >&2
+    exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 
@@ -94,36 +112,10 @@ go test -bench='LockReleaseAll|LockCycle' -benchtime=1x -run='^$' ./internal/db
 go test -bench=MachineBoot -benchtime=1x -run='^$' ./internal/manager
 go test -bench='ProcSwitch|ProcSpawn|ParkWake|EventHeap|WindowBarrier|Clock' -benchtime=1x -run='^$' ./internal/sim
 
-echo "== policy shootout smoke (2 policies x 1 workload) =="
-policy_tmp=$(mktemp)
-time_tmp=$(mktemp)
-super_tmp=$(mktemp)
-scale_tmp=$(mktemp)
 golden_tmp=$(mktemp)
-trap 'rm -f "$policy_tmp" "$time_tmp" "$super_tmp" "$scale_tmp" "$golden_tmp"' EXIT
-go run ./cmd/reproduce -table 1 -policy -policies clock,s3fifo -policyworkloads zipf \
-    -policyrefs 4000 -policyout "$policy_tmp" > /dev/null
+trap 'rm -f "$golden_tmp"' EXIT
 
-echo "== time-engine sweep smoke (1 and 4 shards) =="
-go run ./cmd/reproduce -table 1 -time -timeshards 1,4 -timeevents 20000 \
-    -timefile "$time_tmp" > /dev/null
-
-echo "== superpage sweep smoke (base vs super, 2 managers) =="
-# The sweep's >=2x gate is wall-clock at 8 managers; the smoke only checks
-# that both arms run and render (wall numbers never gate a merge).
-{ go run ./cmd/reproduce -table 1 -supersweep -supermanagers 2 \
-    -superfaults 512 -superfile "$super_tmp" || true; } |
-    grep -q "Superpage Extent Fast Path"
-
-echo "== scale sweep smoke (2 managers, single-driver and vectored cells) =="
-# Runs the full cell matrix at 2 managers, including the multi-driver
-# vectored-delivery cells. Wall numbers are advisory; the smoke only checks
-# that the sweep runs and renders.
-{ go run ./cmd/reproduce -table 1 -scale -scalemanagers 2 \
-    -scalefaults 512 -scalefile "$scale_tmp" || true; } |
-    grep -q "Delivery-Plane Wall-Clock Scaling"
-
-echo "== golden output, four arms =="
+echo "== golden output: four arms, then the sweeps =="
 # Every arm must reproduce the checked-in tables byte for byte: the
 # scheduler, the time engine and the superpage switch change how the
 # simulation runs, never what it computes.
@@ -133,5 +125,12 @@ for arm in "" "-sched concurrent" "-timeengine sharded" "-super"; do
     go run ./cmd/reproduce $arm > "$golden_tmp"
     diff internal/experiments/testdata/reproduce.golden "$golden_tmp"
 done
+# The sweeps print model numbers only, so they have a golden file too:
+# Table 1's section of reproduce.golden (its first 9 lines), then the four
+# sweeps in table order. A missed gate is a non-zero exit.
+echo "   reproduce -table 1 -sweep all"
+go run ./cmd/reproduce -table 1 -sweep all > "$golden_tmp"
+head -n 9 internal/experiments/testdata/reproduce.golden |
+    cat - internal/experiments/testdata/sweeps.golden | diff - "$golden_tmp"
 
 echo "All checks passed."
