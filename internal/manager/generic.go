@@ -1,7 +1,6 @@
 package manager
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -29,9 +28,9 @@ var ErrRetriesExhausted = errors.New("manager: storage retries exhausted")
 // a fixed pool in tests and small experiments.
 type FrameSource interface {
 	// RequestFrames migrates up to n frames satisfying the constraint into
-	// g's free-page segment (via g.ReceiveSlots / g.FramesGranted) and
-	// reports how many were granted. Zero with nil error means the request
-	// was refused or deferred.
+	// slots of g's free-page segment reserved with g.ReserveSlots, closes
+	// the reservation with g.Granted, and reports how many were granted.
+	// Zero with nil error means the request was refused or deferred.
 	RequestFrames(g *Generic, n int, constraint phys.Range) (int, error)
 	// ReturnFrames takes the frames at the given free-segment slots back.
 	ReturnFrames(g *Generic, slots []int64) error
@@ -41,19 +40,6 @@ type FrameSource interface {
 type resKey struct {
 	seg  *kernel.Segment
 	page int64
-}
-
-// freeSlot is one slot of the free-page segment that currently holds a
-// frame. A slot that was filled by reclaiming page `from` remembers it:
-// if the application re-faults that page before the frame is reused, the
-// manager migrates it straight back — no fill, no I/O (§2.2).
-type freeSlot struct {
-	slot int64
-	// frame caches the slot's physical frame so the fill path does not
-	// re-take the free segment's lock per fault; nil means "fetch lazily".
-	frame  *phys.Frame
-	from   resKey // meaningful only when recall is set
-	recall bool   // false if the frame's contents are unassociated
 }
 
 // Stats counts a manager's activity.
@@ -142,17 +128,13 @@ type Config struct {
 // a clock algorithm over the pages it has placed, and exchanges frames with
 // a FrameSource.
 type Generic struct {
-	k    *kernel.Kernel
-	cfg  Config
-	free *kernel.Segment
+	k     *kernel.Kernel
+	cfg   Config
+	free  *kernel.Segment
+	slots slotLedger // the free-page segment's bookkeeping (slots.go)
 
-	freeSlots  []freeSlot // slots holding frames, FIFO
-	emptySlots []int64    // slots without frames, available to receive
-	nextSlot   int64      // high-water mark for fresh slot numbers
-
-	resident  []resKey       // pages this manager has placed, clock order
-	resIdx    *residentIndex // page -> index in resident
-	recallIdx map[resKey]int // reclaimed page -> index in freeSlots
+	resident []resKey       // pages this manager has placed, clock order
+	resIdx   *residentIndex // page -> index in resident
 
 	// policies[0] is the default replacement policy; per-segment bindings
 	// (SetSegmentPolicy) append to the slice and are recorded in
@@ -166,67 +148,37 @@ type Generic struct {
 	// rangeScratch is the host's reusable buffer for batched flag ops.
 	rangeScratch []kernel.PageRange
 
-	// frameScratch is FramesGranted's reusable batch-lookup buffer.
-	frameScratch []*phys.Frame
-
-	// nFree/nResident mirror len(freeSlots)/len(resident) as atomics so
-	// the SPCM can read held-page counts (settle, Enforce sizing) while the
-	// manager's own goroutine mutates its lists.
-	nFree     atomic.Int64
+	// nResident mirrors len(resident) (as slots.nListed does the free list)
+	// so the SPCM can read held-page counts (settle, Enforce sizing) while
+	// the manager's own goroutine mutates its lists.
 	nResident atomic.Int64
 
 	managed map[kernel.SegID]*kernel.Segment
 	stats   Stats
-	// freshOnly makes ReceiveSlots hand out brand-new consecutive slot
-	// numbers instead of recycling, so a grant forms a contiguous run.
-	freshOnly bool
 
 	// Superpage plane (super.go; all nil/zero unless Config.ExtentOrder>0).
-	extents     map[resKey]*extentState // extent base -> density state
-	promotedExt []resKey                // promoted extents, promotion order
-	superStats  SuperStats
-	extScratch  []int64
-	attrScratch []kernel.PageAttribute
-	// extRuns is the extent-run magazine: start slots (free segment) of
-	// granted, frame-backed, extent-length runs awaiting an extent fill.
-	// The slots are withheld from freeSlots so per-page allocation cannot
-	// break a run; flushExtentRuns returns them (see super.go).
-	extRuns         []int64
+	extents         map[resKey]*extentState // extent base -> density state
+	promotedExt     []resKey                // promoted extents, promotion order
+	superStats      SuperStats
+	extScratch      []int64
+	attrScratch     []kernel.PageAttribute
 	runRangeScratch [1]kernel.PageRange // extent fill's single-range batch
-	runSlotScratch  []int64             // requeueExtentRun's slot buffer
 	// extStatePool recycles extentState structs (one churns per extent
 	// fill) so the fast path stays off the allocator.
 	extStatePool []*extentState
-	// freeRunStarts are start slots of aligned, currently-empty runs of
-	// 2^ExtentOrder consecutive free-segment slots left behind by past
-	// extent fills. Magazine refills reuse them (staged through
-	// runSlotQueue) instead of minting fresh slot numbers, so the free
-	// segment's page store stays bounded by the working set instead of
-	// growing with every refill.
-	freeRunStarts   []int64
-	runSlotQueue    []int64  // preselected slots for an in-flight refill
-	runSlotNext     int      // consumption cursor into runSlotQueue
-	runStartScratch []int64  // refill's slot-plan scratch (run starts)
-	runCands        []slotAt // PageInContiguous's sorted free-slot scratch
+	runCands     []int64 // PageInContiguous's sorted free-slot scratch
 
 	// Fault-pipeline scratch (vector.go). Only the manager's delivery
 	// context resolves faults, so none of it needs locking, and a
 	// steady-state fault allocates nothing.
-	vecClass    []uint8
-	vecSeen     map[resKey]struct{}
-	vecMembers  []int
-	vecChosen   []int
-	vecSlotIdx  []int
-	vecPages    []int64
-	vecSlots    []int64
-	vecNilSlots []int64
-	vecRanges   []kernel.PageRange
-}
-
-// slotAt is one unassociated free slot and its position in freeSlots.
-type slotAt struct {
-	slot int64
-	at   int
+	vecClass   []uint8
+	vecSeen    map[resKey]struct{}
+	vecMembers []int
+	vecChosen  []int
+	vecSlotIdx []int
+	vecPages   []int64
+	vecSlots   []int64
+	vecRanges  []kernel.PageRange
 }
 
 var _ kernel.Manager = (*Generic)(nil)
@@ -263,13 +215,13 @@ func NewGeneric(k *kernel.Kernel, cfg Config) (*Generic, error) {
 		cfg.Policy = newBootPolicy()
 	}
 	g := &Generic{
-		k:         k,
-		cfg:       cfg,
-		free:      free,
-		resIdx:    newResidentIndex(),
-		recallIdx: make(map[resKey]int),
-		managed:   make(map[kernel.SegID]*kernel.Segment),
-		policies:  []Policy{cfg.Policy},
+		k:        k,
+		cfg:      cfg,
+		free:     free,
+		slots:    slotLedger{free: free, runLen: 1 << uint(cfg.ExtentOrder), recall: make(map[resKey]int)},
+		resIdx:   newResidentIndex(),
+		managed:  make(map[kernel.SegID]*kernel.Segment),
+		policies: []Policy{cfg.Policy},
 	}
 	g.host.g = g
 	return g, nil
@@ -292,7 +244,7 @@ func (g *Generic) Backing() Backing { return g.cfg.Backing }
 
 // FreeFrames reports the number of frames in the free-page segment. It is
 // safe to call from other goroutines (the SPCM's settle and enforcement).
-func (g *Generic) FreeFrames() int { return int(g.nFree.Load()) }
+func (g *Generic) FreeFrames() int { return int(g.slots.nListed.Load()) }
 
 // ResidentPages reports how many pages the manager currently has placed.
 // Like FreeFrames it is safe to call from other goroutines.
@@ -365,93 +317,29 @@ func (g *Generic) CreateManagedSegment(name string) (*kernel.Segment, error) {
 	return seg, nil
 }
 
-// ReceiveSlots reserves n empty slots in the free-page segment for a frame
-// source to migrate frames into. Call FramesGranted after the migration.
-func (g *Generic) ReceiveSlots(n int) []int64 {
-	return g.ReceiveSlotsAppend(make([]int64, 0, n), n)
-}
-
-// ReceiveSlotsAppend is ReceiveSlots appending into a caller-owned buffer,
-// so per-grant callers (the SPCM's request path) can reuse scratch space
-// instead of allocating per call.
-func (g *Generic) ReceiveSlotsAppend(dst []int64, n int) []int64 {
+// ReserveSlots and Granted are the grant protocol, the one door into the
+// free-page segment for a frame source: reserve n slot numbers (appended to
+// dst), migrate frames onto them, and close the reservation with Granted —
+// both from the manager's own delivery context.
+func (g *Generic) ReserveSlots(dst []int64, n int) []int64 {
+	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
-		dst = append(dst, g.receiveSlot())
+		dst = append(dst, g.slots.reserve1())
 	}
 	return dst
 }
 
-// ReleaseSlots hands back slots reserved with ReceiveSlots that no frame
-// reached: the frame source calls it when the grant's migration failed, so
-// the slot numbers are receivable again instead of lost. Slots a run refill
-// staged in runSlotQueue — the first runSlotNext of the grant — are skipped:
-// takeExtentRun puts every unconsumed recycled run back on freeRunStarts
-// itself, and a slot must not be listed twice.
-func (g *Generic) ReleaseSlots(slots []int64) {
-	g.emptySlots = append(g.emptySlots, slots[g.runSlotNext:]...)
+// Granted closes a reservation. With a nil error frames now occupy slots:
+// they join the free list, or stay parked as whole runs when the manager
+// itself has a run refill in flight. With an error no frame reached slots
+// and the numbers are receivable again; a source whose migration stopped
+// part-way closes the two halves separately.
+func (g *Generic) Granted(slots []int64, err error) {
+	if err == nil {
+		g.stats.Grants += int64(len(slots))
+	}
+	g.slots.close(slots, err)
 }
-
-// receiveSlot is the single-slot form of ReceiveSlots, sparing the slice
-// allocation on the eviction hot path.
-func (g *Generic) receiveSlot() int64 {
-	if g.runSlotNext < len(g.runSlotQueue) {
-		s := g.runSlotQueue[g.runSlotNext]
-		g.runSlotNext++
-		return s
-	}
-	if !g.freshOnly && len(g.emptySlots) > 0 {
-		s := g.emptySlots[len(g.emptySlots)-1]
-		g.emptySlots = g.emptySlots[:len(g.emptySlots)-1]
-		return s
-	}
-	s := g.nextSlot
-	g.nextSlot++
-	return s
-}
-
-// FramesGranted records that frames now occupy the given slots (after a
-// frame source migrated them in). The frames are resolved in one batched,
-// single-lock pass and cached on the free-slot entries, so the fill path
-// never re-locks the free segment per fault.
-func (g *Generic) FramesGranted(slots []int64) {
-	g.frameScratch = g.free.AppendFirstFrames(g.frameScratch[:0], slots)
-	for i, s := range slots {
-		f := g.frameScratch[i]
-		if f == nil {
-			panic(fmt.Sprintf("manager %s: FramesGranted slot %d has no frame", g.cfg.Name, s))
-		}
-		g.freeSlots = append(g.freeSlots, freeSlot{slot: s, frame: f})
-		g.nFree.Add(1)
-		g.stats.Grants++
-	}
-}
-
-// Adopt scans the free-page segment for frames migrated in directly (by
-// tests or privileged setup code) and adds them to the free list.
-func (g *Generic) Adopt() {
-	g.flushExtentRuns() // withheld run slots must scan as known free slots
-	known := make(map[int64]bool)
-	for _, fs := range g.freeSlots {
-		known[fs.slot] = true
-	}
-	for _, p := range g.free.Pages() {
-		if !known[p] {
-			g.freeSlots = append(g.freeSlots, freeSlot{slot: p})
-			g.nFree.Add(1)
-			if p >= g.nextSlot {
-				g.nextSlot = p + 1
-			}
-		}
-	}
-}
-
-// RunsGranted records a magazine grant of n frames (see takeExtentRun):
-// the frames stay parked at their granted slots under the extent-run
-// magazine's control instead of joining freeSlots — the run source calls
-// this in place of FramesGranted, so the per-slot free-list bookkeeping
-// (and its undo, since a magazine refill would withhold every granted slot
-// again immediately) never runs.
-func (g *Generic) RunsGranted(n int) { g.stats.Grants += int64(n) }
 
 // HandleFault and HandleFaultVector — the fault pipeline — are in vector.go.
 
@@ -480,19 +368,10 @@ func (g *Generic) acquireSlots(n int, constraint phys.Range) ([]int, error) {
 	for round := 0; ; round++ {
 		chosen = chosen[:0]
 		for _, recall := range [2]bool{false, true} {
-			for i := 0; i < len(g.freeSlots) && len(chosen) < n; i++ {
-				fs := &g.freeSlots[i]
-				if fs.recall != recall {
+			for i := 0; i < len(g.slots.listed) && len(chosen) < n; i++ {
+				fs := &g.slots.listed[i]
+				if fs.recall != recall || (!unconstrained && !constraint.Admits(fs.frame)) {
 					continue
-				}
-				if !unconstrained {
-					frame := fs.frame
-					if frame == nil {
-						frame = g.free.FrameAt(fs.slot)
-					}
-					if !constraint.Admits(frame) {
-						continue
-					}
 				}
 				chosen = append(chosen, i)
 			}
@@ -517,31 +396,12 @@ func (g *Generic) acquireSlots(n int, constraint phys.Range) ([]int, error) {
 	}
 	g.vecChosen = chosen
 	for _, i := range chosen {
-		if fs := &g.freeSlots[i]; fs.recall {
-			delete(g.recallIdx, fs.from)
-			fs.recall = false
-		}
+		g.slots.forget(i)
 	}
 	if len(chosen) < n && err == nil {
 		err = fmt.Errorf("%w (manager %s, constraint %v)", ErrNoMemory, g.cfg.Name, constraint)
 	}
 	return chosen, err
-}
-
-func (g *Generic) removeFreeSlotAt(i int) {
-	fs := g.freeSlots[i]
-	if fs.recall {
-		delete(g.recallIdx, fs.from)
-	}
-	g.nFree.Add(-1)
-	last := len(g.freeSlots) - 1
-	g.freeSlots[i] = g.freeSlots[last]
-	g.freeSlots = g.freeSlots[:last]
-	if i < len(g.freeSlots) {
-		if moved := g.freeSlots[i]; moved.recall {
-			g.recallIdx[moved.from] = i
-		}
-	}
 }
 
 func (g *Generic) addResident(key resKey) {
@@ -554,6 +414,20 @@ func (g *Generic) addResident(key resKey) {
 	if g.superOn() {
 		g.extAdd(key)
 	}
+}
+
+// addResidentRun is addResident for pages [base, base+n) of one segment,
+// with the policy lookup hoisted; the density hook is left to the caller.
+func (g *Generic) addResidentRun(seg *kernel.Segment, base, n int64) {
+	p := g.policyFor(seg)
+	g.host.p = p
+	for page := base; page < base+n; page++ {
+		key := resKey{seg: seg, page: page}
+		g.resIdx.put(key, len(g.resident))
+		g.resident = append(g.resident, key)
+		p.Insert(&g.host, PageID{Seg: seg, Page: page})
+	}
+	g.nResident.Add(n)
 }
 
 func (g *Generic) removeResident(key resKey) {
@@ -778,21 +652,26 @@ func (g *Generic) evict(key resKey, flags kernel.PageFlags) error {
 			g.stats.Writebacks++
 		}
 	}
-	slot := g.receiveSlot()
+	err := g.migrateOut(key, frame, kernel.FlagRW|kernel.FlagDirty|kernel.FlagReferenced|kernel.FlagDiscardable, !discarded)
+	if err == nil {
+		g.stats.Reclaims++
+	}
+	return err
+}
+
+// migrateOut is the grant protocol's one-slot form, for the manager's own
+// evictions: a resident page's frame moves onto a reserved slot and is
+// listed there, remembering the page when recall is set. A refused
+// migration hands the reservation back.
+func (g *Generic) migrateOut(key resKey, frame *phys.Frame, clear kernel.PageFlags, recall bool) error {
+	slot := g.slots.reserve1()
 	g.stats.MigrateCalls++
-	if err := g.k.MigratePages(kernel.AppCred, key.seg, g.free, key.page, slot, 1, 0,
-		kernel.FlagRW|kernel.FlagDirty|kernel.FlagReferenced|kernel.FlagDiscardable); err != nil {
+	if err := g.k.MigratePages(kernel.AppCred, key.seg, g.free, key.page, slot, 1, 0, clear); err != nil {
+		g.slots.release(slot)
 		return err
 	}
 	g.removeResident(key)
-	if discarded {
-		g.freeSlots = append(g.freeSlots, freeSlot{slot: slot, frame: frame})
-	} else {
-		g.freeSlots = append(g.freeSlots, freeSlot{slot: slot, frame: frame, from: key, recall: true})
-		g.recallIdx[key] = len(g.freeSlots) - 1
-	}
-	g.nFree.Add(1)
-	g.stats.Reclaims++
+	g.slots.list(freeSlot{slot: slot, frame: frame, from: key, recall: recall})
 	return nil
 }
 
@@ -814,20 +693,18 @@ func (g *Generic) ReturnFreeFrames(n int) (int, error) {
 	if g.cfg.Source == nil {
 		return 0, nil
 	}
-	g.flushExtentRuns() // magazine frames are returnable like any free slot
+	g.slots.flush() // magazine frames are returnable like any free slot
 	// Unassociated frames first; if they are not enough, break associations.
-	taken := make([]freeSlot, 0, max(0, min(n, len(g.freeSlots))))
-	for i := 0; i < len(g.freeSlots) && len(taken) < n; {
-		if !g.freeSlots[i].recall {
-			taken = append(taken, g.freeSlots[i])
-			g.removeFreeSlotAt(i)
-			continue // removeFreeSlotAt swapped a new element into i
+	taken := make([]freeSlot, 0, max(0, min(n, len(g.slots.listed))))
+	for i := 0; i < len(g.slots.listed) && len(taken) < n; {
+		if !g.slots.listed[i].recall {
+			taken = append(taken, g.slots.take(i))
+			continue // take swapped a new element into i
 		}
 		i++
 	}
-	for len(g.freeSlots) > 0 && len(taken) < n {
-		taken = append(taken, g.freeSlots[0])
-		g.removeFreeSlotAt(0)
+	for len(g.slots.listed) > 0 && len(taken) < n {
+		taken = append(taken, g.slots.take(0))
 	}
 	if len(taken) == 0 {
 		return 0, nil
@@ -840,15 +717,11 @@ func (g *Generic) ReturnFreeFrames(n int) (int, error) {
 		// The frames never left the free segment: list them again, recall
 		// associations included.
 		for _, fs := range taken {
-			if fs.recall {
-				g.recallIdx[fs.from] = len(g.freeSlots)
-			}
-			g.freeSlots = append(g.freeSlots, fs)
-			g.nFree.Add(1)
+			g.slots.list(fs)
 		}
 		return 0, err
 	}
-	g.emptySlots = append(g.emptySlots, slots...)
+	g.slots.release(slots...)
 	g.stats.Returns += int64(len(slots))
 	return len(slots), nil
 }
@@ -861,23 +734,22 @@ func (g *Generic) SegmentDeleted(s *kernel.Segment) {
 	pages := s.Pages()
 	if len(pages) > 0 {
 		const clear = kernel.FlagRW | kernel.FlagDirty | kernel.FlagReferenced
-		slots := g.ReceiveSlots(len(pages))
+		slots := g.ReserveSlots(nil, len(pages))
 		g.stats.MigrateCalls++
-		ranges := kernel.CoalesceRanges(pages, slots)
-		batched := g.k.MigratePagesBatch(kernel.AppCred, s, g.free, ranges, 0, clear) == nil
+		batchErr := g.k.MigratePagesBatch(kernel.AppCred, s, g.free, kernel.CoalesceRanges(pages, slots), 0, clear)
+		if batchErr == nil {
+			g.slots.close(slots, nil)
+		}
 		for i, p := range pages {
-			if !batched && s.HasPage(p) {
+			if batchErr != nil {
+				// Page at a time; the kernel will sweep anything we leave.
 				g.stats.MigrateCalls++
-				if err := g.k.MigratePages(kernel.AppCred, s, g.free, p, slots[i], 1, 0, clear); err != nil {
-					// The kernel will sweep anything we leave; the unused
-					// slot stays receivable.
-					g.emptySlots = append(g.emptySlots, slots[i])
+				err := g.k.MigratePages(kernel.AppCred, s, g.free, p, slots[i], 1, 0, clear)
+				if g.slots.close(slots[i:i+1], err); err != nil {
 					continue
 				}
 			}
 			g.removeResident(resKey{seg: s, page: p})
-			g.freeSlots = append(g.freeSlots, freeSlot{slot: slots[i]})
-			g.nFree.Add(1)
 		}
 	}
 	g.resIdx.dropSeg(s)
@@ -913,31 +785,27 @@ func (g *Generic) DropSegmentPages(seg *kernel.Segment) error {
 // by asking the frame source and then reclaiming. It is best-effort: the
 // caller must still handle allocation failure.
 func (g *Generic) EnsureFree(n int) error {
-	count := func() (c int) {
-		for _, fs := range g.freeSlots {
-			if !fs.recall {
-				c++
-			}
+	have := 0
+	for _, fs := range g.slots.listed {
+		if !fs.recall {
+			have++
 		}
-		return c
 	}
-	have := count()
 	if have >= n {
 		return nil
 	}
 	if g.cfg.Source != nil {
-		want := max(n-have, g.cfg.RequestBatch)
-		if _, err := g.cfg.Source.RequestFrames(g, want, phys.AnyFrame()); err != nil {
+		granted, err := g.cfg.Source.RequestFrames(g, max(n-have, g.cfg.RequestBatch), phys.AnyFrame())
+		if err != nil {
 			return err
 		}
-		have = count() // the grant re-listed the free slots
+		have += granted // a granted frame is listed unassociated
 	}
 	// Break fast-refault associations before reclaiming more; each one
 	// broken is one more unassociated slot, so the count is kept, not retaken.
-	for i := 0; i < len(g.freeSlots) && have < n; i++ {
-		if fs := &g.freeSlots[i]; fs.recall {
-			delete(g.recallIdx, fs.from)
-			fs.recall = false
+	for i := 0; i < len(g.slots.listed) && have < n; i++ {
+		if g.slots.listed[i].recall {
+			g.slots.forget(i)
 			have++
 		}
 	}
@@ -956,8 +824,8 @@ func (g *Generic) RequestFreshRun(n int) (int, error) {
 	if g.cfg.Source == nil {
 		return 0, nil
 	}
-	g.freshOnly = true
-	defer func() { g.freshOnly = false }()
+	g.slots.planFresh()
+	defer g.slots.endPlan()
 	return g.cfg.Source.RequestFrames(g, n, phys.AnyFrame())
 }
 
@@ -975,51 +843,38 @@ func (g *Generic) PageInContiguous(seg *kernel.Segment, startPage, n int64) (boo
 	// lowest-numbered run of n consecutive ones, so the choice depends on
 	// which slots are free and never on the order they were freed in.
 	cands := g.runCands[:0]
-	for i, fs := range g.freeSlots {
+	for _, fs := range g.slots.listed {
 		if !fs.recall {
-			cands = append(cands, slotAt{slot: fs.slot, at: i})
+			cands = append(cands, fs.slot)
 		}
 	}
 	g.runCands = cands
-	slices.SortFunc(cands, func(a, b slotAt) int { return cmp.Compare(a.slot, b.slot) })
-	var run []slotAt
-	for lo, hi := 0, 1; hi <= len(cands); hi++ {
+	slices.Sort(cands)
+	start := int64(-1)
+	for lo, hi := 0, 1; hi <= len(cands) && start < 0; hi++ {
 		if hi-lo == int(n) {
-			run = cands[lo:hi]
-			break
-		}
-		if hi < len(cands) && cands[hi].slot != cands[hi-1].slot+1 {
+			start = cands[lo]
+		} else if hi < len(cands) && cands[hi] != cands[hi-1]+1 {
 			lo = hi
 		}
 	}
-	if run == nil {
+	if start < 0 || seg.AnyPresent(startPage, n) {
 		return false, nil
-	}
-	start := run[0].slot
-	for i := int64(0); i < n; i++ {
-		if seg.HasPage(startPage + i) {
-			return false, nil
-		}
 	}
 	g.stats.MigrateCalls++
 	if err := g.k.MigratePages(kernel.AppCred, g.free, seg, start, startPage, n,
 		g.cfg.MapFlags, kernel.FlagReferenced|kernel.FlagDirty); err != nil {
 		return false, err
 	}
-	// Update bookkeeping: remove the consumed slots in slot order, record
-	// residency. removeFreeSlotAt moves the last free slot into the hole;
-	// when that one is still to be consumed, its recorded position follows.
-	for i := range run {
-		last := len(g.freeSlots) - 1
-		g.removeFreeSlotAt(run[i].at)
-		for j := i + 1; j < len(run); j++ {
-			if run[j].at == last {
-				run[j].at = run[i].at
-				break
-			}
+	// Empty the consumed slots in slot order, then record residency.
+	for s := start; s < start+n; s++ {
+		g.slots.unlistSlot(s)
+	}
+	g.addResidentRun(seg, startPage, n)
+	if g.superOn() {
+		for p := startPage; p < startPage+n; p++ {
+			g.extAdd(resKey{seg: seg, page: p})
 		}
-		g.emptySlots = append(g.emptySlots, run[i].slot)
-		g.addResident(resKey{seg: seg, page: startPage + int64(i)})
 	}
 	return true, nil
 }
@@ -1053,7 +908,7 @@ func (g *Generic) LaneIdle() {
 	if want <= 0 || g.cfg.Source == nil {
 		return
 	}
-	have := len(g.freeSlots)
+	have := g.FreeFrames()
 	if have*4 >= want {
 		return // above the low-water mark (a quarter of the target)
 	}

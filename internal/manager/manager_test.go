@@ -16,6 +16,7 @@ type fixture struct {
 	k     *kernel.Kernel
 	store *storage.Store
 	pool  *FixedPool
+	mgrs  []*Generic // made by newManager; the slot ledger of each is checked at cleanup
 }
 
 func newFixture(t *testing.T, poolFrames int64) *fixture {
@@ -28,7 +29,15 @@ func newFixture(t *testing.T, poolFrames int64) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{clock: &clock, k: k, store: store, pool: pool}
+	fx := &fixture{clock: &clock, k: k, store: store, pool: pool}
+	t.Cleanup(func() {
+		for _, g := range fx.mgrs {
+			if err := g.CheckSlots(); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	return fx
 }
 
 func (fx *fixture) newManager(t *testing.T, cfg Config) *Generic {
@@ -40,6 +49,7 @@ func (fx *fixture) newManager(t *testing.T, cfg Config) *Generic {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fx.mgrs = append(fx.mgrs, g)
 	return g
 }
 
@@ -753,36 +763,41 @@ func TestPageInContiguousChoosesLowestRun(t *testing.T) {
 		if got, err := g.RequestFreshRun(16); err != nil || got != 16 {
 			t.Fatalf("RequestFreshRun = %d, %v", got, err)
 		}
-		for i := 0; i < len(g.freeSlots); {
-			if holes[g.freeSlots[i].slot] {
-				g.removeFreeSlotAt(i)
+		// Punch the holes: those frames go back to the pool.
+		for i := 0; i < len(g.slots.listed); {
+			if slot := g.slots.listed[i].slot; holes[slot] {
+				g.slots.take(i)
+				if err := fx.pool.ReturnFrames(g, []int64{slot}); err != nil {
+					t.Fatal(err)
+				}
+				g.slots.release(slot)
 				continue
 			}
 			i++
 		}
 		// Same set, another insertion order every round.
 		rng := sim.NewRNG(uint64(round) + 1)
-		for i := len(g.freeSlots) - 1; i > 0; i-- {
+		for i := len(g.slots.listed) - 1; i > 0; i-- {
 			j := rng.Intn(i + 1)
-			g.freeSlots[i], g.freeSlots[j] = g.freeSlots[j], g.freeSlots[i]
+			g.slots.listed[i], g.slots.listed[j] = g.slots.listed[j], g.slots.listed[i]
 		}
-		before := len(g.freeSlots)
+		before := len(g.slots.listed)
 		ok, err := g.PageInContiguous(seg, 100, n)
 		if err != nil || !ok {
 			t.Fatalf("round %d: PageInContiguous = %v, %v", round, ok, err)
 		}
-		consumed := g.emptySlots[len(g.emptySlots)-n:]
+		consumed := g.slots.empty[len(g.slots.empty)-n:]
 		for i, s := range consumed {
 			if s != wantStart+int64(i) {
 				t.Fatalf("round %d: consumed slots %v, want the run at %d", round, consumed, wantStart)
 			}
 		}
-		if len(g.freeSlots) != before-n || g.FreeFrames() != before-n {
+		if len(g.slots.listed) != before-n || g.FreeFrames() != before-n {
 			t.Fatalf("round %d: %d free slots (%d counted) after consuming %d of %d",
-				round, len(g.freeSlots), g.FreeFrames(), n, before)
+				round, len(g.slots.listed), g.FreeFrames(), n, before)
 		}
 		left := make(map[int64]bool)
-		for _, fs := range g.freeSlots {
+		for _, fs := range g.slots.listed {
 			if left[fs.slot] || holes[fs.slot] || (fs.slot >= wantStart && fs.slot < wantStart+n) {
 				t.Fatalf("round %d: slot %d wrongly on the free list", round, fs.slot)
 			}
@@ -839,8 +854,8 @@ func TestReturnFreeFramesRestoresOnError(t *testing.T) {
 	if !errors.Is(err, errReturnRefused) || n != 0 {
 		t.Fatalf("ReturnFreeFrames = %d, %v; want 0 and the source's refusal", n, err)
 	}
-	if g.FreeFrames() != free || len(g.freeSlots) != free {
-		t.Fatalf("free frames after a refused return = %d (list %d), want %d", g.FreeFrames(), len(g.freeSlots), free)
+	if g.FreeFrames() != free {
+		t.Fatalf("free frames after a refused return = %d, want %d", g.FreeFrames(), free)
 	}
 	if got := g.free.PageCount(); got != free {
 		t.Fatalf("free segment holds %d frames, want %d", got, free)
@@ -848,10 +863,8 @@ func TestReturnFreeFramesRestoresOnError(t *testing.T) {
 	if err := fx.k.CheckFrameConservation(); err != nil {
 		t.Fatal(err)
 	}
-	for i, fs := range g.freeSlots {
-		if fs.recall && g.recallIdx[fs.from] != i {
-			t.Fatalf("recall index of %v = %d, entry sits at %d", fs.from, g.recallIdx[fs.from], i)
-		}
+	if err := g.CheckSlots(); err != nil { // the list, its count and the recall index agree
+		t.Fatal(err)
 	}
 	// The association survived: page 2 comes back without I/O.
 	reads := fx.store.Reads()
@@ -874,8 +887,8 @@ func TestReturnFreeFramesRestoresOnError(t *testing.T) {
 }
 
 // failingRunSource reserves a refill's slots and then fails the grant the
-// way the SPCM does when the kernel rejects its migration: slots released,
-// error returned.
+// way the SPCM does when the kernel rejects its migration: reservation
+// closed with the error, error returned.
 type failingRunSource struct{ FrameSource }
 
 var errGrantFailed = errors.New("grant failed")
@@ -883,32 +896,31 @@ var errGrantFailed = errors.New("grant failed")
 func (failingRunSource) RequestContiguous(*Generic, int) (int, error) { return 0, nil }
 
 func (failingRunSource) RequestContiguousRuns(g *Generic, n, count int) (int, error) {
-	g.ReleaseSlots(g.ReceiveSlots(n * count))
+	g.Granted(g.ReserveSlots(nil, n*count), errGrantFailed)
 	return 0, errGrantFailed
 }
 
 // TestFailedRunRefillListsEachSlotOnce: a refill that staged a recycled run
-// and then failed must leave that run on freeRunStarts only — released into
-// emptySlots as well, a later per-page grant could land inside a run the
-// next refill plans over — while the fresh tail becomes ordinary empty slots.
+// and then failed must leave that run on the recycled list only — released
+// into the empty list as well, a later per-page grant could land inside a run
+// the next refill plans over — while the fresh tail becomes ordinary empty
+// slots.
 func TestFailedRunRefillListsEachSlotOnce(t *testing.T) {
 	fx := newFixture(t, 8)
-	g := fx.newManager(t, Config{Name: "m"})
-	g.freeRunStarts = []int64{16}
-	g.nextSlot = 32
-	if _, ok, err := g.takeExtentRun(failingRunSource{fx.pool}, 4); ok || !errors.Is(err, errGrantFailed) {
+	g := fx.newManager(t, Config{Name: "m", ExtentOrder: 2})
+	// One recycled run at 16 under a high-water mark of 32, the rest skipped.
+	g.slots.recycled, g.slots.next, g.slots.skipped = []int64{16}, 32, 28
+	if _, ok, err := g.takeExtentRun(failingRunSource{fx.pool}); ok || !errors.Is(err, errGrantFailed) {
 		t.Fatalf("takeExtentRun = %v, %v; want a failed refill", ok, err)
 	}
-	if len(g.freeRunStarts) != 1 || g.freeRunStarts[0] != 16 {
-		t.Fatalf("freeRunStarts = %v, want [16]", g.freeRunStarts)
+	if len(g.slots.recycled) != 1 || g.slots.recycled[0] != 16 {
+		t.Fatalf("recycled runs = %v, want [16]", g.slots.recycled)
 	}
-	if want := (extentMagazineRuns - 1) * 4; len(g.emptySlots) != want {
-		t.Fatalf("%d empty slots, want the %d fresh ones", len(g.emptySlots), want)
+	if want := (extentMagazineRuns - 1) * 4; len(g.slots.empty) != want {
+		t.Fatalf("%d empty slots, want the %d fresh ones", len(g.slots.empty), want)
 	}
-	for _, s := range g.emptySlots {
-		if s < 32 {
-			t.Fatalf("slot %d of the recycled run is listed in emptySlots too: %v", s, g.emptySlots)
-		}
+	if err := g.CheckSlots(); err != nil { // no slot of the recycled run is empty too
+		t.Fatal(err)
 	}
 }
 
@@ -946,11 +958,11 @@ func TestEnsureFreeBreaksAssociationsInOrder(t *testing.T) {
 	}
 	check := func(broken int) {
 		t.Helper()
-		if len(g.freeSlots) != pages {
-			t.Fatalf("%d free slots, want %d", len(g.freeSlots), pages)
+		if len(g.slots.listed) != pages {
+			t.Fatalf("%d free slots, want %d", len(g.slots.listed), pages)
 		}
-		for i, fs := range g.freeSlots {
-			at, indexed := g.recallIdx[fs.from]
+		for i, fs := range g.slots.listed {
+			at, indexed := g.slots.recall[fs.from]
 			switch {
 			case i < broken && (fs.recall || indexed):
 				t.Fatalf("free slot %d still associated (recall %v, indexed %v) with %d broken", i, fs.recall, indexed, broken)
@@ -958,8 +970,11 @@ func TestEnsureFreeBreaksAssociationsInOrder(t *testing.T) {
 				t.Fatalf("free slot %d lost its association (recall %v, indexed %v at %d) with %d broken", i, fs.recall, indexed, at, broken)
 			}
 		}
-		if len(g.recallIdx) != pages-broken {
-			t.Fatalf("recall index holds %d pages, want %d", len(g.recallIdx), pages-broken)
+		if len(g.slots.recall) != pages-broken {
+			t.Fatalf("recall index holds %d pages, want %d", len(g.slots.recall), pages-broken)
+		}
+		if err := g.CheckSlots(); err != nil {
+			t.Fatal(err)
 		}
 	}
 	check(0)

@@ -172,32 +172,21 @@ func (m *MultiPool) stealInto(g *Generic, n int, constraint phys.Range) (int, er
 		// Collect admitting donor free frames, then move them all as one
 		// batched migration instead of a kernel call per frame.
 		var take []int64
-		for i := 0; moved+len(take) < n && i < len(donor.freeSlots); i++ {
-			fs := donor.freeSlots[i]
-			if constraint.Admits(donor.free.FrameAt(fs.slot)) {
+		for i := 0; moved+len(take) < n && i < len(donor.slots.listed); i++ {
+			if fs := donor.slots.listed[i]; constraint.Admits(fs.frame) {
 				take = append(take, fs.slot)
 			}
 		}
 		if len(take) == 0 {
 			continue
 		}
-		slots := g.ReceiveSlots(len(take))
-		ranges := kernel.CoalesceRanges(take, slots)
-		if err := m.k.MigratePagesBatch(kernel.AppCred, donor.free, g.free, ranges, 0, 0); err != nil {
+		slots := g.ReserveSlots(nil, len(take))
+		err := m.k.MigratePagesBatch(kernel.AppCred, donor.free, g.free, kernel.CoalesceRanges(take, slots), 0, 0)
+		if g.slots.close(slots, err); err != nil {
 			return moved, err
 		}
 		for _, t := range take {
-			for i, fs := range donor.freeSlots {
-				if fs.slot == t {
-					donor.removeFreeSlotAt(i)
-					break
-				}
-			}
-			donor.emptySlots = append(donor.emptySlots, t)
-		}
-		for _, s := range slots {
-			g.freeSlots = append(g.freeSlots, freeSlot{slot: s})
-			g.nFree.Add(1)
+			donor.slots.unlistSlot(t)
 		}
 		moved += len(take)
 	}

@@ -7,52 +7,18 @@ import "epcm/internal/kernel"
 // the reference bit grants no second chance. FIFO is the classic baseline
 // the paper-era replacement literature measures everything against (and the
 // victim of Bélády's anomaly); having it registered makes the shootout's
-// recency columns interpretable. The queue reuses the LRU arena idiom:
-// index-linked nodes, so steady-state operation allocates nothing.
-type fifoPolicy struct {
-	nodes []lruNode
-	freed []int32
-	idx   map[PageID]int32
-	head  int32 // newest arrival; -1 when empty
-	tail  int32 // oldest arrival (next victim); -1 when empty
-}
+// recency columns interpretable. The queue is the LRU policy's pageList.
+type fifoPolicy struct{ pageList }
 
 // NewFIFOPolicy returns a strict arrival-order replacement policy.
-func NewFIFOPolicy() Policy { return &fifoPolicy{idx: map[PageID]int32{}, head: -1, tail: -1} }
+func NewFIFOPolicy() Policy { return &fifoPolicy{newPageList()} }
 
 func init() { RegisterPolicy("fifo", NewFIFOPolicy) }
 
 func (p *fifoPolicy) PolicyName() string { return "fifo" }
 
-func (p *fifoPolicy) Insert(_ PolicyHost, id PageID) {
-	if _, dup := p.idx[id]; dup {
-		return
-	}
-	var n int32
-	if l := len(p.freed); l > 0 {
-		n = p.freed[l-1]
-		p.freed = p.freed[:l-1]
-		p.nodes[n] = lruNode{id: id}
-	} else {
-		n = int32(len(p.nodes))
-		p.nodes = append(p.nodes, lruNode{id: id})
-	}
-	p.idx[id] = n
-	p.linkFront(n)
-}
-
 // Touch is deliberately a no-op: arrival order is the only signal FIFO uses.
 func (p *fifoPolicy) Touch(_ PolicyHost, _ PageID) {}
-
-func (p *fifoPolicy) Remove(_ PolicyHost, id PageID) {
-	n, ok := p.idx[id]
-	if !ok {
-		return
-	}
-	p.unlink(n)
-	delete(p.idx, id)
-	p.freed = append(p.freed, n)
-}
 
 func (p *fifoPolicy) Victim(h PolicyHost) (PageID, kernel.PageFlags, bool, error) {
 	// One pass from the oldest arrival, skipping pages the pass cannot
@@ -81,30 +47,4 @@ func (p *fifoPolicy) Victim(h PolicyHost) (PageID, kernel.PageFlags, bool, error
 		return id, a.Flags, true, nil
 	}
 	return PageID{}, 0, false, nil
-}
-
-func (p *fifoPolicy) linkFront(n int32) {
-	p.nodes[n].prev = -1
-	p.nodes[n].next = p.head
-	if p.head >= 0 {
-		p.nodes[p.head].prev = n
-	}
-	p.head = n
-	if p.tail < 0 {
-		p.tail = n
-	}
-}
-
-func (p *fifoPolicy) unlink(n int32) {
-	prev, next := p.nodes[n].prev, p.nodes[n].next
-	if prev >= 0 {
-		p.nodes[prev].next = next
-	} else {
-		p.head = next
-	}
-	if next >= 0 {
-		p.nodes[next].prev = prev
-	} else {
-		p.tail = prev
-	}
 }

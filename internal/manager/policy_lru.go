@@ -2,34 +2,41 @@ package manager
 
 import "epcm/internal/kernel"
 
-// lruPolicy is sampled LRU: an exact recency list ordered by the signals a
-// manager can actually see (insert, fast re-fault, protection-fault touch),
-// corrected at eviction time by the hardware reference bit — a referenced
-// tail page is granted a second chance (bit cleared, moved to MRU) before
-// the true coldest unreferenced page is evicted. The list is an arena of
-// index-linked nodes, so steady-state operation allocates nothing.
-type lruPolicy struct {
+// pageList is an arena of index-linked nodes ordered from head (newest) to
+// tail (oldest) with a page index, so steady-state operation allocates
+// nothing. The LRU and FIFO policies embed it; its Insert and Remove are
+// theirs.
+type pageList struct {
 	nodes []lruNode
 	freed []int32
 	idx   map[PageID]int32
-	head  int32 // MRU end; -1 when empty
-	tail  int32 // LRU end; -1 when empty
+	head  int32 // newest; -1 when empty
+	tail  int32 // oldest; -1 when empty
 }
 
 type lruNode struct {
 	id   PageID
-	prev int32 // toward head (more recent)
-	next int32 // toward tail (less recent)
+	prev int32 // toward head (newer)
+	next int32 // toward tail (older)
 }
 
+func newPageList() pageList { return pageList{idx: map[PageID]int32{}, head: -1, tail: -1} }
+
+// lruPolicy is sampled LRU: an exact recency list ordered by the signals a
+// manager can actually see (insert, fast re-fault, protection-fault touch),
+// corrected at eviction time by the hardware reference bit — a referenced
+// tail page is granted a second chance (bit cleared, moved to MRU) before
+// the true coldest unreferenced page is evicted.
+type lruPolicy struct{ pageList }
+
 // NewLRUPolicy returns a sampled least-recently-used replacement policy.
-func NewLRUPolicy() Policy { return &lruPolicy{idx: map[PageID]int32{}, head: -1, tail: -1} }
+func NewLRUPolicy() Policy { return &lruPolicy{newPageList()} }
 
 func init() { RegisterPolicy("lru", NewLRUPolicy) }
 
 func (p *lruPolicy) PolicyName() string { return "lru" }
 
-func (p *lruPolicy) Insert(_ PolicyHost, id PageID) {
+func (p *pageList) Insert(_ PolicyHost, id PageID) {
 	if _, dup := p.idx[id]; dup {
 		return
 	}
@@ -53,7 +60,7 @@ func (p *lruPolicy) Touch(_ PolicyHost, id PageID) {
 	}
 }
 
-func (p *lruPolicy) Remove(_ PolicyHost, id PageID) {
+func (p *pageList) Remove(_ PolicyHost, id PageID) {
 	n, ok := p.idx[id]
 	if !ok {
 		return
@@ -104,7 +111,7 @@ func (p *lruPolicy) Victim(h PolicyHost) (PageID, kernel.PageFlags, bool, error)
 	return PageID{}, 0, false, nil
 }
 
-func (p *lruPolicy) linkFront(n int32) {
+func (p *pageList) linkFront(n int32) {
 	p.nodes[n].prev = -1
 	p.nodes[n].next = p.head
 	if p.head >= 0 {
@@ -116,7 +123,7 @@ func (p *lruPolicy) linkFront(n int32) {
 	}
 }
 
-func (p *lruPolicy) unlink(n int32) {
+func (p *pageList) unlink(n int32) {
 	prev, next := p.nodes[n].prev, p.nodes[n].next
 	if prev >= 0 {
 		p.nodes[prev].next = next

@@ -103,7 +103,7 @@ func allResident(segs []*kernel.Segment, pages []int64) bool {
 // default manager) ahead of being swapped out (§2.2), unpinning their
 // pages and dropping them from g's accounting.
 func (g *Generic) ReleaseManagement(segs []*kernel.Segment, pages []int64, to kernel.Manager) error {
-	g.flushExtentRuns()
+	g.slots.flush()
 	for i, seg := range segs {
 		if err := g.k.ModifyPageFlags(kernel.AppCred, seg, 0, pages[i], 0, kernel.FlagPinned); err != nil {
 			return err

@@ -80,13 +80,16 @@ func (p *FixedPool) RequestFrames(g *Generic, n int, constraint phys.Range) (int
 	if len(give) == 0 {
 		return 0, nil
 	}
-	slots := g.ReceiveSlots(len(give))
+	slots := g.ReserveSlots(nil, len(give))
 	for i, page := range give {
 		if err := p.K.MigratePages(p.Cred, p.Donor, g.FreeSegment(), page, slots[i], 1, 0, 0); err != nil {
+			// The first i frames arrived and are granted; the rest did not.
+			g.Granted(slots[:i], nil)
+			g.Granted(slots[i:], err)
 			return i, err
 		}
 	}
-	g.FramesGranted(slots)
+	g.Granted(slots, nil)
 	return len(give), nil
 }
 

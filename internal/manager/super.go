@@ -24,8 +24,7 @@ import (
 
 // ContiguousSource is an optional FrameSource extension: a source that can
 // grant a physically contiguous, naturally aligned run of n frames (the
-// SPCM's RequestContiguous). The extent page-in fast path is only available
-// when the manager's source implements it.
+// SPCM's RequestContiguous, for large pages).
 type ContiguousSource interface {
 	FrameSource
 	RequestContiguous(g *Generic, n int) (int, error)
@@ -33,9 +32,10 @@ type ContiguousSource interface {
 
 // ContiguousRunSource is an optional ContiguousSource extension: a source
 // that can grant up to count aligned runs of n frames in one round trip
-// (the SPCM's RequestContiguousRuns). The extent fill path uses it to
-// refill its run magazine, amortizing the grant overhead — one account
-// settle and one batched boot-segment migration — over count extents.
+// (the SPCM's RequestContiguousRuns). The extent page-in fast path is only
+// available when the manager's source implements it: it refills the run
+// magazine, amortizing the grant overhead — one account settle and one
+// batched boot-segment migration — over count extents.
 type ContiguousRunSource interface {
 	ContiguousSource
 	RequestContiguousRuns(g *Generic, n, count int) (int, error)
@@ -101,11 +101,7 @@ func (g *Generic) extAdd(key resKey) {
 	ekey := resKey{seg: key.seg, page: base}
 	st := g.extents[ekey]
 	if st == nil {
-		st = g.newExtentState()
-		if g.extents == nil {
-			g.extents = make(map[resKey]*extentState)
-		}
-		g.extents[ekey] = st
+		st = g.newExtentState(ekey)
 	}
 	st.resident++
 	if st.promoted || st.denied || int64(st.resident) < n {
@@ -206,7 +202,7 @@ func (g *Generic) extDropSeg(seg *kernel.Segment) {
 // possibly-cached grant) when the extent is partially resident, the source
 // cannot supply a run, or a fill fails — the per-page path then takes over.
 func (g *Generic) pageInExtent(f kernel.Fault) (bool, error) {
-	src, ok := g.cfg.Source.(ContiguousSource)
+	src, ok := g.cfg.Source.(ContiguousRunSource)
 	if !ok || f.Seg.FramesPerPage() != 1 {
 		return false, nil
 	}
@@ -221,7 +217,7 @@ func (g *Generic) pageInExtent(f kernel.Fault) (bool, error) {
 	if st := g.extents[ekey]; st != nil && st.denied {
 		return false, nil
 	}
-	startSlot, ok, err := g.takeExtentRun(src, n)
+	startSlot, ok, err := g.takeExtentRun(src)
 	if err != nil {
 		return false, err
 	}
@@ -229,12 +225,7 @@ func (g *Generic) pageInExtent(f kernel.Fault) (bool, error) {
 		// Pool fragmented (or market refusal): deny until the extent state
 		// drains so the remaining faults of this extent go straight to the
 		// per-page path instead of re-paying the contiguous request.
-		if g.extents == nil {
-			g.extents = make(map[resKey]*extentState)
-		}
-		st := g.newExtentState()
-		st.denied = true
-		g.extents[ekey] = st
+		g.newExtentState(ekey).denied = true
 		g.superStats.Denied++
 		return false, nil
 	}
@@ -243,17 +234,12 @@ func (g *Generic) pageInExtent(f kernel.Fault) (bool, error) {
 	// abandons the fast path — the run's frames go back under per-page
 	// free-list control and the per-page path re-drives (and re-reports)
 	// the error.
-	slots := g.runSlotScratch[:0]
-	for i := int64(0); i < n; i++ {
-		slots = append(slots, startSlot+i)
-	}
-	g.runSlotScratch = slots
-	g.frameScratch = g.free.AppendFirstFrames(g.frameScratch[:0], slots)
-	for i := int64(0); i < n; i++ {
+	slots := g.slots.run(startSlot)
+	for i, frame := range g.slots.framesAt(slots) {
 		pf := f
-		pf.Page = base + i
-		if fillErr := g.fillFrame(pf, g.frameScratch[i]); fillErr != nil && !errors.Is(fillErr, ErrSkipFill) {
-			g.requeueExtentRun(startSlot, n)
+		pf.Page = base + int64(i)
+		if fillErr := g.fillFrame(pf, frame); fillErr != nil && !errors.Is(fillErr, ErrSkipFill) {
+			g.slots.close(slots, nil)
 			return false, nil
 		}
 	}
@@ -261,42 +247,23 @@ func (g *Generic) pageInExtent(f kernel.Fault) (bool, error) {
 	g.runRangeScratch[0] = kernel.PageRange{Page: startSlot, To: base, Pages: n}
 	if err := g.k.MigratePagesBatch(kernel.AppCred, g.free, f.Seg, g.runRangeScratch[:],
 		g.cfg.MapFlags, kernel.FlagReferenced|kernel.FlagDirty); err != nil {
-		g.requeueExtentRun(startSlot, n)
+		g.slots.close(slots, nil)
 		return false, err
 	}
-	// Record residency; the run's slots were already withheld from the free
-	// list at grant time (takeExtentRun), so there is nothing to consume
-	// here. The extent state is marked promoted (and fully resident) first
-	// so the density hook does not mount a second promotion attempt, and
-	// the per-page residency loop is addResident unrolled with the policy
-	// lookup and hook dispatch hoisted out — one extent is one segment.
-	promoted := false
-	if _, _, ok := f.Seg.ExtentAt(base); ok {
-		promoted = true // the kernel applied the range as one extent
-	}
-	if g.extents == nil {
-		g.extents = make(map[resKey]*extentState)
-	}
-	st := g.newExtentState()
+	// Record residency; the run was never listed, so there is nothing to
+	// consume here. The extent state is marked promoted — the kernel applied
+	// the range as one extent — and fully resident first, so the density
+	// hook does not mount a second promotion attempt.
+	_, _, promoted := f.Seg.ExtentAt(base)
+	st := g.newExtentState(ekey)
 	st.promoted = promoted
 	st.resident = int(n)
-	g.extents[ekey] = st
 	if promoted {
 		g.promotedExt = append(g.promotedExt, ekey)
 		g.superStats.Promotions++
 	}
-	p := g.policyFor(f.Seg)
-	g.host.p = p
-	for i := int64(0); i < n; i++ {
-		key := resKey{seg: f.Seg, page: base + i}
-		g.resIdx.put(key, len(g.resident))
-		g.resident = append(g.resident, key)
-		p.Insert(&g.host, PageID{Seg: key.seg, Page: key.page})
-	}
-	g.nResident.Add(n)
-	// The n now-empty slots stay together as a recycled aligned run for a
-	// future magazine refill instead of scattering into emptySlots.
-	g.freeRunStarts = append(g.freeRunStarts, startSlot)
+	g.addResidentRun(f.Seg, base, n)
+	g.slots.recycle(startSlot)
 	if !promoted {
 		// The kernel did not apply the range as one extent (superpages
 		// toggled off mid-flight, or a shape the batch declined): replay
@@ -310,13 +277,13 @@ func (g *Generic) pageInExtent(f kernel.Fault) (bool, error) {
 	return true, nil
 }
 
-// newExtentState takes an extentState from the manager's local pool —
-// extents churn once per extent fill, and a pooled zeroed struct keeps the
-// fault hot path off the allocator. extRemove and extDropSeg return drained
-// states; when the pool runs dry (a workload that only accumulates extents
-// never returns any) it is restocked a slab at a time, so the allocator
-// sees one call per slab instead of one per extent.
-func (g *Generic) newExtentState() *extentState {
+// newExtentState records a fresh state for the extent at ekey, taken from
+// the manager's local pool — extents churn once per extent fill, and a
+// pooled zeroed struct keeps the fault hot path off the allocator. extRemove
+// and extDropSeg return drained states; when the pool runs dry (a workload
+// that only accumulates extents never returns any) it is restocked a slab at
+// a time, so the allocator sees one call per slab instead of one per extent.
+func (g *Generic) newExtentState(ekey resKey) *extentState {
 	if len(g.extStatePool) == 0 {
 		slab := make([]extentState, 64)
 		for i := range slab {
@@ -327,120 +294,29 @@ func (g *Generic) newExtentState() *extentState {
 	st := g.extStatePool[k-1]
 	g.extStatePool = g.extStatePool[:k-1]
 	*st = extentState{}
+	if g.extents == nil {
+		g.extents = make(map[resKey]*extentState)
+	}
+	g.extents[ekey] = st
 	return st
 }
 
-// takeExtentRun pops the start slot of one granted, frame-backed run of n
-// consecutive free-segment slots — the magazine first, a refill from the
-// source when it is empty. Granted runs are withheld from freeSlots so
-// per-page allocation cannot break one; requeueExtentRun (fill failure) and
-// flushExtentRuns (free-list enumeration points) hand them back.
-func (g *Generic) takeExtentRun(src ContiguousSource, n int64) (int64, bool, error) {
-	if k := len(g.extRuns); k > 0 {
-		start := g.extRuns[k-1]
-		g.extRuns = g.extRuns[:k-1]
-		return start, true, nil
-	}
-	// Refill. The slot plan prefers recycled aligned runs — emptied by past
-	// extent fills — over fresh slot numbers, keeping the free segment's
-	// page store bounded instead of growing with every refill. A fresh
-	// tail starts at nextSlot rounded up to run alignment; either way each
-	// run's grant destination is slot-contiguous and extent-aligned, so
-	// the boot→free migration takes the kernel's extent fast path.
-	// (Skipped slot numbers are never reused and cost nothing.)
-	count := 1
-	rs, isRuns := src.(ContiguousRunSource)
-	if isRuns {
-		count = extentMagazineRuns
-	}
-	starts := g.runStartScratch[:0]
-	for len(starts) < count && len(g.freeRunStarts) > 0 {
-		k := len(g.freeRunStarts)
-		starts = append(starts, g.freeRunStarts[k-1])
-		g.freeRunStarts = g.freeRunStarts[:k-1]
-	}
-	recycled := len(starts)
-	queue := g.runSlotQueue[:0]
-	for _, s := range starts {
-		for i := int64(0); i < n; i++ {
-			queue = append(queue, s+i)
+// takeExtentRun hands out the start slot of one granted, frame-backed run
+// of 2^ExtentOrder consecutive free-segment slots from the magazine, which
+// the source restocks when it is empty. That grant arrives through
+// ReserveSlots and Granted like any other; the refill plan makes it land on
+// run-aligned slots and stay parked, so per-page allocation cannot break it.
+func (g *Generic) takeExtentRun(src ContiguousRunSource) (int64, bool, error) {
+	start, ok := g.slots.unpark()
+	if !ok {
+		g.slots.planRuns(extentMagazineRuns)
+		_, err := src.RequestContiguousRuns(g, int(g.slots.runLen), extentMagazineRuns)
+		if g.slots.endPlan(); err != nil {
+			return 0, false, err
 		}
+		start, ok = g.slots.unpark()
 	}
-	g.runSlotQueue = queue
-	g.runSlotNext = 0
-	if recycled < count {
-		if rem := g.nextSlot & (n - 1); rem != 0 {
-			g.nextSlot += n - rem
-		}
-		for j := recycled; j < count; j++ {
-			starts = append(starts, g.nextSlot+int64(j-recycled)*n)
-		}
-	}
-	g.runStartScratch = starts
-	g.freshOnly = true
-	runs := 0
-	var err error
-	if isRuns {
-		runs, err = rs.RequestContiguousRuns(g, int(n), count)
-	} else {
-		var got int
-		if got, err = src.RequestContiguous(g, int(n)); int64(got) == n {
-			runs = 1
-		}
-	}
-	g.freshOnly = false
-	g.runSlotQueue = g.runSlotQueue[:0]
-	g.runSlotNext = 0
-	// Slot consumption is run-granular (the source takes exactly runs*n
-	// slots, front of the plan first), so unconsumed recycled runs are
-	// still empty: put them back on the recycle list.
-	for j := runs; j < recycled; j++ {
-		g.freeRunStarts = append(g.freeRunStarts, starts[j])
-	}
-	if err != nil || runs == 0 {
-		return 0, false, err
-	}
-	if !isRuns {
-		// The single-run fallback grants through FramesGranted, so its
-		// slots landed on the freeSlots tail: withhold them. (A run source
-		// grants via RunsGranted, which never touches freeSlots.)
-		g.freeSlots = g.freeSlots[:int64(len(g.freeSlots))-n]
-		g.nFree.Add(-n)
-	}
-	for j := runs - 1; j >= 1; j-- {
-		g.extRuns = append(g.extRuns, starts[j])
-	}
-	return starts[0], true, nil
-}
-
-// requeueExtentRun returns one withheld run's slots — and their still-parked
-// frames — to per-page free-list control, after a fill or migrate failure.
-func (g *Generic) requeueExtentRun(startSlot, n int64) {
-	slots := g.runSlotScratch[:0]
-	for i := int64(0); i < n; i++ {
-		slots = append(slots, startSlot+i)
-	}
-	g.runSlotScratch = slots
-	g.frameScratch = g.free.AppendFirstFrames(g.frameScratch[:0], slots)
-	for i, s := range slots {
-		g.freeSlots = append(g.freeSlots, freeSlot{slot: s, frame: g.frameScratch[i]})
-		g.nFree.Add(1)
-	}
-}
-
-// flushExtentRuns drains the run magazine back into freeSlots. It must run
-// before anything that enumerates or returns free-slot frames — Adopt,
-// ReturnFreeFrames, ReleaseManagement, Quiesce — so withheld runs are never
-// invisible to them; the magazine refills on the next extent fault.
-func (g *Generic) flushExtentRuns() {
-	if len(g.extRuns) == 0 {
-		return
-	}
-	n := int64(1) << uint(g.cfg.ExtentOrder)
-	for _, start := range g.extRuns {
-		g.requeueExtentRun(start, n)
-	}
-	g.extRuns = g.extRuns[:0]
+	return start, ok, nil
 }
 
 // reclaimExtents evicts whole promoted extents before per-page selection:

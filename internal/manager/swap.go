@@ -35,16 +35,15 @@ func (g *Generic) SwapOut(seg *kernel.Segment) (SwapStats, error) {
 	var st SwapStats
 	for _, p := range seg.Pages() {
 		flags, _ := seg.Flags(p)
+		frame := seg.FrameAt(p)
 		switch {
 		case flags.Has(kernel.FlagDirty) && flags.Has(kernel.FlagDiscardable) && !g.cfg.IgnoreDiscardable:
 			st.DirtySkips++
 			g.stats.Discards++
 		case flags.Has(kernel.FlagDirty):
-			err := g.cfg.Backing.Writeback(seg, p, seg.FrameAt(p))
+			err := g.cfg.Backing.Writeback(seg, p, frame)
 			if err != nil {
-				err = g.retryBacking(err, func() error {
-					return g.cfg.Backing.Writeback(seg, p, seg.FrameAt(p))
-				})
+				err = g.retryBacking(err, func() error { return g.cfg.Backing.Writeback(seg, p, frame) })
 			}
 			if err != nil {
 				return st, fmt.Errorf("swap out %v page %d: %w", seg, p, err)
@@ -53,15 +52,10 @@ func (g *Generic) SwapOut(seg *kernel.Segment) (SwapStats, error) {
 		default:
 			st.CleanSkips++
 		}
-		slots := g.ReceiveSlots(1)
-		g.stats.MigrateCalls++
-		if err := g.k.MigratePages(kernel.AppCred, seg, g.free, p, slots[0], 1, 0,
-			kernel.FlagRW|kernel.FlagDirty|kernel.FlagReferenced|kernel.FlagDiscardable|kernel.FlagPinned); err != nil {
+		if err := g.migrateOut(resKey{seg: seg, page: p}, frame, kernel.FlagRW|kernel.FlagDirty|
+			kernel.FlagReferenced|kernel.FlagDiscardable|kernel.FlagPinned, false); err != nil {
 			return st, err
 		}
-		g.removeResident(resKey{seg: seg, page: p})
-		g.freeSlots = append(g.freeSlots, freeSlot{slot: slots[0]})
-		g.nFree.Add(1)
 		st.PagesOut++
 	}
 	return st, nil
@@ -83,7 +77,7 @@ func (g *Generic) SwapIn(seg *kernel.Segment, pages []int64) (SwapStats, error) 
 			return st, fmt.Errorf("swap in %v page %d: %w", seg, p, err)
 		}
 		slotIdx := [1]int{chosen[0]}
-		frame := g.free.FrameAt(g.freeSlots[slotIdx[0]].slot)
+		frame := g.slots.listed[slotIdx[0]].frame
 		if err := g.cfg.Backing.Fill(seg, p, frame); err != nil {
 			if err = g.retryBacking(err, func() error { return g.cfg.Backing.Fill(seg, p, frame) }); err != nil {
 				return st, fmt.Errorf("swap in %v page %d: %w", seg, p, err)
@@ -104,13 +98,13 @@ func (g *Generic) SwapIn(seg *kernel.Segment, pages []int64) (SwapStats, error) 
 // freed frames to the frame source, and report how many frames went back.
 // The application is then ready to be suspended; Resume undoes it.
 func (g *Generic) Quiesce(segs []*kernel.Segment) (int, error) {
-	g.flushExtentRuns() // count withheld runs in the free-slot total below
+	g.slots.flush() // count withheld runs in the free-slot total below
 	for _, seg := range segs {
 		if _, err := g.SwapOut(seg); err != nil {
 			return 0, err
 		}
 	}
-	return g.ReturnFreeFrames(len(g.freeSlots))
+	return g.ReturnFreeFrames(g.FreeFrames())
 }
 
 // Resume requests frames from the source and swaps the given segments'

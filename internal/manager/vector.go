@@ -20,9 +20,8 @@ import (
 //     settled with one ModifyPageFlagsBatch per group;
 //   - plain missing-page faults are grouped by segment: free frames are
 //     acquired for the whole group up front (victim selection runs once per
-//     group, through the same Policy hooks), missing frame pointers are
-//     resolved with one AppendFirstFrames call, each frame is filled, and
-//     the group lands with one MigratePagesBatch;
+//     group, through the same Policy hooks), each frame is filled, and the
+//     group lands with one MigratePagesBatch;
 //   - everything else — COW faults, recall hits, constraint or Protection
 //     or superpage specializations, duplicate pages within the vector — is a
 //     group of its own.
@@ -109,7 +108,7 @@ func (g *Generic) classify(fs []kernel.Fault) []uint8 {
 			if _, dup := g.vecSeen[key]; dup {
 				break // second fault on one page must see ErrPageBusy alone
 			}
-			if _, ok := g.recallIdx[key]; ok {
+			if _, ok := g.slots.recall[key]; ok {
 				break // fast re-fault keeps its exact single-fault charges
 			}
 			if f.Seg.HasPage(f.Page) {
@@ -220,8 +219,8 @@ func (g *Generic) pageIn(fs []kernel.Fault, errs []error, members []int, bill bo
 		// — migrate it straight back, no fill, no I/O (§2.2). The len check
 		// spares the 16-byte struct-key map hash on the common path where
 		// nothing was reclaimed.
-		if len(g.recallIdx) > 0 {
-			if ci, ok := g.recallIdx[resKey{seg: first.Seg, page: first.Page}]; ok {
+		if len(g.slots.recall) > 0 {
+			if ci, ok := g.slots.recall[resKey{seg: first.Seg, page: first.Page}]; ok {
 				slotIdx := [1]int{ci}
 				g.settle(fs, errs, members, slotIdx[:])
 				if errs[members[0]] == nil {
@@ -250,25 +249,6 @@ func (g *Generic) pageIn(fs []kernel.Fault, errs []error, members []int, bill bo
 		return
 	}
 
-	// Resolve missing frame pointers for the chosen slots in one batched
-	// segment-lock pass instead of a FrameAt per slot.
-	g.vecNilSlots = g.vecNilSlots[:0]
-	for _, ci := range chosen {
-		if g.freeSlots[ci].frame == nil {
-			g.vecNilSlots = append(g.vecNilSlots, g.freeSlots[ci].slot)
-		}
-	}
-	if len(g.vecNilSlots) > 0 {
-		g.frameScratch = g.free.AppendFirstFrames(g.frameScratch[:0], g.vecNilSlots)
-		j := 0
-		for _, ci := range chosen {
-			if g.freeSlots[ci].frame == nil {
-				g.freeSlots[ci].frame = g.frameScratch[j]
-				j++
-			}
-		}
-	}
-
 	if cap(g.vecSlotIdx) < len(members) {
 		g.vecSlotIdx = make([]int, len(members))
 	}
@@ -280,7 +260,7 @@ func (g *Generic) pageIn(fs []kernel.Fault, errs []error, members []int, bill bo
 		if f.Kind != kernel.FaultMissing {
 			continue
 		}
-		switch fillErr := g.fillFrame(f, g.freeSlots[ci].frame); {
+		switch fillErr := g.fillFrame(f, g.slots.listed[ci].frame); {
 		case fillErr == nil:
 			g.stats.Fills++
 			fills++
@@ -330,7 +310,7 @@ func (g *Generic) migrateIn(fs []kernel.Fault, members, slotIdx []int) error {
 	g.vecPages = g.vecPages[:0]
 	for j, i := range members {
 		if slotIdx[j] >= 0 {
-			g.vecSlots = append(g.vecSlots, g.freeSlots[slotIdx[j]].slot)
+			g.vecSlots = append(g.vecSlots, g.slots.listed[slotIdx[j]].slot)
 			g.vecPages = append(g.vecPages, fs[i].Page)
 		}
 	}
@@ -375,10 +355,7 @@ func (g *Generic) settle(fs []kernel.Fault, errs []error, members, slotIdx []int
 	g.vecChosen = used
 	slices.Sort(used)
 	for k := len(used) - 1; k >= 0; k-- {
-		ci := used[k]
-		slot := g.freeSlots[ci].slot
-		g.removeFreeSlotAt(ci)
-		g.emptySlots = append(g.emptySlots, slot)
+		g.slots.unlist(used[k])
 	}
 	for j, i := range members {
 		if slotIdx[j] >= 0 {

@@ -10,7 +10,7 @@
 //
 // Mailbox and Group are NOT internally synchronized — the deterministic
 // serial scheduler owns them from a single goroutine. The concurrent
-// scheduler uses Queue, the blocking (mutex+cond) variant.
+// scheduler's lanes are Rings (ring.go).
 package plane
 
 import "time"

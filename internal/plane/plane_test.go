@@ -97,46 +97,3 @@ func TestGroupRemoveAndDrain(t *testing.T) {
 		t.Fatalf("PopOldest after remove: got (%v,%v), want 20", e.Msg, ok)
 	}
 }
-
-func TestQueueBlockingAndClose(t *testing.T) {
-	q := NewQueue[int]()
-	got := make(chan int, 3)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			e, ok := q.Take()
-			if !ok {
-				return
-			}
-			got <- e.Msg
-		}
-	}()
-	if !q.Put(1, 7) || !q.Put(2, 8) {
-		t.Fatal("Put refused on open queue")
-	}
-	if a, b := <-got, <-got; a != 7 || b != 8 {
-		t.Fatalf("took (%d,%d), want (7,8)", a, b)
-	}
-	left := q.Close()
-	if len(left) != 0 {
-		t.Fatalf("Close drained %v, want empty", left)
-	}
-	<-done
-	if q.Put(3, 9) {
-		t.Fatal("Put succeeded on closed queue")
-	}
-}
-
-func TestQueueCloseReturnsBacklog(t *testing.T) {
-	q := NewQueue[int]()
-	q.Put(1, 1)
-	q.Put(2, 2)
-	left := q.Close()
-	if len(left) != 2 || left[0].Msg != 1 || left[1].Msg != 2 {
-		t.Fatalf("Close returned %v, want backlog [1 2]", left)
-	}
-	if _, ok := q.Take(); ok {
-		t.Fatal("Take succeeded on closed drained queue")
-	}
-}

@@ -11,9 +11,7 @@ import (
 // never rendezvous through a mutex: an enqueue is one CAS on the tail plus
 // two cell stores, and the consumer side is plain loads and stores under an
 // external single-consumer guarantee (the delivery plane's combining
-// token). It replaces the mutex+cond Queue on the concurrent scheduler's
-// hot path; Queue remains as the reference implementation and for
-// benchmarks comparing the two.
+// token). It is the concurrent scheduler's lane.
 //
 // Close only refuses new Puts — envelopes already accepted are still
 // handed out by Pop, so a revoked manager's lane can be drained and each

@@ -16,23 +16,24 @@ import (
 //  3. Dram conservation, per account: drams earned equal drams held
 //     (balance) plus drams spent on rent, tax and I/O, within floating-
 //     point tolerance.
+//  4. Slot conservation, per account: the manager's ledger of its free-page
+//     segment accounts for every slot number once (manager.CheckSlots).
 func (s *SPCM) CheckInvariants() error {
 	if err := s.k.CheckFrameConservation(); err != nil {
 		return fmt.Errorf("spcm invariant: %w", err)
 	}
 	pool := s.free.Snapshot()
-	s.regMu.RLock()
-	accts := make([]*Account, 0, len(s.order))
-	for _, g := range s.order {
-		accts = append(accts, s.accounts[g])
-	}
-	s.regMu.RUnlock()
+	accts := s.ordered()
 	// Frames parked in account frame caches are part of the free pool for
 	// conservation purposes; CheckInvariants runs quiescent, so snapshotting
-	// the single-owner caches from here is safe.
+	// the single-owner caches — and reading each manager's slot ledger —
+	// from here is safe.
 	for _, a := range accts {
 		if a.cache != nil {
 			pool = append(pool, a.cache.Snapshot()...)
+		}
+		if err := a.mgr.CheckSlots(); err != nil {
+			return fmt.Errorf("spcm invariant: %w", err)
 		}
 	}
 	seen := make(map[int64]bool, len(pool))

@@ -94,10 +94,10 @@ type Account struct {
 	earned, rentPaid, taxPaid, ioPaid float64
 
 	// cache (nil unless Policy.LaneCacheRefill > 0) and the grant scratch
-	// buffers are owned by the account's request path, which runs on the
-	// manager's single delivery-lane executor — they take no lock. Control-
-	// plane users (Revoke, RequestContiguous, CheckInvariants) only touch
-	// the cache from contexts where that lane is quiet.
+	// buffers are owned by the account's request path, which runs in the
+	// manager's own delivery context — they take no lock. Control-plane
+	// users (Revoke, CheckInvariants) only touch the cache from contexts
+	// where that lane is quiet.
 	cache       *phys.FrameCache
 	grantPFNs   []int64
 	grantSlots  []int64
@@ -333,17 +333,21 @@ func (s *SPCM) settleLocked(a *Account) {
 	}
 }
 
+// ordered snapshots the accounts in registration order.
+func (s *SPCM) ordered() []*Account {
+	s.regMu.RLock()
+	defer s.regMu.RUnlock()
+	accts := make([]*Account, len(s.order))
+	for i, g := range s.order {
+		accts[i] = s.accounts[g]
+	}
+	return accts
+}
+
 // SettleAll settles every account (periodic market tick), in registration
 // order for deterministic schedules.
 func (s *SPCM) SettleAll() {
-	s.regMu.RLock()
-	order := append([]*manager.Generic(nil), s.order...)
-	accounts := make([]*Account, len(order))
-	for i, g := range order {
-		accounts[i] = s.accounts[g]
-	}
-	s.regMu.RUnlock()
-	for _, a := range accounts {
+	for _, a := range s.ordered() {
 		a.mu.Lock()
 		s.settleLocked(a)
 		a.mu.Unlock()
@@ -397,174 +401,170 @@ var (
 	_ manager.IOAccountant = (*SPCM)(nil)
 )
 
-// RequestFrames implements manager.FrameSource: grant, defer or refuse.
-// Requests from insolvent accounts are refused; otherwise up to n frames
-// satisfying the constraint are granted (fewer than n is the paper's
-// "allocates and provides as many page frames as it can or is willing to").
-// The picked frames migrate into the manager's free segment as one batched
-// kernel call; on a migration error the whole grant is rolled back: the
-// frames into the free pool, the reserved slots to the manager.
-func (s *SPCM) RequestFrames(g *manager.Generic, n int, constraint phys.Range) (int, error) {
+// admit is the preamble of every grant: resolve the account, settle it, and
+// refuse an insolvent account or a request the grant gate vetoes (injected
+// transient exhaustion: the pool acts empty and the manager falls back to
+// local reclamation). Every refusal is counted; all add n to unmet demand
+// except an insolvent contiguous request.
+func (s *SPCM) admit(g *manager.Generic, n int, contiguous bool) (*Account, bool, error) {
 	a, gate, err := s.lookup(g)
 	if err != nil {
-		return 0, err
+		return nil, false, err
 	}
 	a.mu.Lock()
 	s.settleLocked(a)
 	insolvent := a.balance < s.policy.MinGrantBalance
 	a.mu.Unlock()
-	if insolvent {
-		s.stats.refused.Add(1)
-		s.unmetDemand.Add(int64(n))
-		return 0, nil
+	if !insolvent && !s.vetoed(gate, n) {
+		return a, true, nil
 	}
-	if s.vetoed(gate, n) {
-		// Injected transient exhaustion: the pool acts empty for this
-		// request; the manager falls back to local reclamation.
-		s.stats.refused.Add(1)
+	s.stats.refused.Add(1)
+	if !(insolvent && contiguous) {
 		s.unmetDemand.Add(int64(n))
-		return 0, nil
 	}
-	var picked []int64
-	if a.cache != nil && !constraint.Constrained() {
-		// Unconstrained grants (every fault without a Constraint hook) come
-		// from the account's private cache; only its batch refills touch
-		// the shared stripes. Constrained requests bypass the cache: the
-		// shared pool has the full frame population to filter.
-		a.grantPFNs = a.cache.Pop(a.grantPFNs[:0], n)
-		picked = a.grantPFNs
+	return a, false, nil
+}
+
+// deferred counts a request the pool could not fully serve.
+func (s *SPCM) deferred(short int) {
+	s.stats.deferred.Add(1)
+	s.unmetDemand.Add(int64(short))
+}
+
+// deliver moves the picked boot pages into slots g reserves in its free
+// segment, as one batched kernel call: one range per run when picked is
+// whole runs of runLen frames (the refilling manager's plan makes each
+// run's slots consecutive), otherwise coalesced page by page. A migration
+// error rolls the whole grant back — the slots to the manager, the frames
+// to the free pool. The account's scratch buffers are safe to reuse here
+// because ReserveSlots already demands the manager's own delivery context.
+// It reports the number of frames granted.
+func (s *SPCM) deliver(a *Account, g *manager.Generic, picked []int64, runLen int) (int, error) {
+	a.grantSlots = g.ReserveSlots(a.grantSlots[:0], len(picked))
+	ranges := a.grantRanges[:0]
+	if runLen == 0 {
+		ranges = kernel.CoalesceRangesInto(ranges, picked, a.grantSlots)
 	} else {
-		var admit func(pfn int64) bool
-		if constraint.Constrained() {
-			admit = func(pfn int64) bool {
-				return constraint.Admits(s.k.Mem().Frame(phys.PFN(pfn)))
-			}
+		for j := 0; j < len(picked); j += runLen {
+			ranges = append(ranges, kernel.PageRange{Page: picked[j], To: a.grantSlots[j], Pages: int64(runLen)})
 		}
-		picked = s.free.Pop(n, admit)
 	}
-	if len(picked) < n {
-		s.stats.deferred.Add(1)
-		s.unmetDemand.Add(int64(n - len(picked)))
-	}
-	if len(picked) == 0 {
-		return 0, nil
-	}
-	var slots []int64
-	if a.cache != nil {
-		a.grantSlots = g.ReceiveSlotsAppend(a.grantSlots[:0], len(picked))
-		slots = a.grantSlots
-	} else {
-		slots = g.ReceiveSlots(len(picked))
-	}
-	var ranges []kernel.PageRange
-	if a.cache != nil {
-		a.grantRanges = kernel.CoalesceRangesInto(a.grantRanges[:0], picked, slots)
-		ranges = a.grantRanges
-	} else {
-		ranges = kernel.CoalesceRanges(picked, slots)
-	}
-	if err := s.k.MigratePagesBatch(kernel.SystemCred, s.k.BootSegment(), g.FreeSegment(),
-		ranges, 0, 0); err != nil {
+	a.grantRanges = ranges
+	err := s.k.MigratePagesBatch(kernel.SystemCred, s.k.BootSegment(), g.FreeSegment(), ranges, 0, 0)
+	if g.Granted(a.grantSlots, err); err != nil {
 		s.free.Push(picked)
-		g.ReleaseSlots(slots)
 		return 0, err
 	}
-	g.FramesGranted(slots)
 	s.stats.granted.Add(int64(len(picked)))
 	return len(picked), nil
 }
 
-// RequestContiguous grants a run of n physically contiguous frames (for
-// large pages via MigrateCoalesced). It returns the granted boot pages in
-// the target manager's free segment, or 0 if no run exists. A migration
-// error rolls the grant back as in RequestFrames.
-func (s *SPCM) RequestContiguous(g *manager.Generic, n int) (int, error) {
-	a, gate, err := s.lookup(g)
-	if err != nil {
+// RequestFrames implements manager.FrameSource: grant, defer or refuse. Up
+// to n frames satisfying the constraint are granted (fewer than n is the
+// paper's "allocates and provides as many page frames as it can or is
+// willing to").
+func (s *SPCM) RequestFrames(g *manager.Generic, n int, constraint phys.Range) (int, error) {
+	a, ok, err := s.admit(g, n, false)
+	if !ok {
 		return 0, err
 	}
-	a.mu.Lock()
-	s.settleLocked(a)
-	insolvent := a.balance < s.policy.MinGrantBalance
-	a.mu.Unlock()
-	if insolvent {
-		s.stats.refused.Add(1)
+	picked := s.pickFrames(a, n, constraint)
+	if len(picked) < n {
+		s.deferred(n - len(picked))
+	}
+	if len(picked) == 0 {
 		return 0, nil
 	}
-	if s.vetoed(gate, n) {
-		s.stats.refused.Add(1)
-		s.unmetDemand.Add(int64(n))
+	return s.deliver(a, g, picked, 0)
+}
+
+// pickFrames takes up to n admitted frames out of the pool. Unconstrained
+// grants (every fault without a Constraint hook) come from the account's
+// private cache when it has one, so only its batch refills touch the shared
+// stripes; constrained requests bypass the cache, because the shared pool
+// has the full frame population to filter.
+func (s *SPCM) pickFrames(a *Account, n int, constraint phys.Range) []int64 {
+	if !constraint.Constrained() {
+		if a.cache != nil {
+			a.grantPFNs = a.cache.Pop(a.grantPFNs[:0], n)
+			return a.grantPFNs
+		}
+		return s.free.Pop(n, nil)
+	}
+	return s.free.Pop(n, func(pfn int64) bool {
+		return constraint.Admits(s.k.Mem().Frame(phys.PFN(pfn)))
+	})
+}
+
+// RequestContiguous grants a run of n physically contiguous frames (for
+// large pages via MigrateCoalesced) into the target manager's free segment,
+// or reports 0 if no run exists.
+func (s *SPCM) RequestContiguous(g *manager.Generic, n int) (int, error) {
+	a, ok, err := s.admit(g, n, true)
+	if !ok {
+		return 0, err
+	}
+	picked := s.pickRun(a, n)
+	if picked == nil {
+		s.deferred(n)
 		return 0, nil
 	}
-	// Power-of-two runs take the aligned fast paths: the account's private
-	// run magazine first, then the free list's buddy-style run allocator,
-	// then splitting a run of the next order up — keep the front half, park
-	// the naturally aligned remainder in the magazine (or the pool). Every
-	// path charges the market identically: the charges hang off the settle
-	// above and the grant migration below, not off where the frames came
-	// from. Runs from these paths are naturally aligned (PFN ≡ 0 mod n), so
-	// a large page or superpage extent built over them promotes cleanly.
-	var picked []int64
+	return s.deliver(a, g, picked, 0)
+}
+
+// pickRun finds n consecutive frames. Power-of-two runs take the aligned
+// fast paths: the account's private run magazine first, then the free
+// list's buddy-style run allocator, then splitting a run of the next order
+// up — keep the front half, park the naturally aligned remainder in the
+// magazine (or the pool). Runs from these paths are naturally aligned
+// (PFN ≡ 0 mod n), so a large page or superpage extent built over them
+// promotes cleanly. Where the frames came from never changes what the
+// market charges.
+func (s *SPCM) pickRun(a *Account, n int) []int64 {
 	if order := runOrder(n); order >= 0 {
 		if a.cache != nil {
-			picked = a.cache.PopRun(n)
+			if run := a.cache.PopRun(n); run != nil {
+				return run
+			}
 		}
-		if picked == nil {
-			picked = s.free.AllocRun(order, nil)
+		if run := s.free.AllocRun(order, nil); run != nil {
+			return run
 		}
-		if picked == nil && order < phys.MaxRunOrder {
+		if order < phys.MaxRunOrder {
 			if double := s.free.AllocRun(order+1, nil); double != nil {
-				picked = double[:n:n]
 				if a.cache != nil {
 					a.cache.PushRun(double[n:])
 				} else {
 					s.free.Push(double[n:])
 				}
+				return double[:n:n]
 			}
 		}
 	}
-	if picked == nil {
-		// Legacy path: non-power-of-two lengths, or a pool too fragmented
-		// for the aligned allocator. The private cache hides frames from the
-		// run search; hand them back first. (Contiguous requests come from
-		// the account's own lane, the cache's owner context.)
-		if a.cache != nil {
-			a.cache.Drain()
+	// Legacy path: non-power-of-two lengths, or a pool too fragmented for
+	// the aligned allocator. The private cache hides frames from the run
+	// search; hand them back first. (Contiguous requests come from the
+	// account's own lane, the cache's owner context.)
+	if a.cache != nil {
+		a.cache.Drain()
+	}
+	// Snapshot → find run → remove all-or-nothing; a racing grant can steal
+	// part of the run between the snapshot and the removal, so retry a few
+	// times before reporting the pool fragmented.
+	for attempt := 0; attempt < 4; attempt++ {
+		run := findRun(s.free.Snapshot(), n)
+		if run < 0 {
+			break
 		}
-		// Snapshot → find run → remove all-or-nothing; a racing grant can
-		// steal part of the run between the snapshot and the removal, so
-		// retry a few times before reporting the pool fragmented.
-		for attempt := 0; attempt < 4; attempt++ {
-			run := findRun(s.free.Snapshot(), n)
-			if run < 0 {
-				break
-			}
-			cand := make([]int64, n)
-			for i := 0; i < n; i++ {
-				cand[i] = run + int64(i)
-			}
-			if s.free.RemoveAll(cand) {
-				picked = cand
-				break
-			}
+		cand := make([]int64, n)
+		for i := range cand {
+			cand[i] = run + int64(i)
+		}
+		if s.free.RemoveAll(cand) {
+			return cand
 		}
 	}
-	if picked == nil {
-		s.stats.deferred.Add(1)
-		s.unmetDemand.Add(int64(n))
-		return 0, nil
-	}
-	slots := g.ReceiveSlots(n)
-	ranges := kernel.CoalesceRanges(picked, slots)
-	if err := s.k.MigratePagesBatch(kernel.SystemCred, s.k.BootSegment(), g.FreeSegment(),
-		ranges, 0, 0); err != nil {
-		s.free.Push(picked)
-		g.ReleaseSlots(slots)
-		return 0, err
-	}
-	g.FramesGranted(slots)
-	s.stats.granted.Add(int64(n))
-	return n, nil
+	return nil
 }
 
 // RequestContiguousRuns grants up to count physically contiguous, naturally
@@ -572,91 +572,42 @@ func (s *SPCM) RequestContiguous(g *manager.Generic, n int) (int, error) {
 // settle, one veto check, and one batched boot-segment migration with one
 // range per run — so a manager refilling its extent-run magazine pays the
 // grant overhead once per count extents instead of once per extent. Only
-// power-of-two n within the free list's aligned-run reach is served (other
-// shapes fall back to RequestContiguous); the reply is the number of whole
-// runs granted, which may be less than count — zero when the pool has no
-// aligned run at all, leaving the caller to the single-run path and its
-// split/legacy fallbacks. A migration error rolls the grant back as in
-// RequestFrames.
+// power-of-two n within the free list's aligned-run reach is served; the
+// reply is the number of whole runs granted, which may be less than count —
+// zero when the pool has no aligned run at all.
 func (s *SPCM) RequestContiguousRuns(g *manager.Generic, n, count int) (int, error) {
 	order := runOrder(n)
 	if order < 0 || count <= 0 {
 		return 0, nil
 	}
-	a, gate, err := s.lookup(g)
-	if err != nil {
+	a, ok, err := s.admit(g, n, true)
+	if !ok {
 		return 0, err
 	}
-	a.mu.Lock()
-	s.settleLocked(a)
-	insolvent := a.balance < s.policy.MinGrantBalance
-	a.mu.Unlock()
-	if insolvent {
-		s.stats.refused.Add(1)
+	picked := s.pickRuns(a, n, order, count)
+	if len(picked) == 0 {
+		s.deferred(n)
 		return 0, nil
 	}
-	if s.vetoed(gate, n) {
-		s.stats.refused.Add(1)
-		s.unmetDemand.Add(int64(n))
-		return 0, nil
-	}
-	// The account scratch buffers are reusable only on the cache-owning
-	// lane (the same serialization RequestFrames relies on); without a
-	// cache each call allocates its own.
-	var pfns []int64
-	if a.cache != nil {
-		pfns = a.grantPFNs[:0]
-	}
-	runs := 0
-	for runs < count {
+	got, err := s.deliver(a, g, picked, n)
+	return got / n, err
+}
+
+// pickRuns collects up to count aligned runs of n = 2^order frames, the
+// account's run magazine first.
+func (s *SPCM) pickRuns(a *Account, n, order, count int) []int64 {
+	pfns := a.grantPFNs[:0]
+	for ok := true; ok && len(pfns) < n*count; {
 		if a.cache != nil {
 			if run := a.cache.PopRun(n); run != nil {
 				pfns = append(pfns, run...)
-				runs++
 				continue
 			}
 		}
-		var ok bool
-		if pfns, ok = s.free.AllocRunAppend(pfns, order, nil); !ok {
-			break
-		}
-		runs++
+		pfns, ok = s.free.AllocRunAppend(pfns, order, nil)
 	}
-	if a.cache != nil {
-		a.grantPFNs = pfns
-	}
-	if runs == 0 {
-		s.stats.deferred.Add(1)
-		s.unmetDemand.Add(int64(n))
-		return 0, nil
-	}
-	total := runs * n
-	var slots []int64
-	if a.cache != nil {
-		a.grantSlots = g.ReceiveSlotsAppend(a.grantSlots[:0], total)
-		slots = a.grantSlots
-	} else {
-		slots = g.ReceiveSlots(total)
-	}
-	var ranges []kernel.PageRange
-	if a.cache != nil {
-		ranges = a.grantRanges[:0]
-	}
-	for j := 0; j < runs; j++ {
-		ranges = append(ranges, kernel.PageRange{Page: pfns[j*n], To: slots[j*n], Pages: int64(n)})
-	}
-	if a.cache != nil {
-		a.grantRanges = ranges
-	}
-	if err := s.k.MigratePagesBatch(kernel.SystemCred, s.k.BootSegment(), g.FreeSegment(),
-		ranges, 0, 0); err != nil {
-		s.free.Push(pfns)
-		g.ReleaseSlots(slots)
-		return 0, err
-	}
-	g.RunsGranted(total)
-	s.stats.granted.Add(int64(total))
-	return runs, nil
+	a.grantPFNs = pfns
+	return pfns
 }
 
 // runOrder returns log2(n) when n is a power of two no larger than the free
@@ -734,22 +685,13 @@ func (s *SPCM) ReturnFrames(g *manager.Generic, slots []int64) error {
 // through ReturnFrames without contending with other accounts' enforcement
 // or concurrent grants.
 func (s *SPCM) Enforce() (int, error) {
-	s.regMu.RLock()
-	order := append([]*manager.Generic(nil), s.order...)
-	accts := make([]*Account, len(order))
-	for i, g := range order {
-		accts[i] = s.accounts[g]
-	}
-	s.regMu.RUnlock()
-
 	type demand struct {
 		g     *manager.Generic
 		name  string
 		pages int
 	}
 	var work []demand
-	for i, g := range order {
-		a := accts[i]
+	for _, a := range s.ordered() {
 		a.mu.Lock()
 		s.settleLocked(a)
 		bal := a.balance
@@ -770,7 +712,7 @@ func (s *SPCM) Enforce() (int, error) {
 		if pages == 0 {
 			continue
 		}
-		work = append(work, demand{g: g, name: a.name, pages: pages})
+		work = append(work, demand{g: a.mgr, name: a.name, pages: pages})
 	}
 
 	total := 0

@@ -69,6 +69,21 @@ if compgen -G 'BENCH_*.json' > /dev/null; then
     exit 1
 fi
 
+# PR 20 made ReserveSlots/Granted the one door into a free-page segment and
+# the slot ledger (internal/manager/slots.go) its only bookkeeper, and
+# deleted plane.Queue. The old five-method protocol, the three mode fields
+# and the queue stay gone, and no other manager file writes a ledger field.
+if grep -rnE 'ReceiveSlots|ReceiveSlotsAppend|ReleaseSlots|FramesGranted|RunsGranted|freshOnly|runSlotQueue|runSlotNext|NewQueue\[' internal/ cmd/ examples/ epcm.go; then
+    echo "a grant-protocol method, slot mode field or queue deleted in PR 20 is back (see the matches above)" >&2
+    exit 1
+fi
+ledger='slots\.(listed|nListed|recall|empty|parked|recycled|next|inflight|skipped|plan)\b'
+if grep -nE "$ledger(\[[^]]*\])?(\.[A-Za-z]+)* *([-+]?=[^=]|\+\+|--)|(append|delete)\([a-z.]*$ledger|$ledger\.(Add|Store)\(" \
+    $(ls internal/manager/*.go | grep -vE '_test\.go$|/slots\.go$'); then
+    echo "a slot-ledger field is written outside internal/manager/slots.go: go through the ledger's methods" >&2
+    exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 
@@ -99,6 +114,7 @@ go test -run='^$' -fuzz='^FuzzBatchDisjoint$' -fuzztime=10s -fuzzminimizetime=1s
 go test -run='^$' -fuzz='^FuzzUIO$' -fuzztime=10s ./internal/uio
 go test -run='^$' -fuzz='^FuzzMailbox$' -fuzztime=10s ./internal/plane
 go test -run='^$' -fuzz='^FuzzPolicy$' -fuzztime=10s ./internal/manager
+go test -run='^$' -fuzz='^FuzzSlotLedger$' -fuzztime=10s ./internal/manager
 go test -run='^$' -fuzz='^FuzzEventHeap$' -fuzztime=10s ./internal/sim
 go test -run='^$' -fuzz='^FuzzProcSchedule$' -fuzztime=10s ./internal/sim
 go test -run='^$' -fuzz='^FuzzClock$' -fuzztime=10s ./internal/sim
