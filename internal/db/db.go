@@ -3,6 +3,7 @@ package db
 import (
 	"fmt"
 	"strconv"
+	"sync"
 	"time"
 
 	"epcm/internal/sim"
@@ -154,6 +155,9 @@ type System struct {
 func New(cfg MemoryConfig, p Params) *System {
 	clock := &sim.Clock{}
 	env := sim.NewEnv(clock)
+	locks := NewLockManager(env)
+	locks.Barging = true                                   // reader preference: concurrent relation scans share S locks
+	locks.locks = make(map[string]*lock, 4+p.AccountPages) // sized once: the fixed four, a lock per page
 	s := &System{
 		p:         p,
 		cfg:       cfg,
@@ -161,7 +165,7 @@ func New(cfg MemoryConfig, p Params) *System {
 		env:       env,
 		cpus:      sim.NewResource(env, p.Processors),
 		disk:      sim.NewResource(env, 1),
-		locks:     newBargingLockManager(env),
+		locks:     locks,
 		rng:       sim.NewRNG(p.Seed),
 		index:     indexState{valid: true},
 		pageLocks: make([]*lock, p.AccountPages),
@@ -170,14 +174,6 @@ func New(cfg MemoryConfig, p Params) *System {
 	s.dbLock, s.relAccounts, s.relSummary, s.idxAccounts = lk("db"), lk("rel:accounts"), lk("rel:summary"), lk("idx:accounts")
 	s.result.Config = cfg
 	return s
-}
-
-// newBargingLockManager builds the DBMS's lock manager: reader-preference
-// granting so concurrent relation scans share S locks.
-func newBargingLockManager(env *sim.Env) *LockManager {
-	m := NewLockManager(env)
-	m.Barging = true
-	return m
 }
 
 // Run generates the arrival stream, runs every transaction to completion
@@ -219,14 +215,16 @@ func (s *System) pressure() {
 	}
 }
 
-// transaction runs one transaction as a simulated process.
+// transaction runs one transaction as a simulated process, holding its locks
+// on a record the manager lends it until the commit-point releaseAll.
 func (s *System) transaction(p *sim.Proc, seq int, isJoin bool, accountPage int, touchesIndex bool) {
 	start := p.Now()
 	s.pressure()
+	owner := s.locks.newOwner()
 	if isJoin {
-		s.join(p, seq)
+		s.join(p, owner)
 	} else {
-		s.debitCredit(p, seq, accountPage, touchesIndex)
+		s.debitCredit(p, owner, accountPage, touchesIndex)
 	}
 	resp := p.Now() - start
 	s.result.CompletedTxns++
@@ -244,7 +242,7 @@ func (s *System) transaction(p *sim.Proc, seq int, isJoin bool, accountPage int,
 // configurations, the account index, under an intention lock that is
 // compatible with other updaters but not with a reader holding the index
 // S lock).
-func (s *System) debitCredit(p *sim.Proc, owner interface{}, accountPage int, touchesIndex bool) {
+func (s *System) debitCredit(p *sim.Proc, owner *holdList, accountPage int, touchesIndex bool) {
 	s.locks.acquire(p, owner, s.dbLock, IX)
 	s.locks.acquire(p, owner, s.relAccounts, IX)
 	s.locks.acquire(p, owner, s.pageLock(accountPage), X)
@@ -252,22 +250,40 @@ func (s *System) debitCredit(p *sim.Proc, owner interface{}, accountPage int, to
 		s.locks.acquire(p, owner, s.idxAccounts, IX)
 	}
 	s.compute(p, s.p.DebitCreditCPU)
-	s.locks.ReleaseAll(owner)
+	s.locks.releaseAll(owner)
 }
 
 // pageLock returns the lock of one accounts page.
 func (s *System) pageLock(page int) *lock {
 	l := s.pageLocks[page]
 	if l == nil {
-		l = s.locks.lockFor("page:accounts/" + strconv.Itoa(page))
+		l = s.locks.lockFor(pageLockName(page))
 		s.pageLocks[page] = l
 	}
 	return l
 }
 
+// pageLockNames is the lock names of the paper configuration's account
+// pages: each System names about a third of them on first use, four Systems
+// a Table 4 pass, so the process builds the strings once, when first asked.
+var pageLockNames = sync.OnceValue(func() []string {
+	names := make([]string, DefaultParams().AccountPages)
+	for page := range names {
+		names[page] = "page:accounts/" + strconv.Itoa(page)
+	}
+	return names
+})
+
+func pageLockName(page int) string {
+	if names := pageLockNames(); page < len(names) {
+		return names[page]
+	}
+	return "page:accounts/" + strconv.Itoa(page)
+}
+
 // join is the 5% case: join two relations to update a third. With an index
 // it traverses the account index under an S lock; without, it scans.
-func (s *System) join(p *sim.Proc, owner interface{}) {
+func (s *System) join(p *sim.Proc, owner *holdList) {
 	s.locks.acquire(p, owner, s.dbLock, IX)
 	s.locks.acquire(p, owner, s.relAccounts, IS)
 	s.locks.acquire(p, owner, s.relSummary, IX)
@@ -315,7 +331,7 @@ func (s *System) join(p *sim.Proc, owner interface{}) {
 		}
 		s.compute(p, s.p.JoinIndexCPU)
 	}
-	s.locks.ReleaseAll(owner)
+	s.locks.releaseAll(owner)
 }
 
 // compute executes d of CPU time on one of the processors.
@@ -325,12 +341,13 @@ func (s *System) compute(p *sim.Proc, d time.Duration) {
 	s.cpus.Release()
 }
 
+var allConfigs = []MemoryConfig{NoIndex, IndexInMemory, IndexWithPaging, IndexRegeneration}
+
 // RunAll runs all four configurations with the same parameters, returning
 // results in Table 4 order.
 func RunAll(p Params) []*Result {
-	configs := []MemoryConfig{NoIndex, IndexInMemory, IndexWithPaging, IndexRegeneration}
-	out := make([]*Result, 0, len(configs))
-	for _, cfg := range configs {
+	out := make([]*Result, 0, len(allConfigs))
+	for _, cfg := range allConfigs {
 		out = append(out, New(cfg, p).Run())
 	}
 	return out

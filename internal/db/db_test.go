@@ -16,7 +16,7 @@ func fastParams() Params {
 }
 
 func TestRunCompletesAllTransactions(t *testing.T) {
-	for _, cfg := range []MemoryConfig{NoIndex, IndexInMemory, IndexWithPaging, IndexRegeneration} {
+	for _, cfg := range allConfigs {
 		r := New(cfg, fastParams()).Run()
 		if r.Deadlocked != 0 {
 			t.Fatalf("%v: %d processes deadlocked", cfg, r.Deadlocked)
@@ -188,5 +188,63 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > base { // base may hold an earlier test's straggler
 		t.Fatalf("%d goroutines after RunAll, %d before", n, base)
+	}
+}
+
+// TestSystemLeavesNoHolds: transactions hold their locks on records the
+// manager lends them, never through its key index. After a run every lock's
+// per-mode counts are zero, nothing is queued or indexed, and every record
+// handed out is back on the free list, once.
+func TestSystemLeavesNoHolds(t *testing.T) {
+	for _, cfg := range allConfigs {
+		s := New(cfg, fastParams())
+		if r := s.Run(); r.Deadlocked != 0 || r.CompletedTxns != 1000 {
+			t.Fatalf("%v: %d deadlocked, %d completed", cfg, r.Deadlocked, r.CompletedTxns)
+		}
+		m := s.locks
+		for _, l := range m.locks {
+			if l.held != [4]int32{} || len(l.queue) != 0 {
+				t.Errorf("%v: %s left with holds %v and %d queued", cfg, l.name, l.held, len(l.queue))
+			}
+		}
+		if st := m.Stats(); st.Released != st.Acquires {
+			t.Errorf("%v: %d acquires, %d released", cfg, st.Acquires, st.Released)
+		}
+		if len(m.held) != 0 {
+			t.Errorf("%v: %d owners in the key index; transactions never use it", cfg, len(m.held))
+		}
+		if m.records == 0 || len(m.heldFree) != m.records {
+			t.Errorf("%v: %d records made, %d back on the free list", cfg, m.records, len(m.heldFree))
+		}
+		back := make(map[*holdList]bool)
+		for _, hl := range m.heldFree {
+			if back[hl] || len(hl.holds) != 0 {
+				t.Errorf("%v: a record came back twice or still listing %d holds", cfg, len(hl.holds))
+			}
+			back[hl] = true
+		}
+	}
+}
+
+// TestTable4QueueShape pins what the paper's run asks of the event queue:
+// all 4 000 arrivals are scheduled up front in ascending time, so they ride
+// the queue's FIFO lane, and only the transactions in flight — sleeping on a
+// processor or the disk, or just woken — reach its heap. The event counts
+// are the model's (Table 4 through the bench is their sum, 45 387).
+func TestTable4QueueShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full Table 4 run")
+	}
+	events := map[MemoryConfig]int64{NoIndex: 13482, IndexInMemory: 8965, IndexWithPaging: 13822, IndexRegeneration: 9118}
+	p := DefaultParams()
+	for _, cfg := range allConfigs {
+		s := New(cfg, p)
+		s.Run()
+		if high := s.env.Shard(0).HeapHighWater(); high == 0 || high > 256 {
+			t.Errorf("%v: heap high-water %d with %d arrivals scheduled, want 1..256", cfg, high, p.Transactions)
+		}
+		if got := s.env.EventsProcessed(); got != events[cfg] {
+			t.Errorf("%v: %d events processed, want %d", cfg, got, events[cfg])
+		}
 	}
 }

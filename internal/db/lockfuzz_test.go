@@ -156,37 +156,50 @@ func FuzzLockManager(f *testing.F) {
 // BenchmarkLockCycle times DebitCredit's lock traffic — IX on the database,
 // the relation and the index, X on one page, then the commit-point
 // ReleaseAll — while that many other open transactions hold IX on the three
-// shared locks, on LockManager (counts) and on refLockManager (lists). The
-// steady state allocates nothing on either.
+// shared locks: on LockManager by key (names and an owner key resolved per
+// call), on LockManager by record (resolved locks and a borrowed record, as
+// db.System calls it) and on refLockManager (keys and lists). The steady
+// state allocates nothing on any.
 func BenchmarkLockCycle(b *testing.B) {
+	shared := []string{"db", "rel:accounts", "idx:accounts"}
+	const page = "page:accounts/7"
 	for _, holders := range []int{1, 64, 512} {
-		for _, side := range []string{"counts", "reference"} {
+		for _, side := range []string{"by-key", "by-record", "reference"} {
 			b.Run("holders="+strconv.Itoa(holders)+"/"+side, func(b *testing.B) {
 				env := sim.NewEnv(&sim.Clock{})
 				var m lockTable
-				if side == "counts" {
-					pm := NewLockManager(env)
-					pm.Barging = true
-					m = pm
-				} else {
+				pm := NewLockManager(env)
+				pm.Barging = true
+				if m = pm; side == "reference" {
 					rm := newRefLockManager(env)
 					rm.Barging = true
 					m = rm
 				}
 				for o := 0; o < holders; o++ {
-					for _, n := range []string{"db", "rel:accounts", "idx:accounts"} {
+					for _, n := range shared {
 						m.Acquire(nil, o, n, IX) // never blocks: nil proc is unused
 					}
 				}
 				owner := interface{}("txn")
 				cycle := func() {
-					m.Acquire(nil, owner, "db", IX)
-					m.Acquire(nil, owner, "rel:accounts", IX)
-					m.Acquire(nil, owner, "page:accounts/7", X)
-					m.Acquire(nil, owner, "idx:accounts", IX)
+					m.Acquire(nil, owner, shared[0], IX)
+					m.Acquire(nil, owner, shared[1], IX)
+					m.Acquire(nil, owner, page, X)
+					m.Acquire(nil, owner, shared[2], IX)
 					m.ReleaseAll(owner)
 				}
-				cycle() // first use grows the owner's list and the wait series
+				if side == "by-record" {
+					db, rel, idx, pg := pm.lockFor(shared[0]), pm.lockFor(shared[1]), pm.lockFor(shared[2]), pm.lockFor(page)
+					cycle = func() {
+						owner := pm.newOwner()
+						pm.acquire(nil, owner, db, IX)
+						pm.acquire(nil, owner, rel, IX)
+						pm.acquire(nil, owner, pg, X)
+						pm.acquire(nil, owner, idx, IX)
+						pm.releaseAll(owner)
+					}
+				}
+				cycle() // first use grows the owner's list
 				if a := testing.AllocsPerRun(100, cycle); a != 0 {
 					b.Fatalf("%v allocs per cycle in steady state, want 0", a)
 				}

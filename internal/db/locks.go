@@ -55,14 +55,14 @@ func Compatible(a, b Mode) bool { return compatible[a][b] }
 
 // lockWait is one queued request.
 type lockWait struct {
-	owner interface{}
+	owner *holdList
 	mode  Mode
 	proc  *sim.Proc
 }
 
 // lock is one lockable resource. It counts its granted holds per mode; whose
-// they are is recorded once, in the owners' hold lists, so a grant decision
-// is four compares however many open transactions hold IX on "db".
+// they are is recorded once, in the owners' records, so a grant decision is
+// four compares however many open transactions hold IX on "db".
 type lock struct {
 	name  string
 	held  [4]int32 // granted holds per Mode
@@ -75,8 +75,9 @@ func blocked(held *[4]int32, mode Mode) bool {
 	return held[IS] > 0 && !ok[IS] || held[IX] > 0 && !ok[IX] || held[S] > 0 && !ok[S] || held[X] > 0 && !ok[X]
 }
 
-// holdList is the holds of one owner, in acquisition order; a hold is one
-// grant of l in mode.
+// holdList is one owner's record: its holds in acquisition order, a hold
+// being one grant of l in mode. It is the only record of who holds what, and
+// what every lock operation's body takes for the owner.
 type holdList struct{ holds []hold }
 
 type hold struct {
@@ -98,24 +99,26 @@ type LockStats struct {
 // preference), letting concurrent relation scans share their S locks — the
 // policy the simulated DBMS uses, trading writer latency for scan
 // throughput.
+//
+// Each operation has one body, on a resolved lock and the owner's record:
+// db.System enters there, with a record from newOwner. The exported spellings
+// take a lock name and any comparable owner key, and resolve both once.
 type LockManager struct {
 	env   *sim.Env
 	locks map[string]*lock
-	// held is the only record of who holds what: every grant (immediate
-	// or to a woken waiter) appends the lock and mode to its owner's list,
-	// in acquisition order, so ReleaseAll visits only what the owner holds
-	// instead of every lock ever created. A lock acquired twice is listed
-	// twice. The map holds pointers so a grant to a known owner is one
-	// lookup and no store.
+	// held resolves a keyed owner to its record, from its first Acquire
+	// until a Release or ReleaseAll leaves it holding nothing. Every grant
+	// (immediate or to a woken waiter) appends the lock and mode to the
+	// owner's record, so ReleaseAll visits only what the owner holds, not
+	// every lock ever created. A lock acquired twice is listed twice.
 	held map[interface{}]*holdList
-	// heldFree recycles emptied hold lists so a steady stream of short
-	// transactions allocates none.
+	// heldFree recycles released records so a steady stream of short
+	// transactions allocates none; records counts the ones ever made.
 	heldFree []*holdList
+	records  int
 	// Barging enables reader-preference granting.
 	Barging bool
-	// waited records per-acquisition wait times for diagnosis.
-	waited sim.Series
-	stats  LockStats
+	stats   LockStats
 }
 
 // NewLockManager builds a lock manager over the simulation environment.
@@ -130,9 +133,6 @@ func NewLockManager(env *sim.Env) *LockManager {
 // Stats returns a snapshot of activity counters.
 func (m *LockManager) Stats() LockStats { return m.stats }
 
-// WaitStats returns the distribution of lock-wait times.
-func (m *LockManager) WaitStats() *sim.Series { return &m.waited }
-
 func (m *LockManager) lockFor(name string) *lock {
 	l, ok := m.locks[name]
 	if !ok {
@@ -142,45 +142,38 @@ func (m *LockManager) lockFor(name string) *lock {
 	return l
 }
 
+// newOwner hands out an empty record; releaseAll takes it back.
+func (m *LockManager) newOwner() *holdList {
+	if n := len(m.heldFree); n > 0 {
+		hl := m.heldFree[n-1]
+		m.heldFree = m.heldFree[:n-1]
+		return hl
+	}
+	m.records++
+	return new(holdList)
+}
+
 // grantable reports whether no hold on l by anyone but owner conflicts with
 // mode (re-entrant same-owner holds are always allowed in this model, since
 // transactions acquire in a fixed hierarchy order): when the counts show a
 // conflict, the owner's own holds on l are discounted from them first.
-func (m *LockManager) grantable(l *lock, owner interface{}, mode Mode) bool {
+func grantable(l *lock, owner *holdList, mode Mode) bool {
 	if !blocked(&l.held, mode) {
 		return true
 	}
 	others := l.held
-	if hl := m.held[owner]; hl != nil {
-		for _, h := range hl.holds {
-			if h.l == l {
-				others[h.mode]--
-			}
+	for _, h := range owner.holds {
+		if h.l == l {
+			others[h.mode]--
 		}
 	}
 	return !blocked(&others, mode)
 }
 
-// grant records a hold: counted on the lock, listed under its owner.
-func (m *LockManager) grant(l *lock, owner interface{}, mode Mode) {
+// grant records a hold: counted on the lock, listed in its owner's record.
+func grant(l *lock, owner *holdList, mode Mode) {
 	l.held[mode]++
-	hl := m.held[owner]
-	if hl == nil {
-		if n := len(m.heldFree); n > 0 {
-			hl, m.heldFree = m.heldFree[n-1], m.heldFree[:n-1]
-		} else {
-			hl = new(holdList)
-		}
-		m.held[owner] = hl
-	}
-	hl.holds = append(hl.holds, hold{l, mode})
-}
-
-// forget unlinks owner's (emptied or about to be emptied) hold list.
-func (m *LockManager) forget(owner interface{}, hl *holdList) {
-	delete(m.held, owner)
-	hl.holds = hl.holds[:0]
-	m.heldFree = append(m.heldFree, hl)
+	owner.holds = append(owner.holds, hold{l, mode})
 }
 
 // drop releases every hold on l listed in holds, clearing the entries.
@@ -197,25 +190,27 @@ func (m *LockManager) drop(l *lock, holds []hold) {
 // Acquire obtains `name` in `mode` on behalf of owner, blocking the calling
 // process in FIFO order until compatible. Owners must acquire locks in a
 // consistent hierarchy order (database, relation, page, index) — the model
-// relies on ordering, not detection, for deadlock freedom.
+// relies on ordering, not detection, for deadlock freedom. An owner is one
+// process: nobody releases for it while its request is queued.
 func (m *LockManager) Acquire(p *sim.Proc, owner interface{}, name string, mode Mode) {
-	m.acquire(p, owner, m.lockFor(name), mode)
+	hl := m.held[owner]
+	if hl == nil {
+		hl = m.newOwner()
+		m.held[owner] = hl
+	}
+	m.acquire(p, hl, m.lockFor(name), mode)
 }
 
-// acquire is Acquire on a resolved lock, where db.System enters.
-func (m *LockManager) acquire(p *sim.Proc, owner interface{}, l *lock, mode Mode) {
+// acquire is the body of Acquire.
+func (m *LockManager) acquire(p *sim.Proc, owner *holdList, l *lock, mode Mode) {
 	m.stats.Acquires++
-	if (m.Barging || len(l.queue) == 0) && m.grantable(l, owner, mode) {
-		m.grant(l, owner, mode)
-		m.waited.Add(0)
+	if (m.Barging || len(l.queue) == 0) && grantable(l, owner, mode) {
+		grant(l, owner, mode)
 		return
 	}
 	m.stats.Waits++
-	start := p.Now()
 	l.queue = append(l.queue, lockWait{owner: owner, mode: mode, proc: p})
-	p.Park()
-	m.waited.Add(p.Now() - start)
-	// The releaser granted the hold before waking us.
+	p.Park() // the releaser grants the hold before waking us
 }
 
 // Release drops every hold owner has on `name` and grants waiters.
@@ -228,70 +223,63 @@ func (m *LockManager) Release(owner interface{}, name string) {
 		m.drop(l, hl.holds)
 		hl.holds = slices.DeleteFunc(hl.holds, func(h hold) bool { return h.l == nil })
 		if len(hl.holds) == 0 {
-			m.forget(owner, hl)
+			delete(m.held, owner)
+			m.heldFree = append(m.heldFree, hl)
 		}
 	}
 	m.grantWaiters(l)
 }
 
-// ReleaseAll drops every hold owner has anywhere (two-phase commit point),
+// ReleaseAll drops every hold owner has anywhere (two-phase commit point).
+func (m *LockManager) ReleaseAll(owner interface{}) {
+	if hl := m.held[owner]; hl != nil {
+		delete(m.held, owner)
+		m.releaseAll(hl)
+	}
+}
+
+// releaseAll is the body of ReleaseAll, and takes the record back. It goes
 // lock by lock in the order the owner first acquired them — a lock's holds
 // all go, then its waiters are granted — so the order in which waiters of
 // different locks wake is a function of the run, not of map iteration.
-func (m *LockManager) ReleaseAll(owner interface{}) {
-	hl := m.held[owner]
-	if hl == nil {
-		return
-	}
-	for i, h := range hl.holds {
+func (m *LockManager) releaseAll(owner *holdList) {
+	for i, h := range owner.holds {
 		if l := h.l; l != nil { // nil: released with the lock's first listing
-			m.drop(l, hl.holds[i:])
+			m.drop(l, owner.holds[i:])
 			m.grantWaiters(l)
 		}
 	}
-	m.forget(owner, hl)
+	owner.holds = owner.holds[:0]
+	m.heldFree = append(m.heldFree, owner)
 }
 
 // grantWaiters grants queued requests: in FIFO order until the head is
 // incompatible, or — with Barging — every compatible waiter regardless of
-// position.
+// position. A slot a granted waiter leaves is cleared, or the queue's array
+// would keep the woken process reachable.
 func (m *LockManager) grantWaiters(l *lock) {
 	if !m.Barging {
 		for len(l.queue) > 0 {
 			w := l.queue[0]
-			if !m.grantable(l, w.owner, w.mode) {
+			if !grantable(l, w.owner, w.mode) {
 				return
 			}
+			l.queue[0] = lockWait{}
 			l.queue = l.queue[1:]
-			m.grant(l, w.owner, w.mode)
+			grant(l, w.owner, w.mode)
 			m.env.Wake(w.proc)
 		}
 		return
 	}
 	kept := l.queue[:0]
 	for _, w := range l.queue {
-		if m.grantable(l, w.owner, w.mode) {
-			m.grant(l, w.owner, w.mode)
+		if grantable(l, w.owner, w.mode) {
+			grant(l, w.owner, w.mode)
 			m.env.Wake(w.proc)
 		} else {
 			kept = append(kept, w)
 		}
 	}
+	clear(l.queue[len(kept):])
 	l.queue = kept
-}
-
-// Holders reports the number of current holders of a lock (tests).
-func (m *LockManager) Holders(name string) int {
-	if l, ok := m.locks[name]; ok {
-		return int(l.held[IS] + l.held[IX] + l.held[S] + l.held[X])
-	}
-	return 0
-}
-
-// QueueLen reports the number of waiters on a lock (tests).
-func (m *LockManager) QueueLen(name string) int {
-	if l, ok := m.locks[name]; ok {
-		return len(l.queue)
-	}
-	return 0
 }

@@ -16,6 +16,22 @@ func newLockEnv() (*sim.Env, *LockManager) {
 	return env, NewLockManager(env)
 }
 
+// Holders reports the number of current holders of a lock.
+func (m *LockManager) Holders(name string) int {
+	if l, ok := m.locks[name]; ok {
+		return int(l.held[IS] + l.held[IX] + l.held[S] + l.held[X])
+	}
+	return 0
+}
+
+// QueueLen reports the number of waiters on a lock.
+func (m *LockManager) QueueLen(name string) int {
+	if l, ok := m.locks[name]; ok {
+		return len(l.queue)
+	}
+	return 0
+}
+
 // The standard compatibility matrix must be symmetric and have the
 // defining properties: IS compatible with everything but X; X compatible
 // with nothing.
@@ -241,16 +257,21 @@ func TestNoIncompatibleGrantsProperty(t *testing.T) {
 	}
 }
 
-// heldCountsDiff checks every lock's per-mode counts against the owners'
-// hold lists — held[m] must be the number of listed (lock, m) pairs — and
-// describes the first lock that disagrees.
+// heldCountsDiff checks every lock's per-mode counts against the keyed
+// owners' records — held[m] must be the number of listed (lock, m) pairs —
+// and describes the first lock that disagrees. A record is indexed from its
+// owner's first Acquire, so it may list nothing in exactly one state: its
+// owner's request is queued.
 func heldCountsDiff(m *LockManager) string {
 	listed := make(map[*lock][4]int32)
-	for _, hl := range m.held {
+	for owner, hl := range m.held {
 		for _, h := range hl.holds {
 			c := listed[h.l]
 			c[h.mode]++
 			listed[h.l] = c
+		}
+		if len(hl.holds) == 0 && !queued(m, hl) {
+			return fmt.Sprintf("owner %v is indexed with no holds and no queued request", owner)
 		}
 	}
 	for _, l := range m.locks {
@@ -265,15 +286,34 @@ func heldCountsDiff(m *LockManager) string {
 	return ""
 }
 
-// Releasing a name nobody ever acquired is a no-op: it must not leave an
-// empty lock behind in the manager for good.
+// queued reports whether some lock's queue holds a request of owner.
+func queued(m *LockManager, owner *holdList) bool {
+	for _, l := range m.locks {
+		for _, w := range l.queue {
+			if w.owner == owner {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Releasing a name nobody ever acquired, or for a key the manager has never
+// seen, is a no-op: it must not leave an empty lock or an owner's record
+// behind in the manager for good.
 func TestReleaseUnknownNameCreatesNothing(t *testing.T) {
 	_, m := newLockEnv()
 	m.Acquire(nil, "a", "held", S) // never blocks: nil proc is unused
 	m.Release("a", "never-acquired")
 	m.Release("b", "never-acquired")
+	m.Release("b", "held")
+	m.ReleaseAll("b")
 	if len(m.locks) != 1 {
 		t.Fatalf("%d locks in the manager after releasing an unknown name, want 1", len(m.locks))
+	}
+	if len(m.held) != 1 || m.records != 1 || len(m.heldFree) != 0 {
+		t.Fatalf("%d owners indexed, %d records made, %d free after releasing for an unknown key; want 1, 1, 0",
+			len(m.held), m.records, len(m.heldFree))
 	}
 	if m.Holders("held") != 1 || m.Stats().Released != 0 {
 		t.Fatalf("the unrelated hold moved: %d holders, %d released", m.Holders("held"), m.Stats().Released)
@@ -404,6 +444,45 @@ func TestReleaseAllLeavesNoHoldProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGrantWaitersClearsDeadSlots: granting a waiter takes it out of the
+// lock's queue — resliced past the head in FIFO order, compacted under
+// barging — and the slot it leaves must be cleared, or the queue's array
+// keeps the woken process reachable until the slice next reallocates. The
+// test watches the whole array of a queue that never has to grow.
+func TestGrantWaitersClearsDeadSlots(t *testing.T) {
+	for _, barging := range []bool{false, true} {
+		env, m := newLockEnv()
+		m.Barging = barging
+		const owners = 16
+		l := m.lockFor("l")
+		l.queue = make([]lockWait, 0, owners)
+		array := l.queue[:owners]
+		for o := 0; o < owners; o++ {
+			o := o
+			env.Go("owner", func(p *sim.Proc) {
+				mode := X
+				if o%3 == 1 {
+					mode = S // readers between the writers: barging grants them out of order
+				}
+				m.Acquire(p, o, "l", mode)
+				p.Sleep(time.Millisecond)
+				m.ReleaseAll(o)
+			})
+		}
+		if blocked := env.Run(); blocked != 0 || len(l.queue) != 0 {
+			t.Fatalf("barging %v: %d blocked, %d still queued", barging, blocked, len(l.queue))
+		}
+		if m.Stats().Waits != owners-1 {
+			t.Fatalf("barging %v: %d waits, want %d: the run was not contended", barging, m.Stats().Waits, owners-1)
+		}
+		for i, w := range array {
+			if w != (lockWait{}) {
+				t.Fatalf("barging %v: slot %d of the queue's array still holds a granted request", barging, i)
+			}
+		}
 	}
 }
 

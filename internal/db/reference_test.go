@@ -7,10 +7,11 @@ import (
 )
 
 // refLockManager is the lock manager as it was before its locks kept
-// per-mode counts, kept as the reference FuzzLockManager and
-// BenchmarkLockCycle compare LockManager against: a lock lists its holds,
-// grantable and drop walk that list comparing owners, and an owner's hold
-// list carries the locks only. The bodies below are the old ones.
+// per-mode counts and its bodies took the owner's record, kept as the
+// reference FuzzLockManager and BenchmarkLockCycle compare LockManager
+// against: owners are keys throughout, a lock lists its holds, grantable and
+// drop walk that list comparing owners, and an owner's hold list carries the
+// locks only. The bodies below are the old ones.
 
 // refLockHold is one granted hold.
 type refLockHold struct {
@@ -18,11 +19,18 @@ type refLockHold struct {
 	mode  Mode
 }
 
+// refLockWait is one queued request, by the owner's key.
+type refLockWait struct {
+	owner interface{}
+	mode  Mode
+	proc  *sim.Proc
+}
+
 // refLock is one lockable resource: every granted hold, in grant order.
 type refLock struct {
 	name    string
 	granted []refLockHold
-	queue   []lockWait
+	queue   []refLockWait
 }
 
 // grantable reports whether a request is compatible with every current
@@ -61,9 +69,7 @@ type refLockManager struct {
 	heldFree []*refHoldList
 	// Barging enables reader-preference granting.
 	Barging bool
-	// waited records per-acquisition wait times for diagnosis.
-	waited sim.Series
-	stats  LockStats
+	stats   LockStats
 }
 
 func newRefLockManager(env *sim.Env) *refLockManager {
@@ -132,15 +138,11 @@ func (m *refLockManager) Acquire(p *sim.Proc, owner interface{}, name string, mo
 	l := m.lockFor(name)
 	if (m.Barging || len(l.queue) == 0) && l.grantable(owner, mode) {
 		m.grant(l, owner, mode)
-		m.waited.Add(0)
 		return
 	}
 	m.stats.Waits++
-	start := p.Now()
-	l.queue = append(l.queue, lockWait{owner: owner, mode: mode, proc: p})
-	p.Park()
-	m.waited.Add(p.Now() - start)
-	// The releaser granted the hold before waking us.
+	l.queue = append(l.queue, refLockWait{owner: owner, mode: mode, proc: p})
+	p.Park() // the releaser grants the hold before waking us
 }
 
 // Release drops every hold owner has on `name` and grants waiters.

@@ -18,10 +18,10 @@ import (
 //
 // The environment runs on one of two virtual-time engines (shard.go):
 //
-//   - the serial engine (the default) drains a single event heap in strict
+//   - the serial engine (the default) drains a single event queue in strict
 //     (at, seq) order — the golden reference every experiment output is
 //     pinned against;
-//   - the sharded engine partitions events across per-shard heaps, each
+//   - the sharded engine partitions events across per-shard queues, each
 //     with its own local clock, advanced concurrently in conservative
 //     lookahead windows with a deterministic merge barrier for cross-shard
 //     messages. With a single shard its event order is identical to the
@@ -134,19 +134,89 @@ type event struct {
 	fn   func() // timer callback, used when proc is nil
 }
 
-// eventHeap is a typed binary min-heap of value events ordered by (at, seq).
-// (at, seq) keys are unique — seq increases on every push — so heap order is
-// total and runs are deterministic. A typed heap avoids the interface{}
-// boxing of container/heap, which allocated one event per Push/Pop on the
-// simulator's hottest loop.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before reports whether a pops ahead of b. (at, seq) keys are unique — seq
+// increases on every push — so the order is total and runs are deterministic.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
+
+// eventQueue is a shard's pending events, popped in (at, seq) order from two
+// lanes. A push not earlier than the FIFO lane's newest event is appended to
+// the lane in O(1) — its seq is the larger by construction, so the lane stays
+// sorted: every arrival of a stream scheduled up front (the database run
+// enqueues its 4 000 transactions before it starts), every inbox merged at a
+// window barrier, any push into an empty lane. The rest goes to a binary heap
+// and pop takes the smaller of the two heads, which is the order one heap
+// would give; when nothing arrives in order the queue is that heap.
+type eventQueue struct {
+	lane     []event // a ring: len is zero or a power of two
+	head, n  int     // index of the lane's oldest event; events in the lane
+	heap     eventHeap
+	heapHigh int // the most events the heap has held
+}
+
+// eventHeapInitialCap pre-sizes each lane on its first push: even the
+// six-processor database run keeps well under this many events in flight
+// besides its arrivals, so steady-state simulations never grow the queue.
+const eventHeapInitialCap = 128
+
+func (q *eventQueue) push(ev event) {
+	mask := len(q.lane) - 1
+	if q.n > 0 && ev.at < q.lane[(q.head+q.n-1)&mask].at {
+		if q.heap == nil {
+			q.heap = make(eventHeap, 0, eventHeapInitialCap)
+		}
+		q.heap.push(ev)
+		q.heapHigh = max(q.heapHigh, len(q.heap))
+		return
+	}
+	if q.n == len(q.lane) { // full, or not allocated: unwrap into twice the room
+		lane := make([]event, max(eventHeapInitialCap, 2*len(q.lane)))
+		k := copy(lane, q.lane[q.head:])
+		copy(lane[k:], q.lane[:q.head])
+		q.lane, q.head, mask = lane, 0, len(lane)-1
+	}
+	q.lane[(q.head+q.n)&mask] = ev
+	q.n++
+}
+
+// laneFirst reports whether the next event to pop is the lane's head.
+func (q *eventQueue) laneFirst() bool {
+	return len(q.heap) == 0 || q.n > 0 && q.lane[q.head].before(&q.heap[0])
+}
+
+// nextAt reports the timestamp of the next event to pop, if any is queued.
+func (q *eventQueue) nextAt() (time.Duration, bool) {
+	if !q.laneFirst() {
+		return q.heap[0].at, true
+	}
+	if q.n == 0 {
+		return 0, false
+	}
+	return q.lane[q.head].at, true
+}
+
+// pop removes the earliest event. The queue must not be empty.
+func (q *eventQueue) pop() event {
+	if !q.laneFirst() {
+		return q.heap.pop()
+	}
+	ev := q.lane[q.head]
+	q.lane[q.head] = event{} // drop the callback/proc references for the GC
+	q.head = (q.head + 1) & (len(q.lane) - 1)
+	if q.n--; q.n == 0 && len(q.lane) > eventHeapInitialCap {
+		q.lane, q.head = nil, 0 // a drained burst gives its array back
+	}
+	return ev
+}
+
+// eventHeap is a typed binary min-heap of value events. A typed heap avoids
+// the interface{} boxing of container/heap, which allocated one event per
+// Push/Pop on the simulator's hottest loop.
+type eventHeap []event
 
 func (h *eventHeap) push(ev event) {
 	*h = append(*h, ev)
@@ -154,7 +224,7 @@ func (h *eventHeap) push(ev event) {
 	// Sift up.
 	for i := len(s) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if !s.less(i, parent) {
+		if !s[i].before(&s[parent]) {
 			break
 		}
 		s[i], s[parent] = s[parent], s[i]
@@ -169,27 +239,15 @@ func (h *eventHeap) pop() event {
 	s[0] = s[n]
 	s[n] = event{} // drop the callback/proc references for the GC
 	s = s[:n]
-	// Shrink the backing array when the queue drains far below its
-	// high-water mark: a scheduling burst (the database run enqueues every
-	// transaction up front) can grow the heap to tens of thousands of slots
-	// that steady state never touches again, and every dead slot beyond
-	// len is reachable capacity the GC must keep. Hysteresis — quarter
-	// full, at least 4x the initial capacity, halving — bounds the copy at
-	// amortized O(1) per pop and cannot oscillate against append's growth.
-	if c := cap(s); c >= 4*eventHeapInitialCap && n <= c/4 {
-		ns := make(eventHeap, n, c/2)
-		copy(ns, s)
-		s = ns
-	}
 	*h = s
 	// Sift down.
 	for i := 0; ; {
 		l, r := 2*i+1, 2*i+2
 		min := i
-		if l < n && s.less(l, min) {
+		if l < n && s[l].before(&s[min]) {
 			min = l
 		}
-		if r < n && s.less(r, min) {
+		if r < n && s[r].before(&s[min]) {
 			min = r
 		}
 		if min == i {
@@ -200,11 +258,6 @@ func (h *eventHeap) pop() event {
 	}
 	return top
 }
-
-// eventHeapInitialCap pre-sizes the queue so steady-state simulations never
-// grow it: even the six-processor database run keeps well under this many
-// events in flight.
-const eventHeapInitialCap = 128
 
 // At schedules fn to run at absolute virtual time t (which must not be in
 // the past). fn runs in the scheduler's goroutine and must not block.
@@ -288,7 +341,7 @@ func (e *Env) RunUntil(deadline time.Duration) int {
 		return e.runWindows(deadline)
 	}
 	s := e.shards[0]
-	s.drainSerial(deadline)
+	s.drain(deadline)
 	return s.blocked
 }
 
@@ -301,9 +354,7 @@ type Resource struct {
 	capacity int
 	inUse    int
 	waiters  []*Proc
-	// contention statistics
-	waited   Series
-	acquires Counter
+	waited   Series // time each Acquire spent queued
 }
 
 // NewResource returns a resource with the given capacity (number of units).
@@ -317,7 +368,6 @@ func NewResource(env *Env, capacity int) *Resource {
 // Acquire obtains one unit, blocking the process in FIFO order if all units
 // are busy.
 func (r *Resource) Acquire(p *Proc) {
-	r.acquires.Inc()
 	if r.inUse < r.capacity {
 		r.inUse++
 		r.waited.Add(0)
@@ -335,6 +385,7 @@ func (r *Resource) Acquire(p *Proc) {
 func (r *Resource) Release() {
 	if len(r.waiters) > 0 {
 		w := r.waiters[0]
+		r.waiters[0] = nil // or the array keeps the woken process reachable
 		r.waiters = r.waiters[1:]
 		// Hand the unit directly to w: inUse stays the same.
 		r.env.Wake(w)

@@ -21,9 +21,9 @@ import (
 // drain their own queues for one window with no coordination at all;
 // cross-shard sends buffer into the destination's inbox and merge at the
 // window barrier in a deterministic total order (at, source shard, source
-// sequence), the sharded analogue of the serial heap's (at, seq) order.
+// sequence), the sharded analogue of the serial queue's (at, seq) order.
 //
-// With one shard the window loop pops the same heap in the same (at, seq)
+// With one shard the window loop pops the same queue in the same (at, seq)
 // order the serial engine does, advancing the same clock — which is why
 // reproduce.golden stays byte-identical under the sharded engine.
 
@@ -61,7 +61,7 @@ func BootTimeEngine() string {
 // ---------------------------------------------------------------------------
 // Shard
 
-// Shard is one partition of a sharded environment: an event heap, a local
+// Shard is one partition of a sharded environment: an event queue, a local
 // clock, and the free coroutines of the simulated processes pinned to it.
 // During a lookahead window each shard is drained by exactly one goroutine,
 // so none of its fields need locks except the inbox, which other shards
@@ -71,7 +71,7 @@ type Shard struct {
 	id    int
 	clock *Clock
 
-	events eventHeap
+	events eventQueue
 	seq    int64
 
 	free    []*worker // coroutines whose process finished, reused by the next to start
@@ -84,7 +84,7 @@ type Shard struct {
 	sendSeq int64
 
 	// inbox buffers events other shards send here during a window, merged
-	// into the heap at the window barrier.
+	// into the queue at the window barrier.
 	inboxMu sync.Mutex
 	inbox   []inbound
 }
@@ -108,11 +108,12 @@ func (s *Shard) Clock() *Clock { return s.clock }
 // Now returns the shard's current local virtual time.
 func (s *Shard) Now() time.Duration { return s.clock.Now() }
 
+// HeapHighWater reports the most events the shard's queue has held outside
+// its FIFO lane: how much of the run was scheduled out of order.
+func (s *Shard) HeapHighWater() int { return s.events.heapHigh }
+
 // push assigns the next local sequence number and queues the event.
 func (s *Shard) push(ev event) {
-	if s.events == nil {
-		s.events = make(eventHeap, 0, eventHeapInitialCap)
-	}
 	s.seq++
 	ev.seq = s.seq
 	s.events.push(ev)
@@ -193,25 +194,16 @@ func (s *Shard) dispatch(ev event) {
 	}
 }
 
-// drainSerial is the serial engine's loop, verbatim: pop in (at, seq) order
-// through the deadline, advancing the clock to each event.
-func (s *Shard) drainSerial(deadline time.Duration) {
-	for len(s.events) > 0 {
-		if s.events[0].at > deadline {
+// drain is both engines' loop: pop in (at, seq) order through the deadline,
+// advancing the clock to each event. A window [gvt, bound) is a drain through
+// bound-1: events scheduled during it (wakes, sleeps) that land below bound
+// run within it; cross-shard arrivals cannot, by the lookahead argument at
+// the top of the file.
+func (s *Shard) drain(deadline time.Duration) {
+	for {
+		if at, ok := s.events.nextAt(); !ok || at > deadline {
 			break
 		}
-		ev := s.events.pop()
-		s.clock.AdvanceTo(ev.at)
-		s.dispatch(ev)
-	}
-}
-
-// drainWindow drains this shard's events with timestamps strictly below
-// bound. Events scheduled during the window (wakes, sleeps) that land below
-// bound run within it; cross-shard arrivals cannot land below bound, by the
-// lookahead argument at the top of the file.
-func (s *Shard) drainWindow(bound time.Duration) {
-	for len(s.events) > 0 && s.events[0].at < bound {
 		ev := s.events.pop()
 		s.clock.AdvanceTo(ev.at)
 		s.dispatch(ev)
@@ -227,11 +219,12 @@ func (e *Env) nextEventTime() (time.Duration, bool) {
 	var gvt time.Duration
 	any := false
 	for _, s := range e.shards {
-		if len(s.events) == 0 {
+		at, ok := s.events.nextAt()
+		if !ok {
 			continue
 		}
-		if !any || s.events[0].at < gvt {
-			gvt = s.events[0].at
+		if !any || at < gvt {
+			gvt = at
 		}
 		any = true
 	}
@@ -257,19 +250,19 @@ func (e *Env) runWindows(deadline time.Duration) int {
 		e.windows++
 		e.active = e.active[:0]
 		for _, s := range e.shards {
-			if len(s.events) > 0 && s.events[0].at < bound {
+			if at, ok := s.events.nextAt(); ok && at < bound {
 				e.active = append(e.active, s)
 			}
 		}
 		if len(e.active) == 1 {
-			e.active[0].drainWindow(bound)
+			e.active[0].drain(bound - 1)
 		} else {
 			var wg sync.WaitGroup
 			for _, s := range e.active {
 				wg.Add(1)
 				go func(s *Shard) {
 					defer wg.Done()
-					s.drainWindow(bound)
+					s.drain(bound - 1)
 				}(s)
 			}
 			wg.Wait()
@@ -284,7 +277,7 @@ func (e *Env) runWindows(deadline time.Duration) int {
 }
 
 // mergeInboxes folds every shard's buffered cross-shard arrivals into its
-// heap at the window barrier. Arrivals are ordered by (at, source shard,
+// queue at the window barrier. Arrivals are ordered by (at, source shard,
 // source sequence) before local sequence numbers are assigned, so the total
 // order — and therefore the run — is deterministic regardless of how the
 // window's shard goroutines interleaved on the wall clock. It runs with the

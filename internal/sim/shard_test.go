@@ -202,33 +202,3 @@ func TestShardedBlockedProcs(t *testing.T) {
 		t.Fatalf("blocked = %d, want 2", blocked)
 	}
 }
-
-// TestEventHeapShrinks pins the pop-side capacity release: after a burst
-// grows the heap far past the initial capacity, draining it back down must
-// shrink the backing array instead of pinning the high-water mark forever.
-func TestEventHeapShrinks(t *testing.T) {
-	var h eventHeap
-	const burst = 8 * eventHeapInitialCap
-	for i := 0; i < burst; i++ {
-		h.push(event{at: time.Duration(i), seq: int64(i)})
-	}
-	grown := cap(h)
-	if grown < burst {
-		t.Fatalf("cap %d after %d pushes", grown, burst)
-	}
-	for i := 0; i < burst-8; i++ {
-		h.pop()
-	}
-	if cap(h) >= grown {
-		t.Fatalf("heap never shrank: cap %d (high water %d, len %d)", cap(h), grown, len(h))
-	}
-	// Drain the rest in order to confirm shrinking preserved the heap.
-	prev := time.Duration(-1)
-	for len(h) > 0 {
-		ev := h.pop()
-		if ev.at < prev {
-			t.Fatalf("heap order broken after shrink: %v after %v", ev.at, prev)
-		}
-		prev = ev.at
-	}
-}

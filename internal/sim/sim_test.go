@@ -338,6 +338,32 @@ func TestResourceWaitStats(t *testing.T) {
 	}
 }
 
+// TestResourceReleaseClearsDeadHeads: Release reslices the wait queue past
+// its head, so the head's slot must be cleared first or the backing array
+// keeps the woken process reachable until the slice next reallocates. The
+// test watches the whole array of a queue that never has to grow.
+func TestResourceReleaseClearsDeadHeads(t *testing.T) {
+	e := NewEnv(&Clock{})
+	r := NewResource(e, 1)
+	const procs = 16
+	r.waiters = make([]*Proc, 0, procs)
+	array := r.waiters[:procs]
+	for i := 0; i < procs; i++ {
+		e.Go("p", func(p *Proc) { r.Use(p, func() { p.Sleep(time.Millisecond) }) })
+	}
+	if blocked := e.Run(); blocked != 0 || r.QueueLen() != 0 {
+		t.Fatalf("%d blocked, %d still queued", blocked, r.QueueLen())
+	}
+	if r.WaitStats().Max() != (procs-1)*time.Millisecond {
+		t.Fatalf("max wait %v: the run was not contended", r.WaitStats().Max())
+	}
+	for i, p := range array {
+		if p != nil {
+			t.Fatalf("slot %d of the wait queue's array still holds a woken process", i)
+		}
+	}
+}
+
 func TestResourceOverReleasePanics(t *testing.T) {
 	var c Clock
 	e := NewEnv(&c)
@@ -356,18 +382,18 @@ func TestEnvManyProcsDeterministic(t *testing.T) {
 		e := NewEnv(&c)
 		r := NewResource(e, 3)
 		rng := NewRNG(99)
-		var total Counter
+		var total int64
 		for i := 0; i < 200; i++ {
 			d := time.Duration(rng.Intn(1000)+1) * time.Microsecond
 			e.GoAt(time.Duration(rng.Intn(5000))*time.Microsecond, "p", func(p *Proc) {
 				r.Acquire(p)
 				p.Sleep(d)
 				r.Release()
-				total.Inc()
+				total++
 			})
 		}
 		e.Run()
-		return c.Now(), total.Value()
+		return c.Now(), total
 	}
 	t1, n1 := run()
 	t2, n2 := run()

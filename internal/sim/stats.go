@@ -95,17 +95,3 @@ func (s *Series) String() string {
 		s.Count(), s.Mean().Round(time.Microsecond), s.Max().Round(time.Microsecond),
 		s.Percentile(99).Round(time.Microsecond))
 }
-
-// Counter is a named monotonically increasing event count.
-type Counter struct {
-	n int64
-}
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.n++ }
-
-// Addn adds n to the counter.
-func (c *Counter) Addn(n int64) { c.n += n }
-
-// Value reports the current count.
-func (c *Counter) Value() int64 { return c.n }

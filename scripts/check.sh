@@ -84,6 +84,19 @@ if grep -nE "$ledger(\[[^]]*\])?(\.[A-Za-z]+)* *([-+]?=[^=]|\+\+|--)|(append|del
     exit 1
 fi
 
+# PR 21 put the lock manager's bodies on the owner's record — the keyed
+# spellings resolve the key once — and gave the event queue a FIFO lane for
+# in-order pushes, which retired the heap's pop-side shrink (a copy into a
+# half-size array once a burst had drained).
+if grep -nE 'func (\([a-z]+ \*LockManager\) )?(acquire|grant|grantable|releaseAll)\([^)]*interface\{\}' internal/db/locks.go; then
+    echo "a lock-manager body takes an interface{} owner again: bodies take the owner's *holdList (see the matches above)" >&2
+    exit 1
+fi
+if grep -nE 'make\(eventHeap, *[a-z]+,' internal/sim/des.go; then
+    echo "the event heap's pop-side shrink deleted in PR 21 is back (see the matches above)" >&2
+    exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 
