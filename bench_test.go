@@ -225,7 +225,7 @@ func benchWorkload(b *testing.B, spec workload.Spec) {
 	}
 	var vppMS, ultMS, calls, migrates float64
 	for i := 0; i < b.N; i++ {
-		vr, err := workload.NewVppRunner(0)
+		vr, err := workload.NewVppRunner(0, kernel.Config{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -19,7 +19,7 @@
 //	reproduce -sweep all             # ... or all four
 //	reproduce -sched concurrent      # concurrent fault-delivery scheduler
 //	reproduce -super                 # enable the superpage extent fast path
-//	reproduce -reclaim lru           # boot-default replacement policy for the tables
+//	reproduce -reclaim lru           # replacement policy of the tables' managers
 //	reproduce -timeengine sharded    # sharded virtual-time engine (golden stays identical)
 //	reproduce -profile out/          # write mutex/block pprof profiles to a directory
 package main
@@ -39,7 +39,6 @@ import (
 	"epcm/internal/harness"
 	"epcm/internal/kernel"
 	"epcm/internal/manager"
-	"epcm/internal/sim"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -56,8 +55,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ablations := fs.Bool("ablations", false, "also print the design-choice ablation summary")
 	par := fs.Int("par", 0, "worker-pool size; 0 means GOMAXPROCS, 1 means sequential")
 	sched := fs.String("sched", "serial", "fault-delivery scheduler: serial (deterministic) or concurrent")
-	super := fs.Bool("super", false, "enable the superpage extent fast path process-wide (off by default; the golden tables assume it off)")
-	reclaim := fs.String("reclaim", "", "boot-default replacement policy for all managers: clock, lru, lfu, s3fifo or mglru")
+	super := fs.Bool("super", false, "enable the superpage extent fast path in every kernel the tables boot (off by default; the golden tables assume it off)")
+	reclaim := fs.String("reclaim", "", "replacement policy for every manager the tables boot: clock (the default), lru, lfu, s3fifo or mglru")
 	timeEngine := fs.String("timeengine", "serial", "virtual-time engine: serial (golden reference) or sharded (windowed conservative)")
 	profileDir := fs.String("profile", "", "write mutex and block pprof profiles to this directory at exit")
 	sweep := fs.String("sweep", "", "also print an extension table (model numbers only): "+sweepNames()+", or all")
@@ -83,18 +82,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *sweep != "" && len(sweeps) == 0 {
 		return usage(fmt.Errorf("no such sweep %q (want %s, or all)", *sweep, sweepNames()))
 	}
-	if *reclaim != "" {
-		if err := manager.SetBootPolicy(*reclaim); err != nil {
-			return usage(err)
-		}
-	}
-	if err := kernel.SetBootScheduler(*sched); err != nil {
+	modes, err := parseModes(*sched, *timeEngine, *reclaim, *super)
+	if err != nil {
 		return usage(err)
 	}
-	if err := sim.SetBootTimeEngine(*timeEngine); err != nil {
-		return usage(err)
-	}
-	kernel.SetSuperpages(*super)
 	if *profileDir != "" {
 		// Contention profiling: sample every mutex hold and every blocking
 		// event for the whole run, and write the profiles out once the
@@ -109,13 +100,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tasks = append(tasks, harness.Task[*experiments.Report]{Name: name, Run: run})
 	}
 	if *table == 0 || *table == 1 {
-		add("table1", experiments.Table1)
+		add("table1", modes.Table1)
 	}
 	if *table == 0 || *table == 2 || *table == 3 {
-		add("tables2-3", experiments.Tables23)
+		add("tables2-3", modes.Tables23)
 	}
 	if *table == 0 || *table == 4 {
-		add("table4", func() (*experiments.Report, error) { return experiments.Table4(*txns, *seed) })
+		add("table4", func() (*experiments.Report, error) { return modes.Table4(*txns, *seed) })
 	}
 	if *ablations {
 		add("ablations", experiments.Ablations)
@@ -137,6 +128,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return status
+}
+
+// parseModes builds the tables' Modes from the four mode flags, rejecting a
+// name no constructor knows.
+func parseModes(sched, timeEngine, reclaim string, super bool) (experiments.Modes, error) {
+	m := experiments.Modes{Superpages: super, Policy: reclaim}
+	var err error
+	if m.Concurrent, err = kernel.ParseScheduler(sched); err != nil {
+		return m, err
+	}
+	switch timeEngine {
+	case "", "serial":
+	case "sharded":
+		m.ShardedTime = true
+	default:
+		return m, fmt.Errorf("unknown time engine %q (want serial or sharded)", timeEngine)
+	}
+	if reclaim != "" {
+		if _, err := manager.NewPolicy(reclaim); err != nil {
+			return m, err
+		}
+	}
+	return m, nil
 }
 
 // sweepNames is the -sweep values, comma-separated, in table order.

@@ -7,29 +7,11 @@ import (
 	"testing"
 
 	"epcm/internal/experiments"
-	"epcm/internal/kernel"
-	"epcm/internal/manager"
-	"epcm/internal/sim"
 )
 
-// runCLI calls run with args, restoring the three process-global boot modes
-// and the superpage switch it sets when the test ends.
+// runCLI calls run with args and captures what it printed.
 func runCLI(t *testing.T, args ...string) (status int, stdout, stderr string) {
 	t.Helper()
-	policy, engine, super := manager.BootPolicy(), sim.BootTimeEngine(), kernel.SuperpagesEnabled()
-	t.Cleanup(func() {
-		kernel.SetSuperpages(super)
-		// "serial" is the boot scheduler's default; it has no getter.
-		if err := kernel.SetBootScheduler("serial"); err != nil {
-			t.Error(err)
-		}
-		if err := sim.SetBootTimeEngine(engine); err != nil {
-			t.Error(err)
-		}
-		if err := manager.SetBootPolicy(policy); err != nil {
-			t.Error(err)
-		}
-	})
 	var out, errb bytes.Buffer
 	status = run(args, &out, &errb)
 	return status, out.String(), errb.String()

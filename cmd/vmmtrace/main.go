@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -26,17 +28,28 @@ import (
 	"epcm/internal/workload"
 )
 
-func main() {
-	wl := flag.String("workload", "diff", "workload: diff, uncompress, latex, scan, random")
-	system := flag.String("system", "both", "system: vpp, ultrix, both")
-	memMB := flag.Int("mem", 128, "physical memory in MB")
-	replay := flag.String("replay", "", "replay a recorded reference trace file instead of a workload")
-	mru := flag.Bool("mru", false, "with -replay: use the MRU replacement policy instead of the clock")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *replay != "" {
-		replayTrace(*replay, *memMB, *mru)
-		return
+// run is main with its inputs and outputs as parameters. It returns the
+// exit status: 0 on success, 1 when the run itself fails, 2 on a usage
+// error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("vmmtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	wl := fs.String("workload", "diff", "workload: diff, uncompress, latex, scan, random")
+	system := fs.String("system", "both", "system: vpp, ultrix, both")
+	memMB := fs.Int("mem", 128, "physical memory in MB (at least 1)")
+	replay := fs.String("replay", "", "replay a recorded reference trace file instead of a workload")
+	mru := fs.Bool("mru", false, "with -replay: use the MRU replacement policy instead of the clock")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(status int, err error) int {
+		fmt.Fprintln(stderr, "vmmtrace:", err)
+		return status
 	}
 
 	var spec workload.Spec
@@ -55,71 +68,80 @@ func main() {
 		spec = workload.Synthetic()[1]
 		calibrate = false
 	default:
-		fmt.Fprintf(os.Stderr, "vmmtrace: unknown workload %q\n", *wl)
-		os.Exit(2)
+		return fail(2, fmt.Errorf("unknown workload %q (want diff, uncompress, latex, scan or random)", *wl))
 	}
+	if *system != "vpp" && *system != "ultrix" && *system != "both" {
+		return fail(2, fmt.Errorf("unknown system %q (want vpp, ultrix or both)", *system))
+	}
+	if *memMB < 1 {
+		return fail(2, fmt.Errorf("-mem %d: the machine needs at least 1 MB", *memMB))
+	}
+
+	if *replay != "" {
+		if err := replayTrace(stdout, *replay, *memMB, *mru); err != nil {
+			return fail(1, err)
+		}
+		return 0
+	}
+
 	cal := spec
 	if calibrate {
 		var err error
 		cal, err = workload.Calibrated(spec)
 		if err != nil {
-			fatal(err)
+			return fail(1, err)
 		}
 	}
 	memPages := *memMB * 256
 
 	if *system == "vpp" || *system == "both" {
-		r, err := workload.NewVppRunner(memPages)
+		r, err := workload.NewVppRunner(memPages, kernel.Config{}, nil)
 		if err != nil {
-			fatal(err)
+			return fail(1, err)
 		}
 		elapsed, c, err := workload.Run(r, cal)
 		if err != nil {
-			fatal(err)
+			return fail(1, err)
 		}
-		report("V++", spec.Name, elapsed, c)
+		report(stdout, "V++", spec.Name, elapsed, c)
 	}
 	if *system == "ultrix" || *system == "both" {
 		r := workload.NewUltrixRunner(memPages)
 		elapsed, c, err := workload.Run(r, cal)
 		if err != nil {
-			fatal(err)
+			return fail(1, err)
 		}
-		report("Ultrix", spec.Name, elapsed, c)
+		report(stdout, "Ultrix", spec.Name, elapsed, c)
 	}
+	return 0
 }
 
-func report(system, name string, elapsed time.Duration, c workload.Counters) {
-	fmt.Printf("%s running %s:\n", system, name)
-	fmt.Printf("  elapsed (virtual)     %v\n", elapsed.Round(time.Millisecond))
-	fmt.Printf("  page faults           %d\n", c.Faults)
+func report(w io.Writer, system, name string, elapsed time.Duration, c workload.Counters) {
+	fmt.Fprintf(w, "%s running %s:\n", system, name)
+	fmt.Fprintf(w, "  elapsed (virtual)     %v\n", elapsed.Round(time.Millisecond))
+	fmt.Fprintf(w, "  page faults           %d\n", c.Faults)
 	if c.ManagerCalls > 0 {
-		fmt.Printf("  manager calls          %d\n", c.ManagerCalls)
-		fmt.Printf("  MigratePages calls     %d\n", c.MigrateCalls)
+		fmt.Fprintf(w, "  manager calls          %d\n", c.ManagerCalls)
+		fmt.Fprintf(w, "  MigratePages calls     %d\n", c.MigrateCalls)
 	}
-	fmt.Printf("  read calls             %d\n", c.ReadCalls)
-	fmt.Printf("  write calls            %d\n", c.WriteCalls)
+	fmt.Fprintf(w, "  read calls             %d\n", c.ReadCalls)
+	fmt.Fprintf(w, "  write calls            %d\n", c.WriteCalls)
 	if c.ZeroFills > 0 {
-		fmt.Printf("  security zero fills    %d\n", c.ZeroFills)
+		fmt.Fprintf(w, "  security zero fills    %d\n", c.ZeroFills)
 	}
-	fmt.Println()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "vmmtrace:", err)
-	os.Exit(1)
+	fmt.Fprintln(w)
 }
 
 // replayTrace replays a reference trace file against a fresh V++ machine.
-func replayTrace(path string, memMB int, mru bool) {
+func replayTrace(w io.Writer, path string, memMB int, mru bool) error {
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer f.Close()
 	tr, err := trace.Decode(f)
 	if err != nil {
-		fatal(err)
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: int64(memMB) << 20, StoreData: false})
 	var clock sim.Clock
@@ -127,7 +149,7 @@ func replayTrace(path string, memMB int, mru bool) {
 	store := storage.NewStore(&clock, storage.LocalDisk(), 4096)
 	pool, err := manager.NewFixedPool(k, int64(memMB)*256-64, 16)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	cfg := manager.Config{Name: "replay", Source: pool, Backing: manager.NewSwapBacking(store)}
 	if mru {
@@ -135,20 +157,21 @@ func replayTrace(path string, memMB int, mru bool) {
 	}
 	g, err := manager.NewGeneric(k, cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	res, err := trace.Replay(k, tr, g.CreateManagedSegment)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	policy := "clock"
 	if mru {
 		policy = "mru"
 	}
-	fmt.Printf("replayed %d references over %d segments (policy %s, %d MB):\n",
+	fmt.Fprintf(w, "replayed %d references over %d segments (policy %s, %d MB):\n",
 		res.Refs, len(tr.Segments()), policy, memMB)
-	fmt.Printf("  faults   %d\n", res.Faults)
-	fmt.Printf("  reclaims %d\n", g.Stats().Reclaims)
-	fmt.Printf("  disk ops %d\n", store.Reads()+store.Writes())
-	fmt.Printf("  elapsed  %v (virtual)\n", clock.Now().Round(time.Millisecond))
+	fmt.Fprintf(w, "  faults   %d\n", res.Faults)
+	fmt.Fprintf(w, "  reclaims %d\n", g.Stats().Reclaims)
+	fmt.Fprintf(w, "  disk ops %d\n", store.Reads()+store.Writes())
+	fmt.Fprintf(w, "  elapsed  %v (virtual)\n", clock.Now().Round(time.Millisecond))
+	return nil
 }

@@ -97,16 +97,6 @@ type PageRange = kernel.PageRange
 // source/destination page lists into the fewest ranges for a batched call.
 var CoalesceRanges = kernel.CoalesceRanges
 
-// Superpage-plane helpers re-exported from the kernel. SetSuperpages is the
-// process-wide half of the extent gate (Config.Superpages flips it at boot);
-// the per-manager half is ManagerConfig.ExtentOrder. Both must be set for
-// any extent to be promoted, so the default configuration never changes the
-// golden reproduction output.
-var (
-	SetSuperpages     = kernel.SetSuperpages
-	SuperpagesEnabled = kernel.SuperpagesEnabled
-)
-
 // Generic is the specializable generic segment manager of the paper's §2.2.
 type Generic = manager.Generic
 
@@ -143,15 +133,11 @@ type PolicyHost = manager.PolicyHost
 type PageID = manager.PageID
 
 // Policy registry re-exports: NewPolicy constructs a registered policy by
-// name, PolicyNames lists them, RegisterPolicy adds a custom one, and
-// SetBootPolicy/BootPolicy select the process-wide default for managers
-// that do not choose explicitly.
+// name, PolicyNames lists them and RegisterPolicy adds a custom one.
 var (
 	NewPolicy      = manager.NewPolicy
 	PolicyNames    = manager.PolicyNames
 	RegisterPolicy = manager.RegisterPolicy
-	SetBootPolicy  = manager.SetBootPolicy
-	BootPolicy     = manager.BootPolicy
 )
 
 // SetSegmentPolicy binds a replacement policy instance to one managed

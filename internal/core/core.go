@@ -53,28 +53,19 @@ type Config struct {
 	// output and benchmarks are unaffected.
 	FaultPlan *faultinject.Plan
 	// Scheduler selects the fault-delivery plane scheduler: "serial" (the
-	// deterministic default), "concurrent" (one worker goroutine per
-	// manager, sharded kernel caches), or "" to keep whatever mode the
-	// process selected with kernel.SetBootScheduler.
+	// deterministic default, also ""), or "concurrent" (one worker
+	// goroutine per manager, sharded kernel caches).
 	Scheduler string
-	// ReclaimPolicy names the replacement policy managers boot with when
-	// their manager.Config leaves Policy nil: "clock" (the §2.2 default),
-	// "lru", "lfu", "s3fifo" or "mglru". It applies to the default manager
-	// and to NewAppManager; "" keeps the process boot default.
+	// ReclaimPolicy names the replacement policy this system's managers
+	// boot with when their manager.Config leaves Policy nil: "clock" (the
+	// §2.2 default, also ""), "lru", "lfu", "s3fifo" or "mglru". It applies
+	// to the default manager and to NewAppManager.
 	ReclaimPolicy string
-	// TimeEngine selects the virtual-time engine environments built after
-	// this Boot use: "serial" (the golden-reference default) or "sharded"
-	// (per-manager event queues advanced in conservative lookahead
-	// windows); "" keeps whatever mode the process selected with
-	// sim.SetBootTimeEngine. Like Scheduler, it is a process-wide boot
-	// knob, not a per-system one.
-	TimeEngine string
-	// Superpages turns on the process-wide superpage extent plane
-	// (kernel.SetSuperpages): managers configured with a non-zero
+	// Superpages turns on this system's superpage extent plane
+	// (kernel.Config.Superpages): managers configured with a non-zero
 	// manager.Config.ExtentOrder promote naturally aligned runs of base
 	// pages into single mapping/TLB entries and the kernel applies
-	// extent-granular fault costs. False keeps whatever mode the process
-	// already selected, so the golden-reference runs are unaffected.
+	// extent-granular fault costs.
 	Superpages bool
 }
 
@@ -118,28 +109,11 @@ func Boot(cfg Config) (*System, error) {
 	})
 	clock := &sim.Clock{}
 	cost := sim.DECstation5000()
-	k := kernel.New(mem, clock, cost, kernel.Config{})
-	switch cfg.Scheduler {
-	case "": // keep the process-wide boot mode
-	case "serial":
-		if k.Scheduler().Concurrent() {
-			k.SetScheduler(kernel.NewSerialScheduler(k))
-		}
-	case "concurrent":
-		if !k.Scheduler().Concurrent() {
-			k.SetScheduler(kernel.NewConcurrentScheduler(k))
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown scheduler %q (want serial or concurrent)", cfg.Scheduler)
+	concurrent, err := kernel.ParseScheduler(cfg.Scheduler)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	if cfg.TimeEngine != "" {
-		if err := sim.SetBootTimeEngine(cfg.TimeEngine); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	}
-	if cfg.Superpages {
-		kernel.SetSuperpages(true)
-	}
+	k := kernel.New(mem, clock, cost, kernel.Config{Concurrent: concurrent, Superpages: cfg.Superpages})
 
 	latency := storage.NetworkServer()
 	if cfg.Storage != nil {

@@ -23,13 +23,9 @@ func extentFillHash(t *testing.T) (spills, drops int64) {
 		frameSize = 4096
 		epochs    = 3
 	)
-	prev := kernel.SuperpagesEnabled()
-	kernel.SetSuperpages(true)
-	defer kernel.SetSuperpages(prev)
-
 	clock := new(sim.Clock)
 	mem := phys.NewMemory(phys.Config{FrameSize: frameSize, TotalBytes: 2*pages*frameSize + 8<<20})
-	k := kernel.New(mem, clock, sim.DECstation5000(), kernel.Config{})
+	k := kernel.New(mem, clock, sim.DECstation5000(), kernel.Config{Superpages: true})
 	policy := spcm.DefaultPolicy()
 	policy.LaneCacheRefill = 512
 	pool := spcm.New(k, policy)
@@ -80,6 +76,7 @@ func extentFillHash(t *testing.T) (spills, drops int64) {
 // must displace and drop exactly the same number of entries. (They once did
 // not: see the determinism note in DESIGN.md.)
 func TestExtentFillHashDeterministic(t *testing.T) {
+	t.Parallel()
 	spills, drops := extentFillHash(t)
 	for boot := 1; boot < 6; boot++ {
 		if s, d := extentFillHash(t); s != spills || d != drops {

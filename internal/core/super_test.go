@@ -5,41 +5,29 @@ import (
 
 	"epcm/internal/kernel"
 	"epcm/internal/manager"
-	"epcm/internal/sim"
 )
 
 // superCounts drives the same deterministic superpage workload under the
-// given scheduler/time-engine pair and reports every promotion-plane
-// counter. The counts must be identical in every mode: the superpage plane
-// rides the same determinism contract the golden output does.
+// given scheduler and reports every promotion-plane counter. The counts must
+// be identical in every mode: the superpage plane rides the same determinism
+// contract the golden output does.
 type superCounts struct {
 	promotions, demotions, superOps int64
 	mgr                             manager.SuperStats
 	liveBefore                      int
 }
 
-func runSuperWorkload(t *testing.T, scheduler, timeEngine string) superCounts {
+func runSuperWorkload(t *testing.T, scheduler string) superCounts {
 	t.Helper()
 	s, err := Boot(Config{
 		MemoryBytes: 8 << 20,
 		Scheduler:   scheduler,
-		TimeEngine:  timeEngine,
 		Superpages:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Shutdown()
-	// Boot flips process-wide switches; put them back so later tests see
-	// the defaults.
-	t.Cleanup(func() {
-		kernel.SetSuperpages(false)
-		if timeEngine != "" {
-			if err := sim.SetBootTimeEngine("serial"); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
 	g, _, err := s.NewAppManager(manager.Config{Name: "super-app", ExtentOrder: 4}, 1e6)
 	if err != nil {
 		t.Fatal(err)
@@ -75,55 +63,50 @@ func runSuperWorkload(t *testing.T, scheduler, timeEngine string) superCounts {
 }
 
 // TestSuperpageDeterminismAcrossModes is the promotion/demotion golden
-// test: the serial scheduler, the concurrent scheduler, and the sharded
-// virtual-time engine must produce byte-identical promotion-plane counts
-// for the same workload.
+// test: the serial and the concurrent scheduler must produce byte-identical
+// promotion-plane counts for the same workload. (Nothing in a core.System
+// builds a sim.Env, so the time engine is not a mode here.)
 func TestSuperpageDeterminismAcrossModes(t *testing.T) {
-	modes := []struct {
-		name, scheduler, timeEngine string
-	}{
-		{"serial", "serial", ""},
-		{"concurrent", "concurrent", ""},
-		{"sharded-time", "serial", "sharded"},
-	}
+	t.Parallel()
+	schedulers := []string{"serial", "concurrent"}
 	var ref superCounts
-	for i, m := range modes {
-		got := runSuperWorkload(t, m.scheduler, m.timeEngine)
+	for i, sched := range schedulers {
+		got := runSuperWorkload(t, sched)
 		if got.liveBefore != 16 {
-			t.Errorf("%s: %d live extents after fill, want 16", m.name, got.liveBefore)
+			t.Errorf("%s: %d live extents after fill, want 16", sched, got.liveBefore)
 		}
 		if got.mgr.Promotions != 16 || got.mgr.Denied != 0 || got.mgr.ExtentFills != 16 {
-			t.Errorf("%s: manager stats %+v, want 16 promotions, 16 fills, 0 denied", m.name, got.mgr)
+			t.Errorf("%s: manager stats %+v, want 16 promotions, 16 fills, 0 denied", sched, got.mgr)
 		}
 		if i == 0 {
 			ref = got
 			continue
 		}
 		if got != ref {
-			t.Errorf("%s diverges from %s: %+v vs %+v", m.name, modes[0].name, got, ref)
+			t.Errorf("%s diverges from %s: %+v vs %+v", sched, schedulers[0], got, ref)
 		}
 	}
 }
 
-// With superpages enabled globally but ExtentOrder left zero, the manager
-// never promotes; with ExtentOrder set but the kernel switch off, the same.
+// With the system's superpage plane on but ExtentOrder left zero, the
+// manager never promotes; with ExtentOrder set but the plane off, the same.
 // Either half of the gate alone must leave the plane cold.
 func TestSuperpageGateHalves(t *testing.T) {
+	t.Parallel()
 	for _, tc := range []struct {
 		name   string
-		global bool
+		system bool
 		order  int
 	}{
 		{"switch on, order zero", true, 0},
 		{"switch off, order set", false, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := Boot(Config{MemoryBytes: 8 << 20, Superpages: tc.global})
+			s, err := Boot(Config{MemoryBytes: 8 << 20, Superpages: tc.system})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Shutdown()
-			t.Cleanup(func() { kernel.SetSuperpages(false) })
 			g, _, err := s.NewAppManager(manager.Config{Name: "cold", ExtentOrder: tc.order}, 1e6)
 			if err != nil {
 				t.Fatal(err)

@@ -84,6 +84,10 @@ type Params struct {
 	DCIndexProb float64
 	// Seed drives all randomness.
 	Seed uint64
+	// ShardedTime runs the event queue on the sharded virtual-time engine
+	// with its one shard: the same (at, seq) event order as the serial
+	// engine (the default), drained through the windowed machinery.
+	ShardedTime bool
 }
 
 // DefaultParams is the paper's configuration.
@@ -154,7 +158,10 @@ type System struct {
 // New builds a system for one configuration.
 func New(cfg MemoryConfig, p Params) *System {
 	clock := &sim.Clock{}
-	env := sim.NewEnv(clock)
+	env := sim.NewSerialEnv(clock)
+	if p.ShardedTime {
+		env = sim.NewShardedEnv(clock, 1, 0)
+	}
 	locks := NewLockManager(env)
 	locks.Barging = true                                   // reader preference: concurrent relation scans share S locks
 	locks.locks = make(map[string]*lock, 4+p.AccountPages) // sized once: the fixed four, a lock per page

@@ -138,7 +138,7 @@ func FuzzLockManager(f *testing.F) {
 		if d := heldCountsDiff(m); d != "" && got[len(got)-1] == "0 blocked" {
 			t.Fatal(d)
 		}
-		refEnv := sim.NewEnv(&sim.Clock{})
+		refEnv := sim.NewSerialEnv(&sim.Clock{})
 		ref := newRefLockManager(refEnv)
 		ref.Barging = barging
 		want := runLockScript(refEnv, ref, scripts)
@@ -166,7 +166,7 @@ func BenchmarkLockCycle(b *testing.B) {
 	for _, holders := range []int{1, 64, 512} {
 		for _, side := range []string{"by-key", "by-record", "reference"} {
 			b.Run("holders="+strconv.Itoa(holders)+"/"+side, func(b *testing.B) {
-				env := sim.NewEnv(&sim.Clock{})
+				env := sim.NewSerialEnv(&sim.Clock{})
 				var m lockTable
 				pm := NewLockManager(env)
 				pm.Barging = true

@@ -12,7 +12,7 @@ import (
 
 func newLockEnv() (*sim.Env, *LockManager) {
 	var c sim.Clock
-	env := sim.NewEnv(&c)
+	env := sim.NewSerialEnv(&c)
 	return env, NewLockManager(env)
 }
 
@@ -204,7 +204,7 @@ func TestIntentionLocksDoNotBlockEachOther(t *testing.T) {
 func TestNoIncompatibleGrantsProperty(t *testing.T) {
 	f := func(seed uint16, barging bool) bool {
 		var c sim.Clock
-		env := sim.NewEnv(&c)
+		env := sim.NewSerialEnv(&c)
 		m := NewLockManager(env)
 		m.Barging = barging
 		rng := sim.NewRNG(uint64(seed) + 1)

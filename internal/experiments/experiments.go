@@ -43,6 +43,35 @@ type Report struct {
 	Output   []byte        `json:"-"`
 }
 
+// Modes is the four mode switches of a paper-table run, as cmd/reproduce's
+// -sched, -timeengine, -super and -reclaim set them. Each is handed to the
+// constructor it configures. The zero value is the golden reference, and
+// the first three — and the clock named explicitly — must not change a byte
+// of it (TestReproduceGolden).
+type Modes struct {
+	Concurrent  bool   // every kernel boots the concurrent scheduler
+	ShardedTime bool   // Table 4 runs on the sharded virtual-time engine
+	Superpages  bool   // every kernel runs the superpage extent plane
+	Policy      string // every manager's replacement policy; "" is the §2.2 clock
+}
+
+// kernelConfig is the configuration of every kernel the tables boot.
+func (m Modes) kernelConfig() kernel.Config {
+	return kernel.Config{Concurrent: m.Concurrent, Superpages: m.Superpages}
+}
+
+// policy returns a fresh instance of the replacement policy — they are
+// stateful, one per manager — or nil, the manager's own default, for the
+// clock.
+func (m Modes) policy() manager.Policy {
+	if m.Policy == "" {
+		return nil
+	}
+	p, err := manager.NewPolicy(m.Policy)
+	check(err)
+	return p
+}
+
 // check panics on error; the harness captures the panic into the
 // experiment's Result so one failing table cannot kill the others.
 func check(err error) {
@@ -59,15 +88,20 @@ func header(b *bytes.Buffer, s string) {
 	b.WriteByte('\n')
 }
 
+// Table1, Tables23 and Table4 are the tables in the zero-value Modes.
+func Table1() (*Report, error)                      { return Modes{}.Table1() }
+func Tables23() (*Report, error)                    { return Modes{}.Tables23() }
+func Table4(txns int, seed uint64) (*Report, error) { return Modes{}.Table4(txns, seed) }
+
 // Table1 measures the system primitives through the real code paths.
-func Table1() (*Report, error) {
+func (m Modes) Table1() (*Report, error) {
 	rep := &Report{Table: "table1"}
 	b := &bytes.Buffer{}
 	header(b, "Table 1: System Primitive Times (microseconds)")
 
-	vppFault := measureVppFault(kernel.DeliverSameProcess)
-	vppMgr := measureVppFault(kernel.DeliverSeparateProcess)
-	vppRead, vppWrite := measureVppIO()
+	vppFault := m.measureVppFault(kernel.DeliverSameProcess)
+	vppMgr := m.measureVppFault(kernel.DeliverSeparateProcess)
+	vppRead, vppWrite := m.measureVppIO()
 	ultFault, ultRead, ultWrite, ultUser := measureUltrix()
 
 	fmt.Fprintf(b, "%-38s %10s %10s %10s\n", "Measurement", "V++", "Ultrix", "Paper")
@@ -102,12 +136,12 @@ func Table1() (*Report, error) {
 	return rep, nil
 }
 
-func measureVppFault(d kernel.DeliveryMode) time.Duration {
+func (m Modes) measureVppFault(d kernel.DeliveryMode) time.Duration {
 	mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: 8 << 20, StoreData: true})
 	var clock sim.Clock
-	k := kernel.New(mem, &clock, sim.DECstation5000(), kernel.Config{})
+	k := kernel.New(mem, &clock, sim.DECstation5000(), m.kernelConfig())
 	s := spcm.New(k, spcm.DefaultPolicy())
-	g, err := manager.NewGeneric(k, manager.Config{Name: "m", Delivery: d, Source: s})
+	g, err := manager.NewGeneric(k, manager.Config{Name: "m", Delivery: d, Source: s, Policy: m.policy()})
 	check(err)
 	s.Register(g, "m", 1e9)
 	seg, err := g.CreateManagedSegment("seg")
@@ -118,14 +152,14 @@ func measureVppFault(d kernel.DeliveryMode) time.Duration {
 	return clock.Now() - start
 }
 
-func measureVppIO() (read, write time.Duration) {
+func (m Modes) measureVppIO() (read, write time.Duration) {
 	mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: 8 << 20, StoreData: true})
 	var clock sim.Clock
-	k := kernel.New(mem, &clock, sim.DECstation5000(), kernel.Config{})
+	k := kernel.New(mem, &clock, sim.DECstation5000(), m.kernelConfig())
 	store := storage.NewStore(&clock, storage.NetworkServer(), 4096)
 	s := spcm.New(k, spcm.DefaultPolicy())
 	fb := manager.NewFileBacking(store)
-	g, err := manager.NewGeneric(k, manager.Config{Name: "m", Source: s, Backing: fb})
+	g, err := manager.NewGeneric(k, manager.Config{Name: "m", Source: s, Backing: fb, Policy: m.policy()})
 	check(err)
 	s.Register(g, "m", 1e9)
 	seg, err := g.CreateManagedSegment("file")
@@ -173,7 +207,7 @@ func measureUltrix() (fault, read, write, user time.Duration) {
 
 // Tables23 reproduces the application benchmarks (elapsed time and VM
 // system activity).
-func Tables23() (*Report, error) {
+func (m Modes) Tables23() (*Report, error) {
 	rep := &Report{Table: "tables2-3", OK: true}
 	b := &bytes.Buffer{}
 	header(b, "Table 2: Application Elapsed Time (seconds) / Table 3: VM System Activity")
@@ -182,7 +216,7 @@ func Tables23() (*Report, error) {
 	for _, spec := range workload.All() {
 		cal, err := workload.Calibrated(spec)
 		check(err)
-		vr, err := workload.NewVppRunner(0)
+		vr, err := workload.NewVppRunner(0, m.kernelConfig(), m.policy())
 		check(err)
 		ve, vc, err := workload.Run(vr, cal)
 		check(err)
@@ -224,11 +258,12 @@ func diffPct(got, want int64) int64 {
 
 // Table4 reproduces the database experiment. txns and seed of 0 keep the
 // defaults.
-func Table4(txns int, seed uint64) (*Report, error) {
+func (m Modes) Table4(txns int, seed uint64) (*Report, error) {
 	rep := &Report{Table: "table4", OK: true}
 	b := &bytes.Buffer{}
 	header(b, "Table 4: Effect of Memory Usage on Transaction Response (ms)")
 	p := db.DefaultParams()
+	p.ShardedTime = m.ShardedTime
 	if txns > 0 {
 		p.Transactions = txns
 	}

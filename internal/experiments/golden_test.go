@@ -11,13 +11,24 @@ import (
 )
 
 // TestReproduceGolden locks the reproduce output byte-for-byte against
-// testdata/reproduce.golden, captured before the fault plane existed. The
-// plane is compiled in but disarmed (Config.FaultPlan nil leaves every hook
-// seam a dead branch), so this is the regression gate for the plane's
-// zero-overhead claim: if wiring injection seams through storage, kernel
-// delivery or SPCM grants ever perturbs an uninjected run — an extra clock
-// charge, a reordered grant, a different RNG draw — the tables drift and
-// this test names the first divergent byte.
+// testdata/reproduce.golden, captured before the fault plane existed, in
+// every mode: the modes change how the simulation runs, never what it
+// computes. The rows run in parallel, so every combination is also booted
+// beside the others in one process.
+//
+//   - default: the fault plane is compiled in but disarmed (Config.FaultPlan
+//     nil leaves every hook seam a dead branch), so this is the regression
+//     gate for its zero-overhead claim — an extra clock charge, a reordered
+//     grant or a different RNG draw on an uninjected run drifts the tables.
+//   - sharded time: a single-shard sharded environment drains the same
+//     event heap in the same (at, seq) order through the windowed
+//     machinery; a window boundary, merge or clock hand-off that perturbs
+//     event order moves Table 4.
+//   - explicit clock: the registry-constructed clock policy must issue the
+//     same GetPageAttribute / ModifyPageFlags sequence as the manager's
+//     nil-Policy default.
+//
+// On a mismatch the test names the first divergent byte.
 //
 // Regenerate (only after an intentional model change):
 //
@@ -27,68 +38,44 @@ func TestReproduceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got bytes.Buffer
-	for _, run := range []func() (*Report, error){
-		Table1,
-		Tables23,
-		func() (*Report, error) { return Table4(0, 0) },
+	for _, row := range []struct {
+		name string
+		m    Modes
+	}{
+		{"default", Modes{}},
+		{"concurrent", Modes{Concurrent: true}},
+		{"sharded-time", Modes{ShardedTime: true}},
+		{"superpages", Modes{Superpages: true}},
+		{"explicit-clock", Modes{Policy: "clock"}},
+		{"all-four", Modes{Concurrent: true, ShardedTime: true, Superpages: true, Policy: "clock"}},
 	} {
-		rep, err := run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.Write(rep.Output)
+		t.Run(row.name, func(t *testing.T) {
+			t.Parallel()
+			var got bytes.Buffer
+			for _, run := range []func() (*Report, error){
+				row.m.Table1,
+				row.m.Tables23,
+				func() (*Report, error) { return row.m.Table4(0, 0) },
+			} {
+				rep, err := run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got.Write(rep.Output)
+			}
+			requireGolden(t, row.name, got.Bytes(), want)
+		})
 	}
-	requireGolden(t, "reproduce output", got.Bytes(), want)
-}
-
-// TestGoldenWithExplicitClockPolicy re-runs the golden comparison with the
-// boot replacement policy set explicitly to "clock" via the registry. The
-// pluggable-policy plane extracted the clock sweep out of Generic.Reclaim;
-// this pins that the extraction is charge-for-charge identical — the
-// registry-constructed clock policy must issue the same GetPageAttribute /
-// ModifyPageFlags sequence the inlined sweep did, or the tables drift.
-func TestGoldenWithExplicitClockPolicy(t *testing.T) {
-	prev := manager.BootPolicy()
-	if err := manager.SetBootPolicy("clock"); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := manager.SetBootPolicy(prev); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	want, err := os.ReadFile("testdata/reproduce.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	for _, run := range []func() (*Report, error){
-		Table1,
-		Tables23,
-		func() (*Report, error) { return Table4(0, 0) },
-	} {
-		rep, err := run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.Write(rep.Output)
-	}
-	requireGolden(t, "explicit clock policy", got.Bytes(), want)
 }
 
 // TestTable1PolicyInvariance checks that Table 1 — whose fault measurements
 // never trigger a reclaim — is identical under every registered policy:
 // the policy plane must be off the minimal-fault path entirely.
 func TestTable1PolicyInvariance(t *testing.T) {
-	prev := manager.BootPolicy()
-	defer func() { _ = manager.SetBootPolicy(prev) }()
+	t.Parallel()
 	var base []byte
 	for _, name := range manager.PolicyNames() {
-		if err := manager.SetBootPolicy(name); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := Table1()
+		rep, err := Modes{Policy: name}.Table1()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

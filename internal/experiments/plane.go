@@ -34,11 +34,11 @@ type PlaneOptions struct {
 	// FaultsPerManager is how many distinct pages each application touches.
 	// Default 512.
 	FaultsPerManager int
-	// ExtentOrder, when non-zero, runs the superpage arm: the process-wide
-	// superpage switch is on for the duration of the run and every manager
-	// is configured with this manager.Config.ExtentOrder, so a sequential
-	// working set is filled extent-at-a-time through contiguous grants.
-	// Zero runs the base-page path with superpages off.
+	// ExtentOrder, when non-zero, runs the superpage arm: the cell's kernel
+	// boots with the superpage plane on and every manager is configured
+	// with this manager.Config.ExtentOrder, so a sequential working set is
+	// filled extent-at-a-time through contiguous grants. Zero runs the
+	// base-page path with superpages off.
 	ExtentOrder int
 	// Drivers is how many faulting goroutines drive each manager under the
 	// concurrent scheduler, each covering a contiguous sub-range of the
@@ -78,11 +78,6 @@ func (r *PlaneResult) ModelFaultsPerSec() float64 {
 	return float64(r.Faults) / r.Makespan.Seconds()
 }
 
-// superSwitchMu serialises runs: each pins the process-global superpage
-// switch for its duration, and sweeps run as parallel harness tasks. It
-// goes when the switch becomes a per-kernel option (ROADMAP item 1).
-var superSwitchMu sync.Mutex
-
 // PlaneThroughput boots one kernel with opt.Managers separate-process
 // managers — each with its own swap store, all drawing frames from one
 // SPCM — and drives every application's faults: concurrently, opt.Drivers
@@ -96,24 +91,10 @@ func PlaneThroughput(opt PlaneOptions) (*PlaneResult, error) {
 	if opt.FaultsPerManager <= 0 {
 		opt.FaultsPerManager = 512
 	}
-	concurrent := false
-	switch opt.Scheduler {
-	case "", "serial":
-	case "concurrent":
-		concurrent = true
-	default:
-		return nil, fmt.Errorf("experiments: unknown scheduler %q", opt.Scheduler)
+	concurrent, err := kernel.ParseScheduler(opt.Scheduler)
+	if err != nil {
+		return nil, err
 	}
-
-	// The superpage arm turns the switch on for the duration of the run,
-	// the base arm pins it off so the cell takes the per-page path even in
-	// a -super process; either way the caller's setting is restored.
-	superSwitchMu.Lock()
-	defer superSwitchMu.Unlock()
-	prevSuper := kernel.SuperpagesEnabled()
-	kernel.SetSuperpages(opt.ExtentOrder > 0)
-	defer kernel.SetSuperpages(prevSuper)
-
 	drivers := opt.Drivers
 	if drivers <= 0 || !concurrent {
 		drivers = 1
@@ -128,10 +109,7 @@ func PlaneThroughput(opt PlaneOptions) (*PlaneResult, error) {
 	touched := int64(opt.Managers) * int64(opt.FaultsPerManager)
 	mem := phys.NewMemory(phys.Config{FrameSize: frameSize, TotalBytes: 2*touched*frameSize + 8<<20})
 	var clock sim.Clock
-	k := kernel.New(mem, &clock, sim.DECstation5000(), kernel.Config{})
-	if concurrent {
-		k.SetScheduler(kernel.NewConcurrentScheduler(k))
-	}
+	k := kernel.New(mem, &clock, sim.DECstation5000(), kernel.Config{Concurrent: concurrent, Superpages: opt.ExtentOrder > 0})
 	defer k.Scheduler().Stop()
 	// The cell opts into the lane fast paths the default (golden)
 	// configuration leaves off: per-account frame caches over the shared

@@ -5,6 +5,7 @@ import "testing"
 // TestPolicyShootoutSmoke runs a tiny 2-policy × 1-workload grid and checks
 // every cell is plausible and that pressure bites.
 func TestPolicyShootoutSmoke(t *testing.T) {
+	t.Parallel()
 	cells, err := policyGrid([]string{"clock", "s3fifo"}, []string{"zipf"}, 2000)
 	if err != nil {
 		t.Fatal(err)

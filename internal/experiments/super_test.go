@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"epcm/internal/kernel"
+	"epcm/internal/phys"
+	"epcm/internal/sim"
 )
 
 // The superpage arm must build the same working set as the base arm with
@@ -13,6 +15,7 @@ import (
 // fidelity stays 1.0 while TLB reach approaches the extent size. The base
 // arm is the existing one-fault-per-page path and must be untouched.
 func TestPlaneThroughputSuperpageArm(t *testing.T) {
+	t.Parallel()
 	const fpm = 1024 // multiple of the extent size, so no partial tail
 	for _, sched := range []string{"serial", "concurrent"} {
 		base, err := PlaneThroughput(PlaneOptions{Scheduler: sched, Managers: 2, FaultsPerManager: fpm})
@@ -47,14 +50,19 @@ func TestPlaneThroughputSuperpageArm(t *testing.T) {
 			t.Errorf("%s super arm: %d promotions, want %d", sched, super.ExtentPromotions, want)
 		}
 	}
-	if kernel.SuperpagesEnabled() {
-		t.Fatal("PlaneThroughput leaked the process-global superpage switch on")
+	// The superpage arm configured its own kernel and nothing else: a
+	// default kernel booted now has the plane off, so the process-wide shim
+	// was never touched.
+	mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: 1 << 20})
+	if kernel.New(mem, new(sim.Clock), sim.DECstation5000(), kernel.Config{}).Superpages() {
+		t.Fatal("PlaneThroughput turned the process-wide superpage shim on")
 	}
 }
 
 // The super sweep end to end: both arms under both schedulers at both
 // manager counts, every gate met on model numbers.
 func TestSuperpageSweepSmoke(t *testing.T) {
+	t.Parallel()
 	rep, err := superSweep()
 	if err != nil {
 		t.Fatal(err)

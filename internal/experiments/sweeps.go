@@ -18,8 +18,12 @@ import (
 // grids over the mechanisms the paper does not evaluate, printing only what
 // the cost model determines — every column is bit-identical run to run, at
 // any parallelism and on any host, and testdata/sweeps.golden pins them.
-// Their gates are ratios of model numbers. None of them reads a wall clock:
-// how fast the host runs any of this is `go run -C bench .`'s question.
+// Their gates are ratios of model numbers. Every cell names each mode it
+// runs in — scheduler, extent order, policy, time engine are the grids — so
+// Modes, the paper tables' configuration, does not reach them and the file
+// holds under any of cmd/reproduce's mode flags. None of them reads a wall
+// clock: how fast the host runs any of this is `go run -C bench .`'s
+// question.
 
 // Sweep is one named extension table.
 type Sweep struct {

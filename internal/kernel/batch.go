@@ -255,7 +255,7 @@ func (k *Kernel) MigratePagesBatch(cred Cred, src, dst *Segment, ranges []PageRa
 	if len(ranges) == 0 {
 		return nil
 	}
-	return k.migrate(cred, src, dst, ranges, set, clear, superpages.Load())
+	return k.migrate(cred, src, dst, ranges, set, clear, k.Superpages())
 }
 
 // migrate is the body of MigratePages and MigratePagesBatch. extents says
@@ -579,7 +579,7 @@ func (k *Kernel) ModifyPageFlagsBatch(cred Cred, s *Segment, ranges []PageRange,
 	if len(ranges) == 0 {
 		return nil
 	}
-	return k.modifyFlags(cred, s, ranges, set, clear, superpages.Load())
+	return k.modifyFlags(cred, s, ranges, set, clear, k.Superpages())
 }
 
 // modifyFlags is the body of ModifyPageFlags and ModifyPageFlagsBatch: one

@@ -39,6 +39,15 @@ type Config struct {
 	// MaxFaultRetries bounds how many times one memory reference may fault
 	// before the kernel gives up with ErrFaultLoop.
 	MaxFaultRetries int
+	// Concurrent boots the kernel on the concurrent delivery-plane
+	// scheduler, with the lock-free CAS mapping table and TLB that go with
+	// it (SetScheduler). The zero value is the deterministic serial
+	// scheduler.
+	Concurrent bool
+	// Superpages turns the superpage extent plane (superpage.go) on for
+	// this kernel. Off, promotion refuses and every batch path charges
+	// per page, so the golden output is byte-identical.
+	Superpages bool
 }
 
 // Stats counts kernel activity. The fields correspond to the columns of the
@@ -156,8 +165,8 @@ func (k *Kernel) cellOf(m Manager) *managerCell {
 // New boots a kernel over the given memory, clock and cost model. Following
 // §2.1, it creates the well-known segment holding all page frames in
 // physical-address order, restricted to privileged (system) credentials.
-// The delivery-plane scheduler defaults to the deterministic serial one
-// (or the mode selected with SetBootScheduler).
+// The delivery-plane scheduler is the deterministic serial one unless
+// cfg.Concurrent asks for the concurrent one.
 func New(mem *phys.Memory, clock *sim.Clock, cost *sim.CostModel, cfg Config) *Kernel {
 	if cfg.TLBEntries <= 0 {
 		cfg.TLBEntries = 64
@@ -178,7 +187,7 @@ func New(mem *phys.Memory, clock *sim.Clock, cost *sim.CostModel, cfg Config) *K
 		frameOwner: make([]SegID, mem.NumFrames()),
 		framePage:  make([]int64, mem.NumFrames()),
 	}
-	if bootConcurrent {
+	if cfg.Concurrent {
 		k.SetScheduler(NewConcurrentScheduler(k))
 	} else {
 		k.SetScheduler(NewSerialScheduler(k))

@@ -13,9 +13,13 @@ import (
 // newTestKernel builds a small machine: 256 frames of 4 KB.
 func newTestKernel(t *testing.T) *Kernel {
 	t.Helper()
+	return newTestKernelWith(Config{})
+}
+
+func newTestKernelWith(cfg Config) *Kernel {
 	mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: 1 << 20, CacheColors: 8, Nodes: 2, StoreData: true})
 	var clock sim.Clock
-	return New(mem, &clock, sim.DECstation5000(), Config{})
+	return New(mem, &clock, sim.DECstation5000(), cfg)
 }
 
 // testManager is a minimal segment manager: it serves missing-page and

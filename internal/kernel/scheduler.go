@@ -477,24 +477,17 @@ func (k *Kernel) SetScheduler(s Scheduler) {
 	}
 }
 
-// bootConcurrent selects the scheduler New installs, so whole-program runs
-// (cmd/reproduce -sched=concurrent) can flip every kernel they build
-// without threading configuration through each experiment. Set it from the
-// main goroutine before building kernels.
-var bootConcurrent bool
-
-// SetBootScheduler selects the scheduler mode ("serial" or "concurrent")
-// that New installs in subsequently built kernels.
-func SetBootScheduler(mode string) error {
-	switch mode {
+// ParseScheduler maps a scheduler name to Config.Concurrent: "serial" (or
+// "") is the deterministic serial scheduler, "concurrent" the concurrent one.
+func ParseScheduler(name string) (concurrent bool, err error) {
+	switch name {
 	case "", "serial":
-		bootConcurrent = false
+		return false, nil
 	case "concurrent":
-		bootConcurrent = true
+		return true, nil
 	default:
-		return fmt.Errorf("kernel: unknown scheduler %q (want serial or concurrent)", mode)
+		return false, fmt.Errorf("kernel: unknown scheduler %q (want serial or concurrent)", name)
 	}
-	return nil
 }
 
 // deliverFault resolves the faulted segment's manager and hands the fault

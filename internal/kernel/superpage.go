@@ -32,17 +32,26 @@ import (
 // free list can allocate, so every promotable extent is also allocatable.
 const MaxExtentOrder = phys.MaxRunOrder
 
-// superpages gates the whole extent plane. Off (the default) every path —
-// promotion, span lookups, the batch extent fast paths — is bypassed with
-// at most a relaxed atomic load, so the golden reproduction output is
-// byte-identical in every mode.
+// Superpages reports whether the extent plane is on for this kernel:
+// Config.Superpages, fixed at New, or the process-wide shim below. Off (the
+// default) every path — promotion, span lookups, the batch extent fast
+// paths — is bypassed with at most a relaxed atomic load, so the golden
+// reproduction output is byte-identical in every mode.
+func (k *Kernel) Superpages() bool { return k.cfg.Superpages || superpages.Load() }
+
+// superpages is the shim bench/ pins until a [benchmark] PR fills
+// Config.Superpages itself (ROADMAP item 1, Step B): bench/ boots its
+// kernels with the plane off and turns it on around each epoch, so the shim
+// is OR-ed into every kernel's own setting at call time, not read at boot.
+// Nothing else in the root module calls the two functions below.
 var superpages atomic.Bool
 
-// SetSuperpages enables or disables superpage extents process-wide. Set it
-// from the main goroutine before driving traffic.
+// SetSuperpages turns the shim on or off: on, every kernel in the process
+// runs the extent plane whatever its Config says.
 func SetSuperpages(on bool) { superpages.Store(on) }
 
-// SuperpagesEnabled reports whether superpage extents are enabled.
+// SuperpagesEnabled reports the shim's setting, not any kernel's: ask
+// (*Kernel).Superpages for that.
 func SuperpagesEnabled() bool { return superpages.Load() }
 
 // ErrSuperpagesOff reports a superpage operation with the extent plane
@@ -76,7 +85,7 @@ func extentBase(page int64, o int) int64 {
 // kernel call plus one SuperpageOp, independent of order: collapsing the
 // per-page cost is the point.
 func (k *Kernel) PromoteExtent(cred Cred, s *Segment, base int64, order int) error {
-	if !superpages.Load() {
+	if !k.Superpages() {
 		return ErrSuperpagesOff
 	}
 	if order < 1 || order > MaxExtentOrder {

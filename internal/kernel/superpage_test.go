@@ -8,13 +8,10 @@ import (
 	"epcm/internal/sim"
 )
 
-// newSuperKernel is newTestKernel with the process-wide superpage switch on
-// for the duration of the test.
+// newSuperKernel is newTestKernel with the superpage plane on.
 func newSuperKernel(t *testing.T) *Kernel {
 	t.Helper()
-	SetSuperpages(true)
-	t.Cleanup(func() { SetSuperpages(false) })
-	return newTestKernel(t)
+	return newTestKernelWith(Config{Superpages: true})
 }
 
 // fillAligned moves n boot pages starting at boot page n*slot into seg at
@@ -28,15 +25,17 @@ func fillAligned(t *testing.T, k *Kernel, seg *Segment, bootPage, base, n int64)
 }
 
 func TestPromoteExtentValidation(t *testing.T) {
-	k := newTestKernel(t)
-	seg, _ := k.CreateSegment("data", 1)
-	fillAligned(t, k, seg, 16, 0, 16)
-	// Switch off: every promotion refuses.
-	if err := k.PromoteExtent(AppCred, seg, 0, 4); !errors.Is(err, ErrSuperpagesOff) {
+	t.Parallel()
+	// Plane off: every promotion refuses.
+	off := newTestKernel(t)
+	seg, _ := off.CreateSegment("data", 1)
+	fillAligned(t, off, seg, 16, 0, 16)
+	if err := off.PromoteExtent(AppCred, seg, 0, 4); !errors.Is(err, ErrSuperpagesOff) {
 		t.Fatalf("superpages off: err = %v", err)
 	}
-	SetSuperpages(true)
-	t.Cleanup(func() { SetSuperpages(false) })
+	k := newSuperKernel(t)
+	seg, _ = k.CreateSegment("data", 1)
+	fillAligned(t, k, seg, 16, 0, 16)
 	if err := k.PromoteExtent(AppCred, seg, 0, 0); !errors.Is(err, ErrBadRange) {
 		t.Fatalf("order 0: err = %v", err)
 	}
@@ -70,6 +69,7 @@ func TestPromoteExtentValidation(t *testing.T) {
 }
 
 func TestPromoteExtentRequiresAlignedContiguousFrames(t *testing.T) {
+	t.Parallel()
 	k := newSuperKernel(t)
 	// PFNs 17..32: contiguous but the run does not start on a 16-aligned PFN.
 	unaligned, _ := k.CreateSegment("unaligned", 1)
@@ -92,6 +92,7 @@ func TestPromoteExtentRequiresAlignedContiguousFrames(t *testing.T) {
 // Promotion charges one kernel call plus one SuperpageOp regardless of
 // order; demotion charges the SuperpageOp only when an extent was live.
 func TestPromoteDemoteCharges(t *testing.T) {
+	t.Parallel()
 	k := newSuperKernel(t)
 	c := sim.DECstation5000()
 	seg, _ := k.CreateSegment("data", 1)
@@ -131,6 +132,7 @@ func TestPromoteDemoteCharges(t *testing.T) {
 // a live extent, and every covered page is answered by the single span
 // entry (the fast path installs no per-page cache fills).
 func TestBatchMigrateExtentFastPath(t *testing.T) {
+	t.Parallel()
 	k := newSuperKernel(t)
 	c := sim.DECstation5000()
 	seg, _ := k.CreateSegment("data", 1)
@@ -174,6 +176,7 @@ func TestBatchMigrateExtentFastPath(t *testing.T) {
 // length, discontiguous frames, superpages off — charge the per-page total,
 // byte-for-byte what the pre-extent batch charged.
 func TestBatchMigrateExtentFallbacks(t *testing.T) {
+	t.Parallel()
 	c := sim.DECstation5000()
 	perPage := func(n int64) time.Duration {
 		return c.KernelCall + time.Duration(n)*(c.MigratePage+c.MappingUpdate)
@@ -190,9 +193,7 @@ func TestBatchMigrateExtentFallbacks(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			SetSuperpages(tc.super)
-			t.Cleanup(func() { SetSuperpages(false) })
-			k := newTestKernel(t)
+			k := newTestKernelWith(Config{Superpages: tc.super})
 			seg, _ := k.CreateSegment("data", 1)
 			before := k.Clock().Now()
 			if err := k.MigratePagesBatch(SystemCred, k.BootSegment(), seg,
@@ -209,9 +210,7 @@ func TestBatchMigrateExtentFallbacks(t *testing.T) {
 	}
 	// Discontiguous source frames with superpages on: assemble a segment
 	// whose pages 0..15 are backed by a non-contiguous run, then move them.
-	SetSuperpages(true)
-	t.Cleanup(func() { SetSuperpages(false) })
-	k := newTestKernel(t)
+	k := newSuperKernel(t)
 	staging, _ := k.CreateSegment("staging", 1)
 	fillAligned(t, k, staging, 32, 0, 8)
 	fillAligned(t, k, staging, 48, 8, 8)
@@ -233,6 +232,7 @@ func TestBatchMigrateExtentFallbacks(t *testing.T) {
 // on every mutation path, so a span entry can never advertise an absent
 // page.
 func TestPerPageRemovalDemotesCoveringExtent(t *testing.T) {
+	t.Parallel()
 	promote := func(t *testing.T, k *Kernel) (*Segment, *Segment) {
 		t.Helper()
 		seg, _ := k.CreateSegment("data", 1)
@@ -308,6 +308,7 @@ func TestPerPageRemovalDemotesCoveringExtent(t *testing.T) {
 // shootdown; anything else keeps the per-page charge. Flags always land on
 // every base page either way.
 func TestModifyFlagsBatchExtentCharge(t *testing.T) {
+	t.Parallel()
 	k := newSuperKernel(t)
 	c := sim.DECstation5000()
 	seg, _ := k.CreateSegment("data", 1)

@@ -86,8 +86,8 @@ type Config struct {
 	SelectVictim func(cands []Victim) int
 	// Policy is the replacement policy driving reclamation (victim
 	// selection plus whatever recency/frequency state it keeps). Nil means
-	// the boot default (normally the §2.2 clock; see SetBootPolicy). A
-	// Policy instance is stateful and must not be shared between managers.
+	// the §2.2 clock. A Policy instance is stateful and must not be shared
+	// between managers.
 	Policy Policy
 	// OnFault observes every fault after it is handled.
 	OnFault func(f kernel.Fault)
@@ -110,9 +110,10 @@ type Config struct {
 	// ExtentOrder, when positive, activates the superpage plane (super.go)
 	// at extents of 2^ExtentOrder base pages: whole-extent page-in over
 	// contiguous frame runs, density-tracked promotion, and extent-first
-	// reclamation. It only takes effect while kernel.SuperpagesEnabled();
-	// zero (the default) keeps every fault-path hook to one integer
-	// compare, preserving the golden cost structure exactly.
+	// reclamation. It only takes effect on a kernel booted with
+	// kernel.Config.Superpages; zero (the default) keeps every fault-path
+	// hook to one integer compare, preserving the golden cost structure
+	// exactly.
 	ExtentOrder int
 	// MaxRetries bounds how many times a transient storage error
 	// (storage.ErrTransient) is retried on the fill, writeback and swap
@@ -212,7 +213,7 @@ func NewGeneric(k *kernel.Kernel, cfg Config) (*Generic, error) {
 	}
 	free.MarkStaging() // holding pen: applications never Access these pages
 	if cfg.Policy == nil {
-		cfg.Policy = newBootPolicy()
+		cfg.Policy = NewClockPolicy()
 	}
 	g := &Generic{
 		k:        k,

@@ -24,8 +24,6 @@ func FuzzSlotLedger(f *testing.F) {
 	f.Add([]byte("\x01\x09\x03\x00\x03\x04\x03\x08\x09\x04\x0a\x08\x09\x0c\x0a\x00\x06\x0c\x03\x05"))
 	f.Add([]byte("\x01\x08\x08\x00\x08\x01\x0d\x02\x0d\x01\x0b\x00\x0c\x00\x03\x03\x08\x02\x07\x08\x0d\x00"))
 	f.Fuzz(func(t *testing.T, script []byte) {
-		kernel.SetSuperpages(true)
-		t.Cleanup(func() { kernel.SetSuperpages(false) })
 		if len(script) > 512 {
 			script = script[:512]
 		}
@@ -97,10 +95,11 @@ func (s flakySPCM) ReturnFrames(g *manager.Generic, slots []int64) error {
 	return s.SPCM.ReturnFrames(g, slots)
 }
 
-// newLedgerWorld boots a 64-frame machine and sets four frames aside.
+// newLedgerWorld boots a 64-frame machine with the superpage plane on and
+// sets four frames aside.
 func newLedgerWorld(t *testing.T) *ledgerWorld {
 	mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: 64 * 4096, CacheColors: 8, Nodes: 2})
-	k := kernel.New(mem, new(sim.Clock), sim.DECstation5000(), kernel.Config{})
+	k := kernel.New(mem, new(sim.Clock), sim.DECstation5000(), kernel.Config{Superpages: true})
 	w := &ledgerWorld{t: t, k: k}
 	w.spare = w.must(k.CreateSegment("spare", 1))
 	w.ok(k.MigratePages(kernel.SystemCred, k.BootSegment(), w.spare, 60, 0, 4, 0, 0))

@@ -17,7 +17,7 @@ import (
 func TestProcPanicReachesRun(t *testing.T) {
 	boom := errors.New("boom")
 	run := func() (int, error) {
-		e := NewEnv(&Clock{})
+		e := NewSerialEnv(&Clock{})
 		e.Go("bystander", func(p *Proc) { p.Sleep(time.Second) })
 		e.GoAt(time.Millisecond, "bad", func(p *Proc) {
 			p.Sleep(time.Millisecond)
@@ -88,7 +88,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			t.Fatalf("%s: %d goroutines after Run, baseline %d", e.EngineName(), n, base)
 		}
 	}
-	e := NewEnv(&Clock{})
+	e := NewSerialEnv(&Clock{})
 	e.Go("stuck", func(p *Proc) { p.Park() })
 	if blocked := e.Run(); blocked != 1 {
 		t.Fatalf("blocked = %d, want 1", blocked)
@@ -103,7 +103,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 // processes that never overlap run on one.
 func TestCoroutinesTrackOpenProcesses(t *testing.T) {
 	base := quietGoroutines()
-	e := NewEnv(&Clock{})
+	e := NewSerialEnv(&Clock{})
 	peak := 0
 	for i := 0; i < 1000; i++ {
 		e.GoAt(time.Duration(i)*time.Millisecond, "p", func(p *Proc) {

@@ -42,19 +42,8 @@ type Env struct {
 	active []*Shard
 }
 
-// NewEnv returns an environment driving the given clock, on the engine the
-// process selected with SetBootTimeEngine: the serial engine by default, or
-// a single-shard sharded engine under "sharded" — same event order, but the
-// drain runs through the windowed machinery.
-func NewEnv(clock *Clock) *Env {
-	if bootSharded {
-		return NewShardedEnv(clock, 1, 0)
-	}
-	return NewSerialEnv(clock)
-}
-
-// NewSerialEnv returns an environment on the serial engine regardless of
-// the boot-time engine selection.
+// NewSerialEnv returns an environment driving the given clock on the serial
+// engine.
 func NewSerialEnv(clock *Clock) *Env { return newEnv(clock, 1, 0, false) }
 
 // NewShardedEnv returns an environment on the sharded engine with the given

@@ -64,7 +64,7 @@ func TestEventHeapOrdering(t *testing.T) {
 // event of a run is in order by definition and lands in the FIFO lane, the
 // first one scheduled ahead of the lane's tail in the heap.
 func TestEventHeapPreSized(t *testing.T) {
-	e := NewEnv(&Clock{})
+	e := NewSerialEnv(&Clock{})
 	e.At(5, func() {})
 	q := &e.shards[0].events
 	if q.n != 1 || len(q.lane) < eventHeapInitialCap || q.heap != nil {

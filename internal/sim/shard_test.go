@@ -61,26 +61,6 @@ func TestShardedSingleShardMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBootTimeEngine checks the boot knob routes NewEnv and rejects junk.
-func TestBootTimeEngine(t *testing.T) {
-	defer func() { _ = SetBootTimeEngine("serial") }()
-	if err := SetBootTimeEngine("sharded"); err != nil {
-		t.Fatal(err)
-	}
-	if got := NewEnv(&Clock{}).EngineName(); got != "sharded" {
-		t.Fatalf("engine = %q, want sharded", got)
-	}
-	if err := SetBootTimeEngine(""); err != nil {
-		t.Fatal(err)
-	}
-	if got := NewEnv(&Clock{}).EngineName(); got != "serial" {
-		t.Fatalf("engine = %q, want serial", got)
-	}
-	if err := SetBootTimeEngine("warped"); err == nil {
-		t.Fatal("bogus engine name accepted")
-	}
-}
-
 // shardedTrace runs a multi-shard workload with cross-shard sends and
 // returns per-shard traces plus final shard clocks.
 func shardedTrace(shards int, seed uint64) ([][]string, []time.Duration) {

@@ -207,7 +207,7 @@ func TestZeroFillDominatesFaultGap(t *testing.T) {
 
 func TestEnvTimers(t *testing.T) {
 	var c Clock
-	e := NewEnv(&c)
+	e := NewSerialEnv(&c)
 	var order []int
 	e.At(3*time.Second, func() { order = append(order, 3) })
 	e.At(1*time.Second, func() { order = append(order, 1) })
@@ -225,7 +225,7 @@ func TestEnvTimers(t *testing.T) {
 
 func TestEnvProcSleep(t *testing.T) {
 	var c Clock
-	e := NewEnv(&c)
+	e := NewSerialEnv(&c)
 	var trace []string
 	e.Go("a", func(p *Proc) {
 		trace = append(trace, "a0")
@@ -254,7 +254,7 @@ func TestEnvProcSleep(t *testing.T) {
 
 func TestEnvParkWake(t *testing.T) {
 	var c Clock
-	e := NewEnv(&c)
+	e := NewSerialEnv(&c)
 	var woke time.Duration
 	var sleeper *Proc
 	done := false
@@ -278,7 +278,7 @@ func TestEnvParkWake(t *testing.T) {
 
 func TestEnvDetectsPermanentBlock(t *testing.T) {
 	var c Clock
-	e := NewEnv(&c)
+	e := NewSerialEnv(&c)
 	e.Go("stuck", func(p *Proc) { p.Park() })
 	if blocked := e.Run(); blocked != 1 {
 		t.Fatalf("blocked = %d, want 1", blocked)
@@ -287,7 +287,7 @@ func TestEnvDetectsPermanentBlock(t *testing.T) {
 
 func TestResourceFIFOAndCapacity(t *testing.T) {
 	var c Clock
-	e := NewEnv(&c)
+	e := NewSerialEnv(&c)
 	r := NewResource(e, 2)
 	var order []string
 	worker := func(name string, hold time.Duration) func(*Proc) {
@@ -325,7 +325,7 @@ func TestResourceFIFOAndCapacity(t *testing.T) {
 
 func TestResourceWaitStats(t *testing.T) {
 	var c Clock
-	e := NewEnv(&c)
+	e := NewSerialEnv(&c)
 	r := NewResource(e, 1)
 	e.Go("a", func(p *Proc) { r.Use(p, func() { p.Sleep(4 * time.Millisecond) }) })
 	e.Go("b", func(p *Proc) { r.Use(p, func() { p.Sleep(4 * time.Millisecond) }) })
@@ -343,7 +343,7 @@ func TestResourceWaitStats(t *testing.T) {
 // keeps the woken process reachable until the slice next reallocates. The
 // test watches the whole array of a queue that never has to grow.
 func TestResourceReleaseClearsDeadHeads(t *testing.T) {
-	e := NewEnv(&Clock{})
+	e := NewSerialEnv(&Clock{})
 	r := NewResource(e, 1)
 	const procs = 16
 	r.waiters = make([]*Proc, 0, procs)
@@ -366,7 +366,7 @@ func TestResourceReleaseClearsDeadHeads(t *testing.T) {
 
 func TestResourceOverReleasePanics(t *testing.T) {
 	var c Clock
-	e := NewEnv(&c)
+	e := NewSerialEnv(&c)
 	r := NewResource(e, 1)
 	defer func() {
 		if recover() == nil {
@@ -379,7 +379,7 @@ func TestResourceOverReleasePanics(t *testing.T) {
 func TestEnvManyProcsDeterministic(t *testing.T) {
 	run := func() (time.Duration, int64) {
 		var c Clock
-		e := NewEnv(&c)
+		e := NewSerialEnv(&c)
 		r := NewResource(e, 3)
 		rng := NewRNG(99)
 		var total int64
@@ -407,7 +407,7 @@ func TestEnvManyProcsDeterministic(t *testing.T) {
 
 func TestEnvAtInPastPanics(t *testing.T) {
 	var c Clock
-	e := NewEnv(&c)
+	e := NewSerialEnv(&c)
 	c.Advance(time.Second)
 	defer func() {
 		if recover() == nil {
@@ -419,7 +419,7 @@ func TestEnvAtInPastPanics(t *testing.T) {
 
 func TestEnvGoAtInPastPanics(t *testing.T) {
 	var c Clock
-	e := NewEnv(&c)
+	e := NewSerialEnv(&c)
 	c.Advance(time.Second)
 	defer func() {
 		if recover() == nil {
@@ -431,7 +431,7 @@ func TestEnvGoAtInPastPanics(t *testing.T) {
 
 func TestRunUntilStopsAtDeadline(t *testing.T) {
 	var c Clock
-	e := NewEnv(&c)
+	e := NewSerialEnv(&c)
 	var fired []int
 	e.At(1*time.Second, func() { fired = append(fired, 1) })
 	e.At(3*time.Second, func() { fired = append(fired, 3) })
@@ -451,7 +451,7 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 
 func TestProcSleepNegativePanics(t *testing.T) {
 	var c Clock
-	e := NewEnv(&c)
+	e := NewSerialEnv(&c)
 	panicked := false
 	e.Go("p", func(p *Proc) {
 		defer func() {
@@ -469,7 +469,7 @@ func TestProcSleepNegativePanics(t *testing.T) {
 
 func TestResourceUseReleasesOnReturn(t *testing.T) {
 	var c Clock
-	e := NewEnv(&c)
+	e := NewSerialEnv(&c)
 	r := NewResource(e, 1)
 	e.Go("a", func(p *Proc) {
 		r.Use(p, func() { p.Sleep(time.Millisecond) })

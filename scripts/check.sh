@@ -97,6 +97,28 @@ if grep -nE 'make\(eventHeap, *[a-z]+,' internal/sim/des.go; then
     exit 1
 fi
 
+# PR 23 made every mode a field of the constructor it configures
+# (kernel.Config, manager.Config, db.Params, core.Config) and deleted the
+# process-global boot switches. The one survivor is the kernel.SetSuperpages
+# shim bench/ pins: nothing in the root module but its definition and its
+# own test may call it. And the packages whose tests were serial only
+# because of the switches keep at least one parallel test.
+if grep -rnE 'func SetBoot|bootConcurrent|bootSharded|bootPolicyName|superSwitchMu' internal/ cmd/ examples/ epcm.go; then
+    echo "a process-global mode switch deleted in PR 23 is back (see the matches above)" >&2
+    exit 1
+fi
+if grep -rnE 'SetSuperpages\(|SuperpagesEnabled\(' --include='*.go' --exclude-dir=bench . |
+    grep -vE '^\./internal/kernel/superpage(_shim_test)?\.go:'; then
+    echo "the superpage shim is for bench/ alone: set kernel.Config.Superpages, ask (*Kernel).Superpages" >&2
+    exit 1
+fi
+for pkg in internal/kernel internal/core internal/experiments; do
+    if ! grep -rqF 't.Parallel()' --include='*_test.go' "$pkg"; then
+        echo "$pkg has no t.Parallel() test left: modes are per value, its mode tests can run side by side" >&2
+        exit 1
+    fi
+done
+
 echo "== go vet =="
 go vet ./...
 
