@@ -305,14 +305,7 @@ func (k *Kernel) migrate(cred Cred, src, dst *Segment, ranges []PageRange, set, 
 			continue
 		}
 		dst.pages.reserve(r.To, r.To+r.Pages)
-		// No slot of a destination nothing has named is warm: preload them.
-		cold := !dst.named && k.cacheFill(dst)
-		for i := int64(0); i < r.Pages; i++ {
-			if cold && i%preloadRun == 0 {
-				k.table.preload(mapKey{dst.id, r.To + i}, min(preloadRun, r.Pages-i))
-			}
-			k.movePage(src, dst, r.Page+i, r.To+i, set, clear, true, true)
-		}
+		k.moveRun(src, dst, r, set, clear)
 		perPage += r.Pages
 	}
 	k.chargeMigrated(dst, total, perPage, whole)
@@ -364,6 +357,67 @@ func extentOrderFor(src *Segment, r PageRange, super bool) int {
 		prev = pfn
 	}
 	return bits.TrailingZeros64(uint64(r.Pages))
+}
+
+// moveRun is migrate's range body: it applies one validated non-extent range
+// whose destination slots are reserved. A source with no live extent (nothing
+// to demote) whose pages, like the destination's slots, all sit in the page
+// stores' dense arms moves as a run: the entries change stores in one pass
+// (pageStore.moveRun), flags and frame ownership follow in a second, and the
+// caches then see exactly the operations the per-page loop issues, in its
+// order per structure — the mapping table remove(src i), insert(dst i) for i
+// ascending (page numbers are table keys, so which insert displaces whom is
+// model state), the TLB every source invalidate and then the destination
+// installs as one installRun. Installs decide by the destination keys and
+// the cursor alone, neither of which an invalidate of a source key touches,
+// so taking the invalidates first leaves the same entries and cursor. What
+// the run form refuses moves page by page.
+func (k *Kernel) moveRun(src, dst *Segment, r PageRange, set, clear PageFlags) {
+	// No slot of a destination nothing has named is warm: preload them.
+	cold := !dst.named && k.cacheFill(dst)
+	var moved []*pageEntry
+	if len(src.extents) == 0 {
+		moved = src.pages.moveRun(&dst.pages, r.Page, r.To, r.Pages)
+	}
+	if moved == nil {
+		for i := int64(0); i < r.Pages; i++ {
+			if cold && i%preloadRun == 0 {
+				k.table.preload(mapKey{dst.id, r.To + i}, min(preloadRun, r.Pages-i))
+			}
+			k.movePage(src, dst, r.Page+i, r.To+i, set, clear, true, true)
+		}
+		return
+	}
+	for i, e := range moved {
+		e.flags = e.flags.Apply(set, clear)
+		for _, f := range e.frames {
+			k.frameOwner[f.PFN()] = dst.id
+			k.framePage[f.PFN()] = r.To + int64(i)
+		}
+	}
+	fill := k.cacheFill(dst)
+	if !src.named && !fill {
+		return
+	}
+	for i := int64(0); i < r.Pages; i++ {
+		if src.named {
+			srcKey := mapKey{src.id, r.Page + i}
+			k.table.remove(srcKey)
+			k.tlb.invalidate(srcKey)
+		}
+		if fill {
+			if cold && i%preloadRun == 0 {
+				k.table.preload(mapKey{dst.id, r.To + i}, min(preloadRun, r.Pages-i))
+			}
+			k.table.insert(mapKey{dst.id, r.To + i})
+		}
+	}
+	if fill {
+		// On a fault-driven migrate the kernel loads the translation for
+		// the faulting address before the application resumes, so the
+		// retried access does not miss again.
+		k.tlb.installRun(mapKey{dst.id, r.To}, r.Pages)
+	}
 }
 
 // movePage transfers one page entry: it leaves src — demoting any extent

@@ -1,86 +1,164 @@
 package kernel
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"epcm/internal/phys"
 	"epcm/internal/sim"
 )
 
-// TestBulkMigrateCacheState holds the range-level shortcuts of migrate — the
-// never-named source skip, the page store's reserve and the table's preload
-// — to the page-at-a-time definition of the operation: after each call the
-// mapping table (slots, overflow set, live count, spills, drops) and the
-// TLB (entries, cursor) must be what replaying the same keys one by one —
-// remove and invalidate the source, insert and install the destination —
-// leaves in the reference structures. Two 40 000-page ranges move out of a
-// source no entry has named (boot on a fresh machine); consecutive pages of
-// one segment never share a slot, but the second range's 40 000 keys land
-// among the first's in a 64K-slot table, so the overflow area fills and
-// drops. A third moves out of a segment whose every page is named, and the
-// batch is the fill path's shape, a 32-page run, with shorter ones and one
-// longer than preloadRun beside it, into a fresh segment and a named one.
-func TestBulkMigrateCacheState(t *testing.T) {
-	const pages = 40_000
-	mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: (2*pages + 1920) * 4096})
-	var clock sim.Clock
-	k := New(mem, &clock, sim.DECstation5000(), Config{})
-	table, tl := k.table.(*mappingTable), k.tlb.(*tlb)
-	refTable, refTL := newRefMappingTable(hashTableSlots, hashOverflow), newRefTLB(len(tl.entries))
+// bulkWorld runs migrations on a kernel beside the page-at-a-time definition
+// of the operation: the reference mapping table and TLB replayed one key at
+// a time — remove and invalidate the source, insert and install the
+// destination — and a map per segment, page -> frame and flags, moved one
+// page at a time. The range body's shortcuts (the never-named source skip,
+// reserve, preload, installRun, entries changing stores as a run) must be
+// invisible to all three.
+type bulkWorld struct {
+	t     *testing.T
+	k     *Kernel
+	refT  *refMappingTable
+	refL  *refTLB
+	model map[*Segment]map[int64]bulkPage
+}
 
-	segment := func(name string) *Segment {
-		s, err := k.CreateSegment(name, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
+type bulkPage struct {
+	pfn   phys.PFN
+	flags PageFlags
+}
+
+func newBulkWorld(t *testing.T, frames int64, cfg Config) *bulkWorld {
+	mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: frames * 4096})
+	k := New(mem, new(sim.Clock), sim.DECstation5000(), cfg)
+	w := &bulkWorld{t: t, k: k, model: make(map[*Segment]map[int64]bulkPage),
+		refT: newRefMappingTable(hashTableSlots, hashOverflow), refL: newRefTLB(len(k.tlb.(*tlb).entries))}
+	w.model[k.boot] = make(map[int64]bulkPage, frames)
+	for pfn := int64(0); pfn < frames; pfn++ {
+		w.model[k.boot][pfn] = bulkPage{pfn: phys.PFN(pfn)}
 	}
-	replay := func(src, dst *Segment, ranges ...PageRange) {
-		for _, r := range ranges {
-			for i := int64(0); i < r.Pages; i++ {
-				srcKey, dstKey := mapKey{src.id, r.Page + i}, mapKey{dst.id, r.To + i}
-				refTable.remove(srcKey)
-				refTL.invalidate(srcKey)
-				refTable.insert(dstKey, nil)
-				refTL.install(dstKey)
+	return w
+}
+
+func (w *bulkWorld) segment(name string) *Segment {
+	s, err := w.k.CreateSegment(name, 1)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	w.model[s] = make(map[int64]bulkPage)
+	return s
+}
+
+// move applies ranges as one call — MigratePages for a single range, so that
+// it is never an extent — and replays them on the references. before, if
+// set, runs ahead of the i-th page of the call's replay (a demotion the
+// kernel performs on its way).
+func (w *bulkWorld) move(step string, cred Cred, src, dst *Segment, set, clear PageFlags, before func(i int64), ranges ...PageRange) {
+	w.t.Helper()
+	var err error
+	if len(ranges) == 1 {
+		r := ranges[0]
+		err = w.k.MigratePages(cred, src, dst, r.Page, r.To, r.Pages, set, clear)
+	} else {
+		err = w.k.MigratePagesBatch(cred, src, dst, ranges, set, clear)
+	}
+	if err != nil {
+		w.t.Fatalf("%s: %v", step, err)
+	}
+	n := int64(0)
+	for _, r := range ranges {
+		for i := int64(0); i < r.Pages; i, n = i+1, n+1 {
+			if before != nil {
+				before(n)
+			}
+			srcKey, dstKey := mapKey{src.id, r.Page + i}, mapKey{dst.id, r.To + i}
+			w.refT.remove(srcKey)
+			w.refL.invalidate(srcKey)
+			w.refT.insert(dstKey, nil)
+			w.refL.install(dstKey)
+			p, ok := w.model[src][r.Page+i]
+			if !ok {
+				w.t.Fatalf("%s: the script moves %s page %d, which the model does not hold", step, src.name, r.Page+i)
+			}
+			delete(w.model[src], r.Page+i)
+			p.flags = p.flags.Apply(set, clear)
+			w.model[dst][r.To+i] = p
+		}
+	}
+	w.check(step)
+}
+
+func (w *bulkWorld) check(step string) {
+	w.t.Helper()
+	table, tl := w.k.table.(*mappingTable), w.k.tlb.(*tlb)
+	assertSameAsReference(w.t, table, w.refT)
+	assertNoDuplicates(w.t, table)
+	assertTLBSameAsReference(w.t, tl, w.refL)
+	for s, pages := range w.model {
+		if s.pages.len() != len(pages) {
+			w.t.Fatalf("%s: %s holds %d pages, the model %d", step, s.name, s.pages.len(), len(pages))
+		}
+		held := s.pages.pages()
+		if len(held) != len(pages) || !slices.IsSorted(held) {
+			w.t.Fatalf("%s: %s lists %d pages (sorted %v), the model %d", step, s.name, len(held), slices.IsSorted(held), len(pages))
+		}
+		for _, page := range held {
+			p, ok := pages[page]
+			if !ok {
+				w.t.Fatalf("%s: %s lists page %d, the model does not", step, s.name, page)
+			}
+			if !s.pages.has(page) {
+				w.t.Fatalf("%s: %s lists page %d but has(%d) is false", step, s.name, page, page)
+			}
+			if w.k.frameOwner[p.pfn] != s.id || w.k.framePage[p.pfn] != page {
+				w.t.Fatalf("%s: frame %d recorded at segment %d page %d, the model has it at %s page %d",
+					step, p.pfn, w.k.frameOwner[p.pfn], w.k.framePage[p.pfn], s.name, page)
+			}
+			e, ok := s.pages.get(page)
+			if !ok || len(e.frames) != 1 || e.frames[0].PFN() != p.pfn || e.flags != p.flags {
+				w.t.Fatalf("%s: %s page %d = %+v (present %v), the model has frame %d flags %v", step, s.name, page, e, ok, p.pfn, p.flags)
 			}
 		}
 	}
-	check := func(step string) {
-		t.Helper()
-		assertSameAsReference(t, table, refTable)
-		assertNoDuplicates(t, table)
-		assertTLBSameAsReference(t, tl, refTL)
-		if err := k.CheckFrameConservation(); err != nil {
-			t.Fatalf("%s: %v", step, err)
-		}
+	if err := w.k.CheckFrameConservation(); err != nil {
+		w.t.Fatalf("%s: %v", step, err)
 	}
+}
 
-	donor, heap := segment("donor"), segment("heap")
-	if k.boot.named {
+// TestBulkMigrateCacheState holds the range body of migrate to the
+// page-at-a-time definition of the operation (bulkWorld). Two 40 000-page
+// ranges move out of a source no entry has named (boot on a fresh machine);
+// consecutive pages of one segment never share a slot, but the second
+// range's 40 000 keys land among the first's in a 64K-slot table, so the
+// overflow area fills and drops. A third moves out of a segment whose every
+// page is named. Then the fill path's shape, a 32-page run with shorter ones
+// and one longer than preloadRun beside it; runs of 1, 63, 64, 65 and 4 096
+// pages — either side of the TLB's size — each into a fresh segment and into
+// a named one; a source with pages parked in sparse, which the range body
+// refuses; frames going home to boot, and a second stocking out of it now
+// that it is named.
+func TestBulkMigrateCacheState(t *testing.T) {
+	const pages = 40_000
+	w := newBulkWorld(t, 2*pages+1920, Config{})
+	k, boot := w.k, w.k.boot
+	donor, heap := w.segment("donor"), w.segment("heap")
+	if boot.named {
 		t.Fatal("the boot segment of a fresh machine is already named")
 	}
 	for i, dst := range []*Segment{donor, heap} {
 		r := PageRange{Page: 16 + int64(i)*pages, To: 100 * int64(i), Pages: pages}
-		if err := k.MigratePages(SystemCred, k.boot, dst, r.Page, r.To, r.Pages, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-		replay(k.boot, dst, r)
-		check("out of the never-named boot segment")
-		if k.boot.named || !dst.named {
-			t.Fatalf("named: boot %v, %s %v; want false, true", k.boot.named, dst.name, dst.named)
+		w.move("out of the never-named boot segment", SystemCred, boot, dst, FlagRead, 0, nil, r)
+		if boot.named || !dst.named {
+			t.Fatalf("named: boot %v, %s %v; want false, true", boot.named, dst.name, dst.named)
 		}
 	}
-	if _, _, spills, drops := table.stats(); spills < hashOverflow || drops == 0 {
+	if _, _, spills, drops := k.table.stats(); spills < hashOverflow || drops == 0 {
 		t.Fatalf("%d spills and %d drops: the ranges did not fill the overflow area", spills, drops)
 	}
 
-	file := segment("file")
-	if err := k.MigratePages(AppCred, donor, file, 0, 2_000, pages, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	replay(donor, file, PageRange{Page: 0, To: 2_000, Pages: pages})
-	check("out of the named donor segment")
+	file := w.segment("file")
+	w.move("out of the named donor segment", AppCred, donor, file, FlagWrite, FlagRead, nil, PageRange{Page: 0, To: 2_000, Pages: pages})
 
 	batch := []PageRange{
 		{Page: 100, To: 0, Pages: 32},
@@ -91,31 +169,75 @@ func TestBulkMigrateCacheState(t *testing.T) {
 	}
 	// Into a segment nothing has named (its first run is preloaded), then
 	// the same shape into a named one.
-	for _, dst := range []*Segment{segment("pen"), file} {
-		if err := k.MigratePagesBatch(AppCred, heap, dst, batch, FlagRead, 0); err != nil {
-			t.Fatal(err)
-		}
-		replay(heap, dst, batch...)
-		check("grant-shaped batch into " + dst.name)
+	for _, dst := range []*Segment{w.segment("pen"), file} {
+		w.move("grant-shaped batch into "+dst.name, AppCred, heap, dst, FlagRead, 0, nil, batch...)
 		for i := range batch {
 			batch[i].Page += 10_000
 		}
 	}
 
+	at := int64(31_000) // heap pages nothing above has taken
+	for _, n := range []int64{1, 63, 64, 65, 4_096} {
+		fresh := w.segment(fmt.Sprintf("fresh-%d", n))
+		w.move(fmt.Sprintf("%d pages into a fresh segment", n), AppCred, heap, fresh, 0, FlagRead, nil, PageRange{Page: at, To: 7, Pages: n})
+		at += n + 3
+		w.move(fmt.Sprintf("%d pages into a named segment", n), AppCred, heap, file, FlagDirty, 0, nil, PageRange{Page: at, To: 12_000 + at, Pages: n})
+		at += n + 3
+	}
+
+	// One page far beyond an empty prefix parks in sparse, and from then on
+	// the dense slots alone do not answer for the segment.
+	parked := w.segment("parked")
+	w.move("a page into sparse", AppCred, file, parked, 0, 0, nil, PageRange{Page: 2_000, To: 10_000, Pages: 1})
+	w.move("a run under it", AppCred, file, parked, 0, 0, nil, PageRange{Page: 2_001, To: 0, Pages: 80})
+	if len(parked.pages.sparse) != 1 {
+		t.Fatalf("%d pages parked in sparse, want 1", len(parked.pages.sparse))
+	}
+	w.move("out of a source with a page in sparse", AppCred, parked, file, 0, 0, nil, PageRange{Page: 0, To: 2_000, Pages: 80})
+	w.move("the parked page itself", AppCred, parked, file, 0, 0, nil, PageRange{Page: 10_000, To: 2_080, Pages: 1})
+
 	// Frames going home name the boot segment, and from then on its pages
-	// are removed like any other's. File pages 0..31 came from heap pages
-	// 10 100.., which came from boot pages 16+pages+10 000..: their PFNs.
-	home := PageRange{Page: 0, To: 16 + pages + 10_000, Pages: 32}
-	if err := k.MigratePages(SystemCred, file, k.boot, home.Page, home.To, home.Pages, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	replay(file, k.boot, home)
-	if err := k.MigratePages(SystemCred, k.boot, file, home.To, home.Page, home.Pages, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	replay(k.boot, file, PageRange{Page: home.To, To: home.Page, Pages: home.Pages})
-	check("back to boot and out again")
-	if !k.boot.named {
+	// are removed like any other's. The machine's last 1 904 frames never
+	// left it; 32 of them go out and come home, and the second stocking
+	// takes the lot.
+	tail := int64(16 + 2*pages)
+	out := PageRange{Page: tail + 100, To: 0, Pages: 32}
+	away := w.segment("away")
+	w.move("out of the tail", SystemCred, boot, away, 0, 0, nil, out)
+	w.move("home again", SystemCred, away, boot, 0, 0, nil, PageRange{Page: 0, To: out.Page, Pages: 32})
+	if !boot.named {
 		t.Fatal("boot segment not named after frames returned to it")
+	}
+	w.move("second stocking, out of a named boot segment", SystemCred, boot, w.segment("donor-2"), FlagRW, 0, nil, PageRange{Page: tail, To: 0, Pages: 1_904})
+	// File pages 0..31 came from heap pages 10 100.., which came from boot
+	// pages 16+pages+10 000..: their PFNs.
+	home := PageRange{Page: 0, To: 16 + pages + 10_000, Pages: 32}
+	w.move("back to boot", SystemCred, file, boot, 0, FlagRW, nil, home)
+	w.move("and out again", SystemCred, boot, file, 0, 0, nil, PageRange{Page: home.To, To: home.Page, Pages: home.Pages})
+}
+
+// A live extent inside the source range is demoted on the way — its span
+// entries leave the caches ahead of its first page's — and the range moves
+// page by page: the range body refuses a source with an extent.
+func TestBulkMigrateAcrossLiveExtent(t *testing.T) {
+	w := newBulkWorld(t, 1024, Config{Superpages: true})
+	k, src, dst := w.k, w.segment("src"), w.segment("dst")
+	w.move("stock", SystemCred, k.boot, src, FlagRW, 0, nil, PageRange{Page: 256, To: 0, Pages: 256})
+	const base, order = 64, 4
+	if err := k.PromoteExtent(AppCred, src, base, order); err != nil {
+		t.Fatal(err)
+	}
+	span := mapKey{src.id, base}
+	w.refT.insertSpan(span, nil, order)
+	w.refL.installSpan(span, order)
+	w.check("promoted")
+	w.move("across the extent", AppCred, src, dst, 0, FlagWrite, func(i int64) {
+		if i == base {
+			w.refT.removeSpan(span, order)
+			w.refL.invalidateSpan(span, order)
+		}
+	}, PageRange{Page: 0, To: 300, Pages: 200})
+	if st := k.Stats(); st.ExtentDemotions != 1 || len(src.extents) != 0 {
+		t.Fatalf("%d demotions, %d live extents after the move; want 1, 0", st.ExtentDemotions, len(src.extents))
 	}
 }

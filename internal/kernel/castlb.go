@@ -187,6 +187,14 @@ func (t *casTLB) install(k mapKey) {
 	s.ways[s.rot.Add(1)&(casTLBWays-1)].Store(w)
 }
 
+// installRun is install of the n keys (k.seg, k.page+i) in turn: a set's
+// rotor moves only with its own installs, so there is no run shape to use.
+func (t *casTLB) installRun(k mapKey, n int64) {
+	for i := int64(0); i < n; i++ {
+		t.install(mapKey{k.seg, k.page + i})
+	}
+}
+
 func (t *casTLB) invalidate(k mapKey) {
 	w, ok := casTLBPack(k)
 	if !ok {

@@ -175,27 +175,42 @@ func assertNoDuplicates(t *testing.T, table *mappingTable) {
 
 // FuzzTLB drives the indexed TLB and the linear-scan reference
 // (reference_test.go) with one fuzz-chosen stream of lookup / install /
-// invalidate / invalidateSegment / installSpan / invalidateSpan and requires,
-// after every operation, the same answer, the same contents slot for slot,
-// the same round-robin cursor, the same span ways and the same hit and miss
-// counts — plus an index that lists exactly the valid slots, each once.
-// Eight entries over a 32-page, 4-segment universe keep the TLB full and
-// its 16 buckets colliding.
+// invalidate / invalidateSegment / installSpan / invalidateSpan / installRun
+// and requires, after every operation, the same answer, the same contents
+// slot for slot, the same round-robin cursor, the same span ways and the
+// same hit and miss counts — plus an index that lists exactly the valid
+// slots, each once. Eight entries over a 32-page, 4-segment universe keep
+// the TLB full and its 16 buckets colliding. An installRun of 1..32 keys is
+// held to that many single installs on the reference: longer than the TLB
+// and with none of its keys cached it steps the cursor over the installs
+// that would be overwritten, and a run that finds one of its keys cached —
+// the script installs them often enough — must not.
 func FuzzTLB(f *testing.F) {
 	f.Add([]byte{1, 1, 0, 1, 1, 1, 0, 1, 0, 2, 1, 0, 0, 1, 0})
 	f.Add([]byte("install-evict-invalidate-wraparound-segment-flush"))
 	f.Add([]byte{4, 0, 8, 0, 0, 9, 5, 0, 8, 0, 0, 9, 3, 0, 0})
 	f.Add(tlbCollidingSeed())
+	// Runs of 20 and 9 keys into an empty TLB and across its wrap-around,
+	// one of exactly its size, then one over a key cached in its middle and
+	// one over a key an earlier run left.
+	f.Add([]byte{8, 1, 19<<3 | 0, 8, 2, 8<<3 | 0, 8, 0, 7<<3 | 1, 1, 3, 12, 8, 3, 19<<3 | 0, 8, 1, 15<<3 | 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const size = 8
 		tl, ref := newTLB(size), newRefTLB(size)
 		for len(data) >= 3 {
-			op, segByte, pageByte := data[0]%8, data[1]&3, data[2]&31
+			op, segByte, pageByte := data[0]%9, data[1]&3, data[2]&31
+			run := mapKey{SegID(segByte), int64(data[2] & 7)}
+			runLen := int64(data[2]>>3) + 1 // 1..32 keys from page 0..7
 			data = data[3:]
 			k := mapKey{seg: SegID(segByte), page: int64(pageByte)}
 			order := uint8(pageByte>>3) + 1 // 1..4
 			span := mapKey{k.seg, extentBase(k.page, int(order))}
 			switch op {
+			case 8:
+				tl.installRun(run, runLen)
+				for i := int64(0); i < runLen; i++ {
+					ref.install(mapKey{run.seg, run.page + i})
+				}
 			case 0:
 				if got, want := tl.lookup(k), ref.lookup(k); got != want {
 					t.Fatalf("lookup(%v) = %v, reference %v", k, got, want)

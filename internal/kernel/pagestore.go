@@ -82,6 +82,25 @@ func (ps *pageStore) reserve(lo, end int64) {
 	}
 }
 
+// moveRun moves pages [lo, lo+n), all present, to the slots [to, to+n) of
+// dst, all absent and already reserved, and returns the moved entries in
+// page order. It takes a range dense slots alone answer for on both sides —
+// the prefix covers it and nothing is parked in sparse, so a nil slot is an
+// absent page — and returns nil, having moved nothing, for any other. dst
+// may be ps.
+func (ps *pageStore) moveRun(dst *pageStore, lo, to, n int64) []*pageEntry {
+	if len(ps.sparse) != 0 || len(dst.sparse) != 0 || lo+n > int64(len(ps.dense)) || to+n > int64(len(dst.dense)) {
+		return nil
+	}
+	from, moved := ps.dense[lo:lo+n], dst.dense[to:to+n]
+	for i, e := range from {
+		moved[i], from[i] = e, nil
+	}
+	ps.n -= int(n)
+	dst.n += int(n)
+	return moved
+}
+
 // put stores e (non-nil) at page, replacing any existing entry.
 func (ps *pageStore) put(page int64, e *pageEntry) {
 	if page < 0 {

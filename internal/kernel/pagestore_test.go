@@ -3,6 +3,7 @@ package kernel
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -13,19 +14,27 @@ type pageStoreOps struct {
 }
 
 type pageStoreOp struct {
-	kind int // 0 put, 1 del, 2 get, 3 reserve [page, page+n)
-	page int64
-	n    int64
+	// 0 put, 1 del, 2 get, 3 reserve [page, page+n), 4 move [page, page+n)
+	// to the other store at to as a run, 5 forEach stopping after n%50+1
+	// pages
+	kind  int
+	store int // which of the two stores
+	page  int64
+	n     int64
+	to    int64
 }
 
 // Generate implements quick.Generator, biasing pages toward the dense
-// region but including far-out sparse pages so both arms are exercised.
+// region but — in half the sequences — including far-out sparse pages so
+// both arms are exercised; the other half keep sparse empty, which is when
+// a run moves as a run.
 func (pageStoreOps) Generate(r *rand.Rand, size int) reflect.Value {
 	n := r.Intn(200) + 1
+	classes := 2 + 2*r.Intn(2)
 	ops := make([]pageStoreOp, n)
 	for i := range ops {
 		var page int64
-		switch r.Intn(4) {
+		switch r.Intn(classes) {
 		case 0:
 			page = r.Int63n(64) // dense, clustered
 		case 1:
@@ -35,20 +44,35 @@ func (pageStoreOps) Generate(r *rand.Rand, size int) reflect.Value {
 		default:
 			page = pageStoreDenseMax + r.Int63n(1<<30) // strictly sparse
 		}
-		ops[i] = pageStoreOp{kind: r.Intn(4), page: page, n: 1 + r.Int63n(3*pageStoreDenseDirect)}
+		op := pageStoreOp{kind: r.Intn(6), store: r.Intn(2), page: page, n: 1 + r.Int63n(3*pageStoreDenseDirect)}
+		if op.kind == 4 {
+			op.page, op.to, op.n = r.Int63n(6_000), r.Int63n(6_000), 1+r.Int63n(300)
+		}
+		ops[i] = op
 	}
 	return reflect.ValueOf(pageStoreOps{ops: ops})
 }
 
-// TestPageStoreMatchesMapModel drives a pageStore and a plain map through
-// random op sequences and requires identical observable behaviour — the
-// dense/sparse split must be invisible (mirroring the frame-conservation
-// invariant discipline of DESIGN.md §6).
+func sortedPages(model map[int64]*pageEntry) []int64 {
+	pages := make([]int64, 0, len(model))
+	for p := range model {
+		pages = append(pages, p)
+	}
+	slices.Sort(pages)
+	return pages
+}
+
+// TestPageStoreMatchesMapModel drives two pageStores and a plain map each
+// through random op sequences and requires identical observable behaviour —
+// the dense/sparse split must be invisible, and so must a range changing
+// stores as a run (mirroring the frame-conservation invariant discipline of
+// DESIGN.md §6).
 func TestPageStoreMatchesMapModel(t *testing.T) {
 	property := func(seq pageStoreOps) bool {
-		var ps pageStore
-		model := make(map[int64]*pageEntry)
+		var stores [2]pageStore
+		models := [2]map[int64]*pageEntry{{}, {}}
 		for _, op := range seq.ops {
+			ps, model := &stores[op.store], models[op.store]
 			switch op.kind {
 			case 0:
 				e := &pageEntry{flags: PageFlags(op.page % 7)}
@@ -60,47 +84,84 @@ func TestPageStoreMatchesMapModel(t *testing.T) {
 			case 2:
 				got, ok := ps.get(op.page)
 				want, wok := model[op.page]
-				if ok != wok || got != want {
-					t.Logf("get(%d) = (%p,%v), model (%p,%v)", op.page, got, ok, want, wok)
+				if ok != wok || got != want || ps.has(op.page) != wok {
+					t.Logf("get(%d) = (%p,%v), has %v, model (%p,%v)", op.page, got, ok, ps.has(op.page), want, wok)
 					return false
 				}
 			case 3:
 				ps.reserve(op.page, op.page+op.n) // holds nothing: the model does not move
+			case 4:
+				// As migrate leaves things for its range body: the source
+				// range all present, the destination's all absent and
+				// reserved.
+				dst, dstModel := &stores[1-op.store], models[1-op.store]
+				for i := int64(0); i < op.n; i++ {
+					if _, ok := model[op.page+i]; !ok {
+						e := &pageEntry{}
+						ps.put(op.page+i, e)
+						model[op.page+i] = e
+					}
+					dst.del(op.to + i)
+					delete(dstModel, op.to+i)
+				}
+				dst.reserve(op.to, op.to+op.n)
+				moved := ps.moveRun(dst, op.page, op.to, op.n)
+				want := len(ps.sparse) == 0 && len(dst.sparse) == 0 &&
+					op.page+op.n <= int64(len(ps.dense)) && op.to+op.n <= int64(len(dst.dense))
+				if (moved != nil) != want || moved != nil && int64(len(moved)) != op.n {
+					t.Logf("moveRun(%d -> %d, %d) returned %d entries, want a move: %v", op.page, op.to, op.n, len(moved), want)
+					return false
+				}
+				for i, e := range moved {
+					if model[op.page+int64(i)] != e {
+						t.Logf("moveRun(%d -> %d, %d): entry %d is not page %d's", op.page, op.to, op.n, i, op.page+int64(i))
+						return false
+					}
+					delete(model, op.page+int64(i))
+					dstModel[op.to+int64(i)] = e
+				}
+			case 5:
+				want := sortedPages(model)
+				want = want[:min(len(want), int(op.n%50)+1)]
+				var seen []int64
+				same := true
+				ps.forEach(func(page int64, e *pageEntry) bool {
+					seen = append(seen, page)
+					same = same && model[page] == e
+					return len(seen) < len(want)
+				})
+				if !same || !slices.Equal(seen, want) {
+					t.Logf("forEach stopped after %d pages visited %v (the model's entries: %v), model %v", len(want), seen, same, want)
+					return false
+				}
 			}
-			if ps.len() != len(model) {
-				t.Logf("len = %d, model %d", ps.len(), len(model))
-				return false
+			for i := range stores {
+				if stores[i].len() != len(models[i]) {
+					t.Logf("store %d: len = %d, model %d", i, stores[i].len(), len(models[i]))
+					return false
+				}
 			}
 		}
 		// Final sweep: pages() must be the model's keys in ascending order,
 		// and forEach must visit exactly the same pages with the same entries.
-		pages := ps.pages()
-		if len(pages) != len(model) {
-			t.Logf("pages() returned %d pages, model has %d", len(pages), len(model))
-			return false
-		}
-		prev := int64(-1)
-		for _, p := range pages {
-			if p <= prev {
-				t.Logf("pages() not strictly ascending at %d after %d", p, prev)
+		for i := range stores {
+			ps, model := &stores[i], models[i]
+			if pages, want := ps.pages(), sortedPages(model); !slices.Equal(pages, want) {
+				t.Logf("store %d: pages() = %v, model %v", i, pages, want)
 				return false
 			}
-			prev = p
-			if _, ok := model[p]; !ok {
-				t.Logf("pages() includes %d, not in model", p)
+			visited, okAll := 0, true
+			ps.forEach(func(page int64, e *pageEntry) bool {
+				visited++
+				okAll = okAll && model[page] == e
+				return true
+			})
+			if !okAll || visited != len(model) {
+				t.Logf("store %d: forEach visited %d pages (the model's entries: %v), model %d", i, visited, okAll, len(model))
 				return false
 			}
 		}
-		visited := 0
-		okAll := true
-		ps.forEach(func(page int64, e *pageEntry) bool {
-			visited++
-			if model[page] != e {
-				okAll = false
-			}
-			return true
-		})
-		return okAll && visited == len(model)
+		return true
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ package kernel
 type translator interface {
 	lookup(k mapKey) bool
 	install(k mapKey)
+	installRun(k mapKey, n int64)
 	invalidate(k mapKey)
 	invalidateSegment(seg SegID)
 	installSpan(k mapKey, order uint8)
@@ -163,6 +164,32 @@ func (t *tlb) install(k mapKey) {
 	t.entries[slot] = tlbEntry{key: k, link: *head, valid: true}
 	*head = slot
 	t.next = (t.next + 1) % len(t.entries)
+}
+
+// installRun is install of the n keys (k.seg, k.page+i), i ascending. When
+// the run is longer than the TLB and caches none of its keys, every install
+// takes a fresh slot, so the last len(entries) of them overwrite everything
+// the earlier ones wrote: the cursor steps past those and only the last
+// len(entries) are performed — the state n single installs leave.
+func (t *tlb) installRun(k mapKey, n int64) {
+	if size := int64(len(t.entries)); n > size && !t.cachesAny(k, n) {
+		t.next = int((int64(t.next) + n - size) % size)
+		k.page, n = k.page+n-size, size
+	}
+	for i := int64(0); i < n; i++ {
+		t.install(mapKey{k.seg, k.page + i})
+	}
+}
+
+// cachesAny reports whether any of the n keys from k is cached exactly.
+func (t *tlb) cachesAny(k mapKey, n int64) bool {
+	for i := range t.entries {
+		e := &t.entries[i]
+		if e.valid && e.key.seg == k.seg && e.key.page >= k.page && e.key.page-k.page < n {
+			return true
+		}
+	}
+	return false
 }
 
 // invalidate removes a cached translation (page migrated, unmapped, or

@@ -51,20 +51,125 @@ func TestNewFixedPoolFailureLeavesNoSegment(t *testing.T) {
 	}
 }
 
+// The donor's numbering is model state (its page numbers are mapping-table
+// keys): page i holds frame startPFN+i until it is granted, grants take the
+// lowest pages, returns land above every page ever used.
+func TestFixedPoolDonorNumbering(t *testing.T) {
+	const stocked, startPFN = 1000, 16
+	mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: 2048 * 4096})
+	k := bootKernel(mem)
+	pool, err := NewFixedPool(k, stocked, startPFN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGeneric(k, Config{Name: "m", Source: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// want says which donor pages hold a frame: [lo, stocked) as stocked,
+	// frame startPFN+page each, and [stocked, stocked+returned) as returned.
+	want := func(step string, lo, returned int64) {
+		t.Helper()
+		if got := int64(pool.FramesLeft()); got != stocked-lo+returned {
+			t.Fatalf("%s: donor holds %d frames, want %d", step, got, stocked-lo+returned)
+		}
+		for page := int64(0); page < stocked+returned; page++ {
+			f := pool.Donor.FrameAt(page)
+			switch {
+			case page < lo && f != nil:
+				t.Fatalf("%s: granted donor page %d holds frame %d again", step, page, f.PFN())
+			case page >= lo && f == nil:
+				t.Fatalf("%s: donor page %d is empty", step, page)
+			case page >= lo && page < stocked && int64(f.PFN()) != startPFN+page:
+				t.Fatalf("%s: donor page %d holds frame %d, want %d", step, page, f.PFN(), startPFN+page)
+			}
+		}
+	}
+	want("stocked", 0, 0)
+	if n, err := pool.RequestFrames(g, 300, phys.AnyFrame()); n != 300 || err != nil {
+		t.Fatalf("take 300: %d frames, err %v", n, err)
+	}
+	want("300 taken", 300, 0)
+	if n, err := g.ReturnFreeFrames(100); n != 100 || err != nil {
+		t.Fatalf("return 100: %d frames, err %v", n, err)
+	}
+	want("100 returned", 300, 100)
+	if n, err := pool.RequestFrames(g, 50, phys.AnyFrame()); n != 50 || err != nil {
+		t.Fatalf("take 50: %d frames, err %v", n, err)
+	}
+	want("50 more taken", 350, 100)
+	if err := k.CheckFrameConservation(); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.CheckSlots(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The paper's 128 MB machine, and the default manager's pool inside it.
+const bootMemPages, bootPoolPages = 32768, 32768 - 64
+
+func bootMemory() *phys.Memory {
+	return phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: bootMemPages * 4096})
+}
+
+func bootKernel(mem *phys.Memory) *kernel.Kernel {
+	return kernel.New(mem, new(sim.Clock), sim.DECstation5000(), kernel.Config{})
+}
+
 // BenchmarkMachineBoot times what every Tables 2-3 run pays before its first
-// event: the paper's 128 MB machine (phys.NewMemory), its kernel
-// (kernel.New parks 32 768 frames in the boot segment) and the default
-// manager's pool (NewFixedPool stocks 32 704 of them in one MigratePages).
+// event, stage by stage: the machine's frames (phys.NewMemory), its kernel
+// (kernel.New records all 32 768 of them in the boot segment) and the
+// default manager's pool (NewFixedPool stocks 32 704 in one MigratePages);
+// all is the three back to back, as NewVppRunner runs them. Every stage
+// reports ns/page over the pool's 32 704 pages.
 func BenchmarkMachineBoot(b *testing.B) {
-	const memPages, poolPages = 32768, 32768 - 64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: memPages * 4096})
-		var clock sim.Clock
-		k := kernel.New(mem, &clock, sim.DECstation5000(), kernel.Config{})
-		if _, err := NewFixedPool(k, poolPages, 16); err != nil {
+	stage := func(name string, setup func() *kernel.Kernel, run func(*kernel.Kernel)) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				k := setup()
+				b.StartTimer()
+				run(k)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/bootPoolPages, "ns/page")
+		})
+	}
+	none := func() *kernel.Kernel { return nil }
+	stock := func(k *kernel.Kernel) {
+		if _, err := NewFixedPool(k, bootPoolPages, 16); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/poolPages, "ns/page")
+	mem := bootMemory()
+	stage("mem", none, func(*kernel.Kernel) { bootMemory() })
+	stage("kernel", none, func(*kernel.Kernel) { bootKernel(mem) })
+	stage("pool", func() *kernel.Kernel { return bootKernel(mem) }, stock)
+	stage("all", none, func(*kernel.Kernel) { stock(bootKernel(bootMemory())) })
+}
+
+// BenchmarkStockThenTouch is a boot and then what a Tables 2-3 run does with
+// it: 300 single-frame grants out of the stocked donor, each a walk to the
+// donor's first page, a look at its frame and a one-page MigratePages. It
+// prices whatever stocking deferred to a page's first individual use.
+func BenchmarkStockThenTouch(b *testing.B) {
+	const touched = 300
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := bootKernel(bootMemory())
+		pool, err := NewFixedPool(k, bootPoolPages, 16)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, err := NewGeneric(k, Config{Name: "m", Source: pool})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < touched; j++ {
+			if n, err := pool.RequestFrames(g, 1, phys.AnyFrame()); n != 1 || err != nil {
+				b.Fatalf("grant %d: %d frames, err %v", j, n, err)
+			}
+		}
+	}
 }

@@ -43,6 +43,12 @@ func NewPlacement(k *kernel.Kernel, cfg Config, nodeOf func(f kernel.Fault) int)
 // FixedPool is a FrameSource over a dedicated donor segment, for tests and
 // self-contained experiments that run without a full SPCM. It grants frames
 // from the donor until exhausted and accepts returns back into it.
+//
+// Donor page numbers are mapping-table keys, so how the donor is numbered is
+// model state: page i holds frame startPFN+i from stocking until it is
+// granted, a grant takes the lowest pages that hold an admissible frame, and
+// a returned frame lands at next — above every page ever used — never in a
+// slot a grant vacated.
 type FixedPool struct {
 	K     *kernel.Kernel
 	Cred  kernel.Cred
@@ -53,7 +59,9 @@ type FixedPool struct {
 var _ FrameSource = (*FixedPool)(nil)
 
 // NewFixedPool wraps a donor segment holding nFrames frames taken from the
-// kernel's boot segment starting at startPFN.
+// kernel's boot segment starting at startPFN: one migration of the range
+// [startPFN, startPFN+nFrames) to donor pages [0, nFrames), which the kernel
+// can move as a run only because the numbering is this plain.
 func NewFixedPool(k *kernel.Kernel, nFrames, startPFN int64) (*FixedPool, error) {
 	donor, err := k.CreateSegment("fixed-pool", 1)
 	if err != nil {
@@ -68,7 +76,8 @@ func NewFixedPool(k *kernel.Kernel, nFrames, startPFN int64) (*FixedPool, error)
 	return &FixedPool{K: k, Cred: kernel.AppCred, Donor: donor, next: nFrames}, nil
 }
 
-// RequestFrames implements FrameSource.
+// RequestFrames implements FrameSource: the n lowest donor pages holding a
+// frame the constraint admits, one single-page migration each, in page order.
 func (p *FixedPool) RequestFrames(g *Generic, n int, constraint phys.Range) (int, error) {
 	give := make([]int64, 0, n)
 	p.Donor.ForEachPage(func(page int64) bool {

@@ -13,6 +13,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"epcm/internal/defaultmgr"
@@ -58,6 +59,19 @@ type Counters struct {
 	ReadCalls    int64
 	WriteCalls   int64
 	ZeroFills    int64 // Ultrix: security zeroing events
+}
+
+// sortedNames returns the input file names in the one order Prepare caches
+// them in: which segment ID, donor pages and free slots a file gets is
+// machine state (they are mapping-table keys), so it may not follow Go's map
+// order.
+func sortedNames(files map[string]int64) []string {
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }
 
 // --- V++ runner ---
@@ -113,7 +127,8 @@ func (r *VppRunner) SystemName() string { return "V++" }
 
 // Prepare implements Runner.
 func (r *VppRunner) Prepare(inputs map[string]int64) error {
-	for name, pages := range inputs {
+	for _, name := range sortedNames(inputs) {
+		pages := inputs[name]
 		r.Store.Preload(name, pages, nil)
 		f, err := r.D.OpenFile(name)
 		if err != nil {
@@ -261,7 +276,8 @@ func (r *UltrixRunner) SystemName() string { return "Ultrix" }
 
 // Prepare implements Runner.
 func (r *UltrixRunner) Prepare(inputs map[string]int64) error {
-	for name, pages := range inputs {
+	for _, name := range sortedNames(inputs) {
+		pages := inputs[name]
 		r.Store.Preload(name, pages, nil)
 		f := r.S.OpenFile(name)
 		r.Store.SetCharging(false)

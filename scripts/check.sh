@@ -119,6 +119,14 @@ for pkg in internal/kernel internal/core internal/experiments; do
     fi
 done
 
+# PR 24: the runners pre-cached their input files in Go's map order, so which
+# segment ID, donor pages and free slots each file got — mapping-table keys —
+# changed from run to run. Machine state is built in sorted order.
+if grep -rnE 'range inputs' --include='*.go' --exclude='*_test.go' internal/workload; then
+    echo "internal/workload builds machine state in map order: range over sortedNames(inputs)" >&2
+    exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 
@@ -160,7 +168,7 @@ go test -bench=Harness -benchtime=1x -run='^$' .
 go test -bench=DeliveryPlane -benchtime=1x -run='^$' ./internal/experiments
 go test -bench='BatchMigrate|TLB|MappingTable|CASTable|CheckDisjoint|DeliverFault' -benchtime=1x -run='^$' ./internal/kernel
 go test -bench='LockReleaseAll|LockCycle' -benchtime=1x -run='^$' ./internal/db
-go test -bench=MachineBoot -benchtime=1x -run='^$' ./internal/manager
+go test -bench='MachineBoot|StockThenTouch' -benchtime=1x -run='^$' ./internal/manager
 go test -bench='ProcSwitch|ProcSpawn|ParkWake|EventHeap|WindowBarrier|Clock' -benchtime=1x -run='^$' ./internal/sim
 
 golden_tmp=$(mktemp)
@@ -183,5 +191,13 @@ echo "   reproduce -table 1 -sweep all"
 go run ./cmd/reproduce -table 1 -sweep all > "$golden_tmp"
 head -n 9 internal/experiments/testdata/reproduce.golden |
     cat - internal/experiments/testdata/sweeps.golden | diff - "$golden_tmp"
+
+echo "== tracked number: non-test Go lines, root module =="
+# The count ROADMAP tracks, and its split by package, so a PR's log carries
+# the number instead of a hand count.
+find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' |
+    while read -r f; do echo "$(dirname "$f") $(wc -l < "$f")"; done |
+    awk '{ n[$1] += $2 } END { for (d in n) printf "%7d %s\n", n[d], d }' | sort -rn
 
 echo "All checks passed."
