@@ -64,16 +64,21 @@ func CoalesceRangesInto(ranges []PageRange, src, dst []int64) []PageRange {
 	if ranges == nil {
 		ranges = make([]PageRange, 0, 4)
 	}
-	cur := PageRange{Page: src[0], To: dst[0], Pages: 1}
-	for i := 1; i < len(src); i++ {
-		if src[i] == cur.Page+cur.Pages && dst[i] == cur.To+cur.Pages {
-			cur.Pages++
-			continue
-		}
-		ranges = append(ranges, cur)
-		cur = PageRange{Page: src[i], To: dst[i], Pages: 1}
+	for i := range src {
+		ranges = AppendRange(ranges, src[i], dst[i])
 	}
-	return append(ranges, cur)
+	return ranges
+}
+
+// AppendRange adds the move of page src to page dst to ranges: it extends
+// the last range when both src and dst follow on from it, else appends a
+// range of one. Flag operations pass the page as both sides.
+func AppendRange(ranges []PageRange, src, dst int64) []PageRange {
+	if n := len(ranges); n > 0 && ranges[n-1].Page+ranges[n-1].Pages == src && ranges[n-1].To+ranges[n-1].Pages == dst {
+		ranges[n-1].Pages++
+		return ranges
+	}
+	return append(ranges, PageRange{Page: src, To: dst, Pages: 1})
 }
 
 // checkRange validates that [page, page+n) is a sane range.

@@ -11,10 +11,10 @@
 // deliver fault events to the managers, charging the machine cost model for
 // every step so the experiments can measure path lengths.
 //
-// Fault delivery runs over the message plane in scheduler.go: a fault
-// becomes a message on the owning manager's mailbox, drained either on the
-// faulting goroutine (serial scheduler, the deterministic default) or on a
-// per-manager worker goroutine (concurrent scheduler). To support the
+// Fault delivery runs through the scheduler in scheduler.go: a fault is
+// either a direct call into the owning manager on the faulting goroutine
+// (serial scheduler, the deterministic default) or a message on the
+// manager's lane (concurrent scheduler). To support the
 // latter, the kernel's mutable state is locked at three levels: activity
 // counters are atomic, each segment's page map is guarded by its own mutex,
 // and the segment registry by a kernel-wide RWMutex. The lock order is

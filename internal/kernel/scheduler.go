@@ -9,16 +9,16 @@ import (
 )
 
 // This file is the fault-delivery plane. Faults, deletion notices and
-// control requests are no longer direct Go calls from the kernel into a
-// manager: they are typed messages on per-manager mailboxes, drained by a
-// Scheduler. Two schedulers exist:
+// control requests reach a manager through a Scheduler. Two schedulers
+// exist:
 //
-//   - the serial scheduler (the default) drains mailboxes on the caller's
-//     goroutine in virtual-time order, reproducing the old synchronous call
-//     graph exactly — same charge sequence, same stats, same golden output;
-//   - the concurrent scheduler gives every manager its own worker goroutine
-//     and turns a delivery into an enqueue + blocking wait for the reply,
-//     which lets N applications fault against N managers in parallel.
+//   - the serial scheduler (the default) runs each message as a direct call
+//     on the caller's goroutine — the synchronous call graph, with the same
+//     charge sequence, stats and golden output as every other mode;
+//   - the concurrent scheduler gives every manager a lane (a message ring
+//     and a combining token) and turns a delivery into either an inline run
+//     or an enqueue + wait for the reply, which lets N applications fault
+//     against N managers in parallel.
 //
 // Injection (DeliveryInterceptor), cost accounting (chargeDelivery and
 // chargeReturn) and crash recovery (Revoke) all live in processFaultRun
@@ -27,11 +27,11 @@ import (
 // run, and how many queued faults one delivery carries.
 
 // Scheduler routes delivery-plane messages to managers. Both implementations
-// live in this file (the unexported methods seal the interface): each calls
-// Kernel.process (or processFaultRun for a run of faults) for every message,
-// so costing, injection and revocation behave identically in every mode. The
-// kernel's own entry points take the manager's record, which carries its
-// mailbox or lane.
+// live in this file (the unexported methods seal the interface): each runs
+// every fault through processFaultRun and every deletion notice through
+// processDelete, so costing, injection and revocation behave identically in
+// every mode. The kernel's own entry points take the manager's record, which
+// carries its lane.
 type Scheduler interface {
 	// Name identifies the scheduler ("serial" or "concurrent").
 	Name() string
@@ -57,8 +57,8 @@ type Scheduler interface {
 	notifyDeleted(c *managerCell, s *Segment)
 	// revoke discards the queued messages of c's manager, answering each
 	// pending delivery with nil so the faulting processes retry (and
-	// re-resolve to the manager that adopted their segments). Under the
-	// concurrent scheduler it also retires the manager's lane.
+	// re-resolve to the manager that adopted their segments), and retires
+	// the manager's lane. The serial scheduler queues nothing.
 	revoke(c *managerCell)
 }
 
@@ -71,31 +71,18 @@ const (
 	msgExec
 )
 
-// delivery is one message on the plane. Exactly one of the payload fields
-// is meaningful, per kind. The serial scheduler reports completion through
-// res; the concurrent scheduler through reply.
+// delivery is one message on a concurrent lane. Exactly one of the payload
+// fields is meaningful, per kind; a queued message's poster waits on reply.
 type delivery struct {
 	kind  deliveryKind
 	cell  *managerCell // the receiving manager's record
 	fault Fault        // msgFault
 	seg   *Segment     // msgDelete
 	fn    func()       // msgExec
-	res   *deliveryResult
 	reply chan error
 }
 
-// deliveryResult is where a serial-scheduler poster waits for its message.
-// It doubles as the message's run-of-one scratch: a fault is delivered
-// through slices the handler may receive over the VectorHandler interface,
-// so they must live on the heap, and this is the one allocation a serial
-// post already makes.
-type deliveryResult struct {
-	done  bool
-	fault [1]Fault
-	err   [1]error
-}
-
-// process runs one plane message to completion. A fault message is a fault
+// process runs one lane message to completion. A fault message is a fault
 // run of one, delivered in the caller's one-element scratch (unused for the
 // other kinds); runs the concurrent scheduler drains off a lane go to
 // processFaultRun directly.
@@ -126,15 +113,26 @@ func (k *Kernel) processDelete(c *managerCell, s *Segment) {
 // ---------------------------------------------------------------------------
 // Serial scheduler
 
-// serialScheduler drains per-manager mailboxes on the calling goroutine in
-// (virtual time, sequence) order. With one application driving the system —
-// the deterministic experiment configuration — every enqueue is immediately
-// the oldest queued message, so deliveries run in exactly the pre-plane
-// synchronous order. It is not safe for concurrent callers; that is the
-// concurrent scheduler's job. A manager's mailbox hangs off its record.
+// serialScheduler runs every message as a direct call on the calling
+// goroutine. No queue is needed to order them: with one goroutine
+// delivering, a message posted while another is being handled (a nested
+// delivery) must finish before that handler resumes, so call order is the
+// only order there is. It is not safe for concurrent callers; that is the
+// concurrent scheduler's job.
 type serialScheduler struct {
-	k     *Kernel
-	group plane.Group[delivery]
+	k *Kernel
+	// free stacks the run-of-one scratch faults are delivered in: fs and
+	// errs reach the handler through an interface, so they live on the heap,
+	// and a delivery nested inside a handler pops its own — the outer
+	// fault's scratch is still in use below it.
+	free []*faultScratch
+}
+
+// faultScratch is one serial delivery's run of one.
+type faultScratch struct {
+	fault [1]Fault
+	err   [1]error
+	idx   [1]int
 }
 
 // NewSerialScheduler returns the deterministic, single-goroutine scheduler.
@@ -146,57 +144,30 @@ func NewSerialScheduler(k *Kernel) Scheduler {
 func (s *serialScheduler) Name() string     { return "serial" }
 func (s *serialScheduler) Concurrent() bool { return false }
 
-// post enqueues a message and drains the group until that message has been
-// processed. Messages a nested delivery enqueues (a deletion notice fired
-// while a fault is being handled, say) drain as part of the same loop.
-func (s *serialScheduler) post(c *managerCell, d delivery) error {
-	res := &deliveryResult{}
-	d.cell = c
-	d.res = res
-	if c.box == nil {
-		c.box = s.group.NewMailbox()
-	}
-	s.group.Enqueue(c.box, s.k.stampFor(c), d)
-	for !res.done {
-		env, ok := s.group.PopOldest()
-		if !ok {
-			// Our message left the queue without running: the manager was
-			// revoked with the message still queued. Treat as a lost
-			// delivery; the faulting process retries.
-			break
-		}
-		r := env.Msg.res
-		r.err[0] = s.k.process(env.Msg, r.fault[:], r.err[:])
-		r.done = true
-	}
-	return res.err[0]
-}
-
 func (s *serialScheduler) deliverFault(c *managerCell, f Fault) error {
-	return s.post(c, delivery{kind: msgFault, fault: f})
+	var sc *faultScratch
+	if n := len(s.free); n > 0 {
+		sc, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		sc = new(faultScratch)
+	}
+	sc.fault[0] = f
+	s.k.processFaultRun(c, sc.fault[:], sc.err[:], sc.idx[:])
+	err := sc.err[0]
+	sc.fault[0], sc.err[0] = Fault{}, nil // hold no segment or error past the call
+	s.free = append(s.free, sc)
+	return err
 }
 
 func (s *serialScheduler) notifyDeleted(c *managerCell, seg *Segment) {
-	s.post(c, delivery{kind: msgDelete, seg: seg})
+	s.k.processDelete(c, seg)
 }
 
-func (s *serialScheduler) Exec(m Manager, fn func()) {
-	s.post(s.k.cellOf(m), delivery{kind: msgExec, fn: fn})
-}
+func (s *serialScheduler) Exec(_ Manager, fn func()) { fn() }
 
-func (s *serialScheduler) revoke(c *managerCell) {
-	b := c.box
-	if b == nil {
-		return
-	}
-	c.box = nil
-	s.group.Remove(b)
-	for _, env := range b.Drain() {
-		if env.Msg.res != nil {
-			env.Msg.res.done = true // answered nil: sender re-faults
-		}
-	}
-}
+// revoke has nothing to discard: no serial message is ever queued. A fault
+// whose manager is revoked mid-handling is answered by processFaultRun.
+func (s *serialScheduler) revoke(*managerCell) {}
 
 func (s *serialScheduler) Stop() {}
 
@@ -454,10 +425,9 @@ func (k *Kernel) Scheduler() Scheduler { return k.sched }
 func (k *Kernel) SetScheduler(s Scheduler) {
 	if k.sched != nil {
 		k.sched.Stop()
-		// The old scheduler's mailboxes and lanes are not the new one's.
+		// The old scheduler's lanes are not the new one's.
 		k.mgrMu.Lock()
 		for _, c := range k.managers {
-			c.box = nil
 			c.lane.Store(nil)
 		}
 		k.mgrMu.Unlock()

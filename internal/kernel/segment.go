@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"epcm/internal/phys"
-	"epcm/internal/plane"
 	"epcm/internal/sim"
 )
 
@@ -102,8 +101,8 @@ func (s *Segment) MarkStaging() { s.staging = true }
 
 // managerCell is the kernel's one record of a manager, interned per kernel
 // (Kernel.cellOf) at the manager's first registration and pointed to by
-// every segment it manages: a fault reaches its mailbox or lane, and its
-// time shard, by reading fields of the cell its segment already holds — no
+// every segment it manages: a fault reaches its manager, lane and time
+// shard by reading fields of the cell its segment already holds — no
 // lookup keyed by the Manager interface happens from Access down.
 // Revocation retires the cell; a manager registered again gets a fresh one.
 type managerCell struct {
@@ -111,10 +110,8 @@ type managerCell struct {
 	// shard is the manager's time shard (timeshard.go); nil rides the
 	// global clock.
 	shard atomic.Pointer[sim.Shard]
-	// box is the manager's mailbox under the serial scheduler, lane its
-	// delivery context under the concurrent one; the installed scheduler
-	// makes its own on the first post, and SetScheduler clears both.
-	box  *plane.Mailbox[delivery]
+	// lane is the manager's delivery context under the concurrent
+	// scheduler, made on the first post; SetScheduler clears it.
 	lane atomic.Pointer[lane]
 }
 

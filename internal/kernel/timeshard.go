@@ -13,7 +13,8 @@ import (
 // local clock — and the delivery plane becomes the shard boundary: every
 // fault, deletion notice and control message a manager receives is charged
 // to that manager's shard clock as well as the global clock, and the
-// scheduler stamps the manager's envelopes with the shard's local time, so
+// concurrent scheduler stamps the manager's queued envelopes with the
+// shard's local time, so
 // per-manager delivery streams stay ordered by the time that manager has
 // actually consumed rather than by a clock some other manager raced ahead.
 //

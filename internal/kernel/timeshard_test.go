@@ -163,7 +163,7 @@ func bootShardTest(t *testing.T, mode string) (*Kernel, *testManager, *Segment, 
 }
 
 // TestBindTimeShardAfterFirstDelivery binds a manager's shard after the
-// manager has fielded a fault — after its mailbox or lane exists. Stamp and
+// manager has fielded a fault — after its lane exists. Stamp and
 // ticks must both follow the binding: the concurrent lane used to keep the
 // clock it resolved when it was created, stamping envelopes with global time
 // while the ticks went to the new shard.

@@ -149,6 +149,60 @@ func BenchmarkMachineBoot(b *testing.B) {
 	stage("all", none, func(*kernel.Kernel) { stock(bootKernel(bootMemory())) })
 }
 
+// raceEnabled is set under -race (race_test.go), whose runtime allocates on
+// paths that allocate nothing in a normal build.
+var raceEnabled bool
+
+// TestSerialFaultAllocatesNothing drives first-touch faults through Generic
+// on the serial scheduler with a stocked free list — bench's fill, without
+// the SPCM — and counts host allocations: a serial delivery is a call on
+// scheduler-owned scratch and a group of one is one range, so none.
+func TestSerialFaultAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const faults = 256
+	mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: 4 << 20})
+	k := bootKernel(mem)
+	pool, err := NewFixedPool(k, 2*faults, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGeneric(k, Config{Name: "m", Source: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.PresizeResident(faults + 1)
+	if n, err := pool.RequestFrames(g, faults+1, phys.AnyFrame()); n != faults+1 || err != nil {
+		t.Fatalf("stocking: %d frames, err %v", n, err)
+	}
+	seg, err := g.CreateManagedSegment("space")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := int64(0)
+	allocs := testing.AllocsPerRun(faults, func() {
+		if err := k.Access(seg, page, kernel.Write); err != nil {
+			t.Fatal(err)
+		}
+		page++
+	})
+	if allocs != 0 {
+		t.Errorf("%v host allocations per first-touch fault, want 0", allocs)
+	}
+	if st := g.Stats(); st.Faults != faults+1 || st.Grants != faults+1 {
+		t.Fatalf("%d faults served from %d granted frames, want %d from the stocked %d", st.Faults, st.Grants, faults+1, faults+1)
+	}
+	for p := int64(0); p <= faults; p++ {
+		if !seg.HasPage(p) {
+			t.Fatalf("page %d not resident", p)
+		}
+	}
+	if err := g.CheckSlots(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // BenchmarkStockThenTouch is a boot and then what a Tables 2-3 run does with
 // it: 300 single-frame grants out of the stocked donor, each a walk to the
 // donor's first page, a look at its frame and a one-page MigratePages. It

@@ -177,8 +177,6 @@ type Generic struct {
 	vecMembers []int
 	vecChosen  []int
 	vecSlotIdx []int
-	vecPages   []int64
-	vecSlots   []int64
 	vecRanges  []kernel.PageRange
 }
 

@@ -180,12 +180,7 @@ func (g *Generic) resolveProt(fs []kernel.Fault, errs []error, members []int) {
 	} else {
 		ranges := g.vecRanges[:0]
 		for _, i := range members {
-			p := fs[i].Page
-			if n := len(ranges); n > 0 && ranges[n-1].Page+ranges[n-1].Pages == p {
-				ranges[n-1].Pages++
-			} else {
-				ranges = append(ranges, kernel.PageRange{Page: p, Pages: 1})
-			}
+			ranges = kernel.AppendRange(ranges, fs[i].Page, fs[i].Page)
 		}
 		g.vecRanges = ranges
 		err = g.k.ModifyPageFlagsBatch(kernel.AppCred, first.Seg, ranges, needFlag(first), 0)
@@ -304,22 +299,21 @@ func (g *Generic) fillFrame(f kernel.Fault, frame *phys.Frame) error {
 }
 
 // migrateIn moves the frames at free-list entries slotIdx[j] >= 0 to the
-// pages faulted by fs[members[j]] with one batched kernel call.
+// pages faulted by fs[members[j]] with one batched kernel call — a group of
+// one is one range.
 func (g *Generic) migrateIn(fs []kernel.Fault, members, slotIdx []int) error {
-	g.vecSlots = g.vecSlots[:0]
-	g.vecPages = g.vecPages[:0]
+	ranges := g.vecRanges[:0]
 	for j, i := range members {
 		if slotIdx[j] >= 0 {
-			g.vecSlots = append(g.vecSlots, g.slots.listed[slotIdx[j]].slot)
-			g.vecPages = append(g.vecPages, fs[i].Page)
+			ranges = kernel.AppendRange(ranges, g.slots.listed[slotIdx[j]].slot, fs[i].Page)
 		}
 	}
-	if len(g.vecSlots) == 0 {
+	g.vecRanges = ranges
+	if len(ranges) == 0 {
 		return nil
 	}
-	g.vecRanges = kernel.CoalesceRangesInto(g.vecRanges[:0], g.vecSlots, g.vecPages)
 	g.stats.MigrateCalls++
-	return g.k.MigratePagesBatch(kernel.AppCred, g.free, fs[members[0]].Seg, g.vecRanges,
+	return g.k.MigratePagesBatch(kernel.AppCred, g.free, fs[members[0]].Seg, ranges,
 		g.cfg.MapFlags, kernel.FlagReferenced|kernel.FlagDirty)
 }
 

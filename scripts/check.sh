@@ -127,6 +127,14 @@ if grep -rnE 'range inputs' --include='*.go' --exclude='*_test.go' internal/work
     exit 1
 fi
 
+# PR 25 made a serial delivery a direct call: with one goroutine delivering,
+# the mailbox group the serial scheduler posted through was empty at every
+# post. plane.Group and Mailbox stay in internal/plane for bench's probe.
+if grep -rnE 'plane\.Group|NewMailbox|PopOldest|deliveryResult|\.box\b' --include='*.go' --exclude='*_test.go' internal/kernel; then
+    echo "the serial scheduler's mailbox queue deleted in PR 25 is back (see the matches above)" >&2
+    exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 
