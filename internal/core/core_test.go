@@ -308,7 +308,7 @@ func TestLargePageLifecycle(t *testing.T) {
 		t.Fatalf("large segment: %d pages of %d bytes", big.PageCount(), big.PageSize())
 	}
 	// Data spans the constituent frames.
-	big.FramesAt(0)[3].Data()[0] = 0x5A
+	s.Kernel.Mem().Frame(big.FramesAt(0)[3]).Data()[0] = 0x5A
 	// Access through the kernel works on large pages too.
 	if err := s.Kernel.Access(big, 0, kernel.Write); err != nil {
 		t.Fatal(err)

@@ -351,7 +351,7 @@ func extentOrderFor(src *Segment, r PageRange, super bool) int {
 	var prev phys.PFN
 	for i := int64(0); i < r.Pages; i++ {
 		e, _ := src.pages.get(r.Page + i)
-		pfn := e.frames[0].PFN()
+		pfn := e.pfn
 		if i == 0 {
 			if int64(pfn)&(r.Pages-1) != 0 {
 				return 0
@@ -380,7 +380,7 @@ func extentOrderFor(src *Segment, r PageRange, super bool) int {
 func (k *Kernel) moveRun(src, dst *Segment, r PageRange, set, clear PageFlags) {
 	// No slot of a destination nothing has named is warm: preload them.
 	cold := !dst.named && k.cacheFill(dst)
-	var moved []*pageEntry
+	var moved []pageEntry
 	if len(src.extents) == 0 {
 		moved = src.pages.moveRun(&dst.pages, r.Page, r.To, r.Pages)
 	}
@@ -393,11 +393,12 @@ func (k *Kernel) moveRun(src, dst *Segment, r PageRange, set, clear PageFlags) {
 		}
 		return
 	}
-	for i, e := range moved {
+	for i := range moved {
+		e := &moved[i]
 		e.flags = e.flags.Apply(set, clear)
-		for _, f := range e.frames {
-			k.frameOwner[f.PFN()] = dst.id
-			k.framePage[f.PFN()] = r.To + int64(i)
+		for pfn := e.pfn; pfn < e.pfn+phys.PFN(dst.fpp); pfn++ {
+			k.frameOwner[pfn] = dst.id
+			k.framePage[pfn] = r.To + int64(i)
 		}
 	}
 	fill := k.cacheFill(dst)
@@ -435,13 +436,14 @@ func (k *Kernel) movePage(src, dst *Segment, srcPage, dstPage int64, set, clear 
 	if probe {
 		k.demoteCoveringLocked(src, srcPage)
 	}
-	e, _ := src.pages.get(srcPage)
+	ep, _ := src.pages.get(srcPage)
+	e := *ep // del frees the slot ep points at
 	src.pages.del(srcPage)
 	e.flags = e.flags.Apply(set, clear)
 	dst.pages.put(dstPage, e)
-	for _, f := range e.frames {
-		k.frameOwner[f.PFN()] = dst.id
-		k.framePage[f.PFN()] = dstPage
+	for pfn := e.pfn; pfn < e.pfn+phys.PFN(dst.fpp); pfn++ {
+		k.frameOwner[pfn] = dst.id
+		k.framePage[pfn] = dstPage
 	}
 	if src.named {
 		srcKey := mapKey{src.id, srcPage}
@@ -518,7 +520,7 @@ func (k *Kernel) coalesce(cred Cred, src, dst *Segment, ranges []PageRange, set,
 				if !ok {
 					return pageError(ErrPageNotPresent, src, sp)
 				}
-				pfn := e.frames[0].PFN()
+				pfn := e.pfn
 				if j > 0 && pfn != prev+1 {
 					return pageError(ErrNotContiguous, src, sp)
 				}
@@ -535,13 +537,16 @@ func (k *Kernel) coalesce(cred Cred, src, dst *Segment, ranges []PageRange, set,
 	}
 	for _, r := range ranges {
 		for i := int64(0); i < r.Pages; i++ {
-			frames := make([]*phys.Frame, 0, factor)
-			var flags PageFlags
+			var ne pageEntry
 			for j := int64(0); j < factor; j++ {
 				sp := r.Page + i*factor + j
 				e, _ := src.pages.get(sp)
-				flags |= e.flags
-				frames = append(frames, e.frames...)
+				if j == 0 {
+					// The run was proven contiguous above: the large page
+					// is named by its first frame.
+					ne.pfn = e.pfn
+				}
+				ne.flags |= e.flags
 				k.demoteCoveringLocked(src, sp)
 				src.pages.del(sp)
 				if src.named {
@@ -550,11 +555,11 @@ func (k *Kernel) coalesce(cred Cred, src, dst *Segment, ranges []PageRange, set,
 					k.tlb.invalidate(key)
 				}
 			}
-			ne := &pageEntry{frames: frames, flags: flags.Apply(set, clear)}
+			ne.flags = ne.flags.Apply(set, clear)
 			dst.pages.put(r.To+i, ne)
-			for _, f := range frames {
-				k.frameOwner[f.PFN()] = dst.id
-				k.framePage[f.PFN()] = r.To + i
+			for pfn := ne.pfn; pfn < ne.pfn+phys.PFN(factor); pfn++ {
+				k.frameOwner[pfn] = dst.id
+				k.framePage[pfn] = r.To + i
 			}
 			if k.cacheFill(dst) {
 				k.table.insert(mapKey{dst.id, r.To + i})
@@ -608,19 +613,19 @@ func (k *Kernel) split(cred Cred, src, dst *Segment, ranges []PageRange, set, cl
 	}
 	for _, r := range ranges {
 		for i := int64(0); i < r.Pages; i++ {
-			e, _ := src.pages.get(r.Page + i)
+			ep, _ := src.pages.get(r.Page + i)
+			e := *ep // del frees the slot ep points at
 			src.pages.del(r.Page + i)
 			if src.named {
 				key := mapKey{src.id, r.Page + i}
 				k.table.remove(key)
 				k.tlb.invalidate(key)
 			}
-			for j, f := range e.frames {
-				dp := r.To + i*factor + int64(j)
-				ne := &pageEntry{frames: []*phys.Frame{f}, flags: e.flags.Apply(set, clear)}
-				dst.pages.put(dp, ne)
-				k.frameOwner[f.PFN()] = dst.id
-				k.framePage[f.PFN()] = dp
+			for j := int64(0); j < factor; j++ {
+				dp, pfn := r.To+i*factor+j, e.pfn+phys.PFN(j)
+				dst.pages.put(dp, pageEntry{pfn: pfn, flags: e.flags.Apply(set, clear)})
+				k.frameOwner[pfn] = dst.id
+				k.framePage[pfn] = dp
 				if k.cacheFill(dst) {
 					k.table.insert(mapKey{dst.id, dp})
 				}
@@ -741,7 +746,7 @@ func (k *Kernel) getAttributes(s *Segment, pages []int64, first, n int64, dst []
 		}
 		a := PageAttribute{Page: p, PFN: phys.NoFrame}
 		if e, ok := s.pages.get(p); ok {
-			f := e.frames[0]
+			f := k.mem.Frame(e.pfn)
 			a.Present = true
 			a.Flags = e.flags
 			a.PFN = f.PFN()

@@ -116,7 +116,7 @@ func (w *bulkWorld) check(step string) {
 					step, p.pfn, w.k.frameOwner[p.pfn], w.k.framePage[p.pfn], s.name, page)
 			}
 			e, ok := s.pages.get(page)
-			if !ok || len(e.frames) != 1 || e.frames[0].PFN() != p.pfn || e.flags != p.flags {
+			if !ok || e.pfn != p.pfn || e.flags != p.flags {
 				w.t.Fatalf("%s: %s page %d = %+v (present %v), the model has frame %d flags %v", step, s.name, page, e, ok, p.pfn, p.flags)
 			}
 		}

@@ -196,16 +196,10 @@ func New(mem *phys.Memory, clock *sim.Clock, cost *sim.CostModel, cfg Config) *K
 	boot.restricted = true
 	boot.staging = true
 	boot.identity = true
-	// Batch-allocate the boot entries: one pageEntry and one frame-pointer
-	// slot per frame, in two allocations instead of 2×NumFrames.
 	n := mem.NumFrames()
-	entries := make([]pageEntry, n)
-	frames := make([]*phys.Frame, n)
 	boot.pages.reserve(0, int64(n))
 	for pfn := 0; pfn < n; pfn++ {
-		frames[pfn] = mem.Frame(phys.PFN(pfn))
-		entries[pfn].frames = frames[pfn : pfn+1 : pfn+1]
-		boot.pages.put(int64(pfn), &entries[pfn])
+		boot.pages.put(int64(pfn), pageEntry{pfn: phys.PFN(pfn)})
 		k.frameOwner[pfn] = boot.id
 		k.framePage[pfn] = int64(pfn)
 	}
@@ -409,10 +403,10 @@ func (k *Kernel) DeleteSegment(cred Cred, s *Segment) error {
 		return ErrNoSuchSegment // lost a delete race during the notice
 	}
 	s.pages.forEach(func(_ int64, e *pageEntry) bool {
-		for _, f := range e.frames {
-			k.boot.pages.put(int64(f.PFN()), &pageEntry{frames: []*phys.Frame{f}})
-			k.frameOwner[f.PFN()] = k.boot.id
-			k.framePage[f.PFN()] = int64(f.PFN())
+		for pfn := e.pfn; pfn < e.pfn+phys.PFN(s.fpp); pfn++ {
+			k.boot.pages.put(int64(pfn), pageEntry{pfn: pfn})
+			k.frameOwner[pfn] = k.boot.id
+			k.framePage[pfn] = int64(pfn)
 		}
 		return true
 	})
@@ -582,7 +576,9 @@ func (k *Kernel) Access(s *Segment, page int64, access AccessType) error {
 		if access == Write && r.cow {
 			// The reference crossed a copy-on-write binding: a private page
 			// must materialize in the front segment. The manager allocates
-			// it; the kernel performs the copy (§2.1).
+			// it; the kernel performs the copy (§2.1) from the source frames
+			// named here, under the source segment's lock.
+			src := e.pfn
 			rs.mu.Unlock()
 			if err := k.deliverFault(Fault{Seg: r.cowSeg, Page: r.cowPage, Access: access, Kind: FaultCopyOnWrite}); err != nil {
 				return err
@@ -594,14 +590,11 @@ func (k *Kernel) Access(s *Segment, page int64, access AccessType) error {
 				cs.mu.Unlock()
 				continue // manager did not materialize the page; re-fault
 			}
-			// e is the source entry captured before delivery; its frames
-			// slice is immutable once created, so reading it here without
-			// the source segment's lock is safe.
-			for i, f := range ne.frames {
-				if i < len(e.frames) {
-					k.clock.AdvanceOn(uint64(cs.id), k.cost.CopyPage)
-					f.CopyFrom(e.frames[i])
-				}
+			// Bindings never cross page sizes (resolve), so both pages span
+			// cs.fpp frames.
+			for i := phys.PFN(0); i < phys.PFN(cs.fpp); i++ {
+				k.clock.AdvanceOn(uint64(cs.id), k.cost.CopyPage)
+				k.mem.Frame(ne.pfn + i).CopyFrom(k.mem.Frame(src + i))
 			}
 			ne.flags |= FlagDirty
 			cs.mu.Unlock()
@@ -700,45 +693,25 @@ func (k *Kernel) CheckFrameConservation() error {
 		segs[id] = s
 	}
 	k.mu.RUnlock()
-	// Every frame's recorded owner must exist and hold the frame at the
-	// recorded page.
-	for pfn := range k.frameOwner {
-		owner := k.frameOwner[pfn]
-		s, ok := segs[owner]
-		if !ok {
-			return fmt.Errorf("frame %d owned by missing segment %d", pfn, owner)
-		}
-		e, ok := s.pages.get(k.framePage[pfn])
-		if !ok {
-			return fmt.Errorf("frame %d recorded at %s page %d, but page absent", pfn, s, k.framePage[pfn])
-		}
-		found := false
-		for _, f := range e.frames {
-			if int(f.PFN()) == pfn {
-				found = true
-			}
-		}
-		if !found {
-			return fmt.Errorf("frame %d recorded at %s page %d, but entry holds other frames", pfn, s, k.framePage[pfn])
-		}
-	}
-	// Conversely, every page entry's frames must point back.
+	// Every page entry's frame run [pfn, pfn+fpp) must lie inside memory,
+	// and each of its frames must be held by no other page and record this
+	// segment as its owner.
 	seen := make(map[phys.PFN]SegID)
 	for _, s := range segs {
 		var werr error
 		s.pages.forEach(func(page int64, e *pageEntry) bool {
-			if len(e.frames) != s.fpp {
-				werr = fmt.Errorf("%s page %d holds %d frames, want %d", s, page, len(e.frames), s.fpp)
+			if int(e.pfn)+s.fpp > k.mem.NumFrames() {
+				werr = fmt.Errorf("%s page %d holds frames [%d,%d), beyond memory's %d", s, page, e.pfn, int(e.pfn)+s.fpp, k.mem.NumFrames())
 				return false
 			}
-			for _, f := range e.frames {
-				if prev, dup := seen[f.PFN()]; dup {
-					werr = fmt.Errorf("frame %d held by both segment %d and %d", f.PFN(), prev, s.id)
+			for pfn := e.pfn; pfn < e.pfn+phys.PFN(s.fpp); pfn++ {
+				if prev, dup := seen[pfn]; dup {
+					werr = fmt.Errorf("frame %d held by both segment %d and %d", pfn, prev, s.id)
 					return false
 				}
-				seen[f.PFN()] = s.id
-				if k.frameOwner[f.PFN()] != s.id {
-					werr = fmt.Errorf("frame %d in %s but recorded owner is %d", f.PFN(), s, k.frameOwner[f.PFN()])
+				seen[pfn] = s.id
+				if k.frameOwner[pfn] != s.id {
+					werr = fmt.Errorf("frame %d in %s but recorded owner is %d", pfn, s, k.frameOwner[pfn])
 					return false
 				}
 			}
@@ -750,6 +723,17 @@ func (k *Kernel) CheckFrameConservation() error {
 	}
 	if len(seen) != k.mem.NumFrames() {
 		return fmt.Errorf("%d frames accounted for, want %d", len(seen), k.mem.NumFrames())
+	}
+	// Conversely, every frame's recorded page must hold the frame.
+	for pfn, owner := range k.frameOwner {
+		s := segs[owner]
+		e, ok := s.pages.get(k.framePage[pfn])
+		if !ok {
+			return fmt.Errorf("frame %d recorded at %s page %d, but page absent", pfn, s, k.framePage[pfn])
+		}
+		if pfn < int(e.pfn) || pfn >= int(e.pfn)+s.fpp {
+			return fmt.Errorf("frame %d recorded at %s page %d, but entry holds other frames", pfn, s, k.framePage[pfn])
+		}
 	}
 	return nil
 }

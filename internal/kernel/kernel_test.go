@@ -635,7 +635,7 @@ func TestMigrateCoalescedAndSplit(t *testing.T) {
 	if got := len(big.FramesAt(0)); got != 4 {
 		t.Fatalf("large page holds %d frames", got)
 	}
-	if big.FramesAt(0)[0].Data()[0] != 0x11 || big.FramesAt(1)[1].Data()[0] != 0x55 {
+	if k.Mem().Frame(big.FramesAt(0)[0]).Data()[0] != 0x11 || k.Mem().Frame(big.FramesAt(1)[1]).Data()[0] != 0x55 {
 		t.Fatal("data lost in coalesce")
 	}
 	if err := k.CheckFrameConservation(); err != nil {

@@ -15,14 +15,20 @@ import "slices"
 // A page inside the dense range can still live in the sparse map: several
 // application threads faulting disjoint sub-ranges of one segment park
 // high pages in sparse while the prefix is short, and the low-range
-// thread's sequential growth then overtakes them. A nil dense slot
-// therefore means "not in dense", not "absent" — get/put/del fall through
+// thread's sequential growth then overtakes them. A dense slot that is not
+// live therefore means "not in dense", not "absent" — get/put/del fall through
 // to sparse whenever the map is non-empty, and a put never leaves the same
 // page in both arms. Single-range workloads never populate sparse, so
 // their lookups stay a bounds check and a load.
 //
+// Dense entries are stored in place: a pageEntry is 8 pointer-free bytes, so
+// the boot segment's 32 768 pages are one allocation the collector never
+// scans. get returns a pointer into the store that stays valid until the
+// store next changes; a caller that puts or deletes after a get copies the
+// entry first.
+//
 // The split is purely an implementation detail: put/get/del/forEach behave
-// exactly like a map[int64]*pageEntry, which the property tests in
+// exactly like a map[int64]pageEntry, which the property tests in
 // pagestore_test.go verify against a reference model.
 
 const (
@@ -36,7 +42,7 @@ const (
 )
 
 type pageStore struct {
-	dense  []*pageEntry         // pages [0, len(dense)); nil = not in dense
+	dense  []pageEntry          // pages [0, len(dense)); not live = not in dense
 	sparse map[int64]*pageEntry // pages the dense slice does not hold
 	n      int                  // number of present pages
 }
@@ -44,7 +50,7 @@ type pageStore struct {
 // get returns the entry at page, if present.
 func (ps *pageStore) get(page int64) (*pageEntry, bool) {
 	if uint64(page) < uint64(len(ps.dense)) {
-		if e := ps.dense[page]; e != nil {
+		if e := &ps.dense[page]; e.live {
 			return e, true
 		}
 		if len(ps.sparse) == 0 {
@@ -78,41 +84,41 @@ func (ps *pageStore) admitDense(page int64) bool {
 func (ps *pageStore) reserve(lo, end int64) {
 	n := int64(len(ps.dense))
 	if end = min(end, pageStoreDenseMax); end > n && ps.admitDense(max(lo, n)) {
-		ps.dense = append(ps.dense, make([]*pageEntry, end-n)...)
+		ps.dense = append(ps.dense, make([]pageEntry, end-n)...)
 	}
 }
 
 // moveRun moves pages [lo, lo+n), all present, to the slots [to, to+n) of
 // dst, all absent and already reserved, and returns the moved entries in
-// page order. It takes a range dense slots alone answer for on both sides —
-// the prefix covers it and nothing is parked in sparse, so a nil slot is an
-// absent page — and returns nil, having moved nothing, for any other. dst
-// may be ps.
-func (ps *pageStore) moveRun(dst *pageStore, lo, to, n int64) []*pageEntry {
+// page order, in place in dst. It takes a range dense slots alone answer for
+// on both sides — the prefix covers it and nothing is parked in sparse, so a
+// slot that is not live is an absent page — and returns nil, having moved
+// nothing, for any other. dst may be ps.
+func (ps *pageStore) moveRun(dst *pageStore, lo, to, n int64) []pageEntry {
 	if len(ps.sparse) != 0 || len(dst.sparse) != 0 || lo+n > int64(len(ps.dense)) || to+n > int64(len(dst.dense)) {
 		return nil
 	}
-	from, moved := ps.dense[lo:lo+n], dst.dense[to:to+n]
-	for i, e := range from {
-		moved[i], from[i] = e, nil
-	}
+	moved := dst.dense[to : to+n]
+	copy(moved, ps.dense[lo:lo+n])
+	clear(ps.dense[lo : lo+n])
 	ps.n -= int(n)
 	dst.n += int(n)
 	return moved
 }
 
-// put stores e (non-nil) at page, replacing any existing entry.
-func (ps *pageStore) put(page int64, e *pageEntry) {
+// put stores e at page, replacing any existing entry.
+func (ps *pageStore) put(page int64, e pageEntry) {
 	if page < 0 {
 		panic("kernel: negative page in pageStore.put")
 	}
+	e.live = true
 	if page >= int64(len(ps.dense)) && ps.admitDense(page) {
 		for int64(len(ps.dense)) <= page {
-			ps.dense = append(ps.dense, nil)
+			ps.dense = append(ps.dense, pageEntry{})
 		}
 	}
 	if page < int64(len(ps.dense)) {
-		if ps.dense[page] == nil {
+		if !ps.dense[page].live {
 			// The page may have been parked in sparse before the prefix
 			// grew over it; adopt it so no page lives in both arms.
 			if _, ok := ps.sparse[page]; ok {
@@ -127,17 +133,23 @@ func (ps *pageStore) put(page int64, e *pageEntry) {
 	if ps.sparse == nil {
 		ps.sparse = make(map[int64]*pageEntry)
 	}
-	if _, ok := ps.sparse[page]; !ok {
-		ps.n++
+	if old, ok := ps.sparse[page]; ok {
+		*old = e
+		return
 	}
-	ps.sparse[page] = e
+	// Only the sparse arm boxes an entry: taking e's address instead would
+	// move every put's parameter to the heap, dense puts included.
+	box := new(pageEntry)
+	*box = e
+	ps.sparse[page] = box
+	ps.n++
 }
 
 // del removes the entry at page if present.
 func (ps *pageStore) del(page int64) {
 	if uint64(page) < uint64(len(ps.dense)) {
-		if ps.dense[page] != nil {
-			ps.dense[page] = nil
+		if ps.dense[page].live {
+			ps.dense[page] = pageEntry{}
 			ps.n--
 			return
 		}
@@ -165,9 +177,15 @@ func (ps *pageStore) clear() {
 // early if fn returns false. fn may delete the page it was called with, but
 // must not otherwise mutate the store.
 func (ps *pageStore) forEach(fn func(page int64, e *pageEntry) bool) {
+	if ps.n == 0 {
+		// A drained store keeps its dense prefix: a fixed pool's exhausted
+		// donor would otherwise be walked slot by slot on every request.
+		return
+	}
+	dense := ps.dense // one load of the header, not one per slot around fn
 	if len(ps.sparse) == 0 {
-		for p, e := range ps.dense {
-			if e != nil && !fn(int64(p), e) {
+		for p := range dense {
+			if e := &dense[p]; e.live && !fn(int64(p), e) {
 				return
 			}
 		}
@@ -181,14 +199,14 @@ func (ps *pageStore) forEach(fn func(page int64, e *pageEntry) bool) {
 	}
 	slices.Sort(keys)
 	si := 0
-	for p, e := range ps.dense {
+	for p := range dense {
 		for si < len(keys) && keys[si] < int64(p) {
 			if se, ok := ps.sparse[keys[si]]; ok && !fn(keys[si], se) {
 				return
 			}
 			si++
 		}
-		if e != nil && !fn(int64(p), e) {
+		if e := &dense[p]; e.live && !fn(int64(p), e) {
 			return
 		}
 	}

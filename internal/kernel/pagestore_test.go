@@ -6,6 +6,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"epcm/internal/phys"
 )
 
 // pageStoreOps is a generated op sequence for the equivalence property.
@@ -53,7 +55,7 @@ func (pageStoreOps) Generate(r *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(pageStoreOps{ops: ops})
 }
 
-func sortedPages(model map[int64]*pageEntry) []int64 {
+func sortedPages(model map[int64]pageEntry) []int64 {
 	pages := make([]int64, 0, len(model))
 	for p := range model {
 		pages = append(pages, p)
@@ -66,16 +68,23 @@ func sortedPages(model map[int64]*pageEntry) []int64 {
 // through random op sequences and requires identical observable behaviour —
 // the dense/sparse split must be invisible, and so must a range changing
 // stores as a run (mirroring the frame-conservation invariant discipline of
-// DESIGN.md §6).
+// DESIGN.md §6). Entries are values, so every put carries a frame number no
+// other put used: an entry that lands on the wrong page, or survives a
+// delete, reads back as some other put's value.
 func TestPageStoreMatchesMapModel(t *testing.T) {
 	property := func(seq pageStoreOps) bool {
 		var stores [2]pageStore
-		models := [2]map[int64]*pageEntry{{}, {}}
+		models := [2]map[int64]pageEntry{{}, {}}
+		tag := phys.PFN(0)
+		entry := func(flags PageFlags) pageEntry {
+			tag++
+			return pageEntry{pfn: tag, flags: flags, live: true}
+		}
 		for _, op := range seq.ops {
 			ps, model := &stores[op.store], models[op.store]
 			switch op.kind {
 			case 0:
-				e := &pageEntry{flags: PageFlags(op.page % 7)}
+				e := entry(PageFlags(op.page % 7))
 				ps.put(op.page, e)
 				model[op.page] = e
 			case 1:
@@ -84,8 +93,8 @@ func TestPageStoreMatchesMapModel(t *testing.T) {
 			case 2:
 				got, ok := ps.get(op.page)
 				want, wok := model[op.page]
-				if ok != wok || got != want || ps.has(op.page) != wok {
-					t.Logf("get(%d) = (%p,%v), has %v, model (%p,%v)", op.page, got, ok, ps.has(op.page), want, wok)
+				if ok != wok || ok && *got != want || ps.has(op.page) != wok {
+					t.Logf("get(%d) = (%+v,%v), has %v, model (%+v,%v)", op.page, got, ok, ps.has(op.page), want, wok)
 					return false
 				}
 			case 3:
@@ -97,7 +106,7 @@ func TestPageStoreMatchesMapModel(t *testing.T) {
 				dst, dstModel := &stores[1-op.store], models[1-op.store]
 				for i := int64(0); i < op.n; i++ {
 					if _, ok := model[op.page+i]; !ok {
-						e := &pageEntry{}
+						e := entry(0)
 						ps.put(op.page+i, e)
 						model[op.page+i] = e
 					}
@@ -127,7 +136,7 @@ func TestPageStoreMatchesMapModel(t *testing.T) {
 				same := true
 				ps.forEach(func(page int64, e *pageEntry) bool {
 					seen = append(seen, page)
-					same = same && model[page] == e
+					same = same && model[page] == *e
 					return len(seen) < len(want)
 				})
 				if !same || !slices.Equal(seen, want) {
@@ -153,7 +162,7 @@ func TestPageStoreMatchesMapModel(t *testing.T) {
 			visited, okAll := 0, true
 			ps.forEach(func(page int64, e *pageEntry) bool {
 				visited++
-				okAll = okAll && model[page] == e
+				okAll = okAll && model[page] == *e
 				return true
 			})
 			if !okAll || visited != len(model) {
@@ -172,9 +181,9 @@ func TestPageStoreMatchesMapModel(t *testing.T) {
 func TestPageStoreForEachEarlyExit(t *testing.T) {
 	var ps pageStore
 	for p := int64(0); p < 10; p++ {
-		ps.put(p, &pageEntry{})
+		ps.put(p, pageEntry{})
 	}
-	ps.put(pageStoreDenseMax+5, &pageEntry{}) // sparse arm
+	ps.put(pageStoreDenseMax+5, pageEntry{}) // sparse arm
 	var seen []int64
 	ps.forEach(func(page int64, _ *pageEntry) bool {
 		seen = append(seen, page)
@@ -190,10 +199,10 @@ func TestPageStoreForEachEarlyExit(t *testing.T) {
 func TestPageStoreDeleteDuringForEach(t *testing.T) {
 	var ps pageStore
 	for p := int64(0); p < 8; p++ {
-		ps.put(p, &pageEntry{})
+		ps.put(p, pageEntry{})
 	}
-	ps.put(pageStoreDenseMax+1, &pageEntry{})
-	ps.put(pageStoreDenseMax+9, &pageEntry{})
+	ps.put(pageStoreDenseMax+1, pageEntry{})
+	ps.put(pageStoreDenseMax+9, pageEntry{})
 	ps.forEach(func(page int64, _ *pageEntry) bool {
 		ps.del(page)
 		return true
@@ -212,7 +221,7 @@ func TestPageStoreDeleteDuringForEach(t *testing.T) {
 // thread's sequential growth overtakes them.
 func TestPageStoreDenseGrowthAdoptsSparse(t *testing.T) {
 	var ps pageStore
-	high := &pageEntry{flags: FlagDirty}
+	high := pageEntry{pfn: 1, flags: FlagDirty, live: true}
 	ps.put(10_000, high) // dense is empty: 10_000 >= 2*0 and >= direct, so sparse
 	if ps.len() != 1 {
 		t.Fatalf("len = %d after one put", ps.len())
@@ -220,19 +229,19 @@ func TestPageStoreDenseGrowthAdoptsSparse(t *testing.T) {
 	// Grow the dense prefix over it: 6_000 < 2*6_000, admitted dense once the
 	// prefix reaches 3_000; walk it up in admitted steps.
 	for _, p := range []int64{2_000, 3_999, 7_000, 13_000} {
-		ps.put(p, &pageEntry{})
+		ps.put(p, pageEntry{})
 	}
-	if got, ok := ps.get(10_000); !ok || got != high {
-		t.Fatalf("get(10_000) = (%p,%v) after dense growth, want (%p,true)", got, ok, high)
+	if got, ok := ps.get(10_000); !ok || *got != high {
+		t.Fatalf("get(10_000) = (%+v,%v) after dense growth, want (%+v,true)", got, ok, high)
 	}
 	if ps.len() != 5 {
 		t.Fatalf("len = %d, want 5", ps.len())
 	}
 	// Replacing the adopted entry must not double-count.
-	repl := &pageEntry{}
+	repl := pageEntry{pfn: 2, live: true}
 	ps.put(10_000, repl)
-	if got, _ := ps.get(10_000); got != repl || ps.len() != 5 {
-		t.Fatalf("after replace: get = %p len = %d, want %p len 5", got, ps.len(), repl)
+	if got, _ := ps.get(10_000); *got != repl || ps.len() != 5 {
+		t.Fatalf("after replace: get = %+v len = %d, want %+v len 5", got, ps.len(), repl)
 	}
 	ps.del(10_000)
 	if ps.has(10_000) || ps.len() != 4 {
@@ -265,8 +274,8 @@ func TestPageStoreReserveTakesThePutsDecision(t *testing.T) {
 	for _, c := range cases {
 		var reserved, plain pageStore
 		for _, p := range c.before {
-			reserved.put(p, &pageEntry{})
-			plain.put(p, &pageEntry{})
+			reserved.put(p, pageEntry{})
+			plain.put(p, pageEntry{})
 		}
 		reserved.reserve(c.lo, c.end)
 		for _, p := range c.before { // a reserved prefix hides nothing already held
@@ -275,8 +284,8 @@ func TestPageStoreReserveTakesThePutsDecision(t *testing.T) {
 			}
 		}
 		for p := c.lo; p < c.end; p++ {
-			reserved.put(p, &pageEntry{})
-			plain.put(p, &pageEntry{})
+			reserved.put(p, pageEntry{})
+			plain.put(p, pageEntry{})
 		}
 		if len(reserved.dense) != len(plain.dense) || len(reserved.sparse) != len(plain.sparse) || reserved.len() != plain.len() {
 			t.Fatalf("%s: dense/sparse/len = %d/%d/%d, puts alone give %d/%d/%d", c.name,
@@ -299,5 +308,5 @@ func TestPageStoreNegativePagePanics(t *testing.T) {
 		}
 	}()
 	var ps pageStore
-	ps.put(-1, &pageEntry{})
+	ps.put(-1, pageEntry{})
 }

@@ -20,12 +20,15 @@ type SegID uint32
 const WellKnownPhysSegment SegID = 1
 
 // pageEntry is the kernel's record of one page of a segment that currently
-// has one or more physical frames. A page spans frames[0..n) where n =
-// segment page size / machine frame size; n is 1 except in large-page
-// segments.
+// has one or more physical frames: 8 bytes, no pointer, stored in place in
+// the segment's page store. A page spans the frame run [pfn, pfn+fpp), fpp
+// being the segment's frames per page — 1 except in large-page segments,
+// whose only builder (coalesce) demands a contiguous run. live marks a
+// dense page-store slot that holds a page.
 type pageEntry struct {
-	frames []*phys.Frame
-	flags  PageFlags
+	pfn   phys.PFN
+	flags PageFlags
+	live  bool
 }
 
 // binding is one bound region (§2.1): addresses [start, start+pages) of the
@@ -303,34 +306,39 @@ func (s *Segment) FrameAt(page int64) *phys.Frame {
 	if !ok {
 		return nil
 	}
-	return e.frames[0]
+	return s.kernel.mem.Frame(e.pfn)
 }
 
-// FramesAt returns all frames backing page (large pages span several), or
-// nil if the page is not present.
-func (s *Segment) FramesAt(page int64) []*phys.Frame {
+// FramesAt returns the frame numbers backing page — FramesPerPage
+// consecutive PFNs, since a large page is a contiguous run — or nil if the
+// page is not present.
+func (s *Segment) FramesAt(page int64) []phys.PFN {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.pages.get(page)
 	if !ok {
 		return nil
 	}
-	return e.frames
+	pfns := make([]phys.PFN, s.fpp)
+	for i := range pfns {
+		pfns[i] = e.pfn + phys.PFN(i)
+	}
+	return pfns
 }
 
-// AppendFirstFrames appends the first frame backing each listed page to dst
-// (nil for absent pages) under one acquisition of the segment lock — the
-// batched form of FrameAt, for grant paths that would otherwise lock the
-// segment once per page.
-func (s *Segment) AppendFirstFrames(dst []*phys.Frame, pages []int64) []*phys.Frame {
+// AppendFirstPFNs appends the first frame number backing each listed page
+// to dst (phys.NoFrame for absent pages) under one acquisition of the
+// segment lock — the batched form of FrameAt, for grant paths that would
+// otherwise lock the segment once per page.
+func (s *Segment) AppendFirstPFNs(dst []phys.PFN, pages []int64) []phys.PFN {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, p := range pages {
+		pfn := phys.NoFrame
 		if e, ok := s.pages.get(p); ok {
-			dst = append(dst, e.frames[0])
-		} else {
-			dst = append(dst, nil)
+			pfn = e.pfn
 		}
+		dst = append(dst, pfn)
 	}
 	return dst
 }

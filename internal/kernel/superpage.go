@@ -124,7 +124,7 @@ func (k *Kernel) PromoteExtent(cred Cred, s *Segment, base int64, order int) err
 		if !ok {
 			return pageError(ErrPageNotPresent, s, base+i)
 		}
-		pfn := e.frames[0].PFN()
+		pfn := e.pfn
 		if i == 0 {
 			if int64(pfn)&(n-1) != 0 {
 				return pageError(ErrNotContiguous, s, base)

@@ -217,7 +217,7 @@ func NewGeneric(k *kernel.Kernel, cfg Config) (*Generic, error) {
 		k:        k,
 		cfg:      cfg,
 		free:     free,
-		slots:    slotLedger{free: free, runLen: 1 << uint(cfg.ExtentOrder), recall: make(map[resKey]int)},
+		slots:    slotLedger{free: free, mem: k.Mem(), runLen: 1 << uint(cfg.ExtentOrder), recall: make(map[resKey]int)},
 		resIdx:   newResidentIndex(),
 		managed:  make(map[kernel.SegID]*kernel.Segment),
 		policies: []Policy{cfg.Policy},

@@ -33,6 +33,7 @@ type freeSlot struct {
 // so every sim_* metric and golden byte depends on that order.
 type slotLedger struct {
 	free   *kernel.Segment
+	mem    *phys.Memory
 	runLen int64 // slots per extent run (1 when the superpage plane is off)
 
 	listed  []freeSlot     // FIFO
@@ -47,8 +48,8 @@ type slotLedger struct {
 	skipped  int64   // numbers below next passed over for good
 	plan     refillPlan
 
-	runBuf   []int64
-	frameBuf []*phys.Frame
+	runBuf []int64
+	pfnBuf []phys.PFN
 }
 
 // refillPlan shapes the reservations of one source request the manager
@@ -114,11 +115,11 @@ func (l *slotLedger) close(slots []int64, err error) {
 			l.parked = append(l.parked, slots[j])
 		}
 	default:
-		for i, f := range l.framesAt(slots) {
-			if f == nil {
+		for i, pfn := range l.pfnsAt(slots) {
+			if pfn == phys.NoFrame {
 				panic(fmt.Sprintf("manager: granted slot %d of %v has no frame", slots[i], l.free))
 			}
-			l.list(freeSlot{slot: slots[i], frame: f})
+			l.list(freeSlot{slot: slots[i], frame: l.mem.Frame(pfn)})
 		}
 	}
 }
@@ -192,10 +193,11 @@ func (l *slotLedger) run(start int64) []int64 {
 	return l.runBuf
 }
 
-// framesAt resolves the frames at slots in one locked pass (shared scratch).
-func (l *slotLedger) framesAt(slots []int64) []*phys.Frame {
-	l.frameBuf = l.free.AppendFirstFrames(l.frameBuf[:0], slots)
-	return l.frameBuf
+// pfnsAt resolves the frame numbers at slots in one locked pass (shared
+// scratch).
+func (l *slotLedger) pfnsAt(slots []int64) []phys.PFN {
+	l.pfnBuf = l.free.AppendFirstPFNs(l.pfnBuf[:0], slots)
+	return l.pfnBuf
 }
 
 // planRuns opens a run refill for up to count runs. Recycled runs are staged

@@ -235,10 +235,10 @@ func (g *Generic) pageInExtent(f kernel.Fault) (bool, error) {
 	// free-list control and the per-page path re-drives (and re-reports)
 	// the error.
 	slots := g.slots.run(startSlot)
-	for i, frame := range g.slots.framesAt(slots) {
+	for i, pfn := range g.slots.pfnsAt(slots) {
 		pf := f
 		pf.Page = base + int64(i)
-		if fillErr := g.fillFrame(pf, frame); fillErr != nil && !errors.Is(fillErr, ErrSkipFill) {
+		if fillErr := g.fillFrame(pf, g.k.Mem().Frame(pfn)); fillErr != nil && !errors.Is(fillErr, ErrSkipFill) {
 			g.slots.close(slots, nil)
 			return false, nil
 		}

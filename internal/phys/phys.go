@@ -54,12 +54,13 @@ func DefaultConfig() Config {
 	}
 }
 
-// Frame is one physical page frame.
+// Frame is one physical page frame: a name for a slot of the machine's
+// memory, 16 bytes and nothing else. Its contents, when the memory stores
+// any, live in Memory.data beside it.
 type Frame struct {
-	pfn  PFN
-	node int
-	data []byte // nil until first touched, and always nil if !StoreData
 	mem  *Memory
+	pfn  PFN
+	node int32
 }
 
 // PFN returns the frame's physical frame number.
@@ -69,7 +70,7 @@ func (f *Frame) PFN() PFN { return f.pfn }
 func (f *Frame) PhysAddr() int64 { return int64(f.pfn) * int64(f.mem.frameSize) }
 
 // Node returns the NUMA node holding the frame.
-func (f *Frame) Node() int { return f.node }
+func (f *Frame) Node() int { return int(f.node) }
 
 // Color returns the frame's page color in the machine's physically-indexed
 // cache. Two virtual pages mapped to frames of the same color collide in
@@ -83,22 +84,32 @@ func (f *Frame) Size() int { return f.mem.frameSize }
 // (Config.StoreData). When false, Data always returns nil.
 func (f *Frame) StoresData() bool { return f.mem.storeData }
 
+// bytes returns the frame's backing bytes: nil until first touched, and
+// always nil if the memory stores no data.
+func (f *Frame) bytes() []byte {
+	if f.mem.data == nil {
+		return nil
+	}
+	return f.mem.data[f.pfn]
+}
+
 // Data returns the frame's contents, allocating backing bytes on first use.
 // It returns nil when the memory was configured without data storage.
 func (f *Frame) Data() []byte {
 	if !f.mem.storeData {
 		return nil
 	}
-	if f.data == nil {
-		f.data = make([]byte, f.mem.frameSize)
+	d := &f.mem.data[f.pfn]
+	if *d == nil {
+		*d = make([]byte, f.mem.frameSize)
 	}
-	return f.data
+	return *d
 }
 
 // Zero clears the frame's contents (the Ultrix security zero-fill).
 func (f *Frame) Zero() {
-	if f.data != nil {
-		clear(f.data)
+	if d := f.bytes(); d != nil {
+		clear(d)
 	}
 }
 
@@ -108,16 +119,18 @@ func (f *Frame) CopyFrom(src *Frame) {
 	if !f.mem.storeData {
 		return
 	}
-	if src.data == nil {
+	s := src.bytes()
+	if s == nil {
 		// Source untouched: it reads as zeros, so the destination must too.
 		// An untouched destination already does; don't allocate for it.
 		f.Zero()
 		return
 	}
-	if f.data == nil {
-		f.data = f.mem.GetBuffer() // fully overwritten by the copy below
+	d := &f.mem.data[f.pfn]
+	if *d == nil {
+		*d = f.mem.GetBuffer() // fully overwritten by the copy below
 	}
-	copy(f.data, src.data)
+	copy(*d, s)
 }
 
 // Fill overwrites the frame's contents with whatever fn writes into the
@@ -133,15 +146,16 @@ func (f *Frame) Fill(fn func(buf []byte) error) error {
 		f.mem.putBufPtr(p)
 		return err
 	}
-	if f.data != nil {
-		return fn(f.data)
+	d := &f.mem.data[f.pfn]
+	if *d != nil {
+		return fn(*d)
 	}
 	p := f.mem.getBufPtr()
 	if err := fn(*p); err != nil {
 		f.mem.putBufPtr(p)
 		return err
 	}
-	f.data = *p
+	*d = *p
 	return nil
 }
 
@@ -150,8 +164,8 @@ func (f *Frame) Fill(fn func(buf []byte) error) error {
 // receives a zeroed pooled scratch buffer in that case — without the
 // permanent allocation Data would make. fn must not retain the buffer.
 func (f *Frame) WithData(fn func(buf []byte) error) error {
-	if f.data != nil {
-		return fn(f.data)
+	if d := f.bytes(); d != nil {
+		return fn(d)
 	}
 	p := f.mem.getBufPtr()
 	clear(*p)
@@ -172,16 +186,20 @@ func (f *Frame) Adopt(buf []byte) {
 		f.mem.PutBuffer(buf)
 		return
 	}
-	if f.data != nil {
-		f.mem.PutBuffer(f.data)
+	d := &f.mem.data[f.pfn]
+	if *d != nil {
+		f.mem.PutBuffer(*d)
 	}
-	f.data = buf
+	*d = buf
 }
 
 // Memory is the machine's physical memory: a fixed population of frames.
 type Memory struct {
 	frameSize int
 	frames    []Frame
+	// data holds each frame's contents by PFN (nil until first touched); the
+	// slice itself is nil when the memory stores no data.
+	data      [][]byte
 	nodes     int
 	colors    int
 	storeData bool
@@ -215,9 +233,12 @@ func NewMemory(cfg Config) *Memory {
 		colors:    cfg.CacheColors,
 		storeData: cfg.StoreData,
 	}
+	if cfg.StoreData {
+		m.data = make([][]byte, n)
+	}
 	perNode := (n + cfg.Nodes - 1) / cfg.Nodes
 	for i := range m.frames {
-		m.frames[i] = Frame{pfn: PFN(i), node: i / perNode, mem: m}
+		m.frames[i] = Frame{mem: m, pfn: PFN(i), node: int32(i / perNode)}
 	}
 	return m
 }
@@ -268,13 +289,9 @@ func (m *Memory) PutBuffer(buf []byte) {
 }
 
 // Frame returns the frame with the given number. It panics if pfn is out of
-// range.
-func (m *Memory) Frame(pfn PFN) *Frame {
-	if int(pfn) >= len(m.frames) {
-		panic(fmt.Sprintf("phys: frame %d out of range (%d frames)", pfn, len(m.frames)))
-	}
-	return &m.frames[pfn]
-}
+// range (the index check does it, which keeps the call inlinable: the
+// kernel names a page's frames through it).
+func (m *Memory) Frame(pfn PFN) *Frame { return &m.frames[pfn] }
 
 // Range describes a constraint on which physical frames are acceptable for
 // an allocation — the mechanism behind the SPCM's support for "particular

@@ -3,6 +3,7 @@ package phys
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func testMemory() *Memory {
@@ -94,6 +95,17 @@ func TestMetadataOnlyMemory(t *testing.T) {
 	// Zero and CopyFrom must be no-ops, not crashes.
 	m.Frame(1).Zero()
 	m.Frame(1).CopyFrom(m.Frame(2))
+	if m.data != nil {
+		t.Fatal("metadata-only memory allocated a contents table")
+	}
+}
+
+// TestFrameLayout pins a frame at 16 bytes: a name for a slot of memory,
+// with its contents kept in Memory.data.
+func TestFrameLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Frame{}); size != 16 {
+		t.Fatalf("Frame is %d bytes, want 16", size)
+	}
 }
 
 func TestNewMemoryRejectsBadConfig(t *testing.T) {

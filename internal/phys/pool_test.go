@@ -97,7 +97,7 @@ func TestFrameWithDataSeesZerosForUntouchedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	// WithData must not permanently allocate for a read.
-	if f.data != nil {
+	if f.bytes() != nil {
 		t.Fatal("WithData allocated backing data for a read")
 	}
 }
@@ -154,7 +154,7 @@ func TestCopyFromUntouchedPairStaysUnallocated(t *testing.T) {
 	m := poolMem(true)
 	src, dst := m.Frame(1), m.Frame(2)
 	dst.CopyFrom(src) // both untouched: both read as zeros, no allocation needed
-	if src.data != nil || dst.data != nil {
+	if src.bytes() != nil || dst.bytes() != nil {
 		t.Fatal("copy between untouched frames allocated backing data")
 	}
 	if dst.Data()[0] != 0 {

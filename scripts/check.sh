@@ -135,6 +135,14 @@ if grep -rnE 'plane\.Group|NewMailbox|PopOldest|deliveryResult|\.box\b' --includ
     exit 1
 fi
 
+# A page entry is an 8-byte frame number stored in place in the page store,
+# and a large page is the frame run [pfn, pfn+fpp): no per-page entry box or
+# frame-pointer slice comes back into the kernel.
+if grep -rnE '\[\]\*pageEntry|\[\]\*phys\.Frame' --include='*.go' --exclude='*_test.go' internal/kernel; then
+    echo "a boxed page entry or frame-pointer slice is back in internal/kernel: a page is its first frame's PFN (see the matches above)" >&2
+    exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 
