@@ -301,7 +301,7 @@ func TestLargePageLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := g.FreeSegment().Pages()[len(g.FreeSegment().Pages())-8]
-	if err := s.Kernel.MigrateCoalesced(kernel.AppCred, g.FreeSegment(), big, start, 0, 2, kernel.FlagRW, 0); err != nil {
+	if err := s.Kernel.MigrateCoalesced(kernel.AppCred, g.FreeSegment(), big, []kernel.PageRange{{Page: start, To: 0, Pages: 2}}, kernel.FlagRW, 0); err != nil {
 		t.Fatal(err)
 	}
 	if big.PageCount() != 2 || big.PageSize() != 16384 {
@@ -318,7 +318,7 @@ func TestLargePageLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Kernel.MigrateSplit(kernel.AppCred, big, small, 0, 0, 2, 0, 0); err != nil {
+	if err := s.Kernel.MigrateSplit(kernel.AppCred, big, small, []kernel.PageRange{{Page: 0, To: 0, Pages: 2}}, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if small.PageCount() != 8 {

@@ -20,8 +20,15 @@ import (
 // range; the Batch spellings pass many. Either way the body takes the
 // segment locks once, validates everything, applies all-or-nothing and
 // charges one kernel call plus the per-page increments — so n calls of one
-// page cost n kernel calls, one call of n pages costs one, and the Table 1/3
-// numbers do not depend on which spelling a manager used.
+// page cost n kernel calls and one call of n pages costs one.
+//
+// The spelling matters in one respect: with the superpage plane on, only the
+// Batch spellings may apply a range whole — MigratePagesBatch as one extent,
+// ModifyPageFlagsBatch as one shootdown, each for one SuperpageOp. The
+// single-range MigratePages and ModifyPageFlags never do, and charge per page
+// whatever the range (TestBatchMigrateExtentFallbacks and
+// TestModifyFlagsBatchExtentCharge pin both). With the plane off, which the
+// Table 1/3 numbers run with, the spellings charge alike.
 //
 // Two rules hold for every body in this file.
 //
@@ -279,39 +286,31 @@ func (k *Kernel) migrate(cred Cred, src, dst *Segment, ranges []PageRange, set, 
 	}
 	total := int64(0)
 	for _, r := range ranges {
-		// A range that is exactly a live source extent needs no per-page
-		// source presence probes: the extent invariant guarantees every
-		// covered page is present. Destination slots are still checked.
-		srcOrd, srcExtent := src.extents[r.Page]
-		srcExtent = srcExtent && int64(1)<<uint(srcOrd) == r.Pages
-		for i := int64(0); i < r.Pages; i++ {
-			if !srcExtent && !src.pages.has(r.Page+i) {
-				return pageError(ErrPageNotPresent, src, r.Page+i)
-			}
-			if dst.pages.has(r.To + i) {
-				return pageError(ErrPageBusy, dst, r.To+i)
-			}
+		// The first absent source page and the first busy destination slot
+		// before it: at one offset the source is reported first.
+		absent := src.pages.firstAbsent(r.Page, r.Pages)
+		if busy := dst.pages.firstPresent(r.To, absent); busy < absent {
+			return pageError(ErrPageBusy, dst, r.To+busy)
+		}
+		if absent < r.Pages {
+			return pageError(ErrPageNotPresent, src, r.Page+absent)
 		}
 		total += r.Pages
 	}
 	if err := checkDisjoint(src, dst, ranges, 1, 1); err != nil {
 		return err
 	}
-	// An extent move still runs the per-page bookkeeping (the page store
-	// stays base-page authoritative), but one span entry replaces 2^order
-	// destination cache fills and one SuperpageOp replaces 2^order per-page
-	// charges.
 	extents = extents && src.fpp == 1
 	perPage, whole := int64(0), int64(0)
 	for _, r := range ranges {
-		if o := extentOrderFor(src, r, extents); o > 0 {
-			k.moveExtent(src, dst, r, uint8(o), set, clear)
-			whole++
-			continue
-		}
+		o := extentOrderFor(src, r, extents)
 		dst.pages.reserve(r.To, r.To+r.Pages)
-		k.moveRun(src, dst, r, set, clear)
-		perPage += r.Pages
+		k.moveRun(src, dst, r, uint8(o), set, clear)
+		if o > 0 {
+			whole++
+		} else {
+			perPage += r.Pages
+		}
 	}
 	k.chargeMigrated(dst, total, perPage, whole)
 	return nil
@@ -364,58 +363,60 @@ func extentOrderFor(src *Segment, r PageRange, super bool) int {
 	return bits.TrailingZeros64(uint64(r.Pages))
 }
 
-// moveRun is migrate's range body: it applies one validated non-extent range
-// whose destination slots are reserved. A source with no live extent (nothing
-// to demote) whose pages, like the destination's slots, all sit in the page
-// stores' dense arms moves as a run: the entries change stores in one pass
-// (pageStore.moveRun), flags and frame ownership follow in a second, and the
-// caches then see exactly the operations the per-page loop issues, in its
-// order per structure — the mapping table remove(src i), insert(dst i) for i
-// ascending (page numbers are table keys, so which insert displaces whom is
-// model state), the TLB every source invalidate and then the destination
-// installs as one installRun. Installs decide by the destination keys and
-// the cursor alone, neither of which an invalidate of a source key touches,
-// so taking the invalidates first leaves the same entries and cursor. What
-// the run form refuses moves page by page.
-func (k *Kernel) moveRun(src, dst *Segment, r PageRange, set, clear PageFlags) {
-	// No slot of a destination nothing has named is warm: preload them.
-	cold := !dst.named && k.cacheFill(dst)
-	var moved []pageEntry
-	if len(src.extents) == 0 {
-		moved = src.pages.moveRun(&dst.pages, r.Page, r.To, r.Pages)
-	}
-	if moved == nil {
-		for i := int64(0); i < r.Pages; i++ {
-			if cold && i%preloadRun == 0 {
-				k.table.preload(mapKey{dst.id, r.To + i}, min(preloadRun, r.Pages-i))
-			}
-			k.movePage(src, dst, r.Page+i, r.To+i, set, clear, true, true)
+// moveRun is migrate's one range body: it applies one validated range whose
+// destination slots are reserved — as one extent of the given order when
+// order is non-zero, page by page otherwise. The entries change stores as a
+// run (pageStore.moveRun, which also applies the flags), frame ownership
+// follows in a second pass, and the caches then see the operations a
+// page-at-a-time move issues, in its order per structure. The mapping table
+// gets, for i ascending: the removal of any source extent's span entry ahead
+// of the first of its pages the range covers, remove(src i) and — unless the
+// range lands as an extent — insert(dst i), key by key: page numbers are
+// table keys, so which insert displaces whom is model state. The TLB gets
+// the same span and source invalidates, then the destination installs as one
+// installRun: an install decides by its own key and the cursor alone,
+// neither of which an invalidate of another key touches, and span ways are
+// not base entries, so taking the invalidates first leaves the same entries
+// and cursor. An extent then records one span entry instead of per-page
+// fills.
+func (k *Kernel) moveRun(src, dst *Segment, r PageRange, order uint8, set, clear PageFlags) {
+	// A range that is exactly a live source extent — staged frames moving
+	// onward whole — drops it up front, where the first page's covering probe
+	// would have; extents never overlap, so the other pages' probes would
+	// find nothing.
+	probe := len(src.extents) != 0
+	if probe {
+		if ord, ok := src.extents[r.Page]; ok && int64(1)<<ord == r.Pages {
+			k.dropExtentLocked(src, r.Page, ord)
+			probe = false
 		}
-		return
 	}
+	// No slot of a destination nothing has named is warm: preload them.
+	cold := order == 0 && !dst.named && k.cacheFill(dst)
+	moved := src.pages.moveRun(&dst.pages, r.Page, r.To, r.Pages, set, clear)
 	for i := range moved {
-		e := &moved[i]
-		e.flags = e.flags.Apply(set, clear)
-		for pfn := e.pfn; pfn < e.pfn+phys.PFN(dst.fpp); pfn++ {
+		for pfn := moved[i].pfn; pfn < moved[i].pfn+phys.PFN(dst.fpp); pfn++ {
 			k.frameOwner[pfn] = dst.id
 			k.framePage[pfn] = r.To + int64(i)
 		}
 	}
-	fill := k.cacheFill(dst)
-	if !src.named && !fill {
-		return
-	}
-	for i := int64(0); i < r.Pages; i++ {
-		if src.named {
-			srcKey := mapKey{src.id, r.Page + i}
-			k.table.remove(srcKey)
-			k.tlb.invalidate(srcKey)
-		}
-		if fill {
-			if cold && i%preloadRun == 0 {
-				k.table.preload(mapKey{dst.id, r.To + i}, min(preloadRun, r.Pages-i))
+	fill := order == 0 && k.cacheFill(dst)
+	if src.named || fill || probe {
+		for i := int64(0); i < r.Pages; i++ {
+			if probe {
+				k.demoteCoveringLocked(src, r.Page+i)
 			}
-			k.table.insert(mapKey{dst.id, r.To + i})
+			if src.named {
+				srcKey := mapKey{src.id, r.Page + i}
+				k.table.remove(srcKey)
+				k.tlb.invalidate(srcKey)
+			}
+			if fill {
+				if cold && i%preloadRun == 0 {
+					k.table.preload(mapKey{dst.id, r.To + i}, min(preloadRun, r.Pages-i))
+				}
+				k.table.insert(mapKey{dst.id, r.To + i})
+			}
 		}
 	}
 	if fill {
@@ -424,81 +425,44 @@ func (k *Kernel) moveRun(src, dst *Segment, r PageRange, set, clear PageFlags) {
 		// retried access does not miss again.
 		k.tlb.installRun(mapKey{dst.id, r.To}, r.Pages)
 	}
-}
-
-// movePage transfers one page entry: it leaves src — demoting any extent
-// that covered it when probe is set — and lands in dst with the flags
-// applied and the frame-ownership records rewritten. install fills the
-// destination translation per page; an extent move installs one span entry
-// for the whole range instead. Both segments' locks are held by the caller,
-// which also charges for the move.
-func (k *Kernel) movePage(src, dst *Segment, srcPage, dstPage int64, set, clear PageFlags, probe, install bool) {
-	if probe {
-		k.demoteCoveringLocked(src, srcPage)
-	}
-	ep, _ := src.pages.get(srcPage)
-	e := *ep // del frees the slot ep points at
-	src.pages.del(srcPage)
-	e.flags = e.flags.Apply(set, clear)
-	dst.pages.put(dstPage, e)
-	for pfn := e.pfn; pfn < e.pfn+phys.PFN(dst.fpp); pfn++ {
-		k.frameOwner[pfn] = dst.id
-		k.framePage[pfn] = dstPage
-	}
-	if src.named {
-		srcKey := mapKey{src.id, srcPage}
-		k.table.remove(srcKey)
-		k.tlb.invalidate(srcKey)
-	}
-	if install && k.cacheFill(dst) {
-		dstKey := mapKey{dst.id, dstPage}
-		k.table.insert(dstKey)
-		// Prime the TLB for the destination: on a fault-driven migrate the
-		// kernel loads the translation for the faulting address before the
-		// application resumes, so the retried access does not miss again.
-		k.tlb.install(dstKey)
+	if order != 0 {
+		// The destination cannot hold an overlapping extent: its slots were
+		// all absent, and a live extent implies its pages present.
+		k.recordExtentLocked(dst, r.To, order)
+		k.stats.ExtentPromotions.Add(1)
+		k.stats.SuperpageOps.Add(1)
 	}
 }
 
-// moveExtent applies one qualifying range as an extent: per-page authority
-// moves through movePage, but the destination side installs a
-// single span mapping entry and superpage TLB way instead of 2^order
-// per-page fills. The destination cannot hold an overlapping extent — every
-// destination slot was just verified absent, and a live extent implies all
-// its pages present. Both segment locks are held by the caller; the caller
-// charges one SuperpageOp.
-func (k *Kernel) moveExtent(src, dst *Segment, r PageRange, order uint8, set, clear PageFlags) {
-	// When the range is exactly a live source extent — staged frames
-	// migrating onward whole — demote it once up front: the per-page
-	// covering probe would fire on the first page and then find nothing for
-	// the rest, since extents never overlap.
-	probe := true
-	if ord, ok := src.extents[r.Page]; ok && ord == order {
-		k.dropExtentLocked(src, r.Page, ord)
-		probe = false
-	}
-	for i := int64(0); i < r.Pages; i++ {
-		k.movePage(src, dst, r.Page+i, r.To+i, set, clear, probe, false)
-	}
-	k.recordExtentLocked(dst, r.To, order)
-	k.stats.ExtentPromotions.Add(1)
-	k.stats.SuperpageOps.Add(1)
-}
-
-// MigrateCoalescedBatch is MigrateCoalesced over several ranges as one
-// kernel call: r.Pages large pages form in dst at r.To from r.Pages×factor
-// consecutive base pages of src at r.Page, per range.
-func (k *Kernel) MigrateCoalescedBatch(cred Cred, src, dst *Segment, ranges []PageRange, set, clear PageFlags) error {
+// MigrateCoalesced forms large pages in dst (F frames per page) from base
+// pages of src as one kernel call: per range, r.Pages large pages at r.To
+// from the r.Pages×F consecutive base pages at r.Page. The source frames of
+// each large page must be physically contiguous — this is how the SPCM
+// satisfies large-page allocations on machines with multiple page sizes.
+func (k *Kernel) MigrateCoalesced(cred Cred, src, dst *Segment, ranges []PageRange, set, clear PageFlags) error {
 	if len(ranges) == 0 {
 		return nil
 	}
-	return k.coalesce(cred, src, dst, ranges, set, clear)
+	return k.resize(cred, src, dst, ranges, set, clear, int64(dst.fpp), 1)
 }
 
-// coalesce is the body of MigrateCoalesced and MigrateCoalescedBatch. The
-// source frames of each large page must be physically contiguous; the
-// charge is per base page, as for a plain migration.
-func (k *Kernel) coalesce(cred Cred, src, dst *Segment, ranges []PageRange, set, clear PageFlags) error {
+// MigrateSplit is the inverse of MigrateCoalesced: per range, r.Pages large
+// pages of src (F frames per page) at r.Page become the r.Pages×F base pages
+// of dst at r.To, as one kernel call.
+func (k *Kernel) MigrateSplit(cred Cred, src, dst *Segment, ranges []PageRange, set, clear PageFlags) error {
+	if len(ranges) == 0 {
+		return nil
+	}
+	return k.resize(cred, src, dst, ranges, set, clear, 1, int64(src.fpp))
+}
+
+// resize is the body of MigrateCoalesced and MigrateSplit. A range's unit is
+// one large page: srcMul pages of src become dstMul pages of dst, and the
+// two sides must hold the same frames — the base-page side counts F pages
+// of one frame, the other one page of F. The large page is named by its
+// first frame and its flags are the union of its base pages'. The charge is
+// per base page, as for a plain migration.
+func (k *Kernel) resize(cred Cred, src, dst *Segment, ranges []PageRange, set, clear PageFlags, srcMul, dstMul int64) error {
 	k.stats.MigrateCalls.Add(uint64(dst.id), 1)
 	k.clock.AdvanceOn(uint64(dst.id), k.cost.KernelCall)
 	lockPair(src, dst)
@@ -506,44 +470,43 @@ func (k *Kernel) coalesce(cred Cred, src, dst *Segment, ranges []PageRange, set,
 	if err := validateMigrate(cred, src, dst, ranges); err != nil {
 		return err
 	}
-	if src.fpp != 1 {
-		return fmt.Errorf("%w: coalesce source must use base pages", ErrPageSizeMismatch)
+	frames := srcMul * int64(src.fpp)
+	if frames != dstMul*int64(dst.fpp) {
+		return fmt.Errorf("%w: %d page(s) of %s do not hold the frames of %d of %s", ErrPageSizeMismatch, srcMul, src, dstMul, dst)
 	}
-	factor := int64(dst.fpp)
 	total := int64(0)
 	for _, r := range ranges {
 		for i := int64(0); i < r.Pages; i++ {
 			var prev phys.PFN
-			for j := int64(0); j < factor; j++ {
-				sp := r.Page + i*factor + j
+			for j := int64(0); j < srcMul; j++ {
+				sp := r.Page + i*srcMul + j
 				e, ok := src.pages.get(sp)
 				if !ok {
 					return pageError(ErrPageNotPresent, src, sp)
 				}
-				pfn := e.pfn
-				if j > 0 && pfn != prev+1 {
+				if j > 0 && e.pfn != prev+1 {
 					return pageError(ErrNotContiguous, src, sp)
 				}
-				prev = pfn
+				prev = e.pfn
 			}
-			if dst.pages.has(r.To + i) {
-				return pageError(ErrPageBusy, dst, r.To+i)
+			for j := int64(0); j < dstMul; j++ {
+				if dp := r.To + i*dstMul + j; dst.pages.has(dp) {
+					return pageError(ErrPageBusy, dst, dp)
+				}
 			}
 		}
-		total += r.Pages * factor
+		total += r.Pages * frames
 	}
-	if err := checkDisjoint(src, dst, ranges, factor, 1); err != nil {
+	if err := checkDisjoint(src, dst, ranges, srcMul, dstMul); err != nil {
 		return err
 	}
 	for _, r := range ranges {
 		for i := int64(0); i < r.Pages; i++ {
 			var ne pageEntry
-			for j := int64(0); j < factor; j++ {
-				sp := r.Page + i*factor + j
+			for j := int64(0); j < srcMul; j++ {
+				sp := r.Page + i*srcMul + j
 				e, _ := src.pages.get(sp)
 				if j == 0 {
-					// The run was proven contiguous above: the large page
-					// is named by its first frame.
 					ne.pfn = e.pfn
 				}
 				ne.flags |= e.flags
@@ -556,76 +519,13 @@ func (k *Kernel) coalesce(cred Cred, src, dst *Segment, ranges []PageRange, set,
 				}
 			}
 			ne.flags = ne.flags.Apply(set, clear)
-			dst.pages.put(r.To+i, ne)
-			for pfn := ne.pfn; pfn < ne.pfn+phys.PFN(factor); pfn++ {
-				k.frameOwner[pfn] = dst.id
-				k.framePage[pfn] = r.To + i
-			}
-			if k.cacheFill(dst) {
-				k.table.insert(mapKey{dst.id, r.To + i})
-			}
-		}
-	}
-	k.chargeMigrated(dst, total, total, 0)
-	return nil
-}
-
-// MigrateSplitBatch is MigrateSplit over several ranges as one kernel call:
-// r.Pages large pages of src at r.Page become r.Pages×factor base pages of
-// dst at r.To, per range.
-func (k *Kernel) MigrateSplitBatch(cred Cred, src, dst *Segment, ranges []PageRange, set, clear PageFlags) error {
-	if len(ranges) == 0 {
-		return nil
-	}
-	return k.split(cred, src, dst, ranges, set, clear)
-}
-
-// split is the body of MigrateSplit and MigrateSplitBatch: coalesce's
-// inverse, charged per base page like it.
-func (k *Kernel) split(cred Cred, src, dst *Segment, ranges []PageRange, set, clear PageFlags) error {
-	k.stats.MigrateCalls.Add(uint64(dst.id), 1)
-	k.clock.AdvanceOn(uint64(dst.id), k.cost.KernelCall)
-	lockPair(src, dst)
-	defer unlockPair(src, dst)
-	if err := validateMigrate(cred, src, dst, ranges); err != nil {
-		return err
-	}
-	if dst.fpp != 1 {
-		return fmt.Errorf("%w: split destination must use base pages", ErrPageSizeMismatch)
-	}
-	factor := int64(src.fpp)
-	total := int64(0)
-	for _, r := range ranges {
-		for i := int64(0); i < r.Pages; i++ {
-			if !src.pages.has(r.Page + i) {
-				return pageError(ErrPageNotPresent, src, r.Page+i)
-			}
-			for j := int64(0); j < factor; j++ {
-				if dst.pages.has(r.To + i*factor + j) {
-					return pageError(ErrPageBusy, dst, r.To+i*factor+j)
+			for j := int64(0); j < dstMul; j++ {
+				dp, pfn := r.To+i*dstMul+j, ne.pfn+phys.PFN(j*int64(dst.fpp))
+				dst.pages.put(dp, pageEntry{pfn: pfn, flags: ne.flags})
+				for f := pfn; f < pfn+phys.PFN(dst.fpp); f++ {
+					k.frameOwner[f] = dst.id
+					k.framePage[f] = dp
 				}
-			}
-		}
-		total += r.Pages * factor
-	}
-	if err := checkDisjoint(src, dst, ranges, 1, factor); err != nil {
-		return err
-	}
-	for _, r := range ranges {
-		for i := int64(0); i < r.Pages; i++ {
-			ep, _ := src.pages.get(r.Page + i)
-			e := *ep // del frees the slot ep points at
-			src.pages.del(r.Page + i)
-			if src.named {
-				key := mapKey{src.id, r.Page + i}
-				k.table.remove(key)
-				k.tlb.invalidate(key)
-			}
-			for j := int64(0); j < factor; j++ {
-				dp, pfn := r.To+i*factor+j, e.pfn+phys.PFN(j)
-				dst.pages.put(dp, pageEntry{pfn: pfn, flags: e.flags.Apply(set, clear)})
-				k.frameOwner[pfn] = dst.id
-				k.framePage[pfn] = dp
 				if k.cacheFill(dst) {
 					k.table.insert(mapKey{dst.id, dp})
 				}

@@ -455,23 +455,6 @@ func (k *Kernel) cacheFill(s *Segment) bool {
 	return true
 }
 
-// MigrateCoalesced forms n large pages in dst (frames-per-page F) from
-// n×F consecutive base pages of src (frames-per-page 1) starting at
-// srcPage. The source frames of each large page must be physically
-// contiguous — this is how the SPCM satisfies large-page allocations on
-// machines with multiple page sizes.
-func (k *Kernel) MigrateCoalesced(cred Cred, src, dst *Segment, srcPage, dstPage, n int64, set, clear PageFlags) error {
-	r := [1]PageRange{{Page: srcPage, To: dstPage, Pages: n}}
-	return k.coalesce(cred, src, dst, r[:], set, clear)
-}
-
-// MigrateSplit is the inverse of MigrateCoalesced: n large pages of src
-// (frames-per-page F) become n×F base pages of dst (frames-per-page 1).
-func (k *Kernel) MigrateSplit(cred Cred, src, dst *Segment, srcPage, dstPage, n int64, set, clear PageFlags) error {
-	r := [1]PageRange{{Page: srcPage, To: dstPage, Pages: n}}
-	return k.split(cred, src, dst, r[:], set, clear)
-}
-
 // ModifyPageFlags modifies the page flags of [page, page+n) without moving
 // the frames (§2.1). Pages without frames in the range are an error.
 func (k *Kernel) ModifyPageFlags(cred Cred, s *Segment, page, n int64, set, clear PageFlags) error {
@@ -510,20 +493,18 @@ func (k *Kernel) GetPageAttribute(s *Segment, page int64) (PageAttribute, error)
 }
 
 // chargeDelivery charges the cost of transferring control to a manager, on
-// the clock stripe of the segment the delivery concerns, and reports the
-// amount, so the caller can mirror it onto the manager's time shard.
-func (k *Kernel) chargeDelivery(seg SegID, d DeliveryMode) time.Duration {
+// the clock stripe of the segment the delivery concerns.
+func (k *Kernel) chargeDelivery(seg SegID, d DeliveryMode) {
 	c := k.cost.ContextSwitch
 	if d == DeliverSameProcess {
 		c = k.cost.Upcall
 	}
 	k.clock.AdvanceOn(uint64(seg), c)
-	return c
 }
 
 // chargeReturn charges the cost of resuming the application after the
-// manager finishes and reports the amount.
-func (k *Kernel) chargeReturn(seg SegID, d DeliveryMode) time.Duration {
+// manager finishes.
+func (k *Kernel) chargeReturn(seg SegID, d DeliveryMode) {
 	var c time.Duration
 	if d == DeliverSameProcess {
 		// On the R3000 the manager resumes the application directly.
@@ -535,7 +516,6 @@ func (k *Kernel) chargeReturn(seg SegID, d DeliveryMode) time.Duration {
 			k.cost.ResumeViaKernel + 2*k.cost.MappingUpdate
 	}
 	k.clock.AdvanceOn(uint64(seg), c)
-	return c
 }
 
 // Access simulates one memory reference by an application: page `page` of

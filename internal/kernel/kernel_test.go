@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -88,6 +89,48 @@ func newTestManager(t *testing.T, k *Kernel, nFree int64, d DeliveryMode) *testM
 		t.Fatal(err)
 	}
 	return &testManager{t: t, k: k, free: free, delivery: d}
+}
+
+// newOffsetTestManager is newTestManager with an explicit boot-segment
+// offset, so several managers can draw disjoint frame ranges.
+func newOffsetTestManager(t *testing.T, k *Kernel, start, nFree int64, d DeliveryMode) *testManager {
+	t.Helper()
+	free, err := k.CreateSegment(fmt.Sprintf("free-pages-%d", start), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.MigratePages(SystemCred, k.BootSegment(), free, start, 0, nFree, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	return &testManager{t: t, k: k, free: free, delivery: d}
+}
+
+// TestRevokeDropsManagerRecord: revoking a manager drops the kernel's record
+// of it, under both schedulers, and its segments fault on to the adopter.
+func TestRevokeDropsManagerRecord(t *testing.T) {
+	for _, concurrent := range []bool{false, true} {
+		k := newTestKernelWith(Config{Concurrent: concurrent})
+		m := newOffsetTestManager(t, k, 0, 8, DeliverSameProcess)
+		k.SetDefaultManager(newOffsetTestManager(t, k, 8, 8, DeliverSameProcess))
+		space, _ := k.CreateSegment("space", 1)
+		k.SetSegmentManager(space, m)
+		if err := k.Access(space, 0, Write); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := k.Revoke(m); err != nil {
+			t.Fatal(err)
+		}
+		k.mgrMu.Lock()
+		_, kept := k.managers[m]
+		k.mgrMu.Unlock()
+		if kept {
+			t.Errorf("concurrent=%v: the kernel still holds the revoked manager's record", concurrent)
+		}
+		if err := k.Access(space, 1, Write); err != nil {
+			t.Fatal(err)
+		}
+		k.Scheduler().Stop()
+	}
 }
 
 func TestBootSegmentHoldsAllFrames(t *testing.T) {
@@ -626,7 +669,7 @@ func TestMigrateCoalescedAndSplit(t *testing.T) {
 	}
 	small.FrameAt(0).Data()[0] = 0x11
 	small.FrameAt(5).Data()[0] = 0x55
-	if err := k.MigrateCoalesced(AppCred, small, big, 0, 0, 2, FlagRW, 0); err != nil {
+	if err := k.MigrateCoalesced(AppCred, small, big, []PageRange{{Page: 0, To: 0, Pages: 2}}, FlagRW, 0); err != nil {
 		t.Fatal(err)
 	}
 	if big.PageCount() != 2 || small.PageCount() != 0 {
@@ -642,7 +685,7 @@ func TestMigrateCoalescedAndSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Split back.
-	if err := k.MigrateSplit(AppCred, big, small, 0, 0, 2, 0, FlagRW); err != nil {
+	if err := k.MigrateSplit(AppCred, big, small, []PageRange{{Page: 0, To: 0, Pages: 2}}, 0, FlagRW); err != nil {
 		t.Fatal(err)
 	}
 	if small.PageCount() != 8 || big.PageCount() != 0 {
@@ -667,7 +710,7 @@ func TestMigrateCoalescedRequiresContiguity(t *testing.T) {
 	if err := k.MigratePages(SystemCred, k.BootSegment(), small, 12, 1, 1, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.MigrateCoalesced(AppCred, small, big, 0, 0, 1, 0, 0); !errors.Is(err, ErrNotContiguous) {
+	if err := k.MigrateCoalesced(AppCred, small, big, []PageRange{{Page: 0, To: 0, Pages: 1}}, 0, 0); !errors.Is(err, ErrNotContiguous) {
 		t.Fatalf("err = %v", err)
 	}
 	if small.PageCount() != 2 {
@@ -808,16 +851,16 @@ func TestCoalescePrivilegeAndDeletedChecks(t *testing.T) {
 	k := newTestKernel(t)
 	small, _ := k.CreateSegment("small", 1)
 	big, _ := k.CreateSegment("big", 2)
-	if err := k.MigrateCoalesced(AppCred, k.BootSegment(), big, 0, 0, 1, 0, 0); !errors.Is(err, ErrNotPrivileged) {
+	if err := k.MigrateCoalesced(AppCred, k.BootSegment(), big, []PageRange{{Page: 0, To: 0, Pages: 1}}, 0, 0); !errors.Is(err, ErrNotPrivileged) {
 		t.Fatalf("unprivileged boot coalesce: %v", err)
 	}
 	if err := k.DeleteSegment(AppCred, small); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.MigrateCoalesced(AppCred, small, big, 0, 0, 1, 0, 0); !errors.Is(err, ErrNoSuchSegment) {
+	if err := k.MigrateCoalesced(AppCred, small, big, []PageRange{{Page: 0, To: 0, Pages: 1}}, 0, 0); !errors.Is(err, ErrNoSuchSegment) {
 		t.Fatalf("deleted source: %v", err)
 	}
-	if err := k.MigrateSplit(AppCred, big, small, 0, 0, 1, 0, 0); !errors.Is(err, ErrNoSuchSegment) {
+	if err := k.MigrateSplit(AppCred, big, small, []PageRange{{Page: 0, To: 0, Pages: 1}}, 0, 0); !errors.Is(err, ErrNoSuchSegment) {
 		t.Fatalf("deleted destination: %v", err)
 	}
 }
@@ -826,11 +869,11 @@ func TestMigrateSplitRequiresBaseDestination(t *testing.T) {
 	k := newTestKernel(t)
 	big1, _ := k.CreateSegment("big1", 2)
 	big2, _ := k.CreateSegment("big2", 2)
-	if err := k.MigrateSplit(AppCred, big1, big2, 0, 0, 1, 0, 0); !errors.Is(err, ErrPageSizeMismatch) {
+	if err := k.MigrateSplit(AppCred, big1, big2, []PageRange{{Page: 0, To: 0, Pages: 1}}, 0, 0); !errors.Is(err, ErrPageSizeMismatch) {
 		t.Fatalf("split to large-page destination: %v", err)
 	}
 	small, _ := k.CreateSegment("small", 1)
-	if err := k.MigrateCoalesced(AppCred, big1, small, 0, 0, 1, 0, 0); !errors.Is(err, ErrPageSizeMismatch) {
+	if err := k.MigrateCoalesced(AppCred, big1, small, []PageRange{{Page: 0, To: 0, Pages: 1}}, 0, 0); !errors.Is(err, ErrPageSizeMismatch) {
 		t.Fatalf("coalesce from large-page source: %v", err)
 	}
 }
@@ -842,7 +885,7 @@ func TestGetPageAttributesLargePage(t *testing.T) {
 	if err := k.MigratePages(SystemCred, k.BootSegment(), small, 32, 0, 4, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.MigrateCoalesced(AppCred, small, big, 0, 0, 1, FlagRW, 0); err != nil {
+	if err := k.MigrateCoalesced(AppCred, small, big, []PageRange{{Page: 0, To: 0, Pages: 1}}, FlagRW, 0); err != nil {
 		t.Fatal(err)
 	}
 	attrs, err := k.GetPageAttributes(big, 0, 1)

@@ -101,7 +101,7 @@ func TestConservationCatchesCorruptEntry(t *testing.T) {
 			s := small
 			if c.fpp > 1 {
 				big, _ := k.CreateSegment("big", c.fpp)
-				if err := k.MigrateCoalesced(AppCred, small, big, 0, 0, int64(8/c.fpp), 0, 0); err != nil {
+				if err := k.MigrateCoalesced(AppCred, small, big, []PageRange{{Page: 0, To: 0, Pages: int64(8 / c.fpp)}}, 0, 0); err != nil {
 					t.Fatal(err)
 				}
 				s = big
@@ -152,7 +152,7 @@ func TestLargePageRunKeepsData(t *testing.T) {
 				}
 			}
 		}
-		if err := k.MigrateCoalesced(AppCred, small, big, 0, 0, int64(pages), FlagRW, 0); err != nil {
+		if err := k.MigrateCoalesced(AppCred, small, big, []PageRange{{Page: 0, To: 0, Pages: int64(pages)}}, FlagRW, 0); err != nil {
 			t.Fatal(err)
 		}
 		checkRun("first coalesce")
@@ -165,10 +165,10 @@ func TestLargePageRunKeepsData(t *testing.T) {
 				want = append(want, b)
 			}
 		}
-		if err := k.MigrateSplit(AppCred, big, small, 0, 0, int64(pages), 0, 0); err != nil {
+		if err := k.MigrateSplit(AppCred, big, small, []PageRange{{Page: 0, To: 0, Pages: int64(pages)}}, 0, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := k.MigrateCoalesced(AppCred, small, big, 0, 0, int64(pages), FlagRW, 0); err != nil {
+		if err := k.MigrateCoalesced(AppCred, small, big, []PageRange{{Page: 0, To: 0, Pages: int64(pages)}}, FlagRW, 0); err != nil {
 			t.Fatal(err)
 		}
 		checkRun("second coalesce")

@@ -88,19 +88,71 @@ func (ps *pageStore) reserve(lo, end int64) {
 	}
 }
 
+// firstAbsent returns the offset of the first page of [lo, lo+n) that is not
+// present, or n. lo is not negative.
+func (ps *pageStore) firstAbsent(lo, n int64) int64 {
+	if len(ps.sparse) == 0 && n <= int64(len(ps.dense))-lo {
+		for i, e := range ps.dense[lo : lo+n] {
+			if !e.live {
+				return int64(i)
+			}
+		}
+		return n
+	}
+	i := int64(0)
+	for i < n && ps.has(lo+i) {
+		i++
+	}
+	return i
+}
+
+// firstPresent returns the offset of the first page of [lo, lo+n) that is
+// present, or n. lo is not negative.
+func (ps *pageStore) firstPresent(lo, n int64) int64 {
+	if len(ps.sparse) == 0 {
+		if lo >= int64(len(ps.dense)) {
+			return n
+		}
+		for i, e := range ps.dense[lo : lo+min(n, int64(len(ps.dense))-lo)] {
+			if e.live {
+				return int64(i)
+			}
+		}
+		return n
+	}
+	i := int64(0)
+	for i < n && !ps.has(lo+i) {
+		i++
+	}
+	return i
+}
+
 // moveRun moves pages [lo, lo+n), all present, to the slots [to, to+n) of
-// dst, all absent and already reserved, and returns the moved entries in
-// page order, in place in dst. It takes a range dense slots alone answer for
-// on both sides — the prefix covers it and nothing is parked in sparse, so a
-// slot that is not live is an absent page — and returns nil, having moved
-// nothing, for any other. dst may be ps.
-func (ps *pageStore) moveRun(dst *pageStore, lo, to, n int64) []pageEntry {
-	if len(ps.sparse) != 0 || len(dst.sparse) != 0 || lo+n > int64(len(ps.dense)) || to+n > int64(len(dst.dense)) {
-		return nil
+// dst, all absent and already reserved, applies set and unset to each moved
+// entry's flags, and returns the moved entries in page order. When dense
+// slots alone answer for the source range — the prefix covers it and nothing
+// is parked in sparse — and dst's prefix covers the destination, the entries
+// change stores slot to slot and the result is dst's own slots (an absent
+// page is in neither of dst's arms, so its dense slot is free to take).
+// Otherwise they move entry by entry and the result is a copy. dst may be ps.
+func (ps *pageStore) moveRun(dst *pageStore, lo, to, n int64, set, unset PageFlags) []pageEntry {
+	if len(ps.sparse) != 0 || n > int64(len(ps.dense))-lo || n > int64(len(dst.dense))-to {
+		moved := make([]pageEntry, n)
+		for i := range moved {
+			e, _ := ps.get(lo + int64(i))
+			moved[i] = *e // del frees the slot e points at
+			ps.del(lo + int64(i))
+			moved[i].flags = moved[i].flags.Apply(set, unset)
+			dst.put(to+int64(i), moved[i])
+		}
+		return moved
 	}
 	moved := dst.dense[to : to+n]
 	copy(moved, ps.dense[lo:lo+n])
 	clear(ps.dense[lo : lo+n])
+	for i := range moved {
+		moved[i].flags = moved[i].flags.Apply(set, unset)
+	}
 	ps.n -= int(n)
 	dst.n += int(n)
 	return moved

@@ -18,7 +18,7 @@ type pageStoreOps struct {
 type pageStoreOp struct {
 	// 0 put, 1 del, 2 get, 3 reserve [page, page+n), 4 move [page, page+n)
 	// to the other store at to as a run, 5 forEach stopping after n%50+1
-	// pages
+	// pages, 6 the first absent and the first present page of [page, page+n)
 	kind  int
 	store int // which of the two stores
 	page  int64
@@ -29,7 +29,7 @@ type pageStoreOp struct {
 // Generate implements quick.Generator, biasing pages toward the dense
 // region but — in half the sequences — including far-out sparse pages so
 // both arms are exercised; the other half keep sparse empty, which is when
-// a run moves as a run.
+// a run moves slot to slot.
 func (pageStoreOps) Generate(r *rand.Rand, size int) reflect.Value {
 	n := r.Intn(200) + 1
 	classes := 2 + 2*r.Intn(2)
@@ -46,9 +46,12 @@ func (pageStoreOps) Generate(r *rand.Rand, size int) reflect.Value {
 		default:
 			page = pageStoreDenseMax + r.Int63n(1<<30) // strictly sparse
 		}
-		op := pageStoreOp{kind: r.Intn(6), store: r.Intn(2), page: page, n: 1 + r.Int63n(3*pageStoreDenseDirect)}
-		if op.kind == 4 {
+		op := pageStoreOp{kind: r.Intn(7), store: r.Intn(2), page: page, n: 1 + r.Int63n(3*pageStoreDenseDirect)}
+		switch op.kind {
+		case 4:
 			op.page, op.to, op.n = r.Int63n(6_000), r.Int63n(6_000), 1+r.Int63n(300)
+		case 6:
+			op.n = 1 + r.Int63n(300)
 		}
 		ops[i] = op
 	}
@@ -114,20 +117,21 @@ func TestPageStoreMatchesMapModel(t *testing.T) {
 					delete(dstModel, op.to+i)
 				}
 				dst.reserve(op.to, op.to+op.n)
-				moved := ps.moveRun(dst, op.page, op.to, op.n)
-				want := len(ps.sparse) == 0 && len(dst.sparse) == 0 &&
-					op.page+op.n <= int64(len(ps.dense)) && op.to+op.n <= int64(len(dst.dense))
-				if (moved != nil) != want || moved != nil && int64(len(moved)) != op.n {
-					t.Logf("moveRun(%d -> %d, %d) returned %d entries, want a move: %v", op.page, op.to, op.n, len(moved), want)
+				set, unset := PageFlags(op.page%5), PageFlags(op.to%3)
+				moved := ps.moveRun(dst, op.page, op.to, op.n, set, unset)
+				if int64(len(moved)) != op.n {
+					t.Logf("moveRun(%d -> %d, %d) returned %d entries", op.page, op.to, op.n, len(moved))
 					return false
 				}
 				for i, e := range moved {
-					if model[op.page+int64(i)] != e {
-						t.Logf("moveRun(%d -> %d, %d): entry %d is not page %d's", op.page, op.to, op.n, i, op.page+int64(i))
+					want := model[op.page+int64(i)]
+					want.flags = want.flags.Apply(set, unset)
+					if e.pfn != want.pfn || e.flags != want.flags {
+						t.Logf("moveRun(%d -> %d, %d): entry %d is %+v, page %d's moved is %+v", op.page, op.to, op.n, i, e, op.page+int64(i), want)
 						return false
 					}
 					delete(model, op.page+int64(i))
-					dstModel[op.to+int64(i)] = e
+					dstModel[op.to+int64(i)] = want
 				}
 			case 5:
 				want := sortedPages(model)
@@ -141,6 +145,23 @@ func TestPageStoreMatchesMapModel(t *testing.T) {
 				})
 				if !same || !slices.Equal(seen, want) {
 					t.Logf("forEach stopped after %d pages visited %v (the model's entries: %v), model %v", len(want), seen, same, want)
+					return false
+				}
+			case 6:
+				absent, present := op.n, op.n
+				for i := op.n - 1; i >= 0; i-- {
+					if _, ok := model[op.page+i]; ok {
+						present = i
+					} else {
+						absent = i
+					}
+				}
+				if got := ps.firstAbsent(op.page, op.n); got != absent {
+					t.Logf("firstAbsent(%d, %d) = %d, model %d", op.page, op.n, got, absent)
+					return false
+				}
+				if got := ps.firstPresent(op.page, op.n); got != present {
+					t.Logf("firstPresent(%d, %d) = %d, model %d", op.page, op.n, got, present)
 					return false
 				}
 			}

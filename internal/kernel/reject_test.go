@@ -41,7 +41,7 @@ func newRejectFixture(t *testing.T) *rejectFixture {
 		must(k.MigratePages(SystemCred, boot, fx.base, p, 20+int64(i), 1, FlagRW, 0))
 	}
 	must(k.MigratePages(SystemCred, boot, fx.busy, 100, 0, 1, FlagRW, 0))
-	must(k.MigrateCoalesced(SystemCred, boot, fx.big, 32, 0, 1, FlagRW, 0))
+	must(k.MigrateCoalesced(SystemCred, boot, fx.big, []PageRange{{Page: 32, To: 0, Pages: 1}}, FlagRW, 0))
 	must(k.DeleteSegment(SystemCred, fx.gone))
 	return fx
 }
@@ -102,19 +102,13 @@ var (
 		}),
 	}}
 	coalesceOp = pageOp{"coalesce", func(s Stats) int64 { return s.MigrateCalls }, kernelCall, []opSpelling{
-		single("MigrateCoalesced", func(k *Kernel, c Cred, src, dst *Segment, r PageRange) error {
-			return k.MigrateCoalesced(c, src, dst, r.Page, r.To, r.Pages, FlagRW, 0)
-		}),
-		batch("MigrateCoalescedBatch", func(k *Kernel, c Cred, src, dst *Segment, rs []PageRange) error {
-			return k.MigrateCoalescedBatch(c, src, dst, rs, FlagRW, 0)
+		batch("MigrateCoalesced", func(k *Kernel, c Cred, src, dst *Segment, rs []PageRange) error {
+			return k.MigrateCoalesced(c, src, dst, rs, FlagRW, 0)
 		}),
 	}}
 	splitOp = pageOp{"split", func(s Stats) int64 { return s.MigrateCalls }, kernelCall, []opSpelling{
-		single("MigrateSplit", func(k *Kernel, c Cred, src, dst *Segment, r PageRange) error {
-			return k.MigrateSplit(c, src, dst, r.Page, r.To, r.Pages, FlagRW, 0)
-		}),
-		batch("MigrateSplitBatch", func(k *Kernel, c Cred, src, dst *Segment, rs []PageRange) error {
-			return k.MigrateSplitBatch(c, src, dst, rs, FlagRW, 0)
+		batch("MigrateSplit", func(k *Kernel, c Cred, src, dst *Segment, rs []PageRange) error {
+			return k.MigrateSplit(c, src, dst, rs, FlagRW, 0)
 		}),
 	}}
 	modifyOp = pageOp{"modify-flags", func(s Stats) int64 { return s.ModifyCalls },

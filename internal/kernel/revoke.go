@@ -60,8 +60,8 @@ func (k *Kernel) OnRevoke(fn func(dead Manager, adopted []*Segment)) { k.onRevok
 // After reassigning, the dead manager's queued plane messages are
 // discarded (Scheduler.revoke): each pending delivery is answered as lost,
 // so the faulting processes retry and re-resolve to the adopting manager.
-// The manager's record goes with it — its time-shard binding included, so
-// the kernel keeps no reference to the dead manager. The onRevoke callback
+// The manager's record goes with it, so the kernel keeps no reference to
+// the dead manager. The onRevoke callback
 // runs with no kernel lock held — it reaches into the SPCM and the default
 // manager.
 func (k *Kernel) Revoke(dead Manager) ([]*Segment, error) {

@@ -106,7 +106,7 @@ func (k *Kernel) process(d delivery, fs []Fault, errs []error) error {
 // cost, and the manager's salvage pass.
 func (k *Kernel) processDelete(c *managerCell, s *Segment) {
 	k.stats.ManagerCalls.Add(uint64(s.id), 1)
-	tickShard(c.shard.Load(), k.chargeDelivery(s.id, c.m.Delivery()))
+	k.chargeDelivery(s.id, c.m.Delivery())
 	c.m.SegmentDeleted(s)
 }
 
@@ -344,7 +344,7 @@ func (s *concurrentScheduler) post(c *managerCell, d delivery) error {
 		return err
 	}
 	d.reply = make(chan error, 1)
-	if !ln.ring.Put(s.k.stampFor(c), d) {
+	if !ln.ring.Put(s.k.clock.Now(), d) {
 		return nil // revoked while posting: lost delivery
 	}
 	if ln.token.CompareAndSwap(false, true) {

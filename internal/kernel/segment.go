@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"epcm/internal/phys"
-	"epcm/internal/sim"
 )
 
 // SegID identifies a segment. IDs are never reused within one kernel.
@@ -104,15 +103,12 @@ func (s *Segment) MarkStaging() { s.staging = true }
 
 // managerCell is the kernel's one record of a manager, interned per kernel
 // (Kernel.cellOf) at the manager's first registration and pointed to by
-// every segment it manages: a fault reaches its manager, lane and time
-// shard by reading fields of the cell its segment already holds — no
-// lookup keyed by the Manager interface happens from Access down.
-// Revocation retires the cell; a manager registered again gets a fresh one.
+// every segment it manages: a fault reaches its manager and lane by reading
+// fields of the cell its segment already holds — no lookup keyed by the
+// Manager interface happens from Access down. Revocation retires the cell; a
+// manager registered again gets a fresh one.
 type managerCell struct {
 	m Manager
-	// shard is the manager's time shard (timeshard.go); nil rides the
-	// global clock.
-	shard atomic.Pointer[sim.Shard]
 	// lane is the manager's delivery context under the concurrent
 	// scheduler, made on the first post; SetScheduler clears it.
 	lane atomic.Pointer[lane]

@@ -174,7 +174,9 @@ func TestBatchMigrateExtentFastPath(t *testing.T) {
 
 // Ranges that do not qualify — unaligned destination, non-power-of-two
 // length, discontiguous frames, superpages off — charge the per-page total,
-// byte-for-byte what the pre-extent batch charged.
+// byte-for-byte what the pre-extent batch charged. So does a qualifying
+// range passed through the single-range MigratePages, which never applies a
+// range whole.
 func TestBatchMigrateExtentFallbacks(t *testing.T) {
 	t.Parallel()
 	c := sim.DECstation5000()
@@ -182,22 +184,29 @@ func TestBatchMigrateExtentFallbacks(t *testing.T) {
 		return c.KernelCall + time.Duration(n)*(c.MigratePage+c.MappingUpdate)
 	}
 	cases := []struct {
-		name  string
-		super bool
-		r     PageRange
+		name   string
+		super  bool
+		single bool // through MigratePages rather than MigratePagesBatch
+		r      PageRange
 	}{
-		{"superpages off", false, PageRange{Page: 16, To: 0, Pages: 16}},
-		{"unaligned destination", true, PageRange{Page: 16, To: 8, Pages: 16}},
-		{"non-power-of-two", true, PageRange{Page: 16, To: 0, Pages: 12}},
-		{"single page", true, PageRange{Page: 16, To: 0, Pages: 1}},
+		{"superpages off", false, false, PageRange{Page: 16, To: 0, Pages: 16}},
+		{"unaligned destination", true, false, PageRange{Page: 16, To: 8, Pages: 16}},
+		{"non-power-of-two", true, false, PageRange{Page: 16, To: 0, Pages: 12}},
+		{"single page", true, false, PageRange{Page: 16, To: 0, Pages: 1}},
+		{"single-range spelling", true, true, PageRange{Page: 16, To: 0, Pages: 16}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k := newTestKernelWith(Config{Superpages: tc.super})
 			seg, _ := k.CreateSegment("data", 1)
 			before := k.Clock().Now()
-			if err := k.MigratePagesBatch(SystemCred, k.BootSegment(), seg,
-				[]PageRange{tc.r}, FlagRW, 0); err != nil {
+			var err error
+			if tc.single {
+				err = k.MigratePages(SystemCred, k.BootSegment(), seg, tc.r.Page, tc.r.To, tc.r.Pages, FlagRW, 0)
+			} else {
+				err = k.MigratePagesBatch(SystemCred, k.BootSegment(), seg, []PageRange{tc.r}, FlagRW, 0)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			if got, want := k.Clock().Now()-before, perPage(tc.r.Pages); got != want {
@@ -273,7 +282,7 @@ func TestPerPageRemovalDemotesCoveringExtent(t *testing.T) {
 		k := newSuperKernel(t)
 		seg, _ := promote(t, k)
 		big, _ := k.CreateSegment("big", 4)
-		if err := k.MigrateCoalesced(AppCred, seg, big, 0, 0, 2, 0, 0); err != nil {
+		if err := k.MigrateCoalesced(AppCred, seg, big, []PageRange{{Page: 0, To: 0, Pages: 2}}, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		if n := seg.ExtentCount(); n != 0 {
@@ -305,7 +314,8 @@ func TestPerPageRemovalDemotesCoveringExtent(t *testing.T) {
 }
 
 // A flags batch over exactly one promoted extent is one superpage
-// shootdown; anything else keeps the per-page charge. Flags always land on
+// shootdown; anything else keeps the per-page charge, the single-range
+// ModifyPageFlags over that same extent included. Flags always land on
 // every base page either way.
 func TestModifyFlagsBatchExtentCharge(t *testing.T) {
 	t.Parallel()
@@ -332,6 +342,17 @@ func TestModifyFlagsBatchExtentCharge(t *testing.T) {
 	if n := seg.ExtentCount(); n != 1 {
 		t.Fatal("flags change demoted the extent; pages are all still present")
 	}
+	// The single-range spelling over exactly the extent: per-page charge.
+	before = k.Clock().Now()
+	if err := k.ModifyPageFlags(AppCred, seg, 0, 16, FlagReferenced, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := k.Clock().Now()-before, c.KernelCall+c.ModifyFlags+16*c.MappingUpdate; got != want {
+		t.Fatalf("single-range flags call over the extent charged %v, want %v", got, want)
+	}
+	if flags, _ := seg.Flags(9); flags&FlagReferenced == 0 || seg.ExtentCount() != 1 {
+		t.Fatalf("page 9 flags %v, %d extents after the single-range call; want referenced, 1", flags, seg.ExtentCount())
+	}
 	// Half the extent: not an exact match, per-page charge.
 	before = k.Clock().Now()
 	if err := k.ModifyPageFlagsBatch(AppCred, seg,
@@ -352,107 +373,77 @@ func TestModifyFlagsBatchExtentCharge(t *testing.T) {
 	}
 }
 
-// A single-range MigrateCoalescedBatch charges and moves exactly what the
-// unbatched MigrateCoalesced does; multiple ranges amortize the kernel call.
+// A coalesce charges one kernel call plus the per-base-page increments:
+// one range, several ranges (the kernel call amortized), and an empty batch,
+// which is not a call at all.
 func TestMigrateCoalescedBatchCost(t *testing.T) {
 	c := sim.DECstation5000()
-	run := func(batched bool) (time.Duration, *Segment, *Kernel) {
-		k := newTestKernel(t)
-		small, _ := k.CreateSegment("small", 1)
-		big, _ := k.CreateSegment("big", 4)
-		fillAligned(t, k, small, 32, 0, 8)
-		before := k.Clock().Now()
-		var err error
-		if batched {
-			err = k.MigrateCoalescedBatch(AppCred, small, big,
-				[]PageRange{{Page: 0, To: 0, Pages: 2}}, FlagRW, 0)
-		} else {
-			err = k.MigrateCoalesced(AppCred, small, big, 0, 0, 2, FlagRW, 0)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k.Clock().Now() - before, big, k
-	}
-	batchCost, bigB, kb := run(true)
-	plainCost, bigP, _ := run(false)
-	if batchCost != plainCost {
-		t.Fatalf("single-range coalesce batch cost %v != MigrateCoalesced %v", batchCost, plainCost)
-	}
-	if bigB.PageCount() != 2 || bigP.PageCount() != 2 {
-		t.Fatalf("pages: batch %d plain %d, want 2", bigB.PageCount(), bigP.PageCount())
-	}
-	if err := kb.CheckFrameConservation(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Two ranges in one call: one KernelCall for 2+1 large pages.
+	perBase := c.MigratePage + c.MappingUpdate
 	k := newTestKernel(t)
 	small, _ := k.CreateSegment("small", 1)
 	big, _ := k.CreateSegment("big", 4)
-	fillAligned(t, k, small, 32, 0, 16)
+	fillAligned(t, k, small, 32, 0, 24)
 	before := k.Clock().Now()
-	if err := k.MigrateCoalescedBatch(AppCred, small, big,
-		[]PageRange{{Page: 0, To: 0, Pages: 2}, {Page: 8, To: 4, Pages: 1}}, 0, 0); err != nil {
+	if err := k.MigrateCoalesced(AppCred, small, big, []PageRange{{Page: 0, To: 0, Pages: 2}}, FlagRW, 0); err != nil {
 		t.Fatal(err)
 	}
-	want := c.KernelCall + 12*(c.MigratePage+c.MappingUpdate)
-	if got := k.Clock().Now() - before; got != want {
-		t.Fatalf("two-range coalesce batch charged %v, want %v", got, want)
+	if got, want := k.Clock().Now()-before, c.KernelCall+8*perBase; got != want {
+		t.Fatalf("one-range coalesce charged %v, want %v", got, want)
 	}
-	if big.PageCount() != 3 || small.PageCount() != 4 {
+
+	// Two ranges in one call: one KernelCall for 2+1 large pages.
+	before = k.Clock().Now()
+	if err := k.MigrateCoalesced(AppCred, small, big,
+		[]PageRange{{Page: 8, To: 2, Pages: 2}, {Page: 16, To: 8, Pages: 1}}, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := k.Clock().Now()-before, c.KernelCall+12*perBase; got != want {
+		t.Fatalf("two-range coalesce charged %v, want %v", got, want)
+	}
+	if big.PageCount() != 5 || small.PageCount() != 4 {
 		t.Fatalf("big=%d small=%d pages", big.PageCount(), small.PageCount())
+	}
+
+	calls, before := k.Stats().MigrateCalls, k.Clock().Now()
+	if err := k.MigrateCoalesced(AppCred, small, big, nil, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if k.Clock().Now() != before || k.Stats().MigrateCalls != calls {
+		t.Fatal("an empty coalesce batch was charged as a call")
+	}
+	if err := k.CheckFrameConservation(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// Same single-range equivalence for MigrateSplitBatch, plus all-or-nothing
-// on a bad later range.
+// A split charges like the coalesce it inverts, and a bad later range
+// leaves the first untouched.
 func TestMigrateSplitBatchCost(t *testing.T) {
-	run := func(batched bool) (time.Duration, *Segment) {
-		k := newTestKernel(t)
-		small, _ := k.CreateSegment("small", 1)
-		big, _ := k.CreateSegment("big", 4)
-		fillAligned(t, k, small, 32, 0, 8)
-		if err := k.MigrateCoalesced(AppCred, small, big, 0, 0, 2, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-		before := k.Clock().Now()
-		var err error
-		if batched {
-			err = k.MigrateSplitBatch(AppCred, big, small,
-				[]PageRange{{Page: 0, To: 0, Pages: 2}}, 0, 0)
-		} else {
-			err = k.MigrateSplit(AppCred, big, small, 0, 0, 2, 0, 0)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k.Clock().Now() - before, small
-	}
-	batchCost, smallB := run(true)
-	plainCost, smallP := run(false)
-	if batchCost != plainCost {
-		t.Fatalf("single-range split batch cost %v != MigrateSplit %v", batchCost, plainCost)
-	}
-	if smallB.PageCount() != 8 || smallP.PageCount() != 8 {
-		t.Fatalf("pages: batch %d plain %d, want 8", smallB.PageCount(), smallP.PageCount())
-	}
-
-	// All-or-nothing: a bad later range must leave the first untouched.
+	c := sim.DECstation5000()
 	k := newTestKernel(t)
 	small, _ := k.CreateSegment("small", 1)
 	big, _ := k.CreateSegment("big", 4)
 	fillAligned(t, k, small, 32, 0, 8)
-	if err := k.MigrateCoalesced(AppCred, small, big, 0, 0, 2, 0, 0); err != nil {
+	if err := k.MigrateCoalesced(AppCred, small, big, []PageRange{{Page: 0, To: 0, Pages: 2}}, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	err := k.MigrateSplitBatch(AppCred, big, small,
+	err := k.MigrateSplit(AppCred, big, small,
 		[]PageRange{{Page: 0, To: 0, Pages: 1}, {Page: 9, To: 8, Pages: 1}}, 0, 0)
 	if !errors.Is(err, ErrPageNotPresent) {
 		t.Fatalf("err = %v, want ErrPageNotPresent", err)
 	}
 	if big.PageCount() != 2 {
 		t.Fatal("failed split batch moved pages")
+	}
+	before := k.Clock().Now()
+	if err := k.MigrateSplit(AppCred, big, small, []PageRange{{Page: 0, To: 0, Pages: 2}}, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := k.Clock().Now()-before, c.KernelCall+8*(c.MigratePage+c.MappingUpdate); got != want {
+		t.Fatalf("split charged %v, want %v", got, want)
+	}
+	if small.PageCount() != 8 || big.PageCount() != 0 {
+		t.Fatalf("after split: small=%d big=%d pages", small.PageCount(), big.PageCount())
 	}
 	if err := k.CheckFrameConservation(); err != nil {
 		t.Fatal(err)

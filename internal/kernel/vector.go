@@ -84,14 +84,13 @@ func replyRun(envs []plane.Envelope[delivery], errs []error) {
 // The per-delivery legs are charged on the stripe of the run's first
 // segment: a lane's faults all come from its own manager's segments.
 func (k *Kernel) processFaultRun(c *managerCell, fs []Fault, errs []error, idx []int) {
-	m, sh, seg := c.m, c.shard.Load(), fs[0].Seg.id
+	m, seg := c.m, fs[0].Seg.id
 	k.stats.ManagerCalls.Add(uint64(seg), 1)
 	vectored := len(fs) > 1
 	if vectored {
 		k.stats.VectoredBatches.Add(1)
 	}
 	k.clock.AdvanceOn(uint64(seg), k.cost.Trap)
-	tickShard(sh, k.cost.Trap)
 	nf := 0 // survivors, compacted into fs[:nf]
 	for i, f := range fs {
 		errs[i] = nil
@@ -130,7 +129,6 @@ func (k *Kernel) processFaultRun(c *managerCell, fs []Fault, errs []error, idx [
 			case r.Delay > 0:
 				k.stats.DelayedDeliveries.Add(1)
 				k.clock.AdvanceOn(uint64(f.Seg.id), r.Delay)
-				tickShard(sh, r.Delay)
 			}
 		}
 		fs[nf], idx[nf] = f, i
@@ -142,7 +140,7 @@ func (k *Kernel) processFaultRun(c *managerCell, fs []Fault, errs []error, idx [
 	if vectored {
 		k.stats.VectoredFaults.Add(int64(nf))
 	}
-	tickShard(sh, k.chargeDelivery(seg, m.Delivery()))
+	k.chargeDelivery(seg, m.Delivery())
 	var vh VectorHandler
 	if nf > 1 {
 		vh, _ = m.(VectorHandler)
@@ -177,7 +175,7 @@ func (k *Kernel) processFaultRun(c *managerCell, fs []Fault, errs []error, idx [
 	// however many faults it carried, and resumes whoever was resolved — a
 	// run in which every fault failed resumes nobody.
 	if resumed {
-		tickShard(sh, k.chargeReturn(seg, m.Delivery()))
+		k.chargeReturn(seg, m.Delivery())
 	}
 	// Scatter the survivors' outcomes back to their positions. idx ascends
 	// with idx[j] >= j, so walking down never overwrites an unread outcome.

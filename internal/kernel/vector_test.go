@@ -67,7 +67,7 @@ func enqueueFault(t *testing.T, ln *lane, m Manager, seg *Segment, page int64) c
 	reply := make(chan error, 1)
 	c := seg.kernel.cellOf(m)
 	d := delivery{kind: msgFault, cell: c, fault: Fault{Seg: seg, Page: page, Kind: FaultMissing, Access: Read}, reply: reply}
-	if !ln.ring.Put(seg.kernel.stampFor(c), d) {
+	if !ln.ring.Put(seg.kernel.clock.Now(), d) {
 		t.Fatal("ring rejected enqueue")
 	}
 	return reply
@@ -77,7 +77,7 @@ func enqueueExec(t *testing.T, ln *lane, k *Kernel, m Manager, fn func()) chan e
 	t.Helper()
 	reply := make(chan error, 1)
 	c := k.cellOf(m)
-	if !ln.ring.Put(k.stampFor(c), delivery{kind: msgExec, cell: c, fn: fn, reply: reply}) {
+	if !ln.ring.Put(k.clock.Now(), delivery{kind: msgExec, cell: c, fn: fn, reply: reply}) {
 		t.Fatal("ring rejected enqueue")
 	}
 	return reply

@@ -160,18 +160,6 @@ func (c *CostModel) VppMinimalFaultSeparateManager() time.Duration {
 		c.KernelCall + c.ResumeViaKernel + 2*c.MappingUpdate
 }
 
-// VppVectoredFaultSameProcess is n minimal same-process faults delivered
-// as one vectored upcall (the concurrent scheduler's batched delivery):
-// one trap and one upcall for the batch, one batched migrate call settling
-// all n frames, one per-page MigratePage+MappingUpdate each, and one
-// direct resumption. n=1 telescopes to VppMinimalFaultSameProcess exactly,
-// which is why single-fault deliveries are charge-identical with vectoring
-// on or off.
-func (c *CostModel) VppVectoredFaultSameProcess(n int) time.Duration {
-	return c.Trap + c.Upcall + c.KernelCall +
-		time.Duration(n)*(c.MigratePage+c.MappingUpdate) + c.ResumeDirect
-}
-
 // UltrixMinimalFault is the conventional kernel-internal fault: trap,
 // in-kernel allocation including the security zero-fill, page-table update
 // and return from trap.

@@ -323,7 +323,7 @@ func TestRequestContiguousAndLargePage(t *testing.T) {
 	// Find the run start among the manager's free slots: the four granted
 	// slots are contiguous PFNs in ascending slot order.
 	start := pages[len(pages)-4]
-	if err := fx.k.MigrateCoalesced(kernel.AppCred, g.FreeSegment(), big, start, 0, 1, kernel.FlagRW, 0); err != nil {
+	if err := fx.k.MigrateCoalesced(kernel.AppCred, g.FreeSegment(), big, []kernel.PageRange{{Page: start, To: 0, Pages: 1}}, kernel.FlagRW, 0); err != nil {
 		t.Fatalf("coalesce of granted run (pfns %v): %v", pfns, err)
 	}
 	if big.PageCount() != 1 {

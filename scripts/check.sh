@@ -41,7 +41,7 @@ fi
 # PR 17 made the manager's record (managerCell) the fault path's only way to
 # a mailbox, lane or time shard, and sim.Striped the one striped counter. A
 # map[Manager] may exist only as the registration-time interning table behind
-# cellOf (SetSegmentManager, BindTimeShard, Exec, Revoke), never from Access
+# cellOf (SetSegmentManager, Exec, Revoke), never from Access
 # down; and every kernel charge names its stripe.
 if grep -rnE 'sync\.Map|casStatCell|casTLBStatCell|shardClock' --include='*.go' --exclude='*_test.go' internal/kernel; then
     echo "a per-fault lookup or stat cell deleted in PR 17 is back (see the matches above)" >&2
@@ -143,11 +143,32 @@ if grep -rnE '\[\]\*pageEntry|\[\]\*phys\.Frame' --include='*.go' --exclude='*_t
     exit 1
 fi
 
+# One body applies a same-page-size migration (moveRun, kernel/batch.go) and
+# one a page-size change (resize); the per-page and whole-extent bodies, the
+# two extra coalesce/split spellings and the time-shard binding no production
+# path reached stay deleted.
+if grep -rnE '\b(movePage|moveExtent|MigrateCoalescedBatch|MigrateSplitBatch|BindTimeShard|tickShard)\b' internal/; then
+    echo "a deleted migrate body, spelling or time-shard binding is back (see the matches above)" >&2
+    exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 
 echo "== go build =="
 go build ./...
+
+echo "== page-store inlining budget =="
+# The fault path and the page operations probe the page store per page
+# through get, has and del; losing their inlining costs extent about 6 %.
+# Range probes sit beside them in pagestore.go; these three must still inline.
+inl=$(go build -gcflags=-m ./internal/kernel 2>&1)
+for fn in get has del; do
+    if ! grep -qE "can inline \(\*pageStore\)\.$fn\$" <<<"$inl"; then
+        echo "(*pageStore).$fn no longer inlines: go build -gcflags=-m=2 ./internal/kernel says why" >&2
+        exit 1
+    fi
+done
 
 echo "== examples build smoke =="
 go build ./examples/...
