@@ -121,7 +121,7 @@ type Result struct {
 	Regenerations    int64 // index rebuilds (regeneration config)
 	PressureEvents   int64
 	LockWaits        int64
-	Deadlocked       int // processes left blocked (must be 0)
+	Deadlocked       int // transactions left waiting (must be 0)
 	CompletedTxns    int
 	SimulatedSeconds float64
 }
@@ -142,8 +142,8 @@ type System struct {
 	cfg    MemoryConfig
 	clock  *sim.Clock
 	env    *sim.Env
-	cpus   *sim.Resource
-	disk   *sim.Resource
+	cpus   *station
+	disk   *station
 	locks  *LockManager
 	rng    *sim.RNG
 	index  indexState
@@ -162,7 +162,7 @@ func New(cfg MemoryConfig, p Params) *System {
 	if p.ShardedTime {
 		env = sim.NewShardedEnv(clock, 1, 0)
 	}
-	locks := NewLockManager(env)
+	locks := NewLockManager()
 	locks.Barging = true                                   // reader preference: concurrent relation scans share S locks
 	locks.locks = make(map[string]*lock, 4+p.AccountPages) // sized once: the fixed four, a lock per page
 	s := &System{
@@ -170,8 +170,8 @@ func New(cfg MemoryConfig, p Params) *System {
 		cfg:       cfg,
 		clock:     clock,
 		env:       env,
-		cpus:      sim.NewResource(env, p.Processors),
-		disk:      sim.NewResource(env, 1),
+		cpus:      &station{capacity: p.Processors},
+		disk:      &station{capacity: 1},
 		locks:     locks,
 		rng:       sim.NewRNG(p.Seed),
 		index:     indexState{valid: true},
@@ -184,20 +184,23 @@ func New(cfg MemoryConfig, p Params) *System {
 }
 
 // Run generates the arrival stream, runs every transaction to completion
-// and returns the result.
+// and returns the result. A transaction still open when no event is left
+// waits for a grant nobody will make: it is counted as deadlocked.
 func (s *System) Run() *Result {
+	txns := make([]txn, s.p.Transactions)
 	at := time.Duration(0)
-	for i := 0; i < s.p.Transactions; i++ {
+	for i := range txns {
+		t := &txns[i]
 		at += time.Duration(s.rng.Exp(1e9/s.p.ArrivalTPS)) * time.Nanosecond
-		isJoin := s.rng.Bool(s.p.JoinFraction)
-		accountPage := s.rng.Intn(s.p.AccountPages)
-		touchesIndex := s.rng.Bool(s.p.DCIndexProb)
-		seq := i
-		s.env.GoAt(at, "txn", func(p *sim.Proc) {
-			s.transaction(p, seq, isJoin, accountPage, touchesIndex)
-		})
+		t.s, t.seq = s, i
+		t.isJoin = s.rng.Bool(s.p.JoinFraction)
+		t.accountPage = s.rng.Intn(s.p.AccountPages)
+		t.touchesIndex = s.rng.Bool(s.p.DCIndexProb)
+		t.resume = t.run
+		s.env.At(at, t.resume)
 	}
-	s.result.Deadlocked = s.env.Run()
+	s.env.Run()
+	s.result.Deadlocked = s.p.Transactions - s.result.CompletedTxns
 	s.result.LockWaits = s.locks.Stats().Waits
 	s.result.SimulatedSeconds = s.clock.Now().Seconds()
 	return &s.result
@@ -220,44 +223,6 @@ func (s *System) pressure() {
 		s.index.valid = false
 		s.result.PressureEvents++
 	}
-}
-
-// transaction runs one transaction as a simulated process, holding its locks
-// on a record the manager lends it until the commit-point releaseAll.
-func (s *System) transaction(p *sim.Proc, seq int, isJoin bool, accountPage int, touchesIndex bool) {
-	start := p.Now()
-	s.pressure()
-	owner := s.locks.newOwner()
-	if isJoin {
-		s.join(p, owner)
-	} else {
-		s.debitCredit(p, owner, accountPage, touchesIndex)
-	}
-	resp := p.Now() - start
-	s.result.CompletedTxns++
-	if seq >= s.p.Warmup {
-		s.result.Responses.Add(resp)
-		if isJoin {
-			s.result.Joins.Add(resp)
-		} else {
-			s.result.DebitCredit.Add(resp)
-		}
-	}
-}
-
-// debitCredit is the 95% case: update one account record (and, in indexed
-// configurations, the account index, under an intention lock that is
-// compatible with other updaters but not with a reader holding the index
-// S lock).
-func (s *System) debitCredit(p *sim.Proc, owner *holdList, accountPage int, touchesIndex bool) {
-	s.locks.acquire(p, owner, s.dbLock, IX)
-	s.locks.acquire(p, owner, s.relAccounts, IX)
-	s.locks.acquire(p, owner, s.pageLock(accountPage), X)
-	if s.cfg != NoIndex && touchesIndex {
-		s.locks.acquire(p, owner, s.idxAccounts, IX)
-	}
-	s.compute(p, s.p.DebitCreditCPU)
-	s.locks.releaseAll(owner)
 }
 
 // pageLock returns the lock of one accounts page.
@@ -288,64 +253,215 @@ func pageLockName(page int) string {
 	return "page:accounts/" + strconv.Itoa(page)
 }
 
-// join is the 5% case: join two relations to update a third. With an index
-// it traverses the account index under an S lock; without, it scans.
-func (s *System) join(p *sim.Proc, owner *holdList) {
-	s.locks.acquire(p, owner, s.dbLock, IX)
-	s.locks.acquire(p, owner, s.relAccounts, IS)
-	s.locks.acquire(p, owner, s.relSummary, IX)
+// step is a point in a transaction's program at which it may wait.
+type step uint8
 
-	switch s.cfg {
-	case NoIndex:
-		// Scan join: without an index the join reads every record of the
-		// accounts relation, so hierarchical locking escalates it to a
-		// relation-level S lock — blocking every DebitCredit writer (IX)
-		// for the duration of the scan. This coupling, not just the longer
-		// computation, is what makes the no-index configuration slow.
-		s.locks.acquire(p, owner, s.relAccounts, S)
-		s.compute(p, s.p.JoinScanCPU)
+const (
+	arrive step = iota
+	// DebitCredit, the 95% case: update one account record (and, in indexed
+	// configurations, the account index, under an intention lock that is
+	// compatible with other updaters but not with a reader holding the
+	// index S lock).
+	dcRelation
+	dcPage
+	dcIndex
+	// Join, the 5% case: join two relations to update a third. With an
+	// index it traverses the account index under an S lock; without, it
+	// scans.
+	joinRelation
+	joinSummary
+	joinIndex
+	joinFault
+	joinRegenerate
+	joinRegenerated
+	// Holding a station's unit: take it, hold it for d, give it back.
+	unitTake
+	unitHold
+	unitGive
+	commit
+)
 
-	case IndexInMemory:
-		s.locks.acquire(p, owner, s.idxAccounts, S)
-		s.compute(p, s.p.JoinIndexCPU)
-
-	case IndexWithPaging:
-		s.locks.acquire(p, owner, s.idxAccounts, S)
-		// Transparent paging: traversal faults on every evicted page, with
-		// the index lock held — exactly the lock-holding fault the paper
-		// warns about. Faults serialize at the disk.
-		for s.index.missingPages > 0 {
-			s.index.missingPages--
-			s.result.Faults++
-			s.disk.Acquire(p)
-			p.Sleep(s.p.FaultDelay)
-			s.disk.Release()
-		}
-		s.compute(p, s.p.JoinIndexCPU)
-
-	case IndexRegeneration:
-		if !s.index.valid {
-			// The application knows the index is gone; rebuild it in
-			// memory under an exclusive lock. No I/O at all.
-			s.locks.acquire(p, owner, s.idxAccounts, X)
-			if !s.index.valid {
-				s.compute(p, s.p.RegenerateCPU)
-				s.index.valid = true
-				s.result.Regenerations++
-			}
-		} else {
-			s.locks.acquire(p, owner, s.idxAccounts, S)
-		}
-		s.compute(p, s.p.JoinIndexCPU)
-	}
-	s.locks.releaseAll(owner)
+// txn is one transaction: its draw from the arrival stream and where its
+// program stands. A wait is one event — At(arrival), At(now+d) for a delay,
+// At(now) for a grant or hand-over — whose callback is resume, and run goes
+// on from pc. These are the events and the order a process per transaction
+// would push, so the run is the same, without a coroutine switch per event.
+type txn struct {
+	s      *System
+	resume func() // t.run, bound once
+	owner  *holdList
+	start  time.Duration
+	// The station use under way: hold a unit of st for d, then go on at then.
+	st           *station
+	d            time.Duration
+	seq          int
+	accountPage  int
+	pc, then     step
+	isJoin       bool
+	touchesIndex bool
 }
 
-// compute executes d of CPU time on one of the processors.
-func (s *System) compute(p *sim.Proc, d time.Duration) {
-	s.cpus.Acquire(p)
-	p.Sleep(d)
-	s.cpus.Release()
+// wake resumes t now: its lock or station unit has been handed to it.
+func (t *txn) wake() { t.s.env.At(t.s.env.Now(), t.resume) }
+
+// lock requests l in mode for t, reporting whether it was granted at once.
+func (t *txn) lock(l *lock, mode Mode) bool { return t.s.locks.acquire(t.owner, l, mode, t) }
+
+// use sets t to hold a unit of st for d, then go on at then.
+func (t *txn) use(st *station, d time.Duration, then step) {
+	t.st, t.d, t.then, t.pc = st, d, then, unitTake
+}
+
+// run carries t's program forward until it waits or commits. Each step sets
+// pc to the step after it before it may wait, and returns if it does.
+func (t *txn) run() {
+	s := t.s
+	for {
+		switch t.pc {
+		case arrive:
+			t.start = s.env.Now()
+			s.pressure()
+			t.owner = s.locks.newOwner()
+			t.pc = dcRelation
+			if t.isJoin {
+				t.pc = joinRelation
+			}
+			if !t.lock(s.dbLock, IX) {
+				return
+			}
+		case dcRelation:
+			t.pc = dcPage
+			if !t.lock(s.relAccounts, IX) {
+				return
+			}
+		case dcPage:
+			t.pc = dcIndex
+			if !t.lock(s.pageLock(t.accountPage), X) {
+				return
+			}
+		case dcIndex:
+			t.use(s.cpus, s.p.DebitCreditCPU, commit)
+			if s.cfg != NoIndex && t.touchesIndex && !t.lock(s.idxAccounts, IX) {
+				return
+			}
+		case joinRelation:
+			t.pc = joinSummary
+			if !t.lock(s.relAccounts, IS) {
+				return
+			}
+		case joinSummary:
+			t.pc = joinIndex
+			if !t.lock(s.relSummary, IX) {
+				return
+			}
+		case joinIndex:
+			l, mode := s.idxAccounts, S
+			switch s.cfg {
+			case NoIndex:
+				// Scan join: without an index the join reads every record
+				// of the accounts relation, so hierarchical locking
+				// escalates it to a relation-level S lock — blocking every
+				// DebitCredit writer (IX) for the duration of the scan.
+				// This coupling, not just the longer computation, is what
+				// makes the no-index configuration slow.
+				l = s.relAccounts
+				t.use(s.cpus, s.p.JoinScanCPU, commit)
+			case IndexInMemory:
+				t.use(s.cpus, s.p.JoinIndexCPU, commit)
+			case IndexWithPaging:
+				t.pc = joinFault
+			case IndexRegeneration:
+				t.use(s.cpus, s.p.JoinIndexCPU, commit)
+				if !s.index.valid {
+					// The application knows the index is gone; rebuild it
+					// in memory under an exclusive lock. No I/O at all.
+					mode, t.pc = X, joinRegenerate
+				}
+			}
+			if !t.lock(l, mode) {
+				return
+			}
+		case joinFault:
+			// Transparent paging: traversal faults on every evicted page,
+			// with the index lock held — exactly the lock-holding fault the
+			// paper warns about. Faults serialize at the disk.
+			if s.index.missingPages > 0 {
+				s.index.missingPages--
+				s.result.Faults++
+				t.use(s.disk, s.p.FaultDelay, joinFault)
+			} else {
+				t.use(s.cpus, s.p.JoinIndexCPU, commit)
+			}
+		case joinRegenerate:
+			if s.index.valid { // another join rebuilt it while t waited
+				t.use(s.cpus, s.p.JoinIndexCPU, commit)
+			} else {
+				t.use(s.cpus, s.p.RegenerateCPU, joinRegenerated)
+			}
+		case joinRegenerated:
+			s.index.valid = true
+			s.result.Regenerations++
+			t.use(s.cpus, s.p.JoinIndexCPU, commit)
+		case unitTake:
+			t.pc = unitHold
+			if !t.st.take(t) {
+				return
+			}
+		case unitHold:
+			t.pc = unitGive
+			s.env.At(s.env.Now()+t.d, t.resume)
+			return
+		case unitGive:
+			t.st.give()
+			t.pc = t.then
+		case commit:
+			s.locks.releaseAll(t.owner)
+			resp := s.env.Now() - t.start
+			s.result.CompletedTxns++
+			if t.seq >= s.p.Warmup {
+				s.result.Responses.Add(resp)
+				if t.isJoin {
+					s.result.Joins.Add(resp)
+				} else {
+					s.result.DebitCredit.Add(resp)
+				}
+			}
+			return
+		}
+	}
+}
+
+// station is a bank of identical units served in FIFO order — the
+// processors, or the disk. A transaction holds a unit from take to give.
+type station struct {
+	capacity, inUse int
+	waiting         []*txn // from head on: waiting for a unit, oldest first
+	head            int
+}
+
+// take gives t a unit and reports true, or queues t and reports false; the
+// give that later hands t its unit resumes it.
+func (st *station) take(t *txn) bool {
+	if st.inUse < st.capacity {
+		st.inUse++
+		return true
+	}
+	st.waiting = append(st.waiting, t)
+	return false
+}
+
+// give returns a unit, handing it straight to the oldest waiter if any.
+func (st *station) give() {
+	if st.head == len(st.waiting) {
+		st.inUse--
+		return
+	}
+	t := st.waiting[st.head]
+	st.waiting[st.head] = nil
+	if st.head++; st.head == len(st.waiting) {
+		st.waiting, st.head = st.waiting[:0], 0
+	}
+	t.wake()
 }
 
 var allConfigs = []MemoryConfig{NoIndex, IndexInMemory, IndexWithPaging, IndexRegeneration}

@@ -1,7 +1,6 @@
 package db
 
 import (
-	"runtime"
 	"testing"
 	"time"
 )
@@ -172,22 +171,6 @@ func TestMoreProcessorsHelpNoIndex(t *testing.T) {
 	r12 := New(NoIndex, p).Run()
 	if r12.Average() >= r6.Average() {
 		t.Fatalf("doubling processors did not help: %v vs %v", r12.Average(), r6.Average())
-	}
-}
-
-// TestRunLeavesNoGoroutines: the transactions' coroutines are all gone when
-// a run returns — a Table 4 sweep holds no goroutines between runs.
-func TestRunLeavesNoGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
-	p := fastParams()
-	p.Transactions = 300
-	for _, r := range RunAll(p) {
-		if r.Deadlocked != 0 || r.CompletedTxns != 300 {
-			t.Fatalf("%v: %d deadlocked, %d completed", r.Config, r.Deadlocked, r.CompletedTxns)
-		}
-	}
-	if n := runtime.NumGoroutine(); n > base { // base may hold an earlier test's straggler
-		t.Fatalf("%d goroutines after RunAll, %d before", n, base)
 	}
 }
 

@@ -168,7 +168,7 @@ func BenchmarkLockCycle(b *testing.B) {
 			b.Run("holders="+strconv.Itoa(holders)+"/"+side, func(b *testing.B) {
 				env := sim.NewSerialEnv(&sim.Clock{})
 				var m lockTable
-				pm := NewLockManager(env)
+				pm := NewLockManager()
 				pm.Barging = true
 				if m = pm; side == "reference" {
 					rm := newRefLockManager(env)
@@ -192,10 +192,10 @@ func BenchmarkLockCycle(b *testing.B) {
 					db, rel, idx, pg := pm.lockFor(shared[0]), pm.lockFor(shared[1]), pm.lockFor(shared[2]), pm.lockFor(page)
 					cycle = func() {
 						owner := pm.newOwner()
-						pm.acquire(nil, owner, db, IX)
-						pm.acquire(nil, owner, rel, IX)
-						pm.acquire(nil, owner, pg, X)
-						pm.acquire(nil, owner, idx, IX)
+						pm.acquire(owner, db, IX, nil)
+						pm.acquire(owner, rel, IX, nil)
+						pm.acquire(owner, pg, X, nil)
+						pm.acquire(owner, idx, IX, nil)
 						pm.releaseAll(owner)
 					}
 				}

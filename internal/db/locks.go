@@ -3,16 +3,16 @@
 // the paper's own program — "the locks were implemented and the parallelism
 // is real. However, the execution of a transaction is simulated by looping
 // for some number of instructions and a page fault is simulated by a
-// delay". Here the parallelism is real simulated-process parallelism over
-// the sim package's deterministic scheduler, the hierarchical locks are
-// fully implemented, and execution/faults are virtual-time delays.
+// delay". Here the hierarchical locks are fully implemented, execution and
+// faults are virtual-time delays, and the parallelism is that of the
+// transactions in flight on the sim package's deterministic event queue:
+// each transaction is a record whose program resumes at every event that
+// ends one of its waits (db.go).
 package db
 
 import (
 	"fmt"
 	"slices"
-
-	"epcm/internal/sim"
 )
 
 // Mode is a hierarchical lock mode.
@@ -53,11 +53,14 @@ var compatible = [4][4]bool{
 // Compatible reports whether two modes can be held simultaneously.
 func Compatible(a, b Mode) bool { return compatible[a][b] }
 
+// waiter is what a queued request wakes once the releaser has granted it.
+type waiter interface{ wake() }
+
 // lockWait is one queued request.
 type lockWait struct {
 	owner *holdList
 	mode  Mode
-	proc  *sim.Proc
+	w     waiter
 }
 
 // lock is one lockable resource. It counts its granted holds per mode; whose
@@ -104,7 +107,6 @@ type LockStats struct {
 // db.System enters there, with a record from newOwner. The exported spellings
 // take a lock name and any comparable owner key, and resolve both once.
 type LockManager struct {
-	env   *sim.Env
 	locks map[string]*lock
 	// held resolves a keyed owner to its record, from its first Acquire
 	// until a Release or ReleaseAll leaves it holding nothing. Every grant
@@ -121,10 +123,9 @@ type LockManager struct {
 	stats   LockStats
 }
 
-// NewLockManager builds a lock manager over the simulation environment.
-func NewLockManager(env *sim.Env) *LockManager {
+// NewLockManager builds an empty lock manager.
+func NewLockManager() *LockManager {
 	return &LockManager{
-		env:   env,
 		locks: make(map[string]*lock),
 		held:  make(map[interface{}]*holdList),
 	}
@@ -187,30 +188,21 @@ func (m *LockManager) drop(l *lock, holds []hold) {
 	}
 }
 
-// Acquire obtains `name` in `mode` on behalf of owner, blocking the calling
-// process in FIFO order until compatible. Owners must acquire locks in a
-// consistent hierarchy order (database, relation, page, index) — the model
-// relies on ordering, not detection, for deadlock freedom. An owner is one
-// process: nobody releases for it while its request is queued.
-func (m *LockManager) Acquire(p *sim.Proc, owner interface{}, name string, mode Mode) {
-	hl := m.held[owner]
-	if hl == nil {
-		hl = m.newOwner()
-		m.held[owner] = hl
-	}
-	m.acquire(p, hl, m.lockFor(name), mode)
-}
-
-// acquire is the body of Acquire.
-func (m *LockManager) acquire(p *sim.Proc, owner *holdList, l *lock, mode Mode) {
+// acquire requests l in mode for owner. It grants the request at once and
+// reports true, or queues it and reports false: the releaser that later
+// grants it wakes w. Owners must acquire locks in a consistent hierarchy
+// order (database, relation, page, index) — the model relies on ordering,
+// not detection, for deadlock freedom — and nobody releases for an owner
+// while its request is queued.
+func (m *LockManager) acquire(owner *holdList, l *lock, mode Mode, w waiter) bool {
 	m.stats.Acquires++
 	if (m.Barging || len(l.queue) == 0) && grantable(l, owner, mode) {
 		grant(l, owner, mode)
-		return
+		return true
 	}
 	m.stats.Waits++
-	l.queue = append(l.queue, lockWait{owner: owner, mode: mode, proc: p})
-	p.Park() // the releaser grants the hold before waking us
+	l.queue = append(l.queue, lockWait{owner: owner, mode: mode, w: w})
+	return false
 }
 
 // Release drops every hold owner has on `name` and grants waiters.
@@ -256,7 +248,7 @@ func (m *LockManager) releaseAll(owner *holdList) {
 // grantWaiters grants queued requests: in FIFO order until the head is
 // incompatible, or — with Barging — every compatible waiter regardless of
 // position. A slot a granted waiter leaves is cleared, or the queue's array
-// would keep the woken process reachable.
+// would keep the woken waiter reachable.
 func (m *LockManager) grantWaiters(l *lock) {
 	if !m.Barging {
 		for len(l.queue) > 0 {
@@ -267,7 +259,7 @@ func (m *LockManager) grantWaiters(l *lock) {
 			l.queue[0] = lockWait{}
 			l.queue = l.queue[1:]
 			grant(l, w.owner, w.mode)
-			m.env.Wake(w.proc)
+			w.w.wake()
 		}
 		return
 	}
@@ -275,7 +267,7 @@ func (m *LockManager) grantWaiters(l *lock) {
 	for _, w := range l.queue {
 		if grantable(l, w.owner, w.mode) {
 			grant(l, w.owner, w.mode)
-			m.env.Wake(w.proc)
+			w.w.wake()
 		} else {
 			kept = append(kept, w)
 		}

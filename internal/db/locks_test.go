@@ -13,7 +13,26 @@ import (
 func newLockEnv() (*sim.Env, *LockManager) {
 	var c sim.Clock
 	env := sim.NewSerialEnv(&c)
-	return env, NewLockManager(env)
+	return env, NewLockManager()
+}
+
+// procWaiter is a simulated process queued for a lock.
+type procWaiter sim.Proc
+
+func (w *procWaiter) wake() { p := (*sim.Proc)(w); p.Env().Wake(p) }
+
+// Acquire obtains `name` in `mode` on behalf of owner, blocking the calling
+// process until the lock is granted. It is the keyed spelling the lock tests
+// and benchmarks drive; an owner is one process.
+func (m *LockManager) Acquire(p *sim.Proc, owner interface{}, name string, mode Mode) {
+	hl := m.held[owner]
+	if hl == nil {
+		hl = m.newOwner()
+		m.held[owner] = hl
+	}
+	if !m.acquire(hl, m.lockFor(name), mode, (*procWaiter)(p)) {
+		p.Park() // the releaser grants the hold before waking us
+	}
 }
 
 // Holders reports the number of current holders of a lock.
@@ -205,7 +224,7 @@ func TestNoIncompatibleGrantsProperty(t *testing.T) {
 	f := func(seed uint16, barging bool) bool {
 		var c sim.Clock
 		env := sim.NewSerialEnv(&c)
-		m := NewLockManager(env)
+		m := NewLockManager()
 		m.Barging = barging
 		rng := sim.NewRNG(uint64(seed) + 1)
 		violation := false

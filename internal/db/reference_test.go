@@ -2,6 +2,7 @@ package db
 
 import (
 	"slices"
+	"time"
 
 	"epcm/internal/sim"
 )
@@ -217,4 +218,129 @@ func (m *refLockManager) QueueLen(name string) int {
 		return len(l.queue)
 	}
 	return 0
+}
+
+// refSystem runs System's workload as it ran before a transaction became a
+// record, kept as the reference TestTxnMachineMatchesReference and
+// FuzzTable4Machine hold System.Run to: one sim.Proc per transaction, on a
+// coroutine, running the straight-line bodies below, with the processors
+// and the disk as sim.Resources (shadowing System's stations).
+type refSystem struct {
+	*System
+	cpus, disk *sim.Resource
+}
+
+// refRun runs cfg under p on the reference and returns its result and the
+// number of events its queue dispatched.
+func refRun(cfg MemoryConfig, p Params) (*Result, int64) {
+	s := &refSystem{System: New(cfg, p)}
+	s.cpus = sim.NewResource(s.env, p.Processors)
+	s.disk = sim.NewResource(s.env, 1)
+	at := time.Duration(0)
+	for i := 0; i < s.p.Transactions; i++ {
+		at += time.Duration(s.rng.Exp(1e9/s.p.ArrivalTPS)) * time.Nanosecond
+		isJoin := s.rng.Bool(s.p.JoinFraction)
+		accountPage := s.rng.Intn(s.p.AccountPages)
+		touchesIndex := s.rng.Bool(s.p.DCIndexProb)
+		seq := i
+		s.env.GoAt(at, "txn", func(p *sim.Proc) {
+			s.transaction(p, seq, isJoin, accountPage, touchesIndex)
+		})
+	}
+	s.result.Deadlocked = s.env.Run()
+	s.result.LockWaits = s.locks.Stats().Waits
+	s.result.SimulatedSeconds = s.clock.Now().Seconds()
+	return &s.result, s.env.EventsProcessed()
+}
+
+// acquire blocks p until l is granted to owner in mode.
+func (s *refSystem) acquire(p *sim.Proc, owner *holdList, l *lock, mode Mode) {
+	if !s.locks.acquire(owner, l, mode, (*procWaiter)(p)) {
+		p.Park() // the releaser grants the hold before waking us
+	}
+}
+
+// transaction runs one transaction as a simulated process, holding its locks
+// on a record the manager lends it until the commit-point releaseAll.
+func (s *refSystem) transaction(p *sim.Proc, seq int, isJoin bool, accountPage int, touchesIndex bool) {
+	start := p.Now()
+	s.pressure()
+	owner := s.locks.newOwner()
+	if isJoin {
+		s.join(p, owner)
+	} else {
+		s.debitCredit(p, owner, accountPage, touchesIndex)
+	}
+	resp := p.Now() - start
+	s.result.CompletedTxns++
+	if seq >= s.p.Warmup {
+		s.result.Responses.Add(resp)
+		if isJoin {
+			s.result.Joins.Add(resp)
+		} else {
+			s.result.DebitCredit.Add(resp)
+		}
+	}
+}
+
+// debitCredit is the 95% case: update one account record (and, in indexed
+// configurations, the account index).
+func (s *refSystem) debitCredit(p *sim.Proc, owner *holdList, accountPage int, touchesIndex bool) {
+	s.acquire(p, owner, s.dbLock, IX)
+	s.acquire(p, owner, s.relAccounts, IX)
+	s.acquire(p, owner, s.pageLock(accountPage), X)
+	if s.cfg != NoIndex && touchesIndex {
+		s.acquire(p, owner, s.idxAccounts, IX)
+	}
+	s.compute(p, s.p.DebitCreditCPU)
+	s.locks.releaseAll(owner)
+}
+
+// join is the 5% case: join two relations to update a third.
+func (s *refSystem) join(p *sim.Proc, owner *holdList) {
+	s.acquire(p, owner, s.dbLock, IX)
+	s.acquire(p, owner, s.relAccounts, IS)
+	s.acquire(p, owner, s.relSummary, IX)
+
+	switch s.cfg {
+	case NoIndex:
+		s.acquire(p, owner, s.relAccounts, S)
+		s.compute(p, s.p.JoinScanCPU)
+
+	case IndexInMemory:
+		s.acquire(p, owner, s.idxAccounts, S)
+		s.compute(p, s.p.JoinIndexCPU)
+
+	case IndexWithPaging:
+		s.acquire(p, owner, s.idxAccounts, S)
+		for s.index.missingPages > 0 {
+			s.index.missingPages--
+			s.result.Faults++
+			s.disk.Acquire(p)
+			p.Sleep(s.p.FaultDelay)
+			s.disk.Release()
+		}
+		s.compute(p, s.p.JoinIndexCPU)
+
+	case IndexRegeneration:
+		if !s.index.valid {
+			s.acquire(p, owner, s.idxAccounts, X)
+			if !s.index.valid {
+				s.compute(p, s.p.RegenerateCPU)
+				s.index.valid = true
+				s.result.Regenerations++
+			}
+		} else {
+			s.acquire(p, owner, s.idxAccounts, S)
+		}
+		s.compute(p, s.p.JoinIndexCPU)
+	}
+	s.locks.releaseAll(owner)
+}
+
+// compute executes d of CPU time on one of the processors.
+func (s *refSystem) compute(p *sim.Proc, d time.Duration) {
+	s.cpus.Acquire(p)
+	p.Sleep(d)
+	s.cpus.Release()
 }

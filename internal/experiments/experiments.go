@@ -281,7 +281,7 @@ func (m Modes) Table4(txns int, seed uint64) (*Report, error) {
 			r.Responses.Percentile(95).Milliseconds(),
 			r.Responses.Percentile(99).Milliseconds())
 		if r.Deadlocked != 0 {
-			fmt.Fprintf(b, "  !! %d processes deadlocked\n", r.Deadlocked)
+			fmt.Fprintf(b, "  !! %d transactions deadlocked\n", r.Deadlocked)
 			rep.OK = false
 		}
 		rep.Events += int64(r.CompletedTxns) + r.Faults + r.Regenerations + r.LockWaits

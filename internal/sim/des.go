@@ -4,17 +4,17 @@ import (
 	"time"
 )
 
-// Env is a process-oriented discrete-event simulation environment, in the
-// style the paper's own database experiment uses ("the locks were implemented
-// and the parallelism is real. However, the execution of a transaction is
-// simulated by looping for some number of instructions and a page fault is
-// simulated by a delay").
+// Env is a discrete-event simulation environment: a virtual-time event
+// queue that runs timer callbacks (At, After) and simulated processes (Go,
+// GoAt). The database experiment (internal/db) runs each transaction as a
+// record its callbacks resume; simulated processes serve the time sweep
+// (internal/experiments) and this package's tests.
 //
 // Simulated processes are coroutines (coro.go): within one shard exactly one
 // runs at a time and all ordering is decided by the virtual-time event
 // queue, so runs are deterministic. A process advances virtual time with
-// Proc.Sleep, contends for Resources (e.g. the six processors of the SGI
-// 4D/380), and blocks on lock queues via Proc.Park / Env.Wake.
+// Proc.Sleep, contends for Resources, and blocks on wait queues via
+// Proc.Park / Env.Wake.
 //
 // The environment runs on one of two virtual-time engines (shard.go):
 //

@@ -92,6 +92,12 @@ if grep -nE 'func (\([a-z]+ \*LockManager\) )?(acquire|grant|grantable|releaseAl
     echo "a lock-manager body takes an interface{} owner again: bodies take the owner's *holdList (see the matches above)" >&2
     exit 1
 fi
+# Table 4 runs each transaction as a record that callback events resume; the
+# process bodies it replaced live on only as refRun in internal/db's tests.
+if grep -rnE 'sim\.Proc|sim\.Resource|\.Park\(|\.Sleep\(|GoAt\(' --include='*.go' --exclude='*_test.go' internal/db; then
+    echo "internal/db runs transactions on simulated processes again: a transaction is a txn record (see the matches above)" >&2
+    exit 1
+fi
 if grep -nE 'make\(eventHeap, *[a-z]+,' internal/sim/des.go; then
     echo "the event heap's pop-side shrink deleted in PR 21 is back (see the matches above)" >&2
     exit 1
@@ -199,12 +205,13 @@ go test -run='^$' -fuzz='^FuzzEventHeap$' -fuzztime=10s ./internal/sim
 go test -run='^$' -fuzz='^FuzzProcSchedule$' -fuzztime=10s ./internal/sim
 go test -run='^$' -fuzz='^FuzzClock$' -fuzztime=10s ./internal/sim
 go test -run='^$' -fuzz='^FuzzLockManager$' -fuzztime=10s ./internal/db
+go test -run='^$' -fuzz='^FuzzTable4Machine$' -fuzztime=10s ./internal/db
 
 echo "== bench smoke (1 iteration) =="
 go test -bench=Harness -benchtime=1x -run='^$' .
 go test -bench=DeliveryPlane -benchtime=1x -run='^$' ./internal/experiments
 go test -bench='BatchMigrate|TLB|MappingTable|CASTable|CheckDisjoint|DeliverFault' -benchtime=1x -run='^$' ./internal/kernel
-go test -bench='LockReleaseAll|LockCycle' -benchtime=1x -run='^$' ./internal/db
+go test -bench='LockReleaseAll|LockCycle|Table4' -benchtime=1x -run='^$' ./internal/db
 go test -bench='MachineBoot|StockThenTouch' -benchtime=1x -run='^$' ./internal/manager
 go test -bench='ProcSwitch|ProcSpawn|ParkWake|EventHeap|WindowBarrier|Clock' -benchtime=1x -run='^$' ./internal/sim
 
