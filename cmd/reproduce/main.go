@@ -20,7 +20,6 @@
 //	reproduce -sched concurrent      # concurrent fault-delivery scheduler
 //	reproduce -super                 # enable the superpage extent fast path
 //	reproduce -reclaim lru           # replacement policy of the tables' managers
-//	reproduce -timeengine sharded    # sharded virtual-time engine (golden stays identical)
 //	reproduce -profile out/          # write mutex/block pprof profiles to a directory
 package main
 
@@ -57,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sched := fs.String("sched", "serial", "fault-delivery scheduler: serial (deterministic) or concurrent")
 	super := fs.Bool("super", false, "enable the superpage extent fast path in every kernel the tables boot (off by default; the golden tables assume it off)")
 	reclaim := fs.String("reclaim", "", "replacement policy for every manager the tables boot: clock (the default), lru, lfu, s3fifo or mglru")
-	timeEngine := fs.String("timeengine", "serial", "virtual-time engine: serial (golden reference) or sharded (windowed conservative)")
 	profileDir := fs.String("profile", "", "write mutex and block pprof profiles to this directory at exit")
 	sweep := fs.String("sweep", "", "also print an extension table (model numbers only): "+sweepNames()+", or all")
 	if err := fs.Parse(args); err != nil {
@@ -82,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *sweep != "" && len(sweeps) == 0 {
 		return usage(fmt.Errorf("no such sweep %q (want %s, or all)", *sweep, sweepNames()))
 	}
-	modes, err := parseModes(*sched, *timeEngine, *reclaim, *super)
+	modes, err := parseModes(*sched, *reclaim, *super)
 	if err != nil {
 		return usage(err)
 	}
@@ -130,20 +128,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return status
 }
 
-// parseModes builds the tables' Modes from the four mode flags, rejecting a
+// parseModes builds the tables' Modes from the three mode flags, rejecting a
 // name no constructor knows.
-func parseModes(sched, timeEngine, reclaim string, super bool) (experiments.Modes, error) {
+func parseModes(sched, reclaim string, super bool) (experiments.Modes, error) {
 	m := experiments.Modes{Superpages: super, Policy: reclaim}
 	var err error
 	if m.Concurrent, err = kernel.ParseScheduler(sched); err != nil {
 		return m, err
-	}
-	switch timeEngine {
-	case "", "serial":
-	case "sharded":
-		m.ShardedTime = true
-	default:
-		return m, fmt.Errorf("unknown time engine %q (want serial or sharded)", timeEngine)
 	}
 	if reclaim != "" {
 		if _, err := manager.NewPolicy(reclaim); err != nil {

@@ -24,7 +24,6 @@ func TestUsageErrorsExit2(t *testing.T) {
 	}{
 		{[]string{"-table", "9"}, "no such table 9"},
 		{[]string{"-sched", "bogus"}, `unknown scheduler "bogus"`},
-		{[]string{"-timeengine", "bogus"}, "bogus"},
 		{[]string{"-reclaim", "bogus"}, "bogus"},
 		{[]string{"-sweep", "bogus"}, "want plane, policy, time, super, or all"},
 		// Removed with the wall-clock sweeps; flag rejects them.

@@ -84,10 +84,6 @@ type Params struct {
 	DCIndexProb float64
 	// Seed drives all randomness.
 	Seed uint64
-	// ShardedTime runs the event queue on the sharded virtual-time engine
-	// with its one shard: the same (at, seq) event order as the serial
-	// engine (the default), drained through the windowed machinery.
-	ShardedTime bool
 }
 
 // DefaultParams is the paper's configuration.
@@ -159,9 +155,6 @@ type System struct {
 func New(cfg MemoryConfig, p Params) *System {
 	clock := &sim.Clock{}
 	env := sim.NewSerialEnv(clock)
-	if p.ShardedTime {
-		env = sim.NewShardedEnv(clock, 1, 0)
-	}
 	locks := NewLockManager()
 	locks.Barging = true                                   // reader preference: concurrent relation scans share S locks
 	locks.locks = make(map[string]*lock, 4+p.AccountPages) // sized once: the fixed four, a lock per page

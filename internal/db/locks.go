@@ -10,10 +10,7 @@
 // ends one of its waits (db.go).
 package db
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Mode is a hierarchical lock mode.
 type Mode int
@@ -49,9 +46,6 @@ var compatible = [4][4]bool{
 	S:  {true, false, true, false},
 	X:  {false, false, false, false},
 }
-
-// Compatible reports whether two modes can be held simultaneously.
-func Compatible(a, b Mode) bool { return compatible[a][b] }
 
 // waiter is what a queued request wakes once the releaser has granted it.
 type waiter interface{ wake() }
@@ -104,14 +98,15 @@ type LockStats struct {
 // throughput.
 //
 // Each operation has one body, on a resolved lock and the owner's record:
-// db.System enters there, with a record from newOwner. The exported spellings
-// take a lock name and any comparable owner key, and resolve both once.
+// db.System enters there, with a record from newOwner. The keyed spellings
+// the lock tests drive (Acquire, Release, ReleaseAll in locks_test.go) take
+// a lock name and any comparable owner key, and resolve both once.
 type LockManager struct {
 	locks map[string]*lock
 	// held resolves a keyed owner to its record, from its first Acquire
 	// until a Release or ReleaseAll leaves it holding nothing. Every grant
 	// (immediate or to a woken waiter) appends the lock and mode to the
-	// owner's record, so ReleaseAll visits only what the owner holds, not
+	// owner's record, so releaseAll visits only what the owner holds, not
 	// every lock ever created. A lock acquired twice is listed twice.
 	held map[interface{}]*holdList
 	// heldFree recycles released records so a steady stream of short
@@ -205,33 +200,8 @@ func (m *LockManager) acquire(owner *holdList, l *lock, mode Mode, w waiter) boo
 	return false
 }
 
-// Release drops every hold owner has on `name` and grants waiters.
-func (m *LockManager) Release(owner interface{}, name string) {
-	l := m.locks[name]
-	if l == nil {
-		return
-	}
-	if hl := m.held[owner]; hl != nil {
-		m.drop(l, hl.holds)
-		hl.holds = slices.DeleteFunc(hl.holds, func(h hold) bool { return h.l == nil })
-		if len(hl.holds) == 0 {
-			delete(m.held, owner)
-			m.heldFree = append(m.heldFree, hl)
-		}
-	}
-	m.grantWaiters(l)
-}
-
-// ReleaseAll drops every hold owner has anywhere (two-phase commit point).
-func (m *LockManager) ReleaseAll(owner interface{}) {
-	if hl := m.held[owner]; hl != nil {
-		delete(m.held, owner)
-		m.releaseAll(hl)
-	}
-}
-
-// releaseAll is the body of ReleaseAll, and takes the record back. It goes
-// lock by lock in the order the owner first acquired them — a lock's holds
+// releaseAll drops every hold owner has anywhere (the two-phase commit
+// point) and takes the record back. It goes lock by lock in the order the owner first acquired them — a lock's holds
 // all go, then its waiters are granted — so the order in which waiters of
 // different locks wake is a function of the run, not of map iteration.
 func (m *LockManager) releaseAll(owner *holdList) {

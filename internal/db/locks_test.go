@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -34,6 +35,34 @@ func (m *LockManager) Acquire(p *sim.Proc, owner interface{}, name string, mode 
 		p.Park() // the releaser grants the hold before waking us
 	}
 }
+
+// Release drops every hold owner has on `name` and grants waiters.
+func (m *LockManager) Release(owner interface{}, name string) {
+	l := m.locks[name]
+	if l == nil {
+		return
+	}
+	if hl := m.held[owner]; hl != nil {
+		m.drop(l, hl.holds)
+		hl.holds = slices.DeleteFunc(hl.holds, func(h hold) bool { return h.l == nil })
+		if len(hl.holds) == 0 {
+			delete(m.held, owner)
+			m.heldFree = append(m.heldFree, hl)
+		}
+	}
+	m.grantWaiters(l)
+}
+
+// ReleaseAll drops every hold owner has anywhere (two-phase commit point).
+func (m *LockManager) ReleaseAll(owner interface{}) {
+	if hl := m.held[owner]; hl != nil {
+		delete(m.held, owner)
+		m.releaseAll(hl)
+	}
+}
+
+// Compatible reports whether two modes can be held simultaneously.
+func Compatible(a, b Mode) bool { return compatible[a][b] }
 
 // Holders reports the number of current holders of a lock.
 func (m *LockManager) Holders(name string) int {

@@ -49,18 +49,16 @@ func matchReference(t *testing.T, cfg MemoryConfig, p Params) {
 // TestTxnMachineMatchesReference: a transaction run as a record pushes the
 // events its straight-line form pushes, in the same order, so every Result
 // field and the event count equal the reference's — in every configuration,
-// on both time engines, at four seeds.
+// at four seeds.
 func TestTxnMachineMatchesReference(t *testing.T) {
-	for _, sharded := range []bool{false, true} {
-		for _, seed := range []uint64{1, 7, 42, 1992} {
-			p := DefaultParams()
-			p.Seed, p.ShardedTime = seed, sharded
-			if testing.Short() {
-				p.Transactions, p.Warmup = 1000, 100
-			}
-			for _, cfg := range allConfigs {
-				matchReference(t, cfg, p)
-			}
+	for _, seed := range []uint64{1, 7, 42, 1992} {
+		p := DefaultParams()
+		p.Seed = seed
+		if testing.Short() {
+			p.Transactions, p.Warmup = 1000, 100
+		}
+		for _, cfg := range allConfigs {
+			matchReference(t, cfg, p)
 		}
 	}
 }
@@ -71,13 +69,13 @@ func TestTxnMachineMatchesReference(t *testing.T) {
 // none to 299 pages, and a handful of account pages, so DebitCredits queue
 // on one another's page locks.
 func FuzzTable4Machine(f *testing.F) {
-	f.Add(uint64(1992), uint8(5), uint16(35), uint8(5), uint16(49), uint16(256), uint16(63), uint16(299), false)
-	f.Add(uint64(7), uint8(0), uint16(195), uint8(50), uint16(3), uint16(20), uint16(3), uint16(200), true)
-	f.Add(uint64(42), uint8(1), uint16(120), uint8(100), uint16(1), uint16(2), uint16(0), uint16(150), false)
-	f.Add(uint64(3), uint8(7), uint16(60), uint8(0), uint16(10), uint16(0), uint16(9), uint16(250), true)
-	f.Fuzz(func(t *testing.T, seed uint64, procs uint8, tps uint16, joinPct uint8, period, pagesOut, accounts, txns uint16, sharded bool) {
+	f.Add(uint64(1992), uint8(5), uint16(35), uint8(5), uint16(49), uint16(256), uint16(63), uint16(299))
+	f.Add(uint64(7), uint8(0), uint16(195), uint8(50), uint16(3), uint16(20), uint16(3), uint16(200))
+	f.Add(uint64(42), uint8(1), uint16(120), uint8(100), uint16(1), uint16(2), uint16(0), uint16(150))
+	f.Add(uint64(3), uint8(7), uint16(60), uint8(0), uint16(10), uint16(0), uint16(9), uint16(250))
+	f.Fuzz(func(t *testing.T, seed uint64, procs uint8, tps uint16, joinPct uint8, period, pagesOut, accounts, txns uint16) {
 		p := DefaultParams()
-		p.Seed, p.ShardedTime = seed, sharded
+		p.Seed = seed
 		p.Processors = 1 + int(procs%8)
 		p.ArrivalTPS = float64(5 + tps%200)
 		p.JoinFraction = float64(joinPct%101) / 100

@@ -43,16 +43,15 @@ type Report struct {
 	Output   []byte        `json:"-"`
 }
 
-// Modes is the four mode switches of a paper-table run, as cmd/reproduce's
-// -sched, -timeengine, -super and -reclaim set them. Each is handed to the
-// constructor it configures. The zero value is the golden reference, and
-// the first three — and the clock named explicitly — must not change a byte
-// of it (TestReproduceGolden).
+// Modes is the three mode switches of a paper-table run, as cmd/reproduce's
+// -sched, -super and -reclaim set them. Each is handed to the constructor it
+// configures. The zero value is the golden reference, and the first two —
+// and the clock named explicitly — must not change a byte of it
+// (TestReproduceGolden).
 type Modes struct {
-	Concurrent  bool   // every kernel boots the concurrent scheduler
-	ShardedTime bool   // Table 4 runs on the sharded virtual-time engine
-	Superpages  bool   // every kernel runs the superpage extent plane
-	Policy      string // every manager's replacement policy; "" is the §2.2 clock
+	Concurrent bool   // every kernel boots the concurrent scheduler
+	Superpages bool   // every kernel runs the superpage extent plane
+	Policy     string // every manager's replacement policy; "" is the §2.2 clock
 }
 
 // kernelConfig is the configuration of every kernel the tables boot.
@@ -263,7 +262,6 @@ func (m Modes) Table4(txns int, seed uint64) (*Report, error) {
 	b := &bytes.Buffer{}
 	header(b, "Table 4: Effect of Memory Usage on Transaction Response (ms)")
 	p := db.DefaultParams()
-	p.ShardedTime = m.ShardedTime
 	if txns > 0 {
 		p.Transactions = txns
 	}

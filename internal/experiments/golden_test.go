@@ -44,10 +44,9 @@ func TestReproduceGolden(t *testing.T) {
 	}{
 		{"default", Modes{}},
 		{"concurrent", Modes{Concurrent: true}},
-		{"sharded-time", Modes{ShardedTime: true}},
 		{"superpages", Modes{Superpages: true}},
 		{"explicit-clock", Modes{Policy: "clock"}},
-		{"all-four", Modes{Concurrent: true, ShardedTime: true, Superpages: true, Policy: "clock"}},
+		{"all-together", Modes{Concurrent: true, Superpages: true, Policy: "clock"}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()

@@ -58,8 +58,6 @@ const casTombstone = uint64(1)
 // hashOverflow bounds the paper table's overflow scan.
 const casProbeWindow = 8
 
-func newCASTable() *casTable { return newCASTableSized(hashTableSlots) }
-
 func newCASTableSized(slots int) *casTable {
 	if slots <= 0 || slots&(slots-1) != 0 {
 		panic(fmt.Sprintf("kernel: CAS table size %d not a power of two", slots))

@@ -7,6 +7,10 @@ import (
 	"testing"
 )
 
+// newCASTable is a table of the paper table's size, for the benchmarks that
+// compare the two.
+func newCASTable() *casTable { return newCASTableSized(hashTableSlots) }
+
 // casSlotKey decodes one slot word into the mapKey the table files it
 // under (span-tagged for order > 0), reporting false for an empty or
 // tombstoned slot.

@@ -43,9 +43,6 @@ func (k *Kernel) SetInterceptor(fn DeliveryInterceptor) { k.interceptor = fn }
 // standard virtual memory" for processes without their own policy).
 func (k *Kernel) SetDefaultManager(m Manager) { k.defaultMgr = m }
 
-// DefaultManager returns the registered fallback manager, or nil.
-func (k *Kernel) DefaultManager() Manager { return k.defaultMgr }
-
 // OnRevoke registers a callback invoked after a revocation reassigns
 // segments, with the dead manager and its adopted segments (ascending ID
 // order). The system layer uses it to tell the default manager about its

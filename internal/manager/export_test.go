@@ -22,3 +22,6 @@ func NextRefillSlot(g *Generic) int64 {
 	}
 	return (l.next + l.runLen - 1) &^ (l.runLen - 1)
 }
+
+// FramesLeft reports how many frames remain in the pool.
+func (p *FixedPool) FramesLeft() int { return p.Donor.PageCount() }

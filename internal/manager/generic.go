@@ -91,9 +91,6 @@ type Config struct {
 	Policy Policy
 	// OnFault observes every fault after it is handled.
 	OnFault func(f kernel.Fault)
-	// MapFlags are the page flags set when a page is mapped in
-	// (default read+write).
-	MapFlags kernel.PageFlags
 	// IgnoreDiscardable disables the discardable-page optimization so its
 	// benefit can be measured (ablation).
 	IgnoreDiscardable bool
@@ -117,12 +114,14 @@ type Config struct {
 	ExtentOrder int
 	// MaxRetries bounds how many times a transient storage error
 	// (storage.ErrTransient) is retried on the fill, writeback and swap
-	// paths. 0 disables retrying: every storage error propagates at once.
+	// paths, after a virtual-time delay of retryBackoff that doubles per
+	// attempt. 0 disables retrying: every storage error propagates at once.
 	MaxRetries int
-	// RetryBackoff is the virtual-time delay before the first retry; it
-	// doubles per attempt. Defaults to 1 ms when MaxRetries > 0.
-	RetryBackoff time.Duration
 }
+
+// retryBackoff is the virtual-time delay before a manager's first retry of
+// a transient storage error; it doubles per attempt.
+const retryBackoff = time.Millisecond
 
 // Generic is the generic segment manager of §2.2. It maintains a free-page
 // segment, serves faults by migrating frames from it, reclaims frames with
@@ -196,14 +195,8 @@ func NewGeneric(k *kernel.Kernel, cfg Config) (*Generic, error) {
 	if cfg.Backing == nil {
 		cfg.Backing = ZeroFill{}
 	}
-	if cfg.MapFlags == 0 {
-		cfg.MapFlags = kernel.FlagRW
-	}
 	if cfg.RequestBatch <= 0 {
 		cfg.RequestBatch = 8
-	}
-	if cfg.MaxRetries > 0 && cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = time.Millisecond
 	}
 	free, err := k.CreateSegment(cfg.Name+".free", 1)
 	if err != nil {
@@ -267,7 +260,7 @@ func (g *Generic) retryBacking(err error, op func() error) error {
 	if err == nil || g.cfg.MaxRetries == 0 {
 		return err
 	}
-	backoff := g.cfg.RetryBackoff
+	backoff := retryBackoff
 	for attempt := 0; attempt < g.cfg.MaxRetries; attempt++ {
 		if !errors.Is(err, storage.ErrTransient) {
 			return err
@@ -513,14 +506,6 @@ func (g *Generic) SetSegmentPolicy(seg *kernel.Segment, p Policy) {
 		g.host.p = p
 		p.Insert(&g.host, id)
 	}
-}
-
-// ManageWithPolicy registers the manager as seg's manager and binds p as
-// the segment's replacement policy — per-segment policy selection at
-// SetSegmentManager time.
-func (g *Generic) ManageWithPolicy(seg *kernel.Segment, p Policy) {
-	g.Manage(seg)
-	g.SetSegmentPolicy(seg, p)
 }
 
 // policyTouch feeds a manager-visible access signal (a protection fault on
@@ -862,7 +847,7 @@ func (g *Generic) PageInContiguous(seg *kernel.Segment, startPage, n int64) (boo
 	}
 	g.stats.MigrateCalls++
 	if err := g.k.MigratePages(kernel.AppCred, g.free, seg, start, startPage, n,
-		g.cfg.MapFlags, kernel.FlagReferenced|kernel.FlagDirty); err != nil {
+		kernel.FlagRW, kernel.FlagReferenced|kernel.FlagDirty); err != nil {
 		return false, err
 	}
 	// Empty the consumed slots in slot order, then record residency.

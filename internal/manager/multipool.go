@@ -106,13 +106,6 @@ func (m *MultiPool) Pool(poolName string) (*Generic, bool) {
 	return g, ok
 }
 
-// Pools lists pool names in creation order.
-func (m *MultiPool) Pools() []string {
-	out := make([]string, len(m.order))
-	copy(out, m.order)
-	return out
-}
-
 // Manage places a segment under the named pool.
 func (m *MultiPool) Manage(seg *kernel.Segment, poolName string) error {
 	g, ok := m.pools[poolName]

@@ -21,7 +21,6 @@ type AsyncDevice struct {
 	freeAt time.Duration
 	// counters
 	requests int64
-	waited   time.Duration
 }
 
 // NewAsyncDevice creates a device over the shared virtual clock.
@@ -45,16 +44,12 @@ func (d *AsyncDevice) Submit(bytes int) time.Duration {
 // if it already passed).
 func (d *AsyncDevice) WaitUntil(t time.Duration) {
 	if t > d.clock.Now() {
-		d.waited += t - d.clock.Now()
 		d.clock.AdvanceTo(t)
 	}
 }
 
 // Requests reports the number of submitted transfers.
 func (d *AsyncDevice) Requests() int64 { return d.requests }
-
-// Waited reports total time the application spent blocked on the device.
-func (d *AsyncDevice) Waited() time.Duration { return d.waited }
 
 // Prefetch is an application-specific segment manager specialized from
 // Generic: it read-ahead-fetches the next pages of a sequential working set

@@ -112,6 +112,3 @@ func (p *FixedPool) ReturnFrames(g *Generic, slots []int64) error {
 	}
 	return nil
 }
-
-// FramesLeft reports how many frames remain in the pool.
-func (p *FixedPool) FramesLeft() int { return p.Donor.PageCount() }

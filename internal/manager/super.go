@@ -246,7 +246,7 @@ func (g *Generic) pageInExtent(f kernel.Fault) (bool, error) {
 	g.stats.MigrateCalls++
 	g.runRangeScratch[0] = kernel.PageRange{Page: startSlot, To: base, Pages: n}
 	if err := g.k.MigratePagesBatch(kernel.AppCred, g.free, f.Seg, g.runRangeScratch[:],
-		g.cfg.MapFlags, kernel.FlagReferenced|kernel.FlagDirty); err != nil {
+		kernel.FlagRW, kernel.FlagReferenced|kernel.FlagDirty); err != nil {
 		g.slots.close(slots, nil)
 		return false, err
 	}

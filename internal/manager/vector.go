@@ -314,7 +314,7 @@ func (g *Generic) migrateIn(fs []kernel.Fault, members, slotIdx []int) error {
 	}
 	g.stats.MigrateCalls++
 	return g.k.MigratePagesBatch(kernel.AppCred, g.free, fs[members[0]].Seg, ranges,
-		g.cfg.MapFlags, kernel.FlagReferenced|kernel.FlagDirty)
+		kernel.FlagRW, kernel.FlagReferenced|kernel.FlagDirty)
 }
 
 // settle is the one tail of every page-in: the filled frames at free-list

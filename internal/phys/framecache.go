@@ -24,12 +24,6 @@ type FrameCache struct {
 	cursor    int     // primary scan position, advances round-robin
 	secondary []int64 // LIFO spill, bounded by its capacity
 	refill    int     // batch size pulled from src when dry
-	// runs is the lane's magazine of aligned contiguous extents, kept intact
-	// alongside the base frames so a superpage grant does not have to win a
-	// run search on the shared free list. Bounded by frameCacheRuns; base
-	// Pop only breaks a run into singles as a last resort, when both the
-	// cache and the shared free list are dry.
-	runs [][]int64
 
 	// count mirrors Len as an atomic so accounting readers on other
 	// goroutines (SPCM.FreeFrames) can see how many frames are parked here
@@ -50,7 +44,6 @@ const (
 	frameCachePrimary   = 128
 	frameCacheSecondary = 512
 	frameCacheRefill    = 256
-	frameCacheRuns      = 8
 )
 
 // NewFrameCache builds a cache over src. Zero (or negative) sizes select
@@ -107,13 +100,10 @@ func (c *FrameCache) Pop(dst []int64, n int) []int64 {
 			want = need
 		}
 		got := c.src.Pop(want, nil)
-		if len(got) > 0 {
-			c.refills++
-		} else if r := c.popRunAny(); r != nil {
-			got = r // last resort: break a magazine run into base frames
-		} else {
+		if len(got) == 0 {
 			break
 		}
+		c.refills++
 		// Serve the remaining need straight from the batch; park the rest.
 		serve := need
 		if serve > len(got) {
@@ -145,51 +135,7 @@ func (c *FrameCache) Push(pfns []int64) {
 	}
 }
 
-// PopRun removes and returns one parked run of exactly n frames, or nil
-// when the magazine holds none of that length.
-func (c *FrameCache) PopRun(n int) []int64 {
-	for i := len(c.runs) - 1; i >= 0; i-- {
-		if len(c.runs[i]) == n {
-			r := c.runs[i]
-			c.runs = append(c.runs[:i], c.runs[i+1:]...)
-			c.count.Add(-int64(n))
-			return r
-		}
-	}
-	return nil
-}
-
-// PushRun parks a contiguous run intact in the magazine, spilling it back
-// to the free list (where its frames re-coalesce) when the magazine is
-// full. The run must be ascending aligned PFNs as returned by
-// FreeList.AllocRun; the cache does not re-verify.
-func (c *FrameCache) PushRun(run []int64) {
-	if len(run) == 0 {
-		return
-	}
-	if len(c.runs) >= frameCacheRuns {
-		c.spills += int64(len(run))
-		c.src.Push(run)
-		return
-	}
-	c.runs = append(c.runs, run)
-	c.count.Add(int64(len(run)))
-}
-
-// popRunAny takes the most recently parked run, whatever its length.
-func (c *FrameCache) popRunAny() []int64 {
-	k := len(c.runs)
-	if k == 0 {
-		return nil
-	}
-	r := c.runs[k-1]
-	c.runs = c.runs[:k-1]
-	c.count.Add(-int64(len(r)))
-	return r
-}
-
-// Drain returns every cached frame to the free list (revocation, or making
-// frames visible to a contiguous-run search).
+// Drain returns every cached frame to the free list (revocation).
 func (c *FrameCache) Drain() {
 	out := c.Snapshot()
 	if len(out) == 0 {
@@ -200,14 +146,12 @@ func (c *FrameCache) Drain() {
 	}
 	c.primCount = 0
 	c.secondary = c.secondary[:0]
-	c.runs = nil
 	c.count.Store(0)
 	c.src.Push(out)
 }
 
-// Snapshot returns the cached PFNs, magazine runs included (for invariant
-// checks; the cache is unchanged). Like the rest of the API it requires
-// the owner's context.
+// Snapshot returns the cached PFNs (for invariant checks; the cache is
+// unchanged). Like the rest of the API it requires the owner's context.
 func (c *FrameCache) Snapshot() []int64 {
 	out := make([]int64, 0, c.Len())
 	for _, p := range c.primary {
@@ -215,11 +159,7 @@ func (c *FrameCache) Snapshot() []int64 {
 			out = append(out, p)
 		}
 	}
-	out = append(out, c.secondary...)
-	for _, r := range c.runs {
-		out = append(out, r...)
-	}
-	return out
+	return append(out, c.secondary...)
 }
 
 // Stats reports cache activity: takes served from cache, batch refills,

@@ -17,7 +17,7 @@ const freeListStripes = 16
 const freeListBlockShift = 6 // 64-frame blocks
 const freeListBlockSize = 1 << freeListBlockShift
 
-// MaxRunOrder is the largest run AllocRun can serve: 2^MaxRunOrder frames.
+// MaxRunOrder is the largest run AllocRunAppend can serve: 2^MaxRunOrder frames.
 // An aligned run of at most freeListBlockSize frames lies entirely within
 // one PFN block, and so within one stripe — which is what makes run search
 // a single-stripe operation.
@@ -36,13 +36,13 @@ type FreeList struct {
 // freeStripe holds one shard of the pool. The block bitmaps are the
 // AUTHORITY on which frames are free; the LIFO slice only carries pop
 // recency and may contain stale entries (frames whose bit has since been
-// cleared by AllocRun or RemoveAll) and duplicates (a frame re-pushed while
-// a stale entry for it still sits deeper in the slice). Readers skip any
-// entry whose bit is clear; when a pfn appears twice with its bit set, the
-// first copy taken claims the frame and the other copy goes stale. This
-// laziness is what makes AllocRun O(run length): it clears bits and leaves
-// the slice alone, instead of rewriting the whole stripe to drop 16
-// entries. Push compacts the slice when stale entries outnumber live ones.
+// cleared by AllocRunAppend) and duplicates (a frame re-pushed while a stale
+// entry for it still sits deeper in the slice). Readers skip any entry whose
+// bit is clear; when a pfn appears twice with its bit set, the first copy
+// taken claims the frame and the other copy goes stale. This laziness is
+// what makes AllocRunAppend O(run length): it clears bits and leaves the
+// slice alone, instead of rewriting the whole stripe to drop 16 entries.
+// Push compacts the slice when stale entries outnumber live ones.
 type freeStripe struct {
 	mu   sync.Mutex
 	pfns []int64
@@ -50,8 +50,8 @@ type freeStripe struct {
 	// blocks is the buddy view of the frames: blocks[i] is the bitmap of
 	// which frames of the stripe's i-th PFN block are free. Frames freed as
 	// singles coalesce here for free — a full aligned submask IS a run —
-	// so AllocRun never needs an explicit buddy-merge pass. It is a slice
-	// and not a map so that every walk over it — above all the run search —
+	// so AllocRunAppend never needs an explicit buddy-merge pass. It is a
+	// slice and not a map so that every walk over it — above all the run search —
 	// visits blocks in ascending PFN order: which frames a grant receives
 	// must be a function of the pool's contents, never of map iteration.
 	blocks []uint64
@@ -205,9 +205,8 @@ func (f *FreeList) Len() int {
 	return n
 }
 
-// Snapshot returns a copy of every free frame, for invariant checks and
-// contiguous-run searches. The copy is point-in-time consistent per stripe
-// only; callers that need all-or-nothing removal follow up with RemoveAll.
+// Snapshot returns a copy of every free frame, for invariant checks. The
+// copy is point-in-time consistent per stripe only.
 func (f *FreeList) Snapshot() []int64 {
 	out := make([]int64, 0, 64)
 	for i := range f.stripes {
@@ -225,70 +224,15 @@ func (f *FreeList) Snapshot() []int64 {
 	return out
 }
 
-// RemoveAll removes exactly the given frames from the pool, all or nothing:
-// if any frame is no longer free (a racing Pop took it), nothing is removed
-// and RemoveAll reports false. It locks the involved stripes in ascending
-// index order, so it cannot deadlock against itself or the single-stripe
-// operations.
-func (f *FreeList) RemoveAll(pfns []int64) bool {
-	if len(pfns) == 0 {
-		return true
-	}
-	byStripe := make(map[int][]int64, 4)
-	for _, p := range pfns {
-		i := stripeOf(p)
-		byStripe[i] = append(byStripe[i], p)
-	}
-	locked := make([]int, 0, len(byStripe))
-	for i := 0; i < freeListStripes; i++ {
-		if _, ok := byStripe[i]; ok {
-			f.stripes[i].mu.Lock()
-			locked = append(locked, i)
-		}
-	}
-	defer func() {
-		for _, i := range locked {
-			f.stripes[i].mu.Unlock()
-		}
-	}()
-	// Verify everything is present before removing anything. The request
-	// itself must not repeat a frame: the bitmap holds one bit per frame.
-	for i, want := range byStripe {
-		dup := make(map[int64]bool, len(want))
-		for _, p := range want {
-			if dup[p] || !f.stripes[i].bit(p) {
-				return false
-			}
-			dup[p] = true
-		}
-	}
-	for i, want := range byStripe {
-		for _, p := range want {
-			f.stripes[i].clearBit(p)
-		}
-	}
-	return true
-}
-
-// AllocRun removes and returns one aligned run of 2^order consecutive free
-// frames (PFNs ascending), or nil when no such run exists. order is capped
-// at MaxRunOrder so the run lies within one PFN block and the whole search
-// is a per-stripe bitmap scan: an aligned all-ones submask of a block
-// bitmap IS a run, so frames freed as singles re-coalesce into runs with
-// no merge pass. admit (nil admits everything) must accept every frame of
-// the run for it to qualify.
-func (f *FreeList) AllocRun(order int, admit func(pfn int64) bool) []int64 {
-	run, ok := f.AllocRunAppend(nil, order, admit)
-	if !ok {
-		return nil
-	}
-	return run
-}
-
-// AllocRunAppend is AllocRun appending the run's frames to dst, so batched
-// callers (granting several runs in one call) reuse one buffer instead of
-// allocating per run. It returns the extended slice and whether a run was
-// found; on failure dst is returned unchanged.
+// AllocRunAppend removes one aligned run of 2^order consecutive free frames
+// and appends it to dst (PFNs ascending), so batched callers (granting
+// several runs in one call) reuse one buffer. It returns the extended slice
+// and whether a run was found; on failure dst is returned unchanged. order
+// is capped at MaxRunOrder so the run lies within one PFN block and the
+// whole search is a per-stripe bitmap scan: an aligned all-ones submask of
+// a block bitmap IS a run, so frames freed as singles re-coalesce into runs
+// with no merge pass. admit (nil admits everything) must accept every frame
+// of the run for it to qualify.
 func (f *FreeList) AllocRunAppend(dst []int64, order int, admit func(pfn int64) bool) ([]int64, bool) {
 	if order < 0 || order > MaxRunOrder {
 		return dst, false
@@ -385,30 +329,4 @@ func (f *FreeList) CheckInvariants() error {
 		s.mu.Unlock()
 	}
 	return nil
-}
-
-// LongestRun reports the length of the longest aligned run currently
-// available at the given order granularity — diagnostics for experiments
-// and tests, not an allocation primitive.
-func (f *FreeList) LongestRun() int {
-	best := 0
-	for i := range f.stripes {
-		s := &f.stripes[i]
-		s.mu.Lock()
-		for _, bs := range s.blocks {
-			run := 0
-			for b := 0; b < freeListBlockSize; b++ {
-				if bs&(1<<uint(b)) != 0 {
-					run++
-					if run > best {
-						best = run
-					}
-				} else {
-					run = 0
-				}
-			}
-		}
-		s.mu.Unlock()
-	}
-	return best
 }

@@ -9,7 +9,7 @@ import (
 // Buddy-style coalescing: frames freed one at a time must become visible
 // again as aligned runs. The per-stripe block bitmaps are the authority for
 // run search, and they must stay exactly in sync with the LIFO slices
-// through any interleaving of Pop, Push and AllocRun.
+// through any interleaving of Pop, Push and AllocRunAppend.
 func TestAllocRunCoalescing(t *testing.T) {
 	pfns := make([]int64, 256)
 	for i := range pfns {
@@ -17,7 +17,7 @@ func TestAllocRunCoalescing(t *testing.T) {
 	}
 	f := NewFreeList(pfns)
 	for order := 0; order <= MaxRunOrder; order++ {
-		run := f.AllocRun(order, nil)
+		run, _ := f.AllocRunAppend(nil, order, nil)
 		if len(run) != 1<<order {
 			t.Fatalf("order %d: got %d frames, want %d", order, len(run), 1<<order)
 		}
@@ -50,7 +50,7 @@ func TestAllocRunCoalescing(t *testing.T) {
 	}
 }
 
-// AllocRun must refuse orders outside [0, MaxRunOrder] and admit-reject
+// AllocRunAppend must refuse orders outside [0, MaxRunOrder] and admit-reject
 // whole runs: a run containing one refused frame is skipped, not split.
 func TestAllocRunAdmitAndBounds(t *testing.T) {
 	pfns := make([]int64, 128)
@@ -58,12 +58,15 @@ func TestAllocRunAdmitAndBounds(t *testing.T) {
 		pfns[i] = int64(i)
 	}
 	f := NewFreeList(pfns)
-	if f.AllocRun(-1, nil) != nil || f.AllocRun(MaxRunOrder+1, nil) != nil {
+	if _, ok := f.AllocRunAppend(nil, -1, nil); ok {
+		t.Fatal("negative order served a run")
+	}
+	if _, ok := f.AllocRunAppend(nil, MaxRunOrder+1, nil); ok {
 		t.Fatal("out-of-range order served a run")
 	}
 	// Refuse every PFN below 64: only the upper block can serve runs.
 	admit := func(pfn int64) bool { return pfn >= 64 }
-	run := f.AllocRun(4, admit)
+	run, _ := f.AllocRunAppend(nil, 4, admit)
 	if len(run) != 16 || run[0] < 64 {
 		t.Fatalf("admit-constrained run = %v", run)
 	}
@@ -72,7 +75,7 @@ func TestAllocRunAdmitAndBounds(t *testing.T) {
 	}
 }
 
-// The invariant test proper: concurrent AllocRun/Pop/Push interleavings
+// The invariant test proper: concurrent AllocRunAppend/Pop/Push interleavings
 // (run under -race in CI) must conserve frames, never double-allocate, and
 // keep the bitmaps consistent with the slices at every quiesce point.
 func TestFreeListRunConcurrent(t *testing.T) {
@@ -113,7 +116,7 @@ func TestFreeListRunConcurrent(t *testing.T) {
 			for iter := 0; iter < 400; iter++ {
 				switch rng.Intn(3) {
 				case 0:
-					if got := f.AllocRun(1+rng.Intn(MaxRunOrder), nil); got != nil {
+					if got, ok := f.AllocRunAppend(nil, 1+rng.Intn(MaxRunOrder), nil); ok {
 						take(t, got)
 						pool = append(pool, got...)
 					}
@@ -149,4 +152,30 @@ func TestFreeListRunConcurrent(t *testing.T) {
 	if got := f.LongestRun(); got != 1<<MaxRunOrder {
 		t.Fatalf("LongestRun = %d after full return, want %d", got, 1<<MaxRunOrder)
 	}
+}
+
+// LongestRun reports the length of the longest aligned run currently
+// available at the given order granularity — a diagnostic the run tests
+// check coalescing with, not an allocation primitive.
+func (f *FreeList) LongestRun() int {
+	best := 0
+	for i := range f.stripes {
+		s := &f.stripes[i]
+		s.mu.Lock()
+		for _, bs := range s.blocks {
+			run := 0
+			for b := 0; b < freeListBlockSize; b++ {
+				if bs&(1<<uint(b)) != 0 {
+					run++
+					if run > best {
+						best = run
+					}
+				} else {
+					run = 0
+				}
+			}
+		}
+		s.mu.Unlock()
+	}
+	return best
 }

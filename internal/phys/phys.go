@@ -42,18 +42,6 @@ type Config struct {
 	StoreData bool
 }
 
-// DefaultConfig is the paper's evaluation machine: 128 MB of 4 KB frames on
-// a uniform-memory workstation.
-func DefaultConfig() Config {
-	return Config{
-		FrameSize:   4096,
-		TotalBytes:  128 << 20,
-		Nodes:       1,
-		CacheColors: 16,
-		StoreData:   true,
-	}
-}
-
 // Frame is one physical page frame: a name for a slot of the machine's
 // memory, 16 bytes and nothing else. Its contents, when the memory stores
 // any, live in Memory.data beside it.
@@ -174,25 +162,6 @@ func (f *Frame) WithData(fn func(buf []byte) error) error {
 	return err
 }
 
-// Adopt makes buf — which must be exactly one frame in size — the frame's
-// contents without copying. Ownership of buf passes to the frame; the
-// frame's previous backing buffer, if any, returns to the memory's pool.
-// When the memory stores no data, buf is simply recycled.
-func (f *Frame) Adopt(buf []byte) {
-	if len(buf) != f.mem.frameSize {
-		panic(fmt.Sprintf("phys: Adopt buffer of %d bytes into %d-byte frame", len(buf), f.mem.frameSize))
-	}
-	if !f.mem.storeData {
-		f.mem.PutBuffer(buf)
-		return
-	}
-	d := &f.mem.data[f.pfn]
-	if *d != nil {
-		f.mem.PutBuffer(*d)
-	}
-	*d = buf
-}
-
 // Memory is the machine's physical memory: a fixed population of frames.
 type Memory struct {
 	frameSize int
@@ -259,8 +228,7 @@ func (m *Memory) Nodes() int { return m.nodes }
 func (m *Memory) Colors() int { return m.colors }
 
 // GetBuffer returns a frame-size byte buffer with undefined contents, from
-// the memory's recycling pool when one is available. Pair with PutBuffer
-// (or hand the buffer to Frame.Adopt, which takes ownership).
+// the memory's recycling pool when one is available. Pair with PutBuffer.
 func (m *Memory) GetBuffer() []byte {
 	return *m.getBufPtr()
 }

@@ -3,6 +3,7 @@ package phys
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -160,4 +161,23 @@ func TestCopyFromUntouchedPairStaysUnallocated(t *testing.T) {
 	if dst.Data()[0] != 0 {
 		t.Fatal("destination does not read as zeros")
 	}
+}
+
+// Adopt makes buf — which must be exactly one frame in size — the frame's
+// contents without copying. Ownership of buf passes to the frame; the
+// frame's previous backing buffer, if any, returns to the memory's pool.
+// When the memory stores no data, buf is simply recycled.
+func (f *Frame) Adopt(buf []byte) {
+	if len(buf) != f.mem.frameSize {
+		panic(fmt.Sprintf("phys: Adopt buffer of %d bytes into %d-byte frame", len(buf), f.mem.frameSize))
+	}
+	if !f.mem.storeData {
+		f.mem.PutBuffer(buf)
+		return
+	}
+	d := &f.mem.data[f.pfn]
+	if *d != nil {
+		f.mem.PutBuffer(*d)
+	}
+	*d = buf
 }

@@ -117,21 +117,6 @@ func (r *Ring[T]) PopMany(buf []Envelope[T]) int {
 	return int(n)
 }
 
-// PopBatch fills buf with up to len(buf) envelopes, returning how many were
-// popped. Same single-consumer requirement as Pop.
-func (r *Ring[T]) PopBatch(buf []Envelope[T]) int {
-	n := 0
-	for n < len(buf) {
-		env, ok := r.Pop()
-		if !ok {
-			break
-		}
-		buf[n] = env
-		n++
-	}
-	return n
-}
-
 // Len reports the approximate number of queued envelopes.
 func (r *Ring[T]) Len() int {
 	tail := r.tail.Load()
@@ -144,6 +129,3 @@ func (r *Ring[T]) Len() int {
 
 // Close refuses further Puts. Already-accepted envelopes remain poppable.
 func (r *Ring[T]) Close() { r.closed.Store(true) }
-
-// Closed reports whether the ring has been closed.
-func (r *Ring[T]) Closed() bool { return r.closed.Load() }

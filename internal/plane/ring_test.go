@@ -75,25 +75,6 @@ func TestRingCloseRefusesPutNotPop(t *testing.T) {
 	}
 }
 
-func TestRingPopBatch(t *testing.T) {
-	r := NewRing[int](8)
-	for i := 0; i < 6; i++ {
-		r.Put(0, i)
-	}
-	buf := make([]Envelope[int], 4)
-	if n := r.PopBatch(buf); n != 4 {
-		t.Fatalf("PopBatch = %d, want 4", n)
-	}
-	for i := 0; i < 4; i++ {
-		if buf[i].Msg != i {
-			t.Fatalf("batch[%d] = %d", i, buf[i].Msg)
-		}
-	}
-	if n := r.PopBatch(buf); n != 2 {
-		t.Fatalf("second PopBatch = %d, want 2", n)
-	}
-}
-
 // TestRingMPSC is the contract the flat-combining scheduler relies on:
 // many producers Put concurrently, one consumer (the token holder) Pops;
 // every message arrives exactly once, and per-producer order is preserved.
@@ -143,3 +124,6 @@ func TestRingMPSC(t *testing.T) {
 		}
 	}
 }
+
+// Closed reports whether the ring has been closed.
+func (r *Ring[T]) Closed() bool { return r.closed.Load() }

@@ -72,17 +72,3 @@ func (c *Clock) Reset() { c.now.Store(0) }
 func panicNegativeAdvance(d time.Duration) {
 	panic(fmt.Sprintf("sim: clock advanced by negative duration %v", d))
 }
-
-// Stopwatch measures an interval of virtual time against a Clock.
-type Stopwatch struct {
-	clock *Clock
-	start time.Duration
-}
-
-// NewStopwatch starts a stopwatch at the clock's current time.
-func NewStopwatch(c *Clock) Stopwatch {
-	return Stopwatch{clock: c, start: c.Now()}
-}
-
-// Elapsed reports the virtual time since the stopwatch started.
-func (s Stopwatch) Elapsed() time.Duration { return s.clock.Now() - s.start }

@@ -162,3 +162,17 @@ func TestChaosClockHammer(t *testing.T) {
 		t.Errorf("striped counter reads %d after the hammer, want exactly %d", got, int64(want))
 	}
 }
+
+// Stopwatch measures an interval of virtual time against a Clock.
+type Stopwatch struct {
+	clock *Clock
+	start time.Duration
+}
+
+// NewStopwatch starts a stopwatch at the clock's current time.
+func NewStopwatch(c *Clock) Stopwatch {
+	return Stopwatch{clock: c, start: c.Now()}
+}
+
+// Elapsed reports the virtual time since the stopwatch started.
+func (s Stopwatch) Elapsed() time.Duration { return s.clock.Now() - s.start }

@@ -25,8 +25,7 @@ import (
 //     with its own local clock, advanced concurrently in conservative
 //     lookahead windows with a deterministic merge barrier for cross-shard
 //     messages. With a single shard its event order is identical to the
-//     serial engine's, which is what keeps reproduce.golden byte-identical
-//     under -timeengine sharded.
+//     serial engine's; the time sweep runs it at one to eight shards.
 //
 // The context-free Env methods (At, After, Go, Wake, ...) operate on shard
 // 0, so serial-era code runs unchanged on either engine; shard-aware code

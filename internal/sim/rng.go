@@ -63,17 +63,6 @@ func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Fork derives an independent generator from this one. Streams from the
 // parent and child do not overlap in practice; this is used to give each
 // simulated process its own stream without coupling their draws.

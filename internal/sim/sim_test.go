@@ -109,18 +109,6 @@ func TestRNGExpMean(t *testing.T) {
 	}
 }
 
-func TestRNGPerm(t *testing.T) {
-	r := NewRNG(4)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestSeriesStats(t *testing.T) {
 	var s Series
 	for _, ms := range []int{10, 20, 30, 40, 50} {
@@ -135,9 +123,6 @@ func TestSeriesStats(t *testing.T) {
 	if s.Max() != 50*time.Millisecond {
 		t.Fatalf("Max = %v", s.Max())
 	}
-	if s.Min() != 10*time.Millisecond {
-		t.Fatalf("Min = %v", s.Min())
-	}
 	if got := s.Percentile(50); got != 30*time.Millisecond {
 		t.Fatalf("p50 = %v", got)
 	}
@@ -148,7 +133,7 @@ func TestSeriesStats(t *testing.T) {
 
 func TestSeriesEmpty(t *testing.T) {
 	var s Series
-	if s.Mean() != 0 || s.Max() != 0 || s.Percentile(99) != 0 || s.StdDev() != 0 {
+	if s.Mean() != 0 || s.Max() != 0 || s.Percentile(99) != 0 {
 		t.Fatal("empty series should report zeros")
 	}
 }

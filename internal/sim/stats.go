@@ -14,14 +14,10 @@ type Series struct {
 	sorted  bool
 	sum     time.Duration
 	max     time.Duration
-	min     time.Duration
 }
 
 // Add records one sample.
 func (s *Series) Add(d time.Duration) {
-	if len(s.samples) == 0 || d < s.min {
-		s.min = d
-	}
 	if d > s.max {
 		s.max = d
 	}
@@ -43,12 +39,6 @@ func (s *Series) Mean() time.Duration {
 
 // Max reports the largest sample (the paper's "worst-case response").
 func (s *Series) Max() time.Duration { return s.max }
-
-// Min reports the smallest sample.
-func (s *Series) Min() time.Duration { return s.min }
-
-// Sum reports the total of all samples.
-func (s *Series) Sum() time.Duration { return s.sum }
 
 // Percentile reports the p-th percentile (0 < p <= 100) using
 // nearest-rank on the sorted samples. It returns zero for an empty series.
@@ -72,21 +62,6 @@ func (s *Series) Percentile(p float64) time.Duration {
 		rank = n
 	}
 	return s.samples[rank-1]
-}
-
-// StdDev reports the population standard deviation of the samples.
-func (s *Series) StdDev() time.Duration {
-	n := len(s.samples)
-	if n == 0 {
-		return 0
-	}
-	mean := float64(s.Mean())
-	var acc float64
-	for _, d := range s.samples {
-		diff := float64(d) - mean
-		acc += diff * diff
-	}
-	return time.Duration(math.Sqrt(acc / float64(n)))
 }
 
 // String summarizes the series for human-readable reports.

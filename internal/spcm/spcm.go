@@ -432,21 +432,23 @@ func (s *SPCM) deferred(short int) {
 }
 
 // deliver moves the picked boot pages into slots g reserves in its free
-// segment, as one batched kernel call: one range per run when picked is
-// whole runs of runLen frames (the refilling manager's plan makes each
-// run's slots consecutive), otherwise coalesced page by page. A migration
-// error rolls the whole grant back — the slots to the manager, the frames
-// to the free pool. The account's scratch buffers are safe to reuse here
-// because ReserveSlots already demands the manager's own delivery context.
-// It reports the number of frames granted.
+// segment, as one batched kernel call. Frames are coalesced into ranges
+// where both their numbers and their slots run on; when picked is whole runs
+// of runLen frames each run starts a range of its own, so it stays one range
+// (the refilling manager's plan makes a run's slots consecutive) and never
+// merges with its neighbour. A migration error rolls the whole grant back —
+// the slots to the manager, the frames to the free pool. The account's
+// scratch buffers are safe to reuse here because ReserveSlots already
+// demands the manager's own delivery context. It reports the number of
+// frames granted.
 func (s *SPCM) deliver(a *Account, g *manager.Generic, picked []int64, runLen int) (int, error) {
 	a.grantSlots = g.ReserveSlots(a.grantSlots[:0], len(picked))
 	ranges := a.grantRanges[:0]
-	if runLen == 0 {
-		ranges = kernel.CoalesceRangesInto(ranges, picked, a.grantSlots)
-	} else {
-		for j := 0; j < len(picked); j += runLen {
-			ranges = append(ranges, kernel.PageRange{Page: picked[j], To: a.grantSlots[j], Pages: int64(runLen)})
+	for j, pfn := range picked {
+		if runLen > 0 && j%runLen == 0 {
+			ranges = append(ranges, kernel.PageRange{Page: pfn, To: a.grantSlots[j], Pages: 1})
+		} else {
+			ranges = kernel.AppendRange(ranges, pfn, a.grantSlots[j])
 		}
 	}
 	a.grantRanges = ranges
@@ -496,75 +498,14 @@ func (s *SPCM) pickFrames(a *Account, n int, constraint phys.Range) []int64 {
 	})
 }
 
-// RequestContiguous grants a run of n physically contiguous frames (for
-// large pages via MigrateCoalesced) into the target manager's free segment,
-// or reports 0 if no run exists.
+// RequestContiguous grants one naturally aligned run of n physically
+// contiguous frames (for large pages via MigrateCoalesced) into the target
+// manager's free segment: RequestContiguousRuns for one run, in frames. It
+// reports 0 when n is not a power of two within the free list's aligned-run
+// reach or no such run is free.
 func (s *SPCM) RequestContiguous(g *manager.Generic, n int) (int, error) {
-	a, ok, err := s.admit(g, n, true)
-	if !ok {
-		return 0, err
-	}
-	picked := s.pickRun(a, n)
-	if picked == nil {
-		s.deferred(n)
-		return 0, nil
-	}
-	return s.deliver(a, g, picked, 0)
-}
-
-// pickRun finds n consecutive frames. Power-of-two runs take the aligned
-// fast paths: the account's private run magazine first, then the free
-// list's buddy-style run allocator, then splitting a run of the next order
-// up — keep the front half, park the naturally aligned remainder in the
-// magazine (or the pool). Runs from these paths are naturally aligned
-// (PFN ≡ 0 mod n), so a large page or superpage extent built over them
-// promotes cleanly. Where the frames came from never changes what the
-// market charges.
-func (s *SPCM) pickRun(a *Account, n int) []int64 {
-	if order := runOrder(n); order >= 0 {
-		if a.cache != nil {
-			if run := a.cache.PopRun(n); run != nil {
-				return run
-			}
-		}
-		if run := s.free.AllocRun(order, nil); run != nil {
-			return run
-		}
-		if order < phys.MaxRunOrder {
-			if double := s.free.AllocRun(order+1, nil); double != nil {
-				if a.cache != nil {
-					a.cache.PushRun(double[n:])
-				} else {
-					s.free.Push(double[n:])
-				}
-				return double[:n:n]
-			}
-		}
-	}
-	// Legacy path: non-power-of-two lengths, or a pool too fragmented for
-	// the aligned allocator. The private cache hides frames from the run
-	// search; hand them back first. (Contiguous requests come from the
-	// account's own lane, the cache's owner context.)
-	if a.cache != nil {
-		a.cache.Drain()
-	}
-	// Snapshot → find run → remove all-or-nothing; a racing grant can steal
-	// part of the run between the snapshot and the removal, so retry a few
-	// times before reporting the pool fragmented.
-	for attempt := 0; attempt < 4; attempt++ {
-		run := findRun(s.free.Snapshot(), n)
-		if run < 0 {
-			break
-		}
-		cand := make([]int64, n)
-		for i := range cand {
-			cand[i] = run + int64(i)
-		}
-		if s.free.RemoveAll(cand) {
-			return cand
-		}
-	}
-	return nil
+	runs, err := s.RequestContiguousRuns(g, n, 1)
+	return runs * n, err
 }
 
 // RequestContiguousRuns grants up to count physically contiguous, naturally
@@ -593,17 +534,11 @@ func (s *SPCM) RequestContiguousRuns(g *manager.Generic, n, count int) (int, err
 	return got / n, err
 }
 
-// pickRuns collects up to count aligned runs of n = 2^order frames, the
-// account's run magazine first.
+// pickRuns collects up to count aligned runs of n = 2^order frames from the
+// shared free list.
 func (s *SPCM) pickRuns(a *Account, n, order, count int) []int64 {
 	pfns := a.grantPFNs[:0]
 	for ok := true; ok && len(pfns) < n*count; {
-		if a.cache != nil {
-			if run := a.cache.PopRun(n); run != nil {
-				pfns = append(pfns, run...)
-				continue
-			}
-		}
 		pfns, ok = s.free.AllocRunAppend(pfns, order, nil)
 	}
 	a.grantPFNs = pfns
@@ -617,28 +552,6 @@ func runOrder(n int) int {
 		return -1
 	}
 	return bits.TrailingZeros(uint(n))
-}
-
-// findRun locates n consecutive free PFNs in a pool snapshot, returning the
-// first PFN of the run or -1.
-func findRun(pool []int64, n int) int64 {
-	free := make(map[int64]bool, len(pool))
-	for _, p := range pool {
-		free[p] = true
-	}
-	for _, p := range pool {
-		if free[p-1] {
-			continue // not a run start
-		}
-		run := 1
-		for free[p+int64(run)] {
-			run++
-			if run >= n {
-				return p
-			}
-		}
-	}
-	return -1
 }
 
 // ReturnFrames implements manager.FrameSource: frames come home to the

@@ -582,14 +582,15 @@ func TestLaneCacheGrantPath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Odd-length requests take the legacy run search, which must see the
-	// cached frames: the cache drains back to the pool first.
+	// A contiguous grant is one aligned power-of-two run: an odd length is
+	// refused outright, and the cache is left as it was.
+	cacheBefore = a.cache.Len()
 	n, err = fx.s.RequestContiguous(g, 3)
-	if err != nil || n != 3 {
-		t.Fatalf("odd contiguous n=%d err=%v", n, err)
+	if err != nil || n != 0 {
+		t.Fatalf("odd contiguous n=%d err=%v, want a refusal", n, err)
 	}
-	if a.cache.Len() != 0 {
-		t.Fatalf("cache holds %d after legacy-path drain", a.cache.Len())
+	if a.cache.Len() != cacheBefore {
+		t.Fatalf("cache holds %d after a refused odd request, want %d", a.cache.Len(), cacheBefore)
 	}
 	if err := fx.s.CheckInvariants(); err != nil {
 		t.Fatal(err)

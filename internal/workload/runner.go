@@ -28,8 +28,6 @@ import (
 
 // Runner abstracts the system a workload drives.
 type Runner interface {
-	// SystemName identifies the runner ("V++" or "Ultrix").
-	SystemName() string
 	// Prepare loads the named input files into the store and pre-caches
 	// them in memory, then zeroes clocks and counters so the measured run
 	// starts clean.
@@ -121,9 +119,6 @@ func NewVppRunner(memPages int, kcfg kernel.Config, policy manager.Policy) (*Vpp
 		files: make(map[string]*uio.File),
 	}, nil
 }
-
-// SystemName implements Runner.
-func (r *VppRunner) SystemName() string { return "V++" }
 
 // Prepare implements Runner.
 func (r *VppRunner) Prepare(inputs map[string]int64) error {
@@ -270,9 +265,6 @@ func NewUltrixRunner(memPages int) *UltrixRunner {
 		heaps: make(map[string]*ultrix.Region),
 	}
 }
-
-// SystemName implements Runner.
-func (r *UltrixRunner) SystemName() string { return "Ultrix" }
 
 // Prepare implements Runner.
 func (r *UltrixRunner) Prepare(inputs map[string]int64) error {

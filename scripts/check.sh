@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # check.sh — the one gate: formatting, vet, build, race-enabled tests, the
 # chaos and fuzz smokes, the bench/ module (its own go.mod, so the root
-# build never compiles it), one-iteration benchmark smokes, and the golden
-# output (the paper tables on four arms, the sweeps on the default one). CI
-# runs this script rather than a copy of it. Run from anywhere inside the
-# repo.
+# build never compiles it), the unlinked-function list, one-iteration
+# benchmark smokes, and the golden output (the paper tables on three arms,
+# the sweeps on the default one). CI runs this script rather than a copy of
+# it. Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 
@@ -158,11 +158,40 @@ if grep -rnE '\b(movePage|moveExtent|MigrateCoalescedBatch|MigrateSplitBatch|Bin
     exit 1
 fi
 
+# Table 4 runs on one time engine, every manager maps pages read-write and
+# retries after a fixed 1 ms backoff: the engine flag and the two knobs no
+# caller set stay gone. (Functions need no grep here: the unlinked gate
+# below fails on any that no binary reaches.)
+if grep -rnE '\bShardedTime\b|"timeengine"|\bMapFlags\b|\bRetryBackoff\b' --include='*.go' internal/ cmd/ examples/ epcm.go; then
+    echo "a deleted time-engine switch or manager knob is back (see the matches above)" >&2
+    exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 
 echo "== go build =="
 go build ./...
+
+echo "== unlinked functions are named =="
+# Reachability is what the linker reports: scripts/unlinked.sh lists every
+# function of internal/ and epcm.go that none of the ten binaries links, and
+# scripts/unlinked.txt names each with its reason — a paper section, a test
+# reference, a bench pin or the facade. A new unlinked function fails here
+# until it is deleted or named; a listed one that is now linked or deleted
+# fails until its line goes.
+unlinked=$(scripts/unlinked.sh)
+listed=$(grep -v '^#' scripts/unlinked.txt)
+if untagged=$(awk '$2 != "test-reference" && $2 != "bench-pin" && $2 != "facade" && !($2 == "paper" && $3 ~ /^§/)' <<<"$listed") &&
+    [[ -n "$untagged" ]]; then
+    echo "scripts/unlinked.txt lines without a reason (paper §N, test-reference, bench-pin or facade):" >&2
+    echo "$untagged" >&2
+    exit 1
+fi
+if ! diff <(awk '{ print $1 }' <<<"$listed") - <<<"$unlinked"; then
+    echo "scripts/unlinked.txt is stale: '<' is listed but now linked or deleted, '>' is unlinked and unnamed" >&2
+    exit 1
+fi
 
 echo "== page-store inlining budget =="
 # The fault path and the page operations probe the page store per page
@@ -218,11 +247,11 @@ go test -bench='ProcSwitch|ProcSpawn|ParkWake|EventHeap|WindowBarrier|Clock' -be
 golden_tmp=$(mktemp)
 trap 'rm -f "$golden_tmp"' EXIT
 
-echo "== golden output: four arms, then the sweeps =="
+echo "== golden output: three arms, then the sweeps =="
 # Every arm must reproduce the checked-in tables byte for byte: the
-# scheduler, the time engine and the superpage switch change how the
-# simulation runs, never what it computes.
-for arm in "" "-sched concurrent" "-timeengine sharded" "-super"; do
+# scheduler and the superpage switch change how the simulation runs, never
+# what it computes.
+for arm in "" "-sched concurrent" "-super"; do
     echo "   reproduce $arm"
     # shellcheck disable=SC2086 # $arm is a flag and its value, split on purpose
     go run ./cmd/reproduce $arm > "$golden_tmp"
@@ -236,10 +265,11 @@ go run ./cmd/reproduce -table 1 -sweep all > "$golden_tmp"
 head -n 9 internal/experiments/testdata/reproduce.golden |
     cat - internal/experiments/testdata/sweeps.golden | diff - "$golden_tmp"
 
-echo "== tracked number: non-test Go lines, root module =="
-# The count ROADMAP tracks, and its split by package, so a PR's log carries
-# the number instead of a hand count.
-find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+echo "== tracked numbers: non-test Go lines, root module; unlinked functions =="
+# The counts ROADMAP tracks, and the line count's split by package, so a
+# PR's log carries the numbers instead of a hand count.
+echo "$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l) lines," \
+    "$(grep -c . <<<"$unlinked") unlinked functions"
 find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' |
     while read -r f; do echo "$(dirname "$f") $(wc -l < "$f")"; done |
     awk '{ n[$1] += $2 } END { for (d in n) printf "%7d %s\n", n[d], d }' | sort -rn
