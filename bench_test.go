@@ -848,7 +848,7 @@ func BenchmarkAblationCompressedSwap(b *testing.B) {
 // policy).
 func BenchmarkAblationReplacementPolicy(b *testing.B) {
 	const dataPages, memFrames, passes = 256, 128, 4
-	run := func(policy func([]manager.Victim) int) (time.Duration, int64) {
+	run := func(policy manager.Policy) (time.Duration, int64) {
 		mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: 2 << 20, StoreData: false})
 		var clock sim.Clock
 		k := kernel.New(mem, &clock, sim.DECstation5000(), kernel.Config{})
@@ -860,7 +860,7 @@ func BenchmarkAblationReplacementPolicy(b *testing.B) {
 		g, err := manager.NewGeneric(k, manager.Config{
 			Name: "scan", Source: pool,
 			Backing:      manager.NewSwapBacking(store),
-			SelectVictim: policy,
+			Policy:       policy,
 			RequestBatch: 16,
 		})
 		if err != nil {
@@ -881,7 +881,7 @@ func BenchmarkAblationReplacementPolicy(b *testing.B) {
 	var clockFaults, mruFaults int64
 	for i := 0; i < b.N; i++ {
 		clockTime, clockFaults = run(nil)
-		mruTime, mruFaults = run(manager.MRUVictim)
+		mruTime, mruFaults = run(manager.NewMRUPolicy())
 	}
 	b.ReportMetric(clockTime.Seconds(), "virt-s-clock")
 	b.ReportMetric(mruTime.Seconds(), "virt-s-mru")

@@ -153,7 +153,7 @@ func replayTrace(w io.Writer, path string, memMB int, mru bool) error {
 	}
 	cfg := manager.Config{Name: "replay", Source: pool, Backing: manager.NewSwapBacking(store)}
 	if mru {
-		cfg.SelectVictim = manager.MRUVictim
+		cfg.Policy = manager.NewMRUPolicy()
 	}
 	g, err := manager.NewGeneric(k, cfg)
 	if err != nil {

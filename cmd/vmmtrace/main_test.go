@@ -92,6 +92,22 @@ func TestReplay(t *testing.T) {
 		}
 	}
 
+	// MRU keeps 184 of the 300 pages resident into the second pass, which
+	// faults on the other 116; the whole report is pinned, virtual elapsed
+	// time included.
+	status, stdout, stderr = runCLI("-replay", path, "-mem", "1", "-mru")
+	if status != 0 {
+		t.Fatalf("-mru: exit %d, stderr:\n%s", status, stderr)
+	}
+	const mru = "replayed 600 references over 1 segments (policy mru, 1 MB):\n" +
+		"  faults   416\n" +
+		"  reclaims 224\n" +
+		"  disk ops 232\n" +
+		"  elapsed  3.793s (virtual)\n"
+	if stdout != mru {
+		t.Errorf("-mru report:\n%s\nwant:\n%s", stdout, mru)
+	}
+
 	status, _, stderr = runCLI("-replay", filepath.Join(t.TempDir(), "nosuch.trace"))
 	if status != 1 || !strings.Contains(stderr, "nosuch.trace") {
 		t.Errorf("missing trace file: exit %d, stderr %q; want exit 1 naming the file", status, stderr)

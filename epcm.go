@@ -100,29 +100,23 @@ var CoalesceRanges = kernel.CoalesceRanges
 // Generic is the specializable generic segment manager of the paper's §2.2.
 type Generic = manager.Generic
 
-// ManagerConfig specializes a Generic manager (fill routine, replacement,
-// allocation constraints, delivery mode).
+// ManagerConfig specializes a Generic manager: its Backing is the page-fill
+// routine and its Policy the replacement policy, beside allocation
+// constraints and the delivery mode.
 type ManagerConfig = manager.Config
 
 // Backing supplies and persists page data for managed segments.
 type Backing = manager.Backing
 
-// Victim is one eviction candidate offered to a specialized replacement
-// policy (ManagerConfig.SelectVictim); MRUVictim is the classic DBMS scan
-// policy.
-type Victim = manager.Victim
-
-// MRUVictim evicts the most recently used (highest-numbered) page.
-func MRUVictim(cands []Victim) int { return manager.MRUVictim(cands) }
-
 // --- Replacement policies -----------------------------------------------
 
 // Policy is a pluggable replacement policy: victim selection plus
 // insert/touch/remove bookkeeping hooks, driven by the manager through a
-// PolicyHost. Registered implementations: "clock" (the §2.2 default),
-// "lru", "lfu", "s3fifo" and "mglru". Set ManagerConfig.Policy for one
-// manager, Config.ReclaimPolicy for a whole system, or SetSegmentPolicy
-// for one segment.
+// PolicyHost over every page it holds. Registered implementations: "clock"
+// (the §2.2 default), "fifo", "lfu", "lru", "mglru", "random" and "s3fifo";
+// NewMRUPolicy is an application's own. Set ManagerConfig.Policy for one
+// manager or Config.ReclaimPolicy for a whole system; a segment that needs
+// a policy of its own gets a manager of its own (SetSegmentManager).
 type Policy = manager.Policy
 
 // PolicyHost is the manager-side interface a Policy samples and evicts
@@ -134,19 +128,14 @@ type PageID = manager.PageID
 
 // Policy registry re-exports: NewPolicy constructs a registered policy by
 // name, PolicyNames lists them and RegisterPolicy adds a custom one.
+// NewMRUPolicy returns the classic DBMS scan policy, which evicts the most
+// recently used (highest-numbered) page.
 var (
 	NewPolicy      = manager.NewPolicy
 	PolicyNames    = manager.PolicyNames
 	RegisterPolicy = manager.RegisterPolicy
+	NewMRUPolicy   = manager.NewMRUPolicy
 )
-
-// SetSegmentPolicy binds a replacement policy instance to one managed
-// segment (nil restores the manager's default policy). Per-segment
-// policies let one manager run, say, MGLRU over its heap and plain FIFO
-// over a log segment.
-func SetSegmentPolicy(mgr *Generic, seg *Segment, p Policy) {
-	mgr.SetSegmentPolicy(seg, p)
-}
 
 // FrameRange constrains which physical frames may serve an allocation
 // (physical placement control and page coloring).

@@ -66,17 +66,17 @@ func ExampleSystem_NewAppManager() {
 	// Output: frame in requested range: true
 }
 
-// ExampleMRUVictim shows installing an application-specific replacement
+// ExampleNewMRUPolicy shows installing an application-specific replacement
 // policy — the paper's specializable "page replacement selection routine".
-func ExampleMRUVictim() {
+func ExampleNewMRUPolicy() {
 	sys, err := epcm.Boot(epcm.Config{MemoryBytes: 8 << 20, StoreData: true})
 	if err != nil {
 		log.Fatal(err)
 	}
 	mgr, _, err := sys.NewAppManager(epcm.ManagerConfig{
-		Name:         "scanner",
-		Backing:      manager.NewSwapBacking(sys.Store),
-		SelectVictim: epcm.MRUVictim,
+		Name:    "scanner",
+		Backing: manager.NewSwapBacking(sys.Store),
+		Policy:  epcm.NewMRUPolicy(),
 	}, 1000)
 	if err != nil {
 		log.Fatal(err)
@@ -99,23 +99,20 @@ func ExampleMRUVictim() {
 	// Output: reclaimed: 2 page 7 resident: false page 0 resident: true
 }
 
-// ExampleSetSegmentPolicy binds a replacement policy to one segment: the
-// manager keeps its default clock sweep everywhere else, but this segment
-// runs true LRU. After one second-chance pass clears the reference bits,
-// LRU evicts the coldest (lowest-numbered, never re-touched) pages first.
-func ExampleSetSegmentPolicy() {
+// ExampleNewPolicy gives one segment a replacement policy of its own by
+// giving it a manager of its own: the first manager keeps the default clock
+// sweep over the heap, the second runs true LRU over its one segment. After
+// one second-chance pass clears the reference bits, LRU evicts the coldest
+// (lowest-numbered, never re-touched) pages first.
+func ExampleNewPolicy() {
 	sys, err := epcm.Boot(epcm.Config{MemoryBytes: 8 << 20, StoreData: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	mgr, _, err := sys.NewAppManager(epcm.ManagerConfig{
-		Name:    "mixed-policies",
+	heapMgr, _, err := sys.NewAppManager(epcm.ManagerConfig{
+		Name:    "heap-manager",
 		Backing: manager.NewSwapBacking(sys.Store),
 	}, 1000)
-	if err != nil {
-		log.Fatal(err)
-	}
-	seg, err := mgr.CreateManagedSegment("lru-data")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -123,7 +120,21 @@ func ExampleSetSegmentPolicy() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	epcm.SetSegmentPolicy(mgr, seg, lru)
+	lruMgr, _, err := sys.NewAppManager(epcm.ManagerConfig{
+		Name:    "lru-manager",
+		Backing: manager.NewSwapBacking(sys.Store),
+		Policy:  lru,
+	}, 1000)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := heapMgr.CreateManagedSegment("heap"); err != nil {
+		log.Fatal(err)
+	}
+	seg, err := lruMgr.CreateManagedSegment("lru-data")
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	for p := int64(0); p < 8; p++ {
 		if err := sys.Kernel.Access(seg, p, epcm.Write); err != nil {
@@ -131,12 +142,15 @@ func ExampleSetSegmentPolicy() {
 		}
 	}
 	// Reclaim two frames: LRU takes the two oldest pages.
-	n, err := mgr.Reclaim(2, epcm.AnyFrame())
+	n, err := lruMgr.Reclaim(2, epcm.AnyFrame())
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Println("policies:", heapMgr.Policy().PolicyName(), lruMgr.Policy().PolicyName())
 	fmt.Println("reclaimed:", n, "page 0 resident:", seg.HasPage(0), "page 7 resident:", seg.HasPage(7))
-	// Output: reclaimed: 2 page 0 resident: false page 7 resident: true
+	// Output:
+	// policies: clock lru
+	// reclaimed: 2 page 0 resident: false page 7 resident: true
 }
 
 // ExampleFaultPlan arms the deterministic fault plane: seeded storage

@@ -24,8 +24,8 @@ func main() {
 		sys.Mem.NumFrames(), sys.Mem.FrameSize(), sys.SPCM.FreeFrames())
 
 	// 2. Put a file on the file server and create an application-specific
-	//    segment manager whose fill routine reads from it. The Fill hook is
-	//    the paper's "page fill routines can be easily specialized".
+	//    segment manager whose fill routine reads from it. The Backing's
+	//    Fill is the paper's "page fill routines can be easily specialized".
 	sys.Store.Preload("dataset", 64, func(b int64, buf []byte) { buf[0] = byte(b) })
 	backing := manager.NewFileBacking(sys.Store)
 	mgr, account, err := sys.NewAppManager(epcm.ManagerConfig{

@@ -43,21 +43,8 @@ func TestFaultSequenceSteps(t *testing.T) {
 	s.Store.Preload("relation", 8, func(b int64, buf []byte) { buf[0] = byte(0xD0 + b) })
 
 	var steps []string
-	fb := manager.NewFileBacking(s.Store)
-	g, _, err := s.NewAppManager(manager.Config{
-		Name: "app-manager",
-		Fill: func(f kernel.Fault, frame *phys.Frame) error {
-			steps = append(steps, "fault-delivered")
-			if err := fb.Fill(f.Seg, f.Page, frame); err != nil {
-				return err
-			}
-			steps = append(steps, "server-data-received")
-			return nil
-		},
-		OnFault: func(f kernel.Fault) {
-			steps = append(steps, "migrated-and-resuming")
-		},
-	}, 1000)
+	fb := &recordingBacking{FileBacking: manager.NewFileBacking(s.Store), steps: &steps}
+	g, _, err := s.NewAppManager(manager.Config{Name: "app-manager", Backing: fb}, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,6 +53,7 @@ func TestFaultSequenceSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	fb.BindFile(seg, "relation")
+	s.Kernel.SetSegmentManager(seg, &observedManager{g: g, steps: &steps})
 
 	reads := s.Store.Reads()
 	if err := s.Kernel.Access(seg, 3, kernel.Read); err != nil {
@@ -88,6 +76,40 @@ func TestFaultSequenceSteps(t *testing.T) {
 	if got := seg.FrameAt(3).Data()[0]; got != 0xD3 {
 		t.Fatalf("application sees %#x, want 0xD3", got)
 	}
+}
+
+// recordingBacking is a FileBacking that logs the fill's two Figure 2 steps.
+type recordingBacking struct {
+	*manager.FileBacking
+	steps *[]string
+}
+
+func (b *recordingBacking) Fill(seg *kernel.Segment, page int64, frame *phys.Frame) error {
+	*b.steps = append(*b.steps, "fault-delivered")
+	if err := b.FileBacking.Fill(seg, page, frame); err != nil {
+		return err
+	}
+	*b.steps = append(*b.steps, "server-data-received")
+	return nil
+}
+
+// observedManager wraps a Generic at the kernel.Manager seam and logs each
+// fault the manager resolved, after it migrated the frame in.
+type observedManager struct {
+	g     *manager.Generic
+	steps *[]string
+}
+
+func (m *observedManager) ManagerName() string                { return m.g.ManagerName() }
+func (m *observedManager) Delivery() kernel.DeliveryMode      { return m.g.Delivery() }
+func (m *observedManager) SegmentDeleted(seg *kernel.Segment) { m.g.SegmentDeleted(seg) }
+
+func (m *observedManager) HandleFault(f kernel.Fault) error {
+	err := m.g.HandleFault(f)
+	if err == nil {
+		*m.steps = append(*m.steps, "migrated-and-resuming")
+	}
+	return err
 }
 
 // A conventional program runs obliviously on the default manager while an
@@ -329,5 +351,64 @@ func TestLargePageLifecycle(t *testing.T) {
 	}
 	if err := s.Kernel.CheckFrameConservation(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A swap-in fills through the manager's one fill routine, exactly as a
+// fault does: a clean page the store holds no data for costs the default
+// manager no read, and a prefetching manager counts its demand fetches.
+func TestSwapInFillsThroughTheBacking(t *testing.T) {
+	const pages = 8
+	for _, c := range []struct {
+		name string
+		// build returns the manager, a managed segment and the counter the
+		// swap-in must move by want.
+		build func(t *testing.T, s *System) (*manager.Generic, *kernel.Segment, func() int64)
+		want  int64
+	}{
+		{"default-anonymous-clean", func(t *testing.T, s *System) (*manager.Generic, *kernel.Segment, func() int64) {
+			seg, err := s.Default.NewAnonymousSegment("heap")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s.Default.Generic, seg, s.Store.Reads
+		}, 0},
+		{"prefetch-demand-fetches", func(t *testing.T, s *System) (*manager.Generic, *kernel.Segment, func() int64) {
+			dev := manager.NewAsyncDevice(s.Clock, storage.LocalDisk())
+			pf, err := manager.NewPrefetch(s.Kernel, manager.Config{Name: "pf", Source: s.SPCM}, dev, s.Store, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SPCM.Register(pf.Generic, "pf", 1000)
+			s.Store.Preload("data", pages, nil)
+			seg, err := pf.CreateManagedSegment("data")
+			if err != nil {
+				t.Fatal(err)
+			}
+			pf.BindFile(seg, "data")
+			return pf.Generic, seg, pf.DemandFetches
+		}, pages},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := boot(t)
+			g, seg, count := c.build(t, s)
+			list := make([]int64, pages)
+			for i := range list {
+				list[i] = int64(i)
+				if err := s.Kernel.Access(seg, list[i], kernel.Read); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st, err := g.SwapOut(seg); err != nil || st.CleanSkips != pages {
+				t.Fatalf("SwapOut = %+v, %v; want %d clean skips", st, err, pages)
+			}
+			before := count()
+			if st, err := g.SwapIn(seg, list); err != nil || st.PagesIn != pages {
+				t.Fatalf("SwapIn = %+v, %v; want %d pages in", st, err, pages)
+			}
+			if got := count() - before; got != c.want {
+				t.Errorf("swap-in moved the counter by %d, want %d", got, c.want)
+			}
+		})
 	}
 }

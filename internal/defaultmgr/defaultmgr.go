@@ -105,9 +105,8 @@ func New(k *kernel.Kernel, store *storage.Store, cfg Config) (*Default, error) {
 	g, err := manager.NewGeneric(k, manager.Config{
 		Name:     "default-segment-manager",
 		Delivery: delivery,
-		Backing:  d.backing,
+		Backing:  cacheBacking{FileBacking: d.backing, store: store},
 		Source:   cfg.Source,
-		Fill:     d.fill,
 		Policy:   cfg.Policy,
 	})
 	if err != nil {
@@ -219,16 +218,23 @@ func (d *Default) HandleFault(f kernel.Fault) error {
 	}
 }
 
-// fill is the page-fill routine: fetch from the store only when the store
+// cacheBacking is the default manager's Backing: its file backing, with
+// the page-fill routine that fetches from the store only when the store
 // actually holds data for the page. Fresh pages (first heap touch, file
 // appends) are mapped without I/O and — this being V++ — without zeroing,
 // since the frame never changed user (§3.1).
-func (d *Default) fill(f kernel.Fault, frame *phys.Frame) error {
-	name, ok := d.backing.FileOf(f.Seg)
-	if !ok || f.Page >= d.store.Size(name) {
+type cacheBacking struct {
+	*manager.FileBacking
+	store *storage.Store
+}
+
+// Fill implements manager.Backing.
+func (b cacheBacking) Fill(seg *kernel.Segment, page int64, frame *phys.Frame) error {
+	name, ok := b.FileOf(seg)
+	if !ok || page >= b.store.Size(name) {
 		return manager.ErrSkipFill
 	}
-	return d.backing.Fill(f.Seg, f.Page, frame)
+	return b.FileBacking.Fill(seg, page, frame)
 }
 
 // appendUnit reports the allocation unit for a missing fault: appends to a

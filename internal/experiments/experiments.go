@@ -324,7 +324,7 @@ func Ablations() (*Report, error) {
 }
 
 func replacementAblation() (clockFaults, mruFaults int64) {
-	run := func(policy func([]manager.Victim) int) int64 {
+	run := func(policy manager.Policy) int64 {
 		mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: 1 << 20, StoreData: false})
 		var clock sim.Clock
 		k := kernel.New(mem, &clock, sim.DECstation5000(), kernel.Config{})
@@ -332,7 +332,7 @@ func replacementAblation() (clockFaults, mruFaults int64) {
 		pool, err := manager.NewFixedPool(k, 64, 0)
 		check(err)
 		g, err := manager.NewGeneric(k, manager.Config{
-			Name: "scan", Source: pool, Backing: manager.NewSwapBacking(store), SelectVictim: policy,
+			Name: "scan", Source: pool, Backing: manager.NewSwapBacking(store), Policy: policy,
 		})
 		check(err)
 		seg, err := g.CreateManagedSegment("data")
@@ -344,5 +344,5 @@ func replacementAblation() (clockFaults, mruFaults int64) {
 		}
 		return g.Stats().Faults
 	}
-	return run(nil), run(manager.MRUVictim)
+	return run(nil), run(manager.NewMRUPolicy())
 }

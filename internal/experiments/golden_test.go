@@ -20,10 +20,9 @@ import (
 //     nil leaves every hook seam a dead branch), so this is the regression
 //     gate for its zero-overhead claim — an extra clock charge, a reordered
 //     grant or a different RNG draw on an uninjected run drifts the tables.
-//   - sharded time: a single-shard sharded environment drains the same
-//     event heap in the same (at, seq) order through the windowed
-//     machinery; a window boundary, merge or clock hand-off that perturbs
-//     event order moves Table 4.
+//   - concurrent and superpages: the concurrent delivery scheduler and the
+//     superpage plane; a lane, a vectored fault or an extent that changes a
+//     charge or a grant order moves the tables.
 //   - explicit clock: the registry-constructed clock policy must issue the
 //     same GetPageAttribute / ModifyPageFlags sequence as the manager's
 //     nil-Policy default.

@@ -9,9 +9,10 @@
 // handling. The page replacement selection routines and page fill routines
 // can be easily specialized to particular application requirements." (§2.2)
 //
-// In Go the specialization points are funcs on Config (fill, victim
-// selection, allocation constraints) rather than virtual methods, but the
-// division of labour is the paper's.
+// In Go the two routines are interfaces on Config — the Backing's Fill is
+// the page-fill routine, the Policy the replacement selection — beside
+// funcs for allocation constraints and protection faults, rather than
+// virtual methods, but the division of labour is the paper's.
 package manager
 
 import (

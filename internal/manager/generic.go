@@ -63,34 +63,24 @@ type Config struct {
 	Name string
 	// Delivery selects same-process or separate-process fault handling.
 	Delivery kernel.DeliveryMode
-	// Backing supplies and persists page data.
+	// Backing supplies and persists page data: its Fill is the paper's
+	// specializable "page fill routine", run on every page-in.
 	Backing Backing
 	// Source supplies frames beyond the initial pool; nil means the
 	// manager lives off its initial allocation and local reclamation.
 	Source FrameSource
-	// Fill, when set, replaces Backing.Fill on page-in — the paper's
-	// specializable "page fill routine". Returning ErrSkipFill means the
-	// frame's existing contents are intentional (e.g. regeneration).
-	Fill func(f kernel.Fault, frame *phys.Frame) error
 	// Constraint, when set, restricts which physical frames may serve a
 	// fault (page coloring, NUMA placement).
 	Constraint func(f kernel.Fault) phys.Range
 	// Protection, when set, replaces the default protection-fault handling
 	// (which simply enables the faulted access mode).
 	Protection func(f kernel.Fault) error
-	// SelectVictim, when set, replaces the clock's victim choice — the
-	// paper's specializable "page replacement selection routine". It
-	// receives the eligible resident pages (unpinned, constraint-admitted)
-	// and returns the index to evict, or -1 to decline. Referenced/Dirty
-	// flags in the candidates are fresh. It takes precedence over Policy.
-	SelectVictim func(cands []Victim) int
-	// Policy is the replacement policy driving reclamation (victim
-	// selection plus whatever recency/frequency state it keeps). Nil means
-	// the §2.2 clock. A Policy instance is stateful and must not be shared
-	// between managers.
+	// Policy is the paper's specializable "page replacement selection
+	// routine": victim selection plus whatever recency/frequency state it
+	// keeps, over every page the manager holds. Nil means the §2.2 clock. A
+	// Policy instance is stateful and must not be shared between managers;
+	// a segment that needs a policy of its own gets a manager of its own.
 	Policy Policy
-	// OnFault observes every fault after it is handled.
-	OnFault func(f kernel.Fault)
 	// IgnoreDiscardable disables the discardable-page optimization so its
 	// benefit can be measured (ablation).
 	IgnoreDiscardable bool
@@ -136,15 +126,9 @@ type Generic struct {
 	resident []resKey       // pages this manager has placed, clock order
 	resIdx   *residentIndex // page -> index in resident
 
-	// policies[0] is the default replacement policy; per-segment bindings
-	// (SetSegmentPolicy) append to the slice and are recorded in
-	// segPolicy. multiPolicy gates the per-page policy lookup so the
-	// single-policy fast path stays a slice load. host is the reusable
-	// PolicyHost adapter handed to every policy call.
-	policies    []Policy
-	segPolicy   map[kernel.SegID]Policy
-	multiPolicy bool
-	host        policyHost
+	// host is the reusable PolicyHost adapter handed to every call of
+	// cfg.Policy.
+	host policyHost
 	// rangeScratch is the host's reusable buffer for batched flag ops.
 	rangeScratch []kernel.PageRange
 
@@ -181,7 +165,7 @@ type Generic struct {
 
 var _ kernel.Manager = (*Generic)(nil)
 
-// ErrSkipFill may be returned by a Fill hook to indicate the page's
+// ErrSkipFill may be returned by Backing.Fill to indicate the page's
 // contents are already correct; the manager maps the page without counting
 // a fill.
 var ErrSkipFill = errors.New("manager: fill intentionally skipped")
@@ -207,13 +191,12 @@ func NewGeneric(k *kernel.Kernel, cfg Config) (*Generic, error) {
 		cfg.Policy = NewClockPolicy()
 	}
 	g := &Generic{
-		k:        k,
-		cfg:      cfg,
-		free:     free,
-		slots:    slotLedger{free: free, mem: k.Mem(), runLen: 1 << uint(cfg.ExtentOrder), recall: make(map[resKey]int)},
-		resIdx:   newResidentIndex(),
-		managed:  make(map[kernel.SegID]*kernel.Segment),
-		policies: []Policy{cfg.Policy},
+		k:       k,
+		cfg:     cfg,
+		free:    free,
+		slots:   slotLedger{free: free, mem: k.Mem(), runLen: 1 << uint(cfg.ExtentOrder), recall: make(map[resKey]int)},
+		resIdx:  newResidentIndex(),
+		managed: make(map[kernel.SegID]*kernel.Segment),
 	}
 	g.host.g = g
 	return g, nil
@@ -338,7 +321,7 @@ func (g *Generic) Granted(slots []int64, err error) {
 // PageIn serves one missing-page or copy-on-write fault through the fault
 // pipeline as a group of one. It is exported so managers built on Generic
 // (e.g. the default manager's multi-page append allocation) can drive it
-// directly; unlike HandleFault it counts no fault and fires no OnFault.
+// directly; unlike HandleFault it counts no fault.
 func (g *Generic) PageIn(f kernel.Fault) error {
 	fs, errs, one := [1]kernel.Fault{f}, [1]error{}, [1]int{}
 	g.pageIn(fs[:], errs[:], one[:], false)
@@ -400,19 +383,16 @@ func (g *Generic) addResident(key resKey) {
 	g.resIdx.put(key, len(g.resident))
 	g.resident = append(g.resident, key)
 	g.nResident.Add(1)
-	p := g.policyFor(key.seg)
-	g.host.p = p
-	p.Insert(&g.host, PageID{Seg: key.seg, Page: key.page})
+	g.cfg.Policy.Insert(&g.host, PageID{Seg: key.seg, Page: key.page})
 	if g.superOn() {
 		g.extAdd(key)
 	}
 }
 
-// addResidentRun is addResident for pages [base, base+n) of one segment,
-// with the policy lookup hoisted; the density hook is left to the caller.
+// addResidentRun is addResident for pages [base, base+n) of one segment;
+// the density hook is left to the caller.
 func (g *Generic) addResidentRun(seg *kernel.Segment, base, n int64) {
-	p := g.policyFor(seg)
-	g.host.p = p
+	p := g.cfg.Policy
 	for page := base; page < base+n; page++ {
 		key := resKey{seg: seg, page: page}
 		g.resIdx.put(key, len(g.resident))
@@ -435,108 +415,32 @@ func (g *Generic) removeResident(key resKey) {
 	if i < len(g.resident) {
 		g.resIdx.put(g.resident[i], i)
 	}
-	p := g.policyFor(key.seg)
-	g.host.p = p
-	p.Remove(&g.host, PageID{Seg: key.seg, Page: key.page})
+	g.cfg.Policy.Remove(&g.host, PageID{Seg: key.seg, Page: key.page})
 	if g.cfg.ExtentOrder > 0 {
 		g.extRemove(key)
 	}
 }
 
-// policyFor returns the replacement policy bound to a segment (the default
-// unless SetSegmentPolicy overrode it).
-func (g *Generic) policyFor(seg *kernel.Segment) Policy {
-	if !g.multiPolicy {
-		return g.policies[0]
-	}
-	if p, ok := g.segPolicy[seg.ID()]; ok {
-		return p
-	}
-	return g.policies[0]
-}
-
-// Policy returns the manager's default replacement policy.
-func (g *Generic) Policy() Policy { return g.policies[0] }
-
-// SegmentPolicy returns the policy governing one segment's pages.
-func (g *Generic) SegmentPolicy(seg *kernel.Segment) Policy { return g.policyFor(seg) }
-
-// SetSegmentPolicy binds a replacement policy to one segment, overriding
-// the manager's default for that segment's pages; nil restores the
-// default. Pages of the segment already resident are re-homed into the new
-// policy's state. The policy instance must not be shared with another
-// manager (it runs on this manager's delivery lane).
-func (g *Generic) SetSegmentPolicy(seg *kernel.Segment, p Policy) {
-	old := g.policyFor(seg)
-	if p == nil || p == g.policies[0] {
-		p = g.policies[0]
-		delete(g.segPolicy, seg.ID())
-		if len(g.segPolicy) == 0 {
-			g.multiPolicy = false
-		}
-	} else {
-		known := false
-		for _, q := range g.policies {
-			if q == p {
-				known = true
-				break
-			}
-		}
-		if !known {
-			g.policies = append(g.policies, p)
-		}
-		if g.segPolicy == nil {
-			g.segPolicy = make(map[kernel.SegID]Policy)
-		}
-		g.segPolicy[seg.ID()] = p
-		g.multiPolicy = true
-	}
-	if p == old {
-		return
-	}
-	// Re-home this segment's resident pages: out of the old policy's
-	// state, into the new one's.
-	for _, key := range g.resident {
-		if key.seg != seg {
-			continue
-		}
-		id := PageID{Seg: key.seg, Page: key.page}
-		g.host.p = old
-		old.Remove(&g.host, id)
-		g.host.p = p
-		p.Insert(&g.host, id)
-	}
-}
+// Policy returns the manager's replacement policy.
+func (g *Generic) Policy() Policy { return g.cfg.Policy }
 
 // policyTouch feeds a manager-visible access signal (a protection fault on
-// a resident page) to the page's policy.
+// a resident page) to the policy.
 func (g *Generic) policyTouch(key resKey) {
 	if _, ok := g.resIdx.get(key); !ok {
 		return
 	}
-	p := g.policyFor(key.seg)
-	g.host.p = p
-	p.Touch(&g.host, PageID{Seg: key.seg, Page: key.page})
-}
-
-// Victim describes one eviction candidate for a SelectVictim policy.
-type Victim struct {
-	Seg   *kernel.Segment
-	Page  int64
-	Flags kernel.PageFlags
+	g.cfg.Policy.Touch(&g.host, PageID{Seg: key.seg, Page: key.page})
 }
 
 // Reclaim reclaims until n frames satisfying the constraint have been
-// migrated back to the free-page segment. With a SelectVictim policy
-// installed, that policy picks every victim; otherwise the manager's
-// replacement Policy does (the default clock of §2.2: referenced pages get
-// a second chance, pinned pages are skipped) and dirty pages are written
-// back unless marked discardable. It returns the number reclaimed.
+// migrated back to the free-page segment. The manager's replacement Policy
+// picks every victim (the default clock of §2.2: referenced pages get a
+// second chance, pinned pages are skipped) and dirty pages are written back
+// unless marked discardable. It returns the number reclaimed.
 func (g *Generic) Reclaim(n int, constraint phys.Range) (int, error) {
-	if g.cfg.SelectVictim != nil {
-		return g.reclaimByPolicy(n, constraint)
-	}
 	reclaimed := 0
+	g.host.constraint = constraint
 	// Extent-first: evict whole promoted extents before per-page selection
 	// (constrained passes skip this — extent frames are wherever the run
 	// was granted). No-op unless the superpage plane is active.
@@ -547,63 +451,24 @@ func (g *Generic) Reclaim(n int, constraint phys.Range) (int, error) {
 			return reclaimed, err
 		}
 	}
-	for pi := 0; pi < len(g.policies) && reclaimed < n; pi++ {
-		p := g.policies[pi]
-		for reclaimed < n {
-			g.host.p = p
-			g.host.constraint = constraint
-			id, flags, ok, err := p.Victim(&g.host)
-			if err != nil {
-				return reclaimed, err
-			}
-			if !ok {
-				break
-			}
-			key := resKey{seg: id.Seg, page: id.Page}
-			// Conformance teeth: a policy that names a non-resident or
-			// pinned victim is broken; fail loudly instead of corrupting
-			// the free list.
-			if _, res := g.resIdx.get(key); !res {
-				return reclaimed, fmt.Errorf("manager %s: policy %s chose non-resident page %d of %v",
-					g.cfg.Name, p.PolicyName(), id.Page, id.Seg)
-			}
-			if flags.Has(kernel.FlagPinned) {
-				return reclaimed, fmt.Errorf("manager %s: policy %s chose pinned page %d of %v",
-					g.cfg.Name, p.PolicyName(), id.Page, id.Seg)
-			}
-			if err := g.evict(key, flags); err != nil {
-				return reclaimed, err
-			}
-			reclaimed++
-		}
-	}
-	return reclaimed, nil
-}
-
-// reclaimByPolicy drives the specialized victim-selection routine.
-func (g *Generic) reclaimByPolicy(n int, constraint phys.Range) (int, error) {
-	reclaimed := 0
+	p := g.cfg.Policy
 	for reclaimed < n {
-		cands := make([]Victim, 0, len(g.resident))
-		for _, key := range g.resident {
-			flags, ok := key.seg.Flags(key.page)
-			if !ok || flags.Has(kernel.FlagPinned) {
-				continue
-			}
-			if !constraint.Admits(key.seg.FrameAt(key.page)) {
-				continue
-			}
-			cands = append(cands, Victim{Seg: key.seg, Page: key.page, Flags: flags})
+		id, flags, ok, err := p.Victim(&g.host)
+		if err != nil || !ok {
+			return reclaimed, err
 		}
-		if len(cands) == 0 {
-			return reclaimed, nil
+		key := resKey{seg: id.Seg, page: id.Page}
+		// Conformance teeth: a policy that names a non-resident or pinned
+		// victim is broken; fail loudly instead of corrupting the free list.
+		if _, res := g.resIdx.get(key); !res {
+			return reclaimed, fmt.Errorf("manager %s: policy %s chose non-resident page %d of %v",
+				g.cfg.Name, p.PolicyName(), id.Page, id.Seg)
 		}
-		idx := g.cfg.SelectVictim(cands)
-		if idx < 0 || idx >= len(cands) {
-			return reclaimed, nil
+		if flags.Has(kernel.FlagPinned) {
+			return reclaimed, fmt.Errorf("manager %s: policy %s chose pinned page %d of %v",
+				g.cfg.Name, p.PolicyName(), id.Page, id.Seg)
 		}
-		v := cands[idx]
-		if err := g.evict(resKey{seg: v.Seg, page: v.Page}, v.Flags); err != nil {
+		if err := g.evict(key, flags); err != nil {
 			return reclaimed, err
 		}
 		reclaimed++
@@ -739,12 +604,6 @@ func (g *Generic) SegmentDeleted(s *kernel.Segment) {
 	g.resIdx.dropSeg(s)
 	g.extDropSeg(s)
 	delete(g.managed, s.ID())
-	if g.multiPolicy {
-		delete(g.segPolicy, s.ID())
-		if len(g.segPolicy) == 0 {
-			g.multiPolicy = false
-		}
-	}
 }
 
 // DropSegmentPages evicts every resident page of one segment without
@@ -897,21 +756,4 @@ func (g *Generic) LaneIdle() {
 		return // above the low-water mark (a quarter of the target)
 	}
 	g.cfg.Source.RequestFrames(g, want-have, phys.AnyFrame()) //nolint:errcheck // best-effort prefetch
-}
-
-// MRUVictim is the classic database scan-replacement policy: evict the
-// most recently used page (the highest-numbered resident page here, since
-// scans proceed in page order). For cyclic sequential scans larger than
-// memory it is dramatically better than LRU/clock — which evicts exactly
-// the page the scan will want next — and it is precisely the kind of
-// application knowledge the paper argues only the application's own
-// manager can apply.
-func MRUVictim(cands []Victim) int {
-	best := -1
-	for i, c := range cands {
-		if best < 0 || c.Page > cands[best].Page {
-			best = i
-		}
-	}
-	return best
 }

@@ -627,9 +627,9 @@ func TestManagerStressConsistency(t *testing.T) {
 // the application knowledge only its own manager can apply.
 func TestSelectVictimMRUBeatsClockOnCyclicScan(t *testing.T) {
 	const dataPages, memFrames, passes = 32, 16, 4
-	run := func(policy func([]Victim) int) (faults int64) {
+	run := func(policy Policy) (faults int64) {
 		fx := newFixture(t, memFrames)
-		cfg := Config{Name: "scan", Backing: NewSwapBacking(fx.store), RequestBatch: 4, SelectVictim: policy}
+		cfg := Config{Name: "scan", Backing: NewSwapBacking(fx.store), RequestBatch: 4, Policy: policy}
 		g := fx.newManager(t, cfg)
 		seg, _ := g.CreateManagedSegment("data")
 		for pass := 0; pass < passes; pass++ {
@@ -642,7 +642,7 @@ func TestSelectVictimMRUBeatsClockOnCyclicScan(t *testing.T) {
 		return g.Stats().Faults
 	}
 	clockFaults := run(nil)
-	mruFaults := run(MRUVictim)
+	mruFaults := run(NewMRUPolicy())
 	// Clock/LRU on a cyclic scan evicts what is needed next: ~every access
 	// faults after warmup. MRU keeps a stable prefix resident.
 	if mruFaults >= clockFaults {
@@ -657,14 +657,19 @@ func TestSelectVictimMRUBeatsClockOnCyclicScan(t *testing.T) {
 	}
 }
 
+// With every resident page pinned the MRU policy has no victim: Reclaim
+// declines without error and takes nothing.
 func TestSelectVictimDecline(t *testing.T) {
 	fx := newFixture(t, 8)
-	g := fx.newManager(t, Config{Name: "m", SelectVictim: func([]Victim) int { return -1 }})
+	g := fx.newManager(t, Config{Name: "m", Policy: NewMRUPolicy()})
 	seg, _ := g.CreateManagedSegment("s")
 	for p := int64(0); p < 4; p++ {
 		if err := fx.k.Access(seg, p, kernel.Write); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := fx.k.ModifyPageFlags(kernel.AppCred, seg, 0, 4, kernel.FlagPinned, 0); err != nil {
+		t.Fatal(err)
 	}
 	n, err := g.Reclaim(2, phys.AnyFrame())
 	if err != nil {
@@ -675,33 +680,35 @@ func TestSelectVictimDecline(t *testing.T) {
 	}
 }
 
+// MRU takes the highest-numbered page that is not pinned: with pages 2 and
+// 3 pinned, two reclaims take pages 1 and 0, in that order.
 func TestSelectVictimSkipsPinned(t *testing.T) {
 	fx := newFixture(t, 8)
-	var offered [][]Victim
-	g := fx.newManager(t, Config{Name: "m", SelectVictim: func(c []Victim) int {
-		cp := make([]Victim, len(c))
-		copy(cp, c)
-		offered = append(offered, cp)
-		return 0
-	}})
+	g := fx.newManager(t, Config{Name: "m", Policy: NewMRUPolicy()})
 	seg, _ := g.CreateManagedSegment("s")
 	for p := int64(0); p < 4; p++ {
 		if err := fx.k.Access(seg, p, kernel.Write); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := fx.k.ModifyPageFlags(kernel.AppCred, seg, 0, 2, kernel.FlagPinned, 0); err != nil {
+	if err := fx.k.ModifyPageFlags(kernel.AppCred, seg, 2, 2, kernel.FlagPinned, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Reclaim(1, phys.AnyFrame()); err != nil {
-		t.Fatal(err)
-	}
-	for _, cands := range offered {
-		for _, c := range cands {
-			if c.Page < 2 {
-				t.Fatalf("pinned page %d offered as victim", c.Page)
-			}
+	for _, want := range []int64{1, 0} {
+		if n, err := g.Reclaim(1, phys.AnyFrame()); err != nil || n != 1 {
+			t.Fatalf("Reclaim = %d, %v; want 1, nil", n, err)
 		}
+		if seg.HasPage(want) {
+			t.Fatalf("page %d still resident; MRU should have taken it", want)
+		}
+	}
+	for p := int64(2); p < 4; p++ {
+		if !seg.HasPage(p) {
+			t.Fatalf("pinned page %d was reclaimed", p)
+		}
+	}
+	if n, err := g.Reclaim(1, phys.AnyFrame()); err != nil || n != 0 {
+		t.Fatalf("Reclaim with only pinned pages left = %d, %v; want 0, nil", n, err)
 	}
 }
 

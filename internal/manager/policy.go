@@ -41,10 +41,6 @@ type PolicyHost interface {
 	// identity must key their own structures by PageID.
 	ResidentLen() int
 	ResidentAt(i int) PageID
-	// Owned reports whether the page is assigned to the policy being
-	// driven right now (true for every page when the manager runs a
-	// single policy; per-segment bindings partition the resident list).
-	Owned(id PageID) bool
 	// Sample reads the page's attributes (reference/dirty/pinned bits,
 	// presence) as one charged kernel call.
 	Sample(id PageID) (kernel.PageAttribute, error)
@@ -142,11 +138,9 @@ func PolicyNames() []string {
 // ---- host implementation ----
 
 // policyHost adapts a Generic to the PolicyHost interface. One instance
-// lives on the manager; the manager points p/constraint at the policy and
-// constraint of the pass in progress before invoking any Policy method.
+// lives on the manager; Reclaim points constraint at the pass in progress.
 type policyHost struct {
 	g          *Generic
-	p          Policy
 	constraint phys.Range
 }
 
@@ -157,13 +151,6 @@ func (h *policyHost) ResidentLen() int { return len(h.g.resident) }
 func (h *policyHost) ResidentAt(i int) PageID {
 	k := h.g.resident[i]
 	return PageID{Seg: k.seg, Page: k.page}
-}
-
-func (h *policyHost) Owned(id PageID) bool {
-	if !h.g.multiPolicy {
-		return true
-	}
-	return h.g.policyFor(id.Seg) == h.p
 }
 
 func (h *policyHost) Sample(id PageID) (kernel.PageAttribute, error) {
@@ -232,10 +219,6 @@ func (c *clockPolicy) Victim(h PolicyHost) (PageID, kernel.PageFlags, bool, erro
 			c.hand = 0
 		}
 		id := h.ResidentAt(c.hand)
-		if !h.Owned(id) {
-			c.hand++
-			continue
-		}
 		a, err := h.Sample(id)
 		if err != nil {
 			return PageID{}, 0, false, err

@@ -154,67 +154,3 @@ func TestPolicyConformance(t *testing.T) {
 		}
 	}
 }
-
-// TestPolicyPerSegmentBinding drives two segments of one manager under
-// different policies and checks pages are re-homed and partitioned: each
-// policy only ever sees (and evicts) pages of its own segment.
-func TestPolicyPerSegmentBinding(t *testing.T) {
-	fx := newFixture(t, 32)
-	clockChk := &checkedPolicy{t: t, inner: NewClockPolicy(), live: map[PageID]bool{}}
-	lruChk := &checkedPolicy{t: t, inner: NewLRUPolicy(), live: map[PageID]bool{}}
-	g := fx.newManager(t, Config{Name: "split", Backing: NewSwapBacking(fx.store), Policy: clockChk})
-	clockChk.free = g.FreeSegment()
-	lruChk.free = g.FreeSegment()
-	segA, err := g.CreateManagedSegment("seg-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	segB, err := g.CreateManagedSegment("seg-b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Make B resident before binding, so SetSegmentPolicy must re-home.
-	for p := int64(0); p < 8; p++ {
-		if err := fx.k.Access(segB, p, kernel.Write); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g.SetSegmentPolicy(segB, lruChk)
-	if g.SegmentPolicy(segB) != lruChk || g.SegmentPolicy(segA) != clockChk {
-		t.Fatal("binding not recorded")
-	}
-	if lruChk.inserts != 8 || clockChk.removes != 8 {
-		t.Fatalf("re-homing: lru inserts=%d clock removes=%d, want 8/8", lruChk.inserts, clockChk.removes)
-	}
-	rng := sim.NewRNG(0xBEEF)
-	for i := 0; i < 1200; i++ {
-		seg := segA
-		if i%2 == 0 {
-			seg = segB
-		}
-		if err := fx.k.Access(seg, rng.Int63n(60), kernel.Write); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for id := range clockChk.live {
-		if id.Seg == segB {
-			t.Errorf("clock policy tracks segB page %v after binding", id)
-		}
-	}
-	for id := range lruChk.live {
-		if id.Seg != segB {
-			t.Errorf("lru policy tracks non-segB page %v", id)
-		}
-	}
-	if g.Stats().Reclaims == 0 {
-		t.Error("split workload never reclaimed")
-	}
-	// Unbind: B's pages re-home back to the default policy.
-	g.SetSegmentPolicy(segB, nil)
-	if len(lruChk.live) != 0 {
-		t.Errorf("lru still tracks %d pages after unbind", len(lruChk.live))
-	}
-	if err := fx.k.CheckFrameConservation(); err != nil {
-		t.Error(err)
-	}
-}

@@ -23,7 +23,6 @@ func newFakeHost(pages ...PageID) *fakeHost {
 
 func (h *fakeHost) ResidentLen() int        { return len(h.resident) }
 func (h *fakeHost) ResidentAt(i int) PageID { return h.resident[i] }
-func (h *fakeHost) Owned(id PageID) bool    { return true }
 func (h *fakeHost) Admits(id PageID) bool   { return true }
 func (h *fakeHost) Sample(id PageID) (kernel.PageAttribute, error) {
 	h.samples++

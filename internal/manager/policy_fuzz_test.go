@@ -196,7 +196,6 @@ func (h *fuzzHost) drop(id PageID) {
 
 func (h *fuzzHost) ResidentLen() int        { return len(h.res) }
 func (h *fuzzHost) ResidentAt(i int) PageID { return h.res[i] }
-func (h *fuzzHost) Owned(id PageID) bool    { return true }
 func (h *fuzzHost) Admits(id PageID) bool   { return !h.reject[id] }
 
 func (h *fuzzHost) Sample(id PageID) (kernel.PageAttribute, error) {

@@ -73,7 +73,7 @@ func (p *lfuPolicy) Victim(h PolicyHost) (PageID, kernel.PageFlags, bool, error)
 			best := int32(-1)
 			for i := range p.entries {
 				e := &p.entries[i]
-				if p.skip[e.id] || !h.Owned(e.id) {
+				if p.skip[e.id] {
 					continue
 				}
 				if best < 0 || e.freq < p.entries[best].freq ||

@@ -79,10 +79,6 @@ func (p *lruPolicy) Victim(h PolicyHost) (PageID, kernel.PageFlags, bool, error)
 		for cur := p.tail; cur >= 0; {
 			n := p.nodes[cur]
 			id := n.id
-			if !h.Owned(id) {
-				cur = n.prev
-				continue
-			}
 			a, err := h.Sample(id)
 			if err != nil {
 				return PageID{}, 0, false, err

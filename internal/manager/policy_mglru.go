@@ -135,9 +135,6 @@ func (p *mglruPolicy) agingScan(h PolicyHost) error {
 	// order (map iteration would be nondeterministic).
 	p.scanSegs = p.scanSegs[:0]
 	for _, id := range p.gens[g] {
-		if !h.Owned(id) {
-			continue
-		}
 		if _, seen := p.scanPages[id.Seg]; !seen {
 			p.scanSegs = append(p.scanSegs, id.Seg)
 			p.scanPages[id.Seg] = nil

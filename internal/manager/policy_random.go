@@ -35,9 +35,6 @@ func (p *randomPolicy) Remove(_ PolicyHost, _ PageID) {}
 // there is an eligible victim.
 func (p *randomPolicy) victimAt(h PolicyHost, i int) (PageID, kernel.PageFlags, bool, error) {
 	id := h.ResidentAt(i)
-	if !h.Owned(id) {
-		return PageID{}, 0, false, nil
-	}
 	a, err := h.Sample(id)
 	if err != nil {
 		return PageID{}, 0, false, err

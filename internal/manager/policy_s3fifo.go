@@ -91,10 +91,6 @@ func (p *s3fifoPolicy) Victim(h PolicyHost) (PageID, kernel.PageFlags, bool, err
 		if !live || (fromSmall && e.where != s3Small) || (!fromSmall && e.where != s3Main) {
 			continue // stale queue copy
 		}
-		if !h.Owned(id) {
-			q.push(id)
-			continue
-		}
 		a, err := h.Sample(id)
 		if err != nil {
 			q.push(id)

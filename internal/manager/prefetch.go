@@ -79,17 +79,14 @@ func NewPrefetch(k *kernel.Kernel, cfg Config, device *AsyncDevice, store *stora
 		depth:   depth,
 		pending: make(map[resKey]time.Duration),
 	}
-	cfg.Fill = p.fill
 	if cfg.Name == "" {
 		cfg.Name = "prefetch-manager"
 	}
+	cfg.Backing = asyncBacking{p}
 	g, err := NewGeneric(k, cfg)
 	if err != nil {
 		return nil, err
 	}
-	// Asynchronous writeback: persist contents immediately (data is copied
-	// out), charge the device timeline instead of blocking.
-	g.cfg.Backing = asyncWriteback{p}
 	p.Generic = g
 	return p, nil
 }
@@ -102,36 +99,6 @@ func (p *Prefetch) PrefetchHits() int64 { return p.prefetchHits }
 
 // DemandFetches reports faults that had to fetch synchronously.
 func (p *Prefetch) DemandFetches() int64 { return p.demandFetches }
-
-// fill is the specialized page-fill routine: wait for a pending prefetch
-// (or issue a demand fetch), copy the data in silently (the timing came
-// from the device), then extend the read-ahead window.
-func (p *Prefetch) fill(f kernel.Fault, frame *phys.Frame) error {
-	key := resKey{seg: f.Seg, page: f.Page}
-	if done, ok := p.pending[key]; ok {
-		delete(p.pending, key)
-		p.device.WaitUntil(done)
-		p.prefetchHits++
-	} else {
-		done := p.device.Submit(f.Seg.PageSize())
-		p.device.WaitUntil(done)
-		p.demandFetches++
-	}
-	p.fetchSilently(f.Seg, f.Page, frame)
-	// Read ahead.
-	for i := int64(1); i <= int64(p.depth); i++ {
-		q := f.Page + i
-		qk := resKey{seg: f.Seg, page: q}
-		if _, ok := p.pending[qk]; ok || f.Seg.HasPage(q) {
-			continue
-		}
-		if name, ok := p.backing.FileOf(f.Seg); !ok || q >= p.store.Size(name) {
-			break
-		}
-		p.pending[qk] = p.device.Submit(f.Seg.PageSize())
-	}
-	return nil
-}
 
 // fetchSilently copies page contents from the store without charging its
 // synchronous latency (the AsyncDevice carries the timing).
@@ -151,18 +118,44 @@ func (p *Prefetch) fetchSilently(seg *kernel.Segment, page int64, frame *phys.Fr
 	_ = p.store.Fetch(name, page, buf)
 }
 
-// asyncWriteback persists evicted dirty pages on the device timeline
-// without blocking the application.
-type asyncWriteback struct{ p *Prefetch }
+// asyncBacking is the prefetching manager's Backing: fills come through
+// the read-ahead window and writebacks go out on the device timeline, so
+// neither blocks the application longer than the device makes it.
+type asyncBacking struct{ p *Prefetch }
 
-// Fill is never called through this backing (the Fill hook intercepts).
-func (a asyncWriteback) Fill(seg *kernel.Segment, page int64, frame *phys.Frame) error {
-	a.p.fetchSilently(seg, page, frame)
+// Fill is the specialized page-fill routine: wait for a pending prefetch
+// (or issue a demand fetch), copy the data in silently (the timing came
+// from the device), then extend the read-ahead window.
+func (a asyncBacking) Fill(seg *kernel.Segment, page int64, frame *phys.Frame) error {
+	p := a.p
+	key := resKey{seg: seg, page: page}
+	if done, ok := p.pending[key]; ok {
+		delete(p.pending, key)
+		p.device.WaitUntil(done)
+		p.prefetchHits++
+	} else {
+		done := p.device.Submit(seg.PageSize())
+		p.device.WaitUntil(done)
+		p.demandFetches++
+	}
+	p.fetchSilently(seg, page, frame)
+	// Read ahead.
+	for i := int64(1); i <= int64(p.depth); i++ {
+		q := page + i
+		qk := resKey{seg: seg, page: q}
+		if _, ok := p.pending[qk]; ok || seg.HasPage(q) {
+			continue
+		}
+		if name, ok := p.backing.FileOf(seg); !ok || q >= p.store.Size(name) {
+			break
+		}
+		p.pending[qk] = p.device.Submit(seg.PageSize())
+	}
 	return nil
 }
 
 // Writeback copies the data out now and charges the device asynchronously.
-func (a asyncWriteback) Writeback(seg *kernel.Segment, page int64, frame *phys.Frame) error {
+func (a asyncBacking) Writeback(seg *kernel.Segment, page int64, frame *phys.Frame) error {
 	name, ok := a.p.backing.FileOf(seg)
 	if !ok {
 		return nil

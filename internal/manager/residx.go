@@ -1,11 +1,6 @@
 package manager
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"epcm/internal/kernel"
-)
+import "epcm/internal/kernel"
 
 // residentIndex maps (segment, page) -> position in Generic.resident.
 //
@@ -17,16 +12,10 @@ import (
 // kernel's pageStore exploits), so the index is a small per-segment map
 // over dense position slices, with a sparse map spill for far-out pages.
 //
-// The dense cells are atomic: a touch (get) or in-place put on a page the
-// dense prefix already covers is lock-free, so flat-combining lanes never
-// rendezvous on a mutex for the common refault. Only growth of the dense
-// prefix and the sparse spill take the per-segment mutex. Correctness of
-// the values still relies on the manager's single-writer discipline (one
-// lane executor mutates a manager at a time); the atomics make concurrent
-// readers — the MRU probe, invariant checks — safe, and keep the structure
-// race-clean if that discipline is ever relaxed per key.
+// Only the manager's own delivery context reads or writes it (one lane
+// executor runs a manager at a time), so it takes no locks.
 type residentIndex struct {
-	bySeg sync.Map // *kernel.Segment -> *posSlots
+	bySeg map[*kernel.Segment]*posSlots
 	// hint presizes a new segment's dense slice (PresizeResident), so a
 	// working set touched in order never reallocates the prefix.
 	hint int
@@ -35,10 +24,8 @@ type residentIndex struct {
 // posSlots holds one segment's page -> position mapping. Positions are
 // stored +1 so the zero value of a dense cell means "absent".
 type posSlots struct {
-	dense   atomic.Pointer[[]atomic.Int32] // pages [0, len(dense))
-	growing atomic.Bool                    // a grower is copying dense under mu
-	mu      sync.Mutex
-	sparse  map[int64]int32 // pages beyond the dense prefix
+	dense  []int32         // pages [0, len(dense))
+	sparse map[int64]int32 // pages beyond the dense prefix
 }
 
 const (
@@ -50,7 +37,7 @@ const (
 )
 
 func newResidentIndex() *residentIndex {
-	return &residentIndex{}
+	return &residentIndex{bySeg: make(map[*kernel.Segment]*posSlots)}
 }
 
 // presize records the dense sizing hint for segments indexed from now on.
@@ -64,90 +51,52 @@ func (x *residentIndex) presize(pages int) {
 }
 
 func (x *residentIndex) slots(seg *kernel.Segment) *posSlots {
-	if v, ok := x.bySeg.Load(seg); ok {
-		return v.(*posSlots)
-	}
-	ps := &posSlots{}
-	if x.hint > 0 {
-		cells := make([]atomic.Int32, x.hint)
-		ps.dense.Store(&cells)
-	}
-	if v, raced := x.bySeg.LoadOrStore(seg, ps); raced {
-		return v.(*posSlots)
+	ps := x.bySeg[seg]
+	if ps == nil {
+		ps = &posSlots{}
+		if x.hint > 0 {
+			ps.dense = make([]int32, x.hint)
+		}
+		x.bySeg[seg] = ps
 	}
 	return ps
 }
 
 func (x *residentIndex) get(k resKey) (int, bool) {
-	v, ok := x.bySeg.Load(k.seg)
-	if !ok {
+	ps := x.bySeg[k.seg]
+	if ps == nil {
 		return 0, false
 	}
-	ps := v.(*posSlots)
-	if cells := ps.dense.Load(); cells != nil && uint64(k.page) < uint64(len(*cells)) {
-		p := (*cells)[k.page].Load()
+	if uint64(k.page) < uint64(len(ps.dense)) {
+		p := ps.dense[k.page]
 		return int(p) - 1, p != 0
 	}
-	ps.mu.Lock()
 	p, ok := ps.sparse[k.page]
-	ps.mu.Unlock()
 	return int(p) - 1, ok
 }
 
 func (x *residentIndex) put(k resKey, pos int) {
-	x.set(k, int32(pos)+1)
-}
-
-func (x *residentIndex) del(k resKey) {
-	v, ok := x.bySeg.Load(k.seg)
-	if !ok {
-		return
-	}
-	ps := v.(*posSlots)
-	if !ps.storeDense(k.page, 0) {
-		ps.mu.Lock()
-		delete(ps.sparse, k.page)
-		ps.mu.Unlock()
-	}
-}
-
-func (x *residentIndex) set(k resKey, v int32) {
 	ps := x.slots(k.seg)
-	if ps.storeDense(k.page, v) {
+	v := int32(pos) + 1
+	if uint64(k.page) < uint64(len(ps.dense)) {
+		ps.dense[k.page] = v
 		return
 	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	cells := ps.dense.Load()
-	cur := 0
-	if cells != nil {
-		cur = len(*cells)
-	}
-	if k.page >= 0 && k.page < posDenseMax &&
-		(k.page < posDenseDirect || k.page < int64(2*cur)) {
-		// Grow the dense prefix under the mutex, then publish. Doubling
-		// amortizes the copies the old append-by-one loop paid per page.
-		want := k.page + 1
-		if d := int64(2 * cur); d > want {
-			want = d
-		}
-		if want > posDenseMax {
-			want = posDenseMax
-		}
-		grown := make([]atomic.Int32, want)
-		ps.growing.Store(true)
-		if cells != nil {
-			for i := range *cells {
-				grown[i].Store((*cells)[i].Load())
+	cur := int64(len(ps.dense))
+	if k.page >= 0 && k.page < posDenseMax && (k.page < posDenseDirect || k.page < 2*cur) {
+		// Grow the dense prefix by doubling, which amortizes the copies, and
+		// move any spilled pages it now covers into it.
+		want := min(max(k.page+1, 2*cur), posDenseMax)
+		grown := make([]int32, want)
+		copy(grown, ps.dense)
+		for p, sv := range ps.sparse {
+			if p < want {
+				grown[p] = sv
+				delete(ps.sparse, p)
 			}
 		}
-		grown[k.page].Store(v)
-		ps.dense.Store(&grown)
-		ps.growing.Store(false)
-		return
-	}
-	if v == 0 {
-		delete(ps.sparse, k.page)
+		grown[k.page] = v
+		ps.dense = grown
 		return
 	}
 	if ps.sparse == nil {
@@ -156,31 +105,20 @@ func (x *residentIndex) set(k resKey, v int32) {
 	ps.sparse[k.page] = v
 }
 
-// storeDense writes v into the dense cell for page if the prefix covers it,
-// reporting success. The re-check closes the race with a concurrent grow: a
-// grower copies cell values under the mutex, so a store into the old array
-// may be missed. A store that lands while no grower is copying and the
-// array pointer has not moved was either copied or needs no copy; otherwise
-// wait for the grower to publish and redo the store into the new array.
-// (Checking the pointer alone is not enough: the copy of this cell can
-// precede the store and the publish follow the check.)
-func (ps *posSlots) storeDense(page int64, v int32) bool {
-	for {
-		cells := ps.dense.Load()
-		if cells == nil || uint64(page) >= uint64(len(*cells)) {
-			return false
-		}
-		(*cells)[page].Store(v)
-		if !ps.growing.Load() && ps.dense.Load() == cells {
-			return true
-		}
-		ps.mu.Lock() // wait out the grower
-		ps.mu.Unlock()
+func (x *residentIndex) del(k resKey) {
+	ps := x.bySeg[k.seg]
+	if ps == nil {
+		return
 	}
+	if uint64(k.page) < uint64(len(ps.dense)) {
+		ps.dense[k.page] = 0
+		return
+	}
+	delete(ps.sparse, k.page)
 }
 
 // dropSeg releases a deleted segment's slab so the index does not retain
 // dense slices keyed by dead segments across create/delete churn.
 func (x *residentIndex) dropSeg(seg *kernel.Segment) {
-	x.bySeg.Delete(seg)
+	delete(x.bySeg, seg)
 }

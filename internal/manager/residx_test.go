@@ -1,7 +1,6 @@
 package manager
 
 import (
-	"sync"
 	"testing"
 
 	"epcm/internal/kernel"
@@ -64,105 +63,35 @@ func TestResidentIndexPresize(t *testing.T) {
 	x.presize(10000)
 	k := resKey{seg: segs[0], page: 9999}
 	x.put(k, 42)
-	ps := x.slots(segs[0])
-	cells := ps.dense.Load()
-	if cells == nil || len(*cells) < 10000 {
-		t.Fatalf("dense prefix not presized: %v", cells)
+	if n := len(x.slots(segs[0]).dense); n < 10000 {
+		t.Fatalf("dense prefix not presized: %d cells", n)
 	}
 	if got, ok := x.get(k); !ok || got != 42 {
 		t.Fatalf("get = %d,%v want 42,true", got, ok)
 	}
 }
 
-// TestChaosResidentIndexHammer hammers the atomic resident index from 16
-// goroutines under the chaos/-race gate, mirroring the touch/evict mix the
-// flat-combining lanes produce: each writer owns a disjoint page range of a
-// shared segment (the manager's single-writer-per-page discipline) and
-// mixes put (touch/insert), del (evict) and get; readers scan everything;
-// one goroutine churns dense growth by walking pages upward; one drops and
-// re-creates a segment of its own. A get must return the owner's last put
-// — never a stale or foreign position.
-func TestChaosResidentIndexHammer(t *testing.T) {
-	segs := residxTestSegs(t, 3)
-	shared, churn := segs[0], segs[1]
+// TestResidentIndexGrowOverSpill: a page that spilled to the sparse map
+// must stay indexed when later doublings of the dense prefix cover it.
+func TestResidentIndexGrowOverSpill(t *testing.T) {
+	segs := residxTestSegs(t, 1)
 	x := newResidentIndex()
-	const (
-		writers  = 12
-		pagesPer = 128
-		rounds   = 60
-	)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			base := int64(w * pagesPer)
-			last := make(map[int64]int, pagesPer)
-			for r := 0; r < rounds; r++ {
-				for i := int64(0); i < pagesPer; i++ {
-					page := base + i
-					k := resKey{seg: shared, page: page}
-					switch (r + int(i)) % 3 {
-					case 0, 1:
-						pos := w*1000000 + r*1000 + int(i)
-						x.put(k, pos)
-						last[page] = pos
-						if got, ok := x.get(k); !ok || got != pos {
-							t.Errorf("get(page %d) = %d,%v want %d,true", page, got, ok, pos)
-							return
-						}
-					case 2:
-						x.del(k)
-						delete(last, page)
-						if _, ok := x.get(k); ok {
-							t.Errorf("page %d present after del", page)
-							return
-						}
-					}
-				}
-			}
-			for page, pos := range last {
-				if got, ok := x.get(resKey{seg: shared, page: page}); !ok || got != pos {
-					t.Errorf("final get(page %d) = %d,%v want %d,true", page, got, ok, pos)
-					return
-				}
-			}
-		}(w)
+	for page := int64(0); page < posDenseDirect; page++ {
+		x.put(resKey{seg: segs[0], page: page}, 0) // dense prefix of posDenseDirect
 	}
-	// Dense-growth churn: ascending far-out pages force repeated grows that
-	// race against the in-place writers above.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for r := 0; r < rounds; r++ {
-			page := int64(writers*pagesPer) + int64(r)*97
-			x.put(resKey{seg: churn, page: page}, r)
-			x.put(resKey{seg: shared, page: int64(writers*pagesPer) + int64(r)}, r)
-		}
-	}()
-	// Segment churn: create/drop cycles on a private segment.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for r := 0; r < rounds; r++ {
-			x.put(resKey{seg: segs[2], page: int64(r % 8)}, r)
-			if r%8 == 7 {
-				x.dropSeg(segs[2])
-			}
-		}
-	}()
-	// Readers: scan every page; values are owned by writers, so only
-	// memory-safety and self-consistency are checked here.
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds*2; r++ {
-				for page := int64(0); page < writers*pagesPer; page += 11 {
-					x.get(resKey{seg: shared, page: page})
-				}
-			}
-		}()
+	far := resKey{seg: segs[0], page: 3 * posDenseDirect}
+	x.put(far, 1) // beyond twice the prefix: spills
+	for _, page := range []int64{posDenseDirect, 2 * posDenseDirect} {
+		x.put(resKey{seg: segs[0], page: page}, 2) // each doubles the prefix
 	}
-	wg.Wait()
+	if n := len(x.slots(segs[0]).dense); n <= int(far.page) {
+		t.Fatalf("dense prefix %d does not cover page %d", n, far.page)
+	}
+	if got, ok := x.get(far); !ok || got != 1 {
+		t.Fatalf("get(spilled page) = %d,%v want 1,true", got, ok)
+	}
+	x.del(far)
+	if _, ok := x.get(far); ok {
+		t.Fatal("spilled page present after del")
+	}
 }

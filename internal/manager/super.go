@@ -235,10 +235,12 @@ func (g *Generic) pageInExtent(f kernel.Fault) (bool, error) {
 	// free-list control and the per-page path re-drives (and re-reports)
 	// the error.
 	slots := g.slots.run(startSlot)
+	fills := int64(0)
 	for i, pfn := range g.slots.pfnsAt(slots) {
-		pf := f
-		pf.Page = base + int64(i)
-		if fillErr := g.fillFrame(pf, g.k.Mem().Frame(pfn)); fillErr != nil && !errors.Is(fillErr, ErrSkipFill) {
+		switch fillErr := g.fillFrame(f.Seg, base+int64(i), g.k.Mem().Frame(pfn)); {
+		case fillErr == nil:
+			fills++
+		case !errors.Is(fillErr, ErrSkipFill):
 			g.slots.close(slots, nil)
 			return false, nil
 		}
@@ -272,7 +274,7 @@ func (g *Generic) pageInExtent(f kernel.Fault) (bool, error) {
 		st.resident--
 		g.extAdd(resKey{seg: f.Seg, page: base + n - 1})
 	}
-	g.stats.Fills += n
+	g.stats.Fills += fills
 	g.superStats.ExtentFills++
 	return true, nil
 }
@@ -331,12 +333,11 @@ func (g *Generic) reclaimExtents(n int) (int, error) {
 	reclaimed := 0
 	for reclaimed < n && len(g.promotedExt) > 0 {
 		idx := 0
-		if ep, ok := g.policies[0].(ExtentPolicy); ok {
+		if ep, ok := g.cfg.Policy.(ExtentPolicy); ok {
 			bases := make([]PageID, len(g.promotedExt))
 			for i, k := range g.promotedExt {
 				bases[i] = PageID{Seg: k.seg, Page: k.page}
 			}
-			g.host.p = g.policies[0]
 			idx = ep.VictimExtent(&g.host, bases, g.cfg.ExtentOrder)
 			if idx < 0 || idx >= len(g.promotedExt) {
 				return reclaimed, nil

@@ -1,6 +1,7 @@
 package manager
 
 import (
+	"errors"
 	"fmt"
 
 	"epcm/internal/kernel"
@@ -78,12 +79,12 @@ func (g *Generic) SwapIn(seg *kernel.Segment, pages []int64) (SwapStats, error) 
 		}
 		slotIdx := [1]int{chosen[0]}
 		frame := g.slots.listed[slotIdx[0]].frame
-		if err := g.cfg.Backing.Fill(seg, p, frame); err != nil {
-			if err = g.retryBacking(err, func() error { return g.cfg.Backing.Fill(seg, p, frame) }); err != nil {
-				return st, fmt.Errorf("swap in %v page %d: %w", seg, p, err)
-			}
+		switch err := g.fillFrame(seg, p, frame); {
+		case err == nil:
+			g.stats.Fills++
+		case !errors.Is(err, ErrSkipFill):
+			return st, fmt.Errorf("swap in %v page %d: %w", seg, p, err)
 		}
-		g.stats.Fills++
 		f, errs, one := [1]kernel.Fault{{Seg: seg, Page: p}}, [1]error{}, [1]int{}
 		if g.settle(f[:], errs[:], one[:], slotIdx[:]); errs[0] != nil {
 			return st, errs[0]

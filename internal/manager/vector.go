@@ -145,8 +145,7 @@ func (g *Generic) group(fs []kernel.Fault, cls []uint8, first int) []int {
 	return members
 }
 
-// resolve runs one group — fs[members], all of one kind — and feeds the
-// per-fault signal of the faults it resolved (OnFault). bill marks a group
+// resolve runs one group — fs[members], all of one kind. bill marks a group
 // whose fills are charged through the source's IOAccountant.
 func (g *Generic) resolve(fs []kernel.Fault, errs []error, members []int, bill bool) {
 	switch f := fs[members[0]]; f.Kind {
@@ -156,13 +155,6 @@ func (g *Generic) resolve(fs []kernel.Fault, errs []error, members []int, bill b
 		g.pageIn(fs, errs, members, bill)
 	default:
 		errs[members[0]] = fmt.Errorf("manager %s: unknown fault kind %v", g.cfg.Name, f.Kind)
-	}
-	if g.cfg.OnFault != nil {
-		for _, i := range members {
-			if errs[i] == nil {
-				g.cfg.OnFault(fs[i])
-			}
-		}
 	}
 }
 
@@ -255,7 +247,7 @@ func (g *Generic) pageIn(fs []kernel.Fault, errs []error, members []int, bill bo
 		if f.Kind != kernel.FaultMissing {
 			continue
 		}
-		switch fillErr := g.fillFrame(f, g.slots.listed[ci].frame); {
+		switch fillErr := g.fillFrame(f.Seg, f.Page, g.slots.listed[ci].frame); {
 		case fillErr == nil:
 			g.stats.Fills++
 			fills++
@@ -278,22 +270,13 @@ func (g *Generic) pageIn(fs []kernel.Fault, errs []error, members []int, bill bo
 	}
 }
 
-// fillFrame runs the fill hook or backing fill with the retry budget — the
-// one fill leg of every page-in, per page or per extent.
-func (g *Generic) fillFrame(f kernel.Fault, frame *phys.Frame) error {
-	var err error
-	if g.cfg.Fill != nil {
-		err = g.cfg.Fill(f, frame)
-	} else {
-		err = g.cfg.Backing.Fill(f.Seg, f.Page, frame)
-	}
+// fillFrame runs the Backing's fill with the retry budget — the one fill
+// leg of every page-in: a fault, an extent fill, a swap-in. ErrSkipFill
+// comes back unchanged; the caller maps the page without counting a fill.
+func (g *Generic) fillFrame(seg *kernel.Segment, page int64, frame *phys.Frame) error {
+	err := g.cfg.Backing.Fill(seg, page, frame)
 	if err != nil {
-		err = g.retryBacking(err, func() error {
-			if g.cfg.Fill != nil {
-				return g.cfg.Fill(f, frame)
-			}
-			return g.cfg.Backing.Fill(f.Seg, f.Page, frame)
-		})
+		err = g.retryBacking(err, func() error { return g.cfg.Backing.Fill(seg, page, frame) })
 	}
 	return err
 }

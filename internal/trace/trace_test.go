@@ -13,7 +13,7 @@ import (
 	"epcm/internal/storage"
 )
 
-func newKernelAndManager(t *testing.T, frames int64, policy func([]manager.Victim) int) (*kernel.Kernel, *manager.Generic, *storage.Store) {
+func newKernelAndManager(t *testing.T, frames int64, policy manager.Policy) (*kernel.Kernel, *manager.Generic, *storage.Store) {
 	t.Helper()
 	mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: 2 << 20, StoreData: false})
 	var clock sim.Clock
@@ -25,8 +25,8 @@ func newKernelAndManager(t *testing.T, frames int64, policy func([]manager.Victi
 	}
 	g, err := manager.NewGeneric(k, manager.Config{
 		Name: "replay", Source: pool,
-		Backing:      manager.NewSwapBacking(store),
-		SelectVictim: policy,
+		Backing: manager.NewSwapBacking(store),
+		Policy:  policy,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestReplayComparesPoliciesOnIdenticalTrace(t *testing.T) {
 		}
 	}
 
-	replayWith := func(policy func([]manager.Victim) int) int64 {
+	replayWith := func(policy manager.Policy) int64 {
 		k, g, _ := newKernelAndManager(t, 16, policy)
 		res, err := Replay(k, &rec.Trace, g.CreateManagedSegment)
 		if err != nil {
@@ -172,7 +172,7 @@ func TestReplayComparesPoliciesOnIdenticalTrace(t *testing.T) {
 		return res.Faults
 	}
 	clockFaults := replayWith(nil)
-	mruFaults := replayWith(manager.MRUVictim)
+	mruFaults := replayWith(manager.NewMRUPolicy())
 	if mruFaults >= clockFaults {
 		t.Fatalf("identical trace: MRU %d vs clock %d", mruFaults, clockFaults)
 	}

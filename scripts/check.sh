@@ -167,6 +167,16 @@ if grep -rnE '\bShardedTime\b|"timeengine"|\bMapFlags\b|\bRetryBackoff\b' --incl
     exit 1
 fi
 
+# A manager is specialized through one Backing, whose Fill is the page-fill
+# routine every page-in runs, and one replacement Policy over every page it
+# holds: the Config fill, victim-selection and fault-observer hooks and the
+# per-segment policy binding stay gone. (A segment that needs a policy of
+# its own gets a manager of its own.)
+if grep -rnE '\b(SelectVictim|SetSegmentPolicy|MRUVictim|OnFault)\b|\bOwned\(' --include='*.go' internal/ cmd/ examples/ epcm.go; then
+    echo "a deleted manager hook or per-segment policy is back (see the matches above)" >&2
+    exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 
