@@ -24,7 +24,8 @@ func FuzzMappingTable(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 3, 0, 0})
 	// One colliding bucket: fill the slot, fill the 4-entry overflow area,
 	// force drops, re-insert a displaced key over its own overflow copy,
-	// then remove through both areas.
+	// then remove through both areas; fill it again, drop its segment and
+	// fill it once more.
 	f.Add(mappingTableCollidingSeed())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		table := newMappingTableSized(16, 4)
@@ -100,16 +101,19 @@ func mappingTableCollidingSeed() []byte {
 			pages = append(pages, byte(p))
 		}
 	}
-	var seed []byte
+	var fill []byte
 	for _, p := range pages { // slot, then overflow to full, then drops
-		seed = append(seed, 0, 1, p)
+		fill = append(fill, 0, 1, p)
 	}
+	seed := append([]byte(nil), fill...)
 	seed = append(seed, 0, 1, pages[0]) // back over its own overflow copy
 	seed = append(seed, 0, 1, pages[0]) // same-key overwrite
 	for _, p := range pages {
 		seed = append(seed, 2, 1, p)
 	}
-	return seed
+	seed = append(seed, fill...)
+	seed = append(seed, 3, 1, 0) // removeSegment empties slot and overflow
+	return append(seed, fill...)
 }
 
 // modelCovers reports whether the model holds k exactly or through a span
@@ -153,10 +157,13 @@ func assertSameAsReference(t *testing.T, table *mappingTable, ref *refMappingTab
 
 // assertNoDuplicates enforces the overflow-area contract: no key appears
 // twice within the overflow area (that would make lookup order-dependent),
-// and ovLive counts exactly the valid entries.
+// ovLive counts exactly the valid entries, and every slot's homed count is
+// the number of valid entries whose index is that slot (find and remove
+// skip the area for a key whose home slot reads zero).
 func assertNoDuplicates(t *testing.T, table *mappingTable) {
 	t.Helper()
 	seen := make(map[mapKey]bool)
+	homed := make(map[int]int)
 	for i := range table.overflow[:table.ovLen] {
 		o := table.overflow[i]
 		if !o.valid {
@@ -167,9 +174,15 @@ func assertNoDuplicates(t *testing.T, table *mappingTable) {
 			t.Fatalf("key %v valid twice within the overflow area", k)
 		}
 		seen[k] = true
+		homed[table.index(k)]++
 	}
 	if table.ovLive != len(seen) {
 		t.Fatalf("ovLive = %d with %d valid overflow entries", table.ovLive, len(seen))
+	}
+	for i := range table.slots {
+		if got := int(table.slots[i].homed); got != homed[i] {
+			t.Fatalf("slot %d homed = %d with %d valid overflow entries homed there", i, got, homed[i])
+		}
 	}
 }
 

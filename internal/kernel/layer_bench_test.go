@@ -221,15 +221,45 @@ func benchTables(b *testing.B, run func(b *testing.B, t tableOps)) {
 	})
 }
 
+// benchFullOverflow runs benchTables with the overflow area full before the
+// loop starts: the state fill and extent run in once enough keys collided.
+// The colliding keys (hashtable_test.go) share one home slot that no
+// working-set key hashes to, so the loop never displaces them and the area
+// stays full.
+func benchFullOverflow(b *testing.B, run func(b *testing.B, t tableOps)) {
+	mt := newMappingTable()
+	colliding := collidingKeys(mt, hashOverflow+1)
+	for _, k := range tableKeys() {
+		if mt.index(k) == mt.index(colliding[0]) {
+			b.Fatalf("working-set key %v shares the colliding keys' home slot", k)
+		}
+	}
+	benchTables(b, func(b *testing.B, t tableOps) {
+		for _, k := range colliding {
+			t.insert(k)
+		}
+		run(b, t)
+	})
+}
+
 func benchCASTable(b *testing.B, run func(b *testing.B, t tableOps)) {
 	b.ReportAllocs()
 	run(b, newCASTable())
 }
 
 func BenchmarkMappingTableInsert(b *testing.B) { tableInsert(b, benchTables) }
-func BenchmarkMappingTableRemove(b *testing.B) { tableRemove(b, benchTables) }
-func BenchmarkMappingTableLookup(b *testing.B) { tableLookup(b, benchTables) }
 func BenchmarkCASTableRemove(b *testing.B)     { tableRemove(b, benchCASTable) }
+
+func BenchmarkMappingTableRemove(b *testing.B) {
+	tableRemove(b, benchTables)
+	b.Run("full-overflow", func(b *testing.B) { tableRemove(b, benchFullOverflow) })
+}
+
+func BenchmarkMappingTableLookup(b *testing.B) {
+	tableLookup(b, benchTables)
+	b.Run("full-overflow", func(b *testing.B) { tableLookup(b, benchFullOverflow) })
+}
+
 func BenchmarkCASTableLookup(b *testing.B) {
 	tableLookup(b, benchCASTable)
 	b.Run("parallel-hit", func(b *testing.B) {

@@ -28,6 +28,14 @@ func TestPageEntryLayout(t *testing.T) {
 	}
 }
 
+// TestHashSlotLayout pins the mapping-table slot at 16 bytes: the homed
+// count lives in the key's padding, so the 64 K-slot table stays 1 MB.
+func TestHashSlotLayout(t *testing.T) {
+	if size := unsafe.Sizeof(hashSlot{}); size != 16 {
+		t.Fatalf("hashSlot is %d bytes, want 16", size)
+	}
+}
+
 // TestPageStoreDensePutAllocatesNothing: a put into a reserved dense prefix
 // stores the entry in place. Boxing it there — taking the parameter's
 // address for the sparse arm — would cost one allocation per put, 32 768
