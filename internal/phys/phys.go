@@ -149,17 +149,14 @@ func (f *Frame) Fill(fn func(buf []byte) error) error {
 
 // WithData calls fn with the frame's current contents. A frame with no
 // backing bytes (untouched, or data storage off) reads as zeros, so fn
-// receives a zeroed pooled scratch buffer in that case — without the
-// permanent allocation Data would make. fn must not retain the buffer.
+// receives the memory's shared zero page in that case — without the
+// permanent allocation Data would make. fn must not write the buffer or
+// retain it.
 func (f *Frame) WithData(fn func(buf []byte) error) error {
 	if d := f.bytes(); d != nil {
 		return fn(d)
 	}
-	p := f.mem.getBufPtr()
-	clear(*p)
-	err := fn(*p)
-	f.mem.putBufPtr(p)
-	return err
+	return fn(f.mem.zero)
 }
 
 // Memory is the machine's physical memory: a fixed population of frames.
@@ -172,6 +169,9 @@ type Memory struct {
 	nodes     int
 	colors    int
 	storeData bool
+	// zero is the read-only page WithData hands out for a frame with no
+	// bytes.
+	zero []byte
 	// bufPool recycles frame-size buffers for Fill/Adopt handoffs and
 	// callers' I/O scratch space, so the migrate/pagein paths do not pay a
 	// 4 KB allocation (and its zeroing) per transfer.
@@ -201,6 +201,7 @@ func NewMemory(cfg Config) *Memory {
 		nodes:     cfg.Nodes,
 		colors:    cfg.CacheColors,
 		storeData: cfg.StoreData,
+		zero:      make([]byte, cfg.FrameSize),
 	}
 	if cfg.StoreData {
 		m.data = make([][]byte, n)
@@ -234,7 +235,7 @@ func (m *Memory) GetBuffer() []byte {
 }
 
 // getBufPtr / putBufPtr are the pointer-preserving forms used on round-trip
-// paths (scratch fills, WithData): keeping the *[]byte box alive across the
+// paths (scratch fills): keeping the *[]byte box alive across the
 // Get/Put cycle means the pool never re-boxes the slice header, so those
 // paths allocate nothing in steady state.
 func (m *Memory) getBufPtr() *[]byte {

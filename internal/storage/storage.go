@@ -5,10 +5,14 @@
 //
 // Managers call Fetch and Store to move page-sized blocks between frames
 // and backing store; the latency is charged to the virtual clock, which is
-// how page-fault I/O time enters every experiment.
+// how page-fault I/O time enters every experiment. Only that latency and
+// the transfer unit are modelled, so a block of zeros is a hole: it costs
+// the same I/O as any other block but holds no memory, and a store holds
+// memory in proportion to its non-zero data.
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -99,19 +103,22 @@ type InjectedFault struct {
 // is armed.
 type FaultHook func(op Op, name string, block int64) *InjectedFault
 
-// Store is the standard BlockStore implementation. It is safe for
-// concurrent use: one mutex serializes block accesses, which stands in for
-// the single server/device queue the paper's diskless workstation talks to.
-// Managers that should not contend (the multi-application throughput
-// experiment) get a store each.
+// Store is the standard BlockStore implementation. It keeps only the blocks
+// that hold non-zero bytes: a block never written, or last written with
+// zeros, is a hole that reads as zeros, so the memory a Store holds is
+// proportional to its non-zero data. Holes change no charge or count.
+//
+// It is safe for concurrent use: one mutex serializes block accesses, which
+// stands in for the single server/device queue the paper's diskless
+// workstation talks to. Managers that should not contend (the
+// multi-application throughput experiment) get a store each.
 type Store struct {
 	clock     *sim.Clock
 	stripe    uint64 // clock stripe key: a store each, a cache line each
 	model     LatencyModel
 	blockSize int
 	mu        sync.Mutex
-	files     map[string]map[int64][]byte
-	sizes     map[string]int64
+	files     map[string]*file
 	reads     int64
 	writes    int64
 	// chargeLatency can be disabled for setup phases (pre-loading files
@@ -119,6 +126,27 @@ type Store struct {
 	// "with the files they read cached in memory").
 	charge bool
 	hook   FaultHook
+}
+
+// file is one file's record: its non-zero blocks and its size in blocks,
+// holes included.
+type file struct {
+	blocks map[int64][]byte
+	size   int64
+}
+
+// zeroPage is what a written block is compared against to find a hole.
+var zeroPage [4096]byte
+
+// isZero reports whether buf holds only zero bytes.
+func isZero(buf []byte) bool {
+	for len(buf) > len(zeroPage) {
+		if !bytes.Equal(buf[:len(zeroPage)], zeroPage[:]) {
+			return false
+		}
+		buf = buf[len(zeroPage):]
+	}
+	return bytes.Equal(buf, zeroPage[:len(buf)])
 }
 
 // storeSeq numbers the stores built so far; it only picks clock stripes.
@@ -134,8 +162,7 @@ func NewStore(clock *sim.Clock, model LatencyModel, blockSize int) *Store {
 		stripe:    storeSeq.Add(1),
 		model:     model,
 		blockSize: blockSize,
-		files:     make(map[string]map[int64][]byte),
-		sizes:     make(map[string]int64),
+		files:     make(map[string]*file),
 		charge:    true,
 	}
 }
@@ -178,7 +205,7 @@ func (s *Store) chargeAccess(bytes int) {
 	s.clock.AdvanceOn(s.stripe, s.model.PerAccess+time.Duration(bytes)*s.model.PerByte)
 }
 
-// Fetch implements BlockStore.
+// Fetch implements BlockStore. A hole is a charged fetch like any other.
 func (s *Store) Fetch(name string, block int64, buf []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -196,15 +223,13 @@ func (s *Store) Fetch(name string, block int64, buf []byte) error {
 			return inj.Err
 		}
 	}
-	f := s.files[name]
-	data, ok := f[block]
-	if !ok {
-		for i := range buf {
-			buf[i] = 0
+	if f := s.files[name]; f != nil {
+		if data, ok := f.blocks[block]; ok {
+			copy(buf, data)
+			return nil
 		}
-		return nil
 	}
-	copy(buf, data)
+	clear(buf)
 	return nil
 }
 
@@ -225,56 +250,49 @@ func (s *Store) storeLocked(name string, block int64, buf []byte) error {
 	}
 	s.writes++
 	s.chargeAccess(len(buf))
+	f := s.files[name]
+	if f == nil {
+		f = &file{blocks: make(map[int64][]byte)}
+		s.files[name] = f
+	}
 	if s.hook != nil {
 		if inj := s.hook(OpStore, name, block); inj != nil {
-			if inj.Torn {
-				s.tornWrite(name, block, buf)
+			// A torn write persists the first half of buf and leaves the old
+			// suffix in place: the on-media state after a write interrupted
+			// mid-block.
+			if half := len(buf) / 2; inj.Torn && half > 0 {
+				f.write(block, buf[:half], s.blockSize, false)
 			}
 			return inj.Err
 		}
 	}
-	f, ok := s.files[name]
-	if !ok {
-		f = make(map[int64][]byte)
-		s.files[name] = f
-	}
-	// Overwrite an existing block in place: steady-state writeback of a hot
-	// working set then allocates nothing.
-	data, ok := f[block]
-	if !ok {
-		data = make([]byte, s.blockSize)
-		f[block] = data
-	}
-	copy(data, buf)
-	if len(buf) < len(data) {
-		clear(data[len(buf):])
-	}
-	if block+1 > s.sizes[name] {
-		s.sizes[name] = block + 1
-	}
+	f.write(block, buf, s.blockSize, true)
 	return nil
 }
 
-// tornWrite persists the first half of buf into the block, leaving the old
-// suffix in place — the on-media state after a write interrupted mid-block.
-func (s *Store) tornWrite(name string, block int64, buf []byte) {
-	half := len(buf) / 2
-	if half == 0 {
+// write puts buf at the start of block b and zero-fills the rest of the
+// block if pad, or keeps the old rest if not. A block left all zeros is
+// deleted: it is a hole.
+func (f *file) write(b int64, buf []byte, blockSize int, pad bool) {
+	if b+1 > f.size {
+		f.size = b + 1
+	}
+	if pad && isZero(buf) {
+		delete(f.blocks, b)
 		return
 	}
-	f, ok := s.files[name]
+	// Overwrite an existing block in place: steady-state writeback of a hot
+	// working set then allocates nothing.
+	data, ok := f.blocks[b]
 	if !ok {
-		f = make(map[int64][]byte)
-		s.files[name] = f
+		data = make([]byte, blockSize)
+		f.blocks[b] = data
 	}
-	data, ok := f[block]
-	if !ok {
-		data = make([]byte, s.blockSize)
-		f[block] = data
-	}
-	copy(data[:half], buf[:half])
-	if block+1 > s.sizes[name] {
-		s.sizes[name] = block + 1
+	copy(data, buf)
+	if pad {
+		clear(data[len(buf):])
+	} else if isZero(data) {
+		delete(f.blocks, b)
 	}
 }
 
@@ -282,15 +300,19 @@ func (s *Store) tornWrite(name string, block int64, buf []byte) {
 func (s *Store) Size(name string) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.sizes[name]
+	if f := s.files[name]; f != nil {
+		return f.size
+	}
+	return 0
 }
 
 // Preload writes a file's contents without charging latency or counting
-// operations — experiment setup.
+// the writes it makes — experiment setup. With a nil fill every block is a
+// hole, so the store records only the file's size.
 func (s *Store) Preload(name string, blocks int64, fill func(block int64, buf []byte)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	savedCharge := s.charge
+	savedCharge, savedWrites := s.charge, s.writes
 	s.charge = false
 	buf := make([]byte, s.blockSize)
 	for b := int64(0); b < blocks; b++ {
@@ -301,8 +323,7 @@ func (s *Store) Preload(name string, blocks int64, fill func(block int64, buf []
 			panic(err) // preload arguments are programmer-controlled
 		}
 	}
-	s.charge = savedCharge
-	s.reads, s.writes = 0, 0
+	s.charge, s.writes = savedCharge, savedWrites
 }
 
 // FailingStore wraps a BlockStore and injects failures: after FailAfter

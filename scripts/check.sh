@@ -245,6 +245,7 @@ go test -run='^$' -fuzz='^FuzzProcSchedule$' -fuzztime=10s ./internal/sim
 go test -run='^$' -fuzz='^FuzzClock$' -fuzztime=10s ./internal/sim
 go test -run='^$' -fuzz='^FuzzLockManager$' -fuzztime=10s ./internal/db
 go test -run='^$' -fuzz='^FuzzTable4Machine$' -fuzztime=10s ./internal/db
+go test -run='^$' -fuzz='^FuzzStore$' -fuzztime=10s ./internal/storage
 
 echo "== bench smoke (1 iteration) =="
 go test -bench=Harness -benchtime=1x -run='^$' .
@@ -253,6 +254,7 @@ go test -bench='BatchMigrate|TLB|MappingTable|CASTable|CheckDisjoint|DeliverFaul
 go test -bench='LockReleaseAll|LockCycle|Table4' -benchtime=1x -run='^$' ./internal/db
 go test -bench='MachineBoot|StockThenTouch' -benchtime=1x -run='^$' ./internal/manager
 go test -bench='ProcSwitch|ProcSpawn|ParkWake|EventHeap|WindowBarrier|Clock' -benchtime=1x -run='^$' ./internal/sim
+go test -bench='Store' -benchtime=1x -run='^$' ./internal/storage
 
 golden_tmp=$(mktemp)
 trap 'rm -f "$golden_tmp"' EXIT
