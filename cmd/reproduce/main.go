@@ -15,8 +15,8 @@
 //	reproduce -table 4 -txns 8000
 //	reproduce -par 1                 # sequential
 //	reproduce -ablations             # also the design-choice ablation summary
-//	reproduce -sweep plane           # also one extension table: plane, policy, time or super
-//	reproduce -sweep all             # ... or all four
+//	reproduce -sweep plane           # also one extension table: plane, policy or super
+//	reproduce -sweep all             # ... or all three
 //	reproduce -sched concurrent      # concurrent fault-delivery scheduler
 //	reproduce -super                 # enable the superpage extent fast path
 //	reproduce -reclaim lru           # replacement policy of the tables' managers

@@ -25,7 +25,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{[]string{"-table", "9"}, "no such table 9"},
 		{[]string{"-sched", "bogus"}, `unknown scheduler "bogus"`},
 		{[]string{"-reclaim", "bogus"}, "bogus"},
-		{[]string{"-sweep", "bogus"}, "want plane, policy, time, super, or all"},
+		{[]string{"-sweep", "bogus"}, "want plane, policy, super, or all"},
 		// Removed with the wall-clock sweeps; flag rejects them.
 		{[]string{"-scale"}, "flag provided but not defined: -scale"},
 		{[]string{"-json", "x.json"}, "flag provided but not defined: -json"},
@@ -43,7 +43,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 	}
 }
 
-// -sweep all prints the four sweeps in table order after the selected
+// -sweep all prints the three sweeps in table order after the selected
 // paper tables, and the run leaves nothing behind in its working directory.
 func TestSweepAllOrderAndNoFiles(t *testing.T) {
 	wd, err := os.Getwd()
@@ -66,7 +66,6 @@ func TestSweepAllOrderAndNoFiles(t *testing.T) {
 		"\nTable 1: ",
 		"\nDelivery-Plane Fault Throughput",
 		"\nReplacement-Policy Shootout",
-		"\nVirtual-Time Engine Scaling",
 		"\nSuperpage Extent Fast Path",
 	}
 	if len(titles) != 1+len(experiments.Sweeps) {
@@ -93,11 +92,11 @@ func TestSweepAllOrderAndNoFiles(t *testing.T) {
 }
 
 func TestSingleSweep(t *testing.T) {
-	status, stdout, stderr := runCLI(t, "-table", "1", "-sweep", "time")
+	status, stdout, stderr := runCLI(t, "-table", "1", "-sweep", "super")
 	if status != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", status, stderr)
 	}
-	if !strings.Contains(stdout, "Virtual-Time Engine Scaling") || strings.Contains(stdout, "Delivery-Plane") {
-		t.Errorf("-sweep time should print the time sweep and no other:\n%s", stdout)
+	if !strings.Contains(stdout, "Superpage Extent Fast Path") || strings.Contains(stdout, "Delivery-Plane") {
+		t.Errorf("-sweep super should print the super sweep and no other:\n%s", stdout)
 	}
 }

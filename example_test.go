@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"log"
 	"sync"
-	"time"
 
 	"epcm"
 	"epcm/internal/manager"
-	"epcm/internal/sim"
 )
 
 // Example shows the minimal external-page-cache-management flow: boot a
@@ -198,39 +196,6 @@ func ExampleFaultPlan() {
 		"revocations:", sys.Kernel.Stats().Revocations,
 		"reachable:", reachable)
 	// Output: crashed: true revocations: 1 reachable: true
-}
-
-// Example_shardedTime drives the conservative parallel virtual-time engine
-// directly: each shard advances its own clock, and cross-shard events must
-// be scheduled at or beyond the send horizon (sender's now + lookahead),
-// which is what lets shards drain whole windows concurrently without ever
-// observing an event from the past. The lookahead is the cost model's
-// minimum delivery latency — no cross-manager interaction is cheaper than
-// a trap plus an upcall.
-func Example_shardedTime() {
-	cost := sim.DECstation5000()
-	lookahead := cost.MinDeliveryLatency() // Trap + Upcall
-
-	env := sim.NewShardedEnv(&sim.Clock{}, 2, lookahead)
-	s0, s1 := env.Shard(0), env.Shard(1)
-
-	s1.Go("consumer", func(p *sim.Proc) {
-		p.Sleep(5 * time.Microsecond) // local work on shard 1's clock
-	})
-	s0.Go("producer", func(p *sim.Proc) {
-		p.Sleep(10 * time.Microsecond)
-		// The earliest legal delivery time for a cross-shard event.
-		s0.Send(s1, p.Now()+lookahead, func() {
-			fmt.Println("delivered on shard 1 at", s1.Now())
-		})
-	})
-
-	env.Run()
-	fmt.Println("engine:", env.EngineName(),
-		"shard 0 clock:", s0.Now(), "shard 1 clock:", s1.Now())
-	// Output:
-	// delivered on shard 1 at 50µs
-	// engine: sharded shard 0 clock: 10µs shard 1 clock: 50µs
 }
 
 // ExampleConcurrentScheduler boots the fault-delivery plane in concurrent

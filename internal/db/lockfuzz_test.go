@@ -11,7 +11,7 @@ import (
 
 // lockTable is what the fuzz and the benchmark drive on both managers.
 type lockTable interface {
-	Acquire(p *sim.Proc, owner interface{}, name string, mode Mode)
+	Acquire(p *refProc, owner interface{}, name string, mode Mode)
 	Release(owner interface{}, name string)
 	ReleaseAll(owner interface{})
 	Holders(name string) int
@@ -70,13 +70,13 @@ func lockScripts(seed uint64, owners, steps int) [][]lockOp {
 // Owners take locks in any order and upgrade at will, so a script may
 // deadlock; the last line says how many processes were left parked, and
 // those are then woken past the manager so no coroutine outlives the run.
-func runLockScript(env *sim.Env, m lockTable, scripts [][]lockOp) []string {
+func runLockScript(env *refEnv, m lockTable, scripts [][]lockOp) []string {
 	var trace []string
 	aborted := false
-	waiting := make([]*sim.Proc, len(scripts))
+	waiting := make([]*refProc, len(scripts))
 	for o, script := range scripts {
 		o, script := o, script
-		env.GoAt(time.Duration(o)*time.Millisecond/2, "owner", func(p *sim.Proc) {
+		env.GoAt(time.Duration(o)*time.Millisecond/2, func(p *refProc) {
 			for i, op := range script {
 				switch op.kind {
 				case opAcquire:
@@ -138,7 +138,7 @@ func FuzzLockManager(f *testing.F) {
 		if d := heldCountsDiff(m); d != "" && got[len(got)-1] == "0 blocked" {
 			t.Fatal(d)
 		}
-		refEnv := sim.NewSerialEnv(&sim.Clock{})
+		refEnv := newRefEnv(sim.NewSerialEnv(&sim.Clock{}))
 		ref := newRefLockManager(refEnv)
 		ref.Barging = barging
 		want := runLockScript(refEnv, ref, scripts)
@@ -166,7 +166,7 @@ func BenchmarkLockCycle(b *testing.B) {
 	for _, holders := range []int{1, 64, 512} {
 		for _, side := range []string{"by-key", "by-record", "reference"} {
 			b.Run("holders="+strconv.Itoa(holders)+"/"+side, func(b *testing.B) {
-				env := sim.NewSerialEnv(&sim.Clock{})
+				env := newRefEnv(sim.NewSerialEnv(&sim.Clock{}))
 				var m lockTable
 				pm := NewLockManager()
 				pm.Barging = true

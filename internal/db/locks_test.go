@@ -11,27 +11,20 @@ import (
 	"epcm/internal/sim"
 )
 
-func newLockEnv() (*sim.Env, *LockManager) {
-	var c sim.Clock
-	env := sim.NewSerialEnv(&c)
-	return env, NewLockManager()
+func newLockEnv() (*refEnv, *LockManager) {
+	return newRefEnv(sim.NewSerialEnv(&sim.Clock{})), NewLockManager()
 }
-
-// procWaiter is a simulated process queued for a lock.
-type procWaiter sim.Proc
-
-func (w *procWaiter) wake() { p := (*sim.Proc)(w); p.Env().Wake(p) }
 
 // Acquire obtains `name` in `mode` on behalf of owner, blocking the calling
 // process until the lock is granted. It is the keyed spelling the lock tests
 // and benchmarks drive; an owner is one process.
-func (m *LockManager) Acquire(p *sim.Proc, owner interface{}, name string, mode Mode) {
+func (m *LockManager) Acquire(p *refProc, owner interface{}, name string, mode Mode) {
 	hl := m.held[owner]
 	if hl == nil {
 		hl = m.newOwner()
 		m.held[owner] = hl
 	}
-	if !m.acquire(hl, m.lockFor(name), mode, (*procWaiter)(p)) {
+	if !m.acquire(hl, m.lockFor(name), mode, p) {
 		p.Park() // the releaser grants the hold before waking us
 	}
 }
@@ -108,8 +101,8 @@ func TestCompatibilityMatrix(t *testing.T) {
 func TestSharedHoldersOverlapAndWriterWaits(t *testing.T) {
 	env, m := newLockEnv()
 	var events []string
-	reader := func(name string) func(*sim.Proc) {
-		return func(p *sim.Proc) {
+	reader := func(name string) func(*refProc) {
+		return func(p *refProc) {
 			m.Acquire(p, name, "r", S)
 			events = append(events, name+"+")
 			p.Sleep(10 * time.Millisecond)
@@ -117,9 +110,9 @@ func TestSharedHoldersOverlapAndWriterWaits(t *testing.T) {
 			m.ReleaseAll(name)
 		}
 	}
-	env.Go("r1", reader("r1"))
-	env.Go("r2", reader("r2"))
-	env.Go("w", func(p *sim.Proc) {
+	env.Go(reader("r1"))
+	env.Go(reader("r2"))
+	env.Go(func(p *refProc) {
 		p.Sleep(time.Millisecond)
 		m.Acquire(p, "w", "r", X)
 		events = append(events, "w+")
@@ -142,19 +135,19 @@ func TestSharedHoldersOverlapAndWriterWaits(t *testing.T) {
 func TestNoBargingBlocksLateReaders(t *testing.T) {
 	env, m := newLockEnv()
 	var order []string
-	env.Go("r1", func(p *sim.Proc) {
+	env.Go(func(p *refProc) {
 		m.Acquire(p, "r1", "l", S)
 		p.Sleep(10 * time.Millisecond)
 		m.ReleaseAll("r1")
 	})
-	env.Go("w", func(p *sim.Proc) {
+	env.Go(func(p *refProc) {
 		p.Sleep(time.Millisecond)
 		m.Acquire(p, "w", "l", X)
 		order = append(order, "w")
 		p.Sleep(time.Millisecond)
 		m.ReleaseAll("w")
 	})
-	env.Go("r2", func(p *sim.Proc) {
+	env.Go(func(p *refProc) {
 		p.Sleep(2 * time.Millisecond) // arrives while w queued
 		m.Acquire(p, "r2", "l", S)
 		order = append(order, "r2")
@@ -173,17 +166,17 @@ func TestBargingLetsReadersShare(t *testing.T) {
 	env, m := newLockEnv()
 	m.Barging = true
 	var r2At time.Duration
-	env.Go("r1", func(p *sim.Proc) {
+	env.Go(func(p *refProc) {
 		m.Acquire(p, "r1", "l", S)
 		p.Sleep(10 * time.Millisecond)
 		m.ReleaseAll("r1")
 	})
-	env.Go("w", func(p *sim.Proc) {
+	env.Go(func(p *refProc) {
 		p.Sleep(time.Millisecond)
 		m.Acquire(p, "w", "l", X)
 		m.ReleaseAll("w")
 	})
-	env.Go("r2", func(p *sim.Proc) {
+	env.Go(func(p *refProc) {
 		p.Sleep(2 * time.Millisecond)
 		m.Acquire(p, "r2", "l", S)
 		r2At = p.Now()
@@ -200,7 +193,7 @@ func TestBargingLetsReadersShare(t *testing.T) {
 
 func TestReleaseSingleLock(t *testing.T) {
 	env, m := newLockEnv()
-	env.Go("a", func(p *sim.Proc) {
+	env.Go(func(p *refProc) {
 		m.Acquire(p, "a", "l1", X)
 		m.Acquire(p, "a", "l2", X)
 		m.Release("a", "l1")
@@ -224,7 +217,7 @@ func TestIntentionLocksDoNotBlockEachOther(t *testing.T) {
 	max := 0
 	for i := 0; i < 10; i++ {
 		name := i
-		env.Go("dc", func(p *sim.Proc) {
+		env.Go(func(p *refProc) {
 			m.Acquire(p, name, "rel", IX)
 			concurrent++
 			if concurrent > max {
@@ -251,9 +244,7 @@ func TestIntentionLocksDoNotBlockEachOther(t *testing.T) {
 // compatible. We exercise it through the simulation with random workloads.
 func TestNoIncompatibleGrantsProperty(t *testing.T) {
 	f := func(seed uint16, barging bool) bool {
-		var c sim.Clock
-		env := sim.NewSerialEnv(&c)
-		m := NewLockManager()
+		env, m := newLockEnv()
 		m.Barging = barging
 		rng := sim.NewRNG(uint64(seed) + 1)
 		violation := false
@@ -287,7 +278,7 @@ func TestNoIncompatibleGrantsProperty(t *testing.T) {
 			mode := Mode(rng.Intn(4))
 			lockName := []string{"l1", "l2"}[rng.Intn(2)]
 			hold := time.Duration(rng.Intn(5)+1) * time.Millisecond
-			env.GoAt(time.Duration(rng.Intn(50))*time.Millisecond, "p", func(p *sim.Proc) {
+			env.GoAt(time.Duration(rng.Intn(50))*time.Millisecond, func(p *refProc) {
 				m.Acquire(p, owner, lockName, mode)
 				check()
 				p.Sleep(hold)
@@ -376,7 +367,7 @@ func TestReleaseAllWakeOrderDeterministic(t *testing.T) {
 	run := func() []string {
 		env, m := newLockEnv()
 		var woke []string
-		env.Go("holder", func(p *sim.Proc) {
+		env.Go(func(p *refProc) {
 			m.Acquire(p, "holder", "b", X) // acquired first, released first
 			m.Acquire(p, "holder", "a", X)
 			p.Sleep(10 * time.Millisecond)
@@ -384,7 +375,7 @@ func TestReleaseAllWakeOrderDeterministic(t *testing.T) {
 		})
 		for _, name := range []string{"a", "b"} {
 			name := name
-			env.Go("w"+name, func(p *sim.Proc) {
+			env.Go(func(p *refProc) {
 				p.Sleep(time.Millisecond)
 				m.Acquire(p, "w"+name, name, S)
 				woke = append(woke, name)
@@ -461,7 +452,7 @@ func TestReleaseAllLeavesNoHoldProperty(t *testing.T) {
 			}
 			return true
 		}
-		env.Go("script", func(p *sim.Proc) {
+		env.Go(func(p *refProc) {
 			for step := 0; step < 200 && ok; step++ {
 				o, n := rng.Intn(owners), names[rng.Intn(len(names))]
 				switch mode := Mode(rng.Intn(4)); {
@@ -510,7 +501,7 @@ func TestGrantWaitersClearsDeadSlots(t *testing.T) {
 		array := l.queue[:owners]
 		for o := 0; o < owners; o++ {
 			o := o
-			env.Go("owner", func(p *sim.Proc) {
+			env.Go(func(p *refProc) {
 				mode := X
 				if o%3 == 1 {
 					mode = S // readers between the writers: barging grants them out of order

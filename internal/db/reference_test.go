@@ -3,8 +3,6 @@ package db
 import (
 	"slices"
 	"time"
-
-	"epcm/internal/sim"
 )
 
 // refLockManager is the lock manager as it was before its locks kept
@@ -24,7 +22,7 @@ type refLockHold struct {
 type refLockWait struct {
 	owner interface{}
 	mode  Mode
-	proc  *sim.Proc
+	proc  *refProc
 }
 
 // refLock is one lockable resource: every granted hold, in grant order.
@@ -56,7 +54,7 @@ type refHoldList struct{ locks []*refLock }
 // refLockManager has LockManager's queueing rules (FIFO, or reader
 // preference with Barging) over those lists.
 type refLockManager struct {
-	env   *sim.Env
+	env   *refEnv
 	locks map[string]*refLock
 	// held indexes the locks by owner: every grant (immediate or to a
 	// woken waiter) appends the lock to its owner's list, in acquisition
@@ -73,7 +71,7 @@ type refLockManager struct {
 	stats   LockStats
 }
 
-func newRefLockManager(env *sim.Env) *refLockManager {
+func newRefLockManager(env *refEnv) *refLockManager {
 	return &refLockManager{
 		env:   env,
 		locks: make(map[string]*refLock),
@@ -134,7 +132,7 @@ func (m *refLockManager) drop(l *refLock, owner interface{}) bool {
 // process in FIFO order until compatible. Owners must acquire locks in a
 // consistent hierarchy order (database, relation, page, index) — the model
 // relies on ordering, not detection, for deadlock freedom.
-func (m *refLockManager) Acquire(p *sim.Proc, owner interface{}, name string, mode Mode) {
+func (m *refLockManager) Acquire(p *refProc, owner interface{}, name string, mode Mode) {
 	m.stats.Acquires++
 	l := m.lockFor(name)
 	if (m.Barging || len(l.queue) == 0) && l.grantable(owner, mode) {
@@ -222,20 +220,22 @@ func (m *refLockManager) QueueLen(name string) int {
 
 // refSystem runs System's workload as it ran before a transaction became a
 // record, kept as the reference TestTxnMachineMatchesReference and
-// FuzzTable4Machine hold System.Run to: one sim.Proc per transaction, on a
-// coroutine, running the straight-line bodies below, with the processors
-// and the disk as sim.Resources (shadowing System's stations).
+// FuzzTable4Machine hold System.Run to: one process per transaction
+// (refenv_test.go) running the straight-line bodies below, with the
+// processors and the disk as FIFO resources (shadowing System's stations).
 type refSystem struct {
 	*System
-	cpus, disk *sim.Resource
+	procs      *refEnv
+	cpus, disk *refResource
 }
 
 // refRun runs cfg under p on the reference and returns its result and the
 // number of events its queue dispatched.
 func refRun(cfg MemoryConfig, p Params) (*Result, int64) {
 	s := &refSystem{System: New(cfg, p)}
-	s.cpus = sim.NewResource(s.env, p.Processors)
-	s.disk = sim.NewResource(s.env, 1)
+	s.procs = newRefEnv(s.env)
+	s.cpus = &refResource{env: s.procs, capacity: p.Processors}
+	s.disk = &refResource{env: s.procs, capacity: 1}
 	at := time.Duration(0)
 	for i := 0; i < s.p.Transactions; i++ {
 		at += time.Duration(s.rng.Exp(1e9/s.p.ArrivalTPS)) * time.Nanosecond
@@ -243,26 +243,26 @@ func refRun(cfg MemoryConfig, p Params) (*Result, int64) {
 		accountPage := s.rng.Intn(s.p.AccountPages)
 		touchesIndex := s.rng.Bool(s.p.DCIndexProb)
 		seq := i
-		s.env.GoAt(at, "txn", func(p *sim.Proc) {
+		s.procs.GoAt(at, func(p *refProc) {
 			s.transaction(p, seq, isJoin, accountPage, touchesIndex)
 		})
 	}
-	s.result.Deadlocked = s.env.Run()
+	s.result.Deadlocked = s.procs.Run()
 	s.result.LockWaits = s.locks.Stats().Waits
 	s.result.SimulatedSeconds = s.clock.Now().Seconds()
 	return &s.result, s.env.EventsProcessed()
 }
 
 // acquire blocks p until l is granted to owner in mode.
-func (s *refSystem) acquire(p *sim.Proc, owner *holdList, l *lock, mode Mode) {
-	if !s.locks.acquire(owner, l, mode, (*procWaiter)(p)) {
+func (s *refSystem) acquire(p *refProc, owner *holdList, l *lock, mode Mode) {
+	if !s.locks.acquire(owner, l, mode, p) {
 		p.Park() // the releaser grants the hold before waking us
 	}
 }
 
 // transaction runs one transaction as a simulated process, holding its locks
 // on a record the manager lends it until the commit-point releaseAll.
-func (s *refSystem) transaction(p *sim.Proc, seq int, isJoin bool, accountPage int, touchesIndex bool) {
+func (s *refSystem) transaction(p *refProc, seq int, isJoin bool, accountPage int, touchesIndex bool) {
 	start := p.Now()
 	s.pressure()
 	owner := s.locks.newOwner()
@@ -285,7 +285,7 @@ func (s *refSystem) transaction(p *sim.Proc, seq int, isJoin bool, accountPage i
 
 // debitCredit is the 95% case: update one account record (and, in indexed
 // configurations, the account index).
-func (s *refSystem) debitCredit(p *sim.Proc, owner *holdList, accountPage int, touchesIndex bool) {
+func (s *refSystem) debitCredit(p *refProc, owner *holdList, accountPage int, touchesIndex bool) {
 	s.acquire(p, owner, s.dbLock, IX)
 	s.acquire(p, owner, s.relAccounts, IX)
 	s.acquire(p, owner, s.pageLock(accountPage), X)
@@ -297,7 +297,7 @@ func (s *refSystem) debitCredit(p *sim.Proc, owner *holdList, accountPage int, t
 }
 
 // join is the 5% case: join two relations to update a third.
-func (s *refSystem) join(p *sim.Proc, owner *holdList) {
+func (s *refSystem) join(p *refProc, owner *holdList) {
 	s.acquire(p, owner, s.dbLock, IX)
 	s.acquire(p, owner, s.relAccounts, IS)
 	s.acquire(p, owner, s.relSummary, IX)
@@ -339,7 +339,7 @@ func (s *refSystem) join(p *sim.Proc, owner *holdList) {
 }
 
 // compute executes d of CPU time on one of the processors.
-func (s *refSystem) compute(p *sim.Proc, d time.Duration) {
+func (s *refSystem) compute(p *refProc, d time.Duration) {
 	s.cpus.Acquire(p)
 	p.Sleep(d)
 	s.cpus.Release()

@@ -87,7 +87,7 @@ func TestTable1PolicyInvariance(t *testing.T) {
 	}
 }
 
-// TestSweepsGolden locks the four extension tables byte-for-byte against
+// TestSweepsGolden locks the three extension tables byte-for-byte against
 // testdata/sweeps.golden, rendered as cmd/reproduce -sweep all renders them
 // — as parallel harness tasks — sequentially and at parallelism 4. Every
 // column they print is a cost-model number, so the file holds on any host.

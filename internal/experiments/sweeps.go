@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"epcm/internal/kernel"
@@ -19,9 +18,9 @@ import (
 // the cost model determines — every column is bit-identical run to run, at
 // any parallelism and on any host, and testdata/sweeps.golden pins them.
 // Their gates are ratios of model numbers. Every cell names each mode it
-// runs in — scheduler, extent order, policy, time engine are the grids — so
-// Modes, the paper tables' configuration, does not reach them and the file
-// holds under any of cmd/reproduce's mode flags. None of them reads a wall
+// runs in — scheduler, extent order and policy are the grids — so Modes,
+// the paper tables' configuration, does not reach them and the file holds
+// under any of cmd/reproduce's mode flags. None of them reads a wall
 // clock: how fast the host runs any of this is `go run -C bench .`'s
 // question.
 
@@ -35,7 +34,6 @@ type Sweep struct {
 var Sweeps = []Sweep{
 	{"plane", planeSweep},
 	{"policy", policySweep},
-	{"time", timeSweep},
 	{"super", superSweep},
 }
 
@@ -153,123 +151,6 @@ func superSweep() (*Report, error) {
 	fmt.Fprintf(b, "superpage model pages/s non-decreasing 2 -> 8 managers (serial): %v\n", mono)
 	fmt.Fprintf(b, "every touched page resident on every row: %v\n", resident)
 	rep.OK = speedup >= 2 && mono && resident
-	rep.Output = b.Bytes()
-	return rep, nil
-}
-
-// timeCell is one cell of the time sweep.
-type timeCell struct {
-	Events int64
-	// Windows is how many conservative lookahead windows the run took
-	// (zero on the serial engine).
-	Windows    int64
-	CrossSends int64
-	// Makespan is the maximum final shard clock.
-	Makespan time.Duration
-}
-
-// ModelEventsPerSec is events per second of virtual makespan.
-func (c *timeCell) ModelEventsPerSec() float64 {
-	return float64(c.Events) / c.Makespan.Seconds()
-}
-
-// timeSweepProcs is how many simulated processes each shard runs.
-const timeSweepProcs = 8
-
-// runTimeCell runs timeSweepProcs processes per shard, each sleeping
-// through `steps` virtual-time steps, with every 64th step posting a
-// cross-shard message at the lookahead horizon plus jitter.
-func runTimeCell(engine string, shards, steps int) (*timeCell, error) {
-	var e *sim.Env
-	switch engine {
-	case "serial":
-		if shards != 1 {
-			return nil, fmt.Errorf("experiments: serial time cell wants 1 shard, got %d", shards)
-		}
-		e = sim.NewSerialEnv(&sim.Clock{})
-	case "sharded":
-		e = sim.NewShardedEnv(&sim.Clock{}, shards, 0)
-	default:
-		return nil, fmt.Errorf("experiments: unknown time engine %q", engine)
-	}
-	var cross atomic.Int64
-	L := e.Lookahead()
-	for i := 0; i < e.NumShards(); i++ {
-		i := i
-		sh := e.Shard(i)
-		for pid := 0; pid < timeSweepProcs; pid++ {
-			rng := sim.NewRNG(uint64(1992 + i*1024 + pid))
-			sh.Go(fmt.Sprintf("s%d-p%d", i, pid), func(p *sim.Proc) {
-				for step := 0; step < steps; step++ {
-					p.Sleep(time.Duration(1+rng.Intn(200)) * time.Microsecond)
-					if shards > 1 && step%64 == 0 {
-						dst := e.Shard((i + 1 + rng.Intn(shards-1)) % shards)
-						at := p.Now() + L + time.Duration(rng.Intn(50))*time.Microsecond
-						p.Shard().Send(dst, at, func() { cross.Add(1) })
-					}
-				}
-			})
-		}
-	}
-	if blocked := e.Run(); blocked != 0 {
-		return nil, fmt.Errorf("experiments: time cell %s/%d left %d procs blocked", engine, shards, blocked)
-	}
-	cell := &timeCell{
-		Events:     e.EventsProcessed(),
-		Windows:    e.Windows(),
-		CrossSends: cross.Load(),
-	}
-	for i := 0; i < e.NumShards(); i++ {
-		if now := e.Shard(i).Now(); now > cell.Makespan {
-			cell.Makespan = now
-		}
-	}
-	if cell.Makespan <= 0 {
-		return nil, fmt.Errorf("experiments: time cell %s/%d consumed no virtual time", engine, shards)
-	}
-	return cell, nil
-}
-
-// timeSweepSteps is the sleep steps each cell divides over its processes:
-// 256 per process at the widest cell.
-const timeSweepSteps = 256 * timeSweepProcs * 8
-
-// timeSweep is the virtual-time engine table: the same total simulated
-// work — sleeping processes with horizon-respecting cross-shard messages —
-// on the serial engine and divided over 1, 2, 4 and 8 shards. With the work
-// split across n independent local clocks the makespan shrinks roughly
-// n-fold while the event count stays fixed. Gates: model events/s never
-// falls as shards are added, and 4 shards give at least 1.5x of 1.
-func timeSweep() (*Report, error) {
-	rep := &Report{Table: "time"}
-	b := &bytes.Buffer{}
-	header(b, "Virtual-Time Engine Scaling (not in paper; sharded conservative DES)")
-	fmt.Fprintf(b, "lookahead=%v, %d processes per shard\n", sim.DECstation5000().MinDeliveryLatency(), timeSweepProcs)
-	fmt.Fprintf(b, "%-8s %7s %7s %10s %9s %7s %13s %17s\n",
-		"Engine", "Shards", "Steps", "Events", "Windows", "Sends", "Makespan(ms)", "Model events/s")
-	model := map[int]float64{} // sharded: shards -> model events/s
-	mono, prev := true, 0.0
-	for _, cell := range []struct {
-		engine string
-		shards int
-	}{{"serial", 1}, {"sharded", 1}, {"sharded", 2}, {"sharded", 4}, {"sharded", 8}} {
-		steps := timeSweepSteps / (timeSweepProcs * cell.shards)
-		c, err := runTimeCell(cell.engine, cell.shards, steps)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(b, "%-8s %7d %7d %10d %9d %7d %13.1f %17.0f\n", cell.engine, cell.shards, steps,
-			c.Events, c.Windows, c.CrossSends, ms(c.Makespan), c.ModelEventsPerSec())
-		if cell.engine == "sharded" {
-			model[cell.shards] = c.ModelEventsPerSec()
-			mono = mono && model[cell.shards] >= prev
-			prev = model[cell.shards]
-		}
-	}
-	scaling := model[4] / model[1]
-	fmt.Fprintf(b, "\nsharded model events/s non-decreasing 1..8 shards: %v\n", mono)
-	fmt.Fprintf(b, "model scaling, 4 shards vs 1 (sharded): %.2fx (target >= 1.5x)\n", scaling)
-	rep.OK = mono && scaling >= 1.5
 	rep.Output = b.Bytes()
 	return rep, nil
 }

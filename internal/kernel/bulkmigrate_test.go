@@ -286,8 +286,8 @@ func TestBulkMigrateCacheState(t *testing.T) {
 		at += n + 3
 	}
 
-	// One page far beyond an empty prefix parks in sparse, and from then on
-	// the dense slots alone do not answer for the segment.
+	// One page far beyond an empty prefix parks in sparse; runs then move
+	// around it, into it and out of it.
 	parked := w.segment("parked")
 	w.move("a page into sparse", AppCred, file, parked, 0, 0, PageRange{Page: 2_000, To: 10_000, Pages: 1})
 	w.move("a run under it", AppCred, file, parked, 0, 0, PageRange{Page: 2_001, To: 0, Pages: 80})

@@ -12,14 +12,10 @@ import "slices"
 // instead of a map probe. Pages far beyond the dense prefix (sparse
 // segments, huge page numbers) fall back to a map.
 //
-// A page inside the dense range can still live in the sparse map: several
-// application threads faulting disjoint sub-ranges of one segment park
-// high pages in sparse while the prefix is short, and the low-range
-// thread's sequential growth then overtakes them. A dense slot that is not
-// live therefore means "not in dense", not "absent" — get/put/del fall through
-// to sparse whenever the map is non-empty, and a put never leaves the same
-// page in both arms. Single-range workloads never populate sparse, so
-// their lookups stay a bounds check and a load.
+// Invariant: every sparse key lies beyond the dense prefix. When the prefix
+// grows (grow, from put and reserve) it takes over the sparse pages it now
+// covers, so a dead dense slot means the page is absent and a page is never
+// in both arms.
 //
 // Dense entries are stored in place: a pageEntry is 8 pointer-free bytes, so
 // the boot segment's 32 768 pages are one allocation the collector never
@@ -42,8 +38,8 @@ const (
 )
 
 type pageStore struct {
-	dense  []pageEntry          // pages [0, len(dense)); not live = not in dense
-	sparse map[int64]*pageEntry // pages the dense slice does not hold
+	dense  []pageEntry          // pages [0, len(dense)); not live = absent
+	sparse map[int64]*pageEntry // present pages at or beyond len(dense)
 	n      int                  // number of present pages
 }
 
@@ -53,9 +49,7 @@ func (ps *pageStore) get(page int64) (*pageEntry, bool) {
 		if e := &ps.dense[page]; e.live {
 			return e, true
 		}
-		if len(ps.sparse) == 0 {
-			return nil, false
-		}
+		return nil, false
 	}
 	e, ok := ps.sparse[page]
 	return e, ok
@@ -84,22 +78,48 @@ func (ps *pageStore) admitDense(page int64) bool {
 func (ps *pageStore) reserve(lo, end int64) {
 	n := int64(len(ps.dense))
 	if end = min(end, pageStoreDenseMax); end > n && ps.admitDense(max(lo, n)) {
-		ps.dense = append(ps.dense, make([]pageEntry, end-n)...)
+		ps.grow(end)
+	}
+}
+
+// grow extends the dense prefix to end pages and takes over the sparse
+// pages it now covers, probing the new slots or walking the map, whichever
+// is shorter.
+func (ps *pageStore) grow(end int64) {
+	n := int64(len(ps.dense))
+	ps.dense = append(ps.dense, make([]pageEntry, end-n)...)
+	if len(ps.sparse) == 0 {
+		return
+	}
+	if end-n <= int64(len(ps.sparse)) {
+		for p := n; p < end; p++ {
+			if e, ok := ps.sparse[p]; ok {
+				ps.dense[p] = *e
+				delete(ps.sparse, p)
+			}
+		}
+		return
+	}
+	for p, e := range ps.sparse {
+		if p < end {
+			ps.dense[p] = *e
+			delete(ps.sparse, p)
+		}
 	}
 }
 
 // firstAbsent returns the offset of the first page of [lo, lo+n) that is not
 // present, or n. lo is not negative.
 func (ps *pageStore) firstAbsent(lo, n int64) int64 {
-	if len(ps.sparse) == 0 && n <= int64(len(ps.dense))-lo {
-		for i, e := range ps.dense[lo : lo+n] {
-			if !e.live {
-				return int64(i)
-			}
-		}
-		return n
-	}
 	i := int64(0)
+	if d := int64(len(ps.dense)) - lo; d > 0 {
+		for _, e := range ps.dense[lo : lo+min(n, d)] {
+			if !e.live {
+				return i
+			}
+			i++
+		}
+	}
 	for i < n && ps.has(lo+i) {
 		i++
 	}
@@ -109,18 +129,18 @@ func (ps *pageStore) firstAbsent(lo, n int64) int64 {
 // firstPresent returns the offset of the first page of [lo, lo+n) that is
 // present, or n. lo is not negative.
 func (ps *pageStore) firstPresent(lo, n int64) int64 {
-	if len(ps.sparse) == 0 {
-		if lo >= int64(len(ps.dense)) {
-			return n
-		}
-		for i, e := range ps.dense[lo : lo+min(n, int64(len(ps.dense))-lo)] {
+	i := int64(0)
+	if d := int64(len(ps.dense)) - lo; d > 0 {
+		for _, e := range ps.dense[lo : lo+min(n, d)] {
 			if e.live {
-				return int64(i)
+				return i
 			}
+			i++
 		}
+	}
+	if len(ps.sparse) == 0 {
 		return n
 	}
-	i := int64(0)
 	for i < n && !ps.has(lo+i) {
 		i++
 	}
@@ -129,14 +149,12 @@ func (ps *pageStore) firstPresent(lo, n int64) int64 {
 
 // moveRun moves pages [lo, lo+n), all present, to the slots [to, to+n) of
 // dst, all absent and already reserved, applies set and unset to each moved
-// entry's flags, and returns the moved entries in page order. When dense
-// slots alone answer for the source range — the prefix covers it and nothing
-// is parked in sparse — and dst's prefix covers the destination, the entries
-// change stores slot to slot and the result is dst's own slots (an absent
-// page is in neither of dst's arms, so its dense slot is free to take).
+// entry's flags, and returns the moved entries in page order. When ps's
+// prefix covers the source range and dst's covers the destination, the
+// entries change stores slot to slot and the result is dst's own slots.
 // Otherwise they move entry by entry and the result is a copy. dst may be ps.
 func (ps *pageStore) moveRun(dst *pageStore, lo, to, n int64, set, unset PageFlags) []pageEntry {
-	if len(ps.sparse) != 0 || n > int64(len(ps.dense))-lo || n > int64(len(dst.dense))-to {
+	if n > int64(len(ps.dense))-lo || n > int64(len(dst.dense))-to {
 		moved := make([]pageEntry, n)
 		for i := range moved {
 			e, _ := ps.get(lo + int64(i))
@@ -165,19 +183,11 @@ func (ps *pageStore) put(page int64, e pageEntry) {
 	}
 	e.live = true
 	if page >= int64(len(ps.dense)) && ps.admitDense(page) {
-		for int64(len(ps.dense)) <= page {
-			ps.dense = append(ps.dense, pageEntry{})
-		}
+		ps.grow(page + 1)
 	}
 	if page < int64(len(ps.dense)) {
 		if !ps.dense[page].live {
-			// The page may have been parked in sparse before the prefix
-			// grew over it; adopt it so no page lives in both arms.
-			if _, ok := ps.sparse[page]; ok {
-				delete(ps.sparse, page)
-			} else {
-				ps.n++
-			}
+			ps.n++
 		}
 		ps.dense[page] = e
 		return
@@ -203,11 +213,8 @@ func (ps *pageStore) del(page int64) {
 		if ps.dense[page].live {
 			ps.dense[page] = pageEntry{}
 			ps.n--
-			return
 		}
-		if len(ps.sparse) == 0 {
-			return
-		}
+		return
 	}
 	if _, ok := ps.sparse[page]; ok {
 		delete(ps.sparse, page)
@@ -235,35 +242,22 @@ func (ps *pageStore) forEach(fn func(page int64, e *pageEntry) bool) {
 		return
 	}
 	dense := ps.dense // one load of the header, not one per slot around fn
-	if len(ps.sparse) == 0 {
-		for p := range dense {
-			if e := &dense[p]; e.live && !fn(int64(p), e) {
-				return
-			}
+	for p := range dense {
+		if e := &dense[p]; e.live && !fn(int64(p), e) {
+			return
 		}
+	}
+	if len(ps.sparse) == 0 {
 		return
 	}
-	// Sparse keys may sit anywhere relative to the dense prefix, so merge
-	// the two sorted streams to keep the ascending-order contract.
+	// Every sparse key lies beyond the prefix: sorted, they follow it.
 	keys := make([]int64, 0, len(ps.sparse))
 	for p := range ps.sparse {
 		keys = append(keys, p)
 	}
 	slices.Sort(keys)
-	si := 0
-	for p := range dense {
-		for si < len(keys) && keys[si] < int64(p) {
-			if se, ok := ps.sparse[keys[si]]; ok && !fn(keys[si], se) {
-				return
-			}
-			si++
-		}
-		if e := &dense[p]; e.live && !fn(int64(p), e) {
-			return
-		}
-	}
-	for ; si < len(keys); si++ {
-		if se, ok := ps.sparse[keys[si]]; ok && !fn(keys[si], se) {
+	for _, p := range keys {
+		if !fn(p, ps.sparse[p]) {
 			return
 		}
 	}

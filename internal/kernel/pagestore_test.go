@@ -28,8 +28,7 @@ type pageStoreOp struct {
 
 // Generate implements quick.Generator, biasing pages toward the dense
 // region but — in half the sequences — including far-out sparse pages so
-// both arms are exercised; the other half keep sparse empty, which is when
-// a run moves slot to slot.
+// both arms are exercised; the other half keep sparse empty.
 func (pageStoreOps) Generate(r *rand.Rand, size int) reflect.Value {
 	n := r.Intn(200) + 1
 	classes := 2 + 2*r.Intn(2)
@@ -170,6 +169,12 @@ func TestPageStoreMatchesMapModel(t *testing.T) {
 					t.Logf("store %d: len = %d, model %d", i, stores[i].len(), len(models[i]))
 					return false
 				}
+				for p := range stores[i].sparse {
+					if p < int64(len(stores[i].dense)) {
+						t.Logf("store %d: page %d in sparse under a dense prefix of %d", i, p, len(stores[i].dense))
+						return false
+					}
+				}
 			}
 		}
 		// Final sweep: pages() must be the model's keys in ascending order,
@@ -267,6 +272,19 @@ func TestPageStoreDenseGrowthAdoptsSparse(t *testing.T) {
 	ps.del(10_000)
 	if ps.has(10_000) || ps.len() != 4 {
 		t.Fatalf("after del: has=%v len=%d", ps.has(10_000), ps.len())
+	}
+
+	// reserve grows the prefix the same way: a page parked beyond it is
+	// taken over, so its dense slot answers for it.
+	parked := pageEntry{pfn: 3, flags: FlagRead, live: true}
+	ps.put(40_000, parked) // 40_000 >= 2*13_001: sparse
+	if len(ps.sparse) != 1 {
+		t.Fatalf("%d pages in sparse, want 1", len(ps.sparse))
+	}
+	ps.reserve(14_000, 50_000) // 14_000 < 2*13_001: admitted, up to 50_000
+	if len(ps.sparse) != 0 || len(ps.dense) != 50_000 || ps.dense[40_000] != parked || ps.len() != 5 {
+		t.Fatalf("after reserve: sparse %d, dense %d, slot %+v, len %d; want 0, 50000, %+v, 5",
+			len(ps.sparse), len(ps.dense), ps.dense[40_000], ps.len(), parked)
 	}
 }
 

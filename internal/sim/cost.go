@@ -129,9 +129,7 @@ func DECstation5000() *CostModel {
 // a manager (the efficient same-process mode of §2.1). Every fault
 // delivery, deletion notice and control message pays at least this much
 // before any other manager can observe it, so the sharded virtual-time
-// engine uses it as the conservative lookahead bound — a cross-shard event
-// can never land closer to the sender's clock than this.
-// 40 µs on the DECstation 5000 calibration.
+// engine uses it as its default lookahead window. 40 µs on the DECstation 5000 calibration.
 func (c *CostModel) MinDeliveryLatency() time.Duration {
 	return c.Trap + c.Upcall
 }

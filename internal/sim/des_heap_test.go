@@ -10,8 +10,8 @@ func (q *eventQueue) len() int { return q.n + len(q.heap) }
 
 // checkQueue fails the test unless q's lane is a power-of-two ring holding n
 // events in ascending (at, seq) order with every slot outside the live
-// window zeroed (a popped event must not keep its proc or callback
-// reachable), and the heap's high-water mark covers its length.
+// window zeroed (a popped event must not keep its callback reachable), and
+// the heap's high-water mark covers its length.
 func checkQueue(t *testing.T, q *eventQueue) {
 	t.Helper()
 	size := len(q.lane)
@@ -21,7 +21,7 @@ func checkQueue(t *testing.T, q *eventQueue) {
 	for i := 0; i < size; i++ {
 		ev := &q.lane[(q.head+i)&(size-1)]
 		switch {
-		case i >= q.n && (ev.at != 0 || ev.seq != 0 || ev.proc != nil || ev.fn != nil):
+		case i >= q.n && (ev.at != 0 || ev.seq != 0 || ev.fn != nil):
 			t.Fatalf("dead lane slot %d holds (%v,%d)", i, ev.at, ev.seq)
 		case i > 0 && i < q.n && !q.lane[(q.head+i-1)&(size-1)].before(ev):
 			t.Fatalf("lane out of order at %d: (%v,%d)", i, ev.at, ev.seq)

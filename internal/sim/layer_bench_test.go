@@ -8,19 +8,9 @@ import (
 )
 
 // Layer benchmarks for the time engine (ROADMAP item 1: "event-heap
-// push/pop and the shard window barrier", plus the process switch PR 15
-// rebuilt). The process benchmarks run the coroutine engine beside the
-// channel engine it replaced (reference_test.go) through the same loop, so
-// one run prints before and after; steady-state loops that must not
-// allocate say so with mustNotAlloc. scripts/check.sh smoke-runs them at
-// one iteration.
-
-// benchEngines runs the loop on both process engines, each on a fresh
-// serial environment.
-func benchEngines(b *testing.B, run func(b *testing.B, eng procEngine)) {
-	b.Run("coro", func(b *testing.B) { b.ReportAllocs(); run(b, coroEngine(NewSerialEnv(&Clock{}))) })
-	b.Run("chan", func(b *testing.B) { b.ReportAllocs(); run(b, chanEngine(NewSerialEnv(&Clock{}))) })
-}
+// push/pop and the shard window barrier", plus the striped clock).
+// Steady-state loops that must not allocate say so with mustNotAlloc.
+// scripts/check.sh smoke-runs them at one iteration.
 
 // mustNotAlloc fails the benchmark if step — a further slice of the loop
 // just timed, run with the timer stopped — allocates.
@@ -30,71 +20,6 @@ func mustNotAlloc(b *testing.B, step func()) {
 	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
 		b.Fatalf("%v allocs per steady-state step, want 0", allocs)
 	}
-}
-
-// BenchmarkProcSwitch: two processes alternating Sleep — one op is one
-// dispatch, a switch into a process and back out.
-func BenchmarkProcSwitch(b *testing.B) {
-	benchEngines(b, func(b *testing.B, eng procEngine) {
-		stop := false
-		for i := 0; i < 2; i++ {
-			eng.goAt(eng.Shard(0), 0, "p", func(p scriptProc) {
-				for !stop {
-					p.Sleep(time.Nanosecond)
-				}
-			})
-		}
-		eng.RunUntil(0) // both started: the loop below is switches only
-		b.ResetTimer()
-		eng.RunUntil(time.Duration(b.N / 2)) // two dispatches per nanosecond
-		mustNotAlloc(b, func() { eng.RunUntil(eng.Now() + 16) })
-		stop = true
-		eng.Run()
-	})
-}
-
-// BenchmarkProcSpawn: GoAt, first dispatch, body returns — what a
-// transaction costs the engine beyond its switches. Spawned in bursts no
-// deeper than the event heap's initial capacity.
-func BenchmarkProcSpawn(b *testing.B) {
-	benchEngines(b, func(b *testing.B, eng procEngine) {
-		body := func(scriptProc) {}
-		for left := b.N; left > 0; left -= eventHeapInitialCap {
-			for i := 0; i < left && i < eventHeapInitialCap; i++ {
-				eng.goAt(eng.Shard(0), eng.Now()+time.Duration(i), "p", body)
-			}
-			eng.Run()
-		}
-	})
-}
-
-// BenchmarkParkWake: one op is a Park/Wake pair — the waker's Wake and
-// Sleep and the two dispatches they cause.
-func BenchmarkParkWake(b *testing.B) {
-	benchEngines(b, func(b *testing.B, eng procEngine) {
-		stop := false
-		var sleeper scriptProc
-		eng.goAt(eng.Shard(0), 0, "sleeper", func(p scriptProc) {
-			sleeper = p
-			for !stop {
-				p.Park()
-			}
-		})
-		eng.goAt(eng.Shard(0), 0, "waker", func(p scriptProc) {
-			for !stop {
-				eng.wake(sleeper)
-				p.Sleep(time.Nanosecond)
-			}
-			eng.wake(sleeper)
-		})
-		b.ResetTimer()
-		eng.RunUntil(time.Duration(b.N))
-		mustNotAlloc(b, func() { eng.RunUntil(eng.Now() + 16) })
-		stop = true
-		if blocked := eng.Run(); blocked != 0 {
-			b.Fatalf("%d processes left blocked", blocked)
-		}
-	})
 }
 
 // BenchmarkEventHeap: pop the earliest event and push one later, at a
@@ -149,10 +74,10 @@ func BenchmarkEventHeap(b *testing.B) {
 }
 
 // BenchmarkWindowBarrier: one op is one lookahead window of a two-shard
-// environment carrying one cross-shard Send — window bounds, drain, inbox
-// merge. "one-active" bounces a single message between the shards, so each
-// window drains one shard inline; in "two-active" both shards also tick
-// every window, so each window starts and joins two drain goroutines.
+// environment — window bounds, drain, barrier. "one-active" ticks shard 0
+// once per window, so each window drains one shard inline; in "two-active"
+// both shards tick every window, so each window starts and joins two drain
+// goroutines.
 func BenchmarkWindowBarrier(b *testing.B) {
 	for _, both := range []bool{false, true} {
 		name := "one-active"
@@ -162,33 +87,26 @@ func BenchmarkWindowBarrier(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			e := NewShardedEnv(&Clock{}, 2, time.Microsecond)
-			L, left := e.Lookahead(), b.N
-			var hop [2]func()
-			for i := range hop {
-				from, to := e.Shard(i), e.Shard(1-i)
-				hop[i] = func() {
-					if left--; left > 0 {
-						from.Send(to, from.Now()+L, hop[1-i])
-					}
-				}
-			}
+			active := e.shards[:1]
 			if both {
-				for i := 0; i < 2; i++ {
-					sh := e.Shard(i)
-					var tick func()
-					tick = func() {
-						if left > 0 {
-							sh.After(L, tick)
-						}
-					}
-					sh.At(0, tick)
-				}
+				active = e.shards
 			}
-			e.Shard(0).At(0, hop[0])
+			ticks := make([]int, len(active))
+			for i, sh := range active {
+				var tick func()
+				tick = func() {
+					if ticks[i]++; ticks[i] < b.N {
+						sh.After(e.lookahead, tick)
+					}
+				}
+				sh.At(0, tick)
+			}
 			b.ResetTimer()
 			e.Run()
-			if w := e.Windows(); w < int64(b.N) {
-				b.Fatalf("%d windows for %d sends", w, b.N)
+			for i, n := range ticks {
+				if n != b.N {
+					b.Fatalf("shard %d ticked %d times in %d windows", i, n, b.N)
+				}
 			}
 		})
 	}

@@ -2,64 +2,55 @@ package sim
 
 import (
 	"fmt"
-	"sync/atomic"
+	"slices"
 	"testing"
 	"time"
 )
 
-// TestChaosShardedTimeHorizons hammers the conservative-lookahead invariant:
-// across many seeded runs with adversarial cross-shard traffic — every send
-// aimed at exactly the lookahead horizon, the closest the contract allows —
-// no shard may ever observe a cross-shard event earlier than its send
-// horizon, and every shard clock must advance monotonically. Runs in the
-// chaos stage of scripts/check.sh under -race, where a window goroutine
-// leaking past the merge barrier would also trip the detector.
+// TestChaosShardedTimeHorizons hammers the windowed drain: across many
+// seeded runs, four shards each run strands of callbacks whose gaps straddle
+// the window width — zero, one below the lookahead, exactly it, one past it,
+// and random — so events land on every side of a window's horizon. Shards
+// share no events, so each shard's trace must equal what its strands do
+// alone on the serial engine and end at the same clock. Runs in the chaos
+// stage of scripts/check.sh under -race, where a drain goroutine leaking
+// past its window would also trip the detector.
 func TestChaosShardedTimeHorizons(t *testing.T) {
-	const shards = 4
+	const shards, strands, steps = 4, 4, 200
 	for seed := uint64(1); seed <= 5; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			e := NewShardedEnv(&Clock{}, shards, 0)
-			L := e.Lookahead()
-			var sends, recvs atomic.Int64
-			lastSeen := make([]time.Duration, shards) // per shard, touched only by its drain goroutine
-			for i := 0; i < shards; i++ {
-				i := i
-				sh := e.Shard(i)
-				for pid := 0; pid < 4; pid++ {
+			// play schedules shard i's strands on sh.
+			play := func(sh *Shard, i int, L time.Duration, trace *[]string) {
+				for pid := 0; pid < strands; pid++ {
 					rng := NewRNG(seed*1000 + uint64(i*32+pid))
-					sh.Go(fmt.Sprintf("s%d-p%d", i, pid), func(p *Proc) {
-						for step := 0; step < 200; step++ {
-							p.Sleep(time.Duration(rng.Intn(80)) * time.Microsecond)
-							now := p.Now()
-							if now < lastSeen[i] {
-								t.Errorf("shard %d clock went backwards: %v after %v", i, now, lastSeen[i])
-							}
-							lastSeen[i] = now
-							if step%4 == 0 {
-								dst := e.Shard((i + 1 + rng.Intn(shards-1)) % shards)
-								sendTime, horizon := now, now+L
-								sends.Add(1)
-								p.Shard().Send(dst, horizon, func() {
-									recvs.Add(1)
-									if got := dst.Now(); got < sendTime+L {
-										t.Errorf("shard %d observed event from shard %d at %v, horizon %v",
-											dst.ID(), i, got, sendTime+L)
-									}
-								})
-							}
+					gaps := []time.Duration{0, L - 1, L, L + 1}
+					strand(sh, trace, fmt.Sprintf("s%d-p%d", i, pid), 0, steps, func() time.Duration {
+						if k := rng.Intn(len(gaps) + 1); k < len(gaps) {
+							return gaps[k]
 						}
+						return time.Duration(rng.Intn(80)) * time.Microsecond
 					})
 				}
 			}
-			if blocked := e.Run(); blocked != 0 {
-				t.Fatalf("blocked procs: %d", blocked)
+			e := NewShardedEnv(&Clock{}, shards, 0)
+			traces := make([][]string, shards) // per shard, touched only by its drain goroutine
+			for i := 0; i < shards; i++ {
+				play(e.Shard(i), i, e.lookahead, &traces[i])
 			}
-			if sends.Load() == 0 || sends.Load() != recvs.Load() {
-				t.Fatalf("sends %d, recvs %d", sends.Load(), recvs.Load())
-			}
-			if e.Windows() == 0 {
-				t.Fatal("windowed engine executed zero windows")
+			e.Run()
+			for i := 0; i < shards; i++ {
+				ref := NewSerialEnv(&Clock{})
+				var want []string
+				play(ref.Shard(0), i, e.lookahead, &want)
+				ref.Run()
+				if !slices.Equal(traces[i], want) {
+					t.Fatalf("shard %d: %d steps on the sharded engine differ from %d alone on the serial engine",
+						i, len(traces[i]), len(want))
+				}
+				if got := e.Shard(i).Now(); got != ref.Now() {
+					t.Fatalf("shard %d clock %v, alone on the serial engine %v", i, got, ref.Now())
+				}
 			}
 		})
 	}

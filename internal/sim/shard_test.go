@@ -2,52 +2,55 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
 
-// traceWorkload drives a small but varied proc mix — sleeps, a contended
-// resource, park/wake pairs, timers — and records every observable step as
-// "(time) name". The same workload runs on both engines; identical traces
-// mean identical event order and identical clock advancement.
+// strand schedules a chain of steps callbacks on sh, the first at start and
+// each later one a gap after the one before, and records every step as
+// "(time) name step n" in *trace.
+func strand(sh *Shard, trace *[]string, name string, start time.Duration, steps int, gap func() time.Duration) {
+	step := 0
+	var tick func()
+	tick = func() {
+		*trace = append(*trace, fmt.Sprintf("%v %s step %d", sh.Now(), name, step))
+		if step++; step < steps {
+			sh.After(gap(), tick)
+		}
+	}
+	sh.At(start, tick)
+}
+
+// traceWorkload drives a small but varied callback mix on shard 0 — strands
+// with random gaps, timers scheduled out of order, a same-time tie, a
+// zero-delay follow-up and a RunUntil deadline mid-run — and records every
+// step. The same workload runs on both engines; identical traces mean
+// identical event order and identical clock advancement.
 func traceWorkload(e *Env) []string {
 	var trace []string
-	note := func(now time.Duration, what string) {
-		trace = append(trace, fmt.Sprintf("%v %s", now, what))
-	}
-	cpu := NewResource(e, 2)
-	var waiter *Proc
+	sh := e.Shard(0)
+	note := func(what string) { trace = append(trace, fmt.Sprintf("%v %s", sh.Now(), what)) }
 	for i := 0; i < 4; i++ {
-		i := i
-		e.GoAt(time.Duration(i)*time.Microsecond, fmt.Sprintf("worker-%d", i), func(p *Proc) {
-			rng := NewRNG(uint64(1992 + i))
-			for step := 0; step < 20; step++ {
-				cpu.Use(p, func() {
-					note(p.Now(), fmt.Sprintf("%s acquired step %d", p.Name(), step))
-				})
-				p.Sleep(time.Duration(rng.Intn(50)) * time.Microsecond)
-			}
-			note(p.Now(), p.Name()+" done")
-		})
+		rng := NewRNG(uint64(1992 + i))
+		strand(sh, &trace, fmt.Sprintf("strand-%d", i), time.Duration(i)*time.Microsecond, 20,
+			func() time.Duration { return time.Duration(rng.Intn(50)) * time.Microsecond })
 	}
-	e.Go("parker", func(p *Proc) {
-		waiter = p
-		note(p.Now(), "parker parks")
-		p.Park()
-		note(p.Now(), "parker woken")
+	e.At(300*time.Microsecond, func() { note("late timer") })
+	e.At(10*time.Microsecond, func() {
+		note("early timer")
+		e.After(0, func() { note("zero-delay follow-up") })
 	})
-	e.After(300*time.Microsecond, func() {
-		note(e.shards[0].Now(), "timer fires")
-		e.Wake(waiter)
-	})
+	e.At(300*time.Microsecond, func() { note("tied timer") })
+	e.RunUntil(100 * time.Microsecond)
+	note("deadline")
 	e.Run()
 	return trace
 }
 
-// TestShardedSingleShardMatchesSerial pins the golden-parity property the
-// differential reproduce test relies on: a single-shard sharded engine —
-// the windowed drain — produces the exact event order and clock sequence of
-// the serial engine.
+// TestShardedSingleShardMatchesSerial pins the golden-parity property: a
+// single-shard sharded engine — the windowed drain — produces the exact
+// event order and clock sequence of the serial engine.
 func TestShardedSingleShardMatchesSerial(t *testing.T) {
 	serial := traceWorkload(NewSerialEnv(&Clock{}))
 	sharded := traceWorkload(NewShardedEnv(&Clock{}, 1, 0))
@@ -61,37 +64,19 @@ func TestShardedSingleShardMatchesSerial(t *testing.T) {
 	}
 }
 
-// shardedTrace runs a multi-shard workload with cross-shard sends and
-// returns per-shard traces plus final shard clocks.
+// shardedTrace runs three strands of callbacks per shard and returns the
+// per-shard traces plus the final shard clocks.
 func shardedTrace(shards int, seed uint64) ([][]string, []time.Duration) {
 	e := NewShardedEnv(&Clock{}, shards, 0)
-	L := e.Lookahead()
 	traces := make([][]string, shards)
 	for i := 0; i < shards; i++ {
-		i := i
-		sh := e.Shard(i)
 		for pid := 0; pid < 3; pid++ {
-			pid := pid
 			rng := NewRNG(seed + uint64(i*16+pid))
-			sh.Go(fmt.Sprintf("s%d-p%d", i, pid), func(p *Proc) {
-				for step := 0; step < 40; step++ {
-					p.Sleep(time.Duration(1+rng.Intn(120)) * time.Microsecond)
-					traces[i] = append(traces[i], fmt.Sprintf("%v %s step %d", p.Now(), p.Name(), step))
-					if shards > 1 && step%8 == 3 {
-						dst := e.Shard((i + 1 + rng.Intn(shards-1)) % shards)
-						from, at := p.Name(), p.Now()+L+time.Duration(rng.Intn(100))*time.Microsecond
-						p.Shard().Send(dst, at, func() {
-							traces[dst.ID()] = append(traces[dst.ID()],
-								fmt.Sprintf("%v recv from %s", dst.Now(), from))
-						})
-					}
-				}
-			})
+			strand(e.Shard(i), &traces[i], fmt.Sprintf("s%d-p%d", i, pid), 0, 40,
+				func() time.Duration { return time.Duration(1+rng.Intn(120)) * time.Microsecond })
 		}
 	}
-	if blocked := e.Run(); blocked != 0 {
-		panic(fmt.Sprintf("blocked=%d", blocked))
-	}
+	e.Run()
 	clocks := make([]time.Duration, shards)
 	for i := range clocks {
 		clocks[i] = e.Shard(i).Now()
@@ -101,8 +86,8 @@ func shardedTrace(shards int, seed uint64) ([][]string, []time.Duration) {
 
 // TestShardedEnvDeterminism runs the same multi-shard workload twice and
 // requires bit-identical per-shard traces and final clocks: window
-// boundaries and the merge barrier must be pure functions of virtual time,
-// never of wall-clock goroutine interleaving.
+// boundaries must be pure functions of virtual time, never of wall-clock
+// goroutine interleaving.
 func TestShardedEnvDeterminism(t *testing.T) {
 	t1, c1 := shardedTrace(4, 7)
 	t2, c2 := shardedTrace(4, 7)
@@ -121,64 +106,48 @@ func TestShardedEnvDeterminism(t *testing.T) {
 	}
 }
 
-// TestCrossShardSendHorizon pins the conservative contract: a cross-shard
-// send below the lookahead horizon must panic (it could otherwise be
-// delivered inside the window that sent it), while a same-shard send at
-// "now" is fine.
-func TestCrossShardSendHorizon(t *testing.T) {
-	e := NewShardedEnv(&Clock{}, 2, 40*time.Microsecond)
-	s0, s1 := e.Shard(0), e.Shard(1)
-	s0.Send(s0, 0, func() {}) // same-shard: no horizon
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("cross-shard send below the horizon did not panic")
-			}
-		}()
-		s0.Send(s1, 39*time.Microsecond, func() {})
-	}()
-	s0.Send(s1, 40*time.Microsecond, func() {}) // exactly the horizon: allowed
-	e.Run()
-	if got := s1.Now(); got != 40*time.Microsecond {
-		t.Fatalf("shard 1 clock = %v, want 40µs", got)
+// A window goroutine that has signalled its WaitGroup takes a moment more
+// to exit, so goroutine counts are read with patience: goroutines waits up
+// to two seconds for the count to reach want and reports where it stands;
+// quietGoroutines waits for an earlier test's stragglers to go.
+func goroutines(want int) int {
+	for i := 0; i < 2000 && runtime.NumGoroutine() != want; i++ {
+		time.Sleep(time.Millisecond)
 	}
+	return runtime.NumGoroutine()
 }
 
-// TestCrossShardMergeOrder checks the merge barrier's total order: arrivals
-// with equal timestamps execute in (source shard, source sequence) order,
-// the sharded analogue of the serial heap's seq tie-break.
-func TestCrossShardMergeOrder(t *testing.T) {
-	e := NewShardedEnv(&Clock{}, 3, 10*time.Microsecond)
-	dst := e.Shard(0)
-	var got []string
-	at := 50 * time.Microsecond
-	// Schedule in deliberately scrambled source order; all land at `at`.
-	e.Shard(2).Send(dst, at, func() { got = append(got, "s2#1") })
-	e.Shard(1).Send(dst, at, func() { got = append(got, "s1#1") })
-	e.Shard(2).Send(dst, at, func() { got = append(got, "s2#2") })
-	e.Shard(1).Send(dst, at, func() { got = append(got, "s1#2") })
-	// The sending shards need a pending event each so the run loop opens a
-	// window; an empty shard sends nothing at run time.
-	e.Shard(1).At(0, func() {})
-	e.Shard(2).At(0, func() {})
-	e.Run()
-	want := []string{"s1#1", "s1#2", "s2#1", "s2#2"}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("merge order %v, want %v", got, want)
+func quietGoroutines() int {
+	for {
+		n := runtime.NumGoroutine()
+		if time.Sleep(5 * time.Millisecond); runtime.NumGoroutine() == n {
+			return n
 		}
 	}
 }
 
-// TestShardedBlockedProcs checks deadlock reporting sums across shards.
-func TestShardedBlockedProcs(t *testing.T) {
-	e := NewShardedEnv(&Clock{}, 2, 0)
-	e.Shard(0).Go("stuck-0", func(p *Proc) { p.Park() })
-	e.Shard(1).Go("stuck-1", func(p *Proc) { p.Park() })
-	if blocked := e.Run(); blocked != 2 {
-		t.Fatalf("blocked = %d, want 2", blocked)
+// TestRunLeavesNoGoroutines: the sharded engine drains a window's shards on
+// goroutines of its own; when RunUntil stops at a deadline, and when Run
+// returns, every one of them is gone, on both engines.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	base := quietGoroutines()
+	for _, e := range []*Env{NewSerialEnv(&Clock{}), NewShardedEnv(&Clock{}, 3, 0)} {
+		var traces [3][]string
+		for i := 0; i < 30; i++ {
+			s := i % len(e.shards)
+			strand(e.Shard(s), &traces[s], "p", time.Duration(i)*time.Microsecond, 20,
+				func() time.Duration { return 7 * time.Microsecond })
+		}
+		e.RunUntil(60 * time.Microsecond)
+		if n := goroutines(base); n != base {
+			t.Fatalf("windowed=%v: %d goroutines at the deadline, baseline %d", e.windowed, n, base)
+		}
+		e.Run()
+		if n := goroutines(base); n != base {
+			t.Fatalf("windowed=%v: %d goroutines after Run, baseline %d", e.windowed, n, base)
+		}
+		if steps := len(traces[0]) + len(traces[1]) + len(traces[2]); steps != 30*20 {
+			t.Fatalf("windowed=%v: %d steps ran, want %d", e.windowed, steps, 30*20)
+		}
 	}
 }

@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"epcm/internal/harness"
 )
 
 func TestClockAdvance(t *testing.T) {
@@ -197,196 +200,12 @@ func TestEnvTimers(t *testing.T) {
 	e.At(3*time.Second, func() { order = append(order, 3) })
 	e.At(1*time.Second, func() { order = append(order, 1) })
 	e.At(2*time.Second, func() { order = append(order, 2) })
-	if blocked := e.Run(); blocked != 0 {
-		t.Fatalf("blocked = %d", blocked)
-	}
+	e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("timer order = %v", order)
 	}
 	if c.Now() != 3*time.Second {
 		t.Fatalf("clock = %v", c.Now())
-	}
-}
-
-func TestEnvProcSleep(t *testing.T) {
-	var c Clock
-	e := NewSerialEnv(&c)
-	var trace []string
-	e.Go("a", func(p *Proc) {
-		trace = append(trace, "a0")
-		p.Sleep(10 * time.Millisecond)
-		trace = append(trace, "a1")
-	})
-	e.Go("b", func(p *Proc) {
-		trace = append(trace, "b0")
-		p.Sleep(5 * time.Millisecond)
-		trace = append(trace, "b1")
-	})
-	e.Run()
-	want := []string{"a0", "b0", "b1", "a1"}
-	if len(trace) != len(want) {
-		t.Fatalf("trace = %v", trace)
-	}
-	for i := range want {
-		if trace[i] != want[i] {
-			t.Fatalf("trace = %v, want %v", trace, want)
-		}
-	}
-	if c.Now() != 10*time.Millisecond {
-		t.Fatalf("clock = %v", c.Now())
-	}
-}
-
-func TestEnvParkWake(t *testing.T) {
-	var c Clock
-	e := NewSerialEnv(&c)
-	var woke time.Duration
-	var sleeper *Proc
-	done := false
-	e.Go("sleeper", func(p *Proc) {
-		sleeper = p
-		p.Park()
-		woke = p.Now()
-		done = true
-	})
-	e.Go("waker", func(p *Proc) {
-		p.Sleep(7 * time.Millisecond)
-		p.Env().Wake(sleeper)
-	})
-	if blocked := e.Run(); blocked != 0 {
-		t.Fatalf("blocked = %d", blocked)
-	}
-	if !done || woke != 7*time.Millisecond {
-		t.Fatalf("done=%v woke=%v", done, woke)
-	}
-}
-
-func TestEnvDetectsPermanentBlock(t *testing.T) {
-	var c Clock
-	e := NewSerialEnv(&c)
-	e.Go("stuck", func(p *Proc) { p.Park() })
-	if blocked := e.Run(); blocked != 1 {
-		t.Fatalf("blocked = %d, want 1", blocked)
-	}
-}
-
-func TestResourceFIFOAndCapacity(t *testing.T) {
-	var c Clock
-	e := NewSerialEnv(&c)
-	r := NewResource(e, 2)
-	var order []string
-	worker := func(name string, hold time.Duration) func(*Proc) {
-		return func(p *Proc) {
-			r.Acquire(p)
-			order = append(order, name+"+")
-			p.Sleep(hold)
-			order = append(order, name+"-")
-			r.Release()
-		}
-	}
-	e.Go("w1", worker("w1", 10*time.Millisecond))
-	e.Go("w2", worker("w2", 10*time.Millisecond))
-	e.Go("w3", worker("w3", 10*time.Millisecond))
-	e.Go("w4", worker("w4", 10*time.Millisecond))
-	if blocked := e.Run(); blocked != 0 {
-		t.Fatalf("blocked = %d", blocked)
-	}
-	// w1 and w2 run immediately; w3 and w4 wait for releases, in order.
-	// w2's own sleep-end event was scheduled before w3's grant event, so at
-	// t=10ms w2 finishes before w3 starts.
-	want := []string{"w1+", "w2+", "w1-", "w2-", "w3+", "w4+", "w3-", "w4-"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-	if c.Now() != 20*time.Millisecond {
-		t.Fatalf("makespan = %v, want 20ms (2 waves of 10ms on 2 units)", c.Now())
-	}
-	if r.InUse() != 0 || r.QueueLen() != 0 {
-		t.Fatalf("resource not drained: inUse=%d queue=%d", r.InUse(), r.QueueLen())
-	}
-}
-
-func TestResourceWaitStats(t *testing.T) {
-	var c Clock
-	e := NewSerialEnv(&c)
-	r := NewResource(e, 1)
-	e.Go("a", func(p *Proc) { r.Use(p, func() { p.Sleep(4 * time.Millisecond) }) })
-	e.Go("b", func(p *Proc) { r.Use(p, func() { p.Sleep(4 * time.Millisecond) }) })
-	e.Run()
-	if r.WaitStats().Count() != 2 {
-		t.Fatalf("wait samples = %d", r.WaitStats().Count())
-	}
-	if r.WaitStats().Max() != 4*time.Millisecond {
-		t.Fatalf("max wait = %v, want 4ms", r.WaitStats().Max())
-	}
-}
-
-// TestResourceReleaseClearsDeadHeads: Release reslices the wait queue past
-// its head, so the head's slot must be cleared first or the backing array
-// keeps the woken process reachable until the slice next reallocates. The
-// test watches the whole array of a queue that never has to grow.
-func TestResourceReleaseClearsDeadHeads(t *testing.T) {
-	e := NewSerialEnv(&Clock{})
-	r := NewResource(e, 1)
-	const procs = 16
-	r.waiters = make([]*Proc, 0, procs)
-	array := r.waiters[:procs]
-	for i := 0; i < procs; i++ {
-		e.Go("p", func(p *Proc) { r.Use(p, func() { p.Sleep(time.Millisecond) }) })
-	}
-	if blocked := e.Run(); blocked != 0 || r.QueueLen() != 0 {
-		t.Fatalf("%d blocked, %d still queued", blocked, r.QueueLen())
-	}
-	if r.WaitStats().Max() != (procs-1)*time.Millisecond {
-		t.Fatalf("max wait %v: the run was not contended", r.WaitStats().Max())
-	}
-	for i, p := range array {
-		if p != nil {
-			t.Fatalf("slot %d of the wait queue's array still holds a woken process", i)
-		}
-	}
-}
-
-func TestResourceOverReleasePanics(t *testing.T) {
-	var c Clock
-	e := NewSerialEnv(&c)
-	r := NewResource(e, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("over-release did not panic")
-		}
-	}()
-	r.Release()
-}
-
-func TestEnvManyProcsDeterministic(t *testing.T) {
-	run := func() (time.Duration, int64) {
-		var c Clock
-		e := NewSerialEnv(&c)
-		r := NewResource(e, 3)
-		rng := NewRNG(99)
-		var total int64
-		for i := 0; i < 200; i++ {
-			d := time.Duration(rng.Intn(1000)+1) * time.Microsecond
-			e.GoAt(time.Duration(rng.Intn(5000))*time.Microsecond, "p", func(p *Proc) {
-				r.Acquire(p)
-				p.Sleep(d)
-				r.Release()
-				total++
-			})
-		}
-		e.Run()
-		return c.Now(), total
-	}
-	t1, n1 := run()
-	t2, n2 := run()
-	if n1 != 200 || n2 != 200 {
-		t.Fatalf("completions %d, %d", n1, n2)
-	}
-	if t1 != t2 {
-		t.Fatalf("non-deterministic makespan: %v vs %v", t1, t2)
 	}
 }
 
@@ -400,18 +219,6 @@ func TestEnvAtInPastPanics(t *testing.T) {
 		}
 	}()
 	e.At(time.Millisecond, func() {})
-}
-
-func TestEnvGoAtInPastPanics(t *testing.T) {
-	var c Clock
-	e := NewSerialEnv(&c)
-	c.Advance(time.Second)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("GoAt in the past did not panic")
-		}
-	}()
-	e.GoAt(time.Millisecond, "p", func(p *Proc) {})
 }
 
 func TestRunUntilStopsAtDeadline(t *testing.T) {
@@ -434,35 +241,32 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	}
 }
 
-func TestProcSleepNegativePanics(t *testing.T) {
-	var c Clock
-	e := NewSerialEnv(&c)
-	panicked := false
-	e.Go("p", func(p *Proc) {
+// TestCallbackPanicReachesRun: a panic in a callback unwinds into Run's
+// caller, so harness.Run — which every experiment runs under — reports it
+// as that task's error.
+func TestCallbackPanicReachesRun(t *testing.T) {
+	boom := errors.New("boom")
+	run := func() (int, error) {
+		e := NewSerialEnv(&Clock{})
+		e.At(time.Second, func() {})
+		e.At(time.Millisecond, func() { e.After(time.Millisecond, func() { panic(boom) }) })
+		e.Run()
+		return 0, nil
+	}
+	func() {
 		defer func() {
-			if recover() != nil {
-				panicked = true
+			if r := recover(); r != boom {
+				t.Fatalf("Run recovered %v, want the callback's panic value", r)
 			}
 		}()
-		p.Sleep(-1)
-	})
-	e.Run()
-	if !panicked {
-		t.Fatal("negative sleep did not panic")
+		run()
+		t.Fatal("Run returned")
+	}()
+	res := harness.Run([]harness.Task[int]{{Name: "ok", Run: func() (int, error) { return 7, nil }}, {Name: "bad", Run: run}}, 1)
+	var pe *harness.PanicError
+	if res[0].Err != nil || res[0].Value != 7 || !errors.As(res[1].Err, &pe) || pe.Value != boom {
+		t.Fatalf("harness results = %+v, want task 0 fine and task 1 a PanicError carrying the callback's value", res)
 	}
-}
-
-func TestResourceUseReleasesOnReturn(t *testing.T) {
-	var c Clock
-	e := NewSerialEnv(&c)
-	r := NewResource(e, 1)
-	e.Go("a", func(p *Proc) {
-		r.Use(p, func() { p.Sleep(time.Millisecond) })
-		if r.InUse() != 0 {
-			t.Error("Use did not release")
-		}
-	})
-	e.Run()
 }
 
 // Percentile agrees with a reference implementation on random data.

@@ -24,10 +24,12 @@ if grep -rnE '\bebr\b|casBox|lookupEntry|srcSeen' internal/; then
     echo "a mechanism deleted in PR 14 is back (see the matches above)" >&2
     exit 1
 fi
-# PR 15 replaced the time engine's channel rendezvous with coroutines; the
-# channel engine lives on only as the reference in internal/sim's tests.
-if grep -rnE 'resume +chan|parked +chan' --include='*.go' --exclude='*_test.go' internal/sim; then
-    echo "the channel process switch deleted in PR 15 is back (see the matches above)" >&2
+# The time engine runs callbacks only: simulated processes (the channel
+# switch, then coroutines), their resources and cross-shard sends are gone
+# from internal/sim; processes live on only as the reference in
+# internal/db's tests (refenv_test.go).
+if grep -rnE 'resume +chan|parked +chan|iter\.Pull|\*Proc\b|Resource\b|\.Send\(|inbox' --include='*.go' --exclude='*_test.go' internal/sim; then
+    echo "a simulated-process or cross-shard-send mechanism is back in internal/sim (see the matches above)" >&2
     exit 1
 fi
 
@@ -241,7 +243,6 @@ go test -run='^$' -fuzz='^FuzzMailbox$' -fuzztime=10s ./internal/plane
 go test -run='^$' -fuzz='^FuzzPolicy$' -fuzztime=10s ./internal/manager
 go test -run='^$' -fuzz='^FuzzSlotLedger$' -fuzztime=10s ./internal/manager
 go test -run='^$' -fuzz='^FuzzEventHeap$' -fuzztime=10s ./internal/sim
-go test -run='^$' -fuzz='^FuzzProcSchedule$' -fuzztime=10s ./internal/sim
 go test -run='^$' -fuzz='^FuzzClock$' -fuzztime=10s ./internal/sim
 go test -run='^$' -fuzz='^FuzzLockManager$' -fuzztime=10s ./internal/db
 go test -run='^$' -fuzz='^FuzzTable4Machine$' -fuzztime=10s ./internal/db
@@ -253,7 +254,7 @@ go test -bench=DeliveryPlane -benchtime=1x -run='^$' ./internal/experiments
 go test -bench='BatchMigrate|TLB|MappingTable|CASTable|CheckDisjoint|DeliverFault' -benchtime=1x -run='^$' ./internal/kernel
 go test -bench='LockReleaseAll|LockCycle|Table4' -benchtime=1x -run='^$' ./internal/db
 go test -bench='MachineBoot|StockThenTouch' -benchtime=1x -run='^$' ./internal/manager
-go test -bench='ProcSwitch|ProcSpawn|ParkWake|EventHeap|WindowBarrier|Clock' -benchtime=1x -run='^$' ./internal/sim
+go test -bench='EventHeap|WindowBarrier|Clock' -benchtime=1x -run='^$' ./internal/sim
 go test -bench='Store' -benchtime=1x -run='^$' ./internal/storage
 
 golden_tmp=$(mktemp)
@@ -270,7 +271,7 @@ for arm in "" "-sched concurrent" "-super"; do
     diff internal/experiments/testdata/reproduce.golden "$golden_tmp"
 done
 # The sweeps print model numbers only, so they have a golden file too:
-# Table 1's section of reproduce.golden (its first 9 lines), then the four
+# Table 1's section of reproduce.golden (its first 9 lines), then the three
 # sweeps in table order. A missed gate is a non-zero exit.
 echo "   reproduce -table 1 -sweep all"
 go run ./cmd/reproduce -table 1 -sweep all > "$golden_tmp"
