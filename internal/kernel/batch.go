@@ -409,7 +409,7 @@ func (k *Kernel) moveRun(src, dst *Segment, r PageRange, order uint8, set, clear
 			if src.named {
 				srcKey := mapKey{src.id, r.Page + i}
 				k.table.remove(srcKey)
-				k.tlb.invalidate(srcKey)
+				k.tlbOf(src).invalidate(srcKey)
 			}
 			if fill {
 				if cold && i%preloadRun == 0 {
@@ -423,7 +423,7 @@ func (k *Kernel) moveRun(src, dst *Segment, r PageRange, order uint8, set, clear
 		// On a fault-driven migrate the kernel loads the translation for
 		// the faulting address before the application resumes, so the
 		// retried access does not miss again.
-		k.tlb.installRun(mapKey{dst.id, r.To}, r.Pages)
+		k.tlbOf(dst).installRun(mapKey{dst.id, r.To}, r.Pages)
 	}
 	if order != 0 {
 		// The destination cannot hold an overlapping extent: its slots were
@@ -515,7 +515,7 @@ func (k *Kernel) resize(cred Cred, src, dst *Segment, ranges []PageRange, set, c
 				if src.named {
 					key := mapKey{src.id, sp}
 					k.table.remove(key)
-					k.tlb.invalidate(key)
+					k.tlbOf(src).invalidate(key)
 				}
 			}
 			ne.flags = ne.flags.Apply(set, clear)
@@ -588,11 +588,11 @@ func (k *Kernel) modifyFlags(cred Cred, s *Segment, ranges []PageRange, set, cle
 			if !whole {
 				// Cached translations may now be stale (e.g. protection
 				// tightened).
-				k.tlb.invalidate(mapKey{s.id, r.Page + i})
+				k.tlbOf(s).invalidate(mapKey{s.id, r.Page + i})
 			}
 		}
 		if whole {
-			k.tlb.invalidateSpan(mapKey{s.id, r.Page}, ord)
+			k.tlbOf(s).invalidateSpan(mapKey{s.id, r.Page}, ord)
 			k.stats.SuperpageOps.Add(1)
 			charge += k.cost.SuperpageOp
 		} else {

@@ -37,7 +37,7 @@ func newBulkWorld(t *testing.T, frames int64, cfg Config) *bulkWorld {
 	mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: frames * 4096})
 	k := New(mem, new(sim.Clock), sim.DECstation5000(), cfg)
 	w := &bulkWorld{t: t, k: k, model: make(map[*Segment]map[int64]bulkPage), spans: make(map[*Segment]map[int64]uint8),
-		refT: newRefMappingTable(hashTableSlots, hashOverflow), refL: newRefTLB(len(k.tlb.(*tlb).entries))}
+		refT: newRefMappingTable(hashTableSlots, hashOverflow), refL: newRefTLB(len(k.tlb.entries))}
 	w.model[k.boot] = make(map[int64]bulkPage, frames)
 	for pfn := int64(0); pfn < frames; pfn++ {
 		w.model[k.boot][pfn] = bulkPage{pfn: phys.PFN(pfn)}
@@ -177,7 +177,7 @@ func (w *bulkWorld) demoteCovering(s *Segment, page int64) {
 
 func (w *bulkWorld) check(step string) {
 	w.t.Helper()
-	table, tl := w.k.table.(*mappingTable), w.k.tlb.(*tlb)
+	table, tl := w.k.table.(*mappingTable), w.k.tlb
 	assertSameAsReference(w.t, table, w.refT)
 	assertNoDuplicates(w.t, table)
 	assertTLBSameAsReference(w.t, tl, w.refL)

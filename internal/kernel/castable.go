@@ -13,19 +13,18 @@ import (
 // publication and tombstoned removal. The serial scheduler keeps the
 // paper's unlocked mappingTable, so the golden output is untouched.
 //
-// Layout. Each slot is one uint64 in the layout casPackOrder gives the CAS
-// TLB's superpage ways: present bit, 3 bits of span order (0 for a
-// base-page entry), 20 bits of segment, 40 bits of page. Zero is an empty
-// slot and casTombstone a removed one; neither has the present bit, so
-// neither can equal a key. A key's home slot is the top bits of the
+// Layout. Each slot is one uint64 packed by casPackOrder: present bit, 3
+// bits of span order (0 for a base-page entry), 20 bits of segment, 40 bits
+// of page. Zero is an empty slot and casTombstone a removed one; neither has
+// the present bit, so neither can equal a key. A key's home slot is the top bits of the
 // Fibonacci hash of its (span-tagged) mapKey; a lookup probes a short
 // window from home, stopping at the first empty slot. Removal CASes the
 // word to the tombstone — never back to zero — so the stop-at-zero
 // invariant survives concurrent removals: a key, once placed, is never
 // beyond the first zero of its window, because inserts choose the first
 // zero-or-tombstone slot and zeros never reappear. Keys outside the packable
-// range are uncacheable, as in the CAS TLB: lookups miss, insert and remove
-// are no-ops, and the segment's page index serves them.
+// range are uncacheable: lookups miss, insert and remove are no-ops, and the
+// segment's page index serves them.
 //
 // Concurrency contract. A slot is a value, not a reference: nothing is
 // dereferenced, so readers pin nothing and writers reclaim nothing, and a
@@ -58,6 +57,30 @@ const casTombstone = uint64(1)
 // hashOverflow bounds the paper table's overflow scan.
 const casProbeWindow = 8
 
+// Slot packing: present bit (63), 3 bits of order (60..62), 20 bits of
+// segment (40..59; segment IDs are small sequential integers), 40 bits of
+// base page.
+const (
+	casPresent    = uint64(1) << 63
+	casPageBits   = 40
+	casOrderShift = 60
+	casSegBits    = casOrderShift - casPageBits
+)
+
+// casPackOrder packs the slot word of the entry covering 2^order pages from
+// base k.page (order 0 for a base page), reporting false for keys outside
+// the representable range.
+func casPackOrder(k mapKey, order uint8) (uint64, bool) {
+	if uint64(k.seg) >= 1<<casSegBits || k.page < 0 || k.page >= 1<<casPageBits {
+		return 0, false
+	}
+	return casPresent | uint64(order)<<casOrderShift |
+		uint64(k.seg)<<casPageBits | uint64(k.page), true
+}
+
+// casOrderSeg is the segment of a word casPackOrder built.
+func casOrderSeg(w uint64) SegID { return SegID(w >> casPageBits & (1<<casSegBits - 1)) }
+
 func newCASTableSized(slots int) *casTable {
 	if slots <= 0 || slots&(slots-1) != 0 {
 		panic(fmt.Sprintf("kernel: CAS table size %d not a power of two", slots))
@@ -71,7 +94,7 @@ func newCASTableSized(slots int) *casTable {
 }
 
 // hashShift is the right shift that leaves the top log2(n) bits of a 64-bit
-// Fibonacci hash: an index into a table of n (a power of two) slots or sets.
+// Fibonacci hash: an index into a table of n (a power of two) slots.
 func hashShift(n int) uint { return uint(64 - bits.TrailingZeros(uint(n))) }
 
 func casHash(k mapKey) uint64 {
@@ -223,7 +246,7 @@ func (t *casTable) removeSegment(seg SegID) {
 		s := &t.slots[i]
 		for {
 			v := s.Load()
-			if v&casTLBPresent == 0 || casOrderSeg(v) != seg || s.CompareAndSwap(v, casTombstone) {
+			if v&casPresent == 0 || casOrderSeg(v) != seg || s.CompareAndSwap(v, casTombstone) {
 				break
 			}
 		}

@@ -15,11 +15,11 @@ func newCASTable() *casTable { return newCASTableSized(hashTableSlots) }
 // under (span-tagged for order > 0), reporting false for an empty or
 // tombstoned slot.
 func casSlotKey(w uint64) (mapKey, bool) {
-	if w&casTLBPresent == 0 {
+	if w&casPresent == 0 {
 		return mapKey{}, false
 	}
-	k := mapKey{seg: casOrderSeg(w), page: int64(w & (1<<casTLBPageBits - 1))}
-	return spanMapKey(k, int(w>>casTLBOrderShift&7)), true
+	k := mapKey{seg: casOrderSeg(w), page: int64(w & (1<<casPageBits - 1))}
+	return spanMapKey(k, int(w>>casOrderShift&7)), true
 }
 
 // casLiveCount scans a CAS table and returns how many live slots hold key
@@ -97,7 +97,7 @@ func TestCASTableStaleDuplicatePurge(t *testing.T) {
 	if n := casLiveCount(tbl, a); n != 1 {
 		t.Fatalf("key %v live %d times after tombstone reuse, want 1", a, n)
 	}
-	if got := tbl.slots[casHash(a)>>tbl.shift].Load(); got&casTLBPresent == 0 {
+	if got := tbl.slots[casHash(a)>>tbl.shift].Load(); got&casPresent == 0 {
 		t.Fatalf("home slot of %v not reused: holds %#x", a, got)
 	}
 }
@@ -165,8 +165,8 @@ func TestCASTableDisplacement(t *testing.T) {
 func TestCASTableUncacheableKeys(t *testing.T) {
 	tbl := newCASTableSized(64)
 	for _, k := range []mapKey{
-		{seg: 1 << casTLBSuperSegBits, page: 5},
-		{seg: 1, page: 1 << casTLBPageBits},
+		{seg: 1 << casSegBits, page: 5},
+		{seg: 1, page: 1 << casPageBits},
 		{seg: 1, page: -3},
 	} {
 		tbl.insert(k)
@@ -190,7 +190,7 @@ func TestCASTableUncacheableKeys(t *testing.T) {
 		t.Fatalf("uncacheable span insert set spanSeen = %#x", m)
 	}
 	// The largest packable key still caches.
-	edge := mapKey{seg: 1<<casTLBSuperSegBits - 1, page: 1<<casTLBPageBits - 1}
+	edge := mapKey{seg: 1<<casSegBits - 1, page: 1<<casPageBits - 1}
 	tbl.insert(edge)
 	if !tbl.lookup(edge) {
 		t.Fatalf("edge key %v not cached", edge)
@@ -289,66 +289,5 @@ func TestChaosCASTableHammer(t *testing.T) {
 			}
 			seen[k] = true
 		}
-	}
-}
-
-// TestChaosCASTLBHammer drives the lock-free TLB from 16 goroutines mixing
-// install, lookup, invalidate and segment shootdown. The TLB stores packed
-// words, so the only invariants are memory-safety under -race and that a
-// single-threaded install/invalidate pair behaves deterministically — the
-// final serial pass checks the latter.
-func TestChaosCASTLBHammer(t *testing.T) {
-	tlb := newCASTLB(64)
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for r := 0; r < 200; r++ {
-				k := mapKey{seg: SegID(g % 4), page: int64((g*31 + r) % 128)}
-				switch r % 4 {
-				case 0:
-					tlb.install(k)
-				case 1:
-					tlb.lookup(k)
-				case 2:
-					tlb.invalidate(k)
-				case 3:
-					tlb.invalidateSegment(k.seg)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	k := mapKey{seg: 9, page: 42}
-	tlb.install(k)
-	if !tlb.lookup(k) {
-		t.Fatal("installed entry not visible")
-	}
-	tlb.invalidate(k)
-	if tlb.lookup(k) {
-		t.Fatal("entry visible after invalidate")
-	}
-	tlb.install(k)
-	tlb.invalidateSegment(k.seg)
-	if tlb.lookup(k) {
-		t.Fatal("entry visible after segment shootdown")
-	}
-}
-
-// TestCASTLBUncacheableKeys: keys outside the packed-word range must miss
-// on lookup and make install/invalidate no-ops rather than corrupt state.
-func TestCASTLBUncacheableKeys(t *testing.T) {
-	tlb := newCASTLB(64)
-	huge := mapKey{seg: 1 << 23, page: 5}
-	tlb.install(huge)
-	if tlb.lookup(huge) {
-		t.Fatal("uncacheable key reported as TLB hit")
-	}
-	neg := mapKey{seg: 1, page: -3}
-	tlb.install(neg)
-	if tlb.lookup(neg) {
-		t.Fatal("negative page reported as TLB hit")
 	}
 }

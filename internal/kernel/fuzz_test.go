@@ -189,9 +189,9 @@ func assertNoDuplicates(t *testing.T, table *mappingTable) {
 // FuzzTLB drives the indexed TLB and the linear-scan reference
 // (reference_test.go) with one fuzz-chosen stream of lookup / install /
 // invalidate / invalidateSegment / installSpan / invalidateSpan / installRun
-// and requires, after every operation, the same answer, the same contents
-// slot for slot, the same round-robin cursor, the same span ways and the
-// same hit and miss counts — plus an index that lists exactly the valid
+// and requires the same answer from every lookup and, after every
+// operation, the same contents slot for slot, the same round-robin cursor
+// and the same span ways — plus an index that lists exactly the valid
 // slots, each once. Eight entries over a 32-page, 4-segment universe keep
 // the TLB full and its 16 buckets colliding. An installRun of 1..32 keys is
 // held to that many single installs on the reference: longer than the TLB
@@ -282,9 +282,6 @@ func assertTLBSameAsReference(t *testing.T, tl *tlb, ref *refTLB) {
 	t.Helper()
 	if tl.next != ref.next || tl.spanNext != ref.spanNext {
 		t.Fatalf("next/spanNext = %d/%d, reference %d/%d", tl.next, tl.spanNext, ref.next, ref.spanNext)
-	}
-	if h, m := tl.stats(); h != ref.hits || m != ref.misses {
-		t.Fatalf("hits/misses = %d/%d, reference %d/%d", h, m, ref.hits, ref.misses)
 	}
 	for i := range tl.entries {
 		e, r := tl.entries[i], ref.entries[i]

@@ -16,10 +16,11 @@
 // (serial scheduler, the deterministic default) or a message on the
 // manager's lane (concurrent scheduler). To support the
 // latter, the kernel's mutable state is locked at three levels: activity
-// counters are atomic, each segment's page map is guarded by its own mutex,
-// and the segment registry by a kernel-wide RWMutex. The lock order is
-// kernel registry → segment (two segments in ascending ID order) → mapping
-// cache shard; no kernel lock is ever held across a manager call.
+// counters are atomic, each segment's page map — and, under the concurrent
+// scheduler, its TLB — is guarded by its own mutex, and the segment registry
+// by a kernel-wide RWMutex. The lock order is kernel registry → segment (two
+// segments in ascending ID order); the CAS mapping table takes no lock, and
+// no kernel lock is ever held across a manager call.
 package kernel
 
 import (
@@ -40,9 +41,9 @@ type Config struct {
 	// before the kernel gives up with ErrFaultLoop.
 	MaxFaultRetries int
 	// Concurrent boots the kernel on the concurrent delivery-plane
-	// scheduler, with the lock-free CAS mapping table and TLB that go with
-	// it (SetScheduler). The zero value is the deterministic serial
-	// scheduler.
+	// scheduler, with the lock-free CAS mapping table and the per-segment
+	// TLBs that go with it (SetScheduler). The zero value is the
+	// deterministic serial scheduler.
 	Concurrent bool
 	// Superpages turns the superpage extent plane (superpage.go) on for
 	// this kernel. Off, promotion refuses and every batch path charges
@@ -100,6 +101,8 @@ type kernelStats struct {
 	MigratedPages     sim.Striped
 	ModifyCalls       sim.Striped
 	GetAttrCalls      sim.Striped
+	TLBHits           sim.Striped
+	TLBMisses         sim.Striped
 	DroppedDeliveries sim.Padded
 	DelayedDeliveries sim.Padded
 	Revocations       sim.Padded
@@ -123,8 +126,12 @@ type Kernel struct {
 	segs   map[SegID]*Segment
 	nextID SegID
 	table  mapper
-	tlb    translator
-	sched  Scheduler
+	// tlb is the serial scheduler's one TLB; under the concurrent scheduler
+	// (concurrent, set by SetScheduler) each segment keeps its own. tlbOf
+	// picks.
+	tlb        *tlb
+	concurrent bool
+	sched      Scheduler
 	// frameOwner records, for every physical frame, the segment that holds
 	// it — the ground truth for the frame-conservation invariant. Entries
 	// are written only under the owning segments' locks; the slices
@@ -216,9 +223,11 @@ func (k *Kernel) Clock() *sim.Clock { return k.clock }
 // Cost returns the machine cost model.
 func (k *Kernel) Cost() *sim.CostModel { return k.cost }
 
-// Stats returns a snapshot of kernel activity counters. TLB and mapping
-// hash-table counters are read through the same accessors ResetStats clears,
-// so the two cannot drift.
+// Stats returns a snapshot of kernel activity counters. The TLB counters
+// are kernel counters striped by segment like the other fault-path ones, so
+// Stats walks no segment and a deleted segment's hits and misses stay
+// counted; the mapping hash-table counters are read through the same
+// accessor pair ResetStats clears, so the two cannot drift.
 func (k *Kernel) Stats() Stats {
 	s := Stats{
 		Accesses:          k.stats.Accesses.Load(),
@@ -231,6 +240,8 @@ func (k *Kernel) Stats() Stats {
 		MigratedPages:     k.stats.MigratedPages.Load(),
 		ModifyCalls:       k.stats.ModifyCalls.Load(),
 		GetAttrCalls:      k.stats.GetAttrCalls.Load(),
+		TLBHits:           k.stats.TLBHits.Load(),
+		TLBMisses:         k.stats.TLBMisses.Load(),
 		DroppedDeliveries: k.stats.DroppedDeliveries.Load(),
 		DelayedDeliveries: k.stats.DelayedDeliveries.Load(),
 		Revocations:       k.stats.Revocations.Load(),
@@ -241,7 +252,6 @@ func (k *Kernel) Stats() Stats {
 		VectoredBatches:   k.stats.VectoredBatches.Load(),
 		VectoredFaults:    k.stats.VectoredFaults.Load(),
 	}
-	s.TLBHits, s.TLBMisses = k.tlb.stats()
 	s.HashHits, s.HashMisses, s.HashSpills, s.HashDrops = k.table.stats()
 	return s
 }
@@ -258,6 +268,8 @@ func (k *Kernel) ResetStats() {
 	k.stats.MigratedPages.Store(0)
 	k.stats.ModifyCalls.Store(0)
 	k.stats.GetAttrCalls.Store(0)
+	k.stats.TLBHits.Store(0)
+	k.stats.TLBMisses.Store(0)
 	k.stats.DroppedDeliveries.Store(0)
 	k.stats.DelayedDeliveries.Store(0)
 	k.stats.Revocations.Store(0)
@@ -267,7 +279,6 @@ func (k *Kernel) ResetStats() {
 	k.stats.ExtentDemotions.Store(0)
 	k.stats.VectoredBatches.Store(0)
 	k.stats.VectoredFaults.Store(0)
-	k.tlb.resetStats()
 	k.table.resetStats()
 }
 
@@ -414,12 +425,12 @@ func (k *Kernel) DeleteSegment(cred Cred, s *Segment) error {
 	s.extents = nil // span entries die with the segment's cache state below
 	s.extOrderCount = [MaxExtentOrder + 1]uint32{}
 	s.deleted = true
+	k.tlbOf(s).invalidateSegment(s.id)
 	unlockPair(s, k.boot)
 	k.mu.Lock()
 	delete(k.segs, s.id)
 	k.mu.Unlock()
 	k.table.removeSegment(s.id)
-	k.tlb.invalidateSegment(s.id)
 	return nil
 }
 
@@ -592,8 +603,11 @@ func (k *Kernel) Access(s *Segment, page int64, access AccessType) error {
 			continue
 		}
 		// Translation lookup: TLB, then hash table, then structure walk.
-		key := mapKey{rs.id, r.page}
-		if !k.tlb.lookup(key) {
+		key, tl := mapKey{rs.id, r.page}, k.tlbOf(rs)
+		if tl.lookup(key) {
+			k.stats.TLBHits.Add(uint64(rs.id), 1)
+		} else {
+			k.stats.TLBMisses.Add(uint64(rs.id), 1)
 			k.clock.AdvanceOn(uint64(rs.id), k.cost.TLBFill)
 			if !k.table.lookup(key) {
 				// Walk the segment and bound-region structures, then prime
@@ -605,7 +619,7 @@ func (k *Kernel) Access(s *Segment, page int64, access AccessType) error {
 				}
 			}
 			if k.cacheFill(rs) {
-				k.tlb.install(key)
+				tl.install(key)
 			}
 		}
 		e.flags |= FlagReferenced

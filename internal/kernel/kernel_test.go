@@ -847,6 +847,62 @@ func TestAccessTranslationCosts(t *testing.T) {
 	}
 }
 
+// TestConcurrentTLBPerSegment: under the concurrent scheduler each segment
+// caches its translations in a TLB of its own, so one segment's installs
+// never evict another's, and a migration's invalidate reaches the TLB of the
+// segment the page left.
+func TestConcurrentTLBPerSegment(t *testing.T) {
+	t.Parallel()
+	k := newTestKernelWith(Config{Concurrent: true})
+	defer k.Scheduler().Stop()
+	const n = 64 // the R3000's TLB size, the Config default
+	a, _ := k.CreateSegment("a", 1)
+	b, _ := k.CreateSegment("b", 1)
+	spare, _ := k.CreateSegment("spare", 1)
+	touchAll := func(s *Segment) (misses int64) {
+		t.Helper()
+		before := k.Stats().TLBMisses
+		for p := int64(0); p < n; p++ {
+			if err := k.Access(s, p, Read); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return k.Stats().TLBMisses - before
+	}
+	// Each migrate installs the translations of the pages it moves in.
+	if err := k.MigratePages(SystemCred, k.BootSegment(), a, 0, 0, n, FlagRW, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.MigratePages(SystemCred, k.BootSegment(), b, n, 0, n, FlagRW, 0); err != nil {
+		t.Fatal(err)
+	}
+	if m := touchAll(b); m != 0 {
+		t.Fatalf("b's own installs: %d TLB misses, want 0", m)
+	}
+	if m := touchAll(a); m != 0 {
+		t.Fatalf("a after b filled its TLB: %d TLB misses, want 0", m)
+	}
+	// Out and back: the way back installs page 5 over the round-robin
+	// victim, page 0, so page 5 hits and page 0 misses once — unless page 5
+	// were still cached, which only an entry left stale by an invalidate
+	// that missed a's TLB could make it.
+	if err := k.MigratePages(AppCred, a, spare, 5, 0, 1, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.MigratePages(AppCred, spare, a, 0, 5, 1, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	before := k.Stats().TLBMisses
+	for _, p := range []int64{5, 0, 5} {
+		if err := k.Access(a, p, Read); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := k.Stats().TLBMisses - before; m != 1 {
+		t.Fatalf("a after page 5 moved out and back: %d TLB misses, want 1", m)
+	}
+}
+
 func TestCoalescePrivilegeAndDeletedChecks(t *testing.T) {
 	k := newTestKernel(t)
 	small, _ := k.CreateSegment("small", 1)

@@ -8,17 +8,17 @@ import (
 	"epcm/internal/sim"
 )
 
-// Layer benchmarks for the TLBs, the mapping tables and the batch collision
+// Layer benchmarks for the TLB, the mapping tables and the batch collision
 // check (ROADMAP item 1: "TLB lookup", "mapping-table lookup+insert"). The
 // serial structures run beside the reference model each replaced
 // (reference_test.go) through the same loop, so one run prints before and
-// after; the concurrent scheduler's CAS TLB and CAS table run the same loops
-// alone. All of them must report 0 allocs/op. scripts/check.sh smoke-runs
-// them at one iteration.
+// after; the concurrent scheduler's CAS table runs the same loops alone. All
+// of them must report 0 allocs/op. scripts/check.sh smoke-runs them at one
+// iteration.
 
-// tlbOps and tableOps are the slices of translator and mapper the loops
-// below drive; the kernel reaches both structures through an interface as
-// well, so the dispatch cost is in the numbers on both sides.
+// tlbOps and tableOps are the slices of tlb and mapper the loops below
+// drive, through an interface so one loop serves a structure and its
+// reference.
 type tlbOps interface {
 	lookup(k mapKey) bool
 	install(k mapKey)
@@ -47,20 +47,10 @@ func (r refTablePresence) insert(k mapKey) { r.refMappingTable.insert(k, r.e) }
 
 const benchTLBSize = 64
 
-// tlbBench hands each TLB under test to run: benchTLBs the serial TLB and
-// its reference, benchCASTLB the concurrent scheduler's.
-type tlbBench func(b *testing.B, run func(b *testing.B, t tlbOps))
-
+// benchTLBs hands the TLB and its reference to run.
 func benchTLBs(b *testing.B, run func(b *testing.B, t tlbOps)) {
 	b.Run("indexed", func(b *testing.B) { b.ReportAllocs(); run(b, newTLB(benchTLBSize)) })
 	b.Run("linear", func(b *testing.B) { b.ReportAllocs(); run(b, newRefTLB(benchTLBSize)) })
-}
-
-// benchCASTLB: 16 sets of 4 ways, so of 64 consecutive pages a few lose
-// their way to a set conflict and "hit" is mostly, not wholly, hits.
-func benchCASTLB(b *testing.B, run func(b *testing.B, t tlbOps)) {
-	b.ReportAllocs()
-	run(b, newCASTLB(benchTLBSize))
 }
 
 // tlbKeys are consecutive pages of one segment, the shape a fill produces.
@@ -100,34 +90,19 @@ func parallelHits(b *testing.B, fill func(mapKey), lookup func(mapKey) bool, n i
 		}
 		missed.Add(misses)
 	})
-	// The CAS TLB loses a few of its 64 keys to set conflicts; a table hit
-	// never misses.
-	if m := missed.Load(); m > int64(b.N)/4 {
+	if m := missed.Load(); m != 0 {
 		b.Fatalf("%d of %d lookups missed", m, b.N)
 	}
 }
 
-func BenchmarkTLBLookup(b *testing.B)     { tlbLookup(b, benchTLBs) }
-func BenchmarkTLBInstall(b *testing.B)    { tlbInstall(b, benchTLBs) }
-func BenchmarkTLBInvalidate(b *testing.B) { tlbInvalidate(b, benchTLBs) }
-func BenchmarkCASTLBLookup(b *testing.B) {
-	tlbLookup(b, benchCASTLB)
-	b.Run("parallel-hit", func(b *testing.B) {
-		t := newCASTLB(benchTLBSize)
-		parallelHits(b, t.install, t.lookup, benchTLBSize/2, 1)
-	})
-}
-func BenchmarkCASTLBInstall(b *testing.B)    { tlbInstall(b, benchCASTLB) }
-func BenchmarkCASTLBInvalidate(b *testing.B) { tlbInvalidate(b, benchCASTLB) }
-
-func tlbLookup(b *testing.B, each tlbBench) {
+func BenchmarkTLBLookup(b *testing.B) {
 	resident, absent := tlbKeys(0, benchTLBSize), tlbKeys(1000, benchTLBSize)
 	for _, c := range []struct {
 		name string
 		keys []mapKey
 	}{{"hit", resident}, {"miss", absent}} {
 		b.Run(c.name, func(b *testing.B) {
-			each(b, func(b *testing.B, t tlbOps) {
+			benchTLBs(b, func(b *testing.B, t tlbOps) {
 				for _, k := range resident {
 					t.install(k)
 				}
@@ -140,11 +115,11 @@ func tlbLookup(b *testing.B, each tlbBench) {
 	}
 }
 
-// tlbInstall: hit re-installs a cached key (no slot consumed), miss installs
+// BenchmarkTLBInstall: hit re-installs a cached key (no slot consumed), miss installs
 // a fresh key over the round-robin victim every time.
-func tlbInstall(b *testing.B, each tlbBench) {
+func BenchmarkTLBInstall(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {
-		each(b, func(b *testing.B, t tlbOps) {
+		benchTLBs(b, func(b *testing.B, t tlbOps) {
 			keys := tlbKeys(0, benchTLBSize)
 			for _, k := range keys {
 				t.install(k)
@@ -156,7 +131,7 @@ func tlbInstall(b *testing.B, each tlbBench) {
 		})
 	})
 	b.Run("miss", func(b *testing.B) {
-		each(b, func(b *testing.B, t tlbOps) {
+		benchTLBs(b, func(b *testing.B, t tlbOps) {
 			for i := 0; i < b.N; i++ {
 				t.install(mapKey{seg: 7, page: int64(i)})
 			}
@@ -164,11 +139,11 @@ func tlbInstall(b *testing.B, each tlbBench) {
 	})
 }
 
-// tlbInvalidate: hit drops a cached key (the TLB is refilled off the clock
+// BenchmarkTLBInvalidate: hit drops a cached key (the TLB is refilled off the clock
 // every 64 operations), miss names a key that is not cached.
-func tlbInvalidate(b *testing.B, each tlbBench) {
+func BenchmarkTLBInvalidate(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {
-		each(b, func(b *testing.B, t tlbOps) {
+		benchTLBs(b, func(b *testing.B, t tlbOps) {
 			keys := tlbKeys(0, benchTLBSize)
 			for i := 0; i < b.N; i++ {
 				if i%benchTLBSize == 0 {
@@ -183,7 +158,7 @@ func tlbInvalidate(b *testing.B, each tlbBench) {
 		})
 	})
 	b.Run("miss", func(b *testing.B) {
-		each(b, func(b *testing.B, t tlbOps) {
+		benchTLBs(b, func(b *testing.B, t tlbOps) {
 			for _, k := range tlbKeys(0, benchTLBSize) {
 				t.install(k)
 			}

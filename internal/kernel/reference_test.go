@@ -2,10 +2,12 @@ package kernel
 
 // Reference models for the serial mapping table and TLB: the bodies these
 // structures had before they were indexed (PR 13), kept verbatim apart from
-// the type names. refMappingTable stores the entry pointer in every slot and
+// the type names and the TLB's hit and miss counters, which are the
+// kernel's now. refMappingTable stores the entry pointer in every slot and
 // refTLB scans all of its entries on every operation; FuzzMappingTable and
 // FuzzTLB drive them in lock step with the production structures and
-// require identical contents and counters after every operation.
+// require identical answers and contents (and the table's counters) after
+// every operation.
 
 // refCheckDisjoint is the batch collision check as it was before PR 14: it
 // walks the batch page by page — each range's source pages, then its
@@ -224,8 +226,6 @@ type refTLB struct {
 	// lookup shape — and thus the golden hit/miss counts — is untouched.
 	spans    []tlbSpan
 	spanNext int
-	hits     int64
-	misses   int64
 }
 
 type refTLBEntry struct {
@@ -242,18 +242,15 @@ func newRefTLB(size int) *refTLB {
 func (t *refTLB) lookup(k mapKey) bool {
 	for i := range t.entries {
 		if t.entries[i].valid && t.entries[i].key == k {
-			t.hits++
 			return true
 		}
 	}
 	for i := range t.spans {
 		sp := &t.spans[i]
 		if sp.valid && sp.key.seg == k.seg && sp.key.page == extentBase(k.page, int(sp.order)) {
-			t.hits++
 			return true
 		}
 	}
-	t.misses++
 	return false
 }
 
@@ -309,8 +306,6 @@ func (t *refTLB) invalidate(k mapKey) {
 		}
 	}
 }
-
-func (t *refTLB) stats() (hits, misses int64) { return t.hits, t.misses }
 
 // invalidateSegment flushes all translations of one segment, superpage
 // ways included.

@@ -36,8 +36,8 @@ type Scheduler interface {
 	// Name identifies the scheduler ("serial" or "concurrent").
 	Name() string
 	// Concurrent reports whether managers run on their own goroutines.
-	// When true the kernel swaps its mapping caches for the lock-free CAS
-	// variants at install time.
+	// When true the kernel swaps its mapping table for the lock-free CAS
+	// variant at install time and gives each segment its own TLB.
 	Concurrent() bool
 	// Exec runs fn in m's delivery context — on m's worker goroutine under
 	// the concurrent scheduler — and blocks until it returns. Recovery uses
@@ -237,8 +237,9 @@ type concurrentScheduler struct {
 }
 
 // NewConcurrentScheduler returns the per-manager-lane concurrent scheduler.
-// Install it with Kernel.SetScheduler (which also swaps the mapping caches
-// for their lock-free CAS variants), and Stop it when the run ends.
+// Install it with Kernel.SetScheduler (which also swaps the mapping table for
+// its lock-free CAS variant and gives each segment a TLB of its own), and
+// Stop it when the run ends.
 func NewConcurrentScheduler(k *Kernel) Scheduler {
 	return &concurrentScheduler{k: k}
 }
@@ -418,10 +419,15 @@ func (s *concurrentScheduler) Stop() {
 func (k *Kernel) Scheduler() Scheduler { return k.sched }
 
 // SetScheduler installs a scheduler, stopping any previous one. Installing
-// a concurrent scheduler also swaps the mapping hash table and TLB for
-// lock-free CAS variants (castable.go, castlb.go); both are pure caches
-// over the authoritative segment page maps, so starting them cold is
-// correct (it only costs some extra virtual refill time).
+// a concurrent scheduler also swaps the mapping hash table for its
+// lock-free CAS variant (castable.go) and moves translation caching to one
+// R3000 TLB per segment (tlbOf): the kernel's one TLB would be written by
+// every lane, so which install evicts which would depend on goroutine
+// timing, while a segment's TLB is only touched under the segment's lock.
+// Both are pure caches over the authoritative segment page maps, so starting
+// them cold is correct (it only costs some extra virtual refill time). A
+// kernel that has run concurrent stays that way under a later scheduler, as
+// its table does.
 func (k *Kernel) SetScheduler(s Scheduler) {
 	if k.sched != nil {
 		k.sched.Stop()
@@ -443,7 +449,7 @@ func (k *Kernel) SetScheduler(s Scheduler) {
 			slots <<= 1
 		}
 		k.table = newCASTableSized(slots)
-		k.tlb = newCASTLB(k.cfg.TLBEntries)
+		k.concurrent = true
 	}
 }
 

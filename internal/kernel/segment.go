@@ -94,7 +94,11 @@ type Segment struct {
 	// the orders actually in use instead of every order up to the maximum.
 	// Guarded by mu.
 	extOrderCount [MaxExtentOrder + 1]uint32
-	kernel        *Kernel
+	// tlb caches the segment's translations under the concurrent scheduler
+	// (Kernel.tlbOf); nil until first used, and always under the serial
+	// one. Guarded by mu.
+	tlb    *tlb
+	kernel *Kernel
 }
 
 // MarkStaging flags s as a kernel-held staging segment (see the staging

@@ -151,7 +151,7 @@ func (k *Kernel) recordExtentLocked(s *Segment, base int64, order uint8) {
 	if k.cacheFill(s) {
 		key := mapKey{s.id, base}
 		k.table.insertSpan(key, order)
-		k.tlb.installSpan(key, order)
+		k.tlbOf(s).installSpan(key, order)
 	}
 }
 
@@ -184,7 +184,7 @@ func (k *Kernel) dropExtentLocked(s *Segment, base int64, order uint8) {
 	s.extOrderCount[order]--
 	key := mapKey{s.id, base}
 	k.table.removeSpan(key, order)
-	k.tlb.invalidateSpan(key, order)
+	k.tlbOf(s).invalidateSpan(key, order)
 	k.stats.ExtentDemotions.Add(1)
 }
 
@@ -219,7 +219,7 @@ func (k *Kernel) dropAllExtentsLocked(s *Segment) {
 	for base, ord := range s.extents {
 		key := mapKey{s.id, base}
 		k.table.removeSpan(key, ord)
-		k.tlb.invalidateSpan(key, ord)
+		k.tlbOf(s).invalidateSpan(key, ord)
 		k.stats.ExtentDemotions.Add(1)
 	}
 	clear(s.extents)

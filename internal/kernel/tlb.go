@@ -1,20 +1,5 @@
 package kernel
 
-// translator is the TLB surface the kernel uses; implemented by the R3000
-// tlb (serial) and the lock-free casTLB (concurrent). Span methods as on
-// mapper.
-type translator interface {
-	lookup(k mapKey) bool
-	install(k mapKey)
-	installRun(k mapKey, n int64)
-	invalidate(k mapKey)
-	invalidateSegment(seg SegID)
-	installSpan(k mapKey, order uint8)
-	invalidateSpan(k mapKey, order uint8)
-	stats() (hits, misses int64)
-	resetStats()
-}
-
 // tlb models the R3000's 64-entry fully-associative TLB. The paper notes
 // that "simple TLB misses are handled by the kernel" — a miss that finds the
 // translation in the mapping hash table costs only a kernel refill; only a
@@ -24,6 +9,12 @@ type translator interface {
 // Replacement is round-robin, which is deterministic (the real R3000 used a
 // hardware random register; determinism matters more here than fidelity of
 // the replacement index distribution).
+//
+// A tlb has one writer at a time and no lock of its own: the serial
+// scheduler's one kernel TLB is only touched from the delivering goroutine,
+// and under the concurrent scheduler each segment has its own, touched only
+// under that segment's mu (Kernel.tlbOf). Hit and miss counts are the
+// kernel's (kernelStats), not the TLB's.
 type tlb struct {
 	entries []tlbEntry
 	next    int
@@ -32,8 +23,8 @@ type tlb struct {
 	// ending it. A slot is on exactly one chain while valid and on none
 	// otherwise, so lookup, install and invalidate walk one short chain
 	// instead of every entry. The index decides nothing the model can
-	// see: which slot a key occupies, next and the counters are what a
-	// linear scan of entries would produce (FuzzTLB holds it to that).
+	// see: which slot a key occupies and next are what a linear scan of
+	// entries would produce (FuzzTLB holds it to that).
 	heads []int32
 	shift uint // 64 - log2(len(heads))
 	// spans are the superpage ways: each valid span covers 2^order pages
@@ -41,8 +32,6 @@ type tlb struct {
 	// lookup shape — and thus the golden hit/miss counts — is untouched.
 	spans    []tlbSpan
 	spanNext int
-	hits     int64
-	misses   int64
 }
 
 type tlbEntry struct {
@@ -57,7 +46,7 @@ type tlbSpan struct {
 	valid bool
 }
 
-// tlbSpanWays bounds the serial TLB's superpage ways (the R4000-class
+// tlbSpanWays bounds a TLB's superpage ways (the R4000-class
 // machines that had superpage TLBs gave them a handful of dedicated
 // entries; 8 wide ways of up to 64 pages each is 512 pages of reach).
 const tlbSpanWays = 8
@@ -73,6 +62,21 @@ func newTLB(size int) *tlb {
 		t.heads[i] = -1
 	}
 	return t
+}
+
+// tlbOf is the TLB that caches s's translations: the kernel's one R3000 TLB
+// under the serial scheduler, and under the concurrent one a TLB of s's own,
+// made on first use. Every caller holds s.mu, so a segment's TLB, like its
+// page store, has one writer at a time and needs no lock or shootdown of its
+// own.
+func (k *Kernel) tlbOf(s *Segment) *tlb {
+	if !k.concurrent {
+		return k.tlb
+	}
+	if s.tlb == nil {
+		s.tlb = newTLB(k.cfg.TLBEntries)
+	}
+	return s.tlb
 }
 
 // bucket hashes a key to its chain head (the mapping tables' Fibonacci
@@ -103,17 +107,14 @@ func (t *tlb) unlink(slot int32) {
 // or through a superpage way covering it.
 func (t *tlb) lookup(k mapKey) bool {
 	if t.find(k) >= 0 {
-		t.hits++
 		return true
 	}
 	for i := range t.spans {
 		sp := &t.spans[i]
 		if sp.valid && sp.key.seg == k.seg && sp.key.page == extentBase(k.page, int(sp.order)) {
-			t.hits++
 			return true
 		}
 	}
-	t.misses++
 	return false
 }
 
@@ -199,12 +200,6 @@ func (t *tlb) invalidate(k mapKey) {
 		t.unlink(slot)
 	}
 }
-
-// stats reads the hit/miss counters; resetStats zeroes them. Kernel.Stats
-// and Kernel.ResetStats use this pair exclusively.
-func (t *tlb) stats() (hits, misses int64) { return t.hits, t.misses }
-
-func (t *tlb) resetStats() { t.hits, t.misses = 0, 0 }
 
 // invalidateSegment flushes all translations of one segment, superpage
 // ways included.

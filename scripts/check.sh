@@ -273,10 +273,14 @@ done
 # The sweeps print model numbers only, so they have a golden file too:
 # Table 1's section of reproduce.golden (its first 9 lines), then the three
 # sweeps in table order. A missed gate is a non-zero exit.
-echo "   reproduce -table 1 -sweep all"
-go run ./cmd/reproduce -table 1 -sweep all > "$golden_tmp"
-head -n 9 internal/experiments/testdata/reproduce.golden |
-    cat - internal/experiments/testdata/sweeps.golden | diff - "$golden_tmp"
+# Every column is exact on both schedulers, so a second run on one core
+# must print the same bytes: output that depends on the core count fails.
+for procs in "" 1; do
+    echo "   ${procs:+GOMAXPROCS=$procs }reproduce -table 1 -sweep all"
+    GOMAXPROCS=$procs go run ./cmd/reproduce -table 1 -sweep all > "$golden_tmp"
+    head -n 9 internal/experiments/testdata/reproduce.golden |
+        cat - internal/experiments/testdata/sweeps.golden | diff - "$golden_tmp"
+done
 
 echo "== tracked numbers: non-test Go lines, root module; unlinked functions =="
 # The counts ROADMAP tracks, and the line count's split by package, so a
