@@ -2,8 +2,6 @@ package db
 
 import (
 	"fmt"
-	"strconv"
-	"sync"
 	"time"
 
 	"epcm/internal/sim"
@@ -132,7 +130,11 @@ type indexState struct {
 	valid        bool // false after the app discarded it (regeneration)
 }
 
-// System is the simulated transaction-processing system.
+// System is the simulated transaction-processing system. It owns the
+// locks its transactions take as plain slots — the database, the two
+// relations and the account index as fields, the account pages as a slice
+// indexed by page — and hands the lock manager pointers to them, so a run
+// hashes no lock name and allocates no lock.
 type System struct {
 	p      Params
 	cfg    MemoryConfig
@@ -145,10 +147,10 @@ type System struct {
 	index  indexState
 	result Result
 	txSeq  int
-	// The locks transactions take, as handles: the fixed four resolved in
-	// New, an account page's on its first use.
-	dbLock, relAccounts, relSummary, idxAccounts *lock
-	pageLocks                                    []*lock
+	// The locks transactions take: the fixed four, then one per account
+	// page, allocated with the system.
+	dbLock, relAccounts, relSummary, idxAccounts lock
+	pageLocks                                    []lock
 }
 
 // New builds a system for one configuration.
@@ -156,8 +158,7 @@ func New(cfg MemoryConfig, p Params) *System {
 	clock := &sim.Clock{}
 	env := sim.NewSerialEnv(clock)
 	locks := NewLockManager()
-	locks.Barging = true                                   // reader preference: concurrent relation scans share S locks
-	locks.locks = make(map[string]*lock, 4+p.AccountPages) // sized once: the fixed four, a lock per page
+	locks.Barging = true // reader preference: concurrent relation scans share S locks
 	s := &System{
 		p:         p,
 		cfg:       cfg,
@@ -168,10 +169,8 @@ func New(cfg MemoryConfig, p Params) *System {
 		locks:     locks,
 		rng:       sim.NewRNG(p.Seed),
 		index:     indexState{valid: true},
-		pageLocks: make([]*lock, p.AccountPages),
+		pageLocks: make([]lock, p.AccountPages),
 	}
-	lk := s.locks.lockFor
-	s.dbLock, s.relAccounts, s.relSummary, s.idxAccounts = lk("db"), lk("rel:accounts"), lk("rel:summary"), lk("idx:accounts")
 	s.result.Config = cfg
 	return s
 }
@@ -216,34 +215,6 @@ func (s *System) pressure() {
 		s.index.valid = false
 		s.result.PressureEvents++
 	}
-}
-
-// pageLock returns the lock of one accounts page.
-func (s *System) pageLock(page int) *lock {
-	l := s.pageLocks[page]
-	if l == nil {
-		l = s.locks.lockFor(pageLockName(page))
-		s.pageLocks[page] = l
-	}
-	return l
-}
-
-// pageLockNames is the lock names of the paper configuration's account
-// pages: each System names about a third of them on first use, four Systems
-// a Table 4 pass, so the process builds the strings once, when first asked.
-var pageLockNames = sync.OnceValue(func() []string {
-	names := make([]string, DefaultParams().AccountPages)
-	for page := range names {
-		names[page] = "page:accounts/" + strconv.Itoa(page)
-	}
-	return names
-})
-
-func pageLockName(page int) string {
-	if names := pageLockNames(); page < len(names) {
-		return names[page]
-	}
-	return "page:accounts/" + strconv.Itoa(page)
 }
 
 // step is a point in a transaction's program at which it may wait.
@@ -319,36 +290,36 @@ func (t *txn) run() {
 			if t.isJoin {
 				t.pc = joinRelation
 			}
-			if !t.lock(s.dbLock, IX) {
+			if !t.lock(&s.dbLock, IX) {
 				return
 			}
 		case dcRelation:
 			t.pc = dcPage
-			if !t.lock(s.relAccounts, IX) {
+			if !t.lock(&s.relAccounts, IX) {
 				return
 			}
 		case dcPage:
 			t.pc = dcIndex
-			if !t.lock(s.pageLock(t.accountPage), X) {
+			if !t.lock(&s.pageLocks[t.accountPage], X) {
 				return
 			}
 		case dcIndex:
 			t.use(s.cpus, s.p.DebitCreditCPU, commit)
-			if s.cfg != NoIndex && t.touchesIndex && !t.lock(s.idxAccounts, IX) {
+			if s.cfg != NoIndex && t.touchesIndex && !t.lock(&s.idxAccounts, IX) {
 				return
 			}
 		case joinRelation:
 			t.pc = joinSummary
-			if !t.lock(s.relAccounts, IS) {
+			if !t.lock(&s.relAccounts, IS) {
 				return
 			}
 		case joinSummary:
 			t.pc = joinIndex
-			if !t.lock(s.relSummary, IX) {
+			if !t.lock(&s.relSummary, IX) {
 				return
 			}
 		case joinIndex:
-			l, mode := s.idxAccounts, S
+			l, mode := &s.idxAccounts, S
 			switch s.cfg {
 			case NoIndex:
 				// Scan join: without an index the join reads every record
@@ -357,7 +328,7 @@ func (t *txn) run() {
 				// DebitCredit writer (IX) for the duration of the scan.
 				// This coupling, not just the longer computation, is what
 				// makes the no-index configuration slow.
-				l = s.relAccounts
+				l = &s.relAccounts
 				t.use(s.cpus, s.p.JoinScanCPU, commit)
 			case IndexInMemory:
 				t.use(s.cpus, s.p.JoinIndexCPU, commit)

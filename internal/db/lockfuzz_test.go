@@ -168,7 +168,7 @@ func BenchmarkLockCycle(b *testing.B) {
 			b.Run("holders="+strconv.Itoa(holders)+"/"+side, func(b *testing.B) {
 				env := newRefEnv(sim.NewSerialEnv(&sim.Clock{}))
 				var m lockTable
-				pm := NewLockManager()
+				pm := newKeyedLocks()
 				pm.Barging = true
 				if m = pm; side == "reference" {
 					rm := newRefLockManager(env)

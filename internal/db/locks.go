@@ -61,7 +61,6 @@ type lockWait struct {
 // they are is recorded once, in the owners' records, so a grant decision is
 // four compares however many open transactions hold IX on "db".
 type lock struct {
-	name  string
 	held  [4]int32 // granted holds per Mode
 	queue []lockWait
 }
@@ -97,18 +96,14 @@ type LockStats struct {
 // policy the simulated DBMS uses, trading writer latency for scan
 // throughput.
 //
-// Each operation has one body, on a resolved lock and the owner's record:
-// db.System enters there, with a record from newOwner. The keyed spellings
-// the lock tests drive (Acquire, Release, ReleaseAll in locks_test.go) take
-// a lock name and any comparable owner key, and resolve both once.
+// Each operation has one body, on a lock the caller owns and the owner's
+// record: db.System keeps its locks as slots of its own and enters there,
+// with a record from newOwner. Every grant (immediate or to a woken waiter)
+// appends the lock and mode to the owner's record, so releaseAll visits only
+// what the owner holds; a lock acquired twice is listed twice. The manager
+// has no index of locks or owners: the keyed spellings the lock tests drive
+// (keyedLocks in locks_test.go) keep their own, by name and owner key.
 type LockManager struct {
-	locks map[string]*lock
-	// held resolves a keyed owner to its record, from its first Acquire
-	// until a Release or ReleaseAll leaves it holding nothing. Every grant
-	// (immediate or to a woken waiter) appends the lock and mode to the
-	// owner's record, so releaseAll visits only what the owner holds, not
-	// every lock ever created. A lock acquired twice is listed twice.
-	held map[interface{}]*holdList
 	// heldFree recycles released records so a steady stream of short
 	// transactions allocates none; records counts the ones ever made.
 	heldFree []*holdList
@@ -119,24 +114,10 @@ type LockManager struct {
 }
 
 // NewLockManager builds an empty lock manager.
-func NewLockManager() *LockManager {
-	return &LockManager{
-		locks: make(map[string]*lock),
-		held:  make(map[interface{}]*holdList),
-	}
-}
+func NewLockManager() *LockManager { return new(LockManager) }
 
 // Stats returns a snapshot of activity counters.
 func (m *LockManager) Stats() LockStats { return m.stats }
-
-func (m *LockManager) lockFor(name string) *lock {
-	l, ok := m.locks[name]
-	if !ok {
-		l = &lock{name: name}
-		m.locks[name] = l
-	}
-	return l
-}
 
 // newOwner hands out an empty record; releaseAll takes it back.
 func (m *LockManager) newOwner() *holdList {

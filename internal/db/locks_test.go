@@ -11,14 +11,39 @@ import (
 	"epcm/internal/sim"
 )
 
-func newLockEnv() (*refEnv, *LockManager) {
-	return newRefEnv(sim.NewSerialEnv(&sim.Clock{})), NewLockManager()
+// keyedLocks is the keyed spelling of LockManager the lock tests and
+// benchmarks drive: a lock is named by a string and an owner by any
+// comparable key, and each call resolves both once to the lock and the
+// owner's record the manager's bodies take.
+type keyedLocks struct {
+	*LockManager
+	locks map[string]*lock
+	// held resolves a keyed owner to its record, from its first Acquire
+	// until a Release or ReleaseAll leaves it holding nothing.
+	held map[interface{}]*holdList
+}
+
+func newKeyedLocks() *keyedLocks {
+	return &keyedLocks{LockManager: NewLockManager(), locks: make(map[string]*lock), held: make(map[interface{}]*holdList)}
+}
+
+func newLockEnv() (*refEnv, *keyedLocks) {
+	return newRefEnv(sim.NewSerialEnv(&sim.Clock{})), newKeyedLocks()
+}
+
+// lockFor resolves a name to its lock, creating it on first use.
+func (m *keyedLocks) lockFor(name string) *lock {
+	l, ok := m.locks[name]
+	if !ok {
+		l = new(lock)
+		m.locks[name] = l
+	}
+	return l
 }
 
 // Acquire obtains `name` in `mode` on behalf of owner, blocking the calling
-// process until the lock is granted. It is the keyed spelling the lock tests
-// and benchmarks drive; an owner is one process.
-func (m *LockManager) Acquire(p *refProc, owner interface{}, name string, mode Mode) {
+// process until the lock is granted; an owner is one process.
+func (m *keyedLocks) Acquire(p *refProc, owner interface{}, name string, mode Mode) {
 	hl := m.held[owner]
 	if hl == nil {
 		hl = m.newOwner()
@@ -30,7 +55,7 @@ func (m *LockManager) Acquire(p *refProc, owner interface{}, name string, mode M
 }
 
 // Release drops every hold owner has on `name` and grants waiters.
-func (m *LockManager) Release(owner interface{}, name string) {
+func (m *keyedLocks) Release(owner interface{}, name string) {
 	l := m.locks[name]
 	if l == nil {
 		return
@@ -47,7 +72,7 @@ func (m *LockManager) Release(owner interface{}, name string) {
 }
 
 // ReleaseAll drops every hold owner has anywhere (two-phase commit point).
-func (m *LockManager) ReleaseAll(owner interface{}) {
+func (m *keyedLocks) ReleaseAll(owner interface{}) {
 	if hl := m.held[owner]; hl != nil {
 		delete(m.held, owner)
 		m.releaseAll(hl)
@@ -58,7 +83,7 @@ func (m *LockManager) ReleaseAll(owner interface{}) {
 func Compatible(a, b Mode) bool { return compatible[a][b] }
 
 // Holders reports the number of current holders of a lock.
-func (m *LockManager) Holders(name string) int {
+func (m *keyedLocks) Holders(name string) int {
 	if l, ok := m.locks[name]; ok {
 		return int(l.held[IS] + l.held[IX] + l.held[S] + l.held[X])
 	}
@@ -66,7 +91,7 @@ func (m *LockManager) Holders(name string) int {
 }
 
 // QueueLen reports the number of waiters on a lock.
-func (m *LockManager) QueueLen(name string) int {
+func (m *keyedLocks) QueueLen(name string) int {
 	if l, ok := m.locks[name]; ok {
 		return len(l.queue)
 	}
@@ -301,7 +326,7 @@ func TestNoIncompatibleGrantsProperty(t *testing.T) {
 // and describes the first lock that disagrees. A record is indexed from its
 // owner's first Acquire, so it may list nothing in exactly one state: its
 // owner's request is queued.
-func heldCountsDiff(m *LockManager) string {
+func heldCountsDiff(m *keyedLocks) string {
 	listed := make(map[*lock][4]int32)
 	for owner, hl := range m.held {
 		for _, h := range hl.holds {
@@ -313,9 +338,9 @@ func heldCountsDiff(m *LockManager) string {
 			return fmt.Sprintf("owner %v is indexed with no holds and no queued request", owner)
 		}
 	}
-	for _, l := range m.locks {
+	for name, l := range m.locks {
 		if l.held != listed[l] {
-			return fmt.Sprintf("%s counts %v holds per mode, the owners list %v", l.name, l.held, listed[l])
+			return fmt.Sprintf("%s counts %v holds per mode, the owners list %v", name, l.held, listed[l])
 		}
 		delete(listed, l)
 	}
@@ -326,7 +351,7 @@ func heldCountsDiff(m *LockManager) string {
 }
 
 // queued reports whether some lock's queue holds a request of owner.
-func queued(m *LockManager, owner *holdList) bool {
+func queued(m *keyedLocks, owner *holdList) bool {
 	for _, l := range m.locks {
 		for _, w := range l.queue {
 			if w.owner == owner {
@@ -422,16 +447,16 @@ func TestReleaseAllLeavesNoHoldProperty(t *testing.T) {
 		}
 		check := func(step int) {
 			for o := 0; o < owners; o++ {
-				listed := make(map[string]int)
+				listed := make(map[*lock]int)
 				if hl := m.held[o]; hl != nil {
 					for _, h := range hl.holds {
-						listed[h.l.name]++
+						listed[h.l]++
 					}
 				}
 				for _, n := range names {
-					if listed[n] != len(model[n][o]) {
+					if got := listed[m.locks[n]]; got != len(model[n][o]) {
 						fail("step %d: owner %d lists %d holds on %s, model %d",
-							step, o, listed[n], n, len(model[n][o]))
+							step, o, got, n, len(model[n][o]))
 					}
 				}
 			}

@@ -98,7 +98,7 @@ func TestForeignLockDeadlocks(t *testing.T) {
 	p.Transactions = 50
 	for _, cfg := range allConfigs {
 		s := New(cfg, p)
-		s.locks.Acquire(nil, "foreign", "db", X) // never blocks: the lock is free
+		s.locks.acquire(s.locks.newOwner(), &s.dbLock, X, nil) // never blocks: the lock is free
 		r := s.Run()
 		if r.Deadlocked != p.Transactions || r.CompletedTxns != 0 {
 			t.Fatalf("%v: %d deadlocked, %d completed; want %d and 0", cfg, r.Deadlocked, r.CompletedTxns, p.Transactions)
@@ -120,11 +120,11 @@ func TestRunLeavesNoWaiters(t *testing.T) {
 		if r := s.Run(); r.Deadlocked != 0 || r.CompletedTxns != 300 {
 			t.Fatalf("%v: %d deadlocked, %d completed", cfg, r.Deadlocked, r.CompletedTxns)
 		}
-		for _, l := range s.locks.locks {
+		s.eachLock(func(name string, l *lock) {
 			if len(l.queue) != 0 {
-				t.Errorf("%v: %d waiters on %s", cfg, len(l.queue), l.name)
+				t.Errorf("%v: %d waiters on %s", cfg, len(l.queue), name)
 			}
-		}
+		})
 		for _, st := range []*station{s.cpus, s.disk} {
 			if st.inUse != 0 || st.head != len(st.waiting) {
 				t.Errorf("%v: a station left with %d units in use and %d waiting", cfg, st.inUse, len(st.waiting)-st.head)
@@ -138,9 +138,9 @@ func TestRunLeavesNoWaiters(t *testing.T) {
 }
 
 // TestRunAllocationsPerTransaction pins what a run allocates: the records
-// are one slice and each resumes through one bound callback, so a
-// transaction costs that callback and its share of lock, queue and sample
-// growth.
+// are one slice, each resumes through one bound callback and the locks are
+// slots of the System, so a transaction costs that callback and its share of
+// queue, hold-list and sample growth (about 1.12 at the paper's parameters).
 func TestRunAllocationsPerTransaction(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -148,8 +148,8 @@ func TestRunAllocationsPerTransaction(t *testing.T) {
 	p := DefaultParams()
 	for _, cfg := range allConfigs {
 		allocs := testing.AllocsPerRun(2, func() { New(cfg, p).Run() })
-		if per := allocs / float64(p.Transactions); per > 2 {
-			t.Errorf("%v: %.2f allocations per transaction, want at most 2", cfg, per)
+		if per := allocs / float64(p.Transactions); per > 1.25 {
+			t.Errorf("%v: %.3f allocations per transaction, want at most 1.25", cfg, per)
 		}
 	}
 }

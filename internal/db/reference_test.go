@@ -286,11 +286,11 @@ func (s *refSystem) transaction(p *refProc, seq int, isJoin bool, accountPage in
 // debitCredit is the 95% case: update one account record (and, in indexed
 // configurations, the account index).
 func (s *refSystem) debitCredit(p *refProc, owner *holdList, accountPage int, touchesIndex bool) {
-	s.acquire(p, owner, s.dbLock, IX)
-	s.acquire(p, owner, s.relAccounts, IX)
-	s.acquire(p, owner, s.pageLock(accountPage), X)
+	s.acquire(p, owner, &s.dbLock, IX)
+	s.acquire(p, owner, &s.relAccounts, IX)
+	s.acquire(p, owner, &s.pageLocks[accountPage], X)
 	if s.cfg != NoIndex && touchesIndex {
-		s.acquire(p, owner, s.idxAccounts, IX)
+		s.acquire(p, owner, &s.idxAccounts, IX)
 	}
 	s.compute(p, s.p.DebitCreditCPU)
 	s.locks.releaseAll(owner)
@@ -298,21 +298,21 @@ func (s *refSystem) debitCredit(p *refProc, owner *holdList, accountPage int, to
 
 // join is the 5% case: join two relations to update a third.
 func (s *refSystem) join(p *refProc, owner *holdList) {
-	s.acquire(p, owner, s.dbLock, IX)
-	s.acquire(p, owner, s.relAccounts, IS)
-	s.acquire(p, owner, s.relSummary, IX)
+	s.acquire(p, owner, &s.dbLock, IX)
+	s.acquire(p, owner, &s.relAccounts, IS)
+	s.acquire(p, owner, &s.relSummary, IX)
 
 	switch s.cfg {
 	case NoIndex:
-		s.acquire(p, owner, s.relAccounts, S)
+		s.acquire(p, owner, &s.relAccounts, S)
 		s.compute(p, s.p.JoinScanCPU)
 
 	case IndexInMemory:
-		s.acquire(p, owner, s.idxAccounts, S)
+		s.acquire(p, owner, &s.idxAccounts, S)
 		s.compute(p, s.p.JoinIndexCPU)
 
 	case IndexWithPaging:
-		s.acquire(p, owner, s.idxAccounts, S)
+		s.acquire(p, owner, &s.idxAccounts, S)
 		for s.index.missingPages > 0 {
 			s.index.missingPages--
 			s.result.Faults++
@@ -324,14 +324,14 @@ func (s *refSystem) join(p *refProc, owner *holdList) {
 
 	case IndexRegeneration:
 		if !s.index.valid {
-			s.acquire(p, owner, s.idxAccounts, X)
+			s.acquire(p, owner, &s.idxAccounts, X)
 			if !s.index.valid {
 				s.compute(p, s.p.RegenerateCPU)
 				s.index.valid = true
 				s.result.Regenerations++
 			}
 		} else {
-			s.acquire(p, owner, s.idxAccounts, S)
+			s.acquire(p, owner, &s.idxAccounts, S)
 		}
 		s.compute(p, s.p.JoinIndexCPU)
 	}

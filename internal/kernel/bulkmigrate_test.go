@@ -16,7 +16,7 @@ import (
 // the source, insert and install the destination, or for a range applied
 // whole one span entry after its last page — and a map per segment, page ->
 // frame and flags, moved one page at a time. The range body's shortcuts (the
-// never-named source skip, reserve, preload, installRun, entries changing
+// never-named source's insertRun, reserve, installRun, entries changing
 // stores as a run, an exact source extent dropped up front) must be
 // invisible to all three.
 type bulkWorld struct {
@@ -228,9 +228,11 @@ func (w *bulkWorld) check(step string) {
 // ranges move out of a source no entry has named (boot on a fresh machine);
 // consecutive pages of one segment never share a slot, but the second
 // range's 40 000 keys land among the first's in a 64K-slot table, so the
-// overflow area fills and drops. A third moves out of a segment whose every
-// page is named. Then the fill path's shape, a 32-page run with shorter ones
-// and one longer than preloadRun beside it; runs of 1, 63, 64, 65 and 4 096
+// overflow area fills and drops; a third, 16 pages out of boot into a fresh
+// segment, then meets that full area, so its inserts drop live keys. A
+// fourth moves out of a segment whose every page is named. Then the fill
+// path's shape, a 32-page run with shorter ones and one of 83 pages beside
+// it; runs of 1, 63, 64, 65 and 4 096
 // pages — either side of the TLB's size — each into a fresh segment and into
 // a named one; a source with a page parked in sparse and a run that parks
 // in sparse and leaves it again, which move entry by entry, and a run into
@@ -254,8 +256,13 @@ func TestBulkMigrateCacheState(t *testing.T) {
 			t.Fatalf("named: boot %v, %s %v; want false, true", boot.named, dst.name, dst.named)
 		}
 	}
-	if _, _, spills, drops := k.table.stats(); spills < hashOverflow || drops == 0 {
+	_, _, spills, drops := k.table.stats()
+	if spills < hashOverflow || drops == 0 || k.table.(*mappingTable).ovLive != hashOverflow {
 		t.Fatalf("%d spills and %d drops: the ranges did not fill the overflow area", spills, drops)
+	}
+	w.move("never-named into never-named over a full overflow area", SystemCred, boot, w.segment("low"), FlagRW, 0, PageRange{Page: 0, To: 0, Pages: 16})
+	if _, _, _, after := k.table.stats(); boot.named || after == drops {
+		t.Fatalf("boot named %v, %d drops before the run and %d after: its inserts displaced nothing live", boot.named, drops, after)
 	}
 
 	file := w.segment("file")
@@ -266,10 +273,10 @@ func TestBulkMigrateCacheState(t *testing.T) {
 		{Page: 5_000, To: 40, Pages: 15},
 		{Page: 9_000, To: 200, Pages: 16},
 		{Page: 300, To: 60, Pages: 1},
-		{Page: 20_000, To: 1_000, Pages: preloadRun + 19},
+		{Page: 20_000, To: 1_000, Pages: 83},
 	}
-	// Into a segment nothing has named (its first run is preloaded), then
-	// the same shape into a named one.
+	// Into a segment nothing has named, then the same shape into a named
+	// one.
 	for _, dst := range []*Segment{w.segment("pen"), file} {
 		w.move("grant-shaped batch into "+dst.name, AppCred, heap, dst, FlagRead, 0, batch...)
 		for i := range batch {

@@ -14,7 +14,6 @@ package kernel
 const (
 	hashTableSlots = 64 * 1024
 	hashOverflow   = 32
-	preloadRun     = 64 // see preload
 )
 
 type mapKey struct {
@@ -45,13 +44,15 @@ func (s *hashSlot) holds(k mapKey) bool {
 
 // mapper is the mapping-hash-table surface the kernel uses; implemented by
 // the paper's single mappingTable (serial) and the lock-free casTable
-// (concurrent). The span methods cache one entry covering a whole superpage
-// extent (superpage.go); the tables are caches, so a missing span only
-// costs the walk. Both tables keep keys only: lookup reports presence.
+// (concurrent). insertRun is n inserts of consecutive pages in ascending
+// order, one call per range rather than one per key. The span methods cache
+// one entry covering a whole superpage extent (superpage.go); the tables are
+// caches, so a missing span only costs the walk. Both tables keep keys only:
+// lookup reports presence.
 type mapper interface {
 	lookup(k mapKey) bool
 	insert(k mapKey)
-	preload(k mapKey, n int64)
+	insertRun(k mapKey, n int64)
 	remove(k mapKey)
 	removeSegment(seg SegID)
 	insertSpan(k mapKey, order uint8)
@@ -82,7 +83,6 @@ type mappingTable struct {
 	spanSeen uint8
 	// statistics
 	hits, misses, spills, drops int64
-	loaded                      int64 // preload's sink
 }
 
 func newMappingTable() *mappingTable {
@@ -215,19 +215,12 @@ func (t *mappingTable) insert(k mapKey) {
 	s.page, s.seg, s.valid = k.page, k.seg, true
 }
 
-// preload reads the slots that inserts of the n keys (k.seg, k.page+i) are
-// about to write, changing nothing. Consecutive pages hash 40 503 slots
-// apart, so every insert of a run misses the cache, and insert branches on
-// what it loaded: the misses resolve one by one. These loads depend only on
-// i, so many are in flight at once. migrate preloads preloadRun keys at a
-// time (64 lines stay in first-level cache until their inserts come), and
-// only for a destination nothing has named: on warm slots it does not pay.
-func (t *mappingTable) preload(k mapKey, n int64) {
-	sum := int64(0)
+// insertRun caches the n keys (k.seg, k.page+i), exactly as n inserts in
+// ascending page order: a range moving out of a source nothing has named.
+func (t *mappingTable) insertRun(k mapKey, n int64) {
 	for i := int64(0); i < n; i++ {
-		sum += t.slots[t.index(mapKey{k.seg, k.page + i})].page
+		t.insert(mapKey{k.seg, k.page + i})
 	}
-	t.loaded = sum
 }
 
 // remove forgets a mapping (page unmapped, migrated away, or flags changed

@@ -172,7 +172,10 @@ func (k *Kernel) cellOf(m Manager) *managerCell {
 // New boots a kernel over the given memory, clock and cost model. Following
 // §2.1, it creates the well-known segment holding all page frames in
 // physical-address order, restricted to privileged (system) credentials.
-// The delivery-plane scheduler is the deterministic serial one unless
+// The boot segment's page store is laid out in one straight pass
+// (identityRun) and the frame owner and page tables in a second: exactly
+// what one put per frame would build, without the per-page put. The
+// delivery-plane scheduler is the deterministic serial one unless
 // cfg.Concurrent asks for the concurrent one.
 func New(mem *phys.Memory, clock *sim.Clock, cost *sim.CostModel, cfg Config) *Kernel {
 	if cfg.TLBEntries <= 0 {
@@ -203,10 +206,8 @@ func New(mem *phys.Memory, clock *sim.Clock, cost *sim.CostModel, cfg Config) *K
 	boot.restricted = true
 	boot.staging = true
 	boot.identity = true
-	n := mem.NumFrames()
-	boot.pages.reserve(0, int64(n))
-	for pfn := 0; pfn < n; pfn++ {
-		boot.pages.put(int64(pfn), pageEntry{pfn: phys.PFN(pfn)})
+	boot.pages.identityRun(int64(mem.NumFrames()))
+	for pfn := range k.frameOwner {
 		k.frameOwner[pfn] = boot.id
 		k.framePage[pfn] = int64(pfn)
 	}

@@ -1,6 +1,10 @@
 package kernel
 
-import "slices"
+import (
+	"slices"
+
+	"epcm/internal/phys"
+)
 
 // pageStore holds a segment's present pages. Every simulated memory
 // reference ends in a lookup here, so the structure is optimized for the
@@ -174,6 +178,20 @@ func (ps *pageStore) moveRun(dst *pageStore, lo, to, n int64, set, unset PageFla
 	ps.n -= int(n)
 	dst.n += int(n)
 	return moved
+}
+
+// identityRun fills an empty store with pages [0, n), page i on frame i —
+// the boot segment — in one pass over the dense prefix, exactly as n puts in
+// page order would: pages beyond pageStoreDenseMax go sparse.
+func (ps *pageStore) identityRun(n int64) {
+	ps.reserve(0, n)
+	for i := range ps.dense {
+		ps.dense[i] = pageEntry{pfn: phys.PFN(i), live: true}
+	}
+	ps.n = len(ps.dense)
+	for p := int64(len(ps.dense)); p < n; p++ {
+		ps.put(p, pageEntry{pfn: phys.PFN(p)})
+	}
 }
 
 // put stores e at page, replacing any existing entry.

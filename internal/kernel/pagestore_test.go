@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"epcm/internal/phys"
+	"epcm/internal/sim"
 )
 
 // pageStoreOps is a generated op sequence for the equivalence property.
@@ -348,4 +349,40 @@ func TestPageStoreNegativePagePanics(t *testing.T) {
 	}()
 	var ps pageStore
 	ps.put(-1, pageEntry{})
+}
+
+// A fresh kernel's boot segment, frame owners and frame pages are what one
+// put per frame in PFN order builds: the same count, the same entries, the
+// same dense prefix and nothing sparse. identityRun alone is held to the
+// same puts past pageStoreDenseMax, where they go sparse.
+func TestBootStoreMatchesPerPagePuts(t *testing.T) {
+	perPage := func(n int64) *pageStore {
+		ps := new(pageStore)
+		ps.reserve(0, n)
+		for p := int64(0); p < n; p++ {
+			ps.put(p, pageEntry{pfn: phys.PFN(p)})
+		}
+		return ps
+	}
+	same := func(what string, got, want *pageStore) {
+		t.Helper()
+		if got.n != want.n || !slices.Equal(got.dense, want.dense) || !reflect.DeepEqual(got.sparse, want.sparse) {
+			t.Fatalf("%s: %d pages, %d dense, %d sparse; per-page puts build %d, %d, %d (or the entries differ)",
+				what, got.n, len(got.dense), len(got.sparse), want.n, len(want.dense), len(want.sparse))
+		}
+	}
+	for _, frames := range []int64{1, 4097, 32768} {
+		mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: frames * 4096})
+		k := New(mem, new(sim.Clock), sim.DECstation5000(), Config{})
+		same("boot segment", &k.boot.pages, perPage(frames))
+		for pfn := range frames {
+			if k.frameOwner[pfn] != k.boot.id || k.framePage[pfn] != pfn {
+				t.Fatalf("%d frames: frame %d recorded at segment %d page %d, want %d page %d",
+					frames, pfn, k.frameOwner[pfn], k.framePage[pfn], k.boot.id, pfn)
+			}
+		}
+	}
+	var past pageStore
+	past.identityRun(pageStoreDenseMax + 3)
+	same("identityRun past the dense cap", &past, perPage(pageStoreDenseMax+3))
 }

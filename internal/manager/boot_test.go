@@ -118,11 +118,13 @@ func bootKernel(mem *phys.Memory) *kernel.Kernel {
 }
 
 // BenchmarkMachineBoot times what every Tables 2-3 run pays before its first
-// event, stage by stage: the machine's frames (phys.NewMemory), its kernel
-// (kernel.New records all 32 768 of them in the boot segment) and the
-// default manager's pool (NewFixedPool stocks 32 704 in one MigratePages);
-// all is the three back to back, as NewVppRunner runs them. Every stage
-// reports ns/page over the pool's 32 704 pages.
+// event, stage by stage: the machine's frames (phys.NewMemory, one pass per
+// node's block), its kernel (kernel.New lays all 32 768 frames into the boot
+// segment in straight passes) and the default manager's pool (NewFixedPool
+// stocks 32 704 in one MigratePages, whose never-named source hands the
+// mapping table one insertRun); all is the three back to back, as
+// NewVppRunner runs them. Every stage reports ns/page over the pool's 32 704
+// pages.
 func BenchmarkMachineBoot(b *testing.B) {
 	stage := func(name string, setup func() *kernel.Kernel, run func(*kernel.Kernel)) {
 		b.Run(name, func(b *testing.B) {

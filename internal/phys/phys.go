@@ -206,9 +206,14 @@ func NewMemory(cfg Config) *Memory {
 	if cfg.StoreData {
 		m.data = make([][]byte, n)
 	}
+	// Node i holds the i-th block of perNode frames (the last may be short):
+	// one straight pass per block, no division per frame.
 	perNode := (n + cfg.Nodes - 1) / cfg.Nodes
-	for i := range m.frames {
-		m.frames[i] = Frame{mem: m, pfn: PFN(i), node: int32(i / perNode)}
+	for lo, node := 0, int32(0); lo < n; lo, node = lo+perNode, node+1 {
+		block := m.frames[lo:min(lo+perNode, n)]
+		for i := range block {
+			block[i] = Frame{mem: m, pfn: PFN(lo + i), node: node}
+		}
 	}
 	return m
 }

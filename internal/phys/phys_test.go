@@ -53,6 +53,25 @@ func TestFrameNodeStriping(t *testing.T) {
 	}
 }
 
+// Every frame's node is its PFN over ceil(frames/nodes), also when the node
+// count does not divide the frame count (the last node is short, and with
+// few frames some nodes get none).
+func TestFrameNodeBlocks(t *testing.T) {
+	for _, frames := range []int{250, 10} {
+		for _, nodes := range []int{1, 3, 7} {
+			m := NewMemory(Config{FrameSize: 4096, TotalBytes: int64(frames) * 4096, Nodes: nodes})
+			perNode := (frames + nodes - 1) / nodes
+			for i := 0; i < frames; i++ {
+				f := m.Frame(PFN(i))
+				if f.PFN() != PFN(i) || f.Node() != i/perNode {
+					t.Fatalf("%d frames, %d nodes: frame %d reports pfn %d on node %d, want node %d",
+						frames, nodes, i, f.PFN(), f.Node(), i/perNode)
+				}
+			}
+		}
+	}
+}
+
 func TestFrameDataLazyAndZero(t *testing.T) {
 	m := testMemory()
 	f := m.Frame(10)

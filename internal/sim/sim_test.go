@@ -269,6 +269,49 @@ func TestCallbackPanicReachesRun(t *testing.T) {
 	}
 }
 
+// bruteNearestRank is the nearest-rank percentile by its definition, with
+// no sort: the smallest sample v such that at least ceil(p/100 × n) samples
+// (at least one) are at most v.
+func bruteNearestRank(vals []time.Duration, p float64) time.Duration {
+	rank := max(1, int(math.Ceil(p/100*float64(len(vals)))))
+	best := time.Duration(math.MaxInt64)
+	for _, v := range vals {
+		atMost := 0
+		for _, w := range vals {
+			if w <= v {
+				atMost++
+			}
+		}
+		if atMost >= rank && v < best {
+			best = v
+		}
+	}
+	return best
+}
+
+// Percentile agrees with the brute-force nearest rank on random samples
+// drawn from a few values, so most are duplicates, also when samples arrive
+// after a percentile was read (the series sorts again).
+func TestSeriesPercentileBruteForce(t *testing.T) {
+	rng := NewRNG(29)
+	for trial := 0; trial < 200; trial++ {
+		var s Series
+		var vals []time.Duration
+		for round := 0; round < 3; round++ {
+			for i := 0; i < 1+rng.Intn(40); i++ {
+				d := time.Duration(rng.Intn(1+trial%12)) * time.Millisecond
+				s.Add(d)
+				vals = append(vals, d)
+			}
+			for _, p := range []float64{0, 50, 95, 99, 100} {
+				if got, want := s.Percentile(p), bruteNearestRank(vals, p); got != want {
+					t.Fatalf("trial %d round %d: p%v of %d samples = %v, brute force %v", trial, round, p, len(vals), got, want)
+				}
+			}
+		}
+	}
+}
+
 // Percentile agrees with a reference implementation on random data.
 func TestSeriesPercentileProperty(t *testing.T) {
 	rng := NewRNG(17)

@@ -3,7 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -48,7 +48,7 @@ func (s *Series) Percentile(p float64) time.Duration {
 		return 0
 	}
 	if !s.sorted {
-		sort.Slice(s.samples, func(i, j int) bool { return s.samples[i] < s.samples[j] })
+		slices.Sort(s.samples)
 		s.sorted = true
 	}
 	if p <= 0 {

@@ -179,6 +179,21 @@ if grep -rnE '\b(SelectVictim|SetSegmentPolicy|MRUVictim|OnFault)\b|\bOwned\(' -
     exit 1
 fi
 
+# Table 4's locks are slots of db.System — the fixed four as fields, one per
+# account page in a slice indexed by page — so db.go names no lock by string
+# and looks none up; names live on only in the keyed spelling of the lock
+# tests (keyedLocks in internal/db/locks_test.go).
+if grep -nE 'pageLockNames|lockFor\(|map\[string\]\*lock' internal/db/db.go; then
+    echo "internal/db/db.go names a lock by string again: a lock is a slot of System (see the matches above)" >&2
+    exit 1
+fi
+# Series.Percentile sorts its samples with slices.Sort: no closure-driven
+# sort.Slice in non-test internal/sim.
+if grep -rnE 'sort\.Slice' --include='*.go' --exclude='*_test.go' internal/sim; then
+    echo "non-test internal/sim calls sort.Slice: use slices.Sort (see the matches above)" >&2
+    exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 
