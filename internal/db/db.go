@@ -157,8 +157,7 @@ type System struct {
 func New(cfg MemoryConfig, p Params) *System {
 	clock := &sim.Clock{}
 	env := sim.NewSerialEnv(clock)
-	locks := NewLockManager()
-	locks.Barging = true // reader preference: concurrent relation scans share S locks
+	locks := &LockManager{Barging: true} // reader preference: concurrent relation scans share S locks
 	s := &System{
 		p:         p,
 		cfg:       cfg,

@@ -113,9 +113,6 @@ type LockManager struct {
 	stats   LockStats
 }
 
-// NewLockManager builds an empty lock manager.
-func NewLockManager() *LockManager { return new(LockManager) }
-
 // Stats returns a snapshot of activity counters.
 func (m *LockManager) Stats() LockStats { return m.stats }
 

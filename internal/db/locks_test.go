@@ -24,7 +24,7 @@ type keyedLocks struct {
 }
 
 func newKeyedLocks() *keyedLocks {
-	return &keyedLocks{LockManager: NewLockManager(), locks: make(map[string]*lock), held: make(map[interface{}]*holdList)}
+	return &keyedLocks{LockManager: new(LockManager), locks: make(map[string]*lock), held: make(map[interface{}]*holdList)}
 }
 
 func newLockEnv() (*refEnv, *keyedLocks) {

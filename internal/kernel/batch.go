@@ -372,11 +372,7 @@ func extentOrderFor(src *Segment, r PageRange, super bool) int {
 // gets, for i ascending: the removal of any source extent's span entry ahead
 // of the first of its pages the range covers, remove(src i) and — unless the
 // range lands as an extent — insert(dst i), key by key: page numbers are
-// table keys, so which insert displaces whom is model state. A source
-// nothing has named, with no extent to probe, has nothing to remove, so the
-// inserts alone go to the table as one insertRun (the pool-stocking shape);
-// any other source keeps the interleaved loop, where the order of removes
-// and inserts is model state. The TLB gets
+// table keys, so which insert displaces whom is model state. The TLB gets
 // the same span and source invalidates, then the destination installs as one
 // installRun: an install decides by its own key and the cursor alone,
 // neither of which an invalidate of another key touches, and span ways are
@@ -403,10 +399,7 @@ func (k *Kernel) moveRun(src, dst *Segment, r PageRange, order uint8, set, clear
 		}
 	}
 	fill := order == 0 && k.cacheFill(dst)
-	switch {
-	case fill && !src.named && !probe:
-		k.table.insertRun(mapKey{dst.id, r.To}, r.Pages)
-	case src.named || fill || probe:
+	if src.named || fill || probe {
 		for i := int64(0); i < r.Pages; i++ {
 			if probe {
 				k.demoteCoveringLocked(src, r.Page+i)

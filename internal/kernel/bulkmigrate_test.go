@@ -16,7 +16,7 @@ import (
 // the source, insert and install the destination, or for a range applied
 // whole one span entry after its last page — and a map per segment, page ->
 // frame and flags, moved one page at a time. The range body's shortcuts (the
-// never-named source's insertRun, reserve, installRun, entries changing
+// never-named source skip, reserve, installRun, entries changing
 // stores as a run, an exact source extent dropped up front) must be
 // invisible to all three.
 type bulkWorld struct {
@@ -232,8 +232,8 @@ func (w *bulkWorld) check(step string) {
 // segment, then meets that full area, so its inserts drop live keys. A
 // fourth moves out of a segment whose every page is named. Then the fill
 // path's shape, a 32-page run with shorter ones and one of 83 pages beside
-// it; runs of 1, 63, 64, 65 and 4 096
-// pages — either side of the TLB's size — each into a fresh segment and into
+// it; runs of 1, 63, 64, 65 and 4 096 pages — either side of the TLB's
+// size — each into a fresh segment and into
 // a named one; a source with a page parked in sparse and a run that parks
 // in sparse and leaves it again, which move entry by entry, and a run into
 // a destination with a page in sparse, which still moves slot to slot;

@@ -179,13 +179,6 @@ func (t *casTable) insert(k mapKey) { t.put(k, 0) }
 
 func (t *casTable) remove(k mapKey) { t.drop(k, 0) }
 
-// insertRun is n inserts in ascending page order.
-func (t *casTable) insertRun(k mapKey, n int64) {
-	for i := int64(0); i < n; i++ {
-		t.put(mapKey{k.seg, k.page + i}, 0)
-	}
-}
-
 // put caches the order-tagged entry of k, a no-op for an uncacheable key.
 func (t *casTable) put(k mapKey, order uint8) {
 	w, h, ok := casKey(k, order)

@@ -18,11 +18,6 @@ import (
 //   - the same key valid twice within the overflow area (an overflow-
 //     internal duplicate makes lookup order-dependent; a slot-shadowed
 //     overflow copy is legal because the slot always wins).
-//
-// An insertRun of 1..32 keys is held to that many single inserts in
-// ascending page order on the reference: a run twice the table's size
-// displaces its own earlier keys, and after the colliding seed's fill it
-// meets a full overflow area.
 func FuzzMappingTable(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 1, 3, 1, 1, 2, 2, 1, 0})
 	f.Add([]byte("insert-remove-collide-spill-drop"))
@@ -32,17 +27,12 @@ func FuzzMappingTable(f *testing.F) {
 	// then remove through both areas; fill it again, drop its segment and
 	// fill it once more.
 	f.Add(mappingTableCollidingSeed())
-	// The colliding fill, then runs over it: 32 keys of its segment from
-	// page 0, 8 of another segment, and one key.
-	f.Add(append(mappingTableCollidingSeed(), 6, 1, 31<<3|0, 6, 2, 7<<3|3, 6, 1, 0<<3|5))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		table := newMappingTableSized(16, 4)
 		ref := newRefMappingTable(16, 4)
 		model := make(map[mapKey]bool)
 		for len(data) >= 3 {
-			op, segByte, pageByte := data[0]%7, data[1]&3, data[2]&31
-			run := mapKey{SegID(segByte), int64(data[2] & 7)}
-			runLen := int64(data[2]>>3) + 1 // 1..32 keys from page 0..7
+			op, segByte, pageByte := data[0]%6, data[1]&3, data[2]&31
 			data = data[3:]
 			k := mapKey{seg: SegID(segByte), page: int64(pageByte)}
 			order := uint8(pageByte>>3) + 1 // 1..4
@@ -78,13 +68,6 @@ func FuzzMappingTable(f *testing.F) {
 				table.removeSpan(span, order)
 				ref.removeSpan(span, order)
 				delete(model, spanMapKey(span, int(order)))
-			case 6:
-				table.insertRun(run, runLen)
-				for i := int64(0); i < runLen; i++ {
-					rk := mapKey{run.seg, run.page + i}
-					ref.insert(rk, &pageEntry{})
-					model[rk] = true
-				}
 			}
 			// lookup (exact, then span probes) must agree with the
 			// reference on every key of the universe, and may hit only

@@ -44,15 +44,12 @@ func (s *hashSlot) holds(k mapKey) bool {
 
 // mapper is the mapping-hash-table surface the kernel uses; implemented by
 // the paper's single mappingTable (serial) and the lock-free casTable
-// (concurrent). insertRun is n inserts of consecutive pages in ascending
-// order, one call per range rather than one per key. The span methods cache
-// one entry covering a whole superpage extent (superpage.go); the tables are
-// caches, so a missing span only costs the walk. Both tables keep keys only:
-// lookup reports presence.
+// (concurrent). The span methods cache one entry covering a whole superpage
+// extent (superpage.go); the tables are caches, so a missing span only
+// costs the walk. Both tables keep keys only: lookup reports presence.
 type mapper interface {
 	lookup(k mapKey) bool
 	insert(k mapKey)
-	insertRun(k mapKey, n int64)
 	remove(k mapKey)
 	removeSegment(seg SegID)
 	insertSpan(k mapKey, order uint8)
@@ -213,14 +210,6 @@ func (t *mappingTable) insert(k mapKey) {
 		}
 	}
 	s.page, s.seg, s.valid = k.page, k.seg, true
-}
-
-// insertRun caches the n keys (k.seg, k.page+i), exactly as n inserts in
-// ascending page order: a range moving out of a source nothing has named.
-func (t *mappingTable) insertRun(k mapKey, n int64) {
-	for i := int64(0); i < n; i++ {
-		t.insert(mapKey{k.seg, k.page + i})
-	}
 }
 
 // remove forgets a mapping (page unmapped, migrated away, or flags changed

@@ -121,8 +121,8 @@ func bootKernel(mem *phys.Memory) *kernel.Kernel {
 // event, stage by stage: the machine's frames (phys.NewMemory, one pass per
 // node's block), its kernel (kernel.New lays all 32 768 frames into the boot
 // segment in straight passes) and the default manager's pool (NewFixedPool
-// stocks 32 704 in one MigratePages, whose never-named source hands the
-// mapping table one insertRun); all is the three back to back, as
+// stocks 32 704 in one MigratePages, whose never-named source has no
+// removes to interleave with its inserts); all is the three back to back, as
 // NewVppRunner runs them. Every stage reports ns/page over the pool's 32 704
 // pages.
 func BenchmarkMachineBoot(b *testing.B) {
