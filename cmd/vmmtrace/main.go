@@ -87,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cal := spec
 	if calibrate {
 		var err error
-		cal, err = workload.Calibrated(spec)
+		cal, _, _, err = workload.Calibrated(spec)
 		if err != nil {
 			return fail(1, err)
 		}

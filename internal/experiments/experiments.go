@@ -205,22 +205,23 @@ func measureUltrix() (fault, read, write, user time.Duration) {
 }
 
 // Tables23 reproduces the application benchmarks (elapsed time and VM
-// system activity).
+// system activity). The three programs run on one V++ machine, each on a
+// fresh runner: the machine restores its post-stocking image before every
+// row but the first, so each row starts where a fresh boot would.
 func (m Modes) Tables23() (*Report, error) {
 	rep := &Report{Table: "tables2-3", OK: true}
 	b := &bytes.Buffer{}
 	header(b, "Table 2: Application Elapsed Time (seconds) / Table 3: VM System Activity")
 	fmt.Fprintf(b, "%-11s | %8s %8s %8s %8s | %6s %6s %7s %7s %9s %9s\n",
 		"Program", "V++", "paper", "Ultrix", "paper", "Calls", "paper", "Migrate", "paper", "Ovhd(ms)", "paper")
+	mach, err := workload.NewMachine(0, m.kernelConfig())
+	check(err)
 	for _, spec := range workload.All() {
-		cal, err := workload.Calibrated(spec)
+		cal, ue, uc, err := workload.Calibrated(spec)
 		check(err)
-		vr, err := workload.NewVppRunner(0, m.kernelConfig(), m.policy())
+		vr, err := mach.Runner(m.policy())
 		check(err)
 		ve, vc, err := workload.Run(vr, cal)
-		check(err)
-		ur := workload.NewUltrixRunner(0)
-		ue, uc, err := workload.Run(ur, cal)
 		check(err)
 		overhead := time.Duration(vc.ManagerCalls) * 204 * time.Microsecond
 		fmt.Fprintf(b, "%-11s | %8.2f %8.2f %8.2f %8.2f | %6d %6d %7d %7d %9.0f %9d\n",

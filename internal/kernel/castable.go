@@ -260,3 +260,21 @@ func (t *casTable) resetStats() {
 	t.spills.Store(0)
 	t.drops.Store(0)
 }
+
+func (t *casTable) clone() mapper {
+	c := newCASTableSized(len(t.slots))
+	c.restore(t)
+	return c
+}
+
+func (t *casTable) restore(from mapper) {
+	f := from.(*casTable)
+	for i := range t.slots {
+		t.slots[i].Store(f.slots[i].Load())
+	}
+	t.spanSeen.Store(f.spanSeen.Load())
+	t.hits.Store(f.hits.Load())
+	t.misses.Store(f.misses.Load())
+	t.spills.Store(f.spills.Load())
+	t.drops.Store(f.drops.Load())
+}

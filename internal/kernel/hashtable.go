@@ -56,6 +56,10 @@ type mapper interface {
 	removeSpan(k mapKey, order uint8)
 	stats() (hits, misses, spills, drops int64)
 	resetStats()
+	// clone copies the table, counters included (Kernel.Image); restore
+	// makes the table a copy of one clone returned, in place.
+	clone() mapper
+	restore(from mapper)
 }
 
 type mappingTable struct {
@@ -258,4 +262,17 @@ func (t *mappingTable) stats() (hits, misses, spills, drops int64) {
 
 func (t *mappingTable) resetStats() {
 	t.hits, t.misses, t.spills, t.drops = 0, 0, 0, 0
+}
+
+func (t *mappingTable) clone() mapper {
+	c := newMappingTableSized(len(t.slots), t.ovLen)
+	c.restore(t)
+	return c
+}
+
+func (t *mappingTable) restore(from mapper) {
+	f := from.(*mappingTable)
+	copy(t.slots, f.slots)
+	t.overflow, t.ovLive, t.spanSeen = f.overflow, f.ovLive, f.spanSeen
+	t.hits, t.misses, t.spills, t.drops = f.hits, f.misses, f.spills, f.drops
 }

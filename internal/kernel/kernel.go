@@ -259,28 +259,34 @@ func (k *Kernel) Stats() Stats {
 
 // ResetStats zeroes the activity counters (not the mapping state).
 func (k *Kernel) ResetStats() {
-	k.stats.Accesses.Store(0)
-	k.stats.Faults.Store(0)
-	k.stats.MissingFaults.Store(0)
-	k.stats.ProtFaults.Store(0)
-	k.stats.COWFaults.Store(0)
-	k.stats.ManagerCalls.Store(0)
-	k.stats.MigrateCalls.Store(0)
-	k.stats.MigratedPages.Store(0)
-	k.stats.ModifyCalls.Store(0)
-	k.stats.GetAttrCalls.Store(0)
-	k.stats.TLBHits.Store(0)
-	k.stats.TLBMisses.Store(0)
-	k.stats.DroppedDeliveries.Store(0)
-	k.stats.DelayedDeliveries.Store(0)
-	k.stats.Revocations.Store(0)
-	k.stats.RevokedSegments.Store(0)
-	k.stats.SuperpageOps.Store(0)
-	k.stats.ExtentPromotions.Store(0)
-	k.stats.ExtentDemotions.Store(0)
-	k.stats.VectoredBatches.Store(0)
-	k.stats.VectoredFaults.Store(0)
+	k.stats.store(Stats{})
 	k.table.resetStats()
+}
+
+// store sets every counter to its field of s; the mapping table's counters
+// are the table's own.
+func (ks *kernelStats) store(s Stats) {
+	ks.Accesses.Store(s.Accesses)
+	ks.Faults.Store(s.Faults)
+	ks.MissingFaults.Store(s.MissingFaults)
+	ks.ProtFaults.Store(s.ProtFaults)
+	ks.COWFaults.Store(s.COWFaults)
+	ks.ManagerCalls.Store(s.ManagerCalls)
+	ks.MigrateCalls.Store(s.MigrateCalls)
+	ks.MigratedPages.Store(s.MigratedPages)
+	ks.ModifyCalls.Store(s.ModifyCalls)
+	ks.GetAttrCalls.Store(s.GetAttrCalls)
+	ks.TLBHits.Store(s.TLBHits)
+	ks.TLBMisses.Store(s.TLBMisses)
+	ks.DroppedDeliveries.Store(s.DroppedDeliveries)
+	ks.DelayedDeliveries.Store(s.DelayedDeliveries)
+	ks.Revocations.Store(s.Revocations)
+	ks.RevokedSegments.Store(s.RevokedSegments)
+	ks.SuperpageOps.Store(s.SuperpageOps)
+	ks.ExtentPromotions.Store(s.ExtentPromotions)
+	ks.ExtentDemotions.Store(s.ExtentDemotions)
+	ks.VectoredBatches.Store(s.VectoredBatches)
+	ks.VectoredFaults.Store(s.VectoredFaults)
 }
 
 // BootSegment returns the well-known segment of all page frames.
@@ -422,10 +428,7 @@ func (k *Kernel) DeleteSegment(cred Cred, s *Segment) error {
 		}
 		return true
 	})
-	s.pages.clear()
-	s.extents = nil // span entries die with the segment's cache state below
-	s.extOrderCount = [MaxExtentOrder + 1]uint32{}
-	s.deleted = true
+	s.retireLocked()
 	k.tlbOf(s).invalidateSegment(s.id)
 	unlockPair(s, k.boot)
 	k.mu.Lock()

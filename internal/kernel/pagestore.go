@@ -240,6 +240,22 @@ func (ps *pageStore) del(page int64) {
 	}
 }
 
+// restore makes ps a copy of from, reusing ps's dense prefix: a restored
+// prefix has from's length, which decides dense admission, whatever ps
+// held.
+func (ps *pageStore) restore(from *pageStore) {
+	ps.dense = append(ps.dense[:0], from.dense...)
+	ps.sparse = nil
+	for p, e := range from.sparse {
+		if ps.sparse == nil {
+			ps.sparse = make(map[int64]*pageEntry, len(from.sparse))
+		}
+		box := *e
+		ps.sparse[p] = &box
+	}
+	ps.n = from.n
+}
+
 // len reports the number of present pages.
 func (ps *pageStore) len() int { return ps.n }
 

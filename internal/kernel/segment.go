@@ -9,7 +9,8 @@ import (
 	"epcm/internal/phys"
 )
 
-// SegID identifies a segment. IDs are never reused within one kernel.
+// SegID identifies a segment. A kernel never hands an ID out twice, except
+// that Restore hands out again the IDs of the segments it retires.
 type SegID uint32
 
 // WellKnownPhysSegment is the identifier of the boot-time segment that
@@ -99,6 +100,16 @@ type Segment struct {
 	// one. Guarded by mu.
 	tlb    *tlb
 	kernel *Kernel
+}
+
+// retireLocked empties a segment that is going away and marks it deleted,
+// so every handle to it gets ErrNoSuchSegment. Its cache entries and frames
+// are the caller's to settle. Caller holds s.mu.
+func (s *Segment) retireLocked() {
+	s.pages.clear()
+	s.extents = nil // span entries die with the segment's cache state
+	s.extOrderCount = [MaxExtentOrder + 1]uint32{}
+	s.deleted = true
 }
 
 // MarkStaging flags s as a kernel-held staging segment (see the staging

@@ -1,5 +1,7 @@
 package kernel
 
+import "slices"
+
 // tlb models the R3000's 64-entry fully-associative TLB. The paper notes
 // that "simple TLB misses are handled by the kernel" — a miss that finds the
 // translation in the mapping hash table costs only a kernel refill; only a
@@ -62,6 +64,19 @@ func newTLB(size int) *tlb {
 		t.heads[i] = -1
 	}
 	return t
+}
+
+// clone copies the TLB, cursors included; nil for a nil t (a segment that
+// has not made its own).
+func (t *tlb) clone() *tlb {
+	if t == nil {
+		return nil
+	}
+	c := *t
+	c.entries = slices.Clone(t.entries)
+	c.heads = slices.Clone(t.heads)
+	c.spans = slices.Clone(t.spans)
+	return &c
 }
 
 // tlbOf is the TLB that caches s's translations: the kernel's one R3000 TLB

@@ -1,12 +1,14 @@
-package manager
+package manager_test
 
 import (
 	"errors"
 	"testing"
 
 	"epcm/internal/kernel"
+	"epcm/internal/manager"
 	"epcm/internal/phys"
 	"epcm/internal/sim"
+	"epcm/internal/workload"
 )
 
 // liveSegments counts the registered segments among the first few IDs —
@@ -29,7 +31,7 @@ func TestNewFixedPoolFailureLeavesNoSegment(t *testing.T) {
 	k := kernel.New(mem, &clock, sim.DECstation5000(), kernel.Config{})
 	before := liveSegments(k)
 	frames := int64(mem.NumFrames())
-	if _, err := NewFixedPool(k, frames, 16); !errors.Is(err, kernel.ErrPageNotPresent) {
+	if _, err := manager.NewFixedPool(k, frames, 16); !errors.Is(err, kernel.ErrPageNotPresent) {
 		t.Fatalf("NewFixedPool past the end of memory: err = %v, want ErrPageNotPresent", err)
 	}
 	if after := liveSegments(k); after != before {
@@ -39,7 +41,7 @@ func TestNewFixedPoolFailureLeavesNoSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The machine is as it was: the same request, shortened to fit, succeeds.
-	pool, err := NewFixedPool(k, frames-16, 16)
+	pool, err := manager.NewFixedPool(k, frames-16, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +60,11 @@ func TestFixedPoolDonorNumbering(t *testing.T) {
 	const stocked, startPFN = 1000, 16
 	mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: 2048 * 4096})
 	k := bootKernel(mem)
-	pool, err := NewFixedPool(k, stocked, startPFN)
+	pool, err := manager.NewFixedPool(k, stocked, startPFN)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewGeneric(k, Config{Name: "m", Source: pool})
+	g, err := manager.NewGeneric(k, manager.Config{Name: "m", Source: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,14 +119,17 @@ func bootKernel(mem *phys.Memory) *kernel.Kernel {
 	return kernel.New(mem, new(sim.Clock), sim.DECstation5000(), kernel.Config{})
 }
 
-// BenchmarkMachineBoot times what every Tables 2-3 run pays before its first
-// event, stage by stage: the machine's frames (phys.NewMemory, one pass per
+// BenchmarkMachineBoot times what a Tables 2-3 pass pays before its first
+// row, stage by stage: the machine's frames (phys.NewMemory, one pass per
 // node's block), its kernel (kernel.New lays all 32 768 frames into the boot
 // segment in straight passes) and the default manager's pool (NewFixedPool
 // stocks 32 704 in one MigratePages, whose never-named source has no
-// removes to interleave with its inserts); all is the three back to back, as
-// NewVppRunner runs them. Every stage reports ns/page over the pool's 32 704
-// pages.
+// removes to interleave with its inserts); all is the three back to back,
+// as NewMachine runs them. The pass boots once: every later row pays
+// restore instead, which puts the post-stocking image back into a machine
+// that has just run one row (diff) and makes the new row's runner — what
+// workload.Machine.Runner does. Every stage reports ns/page over the pool's
+// 32 704 pages.
 func BenchmarkMachineBoot(b *testing.B) {
 	stage := func(name string, setup func() *kernel.Kernel, run func(*kernel.Kernel)) {
 		b.Run(name, func(b *testing.B) {
@@ -140,7 +145,7 @@ func BenchmarkMachineBoot(b *testing.B) {
 	}
 	none := func() *kernel.Kernel { return nil }
 	stock := func(k *kernel.Kernel) {
-		if _, err := NewFixedPool(k, bootPoolPages, 16); err != nil {
+		if _, err := manager.NewFixedPool(k, bootPoolPages, 16); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -149,28 +154,42 @@ func BenchmarkMachineBoot(b *testing.B) {
 	stage("kernel", none, func(*kernel.Kernel) { bootKernel(mem) })
 	stage("pool", func() *kernel.Kernel { return bootKernel(mem) }, stock)
 	stage("all", none, func(*kernel.Kernel) { stock(bootKernel(bootMemory())) })
-}
 
-// raceEnabled is set under -race (race_test.go), whose runtime allocates on
-// paths that allocate nothing in a normal build.
-var raceEnabled bool
+	m, err := workload.NewMachine(bootMemPages, kernel.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var r *workload.VppRunner
+	runner := func(*kernel.Kernel) {
+		if r, err = m.Runner(nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	runner(nil)
+	stage("restore", func() *kernel.Kernel {
+		if _, _, err := workload.Run(r, workload.Diff()); err != nil {
+			b.Fatal(err)
+		}
+		return nil
+	}, runner)
+}
 
 // TestSerialFaultAllocatesNothing drives first-touch faults through Generic
 // on the serial scheduler with a stocked free list — bench's fill, without
 // the SPCM — and counts host allocations: a serial delivery is a call on
 // scheduler-owned scratch and a group of one is one range, so none.
 func TestSerialFaultAllocatesNothing(t *testing.T) {
-	if raceEnabled {
+	if manager.RaceEnabled() {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	const faults = 256
 	mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: 4 << 20})
 	k := bootKernel(mem)
-	pool, err := NewFixedPool(k, 2*faults, 0)
+	pool, err := manager.NewFixedPool(k, 2*faults, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewGeneric(k, Config{Name: "m", Source: pool})
+	g, err := manager.NewGeneric(k, manager.Config{Name: "m", Source: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,11 +233,11 @@ func BenchmarkStockThenTouch(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		k := bootKernel(bootMemory())
-		pool, err := NewFixedPool(k, bootPoolPages, 16)
+		pool, err := manager.NewFixedPool(k, bootPoolPages, 16)
 		if err != nil {
 			b.Fatal(err)
 		}
-		g, err := NewGeneric(k, Config{Name: "m", Source: pool})
+		g, err := manager.NewGeneric(k, manager.Config{Name: "m", Source: pool})
 		if err != nil {
 			b.Fatal(err)
 		}

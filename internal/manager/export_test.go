@@ -1,5 +1,12 @@
 package manager
 
+// raceEnabled is set under -race (race_test.go), whose runtime allocates on
+// paths that allocate nothing in a normal build.
+var raceEnabled bool
+
+// RaceEnabled reports whether the tests run under -race.
+func RaceEnabled() bool { return raceEnabled }
+
 // NextSlots reports the slot numbers g's next reservation of n would pick
 // outside a refill plan: recycled numbers last-in-first-out, then fresh ones.
 func NextSlots(g *Generic, n int) []int64 {

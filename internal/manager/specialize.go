@@ -54,6 +54,8 @@ type FixedPool struct {
 	Cred  kernel.Cred
 	Donor *kernel.Segment
 	next  int64 // receiving slot high-water mark in Donor
+	// stocked is next as stocking left it, for Rewind.
+	stocked int64
 }
 
 var _ FrameSource = (*FixedPool)(nil)
@@ -73,8 +75,13 @@ func NewFixedPool(k *kernel.Kernel, nFrames, startPFN int64) (*FixedPool, error)
 		_ = k.DeleteSegment(kernel.SystemCred, donor)
 		return nil, err
 	}
-	return &FixedPool{K: k, Cred: kernel.AppCred, Donor: donor, next: nFrames}, nil
+	return &FixedPool{K: k, Cred: kernel.AppCred, Donor: donor, next: nFrames, stocked: nFrames}, nil
 }
+
+// Rewind puts the receiving high-water mark back where stocking left it:
+// the pool's half of restoring its kernel to an image taken right after
+// stocking (kernel.Restore), which puts the donor's pages back.
+func (p *FixedPool) Rewind() { p.next = p.stocked }
 
 // RequestFrames implements FrameSource: the n lowest donor pages holding a
 // frame the constraint admits, one single-page migration each, in page order.

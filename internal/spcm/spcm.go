@@ -612,16 +612,13 @@ func (s *SPCM) Enforce() (int, error) {
 		if bal >= 0 {
 			continue
 		}
-		// Take back enough frames to make the account solvent for one
-		// second at current income, at least one.
-		deficitMB := (-bal + a.income) / s.policy.PricePerMBSecond
-		pages := int(deficitMB * s.pagesPerMB())
-		if pages < 1 {
-			pages = 1
-		}
-		if held := a.HeldPages(); pages > held {
-			pages = held
-		}
+		// Leave the account what keeps it solvent for the next second —
+		// it may hold (income + balance)/price MB, since its income less
+		// that second's rent must cover the debt — and take back the
+		// rest, at least one page.
+		keepMB := max(0, a.income+bal) / s.policy.PricePerMBSecond
+		held := a.HeldPages()
+		pages := min(max(held-int(keepMB*s.pagesPerMB()), 1), held)
 		if pages == 0 {
 			continue
 		}

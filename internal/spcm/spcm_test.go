@@ -282,6 +282,36 @@ func TestEnforceReclaimsFromInsolvent(t *testing.T) {
 	}
 }
 
+// An account just below zero keeps what it can hold solvent for the next
+// second, (income + balance)/price MB, and gives back only the rest: at
+// 1.5 MB held on an income of 1 and a balance of about -0.11 it keeps 228
+// pages, where taking back (income - balance)/price MB left it 101.
+func TestEnforceLeavesSolventHolding(t *testing.T) {
+	p := DefaultPolicy()
+	p.FreeWhenUncontended = false
+	fx := newFixture(t, p)
+	g, a := fx.newClient(t, "debtor", 1)
+	if _, err := fx.s.RequestFrames(g, 384, phys.AnyFrame()); err != nil {
+		t.Fatal(err)
+	}
+	fx.clock.Advance(200 * time.Millisecond) // rent 1.5/s against income 1/s
+	fx.s.SettleAll()
+	bal := a.Balance()
+	if bal >= 0 || bal < -0.2 {
+		t.Fatalf("balance = %v, want just below zero", bal)
+	}
+	if _, err := fx.s.Enforce(); err != nil {
+		t.Fatal(err)
+	}
+	want := int((a.Income() + bal) / p.PricePerMBSecond * fx.s.pagesPerMB())
+	if got := a.HeldPages(); got != want {
+		t.Fatalf("after Enforce the account holds %d pages, want %d", got, want)
+	}
+	if err := fx.k.CheckFrameConservation(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestReturnFramesGoHome(t *testing.T) {
 	fx := newFixture(t, DefaultPolicy())
 	g, _ := fx.newClient(t, "app", 0)

@@ -85,12 +85,24 @@ type VppRunner struct {
 	files map[string]*uio.File
 }
 
-// NewVppRunner boots a V++ machine with the paper's 128 MB (scaled by
-// memPages if nonzero) and a diskless network file server. kcfg is the
-// kernel's configuration and policy the default manager's replacement
-// policy; their zero values — serial scheduler, superpages off, the §2.2
-// clock — are the paper's machine.
-func NewVppRunner(memPages int, kcfg kernel.Config, policy manager.Policy) (*VppRunner, error) {
+// Machine is a booted V++ machine: the paper's 128 MB (scaled by memPages
+// if nonzero), its kernel, and the default manager's frame pool stocked
+// with all but 64 of its frames. Its runners use it one at a time. The
+// first runs on the machine as booted; each later one first restores the
+// kernel and pool to the image taken right after stocking, which is
+// exactly where a fresh boot would start, and retires the runner before
+// it — that runner's segments are gone.
+type Machine struct {
+	clock *sim.Clock
+	k     *kernel.Kernel
+	pool  *manager.FixedPool
+	img   *kernel.Image
+	used  bool
+}
+
+// NewMachine boots a V++ machine. kcfg is the kernel's configuration; its
+// zero value — serial scheduler, superpages off — is the paper's machine.
+func NewMachine(memPages int, kcfg kernel.Config) (*Machine, error) {
 	if memPages <= 0 {
 		memPages = 32768 // 128 MB of 4 KB pages
 	}
@@ -101,23 +113,47 @@ func NewVppRunner(memPages int, kcfg kernel.Config, policy manager.Policy) (*Vpp
 	})
 	clock := &sim.Clock{}
 	k := kernel.New(mem, clock, sim.DECstation5000(), kcfg)
-	store := storage.NewStore(clock, storage.NetworkServer(), 4096)
 	pool, err := manager.NewFixedPool(k, int64(memPages)-64, 16)
 	if err != nil {
 		return nil, err
 	}
-	d, err := defaultmgr.New(k, store, defaultmgr.Config{Source: pool, Policy: policy})
+	img, err := k.Image()
+	if err != nil {
+		return nil, err
+	}
+	return &Machine{clock: clock, k: k, pool: pool, img: img}, nil
+}
+
+// Runner puts a default manager, with policy as its replacement policy (nil
+// is the §2.2 clock), and a diskless network file server on the machine.
+func (m *Machine) Runner(policy manager.Policy) (*VppRunner, error) {
+	if m.used {
+		m.k.Restore(m.img)
+		m.pool.Rewind()
+	}
+	m.used = true
+	store := storage.NewStore(m.clock, storage.NetworkServer(), 4096)
+	d, err := defaultmgr.New(m.k, store, defaultmgr.Config{Source: m.pool, Policy: policy})
 	if err != nil {
 		return nil, err
 	}
 	return &VppRunner{
-		Clock: clock,
-		K:     k,
+		Clock: m.clock,
+		K:     m.k,
 		Store: store,
 		D:     d,
 		heaps: make(map[string]*kernel.Segment),
 		files: make(map[string]*uio.File),
 	}, nil
+}
+
+// NewVppRunner boots a machine (NewMachine) and returns its first runner.
+func NewVppRunner(memPages int, kcfg kernel.Config, policy manager.Policy) (*VppRunner, error) {
+	m, err := NewMachine(memPages, kcfg)
+	if err != nil {
+		return nil, err
+	}
+	return m.Runner(policy)
 }
 
 // Prepare implements Runner.

@@ -97,22 +97,25 @@ func Run(r Runner, spec Spec) (time.Duration, Counters, error) {
 	return r.Now() - start, r.Counters(), nil
 }
 
-// CalibrateCompute returns the pure-compute duration that makes the spec's
-// Ultrix run land on the paper's Table 2 elapsed time: the spec is run on a
-// fresh Ultrix system with zero compute, and the VM time is subtracted from
-// the target. The V++ elapsed time is then fully emergent.
-func CalibrateCompute(spec Spec) (time.Duration, error) {
-	bare := spec
-	bare.Steps = withoutCompute(spec.Steps)
-	r := NewUltrixRunner(0)
-	vmTime, _, err := Run(r, bare)
+// Calibrated returns the spec with one Compute step, after its other steps,
+// that makes its Ultrix run land on the paper's Table 2 elapsed time: the
+// spec is run on a fresh Ultrix system without compute, and that VM time is
+// subtracted from the target. The V++ elapsed time is then fully emergent.
+//
+// It also returns the calibrated spec's Ultrix result, which the bare run
+// already is: the Compute step only advances the clock after the steps the
+// bare run took, so the elapsed time is the bare run's plus the compute and
+// the counters are the bare run's.
+func Calibrated(spec Spec) (cal Spec, ultrix time.Duration, uc Counters, err error) {
+	cal = spec
+	cal.Steps = withoutCompute(spec.Steps)
+	vmTime, uc, err := Run(NewUltrixRunner(0), cal)
 	if err != nil {
-		return 0, err
+		return spec, 0, Counters{}, err
 	}
-	if vmTime >= spec.UltrixElapsed {
-		return 0, nil
-	}
-	return spec.UltrixElapsed - vmTime, nil
+	c := max(spec.UltrixElapsed-vmTime, 0)
+	cal.Steps = append(cal.Steps, Step{Compute: c})
+	return cal, vmTime + c, uc, nil
 }
 
 func withoutCompute(steps []Step) []Step {
@@ -123,19 +126,6 @@ func withoutCompute(steps []Step) []Step {
 		}
 	}
 	return out
-}
-
-// Calibrated returns the spec with its Compute step set from
-// CalibrateCompute.
-func Calibrated(spec Spec) (Spec, error) {
-	c, err := CalibrateCompute(spec)
-	if err != nil {
-		return spec, err
-	}
-	steps := withoutCompute(spec.Steps)
-	steps = append(steps, Step{Compute: c})
-	spec.Steps = steps
-	return spec, nil
 }
 
 // Diff models §3.2's first program: "compare two 200KB files generating a

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -9,7 +10,7 @@ import (
 
 func runBoth(t *testing.T, spec Spec) (vppElapsed, ultrixElapsed time.Duration, vpp, ult Counters) {
 	t.Helper()
-	cal, err := Calibrated(spec)
+	cal, ultrixElapsed, ult, err := Calibrated(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,11 +19,6 @@ func runBoth(t *testing.T, spec Spec) (vppElapsed, ultrixElapsed time.Duration, 
 		t.Fatal(err)
 	}
 	vppElapsed, vpp, err = Run(vr, cal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ur := NewUltrixRunner(0)
-	ultrixElapsed, ult, err = Run(ur, cal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,19 +108,37 @@ func TestZeroFillAsymmetry(t *testing.T) {
 }
 
 func TestCalibrationIsDeterministic(t *testing.T) {
-	c1, err := CalibrateCompute(Diff())
-	if err != nil {
-		t.Fatal(err)
+	compute := func() time.Duration {
+		cal, _, _, err := Calibrated(Diff())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cal.Steps[len(cal.Steps)-1].Compute
 	}
-	c2, err := CalibrateCompute(Diff())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c1, c2 := compute(), compute()
 	if c1 != c2 {
 		t.Fatalf("calibration differs: %v vs %v", c1, c2)
 	}
 	if c1 <= 0 || c1 >= Diff().UltrixElapsed {
 		t.Fatalf("implausible compute %v", c1)
+	}
+}
+
+// The Ultrix result Calibrated returns from its one bare run is what running
+// the calibrated spec on a second fresh Ultrix system measures.
+func TestCalibratedUltrixIsTheCalibratedRun(t *testing.T) {
+	for _, spec := range All() {
+		cal, ue, uc, err := Calibrated(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, c, err := Run(NewUltrixRunner(0), cal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ue != e || uc != c {
+			t.Errorf("%s: Calibrated's Ultrix result %v %+v, the calibrated run %v %+v", spec.Name, ue, uc, e, c)
+		}
 	}
 }
 
@@ -170,7 +184,7 @@ func TestRunIsDeterministic(t *testing.T) {
 // default-manager reclamation — the full paging path end to end.
 func TestWorkloadUnderMemoryPressure(t *testing.T) {
 	spec := Diff() // footprint: ~100 input pages + 357 heap + 60 output
-	cal, err := Calibrated(spec)
+	cal, _, _, err := Calibrated(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,4 +228,53 @@ func mustVpp(t *testing.T) *VppRunner {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// One machine runs the three Tables 2-3 programs forward and then in
+// reverse, each on a new runner, so every row but the first starts from a
+// restore: each row's elapsed time, Table 3 counters and kernel.Stats must
+// equal its run on a freshly booted machine, on every kernel configuration.
+func TestMachineRowsAreIndependent(t *testing.T) {
+	type outcome struct {
+		elapsed time.Duration
+		c       Counters
+		ks      kernel.Stats
+	}
+	run := func(r *VppRunner, spec Spec) outcome {
+		t.Helper()
+		e, c, err := Run(r, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.K.CheckFrameConservation(); err != nil {
+			t.Fatal(err)
+		}
+		return outcome{e, c, r.K.Stats()}
+	}
+	specs := All()
+	order := append(slices.Clone(specs), specs...)
+	slices.Reverse(order[len(specs):])
+	for _, cfg := range []kernel.Config{{}, {Concurrent: true}, {Superpages: true}} {
+		fresh := make(map[string]outcome)
+		for _, spec := range specs {
+			vr, err := NewVppRunner(0, cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh[spec.Name] = run(vr, spec)
+		}
+		m, err := NewMachine(0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, spec := range order {
+			vr, err := m.Runner(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := run(vr, spec); got != fresh[spec.Name] {
+				t.Fatalf("%+v: row %d (%s) on one machine: %+v, on a fresh boot: %+v", cfg, i, spec.Name, got, fresh[spec.Name])
+			}
+		}
+	}
 }

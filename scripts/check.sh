@@ -250,6 +250,7 @@ go test -run='^$' -fuzz='^FuzzMappingTable$' -fuzztime=10s ./internal/kernel
 go test -run='^$' -fuzz='^FuzzTLB$' -fuzztime=10s ./internal/kernel
 go test -run='^$' -fuzz='^FuzzCASTable$' -fuzztime=10s ./internal/kernel
 go test -run='^$' -fuzz='^FuzzExtentTable$' -fuzztime=10s ./internal/kernel
+go test -run='^$' -fuzz='^FuzzRestore$' -fuzztime=10s ./internal/kernel
 # The corpus holds a 16 384-range batch; minimizing an input that size would
 # eat the whole smoke, so it is capped.
 go test -run='^$' -fuzz='^FuzzBatchDisjoint$' -fuzztime=10s -fuzzminimizetime=1s ./internal/kernel
