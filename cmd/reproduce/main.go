@@ -19,7 +19,7 @@
 //	reproduce -sweep all             # ... or all three
 //	reproduce -sched concurrent      # concurrent fault-delivery scheduler
 //	reproduce -super                 # enable the superpage extent fast path
-//	reproduce -reclaim lru           # replacement policy of the tables' managers
+//	reproduce -reclaim lfu           # replacement policy of the tables' managers
 //	reproduce -profile out/          # write mutex/block pprof profiles to a directory
 package main
 
@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	par := fs.Int("par", 0, "worker-pool size; 0 means GOMAXPROCS, 1 means sequential")
 	sched := fs.String("sched", "serial", "fault-delivery scheduler: serial (deterministic) or concurrent")
 	super := fs.Bool("super", false, "enable the superpage extent fast path in every kernel the tables boot (off by default; the golden tables assume it off)")
-	reclaim := fs.String("reclaim", "", "replacement policy for every manager the tables boot: clock (the default), lru, lfu, s3fifo or mglru")
+	reclaim := fs.String("reclaim", "", "replacement policy for every manager the tables boot: "+strings.Join(manager.PolicyNames(), ", ")+" (clock is the default)")
 	profileDir := fs.String("profile", "", "write mutex and block pprof profiles to this directory at exit")
 	sweep := fs.String("sweep", "", "also print an extension table (model numbers only): "+sweepNames()+", or all")
 	if err := fs.Parse(args); err != nil {

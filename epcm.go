@@ -112,10 +112,10 @@ type Backing = manager.Backing
 
 // Policy is a pluggable replacement policy: victim selection plus
 // insert/touch/remove bookkeeping hooks, driven by the manager through a
-// PolicyHost over every page it holds. Registered implementations: "clock"
-// (the §2.2 default), "fifo", "lfu", "lru", "mglru", "random" and "s3fifo";
-// NewMRUPolicy is an application's own. Set ManagerConfig.Policy for one
-// manager or Config.ReclaimPolicy for a whole system; a segment that needs
+// PolicyHost over every page it holds. NewPolicy builds "clock" (the §2.2
+// default), "lfu" and "random" by name; NewMRUPolicy is an application's
+// own. Set ManagerConfig.Policy for one manager (any Policy value, named
+// or not) or Config.ReclaimPolicy for a whole system; a segment that needs
 // a policy of its own gets a manager of its own (SetSegmentManager).
 type Policy = manager.Policy
 
@@ -126,15 +126,13 @@ type PolicyHost = manager.PolicyHost
 // PageID names one page of one segment in policy bookkeeping.
 type PageID = manager.PageID
 
-// Policy registry re-exports: NewPolicy constructs a registered policy by
-// name, PolicyNames lists them and RegisterPolicy adds a custom one.
-// NewMRUPolicy returns the classic DBMS scan policy, which evicts the most
-// recently used (highest-numbered) page.
+// Policy constructors: NewPolicy builds a policy by name and PolicyNames
+// lists the names it accepts. NewMRUPolicy returns the classic DBMS scan
+// policy, which evicts the most recently used (highest-numbered) page.
 var (
-	NewPolicy      = manager.NewPolicy
-	PolicyNames    = manager.PolicyNames
-	RegisterPolicy = manager.RegisterPolicy
-	NewMRUPolicy   = manager.NewMRUPolicy
+	NewPolicy    = manager.NewPolicy
+	PolicyNames  = manager.PolicyNames
+	NewMRUPolicy = manager.NewMRUPolicy
 )
 
 // FrameRange constrains which physical frames may serve an allocation

@@ -99,9 +99,9 @@ func ExampleNewMRUPolicy() {
 
 // ExampleNewPolicy gives one segment a replacement policy of its own by
 // giving it a manager of its own: the first manager keeps the default clock
-// sweep over the heap, the second runs true LRU over its one segment. After
-// one second-chance pass clears the reference bits, LRU evicts the coldest
-// (lowest-numbered, never re-touched) pages first.
+// sweep over the heap, the second runs LFU over its one segment. Every page
+// was touched once, and LFU breaks frequency ties in insertion order, so it
+// evicts the oldest (lowest-numbered) pages first.
 func ExampleNewPolicy() {
 	sys, err := epcm.Boot(epcm.Config{MemoryBytes: 8 << 20, StoreData: true})
 	if err != nil {
@@ -114,14 +114,14 @@ func ExampleNewPolicy() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lru, err := epcm.NewPolicy("lru")
+	lfu, err := epcm.NewPolicy("lfu")
 	if err != nil {
 		log.Fatal(err)
 	}
-	lruMgr, _, err := sys.NewAppManager(epcm.ManagerConfig{
-		Name:    "lru-manager",
+	lfuMgr, _, err := sys.NewAppManager(epcm.ManagerConfig{
+		Name:    "lfu-manager",
 		Backing: manager.NewSwapBacking(sys.Store),
-		Policy:  lru,
+		Policy:  lfu,
 	}, 1000)
 	if err != nil {
 		log.Fatal(err)
@@ -129,7 +129,7 @@ func ExampleNewPolicy() {
 	if _, err := heapMgr.CreateManagedSegment("heap"); err != nil {
 		log.Fatal(err)
 	}
-	seg, err := lruMgr.CreateManagedSegment("lru-data")
+	seg, err := lfuMgr.CreateManagedSegment("lfu-data")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -139,15 +139,15 @@ func ExampleNewPolicy() {
 			log.Fatal(err)
 		}
 	}
-	// Reclaim two frames: LRU takes the two oldest pages.
-	n, err := lruMgr.Reclaim(2, epcm.AnyFrame())
+	// Reclaim two frames: LFU takes the two oldest pages.
+	n, err := lfuMgr.Reclaim(2, epcm.AnyFrame())
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("policies:", heapMgr.Policy().PolicyName(), lruMgr.Policy().PolicyName())
+	fmt.Println("policies:", heapMgr.Policy().PolicyName(), lfuMgr.Policy().PolicyName())
 	fmt.Println("reclaimed:", n, "page 0 resident:", seg.HasPage(0), "page 7 resident:", seg.HasPage(7))
 	// Output:
-	// policies: clock lru
+	// policies: clock lfu
 	// reclaimed: 2 page 0 resident: false page 7 resident: true
 }
 

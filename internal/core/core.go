@@ -58,8 +58,8 @@ type Config struct {
 	Scheduler string
 	// ReclaimPolicy names the replacement policy this system's managers
 	// boot with when their manager.Config leaves Policy nil: "clock" (the
-	// §2.2 default, also ""), "lru", "lfu", "s3fifo" or "mglru". It applies
-	// to the default manager and to NewAppManager.
+	// §2.2 default, also ""), "lfu" or "random" (manager.PolicyNames). It
+	// applies to the default manager and to NewAppManager.
 	ReclaimPolicy string
 	// Superpages turns on this system's superpage extent plane
 	// (kernel.Config.Superpages): managers configured with a non-zero

@@ -81,7 +81,7 @@ func requireBasePages(t *testing.T, what string, o modeOutcome) {
 }
 
 // TestModesDoNotLeakAcrossBoots: a system booted with Superpages, the
-// concurrent scheduler and an "lru" default is shut down, and the default
+// concurrent scheduler and an "lfu" default is shut down, and the default
 // system booted after it — no cleanup in between — must be what it would
 // have been alone: serial, on base pages, its managers on the clock, its
 // clock bit-equal.
@@ -90,7 +90,7 @@ func TestModesDoNotLeakAcrossBoots(t *testing.T) {
 	alone := driveModes(t, Config{})
 	requireBasePages(t, "the default system", alone)
 
-	first := driveModes(t, Config{Superpages: true, Scheduler: "concurrent", ReclaimPolicy: "lru"})
+	first := driveModes(t, Config{Superpages: true, Scheduler: "concurrent", ReclaimPolicy: "lfu"})
 	if first.stats.ExtentPromotions == 0 || first.stats.SuperpageOps == 0 {
 		t.Fatalf("the superpage system never promoted: %+v", first.stats)
 	}

@@ -69,7 +69,7 @@ func policyRun(t *testing.T, name, sched string) policyOutcome {
 	return policyOutcome{Faults: st.Faults, Reclaims: st.Reclaims, Writebacks: st.Writebacks, Clock: sys.Clock.Now()}
 }
 
-// TestPolicyDifferentialDeterminism: for every registered policy, the same
+// TestPolicyDifferentialDeterminism: for every named policy, the same
 // reference string must produce a fully identical outcome (final clock
 // included) across repeated runs of each scheduler, and identical
 // model-time counts — faults, reclaims, writebacks — across the two
@@ -103,9 +103,9 @@ func TestPolicyDifferentialDeterminism(t *testing.T) {
 // TestPolicyAdoptionReclaim is the regression test for the policy/adoption
 // seam: crash a manager running each policy, let the default manager adopt
 // its resident pages, then keep up the memory pressure. Before the seam was
-// closed, adopted pages bypassed the adopter's Insert hook, so structured
-// policies (LRU list, S3-FIFO queues, MGLRU generations) had no record of
-// them and could never select them for eviction.
+// closed, adopted pages bypassed the adopter's Insert hook, so a structured
+// policy (LFU's frequency table) had no record of them and could never
+// select them for eviction.
 func TestPolicyAdoptionReclaim(t *testing.T) {
 	for _, name := range manager.PolicyNames() {
 		t.Run(name, func(t *testing.T) {
@@ -153,6 +153,12 @@ func TestPolicyAdoptionReclaim(t *testing.T) {
 			// `name`) holds the adopted pages and must evict them to make
 			// room for a 600-page footprint on a 256-frame machine.
 			sys.Chaos.Disarm()
+			var adopted []int64
+			for p := int64(0); p < 200; p++ {
+				if seg.HasPage(p) {
+					adopted = append(adopted, p)
+				}
+			}
 			before := sys.Default.Generic.Stats().Reclaims
 			for i := 0; i < 1800; i++ {
 				if err := sys.Kernel.Access(seg, int64(i)%600, kernel.Write); err != nil {
@@ -161,6 +167,19 @@ func TestPolicyAdoptionReclaim(t *testing.T) {
 			}
 			if got := sys.Default.Generic.Stats().Reclaims; got <= before {
 				t.Fatalf("default manager (%s) never reclaimed adopted pages (reclaims %d -> %d)", name, before, got)
+			}
+			// The last pass touched the adopted pages hundreds of faults
+			// ago: a policy that knows them has evicted most of them since
+			// (random keeps a few by chance). Pages its Insert hook never
+			// saw stay resident for good.
+			stuck := 0
+			for _, p := range adopted {
+				if seg.HasPage(p) {
+					stuck++
+				}
+			}
+			if len(adopted) == 0 || stuck > len(adopted)/2 {
+				t.Fatalf("%d of %d adopted pages stayed resident under %s", stuck, len(adopted), name)
 			}
 			// Every page of the footprint is still reachable.
 			for p := int64(0); p < 600; p++ {
@@ -176,7 +195,7 @@ func TestPolicyAdoptionReclaim(t *testing.T) {
 }
 
 // TestPolicyChaosMatrix extends the chaos gate across the policy plane:
-// every registered policy × the 16 chaos seeds × both schedulers, under
+// every named policy × the 16 chaos seeds × both schedulers, under
 // transient storage errors plus a mid-storm manager crash (so adoption also
 // runs under every policy). The ledger must balance at the end regardless
 // of the injected schedule.

@@ -20,10 +20,11 @@ import (
 	"epcm/internal/phys"
 )
 
-// vecDiffPolicies: every registered policy runs the differential. Victim
-// selection never fires (the workload fits in memory), but the touch/admit
-// hooks run on every fault in both delivery modes.
-var vecDiffPolicies = []string{"clock", "fifo", "lru", "lfu", "s3fifo", "mglru"}
+// vecDiffPolicies: the named policies whose hooks keep state run the
+// differential (random's keep none). Victim selection never fires (the
+// workload fits in memory), but the touch/admit hooks run on every fault
+// in both delivery modes.
+var vecDiffPolicies = []string{"clock", "lfu"}
 
 // slowZeroBacking is ZeroFill with a stall in Fill: while the lane's token
 // holder is parked inside the manager, the other drivers enqueue behind it,

@@ -23,8 +23,8 @@ import (
 //   - concurrent and superpages: the concurrent delivery scheduler and the
 //     superpage plane; a lane, a vectored fault or an extent that changes a
 //     charge or a grant order moves the tables.
-//   - explicit clock: the registry-constructed clock policy must issue the
-//     same GetPageAttribute / ModifyPageFlags sequence as the manager's
+//   - explicit clock: the clock policy NewPolicy builds by name must issue
+//     the same GetPageAttribute / ModifyPageFlags sequence as the manager's
 //     nil-Policy default.
 //
 // On a mismatch the test names the first divergent byte.
@@ -67,7 +67,7 @@ func TestReproduceGolden(t *testing.T) {
 }
 
 // TestTable1PolicyInvariance checks that Table 1 — whose fault measurements
-// never trigger a reclaim — is identical under every registered policy:
+// never trigger a reclaim — is identical under every named policy:
 // the policy plane must be off the minimal-fault path entirely.
 func TestTable1PolicyInvariance(t *testing.T) {
 	t.Parallel()

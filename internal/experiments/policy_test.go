@@ -6,7 +6,7 @@ import "testing"
 // every cell is plausible and that pressure bites.
 func TestPolicyShootoutSmoke(t *testing.T) {
 	t.Parallel()
-	cells, err := policyGrid([]string{"clock", "s3fifo"}, []string{"zipf"}, 2000)
+	cells, err := policyGrid([]string{"clock", "lfu"}, []string{"zipf"}, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,10 +25,11 @@ func TestPolicyShootoutSmoke(t *testing.T) {
 	}
 }
 
-// TestPolicyRefsShapes pins the structural properties the policy sweep relies
-// on: determinism, footprints, and the scan/loop shapes.
+// TestPolicyRefsShapes pins what the policy sweep relies on: every
+// workload's reference string is the same run to run, and an unknown name
+// is an error.
 func TestPolicyRefsShapes(t *testing.T) {
-	for _, wl := range []string{"zipf", "scan", "loop", "mixed"} {
+	for _, wl := range policyWorkloads {
 		a, err := policyRefs(wl, 3000)
 		if err != nil {
 			t.Fatal(err)
@@ -42,37 +43,6 @@ func TestPolicyRefsShapes(t *testing.T) {
 	}
 	if _, err := policyRefs("nosuch", 10); err == nil {
 		t.Fatal("unknown workload must error")
-	}
-}
-
-// TestFIFOShootoutCell runs one real shootout cell under the new strict
-// FIFO policy: a kernel, a fixed pool, a manager bound to "fifo", and the
-// zipf reference string at heavy pressure. FIFO has no recency protection,
-// so it must fault more than clock's second-chance sweep on the same cell —
-// the behavioural difference that proves Touch/reference bits really are
-// ignored end to end.
-func TestFIFOShootoutCell(t *testing.T) {
-	refs, err := policyRefs("zipf", 4000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cell, err := runPolicyCell("fifo", "zipf", "heavy", refs, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cell.Faults <= 0 || cell.Reclaims <= 0 {
-		t.Fatalf("fifo cell never reclaimed: %+v", cell)
-	}
-	if cell.HitRate <= 0.2 || cell.HitRate >= 1 {
-		t.Fatalf("fifo hit rate %.3f implausible on zipf/heavy", cell.HitRate)
-	}
-	clock, err := runPolicyCell("clock", "zipf", "heavy", refs, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cell.Faults < clock.Faults {
-		t.Fatalf("strict fifo out-performed clock on a skewed workload (fifo %d faults, clock %d): recency is leaking in",
-			cell.Faults, clock.Faults)
 	}
 }
 

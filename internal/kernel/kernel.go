@@ -543,7 +543,6 @@ func (k *Kernel) chargeReturn(seg SegID, d DeliveryMode) {
 // the locks to migrate frames in. The retry loop absorbs anything that
 // changed in between.
 func (k *Kernel) Access(s *Segment, page int64, access AccessType) error {
-	k.stats.Accesses.Add(uint64(s.id), 1)
 	// The deleted check happens inside resolve's first hop, under the lock
 	// that hop takes anyway.
 	if page < 0 {
@@ -553,6 +552,11 @@ func (k *Kernel) Access(s *Segment, page int64, access AccessType) error {
 		r, err := resolve(s, page)
 		if err != nil {
 			return err
+		}
+		if attempt == 0 {
+			// A reference counts once it reaches a live segment at a valid
+			// page, and once however many faults it takes.
+			k.stats.Accesses.Add(uint64(s.id), 1)
 		}
 		rs := r.seg
 		rs.mu.Lock()

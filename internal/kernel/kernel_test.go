@@ -742,6 +742,13 @@ func TestStatsCountTable3Columns(t *testing.T) {
 	if st.MigratedPages != 5 || st.MissingFaults != 5 || st.Accesses != 5 {
 		t.Fatalf("stats = %+v", st)
 	}
+	// A reference to no page is not a memory reference.
+	if err := k.Access(a, -1, Read); !errors.Is(err, ErrBadRange) {
+		t.Fatalf("Access(-1) = %v, want ErrBadRange", err)
+	}
+	if got := k.Stats().Accesses; got != 5 {
+		t.Fatalf("Accesses after a negative page = %d, want 5", got)
+	}
 	// Deleting the segment adds a manager call (close notification) but
 	// the reclaim migrations come from the manager.
 	if err := k.DeleteSegment(AppCred, a); err != nil {
@@ -753,6 +760,13 @@ func TestStatsCountTable3Columns(t *testing.T) {
 	}
 	if st.MigrateCalls != 10 {
 		t.Fatalf("MigrateCalls after delete = %d, want 10", st.MigrateCalls)
+	}
+	// Nor is a reference through a deleted segment's handle.
+	if err := k.Access(a, 0, Read); !errors.Is(err, ErrNoSuchSegment) {
+		t.Fatalf("Access after delete = %v, want ErrNoSuchSegment", err)
+	}
+	if st.Accesses != 5 || k.Stats().Accesses != 5 {
+		t.Fatalf("Accesses after delete = %d, then %d; want 5", st.Accesses, k.Stats().Accesses)
 	}
 }
 

@@ -263,8 +263,8 @@ func FuzzRestore(f *testing.F) {
 		if err := k.CheckFrameConservation(); err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range stale { // FaultIn: Access would count the reference
-			if err := k.FaultIn(s, 0, Read); !errors.Is(err, ErrNoSuchSegment) {
+		for _, s := range stale {
+			if err := k.Access(s, 0, Read); !errors.Is(err, ErrNoSuchSegment) {
 				t.Fatalf("fault through a pre-restore handle to %s: %v, want ErrNoSuchSegment", s, err)
 			}
 		}

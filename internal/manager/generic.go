@@ -129,8 +129,6 @@ type Generic struct {
 	// host is the reusable PolicyHost adapter handed to every call of
 	// cfg.Policy.
 	host policyHost
-	// rangeScratch is the host's reusable buffer for batched flag ops.
-	rangeScratch []kernel.PageRange
 
 	// nResident mirrors len(resident) (as slots.nListed does the free list)
 	// so the SPCM can read held-page counts (settle, Enforce sizing) while

@@ -2,8 +2,6 @@ package manager
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"epcm/internal/kernel"
 	"epcm/internal/phys"
@@ -30,7 +28,7 @@ type PageID struct {
 }
 
 // PolicyHost is the view of the manager a Policy operates through. The
-// sampling calls (Sample, SampleMany, ClearReferenced*) issue charged
+// sampling calls (Sample, ClearReferenced) issue charged
 // kernel operations and may only be used from Victim; the bookkeeping
 // hooks (Insert/Touch/Remove) must stay free of kernel calls so the fault
 // hot path's cost structure is unchanged.
@@ -44,18 +42,9 @@ type PolicyHost interface {
 	// Sample reads the page's attributes (reference/dirty/pinned bits,
 	// presence) as one charged kernel call.
 	Sample(id PageID) (kernel.PageAttribute, error)
-	// SampleMany reads the attributes of an arbitrary set of pages of one
-	// segment as a single batched kernel call (per-page legacy calls when
-	// batching is disabled) — the batched protection/reference sampling
-	// hook. Results land in dst, which is reused storage owned by the
-	// caller.
-	SampleMany(seg *kernel.Segment, pages []int64, dst []kernel.PageAttribute) ([]kernel.PageAttribute, error)
 	// ClearReferenced clears the page's Referenced bit — the second-chance
 	// move — as one charged kernel call.
 	ClearReferenced(id PageID) error
-	// ClearReferencedMany clears the Referenced bit on a set of pages of
-	// one segment with one batched kernel call.
-	ClearReferencedMany(seg *kernel.Segment, pages []int64) error
 	// Admits reports whether the page's current frame satisfies the
 	// constraint of the reclaim pass in progress. Only meaningful for a
 	// page whose Sample showed Present.
@@ -69,7 +58,7 @@ type PolicyHost interface {
 // Policy is the pluggable replacement policy. Implementations are driven
 // by exactly one manager and are never called concurrently.
 type Policy interface {
-	// PolicyName identifies the policy (registry name).
+	// PolicyName identifies the policy (its NewPolicy name, if it has one).
 	PolicyName() string
 	// Insert records that a page became resident (page-in, fast re-fault,
 	// adoption). No kernel calls allowed.
@@ -91,47 +80,38 @@ type Policy interface {
 	Victim(h PolicyHost) (id PageID, flags kernel.PageFlags, ok bool, err error)
 }
 
-// ---- registry ----
+// ---- named policies ----
 
-var (
-	policyMu        sync.RWMutex
-	policyFactories = map[string]func() Policy{}
-)
-
-// RegisterPolicy registers a named policy factory. Factories must return a
-// fresh instance per call (instances are stateful and single-manager).
-func RegisterPolicy(name string, factory func() Policy) {
-	policyMu.Lock()
-	defer policyMu.Unlock()
-	if name == "" || factory == nil {
-		panic("manager: RegisterPolicy with empty name or nil factory")
-	}
-	if _, dup := policyFactories[name]; dup {
-		panic("manager: duplicate policy " + name)
-	}
-	policyFactories[name] = factory
+// policyTable is the fixed set of policies NewPolicy builds by name, in
+// name order: the §2.2 clock sweep (the default) and the two global
+// policies that win rows of the policy sweep — lfu on skewed reference
+// strings, random on loops. An application that wants any other policy
+// sets Config.Policy (NewMRUPolicy is one).
+var policyTable = [...]struct {
+	name string
+	new  func() Policy
+}{
+	{"clock", NewClockPolicy},
+	{"lfu", NewLFUPolicy},
+	{"random", NewRandomPolicy},
 }
 
 // NewPolicy returns a fresh instance of the named policy.
 func NewPolicy(name string) (Policy, error) {
-	policyMu.RLock()
-	f, ok := policyFactories[name]
-	policyMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("manager: unknown policy %q (have %v)", name, PolicyNames())
+	for _, p := range policyTable {
+		if p.name == name {
+			return p.new(), nil
+		}
 	}
-	return f(), nil
+	return nil, fmt.Errorf("manager: unknown policy %q (have %v)", name, PolicyNames())
 }
 
-// PolicyNames lists the registered policy names, sorted.
+// PolicyNames lists the policy names NewPolicy accepts, sorted.
 func PolicyNames() []string {
-	policyMu.RLock()
-	defer policyMu.RUnlock()
-	names := make([]string, 0, len(policyFactories))
-	for n := range policyFactories {
-		names = append(names, n)
+	names := make([]string, len(policyTable))
+	for i, p := range policyTable {
+		names[i] = p.name
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -157,20 +137,8 @@ func (h *policyHost) Sample(id PageID) (kernel.PageAttribute, error) {
 	return h.g.k.GetPageAttribute(id.Seg, id.Page)
 }
 
-func (h *policyHost) SampleMany(seg *kernel.Segment, pages []int64, dst []kernel.PageAttribute) ([]kernel.PageAttribute, error) {
-	return h.g.k.GetPageAttributesBatch(seg, pages, dst)
-}
-
 func (h *policyHost) ClearReferenced(id PageID) error {
 	return h.g.k.ModifyPageFlags(kernel.AppCred, id.Seg, id.Page, 1, 0, kernel.FlagReferenced)
-}
-
-func (h *policyHost) ClearReferencedMany(seg *kernel.Segment, pages []int64) error {
-	if len(pages) == 0 {
-		return nil
-	}
-	h.g.rangeScratch = kernel.CoalesceRangesInto(h.g.rangeScratch[:0], pages, pages)
-	return h.g.k.ModifyPageFlagsBatch(kernel.AppCred, seg, h.g.rangeScratch, 0, kernel.FlagReferenced)
 }
 
 func (h *policyHost) Admits(id PageID) bool {
@@ -197,8 +165,6 @@ type clockPolicy struct {
 
 // NewClockPolicy returns the default clock replacement policy.
 func NewClockPolicy() Policy { return &clockPolicy{} }
-
-func init() { RegisterPolicy("clock", NewClockPolicy) }
 
 func (c *clockPolicy) PolicyName() string        { return "clock" }
 func (c *clockPolicy) Insert(PolicyHost, PageID) {}

@@ -8,12 +8,12 @@ import (
 	"epcm/internal/sim"
 )
 
-// The policy-conformance suite: every registered policy is driven through
-// the same faulting workload, under both schedulers, wrapped in a checking
-// shim that asserts the shared invariants — hooks stay balanced, a victim
+// The policy-conformance suite: every policy NewPolicy builds, and the
+// application's MRU policy, is driven through the same faulting workload,
+// under both schedulers, wrapped in a checking shim that asserts the shared invariants — hooks stay balanced, a victim
 // is always a live resident page, never pinned, never a page of the
-// manager's staging free segment. A new policy registered with
-// RegisterPolicy gets this battery for free.
+// manager's staging free segment. A policy added to policyTable gets this
+// battery for free.
 
 // checkedPolicy wraps a Policy and verifies the host/policy contract.
 type checkedPolicy struct {
@@ -112,7 +112,12 @@ func conformanceWorkload(t *testing.T, fx *fixture, g *Generic, seg *kernel.Segm
 }
 
 func TestPolicyConformance(t *testing.T) {
-	for _, name := range PolicyNames() {
+	policies := []func() Policy{NewMRUPolicy}
+	for _, p := range policyTable {
+		policies = append(policies, p.new)
+	}
+	for _, newPolicy := range policies {
+		name := newPolicy().PolicyName()
 		for _, sched := range []string{"serial", "concurrent"} {
 			t.Run(fmt.Sprintf("%s/%s", name, sched), func(t *testing.T) {
 				fx := newFixture(t, 48)
@@ -120,10 +125,7 @@ func TestPolicyConformance(t *testing.T) {
 					fx.k.SetScheduler(kernel.NewConcurrentScheduler(fx.k))
 					defer fx.k.Scheduler().Stop()
 				}
-				inner, err := NewPolicy(name)
-				if err != nil {
-					t.Fatal(err)
-				}
+				inner := newPolicy()
 				checked := &checkedPolicy{t: t, inner: inner, live: map[PageID]bool{}}
 				g := fx.newManager(t, Config{
 					Name:    "conf-" + name,

@@ -7,7 +7,7 @@ import (
 	"epcm/internal/kernel"
 )
 
-// FuzzPolicy drives every registered policy through an arbitrary
+// FuzzPolicy drives every named policy through an arbitrary
 // byte-decoded sequence of insert/touch/remove/victim operations against a
 // fake PolicyHost that enforces the host contract:
 //
@@ -206,37 +206,10 @@ func (h *fuzzHost) Sample(id PageID) (kernel.PageAttribute, error) {
 	return kernel.PageAttribute{Present: true, Flags: h.flags[id]}, nil
 }
 
-func (h *fuzzHost) SampleMany(seg *kernel.Segment, pages []int64, dst []kernel.PageAttribute) ([]kernel.PageAttribute, error) {
-	h.requireVictim("SampleMany")
-	for _, p := range pages {
-		a, _ := h.sampleNoCheck(PageID{Seg: seg, Page: p})
-		dst = append(dst, a)
-	}
-	return dst, nil
-}
-
-func (h *fuzzHost) sampleNoCheck(id PageID) (kernel.PageAttribute, error) {
-	if _, live := h.live[id]; !live || h.gone[id] {
-		return kernel.PageAttribute{}, nil
-	}
-	return kernel.PageAttribute{Present: true, Flags: h.flags[id]}, nil
-}
-
 func (h *fuzzHost) ClearReferenced(id PageID) error {
 	h.requireVictim("ClearReferenced")
 	if _, live := h.live[id]; live && !h.gone[id] {
 		h.flags[id] &^= kernel.FlagReferenced
-	}
-	return nil
-}
-
-func (h *fuzzHost) ClearReferencedMany(seg *kernel.Segment, pages []int64) error {
-	h.requireVictim("ClearReferencedMany")
-	for _, p := range pages {
-		id := PageID{Seg: seg, Page: p}
-		if _, live := h.live[id]; live && !h.gone[id] {
-			h.flags[id] &^= kernel.FlagReferenced
-		}
 	}
 	return nil
 }

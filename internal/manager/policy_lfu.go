@@ -30,8 +30,6 @@ func NewLFUPolicy() Policy {
 	return &lfuPolicy{idx: map[PageID]int32{}, skip: map[PageID]bool{}}
 }
 
-func init() { RegisterPolicy("lfu", NewLFUPolicy) }
-
 func (p *lfuPolicy) PolicyName() string { return "lfu" }
 
 func (p *lfuPolicy) Insert(_ PolicyHost, id PageID) {

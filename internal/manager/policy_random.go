@@ -21,8 +21,6 @@ type randomPolicy struct {
 // NewRandomPolicy returns a uniform-random replacement policy.
 func NewRandomPolicy() Policy { return &randomPolicy{rng: sim.NewRNG(0x9e3779b97f4a7c15)} }
 
-func init() { RegisterPolicy("random", NewRandomPolicy) }
-
 func (p *randomPolicy) PolicyName() string { return "random" }
 
 // Insert, Touch and Remove keep no state: the host's resident list is the

@@ -2,7 +2,65 @@ package manager
 
 import (
 	"testing"
+
+	"epcm/internal/kernel"
 )
+
+// fakeHost is a minimal in-memory PolicyHost for order-sensitive policy
+// unit tests: every page is owned, present, unreferenced, unpinned and
+// admitted, so the policy's own choice is the only thing Victim can
+// express.
+type fakeHost struct {
+	resident []PageID
+}
+
+func newFakeHost(pages ...PageID) *fakeHost {
+	// Copy: Forget compacts resident in place and must not alias the
+	// caller's slice.
+	return &fakeHost{resident: append([]PageID(nil), pages...)}
+}
+
+func (h *fakeHost) ResidentLen() int        { return len(h.resident) }
+func (h *fakeHost) ResidentAt(i int) PageID { return h.resident[i] }
+func (h *fakeHost) Admits(id PageID) bool   { return true }
+func (h *fakeHost) Sample(id PageID) (kernel.PageAttribute, error) {
+	for _, r := range h.resident {
+		if r == id {
+			return kernel.PageAttribute{Page: id.Page, Present: true}, nil
+		}
+	}
+	return kernel.PageAttribute{Page: id.Page}, nil
+}
+func (h *fakeHost) ClearReferenced(PageID) error { return nil }
+func (h *fakeHost) Forget(id PageID) {
+	for i, r := range h.resident {
+		if r == id {
+			h.resident = append(h.resident[:i], h.resident[i+1:]...)
+			return
+		}
+	}
+}
+
+// evict removes id from the fake resident list and fires the policy's
+// Remove hook, as the real manager does after a successful eviction.
+func (h *fakeHost) evict(p Policy, id PageID) {
+	h.Forget(id)
+	p.Remove(h, id)
+}
+
+// pinnedHost overlays pinned flags on fakeHost.
+type pinnedHost struct {
+	*fakeHost
+	pinned map[PageID]bool
+}
+
+func (h *pinnedHost) Sample(id PageID) (kernel.PageAttribute, error) {
+	a, err := h.fakeHost.Sample(id)
+	if h.pinned[id] {
+		a.Flags |= kernel.FlagPinned
+	}
+	return a, err
+}
 
 // TestRandomPolicyDeterministicAndUniform pins the two properties random
 // replacement must have here: a fixed seed makes victim sequences exactly

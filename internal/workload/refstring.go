@@ -53,23 +53,11 @@ func LoopRefs(pages int64, n int) []int64 {
 	return refs
 }
 
-// ScanRefs generates one sequential pass over n distinct pages — pure
-// streaming with no reuse. Every policy pays n compulsory misses; the
-// interesting question is what the scan does to bookkeeping cost and, in
-// MixedRefs, to a co-resident hot set.
-func ScanRefs(n int) []int64 {
-	refs := make([]int64, n)
-	for i := range refs {
-		refs[i] = int64(i)
-	}
-	return refs
-}
-
 // MixedRefs interleaves a Zipf hot set over [0, hotPages) with periodic
 // sequential cold bursts above it (64 pages every 400 references, never
-// revisited) — the scan-pollution shape where scan-resistant policies
-// (S3-FIFO, MGLRU) protect the hot set and plain recency policies let one
-// pass of cold data flush it.
+// revisited) — the scan-pollution shape, where one pass of cold data can
+// flush a recency policy's hot set. No policy owns it: on the policy
+// sweep's mixed rows random, clock and lfu each lead at one pressure.
 func MixedRefs(hotPages int64, n int, seed uint64) []int64 {
 	const burstEvery, burstLen = 400, 64
 	zipf := ZipfRefs(hotPages, n, 1.1, seed)

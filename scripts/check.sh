@@ -179,6 +179,15 @@ if grep -rnE '\b(SelectVictim|SetSegmentPolicy|MRUVictim|OnFault)\b|\bOwned\(' -
     exit 1
 fi
 
+# NewPolicy builds its policies from a fixed table (clock, lfu, random in
+# internal/manager/policy.go): LRU, FIFO, MGLRU and S3-FIFO were best on no
+# row of the policy sweep and left with the open registry. A manager that
+# wants any other policy sets Config.Policy.
+if grep -rnE 'RegisterPolicy|NewFIFOPolicy|NewLRUPolicy|NewMGLRUPolicy|NewS3FIFOPolicy|\bpageList\b' --include='*.go' --exclude='*_test.go' internal/ cmd/ examples/ epcm.go; then
+    echo "a policy registry or replacement policy deleted for winning no sweep row is back (see the matches above)" >&2
+    exit 1
+fi
+
 # Table 4's locks are slots of db.System — the fixed four as fields, one per
 # account page in a slice indexed by page — so db.go names no lock by string
 # and looks none up; names live on only in the keyed spelling of the lock
