@@ -42,13 +42,14 @@ var chaosSchedulers = []string{"serial", "concurrent"}
 // physical memory, so reclaim, writeback and re-fetch traffic all happen.
 func chaosSystem(t testing.TB, plan faultinject.Plan, sched string) (*System, *manager.Generic, *kernel.Segment) {
 	t.Helper()
-	return chaosSystemPolicy(t, plan, sched, "")
+	return chaosSystemPolicy(t, plan, sched, "", nil)
 }
 
 // chaosSystemPolicy is chaosSystem with a boot replacement policy: both the
 // default manager and the victim manager run it, so chaos schedules (crash
-// recovery and adoption included) exercise the whole policy plane.
-func chaosSystemPolicy(t testing.TB, plan faultinject.Plan, sched, policy string) (*System, *manager.Generic, *kernel.Segment) {
+// recovery and adoption included) exercise the whole policy plane. A
+// non-nil own is the victim manager's application policy instead.
+func chaosSystemPolicy(t testing.TB, plan faultinject.Plan, sched, policy string, own manager.Policy) (*System, *manager.Generic, *kernel.Segment) {
 	t.Helper()
 	sys, err := Boot(Config{MemoryBytes: 1 << 20, StoreData: true, FaultPlan: &plan, Scheduler: sched, ReclaimPolicy: policy})
 	if err != nil {
@@ -59,6 +60,7 @@ func chaosSystemPolicy(t testing.TB, plan faultinject.Plan, sched, policy string
 		Name:       "victim-manager",
 		Backing:    manager.NewSwapBacking(sys.Store),
 		MaxRetries: 3,
+		Policy:     own,
 	}, 1e6)
 	if err != nil {
 		t.Fatal(err)

@@ -18,8 +18,9 @@ import (
 	"epcm/internal/workload"
 )
 
-// policyRun boots a system with the named boot policy, replays a fixed
-// mixed reference string through one app manager, and returns the
+// policyRun boots a system with the named boot policy (or, when own is
+// non-nil, gives the app manager that application policy), replays a fixed
+// mixed reference string through the app manager, and returns the
 // model-visible outcome.
 type policyOutcome struct {
 	Faults     int64
@@ -28,14 +29,20 @@ type policyOutcome struct {
 	Clock      time.Duration
 }
 
-func policyRun(t *testing.T, name, sched string) policyOutcome {
+func policyRun(t *testing.T, name, sched string, own func() manager.Policy) policyOutcome {
 	t.Helper()
-	sys, err := Boot(Config{
-		MemoryBytes:   1 << 20, // 256 frames
-		StoreData:     true,
-		Scheduler:     sched,
-		ReclaimPolicy: name,
-	})
+	cfg := Config{
+		MemoryBytes: 1 << 20, // 256 frames
+		StoreData:   true,
+		Scheduler:   sched,
+	}
+	var p manager.Policy
+	if own != nil {
+		p = own()
+	} else {
+		cfg.ReclaimPolicy = name
+	}
+	sys, err := Boot(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,12 +50,13 @@ func policyRun(t *testing.T, name, sched string) policyOutcome {
 	g, _, err := sys.NewAppManager(manager.Config{
 		Name:    "diff-" + name,
 		Backing: manager.NewSwapBacking(sys.Store),
+		Policy:  p,
 	}, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := g.Policy().PolicyName(); got != name {
-		t.Fatalf("ReclaimPolicy %q produced manager policy %q", name, got)
+		t.Fatalf("policy %q produced manager policy %q", name, got)
 	}
 	seg, err := g.CreateManagedSegment("diff-data")
 	if err != nil {
@@ -69,20 +77,21 @@ func policyRun(t *testing.T, name, sched string) policyOutcome {
 	return policyOutcome{Faults: st.Faults, Reclaims: st.Reclaims, Writebacks: st.Writebacks, Clock: sys.Clock.Now()}
 }
 
-// TestPolicyDifferentialDeterminism: for every named policy, the same
-// reference string must produce a fully identical outcome (final clock
+// TestPolicyDifferentialDeterminism: for every named policy and every
+// application policy of appPolicies, the same reference string must produce a fully identical outcome (final clock
 // included) across repeated runs of each scheduler, and identical
 // model-time counts — faults, reclaims, writebacks — across the two
 // schedulers. (The concurrent plane charges delivery hand-off slightly
 // differently, so only the counts are comparable cross-scheduler; the
 // paging decisions themselves must not depend on the scheduler.)
 func TestPolicyDifferentialDeterminism(t *testing.T) {
-	for _, name := range manager.PolicyNames() {
+	for _, pc := range policyCases() {
+		name := pc.name
 		t.Run(name, func(t *testing.T) {
-			serial1 := policyRun(t, name, "serial")
-			serial2 := policyRun(t, name, "serial")
-			conc1 := policyRun(t, name, "concurrent")
-			conc2 := policyRun(t, name, "concurrent")
+			serial1 := policyRun(t, name, "serial", pc.own)
+			serial2 := policyRun(t, name, "serial", pc.own)
+			conc1 := policyRun(t, name, "concurrent", pc.own)
+			conc2 := policyRun(t, name, "concurrent", pc.own)
 			if serial1 != serial2 {
 				t.Fatalf("serial runs diverge:\n%+v\n%+v", serial1, serial2)
 			}
@@ -195,21 +204,26 @@ func TestPolicyAdoptionReclaim(t *testing.T) {
 }
 
 // TestPolicyChaosMatrix extends the chaos gate across the policy plane:
-// every named policy × the 16 chaos seeds × both schedulers, under
-// transient storage errors plus a mid-storm manager crash (so adoption also
-// runs under every policy). The ledger must balance at the end regardless
-// of the injected schedule.
+// every named policy and application policy × the 16 chaos seeds × both
+// schedulers, under transient storage errors plus a mid-storm manager crash
+// (so adoption also runs under every named policy, and takes over the
+// pages of every application policy). The ledger must balance at the end
+// regardless of the injected schedule.
 func TestPolicyChaosMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("policy chaos matrix is long; run without -short")
 	}
-	for _, name := range manager.PolicyNames() {
-		if name == "clock" {
+	for _, pc := range policyCases() {
+		if pc.name == "clock" {
 			continue // clock is the policy the base chaos suite already runs
 		}
 		for _, sched := range chaosSchedulers {
 			for _, seed := range chaosSeeds {
-				t.Run(fmt.Sprintf("%s/%s/seed=%#x", name, sched, seed), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/seed=%#x", pc.name, sched, seed), func(t *testing.T) {
+					boot, own := pc.name, manager.Policy(nil)
+					if pc.own != nil {
+						boot, own = "", pc.own()
+					}
 					sys, _, seg := chaosSystemPolicy(t, faultinject.Plan{
 						Seed:             seed,
 						FetchErrorProb:   0.06,
@@ -218,7 +232,7 @@ func TestPolicyChaosMatrix(t *testing.T) {
 						TransientStorage: true,
 						CrashManager:     "victim-manager",
 						CrashAtFault:     int64(20 + seed%31),
-					}, sched, name)
+					}, sched, boot, own)
 					chaosWorkload(t, sys, seg, seed)
 					if !sys.Chaos.Crashed("victim-manager") {
 						t.Fatal("victim manager never crashed")
@@ -228,4 +242,20 @@ func TestPolicyChaosMatrix(t *testing.T) {
 			}
 		}
 	}
+}
+
+// policyCase is one policy the policy tests run: a manager.NewPolicy name
+// (own nil), or an application policy of appPolicies.
+type policyCase struct {
+	name string
+	own  func() manager.Policy
+}
+
+// policyCases lists the named policies, then the application policies.
+func policyCases() []policyCase {
+	var cases []policyCase
+	for _, name := range manager.PolicyNames() {
+		cases = append(cases, policyCase{name: name})
+	}
+	return append(cases, appPolicies...)
 }
