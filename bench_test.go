@@ -600,43 +600,59 @@ func BenchmarkAblationAppendUnit(b *testing.B) {
 func BenchmarkAblationMarket(b *testing.B) {
 	var shareA, shareB float64
 	for i := 0; i < b.N; i++ {
-		policy := epcm.DefaultMarketPolicy()
-		policy.FreeWhenUncontended = false
-		sys, err := epcm.Boot(epcm.Config{MemoryBytes: 8 << 20, StoreData: false, Market: &policy})
-		if err != nil {
-			b.Fatal(err)
-		}
-		gA, aA, err := sys.NewAppManager(epcm.ManagerConfig{Name: "rich"}, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gB, aB, err := sys.NewAppManager(epcm.ManagerConfig{Name: "poor"}, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for step := 0; step < 300; step++ {
-			sys.Clock.Advance(time.Second)
-			sys.SPCM.SettleAll()
-			if _, err := sys.SPCM.Enforce(); err != nil {
-				b.Fatal(err)
-			}
-			if aA.Balance() > 0 {
-				if _, err := sys.SPCM.RequestFrames(gA, 64, phys.AnyFrame()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if aB.Balance() > 0 {
-				if _, err := sys.SPCM.RequestFrames(gB, 64, phys.AnyFrame()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
+		aA, aB := runMarket(b, nil)
 		total := float64(aA.HeldPages() + aB.HeldPages())
 		shareA = float64(aA.HeldPages()) / total
 		shareB = float64(aB.HeldPages()) / total
 	}
 	b.ReportMetric(shareA, "share-income-4")
 	b.ReportMetric(shareB, "share-income-2")
+}
+
+// marketSteps is how many one-second settles the market ablation runs.
+const marketSteps = 300
+
+// runMarket runs the market ablation on an 8 MB machine: accounts of income
+// 4 and 2, and every second a settle, an Enforce and a 64-frame grant to
+// each account whose balance is positive. afterEnforce, if not nil, runs
+// after each step's Enforce with the step and the two accounts.
+func runMarket(tb testing.TB, afterEnforce func(sys *epcm.System, step int, aA, aB *epcm.Account)) (aA, aB *epcm.Account) {
+	tb.Helper()
+	policy := epcm.DefaultMarketPolicy()
+	policy.FreeWhenUncontended = false
+	sys, err := epcm.Boot(epcm.Config{MemoryBytes: 8 << 20, StoreData: false, Market: &policy})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	gA, aA, err := sys.NewAppManager(epcm.ManagerConfig{Name: "rich"}, 4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	gB, aB, err := sys.NewAppManager(epcm.ManagerConfig{Name: "poor"}, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for step := 0; step < marketSteps; step++ {
+		sys.Clock.Advance(time.Second)
+		sys.SPCM.SettleAll()
+		if _, err := sys.SPCM.Enforce(); err != nil {
+			tb.Fatal(err)
+		}
+		if afterEnforce != nil {
+			afterEnforce(sys, step, aA, aB)
+		}
+		if aA.Balance() > 0 {
+			if _, err := sys.SPCM.RequestFrames(gA, 64, phys.AnyFrame()); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if aB.Balance() > 0 {
+			if _, err := sys.SPCM.RequestFrames(gB, 64, phys.AnyFrame()); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return aA, aB
 }
 
 func name(prefix string, v int) string {

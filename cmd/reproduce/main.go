@@ -4,16 +4,18 @@
 // The selected tables run concurrently on the experiment harness — each
 // builds its own simulator instances, so output is byte-identical at any
 // parallelism level and is printed in table order regardless of which
-// experiment finishes first. Everything printed is virtual time under the
-// paper's cost model; how fast the host runs it is `go run -C bench .`'s
-// question.
+// experiment finishes first. Inside a table the independent simulations
+// (Table 4's four memory configurations, Tables 2-3's Ultrix calibrations)
+// run side by side too, GOMAXPROCS-wide, whatever -par says. Everything
+// printed is virtual time under the paper's cost model; how fast the host
+// runs it is `go run -C bench .`'s question.
 //
 // Usage:
 //
 //	reproduce                        # all tables, GOMAXPROCS-wide
 //	reproduce -table 1               # just Table 1
 //	reproduce -table 4 -txns 8000
-//	reproduce -par 1                 # sequential
+//	reproduce -par 1                 # one table at a time
 //	reproduce -ablations             # also the design-choice ablation summary
 //	reproduce -sweep plane           # also one extension table: plane, policy or super
 //	reproduce -sweep all             # ... or all three
@@ -52,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	txns := fs.Int("txns", 0, "override Table 4 transaction count")
 	seed := fs.Uint64("seed", 0, "override Table 4 random seed")
 	ablations := fs.Bool("ablations", false, "also print the design-choice ablation summary")
-	par := fs.Int("par", 0, "worker-pool size; 0 means GOMAXPROCS, 1 means sequential")
+	par := fs.Int("par", 0, "worker-pool size; 0 means GOMAXPROCS, 1 means one table at a time (a table's independent simulations still run side by side)")
 	sched := fs.String("sched", "serial", "fault-delivery scheduler: serial (deterministic) or concurrent")
 	super := fs.Bool("super", false, "enable the superpage extent fast path in every kernel the tables boot (off by default; the golden tables assume it off)")
 	reclaim := fs.String("reclaim", "", "replacement policy for every manager the tables boot: "+strings.Join(manager.PolicyNames(), ", ")+" (clock is the default)")

@@ -174,7 +174,9 @@ func DefaultDBParams() DBParams { return db.DefaultParams() }
 // RunDB runs one database configuration to completion.
 func RunDB(cfg DBConfig, p DBParams) *DBResult { return db.New(cfg, p).Run() }
 
-// RunDBAll runs all four Table 4 configurations.
+// RunDBAll runs all four Table 4 configurations side by side on one draw of
+// the arrival stream and returns them in Table 4 order; a configuration
+// that panics panics again on the caller.
 func RunDBAll(p DBParams) []*DBResult { return db.RunAll(p) }
 
 // WorkloadSpec is a §3.2 application model (diff, uncompress, latex).

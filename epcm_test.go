@@ -224,3 +224,36 @@ func TestFacadeIsSelfSufficient(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMarketTrajectory runs the market ablation's loop and holds it to
+// §2.4's equilibrium: an income of I sustains I/price MB, so each account
+// ends within one 64-frame grant of that holding (1 024 and 512 pages at
+// price 1; it reads 1 022 and 572, the last step's grant included), and the
+// income-4 account's share of the held memory, sampled after each Enforce,
+// stays in 0.65–0.70 over the last 200 settles (it reads 0.6515–0.6964),
+// around the 2:1 income ratio's 0.667. The invariants, frame conservation
+// included, hold after every Enforce.
+func TestMarketTrajectory(t *testing.T) {
+	minShare, maxShare := 1.0, 0.0
+	aA, aB := runMarket(t, func(sys *epcm.System, step int, aA, aB *epcm.Account) {
+		if err := sys.SPCM.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if step < marketSteps-200 {
+			return
+		}
+		share := float64(aA.HeldPages()) / float64(aA.HeldPages()+aB.HeldPages())
+		minShare, maxShare = min(minShare, share), max(maxShare, share)
+	})
+	price := epcm.DefaultMarketPolicy().PricePerMBSecond
+	const pagesPerMB, grant = 256, 64
+	for _, a := range []*epcm.Account{aA, aB} {
+		want := int(a.Income() / price * pagesPerMB)
+		if got := a.HeldPages(); got < want-grant || got > want+grant {
+			t.Errorf("%s (income %.0f) ends holding %d pages, want %d ± %d", a.Name(), a.Income(), got, want, grant)
+		}
+	}
+	if minShare < 0.65 || maxShare > 0.70 {
+		t.Errorf("income-4 share over the last 200 settles spans %.4f–%.4f, want within 0.65–0.70", minShare, maxShare)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"epcm/internal/harness"
 	"epcm/internal/sim"
 )
 
@@ -143,7 +144,6 @@ type System struct {
 	cpus   *station
 	disk   *station
 	locks  *LockManager
-	rng    *sim.RNG
 	index  indexState
 	result Result
 	txSeq  int
@@ -166,7 +166,6 @@ func New(cfg MemoryConfig, p Params) *System {
 		cpus:      &station{capacity: p.Processors},
 		disk:      &station{capacity: 1},
 		locks:     locks,
-		rng:       sim.NewRNG(p.Seed),
 		index:     indexState{valid: true},
 		pageLocks: make([]lock, p.AccountPages),
 	}
@@ -174,21 +173,46 @@ func New(cfg MemoryConfig, p Params) *System {
 	return s
 }
 
-// Run generates the arrival stream, runs every transaction to completion
-// and returns the result. A transaction still open when no event is left
-// waits for a grant nobody will make: it is counted as deadlocked.
-func (s *System) Run() *Result {
-	txns := make([]txn, s.p.Transactions)
+// arrival is one transaction's draw from the arrival stream. A stream is
+// read only, so every configuration of a RunAll reads the one draw.
+type arrival struct {
+	at           time.Duration
+	accountPage  int
+	isJoin       bool
+	touchesIndex bool
+}
+
+// arrivals draws p's arrival stream: Poisson arrivals at p.ArrivalTPS, each
+// a join with probability p.JoinFraction, on a uniform account page, and
+// touching the index with probability p.DCIndexProb.
+func arrivals(p Params) []arrival {
+	rng := sim.NewRNG(p.Seed)
+	stream := make([]arrival, p.Transactions)
 	at := time.Duration(0)
+	for i := range stream {
+		at += time.Duration(rng.Exp(1e9/p.ArrivalTPS)) * time.Nanosecond
+		a := &stream[i]
+		a.at = at
+		a.isJoin = rng.Bool(p.JoinFraction)
+		a.accountPage = rng.Intn(p.AccountPages)
+		a.touchesIndex = rng.Bool(p.DCIndexProb)
+	}
+	return stream
+}
+
+// Run draws the arrival stream, runs every transaction to completion and
+// returns the result. A transaction still open when no event is left waits
+// for a grant nobody will make: it is counted as deadlocked.
+func (s *System) Run() *Result { return s.run(arrivals(s.p)) }
+
+// run runs the transactions of stream, which s only reads.
+func (s *System) run(stream []arrival) *Result {
+	txns := make([]txn, len(stream))
 	for i := range txns {
 		t := &txns[i]
-		at += time.Duration(s.rng.Exp(1e9/s.p.ArrivalTPS)) * time.Nanosecond
-		t.s, t.seq = s, i
-		t.isJoin = s.rng.Bool(s.p.JoinFraction)
-		t.accountPage = s.rng.Intn(s.p.AccountPages)
-		t.touchesIndex = s.rng.Bool(s.p.DCIndexProb)
+		t.arrival, t.s, t.seq = &stream[i], s, i
 		t.resume = t.run
-		s.env.At(at, t.resume)
+		s.env.At(t.at, t.resume)
 	}
 	s.env.Run()
 	s.result.Deadlocked = s.p.Transactions - s.result.CompletedTxns
@@ -250,18 +274,16 @@ const (
 // on from pc. These are the events and the order a process per transaction
 // would push, so the run is the same, without a coroutine switch per event.
 type txn struct {
-	s      *System
-	resume func() // t.run, bound once
-	owner  *holdList
-	start  time.Duration
+	*arrival // shared with every other run of the stream: never written
+	s        *System
+	resume   func() // t.run, bound once
+	owner    *holdList
+	start    time.Duration
 	// The station use under way: hold a unit of st for d, then go on at then.
-	st           *station
-	d            time.Duration
-	seq          int
-	accountPage  int
-	pc, then     step
-	isJoin       bool
-	touchesIndex bool
+	st       *station
+	d        time.Duration
+	seq      int
+	pc, then step
 }
 
 // wake resumes t now: its lock or station unit has been handed to it.
@@ -430,11 +452,28 @@ func (st *station) give() {
 var allConfigs = []MemoryConfig{NoIndex, IndexInMemory, IndexWithPaging, IndexRegeneration}
 
 // RunAll runs all four configurations with the same parameters, returning
-// results in Table 4 order.
+// results in Table 4 order. The configurations share no mutable state — the
+// arrival stream is drawn once and only read — so they run side by side on
+// the harness. A configuration that panics panics again here, on the
+// caller's goroutine, with the task's *harness.PanicError.
 func RunAll(p Params) []*Result {
-	out := make([]*Result, 0, len(allConfigs))
-	for _, cfg := range allConfigs {
-		out = append(out, New(cfg, p).Run())
+	stream := arrivals(p)
+	tasks := make([]harness.Task[*Result], len(allConfigs))
+	for i, cfg := range allConfigs {
+		tasks[i] = harness.Task[*Result]{Name: cfg.String(), Run: func() (*Result, error) {
+			r := New(cfg, p).run(stream)
+			// Sort here, on this configuration's worker: otherwise the
+			// first Percentile call sorts on the caller, after the fan-out.
+			r.Responses.Sort()
+			return r, nil
+		}}
+	}
+	out := make([]*Result, len(tasks))
+	for i, r := range harness.Run(tasks, 0) {
+		if r.Err != nil {
+			panic(r.Err)
+		}
+		out[i] = r.Value
 	}
 	return out
 }

@@ -1,9 +1,13 @@
 package db
 
 import (
+	"errors"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
+
+	"epcm/internal/harness"
 )
 
 // fastParams shrinks the run for unit tests that don't assert Table 4
@@ -124,6 +128,59 @@ func TestTable4(t *testing.T) {
 	ratio := float64(byCfg[IndexRegeneration].Average()) / float64(byCfg[IndexInMemory].Average())
 	if ratio < 1.05 || ratio > 1.45 {
 		t.Errorf("regeneration/in-memory = %.2f, paper 1.27", ratio)
+	}
+}
+
+// TestRunAllMatchesRun: RunAll's configurations share one arrival draw and
+// run side by side, yet each result equals the configuration run alone,
+// field by field and sample by sample. RunAll sorts Responses on the
+// configuration's worker, so the lone run's is sorted before the compare;
+// DebitCredit and Joins keep completion order on both sides.
+func TestRunAllMatchesRun(t *testing.T) {
+	for _, seed := range []uint64{DefaultParams().Seed, 7, 42} {
+		p := DefaultParams()
+		p.Seed = seed
+		got := RunAll(p)
+		if len(got) != len(allConfigs) {
+			t.Fatalf("seed %d: %d results, want %d", seed, len(got), len(allConfigs))
+		}
+		for i, cfg := range allConfigs {
+			want := New(cfg, p).Run()
+			want.Responses.Sort()
+			if got[i].Config != cfg {
+				t.Fatalf("seed %d: result %d is %v, want %v", seed, i, got[i].Config, cfg)
+			}
+			if d := diffResults(got[i], want); d != "" {
+				t.Errorf("seed %d, %v: %s", seed, cfg, d)
+			}
+		}
+	}
+}
+
+// TestRunAllPanicReachesCaller: a configuration that panics on its worker
+// panics again on RunAll's caller, so a harness task running RunAll comes
+// back with Err set and the process lives on.
+func TestRunAllPanicReachesCaller(t *testing.T) {
+	p := fastParams()
+	p.PressurePeriod = 0 // pressure's txSeq % 0 divides by zero
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		RunAll(p)
+	}()
+	err, _ := recovered.(error)
+	var pe *harness.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("RunAll's caller recovered %v, want a *harness.PanicError", recovered)
+	}
+	if _, ok := pe.Value.(runtime.Error); !ok {
+		t.Fatalf("the worker's panic was %v, want the division by zero", pe.Value)
+	}
+	res := harness.Run([]harness.Task[[]*Result]{{Name: "table4", Run: func() ([]*Result, error) {
+		return RunAll(p), nil
+	}}}, 1)
+	if !errors.As(res[0].Err, &pe) || res[0].Value != nil {
+		t.Fatalf("harness task running RunAll: %+v, want Err set and no value", res[0])
 	}
 }
 

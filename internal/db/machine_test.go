@@ -155,7 +155,9 @@ func TestRunAllocationsPerTransaction(t *testing.T) {
 }
 
 // BenchmarkTable4 times Table 4's four runs at the paper's parameters and
-// reports them per transaction.
+// reports them per transaction. RunAll runs the four side by side, so ns/txn
+// is wall time over the fan-out: at -cpu 1 it is the CPU a transaction
+// costs, above that it falls with the cores the configurations spread over.
 func BenchmarkTable4(b *testing.B) {
 	p := DefaultParams()
 	txns := float64(b.N * p.Transactions * len(allConfigs))

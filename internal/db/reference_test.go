@@ -3,6 +3,8 @@ package db
 import (
 	"slices"
 	"time"
+
+	"epcm/internal/sim"
 )
 
 // refLockManager is the lock manager as it was before its locks kept
@@ -236,12 +238,13 @@ func refRun(cfg MemoryConfig, p Params) (*Result, int64) {
 	s.procs = newRefEnv(s.env)
 	s.cpus = &refResource{env: s.procs, capacity: p.Processors}
 	s.disk = &refResource{env: s.procs, capacity: 1}
+	rng := sim.NewRNG(p.Seed) // drawn here, not by arrivals, so the draw is checked too
 	at := time.Duration(0)
 	for i := 0; i < s.p.Transactions; i++ {
-		at += time.Duration(s.rng.Exp(1e9/s.p.ArrivalTPS)) * time.Nanosecond
-		isJoin := s.rng.Bool(s.p.JoinFraction)
-		accountPage := s.rng.Intn(s.p.AccountPages)
-		touchesIndex := s.rng.Bool(s.p.DCIndexProb)
+		at += time.Duration(rng.Exp(1e9/s.p.ArrivalTPS)) * time.Nanosecond
+		isJoin := rng.Bool(s.p.JoinFraction)
+		accountPage := rng.Intn(s.p.AccountPages)
+		touchesIndex := rng.Bool(s.p.DCIndexProb)
 		seq := i
 		s.procs.GoAt(at, func(p *refProc) {
 			s.transaction(p, seq, isJoin, accountPage, touchesIndex)

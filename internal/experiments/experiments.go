@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"epcm/internal/db"
+	"epcm/internal/harness"
 	"epcm/internal/kernel"
 	"epcm/internal/manager"
 	"epcm/internal/phys"
@@ -214,11 +215,28 @@ func (m Modes) Tables23() (*Report, error) {
 	header(b, "Table 2: Application Elapsed Time (seconds) / Table 3: VM System Activity")
 	fmt.Fprintf(b, "%-11s | %8s %8s %8s %8s | %6s %6s %7s %7s %9s %9s\n",
 		"Program", "V++", "paper", "Ultrix", "paper", "Calls", "paper", "Migrate", "paper", "Ovhd(ms)", "paper")
-	mach, err := workload.NewMachine(0, m.kernelConfig())
-	check(err)
-	for _, spec := range workload.All() {
-		cal, ue, uc, err := workload.Calibrated(spec)
-		check(err)
+	// The Ultrix calibrations are independent of the V++ machine and of one
+	// another, so they run on the harness beside its boot; the V++ rows then
+	// run in order on the one machine.
+	specs := workload.All()
+	cals := make([]calibration, len(specs))
+	var mach *workload.Machine
+	tasks := []harness.Task[struct{}]{{Name: "machine", Run: func() (_ struct{}, err error) {
+		mach, err = workload.NewMachine(0, m.kernelConfig())
+		return
+	}}}
+	for i, spec := range specs {
+		tasks = append(tasks, harness.Task[struct{}]{Name: spec.Name, Run: func() (_ struct{}, err error) {
+			c := &cals[i]
+			c.spec, c.ultrix, c.counters, err = workload.Calibrated(spec)
+			return
+		}})
+	}
+	for _, r := range harness.Run(tasks, 0) {
+		check(r.Err)
+	}
+	for i, spec := range specs {
+		cal, ue, uc := cals[i].spec, cals[i].ultrix, cals[i].counters
 		vr, err := mach.Runner(m.policy())
 		check(err)
 		ve, vc, err := workload.Run(vr, cal)
@@ -243,6 +261,14 @@ func (m Modes) Tables23() (*Report, error) {
 	fmt.Fprintln(b, " the V++ column and all Table 3 activity counts are emergent.)")
 	rep.Output = b.Bytes()
 	return rep, nil
+}
+
+// calibration is one row's Ultrix run: the calibrated spec, its elapsed
+// time and its activity counts.
+type calibration struct {
+	spec     workload.Spec
+	ultrix   time.Duration
+	counters workload.Counters
 }
 
 func diffPct(got, want int64) int64 {

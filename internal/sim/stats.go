@@ -40,6 +40,16 @@ func (s *Series) Mean() time.Duration {
 // Max reports the largest sample (the paper's "worst-case response").
 func (s *Series) Max() time.Duration { return s.max }
 
+// Sort puts the samples in order, as the first Percentile call would. A
+// series filled on one goroutine and read on another can pay for the sort
+// where it was filled.
+func (s *Series) Sort() {
+	if !s.sorted {
+		slices.Sort(s.samples)
+		s.sorted = true
+	}
+}
+
 // Percentile reports the p-th percentile (0 < p <= 100) using
 // nearest-rank on the sorted samples. It returns zero for an empty series.
 func (s *Series) Percentile(p float64) time.Duration {
@@ -47,10 +57,7 @@ func (s *Series) Percentile(p float64) time.Duration {
 	if n == 0 {
 		return 0
 	}
-	if !s.sorted {
-		slices.Sort(s.samples)
-		s.sorted = true
-	}
+	s.Sort()
 	if p <= 0 {
 		return s.samples[0]
 	}

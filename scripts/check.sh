@@ -2,9 +2,9 @@
 # check.sh — the one gate: formatting, vet, build, race-enabled tests, the
 # chaos and fuzz smokes, the bench/ module (its own go.mod, so the root
 # build never compiles it), the unlinked-function list, one-iteration
-# benchmark smokes, and the golden output (the paper tables on three arms,
-# the sweeps on the default one). CI runs this script rather than a copy of
-# it. Run from anywhere inside the repo.
+# benchmark smokes, and the golden output (the paper tables on three arms and
+# on one and eight cores, the sweeps on the default one). CI runs this script
+# rather than a copy of it. Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 
@@ -293,6 +293,15 @@ for arm in "" "-sched concurrent" "-super"; do
     echo "   reproduce $arm"
     # shellcheck disable=SC2086 # $arm is a flag and its value, split on purpose
     go run ./cmd/reproduce $arm > "$golden_tmp"
+    diff internal/experiments/testdata/reproduce.golden "$golden_tmp"
+done
+# The tables run their independent simulations side by side (Table 4's
+# configurations, Tables 2-3's calibrations), so which worker runs what, and
+# in what interleaving, changes from run to run and with the core count; the
+# bytes must not. The default arm runs again on one core and on eight.
+for procs in 1 8; do
+    echo "   GOMAXPROCS=$procs reproduce"
+    GOMAXPROCS=$procs go run ./cmd/reproduce > "$golden_tmp"
     diff internal/experiments/testdata/reproduce.golden "$golden_tmp"
 done
 # The sweeps print model numbers only, so they have a golden file too:
