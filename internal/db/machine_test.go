@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"epcm/internal/sim"
@@ -158,13 +159,21 @@ func TestRunAllocationsPerTransaction(t *testing.T) {
 // reports them per transaction. RunAll runs the four side by side, so ns/txn
 // is wall time over the fan-out: at -cpu 1 it is the CPU a transaction
 // costs, above that it falls with the cores the configurations spread over.
+// As in bench, the collector runs before each RunAll with the timer stopped
+// and is held off while it runs; on, it cost about as much as Table 4 itself
+// (736.7 ns/txn against 478.8 at -cpu 1) and the second core of -cpu 2 ran
+// little else.
 func BenchmarkTable4(b *testing.B) {
 	p := DefaultParams()
 	txns := float64(b.N * p.Transactions * len(allConfigs))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
 		RunAll(p)
 	}
 	b.StopTimer()

@@ -547,8 +547,8 @@ func (k *Kernel) ModifyPageFlagsBatch(cred Cred, s *Segment, ranges []PageRange,
 func (k *Kernel) modifyFlags(cred Cred, s *Segment, ranges []PageRange, set, clear PageFlags, extents bool) error {
 	k.stats.ModifyCalls.Add(uint64(s.id), 1)
 	k.clock.AdvanceOn(uint64(s.id), k.cost.KernelCall+k.cost.ModifyFlags)
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	if s.deleted {
 		return ErrNoSuchSegment
 	}
@@ -618,8 +618,8 @@ func (k *Kernel) GetPageAttributesBatch(s *Segment, pages []int64, dst []PageAtt
 func (k *Kernel) getAttributes(s *Segment, pages []int64, first, n int64, dst []PageAttribute) ([]PageAttribute, error) {
 	k.stats.GetAttrCalls.Add(uint64(s.id), 1)
 	k.clock.AdvanceOn(uint64(s.id), k.cost.KernelCall)
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	if s.deleted {
 		return dst, ErrNoSuchSegment
 	}

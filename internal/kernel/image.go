@@ -71,7 +71,7 @@ func (k *Kernel) Image() (*Image, error) {
 	slices.Sort(ids)
 	for _, id := range ids {
 		s := k.segs[id]
-		s.mu.Lock()
+		s.lock()
 		si := segImage{
 			s:             s,
 			bindings:      slices.Clone(s.bindings),
@@ -81,7 +81,7 @@ func (k *Kernel) Image() (*Image, error) {
 			tlb:           s.tlb.clone(),
 		}
 		si.pages.restore(&s.pages)
-		s.mu.Unlock()
+		s.unlock()
 		img.segs = append(img.segs, si)
 	}
 	return img, nil
@@ -111,16 +111,16 @@ func (k *Kernel) Restore(img *Image) {
 	k.mu.Lock()
 	for id, s := range k.segs {
 		if id >= img.nextID {
-			s.mu.Lock()
+			s.lock()
 			s.retireLocked()
-			s.mu.Unlock()
+			s.unlock()
 		}
 	}
 	clear(k.segs)
 	for i := range img.segs {
 		si := &img.segs[i]
 		s := si.s
-		s.mu.Lock()
+		s.lock()
 		s.pages.restore(&si.pages)
 		s.bindings = slices.Clone(si.bindings)
 		s.manager.Store(nil)
@@ -128,7 +128,7 @@ func (k *Kernel) Restore(img *Image) {
 		s.extents = maps.Clone(si.extents)
 		s.extOrderCount = si.extOrderCount
 		s.tlb = si.tlb.clone()
-		s.mu.Unlock()
+		s.unlock()
 		k.segs[s.id] = s
 	}
 	k.nextID = img.nextID

@@ -16,11 +16,13 @@
 // (serial scheduler, the deterministic default) or a message on the
 // manager's lane (concurrent scheduler). To support the
 // latter, the kernel's mutable state is locked at three levels: activity
-// counters are atomic, each segment's page map — and, under the concurrent
-// scheduler, its TLB — is guarded by its own mutex, and the segment registry
-// by a kernel-wide RWMutex. The lock order is kernel registry → segment (two
-// segments in ascending ID order); the CAS mapping table takes no lock, and
-// no kernel lock is ever held across a manager call.
+// counters are atomic, each segment's page map and TLB are guarded by its
+// own mutex — taken only under the concurrent scheduler (Segment.lock), as
+// the serial one's mapping table and TLB are unsynchronized by contract —
+// and the segment registry by a kernel-wide RWMutex. The lock order is
+// kernel registry → segment (two segments in ascending ID order); the CAS
+// mapping table takes no lock, and no kernel lock is ever held across a
+// manager call.
 package kernel
 
 import (
@@ -297,20 +299,20 @@ func (k *Kernel) BootSegment() *Segment { return k.boot }
 func lockPair(a, b *Segment) {
 	switch {
 	case a == b:
-		a.mu.Lock()
+		a.lock()
 	case a.id < b.id:
-		a.mu.Lock()
-		b.mu.Lock()
+		a.lock()
+		b.lock()
 	default:
-		b.mu.Lock()
-		a.mu.Lock()
+		b.lock()
+		a.lock()
 	}
 }
 
 func unlockPair(a, b *Segment) {
-	a.mu.Unlock()
+	a.unlock()
 	if a != b {
-		b.mu.Unlock()
+		b.unlock()
 	}
 }
 
@@ -348,9 +350,9 @@ func (k *Kernel) Lookup(id SegID) (*Segment, error) {
 	s, ok := k.segs[id]
 	k.mu.RUnlock()
 	if ok {
-		s.mu.Lock()
+		s.lock()
 		ok = !s.deleted
-		s.mu.Unlock()
+		s.unlock()
 	}
 	if !ok {
 		return nil, fmt.Errorf("%w: id %d", ErrNoSuchSegment, id)
@@ -365,12 +367,12 @@ func (k *Kernel) Lookup(id SegID) (*Segment, error) {
 func (k *Kernel) SetSegmentManager(s *Segment, m Manager) {
 	k.clock.AdvanceOn(uint64(s.id), k.cost.KernelCall)
 	c := k.cellOf(m)
-	s.mu.Lock()
+	s.lock()
 	if s.manager.Load() != c {
 		k.dropAllExtentsLocked(s)
 	}
 	s.manager.Store(c)
-	s.mu.Unlock()
+	s.unlock()
 }
 
 // BindRegion associates pages [start, start+pages) of seg with
@@ -399,17 +401,17 @@ func (k *Kernel) BindRegion(seg *Segment, start, pages int64, target *Segment, t
 // delivered over the plane with no segment lock held — the manager
 // migrates frames out of s while salvaging.
 func (k *Kernel) DeleteSegment(cred Cred, s *Segment) error {
-	s.mu.Lock()
+	s.lock()
 	if s.restricted && !cred.Privileged {
-		s.mu.Unlock()
+		s.unlock()
 		return fmt.Errorf("%w: delete %s by %q", ErrNotPrivileged, s, cred.Name)
 	}
 	if s.deleted {
-		s.mu.Unlock()
+		s.unlock()
 		return ErrNoSuchSegment
 	}
 	c := s.manager.Load()
-	s.mu.Unlock()
+	s.unlock()
 	k.clock.AdvanceOn(uint64(s.id), k.cost.KernelCall)
 	if c != nil {
 		k.sched.notifyDeleted(c, s)
@@ -543,12 +545,13 @@ func (k *Kernel) chargeReturn(seg SegID, d DeliveryMode) {
 // the locks to migrate frames in. The retry loop absorbs anything that
 // changed in between.
 func (k *Kernel) Access(s *Segment, page int64, access AccessType) error {
-	// The deleted check happens inside resolve's first hop, under the lock
-	// that hop takes anyway.
+	// The deleted checks happen inside resolve, under the locks its hops
+	// take anyway.
 	if page < 0 {
 		return fmt.Errorf("%w: access page %d", ErrBadRange, page)
 	}
 	for attempt := 0; attempt <= k.cfg.MaxFaultRetries; attempt++ {
+		// resolve returns with r.seg locked and its entry read.
 		r, err := resolve(s, page)
 		if err != nil {
 			return err
@@ -558,15 +561,9 @@ func (k *Kernel) Access(s *Segment, page int64, access AccessType) error {
 			// page, and once however many faults it takes.
 			k.stats.Accesses.Add(uint64(s.id), 1)
 		}
-		rs := r.seg
-		rs.mu.Lock()
-		if rs.deleted {
-			rs.mu.Unlock()
-			return ErrNoSuchSegment
-		}
-		e, present := rs.pages.get(r.page)
-		if !present {
-			rs.mu.Unlock()
+		rs, e := r.seg, r.e
+		if e == nil {
+			rs.unlock()
 			if err := k.deliverFault(Fault{Seg: rs, Page: r.page, Access: access, Kind: FaultMissing}); err != nil {
 				return err
 			}
@@ -578,15 +575,15 @@ func (k *Kernel) Access(s *Segment, page int64, access AccessType) error {
 			// it; the kernel performs the copy (§2.1) from the source frames
 			// named here, under the source segment's lock.
 			src := e.pfn
-			rs.mu.Unlock()
+			rs.unlock()
 			if err := k.deliverFault(Fault{Seg: r.cowSeg, Page: r.cowPage, Access: access, Kind: FaultCopyOnWrite}); err != nil {
 				return err
 			}
 			cs := r.cowSeg
-			cs.mu.Lock()
+			cs.lock()
 			ne, ok := cs.pages.get(r.cowPage)
 			if !ok {
-				cs.mu.Unlock()
+				cs.unlock()
 				continue // manager did not materialize the page; re-fault
 			}
 			// Bindings never cross page sizes (resolve), so both pages span
@@ -596,7 +593,7 @@ func (k *Kernel) Access(s *Segment, page int64, access AccessType) error {
 				k.mem.Frame(ne.pfn + i).CopyFrom(k.mem.Frame(src + i))
 			}
 			ne.flags |= FlagDirty
-			cs.mu.Unlock()
+			cs.unlock()
 			continue // retry: resolution now finds the private page
 		}
 		need := FlagRead
@@ -604,7 +601,7 @@ func (k *Kernel) Access(s *Segment, page int64, access AccessType) error {
 			need = FlagWrite
 		}
 		if !e.flags.Has(need) {
-			rs.mu.Unlock()
+			rs.unlock()
 			if err := k.deliverFault(Fault{Seg: rs, Page: r.page, Access: access, Kind: FaultProtection}); err != nil {
 				return err
 			}
@@ -634,7 +631,7 @@ func (k *Kernel) Access(s *Segment, page int64, access AccessType) error {
 		if access == Write {
 			e.flags |= FlagDirty
 		}
-		rs.mu.Unlock()
+		rs.unlock()
 		return nil
 	}
 	return pageError(ErrFaultLoop, s, page)
@@ -645,8 +642,8 @@ func (k *Kernel) Access(s *Segment, page int64, access AccessType) error {
 // interface uses when it touches cached-file pages on behalf of a process;
 // unlike ModifyPageFlags it is not a system call.
 func (k *Kernel) MarkAccessed(s *Segment, page int64, write bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	e, ok := s.pages.get(page)
 	if !ok {
 		return
@@ -669,10 +666,8 @@ func (k *Kernel) FaultIn(s *Segment, page int64, access AccessType) error {
 		if err != nil {
 			return err
 		}
-		r.seg.mu.Lock()
-		present := r.seg.pages.has(r.page)
-		r.seg.mu.Unlock()
-		if present {
+		r.seg.unlock()
+		if r.e != nil {
 			return nil
 		}
 		if err := k.deliverFault(Fault{Seg: r.seg, Page: r.page, Access: access, Kind: FaultMissing}); err != nil {

@@ -421,3 +421,100 @@ func BenchmarkDeliverFault(b *testing.B) {
 		})
 	}
 }
+
+// stockMgr serves each missing page with the next page of its pool, in
+// order; BenchmarkAccess hands the pool back between rounds.
+type stockMgr struct {
+	k    *Kernel
+	pool *Segment
+	next int64
+}
+
+func (m *stockMgr) ManagerName() string    { return "stock" }
+func (m *stockMgr) Delivery() DeliveryMode { return DeliverSameProcess }
+func (m *stockMgr) HandleFault(f Fault) error {
+	m.next++
+	return m.k.MigratePages(AppCred, m.pool, f.Seg, m.next-1, f.Page, 1, FlagRW, 0)
+}
+func (*stockMgr) SegmentDeleted(*Segment) {}
+
+// BenchmarkAccess: one op is one Access. resident/serial and
+// resident/concurrent hit a resident page the TLB holds — resolve's one hop,
+// the flag check and the TLB probe, under the segment lock only on the
+// concurrent kernel. fault/serial is a first touch: the missing fault,
+// its delivery to a manager stocked with a 4 096-page pool, the manager's
+// MigratePages and the retry's walk and cache fill; the pool is handed back,
+// off the clock, each time it runs dry. None of them allocates.
+func BenchmarkAccess(b *testing.B) {
+	const pages = 4096
+	boot := func(b *testing.B, concurrent bool) (*Kernel, *Segment, *stockMgr) {
+		mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: pages * 4096})
+		k := New(mem, new(sim.Clock), sim.DECstation5000(), Config{Concurrent: concurrent})
+		pool, err := k.CreateSegment("pool", 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := k.MigratePages(SystemCred, k.BootSegment(), pool, 0, 0, pages, 0, 0); err != nil {
+			b.Fatal(err)
+		}
+		seg, err := k.CreateSegment("space", 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := &stockMgr{k: k, pool: pool}
+		k.SetSegmentManager(seg, m)
+		return k, seg, m
+	}
+	for _, mode := range []string{"serial", "concurrent"} {
+		b.Run("resident/"+mode, func(b *testing.B) {
+			b.ReportAllocs()
+			k, seg, _ := boot(b, mode == "concurrent")
+			defer k.Scheduler().Stop()
+			hit := func() { benchErr = k.Access(seg, 0, Read) }
+			hit() // the fault that makes page 0 resident and cached
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hit()
+			}
+			b.StopTimer()
+			if benchErr != nil {
+				b.Fatal(benchErr)
+			}
+			if got := testing.AllocsPerRun(20, hit); got != 0 {
+				b.Fatalf("%v allocs per resident hit, want 0", got)
+			}
+		})
+	}
+	b.Run("fault/serial", func(b *testing.B) {
+		b.ReportAllocs()
+		k, seg, m := boot(b, false)
+		var page int64
+		touch := func() {
+			benchErr = k.Access(seg, page, Write)
+			page++
+		}
+		refill := func() {
+			if err := k.MigratePages(AppCred, seg, m.pool, 0, 0, page, 0, FlagRW|FlagDirty|FlagReferenced); err != nil {
+				b.Fatal(err)
+			}
+			page, m.next = 0, 0
+		}
+		if got := testing.AllocsPerRun(20, touch); got != 0 {
+			b.Fatalf("%v allocs per first touch, want 0", got)
+		}
+		refill()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if page == pages {
+				b.StopTimer()
+				refill()
+				b.StartTimer()
+			}
+			touch()
+		}
+		b.StopTimer()
+		if benchErr != nil {
+			b.Fatal(benchErr)
+		}
+	})
+}

@@ -74,7 +74,7 @@ func (k *Kernel) Revoke(dead Manager) ([]*Segment, error) {
 	var adopted []*Segment
 	k.mu.RLock()
 	for _, s := range k.segs {
-		s.mu.Lock()
+		s.lock()
 		if dc != nil && s.manager.Load() == dc && !s.deleted {
 			// The fallback path of SetSegmentManager, without charging the
 			// dead manager's process for a call it cannot make. Adoption
@@ -84,7 +84,7 @@ func (k *Kernel) Revoke(dead Manager) ([]*Segment, error) {
 			s.manager.Store(def)
 			adopted = append(adopted, s)
 		}
-		s.mu.Unlock()
+		s.unlock()
 	}
 	k.mu.RUnlock()
 	sort.Slice(adopted, func(i, j int) bool { return adopted[i].id < adopted[j].id })

@@ -118,7 +118,9 @@ func (k *Kernel) processDelete(c *managerCell, s *Segment) {
 // delivering, a message posted while another is being handled (a nested
 // delivery) must finish before that handler resumes, so call order is the
 // only order there is. It is not safe for concurrent callers; that is the
-// concurrent scheduler's job.
+// concurrent scheduler's job. Nor is the kernel under it: a serial kernel
+// takes no segment lock (Segment.lock), since its mapping table and one TLB
+// are unsynchronized anyway, so one goroutine at a time may be in it.
 type serialScheduler struct {
 	k *Kernel
 	// free stacks the run-of-one scratch faults are delivered in: fs and

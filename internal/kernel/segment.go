@@ -51,8 +51,11 @@ func (b *binding) covers(page int64) bool {
 // spaces, and program address spaces themselves.
 //
 // mu guards the mutable state (pages, bindings, manager, deleted); id,
-// name, pageSize, fpp and restricted are immutable after creation. When two
-// segments must be locked together the kernel's lockPair orders them by ID.
+// name, pageSize, fpp and restricted are immutable after creation. Only the
+// concurrent scheduler takes it, through lock: the serial kernel's mapping
+// table and one TLB are unsynchronized anyway, so it admits one goroutine
+// at a time. When two segments must be locked together the kernel's
+// lockPair orders them by ID.
 type Segment struct {
 	id       SegID
 	name     string
@@ -101,6 +104,31 @@ type Segment struct {
 	tlb    *tlb
 	kernel *Kernel
 }
+
+// lock takes s.mu when the kernel runs the concurrent scheduler — the rule
+// tlbOf follows — and does nothing under the serial one. k.concurrent is
+// read, not cached: SetScheduler sets it quiescent and never clears it, so
+// every segment, the boot segment included, sees the switch, and no lock is
+// held across it to be unlocked unevenly. "Caller holds s.mu" in this
+// package means the caller is between s.lock and s.unlock.
+func (s *Segment) lock() {
+	if s.kernel.concurrent {
+		s.mu.Lock()
+	}
+}
+
+// unlock releases what lock took.
+func (s *Segment) unlock() {
+	if s.kernel.concurrent {
+		s.unlockMu()
+	}
+}
+
+// unlockMu is out of line so unlock inlines: sync.Mutex.Unlock alone takes
+// 76 of the inliner's 80, and the branch around it pushes unlock over.
+//
+//go:noinline
+func (s *Segment) unlockMu() { s.mu.Unlock() }
 
 // retireLocked empties a segment that is going away and marks it deleted,
 // so every handle to it gets ErrNoSuchSegment. Its cache entries and frames
@@ -154,8 +182,8 @@ func (s *Segment) Restricted() bool { return s.restricted }
 
 // PageCount returns the number of pages currently holding frames.
 func (s *Segment) PageCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	return s.pages.len()
 }
 
@@ -163,8 +191,8 @@ func (s *Segment) PageCount() int {
 // It allocates; intended for managers' sweep algorithms and tests. Callers
 // that only scan should prefer ForEachPage, which does not allocate.
 func (s *Segment) Pages() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	return s.pages.pages()
 }
 
@@ -183,8 +211,8 @@ func (s *Segment) ForEachPage(fn func(page int64) bool) {
 
 // HasPage reports whether the segment holds a frame at page.
 func (s *Segment) HasPage(page int64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	return s.pages.has(page)
 }
 
@@ -192,8 +220,8 @@ func (s *Segment) HasPage(page int64) bool {
 // lock acquisition instead of n HasPage calls. The extent page-in fast
 // path uses it for its all-absent precheck.
 func (s *Segment) AnyPresent(base, n int64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	for i := int64(0); i < n; i++ {
 		if s.pages.has(base + i) {
 			return true
@@ -204,8 +232,8 @@ func (s *Segment) AnyPresent(base, n int64) bool {
 
 // Flags returns the page's flags; ok is false if the page has no frame.
 func (s *Segment) Flags(page int64) (PageFlags, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	e, ok := s.pages.get(page)
 	if !ok {
 		return 0, false
@@ -235,9 +263,10 @@ func (s *Segment) findBinding(page int64) *binding {
 // resolved is the outcome of resolving a (segment, page) reference through
 // bound regions to the segment that should supply the frame.
 type resolved struct {
-	seg  *Segment // owning segment after following bindings
-	page int64    // page within seg
-	cow  bool     // true if the reference crossed a copy-on-write binding
+	seg  *Segment   // owning segment after following bindings
+	page int64      // page within seg
+	e    *pageEntry // page's entry in seg, nil if absent; dead once seg unlocks
+	cow  bool       // true if the reference crossed a copy-on-write binding
 	// cowSeg/cowPage identify the front segment and page where a private
 	// copy must materialize when cow && the access is a write.
 	cowSeg  *Segment
@@ -253,33 +282,35 @@ type resolved struct {
 // makes a materialized COW page take precedence over the source.
 //
 // Locks are taken hop by hop — one segment at a time, never two — so
-// resolution cannot deadlock against pair-ordered migrations. The caller
-// revalidates the final hop under its lock before acting on it.
+// resolution cannot deadlock against pair-ordered migrations. resolve
+// returns with the final hop's segment still locked and its entry read, so
+// the caller acts on exactly what resolve saw and unlocks r.seg itself; on
+// an error nothing is held. A deleted entry segment, or a deleted final
+// hop, is ErrNoSuchSegment.
 func resolve(s *Segment, page int64) (resolved, error) {
 	r := resolved{seg: s, page: page}
 	for depth := 0; ; depth++ {
 		if depth > 16 {
 			return r, fmt.Errorf("kernel: binding chain deeper than 16 at segment %q page %d", s.name, page)
 		}
-		r.seg.mu.Lock()
-		if depth == 0 && r.seg.deleted {
-			// The entry segment's deleted check rides on the lock this hop
-			// takes anyway, so Access/FaultIn need no pre-flight lock.
-			r.seg.mu.Unlock()
-			return r, ErrNoSuchSegment
-		}
-		present := r.seg.pages.has(r.page)
+		r.seg.lock()
+		e, present := r.seg.pages.get(r.page)
 		var b *binding
 		if !present {
 			b = r.seg.findBinding(r.page)
 		}
-		r.seg.mu.Unlock()
-		if present {
-			return r, nil
+		if r.seg.deleted && (depth == 0 || b == nil) {
+			// A dead entry segment fails whatever it binds, and a dead final
+			// hop has no page or manager to give; the check rides on the
+			// lock this hop takes anyway.
+			r.seg.unlock()
+			return r, ErrNoSuchSegment
 		}
 		if b == nil {
-			return r, nil // missing page in r.seg: fault target is r.seg
+			r.e = e // nil: missing page in r.seg, the fault target
+			return r, nil
 		}
+		r.seg.unlock()
 		if b.cow && !r.cow {
 			r.cow = true
 			r.cowSeg = r.seg
@@ -311,8 +342,8 @@ func (s *Segment) addBinding(nb *binding) error {
 // use it to fill page data in their free-page segments (which they have
 // mapped into their own address spaces).
 func (s *Segment) FrameAt(page int64) *phys.Frame {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	e, ok := s.pages.get(page)
 	if !ok {
 		return nil
@@ -324,8 +355,8 @@ func (s *Segment) FrameAt(page int64) *phys.Frame {
 // consecutive PFNs, since a large page is a contiguous run — or nil if the
 // page is not present.
 func (s *Segment) FramesAt(page int64) []phys.PFN {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	e, ok := s.pages.get(page)
 	if !ok {
 		return nil
@@ -342,8 +373,8 @@ func (s *Segment) FramesAt(page int64) []phys.PFN {
 // segment lock — the batched form of FrameAt, for grant paths that would
 // otherwise lock the segment once per page.
 func (s *Segment) AppendFirstPFNs(dst []phys.PFN, pages []int64) []phys.PFN {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	for _, p := range pages {
 		pfn := phys.NoFrame
 		if e, ok := s.pages.get(p); ok {

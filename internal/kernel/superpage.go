@@ -92,8 +92,8 @@ func (k *Kernel) PromoteExtent(cred Cred, s *Segment, base int64, order int) err
 		return fmt.Errorf("%w: extent order %d", ErrBadRange, order)
 	}
 	k.clock.AdvanceOn(uint64(s.id), k.cost.KernelCall+k.cost.SuperpageOp)
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	if s.deleted {
 		return ErrNoSuchSegment
 	}
@@ -161,8 +161,8 @@ func (k *Kernel) recordExtentLocked(s *Segment, base int64, order uint8) {
 // demotion only withdraws the wide translation entries.
 func (k *Kernel) DemoteExtent(cred Cred, s *Segment, base int64) error {
 	k.clock.AdvanceOn(uint64(s.id), k.cost.KernelCall)
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	if s.deleted {
 		return ErrNoSuchSegment
 	}
@@ -228,15 +228,15 @@ func (k *Kernel) dropAllExtentsLocked(s *Segment) {
 
 // ExtentCount reports how many extents are currently promoted on s.
 func (s *Segment) ExtentCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	return len(s.extents)
 }
 
 // ExtentAt reports the promoted extent covering page, if any.
 func (s *Segment) ExtentAt(page int64) (base int64, order int, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	for o := 1; o <= MaxExtentOrder; o++ {
 		if s.extOrderCount[o] == 0 {
 			continue

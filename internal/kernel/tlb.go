@@ -15,7 +15,7 @@ import "slices"
 // A tlb has one writer at a time and no lock of its own: the serial
 // scheduler's one kernel TLB is only touched from the delivering goroutine,
 // and under the concurrent scheduler each segment has its own, touched only
-// under that segment's mu (Kernel.tlbOf). Hit and miss counts are the
+// under that segment's lock (Kernel.tlbOf). Hit and miss counts are the
 // kernel's (kernelStats), not the TLB's.
 type tlb struct {
 	entries []tlbEntry
@@ -81,9 +81,10 @@ func (t *tlb) clone() *tlb {
 
 // tlbOf is the TLB that caches s's translations: the kernel's one R3000 TLB
 // under the serial scheduler, and under the concurrent one a TLB of s's own,
-// made on first use. Every caller holds s.mu, so a segment's TLB, like its
-// page store, has one writer at a time and needs no lock or shootdown of its
-// own.
+// made on first use. Every caller holds s's lock (Segment.lock, which takes
+// s.mu on exactly the kernels this gives a TLB of s's own), so a segment's
+// TLB, like its page store, has one writer at a time and needs no lock or
+// shootdown of its own.
 func (k *Kernel) tlbOf(s *Segment) *tlb {
 	if !k.concurrent {
 		return k.tlb

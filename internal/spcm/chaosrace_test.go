@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"epcm/internal/kernel"
 	"epcm/internal/manager"
 	"epcm/internal/phys"
 	"epcm/internal/sim"
@@ -24,11 +25,13 @@ import (
 // control goroutine for the idle debtors — which is the concurrency
 // contract the delivery plane provides in real runs; what is exercised
 // here is the SPCM's shared state: account mutexes, the striped free
-// list, demand counters and statistics.
+// list, demand counters and statistics. The kernel under it runs the
+// concurrent scheduler, the one that locks segments for callers on several
+// goroutines.
 func TestChaosEnforceVsReturnFrames(t *testing.T) {
 	policy := DefaultPolicy()
 	policy.FreeWhenUncontended = false // rent always charges: insolvency happens
-	fx := newFixture(t, policy)
+	fx := newFixtureOn(t, policy, kernel.Config{Concurrent: true})
 
 	const drivers = 4
 	var mgrs [drivers]*managerHandle

@@ -20,9 +20,17 @@ type fixture struct {
 
 func newFixture(t *testing.T, policy Policy) *fixture {
 	t.Helper()
+	return newFixtureOn(t, policy, kernel.Config{})
+}
+
+// newFixtureOn boots the fixture's kernel with cfg. A test that calls the
+// kernel from several goroutines needs cfg.Concurrent: a serial kernel takes
+// no segment lock and admits one goroutine at a time.
+func newFixtureOn(t *testing.T, policy Policy, cfg kernel.Config) *fixture {
+	t.Helper()
 	mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: 4 << 20, CacheColors: 8, Nodes: 2, StoreData: true})
 	var clock sim.Clock
-	k := kernel.New(mem, &clock, sim.DECstation5000(), kernel.Config{})
+	k := kernel.New(mem, &clock, sim.DECstation5000(), cfg)
 	fx := &fixture{clock: &clock, k: k, s: New(k, policy)}
 	t.Cleanup(func() { // every account's slot ledger included
 		if err := fx.s.CheckInvariants(); err != nil {

@@ -202,6 +202,22 @@ if grep -rnE 'sort\.Slice' --include='*.go' --exclude='*_test.go' internal/sim; 
     echo "non-test internal/sim calls sort.Slice: use slices.Sort (see the matches above)" >&2
     exit 1
 fi
+# A segment's mu is taken only through Segment.lock/unlock (and unlock's
+# out-of-line unlockMu), which take it under the concurrent scheduler alone:
+# the serial kernel's mapping table and TLB are unsynchronized anyway. No
+# other non-test internal/kernel function locks or unlocks a .mu directly;
+# the registry's k.mu, mgrMu and the concurrent scheduler's own mu are not
+# segment locks.
+seg_mu=$(awk '/^func /{fn=$0}
+    /\.mu\.(Lock|Unlock)\(\)/ && !/(^|[^A-Za-z0-9_.])k\.mu\./ &&
+    fn !~ /^func \(s \*Segment\) (lock|unlock|unlockMu)\(\)/ &&
+    fn !~ /^func \(s \*concurrentScheduler\)/ {print FILENAME ":" FNR ": " $0}' \
+    $(find internal/kernel -name '*.go' ! -name '*_test.go'))
+if [ -n "$seg_mu" ]; then
+    echo "$seg_mu"
+    echo "internal/kernel locks a segment's mu directly: use s.lock()/s.unlock(), which skip it on a serial kernel (see the matches above)" >&2
+    exit 1
+fi
 
 echo "== go vet =="
 go vet ./...
@@ -276,7 +292,7 @@ go test -run='^$' -fuzz='^FuzzStore$' -fuzztime=10s ./internal/storage
 echo "== bench smoke (1 iteration) =="
 go test -bench=Harness -benchtime=1x -run='^$' .
 go test -bench=DeliveryPlane -benchtime=1x -run='^$' ./internal/experiments
-go test -bench='BatchMigrate|TLB|MappingTable|CASTable|CheckDisjoint|DeliverFault' -benchtime=1x -run='^$' ./internal/kernel
+go test -bench='BatchMigrate|TLB|MappingTable|CASTable|CheckDisjoint|DeliverFault|Access' -benchtime=1x -run='^$' ./internal/kernel
 go test -bench='LockReleaseAll|LockCycle|Table4' -benchtime=1x -run='^$' ./internal/db
 go test -bench='MachineBoot|StockThenTouch' -benchtime=1x -run='^$' ./internal/manager
 go test -bench='EventHeap|WindowBarrier|Clock' -benchtime=1x -run='^$' ./internal/sim
