@@ -1,13 +1,12 @@
 package core
 
-// Differential tests for vectored fault delivery: the same workload, run
-// by colliding drivers under the concurrent scheduler (where fault runs
-// form) and by one driver under the serial scheduler (which never delivers
-// a run longer than one), must resolve the same faults — same fault count,
-// same fill count, same final residency — for every registered replacement
-// policy. Vectoring changes
-// how faults are *delivered* (batched upcalls) and *charged* (per-batch
-// trap/delivery legs), never which faults exist or how they resolve.
+// Differential tests for colliding drivers: the same workload, run by
+// several drivers against one manager under the concurrent scheduler (where
+// faults queue on the manager's lane) and by one driver under the serial
+// scheduler, must resolve the same faults — same fault count, same fill
+// count, same final residency, one upcall per fault — for each replacement
+// policy whose hooks keep state. Where a fault waits changes nothing about
+// which faults exist or how they resolve.
 
 import (
 	"runtime"
@@ -23,12 +22,12 @@ import (
 // vecDiffPolicies: the named policies whose hooks keep state run the
 // differential (random's keep none). Victim selection never fires (the
 // workload fits in memory), but the touch/admit hooks run on every fault
-// in both delivery modes.
+// under both schedulers.
 var vecDiffPolicies = []string{"clock", "lfu"}
 
 // slowZeroBacking is ZeroFill with a stall in Fill: while the lane's token
 // holder is parked inside the manager, the other drivers enqueue behind it,
-// which is what makes vectored batches actually form on a small host.
+// so faults actually queue on the lane's ring even on a small host.
 type slowZeroBacking struct {
 	manager.ZeroFill
 	stall time.Duration
@@ -44,12 +43,13 @@ func (b slowZeroBacking) Fill(seg *kernel.Segment, page int64, frame *phys.Frame
 }
 
 // vecDiffCounts is what one run of the workload produced, in quantities
-// that must be invariant under delivery vectoring.
+// that must not depend on how the drivers interleave.
 type vecDiffCounts struct {
 	Faults   int64 // manager fault events
 	Fills    int64 // backing fills
 	Resident int   // pages resident at the end
 	KMissing int64 // kernel missing-fault count
+	Upcalls  int64 // kernel ManagerCalls: no segment is deleted, so upcalls
 }
 
 // runVecDiff drives drivers x pagesPerDriver disjoint first-touch writes
@@ -57,7 +57,7 @@ type vecDiffCounts struct {
 // counts. The serial scheduler runs one driver (its delivery plane is a
 // synchronous call chain, and the single chain is the golden-reference
 // shape).
-func runVecDiff(t *testing.T, sched, policy string, drivers int, pagesPerDriver int64) (vecDiffCounts, int64) {
+func runVecDiff(t *testing.T, sched, policy string, drivers int, pagesPerDriver int64) vecDiffCounts {
 	t.Helper()
 	sys, err := Boot(Config{MemoryBytes: 16 << 20, Scheduler: sched, ReclaimPolicy: policy})
 	if err != nil {
@@ -111,53 +111,45 @@ func runVecDiff(t *testing.T, sched, policy string, drivers int, pagesPerDriver 
 		Fills:    g.Stats().Fills,
 		Resident: seg.PageCount(),
 		KMissing: st.MissingFaults,
-	}, st.VectoredBatches
+		Upcalls:  st.ManagerCalls,
+	}
 }
 
-// TestVectoredDifferentialCountsPerPolicy: for every policy, the vectored
-// concurrent run and the serial run both resolve exactly one fault and one
-// fill per first-touch page, and end fully resident. Any lost fault shows up as a short count or an
-// unreadable page; any double-resolution shows up as an extra fault or
-// fill (the kernel would reject the second migration with ErrPageBusy).
+// TestVectoredDifferentialCountsPerPolicy: for each policy, four colliding
+// drivers under the concurrent scheduler and one driver under the serial
+// scheduler both resolve exactly one fault and one fill per first-touch
+// page, through one upcall per fault, and end fully resident. Any lost
+// fault shows up as a short count or an unreadable page; any
+// double-resolution as an extra fault or fill (the kernel would reject the
+// second migration with ErrPageBusy); an upcall that carried more than one
+// fault as fewer upcalls than faults.
 func TestVectoredDifferentialCountsPerPolicy(t *testing.T) {
 	const (
 		drivers        = 4
 		pagesPerDriver = 192
 		footprint      = int64(drivers) * pagesPerDriver
 	)
-	want := vecDiffCounts{Faults: footprint, Fills: footprint, Resident: int(footprint), KMissing: footprint}
-	var sawBatches int64
+	want := vecDiffCounts{Faults: footprint, Fills: footprint, Resident: int(footprint), KMissing: footprint, Upcalls: footprint}
 	for _, policy := range vecDiffPolicies {
 		t.Run(policy, func(t *testing.T) {
-			vectored, batches := runVecDiff(t, "concurrent", policy, drivers, pagesPerDriver)
-			sawBatches += batches
-			serial, _ := runVecDiff(t, "serial", policy, 1, footprint)
+			colliding := runVecDiff(t, "concurrent", policy, drivers, pagesPerDriver)
+			serial := runVecDiff(t, "serial", policy, 1, footprint)
 			for _, c := range []struct {
 				mode string
 				got  vecDiffCounts
-			}{{"vectored", vectored}, {"serial", serial}} {
+			}{{"colliding", colliding}, {"serial", serial}} {
 				if c.got != want {
 					t.Errorf("%s/%s counts = %+v, want %+v", policy, c.mode, c.got, want)
 				}
 			}
 		})
 	}
-	// Batch formation is timing-dependent (an unloaded lane takes the
-	// inline fast path), so no single policy's run is required to batch —
-	// but across six policies of four colliding drivers each, at least one
-	// vectored upcall must have formed, or the vector path never ran.
-	if sawBatches == 0 {
-		t.Error("no vectored batches formed across any policy run; the vector path went unexercised")
-	} else {
-		t.Logf("vectored runs formed %d batches", sawBatches)
-	}
 }
 
 // TestVectoredCostParitySingleChain: one driver under the concurrent
 // scheduler — the shape every golden table runs — must produce the same
-// virtual-time total as the serial scheduler, because a single chain of
-// deliveries never queues two faults and so never forms a run longer than
-// one.
+// virtual-time total as the serial scheduler: each fault is one delivery
+// under either, charged the same legs.
 func TestVectoredCostParitySingleChain(t *testing.T) {
 	elapsed := func(sched string) time.Duration {
 		sys, err := Boot(Config{MemoryBytes: 16 << 20, Scheduler: sched})
@@ -178,8 +170,8 @@ func TestVectoredCostParitySingleChain(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if b := sys.Kernel.Stats().VectoredBatches; b != 0 {
-			t.Fatalf("single-chain %s run formed %d batches; the inline fast path should never batch", sched, b)
+		if st := sys.Kernel.Stats(); st.ManagerCalls != st.Faults {
+			t.Fatalf("single-chain %s run: %d upcalls for %d faults", sched, st.ManagerCalls, st.Faults)
 		}
 		return sys.Clock.Now()
 	}

@@ -43,8 +43,8 @@ type PlaneOptions struct {
 	// Drivers is how many faulting goroutines drive each manager under the
 	// concurrent scheduler, each covering a contiguous sub-range of the
 	// manager's pages. One driver (the default) can never queue two faults
-	// behind one manager, so vectored batches only form with Drivers > 1 —
-	// the configuration modelling several application threads sharing one
+	// behind one manager; with Drivers > 1 faults wait on the manager's lane
+	// — the configuration modelling several application threads sharing one
 	// segment manager. Ignored by the serial scheduler.
 	Drivers int
 }
@@ -56,7 +56,6 @@ type PlaneOptions struct {
 // drivers interleave), so the sweeps print it for serial rows only.
 type PlaneResult struct {
 	Faults           int64
-	VectoredBatches  int64
 	ExtentPromotions int64
 	// VirtualBusy is the virtual time charged by all managers together;
 	// Makespan is one manager's share of it.
@@ -154,7 +153,7 @@ func PlaneThroughput(opt PlaneOptions) (*PlaneResult, error) {
 		// Drivers goroutines per manager, each over a contiguous, disjoint
 		// sub-range of the manager's pages — several application threads
 		// faulting against one manager. With more than one, faults genuinely
-		// queue behind the manager's lane and vectored batches form.
+		// queue behind the manager's lane.
 		var wg sync.WaitGroup
 		errs := make([]error, opt.Managers*drivers)
 		for i, seg := range segs {
@@ -202,7 +201,6 @@ func PlaneThroughput(opt PlaneOptions) (*PlaneResult, error) {
 	after := k.Stats()
 	res := &PlaneResult{
 		Faults:           after.Faults - before.Faults,
-		VectoredBatches:  after.VectoredBatches - before.VectoredBatches,
 		ExtentPromotions: after.ExtentPromotions - before.ExtentPromotions,
 		VirtualBusy:      clock.Now(),
 	}

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -45,37 +47,50 @@ func TestPlaneThroughputConcurrent(t *testing.T) {
 	}
 }
 
-// BenchmarkDeliveryPlane drives the delivery-plane cell: both schedulers at
-// 1 and 4 managers at the sweep's size, and the two large cells a profile
-// of the fault hot path wants (run with -cpuprofile/-memprofile). ns/op and
-// -benchmem's allocs/op are the host-side numbers; model_faults/s is the
-// paper-model aggregate throughput.
+// BenchmarkDeliveryPlane times the delivery-plane cell on both schedulers
+// at 2 managers × 1 driver and at 1 manager × 2 drivers, 8 192 faults per
+// manager: the cells that say whether the concurrent scheduler pays for
+// itself (ROADMAP item 3). The serial scheduler drives round-robin on one
+// goroutine whatever Drivers says. One op is one whole cell, boot included.
+// The collector is held off while an op runs and runs with the timer
+// stopped between ops, so the numbers measure the delivery path, not the
+// collector. ns*procs/fault is wall time × GOMAXPROCS per fault: an arm
+// that wins wall time only by keeping a second core busy shows it there.
 func BenchmarkDeliveryPlane(b *testing.B) {
+	const fpm = 8192
 	for _, c := range []struct {
-		sched         string
-		managers, fpm int
+		sched             string
+		managers, drivers int
 	}{
-		{"serial", 1, 512}, {"serial", 4, 512}, {"concurrent", 1, 512}, {"concurrent", 4, 512},
-		{"serial", 1, 32768}, {"concurrent", 8, 32768},
+		{"serial", 2, 1}, {"concurrent", 2, 1}, {"serial", 1, 2}, {"concurrent", 1, 2},
 	} {
-		b.Run(fmt.Sprintf("%s/%dmgr/%d", c.sched, c.managers, c.fpm), func(b *testing.B) {
-			b.ReportAllocs()
+		b.Run(fmt.Sprintf("%s/%dmgr/%ddrv", c.sched, c.managers, c.drivers), func(b *testing.B) {
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			var before, after runtime.MemStats
 			var faults int64
-			var modelRate float64
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runtime.GC()
+				b.StartTimer()
 				r, err := PlaneThroughput(PlaneOptions{
 					Scheduler:        c.sched,
 					Managers:         c.managers,
-					FaultsPerManager: c.fpm,
+					FaultsPerManager: fpm,
+					Drivers:          c.drivers,
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
 				faults += r.Faults
-				modelRate = r.ModelFaultsPerSec()
 			}
-			b.ReportMetric(modelRate, "model_faults/s")
-			b.ReportMetric(float64(faults)/float64(b.N), "faults/op")
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			perFault := float64(b.Elapsed().Nanoseconds()) / float64(faults)
+			b.ReportMetric(perFault, "ns/fault")
+			b.ReportMetric(perFault*float64(runtime.GOMAXPROCS(0)), "ns*procs/fault")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(faults), "allocs/fault")
 		})
 	}
 }

@@ -106,6 +106,13 @@ type Manager interface {
 	SegmentDeleted(s *Segment)
 }
 
+// VectorHandler is a stub kept because bench/ names it: the kernel delivers
+// every fault alone, through Manager.HandleFault, and never calls
+// HandleFaultVector. ROADMAP item 7 removes it.
+type VectorHandler interface {
+	HandleFaultVector(fs []Fault, errs []error)
+}
+
 // Cred is a credential presented to kernel operations that touch restricted
 // segments (the boot frame segment is "limited to system processes,
 // specifically the system page cache manager", §2.1).

@@ -81,10 +81,9 @@ type Stats struct {
 	SuperpageOps     int64 // extent-granular operations charged SuperpageOp
 	ExtentPromotions int64 // extents promoted (explicitly or by migrate fast path)
 	ExtentDemotions  int64 // extents demoted (explicitly or by per-page hooks)
-	// Vectored-delivery counters (vector.go); zero unless the concurrent
-	// scheduler coalesced multi-fault runs into vectored upcalls.
-	VectoredBatches int64 // vectored upcalls delivered
-	VectoredFaults  int64 // faults carried by those upcalls
+	// VectoredBatches always reads 0: every fault is delivered alone. It is
+	// a stub kept because bench/ reads it; ROADMAP item 7 removes it.
+	VectoredBatches int64
 }
 
 // kernelStats is the live counter set. Counters are atomic so concurrent
@@ -112,8 +111,6 @@ type kernelStats struct {
 	SuperpageOps      sim.Padded
 	ExtentPromotions  sim.Padded
 	ExtentDemotions   sim.Padded
-	VectoredBatches   sim.Padded
-	VectoredFaults    sim.Padded
 }
 
 // Kernel is the simulated V++ kernel.
@@ -252,8 +249,6 @@ func (k *Kernel) Stats() Stats {
 		SuperpageOps:      k.stats.SuperpageOps.Load(),
 		ExtentPromotions:  k.stats.ExtentPromotions.Load(),
 		ExtentDemotions:   k.stats.ExtentDemotions.Load(),
-		VectoredBatches:   k.stats.VectoredBatches.Load(),
-		VectoredFaults:    k.stats.VectoredFaults.Load(),
 	}
 	s.HashHits, s.HashMisses, s.HashSpills, s.HashDrops = k.table.stats()
 	return s
@@ -287,8 +282,6 @@ func (ks *kernelStats) store(s Stats) {
 	ks.SuperpageOps.Store(s.SuperpageOps)
 	ks.ExtentPromotions.Store(s.ExtentPromotions)
 	ks.ExtentDemotions.Store(s.ExtentDemotions)
-	ks.VectoredBatches.Store(s.VectoredBatches)
-	ks.VectoredFaults.Store(s.VectoredFaults)
 }
 
 // BootSegment returns the well-known segment of all page frames.

@@ -384,7 +384,7 @@ func (nopManager) HandleFault(Fault) error {
 func (nopManager) SegmentDeleted(*Segment) {}
 
 // BenchmarkDeliverFault: one op is one fault from deliverFault through the
-// scheduler's post and processFaultRun (stats, trap, delivery and return
+// scheduler's post and processFault (stats, trap, delivery and return
 // charges) to a handler that does nothing, and back — the serial direct
 // call, and the concurrent scheduler's inline path (lane idle, token taken,
 // no enqueue). Neither allocates.

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -20,15 +21,16 @@ import (
 //     or an enqueue + wait for the reply, which lets N applications fault
 //     against N managers in parallel.
 //
-// Injection (DeliveryInterceptor), cost accounting (chargeDelivery and
-// chargeReturn) and crash recovery (Revoke) all live in processFaultRun
-// (vector.go) and processDelete below, so both schedulers get identical
-// semantics per message; the scheduler only decides where and when messages
-// run, and how many queued faults one delivery carries.
+// Every fault reaches its manager alone: one fault, one upcall, one
+// resolve, as in the paper's kernel (§2.1), whose Table 1 times exactly that
+// path. Injection (DeliveryInterceptor), cost accounting (chargeDelivery and
+// chargeReturn) and crash recovery (Revoke) all live in processFault and
+// processDelete below, so both schedulers get identical semantics per
+// message; the scheduler only decides where and when messages run.
 
 // Scheduler routes delivery-plane messages to managers. Both implementations
 // live in this file (the unexported methods seal the interface): each runs
-// every fault through processFaultRun and every deletion notice through
+// every fault through processFault and every deletion notice through
 // processDelete, so costing, injection and revocation behave identically in
 // every mode. The kernel's own entry points take the manager's record, which
 // carries its lane.
@@ -82,17 +84,11 @@ type delivery struct {
 	reply chan error
 }
 
-// process runs one lane message to completion. A fault message is a fault
-// run of one, delivered in the caller's one-element scratch (unused for the
-// other kinds); runs the concurrent scheduler drains off a lane go to
-// processFaultRun directly.
-func (k *Kernel) process(d delivery, fs []Fault, errs []error) error {
+// process runs one lane message to completion.
+func (k *Kernel) process(d delivery) error {
 	switch d.kind {
 	case msgFault:
-		var idx [1]int
-		fs[0] = d.fault
-		k.processFaultRun(d.cell, fs[:1], errs[:1], idx[:])
-		return errs[0]
+		return k.processFault(d.cell, d.fault)
 	case msgDelete:
 		k.processDelete(d.cell, d.seg)
 		return nil
@@ -100,6 +96,62 @@ func (k *Kernel) process(d delivery, fs []Fault, errs []error) error {
 		d.fn()
 		return nil
 	}
+}
+
+// processFault is the delivery path of one fault f for the manager of record
+// c: statistics, the trap cost, the injection interceptor, the delivery cost
+// for the manager's mode, the handler, crash containment, and the return
+// cost, which is paid only when the handler resolved the fault. It returns
+// nil for a resolved fault and for a lost delivery — dropped, or the manager
+// crashed and was revoked — where the faulting process simply re-faults
+// (against the adopting manager, after a crash). A crash surfaces only when
+// no manager can adopt the segment.
+func (k *Kernel) processFault(c *managerCell, f Fault) error {
+	m, seg := c.m, f.Seg.id
+	k.stats.ManagerCalls.Add(uint64(seg), 1)
+	k.clock.AdvanceOn(uint64(seg), k.cost.Trap)
+	k.stats.Faults.Add(uint64(seg), 1)
+	switch f.Kind {
+	case FaultMissing:
+		k.stats.MissingFaults.Add(uint64(seg), 1)
+	case FaultProtection:
+		k.stats.ProtFaults.Add(uint64(seg), 1)
+	case FaultCopyOnWrite:
+		k.stats.COWFaults.Add(uint64(seg), 1)
+	}
+	if k.interceptor != nil {
+		switch r := k.interceptor(f, m); {
+		case r.Crash:
+			// The manager process died before fielding the fault. Revoke
+			// it; the retry loop re-delivers to the default manager.
+			if _, rerr := k.Revoke(m); rerr != nil {
+				return pageError(fmt.Errorf("%w: %q: %w", ErrManagerCrashed, m.ManagerName(), rerr), f.Seg, f.Page)
+			}
+			return nil
+		case r.Drop:
+			k.stats.DroppedDeliveries.Add(1)
+			return nil
+		case r.Delay > 0:
+			k.stats.DelayedDeliveries.Add(1)
+			k.clock.AdvanceOn(uint64(seg), r.Delay)
+		}
+	}
+	k.chargeDelivery(seg, m.Delivery())
+	if err := m.HandleFault(f); err != nil {
+		// A manager that died mid-handling is revoked and the fault is a
+		// lost delivery: resolved or not, the retry is absorbed by the
+		// page-present check or re-faults to the adopter. Resolution is
+		// MigratePages into the faulted page, which the kernel rejects with
+		// ErrPageBusy if run twice, so nothing double-resolves.
+		if errors.Is(err, ErrManagerCrashed) {
+			if _, rerr := k.Revoke(m); rerr == nil {
+				return nil
+			}
+		}
+		return fmt.Errorf("%w: %q on %v: %w", ErrManagerFailed, m.ManagerName(), f, err)
+	}
+	k.chargeReturn(seg, m.Delivery())
+	return nil
 }
 
 // processDelete is the deletion-notice path: one manager call, the delivery
@@ -123,18 +175,6 @@ func (k *Kernel) processDelete(c *managerCell, s *Segment) {
 // are unsynchronized anyway, so one goroutine at a time may be in it.
 type serialScheduler struct {
 	k *Kernel
-	// free stacks the run-of-one scratch faults are delivered in: fs and
-	// errs reach the handler through an interface, so they live on the heap,
-	// and a delivery nested inside a handler pops its own — the outer
-	// fault's scratch is still in use below it.
-	free []*faultScratch
-}
-
-// faultScratch is one serial delivery's run of one.
-type faultScratch struct {
-	fault [1]Fault
-	err   [1]error
-	idx   [1]int
 }
 
 // NewSerialScheduler returns the deterministic, single-goroutine scheduler.
@@ -147,18 +187,7 @@ func (s *serialScheduler) Name() string     { return "serial" }
 func (s *serialScheduler) Concurrent() bool { return false }
 
 func (s *serialScheduler) deliverFault(c *managerCell, f Fault) error {
-	var sc *faultScratch
-	if n := len(s.free); n > 0 {
-		sc, s.free = s.free[n-1], s.free[:n-1]
-	} else {
-		sc = new(faultScratch)
-	}
-	sc.fault[0] = f
-	s.k.processFaultRun(c, sc.fault[:], sc.err[:], sc.idx[:])
-	err := sc.err[0]
-	sc.fault[0], sc.err[0] = Fault{}, nil // hold no segment or error past the call
-	s.free = append(s.free, sc)
-	return err
+	return s.k.processFault(c, f)
 }
 
 func (s *serialScheduler) notifyDeleted(c *managerCell, seg *Segment) {
@@ -168,7 +197,7 @@ func (s *serialScheduler) notifyDeleted(c *managerCell, seg *Segment) {
 func (s *serialScheduler) Exec(_ Manager, fn func()) { fn() }
 
 // revoke has nothing to discard: no serial message is ever queued. A fault
-// whose manager is revoked mid-handling is answered by processFaultRun.
+// whose manager is revoked mid-handling is answered by processFault.
 func (s *serialScheduler) revoke(*managerCell) {}
 
 func (s *serialScheduler) Stop() {}
@@ -195,19 +224,13 @@ type lane struct {
 	// maint is the manager's optional idle hook (LaneMaintainer), resolved
 	// once at lane creation so the hot path pays no type assertion.
 	maint LaneMaintainer
-	// buf is the executor's drain batch; vecFaults/vecErrs/vecIdx are the
-	// scratch a fault run is delivered in (processFaultRun, vector.go).
-	// Only the token holder touches any of them, so none need
-	// synchronization, and a delivery allocates nothing.
-	buf       [laneDrainBatch]plane.Envelope[delivery]
-	vecFaults [laneDrainBatch]Fault
-	vecErrs   [laneDrainBatch]error
-	vecIdx    [laneDrainBatch]int
+	// buf is the executor's drain batch. Only the token holder touches it,
+	// so it needs no synchronization, and a delivery allocates nothing.
+	buf [laneDrainBatch]plane.Envelope[delivery]
 }
 
 // laneDrainBatch is how many queued messages the executor pulls from the
-// ring per PopMany — one head publication amortized over the batch, and so
-// the ceiling on how many faults one vectored upcall can carry.
+// ring per PopMany — one head publication amortized over the batch.
 const laneDrainBatch = 64
 
 // LaneMaintainer is an optional Manager extension. When a manager
@@ -269,36 +292,26 @@ func (s *concurrentScheduler) laneOf(c *managerCell) *lane {
 	return ln
 }
 
-// drainCells processes every queued message of a lane. The caller must hold
-// the lane's combining token. Messages of a revoked lane are answered nil —
-// lost deliveries, so the faulting processes retry against the adopting
-// manager. Consecutive fault messages popped in one batch are one run, and
-// a run is one delivery (vector.go) — of one fault on a lightly loaded lane,
-// which never pops more, and of up to laneDrainBatch when producers queue.
+// drainCells processes every queued message of a lane, in arrival order,
+// and answers each poster on its own: a queued fault is one delivery, like
+// any other. The caller must hold the lane's combining token. Messages of a
+// revoked lane are answered nil — lost deliveries, so the faulting processes
+// retry against the adopting manager.
 func (s *concurrentScheduler) drainCells(ln *lane) {
 	for {
 		n := ln.ring.PopMany(ln.buf[:])
 		if n == 0 {
 			return
 		}
-		for i := 0; i < n; {
-			if ln.revoked.Load() {
-				replyRun(ln.buf[i:n], nil)
-				break
+		for i := range ln.buf[:n] {
+			var err error
+			if !ln.revoked.Load() {
+				err = s.k.process(ln.buf[i].Msg)
 			}
-			run := faultRunLen(ln.buf[i:n])
-			if run == 0 {
-				ln.vecErrs[0] = s.k.process(ln.buf[i].Msg, nil, nil)
-				replyRun(ln.buf[i:i+1], ln.vecErrs[:1])
-				i++
-				continue
+			if reply := ln.buf[i].Msg.reply; reply != nil {
+				reply <- err
 			}
-			for j := 0; j < run; j++ {
-				ln.vecFaults[j] = ln.buf[i+j].Msg.fault
-			}
-			s.k.processFaultRun(ln.buf[i].Msg.cell, ln.vecFaults[:run], ln.vecErrs[:run], ln.vecIdx[:run])
-			replyRun(ln.buf[i:i+run], ln.vecErrs[:run])
-			i += run
+			ln.buf[i] = plane.Envelope[delivery]{} // drop the message's references
 		}
 	}
 }
@@ -342,7 +355,7 @@ func (s *concurrentScheduler) post(c *managerCell, d delivery) error {
 			return nil
 		}
 		s.drainCells(ln) // anything that slipped in first, in order
-		err := s.k.process(d, ln.vecFaults[:1], ln.vecErrs[:1])
+		err := s.k.process(d)
 		s.combine(ln) // drains again, then releases with recheck
 		return err
 	}

@@ -131,8 +131,8 @@ func runNested(t *testing.T, crash, fail bool) nestedRun {
 // TestSerialNestedDelivery: on the serial scheduler a delivery nested inside
 // a handler — a fault to a second manager, a deletion notice, an Exec, and
 // a crash whose Revoke runs mid-handler — is handled exactly once, in call
-// order, on its own scratch: the outer fault's value and outcome come back
-// intact, and two runs agree on every counter.
+// order: the outer fault's value and outcome come back intact, and two runs
+// agree on every counter.
 func TestSerialNestedDelivery(t *testing.T) {
 	t.Parallel()
 	for _, row := range []struct {

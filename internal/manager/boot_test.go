@@ -176,8 +176,9 @@ func BenchmarkMachineBoot(b *testing.B) {
 
 // TestSerialFaultAllocatesNothing drives first-touch faults through Generic
 // on the serial scheduler with a stocked free list — bench's fill, without
-// the SPCM — and counts host allocations: a serial delivery is a call on
-// scheduler-owned scratch and a group of one is one range, so none.
+// the SPCM — and counts host allocations: a serial delivery is a direct
+// call and each kernel call the fault makes takes one range held on the
+// stack, so none.
 func TestSerialFaultAllocatesNothing(t *testing.T) {
 	if manager.RaceEnabled() {
 		t.Skip("allocation counts are not meaningful under -race")

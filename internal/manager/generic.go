@@ -149,16 +149,6 @@ type Generic struct {
 	// fill) so the fast path stays off the allocator.
 	extStatePool []*extentState
 	runCands     []int64 // PageInContiguous's sorted free-slot scratch
-
-	// Fault-pipeline scratch (vector.go). Only the manager's delivery
-	// context resolves faults, so none of it needs locking, and a
-	// steady-state fault allocates nothing.
-	vecClass   []uint8
-	vecSeen    map[resKey]struct{}
-	vecMembers []int
-	vecChosen  []int
-	vecSlotIdx []int
-	vecRanges  []kernel.PageRange
 }
 
 var _ kernel.Manager = (*Generic)(nil)
@@ -314,67 +304,49 @@ func (g *Generic) Granted(slots []int64, err error) {
 	g.slots.close(slots, err)
 }
 
-// HandleFault and HandleFaultVector — the fault pipeline — are in vector.go.
+// HandleFault and PageIn — the fault pipeline — are in fault.go.
 
-// PageIn serves one missing-page or copy-on-write fault through the fault
-// pipeline as a group of one. It is exported so managers built on Generic
-// (e.g. the default manager's multi-page append allocation) can drive it
-// directly; unlike HandleFault it counts no fault.
-func (g *Generic) PageIn(f kernel.Fault) error {
-	fs, errs, one := [1]kernel.Fault{f}, [1]error{}, [1]int{}
-	g.pageIn(fs[:], errs[:], one[:], false)
-	return errs[0]
-}
-
-// acquireSlots picks n free slots whose frames satisfy the constraint and
-// returns their free-list indices, asking the frame source and then local
-// reclamation for more — three rounds — while the list is short. When it
-// returns fewer than n, the error says why: the source's or the reclaim's
-// own, else ErrNoMemory. Unassociated frames come first; fast-refault
-// associations are broken only if needed, and only for slots returned.
-func (g *Generic) acquireSlots(n int, constraint phys.Range) ([]int, error) {
+// acquireSlot picks a free slot whose frame satisfies the constraint and
+// returns its free-list index, asking the frame source and then local
+// reclamation for more — three rounds — while no listed frame admits. When
+// it finds none, the error says why: the source's or the reclaim's own,
+// else ErrNoMemory. Unassociated frames come first; a fast-refault
+// association is broken only if needed, and only for the slot returned.
+func (g *Generic) acquireSlot(constraint phys.Range) (int, error) {
 	// The unconstrained case — every fault without a Constraint hook — skips
 	// the per-slot frame resolution entirely: any frame admits.
 	unconstrained := !constraint.Constrained()
-	var err error
-	chosen := g.vecChosen[:0]
+	want := max(1, g.cfg.RequestBatch)
 	for round := 0; ; round++ {
-		chosen = chosen[:0]
 		for _, recall := range [2]bool{false, true} {
-			for i := 0; i < len(g.slots.listed) && len(chosen) < n; i++ {
-				fs := &g.slots.listed[i]
-				if fs.recall != recall || (!unconstrained && !constraint.Admits(fs.frame)) {
-					continue
+			for i := range g.slots.listed {
+				if fs := &g.slots.listed[i]; fs.recall == recall && (unconstrained || constraint.Admits(fs.frame)) {
+					g.slots.forget(i)
+					return i, nil
 				}
-				chosen = append(chosen, i)
 			}
 		}
-		if len(chosen) == n || round == 3 {
+		if round == 3 {
 			break
 		}
-		want := max(n-len(chosen), g.cfg.RequestBatch)
 		if g.cfg.Source != nil {
-			var granted int
-			if granted, err = g.cfg.Source.RequestFrames(g, want, constraint); err != nil {
-				break
+			granted, err := g.cfg.Source.RequestFrames(g, want, constraint)
+			if err != nil {
+				return -1, err
 			}
 			if granted > 0 {
 				continue
 			}
 		}
-		var got int
-		if got, err = g.Reclaim(want, constraint); err != nil || got == 0 {
+		got, err := g.Reclaim(want, constraint)
+		if err != nil {
+			return -1, err
+		}
+		if got == 0 {
 			break
 		}
 	}
-	g.vecChosen = chosen
-	for _, i := range chosen {
-		g.slots.forget(i)
-	}
-	if len(chosen) < n && err == nil {
-		err = fmt.Errorf("%w (manager %s, constraint %v)", ErrNoMemory, g.cfg.Name, constraint)
-	}
-	return chosen, err
+	return -1, fmt.Errorf("%w (manager %s, constraint %v)", ErrNoMemory, g.cfg.Name, constraint)
 }
 
 func (g *Generic) addResident(key resKey) {

@@ -73,21 +73,18 @@ func (g *Generic) SwapIn(seg *kernel.Segment, pages []int64) (SwapStats, error) 
 		if seg.HasPage(p) {
 			continue
 		}
-		chosen, err := g.acquireSlots(1, phys.AnyFrame())
+		ci, err := g.acquireSlot(phys.AnyFrame())
 		if err != nil {
 			return st, fmt.Errorf("swap in %v page %d: %w", seg, p, err)
 		}
-		slotIdx := [1]int{chosen[0]}
-		frame := g.slots.listed[slotIdx[0]].frame
-		switch err := g.fillFrame(seg, p, frame); {
+		switch err := g.fillFrame(seg, p, g.slots.listed[ci].frame); {
 		case err == nil:
 			g.stats.Fills++
 		case !errors.Is(err, ErrSkipFill):
 			return st, fmt.Errorf("swap in %v page %d: %w", seg, p, err)
 		}
-		f, errs, one := [1]kernel.Fault{{Seg: seg, Page: p}}, [1]error{}, [1]int{}
-		if g.settle(f[:], errs[:], one[:], slotIdx[:]); errs[0] != nil {
-			return st, errs[0]
+		if err := g.settle(kernel.Fault{Seg: seg, Page: p}, ci); err != nil {
+			return st, err
 		}
 		st.PagesIn++
 	}

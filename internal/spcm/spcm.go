@@ -354,9 +354,11 @@ func (s *SPCM) SettleAll() {
 	}
 }
 
-// ChargeIO records n pages of I/O against a manager's account. It also
-// implements manager.IOAccountant, so a manager resolving a vectored fault
-// batch bills the group's fills in one call.
+// ChargeIO records n pages of I/O against a manager's account. No manager
+// path calls it: the kernel delivers every fault alone, and a fault's fill
+// is not billed (DESIGN §16). It is a stub kept because bench/ calls it;
+// ROADMAP item 7 removes it, unless item 4's one I/O billing rule bills
+// every fill through it.
 func (s *SPCM) ChargeIO(g *manager.Generic, pages int64) {
 	s.regMu.RLock()
 	a, ok := s.accounts[g]
@@ -396,10 +398,7 @@ func (s *SPCM) vetoed(gate func(n int) bool, n int) bool {
 	return !gate(n)
 }
 
-var (
-	_ manager.FrameSource  = (*SPCM)(nil)
-	_ manager.IOAccountant = (*SPCM)(nil)
-)
+var _ manager.FrameSource = (*SPCM)(nil)
 
 // admit is the preamble of every grant: resolve the account, settle it, and
 // refuse an insolvent account or a request the grant gate vetoes (injected

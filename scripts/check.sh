@@ -143,6 +143,25 @@ if grep -rnE 'plane\.Group|NewMailbox|PopOldest|deliveryResult|\.box\b' --includ
     exit 1
 fi
 
+# Every fault reaches its manager alone — one fault, one upcall, one resolve,
+# on both schedulers — so the vectored delivery path, the manager's
+# classify/group pipeline and the serial scheduler's per-delivery scratch
+# stack stay deleted.
+if grep -rnE 'processFaultRun|faultRunLen|replyRun|faultScratch|vecFaults|vecClass|vecSeen|vecMembers|VectoredFaults' --include='*.go' --exclude='*_test.go' internal/; then
+    echo "a vectored-delivery mechanism is back: every fault is delivered alone (see the matches above)" >&2
+    exit 1
+fi
+
+# §3.1 splits mechanism from policy: the kernel moves frames and flags as it
+# is told, so non-test internal/kernel imports no manager, policy, storage
+# or market package of this module — only phys, plane and sim.
+kernel_imports=$(go list -f '{{join .Imports "\n"}}' ./internal/kernel)
+if policy_imports=$(grep '^epcm/' <<<"$kernel_imports" | grep -vxE 'epcm/internal/(phys|plane|sim)'); then
+    echo "$policy_imports"
+    echo "internal/kernel imports a package beyond phys, plane and sim (see above): policy lives outside the kernel" >&2
+    exit 1
+fi
+
 # A page entry is an 8-byte frame number stored in place in the page store,
 # and a large page is the frame run [pfn, pfn+fpp): no per-page entry box or
 # frame-pointer slice comes back into the kernel.
