@@ -109,7 +109,7 @@ func BenchmarkTable1Read4K(b *testing.B) {
 		b.Fatal(err)
 	}
 	sys.Store.Preload("f", 4, nil)
-	f, err := sys.OpenFile("f")
+	f, err := sys.Default.OpenFile("f")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func BenchmarkTable1Write4K(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	f, err := sys.OpenFile("f")
+	f, err := sys.Default.OpenFile("f")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -449,27 +449,23 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var g *manager.Generic
-		var pf *manager.Prefetch
+		var seg *kernel.Segment
 		if depth > 0 {
 			dev := manager.NewAsyncDevice(&clock, storage.LocalDisk())
-			pf, err = manager.NewPrefetch(k, manager.Config{Name: "pf", Source: pool}, dev, store, depth)
+			pf, err := manager.NewPrefetch(k, manager.Config{Name: "pf", Source: pool}, dev, store, depth)
 			if err != nil {
 				b.Fatal(err)
 			}
-			g = pf.Generic
-		} else {
-			fb := manager.NewFileBacking(store)
-			g, err = manager.NewGeneric(k, manager.Config{Name: "demand", Backing: fb, Source: pool})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		seg, _ := g.CreateManagedSegment("m")
-		if pf != nil {
+			seg, _ = pf.CreateManagedSegment("m")
 			pf.BindFile(seg, "matrix")
 		} else {
-			g.Backing().(*manager.FileBacking).BindFile(seg, "matrix")
+			fb := manager.NewFileBacking(store)
+			g, err := manager.NewGeneric(k, manager.Config{Name: "demand", Backing: fb, Source: pool})
+			if err != nil {
+				b.Fatal(err)
+			}
+			seg, _ = g.CreateManagedSegment("m")
+			fb.BindFile(seg, "matrix")
 		}
 		start := clock.Now()
 		for p := int64(0); p < pages; p++ {

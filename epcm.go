@@ -21,13 +21,12 @@
 //	seg, err := mgr.CreateManagedSegment("data")
 //	err = sys.Kernel.Access(seg, 0, epcm.Write) // faults to *your* manager
 //
-// See examples/ for complete programs and bench_test.go for the harnesses
-// that regenerate every table of the paper's evaluation.
+// See examples/ for complete programs, each built on this package alone, and
+// cmd/reproduce for the program that regenerates every table of the paper's
+// evaluation.
 package epcm
 
 import (
-	"io"
-
 	"epcm/internal/apps"
 	"epcm/internal/core"
 	"epcm/internal/db"
@@ -37,8 +36,6 @@ import (
 	"epcm/internal/phys"
 	"epcm/internal/spcm"
 	"epcm/internal/storage"
-	"epcm/internal/trace"
-	"epcm/internal/workload"
 )
 
 // System is a booted V++ machine: kernel, SPCM, default segment manager and
@@ -171,28 +168,10 @@ const (
 // 95 % DebitCredit / 5 % joins).
 func DefaultDBParams() DBParams { return db.DefaultParams() }
 
-// RunDB runs one database configuration to completion.
-func RunDB(cfg DBConfig, p DBParams) *DBResult { return db.New(cfg, p).Run() }
-
 // RunDBAll runs all four Table 4 configurations side by side on one draw of
 // the arrival stream and returns them in Table 4 order; a configuration
 // that panics panics again on the caller.
 func RunDBAll(p DBParams) []*DBResult { return db.RunAll(p) }
-
-// WorkloadSpec is a §3.2 application model (diff, uncompress, latex).
-type WorkloadSpec = workload.Spec
-
-// Workloads returns the three Table 2/3 application models.
-func Workloads() []WorkloadSpec { return workload.All() }
-
-// MultiPool is the DBMS-style manager with per-data-type free-page
-// segments and scratch stealing (§2.2).
-type MultiPool = manager.MultiPool
-
-// NewMultiPool creates a multi-pool manager on a booted system.
-func NewMultiPool(sys *System, name string) *MultiPool {
-	return manager.NewMultiPool(sys.Kernel, name)
-}
 
 // Checkpointer and WriteBarrier are the Appel-Li style user-level
 // algorithms of §3.1: concurrent checkpointing and a concurrent-GC write
@@ -204,15 +183,6 @@ type (
 
 // MP3D is the §1 memory-adaptive particle simulation.
 type MP3D = apps.MP3D
-
-// Advanced backings (§2.1's "replicated writeback, page compression and
-// logging" schemes), all ordinary Backing implementations requiring no
-// kernel support.
-type (
-	CompressedBacking = manager.CompressedBacking
-	ReplicatedBacking = manager.ReplicatedBacking
-	LoggingBacking    = manager.LoggingBacking
-)
 
 // --- Fault injection ---------------------------------------------------
 
@@ -257,9 +227,9 @@ type BlockStore = storage.BlockStore
 // LatencyModel describes a storage device's timing.
 type LatencyModel = storage.LatencyModel
 
-// Latency models of the paper's devices.
-func LocalDisk() LatencyModel     { return storage.LocalDisk() }
-func NetworkServer() LatencyModel { return storage.NetworkServer() }
+// LocalDisk is the latency model of the paper's local disk (Config.Storage
+// defaults to its diskless network file server).
+func LocalDisk() LatencyModel { return storage.LocalDisk() }
 
 // --- Backings ------------------------------------------------------------
 
@@ -276,48 +246,29 @@ func NewFileBacking(store BlockStore) *FileBacking { return manager.NewFileBacki
 // NewSwapBacking persists anonymous pages to per-segment swap files.
 func NewSwapBacking(store BlockStore) *SwapBacking { return manager.NewSwapBacking(store) }
 
-// NewCompressedBacking stores pages run-length encoded (§2.1 compression).
-func NewCompressedBacking(store BlockStore) *CompressedBacking {
-	return manager.NewCompressedBacking(store)
-}
-
-// NewReplicatedBacking writes every page to two backings (§2.1 replicated
-// writeback).
-func NewReplicatedBacking(primary, replica Backing) *ReplicatedBacking {
-	return manager.NewReplicatedBacking(primary, replica)
-}
-
-// NewLoggingBacking journals writebacks ahead of their home locations
-// (§2.1 logging; database commit ordering).
-func NewLoggingBacking(store BlockStore, logName string) *LoggingBacking {
-	return manager.NewLoggingBacking(store, logName)
-}
-
 // --- Manager specializations ----------------------------------------------
 
-// Prefetch is the read-ahead manager; AsyncDevice models its overlapped
-// storage device.
-type (
-	Prefetch    = manager.Prefetch
-	AsyncDevice = manager.AsyncDevice
-)
+// The manager constructors are methods of System: NewAppManager (a plain
+// Generic), NewColoring, NewPlacement and NewPrefetch. Each follows one
+// rule: a manager draws on the ManagerConfig.Source the caller set (a
+// FixedPool from System.NewFixedPool, say) and opens no account, or else on
+// the SPCM through a new account funded with the income it is given.
 
-// NewAsyncDevice builds an overlapped storage device on the system clock.
-func NewAsyncDevice(sys *System, model LatencyModel) *AsyncDevice {
-	return manager.NewAsyncDevice(sys.Clock, model)
-}
+// Prefetch is the read-ahead manager System.NewPrefetch builds.
+type Prefetch = manager.Prefetch
 
-// NewColoring builds a page-coloring manager over the system's SPCM.
-func NewColoring(sys *System, cfg ManagerConfig, colors int) (*Generic, error) {
-	cfg.Source = sys.SPCM
-	return manager.NewColoring(sys.Kernel, cfg, colors)
-}
+// FixedPool is a frame source of its own that System.NewFixedPool stocks
+// out of the SPCM: set it as ManagerConfig.Source and a manager is granted
+// its frames in page order, with no account and no rent.
+type FixedPool = manager.FixedPool
 
-// NewPlacement builds a NUMA-placement manager over the system's SPCM.
-func NewPlacement(sys *System, cfg ManagerConfig, nodeOf func(f Fault) int) (*Generic, error) {
-	cfg.Source = sys.SPCM
-	return manager.NewPlacement(sys.Kernel, cfg, nodeOf)
-}
+// Cache is a physically-indexed, set-associative cache model with one set
+// per page color: what page coloring (System.NewColoring) is measured
+// against.
+type Cache = phys.Cache
+
+// NewCache builds a cache model with colors sets of ways frames each.
+func NewCache(colors, ways int) *Cache { return phys.NewCache(colors, ways) }
 
 // Fault delivery modes (ManagerConfig.Delivery).
 const (
@@ -351,33 +302,4 @@ func NewWriteBarrier(sys *System, seg *Segment) *WriteBarrier {
 // NewMP3D builds the §1 memory-adaptive particle simulation.
 func NewMP3D(sys *System, backing Backing, income float64) (*MP3D, error) {
 	return apps.NewMP3D(sys.Kernel, sys.SPCM, backing, income)
-}
-
-// ParallelQuery is the §1 XPRS-style adaptive-parallelism query model.
-type ParallelQuery = apps.ParallelQuery
-
-// NewParallelQuery builds a query executor registered with the SPCM.
-func NewParallelQuery(sys *System, backing Backing, income float64) (*ParallelQuery, error) {
-	return apps.NewParallelQuery(sys.Kernel, sys.SPCM, backing, income)
-}
-
-// --- Traces ------------------------------------------------------------------
-
-// Trace is a recorded page-reference string; Recorder captures one.
-type (
-	Trace    = trace.Trace
-	TraceRef = trace.Ref
-	Recorder = trace.Recorder
-)
-
-// NewRecorder wraps the system's kernel to capture references.
-func NewRecorder(sys *System) *Recorder { return trace.NewRecorder(sys.Kernel) }
-
-// DecodeTrace parses the text trace format.
-func DecodeTrace(r io.Reader) (*Trace, error) { return trace.Decode(r) }
-
-// ReplayTrace replays a trace against the system, creating segments under
-// the given manager.
-func ReplayTrace(sys *System, t *Trace, mgr *Generic) (trace.ReplayResult, error) {
-	return trace.Replay(sys.Kernel, t, mgr.CreateManagedSegment)
 }

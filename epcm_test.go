@@ -1,7 +1,6 @@
 package epcm_test
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -10,14 +9,14 @@ import (
 )
 
 // The facade must support the full quickstart flow without reaching into
-// internal packages beyond constructors.
+// internal packages.
 func TestFacadeQuickstartFlow(t *testing.T) {
 	sys, err := epcm.Boot(epcm.Config{MemoryBytes: 8 << 20, StoreData: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys.Store.Preload("data", 16, func(b int64, buf []byte) { buf[0] = byte(b) })
-	backing := manager.NewFileBacking(sys.Store)
+	backing := epcm.NewFileBacking(sys.Store)
 	mgr, account, err := sys.NewAppManager(epcm.ManagerConfig{Name: "facade", Backing: backing}, 500)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +64,10 @@ func TestFacadeDBExperiment(t *testing.T) {
 	p := epcm.DefaultDBParams()
 	p.Transactions = 500
 	p.Warmup = 50
-	r := epcm.RunDB(epcm.DBIndexInMemory, p)
+	r := epcm.RunDBAll(p)[1]
+	if r.Config != epcm.DBIndexInMemory {
+		t.Fatalf("second result is %v, want the in-memory index", r.Config)
+	}
 	if r.Deadlocked != 0 || r.CompletedTxns != 500 {
 		t.Fatalf("run broken: %+v", r)
 	}
@@ -74,28 +76,12 @@ func TestFacadeDBExperiment(t *testing.T) {
 	}
 }
 
-func TestFacadeWorkloads(t *testing.T) {
-	specs := epcm.Workloads()
-	if len(specs) != 3 {
-		t.Fatalf("workloads = %d", len(specs))
-	}
-	names := map[string]bool{}
-	for _, s := range specs {
-		names[s.Name] = true
-	}
-	for _, want := range []string{"diff", "uncompress", "latex"} {
-		if !names[want] {
-			t.Fatalf("missing workload %q", want)
-		}
-	}
-}
-
 func TestFacadeMultiPool(t *testing.T) {
 	sys, err := epcm.Boot(epcm.Config{MemoryBytes: 8 << 20, StoreData: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp := epcm.NewMultiPool(sys, "dbms")
+	mp := manager.NewMultiPool(sys.Kernel, "dbms")
 	if _, err := mp.AddPool("relations", epcm.ManagerConfig{Source: sys.SPCM}); err != nil {
 		t.Fatal(err)
 	}
@@ -129,20 +115,15 @@ func TestFacadeMarketPolicy(t *testing.T) {
 	}
 }
 
-// Everything a downstream user needs must be reachable through the facade
-// alone: this test exercises backings, traces and the user-level apps
-// using only epcm-package identifiers (plus values obtained from it).
+// Everything the examples use must be reachable through the facade alone:
+// this test exercises backings, manager specializations and the user-level
+// apps using only epcm-package identifiers (plus values obtained from it).
 func TestFacadeIsSelfSufficient(t *testing.T) {
 	sys, err := epcm.Boot(epcm.Config{MemoryBytes: 8 << 20, StoreData: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Backings through the facade.
-	fb := epcm.NewFileBacking(sys.Store)
 	sb := epcm.NewSwapBacking(sys.Store)
-	_ = epcm.NewCompressedBacking(sys.Store)
-	_ = epcm.NewReplicatedBacking(fb, sb)
-	_ = epcm.NewLoggingBacking(sys.Store, "journal")
 
 	// A manager with a facade-only config.
 	mgr, _, err := sys.NewAppManager(epcm.ManagerConfig{
@@ -158,43 +139,10 @@ func TestFacadeIsSelfSufficient(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Record a trace, encode, decode, replay.
-	rec := epcm.NewRecorder(sys)
-	rec.Register(seg, "data")
-	for p := int64(0); p < 4; p++ {
-		if err := rec.Access(seg, p, epcm.Write); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := rec.Trace.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := epcm.DecodeTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys2, err := epcm.Boot(epcm.Config{MemoryBytes: 8 << 20, StoreData: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr2, _, err := sys2.NewAppManager(epcm.ManagerConfig{Name: "replayer"}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := epcm.ReplayTrace(sys2, tr, mgr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Refs != 4 || res.Faults != 4 {
-		t.Fatalf("replay: %+v", res)
-	}
-
 	// User-level algorithms.
 	ck := epcm.NewCheckpointer(sys)
 	ck.Attach(mgr, seg)
-	wb := epcm.NewWriteBarrier(sys, seg)
-	_ = wb
+	_ = epcm.NewWriteBarrier(sys, seg)
 	mp3d, err := epcm.NewMP3D(sys, sb, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -202,26 +150,97 @@ func TestFacadeIsSelfSufficient(t *testing.T) {
 	if _, err := mp3d.Step(); err != nil {
 		t.Fatal(err)
 	}
-	q, err := epcm.NewParallelQuery(sys, sb, 1e6)
+
+	// A file read ahead by the prefetching manager, from a fixed pool.
+	sys.Store.Preload("input", 8, nil)
+	pool, err := sys.NewFixedPool(64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.WorkPageTouches = 256
-	q.WorkerPages = 16
-	if _, err := q.Run(); err != nil {
+	pf, _, err := sys.NewPrefetch(epcm.ManagerConfig{Name: "reader", Source: pool}, 4, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
+	in, err := pf.CreateManagedSegment("input")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf.BindFile(in, "input")
+	cache := epcm.NewCache(sys.Mem.Colors(), 2)
+	for p := int64(0); p < 8; p++ {
+		if err := sys.Kernel.Access(in, p, epcm.Read); err != nil {
+			t.Fatal(err)
+		}
+		cache.Access(in.FrameAt(p))
+	}
+	if cache.MissRatio() != 1 {
+		t.Fatalf("first touches of 8 frames: miss ratio %v, want 1", cache.MissRatio())
+	}
+	if err := sys.SPCM.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
 
-	// Placement and coloring specializations.
-	if _, err := epcm.NewColoring(sys, epcm.ManagerConfig{Name: "col"}, 16); err != nil {
-		t.Fatal(err)
+// Every manager constructor of System follows one rule: with no
+// ManagerConfig.Source the manager draws on the SPCM through an account of
+// its own; with one (a FixedPool here) it draws on that and opens no
+// account. Either way a fault on its segment is served, and the SPCM's
+// frame and dram ledgers stay whole.
+func TestFacadeManagerConstructorsFault(t *testing.T) {
+	constructors := map[string]func(sys *epcm.System, cfg epcm.ManagerConfig) (*epcm.Generic, *epcm.Account, error){
+		"app": func(sys *epcm.System, cfg epcm.ManagerConfig) (*epcm.Generic, *epcm.Account, error) {
+			return sys.NewAppManager(cfg, 100)
+		},
+		"coloring": func(sys *epcm.System, cfg epcm.ManagerConfig) (*epcm.Generic, *epcm.Account, error) {
+			return sys.NewColoring(cfg, sys.Mem.Colors(), 100)
+		},
+		"placement": func(sys *epcm.System, cfg epcm.ManagerConfig) (*epcm.Generic, *epcm.Account, error) {
+			return sys.NewPlacement(cfg, func(f epcm.Fault) int { return int(f.Page) % sys.Mem.Nodes() }, 100)
+		},
+		"prefetch": func(sys *epcm.System, cfg epcm.ManagerConfig) (*epcm.Generic, *epcm.Account, error) {
+			pf, a, err := sys.NewPrefetch(cfg, 2, 100)
+			if err != nil {
+				return nil, nil, err
+			}
+			return pf.Generic, a, nil
+		},
 	}
-	if _, err := epcm.NewPlacement(sys, epcm.ManagerConfig{Name: "pl"},
-		func(f epcm.Fault) int { return 0 }); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Kernel.CheckFrameConservation(); err != nil {
-		t.Fatal(err)
+	for name, build := range constructors {
+		for _, pooled := range []bool{false, true} {
+			sys, err := epcm.Boot(epcm.Config{MemoryBytes: 8 << 20, Nodes: 2, StoreData: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := epcm.ManagerConfig{Name: name}
+			if pooled {
+				// 1 536 frames reach both nodes' halves of memory.
+				if cfg.Source, err = sys.NewFixedPool(1536, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			g, account, err := build(sys, cfg)
+			if err != nil {
+				t.Fatalf("%s (pooled %v): %v", name, pooled, err)
+			}
+			seg, err := g.CreateManagedSegment("data")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := int64(0); p < 4; p++ {
+				if err := sys.Kernel.Access(seg, p, epcm.Write); err != nil {
+					t.Fatalf("%s (pooled %v): fault on page %d: %v", name, pooled, p, err)
+				}
+			}
+			if pooled != (account == nil) {
+				t.Errorf("%s (pooled %v): account %v", name, pooled, account)
+			}
+			if account != nil && account.HeldPages() == 0 {
+				t.Errorf("%s: the account holds no pages after 4 faults", name)
+			}
+			if err := sys.SPCM.CheckInvariants(); err != nil {
+				t.Errorf("%s (pooled %v): %v", name, pooled, err)
+			}
+		}
 	}
 }
 

@@ -21,13 +21,7 @@ import (
 	"log"
 	"time"
 
-	"epcm/internal/apps"
-	"epcm/internal/kernel"
-	"epcm/internal/manager"
-	"epcm/internal/phys"
-	"epcm/internal/sim"
-	"epcm/internal/spcm"
-	"epcm/internal/storage"
+	"epcm"
 )
 
 func main() {
@@ -49,16 +43,16 @@ func main() {
 }
 
 func run(work int64, income float64, adaptive bool) (time.Duration, int64, int64, int64) {
-	mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: 2 << 20, StoreData: false})
-	var clock sim.Clock
-	k := kernel.New(mem, &clock, sim.DECstation5000(), kernel.Config{})
-	policy := spcm.DefaultPolicy()
+	policy := epcm.DefaultMarketPolicy()
 	policy.FreeWhenUncontended = false
 	policy.SavingsTaxRate = 0
-	s := spcm.New(k, policy)
-	store := storage.NewStore(&clock, storage.LocalDisk(), 4096)
+	disk := epcm.LocalDisk()
+	sys, err := epcm.Boot(epcm.Config{MemoryBytes: 2 << 20, Market: &policy, Storage: &disk})
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	m, err := apps.NewMP3D(k, s, manager.NewSwapBacking(store), income)
+	m, err := epcm.NewMP3D(sys, epcm.NewSwapBacking(sys.Store), income)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,15 +60,15 @@ func run(work int64, income float64, adaptive bool) (time.Duration, int64, int64
 	m.MaxPages = 200
 	m.MinPages = 16
 	m.Tick = func() {
-		s.SettleAll()
-		if _, err := s.Enforce(); err != nil {
+		sys.SPCM.SettleAll()
+		if _, err := sys.SPCM.Enforce(); err != nil {
 			log.Fatal(err)
 		}
 	}
-	start := clock.Now()
+	start := sys.Clock.Now()
 	steps, err := m.RunWork(work)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return clock.Now() - start, steps, store.Reads() + store.Writes(), m.Shrinks()
+	return sys.Clock.Now() - start, steps, sys.Store.Reads() + sys.Store.Writes(), m.Shrinks()
 }

@@ -5,9 +5,10 @@
 //
 // The checkpoint is consistent as of Begin even though the application
 // keeps mutating: first writes fault to the manager, which saves the old
-// page contents before enabling the write. The per-trapped-write cost on
-// V++ is below the 152 µs Ultrix signal+mprotect handler that the same
-// algorithm would pay on a conventional system.
+// page contents before enabling the write. The program prints what the
+// mid-checkpoint writes cost on V++, the saves' disk I/O included, beside
+// the fault cost alone that the same trapped writes would pay through the
+// Ultrix signal+mprotect handler of a conventional system.
 package main
 
 import (
@@ -15,32 +16,28 @@ import (
 	"log"
 	"time"
 
-	"epcm/internal/apps"
-	"epcm/internal/kernel"
-	"epcm/internal/manager"
-	"epcm/internal/phys"
-	"epcm/internal/sim"
-	"epcm/internal/storage"
+	"epcm"
 )
 
 const pages = 64
 
 func main() {
-	mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: 16 << 20, StoreData: true})
-	var clock sim.Clock
-	k := kernel.New(mem, &clock, sim.DECstation5000(), kernel.Config{})
-	store := storage.NewStore(&clock, storage.LocalDisk(), 4096)
-	pool, err := manager.NewFixedPool(k, 1024, 0)
+	disk := epcm.LocalDisk()
+	sys, err := epcm.Boot(epcm.Config{MemoryBytes: 16 << 20, StoreData: true, Storage: &disk})
+	if err != nil {
+		log.Fatal(err)
+	}
+	pool, err := sys.NewFixedPool(1024, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	ckpt := apps.NewCheckpointer(k, store)
-	mgr, err := manager.NewGeneric(k, manager.Config{
+	ckpt := epcm.NewCheckpointer(sys)
+	mgr, _, err := sys.NewAppManager(epcm.ManagerConfig{
 		Name:       "app-manager",
 		Source:     pool,
 		Protection: ckpt.Hook(),
-	})
+	}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +49,7 @@ func main() {
 
 	// Build application state.
 	for p := int64(0); p < pages; p++ {
-		if err := k.Access(seg, p, kernel.Write); err != nil {
+		if err := sys.Kernel.Access(seg, p, epcm.Write); err != nil {
 			log.Fatal(err)
 		}
 		seg.FrameAt(p).Data()[0] = byte(p)
@@ -62,15 +59,15 @@ func main() {
 	if err := ckpt.Begin(); err != nil {
 		log.Fatal(err)
 	}
-	start := clock.Now()
+	start := sys.Clock.Now()
 	appWrites := []int64{3, 9, 9, 17, 40}
 	for _, p := range appWrites {
-		if err := k.Access(seg, p, kernel.Write); err != nil {
+		if err := sys.Kernel.Access(seg, p, epcm.Write); err != nil {
 			log.Fatal(err)
 		}
 		seg.FrameAt(p).Data()[0] = 0xFF // post-checkpoint value
 	}
-	mutationTime := clock.Now() - start
+	mutationTime := sys.Clock.Now() - start
 	if err := ckpt.Finish(); err != nil {
 		log.Fatal(err)
 	}
@@ -91,17 +88,15 @@ func main() {
 	fmt.Printf("  application's %d mid-checkpoint writes cost %v total\n",
 		len(appWrites), mutationTime.Round(time.Microsecond))
 	fmt.Printf("  (the same writes through an Ultrix signal handler: %v of fault cost alone)\n",
-		time.Duration(ckpt.FaultSaves())*152*time.Microsecond)
+		time.Duration(ckpt.FaultSaves())*sys.Cost.UltrixUserFaultHandler())
 
 	// The write barrier: a concurrent GC's remembered set.
-	wb := apps.NewWriteBarrier(k, seg)
-	mgr2, err := manager.NewGeneric(k, manager.Config{
-		Name:   "gc-manager",
-		Source: pool,
-		Protection: func(f kernel.Fault) error {
-			return wb.Hook()(f)
-		},
-	})
+	wb := epcm.NewWriteBarrier(sys, seg)
+	mgr2, _, err := sys.NewAppManager(epcm.ManagerConfig{
+		Name:       "gc-manager",
+		Source:     pool,
+		Protection: wb.Hook(),
+	}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -111,7 +106,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, p := range []int64{5, 5, 12} {
-		if err := k.Access(seg, p, kernel.Write); err != nil {
+		if err := sys.Kernel.Access(seg, p, epcm.Write); err != nil {
 			log.Fatal(err)
 		}
 	}

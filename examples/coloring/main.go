@@ -6,9 +6,9 @@
 //
 // A hot working set the size of the cache is allocated twice: by a
 // color-aware segment manager that requests one frame per cache color from
-// the SPCM, and by an unlucky conventional allocation whose frames share
-// colors. The physically-indexed cache model shows the difference: near-
-// zero misses vs persistent conflict misses.
+// its frame pool, and by an unlucky conventional allocation whose frames
+// share colors. The physically-indexed cache model shows the difference:
+// near-zero misses vs persistent conflict misses.
 //
 // The same constraint mechanism drives NUMA placement on a DASH-like
 // machine: the second half of the demo pins alternating pages to nodes.
@@ -19,10 +19,6 @@ import (
 	"log"
 
 	"epcm"
-	"epcm/internal/kernel"
-	"epcm/internal/manager"
-	"epcm/internal/phys"
-	"epcm/internal/sim"
 )
 
 const colors = 16
@@ -38,24 +34,27 @@ func main() {
 }
 
 func cacheMissRatio(colored bool) float64 {
-	mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: 16 << 20, CacheColors: colors, StoreData: true})
-	var clock sim.Clock
-	k := kernel.New(mem, &clock, sim.DECstation5000(), kernel.Config{})
-	pool, err := manager.NewFixedPool(k, 2048, 0)
+	sys, err := epcm.Boot(epcm.Config{MemoryBytes: 16 << 20, CacheColors: colors, StoreData: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := manager.Config{Name: "hot", Source: pool}
-	var g *manager.Generic
+	pool, err := sys.NewFixedPool(2048, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg := epcm.ManagerConfig{Name: "hot", Source: pool}
+	var g *epcm.Generic
 	if colored {
 		// One frame of each color: page p gets color p mod colors.
-		g, err = manager.NewColoring(k, cfg, colors)
+		g, _, err = sys.NewColoring(cfg, colors, 0)
 	} else {
 		// A conventional allocator can hand out frames that all collide.
-		cfg.Constraint = func(f kernel.Fault) phys.Range {
-			return phys.Range{Color: 0, Node: phys.NodeAny}
+		cfg.Constraint = func(f epcm.Fault) epcm.FrameRange {
+			r := epcm.AnyFrame()
+			r.Color = 0
+			return r
 		}
-		g, err = manager.NewGeneric(k, cfg)
+		g, _, err = sys.NewAppManager(cfg, 0)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -65,11 +64,11 @@ func cacheMissRatio(colored bool) float64 {
 		log.Fatal(err)
 	}
 	for p := int64(0); p < colors; p++ {
-		if err := k.Access(seg, p, epcm.Write); err != nil {
+		if err := sys.Kernel.Access(seg, p, epcm.Write); err != nil {
 			log.Fatal(err)
 		}
 	}
-	cache := phys.NewCache(colors, 2)
+	cache := epcm.NewCache(colors, 2)
 	for round := 0; round < 500; round++ {
 		for p := int64(0); p < colors; p++ {
 			cache.Access(seg.FrameAt(p))
@@ -82,15 +81,16 @@ func cacheMissRatio(colored bool) float64 {
 // odd pages on node 1, as a DASH application would place data near the
 // processors using it.
 func placement() {
-	mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: 16 << 20, Nodes: 2, StoreData: true})
-	var clock sim.Clock
-	k := kernel.New(mem, &clock, sim.DECstation5000(), kernel.Config{})
-	pool, err := manager.NewFixedPool(k, 4000, 0)
+	sys, err := epcm.Boot(epcm.Config{MemoryBytes: 16 << 20, Nodes: 2, StoreData: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	g, err := manager.NewPlacement(k, manager.Config{Name: "dash", Source: pool},
-		func(f kernel.Fault) int { return int(f.Page % 2) })
+	pool, err := sys.NewFixedPool(4000, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	g, _, err := sys.NewPlacement(epcm.ManagerConfig{Name: "dash", Source: pool},
+		func(f epcm.Fault) int { return int(f.Page % 2) }, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -99,12 +99,12 @@ func placement() {
 		log.Fatal(err)
 	}
 	for p := int64(0); p < 8; p++ {
-		if err := k.Access(seg, p, epcm.Write); err != nil {
+		if err := sys.Kernel.Access(seg, p, epcm.Write); err != nil {
 			log.Fatal(err)
 		}
 	}
 	fmt.Println("\nNUMA placement (even pages -> node 0, odd -> node 1):")
-	attrs, err := k.GetPageAttributes(seg, 0, 8)
+	attrs, err := sys.Kernel.GetPageAttributes(seg, 0, 8)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,13 +15,11 @@ import (
 	"time"
 
 	"epcm"
-	"epcm/internal/manager"
-	"epcm/internal/phys"
 )
 
 type job struct {
 	name    string
-	mgr     *manager.Generic
+	mgr     *epcm.Generic
 	account *epcm.Account
 	want    int           // pages per slice
 	slice   time.Duration // how long a slice runs
@@ -109,7 +107,7 @@ func (j *job) step(sys *epcm.System) {
 	if sys.SPCM.EstimateWait(j.account, j.want, j.slice) > 0 {
 		return
 	}
-	got, err := sys.SPCM.RequestFrames(j.mgr, j.want, phys.AnyFrame())
+	got, err := sys.SPCM.RequestFrames(j.mgr, j.want, epcm.AnyFrame())
 	if err != nil {
 		log.Fatal(err)
 	}

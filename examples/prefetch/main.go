@@ -18,11 +18,6 @@ import (
 	"time"
 
 	"epcm"
-	"epcm/internal/kernel"
-	"epcm/internal/manager"
-	"epcm/internal/phys"
-	"epcm/internal/sim"
-	"epcm/internal/storage"
 )
 
 func main() {
@@ -46,48 +41,45 @@ func main() {
 }
 
 func run(pages int64, compute time.Duration, depth int) time.Duration {
-	mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: 64 << 20, StoreData: true})
-	var clock sim.Clock
-	k := kernel.New(mem, &clock, sim.DECstation5000(), kernel.Config{})
-	store := storage.NewStore(&clock, storage.LocalDisk(), 4096)
-	store.Preload("particles", pages, nil)
-	pool, err := manager.NewFixedPool(k, pages+64, 0)
+	disk := epcm.LocalDisk()
+	sys, err := epcm.Boot(epcm.Config{MemoryBytes: 64 << 20, StoreData: true, Storage: &disk})
+	if err != nil {
+		log.Fatal(err)
+	}
+	sys.Store.Preload("particles", pages, nil)
+	pool, err := sys.NewFixedPool(pages+64, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	var g *manager.Generic
-	var pf *manager.Prefetch
+	var seg *epcm.Segment
 	if depth > 0 {
-		dev := manager.NewAsyncDevice(&clock, storage.LocalDisk())
-		pf, err = manager.NewPrefetch(k, manager.Config{Name: "mp3d", Source: pool}, dev, store, depth)
+		pf, _, err := sys.NewPrefetch(epcm.ManagerConfig{Name: "mp3d", Source: pool}, depth, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		g = pf.Generic
-	} else {
-		fb := manager.NewFileBacking(store)
-		g, err = manager.NewGeneric(k, manager.Config{Name: "demand", Backing: fb, Source: pool})
-		if err != nil {
+		if seg, err = pf.CreateManagedSegment("particles"); err != nil {
 			log.Fatal(err)
 		}
-	}
-	seg, err := g.CreateManagedSegment("particles")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if pf != nil {
 		pf.BindFile(seg, "particles")
 	} else {
-		g.Backing().(*manager.FileBacking).BindFile(seg, "particles")
-	}
-
-	start := clock.Now()
-	for p := int64(0); p < pages; p++ {
-		if err := k.Access(seg, p, epcm.Read); err != nil {
+		fb := epcm.NewFileBacking(sys.Store)
+		g, _, err := sys.NewAppManager(epcm.ManagerConfig{Name: "demand", Backing: fb, Source: pool}, 0)
+		if err != nil {
 			log.Fatal(err)
 		}
-		clock.Advance(compute) // the simulation step for this page's particles
+		if seg, err = g.CreateManagedSegment("particles"); err != nil {
+			log.Fatal(err)
+		}
+		fb.BindFile(seg, "particles")
 	}
-	return clock.Now() - start
+
+	start := sys.Clock.Now()
+	for p := int64(0); p < pages; p++ {
+		if err := sys.Kernel.Access(seg, p, epcm.Read); err != nil {
+			log.Fatal(err)
+		}
+		sys.Clock.Advance(compute) // the simulation step for this page's particles
+	}
+	return sys.Clock.Now() - start
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"epcm"
-	"epcm/internal/manager"
 )
 
 func main() {
@@ -27,7 +26,7 @@ func main() {
 	//    segment manager whose fill routine reads from it. The Backing's
 	//    Fill is the paper's "page fill routines can be easily specialized".
 	sys.Store.Preload("dataset", 64, func(b int64, buf []byte) { buf[0] = byte(b) })
-	backing := manager.NewFileBacking(sys.Store)
+	backing := epcm.NewFileBacking(sys.Store)
 	mgr, account, err := sys.NewAppManager(epcm.ManagerConfig{
 		Name:    "quickstart-manager",
 		Backing: backing,

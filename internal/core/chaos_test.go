@@ -93,7 +93,7 @@ func chaosWorkload(t testing.TB, sys *System, seg *kernel.Segment, seed uint64) 
 	// is not part of the measured schedule, and Preload panics on error.
 	sys.Chaos.Disarm()
 	sys.Store.Preload("chaos-doc", 32, func(b int64, buf []byte) { buf[0] = byte(b) })
-	f, err := sys.OpenFile("chaos-doc")
+	f, err := sys.Default.OpenFile("chaos-doc")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"epcm/internal/defaultmgr"
 	"epcm/internal/faultinject"
@@ -22,7 +21,6 @@ import (
 	"epcm/internal/sim"
 	"epcm/internal/spcm"
 	"epcm/internal/storage"
-	"epcm/internal/uio"
 )
 
 // Config describes the machine and policy to boot.
@@ -59,7 +57,8 @@ type Config struct {
 	// ReclaimPolicy names the replacement policy this system's managers
 	// boot with when their manager.Config leaves Policy nil: "clock" (the
 	// §2.2 default, also ""), "lfu" or "random" (manager.PolicyNames). It
-	// applies to the default manager and to NewAppManager.
+	// applies to the default manager and to every manager System's
+	// constructors create.
 	ReclaimPolicy string
 	// Superpages turns on this system's superpage extent plane
 	// (kernel.Config.Superpages): managers configured with a non-zero
@@ -188,10 +187,61 @@ func Boot(cfg Config) (*System, error) {
 	return sys, nil
 }
 
-// NewAppManager creates an application-specific segment manager funded with
-// the given income, registered with the SPCM.
+// NewAppManager creates an application-specific segment manager, under the
+// rule every manager constructor of System follows: a Config.Source the
+// caller set (a FixedPool, say) stays the manager's frame source and no
+// account is opened; otherwise the manager draws on the SPCM through a new
+// account funded with income drams per second. A nil Config.Policy takes
+// the system's Config.ReclaimPolicy.
 func (s *System) NewAppManager(cfg manager.Config, income float64) (*manager.Generic, *spcm.Account, error) {
-	cfg.Source = s.SPCM
+	return s.newManager(cfg, income, func(cfg manager.Config) (*manager.Generic, error) {
+		return manager.NewGeneric(s.Kernel, cfg)
+	})
+}
+
+// NewColoring creates a page-coloring manager (manager.NewColoring) under
+// NewAppManager's rule.
+func (s *System) NewColoring(cfg manager.Config, colors int, income float64) (*manager.Generic, *spcm.Account, error) {
+	return s.newManager(cfg, income, func(cfg manager.Config) (*manager.Generic, error) {
+		return manager.NewColoring(s.Kernel, cfg, colors)
+	})
+}
+
+// NewPlacement creates a NUMA-placement manager (manager.NewPlacement)
+// under NewAppManager's rule.
+func (s *System) NewPlacement(cfg manager.Config, nodeOf func(f kernel.Fault) int, income float64) (*manager.Generic, *spcm.Account, error) {
+	return s.newManager(cfg, income, func(cfg manager.Config) (*manager.Generic, error) {
+		return manager.NewPlacement(s.Kernel, cfg, nodeOf)
+	})
+}
+
+// NewPrefetch creates a read-ahead manager (manager.NewPrefetch) under
+// NewAppManager's rule: it reads the system's file server depth pages
+// ahead, through an overlapped device with the server's latency.
+func (s *System) NewPrefetch(cfg manager.Config, depth int, income float64) (*manager.Prefetch, *spcm.Account, error) {
+	var p *manager.Prefetch
+	_, a, err := s.newManager(cfg, income, func(cfg manager.Config) (*manager.Generic, error) {
+		dev := manager.NewAsyncDevice(s.Clock, s.Store.Latency())
+		var err error
+		if p, err = manager.NewPrefetch(s.Kernel, cfg, dev, s.Store, depth); err != nil {
+			return nil, err
+		}
+		return p.Generic, nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, a, nil
+}
+
+// newManager is the one place NewAppManager's rule is written: build gets
+// cfg with its Source and Policy settled, and a manager left on the SPCM is
+// registered with it.
+func (s *System) newManager(cfg manager.Config, income float64, build func(manager.Config) (*manager.Generic, error)) (*manager.Generic, *spcm.Account, error) {
+	market := cfg.Source == nil
+	if market {
+		cfg.Source = s.SPCM
+	}
 	if cfg.Policy == nil && s.reclaimPolicy != "" {
 		p, err := manager.NewPolicy(s.reclaimPolicy)
 		if err != nil {
@@ -199,21 +249,26 @@ func (s *System) NewAppManager(cfg manager.Config, income float64) (*manager.Gen
 		}
 		cfg.Policy = p
 	}
-	g, err := manager.NewGeneric(s.Kernel, cfg)
+	g, err := build(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	a := s.SPCM.Register(g, cfg.Name, income)
-	return g, a, nil
+	if !market {
+		return g, nil, nil
+	}
+	return g, s.SPCM.Register(g, g.ManagerName(), income), nil
 }
 
-// OpenFile opens a cached file through the default segment manager.
-func (s *System) OpenFile(name string) (*uio.File, error) {
-	return s.Default.OpenFile(name)
+// NewFixedPool stocks a manager.FixedPool with the frames [startPFN,
+// startPFN+nFrames), withdrawn from the SPCM first so that the pool owns
+// them alone. A manager whose Config.Source is the pool is granted frames
+// in page order, with no account and no rent.
+func (s *System) NewFixedPool(nFrames, startPFN int64) (*manager.FixedPool, error) {
+	if err := s.SPCM.Withdraw(startPFN, nFrames); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return manager.NewFixedPool(s.Kernel, nFrames, startPFN)
 }
-
-// Elapsed reports virtual time since boot.
-func (s *System) Elapsed() time.Duration { return s.Clock.Now() }
 
 // Shutdown stops the delivery-plane scheduler, releasing the per-manager
 // worker goroutines of the concurrent mode. The serial scheduler has

@@ -8,11 +8,10 @@ import (
 	"epcm/internal/storage"
 )
 
-// This file implements the "variety of sophisticated schemes" §2.1 says a
-// process-level manager can readily build once fault events and frame
-// control are exported: compressed swap, replicated writeback, and logged
-// (journaled) writeback. Each is an ordinary Backing — no kernel change of
-// any kind is involved, which is the paper's point.
+// This file implements one of the "variety of sophisticated schemes" §2.1
+// says a process-level manager can readily build once fault events and
+// frame control are exported: compressed swap. It is an ordinary Backing —
+// no kernel change of any kind is involved, which is the paper's point.
 
 // --- Compressed swap -------------------------------------------------------
 
@@ -115,151 +114,4 @@ func (b *CompressedBacking) Fill(seg *kernel.Segment, page int64, frame *phys.Fr
 		}
 		return b.store.Fetch(swapName(seg), page, buf)
 	})
-}
-
-// --- Replicated writeback ---------------------------------------------------
-
-// ReplicatedBacking writes every page to two stores (e.g. local disk plus
-// a remote server) so a single device failure loses nothing; fills read
-// the primary and fall back to the replica.
-type ReplicatedBacking struct {
-	primary, replica Backing
-	// FailPrimary simulates a primary failure: fills skip it.
-	FailPrimary bool
-	writes      int64
-}
-
-// NewReplicatedBacking pairs a primary with a replica.
-func NewReplicatedBacking(primary, replica Backing) *ReplicatedBacking {
-	return &ReplicatedBacking{primary: primary, replica: replica}
-}
-
-// Writes reports replicated writeback operations.
-func (b *ReplicatedBacking) Writes() int64 { return b.writes }
-
-// Writeback implements Backing to both stores.
-func (b *ReplicatedBacking) Writeback(seg *kernel.Segment, page int64, frame *phys.Frame) error {
-	if err := b.primary.Writeback(seg, page, frame); err != nil {
-		return err
-	}
-	if err := b.replica.Writeback(seg, page, frame); err != nil {
-		return err
-	}
-	b.writes++
-	return nil
-}
-
-// Fill implements Backing from the primary, or the replica on failure.
-func (b *ReplicatedBacking) Fill(seg *kernel.Segment, page int64, frame *phys.Frame) error {
-	if !b.FailPrimary {
-		return b.primary.Fill(seg, page, frame)
-	}
-	return b.replica.Fill(seg, page, frame)
-}
-
-// --- Logged writeback --------------------------------------------------------
-
-// LogRecord is one entry of a LoggingBacking's journal.
-type LogRecord struct {
-	LSN  int64
-	Seg  kernel.SegID
-	Page int64
-}
-
-// LoggingBacking journals every writeback to an append-only log before
-// updating the home location — the write-ahead ordering a database manager
-// needs for clean transaction commit ("it can coordinate writeback with
-// the application, as is required for clean database transaction commit",
-// §2.1). Writebacks are held in the log until Commit forces them to their
-// home blocks.
-type LoggingBacking struct {
-	store   storage.BlockStore
-	logName string
-	names   map[kernel.SegID]string
-	nextLSN int64
-	pending []pendingWrite
-	history []LogRecord
-}
-
-type pendingWrite struct {
-	rec  LogRecord
-	seg  *kernel.Segment
-	page int64
-	data []byte
-}
-
-// NewLoggingBacking journals writebacks into logName; home locations are
-// per-segment files (BindFile, defaulting to a swap file per segment).
-func NewLoggingBacking(store storage.BlockStore, logName string) *LoggingBacking {
-	return &LoggingBacking{store: store, logName: logName, names: make(map[kernel.SegID]string)}
-}
-
-// BindFile sets a segment's home file.
-func (b *LoggingBacking) BindFile(seg *kernel.Segment, name string) { b.names[seg.ID()] = name }
-
-func (b *LoggingBacking) homeName(seg *kernel.Segment) string {
-	if n, ok := b.names[seg.ID()]; ok {
-		return n
-	}
-	return swapName(seg)
-}
-
-// Writeback implements Backing: append to the log; the home write waits
-// for Commit.
-func (b *LoggingBacking) Writeback(seg *kernel.Segment, page int64, frame *phys.Frame) error {
-	buf := make([]byte, frame.Size())
-	if data := frame.Data(); data != nil {
-		copy(buf, data)
-	}
-	rec := LogRecord{LSN: b.nextLSN, Seg: seg.ID(), Page: page}
-	b.nextLSN++
-	// The log write is sequential I/O to the journal.
-	if err := b.store.Store(b.logName, rec.LSN, buf); err != nil {
-		return err
-	}
-	b.pending = append(b.pending, pendingWrite{rec: rec, seg: seg, page: page, data: buf})
-	b.history = append(b.history, rec)
-	return nil
-}
-
-// Fill implements Backing: pending (logged but uncommitted) data wins over
-// the home location, so a reclaim-then-refault round trip is consistent.
-func (b *LoggingBacking) Fill(seg *kernel.Segment, page int64, frame *phys.Frame) error {
-	for i := len(b.pending) - 1; i >= 0; i-- {
-		pw := b.pending[i]
-		if pw.seg == seg && pw.page == page {
-			if buf := frame.Data(); buf != nil {
-				copy(buf, pw.data)
-			}
-			return nil
-		}
-	}
-	return frame.Fill(func(buf []byte) error {
-		return b.store.Fetch(b.homeName(seg), page, buf)
-	})
-}
-
-// Commit forces all pending logged writes to their home locations and
-// clears the pending set, returning the number committed. The log records
-// remain for audit (Log()).
-func (b *LoggingBacking) Commit() (int, error) {
-	n := 0
-	for _, pw := range b.pending {
-		if err := b.store.Store(b.homeName(pw.seg), pw.page, pw.data); err != nil {
-			return n, err
-		}
-		n++
-	}
-	b.pending = nil
-	return n, nil
-}
-
-// Pending reports writebacks logged but not yet committed home.
-func (b *LoggingBacking) Pending() int { return len(b.pending) }
-
-// Log returns the journal records in order.
-func (b *LoggingBacking) Log() []LogRecord {
-	out := make([]LogRecord, len(b.history))
-	copy(out, b.history)
-	return out
 }

@@ -118,120 +118,3 @@ func TestCompressedBackingFallsBack(t *testing.T) {
 		t.Fatal("fallback round trip lost data")
 	}
 }
-
-func TestReplicatedBackingSurvivesPrimaryFailure(t *testing.T) {
-	fx := newFixture(t, 16)
-	primary := NewSwapBacking(fx.store)
-	replicaStore := fx.store // same latency model; distinct namespace via file binding
-	replica := NewFileBacking(replicaStore)
-	rb := NewReplicatedBacking(primary, replica)
-	g := fx.newManager(t, Config{Name: "m", Backing: rb})
-	seg, _ := g.CreateManagedSegment("s")
-	replica.BindFile(seg, "replica-copy")
-
-	if err := fx.k.Access(seg, 0, kernel.Write); err != nil {
-		t.Fatal(err)
-	}
-	seg.FrameAt(0).Data()[0] = 0x77
-	if err := fx.k.ModifyPageFlags(kernel.AppCred, seg, 0, 1, 0, kernel.FlagReferenced); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Reclaim(1, phys.AnyFrame()); err != nil {
-		t.Fatal(err)
-	}
-	if rb.Writes() != 1 {
-		t.Fatalf("replicated writes = %d", rb.Writes())
-	}
-	// Kill the primary; the refault must come from the replica.
-	rb.FailPrimary = true
-	if err := fx.k.Access(seg, 50, kernel.Write); err != nil { // break association
-		t.Fatal(err)
-	}
-	if err := fx.k.Access(seg, 0, kernel.Read); err != nil {
-		t.Fatal(err)
-	}
-	if seg.FrameAt(0).Data()[0] != 0x77 {
-		t.Fatal("replica did not preserve the page")
-	}
-}
-
-func TestLoggingBackingWriteAheadOrder(t *testing.T) {
-	fx := newFixture(t, 16)
-	lb := NewLoggingBacking(fx.store, "journal")
-	g := fx.newManager(t, Config{Name: "dbms", Backing: lb})
-	seg, _ := g.CreateManagedSegment("relation")
-	lb.BindFile(seg, "relation-home")
-
-	for p := int64(0); p < 3; p++ {
-		if err := fx.k.Access(seg, p, kernel.Write); err != nil {
-			t.Fatal(err)
-		}
-		seg.FrameAt(p).Data()[0] = byte(0x50 + p)
-	}
-	if err := fx.k.ModifyPageFlags(kernel.AppCred, seg, 0, 3, 0, kernel.FlagReferenced); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Reclaim(3, phys.AnyFrame()); err != nil {
-		t.Fatal(err)
-	}
-	// Before commit: journal has the data, home does not.
-	if lb.Pending() != 3 {
-		t.Fatalf("pending = %d", lb.Pending())
-	}
-	if fx.store.Size("journal") != 3 {
-		t.Fatalf("journal blocks = %d", fx.store.Size("journal"))
-	}
-	if fx.store.Size("relation-home") != 0 {
-		t.Fatal("home written before commit")
-	}
-	// Log records carry ordered LSNs.
-	log := lb.Log()
-	for i := 1; i < len(log); i++ {
-		if log[i].LSN != log[i-1].LSN+1 {
-			t.Fatalf("non-monotonic LSNs: %+v", log)
-		}
-	}
-	n, err := lb.Commit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 || lb.Pending() != 0 {
-		t.Fatalf("committed %d, pending %d", n, lb.Pending())
-	}
-	buf := make([]byte, 4096)
-	if err := fx.store.Fetch("relation-home", 1, buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf[0] != 0x51 {
-		t.Fatal("home write wrong after commit")
-	}
-}
-
-func TestLoggingBackingUncommittedRefaultSeesLoggedData(t *testing.T) {
-	fx := newFixture(t, 16)
-	lb := NewLoggingBacking(fx.store, "journal")
-	g := fx.newManager(t, Config{Name: "dbms", Backing: lb})
-	seg, _ := g.CreateManagedSegment("relation")
-
-	if err := fx.k.Access(seg, 0, kernel.Write); err != nil {
-		t.Fatal(err)
-	}
-	seg.FrameAt(0).Data()[0] = 0x99
-	if err := fx.k.ModifyPageFlags(kernel.AppCred, seg, 0, 1, 0, kernel.FlagReferenced); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Reclaim(1, phys.AnyFrame()); err != nil {
-		t.Fatal(err)
-	}
-	// Break the fast-refault association, then refault: the fill must see
-	// the logged (pending) data even though home was never written.
-	if err := fx.k.Access(seg, 50, kernel.Write); err != nil {
-		t.Fatal(err)
-	}
-	if err := fx.k.Access(seg, 0, kernel.Read); err != nil {
-		t.Fatal(err)
-	}
-	if seg.FrameAt(0).Data()[0] != 0x99 {
-		t.Fatal("refault did not see pending logged data")
-	}
-}

@@ -44,9 +44,10 @@ func TestFillFailurePropagatesCleanly(t *testing.T) {
 func TestWritebackFailureStopsReclaim(t *testing.T) {
 	fx := newFixture(t, 16)
 	failing := &storage.FailingStore{Inner: fx.store, FailWrites: true, FailAfter: 0}
-	g := fx.newManager(t, Config{Name: "m", Backing: NewFileBacking(failing)})
+	fb := NewFileBacking(failing)
+	g := fx.newManager(t, Config{Name: "m", Backing: fb})
 	seg, _ := g.CreateManagedSegment("s")
-	g.Backing().(*FileBacking).BindFile(seg, "f")
+	fb.BindFile(seg, "f")
 	for p := int64(0); p < 3; p++ {
 		if err := fx.k.Access(seg, p, kernel.Write); err != nil {
 			t.Fatal(err)
@@ -94,23 +95,5 @@ func TestSwapOutFailureLeavesSegmentIntact(t *testing.T) {
 	}
 	if seg.PageCount() == 0 {
 		t.Fatal("all pages gone despite failed swap-out")
-	}
-}
-
-func TestReplicatedBackingReportsReplicaFailure(t *testing.T) {
-	fx := newFixture(t, 16)
-	okStore := fx.store
-	bad := &storage.FailingStore{Inner: okStore, FailWrites: true, FailAfter: 0}
-	rb := NewReplicatedBacking(NewSwapBacking(okStore), NewSwapBacking(bad))
-	g := fx.newManager(t, Config{Name: "m", Backing: rb})
-	seg, _ := g.CreateManagedSegment("s")
-	if err := fx.k.Access(seg, 0, kernel.Write); err != nil {
-		t.Fatal(err)
-	}
-	if err := fx.k.ModifyPageFlags(kernel.AppCred, seg, 0, 1, 0, kernel.FlagReferenced); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Reclaim(1, phys.AnyFrame()); !errors.Is(err, storage.ErrInjected) {
-		t.Fatalf("replica failure swallowed: %v", err)
 	}
 }

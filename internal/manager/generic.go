@@ -196,14 +196,8 @@ func (g *Generic) ManagerName() string { return g.cfg.Name }
 // Delivery implements kernel.Manager.
 func (g *Generic) Delivery() kernel.DeliveryMode { return g.cfg.Delivery }
 
-// Kernel returns the kernel the manager operates on.
-func (g *Generic) Kernel() *kernel.Kernel { return g.k }
-
 // FreeSegment returns the manager's free-page segment.
 func (g *Generic) FreeSegment() *kernel.Segment { return g.free }
-
-// Backing returns the manager's backing store adapter.
-func (g *Generic) Backing() Backing { return g.cfg.Backing }
 
 // FreeFrames reports the number of frames in the free-page segment. It is
 // safe to call from other goroutines (the SPCM's settle and enforcement).

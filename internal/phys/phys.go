@@ -234,7 +234,7 @@ func (m *Memory) Nodes() int { return m.nodes }
 func (m *Memory) Colors() int { return m.colors }
 
 // GetBuffer returns a frame-size byte buffer with undefined contents, from
-// the memory's recycling pool when one is available. Pair with PutBuffer.
+// the memory's recycling pool when one is available.
 func (m *Memory) GetBuffer() []byte {
 	return *m.getBufPtr()
 }
@@ -252,15 +252,6 @@ func (m *Memory) getBufPtr() *[]byte {
 }
 
 func (m *Memory) putBufPtr(p *[]byte) { m.bufPool.Put(p) }
-
-// PutBuffer returns a buffer obtained from GetBuffer (or surrendered by a
-// frame) to the pool. Buffers of the wrong size are dropped.
-func (m *Memory) PutBuffer(buf []byte) {
-	if len(buf) != m.frameSize {
-		return
-	}
-	m.bufPool.Put(&buf)
-}
 
 // Frame returns the frame with the given number. It panics if pfn is out of
 // range (the index check does it, which keeps the call inlinable: the

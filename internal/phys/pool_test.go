@@ -11,6 +11,16 @@ func poolMem(store bool) *Memory {
 	return NewMemory(Config{FrameSize: 4096, TotalBytes: 1 << 20, StoreData: store})
 }
 
+// PutBuffer returns a buffer obtained from GetBuffer (or surrendered by a
+// frame) to the pool, so the tests can seed it with a buffer of their own.
+// Buffers of the wrong size are dropped.
+func (m *Memory) PutBuffer(buf []byte) {
+	if len(buf) != m.frameSize {
+		return
+	}
+	m.bufPool.Put(&buf)
+}
+
 func TestBufferPoolRoundTrip(t *testing.T) {
 	m := poolMem(true)
 	buf := m.GetBuffer()

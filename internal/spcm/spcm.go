@@ -221,6 +221,19 @@ func New(k *kernel.Kernel, policy Policy) *SPCM {
 	return s
 }
 
+// Withdraw takes the frames [start, start+n) out of the pool for good, so
+// that a manager.FixedPool stocked from them after boot owns them alone. It
+// takes none of them unless all n are free (a refused withdraw files the
+// free ones back at the ends of their stripes).
+func (s *SPCM) Withdraw(start, n int64) error {
+	pfns := s.free.Pop(int(n), func(pfn int64) bool { return pfn >= start && pfn < start+n })
+	if int64(len(pfns)) < n {
+		s.free.Push(pfns)
+		return fmt.Errorf("spcm: withdraw frames [%d, %d): %d of them are free", start, start+n, len(pfns))
+	}
+	return nil
+}
+
 // FreeFrames reports the number of unallocated frames: the shared free
 // list plus every account's private frame cache (frames parked in a cache
 // are still unallocated, just reserved for one lane's fast path).

@@ -184,6 +184,9 @@ func (s *Store) SetFaultHook(h FaultHook) {
 // BlockSize reports the block size.
 func (s *Store) BlockSize() int { return s.blockSize }
 
+// Latency returns the store's device timing.
+func (s *Store) Latency() LatencyModel { return s.model }
+
 // Reads reports the number of Fetch calls.
 func (s *Store) Reads() int64 {
 	s.mu.Lock()

@@ -39,9 +39,6 @@ type Trace struct {
 	Refs []Ref
 }
 
-// Len reports the number of references.
-func (t *Trace) Len() int { return len(t.Refs) }
-
 // Append records one reference.
 func (t *Trace) Append(segment string, page int64, write bool) {
 	t.Refs = append(t.Refs, Ref{Segment: segment, Page: page, Write: write})
@@ -58,17 +55,6 @@ func (t *Trace) Segments() []string {
 		}
 	}
 	return out
-}
-
-// MaxPage reports the highest page referenced in the named segment, or -1.
-func (t *Trace) MaxPage(segment string) int64 {
-	max := int64(-1)
-	for _, r := range t.Refs {
-		if r.Segment == segment && r.Page > max {
-			max = r.Page
-		}
-	}
-	return max
 }
 
 // Encode writes the trace in the text format.
@@ -122,42 +108,10 @@ func Decode(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
-// Recorder captures the references made through it. It wraps a kernel and
-// forwards every access, recording as it goes.
-type Recorder struct {
-	K     *kernel.Kernel
-	Trace Trace
-	names map[*kernel.Segment]string
-}
-
-// NewRecorder builds a recorder over a kernel.
-func NewRecorder(k *kernel.Kernel) *Recorder {
-	return &Recorder{K: k, names: make(map[*kernel.Segment]string)}
-}
-
-// Register gives a segment its trace name (defaults to the segment's own
-// name on first access).
-func (r *Recorder) Register(seg *kernel.Segment, name string) {
-	r.names[seg] = name
-}
-
-// Access performs and records one reference.
-func (r *Recorder) Access(seg *kernel.Segment, page int64, access kernel.AccessType) error {
-	name, ok := r.names[seg]
-	if !ok {
-		name = seg.Name()
-		r.names[seg] = name
-	}
-	r.Trace.Append(name, page, access == kernel.Write)
-	return r.K.Access(seg, page, access)
-}
-
 // ReplayResult reports what a replay did.
 type ReplayResult struct {
-	Refs     int
-	Faults   int64
-	Reclaims int64
-	Fills    int64
+	Refs   int
+	Faults int64
 }
 
 // Replay runs a trace against a kernel, creating one managed segment per

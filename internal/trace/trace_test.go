@@ -47,8 +47,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 3 {
-		t.Fatalf("len = %d", got.Len())
+	if len(got.Refs) != 3 {
+		t.Fatalf("len = %d", len(got.Refs))
 	}
 	for i := range tr.Refs {
 		if got.Refs[i] != tr.Refs[i] {
@@ -77,7 +77,7 @@ func TestEncodeDecodeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if got.Len() != tr.Len() {
+		if len(got.Refs) != len(tr.Refs) {
 			return false
 		}
 		for i := range tr.Refs {
@@ -98,7 +98,7 @@ func TestDecodeToleratesCommentsAndBlanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 2 || tr.Refs[1].Page != 4 || !tr.Refs[1].Write {
+	if len(tr.Refs) != 2 || tr.Refs[1].Page != 4 || !tr.Refs[1].Write {
 		t.Fatalf("trace = %+v", tr.Refs)
 	}
 }
@@ -111,63 +111,25 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestRecorderCapturesAndPerforms(t *testing.T) {
-	k, g, _ := newKernelAndManager(t, 64, nil)
-	seg, err := g.CreateManagedSegment("heap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := NewRecorder(k)
-	rec.Register(seg, "heap")
-	for p := int64(0); p < 4; p++ {
-		if err := rec.Access(seg, p, kernel.Write); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rec.Access(seg, 1, kernel.Read); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Trace.Len() != 5 {
-		t.Fatalf("recorded %d refs", rec.Trace.Len())
-	}
-	if !seg.HasPage(3) {
-		t.Fatal("recorder did not perform the accesses")
-	}
-	if rec.Trace.Refs[4].Write {
-		t.Fatal("read recorded as write")
-	}
-	if rec.Trace.MaxPage("heap") != 3 {
-		t.Fatalf("MaxPage = %d", rec.Trace.MaxPage("heap"))
-	}
-}
-
 // The point of the package: record once, replay under different policies,
 // compare fault counts on the identical reference string.
 func TestReplayComparesPoliciesOnIdenticalTrace(t *testing.T) {
-	// Record a cyclic scan on a large machine (no evictions).
-	kRec, gRec, _ := newKernelAndManager(t, 256, nil)
-	seg, err := gRec.CreateManagedSegment("data")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := NewRecorder(kRec)
-	rec.Register(seg, "data")
+	// A cyclic scan, three passes over 32 pages.
+	var tr Trace
 	for pass := 0; pass < 3; pass++ {
 		for p := int64(0); p < 32; p++ {
-			if err := rec.Access(seg, p, kernel.Read); err != nil {
-				t.Fatal(err)
-			}
+			tr.Append("data", p, false)
 		}
 	}
 
 	replayWith := func(policy manager.Policy) int64 {
 		k, g, _ := newKernelAndManager(t, 16, policy)
-		res, err := Replay(k, &rec.Trace, g.CreateManagedSegment)
+		res, err := Replay(k, &tr, g.CreateManagedSegment)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Refs != rec.Trace.Len() {
-			t.Fatalf("replayed %d of %d refs", res.Refs, rec.Trace.Len())
+		if res.Refs != len(tr.Refs) {
+			t.Fatalf("replayed %d of %d refs", res.Refs, len(tr.Refs))
 		}
 		return res.Faults
 	}

@@ -43,9 +43,6 @@ func (f *File) Name() string { return f.name }
 // SizeBlocks returns the file length in blocks.
 func (f *File) SizeBlocks() int64 { return f.sizeBlocks }
 
-// BlockSize returns the file's block size (the segment's page size).
-func (f *File) BlockSize() int { return f.seg.PageSize() }
-
 // Reads and Writes report the number of block operations performed.
 func (f *File) Reads() int64  { return f.reads }
 func (f *File) Writes() int64 { return f.writes }
@@ -113,99 +110,4 @@ func (f *File) WriteBlock(block int64, buf []byte) error {
 		f.sizeBlocks = block + 1
 	}
 	return nil
-}
-
-// ReadAll reads the whole file through the block interface, returning its
-// contents. Used by tests and example programs.
-func (f *File) ReadAll() ([]byte, error) {
-	bs := f.seg.PageSize()
-	out := make([]byte, f.sizeBlocks*int64(bs))
-	for b := int64(0); b < f.sizeBlocks; b++ {
-		if err := f.ReadBlock(b, out[b*int64(bs):(b+1)*int64(bs)]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// WriteAll writes data sequentially from block 0, extending the file.
-func (f *File) WriteAll(data []byte) error {
-	bs := f.seg.PageSize()
-	for off, b := 0, int64(0); off < len(data); off, b = off+bs, b+1 {
-		end := off + bs
-		if end > len(data) {
-			end = len(data)
-		}
-		if err := f.WriteBlock(b, data[off:end]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scratch returns a zeroed block-size buffer and its release func, pooled
-// when the block size matches the machine frame size (the common case) and
-// freshly allocated for large-page segments.
-func (f *File) scratch(bs int64) ([]byte, func()) {
-	m := f.k.Mem()
-	if int64(m.FrameSize()) == bs {
-		buf := m.GetBuffer()
-		clear(buf) // reads of data-less frames must see zeros
-		return buf, func() { m.PutBuffer(buf) }
-	}
-	return make([]byte, bs), func() {}
-}
-
-// ReadAt implements io.ReaderAt: byte-granular reads spanning blocks. Each
-// touched block costs one block operation — exactly what a real program
-// pays for unaligned I/O through a block interface.
-func (f *File) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("uio: ReadAt %q: negative offset", f.name)
-	}
-	bs := int64(f.seg.PageSize())
-	n := 0
-	buf, release := f.scratch(bs)
-	defer release()
-	for n < len(p) {
-		block := (off + int64(n)) / bs
-		inner := (off + int64(n)) % bs
-		if err := f.ReadBlock(block, buf); err != nil {
-			return n, err
-		}
-		n += copy(p[n:], buf[inner:])
-	}
-	return n, nil
-}
-
-// WriteAt implements io.WriterAt. Partial-block writes read-modify-write
-// the containing block, as a block device requires.
-func (f *File) WriteAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("uio: WriteAt %q: negative offset", f.name)
-	}
-	bs := int64(f.seg.PageSize())
-	n := 0
-	buf, release := f.scratch(bs)
-	defer release()
-	for n < len(p) {
-		block := (off + int64(n)) / bs
-		inner := (off + int64(n)) % bs
-		span := int(bs - inner)
-		if span > len(p)-n {
-			span = len(p) - n
-		}
-		if inner != 0 || span < int(bs) {
-			// Read-modify-write for partial blocks.
-			if err := f.ReadBlock(block, buf); err != nil {
-				return n, err
-			}
-		}
-		copy(buf[inner:], p[n:n+span])
-		if err := f.WriteBlock(block, buf); err != nil {
-			return n, err
-		}
-		n += span
-	}
-	return n, nil
 }

@@ -276,8 +276,34 @@ for fn in get has del; do
     fi
 done
 
-echo "== examples build smoke =="
+echo "== examples: one way in, output pinned =="
 go build ./examples/...
+# Every example is a program an outside user could write: it imports the
+# public epcm package and the standard library, nothing under internal/.
+example_imports=$(go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./examples/...)
+if grep -E '(^|[: ])epcm/internal/' <<<"$example_imports"; then
+    echo "an example imports epcm/internal/... (see above): examples run on the public epcm API alone" >&2
+    exit 1
+fi
+# Each example is deterministic: its stdout and exit status at default flags
+# are pinned in examples/<name>/testdata/stdout.golden (the last line is the
+# exit status), on one core and on eight.
+examples_bin=$(mktemp -d)
+trap 'rm -rf "$examples_bin"' EXIT
+for dir in examples/*/; do
+    name=$(basename "$dir")
+    go build -o "$examples_bin/$name" "./$dir"
+    for procs in 1 8; do
+        status=0
+        GOMAXPROCS=$procs "$examples_bin/$name" > "$examples_bin/out" || status=$?
+        echo "exit $status" >> "$examples_bin/out"
+        if ! diff "$dir/testdata/stdout.golden" "$examples_bin/out"; then
+            echo "examples/$name at GOMAXPROCS=$procs differs from its stdout.golden (see the diff above)" >&2
+            exit 1
+        fi
+    done
+done
+rm -rf "$examples_bin"
 
 echo "== bench module (vet + self-test against this tree's internal/) =="
 go vet -C bench ./...
