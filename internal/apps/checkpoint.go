@@ -9,6 +9,7 @@ package apps
 
 import (
 	"fmt"
+	"slices"
 
 	"epcm/internal/kernel"
 	"epcm/internal/manager"
@@ -226,13 +227,14 @@ func (w *WriteBarrier) Begin() error {
 	return nil
 }
 
-// End stops recording and returns the set of written pages.
+// End stops recording and returns the written pages in ascending order.
 func (w *WriteBarrier) End() []int64 {
 	w.active = false
 	out := make([]int64, 0, len(w.written))
 	for p := range w.written {
 		out = append(out, p)
 	}
+	slices.Sort(out)
 	return out
 }
 

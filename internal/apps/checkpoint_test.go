@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"sort"
 	"testing"
 	"time"
 
@@ -198,8 +197,7 @@ func TestWriteBarrierRecordsExactlyWrittenPages(t *testing.T) {
 	if err := k.Access(seg, 5, kernel.Read); err != nil {
 		t.Fatal(err)
 	}
-	written := wb.End()
-	sort.Slice(written, func(i, j int) bool { return written[i] < written[j] })
+	written := wb.End() // ascending
 	want := []int64{3, 7, 11}
 	if len(written) != len(want) {
 		t.Fatalf("written = %v, want %v", written, want)

@@ -102,11 +102,12 @@ func TestModesDoNotLeakAcrossBoots(t *testing.T) {
 }
 
 // TestModesSideBySide is ROADMAP item 1's acceptance: a serial system on
-// the paper's hash table and a concurrent one on the CAS table with the
-// superpage plane on, booted in one process and driven at the same time,
-// one goroutine each, with nothing ordering the two — so under -race any
-// process state they shared would be reported. Each must end conserved, and
-// the serial one's counters and clock must be bit-equal to a solo run.
+// the paper's hash table and a concurrent one on the same table shared
+// under its lock stripes, with the superpage plane on, booted in one
+// process and driven at the same time, one goroutine each, with nothing
+// ordering the two — so under -race any process state they shared would
+// be reported. Each must end conserved, and the serial one's counters and
+// clock must be bit-equal to a solo run.
 func TestModesSideBySide(t *testing.T) {
 	t.Parallel()
 	solo := driveModes(t, Config{})

@@ -177,7 +177,7 @@ func (w *bulkWorld) demoteCovering(s *Segment, page int64) {
 
 func (w *bulkWorld) check(step string) {
 	w.t.Helper()
-	table, tl := w.k.table.(*mappingTable), w.k.tlb
+	table, tl := w.k.table, w.k.tlb
 	assertSameAsReference(w.t, table, w.refT)
 	assertNoDuplicates(w.t, table)
 	assertTLBSameAsReference(w.t, tl, w.refL)
@@ -256,12 +256,12 @@ func TestBulkMigrateCacheState(t *testing.T) {
 			t.Fatalf("named: boot %v, %s %v; want false, true", boot.named, dst.name, dst.named)
 		}
 	}
-	_, _, spills, drops := k.table.stats()
-	if spills < hashOverflow || drops == 0 || k.table.(*mappingTable).ovLive != hashOverflow {
+	spills, drops := k.table.stats()
+	if spills < hashOverflow || drops == 0 || k.table.ovLive != hashOverflow {
 		t.Fatalf("%d spills and %d drops: the ranges did not fill the overflow area", spills, drops)
 	}
 	w.move("never-named into never-named over a full overflow area", SystemCred, boot, w.segment("low"), FlagRW, 0, PageRange{Page: 0, To: 0, Pages: 16})
-	if _, _, _, after := k.table.stats(); boot.named || after == drops {
+	if _, after := k.table.stats(); boot.named || after == drops {
 		t.Fatalf("boot named %v, %d drops before the run and %d after: its inserts displaced nothing live", boot.named, drops, after)
 	}
 

@@ -1,6 +1,9 @@
 package kernel
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -239,7 +242,7 @@ func TestMappingTableOverloadStaysCorrect(t *testing.T) {
 		t.Fatalf("faults = %d, want %d", st.MissingFaults, pages)
 	}
 	// By pigeonhole the table displaced mappings; drops are expected.
-	_, _, spills, _ := k.table.stats()
+	spills, _ := k.table.stats()
 	if spills == 0 {
 		t.Fatal("no hash displacement despite overload")
 	}
@@ -330,4 +333,94 @@ func TestMappingTableStaleDuplicatePurge(t *testing.T) {
 	if tbl.lookup(a) || overflowCopies(tbl, a) != 0 {
 		t.Fatal("remove(a) left a copy behind")
 	}
+}
+
+// TestChaosMappingTableHammer hammers one small shared paper table (512
+// slots over the 256 stripes, an 8-entry overflow area) from 16 goroutines
+// under the chaos/-race gate: 12 writers each own a disjoint key range (the
+// kernel's per-key single-writer discipline) and mix insert, re-insert and
+// remove; 2 goroutines sweep removeSegment over a segment of their own; 2
+// readers scan every key. The writers' 768 keys overload the slots, so
+// spills, drops and removeSegment race. A key its writer has removed must
+// never be reported present, and a key it holds may go missing only by a
+// drop, which the table counts.
+func TestChaosMappingTableHammer(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	runtime.GOMAXPROCS(max(2, procs))
+	defer runtime.GOMAXPROCS(procs)
+	tbl := newMappingTableSized(512, 8)
+	tbl.share()
+	const (
+		writers   = 12
+		keysPerW  = 64
+		rounds    = 40
+		readerSeg = SegID(7) // segment the sweep goroutines own
+	)
+	var lost atomic.Int64 // held keys found missing
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			held := make(map[mapKey]bool, keysPerW)
+			for r := 0; r < rounds; r++ {
+				for i := 0; i < keysPerW; i++ {
+					k := mapKey{seg: SegID(w % 4), page: int64(w*keysPerW + i)}
+					switch (r + i) % 3 {
+					case 0, 1:
+						tbl.insert(k)
+						held[k] = true
+					case 2:
+						tbl.remove(k)
+						delete(held, k)
+						if tbl.lookup(k) {
+							t.Errorf("hit after remove for %v", k)
+						}
+					}
+				}
+			}
+			for k := range held {
+				if !tbl.lookup(k) {
+					lost.Add(1)
+				}
+			}
+		}(w)
+	}
+	for s := 0; s < 2; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for p := int64(0); p < 32; p++ {
+					tbl.insert(mapKey{seg: readerSeg + SegID(s), page: p})
+				}
+				tbl.removeSegment(readerSeg + SegID(s))
+				for p := int64(0); p < 32; p++ {
+					if tbl.lookup(mapKey{seg: readerSeg + SegID(s), page: p}) {
+						t.Errorf("seg %d page %d visible after removeSegment", readerSeg+SegID(s), p)
+					}
+				}
+			}
+		}(s)
+	}
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds*4; r++ {
+				for p := int64(0); p < writers*keysPerW; p += 7 {
+					tbl.lookup(mapKey{seg: SegID(p % 4), page: p})
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	spills, drops := tbl.stats()
+	if spills == 0 || drops == 0 {
+		t.Fatalf("%d spills, %d drops: the overflow area never filled", spills, drops)
+	}
+	if lost.Load() > drops {
+		t.Fatalf("%d held keys missing but only %d drops counted", lost.Load(), drops)
+	}
+	assertNoDuplicates(t, tbl)
 }

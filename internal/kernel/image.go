@@ -22,7 +22,7 @@ type Image struct {
 	nextID     SegID
 	frameOwner []SegID
 	framePage  []int64
-	table      mapper
+	table      *mappingTable
 	tlb        *tlb
 	stats      Stats
 	now        time.Duration

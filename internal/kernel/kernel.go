@@ -15,14 +15,15 @@
 // either a direct call into the owning manager on the faulting goroutine
 // (serial scheduler, the deterministic default) or a message on the
 // manager's lane (concurrent scheduler). To support the
-// latter, the kernel's mutable state is locked at three levels: activity
+// latter, the kernel's mutable state is locked at four levels: activity
 // counters are atomic, each segment's page map and TLB are guarded by its
-// own mutex — taken only under the concurrent scheduler (Segment.lock), as
-// the serial one's mapping table and TLB are unsynchronized by contract —
-// and the segment registry by a kernel-wide RWMutex. The lock order is
-// kernel registry → segment (two segments in ascending ID order); the CAS
-// mapping table takes no lock, and no kernel lock is ever held across a
-// manager call.
+// own mutex, the shared mapping table by lock stripes over its slots — the
+// segment and table locks taken only under the concurrent scheduler
+// (Segment.lock, mappingTable.share), as a serial kernel is driven by one
+// goroutine at a time — and the segment registry by a kernel-wide RWMutex.
+// The lock order is kernel registry → segment (two segments in ascending ID
+// order) → mapping-table stripe → overflow area, and no kernel lock is ever
+// held across a manager call.
 package kernel
 
 import (
@@ -43,9 +44,9 @@ type Config struct {
 	// before the kernel gives up with ErrFaultLoop.
 	MaxFaultRetries int
 	// Concurrent boots the kernel on the concurrent delivery-plane
-	// scheduler, with the lock-free CAS mapping table and the per-segment
-	// TLBs that go with it (SetScheduler). The zero value is the
-	// deterministic serial scheduler.
+	// scheduler, with the mapping table shared under its lock stripes and
+	// the per-segment TLBs that go with it (SetScheduler). The zero value
+	// is the deterministic serial scheduler.
 	Concurrent bool
 	// Superpages turns the superpage extent plane (superpage.go) on for
 	// this kernel. Off, promotion refuses and every batch path charges
@@ -104,6 +105,7 @@ type kernelStats struct {
 	GetAttrCalls      sim.Striped
 	TLBHits           sim.Striped
 	TLBMisses         sim.Striped
+	HashMisses        sim.Striped // HashHits is TLBMisses - HashMisses
 	DroppedDeliveries sim.Padded
 	DelayedDeliveries sim.Padded
 	Revocations       sim.Padded
@@ -124,7 +126,7 @@ type Kernel struct {
 	mu     sync.RWMutex
 	segs   map[SegID]*Segment
 	nextID SegID
-	table  mapper
+	table  *mappingTable
 	// tlb is the serial scheduler's one TLB; under the concurrent scheduler
 	// (concurrent, set by SetScheduler) each segment keeps its own. tlbOf
 	// picks.
@@ -224,11 +226,16 @@ func (k *Kernel) Clock() *sim.Clock { return k.clock }
 func (k *Kernel) Cost() *sim.CostModel { return k.cost }
 
 // Stats returns a snapshot of kernel activity counters. The TLB counters
-// are kernel counters striped by segment like the other fault-path ones, so
-// Stats walks no segment and a deleted segment's hits and misses stay
-// counted; the mapping hash-table counters are read through the same
-// accessor pair ResetStats clears, so the two cannot drift.
+// and the hash-table miss counter are kernel counters striped by segment
+// like the other fault-path ones, so Stats walks no segment and a deleted
+// segment's hits and misses stay counted; the hash table's spill and drop
+// counters are read through the same accessor pair ResetStats clears, so
+// the two cannot drift.
 func (k *Kernel) Stats() Stats {
+	// Every TLB miss probes the hash table once, so hits are the misses that
+	// did not miss again. HashMisses is read first: a probe's miss is
+	// counted after its TLB miss, so the difference never goes negative.
+	hashMisses := k.stats.HashMisses.Load()
 	s := Stats{
 		Accesses:          k.stats.Accesses.Load(),
 		Faults:            k.stats.Faults.Load(),
@@ -242,6 +249,7 @@ func (k *Kernel) Stats() Stats {
 		GetAttrCalls:      k.stats.GetAttrCalls.Load(),
 		TLBHits:           k.stats.TLBHits.Load(),
 		TLBMisses:         k.stats.TLBMisses.Load(),
+		HashMisses:        hashMisses,
 		DroppedDeliveries: k.stats.DroppedDeliveries.Load(),
 		DelayedDeliveries: k.stats.DelayedDeliveries.Load(),
 		Revocations:       k.stats.Revocations.Load(),
@@ -250,7 +258,8 @@ func (k *Kernel) Stats() Stats {
 		ExtentPromotions:  k.stats.ExtentPromotions.Load(),
 		ExtentDemotions:   k.stats.ExtentDemotions.Load(),
 	}
-	s.HashHits, s.HashMisses, s.HashSpills, s.HashDrops = k.table.stats()
+	s.HashHits = s.TLBMisses - s.HashMisses
+	s.HashSpills, s.HashDrops = k.table.stats()
 	return s
 }
 
@@ -260,8 +269,9 @@ func (k *Kernel) ResetStats() {
 	k.table.resetStats()
 }
 
-// store sets every counter to its field of s; the mapping table's counters
-// are the table's own.
+// store sets every counter to its field of s; HashHits follows from
+// TLBMisses and HashMisses, and the mapping table's spill and drop
+// counters are the table's own.
 func (ks *kernelStats) store(s Stats) {
 	ks.Accesses.Store(s.Accesses)
 	ks.Faults.Store(s.Faults)
@@ -275,6 +285,7 @@ func (ks *kernelStats) store(s Stats) {
 	ks.GetAttrCalls.Store(s.GetAttrCalls)
 	ks.TLBHits.Store(s.TLBHits)
 	ks.TLBMisses.Store(s.TLBMisses)
+	ks.HashMisses.Store(s.HashMisses)
 	ks.DroppedDeliveries.Store(s.DroppedDeliveries)
 	ks.DelayedDeliveries.Store(s.DelayedDeliveries)
 	ks.Revocations.Store(s.Revocations)
@@ -608,6 +619,7 @@ func (k *Kernel) Access(s *Segment, page int64, access AccessType) error {
 			k.stats.TLBMisses.Add(uint64(rs.id), 1)
 			k.clock.AdvanceOn(uint64(rs.id), k.cost.TLBFill)
 			if !k.table.lookup(key) {
+				k.stats.HashMisses.Add(uint64(rs.id), 1)
 				// Walk the segment and bound-region structures, then prime
 				// the hash table. Staging segments are never primed (see
 				// cacheFill); the charge is identical either way.

@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -12,11 +14,10 @@ import (
 // check (ROADMAP item 1: "TLB lookup", "mapping-table lookup+insert"). The
 // serial structures run beside the reference model each replaced
 // (reference_test.go) through the same loop, so one run prints before and
-// after; the concurrent scheduler's CAS table runs the same loops alone. All
-// of them must report 0 allocs/op. scripts/check.sh smoke-runs them at one
-// iteration.
+// after. All of them must report 0 allocs/op. scripts/check.sh smoke-runs
+// them at one iteration.
 
-// tlbOps and tableOps are the slices of tlb and mapper the loops below
+// tlbOps and tableOps are the slices of tlb and mappingTable the loops below
 // drive, through an interface so one loop serves a structure and its
 // reference.
 type tlbOps interface {
@@ -66,9 +67,9 @@ var benchSink bool
 
 // parallelHits is the two-manager shape of a lookup loop: two goroutines
 // (at -cpu 2), each looking up n cached keys of a segment of its own, stride
-// pages apart. One op is one hit. The structures' slots are read-shared, so
-// what the goroutines can contend on is the hit counter — which is why it
-// is striped by the key's segment.
+// pages apart. One op is one hit. The slots are read-shared, so what the
+// goroutines can contend on is what each lookup writes: a shared table's
+// stripe locks, each alone on its cache line.
 func parallelHits(b *testing.B, fill func(mapKey), lookup func(mapKey) bool, n int, stride int64) {
 	var keys [2][]mapKey
 	for g := range keys {
@@ -185,7 +186,7 @@ func tableKeys() []mapKey {
 }
 
 // tableBench hands each mapping table under test to run: benchTables the
-// serial table and its reference, benchCASTable the concurrent scheduler's.
+// serial table and its reference.
 type tableBench func(b *testing.B, run func(b *testing.B, t tableOps))
 
 func benchTables(b *testing.B, run func(b *testing.B, t tableOps)) {
@@ -217,56 +218,24 @@ func benchFullOverflow(b *testing.B, run func(b *testing.B, t tableOps)) {
 	})
 }
 
-func benchCASTable(b *testing.B, run func(b *testing.B, t tableOps)) {
-	b.ReportAllocs()
-	run(b, newCASTable())
-}
-
 func BenchmarkMappingTableInsert(b *testing.B) { tableInsert(b, benchTables) }
-func BenchmarkCASTableRemove(b *testing.B)     { tableRemove(b, benchCASTable) }
 
 func BenchmarkMappingTableRemove(b *testing.B) {
 	tableRemove(b, benchTables)
 	b.Run("full-overflow", func(b *testing.B) { tableRemove(b, benchFullOverflow) })
 }
 
+// BenchmarkMappingTableLookup/parallel-hit runs on a shared table, as the
+// concurrent scheduler's: at -cpu 2 each lookup takes a stripe lock the
+// other goroutine's keys also take, so it detects stripes sharing a line.
 func BenchmarkMappingTableLookup(b *testing.B) {
 	tableLookup(b, benchTables)
 	b.Run("full-overflow", func(b *testing.B) { tableLookup(b, benchFullOverflow) })
-}
-
-func BenchmarkCASTableLookup(b *testing.B) {
-	tableLookup(b, benchCASTable)
 	b.Run("parallel-hit", func(b *testing.B) {
-		t := newCASTable()
+		t := newMappingTable()
+		t.share()
 		parallelHits(b, t.insert, t.lookup, benchTableKeys/2, 4)
 	})
-}
-
-// BenchmarkCASTableInsert: fresh is the fault path's insert — the key is
-// not cached and lands in a slot an earlier remove tombstoned (the table is
-// emptied off the clock once per pass over the key set); cached re-inserts
-// a key the table already holds.
-func BenchmarkCASTableInsert(b *testing.B) {
-	b.Run("fresh", func(b *testing.B) {
-		benchCASTable(b, func(b *testing.B, t tableOps) {
-			keys := tableKeys()
-			for _, k := range keys {
-				t.insert(k)
-			}
-			for i := 0; i < b.N; i++ {
-				if i%benchTableKeys == 0 {
-					b.StopTimer()
-					for _, k := range keys {
-						t.remove(k)
-					}
-					b.StartTimer()
-				}
-				t.insert(keys[i%benchTableKeys])
-			}
-		})
-	})
-	b.Run("cached", func(b *testing.B) { tableInsert(b, benchCASTable) })
 }
 
 // tableInsert cycles over the key set, so after the first pass every insert
@@ -383,26 +352,51 @@ func (nopManager) HandleFault(Fault) error {
 }
 func (nopManager) SegmentDeleted(*Segment) {}
 
+// holdLane makes seg's lane busy until the returned stop: a goroutine holds
+// the lane's combining token and answers whatever is queued, so every post
+// to the lane takes the slow path — enqueue, then wait for the reply.
+func holdLane(k *Kernel, seg *Segment) (stop func()) {
+	s := k.Scheduler().(*concurrentScheduler)
+	ln := s.laneOf(seg.manager.Load())
+	ln.token.Store(true)
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !done.Load() {
+			s.drainCells(ln)
+			runtime.Gosched()
+		}
+	}()
+	return func() {
+		done.Store(true)
+		wg.Wait()
+		ln.token.Store(false)
+	}
+}
+
 // BenchmarkDeliverFault: one op is one fault from deliverFault through the
 // scheduler's post and processFault (stats, trap, delivery and return
 // charges) to a handler that does nothing, and back — the serial direct
-// call, and the concurrent scheduler's inline path (lane idle, token taken,
-// no enqueue). Neither allocates.
+// call, the concurrent scheduler's inline path (lane idle, token taken, no
+// enqueue), and its busy path (another goroutine holds the lane: enqueue
+// with a pooled reply channel and wait). None allocates.
 func BenchmarkDeliverFault(b *testing.B) {
-	for _, mode := range []string{"serial", "concurrent"} {
+	for _, mode := range []string{"serial", "concurrent", "concurrent-busy"} {
 		b.Run(mode, func(b *testing.B) {
 			b.ReportAllocs()
 			mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: 1 << 20})
-			k := New(mem, new(sim.Clock), sim.DECstation5000(), Config{})
-			if mode == "concurrent" {
-				k.SetScheduler(NewConcurrentScheduler(k))
-			}
+			k := New(mem, new(sim.Clock), sim.DECstation5000(), Config{Concurrent: mode != "serial"})
 			defer k.Scheduler().Stop()
 			seg, err := k.CreateSegment("space", 1)
 			if err != nil {
 				b.Fatal(err)
 			}
 			k.SetSegmentManager(seg, nopManager{})
+			if mode == "concurrent-busy" {
+				defer holdLane(k, seg)()
+			}
 			f := Fault{Seg: seg, Page: 3, Access: Write, Kind: FaultMissing}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -206,29 +206,15 @@ func sameSegment(got, want *Segment) error {
 	return nil
 }
 
-func sameTable(got, want mapper) error {
-	gh, gm, gs, gd := got.stats()
-	wh, wm, ws, wd := want.stats()
-	if gh != wh || gm != wm || gs != ws || gd != wd {
-		return fmt.Errorf("table counters %d/%d/%d/%d, want %d/%d/%d/%d", gh, gm, gs, gd, wh, wm, ws, wd)
+func sameTable(got, want *mappingTable) error {
+	gs, gd := got.stats()
+	ws, wd := want.stats()
+	if gs != ws || gd != wd {
+		return fmt.Errorf("table counters %d/%d, want %d/%d", gs, gd, ws, wd)
 	}
-	switch g := got.(type) {
-	case *mappingTable:
-		w := want.(*mappingTable)
-		if !slices.Equal(g.slots, w.slots) || g.overflow != w.overflow || g.ovLen != w.ovLen ||
-			g.ovLive != w.ovLive || g.spanSeen != w.spanSeen {
-			return errors.New("mapping tables differ")
-		}
-	case *casTable:
-		w := want.(*casTable)
-		if len(g.slots) != len(w.slots) || g.spanSeen.Load() != w.spanSeen.Load() {
-			return errors.New("CAS tables differ")
-		}
-		for i := range g.slots {
-			if g.slots[i].Load() != w.slots[i].Load() {
-				return fmt.Errorf("CAS table slot %d differs", i)
-			}
-		}
+	if !slices.Equal(got.slots, want.slots) || got.overflow != want.overflow || got.ovLen != want.ovLen ||
+		got.ovLive != want.ovLive || got.spanSeen.Load() != want.spanSeen.Load() {
+		return errors.New("mapping tables differ")
 	}
 	return nil
 }

@@ -38,8 +38,8 @@ type Scheduler interface {
 	// Name identifies the scheduler ("serial" or "concurrent").
 	Name() string
 	// Concurrent reports whether managers run on their own goroutines.
-	// When true the kernel swaps its mapping table for the lock-free CAS
-	// variant at install time and gives each segment its own TLB.
+	// When true the kernel shares its mapping table under lock stripes at
+	// install time and gives each segment its own TLB.
 	Concurrent() bool
 	// Exec runs fn in m's delivery context — on m's worker goroutine under
 	// the concurrent scheduler — and blocks until it returns. Recovery uses
@@ -262,9 +262,9 @@ type concurrentScheduler struct {
 }
 
 // NewConcurrentScheduler returns the per-manager-lane concurrent scheduler.
-// Install it with Kernel.SetScheduler (which also swaps the mapping table for
-// its lock-free CAS variant and gives each segment a TLB of its own), and
-// Stop it when the run ends.
+// Install it with Kernel.SetScheduler (which also shares the mapping table
+// under its lock stripes and gives each segment a TLB of its own), and Stop
+// it when the run ends.
 func NewConcurrentScheduler(k *Kernel) Scheduler {
 	return &concurrentScheduler{k: k}
 }
@@ -337,12 +337,17 @@ func (s *concurrentScheduler) combine(ln *lane) {
 	}
 }
 
+// replies recycles the reply channels of queued deliveries. Each is
+// buffered for the one answer it carries, and its poster takes that answer
+// before putting it back, so a channel comes out of the pool empty.
+var replies = sync.Pool{New: func() any { return make(chan error, 1) }}
+
 // post delivers one message to c's manager. Fast path: the lane is idle, so
 // the calling goroutine takes the token and runs the manager inline. Slow
-// path: enqueue with a reply channel, help combine if the token frees up,
-// and wait for the answer. A nil return with no processing (stopped scheduler,
-// revoked manager) is a lost delivery; the caller's retry loop re-resolves
-// and re-routes.
+// path: enqueue with a pooled reply channel, help combine if the token frees
+// up, and wait for the answer. A nil return with no processing (stopped
+// scheduler, revoked manager) is a lost delivery; the caller's retry loop
+// re-resolves and re-routes.
 func (s *concurrentScheduler) post(c *managerCell, d delivery) error {
 	ln := s.laneOf(c)
 	if ln == nil {
@@ -359,8 +364,10 @@ func (s *concurrentScheduler) post(c *managerCell, d delivery) error {
 		s.combine(ln) // drains again, then releases with recheck
 		return err
 	}
-	d.reply = make(chan error, 1)
+	reply := replies.Get().(chan error)
+	d.reply = reply
 	if !ln.ring.Put(s.k.clock.Now(), d) {
+		replies.Put(reply)
 		return nil // revoked while posting: lost delivery
 	}
 	if ln.token.CompareAndSwap(false, true) {
@@ -369,7 +376,9 @@ func (s *concurrentScheduler) post(c *managerCell, d delivery) error {
 	// Either this goroutine just combined (answering its own message along
 	// the way) or the token holder at CAS time is bound to see the message
 	// on its release-recheck.
-	return <-d.reply
+	err := <-reply
+	replies.Put(reply)
+	return err
 }
 
 func (s *concurrentScheduler) deliverFault(c *managerCell, f Fault) error {
@@ -434,15 +443,15 @@ func (s *concurrentScheduler) Stop() {
 func (k *Kernel) Scheduler() Scheduler { return k.sched }
 
 // SetScheduler installs a scheduler, stopping any previous one. Installing
-// a concurrent scheduler also swaps the mapping hash table for its
-// lock-free CAS variant (castable.go) and moves translation caching to one
-// R3000 TLB per segment (tlbOf): the kernel's one TLB would be written by
-// every lane, so which install evicts which would depend on goroutine
-// timing, while a segment's TLB is only touched under the segment's lock.
-// Both are pure caches over the authoritative segment page maps, so starting
+// a concurrent scheduler also shares the mapping hash table (its lock
+// stripes, hashtable.go) and moves translation caching to one R3000 TLB per
+// segment (tlbOf): the kernel's one TLB would be written by every lane, so
+// which install evicts which would depend on goroutine timing, while a
+// segment's TLB is only touched under the segment's lock. Per-segment TLBs
+// are pure caches over the authoritative segment page maps, so starting
 // them cold is correct (it only costs some extra virtual refill time). A
 // kernel that has run concurrent stays that way under a later scheduler, as
-// its table does.
+// its table stays shared.
 func (k *Kernel) SetScheduler(s Scheduler) {
 	if k.sched != nil {
 		k.sched.Stop()
@@ -455,15 +464,7 @@ func (k *Kernel) SetScheduler(s Scheduler) {
 	}
 	k.sched = s
 	if s.Concurrent() {
-		// Size the table for the machine: every live mapping is a resident
-		// page owning at least one frame, so 2x the frame count keeps the
-		// load factor under 50% and the probe window effective. The default
-		// 64K floor matches the serial table.
-		slots := hashTableSlots
-		for slots < 2*k.mem.NumFrames() {
-			slots <<= 1
-		}
-		k.table = newCASTableSized(slots)
+		k.table.share()
 		k.concurrent = true
 	}
 }

@@ -4,24 +4,26 @@ import (
 	"testing"
 )
 
-// FuzzExtentTable drives a shrunken CAS table through a fuzz-chosen mix of
-// base-page and span (superpage) operations and checks every lookup against
-// a flat reference set holding both granularities. The table is a lossy
-// cache, so misses are always legal; what must never happen is:
+// FuzzExtentTable drives a shrunken paper table (16 direct-mapped slots, 4
+// overflow entries) through a fuzz-chosen mix of base-page and span
+// (superpage) operations and checks every lookup against a flat reference
+// set holding both granularities. The table is a lossy cache, so misses are
+// always legal; what must never happen is:
 //
 //   - a hit for a page with no live base entry and no covering span,
 //   - a span for one order answering after removeSpan of that order,
-//   - a live slot — base or span — holding a key the set does not,
-//   - any key (tagged or not) live in two slots.
+//   - a valid slot or overflow entry — base or span — holding a key the set
+//     does not,
+//   - more than one overflow copy of any key (assertNoDuplicates).
 func FuzzExtentTable(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 2, 1, 16, 4, 0, 1, 17, 0, 3, 1, 2, 0})
 	f.Add([]byte("span-over-base-remove-then-probe-every-page"))
 	f.Add([]byte{2, 0, 0, 4, 2, 0, 16, 4, 3, 0, 0, 4, 0, 0, 5, 0, 4, 0, 0, 0})
 	f.Add([]byte{2, 1, 0, 1, 2, 1, 0, 2, 2, 1, 0, 3, 0, 1, 3, 0, 3, 1, 0, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		table := newCASTableSized(16)
+		table := newMappingTableSized(16, 4)
 		// model holds base keys as they are and spans under their tagged
-		// key, the form casSlotKey decodes a slot to.
+		// key, the form the table stores them under.
 		model := make(map[mapKey]bool)
 		check := func(k mapKey) {
 			if table.lookup(k) && !modelCovers(model, k) {
@@ -71,21 +73,16 @@ func FuzzExtentTable(f *testing.F) {
 				check(mapKey{seg, b})
 				check(mapKey{seg, b + int64(1)<<uint(o) - 1})
 			}
-			// The slots hold a duplicate-free subset of the set.
-			seen := make(map[mapKey]bool)
-			for i := range table.slots {
-				sk, live := casSlotKey(table.slots[i].Load())
-				if !live {
-					continue
-				}
-				if seen[sk] {
-					t.Fatalf("key %v live in two slots", sk)
-				}
-				seen[sk] = true
-				if !model[sk] {
-					t.Fatalf("key %v live in the table, absent from the set", sk)
+			// The slots and the overflow area hold only keys of the set,
+			// each at most once in the area.
+			for _, area := range [][]hashSlot{table.slots, table.overflow[:table.ovLen]} {
+				for _, e := range area {
+					if e.valid && !model[mapKey{e.seg, e.page}] {
+						t.Fatalf("key %v valid in the table, absent from the set", mapKey{e.seg, e.page})
+					}
 				}
 			}
+			assertNoDuplicates(t, table)
 		}
 	})
 }

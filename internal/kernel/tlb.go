@@ -95,9 +95,9 @@ func (k *Kernel) tlbOf(s *Segment) *tlb {
 	return s.tlb
 }
 
-// bucket hashes a key to its chain head (the mapping tables' Fibonacci
-// hash, so consecutive pages of one segment spread across the buckets).
-func (t *tlb) bucket(k mapKey) uint64 { return casHash(k) >> t.shift }
+// bucket hashes a key to its chain head (the mapping table's hash, so
+// consecutive pages of one segment spread across the buckets).
+func (t *tlb) bucket(k mapKey) uint64 { return hashKey(k) >> t.shift }
 
 // find returns the slot caching k, or -1.
 func (t *tlb) find(k mapKey) int32 {

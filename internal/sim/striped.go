@@ -2,8 +2,8 @@ package sim
 
 import "sync/atomic"
 
-// The striped counter the virtual clock, the kernel's activity stats and the
-// CAS mapping structures' hit/miss counters are all built on (DESIGN §11).
+// The striped counter the virtual clock and the kernel's activity stats, the
+// mapping table's hit/miss counts among them, are built on (DESIGN §11).
 // The rule: a counter the fault path writes is striped by WHO charges, never
 // by what is charged. Goroutines that can fault concurrently work on their
 // own managers' segments, so the segment ID of the page a charge concerns
