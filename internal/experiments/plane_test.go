@@ -56,6 +56,9 @@ func TestPlaneThroughputConcurrent(t *testing.T) {
 // stopped between ops, so the numbers measure the delivery path, not the
 // collector. ns*procs/fault is wall time × GOMAXPROCS per fault: an arm
 // that wins wall time only by keeping a second core busy shows it there.
+// Every cell stays under 0.1 allocs/fault (boot included, ≈ 0.06–0.08): a
+// fault that boxes its page entry into a segment's sparse map, or a reply
+// channel made per queued fault, read ≈ 0.7 on concurrent/1mgr/2drv.
 func BenchmarkDeliveryPlane(b *testing.B) {
 	const fpm = 8192
 	for _, c := range []struct {
@@ -90,7 +93,11 @@ func BenchmarkDeliveryPlane(b *testing.B) {
 			perFault := float64(b.Elapsed().Nanoseconds()) / float64(faults)
 			b.ReportMetric(perFault, "ns/fault")
 			b.ReportMetric(perFault*float64(runtime.GOMAXPROCS(0)), "ns*procs/fault")
-			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(faults), "allocs/fault")
+			allocs := float64(after.Mallocs-before.Mallocs) / float64(faults)
+			b.ReportMetric(allocs, "allocs/fault")
+			if allocs > 0.1 {
+				b.Errorf("%.3f allocs/fault, want at most 0.1", allocs)
+			}
 		})
 	}
 }

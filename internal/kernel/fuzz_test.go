@@ -8,8 +8,10 @@ import (
 // 4 overflow entries — small enough that collisions, spills and drops happen
 // within a handful of operations) through a fuzz-chosen op sequence, in lock
 // step with the reference table (reference_test.go: the same algorithm
-// carrying an entry pointer per slot) and a model map. The table is a lossy
-// cache, so a miss on a present key is legal; what must never happen is:
+// carrying an entry pointer per slot) and a model map. The key universe
+// (fuzzKey) straddles both edges of the packed range, where keys turn
+// uncacheable. The table is a lossy cache, so a miss on a present key is
+// legal; what must never happen is:
 //
 //   - a slot, an overflow entry, a lookup's answer or a counter differing
 //     from the reference (same presence, same spills, same drops),
@@ -27,15 +29,19 @@ func FuzzMappingTable(f *testing.F) {
 	// then remove through both areas; fill it again, drop its segment and
 	// fill it once more.
 	f.Add(mappingTableCollidingSeed())
+	// Both edges of the packed range: insert page 2^40−1 and 2^40, segment
+	// 2^19−1 and 2^19, and page −1; spans based at 2^40−8, 2^40 and −16;
+	// then remove, withdraw and drop segments on both sides.
+	f.Add([]byte{0, 1, 5<<5 | 15, 0, 1, 5<<5 | 16, 0, 4 | 1, 1, 0, 4 | 2, 1, 0, 1, 6<<5 | 31,
+		4, 1, 5<<5 | 8, 4, 1, 5<<5 | 24, 4, 1, 6<<5 | 24,
+		2, 1, 5<<5 | 15, 5, 1, 5<<5 | 8, 3, 4 | 1, 0, 3, 4 | 2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		table := newMappingTableSized(16, 4)
 		ref := newRefMappingTable(16, 4)
 		model := make(map[mapKey]bool)
 		for len(data) >= 3 {
-			op, segByte, pageByte := data[0]%6, data[1]&3, data[2]&31
+			op, k, order := data[0]%6, fuzzKey(data[1], data[2]), uint8(data[2]&31>>3)+1 // order 1..4
 			data = data[3:]
-			k := mapKey{seg: SegID(segByte), page: int64(pageByte)}
-			order := uint8(pageByte>>3) + 1 // 1..4
 			span := mapKey{k.seg, extentBase(k.page, int(order))}
 			switch op {
 			case 0, 1: // insert weighted 2x: build occupancy
@@ -43,8 +49,8 @@ func FuzzMappingTable(f *testing.F) {
 				table.insert(k)
 				ref.insert(k, e)
 				model[k] = true
-				if !table.lookup(k) {
-					t.Fatalf("lookup(%v) missed right after insert", k)
+				if got := table.lookup(k); got != refCacheable(k) {
+					t.Fatalf("lookup(%v) = %v right after insert, cacheable %v", k, got, refCacheable(k))
 				}
 				ref.lookup(k)
 			case 2:
@@ -72,9 +78,9 @@ func FuzzMappingTable(f *testing.F) {
 			// lookup (exact, then span probes) must agree with the
 			// reference on every key of the universe, and may hit only
 			// what the model holds.
-			for seg := SegID(0); seg < 4; seg++ {
-				for page := int64(0); page < 32; page++ {
-					pk := mapKey{seg, page}
+			for segByte := byte(0); segByte < 8; segByte++ {
+				for i := byte(0); i < 3*32; i++ {
+					pk := fuzzKey(segByte, []byte{0, 5 << 5, 6 << 5}[i>>5]|i&31)
 					_, want := ref.lookup(pk)
 					got := table.lookup(pk)
 					if got != want {
@@ -89,6 +95,27 @@ func FuzzMappingTable(f *testing.F) {
 			assertNoDuplicates(t, table)
 		}
 	})
+}
+
+// fuzzKey maps a script's segment and page bytes onto FuzzMappingTable's
+// key universe. Segment: the low two bits pick 0–3, or 2^19−2 … 2^19+1
+// (across the packed segment field's edge) when bit 2 is set. Page: the
+// low five bits are an offset from a base the top three bits pick —
+// 2^40−16 for 5 (so pages straddle the packed page field's edge), −32 for
+// 6, and 0 otherwise.
+func fuzzKey(segByte, pageByte byte) mapKey {
+	seg := SegID(segByte & 3)
+	if segByte&4 != 0 {
+		seg += 1<<19 - 2
+	}
+	page := int64(pageByte & 31)
+	switch pageByte >> 5 {
+	case 5:
+		page += 1<<40 - 16
+	case 6:
+		page -= 32
+	}
+	return mapKey{seg, page}
 }
 
 // mappingTableCollidingSeed builds a corpus entry out of keys that share one
@@ -137,7 +164,7 @@ func modelCovers(model map[mapKey]bool, k mapKey) bool {
 func assertSameAsReference(t *testing.T, table *mappingTable, ref *refMappingTable) {
 	t.Helper()
 	same := func(s hashSlot, r refHashEntry) bool {
-		return s.valid == r.valid && (!s.valid || mapKey{s.seg, s.page} == r.key)
+		return s.valid() == r.valid && (!s.valid() || s.key() == r.key)
 	}
 	for i := range table.slots {
 		if !same(table.slots[i], ref.slots[i]) {
@@ -157,33 +184,46 @@ func assertSameAsReference(t *testing.T, table *mappingTable, ref *refMappingTab
 
 // assertNoDuplicates enforces the overflow-area contract: no key appears
 // twice within the overflow area (that would make lookup order-dependent),
-// ovLive counts exactly the valid entries, and every slot's homed count is
-// the number of valid entries whose index is that slot (find and remove
-// skip the area for a key whose home slot reads zero).
+// ovLive counts exactly the valid entries, every valid entry records its
+// key's slot as its home, and a slot's spilled bit is set exactly when some
+// valid entry is homed there (find and remove skip the area for a key
+// whose home slot has not spilled).
 func assertNoDuplicates(t *testing.T, table *mappingTable) {
 	t.Helper()
 	seen := make(map[mapKey]bool)
 	homed := make(map[int]int)
 	for i := range table.overflow[:table.ovLen] {
 		o := table.overflow[i]
-		if !o.valid {
+		if !o.valid() {
 			continue
 		}
-		k := mapKey{o.seg, o.page}
+		if o.spilled() {
+			t.Fatalf("overflow entry %d (%v) carries the spilled bit", i, o.key())
+		}
+		k := o.key()
 		if seen[k] {
 			t.Fatalf("key %v valid twice within the overflow area", k)
 		}
 		seen[k] = true
+		if home := table.index(k); int(table.ovHome[i]) != home {
+			t.Fatalf("overflow entry %d (%v) records home %d, its slot is %d", i, k, table.ovHome[i], home)
+		}
 		homed[table.index(k)]++
 	}
 	if table.ovLive != len(seen) {
 		t.Fatalf("ovLive = %d with %d valid overflow entries", table.ovLive, len(seen))
 	}
 	for i := range table.slots {
-		if got := int(table.slots[i].homed); got != homed[i] {
-			t.Fatalf("slot %d homed = %d with %d valid overflow entries homed there", i, got, homed[i])
+		if got := table.slots[i].spilled(); got != (homed[i] > 0) {
+			t.Fatalf("slot %d spilled = %v with %d valid overflow entries homed there", i, got, homed[i])
 		}
 	}
+}
+
+// key unpacks a slot word's key, its span order as spanMapKey's tag.
+func (s hashSlot) key() mapKey {
+	order := int64(s>>slotOrderShift) & 7
+	return mapKey{SegID(s & slotSegField >> slotPageBits), int64(s&(1<<slotPageBits-1)) | order<<spanTagShift}
 }
 
 // FuzzTLB drives the indexed TLB and the linear-scan reference

@@ -23,7 +23,7 @@ import (
 // locks the stripe of its key's slot — tableStripes cache-line-padded
 // mutexes over contiguous slot ranges — and takes the overflow area's mutex
 // too only while it reads or writes the area: a probe or remove of a key
-// whose slot has spilled keys (homed != 0), an insert that displaces its
+// whose slot has spilled keys (its spilled bit), an insert that displaces its
 // slot's occupant. removeSegment takes every lock. Stripe before overflow;
 // both are leaves, taken inside the segment locks and never around them.
 
@@ -51,37 +51,67 @@ func hashKey(k mapKey) uint64 {
 // hash: an index into a table of n (a power of two) slots.
 func hashShift(n int) uint { return uint(64 - bits.TrailingZeros(uint(n))) }
 
-// hashSlot is one cached mapping: the key alone. Nothing on the fault path
-// reads a page entry out of this table — a hit only spares the segment walk;
-// flags and frames always come from the segment's page store — so the slot
-// carries no pointer: 16 bytes, and the 1 MB table is memory the garbage
-// collector never scans.
+// hashSlot is one cached mapping packed into one word: the key alone.
+// Nothing on the fault path reads a page entry out of this table — a hit
+// only spares the segment walk; flags and frames always come from the
+// segment's page store — so the slot carries no pointer: 8 bytes, and the
+// 512 KB table is memory the garbage collector never scans.
 //
-// homed belongs to the direct-mapped slot, not to the key it holds: it
-// counts the valid overflow entries whose index is this slot. It sits in
-// what was padding, and it survives the slot being overwritten or
-// invalidated. Overflow entries leave it zero.
-type hashSlot struct {
-	page  int64
-	seg   SegID
-	valid bool
-	homed uint8
+//	bit  63     valid
+//	bit  62     spilled: a valid overflow entry is homed at this slot
+//	bits 59–61  span order, 0 for a base-page entry
+//	bits 40–58  segment
+//	bits 0–39   page (a span entry's extent base)
+//
+// find, insert and remove each compare one masked word. The spilled bit
+// belongs to the direct-mapped slot, not to the key it holds: it survives
+// the slot being overwritten or invalidated. Overflow entries leave it
+// clear and record their home slot in ovHome instead.
+type hashSlot uint64
+
+const (
+	slotValid      hashSlot = 1 << 63
+	slotSpilled    hashSlot = 1 << 62
+	slotOrderShift          = 59
+	slotPageBits            = 40
+	slotSegBits             = slotOrderShift - slotPageBits
+	slotSegField   hashSlot = (1<<slotSegBits - 1) << slotPageBits
+)
+
+// Every extent order fits the slot's three order bits.
+const _ = uint(7 - MaxExtentOrder)
+
+// packKey packs the word of k's entry at the given span order (0 for a base
+// page). ok is false for a key outside the packed range — a negative page,
+// a page at or beyond 2^40, a segment at or beyond 2^19. Such a key is
+// uncacheable: lookup misses it (the walk serves it, charged as for any
+// miss), and insert and remove leave the table alone.
+func packKey(k mapKey, order int) (w hashSlot, ok bool) {
+	if uint64(k.page)>>slotPageBits|uint64(k.seg)>>slotSegBits != 0 {
+		return 0, false
+	}
+	return slotValid | hashSlot(order)<<slotOrderShift | hashSlot(k.seg)<<slotPageBits | hashSlot(k.page), true
 }
 
-func (s *hashSlot) holds(k mapKey) bool {
-	return s.valid && s.page == k.page && s.seg == k.seg
-}
+// holds reports whether the slot holds the packed key w.
+func (s *hashSlot) holds(w hashSlot) bool { return *s&^slotSpilled == w }
+
+func (s hashSlot) valid() bool   { return s&slotValid != 0 }
+func (s hashSlot) spilled() bool { return s&slotSpilled != 0 }
 
 type mappingTable struct {
 	slots []hashSlot
 	// overflow stays an embedded fixed array (not a slice), which keeps its
 	// scans bounds-check-free and local to the struct. ovLen is the logical
 	// area size — the paper's 32 in production, smaller in fuzz tables.
+	// ovHome[j] is the direct-mapped slot overflow[j]'s key indexes, valid
+	// while the entry is.
 	overflow [hashOverflow]hashSlot
+	ovHome   [hashOverflow]int32
 	ovLen    int
 	// ovLive counts the valid overflow entries; insert looks for a free
 	// one only while ovLive < ovLen. Whether a given key can be in the area
-	// is its home slot's homed count: find and remove scan the area only
+	// is its home slot's spilled bit: find and remove scan the area only
 	// for keys whose home slot has spilled, so the migrate path's
 	// remove+insert pair touches two slots and nothing else even while
 	// other slots' displaced keys fill the area.
@@ -181,23 +211,28 @@ func (t *mappingTable) unlockStripe(i int) { t.stripes[i>>t.stripeShift].Unlock(
 //go:noinline
 func (t *mappingTable) unlockOv() { t.ov.Unlock() }
 
-// index computes the direct-mapped slot for a key.
+// index computes the direct-mapped slot for a key; a span entry's key is
+// its span-tagged one (spanMapKey).
 func (t *mappingTable) index(k mapKey) int {
 	return int(hashKey(k) >> t.shift) // top bits: len(slots) slots
 }
 
-// find probes slot and overflow for exactly key k; lookup composes it with
-// the span probes.
-func (t *mappingTable) find(k mapKey) bool {
-	i := t.index(k)
+// find probes the slot and the overflow area for exactly k's entry at the
+// given span order; lookup composes it with the span probes.
+func (t *mappingTable) find(k mapKey, order int) bool {
+	w, ok := packKey(k, order)
+	if !ok {
+		return false
+	}
+	i := t.index(spanMapKey(k, order))
 	s := &t.slots[i]
 	t.lockSlot(i)
-	hit := s.holds(k)
-	if !hit && s.homed != 0 {
+	hit := s.holds(w)
+	if !hit && s.spilled() {
 		t.lockOverflow()
 		ov := t.overflow[:t.ovLen]
 		for j := range ov {
-			if ov[j].holds(k) {
+			if ov[j].holds(w) {
 				hit = true
 				break
 			}
@@ -212,12 +247,15 @@ func (t *mappingTable) find(k mapKey) bool {
 // it probes the span keys of any live extent orders, so one cached span
 // entry answers for every page of its extent.
 func (t *mappingTable) lookup(k mapKey) bool {
-	if t.find(k) {
+	if t.find(k, 0) {
 		return true
 	}
 	if m := t.spanSeen.Load(); m != 0 {
 		for o := 1; o <= MaxExtentOrder; o++ {
-			if m&(1<<uint(o)) != 0 && t.find(spanMapKey(mapKey{k.seg, extentBase(k.page, o)}, o)) {
+			if m&(1<<uint(o)) == 0 {
+				continue
+			}
+			if t.find(mapKey{k.seg, extentBase(k.page, o)}, o) {
 				return true
 			}
 		}
@@ -225,59 +263,75 @@ func (t *mappingTable) lookup(k mapKey) bool {
 	return false
 }
 
-// insertSpan caches one key covering a whole extent under its tagged span
-// key; lookup's masked-base probes find it for every covered page. The
-// order bit is published before the entry, so a lookup that could find the
-// entry also probes for it.
+// insertSpan caches one key covering a whole extent under its span key;
+// lookup's masked-base probes find it for every covered page. The order bit
+// is published before the entry, so a lookup that could find the entry
+// also probes for it.
 func (t *mappingTable) insertSpan(k mapKey, order uint8) {
+	if _, ok := packKey(k, int(order)); !ok {
+		return
+	}
 	for m := t.spanSeen.Load(); m&(1<<order) == 0 && !t.spanSeen.CompareAndSwap(m, m|1<<order); m = t.spanSeen.Load() {
 	}
-	t.insert(spanMapKey(k, int(order)))
+	t.put(k, int(order))
 }
 
 // removeSpan withdraws a span entry (extent demoted).
 func (t *mappingTable) removeSpan(k mapKey, order uint8) {
-	t.remove(spanMapKey(k, int(order)))
+	t.forget(k, int(order))
 }
 
-// insert caches a mapping, displacing any colliding occupant to the overflow
-// area (and dropping the displaced mapping if the overflow area is full).
+// insert caches a base-page mapping.
+func (t *mappingTable) insert(k mapKey) { t.put(k, 0) }
+
+// remove forgets a base-page mapping (page unmapped, migrated away, or
+// flags changed such that cached translations must not be used).
+func (t *mappingTable) remove(k mapKey) { t.forget(k, 0) }
+
+// put caches k's entry at the given span order, displacing any colliding
+// occupant to the overflow area (and dropping the displaced mapping if the
+// overflow area is full).
 //
 // The overflow area is touched only on displacement — the common case
 // (empty or same-key slot) stays O(1), which matters because every
 // MigratePages runs through here. A displacement first purges copies of
 // both keys: the inserted key (which may have been displaced there
 // earlier) and the displaced occupant (which must not end up in the area
-// twice). Both keys are homed at this slot, so the purge runs only when
-// its homed count is non-zero. The occupant then takes the first free
-// entry; the search runs only while the area has one. A same-key overwrite
-// can therefore leave a copy of k in the overflow area shadowed by its
-// slot; remove sweeps both areas and the copy is purged the next time k's
-// slot is displaced, so at most one overflow copy per key ever exists.
-func (t *mappingTable) insert(k mapKey) {
-	i := t.index(k)
+// twice). Both keys are homed at this slot, so the purge runs only when it
+// has spilled. The occupant then takes the first free entry; the search
+// runs only while the area has one. A purge frees an entry, so the
+// occupant then spills: put sets the spilled bit and never clears it. A
+// same-key overwrite can leave a copy of k in the overflow area shadowed
+// by its slot; forget sweeps both areas and the copy is purged the next
+// time the slot is displaced, so at most one overflow copy per key ever
+// exists.
+func (t *mappingTable) put(k mapKey, order int) {
+	w, ok := packKey(k, order)
+	if !ok {
+		return
+	}
+	i := t.index(spanMapKey(k, order))
 	s := &t.slots[i]
 	t.lockSlot(i)
-	if s.valid && !s.holds(k) {
+	if s.valid() && !s.holds(w) {
 		t.lockOverflow()
-		displaced := mapKey{s.seg, s.page}
+		displaced := *s &^ slotSpilled
 		ov := t.overflow[:t.ovLen]
-		if s.homed != 0 {
+		if s.spilled() {
 			for j := range ov {
-				if o := &ov[j]; o.holds(k) || o.holds(displaced) {
-					o.valid = false
-					s.homed--
+				if o := &ov[j]; o.holds(w) || o.holds(displaced) {
+					*o = 0
 					t.ovLive--
 				}
 			}
 		}
 		if t.ovLive < t.ovLen {
 			free := 0
-			for ov[free].valid {
+			for ov[free].valid() {
 				free++
 			}
-			ov[free] = hashSlot{page: s.page, seg: s.seg, valid: true}
-			s.homed++
+			ov[free], t.ovHome[free] = displaced, int32(i)
+			*s |= slotSpilled
 			t.ovLive++
 			t.spills++
 		} else {
@@ -285,36 +339,50 @@ func (t *mappingTable) insert(k mapKey) {
 		}
 		t.unlockOverflow()
 	}
-	s.page, s.seg, s.valid = k.page, k.seg, true
+	*s = w | *s&slotSpilled
 	t.unlockSlot(i)
 }
 
-// remove forgets a mapping (page unmapped, migrated away, or flags changed
-// such that cached translations must not be used).
-func (t *mappingTable) remove(k mapKey) {
-	i := t.index(k)
+// forget drops k's entry at the given span order from its slot and from
+// the overflow area, clearing the slot's spilled bit once no valid overflow
+// entry is homed there.
+func (t *mappingTable) forget(k mapKey, order int) {
+	w, ok := packKey(k, order)
+	if !ok {
+		return
+	}
+	i := t.index(spanMapKey(k, order))
 	s := &t.slots[i]
 	t.lockSlot(i)
-	if s.holds(k) {
-		s.valid = false
+	if s.holds(w) {
+		*s &= slotSpilled
 	}
-	if s.homed != 0 {
+	if s.spilled() {
 		t.lockOverflow()
+		homed := false
 		ov := t.overflow[:t.ovLen]
 		for j := range ov {
-			if ov[j].holds(k) {
-				ov[j].valid = false
-				s.homed--
+			if ov[j].holds(w) {
+				ov[j] = 0
 				t.ovLive--
+			} else if ov[j].valid() && t.ovHome[j] == int32(i) {
+				homed = true
 			}
+		}
+		if !homed {
+			*s &^= slotSpilled
 		}
 		t.unlockOverflow()
 	}
 	t.unlockSlot(i)
 }
 
-// removeSegment drops every cached mapping of one segment (segment delete).
+// removeSegment drops every cached mapping of one segment (segment delete):
+// each slot and overflow entry whose segment field is seg.
 func (t *mappingTable) removeSegment(seg SegID) {
+	if uint64(seg)>>slotSegBits != 0 {
+		return // uncacheable: nothing of it is cached
+	}
 	if t.stripes != nil {
 		for i := range t.stripes {
 			t.stripes[i].Lock()
@@ -327,17 +395,24 @@ func (t *mappingTable) removeSegment(seg SegID) {
 			}
 		}()
 	}
+	const field = slotValid | slotSegField
+	tag := slotValid | hashSlot(seg)<<slotPageBits
 	for i := range t.slots {
-		if t.slots[i].valid && t.slots[i].seg == seg {
-			t.slots[i].valid = false
+		if t.slots[i]&field == tag {
+			t.slots[i] &= slotSpilled
 		}
 	}
 	ov := t.overflow[:t.ovLen]
-	for i := range ov {
-		if o := &ov[i]; o.valid && o.seg == seg {
-			o.valid = false
-			t.slots[t.index(mapKey{o.seg, o.page})].homed--
+	for j := range ov {
+		if ov[j]&field == tag {
+			ov[j] = 0
+			t.slots[t.ovHome[j]] &^= slotSpilled
 			t.ovLive--
+		}
+	}
+	for j := range ov {
+		if ov[j].valid() {
+			t.slots[t.ovHome[j]] |= slotSpilled
 		}
 	}
 }
@@ -368,7 +443,7 @@ func (t *mappingTable) clone() *mappingTable {
 
 func (t *mappingTable) restore(f *mappingTable) {
 	copy(t.slots, f.slots)
-	t.overflow, t.ovLive = f.overflow, f.ovLive
+	t.overflow, t.ovHome, t.ovLive = f.overflow, f.ovHome, f.ovLive
 	t.spanSeen.Store(f.spanSeen.Load())
 	t.spills, t.drops = f.spills, f.drops
 }

@@ -130,6 +130,60 @@ func TestMappingTableRemoveSegment(t *testing.T) {
 	}
 }
 
+// TestMappingTableUncacheableKeys: keys outside the packed slot's range (a
+// segment at 2^19, a page at 2^40, a negative page) are uncacheable —
+// lookup misses them, and insert, insertSpan, remove and removeSpan touch
+// no slot, no overflow entry, no counter and no spanSeen bit — while the
+// largest packable keys, base page and span, still cache.
+func TestMappingTableUncacheableKeys(t *testing.T) {
+	tbl := newMappingTableSized(64, 4)
+	for _, k := range []mapKey{
+		{seg: 1 << 19, page: 5},
+		{seg: 1, page: 1 << 40},
+		{seg: 1, page: -3},
+	} {
+		tbl.insert(k)
+		tbl.insertSpan(k, 2)
+		if tbl.lookup(k) {
+			t.Fatalf("uncacheable key %v reported present", k)
+		}
+		tbl.remove(k)
+		tbl.removeSpan(k, 2)
+		tbl.removeSegment(k.seg)
+	}
+	for i := range tbl.slots {
+		if w := tbl.slots[i]; w != 0 {
+			t.Fatalf("slot %d holds %#x after uncacheable-key operations", i, uint64(w))
+		}
+	}
+	if tbl.overflow != [hashOverflow]hashSlot{} || tbl.ovLive != 0 {
+		t.Fatalf("overflow area touched: %d live", tbl.ovLive)
+	}
+	if s, d := tbl.stats(); s != 0 || d != 0 {
+		t.Fatalf("spills/drops = %d/%d after uncacheable-key operations", s, d)
+	}
+	if m := tbl.spanSeen.Load(); m != 0 {
+		t.Fatalf("uncacheable span insert set spanSeen = %#x", m)
+	}
+	// The largest packable key still caches, and so does the span of the
+	// last extent below the page bound.
+	edge := mapKey{seg: 1<<19 - 1, page: 1<<40 - 1}
+	tbl.insert(edge)
+	if !tbl.lookup(edge) {
+		t.Fatalf("edge key %v not cached", edge)
+	}
+	tbl.remove(edge)
+	span := mapKey{seg: edge.seg, page: 1<<40 - 1<<MaxExtentOrder}
+	tbl.insertSpan(span, MaxExtentOrder)
+	if !tbl.lookup(edge) {
+		t.Fatalf("edge key %v not covered by the span at %v", edge, span)
+	}
+	tbl.removeSegment(edge.seg)
+	if tbl.lookup(edge) {
+		t.Fatalf("edge key %v survived removeSegment", edge)
+	}
+}
+
 // Property: against a reference set, a lookup never hits a key that is not
 // mapped — it either reports a live key or (after displacement) a miss.
 func TestMappingTableNeverWrong(t *testing.T) {
@@ -278,8 +332,9 @@ func (m *popManager) HandleFault(f Fault) error {
 // overflowCopies counts valid overflow entries for key.
 func overflowCopies(tbl *mappingTable, k mapKey) int {
 	n := 0
+	w, _ := packKey(k, 0)
 	for i := range tbl.overflow[:tbl.ovLen] {
-		if tbl.overflow[i].holds(k) {
+		if tbl.overflow[i].holds(w) {
 			n++
 		}
 	}

@@ -28,11 +28,12 @@ func TestPageEntryLayout(t *testing.T) {
 	}
 }
 
-// TestHashSlotLayout pins the mapping-table slot at 16 bytes: the homed
-// count lives in the key's padding, so the 64 K-slot table stays 1 MB.
+// TestHashSlotLayout pins the mapping-table slot at one 8-byte word: key,
+// span order, valid and spilled bits packed together, so the 64 K-slot
+// table is 512 KB.
 func TestHashSlotLayout(t *testing.T) {
-	if size := unsafe.Sizeof(hashSlot{}); size != 16 {
-		t.Fatalf("hashSlot is %d bytes, want 16", size)
+	if size := unsafe.Sizeof(hashSlot(0)); size != 8 {
+		t.Fatalf("hashSlot is %d bytes, want 8", size)
 	}
 }
 

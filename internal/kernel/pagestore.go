@@ -33,8 +33,11 @@ import (
 
 const (
 	// pageStoreDenseDirect is the page number below which the dense slice
-	// always grows to cover a put: at most 32 KB of slice per segment.
-	pageStoreDenseDirect = 4096
+	// always grows to cover a put: at most 64 KB of slice per segment. It
+	// spans two 4 096-page ranges, so a segment that two threads fault
+	// from page 0 and from page 4 096 stays dense, not boxing the second
+	// thread's pages into the map while the first's prefix is short.
+	pageStoreDenseDirect = 8192
 	// pageStoreDenseMax caps dense growth: a put at or beyond this page
 	// number never extends the dense prefix (2M entries = 16 MB of slice,
 	// covering an 8 GB segment of 4 KB pages).

@@ -7,7 +7,9 @@ package kernel
 // refTLB scans all of its entries on every operation; FuzzMappingTable and
 // FuzzTLB drive them in lock step with the production structures and
 // require identical answers and contents (and the table's counters) after
-// every operation.
+// every operation. refMappingTable keeps one rule the production table
+// gained with its packed slot: a key outside the packed range is
+// uncacheable (refCacheable).
 
 // refCheckDisjoint is the batch collision check as it was before PR 14: it
 // walks the batch page by page — each range's source pages, then its
@@ -89,6 +91,14 @@ func (t *refMappingTable) index(k mapKey) int {
 	return int(h >> t.shift) // top bits: len(slots) slots
 }
 
+// refCacheable reports whether the production table can hold k, a base-page
+// key or the untagged base of a span: a page in [0, 2^40) of a segment
+// below 2^19. Every other key is uncacheable — lookups miss it, and insert
+// and remove leave the table alone.
+func refCacheable(k mapKey) bool {
+	return k.page >= 0 && k.page < 1<<40 && k.seg < 1<<19
+}
+
 // find probes slot and overflow for exactly key k without touching the
 // hit/miss counters; lookup composes it so a span probe does not
 // double-count.
@@ -111,6 +121,10 @@ func (t *refMappingTable) find(k mapKey) (*pageEntry, bool) {
 // After an exact miss it probes the span keys of any live extent orders,
 // so one cached span entry answers for every page of its extent.
 func (t *refMappingTable) lookup(k mapKey) (*pageEntry, bool) {
+	if !refCacheable(k) {
+		t.misses++
+		return nil, false
+	}
 	if e, ok := t.find(k); ok {
 		t.hits++
 		return e, true
@@ -138,13 +152,18 @@ func (t *refMappingTable) lookup(k mapKey) (*pageEntry, bool) {
 // authoritative page store), so serving the base entry for any covered
 // page is sound.
 func (t *refMappingTable) insertSpan(k mapKey, e *pageEntry, order uint8) {
+	if !refCacheable(k) {
+		return
+	}
 	t.spanSeen |= 1 << order
-	t.insert(spanMapKey(k, int(order)), e)
+	t.put(spanMapKey(k, int(order)), e)
 }
 
 // removeSpan withdraws a span entry (extent demoted).
 func (t *refMappingTable) removeSpan(k mapKey, order uint8) {
-	t.remove(spanMapKey(k, int(order)))
+	if refCacheable(k) {
+		t.forget(spanMapKey(k, int(order)))
+	}
 }
 
 // insert caches a mapping, displacing any colliding occupant to the overflow
@@ -161,6 +180,14 @@ func (t *refMappingTable) removeSpan(k mapKey, order uint8) {
 // areas, and the copy is purged the next time k's slot is displaced —
 // so at most one overflow copy per key ever exists.
 func (t *refMappingTable) insert(k mapKey, e *pageEntry) {
+	if !refCacheable(k) {
+		return
+	}
+	t.put(k, e)
+}
+
+// put caches k, a base-page key or a span-tagged one.
+func (t *refMappingTable) put(k mapKey, e *pageEntry) {
 	s := &t.slots[t.index(k)]
 	if s.valid && s.key != k {
 		ov := t.overflow[:t.ovLen]
@@ -187,6 +214,13 @@ func (t *refMappingTable) insert(k mapKey, e *pageEntry) {
 // remove forgets a mapping (page unmapped, migrated away, or flags changed
 // such that cached translations must not be used).
 func (t *refMappingTable) remove(k mapKey) {
+	if refCacheable(k) {
+		t.forget(k)
+	}
+}
+
+// forget drops k, a base-page key or a span-tagged one.
+func (t *refMappingTable) forget(k mapKey) {
 	s := &t.slots[t.index(k)]
 	if s.valid && s.key == k {
 		s.valid = false

@@ -212,7 +212,7 @@ func sameTable(got, want *mappingTable) error {
 	if gs != ws || gd != wd {
 		return fmt.Errorf("table counters %d/%d, want %d/%d", gs, gd, ws, wd)
 	}
-	if !slices.Equal(got.slots, want.slots) || got.overflow != want.overflow || got.ovLen != want.ovLen ||
+	if !slices.Equal(got.slots, want.slots) || got.overflow != want.overflow || got.ovHome != want.ovHome || got.ovLen != want.ovLen ||
 		got.ovLive != want.ovLive || got.spanSeen.Load() != want.spanSeen.Load() {
 		return errors.New("mapping tables differ")
 	}

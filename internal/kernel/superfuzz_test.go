@@ -77,8 +77,8 @@ func FuzzExtentTable(f *testing.F) {
 			// each at most once in the area.
 			for _, area := range [][]hashSlot{table.slots, table.overflow[:table.ovLen]} {
 				for _, e := range area {
-					if e.valid && !model[mapKey{e.seg, e.page}] {
-						t.Fatalf("key %v valid in the table, absent from the set", mapKey{e.seg, e.page})
+					if e.valid() && !model[e.key()] {
+						t.Fatalf("key %v valid in the table, absent from the set", e.key())
 					}
 				}
 			}

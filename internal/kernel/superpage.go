@@ -58,15 +58,15 @@ func SuperpagesEnabled() bool { return superpages.Load() }
 // disabled.
 var ErrSuperpagesOff = errors.New("kernel: superpages disabled")
 
-// spanTagShift places the order tag of a span key above any real page
-// number (TLB-cacheable pages are < 2^40; nothing in the system addresses
-// pages at 2^56). Tagged keys let span entries share the mapping-table
-// machinery with base-page entries without colliding with the base page's
-// own exact entry at the extent base.
+// spanTagShift places the order tag of a span key above any cacheable page
+// number: the mapping table packs pages below 2^40 (packKey) and holds no
+// entry for any other. A span entry hashes as its tagged key, so it takes a
+// different slot from the base page's own exact entry at the extent base;
+// inside the slot word the order has its own field.
 const spanTagShift = 56
 
-// spanMapKey derives the table key under which the span entry of the
-// extent based at k.page with the given order is cached.
+// spanMapKey derives the key the span entry of the extent based at k.page
+// with the given order hashes as (order 0: k itself).
 func spanMapKey(k mapKey, order int) mapKey {
 	return mapKey{k.seg, k.page | int64(order)<<spanTagShift}
 }

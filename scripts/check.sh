@@ -281,10 +281,12 @@ echo "== page-store inlining budget =="
 # The fault path and the page operations probe the page store per page
 # through get, has and del; losing their inlining costs extent about 6 %.
 # Range probes sit beside them in pagestore.go; these three must still inline.
+# The mapping table's slot compare and key packer run on every probe,
+# insert and remove (every MigratePages page twice): they must inline too.
 inl=$(go build -gcflags=-m ./internal/kernel 2>&1)
-for fn in get has del; do
-    if ! grep -qE "can inline \(\*pageStore\)\.$fn\$" <<<"$inl"; then
-        echo "(*pageStore).$fn no longer inlines: go build -gcflags=-m=2 ./internal/kernel says why" >&2
+for fn in '\(\*pageStore\)\.get' '\(\*pageStore\)\.has' '\(\*pageStore\)\.del' '\(\*hashSlot\)\.holds' packKey; do
+    if ! grep -qE "can inline $fn\$" <<<"$inl"; then
+        echo "${fn//\\/} no longer inlines: go build -gcflags=-m=2 ./internal/kernel says why" >&2
         exit 1
     fi
 done
