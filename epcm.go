@@ -276,11 +276,11 @@ const (
 	DeliverSeparateProcess = kernel.DeliverSeparateProcess
 )
 
-// Fault-delivery scheduler modes (Config.Scheduler). SerialScheduler (the
-// default) drains deliveries deterministically on the faulting goroutine;
-// ConcurrentScheduler gives every segment manager its own worker goroutine
-// so applications on different managers fault in parallel. Call
-// System.Shutdown when done with a concurrent system to retire the workers.
+// Fault-delivery scheduler modes (Config.Scheduler). Under both, a fault is
+// handled on the faulting goroutine. SerialScheduler (the default) is
+// deterministic and admits one goroutine at a time; ConcurrentScheduler
+// lets applications on different managers fault in parallel, each manager
+// handling one fault at a time under a mutex of its own.
 const (
 	SerialScheduler     = "serial"
 	ConcurrentScheduler = "concurrent"

@@ -199,19 +199,21 @@ func ExampleFaultPlan() {
 }
 
 // ExampleConcurrentScheduler boots the fault-delivery plane in concurrent
-// mode: each segment manager runs on its own worker goroutine (the paper's
-// separate manager processes), so applications on different managers fault
-// in parallel against one kernel. Costs still accrue to the shared virtual
-// clock, so results are identical to the serial scheduler's.
+// mode: each application handles its faults on its own goroutine, and each
+// segment manager handles one fault at a time under a mutex of its own (as
+// the paper's separate manager process takes one message at a time), so
+// applications on different managers fault in parallel against one kernel.
+// Costs still accrue to the shared virtual clock, so results are identical
+// to the serial scheduler's.
 func ExampleConcurrentScheduler() {
 	sys, err := epcm.Boot(epcm.Config{
 		MemoryBytes: 32 << 20,
-		Scheduler:   epcm.ConcurrentScheduler, // per-manager worker goroutines
+		Scheduler:   epcm.ConcurrentScheduler, // one mutex per manager
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sys.Shutdown() // retire the worker goroutines
+	defer sys.Shutdown()
 
 	const apps = 4
 	segs := make([]*epcm.Segment, apps)

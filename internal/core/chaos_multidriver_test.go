@@ -1,10 +1,10 @@
 package core
 
 // Multi-driver chaos arm: a fault storm of several drivers per manager (the
-// shape that queues faults on one lane's ring) with the victim manager
+// shape where faults wait for the manager's mutex) with the victim manager
 // killed mid-storm — so with high likelihood the crash lands while other
 // drivers' faults wait behind the one being handled. The contract under any
-// such schedule: no queued fault is lost (every page still reachable after
+// such schedule: no waiting fault is lost (every page still reachable after
 // adoption) and none is resolved twice (frame conservation and the market
 // invariants hold — a second resolution would either leak a frame or trip
 // ErrPageBusy into an intolerable error).
@@ -23,8 +23,8 @@ import (
 )
 
 // slowSwapBacking delegates to SwapBacking with a stall on Fill, parking
-// the lane's token holder inside the manager so concurrent drivers queue
-// behind it. Writeback is undelayed: reclamation pressure
+// one driver inside the manager, holding its mutex, so concurrent drivers
+// wait behind it. Writeback is undelayed: reclamation pressure
 // should come from the footprint, not artificial writeback latency.
 type slowSwapBacking struct {
 	*manager.SwapBacking
@@ -36,13 +36,13 @@ func (b slowSwapBacking) Fill(seg *kernel.Segment, page int64, frame *phys.Frame
 	return b.SwapBacking.Fill(seg, page, frame)
 }
 
-// TestChaosVectoredCrashStorm: 8 seeds of a 4-driver storm over a footprint
+// TestChaosMultiDriverCrashStorm: 8 seeds of a 4-driver storm over a footprint
 // (600 pages) exceeding physical memory (256 frames), with storage errors
 // flying and the victim crashed after ~100 deliveries. The stalled fill
-// makes the drivers pile onto the victim's lane so the crash meets queued
-// deliveries. Afterwards adoption must be complete, conservation exact, and
+// makes the drivers pile up on the victim's mutex so the crash meets
+// waiting deliveries. Afterwards adoption must be complete, conservation exact, and
 // every page reachable.
-func TestChaosVectoredCrashStorm(t *testing.T) {
+func TestChaosMultiDriverCrashStorm(t *testing.T) {
 	const (
 		drivers        = 4
 		pagesPerDriver = 150
@@ -118,13 +118,13 @@ func TestChaosVectoredCrashStorm(t *testing.T) {
 				t.Fatal("dead manager still has a market account")
 			}
 			checkChaosInvariants(t, sys)
-			// Double-resolution of any queued fault would have migrated two
+			// Double-resolution of any waiting fault would have migrated two
 			// frames into one page or freed one frame twice; conservation
 			// catches both.
 			if err := sys.Kernel.CheckFrameConservation(); err != nil {
 				t.Fatal(err)
 			}
-			// No queued fault was lost: every page of the footprint is
+			// No waiting fault was lost: every page of the footprint is
 			// reachable through the adopter with injection off.
 			sys.Chaos.Disarm()
 			for p := int64(0); p < footprint; p++ {

@@ -265,7 +265,7 @@ func TestChaosManagerCrash(t *testing.T) {
 // clocks — across two independent runs of the crash-plus-storage scenario.
 // Both schedulers must be deterministic: the workload has one driving
 // process, so even the concurrent scheduler's deliveries form a single
-// serialized chain of enqueue/reply pairs.
+// serialized chain.
 func TestChaosDeterminism(t *testing.T) {
 	run := func(sched string, seed uint64) ([]string, faultinject.Summary, time.Duration) {
 		sys, _, seg := chaosSystem(t, faultinject.Plan{

@@ -51,8 +51,9 @@ type Config struct {
 	// output and benchmarks are unaffected.
 	FaultPlan *faultinject.Plan
 	// Scheduler selects the fault-delivery plane scheduler: "serial" (the
-	// deterministic default, also ""), or "concurrent" (one worker
-	// goroutine per manager, sharded kernel caches).
+	// deterministic default, also ""), or "concurrent" (several goroutines
+	// fault at once, each manager serialized by a mutex on its kernel
+	// record; a lock-striped mapping table and a TLB per segment).
 	Scheduler string
 	// ReclaimPolicy names the replacement policy this system's managers
 	// boot with when their manager.Config leaves Policy nil: "clock" (the
@@ -270,7 +271,8 @@ func (s *System) NewFixedPool(nFrames, startPFN int64) (*manager.FixedPool, erro
 	return manager.NewFixedPool(s.Kernel, nFrames, startPFN)
 }
 
-// Shutdown stops the delivery-plane scheduler, releasing the per-manager
-// worker goroutines of the concurrent mode. The serial scheduler has
-// nothing to release, so calling Shutdown is always safe (and idempotent).
+// Shutdown ends the system's run. Under either scheduler every fault is
+// handled on the goroutine that takes it, so there is no worker to release:
+// Shutdown is always safe (and idempotent), and a system needs it only to
+// be torn down the same way whatever its scheduler.
 func (s *System) Shutdown() { s.Kernel.Scheduler().Stop() }

@@ -2,7 +2,7 @@ package core
 
 // Differential tests for colliding drivers: the same workload, run by
 // several drivers against one manager under the concurrent scheduler (where
-// faults queue on the manager's lane) and by one driver under the serial
+// faults wait for the manager's mutex) and by one driver under the serial
 // scheduler, must resolve the same faults — same fault count, same fill
 // count, same final residency, one upcall per fault — for each replacement
 // policy whose hooks keep state. Where a fault waits changes nothing about
@@ -19,15 +19,15 @@ import (
 	"epcm/internal/phys"
 )
 
-// vecDiffPolicies: the named policies whose hooks keep state run the
+// collidePolicies: the named policies whose hooks keep state run the
 // differential (random's keep none). Victim selection never fires (the
 // workload fits in memory), but the touch/admit hooks run on every fault
 // under both schedulers.
-var vecDiffPolicies = []string{"clock", "lfu"}
+var collidePolicies = []string{"clock", "lfu"}
 
-// slowZeroBacking is ZeroFill with a stall in Fill: while the lane's token
-// holder is parked inside the manager, the other drivers enqueue behind it,
-// so faults actually queue on the lane's ring even on a small host.
+// slowZeroBacking is ZeroFill with a stall in Fill: while one driver is
+// parked inside the manager, holding its mutex, the other drivers wait for
+// it, so faults actually collide even on a small host.
 type slowZeroBacking struct {
 	manager.ZeroFill
 	stall time.Duration
@@ -42,9 +42,9 @@ func (b slowZeroBacking) Fill(seg *kernel.Segment, page int64, frame *phys.Frame
 	return b.ZeroFill.Fill(seg, page, frame)
 }
 
-// vecDiffCounts is what one run of the workload produced, in quantities
+// collideCounts is what one run of the workload produced, in quantities
 // that must not depend on how the drivers interleave.
-type vecDiffCounts struct {
+type collideCounts struct {
 	Faults   int64 // manager fault events
 	Fills    int64 // backing fills
 	Resident int   // pages resident at the end
@@ -52,12 +52,12 @@ type vecDiffCounts struct {
 	Upcalls  int64 // kernel ManagerCalls: no segment is deleted, so upcalls
 }
 
-// runVecDiff drives drivers x pagesPerDriver disjoint first-touch writes
+// runCollide drives drivers x pagesPerDriver disjoint first-touch writes
 // against one managed segment, then a full read pass, and returns the
 // counts. The serial scheduler runs one driver (its delivery plane is a
 // synchronous call chain, and the single chain is the golden-reference
 // shape).
-func runVecDiff(t *testing.T, sched, policy string, drivers int, pagesPerDriver int64) vecDiffCounts {
+func runCollide(t *testing.T, sched, policy string, drivers int, pagesPerDriver int64) collideCounts {
 	t.Helper()
 	sys, err := Boot(Config{MemoryBytes: 16 << 20, Scheduler: sched, ReclaimPolicy: policy})
 	if err != nil {
@@ -65,13 +65,13 @@ func runVecDiff(t *testing.T, sched, policy string, drivers int, pagesPerDriver 
 	}
 	defer sys.Shutdown()
 	g, _, err := sys.NewAppManager(manager.Config{
-		Name:    "vecdiff-manager",
+		Name:    "collide-manager",
 		Backing: slowZeroBacking{},
 	}, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg, err := g.CreateManagedSegment("vecdiff-data")
+	seg, err := g.CreateManagedSegment("collide-data")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func runVecDiff(t *testing.T, sched, policy string, drivers int, pagesPerDriver 
 		t.Fatalf("read pass faulted %d times on resident pages", got-faultsAfterWrites)
 	}
 	st := sys.Kernel.Stats()
-	return vecDiffCounts{
+	return collideCounts{
 		Faults:   g.Stats().Faults,
 		Fills:    g.Stats().Fills,
 		Resident: seg.PageCount(),
@@ -115,7 +115,7 @@ func runVecDiff(t *testing.T, sched, policy string, drivers int, pagesPerDriver 
 	}
 }
 
-// TestVectoredDifferentialCountsPerPolicy: for each policy, four colliding
+// TestCollidingDriversMatchSerialPerPolicy: for each policy, four colliding
 // drivers under the concurrent scheduler and one driver under the serial
 // scheduler both resolve exactly one fault and one fill per first-touch
 // page, through one upcall per fault, and end fully resident. Any lost
@@ -123,20 +123,20 @@ func runVecDiff(t *testing.T, sched, policy string, drivers int, pagesPerDriver 
 // double-resolution as an extra fault or fill (the kernel would reject the
 // second migration with ErrPageBusy); an upcall that carried more than one
 // fault as fewer upcalls than faults.
-func TestVectoredDifferentialCountsPerPolicy(t *testing.T) {
+func TestCollidingDriversMatchSerialPerPolicy(t *testing.T) {
 	const (
 		drivers        = 4
 		pagesPerDriver = 192
 		footprint      = int64(drivers) * pagesPerDriver
 	)
-	want := vecDiffCounts{Faults: footprint, Fills: footprint, Resident: int(footprint), KMissing: footprint, Upcalls: footprint}
-	for _, policy := range vecDiffPolicies {
+	want := collideCounts{Faults: footprint, Fills: footprint, Resident: int(footprint), KMissing: footprint, Upcalls: footprint}
+	for _, policy := range collidePolicies {
 		t.Run(policy, func(t *testing.T) {
-			colliding := runVecDiff(t, "concurrent", policy, drivers, pagesPerDriver)
-			serial := runVecDiff(t, "serial", policy, 1, footprint)
+			colliding := runCollide(t, "concurrent", policy, drivers, pagesPerDriver)
+			serial := runCollide(t, "serial", policy, 1, footprint)
 			for _, c := range []struct {
 				mode string
-				got  vecDiffCounts
+				got  collideCounts
 			}{{"colliding", colliding}, {"serial", serial}} {
 				if c.got != want {
 					t.Errorf("%s/%s counts = %+v, want %+v", policy, c.mode, c.got, want)
@@ -146,11 +146,11 @@ func TestVectoredDifferentialCountsPerPolicy(t *testing.T) {
 	}
 }
 
-// TestVectoredCostParitySingleChain: one driver under the concurrent
+// TestCostParitySingleDriver: one driver under the concurrent
 // scheduler — the shape every golden table runs — must produce the same
 // virtual-time total as the serial scheduler: each fault is one delivery
 // under either, charged the same legs.
-func TestVectoredCostParitySingleChain(t *testing.T) {
+func TestCostParitySingleDriver(t *testing.T) {
 	elapsed := func(sched string) time.Duration {
 		sys, err := Boot(Config{MemoryBytes: 16 << 20, Scheduler: sched})
 		if err != nil {

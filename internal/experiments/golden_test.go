@@ -21,7 +21,7 @@ import (
 //     gate for its zero-overhead claim — an extra clock charge, a reordered
 //     grant or a different RNG draw on an uninjected run drifts the tables.
 //   - concurrent and superpages: the concurrent delivery scheduler and the
-//     superpage plane; a lane drain or an extent that changes a charge or a
+//     superpage plane; a delivery or an extent that changes a charge or a
 //     grant order moves the tables.
 //   - explicit clock: the clock policy NewPolicy builds by name must issue
 //     the same GetPageAttribute / ModifyPageFlags sequence as the manager's

@@ -1,7 +1,7 @@
 package experiments
 
 // Regression harness for the multi-driver plane cells — several application
-// threads per manager, so faults queue on the manager's lane — with the
+// threads per manager, so faults wait for the manager's mutex — with the
 // market invariants checked inside PlaneThroughput itself. These cells stay
 // a test, not a sweep row: how the drivers interleave depends on goroutine
 // timing.
@@ -10,8 +10,8 @@ import (
 	"testing"
 )
 
-// TestPlaneVectoredMultiDriver runs the multi-driver cells, where faults
-// queue behind one another; PlaneThroughput's own post-run CheckInvariants
+// TestPlaneMultiDriver runs the multi-driver cells, where faults wait
+// behind one another; PlaneThroughput's own post-run CheckInvariants
 // (frame conservation included) is the assertion. Every fault must resolve.
 //
 // FaultsPerManager is sized so each driver's quarter starts beyond the page
@@ -19,7 +19,7 @@ import (
 // in the sparse arm while the low-range driver's sequential growth overtakes
 // them — the exact interleaving that once shadowed sparse entries behind the
 // grown dense prefix and tripped frame conservation.
-func TestPlaneVectoredMultiDriver(t *testing.T) {
+func TestPlaneMultiDriver(t *testing.T) {
 	const fpm = 32768
 	for _, managers := range []int{1, 2} {
 		res, err := PlaneThroughput(PlaneOptions{

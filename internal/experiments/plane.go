@@ -20,7 +20,7 @@ import (
 // what the host did: the shared virtual clock is a work meter — every
 // manager's handling cost accumulates onto it — so with each manager a
 // separate process on its own processor, the run's makespan is the longest
-// per-manager lane, not the sum. The workload gives every manager identical
+// per-manager share, not the sum. The workload gives every manager identical
 // work, so the makespan is total virtual busy time divided by the manager
 // count. Wall-clock questions about the same path go to `go run -C bench .`.
 
@@ -42,10 +42,10 @@ type PlaneOptions struct {
 	ExtentOrder int
 	// Drivers is how many faulting goroutines drive each manager under the
 	// concurrent scheduler, each covering a contiguous sub-range of the
-	// manager's pages. One driver (the default) can never queue two faults
-	// behind one manager; with Drivers > 1 faults wait on the manager's lane
-	// — the configuration modelling several application threads sharing one
-	// segment manager. Ignored by the serial scheduler.
+	// manager's pages. One driver (the default) can never make two faults
+	// wait for one manager; with Drivers > 1 faults wait for the manager's
+	// mutex — the configuration modelling several application threads
+	// sharing one segment manager. Ignored by the serial scheduler.
 	Drivers int
 }
 
@@ -109,10 +109,9 @@ func PlaneThroughput(opt PlaneOptions) (*PlaneResult, error) {
 	mem := phys.NewMemory(phys.Config{FrameSize: frameSize, TotalBytes: 2*touched*frameSize + 8<<20})
 	var clock sim.Clock
 	k := kernel.New(mem, &clock, sim.DECstation5000(), kernel.Config{Concurrent: concurrent, Superpages: opt.ExtentOrder > 0})
-	defer k.Scheduler().Stop()
-	// The cell opts into the lane fast paths the default (golden)
-	// configuration leaves off: per-account frame caches over the shared
-	// free list, and lane-idle free-slot prefetch.
+	// The cell opts into the fast paths the default (golden) configuration
+	// leaves off: per-account frame caches over the shared free list, and
+	// free-slot prefetch after each delivery (kernel.LaneMaintainer).
 	policy := spcm.DefaultPolicy()
 	policy.LaneCacheRefill = 512
 	pool := spcm.New(k, policy)
@@ -153,7 +152,7 @@ func PlaneThroughput(opt PlaneOptions) (*PlaneResult, error) {
 		// Drivers goroutines per manager, each over a contiguous, disjoint
 		// sub-range of the manager's pages — several application threads
 		// faulting against one manager. With more than one, faults genuinely
-		// queue behind the manager's lane.
+		// wait for the manager's mutex.
 		var wg sync.WaitGroup
 		errs := make([]error, opt.Managers*drivers)
 		for i, seg := range segs {

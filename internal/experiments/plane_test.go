@@ -57,8 +57,8 @@ func TestPlaneThroughputConcurrent(t *testing.T) {
 // collector. ns*procs/fault is wall time × GOMAXPROCS per fault: an arm
 // that wins wall time only by keeping a second core busy shows it there.
 // Every cell stays under 0.1 allocs/fault (boot included, ≈ 0.06–0.08): a
-// fault that boxes its page entry into a segment's sparse map, or a reply
-// channel made per queued fault, read ≈ 0.7 on concurrent/1mgr/2drv.
+// fault that boxes its page entry into a segment's sparse map read ≈ 0.7 on
+// concurrent/1mgr/2drv.
 func BenchmarkDeliveryPlane(b *testing.B) {
 	const fpm = 8192
 	for _, c := range []struct {

@@ -44,8 +44,8 @@ func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 // 4 and 8 managers at PlaneThroughput's default 512 faults per manager. Gate:
 // model throughput at 4 managers is at least twice that at 1 under each
 // scheduler. Every column is exact on both schedulers' rows: a segment's
-// TLB is its own under the concurrent one, so no lane's installs depend on
-// another's timing.
+// TLB is its own under the concurrent one, so no driver's installs depend
+// on another's timing.
 func planeSweep() (*Report, error) {
 	rep := &Report{Table: "plane"}
 	b := &bytes.Buffer{}
@@ -203,7 +203,6 @@ func runPolicyCell(policyName, workloadName, pressure string, refs []int64, fram
 	mem := phys.NewMemory(phys.Config{FrameSize: frameSize, TotalBytes: (frames + 64) * frameSize})
 	var clock sim.Clock
 	k := kernel.New(mem, &clock, sim.DECstation5000(), kernel.Config{})
-	defer k.Scheduler().Stop()
 	pool, err := manager.NewFixedPool(k, frames, 0)
 	if err != nil {
 		return nil, err

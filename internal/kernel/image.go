@@ -91,21 +91,17 @@ func (k *Kernel) Image() (*Image, error) {
 // kernel took: the segment registry and next ID, each imaged segment's page
 // store, bindings, extents, cache marks and TLB, the frame tables, the
 // mapping table and TLB, the activity counters and the clock. Every manager
-// record is dropped with its lane, along with the default manager and the
+// record is revoked and dropped, along with the default manager and the
 // revocation hook that named one; a segment created since the image is
 // retired, so a handle to it gets ErrNoSuchSegment, and its ID is handed out
 // again. The kernel must be quiescent.
 func (k *Kernel) Restore(img *Image) {
 	k.mgrMu.Lock()
-	cells := make([]*managerCell, 0, len(k.managers))
 	for _, c := range k.managers {
-		cells = append(cells, c)
+		c.revoked.Store(true)
 	}
 	clear(k.managers)
 	k.mgrMu.Unlock()
-	for _, c := range cells {
-		k.sched.revoke(c)
-	}
 	k.defaultMgr, k.onRevoke = nil, nil
 
 	k.mu.Lock()

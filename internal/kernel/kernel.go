@@ -11,19 +11,20 @@
 // deliver fault events to the managers, charging the machine cost model for
 // every step so the experiments can measure path lengths.
 //
-// Fault delivery runs through the scheduler in scheduler.go: a fault is
-// either a direct call into the owning manager on the faulting goroutine
-// (serial scheduler, the deterministic default) or a message on the
-// manager's lane (concurrent scheduler). To support the
-// latter, the kernel's mutable state is locked at four levels: activity
+// Fault delivery (scheduler.go) is a direct call into the owning manager on
+// the faulting goroutine under either scheduler: the serial one, the
+// deterministic default, or the concurrent one, which lets several
+// goroutines fault at once and serializes each manager's deliveries with a
+// mutex on its record (managerCell.handling). To support the concurrent
+// scheduler, the kernel's mutable state is locked at four levels: activity
 // counters are atomic, each segment's page map and TLB are guarded by its
 // own mutex, the shared mapping table by lock stripes over its slots — the
-// segment and table locks taken only under the concurrent scheduler
-// (Segment.lock, mappingTable.share), as a serial kernel is driven by one
-// goroutine at a time — and the segment registry by a kernel-wide RWMutex.
-// The lock order is kernel registry → segment (two segments in ascending ID
-// order) → mapping-table stripe → overflow area, and no kernel lock is ever
-// held across a manager call.
+// manager, segment and table locks taken only under the concurrent
+// scheduler (Kernel.enter, Segment.lock, mappingTable.share), as a serial
+// kernel is driven by one goroutine at a time — and the segment registry by
+// a kernel-wide RWMutex. The lock order is manager → kernel registry →
+// segment (two segments in ascending ID order) → mapping-table stripe →
+// overflow area, and no kernel lock is ever held across a manager call.
 package kernel
 
 import (
@@ -91,7 +92,7 @@ type Stats struct {
 // managers and applications can charge them without a lock; Stats() takes
 // a field-by-field snapshot into the plain Stats struct. The fault-path
 // counters are striped by segment ID (sim/striped.go) and the rest padded to
-// a cache line each, so concurrent lanes do not ping-pong one line.
+// a cache line each, so concurrent drivers do not ping-pong one line.
 type kernelStats struct {
 	Accesses          sim.Striped
 	Faults            sim.Striped
@@ -132,7 +133,7 @@ type Kernel struct {
 	// picks.
 	tlb        *tlb
 	concurrent bool
-	sched      Scheduler
+	sched      *Scheduler
 	// frameOwner records, for every physical frame, the segment that holds
 	// it — the ground truth for the frame-conservation invariant. Entries
 	// are written only under the owning segments' locks; the slices
@@ -165,6 +166,7 @@ func (k *Kernel) cellOf(m Manager) *managerCell {
 	c, ok := k.managers[m]
 	if !ok {
 		c = &managerCell{m: m}
+		c.maint, _ = m.(LaneMaintainer)
 		k.managers[m] = c
 	}
 	return c
@@ -198,11 +200,7 @@ func New(mem *phys.Memory, clock *sim.Clock, cost *sim.CostModel, cfg Config) *K
 		frameOwner: make([]SegID, mem.NumFrames()),
 		framePage:  make([]int64, mem.NumFrames()),
 	}
-	if cfg.Concurrent {
-		k.SetScheduler(NewConcurrentScheduler(k))
-	} else {
-		k.SetScheduler(NewSerialScheduler(k))
-	}
+	k.SetScheduler(&Scheduler{k: k, concurrent: cfg.Concurrent})
 	boot := k.newSegment("physmem", 1)
 	boot.restricted = true
 	boot.staging = true
@@ -402,8 +400,8 @@ func (k *Kernel) BindRegion(seg *Segment, start, pages int64, target *Segment, t
 // so it can reclaim the frames (§2.2: "the manager is also informed when a
 // segment it manages is closed or deleted"); any frames it leaves behind
 // return to the boot segment so no frame is ever orphaned. The notice is
-// delivered over the plane with no segment lock held — the manager
-// migrates frames out of s while salvaging.
+// delivered as a fault is (scheduler.go), with no segment lock held — the
+// manager migrates frames out of s while salvaging.
 func (k *Kernel) DeleteSegment(cred Cred, s *Segment) error {
 	s.lock()
 	if s.restricted && !cred.Privileged {
@@ -417,8 +415,9 @@ func (k *Kernel) DeleteSegment(cred Cred, s *Segment) error {
 	c := s.manager.Load()
 	s.unlock()
 	k.clock.AdvanceOn(uint64(s.id), k.cost.KernelCall)
-	if c != nil {
-		k.sched.notifyDeleted(c, s)
+	if c != nil && k.enter(c) {
+		k.processDelete(c, s)
+		k.leave(c)
 	}
 	// Reclaim whatever the manager left.
 	lockPair(s, k.boot)

@@ -129,7 +129,6 @@ func TestRevokeDropsManagerRecord(t *testing.T) {
 		if err := k.Access(space, 1, Write); err != nil {
 			t.Fatal(err)
 		}
-		k.Scheduler().Stop()
 	}
 }
 
@@ -868,7 +867,6 @@ func TestAccessTranslationCosts(t *testing.T) {
 func TestConcurrentTLBPerSegment(t *testing.T) {
 	t.Parallel()
 	k := newTestKernelWith(Config{Concurrent: true})
-	defer k.Scheduler().Stop()
 	const n = 64 // the R3000's TLB size, the Config default
 	a, _ := k.CreateSegment("a", 1)
 	b, _ := k.CreateSegment("b", 1)

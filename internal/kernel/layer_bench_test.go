@@ -352,50 +352,46 @@ func (nopManager) HandleFault(Fault) error {
 }
 func (nopManager) SegmentDeleted(*Segment) {}
 
-// holdLane makes seg's lane busy until the returned stop: a goroutine holds
-// the lane's combining token and answers whatever is queued, so every post
-// to the lane takes the slow path — enqueue, then wait for the reply.
-func holdLane(k *Kernel, seg *Segment) (stop func()) {
-	s := k.Scheduler().(*concurrentScheduler)
-	ln := s.laneOf(seg.manager.Load())
-	ln.token.Store(true)
+// holdManager keeps seg's manager busy until the returned stop: a goroutine
+// takes the manager's handling mutex over and over, yielding while it holds
+// it, so a delivery finds the mutex held and waits for it.
+func holdManager(seg *Segment) (stop func()) {
+	c := seg.manager.Load()
 	var done atomic.Bool
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for !done.Load() {
-			s.drainCells(ln)
+			c.handling.Lock()
 			runtime.Gosched()
+			c.handling.Unlock()
 		}
 	}()
 	return func() {
 		done.Store(true)
 		wg.Wait()
-		ln.token.Store(false)
 	}
 }
 
-// BenchmarkDeliverFault: one op is one fault from deliverFault through the
-// scheduler's post and processFault (stats, trap, delivery and return
-// charges) to a handler that does nothing, and back — the serial direct
-// call, the concurrent scheduler's inline path (lane idle, token taken, no
-// enqueue), and its busy path (another goroutine holds the lane: enqueue
-// with a pooled reply channel and wait). None allocates.
+// BenchmarkDeliverFault: one op is one fault from deliverFault through
+// processFault (stats, trap, delivery and return charges) to a handler that
+// does nothing, and back — the serial direct call, the concurrent one with
+// the manager's mutex free, and with another goroutine taking that mutex in
+// a loop, so deliveries wait for it. None allocates.
 func BenchmarkDeliverFault(b *testing.B) {
 	for _, mode := range []string{"serial", "concurrent", "concurrent-busy"} {
 		b.Run(mode, func(b *testing.B) {
 			b.ReportAllocs()
 			mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: 1 << 20})
 			k := New(mem, new(sim.Clock), sim.DECstation5000(), Config{Concurrent: mode != "serial"})
-			defer k.Scheduler().Stop()
 			seg, err := k.CreateSegment("space", 1)
 			if err != nil {
 				b.Fatal(err)
 			}
 			k.SetSegmentManager(seg, nopManager{})
 			if mode == "concurrent-busy" {
-				defer holdLane(k, seg)()
+				defer holdManager(seg)()
 			}
 			f := Fault{Seg: seg, Page: 3, Access: Write, Kind: FaultMissing}
 			b.ResetTimer()
@@ -463,7 +459,6 @@ func BenchmarkAccess(b *testing.B) {
 		b.Run("resident/"+mode, func(b *testing.B) {
 			b.ReportAllocs()
 			k, seg, _ := boot(b, mode == "concurrent")
-			defer k.Scheduler().Stop()
 			hit := func() { benchErr = k.Access(seg, 0, Read) }
 			hit() // the fault that makes page 0 resident and cached
 			b.ResetTimer()

@@ -54,13 +54,14 @@ func (k *Kernel) OnRevoke(fn func(dead Manager, adopted []*Segment)) { k.onRevok
 // order. It fails with ErrNoFallback when no distinct default manager
 // exists — the kernel cannot contain a crash of the fallback itself.
 //
-// After reassigning, the dead manager's queued plane messages are
-// discarded (Scheduler.revoke): each pending delivery is answered as lost,
-// so the faulting processes retry and re-resolve to the adopting manager.
-// The manager's record goes with it, so the kernel keeps no reference to
-// the dead manager. The onRevoke callback
-// runs with no kernel lock held — it reaches into the SPCM and the default
-// manager.
+// After reassigning, the dead manager's record is marked revoked, with no
+// lock taken: a crash is found inside the manager's own handler, whose
+// delivery holds the record's mutex. A delivery still waiting for that
+// mutex then finds the mark and is lost, so its faulting process retries
+// and re-resolves to the adopting manager. The record leaves the kernel's
+// registry, so the kernel keeps no reference to the dead manager. The
+// onRevoke callback runs with no kernel lock held — it reaches into the
+// SPCM and the default manager.
 func (k *Kernel) Revoke(dead Manager) ([]*Segment, error) {
 	if k.defaultMgr == nil || dead == Manager(k.defaultMgr) {
 		return nil, fmt.Errorf("%w (revoking %q)", ErrNoFallback, dead.ManagerName())
@@ -90,7 +91,7 @@ func (k *Kernel) Revoke(dead Manager) ([]*Segment, error) {
 	sort.Slice(adopted, func(i, j int) bool { return adopted[i].id < adopted[j].id })
 	k.stats.RevokedSegments.Add(int64(len(adopted)))
 	if dc != nil {
-		k.sched.revoke(dc)
+		dc.revoked.Store(true)
 	}
 	if k.onRevoke != nil {
 		k.onRevoke(dead, adopted)

@@ -71,7 +71,6 @@ func TestSerialKernelTakesNoSegmentLock(t *testing.T) {
 	})
 	t.Run("concurrent", func(t *testing.T) {
 		k, s, _ := residentSegment(t, Config{Concurrent: true})
-		defer k.Scheduler().Stop()
 		s.mu.Lock()
 		done := make(chan error, 1)
 		go func() { done <- k.Access(s, 0, Read) }()

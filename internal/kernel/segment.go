@@ -146,15 +146,25 @@ func (s *Segment) MarkStaging() { s.staging = true }
 
 // managerCell is the kernel's one record of a manager, interned per kernel
 // (Kernel.cellOf) at the manager's first registration and pointed to by
-// every segment it manages: a fault reaches its manager and lane by reading
-// fields of the cell its segment already holds — no lookup keyed by the
-// Manager interface happens from Access down. Revocation retires the cell; a
-// manager registered again gets a fresh one.
+// every segment it manages: a fault reaches its manager and handling mutex
+// by reading fields of the cell its segment already holds — no lookup keyed
+// by the Manager interface happens from Access down. Revocation retires the
+// cell; a manager registered again gets a fresh one.
 type managerCell struct {
 	m Manager
-	// lane is the manager's delivery context under the concurrent
-	// scheduler, made on the first post; SetScheduler clears it.
-	lane atomic.Pointer[lane]
+	// maint is m's optional idle hook (LaneMaintainer), resolved at
+	// registration so a delivery pays no type assertion.
+	maint LaneMaintainer
+	// handling serializes the deliveries to m on a concurrent kernel
+	// (Kernel.enter): a manager handles one fault at a time, as the paper's
+	// manager process takes one message at a time. A serial kernel never
+	// takes it.
+	handling sync.Mutex
+	// revoked marks a cell Revoke or Restore retired. It is set without
+	// taking handling — a crash is found inside the manager's own handler,
+	// whose delivery holds it — so a delivery that was waiting for the mutex
+	// finds the mark and is lost.
+	revoked atomic.Bool
 }
 
 // ID returns the segment identifier.

@@ -88,11 +88,12 @@ type Config struct {
 	// list runs dry (default 8).
 	RequestBatch int
 	// LanePrefetch, when positive, tops the free list back up to this many
-	// frames whenever the manager's delivery lane goes idle (the concurrent
-	// scheduler's LaneMaintainer hook), moving frame-source requests off
-	// the fault path. Zero disables the hook, keeping virtual-time totals
-	// identical to the paper's demand-request behaviour — the reproduce
-	// harness relies on that.
+	// frames once it falls below a quarter of it, after each delivery on a
+	// concurrent kernel (the kernel.LaneMaintainer hook, still inside the
+	// delivery), moving frame-source requests off the fault path. A serial
+	// kernel never calls the hook, and zero disables it, keeping
+	// virtual-time totals identical to the paper's demand-request
+	// behaviour — the reproduce harness relies on that.
 	LanePrefetch int
 	// ExtentOrder, when positive, activates the superpage plane (super.go)
 	// at extents of 2^ExtentOrder base pages: whole-extent page-in over
@@ -705,10 +706,10 @@ func (g *Generic) PresizeResident(n int) {
 
 var _ kernel.LaneMaintainer = (*Generic)(nil)
 
-// LaneIdle implements kernel.LaneMaintainer: when the manager's delivery
-// lane goes quiet and Config.LanePrefetch is set, top the free list back up
-// from the frame source so the next fault burst allocates without a grant
-// round-trip on its critical path. Best-effort — a refused or failed
+// LaneIdle implements kernel.LaneMaintainer: after a delivery on a
+// concurrent kernel, when Config.LanePrefetch is set, top the free list
+// back up from the frame source so the next fault burst allocates without a
+// grant round-trip on its critical path. Best-effort — a refused or failed
 // request just leaves the demand-paging path to do what it always did.
 func (g *Generic) LaneIdle() {
 	want := g.cfg.LanePrefetch

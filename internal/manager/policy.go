@@ -14,9 +14,9 @@ import (
 // while Generic keeps the mechanism: the resident list, the free-page
 // segment, writeback/discard, and the exchange with the frame source.
 //
-// Concurrency: a manager's policy runs only on that manager's delivery
-// lane (the concurrent scheduler flat-combines all of one manager's work
-// onto a single logical thread), so Policy implementations need no locks
+// Concurrency: a manager's policy runs only inside that manager's
+// deliveries, which the kernel serializes (the concurrent scheduler under a
+// mutex on the manager's record), so Policy implementations need no locks
 // and must not share state between managers. A Policy instance therefore
 // belongs to exactly one Generic.
 

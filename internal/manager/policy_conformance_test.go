@@ -123,7 +123,6 @@ func TestPolicyConformance(t *testing.T) {
 				fx := newFixture(t, 48)
 				if sched == "concurrent" {
 					fx.k.SetScheduler(kernel.NewConcurrentScheduler(fx.k))
-					defer fx.k.Scheduler().Stop()
 				}
 				inner := newPolicy()
 				checked := &checkedPolicy{t: t, inner: inner, live: map[PageID]bool{}}

@@ -12,8 +12,8 @@ import "epcm/internal/kernel"
 // kernel's pageStore exploits), so the index is a small per-segment map
 // over dense position slices, with a sparse map spill for far-out pages.
 //
-// Only the manager's own delivery context reads or writes it (one lane
-// executor runs a manager at a time), so it takes no locks.
+// Only the manager's own deliveries read or write it (the kernel delivers
+// to a manager one fault at a time), so it takes no locks.
 type residentIndex struct {
 	bySeg map[*kernel.Segment]*posSlots
 	// hint presizes a new segment's dense slice (PresizeResident), so a

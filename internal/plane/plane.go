@@ -1,16 +1,16 @@
-// Package plane holds the message-plane primitives the kernel's fault
-// delivery is built on: envelopes stamped with virtual time and a global
-// sequence number, per-manager mailboxes, and a group that drains a set of
-// mailboxes in deterministic virtual-time order.
+// Package plane holds message-queue primitives: envelopes stamped with
+// virtual time and a global sequence number, per-manager mailboxes with a
+// group that drains a set of them in deterministic virtual-time order, and
+// a bounded multi-producer ring (ring.go).
+//
+// Nothing in the root module delivers through them any more: a fault is a
+// direct call into its manager under both kernel schedulers, serialized by
+// a mutex on the manager's record under the concurrent one. They stay for
+// bench/'s plane.mailbox_ns and plane.ring_ns probes.
 //
 // The package is deliberately a leaf: it knows nothing about kernels,
-// faults or managers. The kernel wraps these types with its own message
-// struct, so the same mailbox mechanics serve fault delivery, deletion
-// notices and control messages alike.
-//
-// Mailbox and Group are NOT internally synchronized — the deterministic
-// serial scheduler owns them from a single goroutine. The concurrent
-// scheduler's lanes are Rings (ring.go).
+// faults or managers. Mailbox and Group are NOT internally synchronized:
+// one goroutine owns them.
 package plane
 
 import "time"

@@ -55,7 +55,7 @@ type Policy struct {
 	// LaneCacheRefill, when positive, gives every account a private
 	// two-level frame cache (phys.FrameCache) over the shared free list,
 	// batch-refilled this many frames at a time: unconstrained grants come
-	// out of the cache, so concurrent lanes stop meeting on the free-list
+	// out of the cache, so concurrent drivers stop meeting on the free-list
 	// stripes. Zero disables the caches — frames always move straight
 	// between the shared pool and managers, preserving the exact grant
 	// and exhaustion order the market experiments (and the golden output)
@@ -97,7 +97,7 @@ type Account struct {
 	// buffers are owned by the account's request path, which runs in the
 	// manager's own delivery context — they take no lock. Control-plane
 	// users (Revoke, CheckInvariants) only touch the cache from contexts
-	// where that lane is quiet.
+	// where that manager is quiet.
 	cache       *phys.FrameCache
 	grantPFNs   []int64
 	grantSlots  []int64
@@ -236,7 +236,7 @@ func (s *SPCM) Withdraw(start, n int64) error {
 
 // FreeFrames reports the number of unallocated frames: the shared free
 // list plus every account's private frame cache (frames parked in a cache
-// are still unallocated, just reserved for one lane's fast path).
+// are still unallocated, just reserved for one account's fast path).
 func (s *SPCM) FreeFrames() int {
 	n := s.free.Len()
 	s.regMu.RLock()
@@ -687,8 +687,8 @@ func (s *SPCM) Revoke(g *manager.Generic) (int, error) {
 	}
 	s.regMu.Unlock()
 	s.stats.revocations.Add(1)
-	// The account is out of the registry, so its lane can no longer reach
-	// the cache; hand its parked frames back to the shared pool.
+	// The account is out of the registry, so its manager can no longer
+	// reach the cache; hand its parked frames back to the shared pool.
 	if a.cache != nil {
 		a.cache.Drain()
 	}

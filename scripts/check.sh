@@ -41,7 +41,7 @@ if grep -rnE 'granted +\[\]lockHold' --include='*.go' --exclude='*_test.go' inte
 fi
 
 # PR 17 made the manager's record (managerCell) the fault path's only way to
-# a mailbox, lane or time shard, and sim.Striped the one striped counter. A
+# its manager, and sim.Striped the one striped counter. A
 # map[Manager] may exist only as the registration-time interning table behind
 # cellOf (SetSegmentManager, Exec, Revoke), never from Access
 # down; and every kernel charge names its stripe.
@@ -164,14 +164,24 @@ if grep -rnE 'processFaultRun|faultRunLen|replyRun|faultScratch|vecFaults|vecCla
     echo "a vectored-delivery mechanism is back: every fault is delivered alone (see the matches above)" >&2
     exit 1
 fi
+# A manager's deliveries are serialized by the mutex on its record
+# (managerCell.handling) on a concurrent kernel and by the one driving
+# goroutine on a serial one, through the same path: the flat-combining lane
+# (its ring, combining token, drain batch and pooled reply channels) stays
+# deleted, and so do the ring methods only it used.
+if grep -rnE '\b(drainCells|laneDrainBatch|laneRingCap|laneOf|PopMany)\b|^type +lane\b' --include='*.go' --exclude='*_test.go' internal/; then
+    echo "a flat-combining lane mechanism is back: a manager's deliveries are serialized by a mutex on its record (see the matches above)" >&2
+    exit 1
+fi
 
 # §3.1 splits mechanism from policy: the kernel moves frames and flags as it
 # is told, so non-test internal/kernel imports no manager, policy, storage
-# or market package of this module — only phys, plane and sim.
+# or market package of this module — only phys and sim. (It no longer
+# queues deliveries, so internal/plane is not among them.)
 kernel_imports=$(go list -f '{{join .Imports "\n"}}' ./internal/kernel)
-if policy_imports=$(grep '^epcm/' <<<"$kernel_imports" | grep -vxE 'epcm/internal/(phys|plane|sim)'); then
+if policy_imports=$(grep '^epcm/' <<<"$kernel_imports" | grep -vxE 'epcm/internal/(phys|sim)'); then
     echo "$policy_imports"
-    echo "internal/kernel imports a package beyond phys, plane and sim (see above): policy lives outside the kernel" >&2
+    echo "internal/kernel imports a package beyond phys and sim (see above): policy lives outside the kernel" >&2
     exit 1
 fi
 
@@ -238,12 +248,11 @@ fi
 # out-of-line unlockMu), which take it under the concurrent scheduler alone:
 # the serial kernel's mapping table and TLB are unsynchronized anyway. No
 # other non-test internal/kernel function locks or unlocks a .mu directly;
-# the registry's k.mu, mgrMu and the concurrent scheduler's own mu are not
-# segment locks.
+# the registry's k.mu and mgrMu are not segment locks, and a manager
+# record's mutex is named handling, so it never reads as one.
 seg_mu=$(awk '/^func /{fn=$0}
     /\.mu\.(Lock|Unlock)\(\)/ && !/(^|[^A-Za-z0-9_.])k\.mu\./ &&
-    fn !~ /^func \(s \*Segment\) (lock|unlock|unlockMu)\(\)/ &&
-    fn !~ /^func \(s \*concurrentScheduler\)/ {print FILENAME ":" FNR ": " $0}' \
+    fn !~ /^func \(s \*Segment\) (lock|unlock|unlockMu)\(\)/ {print FILENAME ":" FNR ": " $0}' \
     $(find internal/kernel -name '*.go' ! -name '*_test.go'))
 if [ -n "$seg_mu" ]; then
     echo "$seg_mu"
@@ -331,22 +340,23 @@ echo "== chaos suite (fault injection + shared structure hammers, -race) =="
 go test -race -run Chaos -count=1 ./internal/core ./internal/spcm ./internal/kernel ./internal/manager ./internal/sim
 
 echo "== fuzz smoke (10s per target) =="
-go test -run='^$' -fuzz='^FuzzMappingTable$' -fuzztime=10s ./internal/kernel
-go test -run='^$' -fuzz='^FuzzTLB$' -fuzztime=10s ./internal/kernel
-go test -run='^$' -fuzz='^FuzzExtentTable$' -fuzztime=10s ./internal/kernel
-go test -run='^$' -fuzz='^FuzzRestore$' -fuzztime=10s ./internal/kernel
-# The corpus holds a 16 384-range batch; minimizing an input that size would
-# eat the whole smoke, so it is capped.
+# Minimizing a new input takes up to 60 s by default, which a 10 s budget
+# never outlasts: a target that finds one stops executing. Every target
+# caps minimization at 1 s so it fuzzes for its whole budget.
+go test -run='^$' -fuzz='^FuzzMappingTable$' -fuzztime=10s -fuzzminimizetime=1s ./internal/kernel
+go test -run='^$' -fuzz='^FuzzTLB$' -fuzztime=10s -fuzzminimizetime=1s ./internal/kernel
+go test -run='^$' -fuzz='^FuzzExtentTable$' -fuzztime=10s -fuzzminimizetime=1s ./internal/kernel
+go test -run='^$' -fuzz='^FuzzRestore$' -fuzztime=10s -fuzzminimizetime=1s ./internal/kernel
 go test -run='^$' -fuzz='^FuzzBatchDisjoint$' -fuzztime=10s -fuzzminimizetime=1s ./internal/kernel
-go test -run='^$' -fuzz='^FuzzUIO$' -fuzztime=10s ./internal/uio
-go test -run='^$' -fuzz='^FuzzMailbox$' -fuzztime=10s ./internal/plane
-go test -run='^$' -fuzz='^FuzzPolicy$' -fuzztime=10s ./internal/manager
-go test -run='^$' -fuzz='^FuzzSlotLedger$' -fuzztime=10s ./internal/manager
-go test -run='^$' -fuzz='^FuzzEventHeap$' -fuzztime=10s ./internal/sim
-go test -run='^$' -fuzz='^FuzzClock$' -fuzztime=10s ./internal/sim
-go test -run='^$' -fuzz='^FuzzLockManager$' -fuzztime=10s ./internal/db
-go test -run='^$' -fuzz='^FuzzTable4Machine$' -fuzztime=10s ./internal/db
-go test -run='^$' -fuzz='^FuzzStore$' -fuzztime=10s ./internal/storage
+go test -run='^$' -fuzz='^FuzzUIO$' -fuzztime=10s -fuzzminimizetime=1s ./internal/uio
+go test -run='^$' -fuzz='^FuzzMailbox$' -fuzztime=10s -fuzzminimizetime=1s ./internal/plane
+go test -run='^$' -fuzz='^FuzzPolicy$' -fuzztime=10s -fuzzminimizetime=1s ./internal/manager
+go test -run='^$' -fuzz='^FuzzSlotLedger$' -fuzztime=10s -fuzzminimizetime=1s ./internal/manager
+go test -run='^$' -fuzz='^FuzzEventHeap$' -fuzztime=10s -fuzzminimizetime=1s ./internal/sim
+go test -run='^$' -fuzz='^FuzzClock$' -fuzztime=10s -fuzzminimizetime=1s ./internal/sim
+go test -run='^$' -fuzz='^FuzzLockManager$' -fuzztime=10s -fuzzminimizetime=1s ./internal/db
+go test -run='^$' -fuzz='^FuzzTable4Machine$' -fuzztime=10s -fuzzminimizetime=1s ./internal/db
+go test -run='^$' -fuzz='^FuzzStore$' -fuzztime=10s -fuzzminimizetime=1s ./internal/storage
 
 echo "== bench smoke (1 iteration) =="
 go test -bench=Harness -benchtime=1x -run='^$' .
