@@ -213,7 +213,6 @@ func ExampleConcurrentScheduler() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sys.Shutdown()
 
 	const apps = 4
 	segs := make([]*epcm.Segment, apps)
@@ -266,7 +265,6 @@ func Example_superpages() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sys.Shutdown()
 
 	mgr, _, err := sys.NewAppManager(epcm.ManagerConfig{
 		Name:        "grid",

@@ -62,7 +62,6 @@ func TestChaosMultiDriverCrashStorm(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer sys.Shutdown()
 			g, _, err := sys.NewAppManager(manager.Config{
 				Name:       "victim-manager",
 				Backing:    slowSwapBacking{manager.NewSwapBacking(sys.Store), 50 * time.Microsecond},

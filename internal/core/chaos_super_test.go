@@ -31,7 +31,6 @@ func chaosSuperSystem(t testing.TB, plan faultinject.Plan, sched string) (*Syste
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(sys.Shutdown)
 	g, _, err := sys.NewAppManager(manager.Config{
 		Name:        "victim-manager",
 		Backing:     manager.NewSwapBacking(sys.Store),

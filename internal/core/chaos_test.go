@@ -55,7 +55,6 @@ func chaosSystemPolicy(t testing.TB, plan faultinject.Plan, sched, policy string
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(sys.Shutdown)
 	g, _, err := sys.NewAppManager(manager.Config{
 		Name:       "victim-manager",
 		Backing:    manager.NewSwapBacking(sys.Store),

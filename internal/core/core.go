@@ -270,9 +270,3 @@ func (s *System) NewFixedPool(nFrames, startPFN int64) (*manager.FixedPool, erro
 	}
 	return manager.NewFixedPool(s.Kernel, nFrames, startPFN)
 }
-
-// Shutdown ends the system's run. Under either scheduler every fault is
-// handled on the goroutine that takes it, so there is no worker to release:
-// Shutdown is always safe (and idempotent), and a system needs it only to
-// be torn down the same way whatever its scheduler.
-func (s *System) Shutdown() { s.Kernel.Scheduler().Stop() }

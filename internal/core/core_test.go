@@ -303,59 +303,6 @@ func spcmPolicyAlwaysCharge() spcm.Policy {
 	return p
 }
 
-// Large pages end to end (§2.1's multiple page sizes): the SPCM grants a
-// physically contiguous run, the kernel coalesces it into a 16 KB page in
-// a large-page segment, and the data is addressable and splittable back.
-func TestLargePageLifecycle(t *testing.T) {
-	s := boot(t)
-	g, _, err := s.NewAppManager(manager.Config{Name: "alpha-app"}, 1e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Obtain 8 contiguous frames (two 16 KB pages' worth).
-	n, err := s.SPCM.RequestContiguous(g, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 8 {
-		t.Fatalf("granted %d contiguous frames", n)
-	}
-	big, err := s.Kernel.CreateSegment("matrix-16k", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := g.FreeSegment().Pages()[len(g.FreeSegment().Pages())-8]
-	if err := s.Kernel.MigrateCoalesced(kernel.AppCred, g.FreeSegment(), big, []kernel.PageRange{{Page: start, To: 0, Pages: 2}}, kernel.FlagRW, 0); err != nil {
-		t.Fatal(err)
-	}
-	if big.PageCount() != 2 || big.PageSize() != 16384 {
-		t.Fatalf("large segment: %d pages of %d bytes", big.PageCount(), big.PageSize())
-	}
-	// Data spans the constituent frames.
-	s.Kernel.Mem().Frame(big.FramesAt(0)[3]).Data()[0] = 0x5A
-	// Access through the kernel works on large pages too.
-	if err := s.Kernel.Access(big, 0, kernel.Write); err != nil {
-		t.Fatal(err)
-	}
-	// And the pages split back into base frames without losing data.
-	small, err := s.Kernel.CreateSegment("matrix-4k", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Kernel.MigrateSplit(kernel.AppCred, big, small, []kernel.PageRange{{Page: 0, To: 0, Pages: 2}}, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if small.PageCount() != 8 {
-		t.Fatalf("split produced %d pages", small.PageCount())
-	}
-	if small.FrameAt(3).Data()[0] != 0x5A {
-		t.Fatal("data lost across coalesce/split")
-	}
-	if err := s.Kernel.CheckFrameConservation(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // A swap-in fills through the manager's one fill routine, exactly as a
 // fault does: a clean page the store holds no data for costs the default
 // manager no read, and a prefetching manager counts its demand fetches.

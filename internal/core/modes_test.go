@@ -31,7 +31,6 @@ func driveModes(t *testing.T, cfg Config) (out modeOutcome) {
 		t.Error(err)
 		return out
 	}
-	defer sys.Shutdown()
 	g, _, err := sys.NewAppManager(manager.Config{
 		Name:        "modes-app",
 		Backing:     manager.NewSwapBacking(sys.Store),
@@ -101,7 +100,7 @@ func TestModesDoNotLeakAcrossBoots(t *testing.T) {
 	}
 }
 
-// TestModesSideBySide is ROADMAP item 1's acceptance: a serial system on
+// TestModesSideBySide pins that modes are per system: a serial system on
 // the paper's hash table and a concurrent one on the same table shared
 // under its lock stripes, with the superpage plane on, booted in one
 // process and driven at the same time, one goroutine each, with nothing

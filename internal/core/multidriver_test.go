@@ -63,7 +63,6 @@ func runCollide(t *testing.T, sched, policy string, drivers int, pagesPerDriver 
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Shutdown()
 	g, _, err := sys.NewAppManager(manager.Config{
 		Name:    "collide-manager",
 		Backing: slowZeroBacking{},
@@ -156,7 +155,6 @@ func TestCostParitySingleDriver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sys.Shutdown()
 		g, _, err := sys.NewAppManager(manager.Config{Name: "parity-" + sched, Backing: manager.ZeroFill{}}, 1e6)
 		if err != nil {
 			t.Fatal(err)

@@ -46,7 +46,6 @@ func policyRun(t *testing.T, name, sched string, own func() manager.Policy) poli
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Shutdown()
 	g, _, err := sys.NewAppManager(manager.Config{
 		Name:    "diff-" + name,
 		Backing: manager.NewSwapBacking(sys.Store),
@@ -132,7 +131,6 @@ func TestPolicyAdoptionReclaim(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer sys.Shutdown()
 			g, _, err := sys.NewAppManager(manager.Config{
 				Name:    "victim-manager",
 				Backing: manager.NewSwapBacking(sys.Store),

@@ -27,7 +27,6 @@ func runSuperWorkload(t *testing.T, scheduler string) superCounts {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Shutdown()
 	g, _, err := s.NewAppManager(manager.Config{Name: "super-app", ExtentOrder: 4}, 1e6)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +105,6 @@ func TestSuperpageGateHalves(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer s.Shutdown()
 			g, _, err := s.NewAppManager(manager.Config{Name: "cold", ExtentOrder: tc.order}, 1e6)
 			if err != nil {
 				t.Fatal(err)

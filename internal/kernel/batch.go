@@ -38,16 +38,12 @@ import (
 // only when the operation is applied. A batch of no ranges is not a call.
 //
 // Error precedence: deleted segment, then credentials, then range sanity,
-// then shape (page sizes), then — page by page — presence of the source,
-// physical contiguity where the operation demands it (it can only be judged
-// on pages found present) and a free destination; collisions between the
-// ranges of one batch come last.
+// then — page by page — presence of the source and a free destination;
+// collisions between the ranges of one batch come last.
 
 // PageRange is one contiguous run of pages in a page operation. For
 // migrations, Pages pages starting at Page in the source land at To in the
-// destination (for coalesce and split, Pages counts large pages and the
-// base-page side spans Pages × frames-per-page); for flag operations only
-// Page and Pages are meaningful.
+// destination; for flag operations only Page and Pages are meaningful.
 type PageRange struct {
 	Page  int64 // first source page
 	To    int64 // first destination page (migrations only)
@@ -146,50 +142,49 @@ const batchDensePagesPerRange = 4096
 // land on one destination slot — the collisions the per-page presence
 // checks cannot see — naming the page a page-by-page walk of the batch
 // (each range's source pages, then its destination pages) would find
-// already taken. A range spans Pages×srcMul pages of src and Pages×dstMul
-// of dst. Batches whose ranges ascend without overlap on both sides — the
+// already taken. Batches whose ranges ascend without overlap on both sides — the
 // shape every coalesced caller produces — prove themselves collision-free
 // in one pass, and small unsorted batches (the magazine grant's
 // run-per-range shape) are compared pairwise. A large unsorted batch marks
 // each side's pages in a bitset spanning that side's lowest to highest page
 // when both spans are dense enough, and otherwise sorts each side's
 // intervals to prove them disjoint.
-func checkDisjoint(src, dst *Segment, ranges []PageRange, srcMul, dstMul int64) error {
+func checkDisjoint(src, dst *Segment, ranges []PageRange) error {
 	sorted := true
 	for i := 1; i < len(ranges) && sorted; i++ {
 		a, b := ranges[i-1], ranges[i]
-		sorted = b.Page >= a.Page+a.Pages*srcMul && b.To >= a.To+a.Pages*dstMul
+		sorted = b.Page >= a.Page+a.Pages && b.To >= a.To+a.Pages
 	}
 	if sorted {
 		return nil
 	}
 	if len(ranges) <= 16 { // past ~16 ranges the quadratic walk costs more than the bitsets
-		return firstCollision(src, dst, ranges, srcMul, dstMul)
+		return firstCollision(src, dst, ranges)
 	}
 	srcLo, srcHi := ranges[0].Page, ranges[0].Page
 	dstLo, dstHi := ranges[0].To, ranges[0].To
 	for _, r := range ranges {
-		srcLo, srcHi = min(srcLo, r.Page), max(srcHi, r.Page+r.Pages*srcMul)
-		dstLo, dstHi = min(dstLo, r.To), max(dstHi, r.To+r.Pages*dstMul)
+		srcLo, srcHi = min(srcLo, r.Page), max(srcHi, r.Page+r.Pages)
+		dstLo, dstHi = min(dstLo, r.To), max(dstHi, r.To+r.Pages)
 	}
 	sc := batchScratchPool.Get().(*batchScratch)
 	defer batchScratchPool.Put(sc)
 	if dense := int64(len(ranges)) * batchDensePagesPerRange; srcHi-srcLo > dense || dstHi-dstLo > dense {
 		sc.rs = append(sc.rs[:0], ranges...)
-		if disjointSorted(sc.rs, srcMul, func(r PageRange) int64 { return r.Page }) &&
-			disjointSorted(sc.rs, dstMul, func(r PageRange) int64 { return r.To }) {
+		if disjointSorted(sc.rs, func(r PageRange) int64 { return r.Page }) &&
+			disjointSorted(sc.rs, func(r PageRange) int64 { return r.To }) {
 			return nil
 		}
-		return firstCollision(src, dst, ranges, srcMul, dstMul)
+		return firstCollision(src, dst, ranges)
 	}
 	srcSet, dstSet := pageBitset(&sc.src, srcHi-srcLo), pageBitset(&sc.dst, dstHi-dstLo)
 	defer clear(srcSet)
 	defer clear(dstSet)
 	for _, r := range ranges {
-		if p := markPages(srcSet, r.Page-srcLo, r.Pages*srcMul); p >= 0 {
+		if p := markPages(srcSet, r.Page-srcLo, r.Pages); p >= 0 {
 			return pageError(ErrBadRange, src, srcLo+p)
 		}
-		if p := markPages(dstSet, r.To-dstLo, r.Pages*dstMul); p >= 0 {
+		if p := markPages(dstSet, r.To-dstLo, r.Pages); p >= 0 {
 			return pageError(ErrBadRange, dst, dstLo+p)
 		}
 	}
@@ -199,15 +194,15 @@ func checkDisjoint(src, dst *Segment, ranges []PageRange, srcMul, dstMul int64) 
 // firstCollision is the exact pairwise check, quadratic in the batch: for
 // each range in turn, the lowest source page an earlier range also names,
 // else the lowest destination page an earlier range also lands on.
-func firstCollision(src, dst *Segment, ranges []PageRange, srcMul, dstMul int64) error {
+func firstCollision(src, dst *Segment, ranges []PageRange) error {
 	for i, a := range ranges {
-		aSrcEnd, aDstEnd := a.Page+a.Pages*srcMul, a.To+a.Pages*dstMul
+		aSrcEnd, aDstEnd := a.Page+a.Pages, a.To+a.Pages
 		sp, dp := int64(math.MaxInt64), int64(math.MaxInt64)
 		for _, b := range ranges[:i] {
-			if a.Page < b.Page+b.Pages*srcMul && b.Page < aSrcEnd {
+			if a.Page < b.Page+b.Pages && b.Page < aSrcEnd {
 				sp = min(sp, max(a.Page, b.Page))
 			}
-			if a.To < b.To+b.Pages*dstMul && b.To < aDstEnd {
+			if a.To < b.To+b.Pages && b.To < aDstEnd {
 				dp = min(dp, max(a.To, b.To))
 			}
 		}
@@ -247,12 +242,12 @@ func markPages(set []uint64, lo, n int64) int64 {
 	return -1
 }
 
-// disjointSorted sorts rs by start and reports whether no range, spanning
-// Pages×mul pages from its start, reaches into the next.
-func disjointSorted(rs []PageRange, mul int64, start func(PageRange) int64) bool {
+// disjointSorted sorts rs by start and reports whether no range reaches
+// into the next.
+func disjointSorted(rs []PageRange, start func(PageRange) int64) bool {
 	slices.SortFunc(rs, func(a, b PageRange) int { return cmp.Compare(start(a), start(b)) })
 	for i := 1; i < len(rs); i++ {
-		if start(rs[i]) < start(rs[i-1])+rs[i-1].Pages*mul {
+		if start(rs[i]) < start(rs[i-1])+rs[i-1].Pages {
 			return false
 		}
 	}
@@ -281,9 +276,6 @@ func (k *Kernel) migrate(cred Cred, src, dst *Segment, ranges []PageRange, set, 
 	if err := validateMigrate(cred, src, dst, ranges); err != nil {
 		return err
 	}
-	if src.fpp != dst.fpp {
-		return fmt.Errorf("%w: %s -> %s", ErrPageSizeMismatch, src, dst)
-	}
 	total := int64(0)
 	for _, r := range ranges {
 		// The first absent source page and the first busy destination slot
@@ -297,10 +289,9 @@ func (k *Kernel) migrate(cred Cred, src, dst *Segment, ranges []PageRange, set, 
 		}
 		total += r.Pages
 	}
-	if err := checkDisjoint(src, dst, ranges, 1, 1); err != nil {
+	if err := checkDisjoint(src, dst, ranges); err != nil {
 		return err
 	}
-	extents = extents && src.fpp == 1
 	perPage, whole := int64(0), int64(0)
 	for _, r := range ranges {
 		o := extentOrderFor(src, r, extents)
@@ -393,10 +384,8 @@ func (k *Kernel) moveRun(src, dst *Segment, r PageRange, order uint8, set, clear
 	}
 	moved := src.pages.moveRun(&dst.pages, r.Page, r.To, r.Pages, set, clear)
 	for i := range moved {
-		for pfn := moved[i].pfn; pfn < moved[i].pfn+phys.PFN(dst.fpp); pfn++ {
-			k.frameOwner[pfn] = dst.id
-			k.framePage[pfn] = r.To + int64(i)
-		}
+		k.frameOwner[moved[i].pfn] = dst.id
+		k.framePage[moved[i].pfn] = r.To + int64(i)
 	}
 	fill := order == 0 && k.cacheFill(dst)
 	if src.named || fill || probe {
@@ -427,108 +416,6 @@ func (k *Kernel) moveRun(src, dst *Segment, r PageRange, order uint8, set, clear
 		k.stats.ExtentPromotions.Add(1)
 		k.stats.SuperpageOps.Add(1)
 	}
-}
-
-// MigrateCoalesced forms large pages in dst (F frames per page) from base
-// pages of src as one kernel call: per range, r.Pages large pages at r.To
-// from the r.Pages×F consecutive base pages at r.Page. The source frames of
-// each large page must be physically contiguous — this is how the SPCM
-// satisfies large-page allocations on machines with multiple page sizes.
-func (k *Kernel) MigrateCoalesced(cred Cred, src, dst *Segment, ranges []PageRange, set, clear PageFlags) error {
-	if len(ranges) == 0 {
-		return nil
-	}
-	return k.resize(cred, src, dst, ranges, set, clear, int64(dst.fpp), 1)
-}
-
-// MigrateSplit is the inverse of MigrateCoalesced: per range, r.Pages large
-// pages of src (F frames per page) at r.Page become the r.Pages×F base pages
-// of dst at r.To, as one kernel call.
-func (k *Kernel) MigrateSplit(cred Cred, src, dst *Segment, ranges []PageRange, set, clear PageFlags) error {
-	if len(ranges) == 0 {
-		return nil
-	}
-	return k.resize(cred, src, dst, ranges, set, clear, 1, int64(src.fpp))
-}
-
-// resize is the body of MigrateCoalesced and MigrateSplit. A range's unit is
-// one large page: srcMul pages of src become dstMul pages of dst, and the
-// two sides must hold the same frames — the base-page side counts F pages
-// of one frame, the other one page of F. The large page is named by its
-// first frame and its flags are the union of its base pages'. The charge is
-// per base page, as for a plain migration.
-func (k *Kernel) resize(cred Cred, src, dst *Segment, ranges []PageRange, set, clear PageFlags, srcMul, dstMul int64) error {
-	k.stats.MigrateCalls.Add(uint64(dst.id), 1)
-	k.clock.AdvanceOn(uint64(dst.id), k.cost.KernelCall)
-	lockPair(src, dst)
-	defer unlockPair(src, dst)
-	if err := validateMigrate(cred, src, dst, ranges); err != nil {
-		return err
-	}
-	frames := srcMul * int64(src.fpp)
-	if frames != dstMul*int64(dst.fpp) {
-		return fmt.Errorf("%w: %d page(s) of %s do not hold the frames of %d of %s", ErrPageSizeMismatch, srcMul, src, dstMul, dst)
-	}
-	total := int64(0)
-	for _, r := range ranges {
-		for i := int64(0); i < r.Pages; i++ {
-			var prev phys.PFN
-			for j := int64(0); j < srcMul; j++ {
-				sp := r.Page + i*srcMul + j
-				e, ok := src.pages.get(sp)
-				if !ok {
-					return pageError(ErrPageNotPresent, src, sp)
-				}
-				if j > 0 && e.pfn != prev+1 {
-					return pageError(ErrNotContiguous, src, sp)
-				}
-				prev = e.pfn
-			}
-			for j := int64(0); j < dstMul; j++ {
-				if dp := r.To + i*dstMul + j; dst.pages.has(dp) {
-					return pageError(ErrPageBusy, dst, dp)
-				}
-			}
-		}
-		total += r.Pages * frames
-	}
-	if err := checkDisjoint(src, dst, ranges, srcMul, dstMul); err != nil {
-		return err
-	}
-	for _, r := range ranges {
-		for i := int64(0); i < r.Pages; i++ {
-			var ne pageEntry
-			for j := int64(0); j < srcMul; j++ {
-				sp := r.Page + i*srcMul + j
-				e, _ := src.pages.get(sp)
-				if j == 0 {
-					ne.pfn = e.pfn
-				}
-				ne.flags |= e.flags
-				k.demoteCoveringLocked(src, sp)
-				src.pages.del(sp)
-				if src.named {
-					key := mapKey{src.id, sp}
-					k.table.remove(key)
-					k.tlbOf(src).invalidate(key)
-				}
-			}
-			ne.flags = ne.flags.Apply(set, clear)
-			for j := int64(0); j < dstMul; j++ {
-				dp, pfn := r.To+i*dstMul+j, ne.pfn+phys.PFN(j*int64(dst.fpp))
-				dst.pages.put(dp, pageEntry{pfn: pfn, flags: ne.flags})
-				for f := pfn; f < pfn+phys.PFN(dst.fpp); f++ {
-					k.frameOwner[f] = dst.id
-					k.framePage[f] = dp
-				}
-				if k.cacheFill(dst) {
-					k.table.insert(mapKey{dst.id, dp})
-				}
-			}
-		}
-	}
-	k.chargeMigrated(dst, total, total, 0)
-	return nil
 }
 
 // ModifyPageFlagsBatch modifies page flags over every range as one kernel
@@ -572,7 +459,6 @@ func (k *Kernel) modifyFlags(cred Cred, s *Segment, ranges []PageRange, set, cle
 	// single span invalidate and one SuperpageOp replace 2^order per-page
 	// TLB invalidates and MappingUpdates. The extent itself survives — its
 	// pages are all still present.
-	extents = extents && s.fpp == 1
 	var charge time.Duration
 	for _, r := range ranges {
 		ord, whole := s.extents[r.Page]

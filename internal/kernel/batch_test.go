@@ -110,6 +110,78 @@ func TestBatchMigrateCostMany(t *testing.T) {
 	if got >= perPage {
 		t.Fatalf("batch %v not cheaper than per-page %v", got, perPage)
 	}
+	if err := k.CheckFrameConservation(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A migrate batch built by CoalesceRanges charges one kernel call plus the
+// per-page increments: several runs share the one kernel call, and an empty
+// batch is not a call at all.
+func TestMigrateCoalescedBatchCost(t *testing.T) {
+	c := sim.DECstation5000()
+	perPage := c.MigratePage + c.MappingUpdate
+	k := newTestKernel(t)
+	seg, err := k.CreateSegment("data", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranges := CoalesceRanges([]int64{40, 41, 60}, []int64{40, 41, 50})
+	if len(ranges) != 2 {
+		t.Fatalf("coalesced into %v, want two runs", ranges)
+	}
+	before := k.Clock().Now()
+	if err := k.MigratePagesBatch(SystemCred, k.BootSegment(), seg, ranges, FlagRW, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := k.Clock().Now()-before, c.KernelCall+3*perPage; got != want {
+		t.Fatalf("two-run batch charged %v, want %v", got, want)
+	}
+	if seg.PageCount() != 3 {
+		t.Fatalf("destination holds %d pages, want 3", seg.PageCount())
+	}
+
+	calls, before := k.Stats().MigrateCalls, k.Clock().Now()
+	if err := k.MigratePagesBatch(SystemCred, k.BootSegment(), seg, CoalesceRanges(nil, nil), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if k.Clock().Now() != before || k.Stats().MigrateCalls != calls {
+		t.Fatal("an empty migrate batch was charged as a call")
+	}
+	if err := k.CheckFrameConservation(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A coalesced batch is checked like any migrate: an application may not
+// take from the boot segment, and a deleted source or destination is
+// refused before any run moves.
+func TestCoalescePrivilegeAndDeletedChecks(t *testing.T) {
+	k := newTestKernel(t)
+	small, _ := k.CreateSegment("small", 1)
+	big, _ := k.CreateSegment("big", 1)
+	ranges := CoalesceRanges([]int64{0, 1, 5}, []int64{0, 1, 3})
+	if err := k.MigratePagesBatch(AppCred, k.BootSegment(), big, ranges, 0, 0); !errors.Is(err, ErrNotPrivileged) {
+		t.Fatalf("unprivileged boot migrate: %v", err)
+	}
+	if err := k.MigratePagesBatch(SystemCred, k.BootSegment(), small, ranges, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.DeleteSegment(AppCred, small); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.MigratePagesBatch(AppCred, small, big, ranges, 0, 0); !errors.Is(err, ErrNoSuchSegment) {
+		t.Fatalf("deleted source: %v", err)
+	}
+	if err := k.MigratePagesBatch(AppCred, big, small, ranges, 0, 0); !errors.Is(err, ErrNoSuchSegment) {
+		t.Fatalf("deleted destination: %v", err)
+	}
+	if big.PageCount() != 0 {
+		t.Fatalf("a refused batch moved %d pages", big.PageCount())
+	}
+	if err := k.CheckFrameConservation(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestBatchMigrateAllOrNothing: a batch whose later range fails validation

@@ -14,9 +14,6 @@ var (
 	ErrPageNotPresent = errors.New("kernel: page not present")
 	// ErrPageBusy reports that a destination page already has a frame.
 	ErrPageBusy = errors.New("kernel: destination page already present")
-	// ErrPageSizeMismatch reports a migrate between segments with different
-	// page sizes (use MigrateCoalesced / MigrateSplit instead).
-	ErrPageSizeMismatch = errors.New("kernel: page size mismatch")
 	// ErrNotPrivileged reports an operation on a restricted segment (such
 	// as the boot frame segment) by an unprivileged credential.
 	ErrNotPrivileged = errors.New("kernel: operation requires a privileged credential")
@@ -30,12 +27,12 @@ var (
 	// manager declined to resolve.
 	ErrProtection = errors.New("kernel: protection violation")
 	// ErrBadRange reports a page range that is negative, empty or outside
-	// the segment.
+	// the segment, or a page size other than one frame.
 	ErrBadRange = errors.New("kernel: bad page range")
 	// ErrOverlap reports a binding that overlaps an existing binding.
 	ErrOverlap = errors.New("kernel: binding overlaps existing binding")
-	// ErrNotContiguous reports a coalesce of frames that are not physically
-	// contiguous.
+	// ErrNotContiguous reports an extent promotion over frames that are not
+	// physically contiguous, ascending and naturally aligned.
 	ErrNotContiguous = errors.New("kernel: frames not physically contiguous")
 	// ErrManagerFailed wraps an error returned by a segment manager.
 	ErrManagerFailed = errors.New("kernel: segment manager failed")

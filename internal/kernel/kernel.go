@@ -201,7 +201,7 @@ func New(mem *phys.Memory, clock *sim.Clock, cost *sim.CostModel, cfg Config) *K
 		framePage:  make([]int64, mem.NumFrames()),
 	}
 	k.SetScheduler(&Scheduler{k: k, concurrent: cfg.Concurrent})
-	boot := k.newSegment("physmem", 1)
+	boot := k.newSegment("physmem")
 	boot.restricted = true
 	boot.staging = true
 	boot.identity = true
@@ -318,14 +318,13 @@ func unlockPair(a, b *Segment) {
 	}
 }
 
-func (k *Kernel) newSegment(name string, framesPerPage int) *Segment {
+func (k *Kernel) newSegment(name string) *Segment {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	s := &Segment{
 		id:       k.nextID,
 		name:     name,
-		pageSize: framesPerPage * k.mem.FrameSize(),
-		fpp:      framesPerPage,
+		pageSize: k.mem.FrameSize(),
 		kernel:   k,
 	}
 	k.segs[s.id] = s
@@ -333,15 +332,17 @@ func (k *Kernel) newSegment(name string, framesPerPage int) *Segment {
 	return s
 }
 
-// CreateSegment creates an empty segment. framesPerPage selects the page
-// size as a multiple of the machine frame size (§2.1: "a parameter to the
-// segment creation call optionally specifies the page size"); pass 1 for
-// the base 4 KB page.
+// CreateSegment creates an empty segment. framesPerPage is the page size
+// parameter of the paper's creation call (§2.1: "a parameter to the segment
+// creation call optionally specifies the page size"). Here a page is always
+// one machine frame, so 1 is the only value accepted; any other is
+// ErrBadRange. A mapping covers more than one frame only as a superpage
+// extent (PromoteExtent).
 func (k *Kernel) CreateSegment(name string, framesPerPage int) (*Segment, error) {
-	if framesPerPage < 1 || framesPerPage&(framesPerPage-1) != 0 {
-		return nil, fmt.Errorf("kernel: frames per page %d is not a positive power of two", framesPerPage)
+	if framesPerPage != 1 {
+		return nil, fmt.Errorf("%w: %d frames per page (a page is one frame)", ErrBadRange, framesPerPage)
 	}
-	s := k.newSegment(name, framesPerPage)
+	s := k.newSegment(name)
 	k.clock.AdvanceOn(uint64(s.id), k.cost.KernelCall)
 	return s, nil
 }
@@ -390,9 +391,6 @@ func (k *Kernel) BindRegion(seg *Segment, start, pages int64, target *Segment, t
 	if seg.deleted || target.deleted {
 		return ErrNoSuchSegment
 	}
-	if seg.fpp != target.fpp {
-		return fmt.Errorf("%w: bind across page sizes %d and %d", ErrPageSizeMismatch, seg.pageSize, target.pageSize)
-	}
 	return seg.addBinding(&binding{start: start, pages: pages, target: target, targetStart: targetStart, cow: cow})
 }
 
@@ -426,11 +424,9 @@ func (k *Kernel) DeleteSegment(cred Cred, s *Segment) error {
 		return ErrNoSuchSegment // lost a delete race during the notice
 	}
 	s.pages.forEach(func(_ int64, e *pageEntry) bool {
-		for pfn := e.pfn; pfn < e.pfn+phys.PFN(s.fpp); pfn++ {
-			k.boot.pages.put(int64(pfn), pageEntry{pfn: pfn})
-			k.frameOwner[pfn] = k.boot.id
-			k.framePage[pfn] = int64(pfn)
-		}
+		k.boot.pages.put(int64(e.pfn), pageEntry{pfn: e.pfn})
+		k.frameOwner[e.pfn] = k.boot.id
+		k.framePage[e.pfn] = int64(e.pfn)
 		return true
 	})
 	s.retireLocked()
@@ -575,7 +571,7 @@ func (k *Kernel) Access(s *Segment, page int64, access AccessType) error {
 		if access == Write && r.cow {
 			// The reference crossed a copy-on-write binding: a private page
 			// must materialize in the front segment. The manager allocates
-			// it; the kernel performs the copy (§2.1) from the source frames
+			// it; the kernel performs the copy (§2.1) from the source frame
 			// named here, under the source segment's lock.
 			src := e.pfn
 			rs.unlock()
@@ -589,12 +585,8 @@ func (k *Kernel) Access(s *Segment, page int64, access AccessType) error {
 				cs.unlock()
 				continue // manager did not materialize the page; re-fault
 			}
-			// Bindings never cross page sizes (resolve), so both pages span
-			// cs.fpp frames.
-			for i := phys.PFN(0); i < phys.PFN(cs.fpp); i++ {
-				k.clock.AdvanceOn(uint64(cs.id), k.cost.CopyPage)
-				k.mem.Frame(ne.pfn + i).CopyFrom(k.mem.Frame(src + i))
-			}
+			k.clock.AdvanceOn(uint64(cs.id), k.cost.CopyPage)
+			k.mem.Frame(ne.pfn).CopyFrom(k.mem.Frame(src))
 			ne.flags |= FlagDirty
 			cs.unlock()
 			continue // retry: resolution now finds the private page
@@ -694,27 +686,25 @@ func (k *Kernel) CheckFrameConservation() error {
 		segs[id] = s
 	}
 	k.mu.RUnlock()
-	// Every page entry's frame run [pfn, pfn+fpp) must lie inside memory,
-	// and each of its frames must be held by no other page and record this
-	// segment as its owner.
+	// Every page entry's frame must lie inside memory, be held by no other
+	// page and record this segment as its owner.
 	seen := make(map[phys.PFN]SegID)
 	for _, s := range segs {
 		var werr error
 		s.pages.forEach(func(page int64, e *pageEntry) bool {
-			if int(e.pfn)+s.fpp > k.mem.NumFrames() {
-				werr = fmt.Errorf("%s page %d holds frames [%d,%d), beyond memory's %d", s, page, e.pfn, int(e.pfn)+s.fpp, k.mem.NumFrames())
+			pfn := e.pfn
+			if int(pfn) >= k.mem.NumFrames() {
+				werr = fmt.Errorf("%s page %d holds frame %d, beyond memory's %d", s, page, pfn, k.mem.NumFrames())
 				return false
 			}
-			for pfn := e.pfn; pfn < e.pfn+phys.PFN(s.fpp); pfn++ {
-				if prev, dup := seen[pfn]; dup {
-					werr = fmt.Errorf("frame %d held by both segment %d and %d", pfn, prev, s.id)
-					return false
-				}
-				seen[pfn] = s.id
-				if k.frameOwner[pfn] != s.id {
-					werr = fmt.Errorf("frame %d in %s but recorded owner is %d", pfn, s, k.frameOwner[pfn])
-					return false
-				}
+			if prev, dup := seen[pfn]; dup {
+				werr = fmt.Errorf("frame %d held by both segment %d and %d", pfn, prev, s.id)
+				return false
+			}
+			seen[pfn] = s.id
+			if k.frameOwner[pfn] != s.id {
+				werr = fmt.Errorf("frame %d in %s but recorded owner is %d", pfn, s, k.frameOwner[pfn])
+				return false
 			}
 			return true
 		})
@@ -732,8 +722,8 @@ func (k *Kernel) CheckFrameConservation() error {
 		if !ok {
 			return fmt.Errorf("frame %d recorded at %s page %d, but page absent", pfn, s, k.framePage[pfn])
 		}
-		if pfn < int(e.pfn) || pfn >= int(e.pfn)+s.fpp {
-			return fmt.Errorf("frame %d recorded at %s page %d, but entry holds other frames", pfn, s, k.framePage[pfn])
+		if pfn != int(e.pfn) {
+			return fmt.Errorf("frame %d recorded at %s page %d, but entry holds frame %d", pfn, s, k.framePage[pfn], e.pfn)
 		}
 	}
 	return nil

@@ -155,20 +155,21 @@ func TestBootSegmentHoldsAllFrames(t *testing.T) {
 	}
 }
 
+// A page is one frame: CreateSegment takes the paper's page-size parameter
+// but accepts only 1; the extent plane is the one way a mapping covers more.
 func TestCreateSegmentValidation(t *testing.T) {
 	k := newTestKernel(t)
-	if _, err := k.CreateSegment("bad", 0); err == nil {
-		t.Fatal("framesPerPage 0 accepted")
+	for _, fpp := range []int{0, 2, 3, 4, -1} {
+		if _, err := k.CreateSegment("bad", fpp); !errors.Is(err, ErrBadRange) {
+			t.Fatalf("framesPerPage %d: err = %v, want ErrBadRange", fpp, err)
+		}
 	}
-	if _, err := k.CreateSegment("bad", 3); err == nil {
-		t.Fatal("non power-of-two framesPerPage accepted")
-	}
-	s, err := k.CreateSegment("big", 4)
+	s, err := k.CreateSegment("base", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.PageSize() != 16384 {
-		t.Fatalf("page size = %d", s.PageSize())
+	if s.PageSize() != k.Mem().FrameSize() {
+		t.Fatalf("page size = %d, want the frame size %d", s.PageSize(), k.Mem().FrameSize())
 	}
 }
 
@@ -205,7 +206,6 @@ func TestMigrateErrors(t *testing.T) {
 	k := newTestKernel(t)
 	a, _ := k.CreateSegment("a", 1)
 	b, _ := k.CreateSegment("b", 1)
-	big, _ := k.CreateSegment("big", 2)
 	if err := k.MigratePages(SystemCred, k.BootSegment(), a, 10, 0, 4, 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -215,9 +215,6 @@ func TestMigrateErrors(t *testing.T) {
 	}
 	if err := k.MigratePages(AppCred, a, a, 0, 1, 1, 0, 0); !errors.Is(err, ErrPageBusy) {
 		t.Fatalf("busy destination: %v", err)
-	}
-	if err := k.MigratePages(AppCred, a, big, 0, 0, 1, 0, 0); !errors.Is(err, ErrPageSizeMismatch) {
-		t.Fatalf("size mismatch: %v", err)
 	}
 	if err := k.MigratePages(AppCred, k.BootSegment(), a, 50, 50, 1, 0, 0); !errors.Is(err, ErrNotPrivileged) {
 		t.Fatalf("unprivileged boot migrate: %v", err)
@@ -410,15 +407,11 @@ func TestBindRejectsOverlapAndSizeMismatch(t *testing.T) {
 	k := newTestKernel(t)
 	a, _ := k.CreateSegment("a", 1)
 	b, _ := k.CreateSegment("b", 1)
-	big, _ := k.CreateSegment("big", 2)
 	if err := k.BindRegion(a, 0, 4, b, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.BindRegion(a, 2, 4, b, 10, false); !errors.Is(err, ErrOverlap) {
 		t.Fatalf("overlap: %v", err)
-	}
-	if err := k.BindRegion(a, 10, 4, big, 0, false); !errors.Is(err, ErrPageSizeMismatch) {
-		t.Fatalf("size mismatch: %v", err)
 	}
 	if err := k.BindRegion(a, 10, 0, b, 0, false); !errors.Is(err, ErrBadRange) {
 		t.Fatalf("empty bind: %v", err)
@@ -658,68 +651,6 @@ func TestDeleteSegmentWithoutManagerReturnsFramesToBoot(t *testing.T) {
 	}
 }
 
-func TestMigrateCoalescedAndSplit(t *testing.T) {
-	k := newTestKernel(t)
-	small, _ := k.CreateSegment("small", 1)
-	big, _ := k.CreateSegment("big", 4)
-	// Take 8 physically contiguous frames (PFNs 32..39).
-	if err := k.MigratePages(SystemCred, k.BootSegment(), small, 32, 0, 8, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	small.FrameAt(0).Data()[0] = 0x11
-	small.FrameAt(5).Data()[0] = 0x55
-	if err := k.MigrateCoalesced(AppCred, small, big, []PageRange{{Page: 0, To: 0, Pages: 2}}, FlagRW, 0); err != nil {
-		t.Fatal(err)
-	}
-	if big.PageCount() != 2 || small.PageCount() != 0 {
-		t.Fatalf("big=%d small=%d pages", big.PageCount(), small.PageCount())
-	}
-	if got := len(big.FramesAt(0)); got != 4 {
-		t.Fatalf("large page holds %d frames", got)
-	}
-	if k.Mem().Frame(big.FramesAt(0)[0]).Data()[0] != 0x11 || k.Mem().Frame(big.FramesAt(1)[1]).Data()[0] != 0x55 {
-		t.Fatal("data lost in coalesce")
-	}
-	if err := k.CheckFrameConservation(); err != nil {
-		t.Fatal(err)
-	}
-	// Split back.
-	if err := k.MigrateSplit(AppCred, big, small, []PageRange{{Page: 0, To: 0, Pages: 2}}, 0, FlagRW); err != nil {
-		t.Fatal(err)
-	}
-	if small.PageCount() != 8 || big.PageCount() != 0 {
-		t.Fatalf("after split: small=%d big=%d", small.PageCount(), big.PageCount())
-	}
-	if small.FrameAt(5).Data()[0] != 0x55 {
-		t.Fatal("data lost in split")
-	}
-	if err := k.CheckFrameConservation(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMigrateCoalescedRequiresContiguity(t *testing.T) {
-	k := newTestKernel(t)
-	small, _ := k.CreateSegment("small", 1)
-	big, _ := k.CreateSegment("big", 2)
-	// Frames 10 and 12: not contiguous.
-	if err := k.MigratePages(SystemCred, k.BootSegment(), small, 10, 0, 1, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.MigratePages(SystemCred, k.BootSegment(), small, 12, 1, 1, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.MigrateCoalesced(AppCred, small, big, []PageRange{{Page: 0, To: 0, Pages: 1}}, 0, 0); !errors.Is(err, ErrNotContiguous) {
-		t.Fatalf("err = %v", err)
-	}
-	if small.PageCount() != 2 {
-		t.Fatal("failed coalesce moved pages")
-	}
-	if err := k.CheckFrameConservation(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestStatsCountTable3Columns(t *testing.T) {
 	k := newTestKernel(t)
 	m := newTestManager(t, k, 16, DeliverSeparateProcess)
@@ -912,56 +843,6 @@ func TestConcurrentTLBPerSegment(t *testing.T) {
 	}
 	if m := k.Stats().TLBMisses - before; m != 1 {
 		t.Fatalf("a after page 5 moved out and back: %d TLB misses, want 1", m)
-	}
-}
-
-func TestCoalescePrivilegeAndDeletedChecks(t *testing.T) {
-	k := newTestKernel(t)
-	small, _ := k.CreateSegment("small", 1)
-	big, _ := k.CreateSegment("big", 2)
-	if err := k.MigrateCoalesced(AppCred, k.BootSegment(), big, []PageRange{{Page: 0, To: 0, Pages: 1}}, 0, 0); !errors.Is(err, ErrNotPrivileged) {
-		t.Fatalf("unprivileged boot coalesce: %v", err)
-	}
-	if err := k.DeleteSegment(AppCred, small); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.MigrateCoalesced(AppCred, small, big, []PageRange{{Page: 0, To: 0, Pages: 1}}, 0, 0); !errors.Is(err, ErrNoSuchSegment) {
-		t.Fatalf("deleted source: %v", err)
-	}
-	if err := k.MigrateSplit(AppCred, big, small, []PageRange{{Page: 0, To: 0, Pages: 1}}, 0, 0); !errors.Is(err, ErrNoSuchSegment) {
-		t.Fatalf("deleted destination: %v", err)
-	}
-}
-
-func TestMigrateSplitRequiresBaseDestination(t *testing.T) {
-	k := newTestKernel(t)
-	big1, _ := k.CreateSegment("big1", 2)
-	big2, _ := k.CreateSegment("big2", 2)
-	if err := k.MigrateSplit(AppCred, big1, big2, []PageRange{{Page: 0, To: 0, Pages: 1}}, 0, 0); !errors.Is(err, ErrPageSizeMismatch) {
-		t.Fatalf("split to large-page destination: %v", err)
-	}
-	small, _ := k.CreateSegment("small", 1)
-	if err := k.MigrateCoalesced(AppCred, big1, small, []PageRange{{Page: 0, To: 0, Pages: 1}}, 0, 0); !errors.Is(err, ErrPageSizeMismatch) {
-		t.Fatalf("coalesce from large-page source: %v", err)
-	}
-}
-
-func TestGetPageAttributesLargePage(t *testing.T) {
-	k := newTestKernel(t)
-	small, _ := k.CreateSegment("small", 1)
-	big, _ := k.CreateSegment("big", 4)
-	if err := k.MigratePages(SystemCred, k.BootSegment(), small, 32, 0, 4, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.MigrateCoalesced(AppCred, small, big, []PageRange{{Page: 0, To: 0, Pages: 1}}, FlagRW, 0); err != nil {
-		t.Fatal(err)
-	}
-	attrs, err := k.GetPageAttributes(big, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !attrs[0].Present || attrs[0].PFN != 32 {
-		t.Fatalf("large page attrs: %+v (want first frame PFN 32)", attrs[0])
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 )
 
 // Layer benchmarks for the TLB, the mapping tables and the batch collision
-// check (ROADMAP item 1: "TLB lookup", "mapping-table lookup+insert"). The
-// serial structures run beside the reference model each replaced
+// check: the "TLB lookup" and "mapping-table lookup+insert" layers of the
+// fault path, measured alone. The serial structures run beside the reference model each replaced
 // (reference_test.go) through the same loop, so one run prints before and
 // after. All of them must report 0 allocs/op. scripts/check.sh smoke-runs
 // them at one iteration.
@@ -316,12 +316,12 @@ func BenchmarkCheckDisjoint(b *testing.B) {
 	run := func(name string, ranges []PageRange, warm []PageRange) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			if err := checkDisjoint(src, dst, warm, 1, 1); err != nil {
+			if err := checkDisjoint(src, dst, warm); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchErr = checkDisjoint(src, dst, ranges, 1, 1)
+				benchErr = checkDisjoint(src, dst, ranges)
 			}
 			if benchErr != nil {
 				b.Fatal(benchErr)

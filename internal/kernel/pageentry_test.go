@@ -1,10 +1,8 @@
 package kernel
 
 import (
-	"math/rand"
 	"reflect"
 	"regexp"
-	"slices"
 	"testing"
 	"unsafe"
 
@@ -80,9 +78,9 @@ func TestNewAllocationsIndependentOfMemory(t *testing.T) {
 var raceEnabled bool
 
 // TestConservationCatchesCorruptEntry corrupts page entries' frame numbers
-// and expects CheckFrameConservation to name the damage: a run reaching past
-// the end of memory, a frame some other page holds, or a frame recorded at
-// a page whose run no longer covers it.
+// and expects CheckFrameConservation to name the damage: a frame past the
+// end of memory, a frame some other page holds, or a frame recorded at a
+// page that no longer holds it. A page's frame run is one frame long.
 func TestConservationCatchesCorruptEntry(t *testing.T) {
 	set := func(s *Segment, page int64, pfn phys.PFN) {
 		e, _ := s.pages.get(page)
@@ -90,30 +88,20 @@ func TestConservationCatchesCorruptEntry(t *testing.T) {
 	}
 	cases := []struct {
 		name    string
-		fpp     int
 		corrupt func(k *Kernel, s *Segment)
 		want    string
 	}{
-		{"past the end of memory", 1, func(k *Kernel, s *Segment) { set(s, 0, phys.PFN(k.mem.NumFrames())) }, "beyond memory"},
-		{"large page straddling the end", 4, func(k *Kernel, s *Segment) { set(s, 0, phys.PFN(k.mem.NumFrames()-2)) }, "beyond memory"},
-		{"a frame the boot segment holds", 1, func(_ *Kernel, s *Segment) { set(s, 0, 200) }, "held by both|recorded owner"},
-		{"a run overlapping its neighbour", 4, func(_ *Kernel, s *Segment) { set(s, 0, 66) }, "held by both"},
-		{"two runs swapped", 4, func(_ *Kernel, s *Segment) { set(s, 0, 68); set(s, 1, 64) }, "entry holds other frames"},
+		{"past the end of memory", func(k *Kernel, s *Segment) { set(s, 0, phys.PFN(k.mem.NumFrames())) }, "beyond memory"},
+		{"a frame the boot segment holds", func(_ *Kernel, s *Segment) { set(s, 0, 200) }, "held by both|recorded owner"},
+		{"a run overlapping its neighbour", func(_ *Kernel, s *Segment) { set(s, 0, 65) }, "held by both"},
+		{"two runs swapped", func(_ *Kernel, s *Segment) { set(s, 0, 65); set(s, 1, 64) }, "entry holds frame"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			k := newTestKernel(t)
-			small, _ := k.CreateSegment("small", 1)
-			if err := k.MigratePages(SystemCred, k.BootSegment(), small, 64, 0, 8, 0, 0); err != nil {
+			s, _ := k.CreateSegment("small", 1)
+			if err := k.MigratePages(SystemCred, k.BootSegment(), s, 64, 0, 8, 0, 0); err != nil {
 				t.Fatal(err)
-			}
-			s := small
-			if c.fpp > 1 {
-				big, _ := k.CreateSegment("big", c.fpp)
-				if err := k.MigrateCoalesced(AppCred, small, big, []PageRange{{Page: 0, To: 0, Pages: int64(8 / c.fpp)}}, 0, 0); err != nil {
-					t.Fatal(err)
-				}
-				s = big
 			}
 			if err := k.CheckFrameConservation(); err != nil {
 				t.Fatalf("before corruption: %v", err)
@@ -124,74 +112,5 @@ func TestConservationCatchesCorruptEntry(t *testing.T) {
 				t.Fatalf("CheckFrameConservation = %v, want an error matching %q", err, c.want)
 			}
 		})
-	}
-}
-
-// TestLargePageRunKeepsData is a property test of the large-page run:
-// contiguous base pages coalesce into large pages, every byte written
-// through the large pages' frames survives a split and a second coalesce,
-// and a large page's frames are always the fpp consecutive PFNs starting at
-// its entry's pfn.
-func TestLargePageRunKeepsData(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 40; trial++ {
-		k := newTestKernel(t)
-		fpp := 1 << (1 + rng.Intn(3)) // 2, 4 or 8 frames per page
-		pages := 1 + rng.Intn(4)
-		n := int64(fpp * pages)
-		first := int64(rng.Intn(k.mem.NumFrames() - int(n) + 1))
-		small, _ := k.CreateSegment("small", 1)
-		big, _ := k.CreateSegment("big", fpp)
-		if err := k.MigratePages(SystemCred, k.BootSegment(), small, first, 0, n, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-		checkRun := func(stage string) {
-			t.Helper()
-			for p := int64(0); p < int64(pages); p++ {
-				e, ok := big.pages.get(p)
-				if !ok {
-					t.Fatalf("trial %d %s: large page %d absent", trial, stage, p)
-				}
-				want := make([]phys.PFN, fpp)
-				for i := range want {
-					want[i] = e.pfn + phys.PFN(i)
-				}
-				if got := big.FramesAt(p); !slices.Equal(got, want) {
-					t.Fatalf("trial %d %s: FramesAt(%d) = %v, want %v", trial, stage, p, got, want)
-				}
-			}
-		}
-		if err := k.MigrateCoalesced(AppCred, small, big, []PageRange{{Page: 0, To: 0, Pages: int64(pages)}}, FlagRW, 0); err != nil {
-			t.Fatal(err)
-		}
-		checkRun("first coalesce")
-		want := make([][]byte, 0, n)
-		for p := int64(0); p < int64(pages); p++ {
-			for _, pfn := range big.FramesAt(p) {
-				b := make([]byte, 4096)
-				rng.Read(b)
-				copy(k.mem.Frame(pfn).Data(), b)
-				want = append(want, b)
-			}
-		}
-		if err := k.MigrateSplit(AppCred, big, small, []PageRange{{Page: 0, To: 0, Pages: int64(pages)}}, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := k.MigrateCoalesced(AppCred, small, big, []PageRange{{Page: 0, To: 0, Pages: int64(pages)}}, FlagRW, 0); err != nil {
-			t.Fatal(err)
-		}
-		checkRun("second coalesce")
-		i := 0
-		for p := int64(0); p < int64(pages); p++ {
-			for j, pfn := range big.FramesAt(p) {
-				if !slices.Equal(k.mem.Frame(pfn).Data(), want[i]) {
-					t.Fatalf("trial %d: large page %d frame %d lost its bytes", trial, p, j)
-				}
-				i++
-			}
-		}
-		if err := k.CheckFrameConservation(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
 	}
 }

@@ -16,17 +16,17 @@ package kernel
 // destination pages — keeping one map entry per page, and reports the first
 // page already seen on its side. FuzzBatchDisjoint requires checkDisjoint's
 // every arm to give its verdict, segment and page.
-func refCheckDisjoint(src, dst *Segment, ranges []PageRange, srcMul, dstMul int64) error {
+func refCheckDisjoint(src, dst *Segment, ranges []PageRange) error {
 	srcPages := make(map[int64]struct{})
 	dstPages := make(map[int64]struct{})
 	for _, r := range ranges {
-		for p := r.Page; p < r.Page+r.Pages*srcMul; p++ {
+		for p := r.Page; p < r.Page+r.Pages; p++ {
 			if _, dup := srcPages[p]; dup {
 				return pageError(ErrBadRange, src, p)
 			}
 			srcPages[p] = struct{}{}
 		}
-		for p := r.To; p < r.To+r.Pages*dstMul; p++ {
+		for p := r.To; p < r.To+r.Pages; p++ {
 			if _, dup := dstPages[p]; dup {
 				return pageError(ErrBadRange, dst, p)
 			}

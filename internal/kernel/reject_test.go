@@ -9,14 +9,11 @@ import (
 )
 
 // rejectFixture is a kernel with one segment per shape the rejection table
-// needs. Pages of base hold boot frames of the same number, so base pages
-// 0..15 are a physically contiguous run and 20..23 (boot 40,42,44,46) are
-// not.
+// needs. Pages of base hold boot frames of the same number.
 type rejectFixture struct {
 	k    *Kernel
-	base *Segment // 1 frame/page: pages 0..15 and 20..23 present
-	busy *Segment // 1 frame/page: page 0 present
-	big  *Segment // 4 frames/page: page 0 present
+	base *Segment // pages 0..15 present
+	busy *Segment // page 0 present
 	gone *Segment // deleted
 }
 
@@ -29,19 +26,15 @@ func newRejectFixture(t *testing.T) *rejectFixture {
 			t.Fatal(err)
 		}
 	}
-	mk := func(name string, fpp int) *Segment {
-		s, err := k.CreateSegment(name, fpp)
+	mk := func(name string) *Segment {
+		s, err := k.CreateSegment(name, 1)
 		must(err)
 		return s
 	}
-	fx := &rejectFixture{k: k, base: mk("base", 1), busy: mk("busy", 1), big: mk("big", 4), gone: mk("gone", 1)}
+	fx := &rejectFixture{k: k, base: mk("base"), busy: mk("busy"), gone: mk("gone")}
 	boot := k.BootSegment()
 	must(k.MigratePages(SystemCred, boot, fx.base, 0, 0, 16, FlagRW, 0))
-	for i, p := range []int64{40, 42, 44, 46} {
-		must(k.MigratePages(SystemCred, boot, fx.base, p, 20+int64(i), 1, FlagRW, 0))
-	}
 	must(k.MigratePages(SystemCred, boot, fx.busy, 100, 0, 1, FlagRW, 0))
-	must(k.MigrateCoalesced(SystemCred, boot, fx.big, []PageRange{{Page: 32, To: 0, Pages: 1}}, FlagRW, 0))
 	must(k.DeleteSegment(SystemCred, fx.gone))
 	return fx
 }
@@ -49,7 +42,7 @@ func newRejectFixture(t *testing.T) *rejectFixture {
 // state renders everything a rejected call must leave alone.
 func (fx *rejectFixture) state() string {
 	var b strings.Builder
-	for _, s := range []*Segment{fx.k.BootSegment(), fx.base, fx.busy, fx.big} {
+	for _, s := range []*Segment{fx.k.BootSegment(), fx.base, fx.busy} {
 		fmt.Fprintf(&b, "%s:", s.Name())
 		for _, p := range s.Pages() {
 			flags, _ := s.Flags(p)
@@ -99,16 +92,6 @@ var (
 		}),
 		batch("MigratePagesBatch", func(k *Kernel, c Cred, src, dst *Segment, rs []PageRange) error {
 			return k.MigratePagesBatch(c, src, dst, rs, FlagRW, 0)
-		}),
-	}}
-	coalesceOp = pageOp{"coalesce", func(s Stats) int64 { return s.MigrateCalls }, kernelCall, []opSpelling{
-		batch("MigrateCoalesced", func(k *Kernel, c Cred, src, dst *Segment, rs []PageRange) error {
-			return k.MigrateCoalesced(c, src, dst, rs, FlagRW, 0)
-		}),
-	}}
-	splitOp = pageOp{"split", func(s Stats) int64 { return s.MigrateCalls }, kernelCall, []opSpelling{
-		batch("MigrateSplit", func(k *Kernel, c Cred, src, dst *Segment, rs []PageRange) error {
-			return k.MigrateSplit(c, src, dst, rs, FlagRW, 0)
 		}),
 	}}
 	modifyOp = pageOp{"modify-flags", func(s Stats) int64 { return s.ModifyCalls },
@@ -161,43 +144,22 @@ func TestRejectedCalls(t *testing.T) {
 	boot := func(fx *rejectFixture) *Segment { return fx.k.BootSegment() }
 	base := func(fx *rejectFixture) *Segment { return fx.base }
 	busy := func(fx *rejectFixture) *Segment { return fx.busy }
-	big := func(fx *rejectFixture) *Segment { return fx.big }
 	gone := func(fx *rejectFixture) *Segment { return fx.gone }
 	one := func(page, to, n int64) []PageRange { return []PageRange{{Page: page, To: to, Pages: n}} }
 	cases := []rejection{
 		{"deleted source", migrateOp, SystemCred, gone, busy, one(0, 5, 1), ErrNoSuchSegment},
-		{"deleted beats page-size mismatch", migrateOp, SystemCred, gone, big, one(0, 5, 1), ErrNoSuchSegment},
+		{"deleted destination", migrateOp, SystemCred, base, gone, one(0, 1, 1), ErrNoSuchSegment},
 		{"unprivileged on restricted", migrateOp, AppCred, boot, busy, one(50, 5, 1), ErrNotPrivileged},
-		{"unprivileged beats page-size mismatch", migrateOp, AppCred, boot, big, one(50, 5, 1), ErrNotPrivileged},
+		{"deleted beats unprivileged", migrateOp, AppCred, boot, gone, one(50, 5, 1), ErrNoSuchSegment},
 		{"empty range", migrateOp, SystemCred, base, busy, one(0, 5, 0), ErrBadRange},
 		{"negative destination", migrateOp, SystemCred, base, busy, one(0, -1, 1), ErrBadRange},
-		{"bad range beats page-size mismatch", migrateOp, SystemCred, base, big, one(0, 5, 0), ErrBadRange},
-		{"page-size mismatch", migrateOp, SystemCred, base, big, one(0, 5, 1), ErrPageSizeMismatch},
+		{"unprivileged beats bad range", migrateOp, AppCred, boot, busy, one(50, 5, 0), ErrNotPrivileged},
 		{"absent source", migrateOp, SystemCred, base, busy, one(30, 5, 1), ErrPageNotPresent},
 		{"busy destination", migrateOp, SystemCred, base, busy, one(0, 0, 1), ErrPageBusy},
 		{"duplicate source in batch", migrateOp, SystemCred, base, busy,
 			[]PageRange{{Page: 3, To: 9, Pages: 1}, {Page: 3, To: 5, Pages: 1}}, ErrBadRange},
 		{"duplicate destination in batch", migrateOp, SystemCred, base, busy,
 			[]PageRange{{Page: 3, To: 5, Pages: 2}, {Page: 1, To: 6, Pages: 1}}, ErrBadRange},
-
-		{"deleted destination", coalesceOp, SystemCred, base, gone, one(0, 1, 1), ErrNoSuchSegment},
-		{"unprivileged on restricted", coalesceOp, AppCred, boot, big, one(48, 1, 1), ErrNotPrivileged},
-		{"empty range", coalesceOp, SystemCred, base, big, one(0, 1, 0), ErrBadRange},
-		{"page-size mismatch", coalesceOp, SystemCred, big, big, one(0, 1, 1), ErrPageSizeMismatch},
-		{"absent source", coalesceOp, SystemCred, base, big, one(28, 1, 1), ErrPageNotPresent},
-		{"non-contiguous source", coalesceOp, SystemCred, base, big, one(20, 1, 1), ErrNotContiguous},
-		{"busy destination", coalesceOp, SystemCred, base, big, one(0, 0, 1), ErrPageBusy},
-		{"duplicate source in batch", coalesceOp, SystemCred, base, big,
-			[]PageRange{{Page: 4, To: 2, Pages: 1}, {Page: 4, To: 1, Pages: 1}}, ErrBadRange},
-
-		{"deleted source", splitOp, SystemCred, gone, busy, one(0, 4, 1), ErrNoSuchSegment},
-		{"unprivileged on restricted", splitOp, AppCred, big, boot, one(0, 300, 1), ErrNotPrivileged},
-		{"negative source", splitOp, SystemCred, big, busy, one(-1, 4, 1), ErrBadRange},
-		{"page-size mismatch", splitOp, SystemCred, big, big, one(0, 4, 1), ErrPageSizeMismatch},
-		{"absent source", splitOp, SystemCred, big, busy, one(1, 4, 1), ErrPageNotPresent},
-		{"busy destination", splitOp, SystemCred, big, busy, one(0, 0, 1), ErrPageBusy},
-		{"duplicate source in batch", splitOp, SystemCred, big, busy,
-			[]PageRange{{Page: 0, To: 8, Pages: 1}, {Page: 0, To: 4, Pages: 1}}, ErrBadRange},
 
 		{"deleted segment", modifyOp, SystemCred, gone, nil, one(0, 0, 1), ErrNoSuchSegment},
 		{"unprivileged on restricted", modifyOp, AppCred, boot, nil, one(50, 0, 1), ErrNotPrivileged},

@@ -180,7 +180,7 @@ func segIDs(k *Kernel) []SegID {
 
 func sameSegment(got, want *Segment) error {
 	switch {
-	case got.name != want.name || got.fpp != want.fpp:
+	case got.name != want.name || got.pageSize != want.pageSize:
 		return fmt.Errorf("%s, want %s", got, want)
 	case got.deleted != want.deleted || got.named != want.named:
 		return fmt.Errorf("deleted %v named %v, want %v %v", got.deleted, got.named, want.deleted, want.named)

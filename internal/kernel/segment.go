@@ -20,11 +20,10 @@ type SegID uint32
 const WellKnownPhysSegment SegID = 1
 
 // pageEntry is the kernel's record of one page of a segment that currently
-// has one or more physical frames: 8 bytes, no pointer, stored in place in
-// the segment's page store. A page spans the frame run [pfn, pfn+fpp), fpp
-// being the segment's frames per page — 1 except in large-page segments,
-// whose only builder (coalesce) demands a contiguous run. live marks a
-// dense page-store slot that holds a page.
+// has a physical frame: 8 bytes, no pointer, stored in place in the
+// segment's page store. A page is one frame; a mapping reaches further only
+// as a superpage extent (superpage.go). live marks a dense page-store slot
+// that holds a page.
 type pageEntry struct {
 	pfn   phys.PFN
 	flags PageFlags
@@ -48,10 +47,11 @@ func (b *binding) covers(page int64) bool {
 
 // Segment is a variable-size address range of zero or more pages (§2.1).
 // Segments are used for cached and mapped files, portions of program address
-// spaces, and program address spaces themselves.
+// spaces, and program address spaces themselves. Every page is one machine
+// frame: the paper's multiple page sizes (§2.1) are modelled by extents.
 //
 // mu guards the mutable state (pages, bindings, manager, deleted); id,
-// name, pageSize, fpp and restricted are immutable after creation. Only the
+// name, pageSize and restricted are immutable after creation. Only the
 // concurrent scheduler takes it, through lock: the serial kernel's mapping
 // table and one TLB are unsynchronized anyway, so it admits one goroutine
 // at a time. When two segments must be locked together the kernel's
@@ -59,8 +59,7 @@ func (b *binding) covers(page int64) bool {
 type Segment struct {
 	id       SegID
 	name     string
-	pageSize int // bytes; framesPerPage × machine frame size
-	fpp      int // frames per page
+	pageSize int // bytes: the machine frame size
 	mu       sync.Mutex
 	// manager is read on every fault delivery; it is an atomic pointer to
 	// the kernel's record of the manager so the hot path reads it without
@@ -173,11 +172,8 @@ func (s *Segment) ID() SegID { return s.id }
 // Name returns the segment's diagnostic name.
 func (s *Segment) Name() string { return s.name }
 
-// PageSize returns the segment's page size in bytes.
+// PageSize returns the segment's page size in bytes: one machine frame.
 func (s *Segment) PageSize() int { return s.pageSize }
-
-// FramesPerPage returns how many machine frames back one page.
-func (s *Segment) FramesPerPage() int { return s.fpp }
 
 // Manager returns the segment's manager, or nil.
 func (s *Segment) Manager() Manager {
@@ -326,9 +322,6 @@ func resolve(s *Segment, page int64) (resolved, error) {
 			r.cowSeg = r.seg
 			r.cowPage = r.page
 		}
-		if b.target.fpp != r.seg.fpp {
-			return r, fmt.Errorf("kernel: binding crosses page sizes at segment %q page %d", r.seg.name, r.page)
-		}
 		r.page = b.targetStart + (r.page - b.start)
 		r.seg = b.target
 	}
@@ -348,7 +341,7 @@ func (s *Segment) addBinding(nb *binding) error {
 	return nil
 }
 
-// FrameAt returns the first physical frame backing page, or nil. Managers
+// FrameAt returns the physical frame backing page, or nil. Managers
 // use it to fill page data in their free-page segments (which they have
 // mapped into their own address spaces).
 func (s *Segment) FrameAt(page int64) *phys.Frame {
@@ -361,28 +354,11 @@ func (s *Segment) FrameAt(page int64) *phys.Frame {
 	return s.kernel.mem.Frame(e.pfn)
 }
 
-// FramesAt returns the frame numbers backing page — FramesPerPage
-// consecutive PFNs, since a large page is a contiguous run — or nil if the
-// page is not present.
-func (s *Segment) FramesAt(page int64) []phys.PFN {
-	s.lock()
-	defer s.unlock()
-	e, ok := s.pages.get(page)
-	if !ok {
-		return nil
-	}
-	pfns := make([]phys.PFN, s.fpp)
-	for i := range pfns {
-		pfns[i] = e.pfn + phys.PFN(i)
-	}
-	return pfns
-}
-
-// AppendFirstPFNs appends the first frame number backing each listed page
+// AppendPFNs appends the frame number backing each listed page
 // to dst (phys.NoFrame for absent pages) under one acquisition of the
 // segment lock — the batched form of FrameAt, for grant paths that would
 // otherwise lock the segment once per page.
-func (s *Segment) AppendFirstPFNs(dst []phys.PFN, pages []int64) []phys.PFN {
+func (s *Segment) AppendPFNs(dst []phys.PFN, pages []int64) []phys.PFN {
 	s.lock()
 	defer s.unlock()
 	for _, p := range pages {

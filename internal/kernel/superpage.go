@@ -40,7 +40,7 @@ const MaxExtentOrder = phys.MaxRunOrder
 func (k *Kernel) Superpages() bool { return k.cfg.Superpages || superpages.Load() }
 
 // superpages is the shim bench/ pins until a [benchmark] PR fills
-// Config.Superpages itself (ROADMAP item 1, Step B): bench/ boots its
+// Config.Superpages itself (ROADMAP item 7): bench/ boots its
 // kernels with the plane off and turns it on around each epoch, so the shim
 // is OR-ed into every kernel's own setting at call time, not read at boot.
 // Nothing else in the root module calls the two functions below.
@@ -99,9 +99,6 @@ func (k *Kernel) PromoteExtent(cred Cred, s *Segment, base int64, order int) err
 	}
 	if s.restricted && !cred.Privileged {
 		return fmt.Errorf("%w: promote on %s by %q", ErrNotPrivileged, s, cred.Name)
-	}
-	if s.fpp != 1 {
-		return fmt.Errorf("%w: extents cover base pages only", ErrPageSizeMismatch)
 	}
 	n := int64(1) << uint(order)
 	if base < 0 || base&(n-1) != 0 {
@@ -189,7 +186,7 @@ func (k *Kernel) dropExtentLocked(s *Segment, base int64, order uint8) {
 }
 
 // demoteCoveringLocked demotes the extent covering page, if any. It is the
-// hook every per-base-page mutation (migrate out, coalesce) runs before
+// hook every per-base-page mutation (a migration out) runs before
 // removing a covered page, preserving the extent⇒pages-present invariant.
 // Caller holds s.mu. With no live extents (the default) it is one length
 // check.

@@ -278,20 +278,6 @@ func TestPerPageRemovalDemotesCoveringExtent(t *testing.T) {
 			t.Fatalf("ExtentCount = %d after batched migrate out", n)
 		}
 	})
-	t.Run("coalesce", func(t *testing.T) {
-		k := newSuperKernel(t)
-		seg, _ := promote(t, k)
-		big, _ := k.CreateSegment("big", 4)
-		if err := k.MigrateCoalesced(AppCred, seg, big, []PageRange{{Page: 0, To: 0, Pages: 2}}, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-		if n := seg.ExtentCount(); n != 0 {
-			t.Fatalf("ExtentCount = %d after coalesce", n)
-		}
-		if err := k.CheckFrameConservation(); err != nil {
-			t.Fatal(err)
-		}
-	})
 	t.Run("delete segment", func(t *testing.T) {
 		k := newSuperKernel(t)
 		seg, _ := promote(t, k)
@@ -370,82 +356,5 @@ func TestModifyFlagsBatchExtentCharge(t *testing.T) {
 	}
 	if got, want := k.Clock().Now()-before, c.KernelCall+c.ModifyFlags+16*c.MappingUpdate; got != want {
 		t.Fatalf("unpromoted flags batch charged %v, want %v", got, want)
-	}
-}
-
-// A coalesce charges one kernel call plus the per-base-page increments:
-// one range, several ranges (the kernel call amortized), and an empty batch,
-// which is not a call at all.
-func TestMigrateCoalescedBatchCost(t *testing.T) {
-	c := sim.DECstation5000()
-	perBase := c.MigratePage + c.MappingUpdate
-	k := newTestKernel(t)
-	small, _ := k.CreateSegment("small", 1)
-	big, _ := k.CreateSegment("big", 4)
-	fillAligned(t, k, small, 32, 0, 24)
-	before := k.Clock().Now()
-	if err := k.MigrateCoalesced(AppCred, small, big, []PageRange{{Page: 0, To: 0, Pages: 2}}, FlagRW, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := k.Clock().Now()-before, c.KernelCall+8*perBase; got != want {
-		t.Fatalf("one-range coalesce charged %v, want %v", got, want)
-	}
-
-	// Two ranges in one call: one KernelCall for 2+1 large pages.
-	before = k.Clock().Now()
-	if err := k.MigrateCoalesced(AppCred, small, big,
-		[]PageRange{{Page: 8, To: 2, Pages: 2}, {Page: 16, To: 8, Pages: 1}}, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := k.Clock().Now()-before, c.KernelCall+12*perBase; got != want {
-		t.Fatalf("two-range coalesce charged %v, want %v", got, want)
-	}
-	if big.PageCount() != 5 || small.PageCount() != 4 {
-		t.Fatalf("big=%d small=%d pages", big.PageCount(), small.PageCount())
-	}
-
-	calls, before := k.Stats().MigrateCalls, k.Clock().Now()
-	if err := k.MigrateCoalesced(AppCred, small, big, nil, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if k.Clock().Now() != before || k.Stats().MigrateCalls != calls {
-		t.Fatal("an empty coalesce batch was charged as a call")
-	}
-	if err := k.CheckFrameConservation(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// A split charges like the coalesce it inverts, and a bad later range
-// leaves the first untouched.
-func TestMigrateSplitBatchCost(t *testing.T) {
-	c := sim.DECstation5000()
-	k := newTestKernel(t)
-	small, _ := k.CreateSegment("small", 1)
-	big, _ := k.CreateSegment("big", 4)
-	fillAligned(t, k, small, 32, 0, 8)
-	if err := k.MigrateCoalesced(AppCred, small, big, []PageRange{{Page: 0, To: 0, Pages: 2}}, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	err := k.MigrateSplit(AppCred, big, small,
-		[]PageRange{{Page: 0, To: 0, Pages: 1}, {Page: 9, To: 8, Pages: 1}}, 0, 0)
-	if !errors.Is(err, ErrPageNotPresent) {
-		t.Fatalf("err = %v, want ErrPageNotPresent", err)
-	}
-	if big.PageCount() != 2 {
-		t.Fatal("failed split batch moved pages")
-	}
-	before := k.Clock().Now()
-	if err := k.MigrateSplit(AppCred, big, small, []PageRange{{Page: 0, To: 0, Pages: 2}}, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := k.Clock().Now()-before, c.KernelCall+8*(c.MigratePage+c.MappingUpdate); got != want {
-		t.Fatalf("split charged %v, want %v", got, want)
-	}
-	if small.PageCount() != 8 || big.PageCount() != 0 {
-		t.Fatalf("after split: small=%d big=%d pages", small.PageCount(), big.PageCount())
-	}
-	if err := k.CheckFrameConservation(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -196,7 +196,7 @@ func (l *slotLedger) run(start int64) []int64 {
 // pfnsAt resolves the frame numbers at slots in one locked pass (shared
 // scratch).
 func (l *slotLedger) pfnsAt(slots []int64) []phys.PFN {
-	l.pfnBuf = l.free.AppendFirstPFNs(l.pfnBuf[:0], slots)
+	l.pfnBuf = l.free.AppendPFNs(l.pfnBuf[:0], slots)
 	return l.pfnBuf
 }
 

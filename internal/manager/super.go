@@ -22,22 +22,14 @@ import (
 // (demoteCoveringLocked), so the tracker only records that it happened —
 // it never issues a second (charged) DemoteExtent call.
 
-// ContiguousSource is an optional FrameSource extension: a source that can
-// grant a physically contiguous, naturally aligned run of n frames (the
-// SPCM's RequestContiguous, for large pages).
-type ContiguousSource interface {
-	FrameSource
-	RequestContiguous(g *Generic, n int) (int, error)
-}
-
-// ContiguousRunSource is an optional ContiguousSource extension: a source
-// that can grant up to count aligned runs of n frames in one round trip
+// ContiguousRunSource is an optional FrameSource extension: a source that
+// can grant up to count aligned runs of n frames in one round trip
 // (the SPCM's RequestContiguousRuns). The extent page-in fast path is only
 // available when the manager's source implements it: it refills the run
 // magazine, amortizing the grant overhead — one account settle and one
 // batched boot-segment migration — over count extents.
 type ContiguousRunSource interface {
-	ContiguousSource
+	FrameSource
 	RequestContiguousRuns(g *Generic, n, count int) (int, error)
 }
 
@@ -94,9 +86,6 @@ func (g *Generic) extentSpan(page int64) (n, base int64) {
 // extent denied until it fully drains, so the fault path never re-pays the
 // attempt per page.
 func (g *Generic) extAdd(key resKey) {
-	if key.seg.FramesPerPage() != 1 {
-		return
-	}
 	n, base := g.extentSpan(key.page)
 	ekey := resKey{seg: key.seg, page: base}
 	st := g.extents[ekey]
@@ -203,7 +192,7 @@ func (g *Generic) extDropSeg(seg *kernel.Segment) {
 // cannot supply a run, or a fill fails — the per-page path then takes over.
 func (g *Generic) pageInExtent(f kernel.Fault) (bool, error) {
 	src, ok := g.cfg.Source.(ContiguousRunSource)
-	if !ok || f.Seg.FramesPerPage() != 1 {
+	if !ok {
 		return false, nil
 	}
 	n, base := g.extentSpan(f.Page)

@@ -511,10 +511,11 @@ func (s *SPCM) pickFrames(a *Account, n int, constraint phys.Range) []int64 {
 }
 
 // RequestContiguous grants one naturally aligned run of n physically
-// contiguous frames (for large pages via MigrateCoalesced) into the target
-// manager's free segment: RequestContiguousRuns for one run, in frames. It
-// reports 0 when n is not a power of two within the free list's aligned-run
-// reach or no such run is free.
+// contiguous frames into the target manager's free segment:
+// RequestContiguousRuns for one run, in frames. It reports 0 when n is not a
+// power of two within the free list's aligned-run reach or no such run is
+// free. No path of this module asks for a lone run (the extent fill takes
+// magazines of them); bench/'s traced source forwards to it.
 func (s *SPCM) RequestContiguous(g *manager.Generic, n int) (int, error) {
 	runs, err := s.RequestContiguousRuns(g, n, 1)
 	return runs * n, err

@@ -347,32 +347,19 @@ func TestRequestContiguousAndLargePage(t *testing.T) {
 	if n != 4 {
 		t.Fatalf("granted %d", n)
 	}
-	// Verify the grant is a physically contiguous run and can form a
-	// 16 KB page via MigrateCoalesced.
+	// The grant is a physically contiguous, naturally aligned run: the
+	// four granted slots hold ascending PFNs from a multiple of four.
 	pages := g.FreeSegment().Pages()
-	pfns := make([]phys.PFN, 0, 4)
-	for _, p := range pages[len(pages)-4:] {
-		pfns = append(pfns, g.FreeSegment().FrameAt(p).PFN())
-	}
-	big, err := fx.k.CreateSegment("large", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Find the run start among the manager's free slots: the four granted
-	// slots are contiguous PFNs in ascending slot order.
-	start := pages[len(pages)-4]
-	if err := fx.k.MigrateCoalesced(kernel.AppCred, g.FreeSegment(), big, []kernel.PageRange{{Page: start, To: 0, Pages: 1}}, kernel.FlagRW, 0); err != nil {
-		t.Fatalf("coalesce of granted run (pfns %v): %v", pfns, err)
-	}
-	if big.PageCount() != 1 {
-		t.Fatal("large page not formed")
+	for i, p := range pages[len(pages)-4:] {
+		pfn := g.FreeSegment().FrameAt(p).PFN()
+		if i == 0 && pfn%4 != 0 {
+			t.Fatalf("run starts at pfn %d, not aligned to 4", pfn)
+		}
+		if want := g.FreeSegment().FrameAt(pages[len(pages)-4]).PFN() + phys.PFN(i); pfn != want {
+			t.Fatalf("slot %d holds pfn %d, want %d", p, pfn, want)
+		}
 	}
 	if err := fx.k.CheckFrameConservation(); err != nil {
-		t.Fatal(err)
-	}
-	// The run left the free segment behind the manager's back, so its slot
-	// ledger is stale from here on: close the account.
-	if _, err := fx.s.Revoke(g); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -185,20 +185,26 @@ if policy_imports=$(grep '^epcm/' <<<"$kernel_imports" | grep -vxE 'epcm/interna
     exit 1
 fi
 
-# A page entry is an 8-byte frame number stored in place in the page store,
-# and a large page is the frame run [pfn, pfn+fpp): no per-page entry box or
-# frame-pointer slice comes back into the kernel.
+# A page entry is an 8-byte frame number stored in place in the page store:
+# no per-page entry box or frame-pointer slice comes back into the kernel.
 if grep -rnE '\[\]\*pageEntry|\[\]\*phys\.Frame' --include='*.go' --exclude='*_test.go' internal/kernel; then
     echo "a boxed page entry or frame-pointer slice is back in internal/kernel: a page is its first frame's PFN (see the matches above)" >&2
     exit 1
 fi
 
-# One body applies a same-page-size migration (moveRun, kernel/batch.go) and
-# one a page-size change (resize); the per-page and whole-extent bodies, the
-# two extra coalesce/split spellings and the time-shard binding no production
-# path reached stay deleted.
+# One body applies every migration (moveRun, kernel/batch.go); the per-page
+# and whole-extent bodies, the two extra coalesce/split spellings and the
+# time-shard binding no production path reached stay deleted.
 if grep -rnE '\b(movePage|moveExtent|MigrateCoalescedBatch|MigrateSplitBatch|BindTimeShard|tickShard)\b' internal/; then
     echo "a deleted migrate body, spelling or time-shard binding is back (see the matches above)" >&2
+    exit 1
+fi
+# A kernel page is one frame: the extent plane (kernel/superpage.go,
+# manager/super.go) is the one way a mapping covers more. Frames-per-page
+# segments, the coalesce/split calls that filled and emptied them, their
+# page-size error and the lone-run source interface stay deleted.
+if grep -rnE '\b(MigrateCoalesced|MigrateSplit|fpp|FramesAt|FramesPerPage|ErrPageSizeMismatch|ContiguousSource)\b' --include='*.go' --exclude='*_test.go' internal/; then
+    echo "a second large-page mechanism is back: a page is one frame, and extents are the large pages (see the matches above)" >&2
     exit 1
 fi
 
@@ -348,6 +354,7 @@ go test -run='^$' -fuzz='^FuzzTLB$' -fuzztime=10s -fuzzminimizetime=1s ./interna
 go test -run='^$' -fuzz='^FuzzExtentTable$' -fuzztime=10s -fuzzminimizetime=1s ./internal/kernel
 go test -run='^$' -fuzz='^FuzzRestore$' -fuzztime=10s -fuzzminimizetime=1s ./internal/kernel
 go test -run='^$' -fuzz='^FuzzBatchDisjoint$' -fuzztime=10s -fuzzminimizetime=1s ./internal/kernel
+go test -run='^$' -fuzz='^FuzzKernelOps$' -fuzztime=10s -fuzzminimizetime=1s ./internal/kernel
 go test -run='^$' -fuzz='^FuzzUIO$' -fuzztime=10s -fuzzminimizetime=1s ./internal/uio
 go test -run='^$' -fuzz='^FuzzMailbox$' -fuzztime=10s -fuzzminimizetime=1s ./internal/plane
 go test -run='^$' -fuzz='^FuzzPolicy$' -fuzztime=10s -fuzzminimizetime=1s ./internal/manager
