@@ -11,12 +11,22 @@ import (
 	"epcm/internal/storage"
 )
 
+// boot brings up a small system. When the test ends, every frame must be
+// accounted for and the SPCM's market and slot ledgers must hold.
 func boot(t *testing.T) *System {
 	t.Helper()
 	s, err := Boot(Config{MemoryBytes: 8 << 20, StoreData: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		if err := s.Kernel.CheckFrameConservation(); err != nil {
+			t.Error(err)
+		}
+		if err := s.SPCM.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+	})
 	return s
 }
 

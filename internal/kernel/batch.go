@@ -413,8 +413,8 @@ func (k *Kernel) moveRun(src, dst *Segment, r PageRange, order uint8, set, clear
 		// The destination cannot hold an overlapping extent: its slots were
 		// all absent, and a live extent implies its pages present.
 		k.recordExtentLocked(dst, r.To, order)
-		k.stats.ExtentPromotions.Add(1)
-		k.stats.SuperpageOps.Add(1)
+		k.stats.ExtentPromotions.Add(uint64(dst.id), 1)
+		k.stats.SuperpageOps.Add(uint64(dst.id), 1)
 	}
 }
 
@@ -474,7 +474,7 @@ func (k *Kernel) modifyFlags(cred Cred, s *Segment, ranges []PageRange, set, cle
 		}
 		if whole {
 			k.tlbOf(s).invalidateSpan(mapKey{s.id, r.Page}, ord)
-			k.stats.SuperpageOps.Add(1)
+			k.stats.SuperpageOps.Add(uint64(s.id), 1)
 			charge += k.cost.SuperpageOp
 		} else {
 			charge += time.Duration(r.Pages) * k.cost.MappingUpdate

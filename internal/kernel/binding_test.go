@@ -18,10 +18,10 @@ func TestBindingChainResolution(t *testing.T) {
 	for _, s := range []*Segment{file, lib, space} {
 		k.SetSegmentManager(s, m)
 	}
-	if err := k.BindRegion(lib, 0, 8, file, 0, false); err != nil {
+	if err := k.BindRegion(AppCred, lib, 0, 8, file, 0, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.BindRegion(space, 100, 8, lib, 0, false); err != nil {
+	if err := k.BindRegion(AppCred, space, 100, 8, lib, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	// A reference through the space lands in the *file* segment.
@@ -48,10 +48,10 @@ func TestBindingChainCOWMaterializesAtFirstCOW(t *testing.T) {
 		k.SetSegmentManager(s, m)
 	}
 	// snapshot is a COW view of file; space maps the snapshot normally.
-	if err := k.BindRegion(snapshot, 0, 4, file, 0, true); err != nil {
+	if err := k.BindRegion(AppCred, snapshot, 0, 4, file, 0, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.BindRegion(space, 0, 4, snapshot, 0, false); err != nil {
+	if err := k.BindRegion(AppCred, space, 0, 4, snapshot, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	// Materialize the file's page with known data.
@@ -93,7 +93,7 @@ func TestTwoCOWViewsDivergeIndependently(t *testing.T) {
 	}
 	file.FrameAt(0).Data()[0] = 0x11
 	for _, v := range []*Segment{v1, v2} {
-		if err := k.BindRegion(v, 0, 1, file, 0, true); err != nil {
+		if err := k.BindRegion(AppCred, v, 0, 1, file, 0, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,10 +121,10 @@ func TestBindingCycleBounded(t *testing.T) {
 	k := newTestKernel(t)
 	a, _ := k.CreateSegment("a", 1)
 	b, _ := k.CreateSegment("b", 1)
-	if err := k.BindRegion(a, 0, 4, b, 0, false); err != nil {
+	if err := k.BindRegion(AppCred, a, 0, 4, b, 0, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.BindRegion(b, 0, 4, a, 0, false); err != nil {
+	if err := k.BindRegion(AppCred, b, 0, 4, a, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.Access(a, 0, Read); err == nil {
@@ -144,7 +144,7 @@ func TestWriteThroughBindingLandsInTarget(t *testing.T) {
 	space, _ := k.CreateSegment("space", 1)
 	k.SetSegmentManager(data, m)
 	k.SetSegmentManager(space, m)
-	if err := k.BindRegion(space, 4, 8, data, 0, false); err != nil {
+	if err := k.BindRegion(AppCred, space, 4, 8, data, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.Access(space, 6, Write); err != nil {
@@ -173,7 +173,7 @@ func TestBindingArithmeticProperty(t *testing.T) {
 		{0, 10, 100}, {20, 5, 50}, {40, 1, 0},
 	}
 	for _, b := range binds {
-		if err := k.BindRegion(space, b.start, b.n, target, b.tstart, false); err != nil {
+		if err := k.BindRegion(AppCred, space, b.start, b.n, target, b.tstart, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -209,7 +209,7 @@ func TestBindingToDeletedSegmentErrors(t *testing.T) {
 	space, _ := k.CreateSegment("space", 1)
 	k.SetSegmentManager(target, m)
 	k.SetSegmentManager(space, m)
-	if err := k.BindRegion(space, 0, 4, target, 0, false); err != nil {
+	if err := k.BindRegion(AppCred, space, 0, 4, target, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.DeleteSegment(AppCred, target); err != nil {

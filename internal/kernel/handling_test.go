@@ -207,7 +207,7 @@ func TestCrashLosesWaitingDeliveries(t *testing.T) {
 // it, must find A revoked, lose its delivery and complete its Access
 // through the default manager. A handles nothing after the revoke.
 func TestRevokeWhileDriverWaits(t *testing.T) {
-	k := newTestKernelWith(Config{Concurrent: true})
+	k := newTestKernelWith(t, Config{Concurrent: true})
 	a := &blockingCrasher{
 		testManager: newOffsetTestManager(t, k, 100, 8, DeliverSameProcess),
 		entered:     make(chan struct{}),

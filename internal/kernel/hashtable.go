@@ -19,7 +19,8 @@ import (
 //
 // One table serves both schedulers. A serial kernel's table is touched by
 // one goroutine at a time and takes no lock. SetScheduler shares it when it
-// installs the concurrent scheduler (share): from then on an operation
+// installs the concurrent scheduler (share), as it shares the kernel's clock
+// and activity counters (sim.Striped.Share): from then on an operation
 // locks the stripe of its key's slot — tableStripes cache-line-padded
 // mutexes over contiguous slot ranges — and takes the overflow area's mutex
 // too only while it reads or writes the area: a probe or remove of a key

@@ -16,19 +16,21 @@
 // deterministic default, or the concurrent one, which lets several
 // goroutines fault at once and serializes each manager's deliveries with a
 // mutex on its record (managerCell.handling). To support the concurrent
-// scheduler, the kernel's mutable state is locked at four levels: activity
-// counters are atomic, each segment's page map and TLB are guarded by its
-// own mutex, the shared mapping table by lock stripes over its slots — the
-// manager, segment and table locks taken only under the concurrent
-// scheduler (Kernel.enter, Segment.lock, mappingTable.share), as a serial
-// kernel is driven by one goroutine at a time — and the segment registry by
-// a kernel-wide RWMutex. The lock order is manager → kernel registry →
-// segment (two segments in ascending ID order) → mapping-table stripe →
-// overflow area, and no kernel lock is ever held across a manager call.
+// scheduler, the kernel's mutable state is locked at four levels: the clock
+// and activity counters are striped atomics, each segment's page map and TLB
+// are guarded by its own mutex, the shared mapping table by lock stripes over
+// its slots — the atomics, manager, segment and table locks all only under
+// the concurrent scheduler (sim.Striped.Share, Kernel.enter, Segment.lock,
+// mappingTable.share), as a serial kernel is driven by one goroutine at a
+// time — and the segment registry by a kernel-wide RWMutex. The lock order
+// is manager → kernel registry → segment (two segments in ascending ID
+// order) → mapping-table stripe → overflow area, and no kernel lock is ever
+// held across a manager call.
 package kernel
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"time"
 
@@ -88,11 +90,10 @@ type Stats struct {
 	VectoredBatches int64
 }
 
-// kernelStats is the live counter set. Counters are atomic so concurrent
-// managers and applications can charge them without a lock; Stats() takes
-// a field-by-field snapshot into the plain Stats struct. The fault-path
-// counters are striped by segment ID (sim/striped.go) and the rest padded to
-// a cache line each, so concurrent drivers do not ping-pong one line.
+// kernelStats is the live counter set: one sim.Striped per Stats field of the
+// same name, keyed by the page's segment ID. A serial kernel's are plain
+// words until SetScheduler shares them for the concurrent scheduler. Stats()
+// takes a field-by-field snapshot into the plain Stats struct.
 type kernelStats struct {
 	Accesses          sim.Striped
 	Faults            sim.Striped
@@ -107,13 +108,13 @@ type kernelStats struct {
 	TLBHits           sim.Striped
 	TLBMisses         sim.Striped
 	HashMisses        sim.Striped // HashHits is TLBMisses - HashMisses
-	DroppedDeliveries sim.Padded
-	DelayedDeliveries sim.Padded
-	Revocations       sim.Padded
-	RevokedSegments   sim.Padded
-	SuperpageOps      sim.Padded
-	ExtentPromotions  sim.Padded
-	ExtentDemotions   sim.Padded
+	DroppedDeliveries sim.Striped
+	DelayedDeliveries sim.Striped
+	Revocations       sim.Striped
+	RevokedSegments   sim.Striped
+	SuperpageOps      sim.Striped
+	ExtentPromotions  sim.Striped
+	ExtentDemotions   sim.Striped
 }
 
 // Kernel is the simulated V++ kernel.
@@ -271,26 +272,20 @@ func (k *Kernel) ResetStats() {
 // TLBMisses and HashMisses, and the mapping table's spill and drop
 // counters are the table's own.
 func (ks *kernelStats) store(s Stats) {
-	ks.Accesses.Store(s.Accesses)
-	ks.Faults.Store(s.Faults)
-	ks.MissingFaults.Store(s.MissingFaults)
-	ks.ProtFaults.Store(s.ProtFaults)
-	ks.COWFaults.Store(s.COWFaults)
-	ks.ManagerCalls.Store(s.ManagerCalls)
-	ks.MigrateCalls.Store(s.MigrateCalls)
-	ks.MigratedPages.Store(s.MigratedPages)
-	ks.ModifyCalls.Store(s.ModifyCalls)
-	ks.GetAttrCalls.Store(s.GetAttrCalls)
-	ks.TLBHits.Store(s.TLBHits)
-	ks.TLBMisses.Store(s.TLBMisses)
-	ks.HashMisses.Store(s.HashMisses)
-	ks.DroppedDeliveries.Store(s.DroppedDeliveries)
-	ks.DelayedDeliveries.Store(s.DelayedDeliveries)
-	ks.Revocations.Store(s.Revocations)
-	ks.RevokedSegments.Store(s.RevokedSegments)
-	ks.SuperpageOps.Store(s.SuperpageOps)
-	ks.ExtentPromotions.Store(s.ExtentPromotions)
-	ks.ExtentDemotions.Store(s.ExtentDemotions)
+	v := reflect.ValueOf(s)
+	ks.each(func(name string, c *sim.Striped) { c.Store(v.FieldByName(name).Int()) })
+}
+
+// share makes every counter atomic, for the concurrent scheduler.
+func (ks *kernelStats) share() { ks.each(func(_ string, c *sim.Striped) { c.Share() }) }
+
+// each calls fn on every counter with its field name (Stats' name for it).
+// Every field is a sim.Striped: the assertion fails on any other.
+func (ks *kernelStats) each(fn func(name string, c *sim.Striped)) {
+	v := reflect.ValueOf(ks).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		fn(v.Type().Field(i).Name, v.Field(i).Addr().Interface().(*sim.Striped))
+	}
 }
 
 // BootSegment returns the well-known segment of all page frames.
@@ -381,15 +376,20 @@ func (k *Kernel) SetSegmentManager(s *Segment, m Manager) {
 // BindRegion associates pages [start, start+pages) of seg with
 // [targetStart, ...) of target (§2.1). With cow set, the binding is
 // copy-on-write: pages are effectively bound to the target until modified.
-func (k *Kernel) BindRegion(seg *Segment, start, pages int64, target *Segment, targetStart int64, cow bool) error {
+// A restricted segment on either side needs a privileged cred; refusals
+// take migrate's precedence (deleted, privilege, range).
+func (k *Kernel) BindRegion(cred Cred, seg *Segment, start, pages int64, target *Segment, targetStart int64, cow bool) error {
 	k.clock.AdvanceOn(uint64(seg.id), k.cost.KernelCall)
-	if pages <= 0 || start < 0 || targetStart < 0 {
-		return fmt.Errorf("%w: bind [%d,+%d)", ErrBadRange, start, pages)
-	}
 	lockPair(seg, target)
 	defer unlockPair(seg, target)
 	if seg.deleted || target.deleted {
 		return ErrNoSuchSegment
+	}
+	if (seg.restricted || target.restricted) && !cred.Privileged {
+		return fmt.Errorf("%w: bind %s -> %s by %q", ErrNotPrivileged, seg, target, cred.Name)
+	}
+	if pages <= 0 || start < 0 || targetStart < 0 {
+		return fmt.Errorf("%w: bind [%d,+%d)", ErrBadRange, start, pages)
 	}
 	return seg.addBinding(&binding{start: start, pages: pages, target: target, targetStart: targetStart, cow: cow})
 }

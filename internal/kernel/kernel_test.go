@@ -14,13 +14,22 @@ import (
 // newTestKernel builds a small machine: 256 frames of 4 KB.
 func newTestKernel(t *testing.T) *Kernel {
 	t.Helper()
-	return newTestKernelWith(Config{})
+	return newTestKernelWith(t, Config{})
 }
 
-func newTestKernelWith(cfg Config) *Kernel {
+// newTestKernelWith boots the small machine with cfg. Every frame must still
+// be accounted for when the test ends.
+func newTestKernelWith(t *testing.T, cfg Config) *Kernel {
+	t.Helper()
 	mem := phys.NewMemory(phys.Config{FrameSize: 4096, TotalBytes: 1 << 20, CacheColors: 8, Nodes: 2, StoreData: true})
 	var clock sim.Clock
-	return New(mem, &clock, sim.DECstation5000(), cfg)
+	k := New(mem, &clock, sim.DECstation5000(), cfg)
+	t.Cleanup(func() {
+		if err := k.CheckFrameConservation(); err != nil {
+			t.Error(err)
+		}
+	})
+	return k
 }
 
 // testManager is a minimal segment manager: it serves missing-page and
@@ -109,7 +118,7 @@ func newOffsetTestManager(t *testing.T, k *Kernel, start, nFree int64, d Deliver
 // of it, under both schedulers, and its segments fault on to the adopter.
 func TestRevokeDropsManagerRecord(t *testing.T) {
 	for _, concurrent := range []bool{false, true} {
-		k := newTestKernelWith(Config{Concurrent: concurrent})
+		k := newTestKernelWith(t, Config{Concurrent: concurrent})
 		m := newOffsetTestManager(t, k, 0, 8, DeliverSameProcess)
 		k.SetDefaultManager(newOffsetTestManager(t, k, 8, 8, DeliverSameProcess))
 		space, _ := k.CreateSegment("space", 1)
@@ -365,13 +374,13 @@ func TestAddressSpaceComposition(t *testing.T) {
 		k.SetSegmentManager(s, m)
 	}
 	// Layout: code at pages [0,4), data at [4,12), stack at [12,16).
-	if err := k.BindRegion(space, 0, 4, code, 0, false); err != nil {
+	if err := k.BindRegion(AppCred, space, 0, 4, code, 0, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.BindRegion(space, 4, 8, data, 0, false); err != nil {
+	if err := k.BindRegion(AppCred, space, 4, 8, data, 0, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.BindRegion(space, 12, 4, stack, 0, false); err != nil {
+	if err := k.BindRegion(AppCred, space, 12, 4, stack, 0, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -407,13 +416,13 @@ func TestBindRejectsOverlapAndSizeMismatch(t *testing.T) {
 	k := newTestKernel(t)
 	a, _ := k.CreateSegment("a", 1)
 	b, _ := k.CreateSegment("b", 1)
-	if err := k.BindRegion(a, 0, 4, b, 0, false); err != nil {
+	if err := k.BindRegion(AppCred, a, 0, 4, b, 0, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.BindRegion(a, 2, 4, b, 10, false); !errors.Is(err, ErrOverlap) {
+	if err := k.BindRegion(AppCred, a, 2, 4, b, 10, false); !errors.Is(err, ErrOverlap) {
 		t.Fatalf("overlap: %v", err)
 	}
-	if err := k.BindRegion(a, 10, 0, b, 0, false); !errors.Is(err, ErrBadRange) {
+	if err := k.BindRegion(AppCred, a, 10, 0, b, 0, false); !errors.Is(err, ErrBadRange) {
 		t.Fatalf("empty bind: %v", err)
 	}
 }
@@ -432,7 +441,7 @@ func TestCopyOnWrite(t *testing.T) {
 	for p := int64(0); p < 4; p++ {
 		file.FrameAt(p).Data()[0] = byte(0xC0 + p)
 	}
-	if err := k.BindRegion(space, 0, 4, file, 0, true); err != nil {
+	if err := k.BindRegion(AppCred, space, 0, 4, file, 0, true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -493,7 +502,7 @@ func TestCopyOnWriteOfMissingSourceFaultsSourceFirst(t *testing.T) {
 	space, _ := k.CreateSegment("space", 1)
 	k.SetSegmentManager(file, m)
 	k.SetSegmentManager(space, m)
-	if err := k.BindRegion(space, 0, 4, file, 0, true); err != nil {
+	if err := k.BindRegion(AppCred, space, 0, 4, file, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.Access(space, 1, Write); err != nil {
@@ -797,7 +806,7 @@ func TestAccessTranslationCosts(t *testing.T) {
 // segment the page left.
 func TestConcurrentTLBPerSegment(t *testing.T) {
 	t.Parallel()
-	k := newTestKernelWith(Config{Concurrent: true})
+	k := newTestKernelWith(t, Config{Concurrent: true})
 	const n = 64 // the R3000's TLB size, the Config default
 	a, _ := k.CreateSegment("a", 1)
 	b, _ := k.CreateSegment("b", 1)

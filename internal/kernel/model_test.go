@@ -69,13 +69,16 @@ func (m *refKernel) create(framesPerPage int, managed bool) error {
 	return nil
 }
 
-func (m *refKernel) bind(s int, start, pages int64, target int, targetStart int64, cow bool) error {
-	if pages <= 0 || start < 0 || targetStart < 0 {
-		return ErrBadRange
-	}
+func (m *refKernel) bind(cred Cred, s int, start, pages int64, target int, targetStart int64, cow bool) error {
 	seg := m.segs[s]
 	if seg.deleted || m.segs[target].deleted {
 		return ErrNoSuchSegment
+	}
+	if (seg.restricted || m.segs[target].restricted) && !cred.Privileged {
+		return ErrNotPrivileged
+	}
+	if pages <= 0 || start < 0 || targetStart < 0 {
+		return ErrBadRange
 	}
 	for _, b := range seg.bindings {
 		if start < b.start+b.pages && b.start < start+pages {
@@ -469,7 +472,7 @@ func FuzzKernelOps(f *testing.F) {
 	f.Add([]byte{
 		4, 2, 0, // access app page 0, read
 		0, 1, // create segment 3, managed
-		2, 3, 0, 2, 2, 0, 1, // bind 3 [0,+2) -> app @0, copy-on-write
+		2, 1, 3, 0, 2, 2, 0, 1, // bind 3 [0,+2) -> app @0, copy-on-write, app cred
 		4, 3, 16, // access 3 page 0, write
 		9, 1, 3, 2, 1, 0, 5, 1, 0, 12, // migrate 3:0 -> app:5, clear dirty|ref
 		12, 1, 2, 1, 0, 0, 1, 0, 2, // modify app page 0, clear write
@@ -516,9 +519,9 @@ func FuzzKernelOps(f *testing.F) {
 				}
 				want = m.create(fpp, managed)
 			case 1:
-				a, start, n, b, to, cow := pick(), int64(s.next()%16), int64(s.next()%5), pick(), int64(s.next()%16), s.next()&1 != 0
-				what = fmt.Sprintf("bind(%d [%d,+%d) -> %d @%d, cow %v)", a, start, n, b, to, cow)
-				got, want = k.BindRegion(segs[a], start, n, segs[b], to, cow), m.bind(a, start, n, b, to, cow)
+				cred, a, start, n, b, to, cow := s.cred(), pick(), int64(s.next()%16), int64(s.next()%5), pick(), int64(s.next()%16), s.next()&1 != 0
+				what = fmt.Sprintf("bind(%s, %d [%d,+%d) -> %d @%d, cow %v)", cred.Name, a, start, n, b, to, cow)
+				got, want = k.BindRegion(cred, segs[a], start, n, segs[b], to, cow), m.bind(cred, a, start, n, b, to, cow)
 			case 2:
 				a, v := pick(), s.next()
 				page, write := int64(v%16), v&16 != 0

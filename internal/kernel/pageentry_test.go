@@ -111,6 +111,8 @@ func TestConservationCatchesCorruptEntry(t *testing.T) {
 			if err == nil || !regexp.MustCompile(c.want).MatchString(err.Error()) {
 				t.Fatalf("CheckFrameConservation = %v, want an error matching %q", err, c.want)
 			}
+			set(s, 0, 64) // mend it for newTestKernel's cleanup check
+			set(s, 1, 65)
 		})
 	}
 }

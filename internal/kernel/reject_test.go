@@ -43,7 +43,7 @@ func newRejectFixture(t *testing.T) *rejectFixture {
 func (fx *rejectFixture) state() string {
 	var b strings.Builder
 	for _, s := range []*Segment{fx.k.BootSegment(), fx.base, fx.busy} {
-		fmt.Fprintf(&b, "%s:", s.Name())
+		fmt.Fprintf(&b, "%s: %d bindings", s.Name(), len(s.bindings))
 		for _, p := range s.Pages() {
 			flags, _ := s.Flags(p)
 			fmt.Fprintf(&b, " %d=%d/%v", p, s.FrameAt(p).PFN(), flags)
@@ -58,7 +58,7 @@ func (fx *rejectFixture) state() string {
 // it cannot express.
 type pageOp struct {
 	name      string
-	calls     func(Stats) int64 // the operation's call counter
+	calls     func(Stats) int64 // the operation's call counter; nil if it has none
 	entry     func(*Kernel) time.Duration
 	spellings []opSpelling
 }
@@ -103,6 +103,13 @@ var (
 				return k.ModifyPageFlagsBatch(c, s, rs, 0, FlagWrite)
 			}),
 		}}
+	// bindOp's range is [Page,+Pages) of the source bound to the
+	// destination at To.
+	bindOp = pageOp{"bind", nil, kernelCall, []opSpelling{
+		single("BindRegion", func(k *Kernel, c Cred, src, dst *Segment, r PageRange) error {
+			return k.BindRegion(c, src, r.Page, r.Pages, dst, r.To, true)
+		}),
+	}}
 	getAttrOp = pageOp{"get-attributes", func(s Stats) int64 { return s.GetAttrCalls }, kernelCall, []opSpelling{
 		single("GetPageAttributes", func(k *Kernel, _ Cred, s, _ *Segment, r PageRange) error {
 			_, err := k.GetPageAttributes(s, r.Page, r.Pages)
@@ -130,8 +137,8 @@ var (
 
 // TestRejectedCalls drives every spelling of every page operation through
 // every way it can be refused: the typed error is the one the precedence
-// rule in batch.go names, nothing moves, the call counter ticks once and
-// the clock advances by the entry charge alone.
+// rule in batch.go names, nothing moves, the call counter (bind has none)
+// ticks once and the clock advances by the entry charge alone.
 func TestRejectedCalls(t *testing.T) {
 	type rejection struct {
 		name     string
@@ -167,6 +174,15 @@ func TestRejectedCalls(t *testing.T) {
 		{"absent page", modifyOp, SystemCred, base, nil, one(15, 0, 2), ErrPageNotPresent},
 		{"absent page in second range", modifyOp, SystemCred, base, nil,
 			[]PageRange{{Page: 0, Pages: 2}, {Page: 30, Pages: 1}}, ErrPageNotPresent},
+
+		{"deleted segment", bindOp, SystemCred, gone, base, one(0, 0, 1), ErrNoSuchSegment},
+		{"deleted target", bindOp, SystemCred, base, gone, one(20, 0, 1), ErrNoSuchSegment},
+		{"unprivileged onto restricted", bindOp, AppCred, base, boot, one(20, 200, 1), ErrNotPrivileged},
+		{"unprivileged on restricted", bindOp, AppCred, boot, base, one(20, 0, 1), ErrNotPrivileged},
+		{"deleted beats unprivileged", bindOp, AppCred, gone, boot, one(0, 200, 1), ErrNoSuchSegment},
+		{"unprivileged beats bad range", bindOp, AppCred, base, boot, one(20, 200, 0), ErrNotPrivileged},
+		{"empty range", bindOp, SystemCred, base, busy, one(20, 0, 0), ErrBadRange},
+		{"negative target", bindOp, SystemCred, base, busy, one(20, -1, 1), ErrBadRange},
 
 		{"deleted segment", getAttrOp, SystemCred, gone, nil, one(0, 0, 1), ErrNoSuchSegment},
 		{"negative page", getAttrOp, SystemCred, base, nil, one(-1, 0, 1), ErrBadRange},
@@ -205,13 +221,39 @@ func TestRejectedCalls(t *testing.T) {
 				t.Errorf("%s: clock advanced %v, want the entry charge %v", name, got, want)
 			}
 			after := fx.k.Stats()
-			if got := tc.op.calls(after) - tc.op.calls(stats); got != 1 {
-				t.Errorf("%s: call counter ticked %d times, want 1", name, got)
+			if tc.op.calls != nil {
+				if got := tc.op.calls(after) - tc.op.calls(stats); got != 1 {
+					t.Errorf("%s: call counter ticked %d times, want 1", name, got)
+				}
 			}
 			if after.MigratedPages != stats.MigratedPages {
 				t.Errorf("%s: MigratedPages moved on a rejected call", name)
 			}
 		}
+	}
+}
+
+// TestUnprivilegedBindOfBootRefused: an application cannot bind the
+// restricted boot segment copy-on-write. If it could, its first write would
+// copy a free frame's bytes into its own page.
+func TestUnprivilegedBindOfBootRefused(t *testing.T) {
+	k := newTestKernel(t)
+	m := newTestManager(t, k, 4, DeliverSameProcess)
+	app, _ := k.CreateSegment("app", 1)
+	k.SetSegmentManager(app, m)
+	boot := k.BootSegment()
+	boot.FrameAt(200).Data()[0] = 0x42
+	if err := k.BindRegion(AppCred, app, 0, 1, boot, 200, true); !errors.Is(err, ErrNotPrivileged) {
+		t.Fatalf("unprivileged bind of the boot segment: %v, want ErrNotPrivileged", err)
+	}
+	if len(app.bindings) != 0 {
+		t.Fatalf("refused bind left %d bindings", len(app.bindings))
+	}
+	if err := k.Access(app, 0, Write); err != nil {
+		t.Fatal(err)
+	}
+	if got := app.FrameAt(0).Data()[0]; got == 0x42 {
+		t.Fatal("the application's page holds the boot frame's byte")
 	}
 }
 

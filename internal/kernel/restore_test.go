@@ -113,7 +113,7 @@ func runRestoreScript(k *Kernel, donor *Segment, data []byte) []*Segment {
 		case 3: // modify flags
 			_ = k.ModifyPageFlags(AppCred, pick(a), page, int64(a>>6)+1, PageFlags(b>>5), PageFlags(a>>5))
 		case 4: // bind a region, copy-on-write when a's top bit says so
-			_ = k.BindRegion(pick(a), 32+page, int64(a>>5)+1, pick(b), page, a&0x80 != 0)
+			_ = k.BindRegion(SystemCred, pick(a), 32+page, int64(a>>5)+1, pick(b), page, a&0x80 != 0)
 		case 5: // delete
 			_ = k.DeleteSegment(AppCred, pick(a))
 		case 6: // return a page to the pool, or to the boot segment at its frame number

@@ -66,7 +66,7 @@ func (k *Kernel) Revoke(dead Manager) ([]*Segment, error) {
 	if k.defaultMgr == nil || dead == Manager(k.defaultMgr) {
 		return nil, fmt.Errorf("%w (revoking %q)", ErrNoFallback, dead.ManagerName())
 	}
-	k.stats.Revocations.Add(1)
+	k.stats.Revocations.Add(0, 1)
 	k.mgrMu.Lock()
 	dc := k.managers[dead]
 	delete(k.managers, dead)
@@ -89,7 +89,7 @@ func (k *Kernel) Revoke(dead Manager) ([]*Segment, error) {
 	}
 	k.mu.RUnlock()
 	sort.Slice(adopted, func(i, j int) bool { return adopted[i].id < adopted[j].id })
-	k.stats.RevokedSegments.Add(int64(len(adopted)))
+	k.stats.RevokedSegments.Add(0, int64(len(adopted)))
 	if dc != nil {
 		dc.revoked.Store(true)
 	}

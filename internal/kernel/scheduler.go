@@ -152,10 +152,10 @@ func (k *Kernel) processFault(c *managerCell, f Fault) error {
 			}
 			return nil
 		case r.Drop:
-			k.stats.DroppedDeliveries.Add(1)
+			k.stats.DroppedDeliveries.Add(uint64(seg), 1)
 			return nil
 		case r.Delay > 0:
-			k.stats.DelayedDeliveries.Add(1)
+			k.stats.DelayedDeliveries.Add(uint64(seg), 1)
 			k.clock.AdvanceOn(uint64(seg), r.Delay)
 		}
 	}
@@ -189,7 +189,8 @@ func (k *Kernel) processDelete(c *managerCell, s *Segment) {
 func (k *Kernel) Scheduler() *Scheduler { return k.sched }
 
 // SetScheduler installs a delivery mode. Installing the concurrent one also
-// shares the mapping hash table (its lock stripes, hashtable.go) and moves
+// shares the mapping hash table (its lock stripes, hashtable.go), the clock
+// and the activity counters (striped atomics, sim.Striped.Share), and moves
 // translation caching to one R3000 TLB per segment (tlbOf): the kernel's one
 // TLB would be written by every driver, so which install evicts which would
 // depend on goroutine timing, while a segment's TLB is only touched under
@@ -202,6 +203,8 @@ func (k *Kernel) SetScheduler(s *Scheduler) {
 	k.sched = s
 	if s.concurrent {
 		k.table.share()
+		k.clock.Share()
+		k.stats.share()
 		k.concurrent = true
 	}
 }

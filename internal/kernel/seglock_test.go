@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"epcm/internal/sim"
 )
 
 // residentSegment stocks a kernel as stockedKernel does and adds a segment
@@ -83,6 +85,42 @@ func TestSerialKernelTakesNoSegmentLock(t *testing.T) {
 		s.mu.Unlock()
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// TestConcurrentSchedulerSharesClockAndStats pins the sharing rule: a serial
+// kernel's clock and activity counters are plain words (sim.Striped
+// unshared), and installing the concurrent scheduler — at boot, or later on
+// a kernel that has already run — shares the clock and every kernelStats
+// counter, keeping the values they hold.
+func TestConcurrentSchedulerSharesClockAndStats(t *testing.T) {
+	t.Parallel()
+	check := func(t *testing.T, k *Kernel, want bool) {
+		t.Helper()
+		if got := k.Clock().Shared(); got != want {
+			t.Errorf("clock shared = %v, want %v", got, want)
+		}
+		n := 0
+		k.stats.each(func(name string, c *sim.Striped) {
+			if n++; c.Shared() != want {
+				t.Errorf("kernelStats.%s shared = %v, want %v", name, c.Shared(), want)
+			}
+		})
+		if n != 20 {
+			t.Errorf("walked %d counters, want all 20", n)
+		}
+	}
+	t.Run("serial", func(t *testing.T) { check(t, newTestKernel(t), false) })
+	t.Run("concurrent", func(t *testing.T) { check(t, newTestKernelWith(t, Config{Concurrent: true}), true) })
+	t.Run("installed later", func(t *testing.T) {
+		k, _, _ := residentSegment(t, Config{})
+		check(t, k, false)
+		now, stats := k.Clock().Now(), k.Stats()
+		k.SetScheduler(NewConcurrentScheduler(k))
+		check(t, k, true)
+		if k.Clock().Now() != now || k.Stats() != stats {
+			t.Errorf("sharing moved the clock (%v -> %v) or the stats (%+v -> %+v)", now, k.Clock().Now(), stats, k.Stats())
 		}
 	})
 }

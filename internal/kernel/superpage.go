@@ -132,8 +132,8 @@ func (k *Kernel) PromoteExtent(cred Cred, s *Segment, base int64, order int) err
 		prev = pfn
 	}
 	k.recordExtentLocked(s, base, uint8(order))
-	k.stats.ExtentPromotions.Add(1)
-	k.stats.SuperpageOps.Add(1)
+	k.stats.ExtentPromotions.Add(uint64(s.id), 1)
+	k.stats.SuperpageOps.Add(uint64(s.id), 1)
 	return nil
 }
 
@@ -168,7 +168,7 @@ func (k *Kernel) DemoteExtent(cred Cred, s *Segment, base int64) error {
 	}
 	if ord, ok := s.extents[base]; ok {
 		k.clock.AdvanceOn(uint64(s.id), k.cost.SuperpageOp)
-		k.stats.SuperpageOps.Add(1)
+		k.stats.SuperpageOps.Add(uint64(s.id), 1)
 		k.dropExtentLocked(s, base, ord)
 	}
 	return nil
@@ -182,7 +182,7 @@ func (k *Kernel) dropExtentLocked(s *Segment, base int64, order uint8) {
 	key := mapKey{s.id, base}
 	k.table.removeSpan(key, order)
 	k.tlbOf(s).invalidateSpan(key, order)
-	k.stats.ExtentDemotions.Add(1)
+	k.stats.ExtentDemotions.Add(uint64(s.id), 1)
 }
 
 // demoteCoveringLocked demotes the extent covering page, if any. It is the
@@ -217,7 +217,7 @@ func (k *Kernel) dropAllExtentsLocked(s *Segment) {
 		key := mapKey{s.id, base}
 		k.table.removeSpan(key, ord)
 		k.tlbOf(s).invalidateSpan(key, ord)
-		k.stats.ExtentDemotions.Add(1)
+		k.stats.ExtentDemotions.Add(uint64(s.id), 1)
 	}
 	clear(s.extents)
 	s.extOrderCount = [MaxExtentOrder + 1]uint32{}

@@ -11,7 +11,7 @@ import (
 // newSuperKernel is newTestKernel with the superpage plane on.
 func newSuperKernel(t *testing.T) *Kernel {
 	t.Helper()
-	return newTestKernelWith(Config{Superpages: true})
+	return newTestKernelWith(t, Config{Superpages: true})
 }
 
 // fillAligned moves n boot pages starting at boot page n*slot into seg at
@@ -197,7 +197,7 @@ func TestBatchMigrateExtentFallbacks(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			k := newTestKernelWith(Config{Superpages: tc.super})
+			k := newTestKernelWith(t, Config{Superpages: tc.super})
 			seg, _ := k.CreateSegment("data", 1)
 			before := k.Clock().Now()
 			var err error

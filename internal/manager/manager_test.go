@@ -300,7 +300,7 @@ func TestCopyOnWriteThroughManager(t *testing.T) {
 		t.Fatal(err)
 	}
 	file.FrameAt(0).Data()[0] = 0xAA
-	if err := fx.k.BindRegion(space, 0, 1, file, 0, true); err != nil {
+	if err := fx.k.BindRegion(kernel.AppCred, space, 0, 1, file, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := fx.k.Access(space, 0, kernel.Write); err != nil {

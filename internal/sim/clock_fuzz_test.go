@@ -19,12 +19,17 @@ func panics(fn func()) (did bool) {
 // striped clock and on refClock, comparing the time read after every step
 // and that the two refusals (a negative advance, AdvanceTo into the past)
 // panic on both and move neither. The same script drives a bare Striped
-// against a plain int64 through Add, Load and Store. In check.sh's 10 s
-// smokes.
+// against a plain int64 through Add, Load and Store. The mode bit shares the
+// clock and the counter at a step the seed picks (the first, often), as the
+// kernel's concurrent scheduler does to a clock that may already have run:
+// a shared and an unshared clock read the same after every step, whatever
+// the keys. In check.sh's 10 s smokes.
 func FuzzClock(f *testing.F) {
-	f.Add(uint64(1), 64)
-	f.Add(uint64(1992), 400)
-	f.Fuzz(func(t *testing.T, seed uint64, steps int) {
+	f.Add(uint64(1), 64, false)
+	f.Add(uint64(1), 64, true)
+	f.Add(uint64(1992), 400, false)
+	f.Add(uint64(1992), 400, true)
+	f.Fuzz(func(t *testing.T, seed uint64, steps int, shared bool) {
 		if steps < 0 || steps > 2000 {
 			t.Skip()
 		}
@@ -34,7 +39,15 @@ func FuzzClock(f *testing.F) {
 		var s Striped
 		var sref int64
 		watch, watchStart := NewStopwatch(&c), time.Duration(0)
+		shareAt := -1
+		if shared {
+			shareAt = max(0, rng.Intn(2*steps+1)-steps) // step 0 half the time
+		}
 		for i := 0; i < steps; i++ {
+			if i == shareAt {
+				c.Share()
+				s.Share()
+			}
 			d := time.Duration(rng.Intn(1 << 20))
 			key := rng.Uint64()
 			if rng.Intn(4) == 0 {
@@ -93,14 +106,18 @@ func FuzzClock(f *testing.F) {
 				t.Fatalf("step %d: striped counter reads %d, want %d", i, got, sref)
 			}
 		}
+		if c.Shared() != (shareAt >= 0 && shareAt < steps) || s.Shared() != c.Shared() {
+			t.Fatalf("clock shared %v, counter %v, shared at step %d of %d", c.Shared(), s.Shared(), shareAt, steps)
+		}
 	})
 }
 
 // TestChaosClockHammer has goroutines charge known totals to one clock and
 // one bare Striped — some under a key each, some colliding on one key, one
 // through the keyless Advance — while a reader checks the time never runs
-// backwards; the final readings must be the exact sums. Run with -race in
-// the chaos stage of scripts/check.sh; it needs two CPUs to mean anything.
+// backwards; the final readings must be the exact sums. Both are shared
+// first, as a second charger requires. Run with -race in the chaos stage of
+// scripts/check.sh; it needs two CPUs to mean anything.
 func TestChaosClockHammer(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("needs GOMAXPROCS >= 2")
@@ -111,6 +128,8 @@ func TestChaosClockHammer(t *testing.T) {
 	)
 	var c Clock
 	var s Striped
+	c.Share()
+	s.Share()
 	var wg sync.WaitGroup
 	var want time.Duration
 	for g := 0; g < chargers; g++ {

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// Layer benchmarks for the time engine (ROADMAP item 1: "event-heap
+// Layer benchmarks for the time engine (ROADMAP item 7: "event-heap
 // push/pop and the shard window barrier", plus the striped clock).
 // Steady-state loops that must not allocate say so with mustNotAlloc.
 // scripts/check.sh smoke-runs them at one iteration.
@@ -113,14 +113,20 @@ func BenchmarkWindowBarrier(b *testing.B) {
 }
 
 // BenchmarkClockAdvance: one op is one charge. "serial" is the keyless call
-// a single owner makes; the parallel variants charge from two goroutines —
-// on one key (one cache line: what every charger paid while the clock was a
-// single word) and on a key each (the striped clock's point: the cost of
-// "serial", not of a line bouncing between cores).
+// a single owner makes on an unshared clock (a plain add), "serial-shared"
+// the same call once the clock is shared (an out-of-line atomic add): their
+// difference is the atomic's cost in a loop of nothing but charges. The
+// parallel variants charge a shared clock from two goroutines — on one key
+// (one cache line: what every charger paid while the clock was a single
+// word) and on a key each (the striped clock's point: the cost of
+// "serial-shared", not of a line bouncing between cores).
 func BenchmarkClockAdvance(b *testing.B) {
-	b.Run("serial", func(b *testing.B) {
+	serial := func(b *testing.B, shared bool) {
 		b.ReportAllocs()
 		var c Clock
+		if shared {
+			c.Share()
+		}
 		for i := 0; i < b.N; i++ {
 			c.Advance(time.Nanosecond)
 		}
@@ -128,15 +134,18 @@ func BenchmarkClockAdvance(b *testing.B) {
 		if got := c.Now(); got != time.Duration(b.N+21) { // the loop, then AllocsPerRun's 20 runs and warm-up
 			b.Fatalf("clock reads %v after %d charges", got, b.N+21)
 		}
-	})
+	}
+	b.Run("serial", func(b *testing.B) { serial(b, false) })
+	b.Run("serial-shared", func(b *testing.B) { serial(b, true) })
 	parallel := func(b *testing.B, distinct bool) {
 		b.SetParallelism(1)
 		var c Clock
+		c.Share()
 		var next atomic.Uint64
 		b.RunParallel(func(pb *testing.PB) {
 			key := uint64(0)
 			if distinct {
-				key = next.Add(1)
+				key = next.Add(1) - 1 // 0 and 1: stripe 0 sits nearest the shared flag
 			}
 			for pb.Next() {
 				c.AdvanceOn(key, time.Nanosecond)

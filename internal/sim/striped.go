@@ -18,27 +18,38 @@ import "sync/atomic"
 // slower. A power of two: keys select a stripe by masking.
 const Stripes = 4
 
-// Padded is an atomic counter alone on its cache line (adjacent atomic.Int64
-// words would pack eight to a line and false-share).
-type Padded struct {
-	atomic.Int64
+// stripe is one word alone on its cache line (adjacent words would pack
+// eight to a line and false-share).
+type stripe struct {
+	n int64
 	_ [56]byte
 }
 
 // Striped is one logical counter split across Stripes cache lines, because a
 // single word bumped from several cores ping-pongs even alone on its line.
-// The zero value reads zero. Each Padded keeps what follows it off its
-// counter's line; the leading pad does the same for whatever precedes the
-// first stripe in an enclosing struct (8-byte alignment makes 56 bytes
-// enough), so a Striped can sit next to fields the fault path reads.
+// The zero value reads zero and is unshared. The leading line keeps the
+// first stripe off whatever precedes it and holds the shared flag, which
+// every Add reads, 64 bytes clear of any stripe's word (DESIGN §11).
 type Striped struct {
-	_ [56]byte
-	c [Stripes]Padded
+	shared bool
+	_      [63]byte
+	c      [Stripes]stripe
 }
 
-// Add charges d to the stripe key selects.
+// Until Share, Add is a plain add to stripe 0 for one charger at a time (a
+// serial kernel, a DES shard); Share makes every later Add atomic on its
+// key's stripe, for good. Call it before a second charger starts: -race
+// catches one that does not. Shared reports whether it has been called.
+func (s *Striped) Share()       { s.shared = true }
+func (s *Striped) Shared() bool { return s.shared }
+
+// Add charges d to the stripe key selects once shared, to stripe 0 before.
 func (s *Striped) Add(key uint64, d int64) {
-	s.c[key&(Stripes-1)].Int64.Add(d)
+	if s.shared {
+		atomic.AddInt64(&s.c[key&(Stripes-1)].n, d)
+		return
+	}
+	s.c[0].n += d
 }
 
 // Load sums the stripes. Exact, but not a snapshot under concurrent Adds
@@ -47,14 +58,15 @@ func (s *Striped) Add(key uint64, d int64) {
 // independent loads overlap, at about half the cost of the loop.
 func (s *Striped) Load() int64 {
 	c := &s.c
-	return c[0].Load() + c[1].Load() + c[2].Load() + c[3].Load()
+	return atomic.LoadInt64(&c[0].n) + atomic.LoadInt64(&c[1].n) +
+		atomic.LoadInt64(&c[2].n) + atomic.LoadInt64(&c[3].n)
 }
 
 // Store sets the counter to v (stripe 0 takes the value, the rest zero). It
 // is the owner's call: Adds racing with it may land on either side.
 func (s *Striped) Store(v int64) {
-	s.c[0].Int64.Store(v)
+	atomic.StoreInt64(&s.c[0].n, v)
 	for i := 1; i < Stripes; i++ {
-		s.c[i].Int64.Store(0)
+		atomic.StoreInt64(&s.c[i].n, 0)
 	}
 }

@@ -292,7 +292,7 @@ if ! diff <(awk '{ print $1 }' <<<"$listed") - <<<"$unlinked"; then
     exit 1
 fi
 
-echo "== page-store inlining budget =="
+echo "== inlining budget: page store, mapping table, clock =="
 # The fault path and the page operations probe the page store per page
 # through get, has and del; losing their inlining costs extent about 6 %.
 # Range probes sit beside them in pagestore.go; these three must still inline.
@@ -302,6 +302,15 @@ inl=$(go build -gcflags=-m ./internal/kernel 2>&1)
 for fn in '\(\*pageStore\)\.get' '\(\*pageStore\)\.has' '\(\*pageStore\)\.del' '\(\*hashSlot\)\.holds' packKey; do
     if ! grep -qE "can inline $fn\$" <<<"$inl"; then
         echo "${fn//\\/} no longer inlines: go build -gcflags=-m=2 ./internal/kernel says why" >&2
+        exit 1
+    fi
+done
+# A serial kernel's clock and counters are plain words (sim.Striped until
+# Share): each charge is one branch and an add only while these inline.
+inl=$(go build -gcflags=-m ./internal/sim 2>&1)
+for fn in '\(\*Clock\)\.Advance' '\(\*Clock\)\.AdvanceOn' '\(\*Striped\)\.Add'; do
+    if ! grep -qE "can inline $fn\$" <<<"$inl"; then
+        echo "${fn//\\/} no longer inlines: go build -gcflags=-m=2 ./internal/sim says why" >&2
         exit 1
     fi
 done
